@@ -8,6 +8,7 @@
 //! reference. Every crate in the workspace synchronizes through this
 //! module so tier-1 builds need nothing outside the standard library.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::PoisonError;
 use std::time::Duration;
 
@@ -63,30 +64,57 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// Condition variable pairing with [`Mutex`].
+/// Condition variable pairing with [`Mutex`], with a waiter count so a
+/// notify that nobody is waiting for costs one atomic load instead of a
+/// `FUTEX_WAKE` system call (std's futex condvar has no such count, and
+/// most notifies in this workspace — every future settle — find nobody).
+///
+/// No wake-up is lost as long as the notifier publishes what the waiter
+/// checks while holding the paired mutex, or takes that mutex after
+/// publishing and before (or while) notifying. A waiter checks under the
+/// mutex and is counted *before* the wait releases it, so a notifier
+/// whose critical section comes first is seen by the waiter's check, and
+/// one whose critical section comes second sees the waiter counted.
+/// A notifier that touches neither could already lose its wake-up to a
+/// waiter between its check and its wait; such sites wait with a timeout.
 #[derive(Debug, Default)]
-pub struct Condvar(std::sync::Condvar);
+pub struct Condvar {
+    inner: std::sync::Condvar,
+    /// Threads between the start of a wait and re-acquiring the mutex
+    /// after it. Only ever too high (a woken waiter not yet rescheduled),
+    /// which costs a spare system call, never a lost wake-up.
+    waiters: AtomicUsize,
+}
 
 impl Condvar {
     /// A new condition variable.
     pub const fn new() -> Self {
-        Self(std::sync::Condvar::new())
+        Self {
+            inner: std::sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
+        }
     }
 
-    /// Wake one waiter.
+    /// Wake one waiter, if there is one.
     pub fn notify_one(&self) {
-        self.0.notify_one();
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_one();
+        }
     }
 
-    /// Wake every waiter.
+    /// Wake every waiter, if there is one.
     pub fn notify_all(&self) {
-        self.0.notify_all();
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_all();
+        }
     }
 
     /// Block until notified, releasing the guard while waiting.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.inner.take().expect("guard taken by condvar wait");
-        let inner = lock_or_recover(self.0.wait(inner));
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let inner = lock_or_recover(self.inner.wait(inner));
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
     }
 
@@ -94,7 +122,9 @@ impl Condvar {
     /// wait timed out.
     pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> bool {
         let inner = guard.inner.take().expect("guard taken by condvar wait");
-        let (inner, res) = lock_or_recover(self.0.wait_timeout(inner, timeout));
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let (inner, res) = lock_or_recover(self.inner.wait_timeout(inner, timeout));
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
         res.timed_out()
     }
@@ -173,6 +203,44 @@ mod tests {
         let cv = Condvar::new();
         let mut g = lock.lock();
         assert!(cv.wait_for(&mut g, Duration::from_millis(5)));
+    }
+
+    #[test]
+    fn notify_without_a_waiter_is_a_no_op() {
+        let lock = Mutex::new(());
+        let cv = Condvar::new();
+        cv.notify_one();
+        cv.notify_all();
+        // Nothing was banked: a wait that starts afterwards still blocks.
+        let mut g = lock.lock();
+        assert!(cv.wait_for(&mut g, Duration::from_millis(5)));
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn waiters_are_counted_only_while_they_wait() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let p2 = Arc::clone(&pair);
+        let t = std::thread::spawn(move || {
+            let (lock, cv) = &*p2;
+            let mut g = lock.lock();
+            while !*g {
+                cv.wait(&mut g);
+            }
+        });
+        let (lock, cv) = &*pair;
+        // Counted before the wait releases the mutex: once we hold the
+        // mutex and see the count, the notify below cannot be skipped.
+        loop {
+            let _g = lock.lock();
+            if cv.waiters.load(Ordering::SeqCst) == 1 {
+                break;
+            }
+        }
+        *lock.lock() = true;
+        cv.notify_all();
+        t.join().expect("waiter panicked");
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -214,10 +214,7 @@ impl LocalityShared {
                 self.handle_call(call_id, origin, &action, args);
             }
             Frame::Reply { call_id, outcome } => {
-                if self.handle_reply(call_id, outcome) {
-                    self.parcels.received.incr();
-                    self.parcels.bytes_received.add(n);
-                } else {
+                if !self.handle_reply(call_id, outcome, n) {
                     // Duplicated reply, or a reply racing a deadline /
                     // disconnect settle that won. Either way the call is
                     // settled exactly once already.
@@ -280,12 +277,21 @@ impl LocalityShared {
         }
     }
 
-    /// Settle the pending call this reply answers. Returns `false` if the
-    /// call was already settled (duplicate / late reply) — the frame is
-    /// then a dedup event, not traffic.
-    fn handle_reply(self: &Arc<Self>, call_id: u64, outcome: Result<Vec<u8>, WireFault>) -> bool {
+    /// Settle the pending call this reply answers, booking its
+    /// `frame_bytes` as received traffic first: whoever the settle wakes
+    /// may read the books at once and must find the reply in them.
+    /// Returns `false` if the call was already settled (duplicate / late
+    /// reply) — the frame is then a dedup event, not traffic.
+    fn handle_reply(
+        self: &Arc<Self>,
+        call_id: u64,
+        outcome: Result<Vec<u8>, WireFault>,
+        frame_bytes: u64,
+    ) -> bool {
         let entry = self.pending.lock().remove(&call_id);
         let Some(entry) = entry else { return false };
+        self.parcels.received.incr();
+        self.parcels.bytes_received.add(frame_bytes);
         let outcome = outcome.map_err(|fault| task_error_of(fault, entry.dest));
         self.settle_entry(entry, outcome);
         true

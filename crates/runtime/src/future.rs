@@ -17,6 +17,9 @@
 //! * [`when_all`] — N-ary conjunction, the edge/intermediate nodes of the
 //!   dependency graph in the paper's Fig. 2. The first faulted input
 //!   faults the conjunction with a [`TaskError::Dependency`] cause chain.
+//! * `DepNode` (crate-internal) — the one dependency node behind both
+//!   [`when_all`] and the runtime's `dataflow`: it registers itself on
+//!   every input, counts them down, and fires exactly once.
 //!
 //! Continuations run inline on the thread that settles the promise,
 //! which on a worker means "as part of the completing task's phase" —
@@ -24,6 +27,7 @@
 
 use crate::fault::{self, TaskError};
 use grain_counters::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,12 +35,31 @@ use std::time::{Duration, Instant};
 pub type Settled<T> = Result<Arc<T>, TaskError>;
 
 /// Callback attached to a future; observes the settled outcome.
-type Continuation<T> = Box<dyn FnOnce(&Settled<T>) + Send>;
+type Callback<T> = Box<dyn FnOnce(&Settled<T>) + Send>;
+
+/// What a pending future runs when it settles.
+enum Continuation<T> {
+    /// Attached with [`SharedFuture::on_settled`].
+    Callback(Callback<T>),
+    /// A dependency node counting this future among its inputs.
+    Node(Arc<dyn Waiter>),
+}
 
 enum State<T> {
     Empty(Vec<Continuation<T>>),
     Ready(Arc<T>),
     Faulted(TaskError),
+}
+
+impl<T> State<T> {
+    /// The settled outcome, `None` while pending.
+    fn outcome(&self) -> Option<Settled<T>> {
+        match self {
+            State::Ready(v) => Some(Ok(Arc::clone(v))),
+            State::Faulted(e) => Some(Err(e.clone())),
+            State::Empty(_) => None,
+        }
+    }
 }
 
 struct Shared<T> {
@@ -64,7 +87,10 @@ impl<T> Shared<T> {
         };
         self.ready.notify_all();
         for c in continuations {
-            c(&outcome);
+            match c {
+                Continuation::Callback(f) => f(&outcome),
+                Continuation::Node(node) => node.input_settled(outcome.as_ref().err()),
+            }
         }
     }
 }
@@ -170,22 +196,18 @@ impl<T> SharedFuture<T> {
     /// The settled outcome, if the future has settled: `Some(Ok(value))`
     /// once ready, `Some(Err(error))` once faulted, `None` while pending.
     pub fn try_get(&self) -> Option<Settled<T>> {
-        match &*self.shared.state.lock() {
-            State::Ready(v) => Some(Ok(Arc::clone(v))),
-            State::Faulted(e) => Some(Err(e.clone())),
-            State::Empty(_) => None,
-        }
+        self.shared.state.lock().outcome()
     }
 
     /// True once the future has settled (ready *or* faulted) — i.e. a
     /// suspended task waiting on it would be resumed.
     pub fn is_ready(&self) -> bool {
-        self.try_get().is_some()
+        !matches!(&*self.shared.state.lock(), State::Empty(_))
     }
 
     /// True if the future settled with an error.
     pub fn is_faulted(&self) -> bool {
-        matches!(self.try_get(), Some(Err(_)))
+        matches!(&*self.shared.state.lock(), State::Faulted(_))
     }
 
     /// The error the future faulted with, if it did.
@@ -219,10 +241,9 @@ impl<T> SharedFuture<T> {
     pub fn wait(&self) -> Settled<T> {
         let mut st = self.shared.state.lock();
         loop {
-            match &*st {
-                State::Ready(v) => return Ok(Arc::clone(v)),
-                State::Faulted(e) => return Err(e.clone()),
-                State::Empty(_) => self.shared.ready.wait(&mut st),
+            match st.outcome() {
+                Some(outcome) => return outcome,
+                None => self.shared.ready.wait(&mut st),
             }
         }
     }
@@ -234,17 +255,14 @@ impl<T> SharedFuture<T> {
         let deadline = Instant::now() + timeout;
         let mut st = self.shared.state.lock();
         loop {
-            match &*st {
-                State::Ready(v) => return Ok(Arc::clone(v)),
-                State::Faulted(e) => return Err(e.clone()),
-                State::Empty(_) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(TaskError::Timeout { waited: timeout });
-                    }
-                    self.shared.ready.wait_for(&mut st, deadline - now);
-                }
+            if let Some(outcome) = st.outcome() {
+                return outcome;
             }
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(TaskError::Timeout { waited: timeout });
+            }
+            self.shared.ready.wait_for(&mut st, deadline - now);
         }
     }
 
@@ -252,22 +270,32 @@ impl<T> SharedFuture<T> {
     /// immediately (inline) if already settled, otherwise at settle time
     /// on the settling thread.
     pub fn on_settled(&self, f: impl FnOnce(&Settled<T>) + Send + 'static) {
-        let mut f = Some(f);
-        let run_now = {
+        let outcome = {
+            let mut st = self.shared.state.lock();
+            if let State::Empty(conts) = &mut *st {
+                conts.push(Continuation::Callback(Box::new(f)));
+                return;
+            }
+            st.outcome().expect("a non-empty state is settled")
+        };
+        f(&outcome);
+    }
+
+    /// Count this future among `node`'s inputs: `node` hears of the
+    /// settle at settle time, or right here if it already happened.
+    fn subscribe(&self, node: &Arc<dyn Waiter>) {
+        let fault = {
             let mut st = self.shared.state.lock();
             match &mut *st {
-                State::Ready(v) => Some(Ok(Arc::clone(v))),
-                State::Faulted(e) => Some(Err(e.clone())),
                 State::Empty(conts) => {
-                    let f = f.take().unwrap();
-                    conts.push(Box::new(f));
-                    None
+                    conts.push(Continuation::Node(Arc::clone(node)));
+                    return;
                 }
+                State::Ready(_) => None,
+                State::Faulted(e) => Some(e.clone()),
             }
         };
-        if let Some(outcome) = run_now {
-            (f.take().unwrap())(&outcome);
-        }
+        node.input_settled(fault.as_ref());
     }
 
     /// Attach a continuation that runs only if the future becomes ready
@@ -282,6 +310,110 @@ impl<T> SharedFuture<T> {
     }
 }
 
+/// The type-erased face of a [`DepNode`]: what its inputs and its task
+/// group hold, and all they may tell it.
+pub(crate) trait Waiter: Send + Sync {
+    /// One input settled, with `fault` if it faulted.
+    fn input_settled(&self, fault: Option<&TaskError>);
+    /// The node's group was cancelled while the node may still be dormant.
+    fn cancel(&self);
+}
+
+/// Why a [`DepNode`] fired.
+pub(crate) enum Fired<T> {
+    /// Every input is ready; their values, in input order.
+    Ready(Vec<Arc<T>>),
+    /// The first input to fault, wrapped once in
+    /// [`TaskError::Dependency`]. Siblings may still be pending.
+    Faulted(TaskError),
+    /// [`Waiter::cancel`] came first.
+    Cancelled,
+}
+
+/// One node of the dependency graph: waits for every one of its inputs,
+/// then hands their values to `fire` — or hands it the first fault, or
+/// the cancellation, whichever comes first. `fire` runs exactly once, on
+/// the thread that brings the deciding event.
+///
+/// The node is owned by its still-pending inputs (each holds one `Arc` in
+/// its continuation list) and so is freed when the last of them settles;
+/// nothing else keeps it alive, which is why a task group holds its
+/// dormant nodes weakly.
+pub(crate) struct DepNode<T, F> {
+    /// Inputs yet to settle, plus one held by [`DepNode::join`] so a node
+    /// whose inputs are all settled already cannot fire mid-loop.
+    pending: AtomicUsize,
+    /// The inputs and the fire step. Whichever event fires the node takes
+    /// both, so a fired node holds nothing, however long a pending input
+    /// keeps the node itself alive.
+    armed: Mutex<Option<(Vec<SharedFuture<T>>, F)>>,
+}
+
+impl<T, F> DepNode<T, F>
+where
+    T: Send + Sync + 'static,
+    F: FnOnce(Fired<T>) + Send + 'static,
+{
+    /// A node over `deps`, registered on each of them. It may have fired
+    /// by the time this returns.
+    pub(crate) fn join(deps: &[SharedFuture<T>], fire: F) -> Arc<Self> {
+        let node = Arc::new(Self {
+            pending: AtomicUsize::new(deps.len() + 1),
+            armed: Mutex::new(Some((deps.to_vec(), fire))),
+        });
+        let waiter: Arc<dyn Waiter> = Arc::clone(&node) as _;
+        for dep in deps {
+            dep.subscribe(&waiter);
+        }
+        node.input_settled(None);
+        node
+    }
+
+    /// Has the node yet to fire?
+    pub(crate) fn is_dormant(&self) -> bool {
+        self.armed.lock().is_some()
+    }
+
+    fn fire(&self, why: impl FnOnce(Vec<SharedFuture<T>>) -> Fired<T>) {
+        let armed = self.armed.lock().take();
+        if let Some((deps, fire)) = armed {
+            fire(why(deps));
+        }
+    }
+}
+
+impl<T, F> Waiter for DepNode<T, F>
+where
+    T: Send + Sync + 'static,
+    F: FnOnce(Fired<T>) + Send + 'static,
+{
+    fn input_settled(&self, fault: Option<&TaskError>) {
+        if let Some(e) = fault {
+            // A faulted input never counts down, so the count cannot
+            // reach zero afterwards: `Ready` means every input is ready.
+            self.fire(|_| {
+                Fired::Faulted(TaskError::Dependency {
+                    cause: Arc::new(e.clone()),
+                })
+            });
+        } else if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.fire(|deps| {
+                // Same element size in and out: `collect` reuses the
+                // input list's allocation for the values.
+                let values = deps.into_iter().map(|dep| match dep.try_get() {
+                    Some(Ok(v)) => v,
+                    _ => unreachable!("a dependency node counted down an input that is not ready"),
+                });
+                Fired::Ready(values.collect())
+            });
+        }
+    }
+
+    fn cancel(&self) {
+        self.fire(|_| Fired::Cancelled);
+    }
+}
+
 /// A future for the conjunction of `futures`: ready when all inputs are,
 /// carrying the input values in order — or faulted as soon as any input
 /// faults, with that input's error as the [`TaskError::Dependency`]
@@ -293,56 +425,13 @@ impl<T> SharedFuture<T> {
 pub fn when_all<T: Send + Sync + 'static>(
     futures: &[SharedFuture<T>],
 ) -> SharedFuture<Vec<Arc<T>>> {
-    let n = futures.len();
     let (promise, out) = channel();
-    if n == 0 {
-        promise.set(Vec::new());
-        return out;
-    }
-
-    type GatherState<T> = (Vec<Option<Arc<T>>>, usize, Option<Promise<Vec<Arc<T>>>>);
-    struct Gather<T> {
-        slots: Mutex<GatherState<T>>,
-    }
-    let gather = Arc::new(Gather {
-        slots: Mutex::new((vec![None; n], 0, Some(promise))),
+    DepNode::join(futures, move |fired| match fired {
+        Fired::Ready(values) => promise.set(values),
+        Fired::Faulted(e) => promise.fail(e),
+        // Unreachable: nothing cancels a node that no group knows of.
+        Fired::Cancelled => promise.fail(TaskError::Cancelled),
     });
-
-    for (i, fut) in futures.iter().enumerate() {
-        let gather = Arc::clone(&gather);
-        fut.on_settled(move |outcome| {
-            match outcome {
-                Ok(v) => {
-                    let finished = {
-                        let mut g = gather.slots.lock();
-                        debug_assert!(g.0[i].is_none(), "when_all slot filled twice");
-                        g.0[i] = Some(Arc::clone(v));
-                        g.1 += 1;
-                        if g.1 == n {
-                            // A faulted sibling may have consumed the
-                            // promise already; then there is nothing to do.
-                            g.2.take()
-                                .map(|p| (p, g.0.iter_mut().map(|s| s.take().unwrap()).collect()))
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some((promise, values)) = finished {
-                        promise.set(values);
-                    }
-                }
-                Err(e) => {
-                    // First fault wins; the conjunction inherits it.
-                    let promise = gather.slots.lock().2.take();
-                    if let Some(promise) = promise {
-                        promise.fail(TaskError::Dependency {
-                            cause: Arc::new(e.clone()),
-                        });
-                    }
-                }
-            }
-        });
-    }
     out
 }
 

@@ -24,9 +24,10 @@
 //! grouped root is covered by the root's group.
 
 use crate::fault::TaskError;
+use crate::future::Waiter;
 use grain_counters::sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// A cheaply clonable cooperative cancellation flag.
@@ -64,9 +65,11 @@ type FaultHook = Box<dyn FnOnce(&TaskError) + Send>;
 struct Hooks {
     /// Callbacks to run when the group next becomes quiescent.
     quiescent: Vec<Box<dyn FnOnce() + Send>>,
-    /// Callbacks to run when the group is cancelled (used by grouped
-    /// dataflow nodes to release their reservations).
-    cancel: Vec<Box<dyn FnOnce() + Send>>,
+    /// Grouped dataflow nodes that may still be dormant, for
+    /// [`TaskGroup::cancel`] to release. Weak, because a node holds its
+    /// group: a strong entry would be a cycle that only `cancel` breaks,
+    /// and a node is dead weight here from the moment it fires.
+    dormant: Vec<Weak<dyn Waiter>>,
     /// Callbacks to run when the group's first fault is recorded (used by
     /// the job service's fail-fast policy).
     fault: Vec<FaultHook>,
@@ -132,17 +135,14 @@ impl TaskGroup {
         self.token.clone()
     }
 
-    /// Request cancellation: trips the token and releases every
-    /// registered cancel hook (pending dataflow reservations). Idempotent;
-    /// already-running members finish their current phase.
+    /// Request cancellation: trips the token and releases every dormant
+    /// dataflow reservation. Idempotent; already-running members finish
+    /// their current phase.
     pub fn cancel(&self) {
         self.token.cancel();
-        let hooks = {
-            let mut g = self.hooks.lock();
-            std::mem::take(&mut g.cancel)
-        };
-        for h in hooks {
-            h();
+        let dormant = std::mem::take(&mut self.hooks.lock().dormant);
+        for node in dormant.iter().filter_map(Weak::upgrade) {
+            node.cancel();
         }
     }
 
@@ -347,18 +347,22 @@ impl TaskGroup {
         f();
     }
 
-    /// Run `f` when the group is cancelled; used by grouped dataflow
-    /// nodes to release reservations. If already cancelled, `f` runs
-    /// inline.
-    pub(crate) fn on_cancel(&self, f: impl FnOnce() + Send + 'static) {
-        {
-            let mut g = self.hooks.lock();
-            if !self.is_cancelled() {
-                g.cancel.push(Box::new(f));
-                return;
-            }
+    /// Have [`cancel`](Self::cancel) release `node` if it is still
+    /// dormant by then. Returns `false`, registering nothing, if the
+    /// group is cancelled already: the caller releases the node itself.
+    pub(crate) fn register_dormant(&self, node: Weak<dyn Waiter>) -> bool {
+        let mut g = self.hooks.lock();
+        if self.is_cancelled() {
+            return false;
         }
-        f();
+        // Nodes that fired are never removed one by one; sweep them out
+        // whenever the list is about to grow, so it stays within twice
+        // the number of live nodes however long the group lives.
+        if g.dormant.len() == g.dormant.capacity() {
+            g.dormant.retain(|n| n.strong_count() > 0);
+        }
+        g.dormant.push(node);
+        true
     }
 
     /// Block until the group is quiescent (in-flight count zero). Unlike
@@ -445,23 +449,46 @@ mod tests {
         assert_eq!(g.spawned(), 2);
     }
 
+    /// A stand-in for a dormant dataflow node: counts its cancels.
+    #[derive(Default)]
+    struct Dormant(AtomicUsize);
+
+    impl Waiter for Dormant {
+        fn input_settled(&self, _fault: Option<&TaskError>) {}
+        fn cancel(&self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn weak(node: &Arc<Dormant>) -> Weak<dyn Waiter> {
+        Arc::downgrade(node) as _
+    }
+
     #[test]
-    fn cancel_releases_hooks_once() {
+    fn cancel_releases_dormant_nodes_once() {
         let g = TaskGroup::new();
-        let count = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&count);
-        g.on_cancel(move || {
-            c.fetch_add(1, Ordering::SeqCst);
-        });
+        let node = Arc::new(Dormant::default());
+        assert!(g.register_dormant(weak(&node)));
         g.cancel();
-        g.cancel(); // idempotent; hooks already drained
-        assert_eq!(count.load(Ordering::SeqCst), 1);
-        // Hooks registered after cancellation run inline.
-        let c = Arc::clone(&count);
-        g.on_cancel(move || {
-            c.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 2);
+        g.cancel(); // idempotent; the list is already drained
+        assert_eq!(node.0.load(Ordering::SeqCst), 1);
+        // After cancellation nothing registers: the caller releases.
+        assert!(!g.register_dormant(weak(&node)));
+        assert_eq!(node.0.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn fired_nodes_do_not_pile_up_in_a_long_lived_group() {
+        let g = TaskGroup::new();
+        let live = Arc::new(Dormant::default());
+        assert!(g.register_dormant(weak(&live)));
+        for _ in 0..10_000 {
+            // Dropped at once: the node "fired" and nothing holds it.
+            assert!(g.register_dormant(weak(&Arc::new(Dormant::default()))));
+        }
+        assert!(g.hooks.lock().dormant.len() <= 8);
+        g.cancel();
+        assert_eq!(live.0.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The runtime: worker pool, spawn paths, task context, termination.
 
 use crate::fault::{TaskError, WatchdogConfig};
-use crate::future::{channel, when_all, SharedFuture};
+use crate::future::{channel, DepNode, Fired, SharedFuture, Waiter};
 use crate::group::{CancelToken, TaskGroup};
 use crate::scheduler::{Scheduler, SchedulerKind};
 use crate::task::{Poll, Priority, StagedTask, Task, TaskId, TaskIdAllocator, TaskState};
@@ -11,7 +11,7 @@ use grain_counters::{FaultPlan, RawCounter, Registry, Unit};
 use grain_topology::{host, NumaTopology};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Runtime configuration. Start from [`RuntimeConfig::default`] (all host
@@ -250,7 +250,7 @@ impl Inner {
     /// `hpx::dataflow`: when every dependency is ready, spawn a task that
     /// consumes their values; return the future of its result. The task is
     /// *not created* until the inputs are ready — dependencies hold only a
-    /// lightweight continuation, matching HPX's staging economy.
+    /// reference to the node, matching HPX's staging economy.
     pub(crate) fn dataflow<T, R>(
         self: &Arc<Self>,
         priority: Priority,
@@ -264,12 +264,17 @@ impl Inner {
         self.dataflow_in(None, priority, deps, f)
     }
 
-    /// Grouped `hpx::dataflow`. The node is accounted into the group
-    /// *immediately* as a reservation — before its inputs are ready — so
-    /// the group cannot look quiescent while part of its DAG is still
-    /// dormant. Cancellation releases dormant reservations without
-    /// spawning them: a cancel hook and the readiness continuation race on
-    /// a claim flag and exactly one side retires the node.
+    /// `hpx::dataflow`, grouped or not: one [`DepNode`] that registers on
+    /// every input and, once they are all ready, spawns the task that
+    /// consumes their values. A faulted input faults the output at once
+    /// (one [`TaskError::Dependency`] wrap per hop) and nothing is spawned.
+    ///
+    /// A grouped node is accounted into its group *immediately* as a
+    /// reservation — before its inputs are ready — so the group cannot
+    /// look quiescent while part of its DAG is still dormant. The
+    /// reservation is retired exactly once, by whichever fires the node:
+    /// readiness hands it to the spawned task, a fault or a cancellation
+    /// exits the group without spawning.
     pub(crate) fn dataflow_in<T, R>(
         self: &Arc<Self>,
         group: Option<Arc<TaskGroup>>,
@@ -284,75 +289,50 @@ impl Inner {
         let (promise, future) = channel();
         let inner = Arc::clone(self);
         self.dormant.fetch_add(1, Ordering::SeqCst);
-        match group {
-            None => {
-                when_all(deps).on_settled(move |outcome| {
-                    inner.dormant.fetch_sub(1, Ordering::SeqCst);
-                    match outcome {
-                        Ok(vals) => {
-                            let vals: Vec<Arc<T>> = vals.iter().map(Arc::clone).collect();
-                            inner.spawn_once(priority, move |ctx| promise.set(f(ctx, vals)));
-                        }
-                        Err(e) => {
-                            // `when_all` already wrapped the input fault in
-                            // a Dependency cause — pass it along unchanged
-                            // (one wrap per dependency hop).
-                            promise.fail(e.clone());
-                        }
-                    }
-                });
-            }
-            Some(g) => {
-                g.enter();
-                let claimed = Arc::new(AtomicBool::new(false));
-                {
-                    let g = Arc::clone(&g);
-                    let claimed = Arc::clone(&claimed);
-                    let inner = Arc::clone(&inner);
-                    g.clone().on_cancel(move || {
-                        if !claimed.swap(true, Ordering::SeqCst) {
-                            inner.dormant.fetch_sub(1, Ordering::SeqCst);
-                            g.exit_skipped();
-                        }
-                    });
+        if let Some(g) = &group {
+            g.enter();
+        }
+        let member_of = group.clone();
+        let node = DepNode::join(deps, move |fired| {
+            inner.dormant.fetch_sub(1, Ordering::SeqCst);
+            // A tripped token wins even where `cancel` has not reached
+            // this node yet: nothing of a cancelled group is spawned.
+            let fired = match &group {
+                Some(g) if g.is_cancelled() => Fired::Cancelled,
+                _ => fired,
+            };
+            match fired {
+                Fired::Ready(vals) => {
+                    let id = inner.ids.allocate();
+                    // The task takes over the node's reservation: it
+                    // joins the group without entering it again.
+                    inner.spawn_staged(
+                        StagedTask::once(id, priority, move |ctx| promise.set(f(ctx, vals)))
+                            .with_group(group),
+                    );
                 }
-                when_all(deps).on_settled(move |outcome| {
-                    if claimed.swap(true, Ordering::SeqCst) {
-                        // The cancel hook won the race and already retired
-                        // this reservation; settle the output so waiters
-                        // are not stranded.
-                        promise.fail(TaskError::Cancelled);
-                        return;
+                Fired::Faulted(e) => {
+                    // The node inherits its dependency's fault: it never
+                    // runs, the group records the fault, and the output
+                    // carries the cause chain onward.
+                    if let Some(g) = &group {
+                        g.exit_faulted(e.clone());
                     }
-                    inner.dormant.fetch_sub(1, Ordering::SeqCst);
-                    if g.is_cancelled() {
+                    promise.fail(e);
+                }
+                Fired::Cancelled => {
+                    if let Some(g) = &group {
                         g.exit_skipped();
-                        promise.fail(TaskError::Cancelled);
-                        return;
                     }
-                    match outcome {
-                        Ok(vals) => {
-                            let vals: Vec<Arc<T>> = vals.iter().map(Arc::clone).collect();
-                            let id = inner.ids.allocate();
-                            // The reservation already entered the group;
-                            // hand it to the staged task without entering
-                            // again.
-                            inner.spawn_staged(
-                                StagedTask::once(id, priority, move |ctx| {
-                                    promise.set(f(ctx, vals))
-                                })
-                                .with_group(Some(g)),
-                            );
-                        }
-                        Err(e) => {
-                            // The node inherits its dependency's fault: it
-                            // never runs, the group records the fault, and
-                            // the output carries the cause chain onward.
-                            g.exit_faulted(e.clone());
-                            promise.fail(e.clone());
-                        }
-                    }
-                });
+                    promise.fail(TaskError::Cancelled);
+                }
+            }
+        });
+        // A node still waiting must be within reach of `cancel`; one
+        // that fired while it was built has retired its reservation.
+        if let Some(g) = member_of {
+            if node.is_dormant() && !g.register_dormant(Arc::downgrade(&node) as Weak<dyn Waiter>) {
+                node.cancel();
             }
         }
         future

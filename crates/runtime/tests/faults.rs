@@ -47,6 +47,56 @@ fn mid_dag_panic_propagates_a_cause_chain() {
     rt.wait_idle();
 }
 
+/// A node faults the moment its first input does — it does not wait for
+/// the sibling that is still pending — and a sibling settling late can
+/// neither settle the output a second time nor run the body.
+#[test]
+fn dataflow_faults_on_the_first_faulted_input_while_a_sibling_is_pending() {
+    let rt = two_workers();
+    let (bad, bad_input) = channel::<u32>();
+    let (late, pending_input) = channel::<u32>();
+    let ran = Arc::new(AtomicBool::new(false));
+    let r = Arc::clone(&ran);
+    let out = rt.dataflow(&[pending_input, bad_input], move |_, v| {
+        r.store(true, Ordering::SeqCst);
+        *v[0] + *v[1]
+    });
+    assert!(!out.is_ready());
+    bad.fail(TaskError::BrokenPromise);
+    // Settled inline by `fail`: nothing else has to happen first.
+    let err = out.error().expect("the first fault settles the node");
+    assert_eq!(err.chain_len(), 1);
+    assert_eq!(err.root_cause(), &TaskError::BrokenPromise);
+    late.set(1);
+    rt.wait_idle();
+    assert_eq!(out.error(), Some(err));
+    assert!(!ran.load(Ordering::SeqCst), "a faulted node never runs");
+    assert_eq!(rt.counters().tasks.sum(), 0);
+}
+
+/// One `Dependency` wrap per hop: the n-th node downstream of a fault
+/// carries a chain of exactly n.
+#[test]
+fn every_dependency_hop_wraps_the_fault_exactly_once() {
+    let rt = two_workers();
+    let (root, mut tail) = channel::<u32>();
+    let mut hops = Vec::new();
+    for _ in 0..3 {
+        tail = rt.dataflow(&[tail], |_, v| *v[0] + 1);
+        hops.push(tail.clone());
+    }
+    root.fail(TaskError::Cancelled);
+    for (i, hop) in hops.iter().enumerate() {
+        let err = hop.error().expect("faults propagate inline");
+        assert_eq!(err.chain_len(), i + 1, "hop {i}: {err}");
+        assert_eq!(err.root_cause(), &TaskError::Cancelled);
+    }
+    // `when_all` is the same node and counts as one hop as well.
+    let joined = when_all(&hops[2..]).error().expect("already faulted");
+    assert_eq!(joined.chain_len(), 4);
+    rt.wait_idle();
+}
+
 #[test]
 fn runtime_survives_every_task_panicking() {
     let rt = Runtime::new(RuntimeConfig::with_workers(4));

@@ -1,9 +1,9 @@
 //! Behavioral tests for task groups and cooperative cancellation.
 
-use grain_runtime::{Priority, Runtime, TaskGroup};
+use grain_runtime::{channel, Priority, Runtime, TaskError, TaskGroup};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[test]
 fn group_wait_joins_only_its_members() {
@@ -119,6 +119,94 @@ fn cancellation_releases_dormant_dataflow_nodes() {
     );
     assert_eq!(ran.load(Ordering::SeqCst), 0);
     assert_eq!(group.skipped(), 1);
+}
+
+/// Cancel and readiness race for a dormant node; whichever wins, the
+/// reservation is retired exactly once and the group's books close:
+/// one member entered, one member left, either skipped or completed.
+#[test]
+fn cancel_racing_a_settling_input_retires_the_node_exactly_once() {
+    let rt = Runtime::with_workers(2);
+    for round in 0..500 {
+        let group = TaskGroup::new();
+        let (promise, external) = channel::<u64>();
+        let out = rt.dataflow_in(&group, Priority::Normal, &[external], |_, v| *v[0]);
+        assert_eq!(group.in_flight(), 1);
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let settler = {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                promise.set(round);
+            })
+        };
+        start.wait();
+        group.cancel();
+        settler.join().expect("settler panicked");
+        assert!(group.wait_timeout(Duration::from_secs(5)), "round {round}");
+        assert_eq!(group.spawned(), 1);
+        assert_eq!(
+            group.skipped() + group.completed(),
+            1,
+            "round {round}: retired twice or never: {group:?}"
+        );
+        match out.wait_timeout(Duration::from_secs(5)) {
+            Ok(v) => assert_eq!((*v, group.completed()), (round, 1)),
+            Err(e) => assert_eq!((e, group.skipped()), (TaskError::Cancelled, 1)),
+        }
+    }
+    rt.wait_idle();
+}
+
+/// A node cancelled while it waits on a future nobody settles is skipped
+/// once; the input settling afterwards finds nothing left to do.
+#[test]
+fn node_cancelled_while_dormant_ignores_its_input_settling_later() {
+    let rt = Runtime::with_workers(1);
+    let group = TaskGroup::new();
+    let (promise, external) = channel::<u64>();
+    let out = rt.dataflow_in(&group, Priority::Normal, &[external], |_, v| *v[0]);
+    group.cancel();
+    assert_eq!(out.error(), Some(TaskError::Cancelled));
+    assert_eq!((group.skipped(), group.in_flight()), (1, 0));
+    promise.set(1);
+    rt.wait_idle();
+    assert_eq!((group.skipped(), group.completed()), (1, 0));
+    assert_eq!(rt.counters().tasks.sum(), 0);
+    // A node created after the cancel is released on the spot.
+    let late = rt.dataflow_in(
+        &group,
+        Priority::Normal,
+        &[] as &[_],
+        |_, v: Vec<Arc<u64>>| v.len(),
+    );
+    assert_eq!(late.error(), Some(TaskError::Cancelled));
+    assert_eq!((group.skipped(), group.in_flight()), (2, 0));
+}
+
+/// A group that ran grouped dataflow nodes and was never cancelled must
+/// not outlive its handles: its nodes hold it, so it may only hold them
+/// weakly.
+#[test]
+fn completed_group_with_dataflow_is_freed() {
+    let rt = Runtime::with_workers(2);
+    let group = TaskGroup::new();
+    let mut f = rt.async_in(&group, Priority::Normal, |_| 0u64);
+    for _ in 0..16 {
+        f = rt.dataflow_in(&group, Priority::Normal, &[f], |_, v| *v[0] + 1);
+    }
+    assert_eq!(*f.get(), 16);
+    assert!(group.wait_timeout(Duration::from_secs(5)));
+    rt.wait_idle();
+    let weak = Arc::downgrade(&group);
+    drop(group);
+    // The worker that retired the last member lets go of the group a
+    // moment after the latch opens.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while weak.strong_count() != 0 && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    assert_eq!(weak.strong_count(), 0, "the completed group is still alive");
 }
 
 #[test]

@@ -15,7 +15,13 @@
 //! (masked in practice by the 200µs timeout); the generation ticket makes
 //! that window detectable — these tests hang (and are killed by the
 //! guard thread) if it ever reopens.
+//!
+//! The condvar test does the same to `sync::Condvar`, whose notifies
+//! return without a system call when its waiter count reads zero: a
+//! bounded hand-off whose threads wait without a timeout, so one notify
+//! skipped while somebody was waiting hangs it.
 
+use grain_runtime::grain_counters::sync::{Condvar, Mutex};
 use grain_runtime::queue::{MpmcQueue, BLOCK_CAP};
 use grain_runtime::{Runtime, RuntimeConfig};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -228,5 +234,78 @@ fn throttle_and_unthrottle_never_strands_work() {
             r.wait_idle();
             assert_eq!(hits.load(Ordering::SeqCst), expected);
         }
+    });
+}
+
+/// 8 producers hand 10⁵ items to 8 consumers through a 4-slot buffer
+/// guarded by `sync::Mutex` and two `sync::Condvar`s, every wait
+/// un-timed. Both sides block constantly, so nearly every notify races a
+/// waiter on its way into `wait`; a notify that wrongly saw "no waiter"
+/// leaves that thread asleep for good and the guard thread fails the
+/// test.
+#[test]
+fn condvar_handoff_loses_no_wakeup() {
+    const SIDES: u64 = 8;
+    const PER_PRODUCER: u64 = 12_500;
+    const SLOTS: usize = 4;
+
+    struct Buffer {
+        items: Mutex<std::collections::VecDeque<u64>>,
+        not_empty: Condvar,
+        not_full: Condvar,
+    }
+
+    bounded(Duration::from_secs(60), "condvar hand-off", || {
+        let buf = Arc::new(Buffer {
+            items: Mutex::new(std::collections::VecDeque::new()),
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
+        });
+        let producers: Vec<_> = (0..SIDES)
+            .map(|p| {
+                let buf = Arc::clone(&buf);
+                std::thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        let mut items = buf.items.lock();
+                        while items.len() == SLOTS {
+                            buf.not_full.wait(&mut items);
+                        }
+                        items.push_back(p * PER_PRODUCER + i);
+                        drop(items);
+                        buf.not_empty.notify_one();
+                    }
+                })
+            })
+            .collect();
+        let consumers: Vec<_> = (0..SIDES)
+            .map(|_| {
+                let buf = Arc::clone(&buf);
+                std::thread::spawn(move || {
+                    let mut sum = 0u64;
+                    for _ in 0..PER_PRODUCER {
+                        let mut items = buf.items.lock();
+                        let item = loop {
+                            match items.pop_front() {
+                                Some(item) => break item,
+                                None => buf.not_empty.wait(&mut items),
+                            }
+                        };
+                        drop(items);
+                        buf.not_full.notify_one();
+                        sum += item;
+                    }
+                    sum
+                })
+            })
+            .collect();
+        for p in producers {
+            p.join().expect("producer panicked");
+        }
+        let total: u64 = consumers
+            .into_iter()
+            .map(|c| c.join().expect("consumer panicked"))
+            .sum();
+        let n = SIDES * PER_PRODUCER;
+        assert_eq!(total, n * (n - 1) / 2, "an item was lost or duplicated");
     });
 }

@@ -2,7 +2,7 @@
 //! suspension, priorities, stealing, counters, and shutdown.
 
 use grain_runtime::{
-    when_all, Poll, Priority, Runtime, RuntimeConfig, SchedulerKind, SharedFuture,
+    channel, when_all, Poll, Priority, Runtime, RuntimeConfig, SchedulerKind, SharedFuture,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -91,6 +91,43 @@ fn dataflow_waits_for_all_inputs() {
     assert!(!sum.is_ready(), "must wait for the gated input");
     p.set(37);
     assert_eq!(*sum.get(), 42);
+}
+
+#[test]
+fn dataflow_with_no_inputs_runs_at_once() {
+    let r = rt(1);
+    let out = r.dataflow(&[] as &[SharedFuture<u32>], |_, v| v.len());
+    assert_eq!(*out.get(), 0);
+    r.wait_idle();
+    assert_eq!(r.counters().tasks.sum(), 1);
+}
+
+#[test]
+fn dataflow_counts_a_repeated_input_once_per_mention() {
+    let r = rt(2);
+    let (p, f) = channel::<u64>();
+    let out = r.dataflow(&[f.clone(), f.clone(), f], |_, v| *v[0] + *v[1] + *v[2]);
+    assert!(!out.is_ready());
+    p.set(5);
+    assert_eq!(*out.get(), 15);
+    r.wait_idle();
+    assert_eq!(r.counters().tasks.sum(), 1, "the node fires once");
+}
+
+#[test]
+fn dataflow_over_settled_inputs_fires_exactly_once() {
+    let r = rt(2);
+    let inputs: Vec<_> = (0..8u64).map(SharedFuture::ready).collect();
+    let runs = Arc::new(AtomicUsize::new(0));
+    let n = Arc::clone(&runs);
+    let out = r.dataflow(&inputs, move |_, v| {
+        n.fetch_add(1, Ordering::SeqCst);
+        v.iter().map(|x| **x).sum::<u64>()
+    });
+    assert_eq!(*out.get(), 28);
+    r.wait_idle();
+    assert_eq!(runs.load(Ordering::SeqCst), 1);
+    assert_eq!(r.counters().tasks.sum(), 1);
 }
 
 #[test]

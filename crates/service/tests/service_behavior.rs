@@ -483,6 +483,49 @@ fn concurrent_jobs_share_the_runtime_without_interference() {
     );
 }
 
+/// A job's `TaskGroup` dies with the job. Grouped dataflow nodes hold
+/// their group, so a group that held them back strongly would live on
+/// after every completed job — a service that only ever sees jobs
+/// complete would grow without bound.
+#[test]
+fn completed_dataflow_jobs_leave_no_live_task_group() {
+    const JOBS: usize = 1_000;
+    let service = JobService::new(single_worker_config());
+    let groups = Arc::new(Mutex::new(Vec::with_capacity(JOBS)));
+    for round in 0..JOBS / 4 {
+        let handles: Vec<_> = (0..4)
+            .map(|i| {
+                let groups = Arc::clone(&groups);
+                let spec = JobSpec::new(format!("chain-{round}-{i}"), "tenant-a");
+                service.submit(spec, move |ctx| {
+                    let group = ctx.group().expect("a job body runs in the job's group");
+                    groups.lock().push(Arc::downgrade(group));
+                    let mut tail = ctx.async_call(|_| 0u64);
+                    for _ in 0..4 {
+                        tail = ctx.dataflow(&[tail], |_, v| *v[0] + 1);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            let outcome = h.wait();
+            assert_eq!(outcome.state, JobState::Completed);
+            assert_eq!(outcome.tasks_completed, 6, "root, source, four nodes");
+        }
+    }
+    service.wait_all();
+    let live = || {
+        let groups = groups.lock();
+        assert_eq!(groups.len(), JOBS);
+        groups.iter().filter(|g| g.strong_count() > 0).count()
+    };
+    assert!(
+        wait_until(Duration::from_secs(5), || live() == 0),
+        "{} of {JOBS} completed jobs' groups are still alive",
+        live()
+    );
+}
+
 #[test]
 fn dropping_the_service_mid_flight_tears_down_on_the_dropping_thread() {
     // Settlement hooks on worker threads hold transient Arc clones of

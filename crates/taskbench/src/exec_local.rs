@@ -87,6 +87,9 @@ pub(crate) fn spawn_range<S: Spawner>(
 ) -> Vec<SharedFuture<u64>> {
     let spec = graph.spec;
     let mut futs: Vec<SharedFuture<u64>> = Vec::with_capacity(range.len());
+    // One scratch list for every node's inputs (`spawn_dataflow` copies
+    // what it keeps); only `kinds`, which the task owns, is per node.
+    let mut deps: Vec<SharedFuture<u64>> = Vec::new();
     for id in range.clone() {
         let preds = graph.preds(id);
         let seed = work::node_seed(spec.seed, id);
@@ -95,7 +98,7 @@ pub(crate) fn spawn_range<S: Spawner>(
             futs.push(spawner.spawn_source(move || work::node_value(seed, iters, [])));
             continue;
         }
-        let mut deps: Vec<SharedFuture<u64>> = Vec::with_capacity(preds.len());
+        deps.clear();
         let mut kinds: Vec<DepKind> = Vec::with_capacity(preds.len());
         for e in preds {
             if range.contains(&e.src) {

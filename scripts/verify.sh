@@ -26,6 +26,9 @@ echo "==> cargo test (hot-path feature matrix)"
 # workspace with everything on at once.
 cargo test -p grain-runtime --features task-slab --offline -q
 cargo test -p grain-runtime --features coarse-clock --offline -q
+# Not a lever but the fourth A/B twin of the runtime: the pre-lock-free
+# queue must keep passing the suite it is the reference for.
+cargo test -p grain-runtime --features mutex-queue --offline -q
 cargo test -p grain-net --features parcel-reuse --offline -q
 cargo test -p grain-taskbench --features grain-runtime/task-slab \
     --offline -q --test executors pinned_golden
@@ -37,6 +40,13 @@ echo "==> cargo test (fault-inject)"
 # exercise the injected-panic/delay/spurious-wake paths and the seeded
 # replay tests with the feature on.
 cargo test -p grain-runtime --features fault-inject --offline -q
+
+echo "==> perf/check.sh"
+# The benchmark is a package of its own that the workspace commands
+# above never build: its fmt, clippy, build, tests, the smoke suite
+# (every workload, every operation verified) and BENCHMARK.json against
+# the tables it is generated from.
+perf/check.sh
 
 echo "==> chaos soak (bounded)"
 # Replay one seeded multi-tenant storm (2x oversubmission, a panicking
