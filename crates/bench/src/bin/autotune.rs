@@ -11,12 +11,12 @@
 //!    function of the program text. The verify gate runs it twice and
 //!    `cmp`s the transcripts; any wall-clock leak into a controller
 //!    decision would show up as a diff.
-//! 2. **Measured phase (stderr + JSON).** The same controller drives a
-//!    real [`JobService`] through the policy hook: one tenant submits a
+//! 2. **Measured phase (stderr).** The same controller drives a real
+//!    [`JobService`] through the policy hook: one tenant submits a
 //!    `parallel_for` shape starting at one-task-per-job, with autotune
 //!    enabled and then disabled, and the per-job measured overhead
-//!    before/after convergence is appended to
-//!    `results/BENCH_autotune.json`. Nothing measured reaches stdout.
+//!    before/after convergence is printed to stderr. Nothing measured
+//!    reaches stdout.
 //!
 //! **Caveat (single-core hosts)**: the measured phase derives idle rate
 //! from `turnaround × workers`; with one core the "idle" time is mostly
@@ -27,9 +27,7 @@
 
 use grain_adaptive::tuner::TunerConfig;
 use grain_autotune::{Autotune, AutotuneConfig, CostModel, ShapedWork};
-use grain_metrics::{append_snapshot, BenchSnapshot, JsonValue};
 use grain_service::{JobService, JobState, ServiceConfig};
-use std::path::Path;
 
 /// Work units per modeled job (busy-work iterations).
 const MODEL_UNITS: u64 = 1 << 20;
@@ -46,44 +44,16 @@ fn usage(err: &str) -> ! {
         "usage: autotune [--quick]\n\
          Runs the deterministic grain-convergence storm (stdout is\n\
          bit-replayable) plus a measured autotune-on/off phase on a real\n\
-         job service, and records results/BENCH_autotune.json."
+         job service (stderr)."
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 })
 }
 
-/// Outcome of one tenant's modeled storm.
+/// Outcome of one tenant's modeled storm: what the pass/fail check needs.
 struct StormResult {
     tenant: &'static str,
-    start_grain: u64,
-    final_grain: u64,
     jobs_to_converge: Option<usize>,
-    adjustments: u64,
-    wall_ratio_vs_optimal: f64,
     to_ratio_vs_optimal: f64,
-}
-
-impl StormResult {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("tenant".to_owned(), self.tenant.into()),
-            ("start_grain".to_owned(), (self.start_grain as i64).into()),
-            ("final_grain".to_owned(), (self.final_grain as i64).into()),
-            (
-                "jobs_to_converge".to_owned(),
-                self.jobs_to_converge
-                    .map_or(JsonValue::Int(-1), |j| JsonValue::Int(j as i64)),
-            ),
-            ("adjustments".to_owned(), (self.adjustments as i64).into()),
-            (
-                "wall_ratio_vs_optimal".to_owned(),
-                self.wall_ratio_vs_optimal.into(),
-            ),
-            (
-                "to_ratio_vs_optimal".to_owned(),
-                self.to_ratio_vs_optimal.into(),
-            ),
-        ])
-    }
 }
 
 /// Run one tenant's modeled storm, printing a deterministic per-job
@@ -132,39 +102,14 @@ fn modeled_storm(model: &CostModel, tenant: &'static str, initial_nx: usize) -> 
     );
     StormResult {
         tenant,
-        start_grain: initial_nx as u64,
-        final_grain,
         jobs_to_converge,
-        adjustments: auto.adjustments(tenant),
-        wall_ratio_vs_optimal: wall_ratio,
         to_ratio_vs_optimal: to_ratio,
     }
 }
 
-/// One measured job's digest (stderr + JSON only).
-struct MeasuredJob {
-    grain: u64,
-    tasks: u64,
-    wall_ms: f64,
-    overhead_ns_per_task: f64,
-}
-
-impl MeasuredJob {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("grain".to_owned(), (self.grain as i64).into()),
-            ("tasks".to_owned(), (self.tasks as i64).into()),
-            ("wall_ms".to_owned(), self.wall_ms.into()),
-            (
-                "overhead_ns_per_task".to_owned(),
-                self.overhead_ns_per_task.into(),
-            ),
-        ])
-    }
-}
-
-/// Drive a real service with a shaped tenant; returns per-job digests.
-fn measured_phase(enabled: bool, jobs: usize) -> Vec<MeasuredJob> {
+/// Drive a real service with a shaped tenant, printing one line per job
+/// to stderr; returns the summed job wall time in milliseconds.
+fn measured_phase(enabled: bool, jobs: usize) -> f64 {
     let shape = ShapedWork::ParallelFor {
         elements: 8192,
         iters_per_element: 500,
@@ -189,7 +134,7 @@ fn measured_phase(enabled: bool, jobs: usize) -> Vec<MeasuredJob> {
     if let Err(e) = auto.attach(&service) {
         eprintln!("warning: counter registration failed: {e:?}");
     }
-    let mut digests = Vec::with_capacity(jobs);
+    let mut total_ms = 0.0;
     for j in 0..jobs {
         let grain = auto.grain_for("measured");
         let outcome = auto
@@ -209,14 +154,9 @@ fn measured_phase(enabled: bool, jobs: usize) -> Vec<MeasuredJob> {
             wall * 1e3,
             overhead,
         );
-        digests.push(MeasuredJob {
-            grain,
-            tasks,
-            wall_ms: wall * 1e3,
-            overhead_ns_per_task: overhead,
-        });
+        total_ms += wall * 1e3;
     }
-    digests
+    total_ms
 }
 
 fn main() {
@@ -264,47 +204,11 @@ fn main() {
         }
     }
 
-    // ---- Phase 2: measured on/off (stderr + JSON only). ----
+    // ---- Phase 2: measured on/off (stderr only). ----
     let jobs = if quick { 6 } else { 10 };
-    let on = measured_phase(true, jobs);
-    let off = measured_phase(false, jobs);
-    let total_ms = |v: &[MeasuredJob]| v.iter().map(|d| d.wall_ms).sum::<f64>();
-    eprintln!(
-        "measured total: autotune on {:.2}ms, off (fixed one-task jobs) {:.2}ms",
-        total_ms(&on),
-        total_ms(&off),
-    );
-
-    let snap = BenchSnapshot::new("autotune")
-        .config("quick", quick)
-        .config("features", grain_bench::hotpath_features())
-        .config("workers", WORKERS)
-        .config("model_units", MODEL_UNITS as i64)
-        .config("model_to_ns", model.overhead_ns_per_task)
-        .metric(
-            "storm",
-            JsonValue::Arr(storms.iter().map(StormResult::to_json).collect()),
-        )
-        .metric(
-            "measured",
-            JsonValue::Obj(vec![
-                (
-                    "autotune_on".to_owned(),
-                    JsonValue::Arr(on.iter().map(MeasuredJob::to_json).collect()),
-                ),
-                (
-                    "autotune_off".to_owned(),
-                    JsonValue::Arr(off.iter().map(MeasuredJob::to_json).collect()),
-                ),
-                ("on_total_ms".to_owned(), total_ms(&on).into()),
-                ("off_total_ms".to_owned(), total_ms(&off).into()),
-            ]),
-        );
-    let out = Path::new("results/BENCH_autotune.json");
-    match append_snapshot(out, &snap) {
-        Ok(()) => eprintln!("recorded snapshot -> {}", out.display()),
-        Err(e) => eprintln!("warning: could not record {}: {e}", out.display()),
-    }
+    let on_ms = measured_phase(true, jobs);
+    let off_ms = measured_phase(false, jobs);
+    eprintln!("measured total: autotune on {on_ms:.2}ms, off (fixed one-task jobs) {off_ms:.2}ms");
 
     if failed {
         std::process::exit(1);

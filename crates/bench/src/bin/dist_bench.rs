@@ -20,14 +20,13 @@
 //! relative numbers across locality counts are NOT speedups. The header
 //! prints detected parallelism so recorded results are interpretable.
 //!
-//! Flags: `--quick` (bounded shapes for the CI smoke stage);
+//! Flags: `--quick` (bounded shapes);
 //! `--chaos <seed>` routes the L=2 and L=4 cases through the simulated
 //! network fabric with seeded duplication + reordering (lossless, so the
 //! oracle still must hold exactly) and additionally checks that every
 //! manufactured duplicate was suppressed and the fabric's parcel ledger
 //! conserves at quiescence.
 
-use grain_metrics::{append_snapshot, BenchSnapshot, JsonValue};
 use grain_net::bootstrap::Fabric;
 use grain_net::locality::NetConfig;
 use grain_runtime::Runtime;
@@ -35,7 +34,6 @@ use grain_runtime::RuntimeConfig;
 use grain_sim::NetPlan;
 use grain_stencil::distributed::DistStencil;
 use grain_stencil::{run_futurized, StencilParams};
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// One sweep configuration: world size and partition count at fixed
@@ -46,7 +44,7 @@ struct Case {
 }
 
 /// The chaos-mode network weather for `seed` — one constructor so the
-/// recorded snapshot can fingerprint exactly the plan the runs used.
+/// header can fingerprint exactly the plan the runs use.
 fn chaos_plan(seed: u64) -> NetPlan {
     NetPlan::clean(seed)
         .duplicate(0.2)
@@ -54,7 +52,7 @@ fn chaos_plan(seed: u64) -> NetPlan {
         .latency(10_000, 5_000)
 }
 
-fn run_case(total_points: usize, nt: usize, case: &Case, chaos: Option<u64>) -> JsonValue {
+fn run_case(total_points: usize, nt: usize, case: &Case, chaos: Option<u64>) {
     let nx = (total_points / case.np).max(1);
     let params = StencilParams::new(nx, case.np, nt);
 
@@ -134,15 +132,6 @@ fn run_case(total_points: usize, nt: usize, case: &Case, chaos: Option<u64>) -> 
     );
     assert_eq!(sent, received, "parcel books must balance at quiescence");
 
-    let mut row = vec![
-        ("world".to_owned(), case.world.into()),
-        ("np".to_owned(), case.np.into()),
-        ("nx".to_owned(), nx.into()),
-        ("wall_s".to_owned(), wall.as_secs_f64().into()),
-        ("parcels".to_owned(), sent.into()),
-        ("bytes_sent".to_owned(), bytes.into()),
-        ("avg_ser_ns".to_owned(), avg_ser.into()),
-    ];
     if let Some(net) = fabric.net() {
         assert!(
             net.wait_quiescent(Duration::from_secs(5)),
@@ -170,11 +159,8 @@ fn run_case(total_points: usize, nt: usize, case: &Case, chaos: Option<u64>) -> 
             "        chaos: {} duplicated / {} deduped / {} reordered-delivered, ledger conserved",
             ledger.duplicated, deduped, ledger.delivered,
         );
-        row.push(("chaos_duplicated".to_owned(), ledger.duplicated.into()));
-        row.push(("chaos_deduped".to_owned(), deduped.into()));
     }
     fabric.shutdown();
-    JsonValue::Obj(row)
 }
 
 fn main() {
@@ -198,8 +184,12 @@ fn main() {
     }
     println!("dist_bench: distributed stencil over loopback localities");
     if let Some(seed) = chaos {
+        // The seed alone does not pin the weather — the probability and
+        // latency knobs matter too. The fingerprint hashes the whole
+        // plan: equal fingerprints replayed byte-identical chaos.
         println!(
-            "chaos mode: simulated fabric, seed {seed} (dup+reorder, lossless; oracle still exact)"
+            "chaos mode: simulated fabric, seed {seed}, netplan {:016x} (dup+reorder, lossless; oracle still exact)",
+            chaos_plan(seed).fingerprint()
         );
     }
     println!(
@@ -242,36 +232,8 @@ fn main() {
     };
     println!("total points {total_points}, {nt} time steps; result checked against the single-runtime oracle each case");
     println!();
-    let mut rows = Vec::new();
     for case in &cases {
-        rows.push(run_case(total_points, nt, case, chaos));
-    }
-    let snap = BenchSnapshot::new("dist")
-        .config("quick", quick)
-        .config("features", grain_bench::hotpath_features())
-        .config("chaos_seed", chaos.map_or(-1i64, |s| s as i64))
-        // The seed alone does not pin the weather — the probability and
-        // latency knobs matter too. The fingerprint hashes the whole
-        // plan, so two snapshots with equal fingerprints replayed the
-        // byte-identical chaos.
-        .config(
-            "netplan_fingerprint",
-            chaos.map_or_else(
-                || "none".to_string(),
-                |s| format!("{:016x}", chaos_plan(s).fingerprint()),
-            ),
-        )
-        .config("total_points", total_points)
-        .config("nt", nt)
-        .config(
-            "host_parallelism",
-            std::thread::available_parallelism().map_or(0, |n| n.get()),
-        )
-        .metric("cases", JsonValue::Arr(rows));
-    let out = Path::new("results/BENCH_dist.json");
-    match append_snapshot(out, &snap) {
-        Ok(()) => println!("\nrecorded snapshot -> {}", out.display()),
-        Err(e) => eprintln!("\nwarning: could not record {}: {e}", out.display()),
+        run_case(total_points, nt, case, chaos);
     }
     println!();
     println!("OK");

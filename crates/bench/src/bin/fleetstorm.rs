@@ -45,7 +45,6 @@ use grain_fleet::{
     FleetConfig, FleetGateway, FleetJobHandle, FleetJobSpec, FleetLedger, FleetWorker,
     FleetWorkerConfig, Placement,
 };
-use grain_metrics::{append_snapshot, BenchSnapshot};
 use grain_net::bootstrap::Fabric;
 use grain_net::locality::NetConfig;
 use grain_runtime::RuntimeConfig;
@@ -54,7 +53,6 @@ use grain_sim::storm::{FleetAction, FleetChaos, GraphFamily, StormEvent, StormPl
 use grain_sim::{NetPlan, PartitionMode};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 const WATCHDOG_POLL: Duration = Duration::from_secs(30);
@@ -135,15 +133,7 @@ impl FleetState {
     }
 }
 
-struct PartASummary {
-    jobs: usize,
-    completed: u64,
-    failed: u64,
-    events_applied: usize,
-    events_skipped: usize,
-}
-
-fn run_part_a(seed: u64, quick: bool, report: &mut String) -> PartASummary {
+fn run_part_a(seed: u64, quick: bool, report: &mut String) {
     let horizon = Duration::from_millis(if quick { 1_500 } else { 4_000 });
     let workers = vec![1usize, 2, 3];
     let chaos = FleetChaos {
@@ -198,8 +188,6 @@ fn run_part_a(seed: u64, quick: bool, report: &mut String) -> PartASummary {
     let mut submitted = 0usize;
     let mut next_job = 0usize;
     let mut last = gateway.ledger();
-    let mut applied = 0usize;
-    let mut skipped = 0usize;
 
     // Submit every job planned before `until`, then wait the fleet
     // quiescent and report the batch's terminal-bucket delta.
@@ -270,24 +258,19 @@ fn run_part_a(seed: u64, quick: bool, report: &mut String) -> PartASummary {
         let decision: &str = match ev.action {
             FleetAction::Kill { worker } => {
                 if state.accepting() == vec![worker] {
-                    skipped += 1;
                     "skipped(last-accepting-worker)"
                 } else {
                     state.killed.insert(worker);
                     fabric.kill(worker);
-                    applied += 1;
                     "applied"
                 }
             }
             FleetAction::Drain { worker } => {
                 if state.killed.contains(&worker) {
-                    skipped += 1;
                     "skipped(worker-dead)"
                 } else if state.partitioned.contains(&worker) {
-                    skipped += 1;
                     "skipped(worker-partitioned)"
                 } else if state.accepting() == vec![worker] {
-                    skipped += 1;
                     "skipped(last-accepting-worker)"
                 } else {
                     let handed = gateway.drain(worker).expect("drain reachable worker");
@@ -295,28 +278,23 @@ fn run_part_a(seed: u64, quick: bool, report: &mut String) -> PartASummary {
                     // hands back — targeted drains run in part B.
                     assert!(handed.is_empty(), "quiesced drain handed back {handed:?}");
                     state.drained.insert(worker);
-                    applied += 1;
                     "applied"
                 }
             }
             FleetAction::Partition { worker } => {
                 if state.accepting() == vec![worker] {
-                    skipped += 1;
                     "skipped(last-accepting-worker)"
                 } else {
                     net.partition_now(0, worker, PartitionMode::Hold);
                     state.partitioned.insert(worker);
-                    applied += 1;
                     "applied"
                 }
             }
             FleetAction::Heal { worker } => {
                 if state.partitioned.remove(&worker) {
                     net.heal_now(0, worker);
-                    applied += 1;
                     "applied"
                 } else {
-                    skipped += 1;
                     "skipped(partition-not-applied)"
                 }
             }
@@ -361,17 +339,9 @@ fn run_part_a(seed: u64, quick: bool, report: &mut String) -> PartASummary {
         ledger.submitted, ledger.completed, ledger.failed, ledger.shed, ledger.rejected,
         ledger.conserved()
     );
-    let summary = PartASummary {
-        jobs: plan.events.len(),
-        completed: ledger.completed,
-        failed: ledger.failed,
-        events_applied: applied,
-        events_skipped: skipped,
-    };
     drop(gateway);
     drop(fleet_workers);
     fabric.shutdown();
-    summary
 }
 
 // ---------------------------------------------------------------------
@@ -731,16 +701,16 @@ fn stage_reject_origin(report: &mut String) {
 }
 
 /// One complete storm; the returned string is the replay unit.
-fn run_once(seed: u64, quick: bool) -> (String, PartASummary) {
+fn run_once(seed: u64, quick: bool) -> String {
     let mut report = String::new();
-    let summary = run_part_a(seed, quick, &mut report);
+    run_part_a(seed, quick, &mut report);
     stage_kill_mid_run(&mut report);
     stage_kill_after_complete(&mut report);
     stage_drain(&mut report);
     stage_partition_fence(seed, &mut report);
     stage_quorum_shed(&mut report);
     stage_reject_origin(&mut report);
-    (report, summary)
+    report
 }
 
 fn main() {
@@ -778,8 +748,8 @@ fn main() {
     );
     println!();
 
-    let (first, summary) = run_once(seed, quick);
-    let (second, _) = run_once(seed, quick);
+    let first = run_once(seed, quick);
+    let second = run_once(seed, quick);
 
     print!("{first}");
     println!();
@@ -794,26 +764,6 @@ fn main() {
         first.len()
     );
 
-    let snap = BenchSnapshot::new("fleet")
-        .config("quick", quick)
-        .config("features", grain_bench::hotpath_features())
-        .config("seed", seed as i64)
-        .config(
-            "host_parallelism",
-            std::thread::available_parallelism().map_or(0, |n| n.get()),
-        )
-        .metric("storm_jobs", summary.jobs)
-        .metric("storm_completed", summary.completed)
-        .metric("storm_failed", summary.failed)
-        .metric("fleet_events_applied", summary.events_applied)
-        .metric("fleet_events_skipped", summary.events_skipped)
-        .metric("report_bytes", first.len())
-        .metric("replay_identical", true);
-    let out = Path::new("results/BENCH_fleet.json");
-    match append_snapshot(out, &snap) {
-        Ok(()) => println!("recorded snapshot -> {}", out.display()),
-        Err(e) => eprintln!("warning: could not record {}: {e}", out.display()),
-    }
     println!();
     println!("OK");
 }

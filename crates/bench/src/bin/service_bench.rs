@@ -21,13 +21,12 @@
 //! submitted as work *shapes*, once with the autotune grain controller
 //! enabled and once pinned to the submitter's (deliberately coarse)
 //! partition. The per-tenant grain trajectory and wall-clock totals of
-//! both runs land in `results/BENCH_service.json`.
+//! both runs are printed as one table.
 
 use grain_adaptive::tuner::TunerConfig;
 use grain_autotune::{Autotune, AutotuneConfig, ShapedWork};
 use grain_bench::Cli;
 use grain_metrics::table;
-use grain_metrics::JsonValue;
 use grain_service::{
     AdmissionConfig, JobHandle, JobPriority, JobService, JobSpec, JobState, ServiceConfig,
 };
@@ -403,41 +402,6 @@ fn main() {
         );
     }
 
-    // Record the run in the service trajectory, features-stamped so
-    // hot-path before/after pairs are readable straight from the file.
-    let autotune_json =
-        |rs: &[AutotuneRow]| JsonValue::Arr(rs.iter().map(AutotuneRow::to_json).collect());
-    let snap = grain_metrics::BenchSnapshot::new("service")
-        .config("quick", cli.quick)
-        .config("features", grain_bench::hotpath_features())
-        .config("workers", workers)
-        .config(
-            "host_parallelism",
-            std::thread::available_parallelism().map_or(0, |n| n.get()),
-        )
-        .metric("jobs_per_sec", total_jobs as f64 / elapsed)
-        .metric(
-            "p50_turnaround_ms",
-            percentile(&all_turnarounds, 0.50).as_secs_f64() * 1e3,
-        )
-        .metric(
-            "p99_turnaround_ms",
-            percentile(&all_turnarounds, 0.99).as_secs_f64() * 1e3,
-        )
-        .metric("breaker_opens_resilient", resilient.breaker_opens)
-        .metric(
-            "autotune",
-            JsonValue::Obj(vec![
-                ("on".to_owned(), autotune_json(&tuned)),
-                ("off".to_owned(), autotune_json(&pinned)),
-            ]),
-        );
-    let out = std::path::Path::new("results/BENCH_service.json");
-    match grain_metrics::append_snapshot(out, &snap) {
-        Ok(()) => println!("\nrecorded snapshot -> {}", out.display()),
-        Err(e) => eprintln!("\nwarning: could not record {}: {e}", out.display()),
-    }
-
     println!("\nok: >=3 tenants served, >=1 job cancelled, >=1 rejected, overload compared");
 }
 
@@ -596,19 +560,6 @@ impl AutotuneRow {
             self.converged.to_string(),
             table::fmt::s(self.total.as_secs_f64()),
         ]
-    }
-
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("tenant".to_owned(), self.tenant.into()),
-            ("start_grain".to_owned(), (self.start_grain as i64).into()),
-            ("final_grain".to_owned(), (self.final_grain as i64).into()),
-            ("converged".to_owned(), self.converged.into()),
-            (
-                "total_ms".to_owned(),
-                (self.total.as_secs_f64() * 1e3).into(),
-            ),
-        ])
     }
 }
 

@@ -13,9 +13,7 @@
 //! parcels.
 //!
 //! Every run's checksum is asserted against the sequential reference
-//! (non-zero exit on divergence), and the whole sweep is appended to
-//! `results/BENCH_taskbench.json` in the shared
-//! `{bench, commit, config, metrics}` trajectory schema.
+//! (non-zero exit on divergence).
 //!
 //! **Caveat (single-core hosts)**: with one core the Eq. 1 idle rate and
 //! Eq. 6 wait time mostly measure OS scheduling, not runtime contention,
@@ -23,17 +21,15 @@
 //! header prints detected parallelism so recorded results are
 //! interpretable; compare numbers only within one host.
 //!
-//! Flags: `--quick` (bounded sweep for the CI smoke stage),
+//! Flags: `--quick` (bounded sweep),
 //! `--seed N`.
 
-use grain_metrics::{append_snapshot, BenchSnapshot, JsonValue};
 use grain_net::bootstrap::Fabric;
 use grain_runtime::{Runtime, RuntimeConfig};
 use grain_service::{JobService, JobSpec};
 use grain_taskbench::{
     all_kinds, measure_local, run_service_job, Calibration, DistTaskBench, GraphSpec,
 };
-use std::path::Path;
 use std::time::Duration;
 
 /// Workers for the measured multi-worker runs (the td1 baseline always
@@ -49,49 +45,17 @@ fn usage(err: &str) -> ! {
          Sweeps five dependency-graph families over task grain and\n\
          communication volume, emits Eqs. 1-6 per cell, checks the three\n\
          executors (runtime / service / distributed) against the\n\
-         sequential reference, and records results/BENCH_taskbench.json."
+         sequential reference."
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 })
-}
-
-/// One measured cell of the surface.
-struct Cell {
-    family: &'static str,
-    grain_iters: u64,
-    payload: u32,
-    tasks: u64,
-    idle: f64,
-    td_ns: f64,
-    to_ns: f64,
-    mgmt_s: f64,
-    wait_s: f64,
-    wall_ms: f64,
-}
-
-impl Cell {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("family".to_owned(), self.family.into()),
-            ("grain_iters".to_owned(), self.grain_iters.into()),
-            ("payload_bytes".to_owned(), self.payload.into()),
-            ("tasks".to_owned(), self.tasks.into()),
-            ("idle_rate".to_owned(), self.idle.into()),
-            ("t_d_ns".to_owned(), self.td_ns.into()),
-            ("t_o_ns".to_owned(), self.to_ns.into()),
-            ("T_o_s".to_owned(), self.mgmt_s.into()),
-            ("t_wait_s".to_owned(), self.wait_s.into()),
-            ("wall_ms".to_owned(), self.wall_ms.into()),
-        ])
-    }
 }
 
 /// Sweep the surface on the local executor, asserting every checksum
 /// against the sequential reference. Eq. 6 uses a 1-worker run of the
 /// *same* cell as its t_d(1) baseline, per the paper's definition.
-fn sweep(seed: u64, tasks_budget: usize, grains: &[u64], payloads: &[u32]) -> Vec<Cell> {
+fn sweep(seed: u64, tasks_budget: usize, grains: &[u64], payloads: &[u32]) {
     let rt1 = Runtime::with_workers(1);
     let rt_w = Runtime::with_workers(WORKERS);
-    let mut cells = Vec::new();
     println!(
         "{:<10} {:>10} {:>8} {:>6} {:>7} {:>10} {:>10} {:>9} {:>9} {:>9}",
         "family",
@@ -121,43 +85,27 @@ fn sweep(seed: u64, tasks_budget: usize, grains: &[u64], payloads: &[u32]) -> Ve
                 let m = measure_local(&rt_w, &graph).expect("measured run settles");
                 assert_eq!(m.checksum, want, "{} diverged from reference", kind.name());
                 let r = &m.record;
-                let cell = Cell {
-                    family: kind.name(),
-                    grain_iters: grain,
-                    payload,
-                    tasks: r.tasks,
-                    idle: r.idle_rate(),
-                    td_ns: r.task_duration_ns(),
-                    to_ns: r.task_overhead_ns(),
-                    mgmt_s: r.thread_management_s(),
-                    wait_s: r.wait_time_s(td1_ns),
-                    wall_ms: r.wall_s * 1e3,
-                };
                 println!(
                     "{:<10} {:>10} {:>8} {:>6} {:>6.1}% {:>10.0} {:>10.0} {:>9.6} {:>9.6} {:>9.2}",
-                    cell.family,
-                    cell.grain_iters,
-                    cell.payload,
-                    cell.tasks,
-                    100.0 * cell.idle,
-                    cell.td_ns,
-                    cell.to_ns,
-                    cell.mgmt_s,
-                    cell.wait_s,
-                    cell.wall_ms,
+                    kind.name(),
+                    grain,
+                    payload,
+                    r.tasks,
+                    100.0 * r.idle_rate(),
+                    r.task_duration_ns(),
+                    r.task_overhead_ns(),
+                    r.thread_management_s(),
+                    r.wait_time_s(td1_ns),
+                    r.wall_s * 1e3,
                 );
-                cells.push(cell);
             }
         }
     }
-    cells
 }
 
 /// Run one random-DAG graph through all three executors and assert the
 /// checksums are identical (and equal to the sequential reference).
-/// Returns (checksum, parcels sent, payload bytes shipped) for the
-/// recorded snapshot.
-fn equivalence(seed: u64, tasks_budget: usize, grain: u64, payload: u32) -> (u64, u64, u64) {
+fn equivalence(seed: u64, tasks_budget: usize, grain: u64, payload: u32) {
     let side = (tasks_budget as f64).sqrt().ceil() as usize;
     let graph = std::sync::Arc::new(
         GraphSpec::shape(
@@ -225,7 +173,6 @@ fn equivalence(seed: u64, tasks_budget: usize, grain: u64, payload: u32) -> (u64
             m.partial_checksum,
         );
     }
-    (want, parcels, bytes)
 }
 
 fn main() {
@@ -287,34 +234,9 @@ fn main() {
     );
     println!();
 
-    let cells = sweep(seed, tasks_budget, &grains, &payloads);
+    sweep(seed, tasks_budget, &grains, &payloads);
     println!();
-    let (checksum, parcels, bytes) = equivalence(seed, tasks_budget, grains[0], 128);
-
-    let snap = BenchSnapshot::new("taskbench")
-        .config("quick", quick)
-        .config("features", grain_bench::hotpath_features())
-        .config("seed", seed)
-        .config("workers", WORKERS)
-        .config("host_parallelism", host)
-        .config("ns_per_iter", cal.ns_per_iter)
-        .metric(
-            "surface",
-            JsonValue::Arr(cells.iter().map(Cell::to_json).collect()),
-        )
-        .metric(
-            "equivalence",
-            JsonValue::Obj(vec![
-                ("checksum".to_owned(), format!("{checksum:#018x}").into()),
-                ("parcels".to_owned(), parcels.into()),
-                ("bytes_shipped".to_owned(), bytes.into()),
-            ]),
-        );
-    let out = Path::new("results/BENCH_taskbench.json");
-    match append_snapshot(out, &snap) {
-        Ok(()) => println!("\nrecorded snapshot -> {}", out.display()),
-        Err(e) => eprintln!("\nwarning: could not record {}: {e}", out.display()),
-    }
+    equivalence(seed, tasks_budget, grains[0], 128);
     println!();
     println!("OK");
 }

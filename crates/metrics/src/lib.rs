@@ -16,21 +16,16 @@
 //!   ([`sweep::SimEngine`], [`sweep::NativeEngine`]) and the partition
 //!   grids the paper uses.
 //! * [`table`] — aligned-table and CSV rendering for the bench binaries.
-//! * [`benchjson`] — the `BENCH_*.json` perf-trajectory snapshots every
-//!   bench binary appends under one `{bench, commit, config, metrics}`
-//!   schema.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod aggregate;
-pub mod benchjson;
 pub mod equations;
 pub mod record;
 pub mod sweep;
 pub mod table;
 
 pub use aggregate::Aggregate;
-pub use benchjson::{append_snapshot, BenchSnapshot, JsonValue};
 pub use record::{EngineKind, RunMeta, RunRecord};
 pub use sweep::{run_sweep, NativeEngine, SimEngine, StencilEngine, Sweep, SweepCell};

@@ -63,8 +63,6 @@ pub mod group;
 pub mod queue;
 pub mod runtime;
 pub mod scheduler;
-#[cfg(feature = "task-slab")]
-pub mod slab;
 pub mod task;
 pub mod trace;
 mod worker;

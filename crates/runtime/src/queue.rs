@@ -35,23 +35,12 @@
 //! [`crate::scheduler::QueueSet`] and surfaced as the
 //! `/threads{locality#0/total}/queue/*` counters).
 //!
-//! The pre-PR implementation — a `VecDeque` behind a [`Mutex`] with an
-//! atomic length fast path — survives as [`MutexQueue`]: it is the
-//! before/after baseline of `queue_bench` and a readable reference
-//! semantics for the lock-free queue's tests.
-//!
-//! The scheduler consumes the [`MpmcQueue`] alias, which resolves to
-//! [`SegmentedQueue`] normally and to [`MutexQueue`] when the
-//! `mutex-queue` cargo feature is on — a zero-runtime-cost A/B switch so
-//! the pre-PR queue's end-to-end behaviour (overhead floor, idle-rate
-//! curves) stays reproducible on the live runtime.
+//! The scheduler consumes the queue through the [`MpmcQueue`] alias.
 
 #![deny(clippy::unwrap_used)]
 
-use grain_counters::sync::Mutex;
 use grain_counters::RawCounter;
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::fmt;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicPtr, AtomicUsize, Ordering};
@@ -71,15 +60,8 @@ pub struct QueueStats {
     pub segment_allocs: Arc<RawCounter>,
 }
 
-/// The queue type every scheduler queue is built from: the lock-free
-/// [`SegmentedQueue`], or the pre-PR [`MutexQueue`] when the
-/// `mutex-queue` feature re-instates it for before/after measurement.
-#[cfg(not(feature = "mutex-queue"))]
+/// The queue type every scheduler queue is built from.
 pub type MpmcQueue<T> = SegmentedQueue<T>;
-/// The queue type every scheduler queue is built from (`mutex-queue`
-/// build: the pre-PR mutexed baseline).
-#[cfg(feature = "mutex-queue")]
-pub type MpmcQueue<T> = MutexQueue<T>;
 
 /// Slots per segment. One index per lap is reserved as the end-of-segment
 /// marker, so a lap spans `BLOCK_CAP + 1` indices.
@@ -478,79 +460,6 @@ impl<T> fmt::Debug for SegmentedQueue<T> {
     }
 }
 
-/// The pre-PR queue: a `VecDeque` behind a [`Mutex`] plus a relaxed
-/// atomic length so emptiness probes never take the lock. Kept as the
-/// `queue_bench` baseline, as readable reference semantics for the
-/// lock-free queue — and as the scheduler's queue when the `mutex-queue`
-/// feature pins [`MpmcQueue`] back to it.
-#[derive(Debug)]
-pub struct MutexQueue<T> {
-    items: Mutex<VecDeque<T>>,
-    len: AtomicUsize,
-    /// Carried only so the [`MpmcQueue`] alias is drop-in; a mutexed
-    /// queue has no CAS races or segments to count.
-    stats: Arc<QueueStats>,
-}
-
-impl<T> Default for MutexQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> MutexQueue<T> {
-    /// Empty queue.
-    pub fn new() -> Self {
-        Self::with_stats(Arc::new(QueueStats::default()))
-    }
-
-    /// Empty queue sharing a [`QueueStats`] (which stays at zero: there
-    /// is no lock-free contention to record).
-    pub fn with_stats(stats: Arc<QueueStats>) -> Self {
-        Self {
-            items: Mutex::new(VecDeque::new()),
-            len: AtomicUsize::new(0),
-            stats,
-        }
-    }
-
-    /// The stats sink this queue was built with (never incremented).
-    pub fn stats(&self) -> &Arc<QueueStats> {
-        &self.stats
-    }
-
-    /// Enqueue at the back.
-    pub fn push(&self, value: T) {
-        let mut q = self.items.lock();
-        q.push_back(value);
-        // Publish under the lock so `len` never exceeds the true queue
-        // length observed by the next locker.
-        self.len.store(q.len(), Ordering::Release);
-    }
-
-    /// Dequeue from the front.
-    pub fn pop(&self) -> Option<T> {
-        // Fast path: skip the lock when the queue advertises empty.
-        if self.len.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let mut q = self.items.lock();
-        let out = q.pop_front();
-        self.len.store(q.len(), Ordering::Release);
-        out
-    }
-
-    /// Number of queued items (racy, for load introspection).
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// True when the queue is (momentarily) empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -706,17 +615,5 @@ mod tests {
             }
         }
         t.join().unwrap();
-    }
-
-    #[test]
-    fn mutex_queue_baseline_still_works() {
-        let q = MutexQueue::new();
-        q.push(1);
-        q.push(2);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
     }
 }

@@ -100,48 +100,7 @@ pub enum Poll {
 }
 
 /// A task body: invoked once per phase.
-///
-/// `Heap` is the default storage (one `Box` per spawn). With the
-/// `task-slab` feature, spawn paths store small bodies in recycled
-/// generation-tagged slots instead ([`crate::slab`]); oversize bodies
-/// still fall back to `Heap`. Both variants execute identically — the
-/// feature changes allocator traffic, never semantics.
-pub enum TaskBody {
-    /// `Box`ed closure (default path, and the slab's oversize fallback).
-    Heap(Box<dyn FnMut(&mut crate::runtime::TaskContext<'_>) -> Poll + Send>),
-    /// Closure in a pooled, generation-tagged slot.
-    #[cfg(feature = "task-slab")]
-    Pooled(crate::slab::PooledBody),
-}
-
-impl TaskBody {
-    /// Run one phase.
-    #[inline]
-    pub fn call(&mut self, ctx: &mut crate::runtime::TaskContext<'_>) -> Poll {
-        match self {
-            TaskBody::Heap(b) => b(ctx),
-            #[cfg(feature = "task-slab")]
-            TaskBody::Pooled(p) => p.call(ctx),
-        }
-    }
-
-    /// Type-erase a closure into body storage: pooled when the slab
-    /// feature is on and a size class fits, heap otherwise.
-    fn erase(
-        id: TaskId,
-        body: impl FnMut(&mut crate::runtime::TaskContext<'_>) -> Poll + Send + 'static,
-    ) -> Self {
-        #[cfg(feature = "task-slab")]
-        {
-            crate::slab::global().alloc(id, body)
-        }
-        #[cfg(not(feature = "task-slab"))]
-        {
-            let _ = id;
-            TaskBody::Heap(Box::new(body))
-        }
-    }
-}
+pub type TaskBody = Box<dyn FnMut(&mut crate::runtime::TaskContext<'_>) -> Poll + Send>;
 
 /// A staged task: the cheap descriptor placed in staged queues by
 /// `spawn`. Conversion (see [`Task::convert`]) turns it into a runnable
@@ -169,7 +128,7 @@ impl StagedTask {
         Self {
             id,
             priority,
-            body: TaskBody::erase(id, move |ctx| {
+            body: Box::new(move |ctx| {
                 let f = f.take().expect("one-phase task polled twice");
                 f(ctx);
                 Poll::Complete
@@ -187,7 +146,7 @@ impl StagedTask {
         Self {
             id,
             priority,
-            body: TaskBody::erase(id, body),
+            body: Box::new(body),
             group: None,
         }
     }

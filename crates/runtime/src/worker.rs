@@ -13,10 +13,11 @@
 //!   while the whole runtime is quiescent (no task in flight) is *not*
 //!   charged — otherwise the counters would drift between benchmark runs.
 //!
-//! With the `coarse-clock` feature the three `Instant::now()` reads per
-//! phase collapse to one in steady state (see [`PhaseClock`]); Σt_func
-//! stays exact, Σt_exec inherits a bounded estimate error, and every
-//! park/quiescent/throttle path still reads real time.
+//! The worker reads the clock exactly twice per executed phase: once
+//! immediately before the body and once immediately after it. The second
+//! read ends `t_exec` *and* is the new `Σt_func` mark, so both sums are
+//! exact and a worker's `Σt_exec` can never exceed its `Σt_func`. The
+//! park, quiescent and throttle paths take their own reads.
 //!
 //! Every phase runs under `catch_unwind`: a panicking body terminates
 //! only its task (→ `Faulted`, promise settled with
@@ -40,7 +41,6 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
     inner.bind_worker(w);
     let counters = &inner.counters;
     let mut mark = Instant::now();
-    let mut clock = PhaseClock::new();
     let mut failed_rounds: u32 = 0;
 
     loop {
@@ -57,7 +57,6 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
             // deliberate and never charged as starvation.
             inner.park_throttled(ticket);
             mark = Instant::now();
-            clock.discontinuity();
             failed_rounds = 0;
             continue;
         }
@@ -92,12 +91,9 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                     } else {
                         group.exit_skipped();
                     }
-                    // Dispatch bookkeeping stays honest: skipping is part
-                    // of the search-to-search interval, charged to Σt_func
-                    // by the next successful dispatch via `mark` (which
-                    // must therefore re-measure its dispatch span instead
-                    // of trusting the coarse estimate).
-                    clock.discontinuity();
+                    // Skipping is part of the search-to-search interval,
+                    // charged to Σt_func by the next successful dispatch
+                    // via `mark`.
                     continue;
                 }
                 if inner.tracer.enabled() {
@@ -127,19 +123,14 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                     .unwrap_or(grain_counters::FaultAction::None);
                 #[cfg(feature = "fault-inject")]
                 match injected {
-                    grain_counters::FaultAction::Delay(d) => {
-                        std::thread::sleep(d);
-                        // The injected sleep sits between `mark` and the
-                        // body; it belongs to Σt_func, so the coarse clock
-                        // must re-measure rather than subtract a stale
-                        // dispatch estimate.
-                        clock.discontinuity();
-                    }
+                    // The injected sleep sits between `mark` and the
+                    // body: it is charged to Σt_func, not Σt_exec.
+                    grain_counters::FaultAction::Delay(d) => std::thread::sleep(d),
                     grain_counters::FaultAction::SpuriousWake => inner.wake(),
                     _ => {}
                 }
 
-                let exec_start = clock.phase_start();
+                let exec_start = Instant::now();
                 // Isolate the phase: a panicking body must terminate only
                 // this task. The scope arms the panic hook so the message
                 // is captured (and not printed) and reachable by promise
@@ -151,10 +142,11 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                         if injected == grain_counters::FaultAction::Panic {
                             panic!("injected fault: task panic");
                         }
-                        task.body.call(&mut ctx)
+                        (task.body)(&mut ctx)
                     }))
                 };
-                let (exec_ns, now) = clock.phase_end(exec_start, mark);
+                let now = Instant::now();
+                let exec_ns = now.duration_since(exec_start).as_nanos() as u64;
                 if inner.tracer.enabled() {
                     inner.tracer.record(w, task.id, TraceEventKind::PhaseEnd);
                 }
@@ -229,10 +221,6 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                 if inner.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                // Whatever happens next (spin, park, quiescent discard),
-                // the next dispatch's search span is atypical — force a
-                // precise re-measure.
-                clock.discontinuity();
                 failed_rounds += 1;
                 if failed_rounds <= inner.config.spin_rounds {
                     std::hint::spin_loop();
@@ -264,134 +252,6 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
         }
     }
     inner.unbind_worker();
-}
-
-/// Phase-timing policy (default build): exactly the paper's
-/// three-reads-per-phase instrumentation — one `Instant::now()` before
-/// the body (start of t_exec), one after (end of t_exec), one as the
-/// Σt_func mark.
-#[cfg(not(feature = "coarse-clock"))]
-struct PhaseClock;
-
-#[cfg(not(feature = "coarse-clock"))]
-impl PhaseClock {
-    fn new() -> Self {
-        PhaseClock
-    }
-
-    #[inline]
-    fn phase_start(&mut self) -> Instant {
-        Instant::now()
-    }
-
-    #[inline]
-    fn phase_end(&mut self, exec_start: Instant, _mark: Instant) -> (u64, Instant) {
-        let exec_ns = exec_start.elapsed().as_nanos() as u64;
-        (exec_ns, Instant::now())
-    }
-
-    #[inline]
-    fn discontinuity(&mut self) {}
-}
-
-/// Phase-timing policy (feature `coarse-clock`): one `Instant::now()`
-/// per executed phase in steady state.
-///
-/// The trick: Σt_func needs only the end-of-phase read (`now - mark`,
-/// both real reads — *exact*, always). t_exec is then derived by
-/// subtracting a cached estimate `d̂` of the dispatch span (end of
-/// previous phase → start of body: search, convert, dequeue, state
-/// transitions). The estimate is re-measured precisely — the
-/// three-read path — every [`PhaseClock::CALIBRATE_EVERY`] phases, and
-/// after every schedule discontinuity (park, throttle, group-skip,
-/// injected delay), where the span between `mark` and the body is not
-/// a plain dispatch.
-///
-/// Error bound (documented contract, DESIGN.md §15): per coarse phase,
-/// |t_exec_reported − t_exec_true| = |d − d̂| ≤ the dispatch-span
-/// drift within one calibration window; Σt_func is exact, so the
-/// idle-rate (Eq. 1) error is at most `CALIBRATE_EVERY · max|d − d̂| /
-/// Σt_func` over any window. Discontinuity spans are always measured
-/// precisely, so parks and quiescent windows can never be
-/// misattributed to t_exec.
-#[cfg(feature = "coarse-clock")]
-struct PhaseClock {
-    /// Next phase must use the precise three-read path (startup, or a
-    /// schedule discontinuity made the pending span non-representative).
-    force_precise: bool,
-    /// Coarse phases since the estimate was last refreshed.
-    since_calibration: u32,
-    /// Cached dispatch-span estimate `d̂`, nanoseconds.
-    dispatch_est_ns: u64,
-    /// Whether `dispatch_est_ns` holds at least one real sample.
-    calibrated: bool,
-}
-
-#[cfg(feature = "coarse-clock")]
-impl PhaseClock {
-    /// Steady-state calibration cadence: one precise (three-read) phase
-    /// per this many phases bounds estimate drift while amortizing the
-    /// extra clock reads to < 2%.
-    const CALIBRATE_EVERY: u32 = 64;
-
-    fn new() -> Self {
-        Self {
-            force_precise: true,
-            since_calibration: 0,
-            dispatch_est_ns: 0,
-            calibrated: false,
-        }
-    }
-
-    #[inline]
-    fn phase_start(&mut self) -> Option<Instant> {
-        if self.force_precise || self.since_calibration >= Self::CALIBRATE_EVERY {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn phase_end(&mut self, exec_start: Option<Instant>, mark: Instant) -> (u64, Instant) {
-        let now = Instant::now();
-        match exec_start {
-            Some(start) => {
-                let exec_ns = now.duration_since(start).as_nanos() as u64;
-                let dispatch = start.duration_since(mark).as_nanos() as u64;
-                if !self.force_precise {
-                    // Cadence calibration: a representative back-to-back
-                    // dispatch span refreshes the estimate (EWMA, so one
-                    // outlier page fault can't own it).
-                    self.dispatch_est_ns = if self.calibrated {
-                        (3 * self.dispatch_est_ns + dispatch) / 4
-                    } else {
-                        dispatch
-                    };
-                    self.calibrated = true;
-                } else if !self.calibrated {
-                    self.dispatch_est_ns = dispatch;
-                    self.calibrated = true;
-                }
-                // Post-discontinuity spans (park, throttle, injected
-                // sleep) are measured precisely for the counters but not
-                // folded into the estimate — they are not dispatches.
-                self.force_precise = false;
-                self.since_calibration = 0;
-                (exec_ns, now)
-            }
-            None => {
-                self.since_calibration += 1;
-                let total = now.duration_since(mark).as_nanos() as u64;
-                (total.saturating_sub(self.dispatch_est_ns), now)
-            }
-        }
-    }
-
-    #[inline]
-    fn discontinuity(&mut self) {
-        self.force_precise = true;
-    }
 }
 
 fn steal_victim(prov: &crate::scheduler::Provenance) -> Option<u32> {

@@ -2,13 +2,13 @@
 //! the paper's Eq. 1 counters (`cumulative-exec`, `cumulative-func`,
 //! `idle-rate`).
 //!
-//! These run in both clock modes: with the default per-phase `Instant`
-//! reads and with the `coarse-clock` feature's batched reads. The
-//! batched clock replaces the dispatch-side timestamp with a
-//! periodically recalibrated estimate, so these tests are the contract
-//! that the estimate never misattributes parked/quiescent wall time as
-//! work — the exact failure mode that would corrupt idle-rate and any
-//! adaptive policy built on it.
+//! The worker reads the clock twice per executed phase — before the body
+//! and after it — and the second read is both the end of `t_exec` and
+//! the new `Σt_func` mark. Both sums are therefore exact, and these
+//! tests are the contract that follows: exec tracks self-measured busy
+//! time, `exec ≤ func` holds on every worker (not only in total), and
+//! parked or quiescent wall time is never charged as work — the failure
+//! mode that would corrupt idle-rate and any adaptive policy built on it.
 
 use grain_runtime::{Runtime, RuntimeConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,11 +30,25 @@ const EXEC: &str = "/threads{locality#0/total}/time/cumulative-exec";
 const FUNC: &str = "/threads{locality#0/total}/time/cumulative-func";
 const IDLE: &str = "/threads{locality#0/total}/idle-rate";
 
+/// Eq. 1's `exec ≤ func` on each worker's own shard of the two sums. One
+/// clock read ends `t_exec` and marks `Σt_func`, so no worker's exec can
+/// outrun its func; a per-worker violation can hide inside a total.
+fn assert_exec_le_func_per_worker(r: &Runtime) {
+    let c = r.counters();
+    for w in 0..c.exec_ns.shard_count() {
+        let (exec, func) = (c.exec_ns.get(w), c.func_ns.get(w));
+        assert!(
+            func >= exec,
+            "Eq. 1 violated on worker {w}: func={func} < exec={exec}"
+        );
+    }
+}
+
 /// Busy tasks self-measure their own wall time; the runtime's
 /// cumulative-exec must agree within a coarse band, and the Eq. 1
 /// invariants (exec ≤ func, idle-rate ∈ [0, 1]) must hold. Runs under a
-/// throttled runtime (2 workers scaled down to 1) so the batched clock
-/// also crosses the throttle/discontinuity path while work is flowing.
+/// throttled runtime (2 workers scaled down to 1) so the throttle path
+/// is crossed while work is flowing.
 #[test]
 fn cumulative_exec_tracks_self_measured_busy_time() {
     let r = rt(2);
@@ -59,9 +73,8 @@ fn cumulative_exec_tracks_self_measured_busy_time() {
     let busy = busy_ns.load(Ordering::Relaxed) as f64;
 
     // The tasks spun ~18ms of measured wall time in total. The runtime's
-    // attribution must not lose a large fraction of it (the coarse clock
-    // subtracts only its dispatch estimate) nor inflate it by charging
-    // idle/parked spans into exec. The upper margin absorbs OS
+    // attribution must not lose a large fraction of it nor inflate it by
+    // charging idle/parked spans into exec. The upper margin absorbs OS
     // preemption between the body's last self-read and the phase end.
     assert!(
         exec >= 0.6 * busy,
@@ -72,6 +85,7 @@ fn cumulative_exec_tracks_self_measured_busy_time() {
         "exec inflated beyond busy work: exec={exec} busy={busy}"
     );
     assert!(func >= exec, "Eq. 1 violated: func={func} < exec={exec}");
+    assert_exec_le_func_per_worker(&r);
     assert!(
         (0.0..=1.0).contains(&idle),
         "idle-rate out of range: {idle}"
@@ -81,9 +95,7 @@ fn cumulative_exec_tracks_self_measured_busy_time() {
 /// Quiescent wall time must not be charged to cumulative-func: after the
 /// runtime goes idle, a long sleep followed by a single trivial task may
 /// add at most dispatch noise, never the sleep itself. This is the
-/// quiescent-window discard rule; the batched clock forces a precise
-/// re-read after every park so it cannot fold the parked span into its
-/// dispatch estimate either.
+/// quiescent-window discard rule.
 #[test]
 fn quiescent_windows_are_not_charged_to_func() {
     let r = rt(2);
@@ -105,10 +117,9 @@ fn quiescent_windows_are_not_charged_to_func() {
     );
 }
 
-/// Idle-rate must reflect a mostly-idle runtime as high idleness — the
-/// coarse clock's estimate must not swallow the idle window. Uses a
-/// burst of tiny tasks separated by a long quiescent gap, then checks
-/// exec stays small in absolute terms.
+/// A mostly-idle runtime must not accumulate exec: a burst of tiny tasks,
+/// a long quiescent gap, another burst, then exec stays small in
+/// absolute terms.
 #[test]
 fn tiny_tasks_do_not_accumulate_phantom_exec() {
     let r = rt(2);
@@ -129,4 +140,5 @@ fn tiny_tasks_do_not_accumulate_phantom_exec() {
     let func = query(&r, FUNC);
     let exec = query(&r, EXEC);
     assert!(func >= exec, "Eq. 1 violated: func={func} < exec={exec}");
+    assert_exec_le_func_per_worker(&r);
 }

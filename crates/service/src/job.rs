@@ -288,6 +288,20 @@ impl JobSpec {
 /// on each attempt.
 pub type JobBody = Box<dyn FnMut(&mut TaskContext<'_>) + Send>;
 
+/// A job's state plus whether its terminal state has been *published*.
+///
+/// The winner of a terminal transition does its bookkeeping (counters,
+/// budget release, policy hook) between making the state terminal and
+/// calling [`JobCore::notify_waiters`]. `published` flips only there, and
+/// it — not `state.is_terminal()` — is what `wait*` and
+/// [`JobHandle::outcome`] key on, so a waiter that *arrives* inside that
+/// window blocks until every observer has counted the job.
+/// [`JobHandle::state`] may already read terminal.
+struct Lifecycle {
+    state: JobState,
+    published: bool,
+}
+
 /// Shared state of one job. Internal; clients hold a [`JobHandle`].
 pub(crate) struct JobCore {
     pub(crate) id: JobId,
@@ -296,7 +310,7 @@ pub(crate) struct JobCore {
     pub(crate) counters: JobCounters,
     /// Admission budget cost (`spec.estimated_tasks.max(1)`).
     pub(crate) cost: u64,
-    state: Mutex<JobState>,
+    state: Mutex<Lifecycle>,
     state_cv: Condvar,
     pub(crate) cancel_requested: AtomicBool,
     pub(crate) timed_out: AtomicBool,
@@ -337,7 +351,10 @@ impl JobCore {
             group,
             counters,
             cost,
-            state: Mutex::new(JobState::Queued),
+            state: Mutex::new(Lifecycle {
+                state: JobState::Queued,
+                published: false,
+            }),
             state_cv: Condvar::new(),
             cancel_requested: AtomicBool::new(false),
             timed_out: AtomicBool::new(false),
@@ -359,7 +376,13 @@ impl JobCore {
     }
 
     pub(crate) fn state(&self) -> JobState {
-        *self.state.lock()
+        self.state.lock().state
+    }
+
+    /// The terminal state, once published (see [`Lifecycle`]).
+    pub(crate) fn published_state(&self) -> Option<JobState> {
+        let g = self.state.lock();
+        g.published.then_some(g.state)
     }
 
     /// Non-terminal transition; wakes waiters. A job that already
@@ -367,10 +390,10 @@ impl JobCore {
     /// observed that state, and it can never be un-terminalized.
     pub(crate) fn set_state(&self, to: JobState) {
         let mut g = self.state.lock();
-        if g.is_terminal() {
+        if g.state.is_terminal() {
             return;
         }
-        *g = to;
+        g.state = to;
         self.state_cv.notify_all();
     }
 
@@ -381,10 +404,10 @@ impl JobCore {
     /// waited); such a job must not be started or charged any budget.
     pub(crate) fn try_admit(&self) -> bool {
         let mut g = self.state.lock();
-        if *g != JobState::Queued {
+        if g.state != JobState::Queued {
             return false;
         }
-        *g = JobState::Admitted;
+        g.state = JobState::Admitted;
         self.state_cv.notify_all();
         true
     }
@@ -396,10 +419,10 @@ impl JobCore {
     pub(crate) fn finish_if_queued(&self, to: JobState) -> bool {
         debug_assert!(to.is_terminal());
         let mut g = self.state.lock();
-        if *g != JobState::Queued {
+        if g.state != JobState::Queued {
             return false;
         }
-        *g = to;
+        g.state = to;
         *self.finished_at.lock() = Some(Instant::now());
         true
     }
@@ -422,39 +445,42 @@ impl JobCore {
     pub(crate) fn finish_quiet(&self, to: JobState) -> bool {
         debug_assert!(to.is_terminal());
         let mut g = self.state.lock();
-        if g.is_terminal() {
+        if g.state.is_terminal() {
             return false;
         }
-        *g = to;
+        g.state = to;
         *self.finished_at.lock() = Some(Instant::now());
         true
     }
 
-    /// Wake everyone blocked in `wait_terminal*`.
+    /// Publish the terminal state and wake everyone blocked in
+    /// `wait_terminal*`. Every terminal transition ends here.
     pub(crate) fn notify_waiters(&self) {
-        let _g = self.state.lock();
+        let mut g = self.state.lock();
+        debug_assert!(g.state.is_terminal());
+        g.published = true;
         self.state_cv.notify_all();
     }
 
     pub(crate) fn wait_terminal(&self) -> JobState {
         let mut g = self.state.lock();
-        while !g.is_terminal() {
+        while !g.published {
             self.state_cv.wait(&mut g);
         }
-        *g
+        g.state
     }
 
     pub(crate) fn wait_terminal_timeout(&self, timeout: Duration) -> Option<JobState> {
         let deadline = Instant::now() + timeout;
         let mut g = self.state.lock();
-        while !g.is_terminal() {
+        while !g.published {
             let now = Instant::now();
             if now >= deadline {
                 return None;
             }
             self.state_cv.wait_for(&mut g, deadline - now);
         }
-        Some(*g)
+        Some(g.state)
     }
 
     /// Submission-to-finish latency (up to now for non-terminal jobs).
@@ -630,8 +656,9 @@ impl JobHandle {
 
     /// The outcome if the job already finished, else `None`.
     pub fn outcome(&self) -> Option<JobOutcome> {
-        let state = self.core.state();
-        state.is_terminal().then(|| self.core.outcome_now(state))
+        self.core
+            .published_state()
+            .map(|state| self.core.outcome_now(state))
     }
 
     /// Full registry paths of this job's counters

@@ -3,7 +3,8 @@
 
 use grain_counters::sync::Mutex;
 use grain_service::{
-    AdmissionConfig, AdmissionError, JobService, JobSpec, JobState, RejectReason, ServiceConfig,
+    AdmissionConfig, AdmissionError, JobService, JobSpec, JobState, PolicyHook, RejectReason,
+    ServiceConfig,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -524,6 +525,59 @@ fn completed_dataflow_jobs_leave_no_live_task_group() {
         "{} of {JOBS} completed jobs' groups are still alive",
         live()
     );
+}
+
+/// "Terminal" to a waiter means every observer has counted the job. The
+/// settling thread makes the state terminal, then meters the job and
+/// runs the policy hook, then publishes. A `wait()` that *arrives* in
+/// that window must block until the hook returns — it used to see the
+/// terminal state and return with the hook still running (the autotune
+/// flake: a submitter re-reading the controller before it had counted
+/// the job). The channels force the interleaving.
+#[test]
+fn a_waiter_arriving_while_the_policy_hook_runs_blocks_until_it_returns() {
+    let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    let release_rx = Mutex::new(release_rx);
+    let service = JobService::new(ServiceConfig {
+        // Errors ignored: a failed assertion below drops the test's ends
+        // of both channels, and that must release the hook, not panic it.
+        policy: Some(PolicyHook::new(move |_, _| {
+            let _ = entered_tx.send(());
+            let _ = release_rx.lock().recv();
+        })),
+        ..single_worker_config()
+    });
+    // Re-bound after `service`, so an unwinding assertion drops it first
+    // and so releases the hook that the service's drop waits for.
+    let release_tx = release_tx;
+    let job = service.submit(JobSpec::new("hooked", "tenant-a"), |_| {});
+    entered_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the job settles and its hook starts");
+    // The body is done and the state reads terminal, but nobody may
+    // collect the outcome yet.
+    assert_eq!(job.state(), JobState::Completed);
+    assert!(job.outcome().is_none(), "outcome published mid-hook");
+    assert!(job.wait_timeout(Duration::from_millis(20)).is_none());
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn({
+        let job = job.clone();
+        move || {
+            let _ = done_tx.send(job.wait().state);
+        }
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_millis(100)).is_err(),
+        "wait() returned while the policy hook was still running"
+    );
+    release_tx.send(()).expect("hook is blocked on this");
+    assert_eq!(
+        done_rx.recv_timeout(Duration::from_secs(10)),
+        Ok(JobState::Completed)
+    );
+    waiter.join().expect("waiter thread");
+    assert_eq!(job.outcome().map(|o| o.state), Some(JobState::Completed));
 }
 
 #[test]

@@ -72,14 +72,13 @@ fn every_family_agrees_across_executors() {
     }
 }
 
-/// Bit-identity across *feature configurations*, not just executors:
-/// the checksum of this fixed spec is pinned to a constant, so a run
-/// with `task-slab`/`coarse-clock`/`parcel-reuse` enabled must produce
-/// the exact same bits as the default build — in a different process,
-/// on a different day. The hot-path features recycle allocations and
-/// batch clock reads; none of them may perturb a single payload byte.
+/// The checksum of this fixed spec is pinned to a constant, so every
+/// build must produce the exact same bits — in a different process, on a
+/// different day, and with `grain-net/parcel-reuse` on (the gate runs
+/// this test in both states): recycling frame buffers may not perturb a
+/// single payload byte.
 #[test]
-fn pinned_golden_checksum_is_identical_in_every_feature_configuration() {
+fn pinned_golden_checksum() {
     const GOLDEN: u64 = 0x2FF4_1252_9F64_BCE0;
     let graph = Arc::new(
         GraphSpec::shape(

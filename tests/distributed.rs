@@ -27,13 +27,18 @@ fn two_localities_match_futurized_bit_exactly() {
 
 #[test]
 fn many_shapes_match_futurized_bit_exactly() {
-    // Ragged blocks, single-point partitions, np == world, zero steps.
+    // Ragged blocks, single-point partitions, np == world, zero steps,
+    // and 1024 points in 8 partitions on 1, 2 and 4 localities (world 1:
+    // the whole ring is local and no parcel is sent).
     for (world, nx, np, nt) in [
         (2, 1, 5, 8),
         (3, 7, 7, 6),
         (2, 3, 2, 12),
         (4, 5, 9, 5),
         (3, 4, 11, 0),
+        (1, 128, 8, 8),
+        (2, 128, 8, 8),
+        (4, 128, 8, 8),
     ] {
         let params = StencilParams::new(nx, np, nt);
         let expect = futurized_oracle(&params);
