@@ -20,7 +20,6 @@ const BUCKETS: usize = 64;
 #[derive(Debug)]
 pub struct LogHistogram {
     buckets: Box<[AtomicU64; BUCKETS]>,
-    count: AtomicU64,
     sum: AtomicU64,
 }
 
@@ -35,7 +34,6 @@ impl LogHistogram {
     pub fn new() -> Self {
         Self {
             buckets: Box::new([const { AtomicU64::new(0) }; BUCKETS]),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
@@ -48,13 +46,13 @@ impl LogHistogram {
     #[inline]
     pub fn record(&self, value: u64) {
         self.buckets[Self::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Number of recorded values.
+    /// Number of recorded values: the sum of the buckets, so `record`
+    /// pays for no counter of its own.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Mean of recorded values (0 when empty).
@@ -108,8 +106,6 @@ impl LogHistogram {
         for (a, b) in self.buckets.iter().zip(other.buckets.iter()) {
             a.fetch_add(b.load(Ordering::Relaxed), Ordering::Relaxed);
         }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
         self.sum
             .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
     }
@@ -119,7 +115,6 @@ impl LogHistogram {
         for b in self.buckets.iter() {
             b.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
     }
 
@@ -213,6 +208,7 @@ mod tests {
         b.record(1000);
         a.merge(&b);
         assert_eq!(a.count(), 3);
+        assert_eq!(a.mean(), 340.0, "the sum merges with the buckets");
         assert_eq!(a.nonzero_buckets().len(), 2);
     }
 
@@ -222,6 +218,7 @@ mod tests {
         h.record(42);
         h.reset();
         assert_eq!(h.count(), 0);
+        assert_eq!(h.mean(), 0.0);
         assert!(h.nonzero_buckets().is_empty());
     }
 

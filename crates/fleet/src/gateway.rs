@@ -407,6 +407,16 @@ impl WorkerView {
             stats_poll: None,
         }
     }
+
+    /// Take a stats reply into the view. Draining is one-way: a reply
+    /// that left the worker before it began to drain may arrive after
+    /// [`Gateway::drain`] returned, and must not make the worker
+    /// eligible for the jobs it has just handed back.
+    fn absorb_stats(&mut self, now: Instant, stats: &WorkerStats) {
+        self.draining |= stats.draining;
+        self.stats = Some((now, stats.clone()));
+        self.stats_poll = None;
+    }
 }
 
 struct GatewayShared {
@@ -915,11 +925,7 @@ fn pump_tick(shared: &Arc<GatewayShared>) {
             if let Some(poll) = &v.stats_poll {
                 match poll.try_get() {
                     None => {}
-                    Some(Ok(stats)) => {
-                        v.draining = stats.draining;
-                        v.stats = Some((now, (*stats).clone()));
-                        v.stats_poll = None;
-                    }
+                    Some(Ok(stats)) => v.absorb_stats(now, &stats),
                     Some(Err(_)) => v.stats_poll = None,
                 }
             }
@@ -1092,4 +1098,40 @@ fn backoff_worker(shared: &GatewayShared, worker: usize, now: Instant) {
         .entry(worker)
         .or_insert_with(WorkerView::new)
         .backoff_until = Some(now + shared.config.retry_backoff);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn stats(draining: bool) -> WorkerStats {
+        WorkerStats {
+            locality: 1,
+            draining,
+            pressure_level: 0,
+            overhead: 0.0,
+            queue_fill: 0.0,
+            idle_rate: 0.0,
+            queued_jobs: 0,
+            running_jobs: 0,
+            autotune_grain: 0,
+            autotune_converged: true,
+        }
+    }
+
+    #[test]
+    fn a_stale_stats_reply_does_not_undrain_the_view() {
+        let mut view = WorkerView::new();
+        // `drain()` returned: the view is marked by the gateway itself.
+        view.draining = true;
+        // A reply the worker sent before it began to drain lands now.
+        view.absorb_stats(Instant::now(), &stats(false));
+        assert!(view.draining, "draining is one-way");
+        assert!(view.stats.is_some(), "the rest of the reply is still used");
+
+        // And a worker's own announcement marks a fresh view.
+        let mut view = WorkerView::new();
+        view.absorb_stats(Instant::now(), &stats(true));
+        assert!(view.draining);
+    }
 }

@@ -17,18 +17,24 @@
 //! * [`when_all`] — N-ary conjunction, the edge/intermediate nodes of the
 //!   dependency graph in the paper's Fig. 2. The first faulted input
 //!   faults the conjunction with a [`TaskError::Dependency`] cause chain.
-//! * `DepNode` (crate-internal) — the one dependency node behind both
-//!   [`when_all`] and the runtime's `dataflow`: it registers itself on
-//!   every input, counts them down, and fires exactly once.
 //!
-//! Continuations run inline on the thread that settles the promise,
+//! Behind all three is one object, `Shared<T, X>`: the future's state
+//! followed by a *tail* `X`. [`channel`] makes it with an empty tail;
+//! [`when_all`] and the runtime's `async_call`/`dataflow` put their input
+//! countdown, input list and closure in the tail, so such a node is a
+//! single allocation handed out under several faces — the
+//! [`SharedFuture`] of its output, the `Waiter` registered on each
+//! pending input, and (for a task) the entry in the scheduler's queue.
+//!
+//! Continuations run inline on the thread that settles the future,
 //! which on a worker means "as part of the completing task's phase" —
 //! the same attribution HPX uses for cheap continuations.
 
 use crate::fault::{self, TaskError};
-use grain_counters::sync::{Condvar, Mutex};
+use crate::runtime::Handoff;
+use grain_counters::sync::{Condvar, Mutex, MutexGuard};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The settled outcome of a future: a shared value or the task error.
@@ -45,53 +51,90 @@ enum Continuation<T> {
     Node(Arc<dyn Waiter>),
 }
 
-enum State<T> {
-    Empty(Vec<Continuation<T>>),
-    Ready(Arc<T>),
-    Faulted(TaskError),
+/// What follows a future's state in its allocation; a [`SharedFuture`]
+/// neither knows nor uses it.
+pub(crate) trait Tail: Send + Sync {}
+
+/// The tail of a [`channel`]: nothing.
+impl Tail for () {}
+
+/// A future's state, and in `tail` whatever the node that produces its
+/// value needs until it has done so.
+///
+/// Publication: `settle` writes `outcome` first and takes the waiter
+/// list — under its lock — second. A reader that sees `outcome` set
+/// needs no lock. A subscriber that does not see it locks the list and
+/// looks again: still unset means the settler has yet to take the list,
+/// so what is pushed now is in the list it will take; set means the
+/// list may be gone, so the subscriber runs its continuation itself.
+pub(crate) struct Shared<T, X: ?Sized = ()> {
+    outcome: OnceLock<Settled<T>>,
+    waiters: Mutex<Vec<Continuation<T>>>,
+    ready: Condvar,
+    pub(crate) tail: X,
 }
 
-impl<T> State<T> {
-    /// The settled outcome, `None` while pending.
-    fn outcome(&self) -> Option<Settled<T>> {
-        match self {
-            State::Ready(v) => Some(Ok(Arc::clone(v))),
-            State::Faulted(e) => Some(Err(e.clone())),
-            State::Empty(_) => None,
+impl<T, X> Shared<T, X> {
+    /// A pending future followed by `tail`.
+    pub(crate) fn pending(tail: X) -> Self {
+        Self {
+            outcome: OnceLock::new(),
+            waiters: Mutex::new(Vec::new()),
+            ready: Condvar::new(),
+            tail,
         }
     }
 }
 
-struct Shared<T> {
-    state: Mutex<State<T>>,
-    ready: Condvar,
-}
+impl<T, X: ?Sized> Shared<T, X> {
+    /// The waiter list, locked, if the future is still pending: what is
+    /// pushed before the guard drops is in the list `settle` will take.
+    /// `None` once the outcome is published.
+    fn waiters_if_pending(&self) -> Option<MutexGuard<'_, Vec<Continuation<T>>>> {
+        if self.outcome.get().is_some() {
+            return None;
+        }
+        let waiters = self.waiters.lock();
+        self.outcome.get().is_none().then_some(waiters)
+    }
 
-impl<T> Shared<T> {
-    /// Settle the future (value or error), waking blocked waiters and
-    /// running all attached continuations inline on this thread.
+    /// The outcome of a future known to be settled.
+    fn settled(&self) -> &Settled<T> {
+        self.outcome.get().expect("not pending, so published")
+    }
+
+    /// Settle the future unless it is settled already (`false`): wake
+    /// blocked waiters and run every attached continuation inline on
+    /// this thread. `handoff` is passed on to the nodes among them — and
+    /// not to callbacks, whose own settles are nobody's last act.
+    pub(crate) fn try_settle(
+        &self,
+        outcome: Settled<T>,
+        mut handoff: Option<&mut Handoff<'_>>,
+    ) -> bool {
+        if self.outcome.set(outcome).is_err() {
+            return false;
+        }
+        let waiters = std::mem::take(&mut *self.waiters.lock());
+        self.ready.notify_all();
+        let outcome = self.settled();
+        for c in waiters {
+            match c {
+                Continuation::Callback(f) => f(outcome),
+                Continuation::Node(node) => {
+                    node.input_settled(outcome.as_ref().err(), handoff.as_deref_mut());
+                }
+            }
+        }
+        true
+    }
+
+    /// [`try_settle`](Self::try_settle) for the one producer of a future.
     ///
     /// # Panics
     /// Panics if the future was already settled.
-    fn settle(&self, outcome: Settled<T>) {
-        let new_state = match &outcome {
-            Ok(v) => State::Ready(Arc::clone(v)),
-            Err(e) => State::Faulted(e.clone()),
-        };
-        let continuations = {
-            let mut st = self.state.lock();
-            match std::mem::replace(&mut *st, new_state) {
-                State::Empty(conts) => conts,
-                State::Ready(_) | State::Faulted(_) => panic!("promise fulfilled twice"),
-            }
-        };
-        self.ready.notify_all();
-        for c in continuations {
-            match c {
-                Continuation::Callback(f) => f(&outcome),
-                Continuation::Node(node) => node.input_settled(outcome.as_ref().err()),
-            }
-        }
+    pub(crate) fn settle(&self, outcome: Settled<T>, handoff: Option<&mut Handoff<'_>>) {
+        assert!(self.try_settle(outcome, handoff), "promise fulfilled twice");
     }
 }
 
@@ -103,12 +146,12 @@ impl<T> Shared<T> {
 /// message when dropped by an unwind, [`TaskError::Cancelled`] when the
 /// owning task was skipped, [`TaskError::BrokenPromise`] otherwise).
 pub struct Promise<T> {
-    shared: Option<Arc<Shared<T>>>,
+    shared: Option<Arc<Shared<T, dyn Tail>>>,
 }
 
 /// The read end: shareable, clonable, multi-consumer.
 pub struct SharedFuture<T> {
-    shared: Arc<Shared<T>>,
+    shared: Arc<Shared<T, dyn Tail>>,
 }
 
 impl<T> Clone for SharedFuture<T> {
@@ -121,10 +164,7 @@ impl<T> Clone for SharedFuture<T> {
 
 /// Create a connected promise/future pair.
 pub fn channel<T>() -> (Promise<T>, SharedFuture<T>) {
-    let shared = Arc::new(Shared {
-        state: Mutex::new(State::Empty(Vec::new())),
-        ready: Condvar::new(),
-    });
+    let shared: Arc<Shared<T, dyn Tail>> = Arc::new(Shared::pending(()));
     (
         Promise {
             shared: Some(Arc::clone(&shared)),
@@ -141,7 +181,7 @@ impl<T> Promise<T> {
     /// Panics if the promise was already fulfilled.
     pub fn set(mut self, value: T) {
         let shared = self.shared.take().expect("promise already consumed");
-        shared.settle(Ok(Arc::new(value)));
+        shared.settle(Ok(Arc::new(value)), None);
     }
 
     /// Publish an error instead of a value. Waiters and continuations
@@ -151,7 +191,7 @@ impl<T> Promise<T> {
     /// Panics if the promise was already fulfilled.
     pub fn fail(mut self, error: TaskError) {
         let shared = self.shared.take().expect("promise already consumed");
-        shared.settle(Err(error));
+        shared.settle(Err(error), None);
     }
 }
 
@@ -174,46 +214,53 @@ impl<T> Drop for Promise<T> {
         } else {
             TaskError::BrokenPromise
         };
-        shared.settle(Err(error));
+        shared.settle(Err(error), None);
     }
 }
 
 impl<T> SharedFuture<T> {
+    /// The future face of a node.
+    pub(crate) fn of(shared: Arc<Shared<T, dyn Tail>>) -> Self {
+        Self { shared }
+    }
+
+    fn settled(outcome: Settled<T>) -> Self {
+        let mut shared = Shared::pending(());
+        shared.outcome = OnceLock::from(outcome);
+        Self::of(Arc::new(shared))
+    }
+
     /// A future that is already fulfilled ("make_ready_future").
     pub fn ready(value: T) -> Self {
-        let (p, f) = channel();
-        p.set(value);
-        f
+        Self::settled(Ok(Arc::new(value)))
     }
 
     /// A future that is already faulted with `error`.
     pub fn faulted(error: TaskError) -> Self {
-        let (p, f) = channel();
-        p.fail(error);
-        f
+        Self::settled(Err(error))
     }
 
     /// The settled outcome, if the future has settled: `Some(Ok(value))`
     /// once ready, `Some(Err(error))` once faulted, `None` while pending.
     pub fn try_get(&self) -> Option<Settled<T>> {
-        self.shared.state.lock().outcome()
+        self.shared.outcome.get().cloned()
     }
 
     /// True once the future has settled (ready *or* faulted) — i.e. a
     /// suspended task waiting on it would be resumed.
     pub fn is_ready(&self) -> bool {
-        !matches!(&*self.shared.state.lock(), State::Empty(_))
+        self.shared.outcome.get().is_some()
     }
 
     /// True if the future settled with an error.
     pub fn is_faulted(&self) -> bool {
-        matches!(&*self.shared.state.lock(), State::Faulted(_))
+        matches!(self.shared.outcome.get(), Some(Err(_)))
     }
 
     /// The error the future faulted with, if it did.
     pub fn error(&self) -> Option<TaskError> {
-        match self.try_get() {
-            Some(Err(e)) => Some(e),
+        match self.shared.outcome.get() {
+            Some(Err(e)) => Some(e.clone()),
             _ => None,
         }
     }
@@ -239,13 +286,15 @@ impl<T> SharedFuture<T> {
     /// Block until the future settles; the fallible form of
     /// [`SharedFuture::get`].
     pub fn wait(&self) -> Settled<T> {
-        let mut st = self.shared.state.lock();
-        loop {
-            match st.outcome() {
-                Some(outcome) => return outcome,
-                None => self.shared.ready.wait(&mut st),
+        // `settle` takes the list's lock between publishing the outcome
+        // and notifying: whoever sees no outcome under it is counted as a
+        // waiter before the settler can get to its notify.
+        if let Some(mut waiters) = self.shared.waiters_if_pending() {
+            while !self.is_ready() {
+                self.shared.ready.wait(&mut waiters);
             }
         }
+        self.shared.settled().clone()
     }
 
     /// Block until the future settles or `timeout` elapses. Returns
@@ -253,49 +302,36 @@ impl<T> SharedFuture<T> {
     /// against a stalled producer.
     pub fn wait_timeout(&self, timeout: Duration) -> Settled<T> {
         let deadline = Instant::now() + timeout;
-        let mut st = self.shared.state.lock();
-        loop {
-            if let Some(outcome) = st.outcome() {
-                return outcome;
+        if let Some(mut waiters) = self.shared.waiters_if_pending() {
+            while !self.is_ready() {
+                let now = Instant::now();
+                if now >= deadline {
+                    return Err(TaskError::Timeout { waited: timeout });
+                }
+                self.shared.ready.wait_for(&mut waiters, deadline - now);
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(TaskError::Timeout { waited: timeout });
-            }
-            self.shared.ready.wait_for(&mut st, deadline - now);
         }
+        self.shared.settled().clone()
     }
 
     /// Attach a continuation observing the settled outcome: runs
     /// immediately (inline) if already settled, otherwise at settle time
     /// on the settling thread.
     pub fn on_settled(&self, f: impl FnOnce(&Settled<T>) + Send + 'static) {
-        let outcome = {
-            let mut st = self.shared.state.lock();
-            if let State::Empty(conts) = &mut *st {
-                conts.push(Continuation::Callback(Box::new(f)));
-                return;
-            }
-            st.outcome().expect("a non-empty state is settled")
-        };
-        f(&outcome);
+        match self.shared.waiters_if_pending() {
+            Some(mut waiters) => waiters.push(Continuation::Callback(Box::new(f))),
+            None => f(self.shared.settled()),
+        }
     }
 
     /// Count this future among `node`'s inputs: `node` hears of the
     /// settle at settle time, or right here if it already happened.
-    fn subscribe(&self, node: &Arc<dyn Waiter>) {
-        let fault = {
-            let mut st = self.shared.state.lock();
-            match &mut *st {
-                State::Empty(conts) => {
-                    conts.push(Continuation::Node(Arc::clone(node)));
-                    return;
-                }
-                State::Ready(_) => None,
-                State::Faulted(e) => Some(e.clone()),
-            }
-        };
-        node.input_settled(fault.as_ref());
+    pub(crate) fn subscribe(&self, node: &Arc<impl Waiter + 'static>) {
+        let node: Arc<dyn Waiter> = Arc::clone(node) as _;
+        match self.shared.waiters_if_pending() {
+            Some(mut waiters) => waiters.push(Continuation::Node(node)),
+            None => node.input_settled(self.shared.settled().as_ref().err(), None),
+        }
     }
 
     /// Attach a continuation that runs only if the future becomes ready
@@ -310,107 +346,112 @@ impl<T> SharedFuture<T> {
     }
 }
 
-/// The type-erased face of a [`DepNode`]: what its inputs and its task
-/// group hold, and all they may tell it.
+/// The values of `deps`, in order. The futures are 16 bytes and the
+/// values 8, so `collect` reuses the list's allocation.
+///
+/// # Panics
+/// Panics if one of them is not ready: a node reads its inputs only
+/// after counting every one of them down.
+pub(crate) fn values<T>(deps: Vec<SharedFuture<T>>) -> Vec<Arc<T>> {
+    let value = |dep: SharedFuture<T>| match dep.shared.outcome.get() {
+        Some(Ok(v)) => Arc::clone(v),
+        _ => unreachable!("a dependency node counted down an input that is not ready"),
+    };
+    deps.into_iter().map(value).collect()
+}
+
+/// The face a node shows its inputs and its task group: all they may
+/// tell it.
 pub(crate) trait Waiter: Send + Sync {
-    /// One input settled, with `fault` if it faulted.
-    fn input_settled(&self, fault: Option<&TaskError>);
+    /// One input settled, with `fault` if it faulted. Takes the input's
+    /// reference to the node: the settle that readies a task node hands
+    /// that very reference on to the scheduler's queue — by way of
+    /// `handoff`, if that settle is the last act of a worker's phase.
+    fn input_settled(self: Arc<Self>, fault: Option<&TaskError>, handoff: Option<&mut Handoff<'_>>);
     /// The node's group was cancelled while the node may still be dormant.
     fn cancel(&self);
 }
 
-/// Why a [`DepNode`] fired.
-pub(crate) enum Fired<T> {
-    /// Every input is ready; their values, in input order.
-    Ready(Vec<Arc<T>>),
-    /// The first input to fault, wrapped once in
-    /// [`TaskError::Dependency`]. Siblings may still be pending.
-    Faulted(TaskError),
-    /// [`Waiter::cancel`] came first.
-    Cancelled,
-}
-
-/// One node of the dependency graph: waits for every one of its inputs,
-/// then hands their values to `fire` — or hands it the first fault, or
-/// the cancellation, whichever comes first. `fire` runs exactly once, on
-/// the thread that brings the deciding event.
+/// A node's count of inputs yet to settle, and the decision of who
+/// retires the node: the caller that counts the last input down *fires*
+/// it, a caller that brings a fault or a cancellation first *releases*
+/// it, and whichever comes first shuts the other out.
 ///
 /// The node is owned by its still-pending inputs (each holds one `Arc` in
-/// its continuation list) and so is freed when the last of them settles;
-/// nothing else keeps it alive, which is why a task group holds its
-/// dormant nodes weakly.
-pub(crate) struct DepNode<T, F> {
-    /// Inputs yet to settle, plus one held by [`DepNode::join`] so a node
-    /// whose inputs are all settled already cannot fire mid-loop.
-    pending: AtomicUsize,
-    /// The inputs and the fire step. Whichever event fires the node takes
-    /// both, so a fired node holds nothing, however long a pending input
-    /// keeps the node itself alive.
-    armed: Mutex<Option<(Vec<SharedFuture<T>>, F)>>,
-}
+/// its waiter list) and by whoever holds its output future; a task group
+/// holds its dormant nodes weakly.
+pub(crate) struct Countdown(AtomicUsize);
 
-impl<T, F> DepNode<T, F>
-where
-    T: Send + Sync + 'static,
-    F: FnOnce(Fired<T>) + Send + 'static,
-{
-    /// A node over `deps`, registered on each of them. It may have fired
-    /// by the time this returns.
-    pub(crate) fn join(deps: &[SharedFuture<T>], fire: F) -> Arc<Self> {
-        let node = Arc::new(Self {
-            pending: AtomicUsize::new(deps.len() + 1),
-            armed: Mutex::new(Some((deps.to_vec(), fire))),
-        });
-        let waiter: Arc<dyn Waiter> = Arc::clone(&node) as _;
-        for dep in deps {
-            dep.subscribe(&waiter);
-        }
-        node.input_settled(None);
-        node
+/// The count of a released node; no node has half as many inputs.
+const RELEASED: usize = usize::MAX / 2;
+
+impl Countdown {
+    /// For a node of `inputs` inputs, plus one count held by its builder
+    /// so a node whose inputs are all settled already cannot fire while
+    /// it is still subscribing.
+    pub(crate) fn new(inputs: usize) -> Self {
+        Self(AtomicUsize::new(inputs + 1))
     }
 
-    /// Has the node yet to fire?
+    /// One input is ready. `true` for the one caller that brings the
+    /// count to zero: every input is ready and the node is the caller's
+    /// to fire. A faulted input never counts down, so zero means ready.
+    pub(crate) fn input_ready(&self) -> bool {
+        self.0.fetch_sub(1, Ordering::SeqCst) == 1
+    }
+
+    /// Claim the node for a fault or a cancellation. `true` for at most
+    /// one caller, and only while the node has not fired.
+    pub(crate) fn release(&self) -> bool {
+        Self::waiting(self.0.swap(RELEASED, Ordering::SeqCst))
+    }
+
+    /// Has the node yet to fire or be released?
     pub(crate) fn is_dormant(&self) -> bool {
-        self.armed.lock().is_some()
+        Self::waiting(self.0.load(Ordering::SeqCst))
     }
 
-    fn fire(&self, why: impl FnOnce(Vec<SharedFuture<T>>) -> Fired<T>) {
-        let armed = self.armed.lock().take();
-        if let Some((deps, fire)) = armed {
-            fire(why(deps));
-        }
+    fn waiting(count: usize) -> bool {
+        (1..RELEASED / 2).contains(&count)
     }
 }
 
-impl<T, F> Waiter for DepNode<T, F>
-where
-    T: Send + Sync + 'static,
-    F: FnOnce(Fired<T>) + Send + 'static,
-{
-    fn input_settled(&self, fault: Option<&TaskError>) {
+/// The tail of a [`when_all`] future: it settles on the thread that
+/// brings the deciding input, no task in between.
+struct Conjunction<T> {
+    count: Countdown,
+    /// Taken by whoever fires or releases the node, so a retired node
+    /// holds no input however long a pending input keeps it alive.
+    deps: Mutex<Vec<SharedFuture<T>>>,
+}
+
+impl<T: Send + Sync> Tail for Conjunction<T> {}
+
+impl<T: Send + Sync + 'static> Waiter for Shared<Vec<Arc<T>>, Conjunction<T>> {
+    fn input_settled(
+        self: Arc<Self>,
+        fault: Option<&TaskError>,
+        handoff: Option<&mut Handoff<'_>>,
+    ) {
+        let tail = &self.tail;
         if let Some(e) = fault {
-            // A faulted input never counts down, so the count cannot
-            // reach zero afterwards: `Ready` means every input is ready.
-            self.fire(|_| {
-                Fired::Faulted(TaskError::Dependency {
-                    cause: Arc::new(e.clone()),
-                })
-            });
-        } else if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.fire(|deps| {
-                // Same element size in and out: `collect` reuses the
-                // input list's allocation for the values.
-                let values = deps.into_iter().map(|dep| match dep.try_get() {
-                    Some(Ok(v)) => v,
-                    _ => unreachable!("a dependency node counted down an input that is not ready"),
-                });
-                Fired::Ready(values.collect())
-            });
+            if tail.count.release() {
+                tail.deps.lock().clear();
+                let cause = Arc::new(e.clone());
+                self.settle(Err(TaskError::Dependency { cause }), None);
+            }
+        } else if tail.count.input_ready() {
+            let deps = std::mem::take(&mut *tail.deps.lock());
+            self.settle(Ok(Arc::new(values(deps))), handoff);
         }
     }
 
+    /// Unreachable: nothing cancels a node that no group knows of.
     fn cancel(&self) {
-        self.fire(|_| Fired::Cancelled);
+        if self.tail.count.release() {
+            self.tail.deps.lock().clear();
+            self.settle(Err(TaskError::Cancelled), None);
+        }
     }
 }
 
@@ -425,14 +466,15 @@ where
 pub fn when_all<T: Send + Sync + 'static>(
     futures: &[SharedFuture<T>],
 ) -> SharedFuture<Vec<Arc<T>>> {
-    let (promise, out) = channel();
-    DepNode::join(futures, move |fired| match fired {
-        Fired::Ready(values) => promise.set(values),
-        Fired::Faulted(e) => promise.fail(e),
-        // Unreachable: nothing cancels a node that no group knows of.
-        Fired::Cancelled => promise.fail(TaskError::Cancelled),
-    });
-    out
+    let node = Arc::new(Shared::pending(Conjunction {
+        count: Countdown::new(futures.len()),
+        deps: Mutex::new(futures.to_vec()),
+    }));
+    for dep in futures {
+        dep.subscribe(&node);
+    }
+    Arc::clone(&node).input_settled(None, None);
+    SharedFuture::of(node)
 }
 
 #[cfg(test)]

@@ -454,7 +454,12 @@ mod tests {
     struct Dormant(AtomicUsize);
 
     impl Waiter for Dormant {
-        fn input_settled(&self, _fault: Option<&TaskError>) {}
+        fn input_settled(
+            self: Arc<Self>,
+            _fault: Option<&TaskError>,
+            _handoff: Option<&mut crate::runtime::Handoff<'_>>,
+        ) {
+        }
         fn cancel(&self) {
             self.0.fetch_add(1, Ordering::SeqCst);
         }

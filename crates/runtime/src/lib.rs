@@ -22,8 +22,11 @@
 //!   NUMA-aware search order of Fig. 1.
 //! * **Futures and dataflow** ([`future`], [`Runtime::dataflow`]): HPX-style
 //!   shared futures with continuations, `when_all` composition, and
-//!   `dataflow` that creates the dependent task only once its inputs are
-//!   ready.
+//!   `dataflow` that queues the dependent task only once its inputs are
+//!   ready. A task is one allocation — its output future, its input
+//!   countdown and its queue entry — and a task that finishes hands the
+//!   dependent it readied to its own worker, converted, with no queue in
+//!   between.
 //! * **The performance monitoring system**: every scheduler event feeds
 //!   sharded counters ([`ThreadCounters`]) registered under
 //!   HPX-style symbolic paths (`/threads{locality#0/total}/idle-rate`, …)

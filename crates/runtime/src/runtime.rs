@@ -1,10 +1,10 @@
 //! The runtime: worker pool, spawn paths, task context, termination.
 
 use crate::fault::{TaskError, WatchdogConfig};
-use crate::future::{channel, DepNode, Fired, SharedFuture, Waiter};
+use crate::future::{self, Countdown, Shared, SharedFuture, Tail, Waiter};
 use crate::group::{CancelToken, TaskGroup};
 use crate::scheduler::{Scheduler, SchedulerKind};
-use crate::task::{Poll, Priority, StagedTask, Task, TaskId, TaskIdAllocator, TaskState};
+use crate::task::{Poll, Priority, Runnable, StagedTask, Task, TaskId, TaskIdAllocator, TaskState};
 use grain_counters::sync::{Condvar, Mutex};
 use grain_counters::threads::ThreadCounters;
 use grain_counters::{FaultPlan, RawCounter, Registry, Unit};
@@ -150,20 +150,33 @@ thread_local! {
     static CURRENT_WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 
+/// Where the settle that is the last act of a worker's phase — the
+/// output of the task node it has just run — leaves the dependents it
+/// readies: converted on the spot and collected here, for the worker to
+/// queue on its own side when the phase is over. Nothing runs on the
+/// worker in between but continuations, so nothing waits unseen behind a
+/// body. Every other settle (a `Promise::set` in the middle of a body,
+/// an external thread's) has no hand-off and stages what it readies.
+pub(crate) struct Handoff<'a> {
+    inner: &'a Inner,
+    worker: usize,
+    released: &'a mut Vec<Task>,
+}
+
 impl Inner {
-    fn addr(self: &Arc<Self>) -> usize {
-        Arc::as_ptr(self) as usize
+    fn addr(&self) -> usize {
+        self as *const Self as usize
     }
 
     /// Worker index if the calling thread is one of this runtime's workers.
-    pub(crate) fn current_worker(self: &Arc<Self>) -> Option<usize> {
+    pub(crate) fn current_worker(&self) -> Option<usize> {
         CURRENT_WORKER.with(|c| match c.get() {
             Some((addr, w)) if addr == self.addr() => Some(w),
             _ => None,
         })
     }
 
-    pub(crate) fn bind_worker(self: &Arc<Self>, w: usize) {
+    pub(crate) fn bind_worker(&self, w: usize) {
         let addr = self.addr();
         CURRENT_WORKER.with(|c| c.set(Some((addr, w))));
     }
@@ -172,9 +185,36 @@ impl Inner {
         CURRENT_WORKER.with(|c| c.set(None));
     }
 
+    /// Make the task in worker `w`'s next slot, if any, visible to the
+    /// other workers. Called by `w` itself wherever it is about to stop
+    /// looking for work.
+    pub(crate) fn publish_next(&self, w: usize) {
+        if self.scheduler.queues.flush_next(w) {
+            self.wake();
+        }
+    }
+
+    /// Queue what the phase worker `w` has just finished handed off: the
+    /// first task in its next slot, where its coming search finds it
+    /// with no queue in between and nobody needs waking; any others on
+    /// its pending queue, announced with one wake.
+    pub(crate) fn place_released(&self, w: usize, released: &mut Vec<Task>) {
+        let queues = &self.scheduler.queues;
+        let mut tasks = released.drain(..);
+        let turned_away = tasks.next().and_then(|t| queues.offer_next(w, t).err());
+        let mut published = false;
+        for task in turned_away.into_iter().chain(tasks) {
+            queues.push_pending(w, task);
+            published = true;
+        }
+        if published {
+            self.wake();
+        }
+    }
+
     /// Core spawn path: route a staged task to its queue and wake a
     /// sleeper.
-    pub(crate) fn spawn_staged(self: &Arc<Self>, staged: StagedTask) {
+    pub(crate) fn spawn_staged(&self, staged: StagedTask) {
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         let here = self.current_worker();
         let w = here.unwrap_or_else(|| self.scheduler.queues.next_rr());
@@ -233,23 +273,21 @@ impl Inner {
         self.async_call_in(None, priority, f)
     }
 
-    /// Grouped `hpx::async`. If the group is cancelled before dispatch the
-    /// body never runs and the future never becomes ready — join grouped
-    /// work through the group latch, not by blocking on its futures.
+    /// Grouped `hpx::async`: a task node with no inputs. If the group is
+    /// cancelled before dispatch the body never runs and the future
+    /// faults with [`TaskError::Cancelled`].
     pub(crate) fn async_call_in<R: Send + Sync + 'static>(
         self: &Arc<Self>,
         group: Option<Arc<TaskGroup>>,
         priority: Priority,
         f: impl FnOnce(&mut TaskContext<'_>) -> R + Send + 'static,
     ) -> SharedFuture<R> {
-        let (promise, future) = channel();
-        self.spawn_once_in(group, priority, move |ctx| promise.set(f(ctx)));
-        future
+        self.dataflow_in::<(), R>(group, priority, &[], move |ctx, _| f(ctx))
     }
 
     /// `hpx::dataflow`: when every dependency is ready, spawn a task that
     /// consumes their values; return the future of its result. The task is
-    /// *not created* until the inputs are ready — dependencies hold only a
+    /// not queued until the inputs are ready — dependencies hold only a
     /// reference to the node, matching HPX's staging economy.
     pub(crate) fn dataflow<T, R>(
         self: &Arc<Self>,
@@ -264,17 +302,16 @@ impl Inner {
         self.dataflow_in(None, priority, deps, f)
     }
 
-    /// `hpx::dataflow`, grouped or not: one [`DepNode`] that registers on
-    /// every input and, once they are all ready, spawns the task that
-    /// consumes their values. A faulted input faults the output at once
-    /// (one [`TaskError::Dependency`] wrap per hop) and nothing is spawned.
+    /// `hpx::dataflow`, grouped or not: one [`TaskNode`] that registers
+    /// on every input and, once they are all ready, is itself the task
+    /// that consumes their values. A faulted input faults the output at
+    /// once (one [`TaskError::Dependency`] wrap per hop) and nothing runs.
     ///
     /// A grouped node is accounted into its group *immediately* as a
     /// reservation — before its inputs are ready — so the group cannot
     /// look quiescent while part of its DAG is still dormant. The
-    /// reservation is retired exactly once, by whichever fires the node:
-    /// readiness hands it to the spawned task, a fault or a cancellation
-    /// exits the group without spawning.
+    /// reservation is retired exactly once: readiness hands it to the
+    /// task, a fault or a cancellation exits the group without running.
     pub(crate) fn dataflow_in<T, R>(
         self: &Arc<Self>,
         group: Option<Arc<TaskGroup>>,
@@ -286,56 +323,42 @@ impl Inner {
         T: Send + Sync + 'static,
         R: Send + Sync + 'static,
     {
-        let (promise, future) = channel();
-        let inner = Arc::clone(self);
-        self.dormant.fetch_add(1, Ordering::SeqCst);
+        let waits = !deps.is_empty();
+        if waits {
+            self.dormant.fetch_add(1, Ordering::SeqCst);
+        }
         if let Some(g) = &group {
             g.enter();
         }
         let member_of = group.clone();
-        let node = DepNode::join(deps, move |fired| {
-            inner.dormant.fetch_sub(1, Ordering::SeqCst);
-            // A tripped token wins even where `cancel` has not reached
-            // this node yet: nothing of a cancelled group is spawned.
-            let fired = match &group {
-                Some(g) if g.is_cancelled() => Fired::Cancelled,
-                _ => fired,
-            };
-            match fired {
-                Fired::Ready(vals) => {
-                    let id = inner.ids.allocate();
-                    // The task takes over the node's reservation: it
-                    // joins the group without entering it again.
-                    inner.spawn_staged(
-                        StagedTask::once(id, priority, move |ctx| promise.set(f(ctx, vals)))
-                            .with_group(group),
-                    );
-                }
-                Fired::Faulted(e) => {
-                    // The node inherits its dependency's fault: it never
-                    // runs, the group records the fault, and the output
-                    // carries the cause chain onward.
-                    if let Some(g) = &group {
-                        g.exit_faulted(e.clone());
-                    }
-                    promise.fail(e);
-                }
-                Fired::Cancelled => {
-                    if let Some(g) = &group {
-                        g.exit_skipped();
-                    }
-                    promise.fail(TaskError::Cancelled);
-                }
-            }
-        });
+        let node = Arc::new(Shared::pending(TaskNode {
+            count: Countdown::new(deps.len()),
+            inner: Arc::clone(self),
+            priority,
+            waits,
+            grouped: group.is_some(),
+            armed: Mutex::new(Some(Armed {
+                deps: deps.to_vec(),
+                f,
+                group,
+            })),
+        }));
+        for dep in deps {
+            dep.subscribe(&node);
+        }
+        if node.tail.count.input_ready() {
+            Arc::clone(&node).fire(Some(self), None);
+        }
         // A node still waiting must be within reach of `cancel`; one
         // that fired while it was built has retired its reservation.
         if let Some(g) = member_of {
-            if node.is_dormant() && !g.register_dormant(Arc::downgrade(&node) as Weak<dyn Waiter>) {
+            if node.tail.count.is_dormant()
+                && !g.register_dormant(Arc::downgrade(&node) as Weak<dyn Waiter>)
+            {
                 node.cancel();
             }
         }
-        future
+        SharedFuture::of(node)
     }
 
     /// Called when a task reaches `Terminated`.
@@ -459,6 +482,164 @@ impl Inner {
     }
 }
 
+/// What a task node holds until it runs or is released.
+struct Armed<T, F> {
+    deps: Vec<SharedFuture<T>>,
+    f: F,
+    /// Taken by the fire that queues the node: the task carries it then.
+    group: Option<Arc<TaskGroup>>,
+}
+
+/// The tail of the future `async_call` and `dataflow` return: the task
+/// that produces its value. One allocation is the output future, the
+/// waiter counting down on every pending input, and — once those are
+/// ready — the task's entry in a queue. The worker that runs it settles
+/// the output: with the closure's result as the last act of the phase,
+/// with [`TaskError::Panicked`] if the closure unwinds, with
+/// [`TaskError::Cancelled`] if the task is skipped at dispatch.
+struct TaskNode<T, F> {
+    count: Countdown,
+    inner: Arc<Inner>,
+    priority: Priority,
+    /// Has inputs, so counts as dormant until it fires or is released.
+    waits: bool,
+    /// `armed` holds a group for the fire to take.
+    grouped: bool,
+    armed: Mutex<Option<Armed<T, F>>>,
+}
+
+impl<T: Send + Sync, F: Send> Tail for TaskNode<T, F> {}
+
+impl<T, R, F> Shared<R, TaskNode<T, F>>
+where
+    T: Send + Sync + 'static,
+    R: Send + Sync + 'static,
+    F: FnOnce(&mut TaskContext<'_>, Vec<Arc<T>>) -> R + Send + 'static,
+{
+    /// Every input is ready: the node becomes a task. Taking `self` it
+    /// takes the reference the queue entry will be. `rt` is the node's
+    /// runtime where the caller has it at hand: the node's own reference
+    /// to it is inside what is about to be queued.
+    fn fire(self: Arc<Self>, rt: Option<&Inner>, handoff: Option<&mut Handoff<'_>>) {
+        let node = &self.tail;
+        let inner = &*node.inner;
+        if node.waits {
+            inner.dormant.fetch_sub(1, Ordering::SeqCst);
+        }
+        let group = match node.grouped {
+            true => node.armed.lock().as_mut().and_then(|a| a.group.take()),
+            false => None,
+        };
+        if let Some(g) = group.as_ref().filter(|g| g.is_cancelled()) {
+            // A tripped token wins even where `cancel` has not reached
+            // this node yet: nothing of a cancelled group is queued.
+            node.armed.lock().take();
+            g.exit_skipped();
+            self.settle(Err(TaskError::Cancelled), None);
+            return;
+        }
+        let id = inner.ids.allocate();
+        let priority = node.priority;
+        // Readied by the output a worker of this runtime is settling as
+        // the last act of a phase? Then the node is converted here and
+        // queued by that worker when the phase is over, never staged. Any
+        // other fire — from an external thread, from a `Promise::set` in
+        // the middle of a body, at another priority — takes the staged
+        // path, where idle workers find the task while this thread
+        // carries on.
+        let handoff = handoff
+            .filter(|h| priority == Priority::Normal && std::ptr::eq::<Inner>(h.inner, inner));
+        if let Some(handoff) = handoff {
+            let w = handoff.worker;
+            inner.in_flight.fetch_add(1, Ordering::SeqCst);
+            inner.counters.spawned.incr(w);
+            inner.counters.converted.incr(w);
+            let task = Task::convert(StagedTask::node(id, priority, self, group));
+            handoff.released.push(task);
+            return;
+        }
+        let own;
+        let rt = match rt {
+            Some(rt) => rt,
+            None => {
+                own = Arc::clone(&node.inner);
+                &own
+            }
+        };
+        rt.spawn_staged(StagedTask::node(id, priority, self, group));
+    }
+
+    /// A fault or a cancellation claimed the node (`Countdown::release`):
+    /// it never runs. Its group records `fault`, or else a skip, and the
+    /// output carries `error` onward.
+    fn release(&self, error: TaskError, fault: bool) {
+        if self.tail.waits {
+            self.tail.inner.dormant.fetch_sub(1, Ordering::SeqCst);
+        }
+        let armed = self.tail.armed.lock().take();
+        if let Some(g) = armed.and_then(|a| a.group) {
+            if fault {
+                g.exit_faulted(error.clone());
+            } else {
+                g.exit_skipped();
+            }
+        }
+        self.settle(Err(error), None);
+    }
+}
+
+impl<T, R, F> Waiter for Shared<R, TaskNode<T, F>>
+where
+    T: Send + Sync + 'static,
+    R: Send + Sync + 'static,
+    F: FnOnce(&mut TaskContext<'_>, Vec<Arc<T>>) -> R + Send + 'static,
+{
+    fn input_settled(
+        self: Arc<Self>,
+        fault: Option<&TaskError>,
+        handoff: Option<&mut Handoff<'_>>,
+    ) {
+        if let Some(e) = fault {
+            if self.tail.count.release() {
+                let cause = Arc::new(e.clone());
+                self.release(TaskError::Dependency { cause }, true);
+            }
+        } else if self.tail.count.input_ready() {
+            self.fire(None, handoff);
+        }
+    }
+
+    fn cancel(&self) {
+        if self.tail.count.release() {
+            self.release(TaskError::Cancelled, false);
+        }
+    }
+}
+
+impl<T, R, F> Runnable for Shared<R, TaskNode<T, F>>
+where
+    T: Send + Sync + 'static,
+    R: Send + Sync + 'static,
+    F: FnOnce(&mut TaskContext<'_>, Vec<Arc<T>>) -> R + Send + 'static,
+{
+    fn run(&self, ctx: &mut TaskContext<'_>) {
+        let armed = self.tail.armed.lock().take();
+        let Armed { deps, f, .. } = armed.expect("a task node runs once");
+        let value = Arc::new(f(ctx, future::values(deps)));
+        let mut handoff = Handoff {
+            inner: ctx.inner,
+            worker: ctx.worker,
+            released: ctx.released,
+        };
+        self.settle(Ok(value), Some(&mut handoff));
+    }
+
+    fn fail(&self, error: TaskError) {
+        self.tail.armed.lock().take();
+        self.try_settle(Err(error), None);
+    }
+}
+
 /// Handle passed to every task phase: identifies the task and worker, and
 /// exposes the spawn/dataflow API so tasks can create more work (the
 /// execution tree of §I-C is "generated at runtime").
@@ -472,6 +653,8 @@ pub struct TaskContext<'a> {
     pub phase: u64,
     pub(crate) suspend_registration: Option<Box<dyn FnOnce(Resumer) + Send>>,
     pub(crate) group: Option<Arc<TaskGroup>>,
+    /// Task nodes that this phase's last act readied (see [`Handoff`]).
+    pub(crate) released: &'a mut Vec<Task>,
 }
 
 impl TaskContext<'_> {
@@ -722,8 +905,10 @@ fn watchdog_dump(inner: &Inner, stall_age: Duration) {
     for (w, d) in q.workers.iter().enumerate() {
         let staged = d.staged.len();
         let pending = d.pending.len();
-        if staged > 0 || pending > 0 {
-            eprintln!("  worker {w}: staged {staged}, pending {pending}");
+        let next = d.next_id();
+        if staged > 0 || pending > 0 || next.is_some() {
+            let next = next.map_or_else(|| "empty".to_string(), |id| id.to_string());
+            eprintln!("  worker {w}: staged {staged}, pending {pending}, next slot {next}");
         }
     }
     if inner.dormant.load(Ordering::SeqCst) > 0 && inner.in_flight.load(Ordering::SeqCst) == 0 {
@@ -1055,6 +1240,10 @@ impl Drop for Runtime {
             self.inner.wake();
             let _ = t.join();
         }
+        // Stranded tasks (a dead worker) are dropped now, not whenever the
+        // last future lets go of the runtime: a task node dropped unrun
+        // fails its output, so nobody is left waiting on it.
+        self.inner.scheduler.queues.clear();
         if let Some(t) = self.watchdog_thread.take() {
             let _g = self.inner.monitor.lock.lock();
             self.inner.monitor.cv.notify_all();

@@ -8,7 +8,9 @@
 //!   normal work;
 //! * one *low-priority* queue runs only when everything else is empty;
 //! * work search order (Fig. 1):
-//!   1. local pending queue
+//!   1. local pending queue — its head is the worker's *next* slot, where
+//!      a task that finishes leaves the first dependent its completion
+//!      made ready (see [`QueueSet::offer_next`])
 //!   2. local staged queue (convert → run)
 //!   3. staged queues of other workers in the local NUMA domain
 //!   4. pending queues of other workers in the local NUMA domain
@@ -31,10 +33,11 @@
 #![deny(clippy::unwrap_used)]
 
 use crate::queue::{MpmcQueue, QueueStats};
-use crate::task::{StagedTask, Task};
+use crate::task::{StagedTask, Task, TaskId};
+use grain_counters::sync::Mutex;
 use grain_counters::threads::ThreadCounters;
 use grain_topology::NumaTopology;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Scheduling policy variants. The paper measures Priority Local-FIFO;
 /// the other two exist for the ablation study (DESIGN.md).
@@ -58,6 +61,60 @@ pub struct DualQueue {
     pub staged: MpmcQueue<StagedTask>,
     /// Converted, runnable tasks.
     pub pending: MpmcQueue<Task>,
+    /// The *next* slot: one converted task, private to the owning worker
+    /// (nobody steals from it), dispatched ahead of `pending`.
+    next: NextSlot,
+}
+
+/// Dispatches in a row from a worker's next slot before one search takes
+/// the slot's task round by the back of the pending queue, and looks at
+/// the staged queue on the way: a chain in which every task readies the
+/// next would otherwise run ahead of everything in the worker's own
+/// queues — a yielded task, a fresh spawn — for as long as the chain is,
+/// which on a one-worker runtime nobody else can take either.
+const NEXT_SLOT_STREAK: u32 = 32;
+
+/// Only the owning worker puts and takes; the watchdog looks, hence the
+/// lock.
+#[derive(Debug, Default)]
+struct NextSlot {
+    /// Mirrors `held.task.is_some()`, written under the lock, so that the
+    /// owner's search of an empty slot — most searches of a workload that
+    /// hands nothing off — is one load. `put` releases, `take` acquires.
+    occupied: AtomicBool,
+    held: Mutex<Held>,
+}
+
+#[derive(Debug, Default)]
+struct Held {
+    task: Option<Task>,
+    /// Tasks taken, modulo `NEXT_SLOT_STREAK + 1`.
+    taken: u32,
+}
+
+impl NextSlot {
+    fn put(&self, task: Task) -> Result<(), Task> {
+        let mut held = self.held.lock();
+        if held.task.is_some() {
+            return Err(task);
+        }
+        held.task = Some(task);
+        self.occupied.store(true, Ordering::Release);
+        Ok(())
+    }
+
+    /// The task, and whether it may be dispatched at once: not every
+    /// `NEXT_SLOT_STREAK + 1`-th, which goes round by the queue.
+    fn take(&self) -> Option<(Task, bool)> {
+        if !self.occupied.load(Ordering::Acquire) {
+            return None;
+        }
+        let mut held = self.held.lock();
+        self.occupied.store(false, Ordering::Release);
+        let task = held.task.take()?;
+        held.taken = (held.taken + 1) % (NEXT_SLOT_STREAK + 1);
+        Some((task, held.taken != 0))
+    }
 }
 
 impl DualQueue {
@@ -65,17 +122,25 @@ impl DualQueue {
         Self {
             staged: MpmcQueue::with_stats(std::sync::Arc::clone(stats)),
             pending: MpmcQueue::with_stats(std::sync::Arc::clone(stats)),
+            next: NextSlot::default(),
         }
     }
 
-    /// Tasks currently queued (racy, for load introspection).
+    /// Tasks currently queued, the next slot included (racy, for load
+    /// introspection).
     pub fn len(&self) -> usize {
-        self.staged.len() + self.pending.len()
+        let next = self.next.occupied.load(Ordering::Acquire);
+        self.staged.len() + self.pending.len() + usize::from(next)
     }
 
-    /// True when both queues are (momentarily) empty.
+    /// True when both queues and the next slot are (momentarily) empty.
     pub fn is_empty(&self) -> bool {
-        self.staged.is_empty() && self.pending.is_empty()
+        self.len() == 0
+    }
+
+    /// The task in the next slot, if one is.
+    pub fn next_id(&self) -> Option<TaskId> {
+        self.next.held.lock().task.as_ref().map(|t| t.id)
     }
 }
 
@@ -128,6 +193,37 @@ impl QueueSet {
     /// Enqueue a converted (pending) task on `worker`'s queue.
     pub fn push_pending(&self, worker: usize, task: Task) {
         self.workers[worker].pending.push(task);
+    }
+
+    /// Leave a converted task in `worker`'s next slot, for that worker's
+    /// next search to dispatch ahead of its pending queue. Only `worker`
+    /// itself may call this, and only as the last act of a phase: the
+    /// slot is invisible to thieves, so a task left there while a body
+    /// runs on would be work hidden from idle workers. Hands the task
+    /// back if the slot is taken.
+    pub(crate) fn offer_next(&self, worker: usize, task: Task) -> Result<(), Task> {
+        self.workers[worker].next.put(task)
+    }
+
+    /// Move the task in `worker`'s next slot, if any, to the back of its
+    /// pending queue, where other workers can find it. `true` if there
+    /// was one: the caller owes a wake.
+    pub(crate) fn flush_next(&self, worker: usize) -> bool {
+        let task = self.workers[worker].next.take();
+        task.map(|(t, _)| self.push_pending(worker, t)).is_some()
+    }
+
+    /// Drop every queued task. A task node dropped unrun fails its
+    /// output future, and nodes hold their runtime: a runtime shutting
+    /// down with tasks stranded (a dead worker) empties its queues
+    /// rather than leave consumers waiting on a cycle.
+    pub(crate) fn clear(&self) {
+        for d in self.workers.iter().chain(&self.high) {
+            while d.staged.pop().is_some() {}
+            while d.pending.pop().is_some() {}
+            drop(d.next.take());
+        }
+        while self.low.pop().is_some() {}
     }
 
     /// Enqueue a high-priority staged task (round-robin over the
@@ -283,9 +379,31 @@ impl Scheduler {
             }
         }
 
-        // 1. Local pending: the only pop that honours a surviving origin
-        // note — the converting worker reclaiming its own conversion.
+        // 1. Local pending, the next slot ahead of the queue: a pending
+        // access that cannot miss. A task is there only if the phase
+        // this worker has just finished left it.
         let own = &self.queues.workers[w];
+        match own.next.take() {
+            Some((t, true)) => {
+                counters.pending_accesses.incr(w);
+                return Self::dispatch(t, Provenance::LocalPending, w, counters);
+            }
+            Some((t, false)) => {
+                // The streak is up: the task queues behind whatever is
+                // pending, and the staged queue gets this pass's first
+                // look. Nobody is woken for it: this worker searches on
+                // and cannot strand it, and an idle peer looks again
+                // within one park timeout.
+                self.queues.push_pending(w, t);
+                if let Some(t) = self.pop_staged(own, w, counters, Some(Provenance::LocalStaged)) {
+                    self.queues.push_pending(w, t);
+                    return SearchStep::Converted;
+                }
+            }
+            None => {}
+        }
+        // The only pop that honours a surviving origin note — the
+        // converting worker reclaiming its own conversion.
         if let Some(mut t) = self.pop_pending(own, w, counters) {
             let prov = t.origin.take().unwrap_or(Provenance::LocalPending);
             return Self::dispatch(t, prov, w, counters);
@@ -672,6 +790,99 @@ mod tests {
         assert_eq!(prov, Provenance::NumaStaged(1));
         assert_eq!(c.stolen.sum(), 1);
         assert_eq!(c.stolen.get(0), 1);
+    }
+
+    #[test]
+    fn next_slot_is_a_pending_hit_ahead_of_the_pending_queue() {
+        let (s, c) = sched(2, 1, SchedulerKind::PriorityLocalFifo);
+        s.queues.push_pending(0, Task::convert(staged(1)));
+        assert!(s.queues.offer_next(0, Task::convert(staged(2))).is_ok());
+        assert_eq!(s.queues.workers[0].next_id(), Some(TaskId(2)));
+        // Taken: the owner hands the task back instead of losing either.
+        let back = s.queues.offer_next(0, Task::convert(staged(3)));
+        assert_eq!(back.map_err(|t| t.id), Err(TaskId(3)));
+        // Nobody steals from a slot.
+        let (t, prov) = s.find_work(1, &c).unwrap();
+        assert_eq!((t.id, prov), (TaskId(1), Provenance::NumaPending(0)));
+
+        let before = (c.pending_accesses.sum(), c.pending_misses.sum());
+        let (t, prov) = s.find_work(0, &c).unwrap();
+        assert_eq!((t.id, prov), (TaskId(2), Provenance::LocalPending));
+        // The high-priority probe missed; the slot is an access that hit.
+        assert_eq!(c.pending_accesses.sum() - before.0, 2);
+        assert_eq!(c.pending_misses.sum() - before.1, 1);
+        assert_eq!(s.queues.workers[0].next_id(), None);
+    }
+
+    #[test]
+    fn high_priority_precedes_the_next_slot() {
+        let (s, c) = sched(1, 1, SchedulerKind::PriorityLocalFifo);
+        assert!(s.queues.offer_next(0, Task::convert(staged(1))).is_ok());
+        s.queues.push_high(staged(2));
+        let (t, prov) = s.find_work(0, &c).unwrap();
+        assert_eq!((t.id, prov), (TaskId(2), Provenance::HighPriority));
+        // The worker publishes what the search stopped short of.
+        assert!(s.queues.flush_next(0));
+        assert!(!s.queues.flush_next(0));
+        assert_eq!(s.queues.workers[0].pending.len(), 1);
+        assert_eq!(s.queues.total_len(), 1);
+    }
+
+    #[test]
+    fn a_streak_of_slot_dispatches_gives_way_to_the_own_queues() {
+        let (s, c) = sched(1, 1, SchedulerKind::PriorityLocalFifo);
+        s.queues.push_pending(0, Task::convert(staged(100)));
+        s.queues.push_staged(0, staged(101));
+        for id in 0..u64::from(NEXT_SLOT_STREAK) {
+            assert!(s.queues.offer_next(0, Task::convert(staged(id))).is_ok());
+            let (t, _) = s.find_work(0, &c).unwrap();
+            assert_eq!(t.id, TaskId(id), "the slot runs ahead of the queues");
+        }
+        // The next hand-off goes round by the back of the pending queue,
+        // and the staged task is converted in behind it.
+        assert!(s.queues.offer_next(0, Task::convert(staged(50))).is_ok());
+        let order: Vec<_> = std::iter::from_fn(|| s.find_work(0, &c))
+            .map(|(t, prov)| (t.id.0, prov))
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                (100, Provenance::LocalPending),
+                (50, Provenance::LocalPending),
+                (101, Provenance::LocalStaged),
+            ]
+        );
+        // And the count starts afresh.
+        assert!(s.queues.offer_next(0, Task::convert(staged(51))).is_ok());
+        s.queues.push_pending(0, Task::convert(staged(102)));
+        assert_eq!(s.find_work(0, &c).unwrap().0.id, TaskId(51));
+    }
+
+    /// A task node that only counts how it was failed.
+    struct Stranded(std::sync::Mutex<Vec<crate::fault::TaskError>>);
+
+    impl crate::task::Runnable for Stranded {
+        fn run(&self, _ctx: &mut crate::runtime::TaskContext<'_>) {}
+        fn fail(&self, error: crate::fault::TaskError) {
+            self.0.lock().unwrap().push(error);
+        }
+    }
+
+    #[test]
+    fn clearing_the_queues_fails_every_task_node_still_in_them() {
+        use crate::fault::TaskError;
+        let q = QueueSet::new(1, 1);
+        let node = std::sync::Arc::new(Stranded(Default::default()));
+        let entry = |id| StagedTask::node(TaskId(id), Priority::Normal, node.clone(), None);
+        q.push_staged(0, entry(1));
+        q.push_pending(0, Task::convert(entry(2)));
+        assert!(q.offer_next(0, Task::convert(entry(3))).is_ok());
+        q.push_high(entry(4));
+        q.push_low(entry(5));
+        assert_eq!(q.total_len(), 5);
+        q.clear();
+        assert_eq!(q.total_len(), 0);
+        assert_eq!(*node.0.lock().unwrap(), vec![TaskError::BrokenPromise; 5]);
     }
 
     #[test]

@@ -19,8 +19,11 @@
 //! resumed later. The scheduler is cooperative: nothing preempts an
 //! active task.
 
+use crate::fault::{self, TaskError};
+use crate::runtime::TaskContext;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Unique task identifier ("immutable name in the global address space").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -99,8 +102,63 @@ pub enum Poll {
     Suspend,
 }
 
-/// A task body: invoked once per phase.
-pub type TaskBody = Box<dyn FnMut(&mut crate::runtime::TaskContext<'_>) -> Poll + Send>;
+/// The queue-entry face of a task node (`async_call`, `dataflow`): the
+/// node holds its own closure and its output future, so the entry is one
+/// more reference to it and nothing is boxed per task.
+pub(crate) trait Runnable: Send + Sync {
+    /// Run the node's closure, then settle its output with the result as
+    /// the last act of the phase.
+    fn run(&self, ctx: &mut TaskContext<'_>);
+    /// The closure will not run, or unwound: release what the node holds
+    /// and settle its output with `error` unless it is settled already.
+    fn fail(&self, error: TaskError);
+}
+
+/// What a task runs.
+pub(crate) enum Body {
+    /// A boxed closure, invoked once per phase.
+    Phased(Box<dyn FnMut(&mut TaskContext<'_>) -> Poll + Send>),
+    /// A task node, run once; `None` once it has run. An entry dropped
+    /// with its node still in it (a queue torn down at shutdown) fails
+    /// the node's output, so no consumer is stranded.
+    Node(Option<Arc<dyn Runnable>>),
+}
+
+impl Body {
+    /// Run one phase.
+    pub(crate) fn run(&mut self, ctx: &mut TaskContext<'_>) -> Poll {
+        match self {
+            Body::Phased(body) => body(ctx),
+            Body::Node(node) => {
+                node.as_ref().expect("a task node runs once").run(ctx);
+                // Not reached by an unwind: `abandon` then finds the node.
+                *node = None;
+                Poll::Complete
+            }
+        }
+    }
+
+    /// Dispose of a body that will not run (again): a promise held by a
+    /// boxed closure and a node's output both fault with `error`.
+    pub(crate) fn abandon(mut self, error: TaskError) {
+        match &mut self {
+            Body::Node(node) => {
+                if let Some(node) = node.take() {
+                    node.fail(error);
+                }
+            }
+            Body::Phased(_) => fault::with_drop_reason(error, move || drop(self)),
+        }
+    }
+}
+
+impl Drop for Body {
+    fn drop(&mut self) {
+        if let Body::Node(Some(node)) = self {
+            node.fail(TaskError::BrokenPromise);
+        }
+    }
+}
 
 /// A staged task: the cheap descriptor placed in staged queues by
 /// `spawn`. Conversion (see [`Task::convert`]) turns it into a runnable
@@ -111,10 +169,10 @@ pub struct StagedTask {
     /// Scheduling priority.
     pub priority: Priority,
     /// The body to run.
-    pub body: TaskBody,
+    pub(crate) body: Body,
     /// Group membership (None: ungrouped). The group's in-flight count is
     /// managed by the spawn paths, not by this struct.
-    pub group: Option<std::sync::Arc<crate::group::TaskGroup>>,
+    pub group: Option<Arc<crate::group::TaskGroup>>,
 }
 
 impl StagedTask {
@@ -122,17 +180,17 @@ impl StagedTask {
     pub fn once(
         id: TaskId,
         priority: Priority,
-        f: impl FnOnce(&mut crate::runtime::TaskContext<'_>) + Send + 'static,
+        f: impl FnOnce(&mut TaskContext<'_>) + Send + 'static,
     ) -> Self {
         let mut f = Some(f);
         Self {
             id,
             priority,
-            body: Box::new(move |ctx| {
+            body: Body::Phased(Box::new(move |ctx| {
                 let f = f.take().expect("one-phase task polled twice");
                 f(ctx);
                 Poll::Complete
-            }),
+            })),
             group: None,
         }
     }
@@ -141,18 +199,34 @@ impl StagedTask {
     pub fn phased(
         id: TaskId,
         priority: Priority,
-        body: impl FnMut(&mut crate::runtime::TaskContext<'_>) -> Poll + Send + 'static,
+        body: impl FnMut(&mut TaskContext<'_>) -> Poll + Send + 'static,
     ) -> Self {
         Self {
             id,
             priority,
-            body: Box::new(body),
+            body: Body::Phased(Box::new(body)),
             group: None,
         }
     }
 
+    /// The queue entry of a task node whose inputs are ready. The task
+    /// takes over the reservation the node made in `group`.
+    pub(crate) fn node(
+        id: TaskId,
+        priority: Priority,
+        node: Arc<dyn Runnable>,
+        group: Option<Arc<crate::group::TaskGroup>>,
+    ) -> Self {
+        Self {
+            id,
+            priority,
+            body: Body::Node(Some(node)),
+            group,
+        }
+    }
+
     /// Attach group membership (builder-style).
-    pub fn with_group(mut self, group: Option<std::sync::Arc<crate::group::TaskGroup>>) -> Self {
+    pub fn with_group(mut self, group: Option<Arc<crate::group::TaskGroup>>) -> Self {
         self.group = group;
         self
     }
@@ -184,9 +258,9 @@ pub struct Task {
     /// Total execution (closure) nanoseconds accumulated over phases.
     pub exec_ns: u64,
     /// The body.
-    pub body: TaskBody,
+    pub(crate) body: Body,
     /// Group membership (None: ungrouped).
-    pub group: Option<std::sync::Arc<crate::group::TaskGroup>>,
+    pub group: Option<Arc<crate::group::TaskGroup>>,
     /// Where the task was when the converting worker found it — set at
     /// conversion time and consumed when the *converting* worker
     /// dispatches the task from its own pending queue. It must ride on

@@ -21,17 +21,25 @@
 //!
 //! Every phase runs under `catch_unwind`: a panicking body terminates
 //! only its task (→ `Faulted`, promise settled with
-//! [`TaskError::Panicked`], group notified), never the worker. The one
+//! [`TaskError::Panicked`], group notified), never the worker. The
+//! worker settles a task node's output itself on both exits that run no
+//! closure to the end — the panic and the cancellation skip. The one
 //! deliberate exception is the `Poll::Suspend`-without-registration
 //! programming error below, which stays worker-fatal — the dead-worker
 //! detection in [`crate::Runtime`] exists to surface exactly that class
 //! of bug loudly instead of hanging.
+//!
+//! A worker never sleeps, stands down or exits with a task in its *next*
+//! slot ([`crate::scheduler::QueueSet::offer_next`]), which no other
+//! worker can see: on each of those paths it first moves the task to its
+//! pending queue and wakes the pool.
 
 #![deny(clippy::unwrap_used)]
 
 use crate::fault::{self, TaskError};
 use crate::runtime::{Inner, Resumer, TaskContext};
-use crate::task::{Poll, TaskState};
+use crate::scheduler::Provenance;
+use crate::task::{Poll, Task, TaskState};
 use crate::trace::TraceEventKind;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -42,6 +50,8 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
     let counters = &inner.counters;
     let mut mark = Instant::now();
     let mut failed_rounds: u32 = 0;
+    // What the last act of a phase hands off; emptied after every phase.
+    let mut released = Vec::new();
 
     loop {
         // Eventcount ticket, taken before any probe of this iteration:
@@ -50,6 +60,7 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
         // return immediately instead of sleeping through the event.
         let ticket = inner.park_ticket();
         if w >= inner.active_limit.load(Ordering::SeqCst) {
+            inner.publish_next(w);
             if inner.shutdown.load(Ordering::SeqCst) {
                 break;
             }
@@ -63,6 +74,11 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
         match inner.scheduler.find_work(w, counters) {
             Some((mut task, prov)) => {
                 failed_rounds = 0;
+                if prov == Provenance::HighPriority {
+                    // The search stopped short of the next slot: what is
+                    // in it must not sit unseen behind this body.
+                    inner.publish_next(w);
+                }
                 let skip = task.group.as_ref().and_then(|g| {
                     if g.is_cancelled() {
                         Some((std::sync::Arc::clone(g), false))
@@ -78,13 +94,12 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                 if let Some((group, over_budget)) = skip {
                     // Cooperative cancellation: the body never runs. The
                     // task still terminates (legally) so in-flight counts
-                    // — runtime-wide and group — stay balanced. The frame
-                    // may hold an unfulfilled promise; dropping it under
-                    // this reason faults the future with `Cancelled`
-                    // instead of `BrokenPromise`.
+                    // — runtime-wide and group — stay balanced. A node's
+                    // output, or a promise the frame holds, faults with
+                    // `Cancelled` instead of `BrokenPromise`.
                     task.transition(TaskState::Active);
                     task.transition(TaskState::Terminated);
-                    fault::with_drop_reason(TaskError::Cancelled, move || drop(task));
+                    task.body.abandon(TaskError::Cancelled);
                     inner.task_done();
                     if over_budget {
                         group.exit_over_budget();
@@ -112,6 +127,7 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                     phase: task.phases,
                     suspend_registration: None,
                     group: task.group.clone(),
+                    released: &mut released,
                 };
 
                 #[cfg(feature = "fault-inject")]
@@ -142,7 +158,7 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                         if injected == grain_counters::FaultAction::Panic {
                             panic!("injected fault: task panic");
                         }
-                        (task.body)(&mut ctx)
+                        task.body.run(&mut ctx)
                     }))
                 };
                 let now = Instant::now();
@@ -165,14 +181,17 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                     .func_ns
                     .add(w, now.duration_since(mark).as_nanos() as u64);
                 mark = now;
+                if !released.is_empty() {
+                    inner.place_released(w, &mut released);
+                }
 
                 match result {
                     Ok(Poll::Complete) => {
                         fault::take_captured_panic();
                         task.transition(TaskState::Terminated);
                         counters.tasks.incr(w);
-                        let group = task.group.take();
-                        drop(task); // free the frame before signalling idle
+                        let Task { body, group, .. } = task;
+                        drop(body); // free the frame before signalling idle
                         inner.task_done();
                         if let Some(g) = group {
                             g.exit_completed();
@@ -198,18 +217,18 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                     }
                     Err(payload) => {
                         // The panic is contained: this task faults, the
-                        // worker carries on. `once` bodies already settled
-                        // their promise during the unwind (with the
-                        // captured message); phased bodies still hold
-                        // theirs — the reasoned drop below faults it.
+                        // worker carries on. A promise the closure owned
+                        // settled during the unwind (with the captured
+                        // message); a node's output, and a promise a
+                        // phased body still holds, fault here.
                         let message = fault::take_captured_panic()
                             .unwrap_or_else(|| fault::payload_message(payload.as_ref()));
                         drop(payload);
                         let error = TaskError::Panicked { message };
                         task.transition(TaskState::Faulted);
                         counters.faulted.incr(w);
-                        let group = task.group.take();
-                        fault::with_drop_reason(error.clone(), move || drop(task));
+                        let Task { body, group, .. } = task;
+                        body.abandon(error.clone());
                         inner.task_done();
                         if let Some(g) = group {
                             g.exit_faulted(error);
@@ -232,6 +251,9 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                     // counters don't drift while nothing is happening.
                     mark = Instant::now();
                 }
+                // An empty search took whatever was in the next slot, and
+                // only a phase fills it; this is the rule, kept anyway.
+                inner.publish_next(w);
                 // The ticket predates this iteration's (empty) search: a
                 // spawn that raced it bumped the generation and voids the
                 // park — the lost-wakeup window is closed.
@@ -251,11 +273,12 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
             }
         }
     }
+    inner.publish_next(w);
     inner.unbind_worker();
 }
 
-fn steal_victim(prov: &crate::scheduler::Provenance) -> Option<u32> {
-    use crate::scheduler::Provenance as P;
+fn steal_victim(prov: &Provenance) -> Option<u32> {
+    use Provenance as P;
     match prov {
         P::NumaStaged(p) | P::NumaPending(p) | P::RemoteStaged(p) | P::RemotePending(p) => {
             Some(*p as u32)

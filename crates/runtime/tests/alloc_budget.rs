@@ -5,8 +5,9 @@
 //!
 //! The budgets are the counts of the current design plus one; the parts
 //! are listed at each assertion. A change that puts a `Box` back on
-//! every dependency edge, or an intermediate future back into every
-//! node, fails here before it shows in a benchmark.
+//! every dependency edge or around every task body, or takes the future
+//! or the queue entry out of the task's one node again, fails here
+//! before it shows in a benchmark.
 
 use grain_runtime::{Runtime, SharedFuture};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -81,17 +82,19 @@ fn spawn_paths_stay_within_their_allocation_budget() {
     async_calls(&rt);
     dataflow_nodes(&rt);
 
-    // The future's shared state, the task body, the value's `Arc`; queue
-    // segments and the vector of futures are amortized to hundredths.
+    // The node (output future, closure and queue entry in one) and the
+    // value's `Arc`; queue segments and the vector of futures are
+    // amortized to hundredths.
     let per_call = allocs_per_op(|| async_calls(&rt));
-    assert!(per_call <= 4.0, "{per_call:.2} allocations per async_call");
+    assert!(per_call <= 3.0, "{per_call:.2} allocations per async_call");
 
-    // The output future's shared state, the node, its copy of the input
-    // list (handed on to the body as the list of values), the task body,
-    // the value's `Arc`, and the output's list of the nodes waiting on it.
+    // The node (output future, input countdown, closure and queue entry
+    // in one), its copy of the input list (handed on to the body as the
+    // list of values), the value's `Arc`, and the output's list of the
+    // nodes waiting on it.
     let per_node = allocs_per_op(|| dataflow_nodes(&rt));
     assert!(
-        per_node <= 7.0,
+        per_node <= 5.0,
         "{per_node:.2} allocations per 3-input dataflow node"
     );
     eprintln!("allocations: {per_call:.2} per async_call, {per_node:.2} per dataflow node");

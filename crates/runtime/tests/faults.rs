@@ -97,6 +97,62 @@ fn every_dependency_hop_wraps_the_fault_exactly_once() {
     rt.wait_idle();
 }
 
+/// A task node settles its own output: the worker that caught the
+/// unwind fails it with the captured message (no promise was dropped on
+/// the way), and each node downstream adds its one wrap.
+#[test]
+fn a_dataflow_body_panic_carries_its_message_one_wrap_per_hop() {
+    let rt = two_workers();
+    let input = rt.async_call(|_| 20u32);
+    let bad = rt.dataflow(&[input], |_, v| -> u32 { panic!("node saw {}", *v[0]) });
+    let mut hops = vec![bad.clone()];
+    for _ in 0..3 {
+        let next = rt.dataflow(&hops[hops.len() - 1..], |_, v| *v[0] + 1);
+        hops.push(next);
+    }
+    for (i, hop) in hops.iter().enumerate() {
+        let err = hop.wait().expect_err("downstream of a panic");
+        assert_eq!(err.chain_len(), i, "hop {i}: {err}");
+        assert_eq!(
+            err.root_cause(),
+            &TaskError::Panicked {
+                message: "node saw 20".into()
+            }
+        );
+    }
+    rt.wait_idle();
+    assert_eq!(rt.in_flight(), 0);
+    assert_eq!(
+        rt.counters().faulted.sum(),
+        1,
+        "only the panicking node ran"
+    );
+    assert_eq!(rt.counters().tasks.sum(), 1, "and the input before it");
+}
+
+/// A task node still queued when its runtime goes away (here: the only
+/// worker died first) must fail its output, not strand whoever holds it.
+#[test]
+fn a_task_node_stranded_at_shutdown_fails_its_future() {
+    let rt = Runtime::new(RuntimeConfig::with_workers(1));
+    rt.spawn_phased(Priority::Normal, |_| Poll::Suspend); // kills the worker
+    let dead = std::panic::catch_unwind(AssertUnwindSafe(|| rt.wait_idle()));
+    assert!(dead.is_err(), "the worker survived a bare Suspend");
+    let queued = rt.async_call(|_| 1u32);
+    let downstream = rt.dataflow(std::slice::from_ref(&queued), |_, v| *v[0] + 1);
+    assert!(!queued.is_ready());
+    drop(rt);
+    assert_eq!(
+        queued.wait_timeout(Duration::from_secs(5)),
+        Err(TaskError::BrokenPromise)
+    );
+    let err = downstream.error().expect("faulted inline by its input");
+    assert_eq!(
+        (err.chain_len(), err.root_cause()),
+        (1, &TaskError::BrokenPromise)
+    );
+}
+
 #[test]
 fn runtime_survives_every_task_panicking() {
     let rt = Runtime::new(RuntimeConfig::with_workers(4));

@@ -312,6 +312,77 @@ fn budget_skipped_future_faults_with_cancelled() {
     rt.wait_idle();
 }
 
+/// A grouped dataflow task whose inputs are ready and which is queued
+/// when the group is cancelled, or runs out of budget, is skipped at
+/// dispatch like any member: the worker fails its output `Cancelled`,
+/// what depends on it inherits that, and every count comes back to zero.
+#[test]
+fn a_queued_dataflow_task_is_skipped_with_balanced_books() {
+    for over_budget in [false, true] {
+        let rt = Runtime::with_workers(1);
+        let group = TaskGroup::new();
+        let gate = Arc::new(AtomicUsize::new(0));
+        let g = Arc::clone(&gate);
+        // Occupy the lone worker so the node's task stays queued.
+        rt.spawn(move |_| {
+            while g.load(Ordering::SeqCst) == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        let ran = Arc::new(AtomicUsize::new(0));
+        let r = Arc::clone(&ran);
+        let input = grain_runtime::SharedFuture::ready(1u32);
+        let queued = rt.dataflow_in(&group, Priority::Normal, &[input], move |_, v| {
+            r.fetch_add(1, Ordering::SeqCst);
+            *v[0]
+        });
+        let dep = std::slice::from_ref(&queued);
+        let after = rt.dataflow_in(&group, Priority::Normal, dep, |_, v| *v[0]);
+        assert_eq!(group.in_flight(), 2, "one queued, one dormant behind it");
+        if over_budget {
+            group.set_budget_deadline(std::time::Instant::now());
+        } else {
+            group.cancel();
+        }
+        gate.store(1, Ordering::SeqCst);
+
+        assert_eq!(queued.wait(), Err(grain_runtime::TaskError::Cancelled));
+        assert!(group.wait_timeout(Duration::from_secs(5)));
+        rt.wait_idle();
+        assert_eq!(ran.load(Ordering::SeqCst), 0);
+        assert_eq!(
+            after.error().map(|e| e.chain_len()),
+            Some(usize::from(over_budget))
+        );
+        assert_eq!((rt.in_flight(), group.in_flight()), (0, 0));
+        assert_eq!(group.spawned(), 2);
+        assert_eq!(group.budget_skipped(), u64::from(over_budget));
+        // Cancelling releases the dormant dependent as a skip of its own;
+        // under a spent budget it inherits its input's fault instead.
+        assert_eq!(group.skipped(), 2 - u64::from(over_budget));
+        assert_eq!(group.faulted(), u64::from(over_budget));
+    }
+}
+
+#[test]
+fn a_grouped_node_that_panics_is_its_groups_first_fault() {
+    let rt = Runtime::with_workers(2);
+    let group = TaskGroup::new();
+    let input = rt.async_in(&group, Priority::Normal, |_| 3u32);
+    let bad = rt.dataflow_in(&group, Priority::Normal, &[input], |_, v| -> u32 {
+        panic!("member {} failed", *v[0])
+    });
+    let panicked = grain_runtime::TaskError::Panicked {
+        message: "member 3 failed".into(),
+    };
+    assert_eq!(bad.wait(), Err(panicked.clone()));
+    assert!(group.wait_timeout(Duration::from_secs(5)));
+    rt.wait_idle();
+    assert_eq!(group.first_fault(), Some(panicked));
+    assert_eq!((group.completed(), group.faulted()), (1, 1));
+    assert_eq!((rt.in_flight(), group.in_flight()), (0, 0));
+}
+
 #[test]
 fn remaining_budget_is_visible_to_running_bodies() {
     let rt = Runtime::with_workers(1);

@@ -87,6 +87,16 @@ used=$(grep -rho 'feature = "[^"]*"' crates src tests | sort -u | tr '\n' ' ')
     exit 1
 }
 
+echo "==> unsafe allow-list"
+# One file of the product holds `unsafe`: the lock-free queue. Anything
+# else — a pointer cast to save an allocation, say — has to be argued
+# for here first.
+unsafe_files=$(grep -rl '\bunsafe\b' crates/*/src src || true)
+[ "$unsafe_files" = "crates/runtime/src/queue.rs" ] || {
+    printf 'unsafe outside crates/runtime/src/queue.rs:\n%s\n' "$unsafe_files" >&2
+    exit 1
+}
+
 echo "==> perf/check.sh"
 # The benchmark is a package of its own that the workspace commands
 # above never build: its fmt, clippy, build, tests, the smoke suite
