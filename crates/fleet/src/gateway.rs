@@ -3,10 +3,11 @@
 //!
 //! ## Lifecycle of a routed job
 //!
-//! `submit` assigns an idempotency key and parks the job *pending*. The
-//! pump thread places it on a worker (pressure-driven, see below) and
-//! sends `fleet/submit` — every dispatch attempt bumps the job's
-//! **epoch**, so anything an older attempt left behind is fenceable.
+//! `submit` assigns an idempotency key, parks the job *pending* and
+//! kicks the pump thread ([`crate::pump`]), which places it on a worker
+//! (pressure-driven, see below) and sends `fleet/submit` — every
+//! dispatch attempt bumps the job's **epoch**, so anything an older
+//! attempt left behind is fenceable.
 //! The ack moves the job to *leased*; the worker's `fleet/complete`
 //! push makes it terminal. Exactly-once completion accounting follows
 //! from one rule: only a push carrying the job's **current** epoch is
@@ -17,7 +18,7 @@
 //! ## Failure handling
 //!
 //! * **Death** — the pump diffs leases against `connected_peers()`
-//!   every tick (the liveness monitor turns silent partitions into
+//!   every pass (the liveness monitor turns silent partitions into
 //!   disconnects); a lease on a gone worker is *orphaned* and the job
 //!   re-enters pending for re-dispatch.
 //! * **Lease timeout** — an optional hedge: a lease older than
@@ -44,6 +45,7 @@
 #![deny(clippy::unwrap_used)]
 
 use crate::breaker::{FleetBreakerConfig, FleetBreakerState, LocalityBreakers};
+use crate::pump::{Kick, Pump};
 use crate::wire::{
     family_code, FleetJob, FleetOutcome, SubmitAck, SubmitVerdict, WireReject, WorkerStats,
     ACTION_COMPLETE, ACTION_DRAIN, ACTION_STATS, ACTION_SUBMIT,
@@ -56,7 +58,7 @@ use grain_runtime::{SharedFuture, TaskError};
 use grain_service::{JobOutcome, JobState, RejectReason};
 use grain_sim::storm::GraphFamily;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -75,7 +77,10 @@ pub enum Placement {
 pub struct FleetConfig {
     /// Worker locality ids the gateway may place on.
     pub workers: Vec<usize>,
-    /// Pump tick (placement, ack harvest, death sweep).
+    /// Fallback tick of the pump. Placement and ack harvest happen when
+    /// their cause does (a submit, an ack, a completion, a drain); the
+    /// tick serves what has no event: lease expiry, retry backoffs, the
+    /// death sweep, stale stats.
     pub pump_interval: Duration,
     /// Hedge: re-dispatch a lease older than this (`None` = never).
     pub lease_timeout: Option<Duration>,
@@ -427,7 +432,8 @@ struct GatewayShared {
     breakers: Mutex<LocalityBreakers>,
     counters: FleetCounters,
     next_key: AtomicU64,
-    stop: AtomicBool,
+    /// Wakes the pump for a pass.
+    kick: Arc<Kick>,
 }
 
 /// Handle to a routed job; wait for its [`JobOutcome`].
@@ -476,10 +482,11 @@ impl FleetJobHandle {
     }
 }
 
-/// The gateway. One per serving plane; owns the pump thread.
+/// The gateway. One per serving plane; owns the pump thread, which
+/// dropping the gateway stops at once.
 pub struct FleetGateway {
     shared: Arc<GatewayShared>,
-    pump: Option<std::thread::JoinHandle<()>>,
+    _pump: Pump,
 }
 
 impl FleetGateway {
@@ -494,7 +501,7 @@ impl FleetGateway {
             workers: Mutex::new(HashMap::new()),
             counters: FleetCounters::new(),
             next_key: AtomicU64::new(1),
-            stop: AtomicBool::new(false),
+            kick: Arc::default(),
         });
         shared
             .counters
@@ -509,24 +516,16 @@ impl FleetGateway {
                 }
             });
         }
-        let pump = {
-            let w = Arc::downgrade(&shared);
-            let tick = shared.config.pump_interval;
-            std::thread::Builder::new()
-                .name(format!("grain-fleet-gateway-{}", locality.id()))
-                .spawn(move || loop {
-                    std::thread::sleep(tick);
-                    let Some(shared) = w.upgrade() else { return };
-                    if shared.stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    pump_tick(&shared);
-                })
-                .expect("failed to spawn fleet gateway pump")
-        };
+        let pump = Pump::spawn(
+            format!("grain-fleet-gateway-{}", locality.id()),
+            shared.config.pump_interval,
+            Arc::clone(&shared.kick),
+            Arc::downgrade(&shared),
+            pump_tick,
+        );
         Self {
             shared,
-            pump: Some(pump),
+            _pump: pump,
         }
     }
 
@@ -569,12 +568,19 @@ impl FleetGateway {
             slot,
         };
         let degraded = spec.deadline.is_some() && self.below_quorum();
-        let mut jobs = shared.jobs.lock();
-        jobs.insert(key, gj);
-        if degraded {
-            if let Some(gj) = jobs.get_mut(&key) {
-                settle_shed(shared, gj);
+        {
+            let mut jobs = shared.jobs.lock();
+            jobs.insert(key, gj);
+            if degraded {
+                if let Some(gj) = jobs.get_mut(&key) {
+                    settle_shed(shared, gj);
+                }
             }
+        }
+        // Kicked with the ledger unlocked: the pump's first act is to
+        // lock it.
+        if !degraded {
+            shared.kick.kick();
         }
         handle
     }
@@ -603,6 +609,8 @@ impl FleetGateway {
                 }
             }
         }
+        drop(jobs);
+        shared.kick.kick();
         Ok(report.handed_back.clone())
     }
 
@@ -736,15 +744,6 @@ impl FleetGateway {
     }
 }
 
-impl Drop for FleetGateway {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.pump.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 /// Terminal-bucket accounting + wakeup, shared by every settle path.
 fn settle(shared: &GatewayShared, gj: &mut GateJob, outcome: JobOutcome) {
     if matches!(gj.phase, Phase::Terminal) {
@@ -858,6 +857,9 @@ fn handle_complete(shared: &Arc<GatewayShared>, outcome: FleetOutcome) -> u8 {
         origin_locality: Some(origin),
     };
     settle(shared, gj, job_outcome);
+    drop(jobs);
+    // The breaker success above may have made `origin` placeable again.
+    shared.kick.kick();
     0
 }
 
@@ -911,7 +913,7 @@ fn place(
     eligible.into_iter().min_by_key(|w| score(*w))
 }
 
-/// One pump tick: harvest stats polls, sweep acks/leases, place
+/// One pump pass: harvest stats polls, sweep acks/leases, place
 /// pending jobs, shed under quorum loss.
 fn pump_tick(shared: &Arc<GatewayShared>) {
     let now = Instant::now();
@@ -1081,6 +1083,9 @@ fn pump_tick(shared: &Arc<GatewayShared>) {
                 }
                 let ack: SharedFuture<SubmitAck> =
                     shared.locality.async_remote(worker, ACTION_SUBMIT, &gj.job);
+                // The ack turns the dispatch into a lease or a retry.
+                let kick = Arc::clone(&shared.kick);
+                ack.on_settled(move |_| kick.kick());
                 gj.phase = Phase::Dispatching {
                     worker,
                     ack,

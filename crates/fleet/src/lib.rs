@@ -37,6 +37,7 @@
 
 pub mod breaker;
 pub mod gateway;
+mod pump;
 pub mod stats;
 pub mod wire;
 pub mod worker;

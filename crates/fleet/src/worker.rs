@@ -14,14 +14,18 @@
 //! * `sys/stats` — the load report placement polls
 //!   ([`crate::stats::register_sys_stats`]).
 //!
-//! Completions are *pushed*: a pump thread watches admitted jobs and
-//! calls the gateway's `fleet/complete` action when one goes terminal.
+//! Completions are *pushed*: the service's policy hook kicks a pump
+//! thread ([`crate::pump`]) when a job settles, and the pump calls the
+//! gateway's `fleet/complete` action for every job gone terminal. The
+//! pump's fallback tick finds the settles no hook announces (a queued
+//! job shed, cancelled or expired) and re-arms failed pushes.
 //! A push that fails (severed link, partition) is retried with backoff
 //! until acknowledged — the gateway fences duplicates and stale epochs,
 //! so at-least-once pushing composes into exactly-once accounting.
 
 #![deny(clippy::unwrap_used)]
 
+use crate::pump::{Kick, Pump};
 use crate::stats::register_sys_stats;
 use crate::wire::{
     family_of_code, DrainReport, FleetJob, FleetOutcome, SubmitAck, SubmitVerdict, WireReject,
@@ -30,7 +34,7 @@ use crate::wire::{
 use grain_counters::sync::{Condvar, Mutex};
 use grain_net::Locality;
 use grain_runtime::{SharedFuture, TaskContext};
-use grain_service::{JobHandle, JobService, JobSpec, JobState, ServiceConfig};
+use grain_service::{JobHandle, JobService, JobSpec, JobState, PolicyHook, ServiceConfig};
 use grain_taskbench::storm::{spawn_in_job, spec_for_event};
 use grain_taskbench::work::busy_work;
 use std::collections::HashMap;
@@ -43,11 +47,14 @@ use std::time::{Duration, Instant};
 pub struct FleetWorkerConfig {
     /// The wrapped job service's configuration (its runtime's
     /// `locality_id` is overwritten with the locality's id so counter
-    /// paths name the true locality).
+    /// paths name the true locality; its `policy` hook, if any, is
+    /// called after the worker's own).
     pub service: ServiceConfig,
     /// The gateway locality completions are pushed to.
     pub gateway: usize,
-    /// Completion-watch tick.
+    /// Fallback tick of the completion pump. A job that settles kicks
+    /// the pump itself; the tick serves push retries and the settles
+    /// that bypass the service's policy hook.
     pub pump_interval: Duration,
     /// Backoff before re-pushing a completion whose push failed.
     pub push_retry_backoff: Duration,
@@ -123,7 +130,8 @@ struct WorkerShared {
     park_timeout: Duration,
     push_retry_backoff: Duration,
     counters: WorkerCounters,
-    stop: AtomicBool,
+    /// Wakes the completion pump for a pass.
+    kick: Arc<Kick>,
 }
 
 /// One fleet worker: a job service joined to a locality, serving the
@@ -131,7 +139,7 @@ struct WorkerShared {
 /// wrapped service shuts down with the last `Arc` to it.
 pub struct FleetWorker {
     shared: Arc<WorkerShared>,
-    pump: Option<std::thread::JoinHandle<()>>,
+    _pump: Pump,
 }
 
 impl FleetWorker {
@@ -140,7 +148,18 @@ impl FleetWorker {
     /// spawns the completion pump.
     pub fn install(locality: &Locality, mut config: FleetWorkerConfig) -> Self {
         config.service.runtime.locality_id = locality.id();
-        let service = Arc::new(JobService::new(config.service.clone()));
+        let kick: Arc<Kick> = Arc::default();
+        let callers_hook = config.service.policy.take();
+        config.service.policy = Some(PolicyHook::new({
+            let kick = Arc::clone(&kick);
+            move |spec, outcome| {
+                kick.kick();
+                if let Some(hook) = &callers_hook {
+                    hook.call(spec, outcome);
+                }
+            }
+        }));
+        let service = Arc::new(JobService::new(config.service));
         let draining = Arc::new(AtomicBool::new(false));
         register_sys_stats(locality, Arc::clone(&service), Arc::clone(&draining));
         let shared = Arc::new(WorkerShared {
@@ -153,7 +172,7 @@ impl FleetWorker {
             park_timeout: config.park_timeout,
             push_retry_backoff: config.push_retry_backoff,
             counters: WorkerCounters::default(),
-            stop: AtomicBool::new(false),
+            kick,
         });
         {
             let w = Arc::downgrade(&shared);
@@ -177,24 +196,16 @@ impl FleetWorker {
                 },
             });
         }
-        let pump = {
-            let w = Arc::downgrade(&shared);
-            let tick = config.pump_interval;
-            std::thread::Builder::new()
-                .name(format!("grain-fleet-worker-{}", locality.id()))
-                .spawn(move || loop {
-                    std::thread::sleep(tick);
-                    let Some(shared) = w.upgrade() else { return };
-                    if shared.stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    pump_completions(&shared);
-                })
-                .expect("failed to spawn fleet worker pump")
-        };
+        let pump = Pump::spawn(
+            format!("grain-fleet-worker-{}", locality.id()),
+            config.pump_interval,
+            Arc::clone(&shared.kick),
+            Arc::downgrade(&shared),
+            pump_completions,
+        );
         Self {
             shared,
-            pump: Some(pump),
+            _pump: pump,
         }
     }
 
@@ -231,11 +242,7 @@ impl FleetWorker {
 
 impl Drop for FleetWorker {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
         self.release_parked();
-        if let Some(h) = self.pump.take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -324,6 +331,10 @@ fn handle_submit(shared: &Arc<WorkerShared>, job: FleetJob) -> SubmitAck {
         } else {
             SubmitVerdict::Accepted
         };
+        drop(entries);
+        if verdict == SubmitVerdict::AlreadyDone {
+            shared.kick.kick();
+        }
         return SubmitAck {
             origin,
             verdict,
@@ -408,10 +419,13 @@ fn handle_drain(shared: &Arc<WorkerShared>) -> DrainReport {
     }
 }
 
-/// One pump tick: record newly-terminal jobs and (re)push completions.
+/// One pump pass: record newly-terminal jobs and (re)push completions.
 fn pump_completions(shared: &Arc<WorkerShared>) {
     let now = Instant::now();
     let mut to_send: Vec<(u64, FleetOutcome)> = Vec::new();
+    // The policy hook that kicks this pass runs just before the service
+    // publishes the outcome; a job caught in between needs another pass.
+    let mut publishing = false;
     {
         let mut entries = shared.entries.lock();
         for (key, entry) in entries.iter_mut() {
@@ -434,6 +448,8 @@ fn pump_completions(shared: &Arc<WorkerShared>) {
                         fault_msg,
                         reject: outcome.reject_reason.map(WireReject::of),
                     });
+                } else {
+                    publishing |= entry.handle.state().is_terminal();
                 }
             }
             let Some(done) = &entry.done else { continue };
@@ -483,5 +499,9 @@ fn pump_completions(shared: &Arc<WorkerShared>) {
                 entry.retry_at = None;
             }
         }
+    }
+    if publishing {
+        std::thread::yield_now();
+        shared.kick.kick();
     }
 }

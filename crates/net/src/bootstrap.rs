@@ -226,6 +226,10 @@ pub fn tcp_root(bind: &str, world: usize, mut cfg: RuntimeConfig) -> io::Result<
                         return;
                     }
                     let Ok(mut stream) = conn else { continue };
+                    // Before the handshake's first write, as in `dial`.
+                    if stream.set_nodelay(true).is_err() {
+                        continue;
+                    }
                     match parcelport::read_frame(&mut stream) {
                         Ok(Frame::Hello { listen_addr }) => {
                             let id = next_id;
@@ -267,7 +271,7 @@ pub fn tcp_join(root_addr: &str, mut cfg: RuntimeConfig) -> io::Result<TcpNode> 
 
     // Handshake first: the assigned id decides the runtime's counter
     // namespace, so the runtime cannot exist before the Welcome.
-    let mut root_stream = TcpStream::connect(root_addr)?;
+    let mut root_stream = dial(root_addr)?;
     parcelport::write_frame(
         &mut root_stream,
         &Frame::Hello {
@@ -298,7 +302,7 @@ pub fn tcp_join(root_addr: &str, mut cfg: RuntimeConfig) -> io::Result<TcpNode> 
 
     // Dial everyone who joined before us.
     for (peer_id, peer_addr) in peers {
-        let mut stream = TcpStream::connect(&peer_addr)?;
+        let mut stream = dial(&peer_addr)?;
         parcelport::write_frame(
             &mut stream,
             &Frame::PeerHello {
@@ -321,6 +325,10 @@ pub fn tcp_join(root_addr: &str, mut cfg: RuntimeConfig) -> io::Result<TcpNode> 
                         return;
                     }
                     let Ok(mut stream) = conn else { continue };
+                    // Before the handshake's first write, as in `dial`.
+                    if stream.set_nodelay(true).is_err() {
+                        continue;
+                    }
                     match parcelport::read_frame(&mut stream) {
                         Ok(Frame::PeerHello { locality_id }) => {
                             if let Ok(link) = tcp_link(&locality, locality_id as usize, stream) {
@@ -337,6 +345,14 @@ pub fn tcp_join(root_addr: &str, mut cfg: RuntimeConfig) -> io::Result<TcpNode> 
         listen_addr,
         stop,
     })
+}
+
+/// Connect to `addr` with `TCP_NODELAY` set before the handshake's first
+/// write: the handshake is request/response too.
+fn dial(addr: &str) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 /// Wrap an already-handshaken socket as a link owned by `locality`.

@@ -194,15 +194,6 @@ impl Writer {
         self.buf
     }
 
-    /// Adopt `buf`'s allocation for encoding, discarding its contents.
-    /// The send path threads recycled frame buffers back through here
-    /// (feature `parcel-reuse`), so steady-state encodes stop touching
-    /// the allocator.
-    pub fn from_vec(mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        Self { buf }
-    }
-
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -372,14 +363,6 @@ impl Frame {
     /// payload). The parcelport adds the transport length prefix.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.into_vec()
-    }
-
-    /// Encode into an existing writer (appends one whole frame). The
-    /// allocation-free counterpart of [`Frame::encode`] for callers
-    /// that recycle buffers.
-    pub fn encode_into(&self, w: &mut Writer) {
         w.buf.extend_from_slice(&MAGIC);
         w.u8(VERSION);
         match self {
@@ -427,7 +410,7 @@ impl Frame {
                     }
                     Err(fault) => {
                         w.u8(1);
-                        fault.encode(w);
+                        fault.encode(&mut w);
                     }
                 }
             }
@@ -444,6 +427,7 @@ impl Frame {
                 w.u64(*nonce);
             }
         }
+        w.into_vec()
     }
 
     /// Decode one frame; total over arbitrary bytes.
@@ -490,7 +474,7 @@ impl Frame {
                 action: r.string()?,
                 // Single necessary copy: the frame buffer is borrowed
                 // and the decoded `Frame` owns its payload (the buffer
-                // is recycled or dropped right after decode).
+                // is dropped right after decode).
                 args: r.bytes()?.to_vec(),
             },
             TAG_REPLY => {

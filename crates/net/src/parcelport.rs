@@ -1,16 +1,19 @@
 //! The parcelport: point-to-point links that carry encoded frames.
 //!
 //! A [`Link`] is one *directed* lane from the owning locality to a single
-//! peer: a bounded send queue drained by a dedicated writer thread. What
-//! the writer *does* with each frame is behind the
+//! peer: a bounded send queue drained by a dedicated writer thread. The
+//! writer takes *everything* queued under one lock, delivers each frame,
+//! flushes the transport, and only then looks at the queue again
+//! ([`writer_loop`]). What it *does* with each frame is behind the
 //! [`Transport`](crate::transport::Transport) seam; three transports share
 //! the shape:
 //!
-//! * **TCP** — the writer thread writes `u32`-LE length-prefixed frames to
-//!   the socket; a companion reader thread reads frames off the same
-//!   socket and hands the raw bytes to the locality's frame handler. One
-//!   socket therefore backs *two* links (one per direction), each owned by
-//!   its side.
+//! * **TCP** — the writer thread coalesces `u32`-LE length-prefixed frames
+//!   into one socket write per batch (`TCP_NODELAY` is set: batching is
+//!   ours, not Nagle's); a companion reader thread reads frames off the
+//!   same socket through one buffer and hands the raw bytes to the
+//!   locality's frame handler. One socket therefore backs *two* links (one
+//!   per direction), each owned by its side.
 //! * **Loopback** — no socket at all: the writer thread delivers the
 //!   encoded bytes straight into the peer's frame handler. Both ends live
 //!   in one process, which makes multi-locality tests hermetic and
@@ -33,23 +36,23 @@
 //! link stalled.
 //!
 //! Counter discipline: the *sending* side bumps `/parcels/count/sent`
-//! and `/parcels/bytes/sent` in the writer thread at the moment of
-//! delivery; the *receiving* locality bumps `received` when it dispatches
-//! the frame. Only parcels proper ([`Frame::is_parcel`]: `Call`/`Reply`)
+//! and `/parcels/bytes/sent` in the writer thread as it hands the frame
+//! to the transport; the *receiving* locality bumps `received` when it
+//! dispatches the frame. Only parcels proper ([`Frame::is_parcel`]: `Call`/`Reply`)
 //! are counted — handshake and teardown control frames are not traffic.
 
 #![deny(clippy::unwrap_used)]
 
-#[cfg(feature = "parcel-reuse")]
-use crate::codec::Writer;
 use crate::codec::{CodecError, Frame, MAX_FRAME};
 use crate::counters::ParcelCounters;
-use crate::transport::{LoopbackTransport, SimTransport, TcpTransport, Transport};
+use crate::transport::{
+    push_framed, LoopbackTransport, SimTransport, TcpTransport, Transport, FLUSH_BYTES,
+};
 use grain_counters::sync::{Condvar, Mutex};
 use grain_sim::NetFabric;
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -129,13 +132,15 @@ struct QueueState {
     bytes: usize,
     /// No further sends accepted; the writer drains what is queued.
     closed: bool,
-    /// Abrupt teardown: queued frames are discarded, the writer exits.
-    severed: bool,
 }
 
 /// Bounded MPSC queue feeding one writer thread.
 struct SendQueue {
     state: Mutex<QueueState>,
+    /// Abrupt teardown: queued frames are discarded, the writer exits.
+    /// Written under `state`'s lock; the writer also reads it between
+    /// the frames of a batch, without the lock.
+    severed: AtomicBool,
     not_empty: Condvar,
     not_full: Condvar,
     cap: usize,
@@ -148,8 +153,8 @@ impl SendQueue {
                 frames: VecDeque::new(),
                 bytes: 0,
                 closed: false,
-                severed: false,
             }),
+            severed: AtomicBool::new(false),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             cap,
@@ -161,7 +166,7 @@ impl SendQueue {
         let deadline = Instant::now() + timeout;
         let mut st = self.state.lock();
         loop {
-            if st.closed || st.severed {
+            if st.closed {
                 return Err(PushError::Closed);
             }
             if st.frames.len() < self.cap {
@@ -181,24 +186,32 @@ impl SendQueue {
         }
     }
 
-    /// Dequeue the next frame; `None` once the queue is drained-and-closed
-    /// or severed.
-    fn pop(&self) -> Option<(Vec<u8>, bool)> {
+    /// Move every queued frame into the empty `batch`, blocking while
+    /// there is none. One lock per batch, however many frames it holds;
+    /// the two deques trade allocations, so a steady writer allocates
+    /// nothing here. `false` once the queue is drained-and-closed or
+    /// severed.
+    fn take_all(&self, batch: &mut VecDeque<(Vec<u8>, bool)>) -> bool {
         let mut st = self.state.lock();
         loop {
-            if st.severed {
-                return None;
+            if self.is_severed() {
+                return false;
             }
-            if let Some(item) = st.frames.pop_front() {
-                st.bytes -= item.0.len();
-                self.not_full.notify_one();
-                return Some(item);
+            if !st.frames.is_empty() {
+                std::mem::swap(&mut st.frames, batch);
+                st.bytes = 0;
+                self.not_full.notify_all();
+                return true;
             }
             if st.closed {
-                return None;
+                return false;
             }
             self.not_empty.wait(&mut st);
         }
+    }
+
+    fn is_severed(&self) -> bool {
+        self.severed.load(Ordering::Acquire)
     }
 
     fn len(&self) -> usize {
@@ -207,22 +220,6 @@ impl SendQueue {
 
     fn queued_bytes(&self) -> usize {
         self.state.lock().bytes
-    }
-
-    /// Dequeue without blocking: `None` when the queue is momentarily
-    /// empty, drained-and-closed, or severed. The writer loop uses this
-    /// to detect queue-empty moments and flush coalesced bytes before
-    /// blocking in [`SendQueue::pop`].
-    #[cfg(feature = "parcel-reuse")]
-    fn try_pop(&self) -> Option<(Vec<u8>, bool)> {
-        let mut st = self.state.lock();
-        if st.severed {
-            return None;
-        }
-        let item = st.frames.pop_front()?;
-        st.bytes -= item.0.len();
-        self.not_full.notify_one();
-        Some(item)
     }
 
     /// Stop accepting sends; the writer drains what is queued, then exits.
@@ -237,7 +234,7 @@ impl SendQueue {
     fn sever(&self) {
         let mut st = self.state.lock();
         st.closed = true;
-        st.severed = true;
+        self.severed.store(true, Ordering::Release);
         st.frames.clear();
         st.bytes = 0;
         self.not_empty.notify_all();
@@ -250,49 +247,6 @@ impl SendQueue {
 /// in-flight simulated frames are ledgered. Must be idempotent — sever
 /// can race with partner propagation.
 type SeverHook = Box<dyn Fn() + Send + Sync>;
-
-/// Recycled frame buffers for one link's send path (feature
-/// `parcel-reuse`): `send`/`try_send` encode into a pooled buffer, and
-/// the writer loop returns it once the transport has copied the bytes
-/// onward. Bounded in count and retained capacity so one jumbo frame
-/// can't pin memory forever.
-#[cfg(feature = "parcel-reuse")]
-struct BufPool {
-    bufs: Mutex<Vec<Vec<u8>>>,
-}
-
-#[cfg(feature = "parcel-reuse")]
-impl BufPool {
-    /// More pooled buffers than frames that can be "in hand" at once
-    /// (senders encoding + writer returning) is waste; the send queue
-    /// holds its frames' allocations itself.
-    const MAX_POOLED: usize = 32;
-    /// Don't retain jumbo-frame allocations.
-    const MAX_RETAINED_CAP: usize = 64 * 1024;
-
-    fn new() -> Self {
-        Self {
-            bufs: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// A cleared buffer, recycled when available.
-    fn take(&self) -> Vec<u8> {
-        self.bufs.lock().pop().unwrap_or_default()
-    }
-
-    /// Return a buffer for reuse.
-    fn put(&self, mut buf: Vec<u8>) {
-        if buf.capacity() > Self::MAX_RETAINED_CAP {
-            return;
-        }
-        buf.clear();
-        let mut bufs = self.bufs.lock();
-        if bufs.len() < Self::MAX_POOLED {
-            bufs.push(buf);
-        }
-    }
-}
 
 /// One directed lane from the owning locality to `peer`.
 ///
@@ -315,9 +269,6 @@ pub struct Link {
     /// Tunable (see [`Link::set_send_timeout`]) so stall tests and chaos
     /// harnesses don't wait out the production-sized window.
     send_timeout_ns: AtomicU64,
-    /// Recycled frame buffers for this link's send path.
-    #[cfg(feature = "parcel-reuse")]
-    pool: BufPool,
 }
 
 impl Link {
@@ -337,31 +288,17 @@ impl Link {
             partner: Mutex::new(Weak::new()),
             sever_hook,
             send_timeout_ns: AtomicU64::new(SEND_TIMEOUT.as_nanos() as u64),
-            #[cfg(feature = "parcel-reuse")]
-            pool: BufPool::new(),
         })
-    }
-
-    /// Encode `frame` for this link: into a pooled, recycled buffer
-    /// under `parcel-reuse`, a fresh allocation otherwise.
-    #[cfg(feature = "parcel-reuse")]
-    fn encode_frame(&self, frame: &Frame) -> Vec<u8> {
-        let mut w = Writer::from_vec(self.pool.take());
-        frame.encode_into(&mut w);
-        w.into_vec()
-    }
-
-    #[cfg(not(feature = "parcel-reuse"))]
-    fn encode_frame(&self, frame: &Frame) -> Vec<u8> {
-        frame.encode()
     }
 
     /// Wrap an already-handshaken TCP socket as a link to `peer`.
     ///
-    /// Spawns the writer thread (draining the send queue into the socket)
-    /// and a reader thread (delivering inbound frames to `incoming`).
-    /// Either thread severing the link fires `on_disconnect(peer)` exactly
-    /// once.
+    /// Sets `TCP_NODELAY` — the writer batches frames itself, and a
+    /// request/response parcel must not wait out the peer's delayed ACK
+    /// — then spawns the writer thread (draining the send queue into the
+    /// socket) and a reader thread (delivering inbound frames to
+    /// `incoming`). Either thread severing the link fires
+    /// `on_disconnect(peer)` exactly once.
     pub fn tcp(
         peer: usize,
         stream: TcpStream,
@@ -370,6 +307,7 @@ impl Link {
         counters: Arc<ParcelCounters>,
         cap: usize,
     ) -> io::Result<Arc<Link>> {
+        stream.set_nodelay(true)?;
         let writer_stream = stream.try_clone()?;
         let reader_stream = stream.try_clone()?;
         let hook: SeverHook = Box::new(move || {
@@ -424,7 +362,7 @@ impl Link {
     /// rejected parcel under `/parcels/count/dropped`, and returns
     /// [`SendError::Backpressure`] naming the peer.
     pub fn send(&self, frame: &Frame) -> Result<(), SendError> {
-        let bytes = self.encode_frame(frame);
+        let bytes = frame.encode();
         let parcel = frame.is_parcel();
         match self.queue.push(bytes, parcel, self.send_timeout()) {
             Ok(()) => Ok(()),
@@ -445,7 +383,7 @@ impl Link {
     /// sent this round — a congested-but-draining link must not be
     /// declared dead by its own monitor.
     pub fn try_send(&self, frame: &Frame) -> Result<(), SendError> {
-        let bytes = self.encode_frame(frame);
+        let bytes = frame.encode();
         let parcel = frame.is_parcel();
         match self.queue.push(bytes, parcel, Duration::ZERO) {
             Ok(()) => Ok(()),
@@ -584,59 +522,47 @@ fn spawn_writer<T: Transport>(link: &Arc<Link>, transport: T, sender_id: usize) 
 /// the owning side's sent counters per delivered parcel. A transport
 /// refusal severs the link.
 ///
-/// Under `parcel-reuse` the loop drains opportunistically: frames are
-/// taken without blocking while the queue has them (letting a
-/// coalescing transport batch a burst into one write), the transport is
-/// flushed the moment the queue goes empty (so a buffered frame never
-/// waits on future traffic), and buffers the transport hands back are
-/// recycled into the link's pool. Per-parcel counters are bumped
-/// identically in both modes — coalescing changes syscall granularity,
-/// never the books.
+/// One loop for every transport: take the whole queue under one lock,
+/// deliver each frame, flush, and only then look at the queue again —
+/// so a burst becomes one batch (one socket write on TCP), a frame
+/// pushed while a batch is in hand is the next batch without another
+/// `send` to wake anyone, and nothing a transport buffers outlives the
+/// batch it came in. A sever stops the batch where it is, as it
+/// discards what is still queued.
 fn writer_loop<T: Transport>(link: Arc<Link>, mut transport: T) {
-    loop {
-        #[cfg(feature = "parcel-reuse")]
-        let item = match link.queue.try_pop() {
-            Some(item) => Some(item),
-            None => {
-                if transport.flush().is_err() {
-                    link.sever();
-                    return;
-                }
-                link.queue.pop()
+    let mut batch = VecDeque::new();
+    while link.queue.take_all(&mut batch) {
+        for (bytes, parcel) in batch.drain(..) {
+            if link.queue.is_severed() {
+                return;
             }
-        };
-        #[cfg(not(feature = "parcel-reuse"))]
-        let item = link.queue.pop();
-        let Some((bytes, parcel)) = item else { break };
-        let n = bytes.len();
-        match transport.deliver(bytes, parcel) {
-            Err(_) => {
+            // Booked before the hand-over: by the time the peer has
+            // dispatched a parcel, the sender's books hold it.
+            if parcel {
+                link.counters.sent.incr();
+                link.counters.bytes_sent.add(bytes.len() as u64);
+            }
+            if transport.deliver(bytes, parcel).is_err() {
                 link.sever();
                 return;
             }
-            Ok(returned) => {
-                #[cfg(feature = "parcel-reuse")]
-                if let Some(buf) = returned {
-                    link.pool.put(buf);
-                }
-                #[cfg(not(feature = "parcel-reuse"))]
-                drop(returned);
-            }
         }
-        if parcel {
-            link.counters.sent.incr();
-            link.counters.bytes_sent.add(n as u64);
+        if transport.flush().is_err() {
+            link.sever();
+            return;
         }
     }
-    // Graceful drain complete: let the transport flush (e.g. TCP pushes
-    // any coalesced bytes, then shuts its write side down so the peer
-    // sees a trailing Goodbye, then EOF).
+    // Graceful drain complete (e.g. TCP shuts its write side down so the
+    // peer sees a trailing Goodbye, then EOF).
     transport.finish();
 }
 
 /// Read length-prefixed frames off the socket and deliver the raw bytes
-/// to `incoming` until EOF/error, then sever the link.
-fn reader_loop(link: Arc<Link>, mut stream: TcpStream, incoming: FrameHandler) {
+/// to `incoming` until EOF/error, then sever the link. One buffer the
+/// size of the writer's batch sits in front of the socket, so a
+/// coalesced batch is one `read`, not two per frame.
+fn reader_loop(link: Arc<Link>, stream: TcpStream, incoming: FrameHandler) {
+    let mut stream = BufReader::with_capacity(FLUSH_BYTES, stream);
     loop {
         match read_raw_frame(&mut stream) {
             Ok(bytes) => (incoming)(link.peer, bytes),
@@ -649,7 +575,7 @@ fn reader_loop(link: Arc<Link>, mut stream: TcpStream, incoming: FrameHandler) {
 }
 
 /// Read one length-prefixed frame's raw bytes from `stream`.
-fn read_raw_frame(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
+fn read_raw_frame(stream: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf) as usize;
@@ -664,17 +590,19 @@ fn read_raw_frame(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Write one frame, length-prefixed, directly to a socket. Used during
-/// the bootstrap handshake, before the link's writer thread exists.
+/// Write one frame, length-prefixed, directly to a socket in one write.
+/// Used during the bootstrap handshake, before the link's writer thread
+/// exists.
 pub fn write_frame(stream: &mut TcpStream, frame: &Frame) -> io::Result<()> {
     let bytes = frame.encode();
-    let len = (bytes.len() as u32).to_le_bytes();
-    stream.write_all(&len)?;
-    stream.write_all(&bytes)
+    let mut framed = Vec::with_capacity(4 + bytes.len());
+    push_framed(&mut framed, &bytes);
+    stream.write_all(&framed)
 }
 
 /// Read and decode one frame directly from a socket (bootstrap handshake
-/// counterpart of [`write_frame`]).
+/// counterpart of [`write_frame`]). Unbuffered: it must not consume bytes
+/// that belong to the link built on the socket next.
 pub fn read_frame(stream: &mut TcpStream) -> io::Result<Frame> {
     let bytes = read_raw_frame(stream)?;
     Frame::decode(&bytes).map_err(|e: CodecError| {
@@ -686,6 +614,7 @@ pub fn read_frame(stream: &mut TcpStream) -> io::Result<Frame> {
 mod tests {
     use super::*;
     use crate::codec::Frame;
+    use crate::transport::TransportError;
     use grain_sim::NetPlan;
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
@@ -741,12 +670,8 @@ mod tests {
         let (_, bytes) = rx_b.recv_timeout(Duration::from_secs(5)).expect("frame");
         assert_eq!(Frame::decode(&bytes).expect("decode"), hello);
 
-        // Writer-thread delivery is asynchronous; poll briefly.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while ca.sent.get() < 1 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Only the Call counts as a parcel, not the PeerHello.
+        // Booked before the hand-over, so no waiting. Only the Call
+        // counts as a parcel, not the PeerHello.
         assert_eq!(ca.sent.get(), 1);
         assert_eq!(ca.bytes_sent.get(), call.encode().len() as u64);
         assert_eq!(dis.load(Ordering::SeqCst), 0);
@@ -783,6 +708,87 @@ mod tests {
             .push(vec![1u8], false, Duration::from_millis(50))
             .expect_err("second push must time out");
         assert_eq!(err, PushError::Timeout);
+    }
+
+    /// Holds what it is given until `flush`, and parks inside its first
+    /// `deliver` until the test lets it go.
+    struct HeldTransport {
+        held: Vec<Vec<u8>>,
+        gate: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
+        flushed: mpsc::Sender<Vec<Vec<u8>>>,
+    }
+
+    impl Transport for HeldTransport {
+        fn deliver(&mut self, bytes: Vec<u8>, _parcel: bool) -> Result<(), TransportError> {
+            if let Some((inside, go)) = self.gate.take() {
+                inside.send(()).expect("test listens");
+                go.recv().expect("test releases");
+            }
+            self.held.push(bytes);
+            Ok(())
+        }
+
+        fn flush(&mut self) -> Result<(), TransportError> {
+            let _ = self.flushed.send(std::mem::take(&mut self.held));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_pushed_mid_batch_is_flushed_without_another_send() {
+        let (inside_tx, inside_rx) = mpsc::channel();
+        let (go_tx, go_rx) = mpsc::channel();
+        let (flushed_tx, flushed_rx) = mpsc::channel();
+        let link = Link::new_inner(1, counters(), Arc::new(|_| {}), 16, None);
+        spawn_writer(
+            &link,
+            HeldTransport {
+                held: Vec::new(),
+                gate: Some((inside_tx, go_rx)),
+                flushed: flushed_tx,
+            },
+            0,
+        );
+        let first = Frame::Ping { nonce: 1 };
+        let second = Frame::Ping { nonce: 2 };
+        link.send(&first).expect("send");
+        // The writer has taken its batch and is inside `deliver`: the
+        // second frame's wake-up finds nobody waiting on the queue.
+        inside_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("writer reached deliver");
+        link.send(&second).expect("send");
+        go_tx.send(()).expect("writer waits");
+        // Flush follows each batch, and the queue is looked at again
+        // before blocking: both frames come out, nothing further sent.
+        let wait = Duration::from_secs(5);
+        assert_eq!(flushed_rx.recv_timeout(wait), Ok(vec![first.encode()]));
+        assert_eq!(flushed_rx.recv_timeout(wait), Ok(vec![second.encode()]));
+        link.close();
+    }
+
+    #[test]
+    fn buffered_reads_keep_frame_boundaries_and_the_size_check() {
+        let small = vec![7u8; 5];
+        let straddler = vec![8u8; 11]; // starts inside the 16-byte buffer, ends outside
+        let jumbo = vec![9u8; 100]; // larger than the whole buffer
+        let mut wire = Vec::new();
+        for frame in [&small, &straddler, &jumbo, &small] {
+            push_framed(&mut wire, frame);
+        }
+        wire.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
+        let mut stream = BufReader::with_capacity(16, wire.as_slice());
+        for frame in [&small, &straddler, &jumbo, &small] {
+            assert_eq!(&read_raw_frame(&mut stream).expect("frame"), frame);
+        }
+        let err = read_raw_frame(&mut stream).expect_err("over MAX_FRAME");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // And a stream that ends inside a frame is an error, not a frame.
+        let mut torn = BufReader::with_capacity(16, &wire[..wire.len() - 10]);
+        for _ in 0..3 {
+            read_raw_frame(&mut torn).expect("whole frames");
+        }
+        assert!(read_raw_frame(&mut torn).is_err());
     }
 
     #[test]
@@ -858,10 +864,6 @@ mod tests {
         assert_eq!(from, 0);
         assert_eq!(Frame::decode(&bytes).expect("decode"), call);
 
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while ca.sent.get() < 1 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
         assert_eq!(ca.sent.get(), 1);
         assert_eq!(ca.dropped.get(), 0);
 
@@ -878,6 +880,10 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         let client = TcpStream::connect(addr).expect("connect");
         let (server, _) = listener.accept().expect("accept");
+        let sockets = [
+            client.try_clone().expect("clone"),
+            server.try_clone().expect("clone"),
+        ];
 
         let (tx_srv, rx_srv) = mpsc::channel::<(usize, Vec<u8>)>();
         let dis = Arc::new(AtomicUsize::new(0));
@@ -908,6 +914,10 @@ mod tests {
             16,
         )
         .expect("client link");
+        // A link's socket never leaves batching to Nagle.
+        for socket in &sockets {
+            assert!(socket.nodelay().expect("getsockopt"));
+        }
 
         let reply = Frame::Reply {
             call_id: 42,

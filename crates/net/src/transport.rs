@@ -53,21 +53,15 @@ impl std::error::Error for TransportError {}
 /// `deliver` is called once per dequeued frame, in queue order, from
 /// the writer thread only (so `&mut self` suffices). Returning `Err`
 /// severs the link. `finish` is called after a graceful drain.
-///
-/// On success `deliver` may hand the frame buffer back (`Some`) when
-/// the transport copied the bytes onward and no longer needs the
-/// allocation — the writer loop recycles it into the link's buffer
-/// pool under the `parcel-reuse` feature. Transports that pass
-/// ownership along (loopback → handler, sim → fabric) return `None`.
 pub trait Transport: Send + 'static {
     /// Deliver one encoded frame. `parcel` mirrors
     /// [`Frame::is_parcel`] for counter discipline.
-    fn deliver(&mut self, bytes: Vec<u8>, parcel: bool) -> Result<Option<Vec<u8>>, TransportError>;
+    fn deliver(&mut self, bytes: Vec<u8>, parcel: bool) -> Result<(), TransportError>;
 
     /// Push any internally buffered bytes to the peer. Called by the
-    /// writer loop whenever the send queue goes momentarily empty and
-    /// before blocking for more frames, so coalescing transports never
-    /// sit on a frame while the peer waits. Default: nothing buffered.
+    /// writer loop after every batch it took off the send queue, before
+    /// it looks at the queue again, so a coalescing transport never
+    /// sits on a frame while the peer waits. Default: nothing buffered.
     fn flush(&mut self) -> Result<(), TransportError> {
         Ok(())
     }
@@ -77,26 +71,32 @@ pub trait Transport: Send + 'static {
     fn finish(&mut self) {}
 }
 
-/// Length-prefixed frames onto a TCP socket.
+/// Length-prefixed frames onto a TCP socket, coalesced.
 ///
-/// With the `parcel-reuse` feature, frames are coalesced: `deliver`
-/// appends `len ‖ bytes` to a reusable write buffer and the whole
-/// batch goes out in one `write_all` per flush — one syscall for a
-/// burst of small `Call` frames instead of two per frame. Length
-/// prefixes make concatenation safe on a byte stream; the reader side
-/// is oblivious. The writer loop flushes whenever the send queue goes
-/// empty, so coalescing adds no latency when traffic is sparse.
+/// `deliver` appends `len ‖ bytes` to a reusable write buffer and the
+/// writer loop's `flush` sends the whole batch in one `write_all` — one
+/// syscall for a burst of small frames, and never a length prefix in a
+/// segment of its own (the write-write-read pattern that waits out the
+/// peer's delayed ACK). Length prefixes make concatenation safe on a
+/// byte stream. The writer loop flushes after every batch, so
+/// coalescing adds no latency when traffic is sparse.
 pub struct TcpTransport {
     stream: TcpStream,
-    /// Pending coalesced bytes (empty and unused without `parcel-reuse`).
+    /// Coalesced bytes not yet written.
     wbuf: Vec<u8>,
-    coalesce: bool,
 }
 
-/// Flush threshold for coalesced writes: large enough to batch a burst
-/// of small frames, small enough to keep the reusable buffer and the
-/// kernel send path friendly.
-const FLUSH_BYTES: usize = 32 * 1024;
+/// The write buffer goes out whenever it reaches this size: large
+/// enough to batch a burst of small frames, small enough that one jumbo
+/// frame neither gets copied nor pins its size in the buffer.
+pub(crate) const FLUSH_BYTES: usize = 32 * 1024;
+
+/// Append `bytes` to `buf` as one frame of the stream: `u32`-LE length,
+/// then the bytes.
+pub(crate) fn push_framed(buf: &mut Vec<u8>, bytes: &[u8]) {
+    buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    buf.extend_from_slice(bytes);
+}
 
 impl TcpTransport {
     /// Wrap a connected socket.
@@ -104,39 +104,32 @@ impl TcpTransport {
         Self {
             stream,
             wbuf: Vec::new(),
-            coalesce: cfg!(feature = "parcel-reuse"),
         }
     }
 }
 
 impl Transport for TcpTransport {
-    fn deliver(
-        &mut self,
-        bytes: Vec<u8>,
-        _parcel: bool,
-    ) -> Result<Option<Vec<u8>>, TransportError> {
-        let len = (bytes.len() as u32).to_le_bytes();
-        if self.coalesce {
-            self.wbuf.extend_from_slice(&len);
-            self.wbuf.extend_from_slice(&bytes);
-            if self.wbuf.len() >= FLUSH_BYTES {
-                self.flush()?;
-            }
-        } else {
-            if self.stream.write_all(&len).is_err() || self.stream.write_all(&bytes).is_err() {
-                return Err(TransportError);
-            }
+    fn deliver(&mut self, bytes: Vec<u8>, _parcel: bool) -> Result<(), TransportError> {
+        if bytes.len() >= FLUSH_BYTES {
+            // A jumbo frame is not copied: its prefix rides with what
+            // is buffered, its body goes out from where it is.
+            self.wbuf
+                .extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            self.flush()?;
+            return self.stream.write_all(&bytes).map_err(|_| TransportError);
         }
-        // Either way the bytes were copied onward (socket or wbuf);
-        // the frame buffer is free to be recycled.
-        Ok(Some(bytes))
+        push_framed(&mut self.wbuf, &bytes);
+        if self.wbuf.len() >= FLUSH_BYTES {
+            self.flush()?;
+        }
+        Ok(())
     }
 
     fn flush(&mut self) -> Result<(), TransportError> {
         if !self.wbuf.is_empty() {
-            if self.stream.write_all(&self.wbuf).is_err() {
-                return Err(TransportError);
-            }
+            self.stream
+                .write_all(&self.wbuf)
+                .map_err(|_| TransportError)?;
             self.wbuf.clear();
         }
         Ok(())
@@ -167,14 +160,9 @@ impl LoopbackTransport {
 }
 
 impl Transport for LoopbackTransport {
-    fn deliver(
-        &mut self,
-        bytes: Vec<u8>,
-        _parcel: bool,
-    ) -> Result<Option<Vec<u8>>, TransportError> {
-        // Ownership passes to the peer's handler — nothing to recycle.
+    fn deliver(&mut self, bytes: Vec<u8>, _parcel: bool) -> Result<(), TransportError> {
         (self.peer_incoming)(self.sender_id, bytes);
-        Ok(None)
+        Ok(())
     }
 }
 
@@ -211,7 +199,7 @@ impl SimTransport {
 }
 
 impl Transport for SimTransport {
-    fn deliver(&mut self, bytes: Vec<u8>, parcel: bool) -> Result<Option<Vec<u8>>, TransportError> {
+    fn deliver(&mut self, bytes: Vec<u8>, parcel: bool) -> Result<(), TransportError> {
         let class = sim_class_of(&bytes, self.dst);
         debug_assert_eq!(
             parcel,
@@ -227,8 +215,7 @@ impl Transport for SimTransport {
                 self.counters.duplicated.incr();
             }
         }
-        // Ownership passed to the fabric — nothing to recycle.
-        Ok(None)
+        Ok(())
     }
 }
 

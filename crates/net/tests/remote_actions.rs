@@ -2,7 +2,7 @@
 //! loopback and TCP worlds, failure settlement, and parcel-counter
 //! balance.
 
-use grain_net::bootstrap::{tcp_join, tcp_root, Fabric};
+use grain_net::bootstrap::{tcp_join, tcp_root, Fabric, TcpNode};
 use grain_runtime::{RuntimeConfig, TaskError};
 use std::time::{Duration, Instant};
 
@@ -168,22 +168,15 @@ fn counters_appear_in_each_runtime_registry() {
     f.locality(1).register_action("id", |x: u64| x);
     let fut = f.locality(0).async_remote::<u64, u64>(1, "id", &7);
     let _ = fut.wait_timeout(WAIT).expect("settled");
-    // Poll briefly: the writer thread bumps `sent` at delivery, which
-    // may lag the reply by an instant.
-    let deadline = Instant::now() + WAIT;
-    loop {
-        let v = f
-            .locality(0)
-            .runtime()
-            .registry()
-            .query("/parcels{locality#0/total}/count/sent")
-            .expect("counter registered");
-        if v.value >= 1.0 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "sent counter never reached 1");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    // The writer books `sent` before the hand-over, so the reply
+    // cannot come back ahead of it.
+    let v = f
+        .locality(0)
+        .runtime()
+        .registry()
+        .query("/parcels{locality#0/total}/count/sent")
+        .expect("counter registered");
+    assert!(v.value >= 1.0);
     let v = f
         .locality(1)
         .runtime()
@@ -194,25 +187,41 @@ fn counters_appear_in_each_runtime_registry() {
     f.shutdown();
 }
 
-/// Books balance over real sockets under a burst of small Call frames —
-/// the exact traffic shape the `parcel-reuse` coalescing path batches
-/// into one syscall per link flush. Every reply must carry the right
-/// value (no frame torn or reordered by coalescing), every parcel must
-/// be counted once on each side, and the final flush must not strand a
-/// tail of frames in the write buffer. Runs in both feature states; with
-/// `parcel-reuse` off it pins the baseline the feature must match.
-#[test]
-fn tcp_books_balance_under_small_frame_bursts() {
+/// A two-locality world over real sockets on 127.0.0.1.
+fn tcp_pair() -> (TcpNode, TcpNode) {
     let root = tcp_root("127.0.0.1:0", 2, RuntimeConfig::with_workers(2)).expect("root");
-    let addr = root.listen_addr().to_string();
-    let n1 = tcp_join(&addr, RuntimeConfig::with_workers(2)).expect("join");
+    let n1 = tcp_join(root.listen_addr(), RuntimeConfig::with_workers(2)).expect("join");
     assert!(root.wait_for_world(WAIT), "root never saw the full world");
     assert!(n1.wait_for_world(WAIT), "n1 never saw the full world");
+    (root, n1)
+}
 
-    n1.locality().register_action("triple", |x: u64| x * 3);
-    const CALLS: u64 = 300;
+/// Books balance over real sockets under bursts of small frames — the
+/// traffic the TCP writer coalesces into one write per batch and the
+/// reader takes through one buffer — with one 100 KiB frame each way
+/// between the small ones. Every reply must carry the right value (no
+/// frame torn or reordered by coalescing or by the read buffer), every
+/// parcel must be counted once on each side, and a graceful close must
+/// not strand a tail of frames in the write buffer.
+#[test]
+fn tcp_books_balance_under_small_frame_bursts() {
+    let (root, n1) = tcp_pair();
+    let (here, there) = (root.locality(), n1.locality());
+    there.register_action("triple", |x: u64| x * 3);
+    there.register_action("echo", |s: String| s);
+
+    const CALLS: u64 = 10_000;
+    let big: String = (0..100 * 1024u32)
+        .map(|i| char::from(b'a' + (i % 26) as u8))
+        .collect();
+    let mut echoed = None;
     let futures: Vec<_> = (0..CALLS)
-        .map(|i| root.locality().async_remote::<u64, u64>(1, "triple", &i))
+        .map(|i| {
+            if i == CALLS / 2 {
+                echoed = Some(here.async_remote::<String, String>(1, "echo", &big));
+            }
+            here.async_remote::<u64, u64>(1, "triple", &i)
+        })
         .collect();
     for (i, fut) in futures.iter().enumerate() {
         assert_eq!(
@@ -221,20 +230,53 @@ fn tcp_books_balance_under_small_frame_bursts() {
             "reply {i} corrupted"
         );
     }
+    let echoed = echoed.expect("sent").wait_timeout(WAIT).expect("settled");
+    assert!(*echoed == big, "the 100 KiB frame was torn");
 
     // Every call future settled, so every Call and Reply parcel has been
-    // dispatched; coalesced or not, the books must balance exactly.
-    let sent = root.locality().parcels().sent.get() + n1.locality().parcels().sent.get();
-    let received =
-        root.locality().parcels().received.get() + n1.locality().parcels().received.get();
+    // dispatched; the books must balance exactly.
+    let sent = here.parcels().sent.get() + there.parcels().sent.get();
+    let received = here.parcels().received.get() + there.parcels().received.get();
     assert_eq!(sent, received, "sent {sent} vs received {received}");
-    assert_eq!(sent, 2 * CALLS, "one Call and one Reply per invocation");
-    let bytes_sent =
-        root.locality().parcels().bytes_sent.get() + n1.locality().parcels().bytes_sent.get();
-    let bytes_received = root.locality().parcels().bytes_received.get()
-        + n1.locality().parcels().bytes_received.get();
+    assert_eq!(sent, 2 * (CALLS + 1), "one Call and one Reply per call");
+    let bytes_sent = here.parcels().bytes_sent.get() + there.parcels().bytes_sent.get();
+    let bytes_received = here.parcels().bytes_received.get() + there.parcels().bytes_received.get();
     assert_eq!(bytes_sent, bytes_received, "byte books must balance");
 
+    // A burst nobody waits on, then goodbye: the close drains it all.
+    const TAIL: u64 = 500;
+    let before = there.parcels().received.get();
+    for i in 0..TAIL {
+        let _ = here.async_remote::<u64, u64>(1, "triple", &i);
+    }
+    here.shutdown();
+    let deadline = Instant::now() + WAIT;
+    while there.parcels().received.get() < before + TAIL {
+        assert!(Instant::now() < deadline, "close stranded queued frames");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    root.stop_listening();
+    n1.stop_listening();
+}
+
+/// Request/response over a real socket costs a round trip, not a
+/// delayed ACK: with Nagle on and the length prefix in a write of its
+/// own, each of these calls takes 88 ms and the loop 17 s.
+#[test]
+fn tcp_sequential_round_trips_do_not_wait_out_delayed_acks() {
+    let (root, n1) = tcp_pair();
+    n1.locality().register_action("succ", |x: u64| x + 1);
+    let t0 = Instant::now();
+    for i in 0..200u64 {
+        let fut = root.locality().async_remote::<u64, u64>(1, "succ", &i);
+        assert_eq!(*fut.wait_timeout(WAIT).expect("settled"), i + 1);
+    }
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "200 round trips took {took:?}"
+    );
     root.stop_listening();
     n1.stop_listening();
 }

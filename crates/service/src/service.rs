@@ -53,7 +53,9 @@ impl PolicyHook {
         Self(Arc::new(f))
     }
 
-    pub(crate) fn call(&self, spec: &JobSpec, outcome: &JobOutcome) {
+    /// Invoke the callback: how a hook that wraps another one passes
+    /// the observation on.
+    pub fn call(&self, spec: &JobSpec, outcome: &JobOutcome) {
         (self.0)(spec, outcome)
     }
 }

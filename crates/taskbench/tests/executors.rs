@@ -74,9 +74,7 @@ fn every_family_agrees_across_executors() {
 
 /// The checksum of this fixed spec is pinned to a constant, so every
 /// build must produce the exact same bits — in a different process, on a
-/// different day, and with `grain-net/parcel-reuse` on (the gate runs
-/// this test in both states): recycling frame buffers may not perturb a
-/// single payload byte.
+/// different day.
 #[test]
 fn pinned_golden_checksum() {
     const GOLDEN: u64 = 0x2FF4_1252_9F64_BCE0;

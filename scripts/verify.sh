@@ -55,12 +55,6 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
-echo "==> cargo test (parcel-reuse)"
-# The one undecided twin (DESIGN.md §15, ROADMAP item 1(a)): the net
-# suite and the pinned golden checksum must pass with it on.
-cargo test -p grain-net -p grain-taskbench --features grain-net/parcel-reuse \
-    --offline -q
-
 echo "==> cargo test (fault-inject)"
 # The deterministic fault-injection hooks are compiled out by default;
 # exercise the injected-panic/delay/spurious-wake paths and the seeded
@@ -68,21 +62,20 @@ echo "==> cargo test (fault-inject)"
 cargo test -p grain-runtime --features fault-inject --offline -q
 
 echo "==> feature allow-list"
-# Every cargo feature is a second build to test and measure. Exactly
-# three declarations exist; a new one is a decision to make on perf/
-# pairs, not a flag to add.
+# Every cargo feature is a second build to test and measure. One
+# exists, declared in the runtime and passed through by the root; a new
+# one is a decision to make on perf/ pairs, not a flag to add.
 declared=$(for m in Cargo.toml crates/*/Cargo.toml; do
     awk -v m="$m" '/^\[/ { f = ($0 == "[features]") }
         f && /^[a-z0-9_-]+ *=/ { print m ": " $1 }' "$m"
 done)
 [ "$declared" = "Cargo.toml: fault-inject
-crates/net/Cargo.toml: parcel-reuse
 crates/runtime/Cargo.toml: fault-inject" ] || {
     printf 'unexpected [features] declarations:\n%s\n' "$declared" >&2
     exit 1
 }
 used=$(grep -rho 'feature = "[^"]*"' crates src tests | sort -u | tr '\n' ' ')
-[ "$used" = 'feature = "fault-inject" feature = "parcel-reuse" ' ] || {
+[ "$used" = 'feature = "fault-inject" ' ] || {
     echo "unexpected cfg features in the sources: $used" >&2
     exit 1
 }
@@ -151,7 +144,7 @@ for f in crates/runtime/src/worker.rs crates/runtime/src/queue.rs \
     crates/taskbench/src/exec_service.rs crates/taskbench/src/exec_net.rs \
     crates/fleet/src/wire.rs crates/fleet/src/stats.rs \
     crates/fleet/src/breaker.rs crates/fleet/src/worker.rs \
-    crates/fleet/src/gateway.rs \
+    crates/fleet/src/gateway.rs crates/fleet/src/pump.rs \
     crates/adaptive/src/strategy.rs crates/autotune/src/lib.rs \
     crates/autotune/src/autotune.rs crates/autotune/src/controller.rs \
     crates/autotune/src/model.rs crates/autotune/src/shape.rs; do
