@@ -9,39 +9,32 @@
 //! * [`threshold`] — the static selection rules the paper demonstrates:
 //!   the idle-rate threshold of §IV-A and the pending-queue-access
 //!   minimum of §IV-E, applied to sweep data;
-//! * [`tuner`] — online tuners ([`tuner::ThresholdTuner`] driven by the
-//!   windowed idle-rate and tasks-per-core regime signals;
-//!   [`tuner::HillClimber`] as a counter-free baseline);
-//! * [`driver`] — epoch-based adaptive execution on either engine:
-//!   run, observe counters, re-partition, repeat until converged;
-//! * [`online`] — single-runtime adaptation: groups of time steps
-//!   measured through live interval counter snapshots, re-partitioning
-//!   the grid in place (the production shape of the paper's goal);
-//! * [`policy`] — an APEX-style policy engine (§VI): composable rules
-//!   that adapt grain size *and* throttle the worker pool
-//!   (Porterfield-style core adaptation, §V) from the same counters;
-//! * [`strategy`] — the per-tenant [`strategy::GrainStrategy`] seam the
-//!   `grain-autotune` service policy drives: the same tuner engines
-//!   repackaged as deterministic per-job state machines.
+//! * [`tuner`] — the one dynamic rule: a [`GrainSignal`] per monitoring
+//!   window (idle-rate, overhead fraction, pending-miss rate,
+//!   tasks-per-core) into a [`ThresholdTuner`], plus
+//!   [`throttled_workers`], the Porterfield-style (§V) pool throttle on
+//!   the same window's task count. `grain-autotune`'s per-tenant
+//!   controller drives this same tuner with per-job signals;
+//! * [`driver`] — the two loops that apply it to the stencil, one per
+//!   measurement substrate: [`adapt`] (epochs over a simulated or native
+//!   `StencilEngine`) and [`adapt_live`] (windows of time steps inside
+//!   one live runtime, measured through interval counter snapshots). A
+//!   [`LoopMode`] says whether the pool is throttled too — the
+//!   APEX-style grain + core integration §VI describes — and whether to
+//!   stop at convergence.
+//!
+//! There is deliberately one rule and no strategy trait: the paper's
+//! adaptive claim *is* this rule, and nothing in the repo ran another.
+//! A second rule would be a second type with the tuner's three methods,
+//! chosen where [`ThresholdTuner::new`] is called today.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod driver;
-pub mod online;
-pub mod policy;
-pub mod strategy;
 pub mod threshold;
 pub mod tuner;
 
-pub use driver::{adapt, AdaptiveTrace, Epoch};
-pub use online::{run_online, OnlineEpoch, OnlineRun};
-pub use policy::{
-    run_policy_driven, run_policy_epochs, Action, GrainPolicy, Policy, PolicyContext, PolicyEngine,
-    PolicyRun, ThrottlePolicy,
-};
-pub use strategy::{
-    strategy_for, GrainSignal, GrainStrategy, HillClimbStrategy, StrategyKind, ThresholdStrategy,
-};
+pub use driver::{adapt, adapt_live, AdaptiveTrace, Epoch, LoopMode};
 pub use threshold::{nx_minimizing_pending_accesses, smallest_nx_below_idle_rate, Selection};
-pub use tuner::{HillClimber, Observation, ThresholdTuner, Tuner, TunerConfig};
+pub use tuner::{throttled_workers, GrainSignal, ThresholdTuner, TunerConfig};

@@ -23,8 +23,7 @@
 
 use crate::controller::{AutotuneConfig, GrainController};
 use crate::shape::ShapedWork;
-use grain_adaptive::policy::{Action, Policy, PolicyContext, ThrottlePolicy};
-use grain_adaptive::strategy::GrainSignal;
+use grain_adaptive::{throttled_workers, GrainSignal};
 use grain_counters::derived::DerivedCounter;
 use grain_counters::{Registry, RegistryError, Unit};
 use grain_service::{JobHandle, JobOutcome, JobService, JobShape, JobSpec, JobState, PolicyHook};
@@ -82,7 +81,6 @@ pub struct Autotune {
     /// Most recent per-job signal, any tenant — the throttle actuator's
     /// view of the service.
     last_signal: Mutex<Option<GrainSignal>>,
-    throttle: Mutex<ThrottlePolicy>,
 }
 
 impl Autotune {
@@ -95,7 +93,6 @@ impl Autotune {
             tenants: Mutex::new(BTreeMap::new()),
             registry: Mutex::new(None),
             last_signal: Mutex::new(None),
-            throttle: Mutex::new(ThrottlePolicy::default()),
         })
     }
 
@@ -158,8 +155,10 @@ impl Autotune {
         let weak = Arc::downgrade(self);
         PolicyHook::new(move |spec, outcome| {
             let Some(auto) = weak.upgrade() else { return };
-            let Some(shape) = spec.shape else { return };
-            let Some(sig) = auto.signal_from_outcome(shape, outcome) else {
+            if spec.shape.is_none() {
+                return;
+            }
+            let Some(sig) = auto.signal_from_outcome(outcome) else {
                 return;
             };
             auto.observe(&spec.tenant, &sig);
@@ -174,9 +173,9 @@ impl Autotune {
     /// back-to-back this matches the windowed counter. The overhead
     /// fraction uses the same value as a proxy — for a single tenant
     /// driving the service, non-exec time *is* task overhead plus
-    /// starvation, which are exactly the two regimes the strategies
-    /// split on `tasks_per_core`.
-    fn signal_from_outcome(&self, shape: JobShape, outcome: &JobOutcome) -> Option<GrainSignal> {
+    /// starvation, which are exactly the two regimes the tuner splits
+    /// on `tasks_per_core`.
+    fn signal_from_outcome(&self, outcome: &JobOutcome) -> Option<GrainSignal> {
         if outcome.state != JobState::Completed {
             return None;
         }
@@ -190,7 +189,6 @@ impl Autotune {
             overhead_frac: idle,
             pending_miss_rate: 0.0,
             tasks_per_core: tasks / cores,
-            throughput: shape.units as f64 / wall,
         })
     }
 
@@ -247,28 +245,20 @@ impl Autotune {
     }
 
     /// The worker-pool actuator: given the pool state, what the most
-    /// recent signal says the active-worker count should be. The same
-    /// `tasks_per_core` that drives grain adaptation drives
-    /// Porterfield-style throttling ([`ThrottlePolicy`]); apply the
-    /// answer with [`grain_runtime::Runtime::set_active_workers`].
+    /// recent signal says the active-worker count should be (`active`
+    /// until a first job has been observed). The same `tasks_per_core`
+    /// that drives grain adaptation drives Porterfield-style throttling
+    /// ([`throttled_workers`]); apply the answer with
+    /// [`grain_runtime::Runtime::set_active_workers`].
     pub fn recommended_workers(&self, active: usize, max: usize) -> usize {
         let Some(sig) = *lock(&self.last_signal) else {
             return active;
         };
-        let ctx = PolicyContext {
-            idle_rate: sig.idle_rate,
-            throughput: sig.throughput,
-            tasks_per_core: sig.tasks_per_core,
-            nx: 0,
-            active_workers: active.max(1),
-            max_workers: max.max(1),
-        };
-        for action in lock(&self.throttle).evaluate(&ctx) {
-            if let Action::SetActiveWorkers(n) = action {
-                return n;
-            }
-        }
-        active
+        // The signal's ratio is over the whole pool, so the task count
+        // is too — rebuilt over `active` it would shrink with every
+        // throttle step and ratchet the pool down to one worker.
+        let tasks = (sig.tasks_per_core * max as f64).round() as usize;
+        throttled_workers(tasks, max)
     }
 
     /// Tenant names seen so far (storm reports iterate this).
@@ -431,7 +421,6 @@ mod tests {
             overhead_frac: 0.1,
             pending_miss_rate: 0.0,
             tasks_per_core: 0.5,
-            throughput: 1.0,
         };
         let g1 = auto.observe("t", &sig);
         assert!(g1 < g0, "starvation shrinks the grain ({g0} -> {g1})");
@@ -448,11 +437,12 @@ mod tests {
             overhead_frac: 0.1,
             pending_miss_rate: 0.0,
             tasks_per_core: 0.25,
-            throughput: 1.0,
         };
         auto.observe("t", &sig);
         let rec = auto.recommended_workers(8, 8);
-        assert!(rec < 8, "two runnable tasks cannot feed eight workers");
-        assert!(rec >= 1);
+        assert_eq!(rec, 2, "two runnable tasks cannot feed eight workers");
+        // Applying the answer must not change it: the same two tasks
+        // still want two workers, not one.
+        assert_eq!(auto.recommended_workers(rec, 8), 2, "throttle ratchets");
     }
 }

@@ -1,18 +1,18 @@
-//! The per-tenant grain controller: strategy + hysteresis + safe bounds.
+//! The per-tenant grain controller: tuner + hysteresis + safe bounds.
 //!
-//! A [`GrainController`] wraps one [`GrainStrategy`] and adds the two
+//! A [`GrainController`] owns one [`ThresholdTuner`] and adds the two
 //! properties a *service* policy needs that a bare tuner does not have:
 //!
-//! * **Hysteresis** — once the strategy converges, the grain freezes.
+//! * **Hysteresis** — once the tuner converges, the grain freezes.
 //!   In-band observations (pressure under the target plus a tolerance
 //!   band, enough tasks per core) keep it frozen; only
 //!   [`AutotuneConfig::out_of_band_jobs`] *consecutive* out-of-band
 //!   jobs re-open a probe. A tenant whose workload is stable therefore
 //!   never oscillates, and one noisy job never causes a re-probe.
-//! * **Safe bounds** — the grain is clamped to the tuner's
+//! * **Safe bounds** — the grain stays inside the tuner's
 //!   `[min_nx, max_nx]` range, and [`GrainController::effective_grain`]
 //!   additionally caps the task count a shape may expand to
-//!   ([`AutotuneConfig::max_tasks_per_job`]), so a misbehaving strategy
+//!   ([`AutotuneConfig::max_tasks_per_job`]), so a mis-set tuner
 //!   can never flood the runtime with millions of tiny tasks or starve
 //!   it with one giant one.
 //!
@@ -22,8 +22,7 @@
 
 #![deny(clippy::unwrap_used)]
 
-use grain_adaptive::strategy::{strategy_for, GrainSignal, GrainStrategy, StrategyKind};
-use grain_adaptive::tuner::TunerConfig;
+use grain_adaptive::{GrainSignal, ThresholdTuner, TunerConfig};
 
 /// Configuration of the autotune subsystem (shared by every tenant's
 /// controller).
@@ -33,9 +32,7 @@ pub struct AutotuneConfig {
     /// `tuner.initial_nx` forever — submissions expand exactly as a
     /// hand-partitioned job would (the byte-identical legacy path).
     pub enabled: bool,
-    /// Which decision engine each tenant runs.
-    pub strategy: StrategyKind,
-    /// Strategy bounds and targets: initial/min/max grain (work units
+    /// Tuner bounds and targets: initial/min/max grain (work units
     /// per task), idle-rate target, multiplicative step.
     pub tuner: TunerConfig,
     /// Hard cap on the task count any shaped job may expand to; the
@@ -58,7 +55,6 @@ impl Default for AutotuneConfig {
     fn default() -> Self {
         Self {
             enabled: true,
-            strategy: StrategyKind::Threshold,
             tuner: TunerConfig::default(),
             max_tasks_per_job: 4096,
             hysteresis_band: 0.15,
@@ -71,7 +67,7 @@ impl Default for AutotuneConfig {
 /// One tenant's grain controller. See the module docs for the model.
 pub struct GrainController {
     cfg: AutotuneConfig,
-    strategy: Box<dyn GrainStrategy>,
+    tuner: ThresholdTuner,
     grain: u64,
     frozen: bool,
     out_of_band: u32,
@@ -90,7 +86,7 @@ impl GrainController {
             .clamp(cfg.tuner.min_nx, cfg.tuner.max_nx)) as u64;
         Self {
             cfg,
-            strategy: strategy_for(cfg.strategy, cfg.tuner),
+            tuner: ThresholdTuner::new(cfg.tuner),
             grain,
             frozen: false,
             out_of_band: 0,
@@ -109,7 +105,7 @@ impl GrainController {
     /// The grain to actually expand a job of `units` total work with:
     /// the controller's grain, coarsened if needed so the job never
     /// expands to more than `max_tasks_per_job` tasks. This bound holds
-    /// whatever the strategy does — it is the runtime's starvation
+    /// whatever the tuner does — it is the runtime's starvation
     /// guard, not a tuning decision.
     pub fn effective_grain(&self, units: u64) -> u64 {
         let floor = units.div_ceil(self.cfg.max_tasks_per_job.max(1));
@@ -117,7 +113,7 @@ impl GrainController {
     }
 
     /// True while the controller sits in its hysteresis band (the
-    /// strategy converged and recent jobs stayed in-band).
+    /// tuner converged and recent jobs stayed in-band).
     pub fn converged(&self) -> bool {
         self.frozen || !self.cfg.enabled
     }
@@ -142,8 +138,7 @@ impl GrainController {
     /// the target plus the hysteresis band and the tenant is not
     /// outright starving the cores.
     fn in_band(&self, sig: &GrainSignal) -> bool {
-        let pressure = sig.fine_pressure().max(sig.pending_miss_rate);
-        pressure <= self.cfg.tuner.target_idle_rate + self.cfg.hysteresis_band
+        sig.pressure() <= self.cfg.tuner.target_idle_rate + self.cfg.hysteresis_band
             && sig.tasks_per_core >= 1.0
     }
 
@@ -168,14 +163,14 @@ impl GrainController {
             self.out_of_band = 0;
             self.probes += 1;
         }
-        let min = self.cfg.tuner.min_nx as u64;
-        let max = self.cfg.tuner.max_nx as u64;
-        let next = self.strategy.observe(sig).clamp(min.max(1), max.max(1));
+        // The tuner keeps itself inside `[min_nx, max_nx]`; a grain is
+        // additionally never zero.
+        let next = (self.tuner.observe(sig) as u64).max(1);
         if next != self.grain {
             self.adjustments += 1;
             self.grain = next;
         }
-        if self.strategy.converged() {
+        if self.tuner.converged() {
             self.frozen = true;
         }
         self.grain
@@ -187,13 +182,7 @@ mod tests {
     use super::*;
 
     fn sig(idle: f64, tpc: f64) -> GrainSignal {
-        GrainSignal {
-            idle_rate: idle,
-            overhead_frac: 0.0,
-            pending_miss_rate: 0.0,
-            tasks_per_core: tpc,
-            throughput: 0.0,
-        }
+        GrainSignal::from_idle_rate(idle, tpc)
     }
 
     #[test]
@@ -214,7 +203,7 @@ mod tests {
     #[test]
     fn freezes_after_convergence_and_tolerates_noise() {
         let mut c = GrainController::new(AutotuneConfig::default());
-        // Two in-band windows converge the threshold strategy.
+        // Two in-band windows converge the tuner.
         c.observe(&sig(0.1, 50.0));
         c.observe(&sig(0.1, 50.0));
         assert!(c.converged());

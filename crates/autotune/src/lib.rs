@@ -24,13 +24,15 @@
 //! * **Signal** — each completed job's counters are folded into a
 //!   [`grain_adaptive::GrainSignal`]; a deterministic [`CostModel`]
 //!   produces the same signal shape for replayable storms.
-//! * **Strategy** — a pluggable [`grain_adaptive::GrainStrategy`]
-//!   (threshold rules on the paper's regime markers, or hill-climbing
-//!   on throughput) proposes the next grain.
+//! * **Rule** — [`grain_adaptive::ThresholdTuner`], the paper's
+//!   threshold rule on its regime markers and the same object the
+//!   stencil adaptation loops drive, proposes the next grain. There is
+//!   one rule and no strategy trait because nothing ran a second; one
+//!   would be a second tuner type picked in [`GrainController::new`].
 //! * **Controller** — [`GrainController`] adds hysteresis (a converged
 //!   tenant freezes; only a *sustained* out-of-band run re-probes) and
-//!   safe bounds (grain clamped to tuner range, task count capped), so
-//!   no strategy can starve or flood the runtime.
+//!   safe bounds (grain inside the tuner range, task count capped), so
+//!   no tuner setting can starve or flood the runtime.
 //! * **Actuators** — the adjusted grain re-chunks the tenant's next
 //!   job; the same signal drives worker-pool throttling
 //!   ([`Autotune::recommended_workers`]) and, exported through the
@@ -55,8 +57,6 @@ pub use controller::{AutotuneConfig, GrainController};
 pub use model::CostModel;
 pub use shape::{ExpandedJob, ShapedBody, ShapedWork};
 
-// The strategy layer lives in grain-adaptive (it is shared with the
-// stencil policy engine); re-export it so autotune users need one crate.
-pub use grain_adaptive::strategy::{
-    strategy_for, GrainSignal, GrainStrategy, HillClimbStrategy, StrategyKind, ThresholdStrategy,
-};
+// The signal type lives in grain-adaptive (the stencil loops feed the
+// same tuner); re-exported because `Autotune::observe` takes one.
+pub use grain_adaptive::GrainSignal;

@@ -9,17 +9,16 @@
 //! idealized `cores`-wide machine. From it the model derives exactly
 //! the signal set the real service derives from its counters
 //! (Eq.-1 idle rate, overhead fraction, pending-miss rate,
-//! tasks-per-core, throughput), so a strategy tuned against the model
+//! tasks-per-core), so a tuner set against the model
 //! behaves identically against a real host whose costs match.
 //!
-//! The *measured* half of the autotune benchmark still runs real jobs
-//! and reports real timings — those go to stderr and the BENCH
-//! trajectory, which the replay diff deliberately does not cover.
+//! The measured counterpart — the same controller driving real jobs,
+//! autotune on against off — is `service_bench`'s autotune phase; no
+//! measured number reaches the storm's transcript.
 
 #![deny(clippy::unwrap_used)]
 
-use grain_adaptive::strategy::GrainSignal;
-use grain_adaptive::tuner::TunerConfig;
+use grain_adaptive::{GrainSignal, TunerConfig};
 
 /// Closed-form machine model: `tasks = ceil(units/grain)` tasks, each
 /// costing `overhead_ns_per_task + grain · ns_per_unit`, scheduled
@@ -60,7 +59,7 @@ impl CostModel {
     }
 
     /// The full signal set for one job at `(units, grain)` — the same
-    /// five numbers the service derives from its counters.
+    /// four numbers the service derives from its counters.
     pub fn signal(&self, units: u64, grain: u64) -> GrainSignal {
         let cores = self.cores.max(1) as f64;
         let tasks = self.tasks(units, grain) as f64;
@@ -78,7 +77,6 @@ impl CostModel {
             overhead_frac,
             pending_miss_rate,
             tasks_per_core: tasks / cores,
-            throughput: busy.max(1.0) / (wall / 1e9).max(1e-12),
         }
     }
 

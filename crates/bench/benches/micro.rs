@@ -180,7 +180,7 @@ fn bench_parallel_for_grain(h: &Harness) {
 }
 
 fn bench_adaptive(h: &Harness) {
-    use grain_adaptive::{adapt, ThresholdTuner, TunerConfig};
+    use grain_adaptive::{adapt, LoopMode, ThresholdTuner, TunerConfig};
     use grain_metrics::sweep::SimEngine;
     h.bench("adaptive/threshold_tuner_convergence", || {
         let engine = SimEngine::scaled(presets::haswell(), 1_000_000, 4);
@@ -188,7 +188,11 @@ fn bench_adaptive(h: &Harness) {
             initial_nx: 250,
             ..TunerConfig::default()
         });
-        black_box(adapt(&engine, 8, &mut tuner, 16).final_nx);
+        let mode = LoopMode {
+            throttle: false,
+            until_converged: true,
+        };
+        black_box(adapt(&engine, 8, &mut tuner, 16, mode).final_nx);
     });
 }
 

@@ -3,7 +3,7 @@
 //! coarse granularity, the idle-rate-threshold tuner re-partitions the
 //! grid between epochs until the counters say the size is adequate.
 
-use grain_adaptive::{adapt, ThresholdTuner, TunerConfig};
+use grain_adaptive::{adapt, LoopMode, ThresholdTuner, TunerConfig};
 use grain_bench::Cli;
 use grain_metrics::sweep::SimEngine;
 use grain_metrics::table;
@@ -24,7 +24,11 @@ fn main() {
             "# adapting from {label} (nx={initial_nx}) on {} {workers} cores…",
             p.name
         );
-        let trace = adapt(&engine, workers, &mut tuner, 24);
+        let mode = LoopMode {
+            throttle: false,
+            until_converged: true,
+        };
+        let trace = adapt(&engine, workers, &mut tuner, 24, mode);
 
         let headers = ["epoch", "nx", "exec(s)", "idle-rate", "Gpt/s"];
         let rows: Vec<Vec<String>> = trace

@@ -1,40 +1,28 @@
 //! `autotune` — convergence storms for per-tenant granularity control.
 //!
-//! Two phases:
+//! Three tenants start at a pathologically coarse grain (≥10× the
+//! hand-tuned optimum — one giant task), a pathologically fine one
+//! (≤0.1× — overhead-bound), and an already-reasonable one. Each "job"
+//! is scored by the deterministic [`CostModel`] — the paper's
+//! `t_o + grain·w` cost on an idealized machine — so every line printed
+//! is a pure function of the program text. The verify gate runs it
+//! twice and `cmp`s the transcripts; any wall-clock leak into a
+//! controller decision would show up as a diff.
 //!
-//! 1. **Modeled storm (stdout, bit-replayable).** Three tenants start at
-//!    a pathologically coarse grain (≥10× the hand-tuned optimum — one
-//!    giant task), a pathologically fine one (≤0.1× — overhead-bound),
-//!    and an already-reasonable one. Each "job" is scored by the
-//!    deterministic [`CostModel`] — the paper's `t_o + grain·w` cost on
-//!    an idealized machine — so every line this phase prints is a pure
-//!    function of the program text. The verify gate runs it twice and
-//!    `cmp`s the transcripts; any wall-clock leak into a controller
-//!    decision would show up as a diff.
-//! 2. **Measured phase (stderr).** The same controller drives a real
-//!    [`JobService`] through the policy hook: one tenant submits a
-//!    `parallel_for` shape starting at one-task-per-job, with autotune
-//!    enabled and then disabled, and the per-job measured overhead
-//!    before/after convergence is printed to stderr. Nothing measured
-//!    reaches stdout.
+//! The measured counterpart (the same controller on a real
+//! `JobService`, autotune on against off) is `service_bench`'s autotune
+//! phase.
 //!
-//! **Caveat (single-core hosts)**: the measured phase derives idle rate
-//! from `turnaround × workers`; with one core the "idle" time is mostly
-//! OS scheduling and the before/after contrast flattens. The modeled
-//! phase is host-independent.
-//!
-//! Flags: `--quick` (fewer measured jobs for the CI smoke stage).
+//! Flags: `--quick` (accepted like on every `grain-bench` binary; the
+//! storm is already sub-second and has no smaller size).
 
 use grain_adaptive::tuner::TunerConfig;
-use grain_autotune::{Autotune, AutotuneConfig, CostModel, ShapedWork};
-use grain_service::{JobService, JobState, ServiceConfig};
+use grain_autotune::{Autotune, AutotuneConfig, CostModel};
 
 /// Work units per modeled job (busy-work iterations).
 const MODEL_UNITS: u64 = 1 << 20;
 /// Jobs per tenant in the modeled storm.
 const MODEL_JOBS: usize = 12;
-/// Workers for the measured phase.
-const WORKERS: usize = 4;
 
 fn usage(err: &str) -> ! {
     if !err.is_empty() {
@@ -43,8 +31,7 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: autotune [--quick]\n\
          Runs the deterministic grain-convergence storm (stdout is\n\
-         bit-replayable) plus a measured autotune-on/off phase on a real\n\
-         job service (stderr)."
+         bit-replayable)."
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 })
 }
@@ -107,69 +94,15 @@ fn modeled_storm(model: &CostModel, tenant: &'static str, initial_nx: usize) -> 
     }
 }
 
-/// Drive a real service with a shaped tenant, printing one line per job
-/// to stderr; returns the summed job wall time in milliseconds.
-fn measured_phase(enabled: bool, jobs: usize) -> f64 {
-    let shape = ShapedWork::ParallelFor {
-        elements: 8192,
-        iters_per_element: 500,
-        seed: 17,
-    };
-    let units = shape.units();
-    let auto = Autotune::new(AutotuneConfig {
-        enabled,
-        cores: WORKERS,
-        tuner: TunerConfig {
-            // Pathologically coarse: the whole job as one task.
-            initial_nx: units as usize,
-            max_nx: units as usize,
-            ..TunerConfig::default()
-        },
-        ..AutotuneConfig::default()
-    });
-    let service = JobService::new(ServiceConfig {
-        policy: Some(auto.policy_hook()),
-        ..ServiceConfig::with_workers(WORKERS)
-    });
-    if let Err(e) = auto.attach(&service) {
-        eprintln!("warning: counter registration failed: {e:?}");
-    }
-    let mut total_ms = 0.0;
-    for j in 0..jobs {
-        let grain = auto.grain_for("measured");
-        let outcome = auto
-            .submit_shaped(&service, &format!("measured-{j}"), "measured", &shape)
-            .wait();
-        if outcome.state != JobState::Completed {
-            eprintln!("warning: measured job {j} ended {:?}", outcome.state);
-            continue;
-        }
-        let wall = outcome.turnaround.as_secs_f64().max(1e-9);
-        let tasks = outcome.tasks_completed.max(1);
-        let machine_ns = wall * 1e9 * WORKERS as f64;
-        let overhead = (machine_ns - outcome.exec_ns as f64).max(0.0) / tasks as f64;
-        eprintln!(
-            "measured[{}] job {j}: grain {grain} tasks {tasks} wall {:.2}ms t_o {:.0}ns",
-            if enabled { "on" } else { "off" },
-            wall * 1e3,
-            overhead,
-        );
-        total_ms += wall * 1e3;
-    }
-    total_ms
-}
-
 fn main() {
-    let mut quick = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--quick" => quick = true,
+            "--quick" => {}
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown flag {other}")),
         }
     }
 
-    // ---- Phase 1: the deterministic modeled storm (stdout). ----
     let model = CostModel {
         overhead_ns_per_task: 2_000.0,
         ns_per_unit: 1.0,
@@ -203,12 +136,6 @@ fn main() {
             );
         }
     }
-
-    // ---- Phase 2: measured on/off (stderr only). ----
-    let jobs = if quick { 6 } else { 10 };
-    let on_ms = measured_phase(true, jobs);
-    let off_ms = measured_phase(false, jobs);
-    eprintln!("measured total: autotune on {on_ms:.2}ms, off (fixed one-task jobs) {off_ms:.2}ms");
 
     if failed {
         std::process::exit(1);

@@ -3,11 +3,9 @@
 //! paper scale. Reports the trajectory and the energy proxy
 //! (core-seconds) saved versus an unmanaged run.
 
-use grain_adaptive::{
-    run_policy_epochs, GrainPolicy, PolicyEngine, ThresholdTuner, ThrottlePolicy, TunerConfig,
-};
+use grain_adaptive::{adapt, LoopMode, ThresholdTuner, TunerConfig};
 use grain_bench::Cli;
-use grain_metrics::sweep::SimEngine;
+use grain_metrics::sweep::{SimEngine, StencilEngine};
 use grain_metrics::table;
 
 fn main() {
@@ -17,39 +15,39 @@ fn main() {
     let engine = SimEngine::paper(p.clone());
     let start_nx = 25_000_000; // 4 partitions on 28 cores: badly starved
 
-    let run = |with_policies: bool| {
-        let mut pe = if with_policies {
-            PolicyEngine::new(vec![
-                Box::new(GrainPolicy::new(ThresholdTuner::new(TunerConfig {
-                    initial_nx: start_nx,
-                    target_idle_rate: 0.30,
-                    ..TunerConfig::default()
-                }))),
-                Box::new(ThrottlePolicy::default()),
-            ])
-        } else {
-            PolicyEngine::new(vec![])
-        };
-        run_policy_epochs(&engine, start_nx, workers, 10, &mut pe)
-    };
+    const EPOCHS: usize = 10;
 
     eprintln!("# running managed trajectory…");
-    let managed = run(true);
+    let mut tuner = ThresholdTuner::new(TunerConfig {
+        initial_nx: start_nx,
+        target_idle_rate: 0.30,
+        ..TunerConfig::default()
+    });
+    let mode = LoopMode {
+        throttle: true,
+        until_converged: false,
+    };
+    let managed = adapt(&engine, workers, &mut tuner, EPOCHS, mode);
     eprintln!("# running unmanaged baseline…");
-    let unmanaged = run(false);
+    // No tuner, no throttle: the same epochs at the starting partition
+    // on the whole pool.
+    let unmanaged: Vec<f64> = (0..EPOCHS)
+        .map(|e| engine.run(start_nx, workers, e).wall_s)
+        .collect();
 
     let headers = ["epoch", "nx", "workers", "idle-rate", "exec(s)", "core-sec"];
     let rows: Vec<Vec<String>> = managed
+        .epochs
         .iter()
         .enumerate()
         .map(|(i, e)| {
             vec![
                 i.to_string(),
                 table::fmt::count(e.nx as f64),
-                e.active_workers.to_string(),
+                e.workers.to_string(),
                 table::fmt::pct(e.idle_rate),
                 table::fmt::s(e.wall_s),
-                table::fmt::s(e.core_seconds),
+                table::fmt::s(e.core_seconds()),
             ]
         })
         .collect();
@@ -65,10 +63,10 @@ fn main() {
         )
     );
 
-    let cs_m: f64 = managed.iter().map(|e| e.core_seconds).sum();
-    let cs_u: f64 = unmanaged.iter().map(|e| e.core_seconds).sum();
-    let t_m: f64 = managed.iter().map(|e| e.wall_s).sum();
-    let t_u: f64 = unmanaged.iter().map(|e| e.wall_s).sum();
+    let cs_m = managed.core_seconds();
+    let cs_u: f64 = unmanaged.iter().map(|wall_s| workers as f64 * wall_s).sum();
+    let t_m: f64 = managed.epochs.iter().map(|e| e.wall_s).sum();
+    let t_u: f64 = unmanaged.iter().sum();
     println!(
         "\nmanaged:   {t_m:.2}s wall, {cs_m:.1} core-seconds\n\
          unmanaged: {t_u:.2}s wall, {cs_u:.1} core-seconds\n\

@@ -7,7 +7,7 @@
 //! cargo run --release --example adaptive_granularity
 //! ```
 
-use grain::adaptive::{adapt, ThresholdTuner, Tuner, TunerConfig};
+use grain::adaptive::{adapt, LoopMode, ThresholdTuner, TunerConfig};
 use grain::metrics::sweep::NativeEngine;
 
 fn main() {
@@ -22,10 +22,14 @@ fn main() {
     println!(
         "adapting the stencil's partition size on {} host workers (start nx={}):\n",
         workers,
-        tuner.current_nx()
+        tuner.nx()
     );
 
-    let trace = adapt(&engine, workers, &mut tuner, 12);
+    let mode = LoopMode {
+        throttle: false,
+        until_converged: true,
+    };
+    let trace = adapt(&engine, workers, &mut tuner, 12, mode);
     for (i, e) in trace.epochs.iter().enumerate() {
         println!(
             "epoch {i:>2}: nx={:<9} exec={:.3}s idle-rate={:>5.1}% throughput={:.1} Mpt/s",

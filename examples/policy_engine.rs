@@ -1,20 +1,18 @@
-//! The APEX-style policy engine (paper §VI) live on the native runtime:
-//! grain adaptation and worker throttling driven by the same windowed
-//! counters, inside one run.
+//! The APEX-style integration the paper's conclusion describes (§VI),
+//! live on the native runtime: grain adaptation and worker throttling
+//! driven by the same windowed counters, inside one run.
 //!
 //! Scenario: the computation starts with far too few partitions for the
-//! pool (coarse grain). The throttle policy parks surplus workers
-//! immediately (saving "energy" = core-seconds), while the grain policy
-//! splits partitions until parallel slack returns — at which point the
-//! throttle policy un-parks the workers again.
+//! pool (coarse grain). The throttle parks surplus workers immediately
+//! (saving "energy" = core-seconds), while the tuner splits partitions
+//! until parallel slack returns — at which point the throttle un-parks
+//! the workers again.
 //!
 //! ```sh
 //! cargo run --release --example policy_engine
 //! ```
 
-use grain::adaptive::{
-    run_policy_driven, GrainPolicy, PolicyEngine, ThresholdTuner, ThrottlePolicy, TunerConfig,
-};
+use grain::adaptive::{adapt_live, LoopMode, ThresholdTuner, TunerConfig};
 use grain::runtime::Runtime;
 use grain::stencil::StencilParams;
 
@@ -25,25 +23,18 @@ fn main() {
     let total = params.total_points();
     let grid0: Vec<f64> = (0..total).map(|g| (g / params.nx) as f64).collect();
 
-    let mut engine = PolicyEngine::new(vec![
-        Box::new(GrainPolicy::new(ThresholdTuner::new(TunerConfig {
-            initial_nx: total / 2, // two huge partitions: starved pool
-            target_idle_rate: 0.40,
-            ..TunerConfig::default()
-        }))),
-        Box::new(ThrottlePolicy::default()),
-    ]);
+    let mut tuner = ThresholdTuner::new(TunerConfig {
+        initial_nx: total / 2, // two huge partitions: starved pool
+        target_idle_rate: 0.40,
+        ..TunerConfig::default()
+    });
+    let mode = LoopMode {
+        throttle: true,
+        until_converged: false,
+    };
 
     println!("policy-driven run on {workers} workers (start: 2 partitions):\n");
-    let run = run_policy_driven(
-        &rt,
-        grid0,
-        params.coefficient(),
-        total / 2,
-        4,
-        14,
-        &mut engine,
-    );
+    let (run, grid) = adapt_live(&rt, grid0, params.coefficient(), 4, 14, &mut tuner, mode);
 
     println!(
         "{:>5} {:>10} {:>8} {:>10} {:>9} {:>12}",
@@ -54,21 +45,21 @@ fn main() {
             "{:>5} {:>10} {:>8} {:>9.1}% {:>9.4} {:>12.4}",
             i,
             e.nx,
-            e.active_workers,
+            e.workers,
             e.idle_rate * 100.0,
             e.wall_s,
-            e.core_seconds
+            e.core_seconds()
         );
     }
     println!(
         "\ntotal energy proxy: {:.4} core-seconds (an unthrottled, unadapted run\n\
          would spend {workers} cores for the whole duration)",
-        run.total_core_seconds()
+        run.core_seconds()
     );
 
     // Physics must be untouched by all the reconfiguration.
     let expect: f64 = (0..total).map(|g| (g / params.nx) as f64).sum();
-    let got: f64 = run.grid.iter().sum();
+    let got: f64 = grid.iter().sum();
     assert!((got - expect).abs() < 1e-6 * expect, "heat not conserved");
     println!("heat conserved across {} policy epochs ✓", run.epochs.len());
 }

@@ -119,9 +119,9 @@ replay_twice fleetstorm --quick
 echo "==> autotune convergence replay determinism"
 # Three tenants starting at pathological grains converge under the
 # deterministic cost-model storm (<= 8 jobs, t_o within 10% of the
-# grid-searched optimum). Stdout carries only modeled numbers, so the
-# diff also proves no wall-clock measurement leaks into a controller
-# decision; the measured on/off phase goes to autotune.log.
+# grid-searched optimum). Every number is modeled, so the diff also
+# proves no wall-clock measurement leaks into a controller decision
+# (the measured on/off table is service_bench's, not this binary's).
 replay_twice autotune --quick
 
 echo "==> unwrap-free hot paths"
@@ -131,8 +131,9 @@ echo "==> unwrap-free hot paths"
 # and locality threads (one hostile frame must not kill a link); the
 # simulated fabric's pump; the taskbench generator and executors (a
 # panic poisons a whole sweep); the whole fleet crate (a dead pump
-# strands every leased job); the autotune policy hook and the strategy
-# engines, which run inside the service's settle path. Enforced by
+# strands every leased job); the autotune policy hook and the grain
+# tuner + signal it drives (GrainController::observe), which run inside
+# the service's settle path. Enforced by
 # clippy at deny level; assert the attributes stay in place.
 for f in crates/runtime/src/worker.rs crates/runtime/src/queue.rs \
     crates/runtime/src/scheduler.rs crates/service/src/service.rs \
@@ -145,7 +146,7 @@ for f in crates/runtime/src/worker.rs crates/runtime/src/queue.rs \
     crates/fleet/src/wire.rs crates/fleet/src/stats.rs \
     crates/fleet/src/breaker.rs crates/fleet/src/worker.rs \
     crates/fleet/src/gateway.rs crates/fleet/src/pump.rs \
-    crates/adaptive/src/strategy.rs crates/autotune/src/lib.rs \
+    crates/adaptive/src/tuner.rs crates/autotune/src/lib.rs \
     crates/autotune/src/autotune.rs crates/autotune/src/controller.rs \
     crates/autotune/src/model.rs crates/autotune/src/shape.rs; do
     grep -q 'deny(clippy::unwrap_used)' "$f" || {

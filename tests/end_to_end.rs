@@ -138,13 +138,17 @@ fn sweep_cells_cover_both_engines() {
 
 #[test]
 fn adaptive_pipeline_improves_from_fine_start() {
-    use grain::adaptive::{adapt, ThresholdTuner, TunerConfig};
+    use grain::adaptive::{adapt, LoopMode, ThresholdTuner, TunerConfig};
     let engine = SimEngine::scaled(presets::haswell(), 4_000_000, 5);
     let mut tuner = ThresholdTuner::new(TunerConfig {
         initial_nx: 200,
         ..TunerConfig::default()
     });
-    let trace = adapt(&engine, 16, &mut tuner, 20);
+    let mode = LoopMode {
+        throttle: false,
+        until_converged: true,
+    };
+    let trace = adapt(&engine, 16, &mut tuner, 20, mode);
     assert!(trace.final_nx > 200);
     assert!(trace.speedup() > 1.3, "speedup {}", trace.speedup());
 }
