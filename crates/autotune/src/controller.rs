@@ -6,15 +6,15 @@
 //! * **Hysteresis** — once the tuner converges, the grain freezes.
 //!   In-band observations (pressure under the target plus a tolerance
 //!   band, enough tasks per core) keep it frozen; only
-//!   [`AutotuneConfig::out_of_band_jobs`] *consecutive* out-of-band
-//!   jobs re-open a probe. A tenant whose workload is stable therefore
-//!   never oscillates, and one noisy job never causes a re-probe.
+//!   `OUT_OF_BAND_JOBS` *consecutive* out-of-band jobs re-open a
+//!   probe. A tenant whose workload is stable therefore never
+//!   oscillates, and one noisy job never causes a re-probe.
 //! * **Safe bounds** — the grain stays inside the tuner's
 //!   `[min_nx, max_nx]` range, and [`GrainController::effective_grain`]
 //!   additionally caps the task count a shape may expand to
-//!   ([`AutotuneConfig::max_tasks_per_job`]), so a mis-set tuner
-//!   can never flood the runtime with millions of tiny tasks or starve
-//!   it with one giant one.
+//!   (`MAX_TASKS_PER_JOB`), so a mis-set tuner can never flood the
+//!   runtime with millions of tiny tasks or starve it with one giant
+//!   one.
 //!
 //! The controller is a deterministic state machine: the same sequence
 //! of [`GrainSignal`]s always produces the same sequence of grains,
@@ -23,6 +23,19 @@
 #![deny(clippy::unwrap_used)]
 
 use grain_adaptive::{GrainSignal, ThresholdTuner, TunerConfig};
+
+/// Hard cap on the task count any shaped job may expand to; the starve
+/// guard [`GrainController::effective_grain`] coarsens the grain as
+/// needed to respect it. A bound on what one job can queue, not a tuning
+/// decision.
+const MAX_TASKS_PER_JOB: u64 = 4096;
+/// Width of the hysteresis band above the idle-rate target: a frozen
+/// tenant tolerates `target_idle_rate + HYSTERESIS_BAND` before an
+/// observation counts as out-of-band.
+const HYSTERESIS_BAND: f64 = 0.15;
+/// Consecutive out-of-band jobs required to re-open a probe after
+/// convergence: one noisy job, or two, is not a regime change.
+const OUT_OF_BAND_JOBS: u32 = 3;
 
 /// Configuration of the autotune subsystem (shared by every tenant's
 /// controller).
@@ -35,17 +48,6 @@ pub struct AutotuneConfig {
     /// Tuner bounds and targets: initial/min/max grain (work units
     /// per task), idle-rate target, multiplicative step.
     pub tuner: TunerConfig,
-    /// Hard cap on the task count any shaped job may expand to; the
-    /// starve guard [`GrainController::effective_grain`] coarsens the
-    /// grain as needed to respect it.
-    pub max_tasks_per_job: u64,
-    /// Width of the hysteresis band above the idle-rate target: frozen
-    /// tenants tolerate `target_idle_rate + hysteresis_band` before an
-    /// observation counts as out-of-band.
-    pub hysteresis_band: f64,
-    /// Consecutive out-of-band jobs required to re-open a probe after
-    /// convergence.
-    pub out_of_band_jobs: u32,
     /// Core count used to derive per-job signals from measured
     /// outcomes (set from the service runtime by `Autotune::attach`).
     pub cores: usize,
@@ -56,9 +58,6 @@ impl Default for AutotuneConfig {
         Self {
             enabled: true,
             tuner: TunerConfig::default(),
-            max_tasks_per_job: 4096,
-            hysteresis_band: 0.15,
-            out_of_band_jobs: 3,
             cores: 1,
         }
     }
@@ -104,11 +103,11 @@ impl GrainController {
 
     /// The grain to actually expand a job of `units` total work with:
     /// the controller's grain, coarsened if needed so the job never
-    /// expands to more than `max_tasks_per_job` tasks. This bound holds
-    /// whatever the tuner does — it is the runtime's starvation
+    /// expands to more than `MAX_TASKS_PER_JOB` (4096) tasks. This bound
+    /// holds whatever the tuner does — it is the runtime's starvation
     /// guard, not a tuning decision.
     pub fn effective_grain(&self, units: u64) -> u64 {
-        let floor = units.div_ceil(self.cfg.max_tasks_per_job.max(1));
+        let floor = units.div_ceil(MAX_TASKS_PER_JOB);
         self.grain.max(floor).max(1)
     }
 
@@ -138,7 +137,7 @@ impl GrainController {
     /// the target plus the hysteresis band and the tenant is not
     /// outright starving the cores.
     fn in_band(&self, sig: &GrainSignal) -> bool {
-        sig.pressure() <= self.cfg.tuner.target_idle_rate + self.cfg.hysteresis_band
+        sig.pressure() <= self.cfg.tuner.target_idle_rate + HYSTERESIS_BAND
             && sig.tasks_per_core >= 1.0
     }
 
@@ -155,7 +154,7 @@ impl GrainController {
                 return self.grain;
             }
             self.out_of_band += 1;
-            if self.out_of_band < self.cfg.out_of_band_jobs.max(1) {
+            if self.out_of_band < OUT_OF_BAND_JOBS {
                 return self.grain;
             }
             // The regime genuinely moved: re-open a probe.
@@ -238,14 +237,14 @@ mod tests {
                 min_nx: 16,
                 ..TunerConfig::default()
             },
-            max_tasks_per_job: 100,
             ..AutotuneConfig::default()
         };
         let c = GrainController::new(cfg);
         // 1M units at grain 16 would be 62_500 tasks; the guard
         // coarsens to exactly the cap.
         let g = c.effective_grain(1_000_000);
-        assert!(1_000_000u64.div_ceil(g) <= 100);
+        assert!(g > 16);
+        assert!(1_000_000u64.div_ceil(g) <= MAX_TASKS_PER_JOB);
         // Small jobs keep the tuned grain.
         assert_eq!(c.effective_grain(160), 16);
     }

@@ -40,6 +40,7 @@
 //! Flags: `--quick` (smaller storm, used by `scripts/verify.sh`),
 //! `--seed <n>` (default 42).
 
+use grain_bench::{eventually, WATCHDOG_POLL};
 use grain_fleet::wire::{FleetOutcome, ACTION_COMPLETE};
 use grain_fleet::{
     FleetConfig, FleetGateway, FleetJobHandle, FleetJobSpec, FleetLedger, FleetWorker,
@@ -53,20 +54,7 @@ use grain_sim::storm::{FleetAction, FleetChaos, GraphFamily, StormEvent, StormPl
 use grain_sim::{NetPlan, PartitionMode};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
-
-const WATCHDOG_POLL: Duration = Duration::from_secs(30);
-
-fn eventually(cond: impl Fn() -> bool) -> bool {
-    let deadline = Instant::now() + WATCHDOG_POLL;
-    while !cond() {
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    true
-}
+use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // Part A: the storm with fleet chaos at quiesced boundaries.
@@ -714,56 +702,10 @@ fn run_once(seed: u64, quick: bool) -> String {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut seed: u64 = 42;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--seed" => {
-                seed = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("usage: fleetstorm [--quick] [--seed <n>]");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("usage: fleetstorm [--quick] [--seed <n>] (got {other})");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    // A failover harness that can hang cannot certify "no hangs".
-    let budget = Duration::from_secs(if quick { 120 } else { 300 });
-    std::thread::spawn(move || {
-        std::thread::sleep(budget);
-        eprintln!("fleetstorm: watchdog expired after {budget:?} — a stage hung");
-        std::process::exit(3);
-    });
-
-    println!("fleetstorm: multi-tenant storm against the fleet gateway under kill/drain/partition/heal chaos");
-    println!(
-        "host parallelism: {} (1-core hosts: placement signals saturate and stages serialize, but every invariant still holds)",
-        std::thread::available_parallelism().map_or(0, |n| n.get())
+    grain_bench::replay_main(
+        "fleetstorm",
+        "multi-tenant storm against the fleet gateway under kill/drain/partition/heal chaos",
+        "placement signals saturate and stages serialize, but every invariant still holds",
+        run_once,
     );
-    println!();
-
-    let first = run_once(seed, quick);
-    let second = run_once(seed, quick);
-
-    print!("{first}");
-    println!();
-    if first != second {
-        println!("replay: DIVERGED — the serving plane is not deterministic");
-        println!("--- first run ---\n{first}");
-        println!("--- second run ---\n{second}");
-        std::process::exit(1);
-    }
-    println!(
-        "replay: IDENTICAL ({} report bytes, seed {seed})",
-        first.len()
-    );
-
-    println!();
-    println!("OK");
 }

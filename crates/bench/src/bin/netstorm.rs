@@ -29,6 +29,7 @@
 //! Flags: `--quick` (smaller storm, used by `scripts/verify.sh`),
 //! `--seed <n>` (default 42).
 
+use grain_bench::{eventually, WATCHDOG_POLL};
 use grain_net::bootstrap::Fabric;
 use grain_net::locality::NetConfig;
 use grain_runtime::{RuntimeConfig, SharedFuture, TaskError};
@@ -43,19 +44,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const WORLD: usize = 3;
-const WATCHDOG_POLL: Duration = Duration::from_secs(30);
-
-/// Poll until `cond` holds or the bounded poll window expires.
-fn eventually(cond: impl Fn() -> bool) -> bool {
-    let deadline = Instant::now() + WATCHDOG_POLL;
-    while !cond() {
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    true
-}
 
 /// Exactly-once, counted: issued == settled on every locality.
 fn settled_exactly_once(fabric: &Fabric) -> bool {
@@ -435,56 +423,10 @@ fn run_once(seed: u64, quick: bool) -> String {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut seed: u64 = 42;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--seed" => {
-                seed = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("usage: netstorm [--quick] [--seed <n>]");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("usage: netstorm [--quick] [--seed <n>] (got {other})");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    // A chaos harness that can hang cannot certify "no hangs".
-    let budget = Duration::from_secs(if quick { 120 } else { 300 });
-    std::thread::spawn(move || {
-        std::thread::sleep(budget);
-        eprintln!("netstorm: watchdog expired after {budget:?} — a stage hung");
-        std::process::exit(3);
-    });
-
-    println!("netstorm: distributed taskbench storm over a chaotic simulated network");
-    println!(
-        "host parallelism: {} (1-core hosts: stages serialize but all invariants still hold)",
-        std::thread::available_parallelism().map_or(0, |n| n.get())
+    grain_bench::replay_main(
+        "netstorm",
+        "distributed taskbench storm over a chaotic simulated network",
+        "stages serialize but all invariants still hold",
+        run_once,
     );
-    println!();
-
-    let first = run_once(seed, quick);
-    let second = run_once(seed, quick);
-
-    print!("{first}");
-    println!();
-    if first == second {
-        println!(
-            "replay: IDENTICAL ({} report bytes, seed {seed})",
-            first.len()
-        );
-        println!();
-        println!("OK");
-    } else {
-        println!("replay: DIVERGED — chaos is not deterministic");
-        println!("--- first run ---\n{first}");
-        println!("--- second run ---\n{second}");
-        std::process::exit(1);
-    }
 }

@@ -588,7 +588,6 @@ fn autotune_phase(enabled: bool, workers: usize) -> Vec<AutotuneRow> {
             max_nx: TOTAL_ITERS as usize,
             ..TunerConfig::default()
         },
-        ..AutotuneConfig::default()
     });
     let service = JobService::new(ServiceConfig {
         policy: Some(auto.policy_hook()),

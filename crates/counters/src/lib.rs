@@ -30,7 +30,9 @@
 //! * [`derived`] — counters computed on demand from other counters
 //!   (averages, rates, differences); this is how `/threads/idle-rate`,
 //!   `/threads/time/average` and `/threads/time/average-overhead` are
-//!   implemented, mirroring Eqs. 1–3 of the paper.
+//!   implemented.
+//! * [`equations`] — Eqs. 1–3 of the paper over integer counter sums,
+//!   the one statement every reader of those sums calls.
 //! * [`snapshot`] — point-in-time captures of a whole counter set and
 //!   interval deltas between two captures, the building block for
 //!   *dynamic* measurements over any interval of interest (§II-A of the
@@ -70,13 +72,13 @@
 #![warn(rust_2018_idioms)]
 
 pub mod derived;
+pub mod equations;
 pub mod fault;
 pub mod histogram;
 pub mod path;
 pub mod raw;
 pub mod registry;
 pub mod rng;
-pub mod sampler;
 pub mod snapshot;
 pub mod stats;
 pub mod sync;
@@ -90,7 +92,6 @@ pub use path::CounterPath;
 pub use raw::{RawCounter, Sharded};
 pub use registry::{Counter, Registry, RegistryError, ScopedRegistry};
 pub use rng::Pcg32;
-pub use sampler::{Sample, Sampler};
 pub use snapshot::{Interval, Snapshot};
 pub use stats::SampleStats;
 pub use threads::ThreadCounters;

@@ -7,6 +7,7 @@
 //! [`crate::Registry`].
 
 use crate::derived::{average_of, average_of_worker, ratio_of, ratio_of_worker, DerivedCounter};
+use crate::equations;
 use crate::path::CounterPath;
 use crate::raw::Sharded;
 use crate::registry::{Registry, RegistryError, ShardedTotal, ShardedWorker};
@@ -81,33 +82,17 @@ impl ThreadCounters {
     /// Idle-rate over everything recorded so far (Eq. 1):
     /// `(Σt_func − Σt_exec) / Σt_func`.
     pub fn idle_rate(&self) -> f64 {
-        let func = self.func_ns.sum();
-        if func == 0 {
-            return 0.0;
-        }
-        let exec = self.exec_ns.sum().min(func);
-        (func - exec) as f64 / func as f64
+        equations::idle_rate(self.exec_ns.sum(), self.func_ns.sum())
     }
 
     /// Average task duration t_d in ns (Eq. 2).
     pub fn task_duration_ns(&self) -> f64 {
-        let n = self.tasks.sum();
-        if n == 0 {
-            0.0
-        } else {
-            self.exec_ns.sum() as f64 / n as f64
-        }
+        equations::task_duration_ns(self.exec_ns.sum(), self.tasks.sum())
     }
 
     /// Average task overhead t_o in ns (Eq. 3).
     pub fn task_overhead_ns(&self) -> f64 {
-        let n = self.tasks.sum();
-        if n == 0 {
-            return 0.0;
-        }
-        let func = self.func_ns.sum();
-        let exec = self.exec_ns.sum().min(func);
-        (func - exec) as f64 / n as f64
+        equations::task_overhead_ns(self.exec_ns.sum(), self.func_ns.sum(), self.tasks.sum())
     }
 
     /// Register the whole counter tree into `registry` under locality 0
@@ -180,13 +165,7 @@ impl ThreadCounters {
         registry.register(
             &total("time/average-overhead"),
             DerivedCounter::new(Unit::Nanoseconds, move || {
-                let n = tasks.sum();
-                if n == 0 {
-                    return 0.0;
-                }
-                let f = func.sum();
-                let e = exec.sum().min(f);
-                (f - e) as f64 / n as f64
+                equations::task_overhead_ns(exec.sum(), func.sum(), tasks.sum())
             }),
         )?;
         registry.register(
@@ -203,13 +182,7 @@ impl ThreadCounters {
         registry.register(
             &total("time/average-phase-overhead"),
             DerivedCounter::new(Unit::Nanoseconds, move || {
-                let n = phases.sum();
-                if n == 0 {
-                    return 0.0;
-                }
-                let f = func.sum();
-                let e = exec.sum().min(f);
-                (f - e) as f64 / n as f64
+                equations::task_overhead_ns(exec.sum(), func.sum(), phases.sum())
             }),
         )?;
 
@@ -287,14 +260,6 @@ mod tests {
         assert!((c.task_duration_ns() - 400.0 / 3.0).abs() < 1e-12);
         // Eq. 3: 200/3.
         assert!((c.task_overhead_ns() - 200.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_counters_yield_zero_metrics() {
-        let c = ThreadCounters::new(1);
-        assert_eq!(c.idle_rate(), 0.0);
-        assert_eq!(c.task_duration_ns(), 0.0);
-        assert_eq!(c.task_overhead_ns(), 0.0);
     }
 
     #[test]

@@ -42,6 +42,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Backoff before re-pushing a completion whose push failed.
+const PUSH_RETRY_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Upper bound on how long a parked test body waits for release: a
+/// harness that dies before `release_parked` must not pin a worker
+/// thread forever.
+const PARK_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Worker tuning.
 #[derive(Debug, Clone)]
 pub struct FleetWorkerConfig {
@@ -56,10 +64,6 @@ pub struct FleetWorkerConfig {
     /// the pump itself; the tick serves push retries and the settles
     /// that bypass the service's policy hook.
     pub pump_interval: Duration,
-    /// Backoff before re-pushing a completion whose push failed.
-    pub push_retry_backoff: Duration,
-    /// Upper bound on how long a parked test body waits for release.
-    pub park_timeout: Duration,
 }
 
 impl FleetWorkerConfig {
@@ -70,8 +74,6 @@ impl FleetWorkerConfig {
             service: ServiceConfig::with_workers(workers),
             gateway,
             pump_interval: Duration::from_millis(1),
-            push_retry_backoff: Duration::from_millis(10),
-            park_timeout: Duration::from_secs(30),
         }
     }
 }
@@ -127,8 +129,6 @@ struct WorkerShared {
     draining: Arc<AtomicBool>,
     /// Parked test bodies wait here; `release_parked` opens it.
     park: Arc<(Mutex<bool>, Condvar)>,
-    park_timeout: Duration,
-    push_retry_backoff: Duration,
     counters: WorkerCounters,
     /// Wakes the completion pump for a pass.
     kick: Arc<Kick>,
@@ -169,8 +169,6 @@ impl FleetWorker {
             entries: Mutex::new(HashMap::new()),
             draining,
             park: Arc::new((Mutex::new(false), Condvar::new())),
-            park_timeout: config.park_timeout,
-            push_retry_backoff: config.push_retry_backoff,
             counters: WorkerCounters::default(),
             kick,
         });
@@ -253,7 +251,6 @@ impl Drop for FleetWorker {
 fn spawn_body(
     job: &FleetJob,
     park: Arc<(Mutex<bool>, Condvar)>,
-    park_timeout: Duration,
 ) -> impl FnMut(&mut TaskContext<'_>) + Send + 'static {
     let faulty = job.faulty;
     let do_park = job.park;
@@ -266,7 +263,7 @@ fn spawn_body(
         if do_park {
             let (lock, cv) = &*park;
             let mut released = lock.lock();
-            let deadline = Instant::now() + park_timeout;
+            let deadline = Instant::now() + PARK_TIMEOUT;
             while !*released {
                 let left = deadline.saturating_duration_since(Instant::now());
                 if left.is_zero() {
@@ -346,7 +343,7 @@ fn handle_submit(shared: &Arc<WorkerShared>, job: FleetJob) -> SubmitAck {
     if let Some(d) = job.deadline() {
         spec = spec.deadline(d);
     }
-    let body = spawn_body(&job, Arc::clone(&shared.park), shared.park_timeout);
+    let body = spawn_body(&job, Arc::clone(&shared.park));
     let handle = shared.service.submit(spec, body);
     if handle.state() == JobState::Rejected {
         // Worker-side admission refused (queue full / breaker /
@@ -475,7 +472,7 @@ fn pump_completions(shared: &Arc<WorkerShared>) {
                             .push_failures
                             .fetch_add(1, Ordering::Relaxed);
                         entry.push = PushState::Idle;
-                        entry.retry_at = Some(now + shared.push_retry_backoff);
+                        entry.retry_at = Some(now + PUSH_RETRY_BACKOFF);
                     }
                 },
                 PushState::Idle => {

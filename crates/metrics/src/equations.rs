@@ -1,34 +1,11 @@
-//! The paper's metrics, Eqs. 1–6 (§II-A), as pure functions.
+//! The paper's metrics, Eqs. 1–6 (§II-A), as pure functions. Eqs. 1–3
+//! are over raw counter sums and live in `grain_counters::equations`
+//! (the counters compute them too); they are re-exported here.
 //!
 //! All times are nanoseconds unless the name says seconds. `n_t` is the
 //! number of tasks executed, `n_c` the number of cores (workers).
 
-/// Eq. 1 — idle-rate: `(Σt_func − Σt_exec) / Σt_func`, clamped to [0, 1].
-pub fn idle_rate(sum_exec_ns: u64, sum_func_ns: u64) -> f64 {
-    if sum_func_ns == 0 {
-        return 0.0;
-    }
-    let exec = sum_exec_ns.min(sum_func_ns);
-    (sum_func_ns - exec) as f64 / sum_func_ns as f64
-}
-
-/// Eq. 2 — average task duration `t_d = Σt_exec / n_t`, ns.
-pub fn task_duration_ns(sum_exec_ns: u64, tasks: u64) -> f64 {
-    if tasks == 0 {
-        0.0
-    } else {
-        sum_exec_ns as f64 / tasks as f64
-    }
-}
-
-/// Eq. 3 — average task overhead `t_o = (Σt_func − Σt_exec) / n_t`, ns.
-pub fn task_overhead_ns(sum_exec_ns: u64, sum_func_ns: u64, tasks: u64) -> f64 {
-    if tasks == 0 {
-        return 0.0;
-    }
-    let exec = sum_exec_ns.min(sum_func_ns);
-    (sum_func_ns - exec) as f64 / tasks as f64
-}
+pub use grain_counters::equations::{idle_rate, task_duration_ns, task_overhead_ns};
 
 /// Eq. 4 — HPX-thread management overhead per core,
 /// `T_o = t_o · n_t / n_c`, in seconds (comparable to execution time).
@@ -56,27 +33,6 @@ pub fn wait_time_s(td_ns: f64, td1_ns: f64, tasks: u64, cores: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn eq1_idle_rate() {
-        assert_eq!(idle_rate(600, 1000), 0.4);
-        assert_eq!(idle_rate(0, 0), 0.0);
-        assert_eq!(idle_rate(100, 100), 0.0);
-        // Skew clamps rather than going negative.
-        assert_eq!(idle_rate(150, 100), 0.0);
-    }
-
-    #[test]
-    fn eq2_task_duration() {
-        assert_eq!(task_duration_ns(1000, 4), 250.0);
-        assert_eq!(task_duration_ns(1000, 0), 0.0);
-    }
-
-    #[test]
-    fn eq3_task_overhead() {
-        assert_eq!(task_overhead_ns(600, 1000, 4), 100.0);
-        assert_eq!(task_overhead_ns(0, 0, 0), 0.0);
-    }
 
     #[test]
     fn eq4_scales_by_tasks_over_cores() {

@@ -36,8 +36,6 @@ pub struct SimEngine {
     pub total_points: usize,
     /// Time steps (the paper: 50, or 5 on the Xeon Phi).
     pub steps: usize,
-    /// Idle sweep backoff (see [`SimConfig`]).
-    pub idle_backoff: f64,
     /// Base RNG seed; sample `i` uses `seed_base + i`.
     pub seed_base: u64,
     workload_cache: RefCell<Option<(usize, Rc<SimWorkload>)>>,
@@ -57,7 +55,6 @@ impl SimEngine {
             platform,
             total_points,
             steps,
-            idle_backoff: SimConfig::default().idle_backoff,
             seed_base: 1_000,
             workload_cache: RefCell::new(None),
         }
@@ -97,7 +94,6 @@ impl StencilEngine for SimEngine {
                 .seed_base
                 .wrapping_add(sample as u64)
                 .wrapping_add((nx as u64).wrapping_mul(0x9E37_79B9)),
-            idle_backoff: self.idle_backoff,
             ..SimConfig::default()
         };
         let report = simulate(&self.platform, workers, &wl, &cfg);

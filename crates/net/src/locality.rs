@@ -44,8 +44,8 @@
 //!   may wait; a dropped request or reply settles the caller's future
 //!   with [`TaskError::Timeout`] instead of hanging forever.
 //! * **Liveness** — `liveness_deadline` arms a monitor thread that pings
-//!   peers every `ping_interval` and severs any link silent past the
-//!   deadline, converting a blackholed peer into an ordinary
+//!   peers every 50 ms (`PING_INTERVAL`) and severs any link silent past
+//!   the deadline, converting a blackholed peer into an ordinary
 //!   disconnect (`TaskError::Disconnected`, sweep of its pending calls).
 
 #![deny(clippy::unwrap_used)]
@@ -67,41 +67,28 @@ use std::time::{Duration, Instant};
 pub type RawHandler =
     Arc<dyn Fn(&Runtime, Vec<u8>) -> Result<SharedFuture<Vec<u8>>, WireFault> + Send + Sync>;
 
-/// Default bound on each per-origin dedup window, in remembered call ids.
-pub const DEFAULT_DEDUP_WINDOW: usize = 1024;
+/// Bound on each per-origin [`DedupWindow`], in remembered call ids.
+/// Ids older than the window are conservatively treated as already seen.
+const DEDUP_WINDOW: usize = 1024;
 
-/// Default liveness probe cadence when a monitor is armed.
-pub const DEFAULT_PING_INTERVAL: Duration = Duration::from_millis(50);
+/// How often the monitor pings each peer while liveness is armed (a
+/// tighter deadline shortens the tick itself, see
+/// [`monitor_tick_interval`]).
+const PING_INTERVAL: Duration = Duration::from_millis(50);
 
-/// Network-robustness knobs for one locality. `Default` disables every
-/// defense except the dedup window (which is free and always safe), which
-/// keeps clean-transport worlds byte-for-byte on their old behavior — no
+/// The two deadlines of one locality. `Default` arms neither (the dedup
+/// window is free, always safe and always on), which keeps
+/// clean-transport worlds byte-for-byte on their old behavior — no
 /// monitor thread is spawned unless a deadline is configured.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NetConfig {
     /// Sever a link whose peer has been silent this long (no frame of any
     /// kind received). `None` disables liveness monitoring.
     pub liveness_deadline: Option<Duration>,
-    /// How often the monitor pings each peer while liveness is armed.
-    pub ping_interval: Duration,
     /// Settle any pending call older than this with
     /// [`TaskError::Timeout`]. `None` means calls wait indefinitely (a
     /// disconnect still sweeps them).
     pub call_deadline: Option<Duration>,
-    /// Per-origin dedup window size, in call ids. Duplicates older than
-    /// the window are conservatively treated as already seen.
-    pub dedup_window: usize,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        Self {
-            liveness_deadline: None,
-            ping_interval: DEFAULT_PING_INTERVAL,
-            call_deadline: None,
-            dedup_window: DEFAULT_DEDUP_WINDOW,
-        }
-    }
 }
 
 /// Bounded duplicate-suppression window for one origin's call ids.
@@ -247,7 +234,7 @@ impl LocalityShared {
         let mut windows = self.dedup.lock();
         windows
             .entry(origin)
-            .or_insert_with(|| DedupWindow::new(self.config.dedup_window))
+            .or_insert_with(|| DedupWindow::new(DEDUP_WINDOW))
             .insert(call_id)
     }
 
@@ -724,7 +711,7 @@ impl Locality {
 /// How often the monitor thread wakes: fine enough to resolve the
 /// tightest configured deadline, never busier than 1ms.
 fn monitor_tick_interval(config: &NetConfig) -> Duration {
-    let mut tick = config.ping_interval;
+    let mut tick = PING_INTERVAL;
     if let Some(d) = config.liveness_deadline {
         tick = tick.min(d / 4);
     }
@@ -824,7 +811,7 @@ mod tests {
     #[test]
     fn monitor_tick_interval_tracks_tightest_deadline() {
         let mut cfg = NetConfig::default();
-        assert_eq!(monitor_tick_interval(&cfg), DEFAULT_PING_INTERVAL);
+        assert_eq!(monitor_tick_interval(&cfg), PING_INTERVAL);
         cfg.call_deadline = Some(Duration::from_millis(20));
         assert_eq!(monitor_tick_interval(&cfg), Duration::from_millis(5));
         cfg.liveness_deadline = Some(Duration::from_millis(2));

@@ -138,7 +138,6 @@ fn liveness_monitor_severs_a_blackholed_peer() {
         NetPlan::clean(5),
         |_| NetConfig {
             liveness_deadline: Some(Duration::from_millis(250)),
-            ping_interval: Duration::from_millis(50),
             ..NetConfig::default()
         },
         one_worker,

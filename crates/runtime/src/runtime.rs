@@ -8,7 +8,7 @@ use crate::task::{Poll, Priority, Runnable, StagedTask, Task, TaskId, TaskIdAllo
 use grain_counters::sync::{Condvar, Mutex};
 use grain_counters::threads::ThreadCounters;
 use grain_counters::{FaultPlan, RawCounter, Registry, Unit};
-use grain_topology::{host, NumaTopology};
+use grain_topology::host;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -21,8 +21,6 @@ pub struct RuntimeConfig {
     /// Number of worker OS threads ("one static OS thread per core" by
     /// default; oversubscription is allowed and functionally sound).
     pub workers: usize,
-    /// NUMA domains to split the workers into. `None` detects the host.
-    pub numa_domains: Option<usize>,
     /// Scheduling policy.
     pub scheduler: SchedulerKind,
     /// Number of high-priority dual queues (§I-B: "a specified number of
@@ -57,7 +55,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         Self {
             workers: host::available_cores(),
-            numa_domains: None,
             scheduler: SchedulerKind::PriorityLocalFifo,
             high_queues: 1,
             spin_rounds: 8,
@@ -927,10 +924,8 @@ impl Runtime {
         // Panic isolation needs the message-capturing hook (process-wide,
         // installed once, chains to the previous hook for non-task panics).
         crate::fault::install_panic_hook();
-        let numa = match config.numa_domains {
-            Some(d) => NumaTopology::block(config.workers, d),
-            None => host::host_topology(config.workers),
-        };
+        // Workers are split over the host's detected NUMA domains.
+        let numa = host::host_topology(config.workers);
         let scheduler = Scheduler::new(numa, config.scheduler, config.high_queues);
         let counters = ThreadCounters::new(config.workers);
         let registry = Registry::new();

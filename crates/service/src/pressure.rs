@@ -19,12 +19,11 @@
 //! Those condense into a [`PressureSignal`] with three effects:
 //!
 //! 1. **Adaptive in-flight budget (AIMD)** — while the smoothed overhead
-//!    fraction sits above [`PressureConfig::overhead_high`] with work
-//!    queued, the admission budget is cut multiplicatively
-//!    ([`PressureConfig::decrease_factor`], at most once per
-//!    [`PressureConfig::decrease_every`]); when it falls back below
-//!    [`PressureConfig::overhead_low`] the budget regrows additively
-//!    ([`PressureConfig::increase_step`]) toward the configured maximum.
+//!    fraction sits above `OVERHEAD_HIGH` with work queued, the
+//!    admission budget is cut multiplicatively (`DECREASE_FACTOR`, at
+//!    most once per `DECREASE_EVERY`); when it falls back below
+//!    `OVERHEAD_LOW` the budget regrows additively (`INCREASE_STEP`)
+//!    toward the configured maximum.
 //!    Fewer concurrent fine-grain jobs → less scheduling overhead per
 //!    unit of useful work — the control knob is exactly the paper's
 //!    task-size lever, applied at the job level.
@@ -34,19 +33,24 @@
 //!    reason [`crate::RejectReason::Shed`]) instead of admitted to burn
 //!    budget on work nobody will collect.
 //! 3. **CoDel-style head drop** — under [`PressureLevel::Critical`], if
-//!    the oldest sojourn stays above [`PressureConfig::shed_target`] for
-//!    a whole [`PressureConfig::shed_interval`], the oldest queued job is
-//!    dropped (one per interval), bounding queue delay for deadline-less
-//!    jobs the slack rule cannot reach.
+//!    the oldest sojourn stays above `SHED_TARGET` for a whole
+//!    `SHED_INTERVAL`, the oldest queued job is dropped (one per
+//!    interval), bounding queue delay for deadline-less jobs the slack
+//!    rule cannot reach.
 //!
-//! With `enabled = false` the service behaves exactly as before this
-//! module existed (queued jobs whose deadline expires finish as
-//! `TimedOut`, the budget is static).
+//! The loop has one setting, [`PressureConfig::enabled`]: with `false`
+//! the service behaves exactly as before this module existed (queued
+//! jobs whose deadline expires finish as `TimedOut`, the budget is
+//! static) — the baseline `soak` and `service_bench` compare against.
+//! Its thresholds, gains and periods are the constants below, each at
+//! the one value every run has used; a second value is a decision to
+//! argue with its two callers (`scripts/verify.sh`, options allow-list).
 
 #![deny(clippy::unwrap_used)]
 
 use crate::job::{JobCore, JobState};
 use grain_counters::derived::DerivedCounter;
+use grain_counters::equations::idle_rate;
 use grain_counters::sync::Mutex;
 use grain_counters::{Registry, RegistryError, Unit};
 use std::fmt;
@@ -54,59 +58,54 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Pressure-controller configuration.
+/// Minimum interval between counter samples: the dispatcher ticks
+/// faster, extra ticks are no-ops, and a shorter window holds too few
+/// task phases for the overhead fraction to mean anything.
+const SAMPLE_EVERY: Duration = Duration::from_millis(1);
+/// EWMA smoothing factor for the overhead fraction and the service-time
+/// estimate: a step input is 90 % absorbed after ten samples, so one
+/// noisy window cannot flap the level.
+const EWMA_ALPHA: f64 = 0.2;
+/// Smoothed overhead fraction above which the budget shrinks — twice the
+/// 30 % idle-rate the paper's §IV-E rule already calls too fine.
+const OVERHEAD_HIGH: f64 = 0.6;
+/// Smoothed overhead fraction below which the budget regrows (§IV-E's
+/// 30 %); the gap to [`OVERHEAD_HIGH`] is the hysteresis.
+const OVERHEAD_LOW: f64 = 0.3;
+/// Queue fill fraction for [`PressureLevel::Elevated`].
+const QUEUE_ELEVATED: f64 = 0.5;
+/// Queue fill fraction for [`PressureLevel::Critical`]: a quarter of the
+/// queue is left to absorb a burst while the head drop works.
+const QUEUE_CRITICAL: f64 = 0.75;
+/// Floor for the adaptive budget (never above the configured maximum):
+/// enough tasks in flight that a few-core pool is not starved by the cut.
+const MIN_BUDGET: u64 = 8;
+/// Multiplicative budget decrease under sustained high overhead.
+const DECREASE_FACTOR: f64 = 0.5;
+/// Rate limit on multiplicative decreases: the EWMA needs tens of
+/// samples to show what the last cut did.
+const DECREASE_EVERY: Duration = Duration::from_millis(50);
+/// Additive budget regrowth per sample once overhead is low again.
+const INCREASE_STEP: u64 = 64;
+/// CoDel target: the oldest queued sojourn the service tolerates under
+/// critical pressure.
+const SHED_TARGET: Duration = Duration::from_millis(25);
+/// CoDel interval: how long the oldest sojourn must stay above the
+/// target before one job is dropped (and the period between drops).
+const SHED_INTERVAL: Duration = Duration::from_millis(100);
+
+/// Pressure-controller configuration: on or off. The loop's constants
+/// are in this module, with their reasons.
 #[derive(Debug, Clone)]
 pub struct PressureConfig {
     /// Master switch. `false` restores the pre-pressure behavior: static
     /// budget, no shedding, queued deadline expiry → `TimedOut`.
     pub enabled: bool,
-    /// Minimum interval between counter samples (the dispatcher ticks
-    /// faster; extra ticks are no-ops).
-    pub sample_every: Duration,
-    /// EWMA smoothing factor for the overhead fraction, in `0.0..=1.0`
-    /// (higher = reacts faster, flaps easier).
-    pub ewma_alpha: f64,
-    /// Smoothed overhead fraction above which the budget shrinks.
-    pub overhead_high: f64,
-    /// Smoothed overhead fraction below which the budget regrows.
-    pub overhead_low: f64,
-    /// Queue fill fraction for [`PressureLevel::Elevated`].
-    pub queue_elevated: f64,
-    /// Queue fill fraction for [`PressureLevel::Critical`].
-    pub queue_critical: f64,
-    /// Floor for the adaptive budget (clamped to the configured maximum).
-    pub min_budget: u64,
-    /// Multiplicative budget decrease under sustained high overhead.
-    pub decrease_factor: f64,
-    /// Rate limit on multiplicative decreases.
-    pub decrease_every: Duration,
-    /// Additive budget regrowth per sample once overhead is low again.
-    pub increase_step: u64,
-    /// CoDel target: the oldest queued sojourn the service will tolerate
-    /// under critical pressure.
-    pub shed_target: Duration,
-    /// CoDel interval: how long the oldest sojourn must stay above the
-    /// target before one job is dropped (and the period between drops).
-    pub shed_interval: Duration,
 }
 
 impl Default for PressureConfig {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            sample_every: Duration::from_millis(1),
-            ewma_alpha: 0.2,
-            overhead_high: 0.6,
-            overhead_low: 0.3,
-            queue_elevated: 0.5,
-            queue_critical: 0.75,
-            min_budget: 8,
-            decrease_factor: 0.5,
-            decrease_every: Duration::from_millis(50),
-            increase_step: 64,
-            shed_target: Duration::from_millis(25),
-            shed_interval: Duration::from_millis(100),
-        }
+        Self { enabled: true }
     }
 }
 
@@ -157,7 +156,7 @@ struct SampleBook {
     last_exec_ns: u64,
     last_decrease: Instant,
     /// Since when the oldest queued sojourn has continuously exceeded
-    /// `shed_target` under critical pressure (CoDel state).
+    /// [`SHED_TARGET`] under critical pressure (CoDel state).
     above_since: Option<Instant>,
     primed: bool,
 }
@@ -168,8 +167,6 @@ pub(crate) struct PressureController {
     cfg: PressureConfig,
     /// Configured maximum (the admission config's `max_in_flight_tasks`).
     max_budget: u64,
-    /// Effective floor (`min_budget` clamped into `1..=max_budget`).
-    min_budget: u64,
     /// Current adaptive budget.
     budget: AtomicU64,
     /// EWMA overhead fraction × 1000.
@@ -186,12 +183,10 @@ pub(crate) struct PressureController {
 impl PressureController {
     pub(crate) fn new(cfg: PressureConfig, max_budget: u64) -> Self {
         let max_budget = max_budget.max(1);
-        let min_budget = cfg.min_budget.clamp(1, max_budget);
         let now = Instant::now();
         Self {
             cfg,
             max_budget,
-            min_budget,
             budget: AtomicU64::new(max_budget),
             overhead_milli: AtomicU64::new(0),
             fill_milli: AtomicU64::new(0),
@@ -251,8 +246,7 @@ impl PressureController {
         let next = if prev == 0 {
             obs
         } else {
-            let a = self.cfg.ewma_alpha.clamp(0.0, 1.0);
-            (a * obs as f64 + (1.0 - a) * prev as f64) as u64
+            (EWMA_ALPHA * obs as f64 + (1.0 - EWMA_ALPHA) * prev as f64) as u64
         };
         self.est_service_ns.store(next, Ordering::SeqCst);
     }
@@ -264,7 +258,7 @@ impl PressureController {
     /// One control-loop tick: ingest cumulative `Σt_func`/`Σt_exec` (the
     /// runtime's thread counters) and the queue state, update the EWMA,
     /// the level, and the AIMD budget. Rate-limited internally to
-    /// [`PressureConfig::sample_every`].
+    /// [`SAMPLE_EVERY`].
     pub(crate) fn sample(
         &self,
         now: Instant,
@@ -277,7 +271,7 @@ impl PressureController {
             return;
         }
         let mut book = self.book.lock();
-        if book.primed && now.saturating_duration_since(book.last_at) < self.cfg.sample_every {
+        if book.primed && now.saturating_duration_since(book.last_at) < SAMPLE_EVERY {
             return;
         }
         let d_func = func_ns.saturating_sub(book.last_func_ns);
@@ -292,16 +286,12 @@ impl PressureController {
             return;
         }
 
-        let inst = if d_func > 0 {
-            (d_func.saturating_sub(d_exec)) as f64 / d_func as f64
-        } else {
-            // No thread activity in the window: the runtime is either
-            // idle or fully busy inside long phases; neither is overhead.
-            0.0
-        };
-        let a = self.cfg.ewma_alpha.clamp(0.0, 1.0);
+        // Eq. 1 over the window. No thread activity (`d_func` 0) reads 0:
+        // the runtime is either idle or fully busy inside long phases;
+        // neither is overhead.
+        let inst = idle_rate(d_exec, d_func);
         let prev = self.overhead_milli.load(Ordering::SeqCst) as f64 / 1000.0;
-        let overhead = (a * inst + (1.0 - a) * prev).clamp(0.0, 1.0);
+        let overhead = (EWMA_ALPHA * inst + (1.0 - EWMA_ALPHA) * prev).clamp(0.0, 1.0);
         self.overhead_milli
             .store((overhead * 1000.0) as u64, Ordering::SeqCst);
 
@@ -309,15 +299,14 @@ impl PressureController {
         self.fill_milli
             .store((fill * 1000.0) as u64, Ordering::SeqCst);
 
-        let level = if fill >= self.cfg.queue_critical
-            || (overhead >= self.cfg.overhead_high && fill >= self.cfg.queue_elevated)
-        {
-            PressureLevel::Critical
-        } else if fill >= self.cfg.queue_elevated || overhead >= self.cfg.overhead_high {
-            PressureLevel::Elevated
-        } else {
-            PressureLevel::Nominal
-        };
+        let level =
+            if fill >= QUEUE_CRITICAL || (overhead >= OVERHEAD_HIGH && fill >= QUEUE_ELEVATED) {
+                PressureLevel::Critical
+            } else if fill >= QUEUE_ELEVATED || overhead >= OVERHEAD_HIGH {
+                PressureLevel::Elevated
+            } else {
+                PressureLevel::Nominal
+            };
         self.level.store(level as u64, Ordering::SeqCst);
         if level < PressureLevel::Critical {
             book.above_since = None;
@@ -326,20 +315,17 @@ impl PressureController {
         // AIMD budget: multiplicative decrease under sustained overhead
         // with work actually waiting, additive regrowth once calm.
         let budget = self.budget.load(Ordering::SeqCst);
-        if overhead >= self.cfg.overhead_high && queue_len > 0 {
-            if now.saturating_duration_since(book.last_decrease) >= self.cfg.decrease_every {
-                let cut = ((budget as f64) * self.cfg.decrease_factor.clamp(0.0, 1.0)) as u64;
-                self.budget.store(
-                    cut.clamp(self.min_budget, self.max_budget),
-                    Ordering::SeqCst,
-                );
+        if overhead >= OVERHEAD_HIGH && queue_len > 0 {
+            if now.saturating_duration_since(book.last_decrease) >= DECREASE_EVERY {
+                // `max_budget` is the caller's and may sit below the floor.
+                let cut = ((budget as f64) * DECREASE_FACTOR) as u64;
+                self.budget
+                    .store(cut.max(MIN_BUDGET).min(self.max_budget), Ordering::SeqCst);
                 book.last_decrease = now;
             }
-        } else if overhead <= self.cfg.overhead_low && budget < self.max_budget {
+        } else if overhead <= OVERHEAD_LOW && budget < self.max_budget {
             self.budget.store(
-                budget
-                    .saturating_add(self.cfg.increase_step.max(1))
-                    .min(self.max_budget),
+                budget.saturating_add(INCREASE_STEP).min(self.max_budget),
                 Ordering::SeqCst,
             );
         }
@@ -381,12 +367,10 @@ impl PressureController {
         // oldest sojourn has been above target for a full interval.
         let mut book = self.book.lock();
         match (self.level(), oldest) {
-            (PressureLevel::Critical, Some((head, sojourn))) if sojourn > self.cfg.shed_target => {
+            (PressureLevel::Critical, Some((head, sojourn))) if sojourn > SHED_TARGET => {
                 match book.above_since {
                     None => book.above_since = Some(now),
-                    Some(since)
-                        if now.saturating_duration_since(since) >= self.cfg.shed_interval =>
-                    {
+                    Some(since) if now.saturating_duration_since(since) >= SHED_INTERVAL => {
                         sheds.push(Arc::clone(head));
                         book.above_since = Some(now);
                     }
@@ -441,16 +425,8 @@ mod tests {
     use crate::job::{JobId, JobSpec};
     use grain_runtime::TaskGroup;
 
-    fn controller(cfg: PressureConfig, max: u64) -> PressureController {
-        PressureController::new(cfg, max)
-    }
-
-    fn fast_cfg() -> PressureConfig {
-        PressureConfig {
-            sample_every: Duration::ZERO,
-            decrease_every: Duration::ZERO,
-            ..PressureConfig::default()
-        }
+    fn controller(max: u64) -> PressureController {
+        PressureController::new(PressureConfig::default(), max)
     }
 
     fn queued_core(id: u64, deadline: Option<Duration>) -> Arc<JobCore> {
@@ -470,12 +446,12 @@ mod tests {
 
     #[test]
     fn overhead_ewma_tracks_deltas_and_level_classifies() {
-        let c = controller(fast_cfg(), 100);
+        let c = controller(100);
         let t0 = Instant::now();
         c.sample(t0, 0, 0, 0, 10); // priming sample
                                    // Pure overhead window: func grew, exec didn't.
         for i in 1..=20u64 {
-            c.sample(t0 + Duration::from_millis(i), i * 1_000_000, 0, 8, 10);
+            c.sample(t0 + SAMPLE_EVERY * i as u32, i * 1_000_000, 0, 8, 10);
         }
         let s = c.signal();
         assert!(s.overhead > 0.8, "overhead EWMA converges up: {s:?}");
@@ -483,7 +459,7 @@ mod tests {
         // Useful-work windows with an empty queue bring it back down.
         for i in 21..=80u64 {
             c.sample(
-                t0 + Duration::from_millis(i),
+                t0 + SAMPLE_EVERY * i as u32,
                 20 * 1_000_000 + (i - 20) * 1_000_000,
                 (i - 20) * 1_000_000,
                 0,
@@ -497,23 +473,20 @@ mod tests {
 
     #[test]
     fn budget_halves_under_overhead_and_regrows_additively() {
-        let cfg = PressureConfig {
-            increase_step: 10,
-            ..fast_cfg()
-        };
-        let c = controller(cfg, 100);
+        let c = controller(100);
         let t0 = Instant::now();
         c.sample(t0, 0, 0, 0, 10);
         assert_eq!(c.budget_limit(), 100);
-        // High-overhead windows with a queue: multiplicative decrease.
+        // High-overhead windows with a queue, one per `DECREASE_EVERY`:
+        // multiplicative decrease, 100 → 50 → 25 → 12 → floor.
         for i in 1..=30u64 {
-            c.sample(t0 + Duration::from_millis(i), i * 1_000_000, 0, 5, 10);
+            c.sample(t0 + DECREASE_EVERY * i as u32, i * 1_000_000, 0, 5, 10);
         }
         assert_eq!(c.budget_limit(), 8, "decays to the floor");
         // Calm windows: additive regrowth toward the max.
         for i in 31..=45u64 {
             c.sample(
-                t0 + Duration::from_millis(i),
+                t0 + DECREASE_EVERY * i as u32,
                 30 * 1_000_000 + (i - 30) * 1_000_000,
                 (i - 30) * 1_000_000,
                 0,
@@ -528,19 +501,19 @@ mod tests {
     fn floor_clamps_to_the_configured_max() {
         // max_in_flight 1 (serial admission tests): the floor must not
         // *raise* the budget above the configured maximum.
-        let c = controller(fast_cfg(), 1);
+        let c = controller(1);
         assert_eq!(c.budget_limit(), 1);
         let t0 = Instant::now();
         c.sample(t0, 0, 0, 0, 10);
         for i in 1..=30u64 {
-            c.sample(t0 + Duration::from_millis(i), i * 1_000_000, 0, 5, 10);
+            c.sample(t0 + DECREASE_EVERY * i as u32, i * 1_000_000, 0, 5, 10);
         }
         assert_eq!(c.budget_limit(), 1);
     }
 
     #[test]
     fn slack_rule_sheds_doomed_deadline_jobs_only() {
-        let c = controller(fast_cfg(), 100);
+        let c = controller(100);
         let doomed = queued_core(1, Some(Duration::from_millis(10)));
         let fine = queued_core(2, Some(Duration::from_secs(60)));
         let no_deadline = queued_core(3, None);
@@ -561,16 +534,11 @@ mod tests {
 
     #[test]
     fn codel_drops_the_oldest_only_under_sustained_critical() {
-        let cfg = PressureConfig {
-            shed_target: Duration::from_millis(5),
-            shed_interval: Duration::from_millis(10),
-            ..fast_cfg()
-        };
-        let c = controller(cfg, 100);
+        let c = controller(100);
         let old = queued_core(1, None);
         let t0 = Instant::now();
         // Not critical: nothing happens no matter the sojourn.
-        let t = t0 + Duration::from_millis(50);
+        let t = t0 + 2 * SHED_TARGET;
         assert!(c.select_sheds(t, [&old].into_iter()).is_empty());
         // Force critical (fill 1.0), then: first scan arms, a scan a full
         // interval later drops.
@@ -578,19 +546,14 @@ mod tests {
         c.sample(t0 + Duration::from_millis(1), 1, 0, 10, 10);
         assert_eq!(c.level(), PressureLevel::Critical);
         assert!(c.select_sheds(t, [&old].into_iter()).is_empty(), "arming");
-        let dropped = c.select_sheds(t + Duration::from_millis(11), [&old].into_iter());
+        let late = t + SHED_INTERVAL + Duration::from_millis(1);
+        let dropped = c.select_sheds(late, [&old].into_iter());
         assert_eq!(dropped.len(), 1);
     }
 
     #[test]
     fn disabled_controller_is_inert() {
-        let c = controller(
-            PressureConfig {
-                enabled: false,
-                ..fast_cfg()
-            },
-            100,
-        );
+        let c = PressureController::new(PressureConfig { enabled: false }, 100);
         let t0 = Instant::now();
         for i in 0..30u64 {
             c.sample(t0 + Duration::from_millis(i), i * 1_000_000, 0, 10, 10);

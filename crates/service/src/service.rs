@@ -330,21 +330,21 @@ impl JobService {
     /// Block until no job is queued or running. New submissions during
     /// the wait extend it.
     pub fn wait_all(&self) {
-        loop {
-            {
-                // Holding the queues lock excludes the dispatcher's
-                // pop+`admitting`-increment critical section, so a job
-                // in flight between the queues and `running` is always
-                // visible through one of the three checks.
-                let queues = self.shared.queues.lock();
-                if queues.len() == 0
-                    && self.shared.admitting.load(Ordering::SeqCst) == 0
-                    && self.shared.running.lock().is_empty()
-                {
-                    return;
-                }
-            }
-            std::thread::sleep(self.shared.config.poll_interval);
+        // Holding the queues lock excludes the dispatcher's
+        // pop+`admitting`-increment critical section, so a job in flight
+        // between the queues and `running` is always visible through one
+        // of the three checks.
+        let mut queues = self.shared.queues.lock();
+        while !(queues.len() == 0
+            && self.shared.admitting.load(Ordering::SeqCst) == 0
+            && self.shared.running.lock().is_empty())
+        {
+            // `settle` wakes this. An entry that went terminal while
+            // queued leaves with the dispatcher's next tick and no
+            // notify, hence the timeout.
+            self.shared
+                .dispatch_cv
+                .wait_for(&mut queues, self.shared.config.poll_interval);
         }
     }
 }
@@ -427,6 +427,11 @@ fn settle(shared: &Shared, core: &Arc<JobCore>) {
         .record(core.turnaround().as_nanos() as u64);
     shared.budget_in_use.fetch_sub(core.cost, Ordering::SeqCst);
     shared.running.lock().retain(|c| !Arc::ptr_eq(c, core));
+    // `wait_all` checks `running` under the queues lock and waits on
+    // `dispatch_cv`: passing through that lock after the removal orders
+    // this notify after its check, so the wake is not lost (the rule on
+    // `sync::Condvar`).
+    drop(shared.queues.lock());
     shared.dispatch_cv.notify_all();
     // Policy observation with no locks held and every counter settled,
     // before waiters wake — a submitter unblocked by wait() already
@@ -534,7 +539,7 @@ fn dispatcher_loop(shared: Arc<Shared>) {
 
         // Pressure: feed the control loop the runtime's cumulative
         // thread times and the queue state once per tick (rate-limited
-        // internally to `PressureConfig::sample_every`).
+        // internally).
         let now = Instant::now();
         {
             let rc = shared.runtime.counters();

@@ -237,6 +237,41 @@ fn wait_all_covers_jobs_in_the_admission_window() {
 }
 
 #[test]
+fn wait_all_is_woken_by_the_last_settle_not_by_the_poll_tick() {
+    // Regression: wait_all slept `poll_interval` between checks, so with
+    // a parked dispatcher (3600 s, as resilience.rs uses) it would have
+    // slept an hour past a job that finished in a millisecond.
+    let service = Arc::new(JobService::new(ServiceConfig {
+        poll_interval: Duration::from_secs(3600),
+        ..ServiceConfig::with_workers(1)
+    }));
+    let (release, gate) = std::sync::mpsc::channel::<()>();
+    let job = service.submit(JobSpec::new("short", "tenant-a"), move |_| {
+        let _ = gate.recv();
+    });
+    assert!(wait_until(Duration::from_secs(5), || service.running_len() == 1));
+    let (entering, entered) = std::sync::mpsc::channel();
+    let (done, finished) = std::sync::mpsc::channel();
+    let s = Arc::clone(&service);
+    let waiter = std::thread::spawn(move || {
+        entering.send(()).expect("the test is listening");
+        s.wait_all();
+        let _ = done.send(());
+    });
+    entered.recv().expect("waiter started");
+    // Either order of this release and the waiter's first check must
+    // work; the pause only makes the order that used to hang the likely
+    // one.
+    std::thread::sleep(Duration::from_millis(50));
+    release.send(()).expect("the job is holding the gate");
+    finished
+        .recv_timeout(Duration::from_secs(1))
+        .expect("wait_all outlived the last settle by more than a second");
+    waiter.join().expect("waiter panicked");
+    assert_eq!(job.state(), JobState::Completed);
+}
+
+#[test]
 fn terminal_queue_entries_do_not_count_against_the_queue_bound() {
     // A job cancelled while queued leaves a terminal entry behind until
     // the dispatcher reaps it; submit() must not let it cause a spurious

@@ -26,22 +26,25 @@ use grain_topology::Platform;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Engine knobs (the machine itself comes from
-/// [`grain_topology::Platform`]).
+/// Idle workers re-sweep the queues at `failed_sweep × IDLE_BACKOFF`
+/// intervals (models HPX's idle backoff; affects only the access/miss
+/// counter volume attributed to starvation, not timing). A constant of
+/// the model, like the costs in [`MachineModel`], not a run parameter.
+const IDLE_BACKOFF: f64 = 30.0;
+
+/// Sigma of the per-run log-normal machine-state factor (frequency,
+/// thermal and OS noise shared by every task of one run). This is what
+/// gives repeated samples the few-percent COV the paper reports (§IV);
+/// per-task jitter alone would average out.
+const RUN_JITTER_SIGMA: f64 = 0.02;
+
+/// What varies between runs of one workload on one machine (the machine
+/// itself comes from [`grain_topology::Platform`]).
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// RNG seed for the jitter model; runs with equal seeds are
     /// bit-identical.
     pub seed: u64,
-    /// Idle workers re-sweep the queues at `failed_sweep × idle_backoff`
-    /// intervals (models HPX's idle backoff; affects only the access/miss
-    /// counter volume attributed to starvation, not timing).
-    pub idle_backoff: f64,
-    /// Sigma of the per-run log-normal machine-state factor (frequency,
-    /// thermal and OS noise shared by every task of one run). This is
-    /// what gives repeated samples the few-percent COV the paper reports
-    /// (§IV); per-task jitter alone would average out.
-    pub run_jitter_sigma: f64,
     /// Deterministic fault injection: each dispatch consults the plan
     /// with the task id and its attempt number, mirroring the native
     /// runtime's `fault-inject` hooks. An injected panic faults the
@@ -56,8 +59,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             seed: 0x5eed,
-            idle_backoff: 30.0,
-            run_jitter_sigma: 0.02,
             fault_plan: None,
         }
     }
@@ -130,7 +131,6 @@ struct Engine<'a> {
     mark: Vec<f64>,
     executing: usize,
     completed: usize,
-    idle_backoff: f64,
     fault_plan: Option<FaultPlan>,
     /// Attempt number of each task's next dispatch (0 on first run).
     attempts: Vec<u64>,
@@ -161,7 +161,7 @@ impl<'a> Engine<'a> {
         }
         let gap = to - from;
         self.counters.func_ns.add(w, gap as u64);
-        let sweep = self.m.failed_sweep_ns(self.contenders()) * self.idle_backoff;
+        let sweep = self.m.failed_sweep_ns(self.contenders()) * IDLE_BACKOFF;
         if sweep > 0.0 {
             let sweeps = (gap / sweep).floor() as u64;
             if sweeps > 0 {
@@ -446,11 +446,7 @@ pub fn simulate(
     }
 
     let mut rng = Pcg32::seed_from_u64(config.seed);
-    let run_factor = if config.run_jitter_sigma > 0.0 {
-        (config.run_jitter_sigma * rng.next_gaussian()).exp()
-    } else {
-        1.0
-    };
+    let run_factor = (RUN_JITTER_SIGMA * rng.next_gaussian()).exp();
 
     let mut engine = Engine {
         m,
@@ -470,7 +466,6 @@ pub fn simulate(
         mark: vec![0.0; workers],
         executing: 0,
         completed: 0,
-        idle_backoff: config.idle_backoff.max(1.0),
         fault_plan: config.fault_plan.clone().filter(|p| !p.is_empty()),
         attempts: vec![0; n],
     };

@@ -1,7 +1,7 @@
 //! Simulation results: the same counter summary the native runtime
 //! produces, plus the virtual wall-clock.
 
-use grain_counters::ThreadCounters;
+use grain_counters::{equations, ThreadCounters};
 
 /// Outcome of one simulated run.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,29 +66,17 @@ impl SimReport {
 
     /// Idle-rate (Eq. 1).
     pub fn idle_rate(&self) -> f64 {
-        if self.sum_func_ns == 0 {
-            return 0.0;
-        }
-        let exec = self.sum_exec_ns.min(self.sum_func_ns);
-        (self.sum_func_ns - exec) as f64 / self.sum_func_ns as f64
+        equations::idle_rate(self.sum_exec_ns, self.sum_func_ns)
     }
 
     /// Average task duration t_d in ns (Eq. 2).
     pub fn task_duration_ns(&self) -> f64 {
-        if self.tasks == 0 {
-            0.0
-        } else {
-            self.sum_exec_ns as f64 / self.tasks as f64
-        }
+        equations::task_duration_ns(self.sum_exec_ns, self.tasks)
     }
 
     /// Average task overhead t_o in ns (Eq. 3).
     pub fn task_overhead_ns(&self) -> f64 {
-        if self.tasks == 0 {
-            return 0.0;
-        }
-        let exec = self.sum_exec_ns.min(self.sum_func_ns);
-        (self.sum_func_ns - exec) as f64 / self.tasks as f64
+        equations::task_overhead_ns(self.sum_exec_ns, self.sum_func_ns, self.tasks)
     }
 }
 
@@ -122,18 +110,5 @@ mod tests {
         assert!((r.task_duration_ns() - 60.0).abs() < 1e-12);
         assert!((r.task_overhead_ns() - 40.0).abs() < 1e-12);
         assert!((r.wall_seconds() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_task_report_is_all_zero() {
-        let r = SimReport {
-            tasks: 0,
-            sum_exec_ns: 0,
-            sum_func_ns: 0,
-            ..sample()
-        };
-        assert_eq!(r.idle_rate(), 0.0);
-        assert_eq!(r.task_duration_ns(), 0.0);
-        assert_eq!(r.task_overhead_ns(), 0.0);
     }
 }
