@@ -8,7 +8,7 @@
 //! `cargo bench -p grain-bench` (append `-- --quick` for a fast pass).
 
 use grain_counters::ThreadCounters;
-use grain_runtime::scheduler::Scheduler;
+use grain_runtime::scheduler::{Scheduler, SearchState};
 use grain_runtime::task::{Priority, StagedTask, TaskId};
 use grain_runtime::{channel, when_all, Runtime, SchedulerKind, SharedFuture};
 use grain_sim::{simulate, SimConfig, SimWorkload};
@@ -110,8 +110,9 @@ fn bench_scheduler_queues(h: &Harness) {
     let numa = NumaTopology::block(4, 2);
     let sched = Scheduler::new(numa, SchedulerKind::PriorityLocalFifo, 1);
     let counters = ThreadCounters::new(4);
+    let mut search = SearchState::default();
     h.bench("scheduler/find_work_miss_sweep", || {
-        black_box(sched.find_work(0, &counters).is_none());
+        black_box(sched.find_work(0, &counters, &mut search).is_none());
     });
     let mut id = 0u64;
     h.bench("scheduler/push_convert_dispatch", || {
@@ -119,7 +120,7 @@ fn bench_scheduler_queues(h: &Harness) {
         sched
             .queues
             .push_staged(0, StagedTask::once(TaskId(id), Priority::Normal, |_| {}));
-        black_box(sched.find_work(0, &counters).is_some());
+        black_box(sched.find_work(0, &counters, &mut search).is_some());
     });
     let mut id = 0u64;
     h.bench("scheduler/steal_from_peer", || {
@@ -127,7 +128,7 @@ fn bench_scheduler_queues(h: &Harness) {
         sched
             .queues
             .push_staged(1, StagedTask::once(TaskId(id), Priority::Normal, |_| {}));
-        black_box(sched.find_work(0, &counters).is_some());
+        black_box(sched.find_work(0, &counters, &mut search).is_some());
     });
 }
 

@@ -3,7 +3,7 @@
 //! scheduler with a seeded queue state.
 
 use grain_counters::ThreadCounters;
-use grain_runtime::scheduler::Scheduler;
+use grain_runtime::scheduler::{Scheduler, SearchState};
 use grain_runtime::task::{Priority, StagedTask, Task, TaskId};
 use grain_runtime::SchedulerKind;
 use grain_topology::NumaTopology;
@@ -28,6 +28,7 @@ fn main() {
     let numa = NumaTopology::block(4, 2);
     let sched = Scheduler::new(numa, SchedulerKind::PriorityLocalFifo, 1);
     let counters = ThreadCounters::new(4);
+    let mut search = SearchState::default();
     sched.queues.push_pending(0, Task::convert(staged(10)));
     sched.queues.push_staged(0, staged(11));
     sched.queues.push_staged(1, staged(12));
@@ -38,7 +39,7 @@ fn main() {
 
     println!("Observed dispatch order for worker 0:");
     let mut step = 1;
-    while let Some((task, prov)) = sched.find_work(0, &counters) {
+    while let Some((task, prov)) = sched.find_work(0, &counters, &mut search) {
         println!("  step {step}: task#{} from {:?}", task.id.0, prov);
         let expected: &[(u64, bool)] = &[
             (10, false),

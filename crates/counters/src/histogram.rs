@@ -5,10 +5,12 @@
 //! matters "where task durations were less than four microseconds" are
 //! both statements about the *shape* of the task-duration distribution.
 //! [`LogHistogram`] records values into power-of-two buckets with relaxed
-//! atomics (hot-path safe), supports per-worker sharding through one
-//! instance per worker or a single shared instance, and answers
-//! count/percentile/mean queries.
+//! atomics from any number of threads and answers count/percentile/mean
+//! queries; [`ShardedHistogram`] is one such set of buckets per worker,
+//! each written only by its worker (the [`crate::raw`] contract) and
+//! merged into a [`LogHistogram`] on read.
 
+use crate::raw::OwnedCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of power-of-two buckets: bucket `i` holds values in
@@ -140,6 +142,77 @@ impl LogHistogram {
     }
 }
 
+/// One worker's buckets: written by that worker alone, on lines of
+/// their own.
+#[repr(align(128))]
+#[derive(Debug)]
+struct OwnedBuckets {
+    buckets: [OwnedCell; BUCKETS],
+    sum: OwnedCell,
+}
+
+/// A log-scale histogram sharded per worker: worker `w` records into its
+/// own buckets with plain loads and stores, and readers merge the shards
+/// ([`ShardedHistogram::merged`]). A reset moves each cell's base, as
+/// [`crate::raw::Sharded::reset`] does, and never writes a worker's cell.
+#[derive(Debug)]
+pub struct ShardedHistogram {
+    shards: Box<[OwnedBuckets]>,
+}
+
+impl ShardedHistogram {
+    /// Empty histogram with `workers` shards.
+    pub fn new(workers: usize) -> Self {
+        Self {
+            shards: (0..workers)
+                .map(|_| OwnedBuckets {
+                    buckets: std::array::from_fn(|_| OwnedCell::default()),
+                    sum: OwnedCell::default(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Record one value into worker `w`'s shard. Only worker `w` — or the
+    /// one thread that drives every shard — may call this.
+    #[inline]
+    pub fn record(&self, w: usize, value: u64) {
+        let shard = &self.shards[w];
+        shard.buckets[LogHistogram::bucket_of(value)].add(1);
+        shard.sum.add(value);
+    }
+
+    /// Number of recorded values over every shard.
+    pub fn count(&self) -> u64 {
+        self.shards
+            .iter()
+            .flat_map(|s| s.buckets.iter())
+            .map(OwnedCell::get)
+            .sum()
+    }
+
+    /// Every shard merged into one histogram, for percentile, mean and
+    /// rendering queries.
+    pub fn merged(&self) -> LogHistogram {
+        let h = LogHistogram::new();
+        for s in self.shards.iter() {
+            for (into, from) in h.buckets.iter().zip(&s.buckets) {
+                into.fetch_add(from.get(), Ordering::Relaxed);
+            }
+            h.sum.fetch_add(s.sum.get(), Ordering::Relaxed);
+        }
+        h
+    }
+
+    /// Start a new epoch: every shard reads empty.
+    pub fn reset(&self) {
+        for s in self.shards.iter() {
+            s.buckets.iter().for_each(OwnedCell::reset);
+            s.sum.reset();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,5 +324,23 @@ mod tests {
             x.join().unwrap();
         }
         assert_eq!(h.count(), 40_000);
+    }
+
+    #[test]
+    fn shards_merge_on_read_and_reset_to_empty() {
+        let h = ShardedHistogram::new(2);
+        h.record(0, 10);
+        h.record(1, 10);
+        h.record(1, 1000);
+        assert_eq!(h.count(), 3);
+        let m = h.merged();
+        assert_eq!(m.count(), 3);
+        assert_eq!(m.mean(), 340.0);
+        assert_eq!(m.nonzero_buckets(), vec![(8, 2), (512, 1)]);
+        h.reset();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.merged().mean(), 0.0);
+        h.record(0, 3);
+        assert_eq!(h.merged().nonzero_buckets(), vec![(2, 1)]);
     }
 }

@@ -21,8 +21,8 @@
 //! * [`path::CounterPath`] — parsed symbolic counter names.
 //! * [`raw`] — lock-free primitive counters: monotonically increasing
 //!   event counts and nanosecond time sums, with cache-line-padded
-//!   per-worker sharding ([`raw::Sharded`]) so hot-path increments never
-//!   contend.
+//!   per-worker sharding ([`raw::Sharded`]) in which each shard has one
+//!   writer, so a hot-path increment is a plain load and store.
 //! * [`value::CounterValue`] — a typed sample (count / nanoseconds /
 //!   ratio / bytes) with the timestamp it was taken at.
 //! * [`registry::Registry`] — maps paths to live counters; supports exact
@@ -87,7 +87,7 @@ pub mod value;
 
 pub use derived::{average_of, ratio_of, DerivedCounter};
 pub use fault::{FaultAction, FaultPlan};
-pub use histogram::LogHistogram;
+pub use histogram::{LogHistogram, ShardedHistogram};
 pub use path::CounterPath;
 pub use raw::{RawCounter, Sharded};
 pub use registry::{Counter, Registry, RegistryError, ScopedRegistry};

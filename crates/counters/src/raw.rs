@@ -4,29 +4,34 @@
 //! monotone event counters and per-worker *sharded* counters whose shards
 //! are padded to cache-line size so that two workers bumping "their" shard
 //! never false-share.
+//!
+//! ## The sharded contract: one writer per shard
+//!
+//! Shard `w` of a [`Sharded`] counter is written by one thread only —
+//! worker `w`, or the single thread that drives a whole simulation — so
+//! an add is a plain load and store of a cell nobody else writes, not a
+//! locked read-modify-write. A thread that is not the shard's worker (an
+//! external thread spawning a task, say) adds to the counter's one
+//! *shared* cell instead, with a `fetch_add`; the total includes it, no
+//! per-worker instance does.
+//!
+//! A reset never writes an owner's cell, which would race the owner's
+//! own store: the owner loads its total, the reset stores zero, the owner
+//! stores the old total plus one back, and the reset is undone. Instead
+//! the reset records the cell's value as its *base*, and every read
+//! subtracts the base. Events the owner counts after the reset read the
+//! cell it has just written, so nothing the reset saw can come back.
+//!
+//! [`RawCounter`] has any number of writers and keeps its `fetch_add`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One cache line on every architecture this project targets. 128 bytes
-/// covers the adjacent-line prefetcher pairs on modern Intel parts.
-const CACHE_LINE: usize = 128;
-
-/// An `AtomicU64` padded out to a full cache line.
+/// A value alone on its cache line: 128 bytes is one line on every
+/// architecture this project targets, and covers the adjacent-line
+/// prefetcher pairs on modern Intel parts.
 #[repr(align(128))]
-#[derive(Debug)]
-struct PaddedAtomicU64 {
-    value: AtomicU64,
-    _pad: [u8; CACHE_LINE - 8],
-}
-
-impl PaddedAtomicU64 {
-    fn new(v: u64) -> Self {
-        Self {
-            value: AtomicU64::new(v),
-            _pad: [0; CACHE_LINE - 8],
-        }
-    }
-}
+#[derive(Debug, Default)]
+struct Padded<T>(T);
 
 /// A single monotonically-increasing event counter.
 ///
@@ -71,15 +76,51 @@ impl RawCounter {
     }
 }
 
+/// A counter cell with exactly one writer (see the module docs): adds
+/// are a plain load and store, a reset moves the base reads subtract.
+#[derive(Debug, Default)]
+pub(crate) struct OwnedCell {
+    value: AtomicU64,
+    /// `value` as the last reset saw it.
+    base: AtomicU64,
+}
+
+impl OwnedCell {
+    /// Add `n`. Only the cell's one writer may call this.
+    #[inline]
+    pub(crate) fn add(&self, n: u64) {
+        let v = self.value.load(Ordering::Relaxed);
+        self.value.store(v.wrapping_add(n), Ordering::Relaxed);
+    }
+
+    /// Events since the last reset. The base is read first: a reset that
+    /// lands between the two loads can only make the read late, and the
+    /// saturation covers a value load that is older than the base.
+    pub(crate) fn get(&self) -> u64 {
+        let base = self.base.load(Ordering::Relaxed);
+        self.value.load(Ordering::Relaxed).saturating_sub(base)
+    }
+
+    /// Start a new epoch without writing the owner's cell.
+    pub(crate) fn reset(&self) {
+        self.base
+            .store(self.value.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+}
+
 /// A counter sharded per worker thread.
 ///
-/// Worker `w` increments shard `w` without any cross-core traffic; readers
-/// can inspect an individual shard (per-worker counter instances, e.g.
-/// `/threads{…/worker-thread#3}/count/pending-accesses`) or the sum over all
-/// shards (the `…/total` instance).
+/// Worker `w` adds to shard `w` with a plain load and store and no
+/// cross-core traffic; any other thread adds to the shared cell
+/// ([`Sharded::add_shared`]). Readers can inspect an individual shard
+/// (per-worker counter instances, e.g.
+/// `/threads{…/worker-thread#3}/count/pending-accesses`) or the sum over
+/// all shards and the shared cell (the `…/total` instance). The module
+/// docs state the contract.
 #[derive(Debug)]
 pub struct Sharded {
-    shards: Box<[PaddedAtomicU64]>,
+    shards: Box<[Padded<OwnedCell>]>,
+    shared: Padded<AtomicU64>,
 }
 
 impl Sharded {
@@ -87,7 +128,8 @@ impl Sharded {
     pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "Sharded counter needs at least one shard");
         Self {
-            shards: (0..workers).map(|_| PaddedAtomicU64::new(0)).collect(),
+            shards: (0..workers).map(|_| Padded::default()).collect(),
+            shared: Padded::default(),
         }
     }
 
@@ -96,45 +138,52 @@ impl Sharded {
         self.shards.len()
     }
 
-    /// Add `n` to worker `w`'s shard.
+    /// Add `n` to worker `w`'s shard. Only worker `w` — or the one thread
+    /// that drives every shard, as a simulation does — may call this: a
+    /// second writer loses counts.
     #[inline]
     pub fn add(&self, w: usize, n: u64) {
-        self.shards[w].value.fetch_add(n, Ordering::Relaxed);
+        self.shards[w].0.add(n);
     }
 
-    /// Increment worker `w`'s shard by one.
+    /// Increment worker `w`'s shard by one (same contract as
+    /// [`Sharded::add`]).
     #[inline]
     pub fn incr(&self, w: usize) {
         self.add(w, 1);
     }
 
+    /// Add `n` from a thread that owns no shard: counted in the total,
+    /// in no worker's instance.
+    pub fn add_shared(&self, n: u64) {
+        self.shared.0.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Value of worker `w`'s shard.
     #[inline]
     pub fn get(&self, w: usize) -> u64 {
-        self.shards[w].value.load(Ordering::Relaxed)
+        self.shards[w].0.get()
     }
 
-    /// Sum over all shards — the `total` counter instance.
+    /// Sum over all shards and the shared cell — the `total` counter
+    /// instance.
     pub fn sum(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.value.load(Ordering::Relaxed))
-            .sum()
+        self.shards.iter().map(|s| s.0.get()).sum::<u64>() + self.shared.0.load(Ordering::Relaxed)
     }
 
-    /// Reset every shard to zero.
+    /// Start a new epoch: every shard and the shared cell read zero.
     pub fn reset(&self) {
         for s in self.shards.iter() {
-            s.value.store(0, Ordering::Relaxed);
+            s.0.reset();
         }
+        // Any number of writers `fetch_add` here, and a read-modify-write
+        // is never undone by a store.
+        self.shared.0.store(0, Ordering::Relaxed);
     }
 
     /// Per-shard values, in worker order.
     pub fn values(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.value.load(Ordering::Relaxed))
-            .collect()
+        self.shards.iter().map(|s| s.0.get()).collect()
     }
 }
 
@@ -157,8 +206,9 @@ mod tests {
     #[test]
     fn padding_is_effective() {
         // Each shard must occupy its own cache line.
-        assert!(std::mem::size_of::<PaddedAtomicU64>() >= CACHE_LINE);
-        assert_eq!(std::mem::align_of::<PaddedAtomicU64>(), CACHE_LINE);
+        const CACHE_LINE: usize = 128;
+        assert!(std::mem::size_of::<Padded<OwnedCell>>() >= CACHE_LINE);
+        assert_eq!(std::mem::align_of::<Padded<OwnedCell>>(), CACHE_LINE);
     }
 
     #[test]
@@ -167,13 +217,31 @@ mod tests {
         s.add(0, 10);
         s.add(3, 5);
         s.incr(3);
+        s.add_shared(7);
         assert_eq!(s.get(0), 10);
         assert_eq!(s.get(3), 6);
         assert_eq!(s.get(1), 0);
-        assert_eq!(s.sum(), 16);
+        assert_eq!(s.sum(), 23, "the shared cell is in the total");
         assert_eq!(s.values(), vec![10, 0, 0, 6]);
         s.reset();
         assert_eq!(s.sum(), 0);
+    }
+
+    #[test]
+    fn a_reset_reads_zero_everywhere_and_counts_on_from_there() {
+        let s = Sharded::new(2);
+        s.add(0, 5);
+        s.add(1, 3);
+        s.add_shared(2);
+        s.reset();
+        assert_eq!((s.get(0), s.get(1), s.sum()), (0, 0, 0));
+        assert_eq!(s.values(), vec![0, 0]);
+        s.incr(1);
+        s.add_shared(1);
+        assert_eq!((s.get(0), s.get(1), s.sum()), (0, 1, 2));
+        s.reset();
+        s.reset();
+        assert_eq!(s.sum(), 0, "a second reset is a no-op");
     }
 
     #[test]
@@ -201,5 +269,21 @@ mod tests {
         for w in 0..4 {
             assert_eq!(s.get(w), 10_000);
         }
+    }
+
+    #[test]
+    fn the_shared_cell_is_lossless_under_concurrent_writers() {
+        let s = Sharded::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..10_000 {
+                        s.add_shared(1);
+                    }
+                });
+            }
+        });
+        assert_eq!(s.sum(), 40_000);
+        assert_eq!(s.values(), vec![0, 0]);
     }
 }

@@ -4,10 +4,12 @@
 //! counter the scheduler and workers bump, and knows how to register the
 //! full HPX-style counter tree — per-worker instances, `total` aggregates
 //! and the derived Eq. 1–3 counters — into a
-//! [`crate::Registry`].
+//! [`crate::Registry`]. Every counter here follows the one-writer-per-shard
+//! contract of [`crate::raw`]: worker `w` writes shard `w`.
 
 use crate::derived::{average_of, average_of_worker, ratio_of, ratio_of_worker, DerivedCounter};
 use crate::equations;
+use crate::histogram::ShardedHistogram;
 use crate::path::CounterPath;
 use crate::raw::Sharded;
 use crate::registry::{Registry, RegistryError, ShardedTotal, ShardedWorker};
@@ -43,13 +45,15 @@ pub struct ThreadCounters {
     /// Staged→pending conversions performed
     /// (`/threads/count/converted`).
     pub converted: Arc<Sharded>,
-    /// Tasks spawned by code running on this worker.
+    /// Tasks spawned by code running on this worker; spawns from other
+    /// threads land in the shared cell.
     pub spawned: Arc<Sharded>,
     /// Tasks whose phase panicked and were isolated
     /// (`/threads/count/faulted`).
     pub faulted: Arc<Sharded>,
-    /// Distribution of per-phase execution times, ns (log₂ buckets).
-    pub exec_histogram: Arc<crate::histogram::LogHistogram>,
+    /// Distribution of per-phase execution times, ns (log₂ buckets), one
+    /// shard per worker.
+    pub exec_histogram: Arc<ShardedHistogram>,
 }
 
 impl ThreadCounters {
@@ -70,7 +74,7 @@ impl ThreadCounters {
             converted: mk(),
             spawned: mk(),
             faulted: mk(),
-            exec_histogram: Arc::new(crate::histogram::LogHistogram::new()),
+            exec_histogram: Arc::new(ShardedHistogram::new(workers)),
         }
     }
 
@@ -189,7 +193,7 @@ impl ThreadCounters {
         // The execution-time histogram: exposed as its sample count, and
         // hooked into reset_all through this registration.
         {
-            struct HistView(Arc<crate::histogram::LogHistogram>);
+            struct HistView(Arc<ShardedHistogram>);
             impl crate::registry::Counter for HistView {
                 fn value(&self) -> crate::value::CounterValue {
                     crate::value::CounterValue::now(self.0.count() as f64, Unit::Count)

@@ -26,9 +26,13 @@
 //!   (`HAS_NEXT`) caches "a next segment exists", letting `pop` skip the
 //!   tail load on the fast path.
 //!
-//! Emptiness probes — the common case while stealing (Fig. 1 steps 3–6)
-//! — cost two atomic loads and no stores. `len`/`is_empty` are racy
-//! snapshots, as every caller tolerates (the worker loop re-probes).
+//! Emptiness probes — the common case while searching (the high-priority
+//! queue on every search, Fig. 1 steps 3–6 on every failed one) — cost
+//! two atomic loads and no stores: the scheduler looks at `is_empty`, two
+//! `Relaxed` loads, before it calls `pop`, whose emptiness check issues a
+//! `SeqCst` fence. `len`/`is_empty` are racy snapshots, as every caller
+//! tolerates (the worker loop re-probes; why a stale miss loses nothing
+//! is in DESIGN.md §4).
 //!
 //! Contention is observable: every lost head/tail CAS and every segment
 //! allocation is counted in a [`QueueStats`] (shared across a whole
@@ -415,10 +419,13 @@ impl<T> SegmentedQueue<T> {
         }
     }
 
-    /// True when the queue is (momentarily) empty.
+    /// True when the queue is (momentarily) empty: two `Relaxed` loads,
+    /// no fence. The snapshot may predate a push another thread has just
+    /// made; a caller that must not miss one pairs the probe with a
+    /// wake-up protocol, as the scheduler does.
     pub fn is_empty(&self) -> bool {
-        let head = self.head.index.load(Ordering::SeqCst);
-        let tail = self.tail.index.load(Ordering::SeqCst);
+        let head = self.head.index.load(Ordering::Relaxed);
+        let tail = self.tail.index.load(Ordering::Relaxed);
         head >> SHIFT == tail >> SHIFT
     }
 }

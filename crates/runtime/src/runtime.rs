@@ -3,7 +3,7 @@
 use crate::fault::{TaskError, WatchdogConfig};
 use crate::future::{self, Countdown, Shared, SharedFuture, Tail, Waiter};
 use crate::group::{CancelToken, TaskGroup};
-use crate::scheduler::{Scheduler, SchedulerKind};
+use crate::scheduler::{Scheduler, SchedulerKind, SearchState};
 use crate::task::{Poll, Priority, Runnable, StagedTask, Task, TaskId, TaskIdAllocator, TaskState};
 use grain_counters::sync::{Condvar, Mutex};
 use grain_counters::threads::ThreadCounters;
@@ -183,10 +183,12 @@ impl Inner {
     }
 
     /// Make the task in worker `w`'s next slot, if any, visible to the
-    /// other workers. Called by `w` itself wherever it is about to stop
+    /// other workers: to the back of its pending queue, and a wake. Called
+    /// by `w` itself, with its own `state`, wherever it is about to stop
     /// looking for work.
-    pub(crate) fn publish_next(&self, w: usize) {
-        if self.scheduler.queues.flush_next(w) {
+    pub(crate) fn publish_next(&self, w: usize, state: &mut SearchState) {
+        if let Some(task) = state.next.take() {
+            self.scheduler.queues.push_pending(w, task);
             self.wake();
         }
     }
@@ -195,10 +197,15 @@ impl Inner {
     /// first task in its next slot, where its coming search finds it
     /// with no queue in between and nobody needs waking; any others on
     /// its pending queue, announced with one wake.
-    pub(crate) fn place_released(&self, w: usize, released: &mut Vec<Task>) {
+    pub(crate) fn place_released(
+        &self,
+        w: usize,
+        released: &mut Vec<Task>,
+        state: &mut SearchState,
+    ) {
         let queues = &self.scheduler.queues;
         let mut tasks = released.drain(..);
-        let turned_away = tasks.next().and_then(|t| queues.offer_next(w, t).err());
+        let turned_away = tasks.next().and_then(|t| state.put(t).err());
         let mut published = false;
         for task in turned_away.into_iter().chain(tasks) {
             queues.push_pending(w, task);
@@ -213,9 +220,17 @@ impl Inner {
     /// sleeper.
     pub(crate) fn spawn_staged(&self, staged: StagedTask) {
         self.in_flight.fetch_add(1, Ordering::SeqCst);
-        let here = self.current_worker();
-        let w = here.unwrap_or_else(|| self.scheduler.queues.next_rr());
-        self.counters.spawned.incr(w);
+        let w = match self.current_worker() {
+            Some(w) => {
+                self.counters.spawned.incr(w);
+                w
+            }
+            // Not a worker of this runtime: no shard of its own.
+            None => {
+                self.counters.spawned.add_shared(1);
+                self.scheduler.queues.next_rr()
+            }
+        };
         match staged.priority {
             Priority::High => self.scheduler.queues.push_high(staged),
             Priority::Normal => self.scheduler.queues.push_staged(w, staged),
@@ -899,13 +914,13 @@ fn watchdog_dump(inner: &Inner, stall_age: Duration) {
         inner.counters.phases.sum(),
         inner.counters.tasks.sum(),
     );
+    // A worker's next slot is not listed: it is filled only as a phase
+    // ends and emptied by the search that follows.
     for (w, d) in q.workers.iter().enumerate() {
         let staged = d.staged.len();
         let pending = d.pending.len();
-        let next = d.next_id();
-        if staged > 0 || pending > 0 || next.is_some() {
-            let next = next.map_or_else(|| "empty".to_string(), |id| id.to_string());
-            eprintln!("  worker {w}: staged {staged}, pending {pending}, next slot {next}");
+        if staged > 0 || pending > 0 {
+            eprintln!("  worker {w}: staged {staged}, pending {pending}");
         }
     }
     if inner.dormant.load(Ordering::SeqCst) > 0 && inner.in_flight.load(Ordering::SeqCst) == 0 {

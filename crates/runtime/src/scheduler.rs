@@ -8,9 +8,9 @@
 //!   normal work;
 //! * one *low-priority* queue runs only when everything else is empty;
 //! * work search order (Fig. 1):
-//!   1. local pending queue — its head is the worker's *next* slot, where
+//!   1. local pending queue — ahead of it the worker's *next* slot, where
 //!      a task that finishes leaves the first dependent its completion
-//!      made ready (see [`QueueSet::offer_next`])
+//!      made ready (see [`SearchState`])
 //!   2. local staged queue (convert → run)
 //!   3. staged queues of other workers in the local NUMA domain
 //!   4. pending queues of other workers in the local NUMA domain
@@ -33,11 +33,10 @@
 #![deny(clippy::unwrap_used)]
 
 use crate::queue::{MpmcQueue, QueueStats};
-use crate::task::{StagedTask, Task, TaskId};
-use grain_counters::sync::Mutex;
+use crate::task::{StagedTask, Task};
 use grain_counters::threads::ThreadCounters;
 use grain_topology::NumaTopology;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Scheduling policy variants. The paper measures Priority Local-FIFO;
 /// the other two exist for the ablation study (DESIGN.md).
@@ -61,9 +60,6 @@ pub struct DualQueue {
     pub staged: MpmcQueue<StagedTask>,
     /// Converted, runnable tasks.
     pub pending: MpmcQueue<Task>,
-    /// The *next* slot: one converted task, private to the owning worker
-    /// (nobody steals from it), dispatched ahead of `pending`.
-    next: NextSlot,
 }
 
 /// Dispatches in a row from a worker's next slot before one search takes
@@ -74,46 +70,40 @@ pub struct DualQueue {
 /// which on a one-worker runtime nobody else can take either.
 const NEXT_SLOT_STREAK: u32 = 32;
 
-/// Only the owning worker puts and takes; the watchdog looks, hence the
-/// lock.
+/// What one worker's search keeps from pass to pass: a local of its
+/// loop, passed to [`Scheduler::find_work`] by `&mut`, so nothing in it
+/// is shared and nothing is locked. Callers outside the runtime pass an
+/// empty one.
 #[derive(Debug, Default)]
-struct NextSlot {
-    /// Mirrors `held.task.is_some()`, written under the lock, so that the
-    /// owner's search of an empty slot — most searches of a workload that
-    /// hands nothing off — is one load. `put` releases, `take` acquires.
-    occupied: AtomicBool,
-    held: Mutex<Held>,
+pub struct SearchState {
+    /// The *next* slot: one converted task that the phase the worker has
+    /// just finished left for its coming search, dispatched ahead of the
+    /// pending queue. Nobody else can see it, so nobody steals from it:
+    /// the worker publishes it wherever it stops searching.
+    pub(crate) next: Option<Task>,
+    /// Slot dispatches, modulo `NEXT_SLOT_STREAK + 1`.
+    streak: u32,
+    /// The coming pass looks at the local staged queue before the local
+    /// pending queue: set when the streak is up, and after a
+    /// `Poll::Yield`, whose task at the back of the pending queue would
+    /// otherwise be found again, on a one-worker runtime for as long as
+    /// it yields, ahead of everything staged.
+    pub(crate) staged_first: bool,
 }
 
-#[derive(Debug, Default)]
-struct Held {
-    task: Option<Task>,
-    /// Tasks taken, modulo `NEXT_SLOT_STREAK + 1`.
-    taken: u32,
-}
-
-impl NextSlot {
-    fn put(&self, task: Task) -> Result<(), Task> {
-        let mut held = self.held.lock();
-        if held.task.is_some() {
-            return Err(task);
+impl SearchState {
+    /// Leave `task` in the next slot for the coming search, or hand it
+    /// back if the slot is taken. Only as the last act of a phase: a task
+    /// left there while a body runs on would be work hidden from idle
+    /// workers.
+    pub(crate) fn put(&mut self, task: Task) -> Result<(), Task> {
+        match self.next {
+            Some(_) => Err(task),
+            None => {
+                self.next = Some(task);
+                Ok(())
+            }
         }
-        held.task = Some(task);
-        self.occupied.store(true, Ordering::Release);
-        Ok(())
-    }
-
-    /// The task, and whether it may be dispatched at once: not every
-    /// `NEXT_SLOT_STREAK + 1`-th, which goes round by the queue.
-    fn take(&self) -> Option<(Task, bool)> {
-        if !self.occupied.load(Ordering::Acquire) {
-            return None;
-        }
-        let mut held = self.held.lock();
-        self.occupied.store(false, Ordering::Release);
-        let task = held.task.take()?;
-        held.taken = (held.taken + 1) % (NEXT_SLOT_STREAK + 1);
-        Some((task, held.taken != 0))
     }
 }
 
@@ -122,25 +112,17 @@ impl DualQueue {
         Self {
             staged: MpmcQueue::with_stats(std::sync::Arc::clone(stats)),
             pending: MpmcQueue::with_stats(std::sync::Arc::clone(stats)),
-            next: NextSlot::default(),
         }
     }
 
-    /// Tasks currently queued, the next slot included (racy, for load
-    /// introspection).
+    /// Tasks currently queued (racy, for load introspection).
     pub fn len(&self) -> usize {
-        let next = self.next.occupied.load(Ordering::Acquire);
-        self.staged.len() + self.pending.len() + usize::from(next)
+        self.staged.len() + self.pending.len()
     }
 
-    /// True when both queues and the next slot are (momentarily) empty.
+    /// True when both queues are (momentarily) empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The task in the next slot, if one is.
-    pub fn next_id(&self) -> Option<TaskId> {
-        self.next.held.lock().task.as_ref().map(|t| t.id)
     }
 }
 
@@ -195,24 +177,6 @@ impl QueueSet {
         self.workers[worker].pending.push(task);
     }
 
-    /// Leave a converted task in `worker`'s next slot, for that worker's
-    /// next search to dispatch ahead of its pending queue. Only `worker`
-    /// itself may call this, and only as the last act of a phase: the
-    /// slot is invisible to thieves, so a task left there while a body
-    /// runs on would be work hidden from idle workers. Hands the task
-    /// back if the slot is taken.
-    pub(crate) fn offer_next(&self, worker: usize, task: Task) -> Result<(), Task> {
-        self.workers[worker].next.put(task)
-    }
-
-    /// Move the task in `worker`'s next slot, if any, to the back of its
-    /// pending queue, where other workers can find it. `true` if there
-    /// was one: the caller owes a wake.
-    pub(crate) fn flush_next(&self, worker: usize) -> bool {
-        let task = self.workers[worker].next.take();
-        task.map(|(t, _)| self.push_pending(worker, t)).is_some()
-    }
-
     /// Drop every queued task. A task node dropped unrun fails its
     /// output future, and nodes hold their runtime: a runtime shutting
     /// down with tasks stranded (a dead worker) empties its queues
@@ -221,7 +185,6 @@ impl QueueSet {
         for d in self.workers.iter().chain(&self.high) {
             while d.staged.pop().is_some() {}
             while d.pending.pop().is_some() {}
-            drop(d.next.take());
         }
         while self.low.pop().is_some() {}
     }
@@ -329,13 +292,20 @@ impl Scheduler {
     /// One full search round for worker `w`, following the policy's order.
     /// Returns a runnable task and where it came from, or `None` if every
     /// probed queue was empty. Counter updates (accesses/misses/converted/
-    /// stolen) are recorded against worker `w` in `counters`.
+    /// stolen) are recorded against worker `w` in `counters`, so only
+    /// one thread may search as `w` (the [`grain_counters::raw`]
+    /// contract); `state` is `w`'s.
     ///
     /// This simply loops [`Scheduler::search_step`] until a pass either
     /// dispatches a task or comes up empty.
-    pub fn find_work(&self, w: usize, counters: &ThreadCounters) -> Option<(Task, Provenance)> {
+    pub fn find_work(
+        &self,
+        w: usize,
+        counters: &ThreadCounters,
+        state: &mut SearchState,
+    ) -> Option<(Task, Provenance)> {
         loop {
-            match self.search_step(w, counters) {
+            match self.search_step(w, counters, state) {
                 SearchStep::Dispatched(t, prov) => return Some((t, prov)),
                 SearchStep::Converted => continue,
                 SearchStep::Empty => return None,
@@ -363,7 +333,12 @@ impl Scheduler {
     ///
     /// Exposed (not just `find_work`) so tests can freeze the search
     /// mid-conversion and exercise the round-trip races deterministically.
-    pub fn search_step(&self, w: usize, counters: &ThreadCounters) -> SearchStep {
+    pub fn search_step(
+        &self,
+        w: usize,
+        counters: &ThreadCounters,
+        state: &mut SearchState,
+    ) -> SearchStep {
         // High-priority queues always come first: own-indexed one,
         // then the rest (pending before staged inside each).
         let nh = self.queues.high.len();
@@ -383,24 +358,24 @@ impl Scheduler {
         // access that cannot miss. A task is there only if the phase
         // this worker has just finished left it.
         let own = &self.queues.workers[w];
-        match own.next.take() {
-            Some((t, true)) => {
+        if let Some(t) = state.next.take() {
+            state.streak = (state.streak + 1) % (NEXT_SLOT_STREAK + 1);
+            if state.streak != 0 {
                 counters.pending_accesses.incr(w);
                 return Self::dispatch(t, Provenance::LocalPending, w, counters);
             }
-            Some((t, false)) => {
-                // The streak is up: the task queues behind whatever is
-                // pending, and the staged queue gets this pass's first
-                // look. Nobody is woken for it: this worker searches on
-                // and cannot strand it, and an idle peer looks again
-                // within one park timeout.
+            // The streak is up: the task queues behind whatever is
+            // pending. Nobody is woken for it: this worker searches on
+            // and cannot strand it, and an idle peer looks again within
+            // one park timeout.
+            self.queues.push_pending(w, t);
+            state.staged_first = true;
+        }
+        if std::mem::take(&mut state.staged_first) {
+            if let Some(t) = self.pop_staged(own, w, counters, Some(Provenance::LocalStaged)) {
                 self.queues.push_pending(w, t);
-                if let Some(t) = self.pop_staged(own, w, counters, Some(Provenance::LocalStaged)) {
-                    self.queues.push_pending(w, t);
-                    return SearchStep::Converted;
-                }
+                return SearchStep::Converted;
             }
-            None => {}
         }
         // The only pop that honours a surviving origin note — the
         // converting worker reclaiming its own conversion.
@@ -488,7 +463,7 @@ impl Scheduler {
         // holds staged descriptions, so the probe counts against the
         // staged access/miss family like every other staged probe.
         counters.staged_accesses.incr(w);
-        if let Some(staged) = self.queues.low.pop() {
+        if let Some(staged) = probe(&self.queues.low) {
             counters.converted.incr(w);
             let mut t = Task::convert(staged);
             t.origin = Some(Provenance::LowPriority);
@@ -510,13 +485,11 @@ impl Scheduler {
 
     fn pop_pending(&self, q: &DualQueue, w: usize, counters: &ThreadCounters) -> Option<Task> {
         counters.pending_accesses.incr(w);
-        match q.pending.pop() {
-            Some(t) => Some(t),
-            None => {
-                counters.pending_misses.incr(w);
-                None
-            }
+        let found = probe(&q.pending);
+        if found.is_none() {
+            counters.pending_misses.incr(w);
         }
+        found
     }
 
     /// Probe a staged queue; on a hit, convert and stamp the task's
@@ -529,7 +502,7 @@ impl Scheduler {
         origin: Option<Provenance>,
     ) -> Option<Task> {
         counters.staged_accesses.incr(w);
-        match q.staged.pop() {
+        match probe(&q.staged) {
             Some(staged) => {
                 counters.converted.incr(w);
                 let mut t = Task::convert(staged);
@@ -541,6 +514,20 @@ impl Scheduler {
                 None
             }
         }
+    }
+}
+
+/// Pop `q` — or, when a snapshot of its two cursors shows it empty, miss
+/// without `pop`'s fence. A snapshot that predates a concurrent push
+/// costs one more search pass, never a task: every push that another
+/// worker is meant to find is followed by a wake, which voids the park
+/// the missed search would otherwise end in (DESIGN.md §4, "Queue
+/// implementation & memory ordering").
+fn probe<T>(q: &MpmcQueue<T>) -> Option<T> {
+    if q.is_empty() {
+        None
+    } else {
+        q.pop()
     }
 }
 
@@ -559,12 +546,17 @@ mod tests {
         (Scheduler::new(numa, kind, 1), ThreadCounters::new(workers))
     }
 
+    /// A search by a worker whose slot is empty.
+    fn find(s: &Scheduler, w: usize, c: &ThreadCounters) -> Option<(Task, Provenance)> {
+        s.find_work(w, c, &mut SearchState::default())
+    }
+
     #[test]
     fn local_pending_beats_local_staged() {
         let (s, c) = sched(2, 1, SchedulerKind::PriorityLocalFifo);
         s.queues.push_staged(0, staged(1));
         s.queues.push_pending(0, Task::convert(staged(2)));
-        let (t, prov) = s.find_work(0, &c).unwrap();
+        let (t, prov) = find(&s, 0, &c).unwrap();
         assert_eq!(t.id, TaskId(2));
         assert_eq!(prov, Provenance::LocalPending);
     }
@@ -574,7 +566,7 @@ mod tests {
         let (s, c) = sched(2, 1, SchedulerKind::PriorityLocalFifo);
         s.queues.push_staged(1, staged(1)); // peer's
         s.queues.push_staged(0, staged(2)); // own
-        let (t, prov) = s.find_work(0, &c).unwrap();
+        let (t, prov) = find(&s, 0, &c).unwrap();
         assert_eq!(t.id, TaskId(2));
         assert_eq!(prov, Provenance::LocalStaged);
         assert_eq!(c.converted.sum(), 1);
@@ -585,7 +577,7 @@ mod tests {
         let (s, c) = sched(2, 1, SchedulerKind::PriorityLocalFifo);
         s.queues.push_pending(1, Task::convert(staged(1)));
         s.queues.push_staged(1, staged(2));
-        let (t, prov) = s.find_work(0, &c).unwrap();
+        let (t, prov) = find(&s, 0, &c).unwrap();
         assert_eq!(t.id, TaskId(2), "staged steals first (Fig. 1 step 3)");
         assert_eq!(prov, Provenance::NumaStaged(1));
         assert_eq!(c.stolen.sum(), 1);
@@ -597,7 +589,7 @@ mod tests {
         let (s, c) = sched(4, 2, SchedulerKind::PriorityLocalFifo);
         s.queues.push_staged(2, staged(1)); // remote for worker 0
         s.queues.push_staged(1, staged(2)); // local domain
-        let (t, prov) = s.find_work(0, &c).unwrap();
+        let (t, prov) = find(&s, 0, &c).unwrap();
         assert_eq!(t.id, TaskId(2));
         assert_eq!(prov, Provenance::NumaStaged(1));
     }
@@ -607,7 +599,7 @@ mod tests {
         let (s, c) = sched(4, 2, SchedulerKind::PriorityLocalFifo);
         s.queues.push_pending(2, Task::convert(staged(1)));
         s.queues.push_staged(3, staged(2));
-        let (t, prov) = s.find_work(0, &c).unwrap();
+        let (t, prov) = find(&s, 0, &c).unwrap();
         assert_eq!(t.id, TaskId(2));
         assert_eq!(prov, Provenance::RemoteStaged(3));
     }
@@ -626,7 +618,7 @@ mod tests {
         s.queues.push_low(staged(16));
 
         let mut got = Vec::new();
-        while let Some((t, prov)) = s.find_work(0, &c) {
+        while let Some((t, prov)) = find(&s, 0, &c) {
             got.push((t.id.0, prov));
         }
         assert_eq!(
@@ -648,7 +640,7 @@ mod tests {
         let (s, c) = sched(2, 1, SchedulerKind::PriorityLocalFifo);
         s.queues.push_pending(0, Task::convert(staged(1)));
         s.queues.push_high(staged(2));
-        let (t, prov) = s.find_work(0, &c).unwrap();
+        let (t, prov) = find(&s, 0, &c).unwrap();
         assert_eq!(t.id, TaskId(2));
         assert_eq!(prov, Provenance::HighPriority);
     }
@@ -658,9 +650,9 @@ mod tests {
         let (s, c) = sched(1, 1, SchedulerKind::PriorityLocalFifo);
         s.queues.push_low(staged(1));
         s.queues.push_staged(0, staged(2));
-        let (t, _) = s.find_work(0, &c).unwrap();
+        let (t, _) = find(&s, 0, &c).unwrap();
         assert_eq!(t.id, TaskId(2));
-        let (t, prov) = s.find_work(0, &c).unwrap();
+        let (t, prov) = find(&s, 0, &c).unwrap();
         assert_eq!(t.id, TaskId(1));
         assert_eq!(prov, Provenance::LowPriority);
     }
@@ -670,17 +662,17 @@ mod tests {
         let (s, c) = sched(2, 1, SchedulerKind::NoSteal);
         s.queues.push_staged(1, staged(1));
         s.queues.push_pending(1, Task::convert(staged(2)));
-        assert!(s.find_work(0, &c).is_none());
+        assert!(find(&s, 0, &c).is_none());
         assert_eq!(c.stolen.sum(), 0);
         // Worker 1 still gets its own work.
-        assert!(s.find_work(1, &c).is_some());
+        assert!(find(&s, 1, &c).is_some());
     }
 
     #[test]
     fn numa_blind_still_steals() {
         let (s, c) = sched(4, 2, SchedulerKind::NumaBlind);
         s.queues.push_staged(3, staged(1));
-        let (t, prov) = s.find_work(0, &c).unwrap();
+        let (t, prov) = find(&s, 0, &c).unwrap();
         assert_eq!(t.id, TaskId(1));
         assert_eq!(c.stolen.sum(), 1);
         // Worker 3 lives in the other domain; the blind policy may steal
@@ -695,22 +687,22 @@ mod tests {
         // domains: {0,1} and {2,3}.
         let (s, c) = sched(4, 2, SchedulerKind::NumaBlind);
         s.queues.push_staged(1, staged(1)); // same-domain victim
-        let (_, prov) = s.find_work(0, &c).unwrap();
+        let (_, prov) = find(&s, 0, &c).unwrap();
         assert_eq!(prov, Provenance::NumaStaged(1));
 
         s.queues.push_pending(3, Task::convert(staged(2))); // remote victim
-        let (_, prov) = s.find_work(0, &c).unwrap();
+        let (_, prov) = find(&s, 0, &c).unwrap();
         assert_eq!(prov, Provenance::RemotePending(3));
 
         s.queues.push_pending(1, Task::convert(staged(3))); // same-domain
-        let (_, prov) = s.find_work(0, &c).unwrap();
+        let (_, prov) = find(&s, 0, &c).unwrap();
         assert_eq!(prov, Provenance::NumaPending(1));
     }
 
     #[test]
     fn counters_track_accesses_and_misses() {
         let (s, c) = sched(2, 1, SchedulerKind::PriorityLocalFifo);
-        assert!(s.find_work(0, &c).is_none());
+        assert!(find(&s, 0, &c).is_none());
         // hp pending+staged, own pending+staged, peer staged+pending, low:
         // pending probes: hp(1) + own(1) + peer(1) = 3, all misses;
         // staged probes: hp(1) + own(1) + peer(1) + low(1) = 4, all misses.
@@ -720,7 +712,7 @@ mod tests {
         assert_eq!(c.staged_misses.sum(), 4);
 
         s.queues.push_pending(0, Task::convert(staged(1)));
-        assert!(s.find_work(0, &c).is_some());
+        assert!(find(&s, 0, &c).is_some());
         // hp pending(miss), hp staged(miss), own pending(hit).
         assert_eq!(c.pending_accesses.sum(), 5);
         assert_eq!(c.pending_misses.sum(), 4);
@@ -734,7 +726,7 @@ mod tests {
         // access/miss counters entirely, contradicting the module doc.
         let (s, c) = sched(1, 1, SchedulerKind::PriorityLocalFifo);
         s.queues.push_low(staged(1));
-        let (t, prov) = s.find_work(0, &c).unwrap();
+        let (t, prov) = find(&s, 0, &c).unwrap();
         assert_eq!(t.id, TaskId(1));
         assert_eq!(prov, Provenance::LowPriority);
         // Pass 1: hp staged miss, own staged miss, low HIT (access only);
@@ -744,7 +736,7 @@ mod tests {
         assert_eq!(c.converted.sum(), 1);
 
         // And an unsuccessful probe is a counted miss.
-        assert!(s.find_work(0, &c).is_none());
+        assert!(find(&s, 0, &c).is_none());
         assert_eq!(c.staged_accesses.sum(), 7);
         assert_eq!(c.staged_misses.sum(), 6);
     }
@@ -761,20 +753,23 @@ mod tests {
         s.queues.push_staged(1, staged(7));
 
         // Freeze worker 0 mid-round-trip: exactly one search pass.
-        assert!(matches!(s.search_step(0, &c), SearchStep::Converted));
+        assert!(matches!(
+            s.search_step(0, &c, &mut SearchState::default()),
+            SearchStep::Converted
+        ));
         assert_eq!(c.stolen.sum(), 0, "no dispatch yet, so no steal");
         assert_eq!(c.converted.sum(), 1);
         assert_eq!(s.queues.workers[0].pending.len(), 1);
 
         // Worker 2 raids worker 0's pending queue (Fig. 1 step 6 for it).
-        let (t, prov) = s.find_work(2, &c).unwrap();
+        let (t, prov) = find(&s, 2, &c).unwrap();
         assert_eq!(t.id, TaskId(7));
         assert_eq!(prov, Provenance::RemotePending(0), "true final source");
         assert_eq!(c.stolen.sum(), 1, "exactly one steal: the raid");
         assert_eq!(c.stolen.get(2), 1, "charged to the raider");
 
         // Worker 0 reloops and finds nothing; the count must not move.
-        assert!(s.find_work(0, &c).is_none());
+        assert!(find(&s, 0, &c).is_none());
         assert_eq!(c.stolen.sum(), 1);
     }
 
@@ -785,7 +780,7 @@ mod tests {
         // charges the (single) steal to the converter.
         let (s, c) = sched(2, 1, SchedulerKind::PriorityLocalFifo);
         s.queues.push_staged(1, staged(9));
-        let (t, prov) = s.find_work(0, &c).unwrap();
+        let (t, prov) = find(&s, 0, &c).unwrap();
         assert_eq!(t.id, TaskId(9));
         assert_eq!(prov, Provenance::NumaStaged(1));
         assert_eq!(c.stolen.sum(), 1);
@@ -795,35 +790,39 @@ mod tests {
     #[test]
     fn next_slot_is_a_pending_hit_ahead_of_the_pending_queue() {
         let (s, c) = sched(2, 1, SchedulerKind::PriorityLocalFifo);
+        let mut own = SearchState::default();
         s.queues.push_pending(0, Task::convert(staged(1)));
-        assert!(s.queues.offer_next(0, Task::convert(staged(2))).is_ok());
-        assert_eq!(s.queues.workers[0].next_id(), Some(TaskId(2)));
+        assert!(own.put(Task::convert(staged(2))).is_ok());
+        assert_eq!(own.next.as_ref().map(|t| t.id), Some(TaskId(2)));
         // Taken: the owner hands the task back instead of losing either.
-        let back = s.queues.offer_next(0, Task::convert(staged(3)));
+        let back = own.put(Task::convert(staged(3)));
         assert_eq!(back.map_err(|t| t.id), Err(TaskId(3)));
         // Nobody steals from a slot.
-        let (t, prov) = s.find_work(1, &c).unwrap();
+        let (t, prov) = find(&s, 1, &c).unwrap();
         assert_eq!((t.id, prov), (TaskId(1), Provenance::NumaPending(0)));
 
         let before = (c.pending_accesses.sum(), c.pending_misses.sum());
-        let (t, prov) = s.find_work(0, &c).unwrap();
+        let (t, prov) = s.find_work(0, &c, &mut own).unwrap();
         assert_eq!((t.id, prov), (TaskId(2), Provenance::LocalPending));
         // The high-priority probe missed; the slot is an access that hit.
         assert_eq!(c.pending_accesses.sum() - before.0, 2);
         assert_eq!(c.pending_misses.sum() - before.1, 1);
-        assert_eq!(s.queues.workers[0].next_id(), None);
+        assert!(own.next.is_none());
     }
 
     #[test]
     fn high_priority_precedes_the_next_slot() {
         let (s, c) = sched(1, 1, SchedulerKind::PriorityLocalFifo);
-        assert!(s.queues.offer_next(0, Task::convert(staged(1))).is_ok());
+        let mut own = SearchState::default();
+        assert!(own.put(Task::convert(staged(1))).is_ok());
         s.queues.push_high(staged(2));
-        let (t, prov) = s.find_work(0, &c).unwrap();
+        let (t, prov) = s.find_work(0, &c, &mut own).unwrap();
         assert_eq!((t.id, prov), (TaskId(2), Provenance::HighPriority));
         // The worker publishes what the search stopped short of.
-        assert!(s.queues.flush_next(0));
-        assert!(!s.queues.flush_next(0));
+        let held = own.next.take().unwrap();
+        assert_eq!(held.id, TaskId(1));
+        s.queues.push_pending(0, held);
+        assert!(own.next.is_none());
         assert_eq!(s.queues.workers[0].pending.len(), 1);
         assert_eq!(s.queues.total_len(), 1);
     }
@@ -831,17 +830,18 @@ mod tests {
     #[test]
     fn a_streak_of_slot_dispatches_gives_way_to_the_own_queues() {
         let (s, c) = sched(1, 1, SchedulerKind::PriorityLocalFifo);
+        let mut own = SearchState::default();
         s.queues.push_pending(0, Task::convert(staged(100)));
         s.queues.push_staged(0, staged(101));
         for id in 0..u64::from(NEXT_SLOT_STREAK) {
-            assert!(s.queues.offer_next(0, Task::convert(staged(id))).is_ok());
-            let (t, _) = s.find_work(0, &c).unwrap();
+            assert!(own.put(Task::convert(staged(id))).is_ok());
+            let (t, _) = s.find_work(0, &c, &mut own).unwrap();
             assert_eq!(t.id, TaskId(id), "the slot runs ahead of the queues");
         }
         // The next hand-off goes round by the back of the pending queue,
         // and the staged task is converted in behind it.
-        assert!(s.queues.offer_next(0, Task::convert(staged(50))).is_ok());
-        let order: Vec<_> = std::iter::from_fn(|| s.find_work(0, &c))
+        assert!(own.put(Task::convert(staged(50))).is_ok());
+        let order: Vec<_> = std::iter::from_fn(|| s.find_work(0, &c, &mut own))
             .map(|(t, prov)| (t.id.0, prov))
             .collect();
         assert_eq!(
@@ -853,9 +853,9 @@ mod tests {
             ]
         );
         // And the count starts afresh.
-        assert!(s.queues.offer_next(0, Task::convert(staged(51))).is_ok());
+        assert!(own.put(Task::convert(staged(51))).is_ok());
         s.queues.push_pending(0, Task::convert(staged(102)));
-        assert_eq!(s.find_work(0, &c).unwrap().0.id, TaskId(51));
+        assert_eq!(s.find_work(0, &c, &mut own).unwrap().0.id, TaskId(51));
     }
 
     /// A task node that only counts how it was failed.
@@ -876,7 +876,7 @@ mod tests {
         let entry = |id| StagedTask::node(TaskId(id), Priority::Normal, node.clone(), None);
         q.push_staged(0, entry(1));
         q.push_pending(0, Task::convert(entry(2)));
-        assert!(q.offer_next(0, Task::convert(entry(3))).is_ok());
+        q.push_pending(0, Task::convert(entry(3)));
         q.push_high(entry(4));
         q.push_low(entry(5));
         assert_eq!(q.total_len(), 5);

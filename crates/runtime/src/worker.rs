@@ -29,8 +29,9 @@
 //! detection in [`crate::Runtime`] exists to surface exactly that class
 //! of bug loudly instead of hanging.
 //!
-//! A worker never sleeps, stands down or exits with a task in its *next*
-//! slot ([`crate::scheduler::QueueSet::offer_next`]), which no other
+//! The worker's search state — its *next* slot and the streak and yield
+//! marks ([`SearchState`]) — is a local of this loop. A worker never
+//! sleeps, stands down or exits with a task in its slot, which no other
 //! worker can see: on each of those paths it first moves the task to its
 //! pending queue and wakes the pool.
 
@@ -38,7 +39,7 @@
 
 use crate::fault::{self, TaskError};
 use crate::runtime::{Inner, Resumer, TaskContext};
-use crate::scheduler::Provenance;
+use crate::scheduler::{Provenance, SearchState};
 use crate::task::{Poll, Task, TaskState};
 use crate::trace::TraceEventKind;
 use std::sync::atomic::Ordering;
@@ -52,6 +53,7 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
     let mut failed_rounds: u32 = 0;
     // What the last act of a phase hands off; emptied after every phase.
     let mut released = Vec::new();
+    let mut search = SearchState::default();
 
     loop {
         // Eventcount ticket, taken before any probe of this iteration:
@@ -60,7 +62,7 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
         // return immediately instead of sleeping through the event.
         let ticket = inner.park_ticket();
         if w >= inner.active_limit.load(Ordering::SeqCst) {
-            inner.publish_next(w);
+            inner.publish_next(w, &mut search);
             if inner.shutdown.load(Ordering::SeqCst) {
                 break;
             }
@@ -71,13 +73,13 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
             failed_rounds = 0;
             continue;
         }
-        match inner.scheduler.find_work(w, counters) {
+        match inner.scheduler.find_work(w, counters, &mut search) {
             Some((mut task, prov)) => {
                 failed_rounds = 0;
                 if prov == Provenance::HighPriority {
                     // The search stopped short of the next slot: what is
                     // in it must not sit unseen behind this body.
-                    inner.publish_next(w);
+                    inner.publish_next(w, &mut search);
                 }
                 let skip = task.group.as_ref().and_then(|g| {
                     if g.is_cancelled() {
@@ -172,7 +174,7 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                 task.exec_ns += exec_ns;
                 counters.phases.incr(w);
                 counters.exec_ns.add(w, exec_ns);
-                counters.exec_histogram.record(exec_ns);
+                counters.exec_histogram.record(w, exec_ns);
                 if let Some(g) = &task.group {
                     g.add_exec_ns(exec_ns);
                 }
@@ -182,7 +184,7 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                     .add(w, now.duration_since(mark).as_nanos() as u64);
                 mark = now;
                 if !released.is_empty() {
-                    inner.place_released(w, &mut released);
+                    inner.place_released(w, &mut released, &mut search);
                 }
 
                 match result {
@@ -201,6 +203,11 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                         fault::take_captured_panic();
                         task.transition(TaskState::Pending);
                         inner.scheduler.queues.push_pending(w, task);
+                        // The next pass looks at the staged queue first:
+                        // on a one-worker runtime the pending queue would
+                        // hand this task back ahead of anything staged
+                        // for as long as it yields.
+                        search.staged_first = true;
                         inner.wake();
                     }
                     Ok(Poll::Suspend) => {
@@ -253,7 +260,7 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                 }
                 // An empty search took whatever was in the next slot, and
                 // only a phase fills it; this is the rule, kept anyway.
-                inner.publish_next(w);
+                inner.publish_next(w, &mut search);
                 // The ticket predates this iteration's (empty) search: a
                 // spawn that raced it bumped the generation and voids the
                 // park — the lost-wakeup window is closed.
@@ -273,7 +280,7 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
             }
         }
     }
-    inner.publish_next(w);
+    inner.publish_next(w, &mut search);
     inner.unbind_worker();
 }
 

@@ -4,9 +4,9 @@
 use grain_runtime::{
     channel, when_all, Poll, Priority, Runtime, RuntimeConfig, SchedulerKind, SharedFuture,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn rt(workers: usize) -> Runtime {
     Runtime::new(RuntimeConfig::with_workers(workers))
@@ -168,6 +168,35 @@ fn multiphase_task_yields() {
     assert_eq!(phases_seen.load(Ordering::SeqCst), 5);
     assert_eq!(r.counters().tasks.sum(), 1, "one task…");
     assert_eq!(r.counters().phases.sum(), 5, "…five phases");
+}
+
+#[test]
+fn a_yielding_task_lets_its_staged_sibling_run_on_one_worker() {
+    let r = rt(1);
+    let (flag, set) = channel::<()>();
+    let (report, finished) = channel::<bool>();
+    let (mut flag, mut report) = (Some(flag), Some(report));
+    let give_up = Instant::now() + Duration::from_secs(3);
+    // Spawns a sibling (staged on the only worker) that sets the flag,
+    // then yields until it sees the flag or its own timer runs out.
+    r.spawn_phased(Priority::Normal, move |ctx| {
+        if let Some(flag) = flag.take() {
+            ctx.spawn(move |_| flag.set(()));
+        }
+        if !set.is_ready() && Instant::now() < give_up {
+            return Poll::Yield;
+        }
+        if let Some(report) = report.take() {
+            report.set(set.is_ready());
+        }
+        Poll::Complete
+    });
+    assert_eq!(
+        finished.wait_timeout(Duration::from_secs(1)).map(|v| *v),
+        Ok(true),
+        "the sibling waited behind the yielding task"
+    );
+    r.wait_idle();
 }
 
 #[test]
@@ -348,6 +377,79 @@ fn reset_counters_starts_a_new_epoch() {
     }
     r.wait_idle();
     assert_eq!(r.counters().tasks.sum(), 10);
+}
+
+#[test]
+fn a_reset_racing_the_worker_is_never_undone() {
+    // One worker runs a chain of tasks, each spawning the next, while
+    // this thread resets the counters in a loop. Every per-task count
+    // read after a reset is bounded by the bodies started since just
+    // before it, plus one: the task that straddles the reset. A reset
+    // the worker's own counter write could undo — it loads its total,
+    // the reset stores zero, it stores the total plus one back — reads
+    // as the whole run so far.
+    fn link(ctx: &grain_runtime::TaskContext<'_>, ran: Arc<AtomicU64>, stop: Arc<AtomicBool>) {
+        ran.fetch_add(1, Ordering::SeqCst);
+        if !stop.load(Ordering::SeqCst) {
+            ctx.spawn(move |ctx| link(ctx, ran, stop));
+        }
+    }
+    let r = rt(1);
+    let ran = Arc::new(AtomicU64::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let (l, s) = (Arc::clone(&ran), Arc::clone(&stop));
+    r.spawn(move |ctx| link(ctx, l, s));
+
+    let counts = [
+        "count/cumulative",
+        "count/cumulative-phases",
+        "count/exec-samples",
+        "count/spawned",
+        "count/converted",
+    ];
+    let read = |name: &str| {
+        let path = format!("/threads{{locality#0/total}}/{name}");
+        r.registry().query(&path).unwrap().value as u64
+    };
+    let over = |since: u64| {
+        counts.into_iter().find_map(|name| {
+            let n = read(name);
+            let bound = ran.load(Ordering::SeqCst) - since + 1;
+            (n > bound).then(|| format!("{name} read {n} with {bound} tasks since the reset"))
+        })
+    };
+    let deadline = Instant::now() + Duration::from_millis(300);
+    let (mut since, mut undone) = (0, None);
+    while undone.is_none() && Instant::now() < deadline {
+        since = ran.load(Ordering::SeqCst);
+        r.reset_counters();
+        undone = over(since);
+    }
+    // End the chain before asserting: the runtime's drop waits for it.
+    stop.store(true, Ordering::SeqCst);
+    r.wait_idle();
+    assert_eq!(undone.or_else(|| over(since)), None);
+}
+
+#[test]
+fn spawns_from_external_threads_are_all_counted() {
+    let r = rt(2);
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                for _ in 0..10_000 {
+                    r.spawn(|_| {});
+                }
+            });
+        }
+    });
+    r.wait_idle();
+    let spawned = r
+        .registry()
+        .query("/threads{locality#0/total}/count/spawned")
+        .unwrap();
+    assert_eq!(spawned.value as u64, 40_000);
+    assert_eq!(r.counters().tasks.sum(), 40_000);
 }
 
 #[test]

@@ -317,7 +317,7 @@ impl<'a> Engine<'a> {
     fn done(&mut self, w: usize, task: u32, exec_ns: u64, faulted: bool, t: f64) {
         let c = &self.counters;
         c.exec_ns.add(w, exec_ns);
-        c.exec_histogram.record(exec_ns);
+        c.exec_histogram.record(w, exec_ns);
         c.func_ns.add(w, (t - self.mark[w]).max(0.0) as u64);
         self.mark[w] = t;
         c.phases.incr(w);

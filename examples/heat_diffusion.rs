@@ -60,7 +60,7 @@ fn main() {
     );
 
     // Task-duration distribution of the last configuration (log2 buckets).
-    let h = &rt.counters().exec_histogram;
+    let h = rt.counters().exec_histogram.merged();
     println!(
         "\ntask execution-time distribution (last run): median >= {} ns, p99 >= {} ns",
         h.quantile_floor(0.5),

@@ -131,6 +131,13 @@ echo "==> chaos soak (bounded)"
 # scaled down to tens of real ones.
 run_ok soak --virtual-seconds 30 --seed 7
 
+echo "==> fig1_search_order against results/"
+# The search order on a seeded queue state and the probe counts it
+# prints are host-independent: a change to the search, or to how its
+# probes are counted, shows up as a diff against the tracked transcript.
+run_ok fig1_search_order
+cmp "$out/fig1_search_order.txt" results/fig1_search_order.txt
+
 echo "==> netstorm replay determinism"
 # A 3-locality taskbench storm over the simulated network fabric
 # (drop/dup/reorder, a partition/heal cycle, a kill under partition):
