@@ -13,7 +13,7 @@
 //! `JobService`, autotune on against off) is `service_bench`'s autotune
 //! phase.
 //!
-//! Flags: `--quick` (accepted like on every `grain-bench` binary; the
+//! Flags: `--quick` (accepted like on the other storm binaries; the
 //! storm is already sub-second and has no smaller size).
 
 use grain_adaptive::tuner::TunerConfig;

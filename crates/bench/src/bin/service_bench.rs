@@ -25,7 +25,6 @@
 
 use grain_adaptive::tuner::TunerConfig;
 use grain_autotune::{Autotune, AutotuneConfig, ShapedWork};
-use grain_bench::Cli;
 use grain_metrics::table;
 use grain_service::{
     AdmissionConfig, JobHandle, JobPriority, JobService, JobSpec, JobState, ServiceConfig,
@@ -66,9 +65,18 @@ fn percentile(sorted: &[Duration], q: f64) -> Duration {
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let mut quick = false;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            other => {
+                eprintln!("usage: service_bench [--quick] (got {other})");
+                std::process::exit(2);
+            }
+        }
+    }
     let workers = grain_topology::host::available_cores().clamp(2, 4);
-    let scale = if cli.quick { 1 } else { 4 };
+    let scale = if quick { 1 } else { 4 };
 
     let config = ServiceConfig {
         runtime: grain_service::grain_runtime::RuntimeConfig::with_workers(workers),
@@ -257,10 +265,8 @@ fn main() {
             &rows
         )
     );
-    if cli.csv {
-        println!();
-        print!("{}", table::csv(&headers, &rows));
-    }
+    println!();
+    print!("{}", table::csv(&headers, &rows));
 
     all_turnarounds.sort();
     let total_jobs: usize = profiles.iter().map(|p| p.jobs).sum();
@@ -344,10 +350,8 @@ fn main() {
             &rows
         )
     );
-    if cli.csv {
-        println!();
-        print!("{}", table::csv(&headers, &rows));
-    }
+    println!();
+    print!("{}", table::csv(&headers, &rows));
     println!(
         "\nchaos tenant: breaker opened {}x with resilience on (0 expected off: {})",
         resilient.breaker_opens, baseline.breaker_opens
@@ -383,10 +387,8 @@ fn main() {
             &rows
         )
     );
-    if cli.csv {
-        println!();
-        print!("{}", table::csv(&headers, &rows));
-    }
+    println!();
+    print!("{}", table::csv(&headers, &rows));
     for r in &tuned {
         assert!(
             r.final_grain < r.start_grain,

@@ -1,110 +1,22 @@
 //! # grain-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md for the full
-//! index). Every binary prints an aligned table (the figure's series as
-//! columns) followed by a CSV block for re-plotting, and accepts:
+//! The paper's tables and figures come from one binary, `figs`: one
+//! entry per table/figure (see DESIGN.md §3 for the index), each
+//! printing aligned tables (the figure's series as columns) followed by
+//! a CSV block for re-plotting. Figures are regenerated by the
+//! simulator engine against the Table I platform models (see DESIGN.md
+//! for the substitution argument), so `figs --all results` reproduces
+//! `results/` byte for byte; `figs native` runs the same methodology on
+//! the *native* runtime at host scale and is timed, not reproducible.
 //!
-//! * `--quick` — one partition size per decade instead of the full grid;
-//! * `--samples N` — samples per configuration (default 2; the paper
-//!   uses 10 — pass `--samples 10` to match);
-//! * `--platform NAME` — restrict multi-platform binaries;
-//! * `--no-csv` — suppress the CSV block.
-//!
-//! Figures are regenerated by the simulator engine against the Table I
-//! platform models (this machine has one core; see DESIGN.md for the
-//! substitution argument). `native_sweep` runs the same methodology on
-//! the *native* runtime at host scale.
+//! This library holds what the binaries share: the figure helpers
+//! ([`sweep_platform`], [`print_table`], [`print_series`]) and the
+//! replay-storm harness ([`replay_main`], [`eventually`]).
 
-use grain_metrics::sweep::{grids, run_sweep, SimEngine, StencilEngine};
+use grain_metrics::sweep::{run_sweep, SimEngine, StencilEngine};
 use grain_metrics::{table, Sweep, SweepCell};
-use grain_topology::{presets, Platform};
+use std::io::{self, Write};
 use std::time::{Duration, Instant};
-
-/// Parsed command-line options shared by all experiment binaries.
-#[derive(Debug, Clone)]
-pub struct Cli {
-    /// Samples per configuration.
-    pub samples: usize,
-    /// Use the reduced grid.
-    pub quick: bool,
-    /// Platform filter.
-    pub platform: Option<String>,
-    /// Emit CSV blocks.
-    pub csv: bool,
-}
-
-impl Default for Cli {
-    fn default() -> Self {
-        Self {
-            samples: 2,
-            quick: false,
-            platform: None,
-            csv: true,
-        }
-    }
-}
-
-impl Cli {
-    /// Parse `std::env::args`, exiting with a usage message on error.
-    pub fn parse() -> Self {
-        let mut cli = Self::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => cli.quick = true,
-                "--no-csv" => cli.csv = false,
-                "--samples" => {
-                    cli.samples = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--samples needs a positive integer"));
-                    if cli.samples == 0 {
-                        usage("--samples needs a positive integer");
-                    }
-                }
-                "--platform" => {
-                    cli.platform = Some(
-                        args.next()
-                            .unwrap_or_else(|| usage("--platform needs a name")),
-                    );
-                }
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown flag `{other}`")),
-            }
-        }
-        cli
-    }
-
-    /// The partition-size grid this invocation uses.
-    pub fn grid(&self) -> Vec<usize> {
-        if self.quick {
-            grids::quick()
-        } else {
-            grids::paper()
-        }
-    }
-
-    /// Resolve the platform filter (defaults to `default_name`).
-    pub fn platform_or(&self, default_name: &str) -> Platform {
-        let name = self.platform.as_deref().unwrap_or(default_name);
-        presets::by_name(name).unwrap_or_else(|| {
-            usage(&format!(
-                "unknown platform `{name}` (try haswell, xeon-phi, ivy-bridge, sandy-bridge)"
-            ))
-        })
-    }
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!(
-        "usage: <bin> [--quick] [--samples N] [--platform NAME] [--no-csv]\n\
-         Reproduces one table/figure of the CLUSTER'15 task-size paper."
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 })
-}
 
 /// How long a storm binary polls for a condition (or waits on one
 /// future) before calling it a hang.
@@ -187,15 +99,15 @@ pub fn replay_main(
     println!("OK");
 }
 
-/// Run the standard granularity sweep for a platform over `cores`,
-/// printing progress to stderr.
+/// Run the standard granularity sweep on `engine` over `cores`,
+/// printing progress to stderr. Cells the engine already computed for
+/// an earlier sweep are looked up, not re-simulated.
 pub fn sweep_platform(
-    platform: &Platform,
+    engine: &SimEngine,
     grid: &[usize],
     cores: &[usize],
     samples: usize,
 ) -> Sweep {
-    let engine = SimEngine::paper(platform.clone());
     eprintln!(
         "# sweeping {} ({} sizes x {:?} cores x {} samples)…",
         engine.name(),
@@ -204,20 +116,32 @@ pub fn sweep_platform(
         samples
     );
     let progress = |line: &str| eprintln!("#   {line}");
-    run_sweep(&engine, grid, cores, samples, Some(&progress))
+    run_sweep(engine, grid, cores, samples, Some(&progress))
 }
 
-/// Print one figure's data: rows = partition sizes, one column group per
-/// core count, with a metric extracted from each cell. Follows with CSV
-/// when `csv` is set.
+/// Write a table followed by its CSV block (the plotting surface).
+pub fn print_table(
+    out: &mut dyn Write,
+    title: &str,
+    headers: &[&str],
+    rows: &[Vec<String>],
+) -> io::Result<()> {
+    write!(out, "{}", table::render(title, headers, rows))?;
+    writeln!(out, "CSV:")?;
+    write!(out, "{}", table::csv(headers, rows))
+}
+
+/// Write one figure's data: rows = partition sizes, one column group per
+/// core count, with a metric extracted from each cell, then its CSV
+/// block and a blank line.
 pub fn print_series(
+    out: &mut dyn Write,
     title: &str,
     sweep: &Sweep,
     cores: &[usize],
     metric_name: &str,
-    csv: bool,
     metric: impl Fn(&SweepCell) -> String,
-) {
+) -> io::Result<()> {
     let mut headers: Vec<String> = vec!["partition".to_owned()];
     for &c in cores {
         headers.push(format!("{metric_name}@{c}c"));
@@ -235,145 +159,25 @@ pub fn print_series(
         }
         rows.push(row);
     }
-    print!("{}", table::render(title, &header_refs, &rows));
-    if csv {
-        println!("CSV:");
-        print!("{}", table::csv(&header_refs, &rows));
-    }
-    println!();
-}
-
-/// Figure 4/5 body: idle-rate + execution time vs partition size for a
-/// set of core counts on one platform.
-pub fn fig_idle_rate(platform: &Platform, cores: &[usize], cli: &Cli, fig: &str) {
-    let sweep = sweep_platform(platform, &cli.grid(), cores, cli.samples);
-    for &c in cores {
-        print_series(
-            &format!(
-                "{fig}: idle-rate and execution time — {} {c} cores",
-                platform.name
-            ),
-            &sweep,
-            &[c],
-            "exec(s)/idle",
-            cli.csv,
-            |cell| {
-                format!(
-                    "{} / {}",
-                    table::fmt::s(cell.agg.wall_s.mean()),
-                    table::fmt::pct(cell.agg.idle_rate.mean())
-                )
-            },
-        );
-    }
-    println!(
-        "Check (paper §IV-A): idle-rate approaches ~90% at the fine-grained left edge,\n\
-         dips through the flat middle, and rises again at the starved coarse right edge."
-    );
-}
-
-/// Figure 7/8 body: execution time vs thread-management overhead (Eq. 4),
-/// wait time (Eq. 6) and their sum.
-pub fn fig_tm_wait(platform: &Platform, cores: &[usize], cli: &Cli, fig: &str) {
-    let sweep = sweep_platform(platform, &cli.grid(), cores, cli.samples);
-    for &c in cores {
-        let title = format!(
-            "{fig}: exec vs HPX-TM (Eq.4) and wait time (Eq.6) — {} {c} cores",
-            platform.name
-        );
-        let headers = ["partition", "exec(s)", "TM(s)", "WT(s)", "TM+WT(s)"];
-        let mut rows = Vec::new();
-        for &nx in &sweep.grid {
-            if let Some(cell) = sweep.cell(nx, c) {
-                rows.push(vec![
-                    table::fmt::count(nx as f64),
-                    table::fmt::s(cell.agg.wall_s.mean()),
-                    table::fmt::s(cell.thread_management_s()),
-                    table::fmt::s(cell.wait_time_s()),
-                    table::fmt::s(cell.combined_cost_s()),
-                ]);
-            }
-        }
-        print!("{}", table::render(&title, &headers, &rows));
-        if cli.csv {
-            println!("CSV:");
-            print!("{}", table::csv(&headers, &rows));
-        }
-        println!();
-    }
-    println!(
-        "Check (paper §IV-D): TM+WT mimics the execution-time curve; TM dominates at\n\
-         fine grain, WT in the middle, and WT goes negative at very coarse grain."
-    );
-}
-
-/// Figure 9/10 body: pending-queue accesses vs execution time.
-pub fn fig_pending_queue(platform: &Platform, cores: &[usize], cli: &Cli, fig: &str) {
-    let sweep = sweep_platform(platform, &cli.grid(), cores, cli.samples);
-    for &c in cores {
-        let title = format!(
-            "{fig}: pending-queue accesses and execution time — {} {c} cores",
-            platform.name
-        );
-        let headers = ["partition", "exec(s)", "pending-accesses", "pending-misses"];
-        let mut rows = Vec::new();
-        for &nx in &sweep.grid {
-            if let Some(cell) = sweep.cell(nx, c) {
-                rows.push(vec![
-                    table::fmt::count(nx as f64),
-                    table::fmt::s(cell.agg.wall_s.mean()),
-                    table::fmt::count(cell.agg.pending_accesses.mean()),
-                    table::fmt::count(cell.agg.pending_misses.mean()),
-                ]);
-            }
-        }
-        print!("{}", table::render(&title, &headers, &rows));
-        if cli.csv {
-            println!("CSV:");
-            print!("{}", table::csv(&headers, &rows));
-        }
-        println!();
-    }
-    println!(
-        "Check (paper §IV-E): accesses are high at both granularity extremes and\n\
-         minimal in the adequate-grain region, tracking the idle-rate signal\n\
-         without needing timestamp counters."
-    );
+    print_table(out, title, &header_refs, &rows)?;
+    writeln!(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_cli_uses_paper_grid() {
-        let cli = Cli::default();
-        assert!(!cli.quick);
-        assert_eq!(cli.grid(), grids::paper());
-        let q = Cli {
-            quick: true,
-            ..Cli::default()
-        };
-        assert_eq!(q.grid(), grids::quick());
-    }
-
-    #[test]
-    fn platform_resolution() {
-        let cli = Cli::default();
-        assert_eq!(cli.platform_or("haswell").name, "Haswell");
-        let cli = Cli {
-            platform: Some("phi".into()),
-            ..Cli::default()
-        };
-        assert_eq!(cli.platform_or("haswell").name, "Xeon Phi");
-    }
+    use grain_topology::presets;
 
     #[test]
     fn print_series_smoke() {
         let engine = SimEngine::scaled(presets::haswell(), 100_000, 2);
         let sweep = run_sweep(&engine, &[10_000, 100_000], &[1, 2], 1, None);
-        print_series("smoke", &sweep, &[1, 2], "exec", true, |c| {
+        let mut out = Vec::new();
+        print_series(&mut out, "smoke", &sweep, &[1, 2], "exec", |c| {
             table::fmt::s(c.agg.wall_s.mean())
-        });
+        })
+        .unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("exec@2c") && text.contains("CSV:"));
     }
 }

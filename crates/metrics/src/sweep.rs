@@ -13,6 +13,7 @@ use grain_sim::{simulate, SimConfig, SimWorkload};
 use grain_stencil::{run_futurized, stencil_workload, StencilParams};
 use grain_topology::Platform;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Anything that can run the stencil at a given granularity and core
@@ -28,17 +29,25 @@ pub trait StencilEngine {
     fn run(&self, nx: usize, workers: usize, sample: usize) -> RunRecord;
 }
 
+/// Base RNG seed of a simulated cell: sample `s` at partition size `nx`
+/// uses `SEED_BASE + s + nx·0x9E3779B9`.
+const SEED_BASE: u64 = 1_000;
+
 /// The simulator engine: the paper's platforms, virtual time.
+///
+/// A cell is a pure function of `(nx, workers, sample)` — its seed
+/// ignores the core list and the order cells are asked for — so every
+/// [`StencilEngine::run`] result is memoized: one engine shared by
+/// several sweeps computes each cell once.
 pub struct SimEngine {
     /// Platform model (Table I preset or custom).
-    pub platform: Platform,
+    platform: Platform,
     /// Total grid points (the paper: 100 M).
-    pub total_points: usize,
+    total_points: usize,
     /// Time steps (the paper: 50, or 5 on the Xeon Phi).
-    pub steps: usize,
-    /// Base RNG seed; sample `i` uses `seed_base + i`.
-    pub seed_base: u64,
+    steps: usize,
     workload_cache: RefCell<Option<(usize, Rc<SimWorkload>)>>,
+    cells: RefCell<HashMap<(usize, usize, usize), RunRecord>>,
 }
 
 impl SimEngine {
@@ -55,9 +64,14 @@ impl SimEngine {
             platform,
             total_points,
             steps,
-            seed_base: 1_000,
             workload_cache: RefCell::new(None),
+            cells: RefCell::new(HashMap::new()),
         }
+    }
+
+    /// The platform model this engine simulates.
+    pub fn platform(&self) -> &Platform {
+        &self.platform
     }
 
     fn workload(&self, nx: usize) -> Rc<SimWorkload> {
@@ -87,17 +101,22 @@ impl StencilEngine for SimEngine {
     }
 
     fn run(&self, nx: usize, workers: usize, sample: usize) -> RunRecord {
+        let key = (nx, workers, sample);
+        if let Some(rec) = self.cells.borrow().get(&key) {
+            return rec.clone();
+        }
         let params = self.params_for(nx);
         let wl = self.workload(nx);
         let cfg = SimConfig {
-            seed: self
-                .seed_base
+            seed: SEED_BASE
                 .wrapping_add(sample as u64)
                 .wrapping_add((nx as u64).wrapping_mul(0x9E37_79B9)),
             ..SimConfig::default()
         };
         let report = simulate(&self.platform, workers, &wl, &cfg);
-        RunRecord::from_sim(&report, &self.platform.name, &params)
+        let rec = RunRecord::from_sim(&report, &self.platform.name, &params);
+        self.cells.borrow_mut().insert(key, rec.clone());
+        rec
     }
 }
 
@@ -227,40 +246,6 @@ impl Sweep {
             .map(|c| (c.nx, c.agg.wall_s.mean()))
             .min_by(|a, b| a.1.total_cmp(&b.1))
     }
-
-    /// Export every cell as CSV (one row per `nx × workers` cell, every
-    /// aggregated metric with mean and COV) for external plotting.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "engine,nx,np,workers,samples,exec_mean_s,exec_cov,idle_rate,             td_ns,td1_ns,to_ns,tm_s,wait_per_task_ns,wait_s,             pending_accesses,pending_misses,tasks,stolen
-",
-        );
-        for c in &self.cells {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}
-",
-                self.engine,
-                c.nx,
-                c.np,
-                c.workers,
-                c.agg.samples,
-                c.agg.wall_s.mean(),
-                c.agg.wall_s.cov(),
-                c.agg.idle_rate.mean(),
-                c.agg.task_duration_ns.mean(),
-                c.td1_ns,
-                c.agg.task_overhead_ns.mean(),
-                c.thread_management_s(),
-                c.wait_per_task_ns(),
-                c.wait_time_s(),
-                c.agg.pending_accesses.mean(),
-                c.agg.pending_misses.mean(),
-                c.agg.tasks.mean(),
-                c.agg.stolen.mean(),
-            ));
-        }
-        out
-    }
 }
 
 /// Run a sweep: every `nx` × `workers` cell, `samples` times each, plus
@@ -357,11 +342,6 @@ pub mod grids {
         ]
     }
 
-    /// A fast grid for smoke runs: one size per decade.
-    pub fn quick() -> Vec<usize> {
-        vec![1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000]
-    }
-
     /// The fine-to-medium window of Fig. 6 (10 000 → 90 000).
     pub fn fig6_window() -> Vec<usize> {
         vec![
@@ -435,24 +415,27 @@ mod tests {
     }
 
     #[test]
-    fn csv_export_has_all_cells() {
-        let engine = tiny_sim();
-        let sweep = run_sweep(&engine, &[10_000, 100_000], &[1, 4], 1, None);
-        let csv = sweep.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 1 + 4, "header + one line per cell");
-        assert!(lines[0].starts_with("engine,nx,np,workers"));
-        assert!(lines[1].contains("sim:Haswell"));
-        // Every data row has the full column count.
-        let cols = lines[0].split(',').count();
-        for l in &lines[1..] {
-            assert_eq!(l.split(',').count(), cols);
+    fn a_shared_engine_computes_the_cells_a_fresh_one_does() {
+        let grid = [10_000, 100_000];
+        let shared = tiny_sim();
+        run_sweep(&shared, &grid, &[8, 16], 2, None);
+        let cores = shared.platform().core_sweep();
+        run_sweep(&shared, &grid, &cores, 2, None);
+        for &nx in &grid {
+            for &w in &cores {
+                for s in 0..2 {
+                    let rec = shared.run(nx, w, s);
+                    let fresh = tiny_sim().run(nx, w, s);
+                    assert_eq!(rec, fresh, "nx={nx} cores={w} sample={s}");
+                    assert_eq!(rec, shared.run(nx, w, s), "a repeated run");
+                }
+            }
         }
     }
 
     #[test]
     fn grids_are_sorted_and_in_range() {
-        for g in [grids::paper(), grids::quick(), grids::fig6_window()] {
+        for g in [grids::paper(), grids::fig6_window()] {
             assert!(g.windows(2).all(|w| w[0] < w[1]));
             assert!(*g.first().unwrap() >= 160);
             assert!(*g.last().unwrap() <= 100_000_000);

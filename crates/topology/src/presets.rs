@@ -190,21 +190,6 @@ pub fn table1() -> Vec<Platform> {
     vec![haswell(), xeon_phi(), ivy_bridge(), sandy_bridge()]
 }
 
-/// Look a preset up by (case-insensitive) name or common abbreviation.
-pub fn by_name(name: &str) -> Option<Platform> {
-    match name
-        .to_ascii_lowercase()
-        .replace([' ', '-', '_'], "")
-        .as_str()
-    {
-        "haswell" | "hw" => Some(haswell()),
-        "xeonphi" | "phi" | "knc" => Some(xeon_phi()),
-        "ivybridge" | "ib" => Some(ivy_bridge()),
-        "sandybridge" | "sb" => Some(sandy_bridge()),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,21 +222,6 @@ mod tests {
         let ib = ivy_bridge();
         assert_eq!(ib.cores, 20);
         assert_eq!(ib.cache.llc_bytes_per_socket, 35 * 1024 * 1024);
-    }
-
-    #[test]
-    fn by_name_finds_all() {
-        for (alias, want) in [
-            ("Haswell", "Haswell"),
-            ("hw", "Haswell"),
-            ("xeon-phi", "Xeon Phi"),
-            ("PHI", "Xeon Phi"),
-            ("ivy bridge", "Ivy Bridge"),
-            ("SB", "Sandy Bridge"),
-        ] {
-            assert_eq!(by_name(alias).unwrap().name, want, "alias {alias}");
-        }
-        assert!(by_name("power9").is_none());
     }
 
     #[test]
