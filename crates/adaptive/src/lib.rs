@@ -15,7 +15,7 @@
 //!   [`throttled_workers`], the Porterfield-style (§V) pool throttle on
 //!   the same window's task count. `grain-autotune`'s per-tenant
 //!   controller drives this same tuner with per-job signals;
-//! * [`driver`] — the two loops that apply it to the stencil, one per
+//! * `driver` — the two loops that apply it to the stencil, one per
 //!   measurement substrate: [`adapt`] (epochs over a simulated or native
 //!   `StencilEngine`) and [`adapt_live`] (windows of time steps inside
 //!   one live runtime, measured through interval counter snapshots). A
@@ -31,7 +31,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod driver;
+mod driver;
 pub mod threshold;
 pub mod tuner;
 

@@ -3,8 +3,8 @@
 //! exactly the signals its characterization identified.
 //!
 //! Everything that adapts a grain in this repo — the epoch and live
-//! stencil loops of [`crate::driver`] and `grain-autotune`'s per-tenant
-//! controller — feeds one [`GrainSignal`] per monitoring window to one
+//! stencil loops ([`crate::adapt`], [`crate::adapt_live`]) and
+//! `grain-autotune`'s per-tenant controller — feeds one [`GrainSignal`] per monitoring window to one
 //! [`ThresholdTuner`]: the tasks-per-core ratio separates the
 //! coarse-grained regime (starvation-bound: shrink) from the
 //! fine-grained one, where the windowed idle-rate and its companions

@@ -1,5 +1,5 @@
-//! The autotune subsystem: tenant map, service policy hook, counters,
-//! shaped submission, and the worker-throttle actuator.
+//! The autotune subsystem: tenant map, service policy hook, counters
+//! and shaped submission.
 //!
 //! One [`Autotune`] instance serves one [`JobService`]. Wiring order:
 //!
@@ -23,7 +23,7 @@
 
 use crate::controller::{AutotuneConfig, GrainController};
 use crate::shape::ShapedWork;
-use grain_adaptive::{throttled_workers, GrainSignal};
+use grain_adaptive::GrainSignal;
 use grain_counters::derived::DerivedCounter;
 use grain_counters::{Registry, RegistryError, Unit};
 use grain_service::{JobHandle, JobOutcome, JobService, JobShape, JobSpec, JobState, PolicyHook};
@@ -78,9 +78,6 @@ pub struct Autotune {
     tenants: Mutex<BTreeMap<String, Arc<TenantEntry>>>,
     /// The attached service's registry, for lazy per-tenant counters.
     registry: Mutex<Option<Arc<Registry>>>,
-    /// Most recent per-job signal, any tenant — the throttle actuator's
-    /// view of the service.
-    last_signal: Mutex<Option<GrainSignal>>,
 }
 
 impl Autotune {
@@ -92,7 +89,6 @@ impl Autotune {
             cores: AtomicUsize::new(cfg.cores.max(1)),
             tenants: Mutex::new(BTreeMap::new()),
             registry: Mutex::new(None),
-            last_signal: Mutex::new(None),
         })
     }
 
@@ -210,13 +206,9 @@ impl Autotune {
     /// ones.
     pub fn observe(&self, tenant: &str, sig: &GrainSignal) -> u64 {
         let entry = self.entry(tenant);
-        let next = {
-            let mut c = lock(&entry.controller);
-            let next = c.observe(sig);
-            entry.publish(&c);
-            next
-        };
-        *lock(&self.last_signal) = Some(*sig);
+        let mut c = lock(&entry.controller);
+        let next = c.observe(sig);
+        entry.publish(&c);
         next
     }
 
@@ -242,23 +234,6 @@ impl Autotune {
             .estimated_tasks(expanded.tasks + 1)
             .shape(JobShape::new(units, grain));
         service.submit(spec, move |ctx| body(ctx))
-    }
-
-    /// The worker-pool actuator: given the pool state, what the most
-    /// recent signal says the active-worker count should be (`active`
-    /// until a first job has been observed). The same `tasks_per_core`
-    /// that drives grain adaptation drives Porterfield-style throttling
-    /// ([`throttled_workers`]); apply the answer with
-    /// [`grain_runtime::Runtime::set_active_workers`].
-    pub fn recommended_workers(&self, active: usize, max: usize) -> usize {
-        let Some(sig) = *lock(&self.last_signal) else {
-            return active;
-        };
-        // The signal's ratio is over the whole pool, so the task count
-        // is too — rebuilt over `active` it would shrink with every
-        // throttle step and ratchet the pool down to one worker.
-        let tasks = (sig.tasks_per_core * max as f64).round() as usize;
-        throttled_workers(tasks, max)
     }
 
     /// Tenant names seen so far (storm reports iterate this).
@@ -426,23 +401,5 @@ mod tests {
         assert!(g1 < g0, "starvation shrinks the grain ({g0} -> {g1})");
         assert_eq!(auto.grain_for("t"), g1);
         assert!(auto.adjustments("t") >= 1);
-    }
-
-    #[test]
-    fn throttle_actuator_parks_workers_when_tasks_cannot_feed_them() {
-        let auto = Autotune::new(AutotuneConfig::default());
-        assert_eq!(auto.recommended_workers(8, 8), 8, "no signal, no change");
-        let sig = GrainSignal {
-            idle_rate: 0.9,
-            overhead_frac: 0.1,
-            pending_miss_rate: 0.0,
-            tasks_per_core: 0.25,
-        };
-        auto.observe("t", &sig);
-        let rec = auto.recommended_workers(8, 8);
-        assert_eq!(rec, 2, "two runnable tasks cannot feed eight workers");
-        // Applying the answer must not change it: the same two tasks
-        // still want two workers, not one.
-        assert_eq!(auto.recommended_workers(rec, 8), 2, "throttle ratchets");
     }
 }

@@ -34,9 +34,8 @@
 //!   safe bounds (grain inside the tuner range, task count capped), so
 //!   no tuner setting can starve or flood the runtime.
 //! * **Actuators** — the adjusted grain re-chunks the tenant's next
-//!   job; the same signal drives worker-pool throttling
-//!   ([`Autotune::recommended_workers`]) and, exported through the
-//!   fleet's `WorkerStats`, gateway placement.
+//!   job; the convergence state, exported through the fleet's
+//!   `WorkerStats`, weighs gateway placement.
 //!
 //! Per-tenant state is observable at
 //! `/autotune/tenants/{name}/{grain,converged,probes,adjustments}`,

@@ -88,7 +88,7 @@ impl LogHistogram {
 
     /// Values recorded in `[2^i, 2^(i+1))` for every non-empty bucket,
     /// as `(bucket_floor, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+    fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.buckets
             .iter()
             .enumerate()

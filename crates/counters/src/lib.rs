@@ -45,7 +45,7 @@
 //! ## Example
 //!
 //! ```
-//! use grain_counters::prelude::*;
+//! use grain_counters::{average_of, Registry, Sharded, Unit};
 //! use std::sync::Arc;
 //!
 //! // A runtime would create one shard per worker thread.
@@ -73,7 +73,6 @@
 
 pub mod derived;
 pub mod equations;
-pub mod fault;
 pub mod histogram;
 pub mod path;
 pub mod raw;
@@ -86,7 +85,6 @@ pub mod threads;
 pub mod value;
 
 pub use derived::{average_of, ratio_of, DerivedCounter};
-pub use fault::{FaultAction, FaultPlan};
 pub use histogram::{LogHistogram, ShardedHistogram};
 pub use path::CounterPath;
 pub use raw::{RawCounter, Sharded};
@@ -96,50 +94,3 @@ pub use snapshot::{Interval, Snapshot};
 pub use stats::SampleStats;
 pub use threads::ThreadCounters;
 pub use value::{CounterValue, Unit};
-
-/// Convenient glob import for consumers of this crate.
-pub mod prelude {
-    pub use crate::derived::{average_of, ratio_of, DerivedCounter};
-    pub use crate::path::CounterPath;
-    pub use crate::raw::{RawCounter, Sharded};
-    pub use crate::registry::{Counter, Registry, RegistryError, ScopedRegistry};
-    pub use crate::snapshot::{Interval, Snapshot};
-    pub use crate::stats::SampleStats;
-    pub use crate::value::{CounterValue, Unit};
-}
-
-/// Canonical counter names used throughout the project. These are the
-/// counters named in the paper (§II-A), kept in one place so the runtime,
-/// the simulator and the experiment harness agree on spelling.
-pub mod names {
-    /// Ratio of thread-management overhead to total time (Eq. 1).
-    pub const IDLE_RATE: &str = "/threads/idle-rate";
-    /// Average task execution (computation) time (Eq. 2).
-    pub const TIME_AVERAGE: &str = "/threads/time/average";
-    /// Average per-task thread-management overhead (Eq. 3).
-    pub const TIME_AVERAGE_OVERHEAD: &str = "/threads/time/average-overhead";
-    /// Cumulative number of HPX-threads (tasks) executed.
-    pub const COUNT_CUMULATIVE: &str = "/threads/count/cumulative";
-    /// Cumulative number of thread phases (activations) executed.
-    pub const COUNT_CUMULATIVE_PHASES: &str = "/threads/count/cumulative-phases";
-    /// Average execution time of one thread phase.
-    pub const TIME_AVERAGE_PHASE: &str = "/threads/time/average-phase";
-    /// Average overhead of one thread phase.
-    pub const TIME_AVERAGE_PHASE_OVERHEAD: &str = "/threads/time/average-phase-overhead";
-    /// Number of times the scheduler looked for work in pending queues.
-    pub const PENDING_ACCESSES: &str = "/threads/count/pending-accesses";
-    /// Number of times a pending-queue probe found no work.
-    pub const PENDING_MISSES: &str = "/threads/count/pending-misses";
-    /// Number of times the scheduler looked for work in staged queues.
-    pub const STAGED_ACCESSES: &str = "/threads/count/staged-accesses";
-    /// Number of times a staged-queue probe found no work.
-    pub const STAGED_MISSES: &str = "/threads/count/staged-misses";
-    /// Cumulative running sum of task execution time (Σ t_exec).
-    pub const TIME_CUMULATIVE_EXEC: &str = "/threads/time/cumulative-exec";
-    /// Cumulative running sum of task completion time (Σ t_func).
-    pub const TIME_CUMULATIVE_FUNC: &str = "/threads/time/cumulative-func";
-    /// Number of tasks stolen from another worker's queues.
-    pub const COUNT_STOLEN: &str = "/threads/count/stolen";
-    /// Number of staged descriptors converted into runnable tasks.
-    pub const COUNT_CONVERTED: &str = "/threads/count/converted";
-}

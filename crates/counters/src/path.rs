@@ -79,13 +79,6 @@ impl CounterPath {
         self
     }
 
-    /// Return a copy of this path with the given `@parameters` suffix.
-    #[must_use]
-    pub fn with_parameters(mut self, parameters: impl Into<String>) -> Self {
-        self.parameters = Some(parameters.into());
-        self
-    }
-
     /// The path with the instance qualifier removed:
     /// `/threads{locality#0/total}/idle-rate` → `/threads/idle-rate`.
     ///
@@ -99,21 +92,12 @@ impl CounterPath {
         }
     }
 
-    /// True if this path denotes the aggregate (`total`) instance or has no
-    /// instance qualifier at all.
-    pub fn is_total(&self) -> bool {
-        match &self.instance {
-            None => true,
-            Some(i) => i.ends_with("/total") || i == "total",
-        }
-    }
-
     /// Prefix naming locality `id` in an instance qualifier (the HPX
     /// locality namespace the multi-locality layer populates):
     /// `locality_prefix(3)` → `"locality#3"`. Every instance string in
     /// the project is built from this helper so non-root localities get
     /// correct counter paths.
-    pub fn locality_prefix(id: usize) -> String {
+    fn locality_prefix(id: usize) -> String {
         format!("locality#{id}")
     }
 
@@ -126,11 +110,6 @@ impl CounterPath {
     /// Instance string for worker `w` on locality `locality`.
     pub fn worker_instance_for(locality: usize, w: usize) -> String {
         format!("{}/worker-thread#{w}", Self::locality_prefix(locality))
-    }
-
-    /// Instance string for the aggregate over all workers on locality 0.
-    pub fn total_instance() -> String {
-        Self::total_instance_for(0)
     }
 
     /// Instance string for the aggregate over all workers on locality
@@ -245,7 +224,6 @@ mod tests {
         assert_eq!(p.object, "threads");
         assert_eq!(p.instance.as_deref(), Some("locality#0/total"));
         assert_eq!(p.name, "count/cumulative");
-        assert!(p.is_total());
     }
 
     #[test]
@@ -322,7 +300,7 @@ mod tests {
             CounterPath::worker_instance(3),
             "locality#0/worker-thread#3"
         );
-        assert_eq!(CounterPath::total_instance(), "locality#0/total");
+        assert_eq!(CounterPath::total_instance_for(0), "locality#0/total");
     }
 
     #[test]
@@ -334,10 +312,6 @@ mod tests {
             "locality#2/worker-thread#5"
         );
         // Locality 0 helpers stay the historical single-locality strings.
-        assert_eq!(
-            CounterPath::total_instance_for(0),
-            CounterPath::total_instance()
-        );
         assert_eq!(
             CounterPath::worker_instance_for(0, 3),
             CounterPath::worker_instance(3)

@@ -147,11 +147,6 @@ impl Registry {
         path: &str,
         counter: impl Counter + 'static,
     ) -> Result<(), RegistryError> {
-        self.register_arc(path, Arc::new(counter))
-    }
-
-    /// Register an already-shared counter under `path`.
-    pub fn register_arc(&self, path: &str, counter: Arc<dyn Counter>) -> Result<(), RegistryError> {
         let parsed: CounterPath = path
             .parse()
             .map_err(|_| RegistryError::BadPath(path.to_owned()))?;
@@ -160,7 +155,7 @@ impl Registry {
         if map.contains_key(&key) {
             return Err(RegistryError::Duplicate(key));
         }
-        map.insert(key, counter);
+        map.insert(key, Arc::new(counter));
         Ok(())
     }
 
@@ -195,16 +190,6 @@ impl Registry {
             .collect())
     }
 
-    /// Sample every counter matching `pattern`, keyed by path.
-    pub fn query_all(&self, pattern: &str) -> Result<Vec<(String, CounterValue)>, RegistryError> {
-        let names = self.discover(pattern)?;
-        let map = self.counters.read();
-        Ok(names
-            .into_iter()
-            .filter_map(|n| map.get(&n).map(|c| (n.clone(), c.value())))
-            .collect())
-    }
-
     /// Remove the counter registered under `path`.
     pub fn unregister(&self, path: &str) -> Result<(), RegistryError> {
         let parsed: CounterPath = path
@@ -217,37 +202,11 @@ impl Registry {
             .ok_or(RegistryError::NotFound(key))
     }
 
-    /// Remove every counter matching `pattern` (same matching rules as
-    /// [`discover`](Self::discover)); returns how many were removed.
-    /// Retiring a whole instance namespace — e.g. every counter of one
-    /// finished job — is `unregister_matching("/jobs{render#3}/*")`… except
-    /// that patterns carry wildcards in the *name*, so the idiomatic call
-    /// is via [`Registry::scope`] + [`ScopedRegistry::unregister_all`].
-    pub fn unregister_matching(&self, pattern: &str) -> Result<usize, RegistryError> {
-        let pat: CounterPath = pattern
-            .parse()
-            .map_err(|_| RegistryError::BadPath(pattern.to_owned()))?;
-        let mut map = self.counters.write();
-        let doomed: Vec<String> = map
-            .keys()
-            .filter(|k| {
-                k.parse::<CounterPath>()
-                    .map(|p| pat.matches(&p))
-                    .unwrap_or(false)
-            })
-            .cloned()
-            .collect();
-        for k in &doomed {
-            map.remove(k);
-        }
-        Ok(doomed.len())
-    }
-
     /// A registration handle scoped to one `object{instance}` namespace.
     ///
     /// Counters registered through the scope live under
-    /// `/{object}{{instance}}/<name>`; [`ScopedRegistry::unregister_all`]
-    /// retires the whole namespace in one call. This is how per-job
+    /// `/{object}{{instance}}/<name>`; dropping the scope retires the
+    /// whole namespace. This is how per-job
     /// counters come and go without disturbing the long-lived scheduler
     /// counters that share the registry.
     pub fn scope(
@@ -298,7 +257,7 @@ pub struct ScopedRegistry {
 
 impl ScopedRegistry {
     /// The full path `name` maps to inside this scope.
-    pub fn path_of(&self, name: &str) -> String {
+    fn path_of(&self, name: &str) -> String {
         format!("/{}{{{}}}/{}", self.object, self.instance, name)
     }
 
@@ -314,13 +273,8 @@ impl ScopedRegistry {
         name: &str,
         counter: impl Counter + 'static,
     ) -> Result<(), RegistryError> {
-        self.register_arc(name, Arc::new(counter))
-    }
-
-    /// Register an already-shared counter under `name` within the scope.
-    pub fn register_arc(&self, name: &str, counter: Arc<dyn Counter>) -> Result<(), RegistryError> {
         let path = self.path_of(name);
-        self.registry.register_arc(&path, counter)?;
+        self.registry.register(&path, counter)?;
         self.keys.lock().push(path);
         Ok(())
     }
@@ -338,7 +292,7 @@ impl ScopedRegistry {
 
     /// Remove every counter registered through this scope; returns how
     /// many were removed (counters already removed directly are skipped).
-    pub fn unregister_all(&self) -> usize {
+    fn unregister_all(&self) -> usize {
         let keys = std::mem::take(&mut *self.keys.lock());
         keys.iter()
             .filter(|k| self.registry.unregister(k).is_ok())
@@ -443,7 +397,7 @@ mod tests {
             )
             .unwrap();
         }
-        let hits = reg.query_all("/threads/count/cumulative").unwrap();
+        let hits = reg.discover("/threads/count/cumulative").unwrap();
         assert_eq!(hits.len(), 3);
         let total = reg
             .query("/threads{locality#0/total}/count/cumulative")
@@ -465,32 +419,6 @@ mod tests {
             reg.unregister("/threads/count/stolen"),
             Err(RegistryError::NotFound(_))
         ));
-    }
-
-    #[test]
-    fn unregister_matching_clears_a_namespace() {
-        let reg = Registry::new();
-        for p in [
-            "/jobs{render#1}/count/tasks",
-            "/jobs{render#1}/time/exec",
-            "/jobs{render#2}/count/tasks",
-            "/threads/count/cumulative",
-        ] {
-            reg.register(p, RawView::new(Arc::new(RawCounter::new()), Unit::Count))
-                .unwrap();
-        }
-        // An instance-qualified wildcard pattern hits only that instance.
-        let pat: CounterPath = "/jobs/ignored".parse().unwrap();
-        assert!(pat.instance.is_none());
-        let removed = reg.unregister_matching("/jobs{render#1}/*").unwrap();
-        assert_eq!(removed, 2);
-        assert_eq!(
-            reg.paths(),
-            vec![
-                "/jobs{render#2}/count/tasks".to_owned(),
-                "/threads/count/cumulative".to_owned()
-            ]
-        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Seeded pseudo-random numbers without external dependencies.
 //!
-//! The simulator and the fault-injection plan both need *deterministic,
-//! seedable* randomness (run-to-run reproducibility is asserted by the
-//! test suite), not cryptographic quality. It lives in this base crate so
-//! `grain-runtime` and `grain-sim` draw from the same generator without
-//! depending on each other. This is PCG-XSH-RR 64/32 (O'Neill 2014): a
+//! The simulator and the seeded storm and chaos plans need
+//! *deterministic, seedable* randomness (run-to-run reproducibility is
+//! asserted by the test suite), not cryptographic quality. It lives in
+//! this base crate so every crate draws from the same generator without
+//! depending on the simulator. This is PCG-XSH-RR 64/32 (O'Neill 2014): a
 //! 64-bit LCG state advanced per draw, output-permuted to 32 bits; two
 //! draws make a `u64`. Statistically far better than a bare LCG at the
 //! same cost, and eight lines of code.

@@ -3,31 +3,21 @@
 //! The paper stresses (§II-A) that every metric "can be calculated over any
 //! interval of interest" — that is what makes the counters usable for
 //! *dynamic* adaptation, not just post-mortem analysis. A [`Snapshot`]
-//! captures all counters matching a pattern; an [`Interval`] subtracts two
+//! captures every registered counter; an [`Interval`] subtracts two
 //! snapshots, yielding the event counts and time sums accumulated in
 //! between. The adaptation engine in `grain-adaptive` consumes intervals.
 
-use crate::registry::{Registry, RegistryError};
+use crate::registry::Registry;
 use crate::value::{CounterValue, Unit};
 use std::collections::BTreeMap;
 
-/// A point-in-time capture of every counter matching a pattern.
+/// A point-in-time capture of every registered counter.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     values: BTreeMap<String, CounterValue>,
 }
 
 impl Snapshot {
-    /// Capture all counters in `registry` matching `pattern`
-    /// (see [`Registry::discover`] for pattern semantics).
-    pub fn capture(registry: &Registry, pattern: &str) -> Result<Self, RegistryError> {
-        let values = registry
-            .query_all(pattern)?
-            .into_iter()
-            .collect::<BTreeMap<_, _>>();
-        Ok(Self { values })
-    }
-
     /// Capture every registered counter.
     pub fn capture_all(registry: &Registry) -> Self {
         let mut values = BTreeMap::new();
@@ -197,15 +187,5 @@ mod tests {
             )
             .unwrap();
         assert!((ir - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn capture_with_pattern_filters() {
-        let (reg, _) = registry_with(&[
-            ("/threads/count/cumulative", 1, Unit::Count),
-            ("/threads/time/cumulative-exec", 2, Unit::Nanoseconds),
-        ]);
-        let snap = Snapshot::capture(&reg, "/threads/count/*").unwrap();
-        assert_eq!(snap.len(), 1);
     }
 }

@@ -17,10 +17,8 @@ use std::time::Duration;
 /// This is the single place the workspace converts `PoisonError` into a
 /// usable guard: a panic inside a task must never cascade into
 /// `lock().unwrap()` panics on every other thread touching shared
-/// scheduler state. All wrappers in this module go through it, and code
-/// that must use `std::sync` primitives directly (e.g. inside a
-/// `Condvar::wait` loop) should call it instead of `.unwrap()`.
-pub fn lock_or_recover<G>(result: Result<G, PoisonError<G>>) -> G {
+/// scheduler state. All wrappers in this module go through it.
+fn lock_or_recover<G>(result: Result<G, PoisonError<G>>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
 }
 

@@ -58,15 +58,6 @@ impl CounterValue {
         }
     }
 
-    /// A sample with no wall-clock timestamp (virtual-time producers).
-    pub fn untimed(value: f64, unit: Unit) -> Self {
-        Self {
-            value,
-            unit,
-            timestamp_ns: 0,
-        }
-    }
-
     /// The value interpreted as an exact count.
     ///
     /// # Panics
@@ -74,15 +65,6 @@ impl CounterValue {
     pub fn as_count(&self) -> u64 {
         debug_assert_eq!(self.unit, Unit::Count, "counter is not a count");
         self.value as u64
-    }
-
-    /// The value interpreted as seconds (from nanoseconds).
-    ///
-    /// # Panics
-    /// Panics in debug builds if the unit is not [`Unit::Nanoseconds`].
-    pub fn as_seconds(&self) -> f64 {
-        debug_assert_eq!(self.unit, Unit::Nanoseconds, "counter is not a time");
-        self.value * 1e-9
     }
 }
 
@@ -108,24 +90,11 @@ mod tests {
     }
 
     #[test]
-    fn untimed_has_no_timestamp() {
-        let v = CounterValue::untimed(1500.0, Unit::Nanoseconds);
-        assert_eq!(v.timestamp_ns, 0);
-        assert!((v.as_seconds() - 1.5e-6).abs() < 1e-15);
-    }
-
-    #[test]
     fn display_formats() {
+        assert_eq!(CounterValue::now(42.0, Unit::Count).to_string(), "42 count");
+        assert_eq!(CounterValue::now(0.5, Unit::Ratio).to_string(), "50.00%");
         assert_eq!(
-            CounterValue::untimed(42.0, Unit::Count).to_string(),
-            "42 count"
-        );
-        assert_eq!(
-            CounterValue::untimed(0.5, Unit::Ratio).to_string(),
-            "50.00%"
-        );
-        assert_eq!(
-            CounterValue::untimed(2500.0, Unit::Nanoseconds).to_string(),
+            CounterValue::now(2500.0, Unit::Nanoseconds).to_string(),
             "2.500 us"
         );
     }

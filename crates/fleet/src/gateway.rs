@@ -733,15 +733,6 @@ impl FleetGateway {
             .filter(|j| !matches!(j.phase, Phase::Terminal))
             .count()
     }
-
-    /// The most recent stats sample polled from `worker`, if any.
-    pub fn last_stats(&self, worker: usize) -> Option<WorkerStats> {
-        self.shared
-            .workers
-            .lock()
-            .get(&worker)
-            .and_then(|v| v.stats.as_ref().map(|(_, s)| s.clone()))
-    }
 }
 
 /// Terminal-bucket accounting + wakeup, shared by every settle path.

@@ -46,6 +46,6 @@ pub use breaker::{FleetBreakerConfig, FleetBreakerState, LocalityBreakers};
 pub use gateway::{
     FleetConfig, FleetCounters, FleetGateway, FleetJobHandle, FleetJobSpec, FleetLedger, Placement,
 };
-pub use stats::{register_sys_stats, sample_stats};
+pub use stats::register_sys_stats;
 pub use wire::{DrainReport, FleetJob, FleetOutcome, SubmitAck, SubmitVerdict, WorkerStats};
 pub use worker::{FleetWorker, FleetWorkerConfig, WorkerCounters};

@@ -23,7 +23,7 @@ use std::sync::Arc;
 /// dashboard would scrape), so the report is exactly what the counter
 /// paths publish; a missing counter reads as 0 rather than failing the
 /// poll.
-pub fn sample_stats(service: &JobService, locality_id: usize, draining: bool) -> WorkerStats {
+fn sample_stats(service: &JobService, locality_id: usize, draining: bool) -> WorkerStats {
     let sreg = service.registry();
     let read = |path: &str| sreg.query(path).map(|v| v.value).unwrap_or(0.0);
     let idle_path = format!("/threads{{locality#{locality_id}/total}}/idle-rate");

@@ -111,7 +111,6 @@ impl StencilEngine for SimEngine {
             seed: SEED_BASE
                 .wrapping_add(sample as u64)
                 .wrapping_add((nx as u64).wrapping_mul(0x9E37_79B9)),
-            ..SimConfig::default()
         };
         let report = simulate(&self.platform, workers, &wl, &cfg);
         let rec = RunRecord::from_sim(&report, &self.platform.name, &params);

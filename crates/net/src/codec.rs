@@ -19,11 +19,11 @@
 use std::fmt;
 
 /// First bytes of every frame; rejects cross-protocol traffic early.
-pub const MAGIC: [u8; 4] = *b"GRNP";
+const MAGIC: [u8; 4] = *b"GRNP";
 
 /// Wire protocol version. Bumped on any incompatible frame change; a
 /// mismatch is a [`CodecError::Version`] at decode time.
-pub const VERSION: u8 = 1;
+const VERSION: u8 = 1;
 
 /// Hard upper bound on one frame's payload (16 MiB). A length prefix
 /// beyond this is treated as corruption rather than an allocation
@@ -190,7 +190,7 @@ impl Writer {
     }
 
     /// The encoded bytes.
-    pub fn into_vec(self) -> Vec<u8> {
+    fn into_vec(self) -> Vec<u8> {
         self.buf
     }
 

@@ -18,6 +18,10 @@
 //!   table, and [`locality::Locality::async_remote`], the distributed
 //!   `hpx::async`. Remote panics come back as `TaskError::Panicked`;
 //!   dead peers settle their futures with `TaskError::Disconnected`.
+//! * [`block_of`] / [`block_owner`] — the split of a global index range
+//!   into one contiguous block per locality, and its inverse; the
+//!   [`EdgeBoard`] is where the producer of a boundary edge and its
+//!   remote consumers meet, in either order.
 //! * [`bootstrap`] — world construction: hermetic in-process
 //!   [`bootstrap::Fabric`] worlds for tests, and a TCP root/join
 //!   protocol for multi-process runs.
@@ -43,6 +47,7 @@
 pub mod bootstrap;
 pub mod codec;
 pub mod counters;
+mod exchange;
 pub mod locality;
 pub mod parcelport;
 pub mod transport;
@@ -50,6 +55,7 @@ pub mod transport;
 pub use bootstrap::{tcp_join, tcp_root, Fabric, TcpNode};
 pub use codec::{CodecError, Frame, Wire, WireFault, MAX_FRAME};
 pub use counters::ParcelCounters;
+pub use exchange::{block_of, block_owner, EdgeBoard};
 pub use locality::{Locality, NetConfig};
 pub use parcelport::{Link, SendError};
 pub use transport::{LoopbackTransport, SimTransport, TcpTransport, Transport, TransportError};

@@ -494,11 +494,6 @@ impl Locality {
         self.shared.world
     }
 
-    /// The robustness knobs this locality was built with.
-    pub fn net_config(&self) -> &NetConfig {
-        &self.shared.config
-    }
-
     /// The scheduler this locality runs tasks on.
     pub fn runtime(&self) -> &Arc<Runtime> {
         &self.shared.runtime

@@ -69,7 +69,7 @@ pub type DisconnectHandler = Arc<dyn Fn(usize) + Send + Sync>;
 /// How long a full send queue may stall a sender before the link is
 /// declared dead. Generous: hitting this means the peer's reader has not
 /// drained *anything* for the whole window.
-pub const SEND_TIMEOUT: Duration = Duration::from_secs(10);
+const SEND_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Default bound on the send queue, in frames.
 pub const DEFAULT_QUEUE_CAP: usize = 1024;
@@ -128,8 +128,6 @@ enum PushError {
 struct QueueState {
     /// Encoded frames with their "counts as a parcel" flag.
     frames: VecDeque<(Vec<u8>, bool)>,
-    /// Total encoded bytes currently queued.
-    bytes: usize,
     /// No further sends accepted; the writer drains what is queued.
     closed: bool,
 }
@@ -151,7 +149,6 @@ impl SendQueue {
         Self {
             state: Mutex::new(QueueState {
                 frames: VecDeque::new(),
-                bytes: 0,
                 closed: false,
             }),
             severed: AtomicBool::new(false),
@@ -170,7 +167,6 @@ impl SendQueue {
                 return Err(PushError::Closed);
             }
             if st.frames.len() < self.cap {
-                st.bytes += bytes.len();
                 st.frames.push_back((bytes, parcel));
                 self.not_empty.notify_one();
                 return Ok(());
@@ -199,7 +195,6 @@ impl SendQueue {
             }
             if !st.frames.is_empty() {
                 std::mem::swap(&mut st.frames, batch);
-                st.bytes = 0;
                 self.not_full.notify_all();
                 return true;
             }
@@ -218,10 +213,6 @@ impl SendQueue {
         self.state.lock().frames.len()
     }
 
-    fn queued_bytes(&self) -> usize {
-        self.state.lock().bytes
-    }
-
     /// Stop accepting sends; the writer drains what is queued, then exits.
     fn close(&self) {
         let mut st = self.state.lock();
@@ -236,7 +227,6 @@ impl SendQueue {
         st.closed = true;
         self.severed.store(true, Ordering::Release);
         st.frames.clear();
-        st.bytes = 0;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
@@ -265,9 +255,9 @@ pub struct Link {
     partner: Mutex<Weak<Link>>,
     /// Transport teardown run on sever (socket shutdown / fabric sever).
     sever_hook: Option<SeverHook>,
-    /// Send-stall budget in nanoseconds; defaults to [`SEND_TIMEOUT`].
-    /// Tunable (see [`Link::set_send_timeout`]) so stall tests and chaos
-    /// harnesses don't wait out the production-sized window.
+    /// Send-stall budget in nanoseconds; [`SEND_TIMEOUT`] outside tests,
+    /// which shorten it so a stall test does not wait out the
+    /// production-sized window.
     send_timeout_ns: AtomicU64,
 }
 
@@ -340,13 +330,9 @@ impl Link {
         self.queue.len()
     }
 
-    /// Encoded bytes currently waiting in the send queue.
-    pub fn queued_bytes(&self) -> usize {
-        self.queue.queued_bytes()
-    }
-
     /// Replace the send-stall budget (default [`SEND_TIMEOUT`]).
-    pub fn set_send_timeout(&self, timeout: Duration) {
+    #[cfg(test)]
+    fn set_send_timeout(&self, timeout: Duration) {
         self.send_timeout_ns
             .store(timeout.as_nanos() as u64, Ordering::Relaxed);
     }

@@ -223,7 +223,7 @@ impl Transport for SimTransport {
 /// replay-stable identity, everything else (including bytes that fail
 /// to decode, which cannot happen for locally-encoded frames) rides as
 /// control traffic.
-pub fn sim_class_of(bytes: &[u8], dst: usize) -> SimFrameClass {
+fn sim_class_of(bytes: &[u8], dst: usize) -> SimFrameClass {
     match Frame::decode(bytes) {
         Ok(Frame::Call {
             call_id, origin, ..

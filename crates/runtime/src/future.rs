@@ -252,11 +252,6 @@ impl<T> SharedFuture<T> {
         self.shared.outcome.get().is_some()
     }
 
-    /// True if the future settled with an error.
-    pub fn is_faulted(&self) -> bool {
-        matches!(self.shared.outcome.get(), Some(Err(_)))
-    }
-
     /// The error the future faulted with, if it did.
     pub fn error(&self) -> Option<TaskError> {
         match self.shared.outcome.get() {
@@ -489,7 +484,7 @@ mod tests {
         assert_eq!(*f.get(), 42);
         assert_eq!(*f.try_get().unwrap().unwrap(), 42);
         assert!(f.is_ready());
-        assert!(!f.is_faulted());
+        assert!(f.error().is_none());
     }
 
     #[test]
@@ -509,7 +504,7 @@ mod tests {
     fn faulted_constructor_and_error() {
         let f = SharedFuture::<i32>::faulted(TaskError::Cancelled);
         assert!(f.is_ready(), "faulted counts as settled");
-        assert!(f.is_faulted());
+        assert!(f.error().is_some());
         assert_eq!(f.error(), Some(TaskError::Cancelled));
         assert_eq!(f.wait(), Err(TaskError::Cancelled));
     }
@@ -678,7 +673,7 @@ mod tests {
         assert_eq!(err.chain_len(), 1);
         // A late sibling value must not double-settle.
         p2.set(2);
-        assert!(out.is_faulted());
+        assert!(out.error().is_some());
     }
 
     #[test]
@@ -688,7 +683,7 @@ mod tests {
         let out = when_all(&[f1, f2]);
         p1.set(1);
         p2.fail(TaskError::Cancelled);
-        assert!(out.is_faulted());
+        assert!(out.error().is_some());
         assert_eq!(out.error().unwrap().root_cause(), &TaskError::Cancelled);
     }
 

@@ -203,11 +203,6 @@ impl TaskGroup {
         self.budget_ns.store(ns, Ordering::SeqCst);
     }
 
-    /// Remove the budget (members dispatch normally again).
-    pub fn clear_budget(&self) {
-        self.budget_ns.store(NO_BUDGET, Ordering::SeqCst);
-    }
-
     /// Time remaining before the budget deadline, or `None` if no budget
     /// is installed. Returns `Some(ZERO)` once the budget is exhausted.
     pub fn remaining_budget(&self) -> Option<Duration> {
@@ -556,9 +551,6 @@ mod tests {
         g.set_budget_deadline(Instant::now() - Duration::from_millis(1));
         assert_eq!(g.remaining_budget(), Some(Duration::ZERO));
         assert!(g.budget_exhausted());
-        g.clear_budget();
-        assert_eq!(g.remaining_budget(), None);
-        assert!(!g.budget_exhausted());
     }
 
     #[test]

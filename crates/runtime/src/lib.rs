@@ -73,7 +73,6 @@ mod worker;
 pub use fault::{TaskError, WatchdogConfig};
 pub use future::{channel, when_all, Promise, Settled, SharedFuture};
 pub use grain_counters::threads::ThreadCounters;
-pub use grain_counters::{FaultAction, FaultPlan};
 pub use group::{CancelToken, TaskGroup};
 pub use runtime::{Runtime, RuntimeConfig, TaskContext};
 pub use scheduler::{Provenance, Scheduler, SchedulerKind, SearchStep};

@@ -7,7 +7,7 @@ use crate::scheduler::{Scheduler, SchedulerKind, SearchState};
 use crate::task::{Poll, Priority, Runnable, StagedTask, Task, TaskId, TaskIdAllocator, TaskState};
 use grain_counters::sync::{Condvar, Mutex};
 use grain_counters::threads::ThreadCounters;
-use grain_counters::{FaultPlan, RawCounter, Registry, Unit};
+use grain_counters::{RawCounter, Registry, Unit};
 use grain_topology::host;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -33,11 +33,6 @@ pub struct RuntimeConfig {
     /// Record per-worker task-event timelines (see [`crate::trace`]).
     /// Off by default: tracing costs one buffer append per phase.
     pub trace: bool,
-    /// Deterministic fault-injection plan. `None` (default) injects
-    /// nothing. Only consulted when the crate is built with the
-    /// `fault-inject` feature — release builds without it compile the
-    /// injection hooks out entirely.
-    pub fault_plan: Option<FaultPlan>,
     /// Stall watchdog. `None` (default) runs no monitor thread; `Some`
     /// starts one that samples progress every `interval` and reports
     /// stalls (see [`WatchdogConfig`] and `/runtime/watchdog/*`).
@@ -60,7 +55,6 @@ impl Default for RuntimeConfig {
             spin_rounds: 8,
             park_timeout: Duration::from_micros(200),
             trace: false,
-            fault_plan: None,
             watchdog: None,
             locality_id: 0,
         }

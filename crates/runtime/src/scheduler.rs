@@ -333,7 +333,7 @@ impl Scheduler {
     ///
     /// Exposed (not just `find_work`) so tests can freeze the search
     /// mid-conversion and exercise the round-trip races deterministically.
-    pub fn search_step(
+    fn search_step(
         &self,
         w: usize,
         counters: &ThreadCounters,

@@ -131,23 +131,6 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                     group: task.group.clone(),
                     released: &mut released,
                 };
-
-                #[cfg(feature = "fault-inject")]
-                let injected = inner
-                    .config
-                    .fault_plan
-                    .as_ref()
-                    .map(|p| p.decide(task.id.0, task.phases))
-                    .unwrap_or(grain_counters::FaultAction::None);
-                #[cfg(feature = "fault-inject")]
-                match injected {
-                    // The injected sleep sits between `mark` and the
-                    // body: it is charged to Σt_func, not Σt_exec.
-                    grain_counters::FaultAction::Delay(d) => std::thread::sleep(d),
-                    grain_counters::FaultAction::SpuriousWake => inner.wake(),
-                    _ => {}
-                }
-
                 let exec_start = Instant::now();
                 // Isolate the phase: a panicking body must terminate only
                 // this task. The scope arms the panic hook so the message
@@ -156,10 +139,6 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                 let result = {
                     let _scope = fault::PhaseScope::enter();
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        #[cfg(feature = "fault-inject")]
-                        if injected == grain_counters::FaultAction::Panic {
-                            panic!("injected fault: task panic");
-                        }
                         task.body.run(&mut ctx)
                     }))
                 };

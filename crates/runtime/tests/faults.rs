@@ -1,7 +1,6 @@
 //! Fault-tolerance behavior, observed through the public API: panic
 //! isolation, fault propagation through futures and DAGs, bounded
-//! waits, the stall watchdog, dead-worker detection, and (behind the
-//! `fault-inject` feature) deterministic seeded fault replay.
+//! waits, the stall watchdog and dead-worker detection.
 
 use grain_runtime::{
     channel, when_all, Poll, Priority, Runtime, RuntimeConfig, TaskError, TaskGroup, WatchdogConfig,
@@ -338,46 +337,4 @@ fn dead_worker_turns_wait_idle_into_a_loud_failure() {
     );
     // Drop of the runtime must NOT panic (it force-shuts-down instead);
     // reaching the end of this test exercises that.
-}
-
-#[cfg(feature = "fault-inject")]
-mod inject {
-    use super::*;
-    use grain_runtime::FaultPlan;
-
-    /// One seeded run: 64 single-phase tasks on one worker. Returns the
-    /// per-task verdicts and the faulted-counter total.
-    fn run(seed: u64) -> (Vec<bool>, u64) {
-        let rt = Runtime::new(RuntimeConfig {
-            fault_plan: Some(
-                FaultPlan::new(seed)
-                    .with_panic_rate(0.25)
-                    .with_delay(0.2, Duration::from_micros(50))
-                    .with_spurious_wake_rate(0.1),
-            ),
-            ..RuntimeConfig::with_workers(1)
-        });
-        let futs: Vec<_> = (0..64u64).map(|i| rt.async_call(move |_| i)).collect();
-        let verdicts: Vec<bool> = futs.iter().map(|f| f.wait().is_ok()).collect();
-        rt.wait_idle();
-        let faulted = rt.counters().faulted.sum();
-        (verdicts, faulted)
-    }
-
-    #[test]
-    fn seeded_injection_replays_bit_identically() {
-        let (a, faulted_a) = run(0xDEAD_BEEF);
-        let (b, faulted_b) = run(0xDEAD_BEEF);
-        assert_eq!(a, b, "same seed must fault the same tasks");
-        assert_eq!(faulted_a, faulted_b);
-        assert!(
-            a.iter().any(|ok| !ok),
-            "panic rate 0.25 over 64 tasks should fault at least one"
-        );
-        assert!(a.iter().any(|ok| *ok), "not every task should fault");
-        assert_eq!(faulted_a, a.iter().filter(|ok| !**ok).count() as u64);
-
-        let (c, _) = run(0x5EED);
-        assert_ne!(a, c, "a different seed should pick different victims");
-    }
 }

@@ -226,6 +226,60 @@ fn suspension_and_resume() {
 }
 
 #[test]
+fn tasks_created_up_front_and_suspended_on_later_inputs_cannot_deadlock_one_worker() {
+    // Every link of a chain is spawned, last link first, on one worker
+    // before its input exists; each suspends on that input. Only then is
+    // the head settled: suspension must keep the worker free to run
+    // whichever link is ready, in whatever order the links were queued.
+    const N: usize = 64;
+    let r = rt(1);
+    let (head, first) = channel::<u64>();
+    let mut inputs = vec![first];
+    let mut promises = Vec::with_capacity(N);
+    for _ in 0..N {
+        let (p, f) = channel::<u64>();
+        promises.push(p);
+        inputs.push(f);
+    }
+    for (i, promise) in promises.into_iter().enumerate().rev() {
+        let input = inputs[i].clone();
+        let mut promise = Some(promise);
+        r.spawn_phased(Priority::Normal, move |ctx| match input.try_get() {
+            Some(v) => {
+                if let Some(p) = promise.take() {
+                    p.set(*v.expect("input not faulted") + 1);
+                }
+                Poll::Complete
+            }
+            None => {
+                ctx.suspend_until(&input);
+                Poll::Suspend
+            }
+        });
+    }
+    // No link can finish before the head settles, so once N phases have
+    // run, every task is suspended.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while r.counters().phases.sum() < N as u64 {
+        assert!(Instant::now() < deadline, "the links never ran");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(r.counters().tasks.sum(), 0);
+    head.set(0);
+    assert_eq!(
+        inputs[N].wait_timeout(Duration::from_secs(10)).map(|v| *v),
+        Ok(N as u64)
+    );
+    r.wait_idle();
+    assert_eq!(r.counters().tasks.sum(), N as u64);
+    assert_eq!(
+        r.counters().phases.sum(),
+        2 * N as u64,
+        "one suspension per task"
+    );
+}
+
+#[test]
 fn high_priority_runs_before_backlog() {
     // One worker, seeded with a slow backlog; a high-priority task spawned
     // afterwards must run before the rest of the backlog drains.

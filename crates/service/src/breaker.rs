@@ -6,7 +6,7 @@
 //!
 //! ```text
 //!            failure ratio over the rolling window
-//!            reaches failure_threshold
+//!            reaches FAILURE_THRESHOLD
 //!   Closed ────────────────────────────────▶ Open
 //!     ▲                                       │ open_for elapses
 //!     │ probe succeeds                        ▼
@@ -17,8 +17,8 @@
 //! * **Closed** — submissions pass; terminal outcomes (`Failed`,
 //!   `TimedOut` = failure, `Completed` = success) feed a rolling window.
 //!   Once the window holds at least [`BreakerConfig::min_samples`]
-//!   outcomes and the failure ratio reaches
-//!   [`BreakerConfig::failure_threshold`], the breaker trips.
+//!   outcomes and the failure ratio reaches [`FAILURE_THRESHOLD`], the
+//!   breaker trips.
 //! * **Open** — submissions are rejected outright
 //!   ([`crate::AdmissionError::BreakerOpen`]) for
 //!   [`BreakerConfig::open_for`]; faulted attempts are not re-queued for
@@ -44,6 +44,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Failure ratio (failures / outcomes in the window) that trips a
+/// breaker. A constant, not a knob: every caller ran with 0.5 — a tenant
+/// that fails as often as it succeeds is cut off, and `min_samples`
+/// alone decides how soon the ratio is trusted.
+const FAILURE_THRESHOLD: f64 = 0.5;
+
 /// Circuit-breaker configuration (per service; one breaker per tenant).
 #[derive(Debug, Clone)]
 pub struct BreakerConfig {
@@ -53,9 +59,6 @@ pub struct BreakerConfig {
     pub window: usize,
     /// Minimum outcomes in the window before the breaker may trip.
     pub min_samples: usize,
-    /// Failure ratio (failures / outcomes in window) that trips the
-    /// breaker, in `0.0..=1.0`.
-    pub failure_threshold: f64,
     /// Cooldown in `Open` before probes are allowed.
     pub open_for: Duration,
     /// Probe spacing in `HalfOpen`: at most one probe admission per this
@@ -69,7 +72,6 @@ impl Default for BreakerConfig {
             enabled: true,
             window: 32,
             min_samples: 8,
-            failure_threshold: 0.5,
             open_for: Duration::from_millis(250),
             probe_every: Duration::from_millis(50),
         }
@@ -232,7 +234,7 @@ impl TenantBreaker {
                 let n = self.outcomes.len();
                 if n >= cfg.min_samples.max(1) {
                     let failures = self.outcomes.iter().filter(|f| **f).count();
-                    if failures as f64 / n as f64 >= cfg.failure_threshold {
+                    if failures as f64 / n as f64 >= FAILURE_THRESHOLD {
                         self.trip(now);
                     }
                 }
@@ -341,7 +343,6 @@ mod tests {
             enabled: true,
             window: 8,
             min_samples: 4,
-            failure_threshold: 0.5,
             open_for: Duration::from_millis(100),
             probe_every: Duration::from_millis(20),
         }

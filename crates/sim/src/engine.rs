@@ -21,7 +21,7 @@ use crate::machine::MachineModel;
 use crate::report::SimReport;
 use crate::rng::Pcg32;
 use crate::workload::SimWorkload;
-use grain_counters::{FaultAction, FaultPlan, ThreadCounters};
+use grain_counters::ThreadCounters;
 use grain_topology::Platform;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -45,22 +45,11 @@ pub struct SimConfig {
     /// RNG seed for the jitter model; runs with equal seeds are
     /// bit-identical.
     pub seed: u64,
-    /// Deterministic fault injection: each dispatch consults the plan
-    /// with the task id and its attempt number, mirroring the native
-    /// runtime's `fault-inject` hooks. An injected panic faults the
-    /// attempt (charged like a real phase, counted in
-    /// `SimReport::faulted`) and the task is retried on the same worker
-    /// — the plan's per-attempt verdicts make the whole run, retries
-    /// included, bit-identical for equal seeds.
-    pub fault_plan: Option<FaultPlan>,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
-        Self {
-            seed: 0x5eed,
-            fault_plan: None,
-        }
+        Self { seed: 0x5eed }
     }
 }
 
@@ -74,9 +63,6 @@ enum EventKind {
         task: u32,
         /// Kernel time of the finishing task, ns (integral for counters).
         exec_ns: u64,
-        /// The phase ends in an injected panic: the attempt faults and
-        /// the task is retried instead of completing.
-        faulted: bool,
     },
 }
 
@@ -131,9 +117,6 @@ struct Engine<'a> {
     mark: Vec<f64>,
     executing: usize,
     completed: usize,
-    fault_plan: Option<FaultPlan>,
-    /// Attempt number of each task's next dispatch (0 on first run).
-    attempts: Vec<u64>,
 }
 
 impl<'a> Engine<'a> {
@@ -264,34 +247,13 @@ impl<'a> Engine<'a> {
                 self.busy[w] = true;
                 self.executing += 1;
                 let contenders = self.contenders();
-                let mut exec = self.run_factor
+                let exec = self.run_factor
                     * self.m.exec_ns(
                         self.wl.tasks[task as usize].points,
                         self.executing,
                         self.wl.footprint_bytes,
                         &mut self.rng,
                     );
-                // Injection verdicts are a pure function of (seed, task,
-                // attempt) — independent of event order, so a faulty run
-                // replays bit-identically.
-                let action = self.fault_plan.as_ref().map_or(FaultAction::None, |p| {
-                    p.decide(u64::from(task), self.attempts[task as usize])
-                });
-                let mut faulted = false;
-                match action {
-                    FaultAction::None => {}
-                    FaultAction::Panic => faulted = true,
-                    FaultAction::Delay(d) => exec += d.as_nanos() as f64,
-                    FaultAction::SpuriousWake => {
-                        // Extra wakes for parked peers: they charge their
-                        // idle gap, sweep the queues, and re-park.
-                        for v in 0..self.m.workers {
-                            if v != w && self.is_idle[v] {
-                                self.schedule(t, EventKind::Wake(v as u32));
-                            }
-                        }
-                    }
-                }
                 let done_t = t + cost + self.m.dispatch_ns(contenders) + exec;
                 self.schedule(
                     done_t,
@@ -299,7 +261,6 @@ impl<'a> Engine<'a> {
                         worker: w as u32,
                         task,
                         exec_ns: exec as u64,
-                        faulted,
                     },
                 );
             }
@@ -313,8 +274,8 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Worker `w` completes (or faults) `task` at time `t`.
-    fn done(&mut self, w: usize, task: u32, exec_ns: u64, faulted: bool, t: f64) {
+    /// Worker `w` completes `task` at time `t`.
+    fn done(&mut self, w: usize, task: u32, exec_ns: u64, t: f64) {
         let c = &self.counters;
         c.exec_ns.add(w, exec_ns);
         c.exec_histogram.record(w, exec_ns);
@@ -323,21 +284,6 @@ impl<'a> Engine<'a> {
         c.phases.incr(w);
         self.busy[w] = false;
         self.executing -= 1;
-        if faulted {
-            // The attempt panicked: charged like a real phase, but the
-            // task did not complete and releases nothing. Retry on the
-            // same worker (the unwound frame's cache residue is local).
-            c.faulted.incr(w);
-            self.attempts[task as usize] += 1;
-            assert!(
-                self.attempts[task as usize] < 1_000,
-                "fault injection: task {task} faulted 1000 attempts in a row \
-                 (panic_rate too close to 1?)"
-            );
-            self.staged[w].push_back(task);
-            self.schedule(t, EventKind::Wake(w as u32));
-            return;
-        }
         c.tasks.incr(w);
         self.completed += 1;
         if self.completed == self.wl.tasks.len() {
@@ -385,10 +331,9 @@ impl<'a> Engine<'a> {
                     worker,
                     task,
                     exec_ns,
-                    faulted,
                 } => {
                     final_t = t;
-                    self.done(worker as usize, task, exec_ns, faulted, t);
+                    self.done(worker as usize, task, exec_ns, t);
                     if self.completed == n {
                         break;
                     }
@@ -466,8 +411,6 @@ pub fn simulate(
         mark: vec![0.0; workers],
         executing: 0,
         completed: 0,
-        fault_plan: config.fault_plan.clone().filter(|p| !p.is_empty()),
-        attempts: vec![0; n],
     };
     for w in 0..workers {
         engine.schedule(0.0, EventKind::Wake(w as u32));
@@ -585,30 +528,8 @@ mod tests {
         let a = simulate(&presets::xeon_phi(), 16, &wl, &cfg());
         let b = simulate(&presets::xeon_phi(), 16, &wl, &cfg());
         assert_eq!(a, b);
-        let c = simulate(
-            &presets::xeon_phi(),
-            16,
-            &wl,
-            &SimConfig { seed: 99, ..cfg() },
-        );
+        let c = simulate(&presets::xeon_phi(), 16, &wl, &SimConfig { seed: 99 });
         assert_ne!(a.wall_ns, c.wall_ns, "different seed, different jitter");
-    }
-
-    #[test]
-    fn injected_faults_retry_and_replay_bit_identically() {
-        let wl = SimWorkload::independent(300, 2_000);
-        let faulty = SimConfig {
-            fault_plan: Some(FaultPlan::new(7).with_panic_rate(0.1)),
-            ..SimConfig::default()
-        };
-        let a = simulate(&presets::haswell(), 4, &wl, &faulty);
-        let b = simulate(&presets::haswell(), 4, &wl, &faulty);
-        assert_eq!(a, b, "same fault plan must replay bit-identically");
-        assert!(a.faulted > 0, "10% panic rate over 300 tasks must fault");
-        assert_eq!(a.tasks, 300, "every task eventually completes");
-        assert_eq!(a.phases, a.tasks + a.faulted);
-        let clean = simulate(&presets::haswell(), 4, &wl, &cfg());
-        assert_eq!(clean.faulted, 0, "no plan, no faults");
     }
 
     #[test]

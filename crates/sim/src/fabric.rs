@@ -40,15 +40,11 @@
 //! frames already in flight when the window opens are caught by it,
 //! exactly like a cable pulled mid-transfer.
 //!
-//! ## Pacing
+//! ## Virtual time
 //!
-//! By default the pump is free-running: events are processed as fast
-//! as the host allows and the virtual clock jumps event-to-event
-//! (hours of simulated traffic in milliseconds). With
-//! [`NetFabric::paced`] the pump sleeps until each event's virtual
-//! timestamp scaled by `real_per_virtual` has elapsed on the host
-//! clock — that is what makes the timed [`PartitionWindow`]s of a plan
-//! meaningful relative to application progress on a 1-core host.
+//! The pump is free-running: events are processed as fast as the host
+//! allows and the virtual clock jumps event-to-event (hours of
+//! simulated traffic in milliseconds).
 
 #![deny(clippy::unwrap_used)]
 
@@ -68,7 +64,7 @@ pub type SimSink = Arc<dyn Fn(usize, Vec<u8>) + Send + Sync>;
 
 /// Fixed one-way latency of control frames, in virtual ns. Control
 /// traffic is not subject to chaos verdicts, bandwidth, or queue caps.
-pub const CONTROL_LATENCY_NS: u64 = 1_000;
+const CONTROL_LATENCY_NS: u64 = 1_000;
 
 /// How the fabric classifies one submitted frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,27 +259,12 @@ pub struct NetFabric {
     ledger: Ledger,
     clock_ns: AtomicU64,
     stopped: AtomicBool,
-    /// Real seconds per virtual second; `None` = free-running.
-    pace: Option<f64>,
-    started_at: Instant,
 }
 
 impl NetFabric {
-    /// Build a free-running fabric for `plan` and start its pump
-    /// thread. Timed partition windows in the plan are pre-scheduled.
+    /// Build a fabric for `plan` and start its pump thread. Timed
+    /// partition windows in the plan are pre-scheduled.
     pub fn new(plan: NetPlan) -> Arc<Self> {
-        Self::build(plan, None)
-    }
-
-    /// Build a *paced* fabric: virtual time advances no faster than
-    /// `real_per_virtual` host-seconds per virtual second, making the
-    /// plan's timed partition windows meaningful against wall-clock
-    /// application progress.
-    pub fn paced(plan: NetPlan, real_per_virtual: f64) -> Arc<Self> {
-        Self::build(plan, Some(real_per_virtual))
-    }
-
-    fn build(plan: NetPlan, pace: Option<f64>) -> Arc<Self> {
         let mut heap = BinaryHeap::new();
         let mut next_seq = 0u64;
         for w in &plan.partitions {
@@ -323,8 +304,6 @@ impl NetFabric {
             ledger: Ledger::new(),
             clock_ns: AtomicU64::new(0),
             stopped: AtomicBool::new(false),
-            pace,
-            started_at: Instant::now(),
         });
         {
             let fabric = Arc::clone(&fabric);
@@ -342,7 +321,7 @@ impl NetFabric {
     }
 
     /// Current virtual time, ns.
-    pub fn now_ns(&self) -> u64 {
+    fn now_ns(&self) -> u64 {
         self.clock_ns.load(Ordering::Acquire)
     }
 
@@ -681,24 +660,9 @@ impl NetFabric {
                         self.wake.wait(&mut st);
                         continue;
                     }
-                    let head_at = match st.heap.peek() {
-                        Some(Reverse(head)) => head.at_ns,
-                        None => {
-                            self.idle.notify_all();
-                            self.wake.wait(&mut st);
-                            continue;
-                        }
-                    };
-                    if let Some(scale) = self.pace {
-                        let due =
-                            self.started_at + Duration::from_secs_f64(head_at as f64 * scale / 1e9);
-                        let now = Instant::now();
-                        if now < due {
-                            let _ = self.wake.wait_for(&mut st, due - now);
-                            continue;
-                        }
-                    }
                     let Some(Reverse(ev)) = st.heap.pop() else {
+                        self.idle.notify_all();
+                        self.wake.wait(&mut st);
                         continue;
                     };
                     if let EventKind::Deliver(f) = &ev.kind {

@@ -65,7 +65,7 @@ impl MachineModel {
 
     /// Cache-residency test: does each active core's share of the
     /// footprint fit in its private L2 plus its share of the socket LLC?
-    pub fn is_resident(&self, active: usize, footprint_bytes: f64) -> bool {
+    fn is_resident(&self, active: usize, footprint_bytes: f64) -> bool {
         if footprint_bytes <= 0.0 {
             return false;
         }

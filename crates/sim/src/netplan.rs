@@ -2,7 +2,6 @@
 //! fabric.
 //!
 //! A [`NetPlan`] is to the network what a
-//! [`grain_counters::FaultPlan`] is to the scheduler and a
 //! [`StormPlan`](crate::storm::StormPlan) is to the service: a pure,
 //! deterministic *description* of misbehaviour. The fabric
 //! ([`crate::fabric::NetFabric`]) consults it once per injected parcel
@@ -43,7 +42,7 @@ use crate::rng::Pcg32;
 
 /// Salt folded into every NetPlan stream seed, separating network
 /// chaos from the storm tenants' multiplicative seed family.
-pub const NET_STREAM_SALT: u64 = 0x6e65_7463_6861_6f73; // "netchaos"
+const NET_STREAM_SALT: u64 = 0x6e65_7463_6861_6f73; // "netchaos"
 
 /// Identity kind of a `Call` frame (keyed by origin locality).
 pub const FRAME_KIND_CALL: u64 = 1;

@@ -12,12 +12,9 @@ pub struct SimReport {
     pub workers: usize,
     /// Tasks completed.
     pub tasks: u64,
-    /// Thread phases executed (== tasks + faulted attempts in the
-    /// simulator: simulated tasks are single-phase).
+    /// Thread phases executed (== tasks in the simulator: simulated
+    /// tasks are single-phase).
     pub phases: u64,
-    /// Attempts ended by an injected panic (each was retried; see
-    /// [`crate::SimConfig::fault_plan`]).
-    pub faulted: u64,
     /// Σ t_exec, ns.
     pub sum_exec_ns: u64,
     /// Σ t_func, ns.
@@ -46,7 +43,6 @@ impl SimReport {
             workers: counters.workers(),
             tasks: counters.tasks.sum(),
             phases: counters.phases.sum(),
-            faulted: counters.faulted.sum(),
             sum_exec_ns: counters.exec_ns.sum(),
             sum_func_ns: counters.func_ns.sum(),
             pending_accesses: counters.pending_accesses.sum(),
@@ -90,7 +86,6 @@ mod tests {
             workers: 2,
             tasks: 10,
             phases: 10,
-            faulted: 0,
             sum_exec_ns: 600,
             sum_func_ns: 1_000,
             pending_accesses: 40,

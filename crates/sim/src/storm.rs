@@ -41,7 +41,7 @@ use std::time::Duration;
 /// the seed space. The full `splitmix64` finalizer keeps the stream
 /// decorrelated from the tenant formula (`seed ^ golden·(idx+1)`),
 /// which is frozen by `recorded_storm_seed_is_bit_identical`.
-pub const FLEET_STREAM_SALT: u64 = 0x666c_6565_7463_6f73; // "fleetcos"
+const FLEET_STREAM_SALT: u64 = 0x666c_6565_7463_6f73; // "fleetcos"
 
 /// The dependency-graph family a tenant's job bodies are drawn from.
 ///
@@ -350,7 +350,8 @@ impl StormPlan {
     }
 
     /// Events belonging to `tenant`, in submission order.
-    pub fn of_tenant<'a>(&'a self, tenant: &'a str) -> impl Iterator<Item = &'a StormEvent> {
+    #[cfg(test)]
+    fn of_tenant<'a>(&'a self, tenant: &'a str) -> impl Iterator<Item = &'a StormEvent> {
         self.events.iter().filter(move |e| e.tenant == tenant)
     }
 

@@ -47,7 +47,8 @@ pub fn stencil_workload(params: &StencilParams) -> SimWorkload {
 }
 
 /// Task index of (step, partition) in the generated workload.
-pub fn task_index(params: &StencilParams, step: usize, partition: usize) -> usize {
+#[cfg(test)]
+fn task_index(params: &StencilParams, step: usize, partition: usize) -> usize {
     debug_assert!(step < params.nt && partition < params.np);
     step * params.np + partition
 }

@@ -20,16 +20,16 @@
 //! Failure semantics ride on the runtime's error chain: a dead peer
 //! settles its in-flight edge fetches with `TaskError::Disconnected`,
 //! which propagates through the dataflow graph into every dependent
-//! partition, so [`DistStencil::local_result`] returns an error naming
-//! the dead locality instead of hanging.
+//! partition, so [`DistStencil::local_result_timeout`] returns an error
+//! naming the dead locality instead of hanging.
 
 use crate::heat::{heat_part, initial_partition, Partition};
 use crate::params::StencilParams;
 use grain_net::bootstrap::Fabric;
 use grain_net::locality::Locality;
+use grain_net::{block_of, EdgeBoard};
 use grain_runtime::grain_counters::sync::Mutex;
 use grain_runtime::{channel, when_all, Promise, RuntimeConfig, SharedFuture, TaskError};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,74 +52,10 @@ const ACTION_EDGE: &str = "stencil/edge";
 /// Name of the deferred block-gather action.
 const ACTION_COLLECT: &str = "stencil/collect";
 
-/// Contiguous block of the partition ring owned by locality `k` of
-/// `world`: `(offset, count)` in global partition indices. Balanced to
-/// within one partition.
-pub fn block_of(k: usize, world: usize, np: usize) -> (usize, usize) {
-    let base = np / world;
-    let extra = np % world;
-    let count = base + usize::from(k < extra);
-    let offset = k * base + k.min(extra);
-    (offset, count)
-}
-
-/// One edge slot: the future handed to remote requesters and (until the
-/// producer links it) the promise that will settle it.
-struct Slot {
-    future: SharedFuture<f64>,
-    promise: Option<Promise<f64>>,
-}
-
-/// Meeting point of edge producers and remote consumers, keyed by
-/// `(step, EDGE_FIRST | EDGE_LAST)`. Either side may arrive first.
-struct EdgeBoard {
-    slots: Mutex<HashMap<(u64, u8), Slot>>,
-}
-
-impl EdgeBoard {
-    fn new() -> Self {
-        Self {
-            slots: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn with_slot<R>(&self, key: (u64, u8), f: impl FnOnce(&mut Slot) -> R) -> R {
-        let mut slots = self.slots.lock();
-        let slot = slots.entry(key).or_insert_with(|| {
-            let (promise, future) = channel();
-            Slot {
-                future,
-                promise: Some(promise),
-            }
-        });
-        f(slot)
-    }
-
-    /// The future a remote requester waits on.
-    fn future_of(&self, key: (u64, u8)) -> SharedFuture<f64> {
-        self.with_slot(key, |s| s.future.clone())
-    }
-
-    /// Link the slot to the partition future that produces it: when the
-    /// partition settles, the edge element (or the error) follows.
-    fn publish(&self, step: u64, which: u8, src: &SharedFuture<Partition>) {
-        let promise = self.with_slot((step, which), |s| s.promise.take());
-        if let Some(promise) = promise {
-            src.on_settled(move |settled| match settled {
-                Ok(part) => promise.set(if which == EDGE_FIRST {
-                    part[0]
-                } else {
-                    part[part.len() - 1]
-                }),
-                Err(e) => promise.fail(e.clone()),
-            });
-        }
-    }
-}
-
 /// State shared between the action handlers and the driving code.
 struct StencilState {
-    edges: EdgeBoard,
+    /// Edge elements keyed by `(step, EDGE_FIRST | EDGE_LAST)`.
+    edges: EdgeBoard<(u64, u8), f64>,
     /// Settled with this locality's flattened final block.
     result: SharedFuture<Vec<f64>>,
     result_promise: Mutex<Option<Promise<Vec<f64>>>>,
@@ -130,7 +66,7 @@ struct StencilState {
 ///
 /// Protocol: [`DistStencil::install`] on **every** locality first (this
 /// registers the actions peers will call), then [`DistStencil::start`]
-/// everywhere, then [`DistStencil::local_result`] /
+/// everywhere, then [`DistStencil::local_result_timeout`] /
 /// [`DistStencil::gather`].
 pub struct DistStencil {
     loc: Locality,
@@ -155,7 +91,7 @@ impl DistStencil {
         );
         let (result_promise, result) = channel();
         let state = Arc::new(StencilState {
-            edges: EdgeBoard::new(),
+            edges: EdgeBoard::default(),
             result,
             result_promise: Mutex::new(Some(result_promise)),
             started: AtomicBool::new(false),
@@ -259,11 +195,14 @@ impl DistStencil {
         }
     }
 
+    /// Link this step's two edge elements to the partitions that
+    /// produce them.
     fn publish_edges(&self, step: u64, current: &[SharedFuture<Partition>]) {
-        self.state.edges.publish(step, EDGE_FIRST, &current[0]);
-        self.state
-            .edges
-            .publish(step, EDGE_LAST, &current[current.len() - 1]);
+        let edges = &self.state.edges;
+        edges.publish((step, EDGE_FIRST), &current[0], |part| part[0]);
+        edges.publish((step, EDGE_LAST), &current[current.len() - 1], |part| {
+            part[part.len() - 1]
+        });
     }
 
     /// The locality hosting this instance.
@@ -284,12 +223,6 @@ impl DistStencil {
             .result
             .wait_timeout(timeout)
             .map(|v| v.as_ref().clone())
-    }
-
-    /// [`DistStencil::local_result_timeout`] with the default
-    /// [`JOIN_TIMEOUT`].
-    pub fn local_result(&self) -> Result<Vec<f64>, TaskError> {
-        self.local_result_timeout(JOIN_TIMEOUT)
     }
 
     /// Collect the full final grid by fetching every locality's block
@@ -346,23 +279,6 @@ pub fn run_distributed_loopback(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn blocks_cover_the_ring_exactly_once() {
-        for (world, np) in [(1, 1), (2, 5), (3, 7), (4, 4), (3, 100)] {
-            let mut covered = Vec::new();
-            for k in 0..world {
-                let (ofs, cnt) = block_of(k, world, np);
-                assert!(cnt >= 1, "world={world} np={np} k={k}");
-                covered.extend(ofs..ofs + cnt);
-            }
-            assert_eq!(
-                covered,
-                (0..np).collect::<Vec<_>>(),
-                "world={world} np={np}"
-            );
-        }
-    }
 
     #[test]
     fn single_locality_world_matches_futurized() {

@@ -92,7 +92,7 @@ pub fn collect_result(parts: &[SharedFuture<Partition>]) -> Vec<f64> {
 /// surfaces a faulted or stuck partition as `Err` — the root cause of a
 /// mid-DAG panic is reachable through [`TaskError::root_cause`] —
 /// instead of blocking forever.
-pub fn try_collect_result(parts: &[SharedFuture<Partition>]) -> Result<Vec<f64>, TaskError> {
+fn try_collect_result(parts: &[SharedFuture<Partition>]) -> Result<Vec<f64>, TaskError> {
     // Settle every partition first, then flatten into one exactly-sized
     // allocation instead of growing the grid through doublings.
     let mut vals = Vec::with_capacity(parts.len());

@@ -13,10 +13,7 @@
 //!   [`grain_runtime::Runtime`], granularity controlled by `nx`;
 //! * [`dag::stencil_workload`] — the same task DAG for the
 //!   [`grain_sim`] discrete-event simulator, used to reproduce the
-//!   paper's multi-core experiments on modeled Table I platforms;
-//! * [`suspending::run_suspending`] — an alternative formulation with
-//!   up-front task creation and suspension on unready inputs, exercising
-//!   the runtime's suspended state and thread-phase counters.
+//!   paper's multi-core experiments on modeled Table I platforms.
 //!
 //! ```
 //! use grain_runtime::Runtime;
@@ -36,7 +33,6 @@ pub mod futurized;
 pub mod heat;
 pub mod params;
 pub mod sequential;
-pub mod suspending;
 
 pub use dag::stencil_workload;
 pub use distributed::{run_distributed_loopback, DistStencil};
@@ -46,4 +42,3 @@ pub use futurized::{
 pub use heat::{heat, heat_part, initial_partition, total_heat, Partition};
 pub use params::StencilParams;
 pub use sequential::run_sequential;
-pub use suspending::run_suspending;

@@ -37,17 +37,6 @@ impl StencilParams {
         }
     }
 
-    /// The paper's configuration for a given partition size on the Xeon
-    /// nodes: 100 M total points, 50 steps, `np = total / nx`.
-    pub fn paper_xeon(nx: usize) -> Self {
-        Self::for_total(100_000_000, nx, 50)
-    }
-
-    /// The paper's Xeon Phi configuration: 100 M total points, 5 steps.
-    pub fn paper_phi(nx: usize) -> Self {
-        Self::for_total(100_000_000, nx, 5)
-    }
-
     /// `total / nx` partitions (rounded up so at least the requested
     /// total is covered; the paper adjusts `np` the same way to hold the
     /// grid size constant).
@@ -73,7 +62,7 @@ impl StencilParams {
     }
 
     /// Stability bound of the explicit scheme: `k·dt/dx² ≤ 0.5`.
-    pub fn is_stable(&self) -> bool {
+    fn is_stable(&self) -> bool {
         self.coefficient() <= 0.5
     }
 
@@ -108,17 +97,6 @@ mod tests {
         assert_eq!(p.coefficient(), 0.5);
         assert!(p.is_stable());
         p.validate().unwrap();
-    }
-
-    #[test]
-    fn paper_configs() {
-        let p = StencilParams::paper_xeon(12_500);
-        assert_eq!(p.total_points(), 100_000_000);
-        assert_eq!(p.np, 8_000);
-        assert_eq!(p.nt, 50);
-        let p = StencilParams::paper_phi(100_000);
-        assert_eq!(p.nt, 5);
-        assert_eq!(p.np, 1_000);
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //! are combined by `collect`, and wrapping addition makes the total
 //! independent of the partitioning.
 //!
-//! The exchange is pull-based and barrier-free, exactly like the
-//! distributed stencil: either side of an edge may arrive first at the
-//! [`EdgeBoard`]; a request for a not-yet-computed edge gets a deferred
-//! reply sent when the producing task settles. Dead peers settle ghost
-//! futures with `TaskError::Disconnected`, which propagates through the
-//! dataflow into the partial checksum — an error, never a hang.
+//! The exchange is pull-based and barrier-free, through the same
+//! [`grain_net::EdgeBoard`] as the distributed stencil: either side of
+//! an edge may arrive first, and a request for a not-yet-computed edge
+//! gets a deferred reply sent when the producing task settles. Dead
+//! peers settle ghost futures with `TaskError::Disconnected`, which
+//! propagates through the dataflow into the partial checksum — an
+//! error, never a hang.
 
 #![deny(clippy::unwrap_used)]
 
@@ -27,9 +28,9 @@ use crate::work;
 use grain_metrics::{RunMeta, RunRecord};
 use grain_net::bootstrap::Fabric;
 use grain_net::locality::Locality;
+use grain_net::{block_of, block_owner, EdgeBoard};
 use grain_runtime::grain_counters::sync::Mutex;
 use grain_runtime::{channel, when_all, Promise, RuntimeConfig, SharedFuture, TaskError};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -38,69 +39,10 @@ const ACTION_EDGE: &str = "taskbench/edge";
 /// Name of the deferred partial-checksum action.
 const ACTION_PARTIAL: &str = "taskbench/partial";
 
-/// Contiguous block of node ids owned by locality `k` of `world`:
-/// `(offset, count)`, balanced to within one node.
-pub fn block_of(k: usize, world: usize, nodes: usize) -> (u32, u32) {
-    let base = nodes / world;
-    let extra = nodes % world;
-    let count = base + usize::from(k < extra);
-    let offset = k * base + k.min(extra);
-    (offset as u32, count as u32)
-}
-
-/// One published edge: the future remote consumers wait on and (until
-/// the producer links it) the promise that will settle it.
-struct Slot {
-    future: SharedFuture<Vec<u8>>,
-    promise: Option<Promise<Vec<u8>>>,
-}
-
-/// Meeting point of edge producers and remote consumers, keyed by
-/// `(src, dst)`. Either side may arrive first.
-struct EdgeBoard {
-    slots: Mutex<HashMap<(u32, u32), Slot>>,
-}
-
-impl EdgeBoard {
-    fn new() -> Self {
-        Self {
-            slots: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn with_slot<R>(&self, key: (u32, u32), f: impl FnOnce(&mut Slot) -> R) -> R {
-        let mut slots = self.slots.lock();
-        let slot = slots.entry(key).or_insert_with(|| {
-            let (promise, future) = channel();
-            Slot {
-                future,
-                promise: Some(promise),
-            }
-        });
-        f(slot)
-    }
-
-    /// The future a remote requester waits on.
-    fn future_of(&self, key: (u32, u32)) -> SharedFuture<Vec<u8>> {
-        self.with_slot(key, |s| s.future.clone())
-    }
-
-    /// Link the slot to the producing node's value future: when it
-    /// settles, the expanded payload bytes (or the error) follow.
-    fn publish(&self, key: (u32, u32), salt: u64, len: u32, src: &SharedFuture<u64>) {
-        let promise = self.with_slot(key, |s| s.promise.take());
-        if let Some(promise) = promise {
-            src.on_settled(move |settled| match settled {
-                Ok(v) => promise.set(work::edge_payload(**v, salt, len)),
-                Err(e) => promise.fail(e.clone()),
-            });
-        }
-    }
-}
-
 /// State shared between the action handlers and the driving code.
 struct BenchState {
-    edges: EdgeBoard,
+    /// Expanded payload bytes keyed by edge `(src, dst)`.
+    edges: EdgeBoard<(u32, u32), Vec<u8>>,
     partial: SharedFuture<u64>,
     partial_promise: Mutex<Option<Promise<u64>>>,
     started: AtomicBool,
@@ -133,7 +75,7 @@ impl DistTaskBench {
         );
         let (partial_promise, partial) = channel();
         let state = Arc::new(BenchState {
-            edges: EdgeBoard::new(),
+            edges: EdgeBoard::default(),
             partial,
             partial_promise: Mutex::new(Some(partial_promise)),
             started: AtomicBool::new(false),
@@ -155,18 +97,6 @@ impl DistTaskBench {
         }
     }
 
-    /// The id of the locality owning node `id` under this graph's
-    /// partitioning.
-    pub fn owner_of(&self, id: u32) -> usize {
-        let world = self.loc.world();
-        (0..world)
-            .find(|&k| {
-                let (ofs, cnt) = block_of(k, world, self.graph.len());
-                id >= ofs && id < ofs + cnt
-            })
-            .unwrap_or(world - 1)
-    }
-
     /// Spawn this locality's block and link every boundary edge: ghost
     /// futures for remote predecessors, published payloads for remote
     /// consumers. Barrier-free; call on every locality.
@@ -176,13 +106,13 @@ impl DistTaskBench {
             "start() called twice"
         );
         let (offset, count) = block_of(self.loc.id(), self.loc.world(), self.graph.len());
-        let range = offset..offset + count;
+        let range = offset as u32..(offset + count) as u32;
         let futs = {
             let loc = &self.loc;
             let me = self.loc.id();
-            let graph = &self.graph;
-            spawn_range(loc.runtime().as_ref(), graph, range.clone(), |e| {
-                let owner = owner_of_node(e.src, loc.world(), graph.len());
+            let nodes = self.graph.len();
+            spawn_range(loc.runtime().as_ref(), &self.graph, range.clone(), |e| {
+                let owner = block_owner(e.src as usize, loc.world(), nodes);
                 debug_assert_ne!(owner, me, "ghost requested for a local edge");
                 ghost_contrib(loc.async_remote(owner, ACTION_EDGE, &(e.src, e.dst)))
             })
@@ -194,11 +124,11 @@ impl DistTaskBench {
             if !range.contains(&e.src) || range.contains(&e.dst) {
                 continue;
             }
+            let (salt, len) = (work::edge_salt(spec.seed, e.src, e.dst), e.payload);
             self.state.edges.publish(
                 (e.src, e.dst),
-                work::edge_salt(spec.seed, e.src, e.dst),
-                e.payload,
                 &futs[(e.src - range.start) as usize],
+                move |v| work::edge_payload(*v, salt, len),
             );
         }
 
@@ -238,17 +168,6 @@ impl DistTaskBench {
         }
         Ok(total)
     }
-}
-
-/// Free-function twin of [`DistTaskBench::owner_of`], usable from the
-/// ghost-resolver closure while `self` is partially borrowed.
-fn owner_of_node(id: u32, world: usize, nodes: usize) -> usize {
-    (0..world)
-        .find(|&k| {
-            let (ofs, cnt) = block_of(k, world, nodes);
-            id >= ofs && id < ofs + cnt
-        })
-        .unwrap_or(world - 1)
 }
 
 /// Adapt a remote payload future into a contribution future: fold the
@@ -359,19 +278,6 @@ pub fn measure_distributed_loopback(
 mod tests {
     use super::*;
     use crate::graph::{GraphKind, GraphSpec};
-
-    #[test]
-    fn blocks_cover_ids_exactly_once() {
-        for (world, nodes) in [(1, 1), (2, 5), (3, 7), (4, 4), (3, 100)] {
-            let mut covered = Vec::new();
-            for k in 0..world {
-                let (ofs, cnt) = block_of(k, world, nodes);
-                assert!(cnt >= 1, "world={world} nodes={nodes} k={k}");
-                covered.extend(ofs..ofs + cnt);
-            }
-            assert_eq!(covered, (0..nodes as u32).collect::<Vec<_>>());
-        }
-    }
 
     #[test]
     fn single_locality_world_matches_reference() {

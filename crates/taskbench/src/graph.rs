@@ -323,11 +323,6 @@ impl TaskGraph {
             .unwrap_or(0)
     }
 
-    /// Total bytes carried across all edges.
-    pub fn total_payload_bytes(&self) -> u64 {
-        self.edges.iter().map(|e| u64::from(e.payload)).sum()
-    }
-
     /// FNV-1a fingerprint over the spec, nodes and edges — two graphs
     /// are bit-identical iff their fingerprints match (used by the
     /// determinism property sweep).

@@ -20,7 +20,7 @@
 //! One immutable [`TaskGraph`] description feeds three executors:
 //!
 //! * [`exec_local`] — single runtime, via `dataflow`/futures;
-//! * [`exec_service`] — as a [`grain_service::JobService`] job, so
+//! * [`run_service_job`] — as a [`grain_service::JobService`] job, so
 //!   storms get realistic heterogeneous tenant shapes;
 //! * [`exec_net`] — across grain-net localities, with edges that cross
 //!   a partition boundary traveling as parcels (payload bytes on the
@@ -53,7 +53,7 @@
 
 pub mod exec_local;
 pub mod exec_net;
-pub mod exec_service;
+mod exec_service;
 pub mod graph;
 pub mod storm;
 pub mod work;
@@ -61,6 +61,6 @@ pub mod work;
 pub use exec_local::{measure_local, run_local, MeasuredRun};
 pub use exec_net::{measure_distributed_loopback, MeasuredLocality};
 pub use exec_net::{run_distributed_loopback, DistTaskBench};
-pub use exec_service::run_service_job;
+pub use exec_service::{run_service_job, JobError};
 pub use graph::{all_kinds, Cov, Edge, GraphKind, GraphSpec, Node, TaskGraph};
 pub use work::Calibration;

@@ -36,12 +36,6 @@ impl CacheSpec {
             .unwrap_or(self.llc_bytes_per_socket);
         self.l2_bytes + llc_share
     }
-
-    /// Total capacity across a whole machine of `sockets` sockets and
-    /// `cores` cores (all private L2s plus all LLCs).
-    pub fn machine_capacity(&self, sockets: u64, cores: u64) -> u64 {
-        self.l2_bytes * cores + self.llc_bytes_per_socket * sockets
-    }
 }
 
 #[cfg(test)]
@@ -78,15 +72,5 @@ mod tests {
         let c = CacheSpec::new(32, 32, 512, 0);
         assert_eq!(c.llc_bytes_per_socket, 0);
         assert_eq!(c.share_per_core(60), 512 * 1024);
-    }
-
-    #[test]
-    fn machine_capacity_sums() {
-        let c = CacheSpec::new(32, 32, 256, 35);
-        // 2 sockets x 14 cores (Haswell node).
-        assert_eq!(
-            c.machine_capacity(2, 28),
-            256 * 1024 * 28 + 2 * 35 * 1024 * 1024
-        );
     }
 }

@@ -6,8 +6,6 @@
 //! present; everything degrades gracefully to a flat single-domain view.
 
 use crate::numa::NumaTopology;
-use crate::platform::{PerfParams, Platform};
-use crate::CacheSpec;
 
 /// Number of logical CPUs available to this process.
 pub fn available_cores() -> usize {
@@ -18,7 +16,7 @@ pub fn available_cores() -> usize {
 
 /// Number of NUMA nodes, from `/sys/devices/system/node` when readable,
 /// else 1.
-pub fn numa_nodes() -> usize {
+fn numa_nodes() -> usize {
     let Ok(entries) = std::fs::read_dir("/sys/devices/system/node") else {
         return 1;
     };
@@ -39,28 +37,6 @@ pub fn host_topology(workers: usize) -> NumaTopology {
     NumaTopology::block(workers.max(1), numa_nodes())
 }
 
-/// A [`Platform`] description of the host, with neutral performance
-/// parameters — the native runtime measures real time, so [`PerfParams`]
-/// is only used if the host description is fed to the simulator.
-pub fn host_platform() -> Platform {
-    let cores = available_cores();
-    Platform {
-        name: "host".to_owned(),
-        processors: "host CPU".to_owned(),
-        microarchitecture: "unknown".to_owned(),
-        clock_ghz: 0.0,
-        turbo_ghz: 0.0,
-        hw_threads_per_core: 1,
-        hw_threads_active: false,
-        cores,
-        usable_cores: cores,
-        sockets: numa_nodes(),
-        cache: CacheSpec::new(32, 32, 512, 8),
-        ram_bytes: 0,
-        perf: PerfParams::test_default(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,13 +52,5 @@ mod tests {
         let t = host_topology(4);
         assert_eq!(t.workers(), 4);
         assert!(t.domains() >= 1);
-    }
-
-    #[test]
-    fn host_platform_is_consistent() {
-        let p = host_platform();
-        assert_eq!(p.cores, available_cores());
-        assert!(p.core_sweep().contains(&1));
-        assert!(p.core_sweep().contains(&p.usable_cores));
     }
 }

@@ -67,7 +67,7 @@ impl NumaTopology {
     }
 
     /// Domain of worker `w`.
-    pub fn domain_of(&self, w: usize) -> DomainId {
+    fn domain_of(&self, w: usize) -> DomainId {
         self.domain_of[w]
     }
 

@@ -202,28 +202,6 @@ impl PerfParams {
             1.0 + self.contention_alpha * ((workers - 1) as f64).powf(self.contention_gamma)
         }
     }
-
-    /// A neutral, fast parameter set for unit tests: zero jitter,
-    /// microsecond-scale costs, no contention surprises.
-    pub fn test_default() -> Self {
-        Self {
-            task_fixed_ns: 1_000.0,
-            ns_per_point: 1.0,
-            ns_per_point_cached: 0.5,
-            aggregate_rate_pts_per_ns: 4.0,
-            stripe_factor: 1.0,
-            bytes_per_point: 16.0,
-            queue_probe_ns: 30.0,
-            convert_ns: 200.0,
-            dispatch_ns: 300.0,
-            spawn_ns: 200.0,
-            steal_local_extra_ns: 200.0,
-            steal_remote_extra_ns: 600.0,
-            contention_alpha: 0.0,
-            contention_gamma: 1.0,
-            jitter_sigma: 0.0,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -55,35 +55,21 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
-echo "==> cargo test (fault-inject)"
-# The deterministic fault-injection hooks are compiled out by default;
-# exercise the injected-panic/delay/spurious-wake paths and the seeded
-# replay tests with the feature on.
-cargo test -p grain-runtime --features fault-inject --offline -q
-
-echo "==> feature allow-list"
-# Every cargo feature is a second build to test and measure. One
-# exists, declared in the runtime and passed through by the root; a new
-# one is a decision to make on perf/ pairs, not a flag to add.
-declared=$(for m in Cargo.toml crates/*/Cargo.toml; do
-    awk -v m="$m" '/^\[/ { f = ($0 == "[features]") }
-        f && /^[a-z0-9_-]+ *=/ { print m ": " $1 }' "$m"
-done)
-[ "$declared" = "Cargo.toml: fault-inject
-crates/runtime/Cargo.toml: fault-inject" ] || {
-    printf 'unexpected [features] declarations:\n%s\n' "$declared" >&2
+echo "==> no cargo features"
+# Every cargo feature is a second build to test and measure, and the
+# workspace has none: one build is what the tests, the figures and the
+# benchmark all see. A new one is a decision to make on perf/ pairs,
+# not a flag to add.
+if grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml >&2 ||
+    grep -rn 'feature = "' crates src tests examples >&2; then
+    echo "a cargo feature is declared or tested (above)" >&2
     exit 1
-}
-used=$(grep -rho 'feature = "[^"]*"' crates src tests | sort -u | tr '\n' ' ')
-[ "$used" = 'feature = "fault-inject" ' ] || {
-    echo "unexpected cfg features in the sources: $used" >&2
-    exit 1
-}
+fi
 
 echo "==> options allow-list"
 # Every settable config value is a configuration nobody tests unless
 # somebody sets it: a field needs two values in use outside its own unit
-# tests. These are the `pub` fields of the 13 `*Config` structs, 56 in
+# tests. These are the `pub` fields of the 13 `*Config` structs, 53 in
 # all; a new knob is a decision argued here with its two callers, not a
 # field added — one value in use is a `const` in the module that reads it.
 options=$(cat crates/*/src/*.rs | awk '
@@ -92,18 +78,54 @@ options=$(cat crates/*/src/*.rs | awk '
     s != "" && /^\}/ { print s ": " n; s = "" }' | sort)
 [ "$options" = "AdmissionConfig: 4
 AutotuneConfig: 3
-BreakerConfig: 6
+BreakerConfig: 5
 FleetBreakerConfig: 2
 FleetConfig: 11
 FleetWorkerConfig: 3
 NetConfig: 2
 PressureConfig: 1
-RuntimeConfig: 9
+RuntimeConfig: 8
 ServiceConfig: 6
-SimConfig: 2
+SimConfig: 1
 TunerConfig: 5
 WatchdogConfig: 2" ] || {
     printf 'unexpected *Config fields (struct: pub fields):\n%s\n' "$options" >&2
+    exit 1
+}
+
+echo "==> every pub item has a caller"
+# A capability needs a caller: every `pub fn/const/static/mod` of a
+# product crate (outside `bin/` and above its `#[cfg(test)]` module,
+# which clippy's items_after_test_module keeps last) must be
+# named on a code line — not a comment, not a `pub use` — of some other
+# tracked .rs file under crates/ src/ examples/ tests/ perf/.
+# Integration tests and examples count as callers; a file's own unit
+# tests do not. An item only its own file uses is private; one only its
+# own tests use goes, with them. The names are matched as words, so the
+# stage can miss an item that shares its name with another; it cannot
+# flag one that has a caller. A kept exception is listed here with its
+# reason, one `file name` per line; the list is empty.
+uncalled=$(git ls-files -- 'crates/*.rs' 'src/*.rs' 'examples/*.rs' 'tests/*.rs' 'perf/*.rs' |
+    xargs awk '
+    FNR == 1 { decl = FILENAME ~ /^crates\/[^\/]+\/src\// && FILENAME !~ /\/bin\// }
+    /^#\[cfg\(test\)\]/ { decl = 0 }
+    decl && match($0, /^ *pub (const |unsafe |async )*(fn|const|static|mod) [A-Za-z_0-9]+/) {
+        n = split(substr($0, RSTART, RLENGTH), w, " ")
+        defs[FILENAME " " w[n]] = 1
+    }
+    /^ *\/\// || /^ *pub use / { next }
+    {
+        line = $0
+        while (match(line, /[A-Za-z_][A-Za-z_0-9]*/)) {
+            t = substr(line, RSTART, RLENGTH)
+            line = substr(line, RSTART + RLENGTH)
+            if (!(t in seen)) seen[t] = FILENAME
+            else if (seen[t] != FILENAME) seen[t] = "*"
+        }
+    }
+    END { for (d in defs) { split(d, p, " "); if (seen[p[2]] != "*") print d } }' | sort)
+[ "$uncalled" = "" ] || {
+    printf 'pub items no other file calls (make them private or delete them):\n%s\n' "$uncalled" >&2
     exit 1
 }
 
@@ -179,6 +201,7 @@ for f in crates/runtime/src/worker.rs crates/runtime/src/queue.rs \
     crates/service/src/admission.rs crates/service/src/pressure.rs \
     crates/net/src/parcelport.rs crates/net/src/codec.rs \
     crates/net/src/locality.rs crates/net/src/transport.rs \
+    crates/net/src/exchange.rs \
     crates/sim/src/fabric.rs crates/sim/src/netplan.rs \
     crates/taskbench/src/graph.rs crates/taskbench/src/exec_local.rs \
     crates/taskbench/src/exec_service.rs crates/taskbench/src/exec_net.rs \

@@ -218,10 +218,7 @@ fn simulator_invariants() {
         let seed = rng.range_u64(1_000);
         let params = StencilParams::for_total(400_000, nx, steps);
         let wl = stencil_workload(&params);
-        let cfg = SimConfig {
-            seed,
-            ..SimConfig::default()
-        };
+        let cfg = SimConfig { seed };
         let a = simulate(&presets::haswell(), workers, &wl, &cfg);
         let ctx = format!("case {case}: nx={nx} steps={steps} workers={workers} seed={seed}");
         assert_eq!(a.tasks as usize, params.total_tasks(), "{ctx}");
