@@ -147,6 +147,13 @@ impl Registry {
         path: &str,
         counter: impl Counter + 'static,
     ) -> Result<(), RegistryError> {
+        self.insert(path, Arc::new(counter))
+    }
+
+    /// The one body behind every `register`: generic callers only box
+    /// their counter, so the parse and map insert are compiled once, not
+    /// once per counter type (per-job counters register on every job).
+    fn insert(&self, path: &str, counter: Arc<dyn Counter>) -> Result<(), RegistryError> {
         let parsed: CounterPath = path
             .parse()
             .map_err(|_| RegistryError::BadPath(path.to_owned()))?;
@@ -155,7 +162,7 @@ impl Registry {
         if map.contains_key(&key) {
             return Err(RegistryError::Duplicate(key));
         }
-        map.insert(key, Arc::new(counter));
+        map.insert(key, counter);
         Ok(())
     }
 

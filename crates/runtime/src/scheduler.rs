@@ -331,7 +331,7 @@ impl Scheduler {
     /// final provenance — so one task stolen while staged and again while
     /// pending charges exactly one steal, to the worker that got it.
     ///
-    /// Exposed (not just `find_work`) so tests can freeze the search
+    /// Separate from `find_work` so tests can freeze the search
     /// mid-conversion and exercise the round-trip races deterministically.
     fn search_step(
         &self,
