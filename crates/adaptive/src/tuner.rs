@@ -17,8 +17,6 @@
 //! inside the job service's settle path (under its policy hook), hence
 //! no `unwrap`.
 
-#![deny(clippy::unwrap_used)]
-
 /// One monitoring window's worth of grain signals: an epoch of the
 /// stencil loops, or one completed job of a service tenant. Windowed,
 /// not cumulative — the tuner reacts to the *current* regime.

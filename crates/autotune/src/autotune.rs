@@ -19,8 +19,6 @@
 //! Tenants that never submit shapes are untouched — the hook ignores
 //! jobs without a [`grain_service::JobShape`].
 
-#![deny(clippy::unwrap_used)]
-
 use crate::controller::{AutotuneConfig, GrainController};
 use crate::shape::ShapedWork;
 use grain_adaptive::GrainSignal;

@@ -20,8 +20,6 @@
 //! of [`GrainSignal`]s always produces the same sequence of grains,
 //! which is what makes convergence storms replayable bit-for-bit.
 
-#![deny(clippy::unwrap_used)]
-
 use grain_adaptive::{GrainSignal, ThresholdTuner, TunerConfig};
 
 /// Hard cap on the task count any shaped job may expand to; the starve

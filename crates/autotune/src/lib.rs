@@ -44,8 +44,6 @@
 //! like a hand-partitioned job — byte-identical legacy behavior, which
 //! `tests/convergence.rs` pins.
 
-#![deny(clippy::unwrap_used)]
-
 pub mod autotune;
 pub mod controller;
 pub mod model;

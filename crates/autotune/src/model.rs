@@ -16,8 +16,6 @@
 //! autotune on against off — is `service_bench`'s autotune phase; no
 //! measured number reaches the storm's transcript.
 
-#![deny(clippy::unwrap_used)]
-
 use grain_adaptive::{GrainSignal, TunerConfig};
 
 /// Closed-form machine model: `tasks = ceil(units/grain)` tasks, each

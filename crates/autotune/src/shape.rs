@@ -10,8 +10,6 @@
 //! seeds), which is what makes the `enabled=false` regression test —
 //! and storm replays — exact.
 
-#![deny(clippy::unwrap_used)]
-
 use grain_runtime::TaskContext;
 use grain_sim::storm::GraphFamily;
 use grain_taskbench::storm::{spawn_in_job, spec_for_event};

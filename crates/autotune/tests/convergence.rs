@@ -13,8 +13,6 @@
 //! * with `enabled = false` the expansion every job gets is
 //!   **byte-identical** to the legacy fixed partition, forever.
 
-#![deny(clippy::unwrap_used)]
-
 use grain_adaptive::tuner::TunerConfig;
 use grain_autotune::{Autotune, AutotuneConfig, CostModel, ShapedWork};
 use grain_sim::storm::GraphFamily;

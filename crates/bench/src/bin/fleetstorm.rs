@@ -160,8 +160,8 @@ fn run_part_a(seed: u64, quick: bool, report: &mut String) {
     cfg.ack_timeout = Duration::from_millis(150);
     cfg.retry_backoff = Duration::from_millis(15);
     cfg.max_dispatches = 64;
-    cfg.breaker.failure_threshold = 2;
-    cfg.breaker.cooldown = Duration::from_millis(300);
+    cfg.breaker_failures = 2;
+    cfg.breaker_cooldown = Duration::from_millis(300);
     let gateway = FleetGateway::install(fabric.locality(0), cfg);
     let net = fabric.net().expect("chaotic world");
 
@@ -531,8 +531,8 @@ fn stage_partition_fence(seed: u64, report: &mut String) {
     cfg.lease_timeout = Some(Duration::from_millis(200));
     cfg.ack_timeout = Duration::from_millis(100);
     cfg.retry_backoff = Duration::from_millis(10);
-    cfg.breaker.failure_threshold = 1;
-    cfg.breaker.cooldown = Duration::from_secs(60);
+    cfg.breaker_failures = 1;
+    cfg.breaker_cooldown = Duration::from_secs(60);
     let gateway = FleetGateway::install(fabric.locality(0), cfg);
     let net = fabric.net().expect("chaotic world");
 
@@ -642,7 +642,7 @@ fn stage_reject_origin(report: &mut String) {
     let mut cfg = FleetConfig::new(vec![1]);
     cfg.max_dispatches = 2;
     cfg.retry_backoff = Duration::from_millis(10);
-    cfg.breaker.failure_threshold = 10;
+    cfg.breaker_failures = 10;
     let gateway = FleetGateway::install(fabric.locality(0), cfg);
 
     let blocker = gateway.submit(FleetJobSpec::new("hog", "t").tasks(4).park(true));

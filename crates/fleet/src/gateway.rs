@@ -25,8 +25,9 @@
 //!   `lease_timeout` re-dispatches (with a fresh epoch, fencing the
 //!   original if it ever answers).
 //! * **Refusals / transport errors** — retry with per-worker backoff;
-//!   repeated failures trip the gateway-side per-locality breaker
-//!   ([`crate::breaker`]), whose state outlives the peer.
+//!   consecutive failures trip the gateway-side per-locality breaker
+//!   ([`grain_service::Breakers`] keyed by locality id, so its state
+//!   outlives the peer).
 //! * **Drain** — [`FleetGateway::drain`] asks the worker to stop
 //!   accepting; handed-back keys re-enter pending with zero loss.
 //! * **Quorum degradation** — when live, accepting capacity drops
@@ -42,9 +43,6 @@
 //! workers are ineligible. Ties break toward the lowest locality id so
 //! placement is deterministic given equal load reports.
 
-#![deny(clippy::unwrap_used)]
-
-use crate::breaker::{FleetBreakerConfig, FleetBreakerState, LocalityBreakers};
 use crate::pump::{Kick, Pump};
 use crate::wire::{
     family_code, FleetJob, FleetOutcome, SubmitAck, SubmitVerdict, WireReject, WorkerStats,
@@ -55,12 +53,18 @@ use grain_counters::sync::{Condvar, Mutex};
 use grain_counters::{RawCounter, Registry, RegistryError, Unit};
 use grain_net::Locality;
 use grain_runtime::{SharedFuture, TaskError};
+use grain_service::{BreakerConfig, BreakerDecision, BreakerState, Breakers};
 use grain_service::{JobOutcome, JobState, RejectReason};
 use grain_sim::storm::GraphFamily;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// How far a worker's answer (an ack, a completion, a failed or timed-out
+/// dispatch) reaches into its breaker: all the way, as it shows the link's
+/// health now (DESIGN §10, "Circuit breakers").
+const ANSWER: BreakerState = BreakerState::Open;
 
 /// Placement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,8 +102,10 @@ pub struct FleetConfig {
     pub shed_retry_after: Duration,
     /// How long a polled stats sample stays fresh.
     pub stats_max_age: Duration,
-    /// Per-locality breaker tuning.
-    pub breaker: FleetBreakerConfig,
+    /// Consecutive failed dispatches to a locality that open its breaker.
+    pub breaker_failures: usize,
+    /// How long an open breaker refuses before it admits one probe.
+    pub breaker_cooldown: Duration,
     /// Placement policy.
     pub placement: Placement,
 }
@@ -117,7 +123,8 @@ impl FleetConfig {
             quorum: 0.0,
             shed_retry_after: Duration::from_millis(100),
             stats_max_age: Duration::from_millis(5),
-            breaker: FleetBreakerConfig::default(),
+            breaker_failures: 3,
+            breaker_cooldown: Duration::from_millis(200),
             placement: Placement::LeastLoaded,
         }
     }
@@ -429,7 +436,7 @@ struct GatewayShared {
     config: FleetConfig,
     jobs: Mutex<HashMap<u64, GateJob>>,
     workers: Mutex<HashMap<usize, WorkerView>>,
-    breakers: Mutex<LocalityBreakers>,
+    breakers: Breakers<usize>,
     counters: FleetCounters,
     next_key: AtomicU64,
     /// Wakes the pump for a pass.
@@ -495,7 +502,10 @@ impl FleetGateway {
     pub fn install(locality: &Locality, config: FleetConfig) -> Self {
         let shared = Arc::new(GatewayShared {
             locality: locality.clone(),
-            breakers: Mutex::new(LocalityBreakers::new(config.breaker.clone())),
+            breakers: Breakers::new(
+                BreakerConfig::consecutive(config.breaker_failures, config.breaker_cooldown),
+                None,
+            ),
             config,
             jobs: Mutex::new(HashMap::new()),
             workers: Mutex::new(HashMap::new()),
@@ -638,15 +648,9 @@ impl FleetGateway {
         }
     }
 
-    /// Breaker state recorded for `worker` (present even after the
-    /// worker died — the state is gateway-owned).
-    pub fn breaker_state(&self, worker: usize) -> Option<FleetBreakerState> {
-        self.shared.breakers.lock().state(worker)
-    }
-
     /// How often `worker`'s breaker has opened.
     pub fn breaker_opens(&self, worker: usize) -> u64 {
-        self.shared.breakers.lock().opens(worker)
+        self.shared.breakers.opens_of(&worker)
     }
 
     /// Worker ids currently alive (linked) and not draining.
@@ -684,7 +688,6 @@ impl FleetGateway {
         let now = Instant::now();
         let alive = self.shared.locality.connected_peers();
         let views = self.shared.workers.lock();
-        let breakers = self.shared.breakers.lock();
         self.shared
             .config
             .workers
@@ -696,7 +699,7 @@ impl FleetGateway {
                     alive.contains(w),
                     v.is_some_and(|v| v.draining),
                     v.is_some_and(|v| v.backoff_until.is_some_and(|t| now < t)),
-                    breakers.state(*w),
+                    self.shared.breakers.state_of(w),
                 )
             })
             .collect::<Vec<_>>()
@@ -823,7 +826,8 @@ fn handle_complete(shared: &Arc<GatewayShared>, outcome: FleetOutcome) -> u8 {
     // worker runs the job before the gateway pump harvests the ack).
     // Without this, a half-open probe whose ack is outrun stays
     // half-open forever and wedges placement.
-    shared.breakers.lock().record_success(origin);
+    let now = Instant::now();
+    shared.breakers.record(&origin, false, ANSWER, now);
     let fault = match (&outcome.state, &outcome.fault_msg) {
         (JobState::Failed, Some(msg)) | (JobState::TimedOut, Some(msg)) => {
             Some(TaskError::Remote {
@@ -862,7 +866,6 @@ fn place(
     shared: &GatewayShared,
     alive: &[usize],
     views: &HashMap<usize, WorkerView>,
-    breakers: &LocalityBreakers,
     now: Instant,
 ) -> Option<usize> {
     let eligible: Vec<usize> = shared
@@ -876,7 +879,7 @@ fn place(
                 .get(w)
                 .is_none_or(|v| !v.draining && v.backoff_until.is_none_or(|t| now >= t))
         })
-        .filter(|w| breakers.would_allow(*w, now))
+        .filter(|w| shared.breakers.would_allow(w, now))
         .collect();
     if eligible.is_empty() {
         return None;
@@ -981,7 +984,7 @@ fn pump_tick(shared: &Arc<GatewayShared>) {
                     None => {
                         if now.duration_since(*sent_at) > shared.config.ack_timeout {
                             shared.counters.dispatch_failures.incr();
-                            shared.breakers.lock().record_failure(worker, now);
+                            shared.breakers.record(&worker, true, ANSWER, now);
                             backoff_worker(shared, worker, now);
                             gj.phase = Phase::Pending {
                                 not_before: Some(now + shared.config.retry_backoff),
@@ -990,7 +993,7 @@ fn pump_tick(shared: &Arc<GatewayShared>) {
                     }
                     Some(Ok(ack)) => match ack.verdict {
                         SubmitVerdict::Accepted | SubmitVerdict::AlreadyDone => {
-                            shared.breakers.lock().record_success(worker);
+                            shared.breakers.record(&worker, false, ANSWER, now);
                             gj.phase = Phase::Leased { worker, since: now };
                         }
                         SubmitVerdict::Fenced => {
@@ -998,14 +1001,14 @@ fn pump_tick(shared: &Arc<GatewayShared>) {
                             // job has moved on. The link answered, so
                             // release the breaker (a probe must not
                             // stay consumed), and re-place.
-                            shared.breakers.lock().record_success(worker);
+                            shared.breakers.record(&worker, false, ANSWER, now);
                             gj.phase = Phase::Pending { not_before: None };
                         }
                         SubmitVerdict::Draining => {
                             // A prompt refusal is still a healthy link:
                             // release the breaker; the draining flag
                             // excludes the worker from placement.
-                            shared.breakers.lock().record_success(worker);
+                            shared.breakers.record(&worker, false, ANSWER, now);
                             shared.counters.worker_rejects.incr();
                             shared
                                 .workers
@@ -1017,7 +1020,7 @@ fn pump_tick(shared: &Arc<GatewayShared>) {
                         }
                         SubmitVerdict::Rejected => {
                             shared.counters.worker_rejects.incr();
-                            shared.breakers.lock().record_failure(worker, now);
+                            shared.breakers.record(&worker, true, ANSWER, now);
                             backoff_worker(shared, worker, now);
                             gj.last_reject = ack.reject.map(|r| (ack.origin, r));
                             if gj.dispatches >= shared.config.max_dispatches {
@@ -1031,7 +1034,7 @@ fn pump_tick(shared: &Arc<GatewayShared>) {
                     },
                     Some(Err(_)) => {
                         shared.counters.dispatch_failures.incr();
-                        shared.breakers.lock().record_failure(worker, now);
+                        shared.breakers.record(&worker, true, ANSWER, now);
                         backoff_worker(shared, worker, now);
                         gj.phase = Phase::Pending {
                             not_before: Some(now + shared.config.retry_backoff),
@@ -1059,11 +1062,10 @@ fn pump_tick(shared: &Arc<GatewayShared>) {
                 }
                 let chosen = {
                     let views = shared.workers.lock();
-                    let breakers = shared.breakers.lock();
-                    place(shared, &alive, &views, &breakers, now)
+                    place(shared, &alive, &views, now)
                 };
                 let Some(worker) = chosen else { continue };
-                if !shared.breakers.lock().allow(worker, now) {
+                if let BreakerDecision::Reject { .. } = shared.breakers.decide(&worker, now) {
                     continue;
                 }
                 gj.job.epoch += 1;

@@ -24,8 +24,8 @@
 //!   and the ledger identity `submitted == completed + failed +
 //!   timed-out + cancelled + rejected + shed` holds at quiescence.
 //! * Failure handling stacks: per-worker retry with backoff, optional
-//!   lease-timeout hedging, gateway-side per-locality circuit breakers
-//!   ([`LocalityBreakers`]) whose state survives peer death, graceful
+//!   lease-timeout hedging, per-locality circuit breakers in the gateway
+//!   ([`grain_service::Breakers`]) whose state survives peer death, graceful
 //!   drain with zero-loss hand-back, and quorum-based degradation that
 //!   sheds deadline-carrying jobs with
 //!   [`grain_service::RejectReason::FleetUnavailable`] instead of
@@ -35,14 +35,12 @@
 //! storm through kill / drain / partition / heal chaos and asserts the
 //! ledger conservation and replay determinism end to end.
 
-pub mod breaker;
 pub mod gateway;
 mod pump;
 pub mod stats;
 pub mod wire;
 pub mod worker;
 
-pub use breaker::{FleetBreakerConfig, FleetBreakerState, LocalityBreakers};
 pub use gateway::{
     FleetConfig, FleetCounters, FleetGateway, FleetJobHandle, FleetJobSpec, FleetLedger, Placement,
 };

@@ -7,8 +7,6 @@
 //! interval remains for what has no event: lease expiry, retry
 //! backoffs, the death sweep, a settle that bypasses the policy hook.
 
-#![deny(clippy::unwrap_used)]
-
 use grain_counters::sync::{Condvar, Mutex};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;

@@ -9,8 +9,6 @@
 //! The action is useful standalone: `async_remote::<(), WorkerStats>`
 //! against any locality that registered it returns its live load.
 
-#![deny(clippy::unwrap_used)]
-
 use crate::wire::{WorkerStats, ACTION_STATS};
 use grain_net::Locality;
 use grain_service::JobService;
@@ -70,7 +68,6 @@ pub fn register_sys_stats(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use grain_net::Fabric;

@@ -14,8 +14,6 @@
 //! tests below) and decodes defensively — a truncated or hostile frame
 //! surfaces as a [`CodecError`], never a panic.
 
-#![deny(clippy::unwrap_used)]
-
 use grain_net::codec::{Reader, Writer};
 use grain_net::{CodecError, Wire};
 use grain_service::{JobState, RejectReason};
@@ -442,7 +440,6 @@ impl Wire for DrainReport {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use grain_net::codec::{from_bytes, to_bytes};

@@ -23,8 +23,6 @@
 //! until acknowledged — the gateway fences duplicates and stale epochs,
 //! so at-least-once pushing composes into exactly-once accounting.
 
-#![deny(clippy::unwrap_used)]
-
 use crate::pump::{Kick, Pump};
 use crate::stats::register_sys_stats;
 use crate::wire::{

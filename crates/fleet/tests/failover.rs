@@ -241,8 +241,8 @@ fn partition_then_heal_fences_stale_epoch() {
     cfg.lease_timeout = Some(Duration::from_millis(200));
     cfg.ack_timeout = Duration::from_millis(100);
     cfg.retry_backoff = Duration::from_millis(10);
-    cfg.breaker.failure_threshold = 1;
-    cfg.breaker.cooldown = Duration::from_secs(60);
+    cfg.breaker_failures = 1;
+    cfg.breaker_cooldown = Duration::from_secs(60);
     let gateway = FleetGateway::install(fabric.locality(0), cfg);
     let net = fabric.net().expect("chaotic world");
 

@@ -14,8 +14,6 @@
 //! [`f64::to_bits`], so a distributed computation can be *bit-identical*
 //! to its shared-memory twin.
 
-#![deny(clippy::unwrap_used)]
-
 use std::fmt;
 
 /// First bytes of every frame; rejects cross-protocol traffic early.

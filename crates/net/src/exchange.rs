@@ -11,8 +11,6 @@
 //! order without barriers, and an upstream error settles the edge as an
 //! error instead of leaving the consumer waiting.
 
-#![deny(clippy::unwrap_used)]
-
 use grain_runtime::grain_counters::sync::Mutex;
 use grain_runtime::{channel, Promise, Settled, SharedFuture};
 use std::collections::HashMap;

@@ -48,8 +48,6 @@
 //!   the deadline, converting a blackholed peer into an ordinary
 //!   disconnect (`TaskError::Disconnected`, sweep of its pending calls).
 
-#![deny(clippy::unwrap_used)]
-
 use crate::codec::{self, Frame, Wire, WireFault};
 use crate::counters::ParcelCounters;
 use crate::parcelport::{DisconnectHandler, FrameHandler, Link};

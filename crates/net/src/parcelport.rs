@@ -41,8 +41,6 @@
 //! dispatches the frame. Only parcels proper ([`Frame::is_parcel`]: `Call`/`Reply`)
 //! are counted — handshake and teardown control frames are not traffic.
 
-#![deny(clippy::unwrap_used)]
-
 use crate::codec::{CodecError, Frame, MAX_FRAME};
 use crate::counters::ParcelCounters;
 use crate::transport::{

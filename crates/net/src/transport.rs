@@ -24,8 +24,6 @@
 //! pure function of that identity, which is what makes chaos replays
 //! bit-identical under real thread races (see `grain_sim::netplan`).
 
-#![deny(clippy::unwrap_used)]
-
 use crate::codec::Frame;
 use crate::counters::ParcelCounters;
 use crate::parcelport::FrameHandler;

@@ -41,8 +41,6 @@
 //!
 //! The scheduler consumes the queue through the [`MpmcQueue`] alias.
 
-#![deny(clippy::unwrap_used)]
-
 use grain_counters::RawCounter;
 use std::cell::UnsafeCell;
 use std::fmt;
@@ -468,7 +466,6 @@ impl<T> fmt::Debug for SegmentedQueue<T> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use std::sync::Arc;

@@ -30,8 +30,6 @@
 //! converted, parked in the converter's pending queue, and then raided by
 //! a third worker counts as exactly one steal — the raid — not two.
 
-#![deny(clippy::unwrap_used)]
-
 use crate::queue::{MpmcQueue, QueueStats};
 use crate::task::{StagedTask, Task};
 use grain_counters::threads::ThreadCounters;
@@ -532,7 +530,6 @@ fn probe<T>(q: &MpmcQueue<T>) -> Option<T> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::task::{Priority, StagedTask, TaskId};

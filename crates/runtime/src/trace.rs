@@ -139,7 +139,7 @@ impl Trace {
             return 0.0;
         }
         let mean = total as f64 / busy.len() as f64;
-        let max = *busy.iter().max().unwrap() as f64;
+        let max = busy.iter().copied().max().unwrap_or(0) as f64;
         max / mean
     }
 

@@ -35,8 +35,6 @@
 //! worker can see: on each of those paths it first moves the task to its
 //! pending queue and wakes the pool.
 
-#![deny(clippy::unwrap_used)]
-
 use crate::fault::{self, TaskError};
 use crate::runtime::{Inner, Resumer, TaskContext};
 use crate::scheduler::{Provenance, SearchState};

@@ -19,8 +19,6 @@
 //!    as often as a tenant with weight 1 under contention; idle tenants
 //!    rejoin at the current front rather than accumulating credit.
 
-#![deny(clippy::unwrap_used)]
-
 use crate::job::JobCore;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -329,7 +327,6 @@ impl FairQueues {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::counters::JobCounters;

@@ -29,8 +29,8 @@
 //!   the in-flight budget (AIMD) under sustained overhead, and sheds
 //!   queued jobs that can no longer meet their deadlines
 //!   ([`RejectReason::Shed`]); per-tenant circuit breakers
-//!   ([`BreakerConfig`]) trip on rolling failure rate so one flapping
-//!   tenant cannot starve the others' retry budget.
+//!   ([`Breakers`], the fleet gateway's too) trip on rolling failure
+//!   rate so one flapping tenant cannot starve the others' retry budget.
 //! * **Cancellation and deadlines** ride on
 //!   [`grain_runtime::TaskGroup`]: every task a job spawns joins the
 //!   job's group, so [`JobHandle::cancel`] skips the job's queued tasks
@@ -69,7 +69,7 @@ pub mod pressure;
 pub mod service;
 
 pub use admission::{AdmissionConfig, AdmissionError, RejectReason};
-pub use breaker::{BreakerConfig, BreakerState};
+pub use breaker::{BreakerConfig, BreakerDecision, BreakerState, Breakers};
 pub use counters::{JobCounters, ServiceCounters};
 pub use job::{
     FailurePolicy, JobHandle, JobId, JobOutcome, JobPriority, JobShape, JobSpec, JobState,

@@ -46,8 +46,6 @@
 //! the one value every run has used; a second value is a decision to
 //! argue with its two callers (`scripts/verify.sh`, options allow-list).
 
-#![deny(clippy::unwrap_used)]
-
 use crate::job::{JobCore, JobState};
 use grain_counters::derived::DerivedCounter;
 use grain_counters::equations::idle_rate;
@@ -418,7 +416,6 @@ impl PressureController {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::counters::JobCounters;

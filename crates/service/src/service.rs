@@ -15,10 +15,8 @@
 //! whether the job fails fast, runs out its remaining tasks, or goes
 //! back through admission for another attempt after a backoff.
 
-#![deny(clippy::unwrap_used)]
-
 use crate::admission::{AdmissionError, FairQueues};
-use crate::breaker::{BreakerConfig, BreakerDecision, BreakerSet, BreakerState};
+use crate::breaker::{BreakerConfig, BreakerDecision, BreakerState, Breakers};
 use crate::counters::{JobCounters, ServiceCounters};
 use crate::job::{FailurePolicy, JobCore, JobHandle, JobId, JobOutcome, JobSpec, JobState};
 use crate::pressure::{PressureConfig, PressureController, PressureSignal};
@@ -126,7 +124,7 @@ struct Shared {
     /// Overload control loop: pressure signal, AIMD budget, shed picks.
     pressure: Arc<PressureController>,
     /// Per-tenant circuit breakers gating submission and retry.
-    breakers: BreakerSet,
+    breakers: Breakers<String, str>,
     ids: AtomicU64,
     shutdown: AtomicBool,
     config: ServiceConfig,
@@ -152,7 +150,7 @@ impl JobService {
         pressure
             .register_counters(&registry)
             .expect("fresh registry cannot collide");
-        let breakers = BreakerSet::new(config.breaker.clone(), Arc::clone(&registry));
+        let breakers = Breakers::new(config.breaker.clone(), Some(Arc::clone(&registry)));
         let shared = Arc::new_cyclic(|weak: &std::sync::Weak<Shared>| {
             let w1 = weak.clone();
             let w2 = weak.clone();
@@ -230,7 +228,8 @@ impl JobService {
             self.reject(&core, AdmissionError::ShuttingDown);
             return handle;
         }
-        match shared.breakers.decide(&core.spec.tenant, Instant::now()) {
+        let now = Instant::now();
+        let probe = match shared.breakers.decide(&core.spec.tenant, now) {
             BreakerDecision::Reject { retry_after } => {
                 self.reject(
                     &core,
@@ -241,12 +240,8 @@ impl JobService {
                 );
                 return handle;
             }
-            BreakerDecision::Admit { probe } => {
-                if probe {
-                    core.probe.store(true, Ordering::SeqCst);
-                }
-            }
-        }
+            BreakerDecision::Admit { probe } => probe,
+        };
         let mut queues = shared.queues.lock();
         if queues.len() >= shared.config.admission.max_queued_jobs {
             // Entries that went terminal while waiting (handle-cancelled
@@ -257,6 +252,11 @@ impl JobService {
         let queued = queues.len();
         if queued >= shared.config.admission.max_queued_jobs {
             drop(queues);
+            if probe {
+                // This submission never runs: only a queued one may hold
+                // the probe slot, or the next would wait `probe_every`.
+                shared.breakers.release_probe(&core.spec.tenant, now);
+            }
             self.reject(
                 &core,
                 AdmissionError::QueueFull {
@@ -265,6 +265,9 @@ impl JobService {
                 },
             );
             return handle;
+        }
+        if probe {
+            core.probe.store(true, Ordering::SeqCst);
         }
         queues.push(Arc::clone(&core), weight);
         drop(queues);
@@ -387,8 +390,8 @@ fn settle(shared: &Shared, core: &Arc<JobCore>) {
     } else if fault.is_some() {
         // Every faulted attempt is a breaker failure, whether or not it
         // earns a retry — backoff must not hide a flapping tenant.
-        let probe = core.probe.swap(false, Ordering::SeqCst);
-        shared.breakers.record(&core.spec.tenant, true, probe, now);
+        let reach = reach_of(core.probe.swap(false, Ordering::SeqCst));
+        shared.breakers.record(&core.spec.tenant, true, reach, now);
         if try_requeue_for_retry(shared, core, now) {
             return; // not terminal: the job is queued for another attempt
         }
@@ -399,11 +402,11 @@ fn settle(shared: &Shared, core: &Arc<JobCore>) {
     if !core.finish_quiet(state) {
         return; // someone else settled it first
     }
-    let probe = core.probe.swap(false, Ordering::SeqCst);
+    let reach = reach_of(core.probe.swap(false, Ordering::SeqCst));
     match state {
         JobState::Completed => {
             shared.counters.completed.incr();
-            shared.breakers.record(&core.spec.tenant, false, probe, now);
+            shared.breakers.record(&core.spec.tenant, false, reach, now);
             if let Some(at) = *core.admitted_at.lock() {
                 // Admitted-to-finished time feeds the shed slack estimate.
                 shared
@@ -415,7 +418,7 @@ fn settle(shared: &Shared, core: &Arc<JobCore>) {
         JobState::Cancelled => shared.counters.cancelled.incr(),
         JobState::TimedOut => {
             shared.counters.timed_out.incr();
-            shared.breakers.record(&core.spec.tenant, true, probe, now);
+            shared.breakers.record(&core.spec.tenant, true, reach, now);
         }
         // The fault branch above already recorded this failure.
         JobState::Failed => shared.counters.failed.incr(),
@@ -441,6 +444,17 @@ fn settle(shared: &Shared, core: &Arc<JobCore>) {
     }
     // Waiters wake only now, with every counter above already settled.
     core.notify_waiters();
+}
+
+/// How far a job's outcome reaches into its tenant's breaker: a probe's
+/// decides a half-open breaker; any other job was admitted while it was
+/// closed, so its outcome counts only while it still is.
+fn reach_of(probe: bool) -> BreakerState {
+    if probe {
+        BreakerState::HalfOpen
+    } else {
+        BreakerState::Closed
+    }
 }
 
 /// If the faulted job's policy allows another attempt, reset its fault

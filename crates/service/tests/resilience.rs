@@ -177,6 +177,53 @@ fn open_breaker_denies_the_retry_budget() {
 }
 
 #[test]
+fn a_submission_the_queue_refuses_leaves_the_probe_slot_free() {
+    // One queue slot and one in-flight task: a running blocker and a
+    // queued filler leave no room.
+    let mut config = ServiceConfig {
+        admission: AdmissionConfig {
+            max_in_flight_tasks: 1,
+            max_queued_jobs: 1,
+            ..AdmissionConfig::default()
+        },
+        ..base_config()
+    };
+    (config.breaker.min_samples, config.breaker.window) = (1, 1);
+    config.breaker.open_for = Duration::from_millis(50);
+    config.breaker.probe_every = Duration::from_secs(3600);
+    let service = JobService::new(config);
+    let bad = service.submit(JobSpec::new("bad", "chaos"), |_| panic!("chaos job faults"));
+    assert_eq!(bad.wait().state, JobState::Failed);
+    assert_eq!(service.breaker_state("chaos"), Some(BreakerState::Open));
+    let release = Arc::new(AtomicBool::new(false));
+    let r = Arc::clone(&release);
+    let blocker = service.submit(JobSpec::new("blocker", "steady"), move |_| {
+        while !r.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    });
+    assert!(wait_until(Duration::from_secs(5), || {
+        blocker.state() == JobState::Running
+    }));
+    let filler = service.submit(JobSpec::new("filler", "steady"), |_| {});
+    assert_eq!(filler.state(), JobState::Queued);
+
+    // Cooled, but the queue is full: the would-be probe is refused there.
+    std::thread::sleep(Duration::from_millis(80));
+    let refused = service.submit(JobSpec::new("refused", "chaos"), |_| {});
+    assert_eq!(refused.wait().reject_reason, Some(RejectReason::QueueFull));
+    // With a slot free again, well inside `probe_every`, the next
+    // submission is the probe — not bounced for a probe that never ran.
+    filler.cancel();
+    let probe = service.submit(JobSpec::new("probe", "chaos"), |_| {});
+    release.store(true, Ordering::SeqCst);
+    assert_eq!(probe.rejection(), None);
+    assert_eq!(probe.wait().state, JobState::Completed);
+    assert_eq!(service.breaker_state("chaos"), Some(BreakerState::Closed));
+    assert_eq!(service.breaker_rejections(), 0, "nothing saw BreakerOpen");
+}
+
+#[test]
 fn deadline_budget_propagates_to_dispatch() {
     // A huge poll interval keeps the dispatcher's deadline scan out of
     // the picture: the only thing that can stop the queued tail is the

@@ -46,8 +46,6 @@
 //! allows and the virtual clock jumps event-to-event (hours of
 //! simulated traffic in milliseconds).
 
-#![deny(clippy::unwrap_used)]
-
 use crate::netplan::{NetPlan, PartitionMode, Verdict};
 use grain_counters::registry::RawView;
 use grain_counters::sync::{Condvar, Mutex};

@@ -36,8 +36,6 @@
 //! [`crate::storm`], a fingerprint of the plan a recorded seed produced
 //! when the split was established.
 
-#![deny(clippy::unwrap_used)]
-
 use crate::rng::Pcg32;
 
 /// Salt folded into every NetPlan stream seed, separating network

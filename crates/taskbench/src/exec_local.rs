@@ -9,8 +9,6 @@
 //! a job's [`TaskContext`]) and by the grain-net executor (spawning each
 //! locality's node range, with ghost futures for remote edges).
 
-#![deny(clippy::unwrap_used)]
-
 use crate::graph::{Edge, TaskGraph};
 use crate::work;
 use grain_metrics::{RunMeta, RunRecord};

@@ -7,8 +7,6 @@
 //! promise (not the group latch), so the caller observes the value
 //! race-free even though `JobHandle::wait` only joins the group.
 
-#![deny(clippy::unwrap_used)]
-
 use crate::exec_local::{partial_checksum, spawn_range, JOIN_TIMEOUT};
 use crate::graph::TaskGraph;
 use grain_runtime::grain_counters::sync::Mutex;

@@ -22,8 +22,6 @@
 //!   builder keeps sorted), so the contribution fold order of
 //!   [`crate::work::node_value`] is executor-independent.
 
-#![deny(clippy::unwrap_used)]
-
 use crate::work;
 use grain_sim::rng::Pcg32;
 

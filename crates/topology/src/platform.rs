@@ -58,12 +58,12 @@ impl Platform {
     /// Fig. 3): powers of two up to the usable node size, plus the usable
     /// node size itself.
     pub fn core_sweep(&self) -> Vec<usize> {
-        let mut v = vec![1usize];
-        while *v.last().unwrap() * 2 < self.usable_cores {
-            let next = v.last().unwrap() * 2;
-            v.push(next);
+        let (mut v, mut cores) = (vec![1usize], 1);
+        while cores * 2 < self.usable_cores {
+            cores *= 2;
+            v.push(cores);
         }
-        if *v.last().unwrap() != self.usable_cores {
+        if cores != self.usable_cores {
             v.push(self.usable_cores);
         }
         v
