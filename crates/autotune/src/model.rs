@@ -12,9 +12,9 @@
 //! tasks-per-core), so a tuner set against the model
 //! behaves identically against a real host whose costs match.
 //!
-//! The measured counterpart — the same controller driving real jobs,
-//! autotune on against off — is `service_bench`'s autotune phase; no
-//! measured number reaches the storm's transcript.
+//! Real jobs reach the same controller through `Autotune::policy_hook`
+//! (this crate's `tests/service.rs`); no measured number reaches the
+//! storm's transcript.
 
 use grain_adaptive::{GrainSignal, TunerConfig};
 

@@ -9,10 +9,6 @@
 //! twice and `cmp`s the transcripts; any wall-clock leak into a
 //! controller decision would show up as a diff.
 //!
-//! The measured counterpart (the same controller on a real
-//! `JobService`, autotune on against off) is `service_bench`'s autotune
-//! phase.
-//!
 //! Flags: `--quick` (accepted like on the other storm binaries; the
 //! storm is already sub-second and has no smaller size).
 

@@ -26,12 +26,6 @@ impl std::fmt::Display for EngineKind {
 }
 
 /// Identification of a run: what was executed, where, how parallel.
-///
-/// The shape fields (`nx`, `np`, `nt`) were named for the stencil, but
-/// any leveled workload maps onto them: `nx` is the task-size knob
-/// (grid points per partition, or busy-work iterations per task), `np`
-/// the graph width (partitions, or lanes), `nt` the level count (time
-/// steps, or graph depth). [`RunMeta::workload`] builds one explicitly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunMeta {
     /// Engine that produced the sample.
@@ -77,28 +71,6 @@ pub struct RunRecord {
     pub converted: u64,
 }
 
-impl RunMeta {
-    /// Meta for a native run of an arbitrary leveled workload: `grain`
-    /// is the task-size knob, `width` the level width, `levels` the
-    /// graph depth.
-    pub fn workload(
-        platform: &str,
-        workers: usize,
-        grain: usize,
-        width: usize,
-        levels: usize,
-    ) -> Self {
-        Self {
-            engine: EngineKind::Native,
-            platform: platform.to_owned(),
-            workers,
-            nx: grain,
-            np: width,
-            nt: levels,
-        }
-    }
-}
-
 impl RunRecord {
     /// Build a record from a simulator report.
     pub fn from_sim(report: &SimReport, platform: &str, params: &StencilParams) -> Self {
@@ -129,10 +101,9 @@ impl RunRecord {
     /// run that took `wall_s` seconds. Counters should have been reset
     /// before the measured region.
     pub fn from_native(rt: &Runtime, wall_s: f64, params: &StencilParams) -> Self {
-        Self::from_counters(
-            rt,
-            wall_s,
-            RunMeta {
+        let c = rt.counters();
+        Self {
+            meta: RunMeta {
                 engine: EngineKind::Native,
                 platform: "host".to_owned(),
                 workers: rt.num_workers(),
@@ -140,19 +111,6 @@ impl RunRecord {
                 np: params.np,
                 nt: params.nt,
             },
-        )
-    }
-
-    /// Build a record for an arbitrary workload from a native runtime's
-    /// counters: the caller supplies the [`RunMeta`] naming what ran
-    /// (see [`RunMeta::workload`]). Counters should have been reset
-    /// before the measured region. This is how non-stencil workloads
-    /// (taskbench graph families) emit Eqs. 1–6 through the same record
-    /// type as the paper's experiments.
-    pub fn from_counters(rt: &Runtime, wall_s: f64, meta: RunMeta) -> Self {
-        let c = rt.counters();
-        Self {
-            meta,
             wall_s,
             tasks: c.tasks.sum(),
             phases: c.phases.sum(),
@@ -185,16 +143,6 @@ impl RunRecord {
     /// Eq. 4 for this sample, seconds.
     pub fn thread_management_s(&self) -> f64 {
         equations::thread_management_s(self.task_overhead_ns(), self.tasks, self.meta.workers)
-    }
-
-    /// Eq. 6 for this sample given the matching 1-core task duration, s.
-    pub fn wait_time_s(&self, td1_ns: f64) -> f64 {
-        equations::wait_time_s(
-            self.task_duration_ns(),
-            td1_ns,
-            self.tasks,
-            self.meta.workers,
-        )
     }
 }
 

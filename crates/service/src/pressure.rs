@@ -41,7 +41,7 @@
 //! The loop has one setting, [`PressureConfig::enabled`]: with `false`
 //! the service behaves exactly as before this module existed (queued
 //! jobs whose deadline expires finish as `TimedOut`, the budget is
-//! static) — the baseline `soak` and `service_bench` compare against.
+//! static) — the baseline `soak` compares against.
 //! Its thresholds, gains and periods are the constants below, each at
 //! the one value every run has used; a second value is a decision to
 //! argue with its two callers (`scripts/verify.sh`, options allow-list).

@@ -70,6 +70,14 @@ fn cancellation_mid_dag_skips_the_queued_tail() {
         "root and the cooperative blocker"
     );
     assert_eq!(tail_ran.load(Ordering::SeqCst), 0);
+    assert_eq!(
+        service
+            .registry()
+            .query("/service/jobs/cancelled")
+            .unwrap()
+            .as_count(),
+        1
+    );
 }
 
 #[test]

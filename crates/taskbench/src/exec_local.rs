@@ -11,11 +11,10 @@
 
 use crate::graph::{Edge, TaskGraph};
 use crate::work;
-use grain_metrics::{RunMeta, RunRecord};
 use grain_runtime::{when_all, Runtime, SharedFuture, TaskContext, TaskError};
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Join deadline for a healthy run; hitting it means a real hang.
 pub const JOIN_TIMEOUT: Duration = Duration::from_secs(120);
@@ -140,39 +139,6 @@ pub fn run_local(rt: &Runtime, graph: &TaskGraph) -> Result<u64, TaskError> {
     Ok(partial_checksum(0, &vals))
 }
 
-/// A measured single-runtime run: the checksum plus the paper's raw
-/// counter record (Eqs. 1–6 derivable via [`RunRecord`] methods).
-#[derive(Debug, Clone)]
-pub struct MeasuredRun {
-    /// The graph checksum (must equal the reference).
-    pub checksum: u64,
-    /// Counter record of the measured region.
-    pub record: RunRecord,
-}
-
-/// Run the graph on `rt` with counters reset at the start of the
-/// measured region, and emit the run as a [`RunRecord`]: `nx` carries
-/// the grain knob, `np` the width bound, `nt` the level count.
-pub fn measure_local(rt: &Runtime, graph: &TaskGraph) -> Result<MeasuredRun, TaskError> {
-    rt.wait_idle();
-    rt.reset_counters();
-    let t0 = Instant::now();
-    let checksum = run_local(rt, graph)?;
-    rt.wait_idle();
-    let wall_s = t0.elapsed().as_secs_f64();
-    let meta = RunMeta::workload(
-        "host",
-        rt.num_workers(),
-        graph.spec.grain_iters as usize,
-        graph.width_bound(),
-        graph.levels(),
-    );
-    Ok(MeasuredRun {
-        checksum,
-        record: RunRecord::from_counters(rt, wall_s, meta),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,21 +152,6 @@ mod tests {
             let sum = run_local(&rt, &graph).expect("run settles");
             assert_eq!(sum, graph.checksum_reference(), "{}", kind.name());
         }
-    }
-
-    #[test]
-    fn measured_run_counts_every_node_as_a_task() {
-        let rt = Runtime::with_workers(2);
-        let graph = GraphSpec::shape(crate::graph::GraphKind::Stencil1d { width: 6, steps: 5 }, 9)
-            .grain(10)
-            .build();
-        let m = measure_local(&rt, &graph).expect("run settles");
-        assert_eq!(m.checksum, graph.checksum_reference());
-        assert_eq!(m.record.tasks, graph.len() as u64);
-        assert!(m.record.wall_s > 0.0);
-        assert!(m.record.sum_func_ns >= m.record.sum_exec_ns);
-        assert_eq!(m.record.meta.np, 6);
-        assert_eq!(m.record.meta.nt, 6);
     }
 
     #[test]

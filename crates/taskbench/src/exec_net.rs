@@ -23,7 +23,6 @@
 use crate::exec_local::{partial_checksum, spawn_range, JOIN_TIMEOUT};
 use crate::graph::TaskGraph;
 use crate::work;
-use grain_metrics::{RunMeta, RunRecord};
 use grain_net::bootstrap::Fabric;
 use grain_net::locality::Locality;
 use grain_net::{block_of, block_owner, EdgeBoard};
@@ -141,11 +140,6 @@ impl DistTaskBench {
         }
     }
 
-    /// The locality hosting this instance.
-    pub fn locality(&self) -> &Locality {
-        &self.loc
-    }
-
     /// This locality's partial checksum (its block only). A dead peer
     /// surfaces as an `Err` naming the lost locality, never a hang.
     pub fn local_partial(&self) -> Result<u64, TaskError> {
@@ -199,79 +193,6 @@ pub fn run_distributed_loopback(
     total
 }
 
-/// One locality's share of a measured distributed run: its partial
-/// checksum plus the paper's counter record over exactly its block.
-#[derive(Debug, Clone)]
-pub struct MeasuredLocality {
-    /// Locality id in the loopback world.
-    pub locality: usize,
-    /// Partial checksum over this locality's node block.
-    pub partial_checksum: u64,
-    /// Counter record of this locality's runtime for the measured
-    /// region (Eqs. 1–6 derivable via [`RunRecord`] methods).
-    pub record: RunRecord,
-}
-
-/// Measured twin of [`run_distributed_loopback`]: the same hermetic
-/// loopback run, but with every locality's runtime counters reset at
-/// the start of the measured region and emitted as one [`RunRecord`]
-/// per locality (`nx` carries the grain knob, `np` the width bound,
-/// `nt` the level count; the platform string names the locality).
-/// Returns the combined checksum plus the per-locality records.
-pub fn measure_distributed_loopback(
-    world: usize,
-    workers_per: usize,
-    graph: &Arc<TaskGraph>,
-) -> Result<(u64, Vec<MeasuredLocality>), TaskError> {
-    let fabric = Fabric::loopback(world, |_| RuntimeConfig::with_workers(workers_per));
-    let instances: Vec<DistTaskBench> = (0..world)
-        .map(|k| DistTaskBench::install(fabric.locality(k), Arc::clone(graph)))
-        .collect();
-    for inst in &instances {
-        let rt = inst.locality().runtime();
-        rt.wait_idle();
-        rt.reset_counters();
-    }
-    let t0 = std::time::Instant::now();
-    for inst in &instances {
-        inst.start();
-    }
-    let mut total = 0u64;
-    let mut measured = Vec::with_capacity(world);
-    let mut failure = None;
-    for (k, inst) in instances.iter().enumerate() {
-        match inst.local_partial() {
-            Ok(partial) => {
-                total = total.wrapping_add(partial);
-                let rt = inst.locality().runtime();
-                rt.wait_idle();
-                let wall_s = t0.elapsed().as_secs_f64();
-                let meta = RunMeta::workload(
-                    &format!("loopback/{k}"),
-                    rt.num_workers(),
-                    graph.spec.grain_iters as usize,
-                    graph.width_bound(),
-                    graph.levels(),
-                );
-                measured.push(MeasuredLocality {
-                    locality: k,
-                    partial_checksum: partial,
-                    record: RunRecord::from_counters(rt.as_ref(), wall_s, meta),
-                });
-            }
-            Err(e) => {
-                failure = Some(e);
-                break;
-            }
-        }
-    }
-    fabric.shutdown();
-    match failure {
-        Some(e) => Err(e),
-        None => Ok((total, measured)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,35 +208,6 @@ mod tests {
         );
         let sum = run_distributed_loopback(1, 2, &graph).expect("settles");
         assert_eq!(sum, graph.checksum_reference());
-    }
-
-    #[test]
-    fn measured_loopback_emits_one_record_per_locality() {
-        let graph = Arc::new(
-            GraphSpec::shape(GraphKind::Stencil1d { width: 6, steps: 7 }, 0x9ea5)
-                .grain(12)
-                .payload(32)
-                .build(),
-        );
-        let (total, localities) = measure_distributed_loopback(2, 1, &graph).expect("settles");
-        assert_eq!(total, graph.checksum_reference());
-        assert_eq!(localities.len(), 2);
-        let mut tasks = 0u64;
-        let mut recombined = 0u64;
-        for m in &localities {
-            assert!(m.record.wall_s > 0.0, "locality {}", m.locality);
-            assert!(
-                m.record.sum_func_ns >= m.record.sum_exec_ns,
-                "locality {}",
-                m.locality
-            );
-            tasks += m.record.tasks;
-            recombined = recombined.wrapping_add(m.partial_checksum);
-        }
-        // Every locality executed its own block as real tasks, and the
-        // partials recombine to the collected total.
-        assert!(tasks >= graph.len() as u64);
-        assert_eq!(recombined, total);
     }
 
     #[test]

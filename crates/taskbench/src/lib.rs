@@ -29,11 +29,7 @@
 //! Every node computes a pure function of the graph description
 //! ([`work`]), so all three executors — and the sequential reference
 //! [`TaskGraph::checksum_reference`] — produce bit-identical checksums;
-//! the cross-executor equivalence test pins that down. Runs emit the
-//! paper's Eq. 1–6 metrics through `grain_metrics::RunRecord`
-//! ([`measure_local`]) so the granularity characterization becomes a
-//! (graph × grain × comm) surface in the same units as the paper's
-//! figures.
+//! the cross-executor equivalence test pins that down.
 //!
 //! ```
 //! use grain_taskbench::{GraphKind, GraphSpec};
@@ -58,8 +54,7 @@ pub mod graph;
 pub mod storm;
 pub mod work;
 
-pub use exec_local::{measure_local, run_local, MeasuredRun};
-pub use exec_net::{measure_distributed_loopback, MeasuredLocality};
+pub use exec_local::run_local;
 pub use exec_net::{run_distributed_loopback, DistTaskBench};
 pub use exec_service::{run_service_job, JobError};
 pub use graph::{all_kinds, Cov, Edge, GraphKind, GraphSpec, Node, TaskGraph};

@@ -20,7 +20,7 @@
 //!    contributions (in ascending source-id order, which every executor
 //!    preserves) are folded through a strong 64-bit mixer.
 //!
-//! Nothing here reads the clock except [`Calibration::measure`], which
+//! Nothing here reads the clock except [`Calibration::quick`], which
 //! only translates "I want ~50 µs tasks" into an iteration count.
 
 use std::time::{Duration, Instant};
@@ -122,12 +122,12 @@ pub struct Calibration {
 }
 
 impl Calibration {
-    /// Measure the kernel on the current thread. `reps` timed runs of a
-    /// fixed-size spin; the median per-iteration cost is kept. Costs a
-    /// few milliseconds.
-    pub fn measure(reps: usize) -> Self {
+    /// Measure the kernel on the current thread: three timed runs of a
+    /// fixed-size spin, the median per-iteration cost kept. Costs a few
+    /// milliseconds.
+    pub fn quick() -> Self {
         const ITERS: u64 = 200_000;
-        let mut samples: Vec<f64> = (0..reps.max(1))
+        let mut samples: Vec<f64> = (0..3)
             .map(|r| {
                 let t0 = Instant::now();
                 std::hint::black_box(busy_work(0x5eed ^ r as u64, ITERS));
@@ -138,11 +138,6 @@ impl Calibration {
         Self {
             ns_per_iter: samples[samples.len() / 2].max(1e-3),
         }
-    }
-
-    /// Quick three-rep measurement for smoke runs.
-    pub fn quick() -> Self {
-        Self::measure(3)
     }
 
     /// Iterations whose busy-work lasts roughly `d` on this host

@@ -138,6 +138,30 @@ unsafe_files=$(grep -rl '\bunsafe\b' crates/*/src src || true)
     exit 1
 }
 
+echo "==> every grain-bench binary runs here"
+# One benchmark: perf/ times the product, and a grain-bench binary is a
+# figure or a replay storm that some stage below runs — each
+# crates/bench/src/bin/<name>.rs is the first argument of a run_ok or
+# replay_twice line of this script. A timing harness nothing runs, a
+# cargo bench target included, is a second answer nobody checks.
+for f in crates/bench/src/bin/*.rs; do
+    bin=$(basename "$f" .rs)
+    grep -Eq "^(run_ok|replay_twice) $bin( |\$)" scripts/verify.sh || {
+        echo "$f is run by no stage of scripts/verify.sh" >&2
+        exit 1
+    }
+done
+for d in benches crates/*/benches; do
+    [ ! -e "$d" ] || {
+        echo "$d: the workspace has no cargo bench target; measure in perf/" >&2
+        exit 1
+    }
+done
+if grep -n '^\[\[bench\]\]' Cargo.toml crates/*/Cargo.toml >&2; then
+    echo "a [[bench]] target is declared (above); measure in perf/" >&2
+    exit 1
+fi
+
 echo "==> perf/check.sh"
 # The benchmark is a package of its own that the workspace commands
 # above never build: its fmt, clippy, build, tests, the smoke suite
@@ -180,8 +204,7 @@ echo "==> autotune convergence replay determinism"
 # Three tenants starting at pathological grains converge under the
 # deterministic cost-model storm (<= 8 jobs, t_o within 10% of the
 # grid-searched optimum). Every number is modeled, so the diff also
-# proves no wall-clock measurement leaks into a controller decision
-# (the measured on/off table is service_bench's, not this binary's).
+# proves no wall-clock measurement leaks into a controller decision.
 replay_twice autotune --quick
 
 echo "==> unwrap lint on every crate"

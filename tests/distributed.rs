@@ -4,7 +4,9 @@
 //! hang — everything that depended on it.
 
 use grain::net::bootstrap::Fabric;
+use grain::net::locality::NetConfig;
 use grain::runtime::{Runtime, RuntimeConfig, TaskError};
+use grain::sim::NetPlan;
 use grain::stencil::distributed::{run_distributed_loopback, DistStencil};
 use grain::stencil::futurized::run_futurized;
 use grain::stencil::StencilParams;
@@ -44,6 +46,63 @@ fn many_shapes_match_futurized_bit_exactly() {
         let expect = futurized_oracle(&params);
         let got = run_distributed_loopback(world, 1, &params);
         assert_eq!(got, expect, "world={world} nx={nx} np={np} nt={nt}");
+    }
+}
+
+#[test]
+fn lossless_chaos_matches_futurized_and_suppresses_every_duplicate() {
+    // 4096 points in 16 partitions over a simulated fabric that
+    // duplicates, reorders and delays frames but never destroys one: the
+    // result must still be bit-exact, every manufactured duplicate
+    // suppressed exactly once, and the fabric's parcel ledger conserved.
+    let params = StencilParams::new(4096 / 16, 16, 10);
+    let expect = futurized_oracle(&params);
+    for world in [2, 4] {
+        let plan = NetPlan::clean(7)
+            .duplicate(0.2)
+            .reorder(0.5, 200_000)
+            .latency(10_000, 5_000);
+        let fabric = Fabric::chaotic(
+            world,
+            plan,
+            |_| NetConfig::default(),
+            |_| RuntimeConfig::with_workers(1),
+        );
+        let instances: Vec<DistStencil> = (0..world)
+            .map(|k| DistStencil::install(fabric.locality(k), params))
+            .collect();
+        for inst in &instances {
+            inst.start();
+        }
+        let got = instances[0].gather().expect("distributed run settled");
+        assert_eq!(got, expect, "world={world}");
+
+        let net = fabric.net().expect("a chaotic world has a fabric");
+        assert!(net.wait_quiescent(WAIT), "world={world}: never drained");
+        let ledger = net.ledger();
+        assert!(ledger.conserved(), "world={world}: {ledger:?}");
+        assert!(ledger.duplicated > 0, "world={world}: nothing duplicated");
+        // The dedup bump lands in the sink handler, which can trail the
+        // fabric's drained flip by a beat: poll, bounded.
+        let deduped = || -> u64 {
+            (0..world)
+                .map(|k| fabric.locality(k).parcels().deduped.get())
+                .sum()
+        };
+        let deadline = std::time::Instant::now() + WAIT;
+        while deduped() != ledger.duplicated && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(deduped(), ledger.duplicated, "world={world}");
+        // A duplicated call that ran twice would send a second reply:
+        // still one reply per call, as on a clean link — 2 edge fetches
+        // per step per locality, plus gathering the other blocks.
+        let sent: u64 = (0..world)
+            .map(|k| fabric.locality(k).parcels().sent.get())
+            .sum();
+        let calls = 2 * params.nt * world + world - 1;
+        assert_eq!(sent as usize, 2 * calls, "world={world}");
+        fabric.shutdown();
     }
 }
 
