@@ -118,6 +118,31 @@ impl CounterPath {
         format!("{}/total", Self::locality_prefix(locality))
     }
 
+    /// The `/object{instance}` prefix of every path in one scope, or an
+    /// error if a path built on it would not parse back to this object
+    /// and instance: an empty object, a brace in the object, or a `}` in
+    /// the instance. [`scoped_name_is_valid`](Self::scoped_name_is_valid)
+    /// checks the rest, so a scope validates its prefix once and builds
+    /// each path by concatenation.
+    pub(crate) fn scope_prefix(object: &str, instance: &str) -> Result<String, PathError> {
+        if object.is_empty() || object.contains(['{', '}']) || instance.contains('}') {
+            return Err(PathError::new(format!(
+                "`{object}{{{instance}}}` is not an object{{instance}} prefix"
+            )));
+        }
+        let mut prefix = String::with_capacity(object.len() + instance.len() + 3);
+        for part in ["/", object, "{", instance, "}"] {
+            prefix.push_str(part);
+        }
+        Ok(prefix)
+    }
+
+    /// Whether `name` is a counter name (with optional `@parameters`)
+    /// that parses back unchanged after a valid scope prefix and `/`.
+    pub(crate) fn scoped_name_is_valid(name: &str) -> bool {
+        name.split('@').next().is_some_and(|n| !n.is_empty())
+    }
+
     /// True if `self` (possibly containing a trailing `*` wildcard in its
     /// name) matches `other`. Only the counter *name* may carry a wildcard;
     /// objects must match exactly and an absent instance acts as a wildcard
@@ -256,6 +281,40 @@ mod tests {
             "/threads/",
         ] {
             assert!(s.parse::<CounterPath>().is_err(), "should reject `{s}`");
+        }
+    }
+
+    /// The scope shortcut agrees with the parser: a prefix and name it
+    /// accepts parse back to exactly that object, instance and name, and
+    /// every one it refuses would not.
+    #[test]
+    fn scope_prefix_agrees_with_the_parser() {
+        let objects = ["jobs", "a/b", "", "j{", "j}", "x y"];
+        let instances = ["render#1", "t/a#3", "", "a}b", "a}/b", "{x", "a@b"];
+        let names = ["count", "count/tasks", "t@p=1", "", "@p", "a{b}", "x}/y"];
+        for object in objects {
+            for instance in instances {
+                for name in names {
+                    let built = CounterPath::scope_prefix(object, instance)
+                        .ok()
+                        .filter(|_| CounterPath::scoped_name_is_valid(name))
+                        .map(|prefix| format!("{prefix}/{name}"));
+                    let full = format!("/{object}{{{instance}}}/{name}");
+                    let round_trips = full.parse::<CounterPath>().is_ok_and(|p| {
+                        p.object == object
+                            && p.instance.as_deref() == Some(instance)
+                            && p.to_string() == full
+                    });
+                    assert_eq!(
+                        built.is_some(),
+                        round_trips,
+                        "{object:?} {instance:?} {name:?}"
+                    );
+                    if let Some(built) = built {
+                        assert_eq!(built, full);
+                    }
+                }
+            }
         }
     }
 

@@ -157,7 +157,11 @@ impl Registry {
         let parsed: CounterPath = path
             .parse()
             .map_err(|_| RegistryError::BadPath(path.to_owned()))?;
-        let key = parsed.to_string();
+        self.insert_key(parsed.to_string(), counter)
+    }
+
+    /// Insert under `key`, already in canonical form.
+    fn insert_key(&self, key: String, counter: Arc<dyn Counter>) -> Result<(), RegistryError> {
         let mut map = self.counters.write();
         if map.contains_key(&key) {
             return Err(RegistryError::Duplicate(key));
@@ -215,16 +219,15 @@ impl Registry {
     /// `/{object}{{instance}}/<name>`; dropping the scope retires the
     /// whole namespace. This is how per-job
     /// counters come and go without disturbing the long-lived scheduler
-    /// counters that share the registry.
-    pub fn scope(
-        self: &Arc<Self>,
-        object: impl Into<String>,
-        instance: impl Into<String>,
-    ) -> ScopedRegistry {
+    /// counters that share the registry. The prefix is validated here,
+    /// once: an `object{instance}` no path could parse back to makes
+    /// every `register` through the scope fail with
+    /// [`RegistryError::BadPath`].
+    pub fn scope(self: &Arc<Self>, object: &str, instance: &str) -> ScopedRegistry {
         ScopedRegistry {
             registry: Arc::clone(self),
-            object: object.into(),
-            instance: instance.into(),
+            prefix: CounterPath::scope_prefix(object, instance)
+                .map_err(|_| format!("/{object}{{{instance}}}")),
             keys: crate::sync::Mutex::new(Vec::new()),
         }
     }
@@ -257,32 +260,53 @@ impl Registry {
 /// [`Registry::scope`].
 pub struct ScopedRegistry {
     registry: Arc<Registry>,
-    object: String,
-    instance: String,
+    /// `/{object}{instance}`, or the same text as the error when no path
+    /// built on it would parse back.
+    prefix: Result<String, String>,
+    /// The canonical keys registered through this scope.
     keys: crate::sync::Mutex<Vec<String>>,
 }
 
 impl ScopedRegistry {
     /// The full path `name` maps to inside this scope.
     fn path_of(&self, name: &str) -> String {
-        format!("/{}{{{}}}/{}", self.object, self.instance, name)
+        format!("{}/{name}", self.prefix())
     }
 
     /// The `object{instance}` prefix rendered as a path fragment (useful
     /// for display).
     pub fn prefix(&self) -> String {
-        format!("/{}{{{}}}", self.object, self.instance)
+        match &self.prefix {
+            Ok(p) | Err(p) => p.clone(),
+        }
     }
 
-    /// Register `counter` under `name` within the scope.
+    /// Register `counter` under `name` within the scope. The path is
+    /// built from the prefix validated at [`Registry::scope`], so nothing
+    /// is parsed here.
     pub fn register(
         &self,
         name: &str,
         counter: impl Counter + 'static,
     ) -> Result<(), RegistryError> {
-        let path = self.path_of(name);
-        self.registry.register(&path, counter)?;
-        self.keys.lock().push(path);
+        self.insert(name, Arc::new(counter))
+    }
+
+    /// The one body behind every `register` (see [`Registry::insert`]).
+    fn insert(&self, name: &str, counter: Arc<dyn Counter>) -> Result<(), RegistryError> {
+        let key = match &self.prefix {
+            Ok(prefix) if CounterPath::scoped_name_is_valid(name) => {
+                // Sized up front: `format!` would grow it twice.
+                let mut key = String::with_capacity(prefix.len() + 1 + name.len());
+                for part in [prefix, "/", name] {
+                    key.push_str(part);
+                }
+                key
+            }
+            _ => return Err(RegistryError::BadPath(self.path_of(name))),
+        };
+        self.registry.insert_key(key.clone(), counter)?;
+        self.keys.lock().push(key);
         Ok(())
     }
 
@@ -297,13 +321,13 @@ impl ScopedRegistry {
         self.keys.lock().clone()
     }
 
-    /// Remove every counter registered through this scope; returns how
-    /// many were removed (counters already removed directly are skipped).
+    /// Remove every counter registered through this scope, under one
+    /// write lock and by the keys it inserted; returns how many were
+    /// removed (counters already removed directly are skipped).
     fn unregister_all(&self) -> usize {
         let keys = std::mem::take(&mut *self.keys.lock());
-        keys.iter()
-            .filter(|k| self.registry.unregister(k).is_ok())
-            .count()
+        let mut map = self.registry.counters.write();
+        keys.iter().filter(|k| map.remove(*k).is_some()).count()
     }
 }
 
@@ -460,6 +484,25 @@ mod tests {
         assert!(reg.is_empty());
         // Idempotent.
         assert_eq!(scope.unregister_all(), 0);
+    }
+
+    #[test]
+    fn scope_refuses_a_bad_instance_or_name() {
+        let reg = Arc::new(Registry::new());
+        let view = || RawView::new(Arc::new(RawCounter::new()), Unit::Count);
+        // `}` would end the instance early: no path parses back to it.
+        let bad = reg.scope("jobs", "a}/b#1");
+        assert!(matches!(
+            bad.register("count/tasks", view()),
+            Err(RegistryError::BadPath(p)) if p == "/jobs{a}/b#1}/count/tasks"
+        ));
+        let good = reg.scope("jobs", "a#1");
+        assert!(matches!(
+            good.register("@p", view()),
+            Err(RegistryError::BadPath(_))
+        ));
+        assert!(reg.is_empty());
+        assert!(bad.paths().is_empty() && good.paths().is_empty());
     }
 
     #[test]

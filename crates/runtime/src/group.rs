@@ -327,19 +327,13 @@ impl TaskGroup {
         }
     }
 
-    /// Run `f` when the group next becomes quiescent (in-flight count
-    /// reaches zero). If the group is *already* quiescent, `f` runs
-    /// inline. `f` runs on whichever thread retires the last member —
-    /// keep it short.
+    /// Run `f` the next time the in-flight count falls to zero, on
+    /// whichever thread retires that last member — keep it short. `f`
+    /// never runs inline, even on an idle group: arm it *before* entering
+    /// the members it waits for, and the thread arming it can never be
+    /// the one that runs it.
     pub fn on_quiescent(&self, f: impl FnOnce() + Send + 'static) {
-        {
-            let mut g = self.hooks.lock();
-            if self.in_flight.load(Ordering::SeqCst) != 0 {
-                g.quiescent.push(Box::new(f));
-                return;
-            }
-        }
-        f();
+        self.hooks.lock().quiescent.push(Box::new(f));
     }
 
     /// Have [`cancel`](Self::cancel) release `node` if it is still
@@ -422,8 +416,12 @@ mod tests {
         let fired = Arc::new(AtomicBool::new(false));
         let f = Arc::clone(&fired);
         g.on_quiescent(move || f.store(true, Ordering::SeqCst));
-        assert!(fired.load(Ordering::SeqCst), "fires inline when quiescent");
+        assert!(!fired.load(Ordering::SeqCst), "never fires inline");
         assert!(g.wait_timeout(Duration::from_millis(1)));
+        // Armed on the idle group, it fires when the next member retires.
+        g.enter();
+        g.exit_completed();
+        assert!(fired.load(Ordering::SeqCst));
     }
 
     #[test]

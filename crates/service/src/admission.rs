@@ -215,7 +215,7 @@ struct TenantQueue {
 }
 
 /// Per-tenant FIFO queues drained in weighted stride order. Internal to
-/// the service; guarded by the dispatcher's mutex.
+/// the service; guarded by its queues mutex.
 pub(crate) struct FairQueues {
     tenants: BTreeMap<String, TenantQueue>,
     queued: usize,

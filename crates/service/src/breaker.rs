@@ -257,7 +257,7 @@ where
             return f(b);
         }
         let key = key.to_owned();
-        let scope = (self.registry.as_ref()).map(|r| r.scope("service", format!("tenants/{key}")));
+        let scope = (self.registry.as_ref()).map(|r| r.scope("service", &format!("tenants/{key}")));
         let b = Breaker::new(scope, now);
         f(map.entry(key).or_insert(b))
     }

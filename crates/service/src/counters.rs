@@ -113,7 +113,7 @@ impl JobCounters {
 
 /// Service-wide counters under `/service/...`.
 ///
-/// The raw lifecycle counts are public so the dispatcher can increment
+/// The raw lifecycle counts are public so the service can increment
 /// them without a registry lookup; the histograms give admission-latency
 /// and turnaround distributions in power-of-two nanosecond buckets
 /// (query percentiles with [`LogHistogram::quantile_floor`]).
@@ -137,6 +137,10 @@ pub struct ServiceCounters {
     /// Queued jobs dropped by the overload shedder (disjoint from
     /// `rejected`: `submitted = admitted + rejected + shed + …`).
     pub shed: Arc<RawCounter>,
+    /// Times the dispatcher thread woke: a timer tick, a new timer, or
+    /// shutdown. Admission never needs it, so a service whose jobs carry
+    /// no deadline and never queue leaves it near 0.
+    pub dispatcher_wakes: Arc<RawCounter>,
     /// Submission-to-admission latency, log₂ ns buckets.
     pub admission_latency: Arc<LogHistogram>,
     /// Submission-to-finish turnaround of admitted jobs, log₂ ns buckets.
@@ -161,10 +165,11 @@ impl ServiceCounters {
             retried: Arc::new(RawCounter::new()),
             rejected: Arc::new(RawCounter::new()),
             shed: Arc::new(RawCounter::new()),
+            dispatcher_wakes: Arc::new(RawCounter::new()),
             admission_latency: Arc::new(LogHistogram::new()),
             turnaround: Arc::new(LogHistogram::new()),
         };
-        let raws: [(&str, &Arc<RawCounter>); 9] = [
+        let raws: [(&str, &Arc<RawCounter>); 10] = [
             ("jobs/submitted", &this.submitted),
             ("jobs/admitted", &this.admitted),
             ("jobs/completed", &this.completed),
@@ -174,6 +179,7 @@ impl ServiceCounters {
             ("jobs/retried", &this.retried),
             ("jobs/rejected", &this.rejected),
             ("jobs/shed", &this.shed),
+            ("dispatcher/wakes", &this.dispatcher_wakes),
         ];
         for (name, raw) in raws {
             let raw = Arc::clone(raw);

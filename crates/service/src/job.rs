@@ -326,10 +326,10 @@ pub(crate) struct JobCore {
     /// Retries performed; shared with the `/jobs{...}/tasks/retried`
     /// counter surface.
     pub(crate) retried: Arc<AtomicU64>,
-    /// Backoff gate: the dispatcher will not re-admit the job before
-    /// this instant.
+    /// Backoff gate: admission will not re-admit the job before this
+    /// instant.
     pub(crate) not_before: Mutex<Option<Instant>>,
-    /// The root closure; the dispatcher runs it once per attempt.
+    /// The root closure; admission starts it once per attempt.
     pub(crate) body: Mutex<JobBody>,
 }
 
@@ -624,7 +624,7 @@ impl JobHandle {
     pub fn cancel(&self) {
         self.core.cancel_requested.store(true, Ordering::SeqCst);
         // `Queued → Cancelled` and admission exclude each other under the
-        // state mutex: either this wins and the dispatcher's `try_admit`
+        // state mutex: either this wins and admission's `try_admit`
         // later skips the job (no budget charged, entry reaped as a
         // terminal head), or admission won and the cooperative path
         // below applies.

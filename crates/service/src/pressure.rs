@@ -4,7 +4,9 @@
 //! grain: too fine and scheduling overhead dominates (`/threads/idle-rate`
 //! climbs, Eq. 1), too coarse and cores starve. PR 0–2 built the
 //! *measurement* surface for that regime; this module closes the loop and
-//! *acts* on it. Every dispatcher tick the [`PressureController`] samples:
+//! *acts* on it. At the first job settle or dispatcher tick at least
+//! [`SAMPLE_EVERY`] after the last sample, the [`PressureController`]
+//! samples:
 //!
 //! * the **windowed overhead fraction** — the delta form of the paper's
 //!   idle-rate, `(Δt_func − Δt_exec) / Δt_func` over the last sample
@@ -56,9 +58,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Minimum interval between counter samples: the dispatcher ticks
-/// faster, extra ticks are no-ops, and a shorter window holds too few
-/// task phases for the overhead fraction to mean anything.
+/// Minimum interval between counter samples: settles and dispatcher
+/// ticks come faster, the extra ones are no-ops, and a shorter window
+/// holds too few task phases for the overhead fraction to mean anything.
 const SAMPLE_EVERY: Duration = Duration::from_millis(1);
 /// EWMA smoothing factor for the overhead fraction and the service-time
 /// estimate: a step input is 90 % absorbed after ten samples, so one
@@ -147,7 +149,7 @@ pub struct PressureSignal {
     pub est_service: Duration,
 }
 
-/// Sampling bookkeeping only the dispatcher touches.
+/// Sampling bookkeeping, touched under the service's queues lock.
 struct SampleBook {
     last_at: Instant,
     last_func_ns: u64,
@@ -160,7 +162,7 @@ struct SampleBook {
 }
 
 /// The controller: shared atomics for the gauge surface, a small mutex
-/// for dispatcher-only sampling state. See the [module docs](self).
+/// for the sampling state. See the [module docs](self).
 pub(crate) struct PressureController {
     cfg: PressureConfig,
     /// Configured maximum (the admission config's `max_in_flight_tasks`).
@@ -253,15 +255,14 @@ impl PressureController {
         Duration::from_nanos(self.est_service_ns.load(Ordering::SeqCst))
     }
 
-    /// One control-loop tick: ingest cumulative `Σt_func`/`Σt_exec` (the
-    /// runtime's thread counters) and the queue state, update the EWMA,
-    /// the level, and the AIMD budget. Rate-limited internally to
-    /// [`SAMPLE_EVERY`].
+    /// One control-loop sample: ingest cumulative `Σt_func`/`Σt_exec`
+    /// (the runtime's thread counters, read by `thread_ns` only when a
+    /// sample is due) and the queue state, update the EWMA, the level,
+    /// and the AIMD budget. Rate-limited internally to [`SAMPLE_EVERY`].
     pub(crate) fn sample(
         &self,
         now: Instant,
-        func_ns: u64,
-        exec_ns: u64,
+        thread_ns: impl FnOnce() -> (u64, u64),
         queue_len: usize,
         queue_cap: usize,
     ) {
@@ -272,6 +273,7 @@ impl PressureController {
         if book.primed && now.saturating_duration_since(book.last_at) < SAMPLE_EVERY {
             return;
         }
+        let (func_ns, exec_ns) = thread_ns();
         let d_func = func_ns.saturating_sub(book.last_func_ns);
         let d_exec = exec_ns.saturating_sub(book.last_exec_ns);
         let first = !book.primed;
@@ -445,10 +447,11 @@ mod tests {
     fn overhead_ewma_tracks_deltas_and_level_classifies() {
         let c = controller(100);
         let t0 = Instant::now();
-        c.sample(t0, 0, 0, 0, 10); // priming sample
-                                   // Pure overhead window: func grew, exec didn't.
+        // A priming sample, then pure overhead windows: func grew, exec
+        // didn't.
+        c.sample(t0, || (0, 0), 0, 10);
         for i in 1..=20u64 {
-            c.sample(t0 + SAMPLE_EVERY * i as u32, i * 1_000_000, 0, 8, 10);
+            c.sample(t0 + SAMPLE_EVERY * i as u32, || (i * 1_000_000, 0), 8, 10);
         }
         let s = c.signal();
         assert!(s.overhead > 0.8, "overhead EWMA converges up: {s:?}");
@@ -457,8 +460,7 @@ mod tests {
         for i in 21..=80u64 {
             c.sample(
                 t0 + SAMPLE_EVERY * i as u32,
-                20 * 1_000_000 + (i - 20) * 1_000_000,
-                (i - 20) * 1_000_000,
+                || (20 * 1_000_000 + (i - 20) * 1_000_000, (i - 20) * 1_000_000),
                 0,
                 10,
             );
@@ -472,20 +474,19 @@ mod tests {
     fn budget_halves_under_overhead_and_regrows_additively() {
         let c = controller(100);
         let t0 = Instant::now();
-        c.sample(t0, 0, 0, 0, 10);
+        c.sample(t0, || (0, 0), 0, 10);
         assert_eq!(c.budget_limit(), 100);
         // High-overhead windows with a queue, one per `DECREASE_EVERY`:
         // multiplicative decrease, 100 → 50 → 25 → 12 → floor.
         for i in 1..=30u64 {
-            c.sample(t0 + DECREASE_EVERY * i as u32, i * 1_000_000, 0, 5, 10);
+            c.sample(t0 + DECREASE_EVERY * i as u32, || (i * 1_000_000, 0), 5, 10);
         }
         assert_eq!(c.budget_limit(), 8, "decays to the floor");
         // Calm windows: additive regrowth toward the max.
         for i in 31..=45u64 {
             c.sample(
                 t0 + DECREASE_EVERY * i as u32,
-                30 * 1_000_000 + (i - 30) * 1_000_000,
-                (i - 30) * 1_000_000,
+                || (30 * 1_000_000 + (i - 30) * 1_000_000, (i - 30) * 1_000_000),
                 0,
                 10,
             );
@@ -501,9 +502,9 @@ mod tests {
         let c = controller(1);
         assert_eq!(c.budget_limit(), 1);
         let t0 = Instant::now();
-        c.sample(t0, 0, 0, 0, 10);
+        c.sample(t0, || (0, 0), 0, 10);
         for i in 1..=30u64 {
-            c.sample(t0 + DECREASE_EVERY * i as u32, i * 1_000_000, 0, 5, 10);
+            c.sample(t0 + DECREASE_EVERY * i as u32, || (i * 1_000_000, 0), 5, 10);
         }
         assert_eq!(c.budget_limit(), 1);
     }
@@ -539,8 +540,8 @@ mod tests {
         assert!(c.select_sheds(t, [&old].into_iter()).is_empty());
         // Force critical (fill 1.0), then: first scan arms, a scan a full
         // interval later drops.
-        c.sample(t0, 0, 0, 0, 10);
-        c.sample(t0 + Duration::from_millis(1), 1, 0, 10, 10);
+        c.sample(t0, || (0, 0), 0, 10);
+        c.sample(t0 + Duration::from_millis(1), || (1, 0), 10, 10);
         assert_eq!(c.level(), PressureLevel::Critical);
         assert!(c.select_sheds(t, [&old].into_iter()).is_empty(), "arming");
         let late = t + SHED_INTERVAL + Duration::from_millis(1);
@@ -553,7 +554,7 @@ mod tests {
         let c = PressureController::new(PressureConfig { enabled: false }, 100);
         let t0 = Instant::now();
         for i in 0..30u64 {
-            c.sample(t0 + Duration::from_millis(i), i * 1_000_000, 0, 10, 10);
+            c.sample(t0 + Duration::from_millis(i), || (i * 1_000_000, 0), 10, 10);
         }
         assert_eq!(c.budget_limit(), 100);
         let doomed = queued_core(1, Some(Duration::from_millis(1)));

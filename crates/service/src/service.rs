@@ -1,13 +1,19 @@
-//! The job service: submission, dispatch, deadlines, shutdown.
+//! The job service: submission, admission, deadlines, shutdown.
 //!
 //! A [`JobService`] owns a [`Runtime`] and a dispatcher thread. Clients
-//! [`submit`](JobService::submit) jobs; the dispatcher admits them from
-//! per-tenant queues in weighted fair-share order whenever the task
-//! budget allows, hands each job's root task to the runtime inside the
-//! job's [`grain_runtime::TaskGroup`], watches deadlines, and settles
-//! terminal states from the group's quiescence latch. Nothing in the
-//! serving layer touches the runtime's hot dispatch path — jobs meter
-//! themselves through their groups.
+//! [`submit`](JobService::submit) jobs into per-tenant queues. Admission
+//! — popping jobs in weighted fair-share order while the task budget
+//! allows, and handing each one's root task to the runtime inside the
+//! job's [`grain_runtime::TaskGroup`] — runs on the threads that change
+//! what can be admitted: the submitter, right after its push, and the
+//! thread that settles a job (usually a worker, in the group's
+//! quiescence hook), right after it releases the job's budget. So a job
+//! reaches the runtime with no thread hop. The dispatcher keeps only what
+//! a clock has to trigger: running and queued deadlines, retry backoff
+//! gates, and shedding while jobs are queued; while none of those
+//! exists it sleeps with no timeout. Nothing in the serving layer
+//! touches the runtime's hot dispatch path — jobs meter themselves
+//! through their groups.
 //!
 //! Failure handling rides on the runtime's panic isolation: a faulted
 //! task never kills a worker, it marks the job's group, and the job's
@@ -20,7 +26,7 @@ use crate::breaker::{BreakerConfig, BreakerDecision, BreakerState, Breakers};
 use crate::counters::{JobCounters, ServiceCounters};
 use crate::job::{FailurePolicy, JobCore, JobHandle, JobId, JobOutcome, JobSpec, JobState};
 use crate::pressure::{PressureConfig, PressureController, PressureSignal};
-use grain_counters::sync::{Condvar, Mutex};
+use grain_counters::sync::{Condvar, Mutex, MutexGuard};
 use grain_counters::Registry;
 use grain_runtime::{Runtime, RuntimeConfig, TaskContext};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -35,10 +41,10 @@ pub use crate::admission::AdmissionConfig;
 /// never ran, so they do not fire the hook.
 ///
 /// The hook runs on the thread that settles the job — usually a runtime
-/// worker inside the group's quiescence latch — with **no service locks
-/// held**. It must be fast and non-blocking; feed an observer (the
-/// `grain-autotune` controller is the canonical consumer) rather than
-/// doing work inline.
+/// worker inside the group's quiescence latch, never a thread inside
+/// [`JobService::submit`] — with **no service locks held**. It must be
+/// fast and non-blocking; feed an observer (the `grain-autotune`
+/// controller is the canonical consumer) rather than doing work inline.
 #[derive(Clone)]
 pub struct PolicyHook(Arc<PolicyFn>);
 
@@ -75,8 +81,11 @@ pub struct ServiceConfig {
     pub pressure: PressureConfig,
     /// Per-tenant circuit breakers.
     pub breaker: BreakerConfig,
-    /// Dispatcher tick: the upper bound on how long admission or a
-    /// deadline can lag the event that enabled it.
+    /// Dispatcher tick: the upper bound on how late a deadline, an
+    /// opened backoff gate or a shed check is acted on. Admission does
+    /// not wait for it — it runs on the submitting and settling threads.
+    /// `wait_all` also rechecks at this period for a job that went
+    /// terminal while queued.
     pub poll_interval: Duration,
     /// Post-settlement policy hook (see [`PolicyHook`]). `None` (the
     /// default) leaves the settlement path exactly as before.
@@ -106,14 +115,33 @@ impl ServiceConfig {
     }
 }
 
+/// What the queues mutex guards: the tenant queues, and the two
+/// hand-shakes decided against them (who drains; whether the dispatcher
+/// must be told of a new timer).
+struct Queues {
+    fair: FairQueues,
+    /// A thread is inside [`admit_queued`]'s drain loop.
+    draining: bool,
+    /// A push or a budget release came while a drain ran: the drainer
+    /// looks again before it stops.
+    rescan: bool,
+    /// The dispatcher sleeps with no timer to run; the drain that makes
+    /// the next one notifies `timer_cv`.
+    dispatcher_asleep: bool,
+}
+
 struct Shared {
     runtime: Runtime,
     registry: Arc<Registry>,
     counters: ServiceCounters,
-    queues: Mutex<FairQueues>,
-    /// Wakes the dispatcher on submit, job completion, and shutdown.
-    dispatch_cv: Condvar,
-    /// Sum of admitted (unfinished) jobs' costs.
+    queues: Mutex<Queues>,
+    /// Wakes `wait_all` after a settle.
+    idle_cv: Condvar,
+    /// Wakes the dispatcher: a new timer while it sleeps without one,
+    /// any admission attempt during shutdown, and shutdown itself.
+    timer_cv: Condvar,
+    /// Sum of admitted (unfinished) jobs' costs. Only ever raised in the
+    /// queues critical section that pops the job it charges.
     budget_in_use: AtomicU64,
     /// Jobs popped from the queues but not yet pushed into `running`.
     /// Incremented under the queues lock, so `wait_all` (which holds
@@ -142,7 +170,12 @@ impl JobService {
     pub fn new(config: ServiceConfig) -> Self {
         let registry = Arc::new(Registry::new());
         let runtime = Runtime::new(config.runtime.clone());
-        let queues = Mutex::new(FairQueues::new());
+        let queues = Mutex::new(Queues {
+            fair: FairQueues::new(),
+            draining: false,
+            rescan: false,
+            dispatcher_asleep: false,
+        });
         let pressure = Arc::new(PressureController::new(
             config.pressure.clone(),
             config.admission.max_in_flight_tasks,
@@ -158,7 +191,7 @@ impl JobService {
                 &registry,
                 move || {
                     w1.upgrade()
-                        .map_or(0.0, |s: Arc<Shared>| s.queues.lock().len() as f64)
+                        .map_or(0.0, |s: Arc<Shared>| s.queues.lock().fair.len() as f64)
                 },
                 move || {
                     w2.upgrade().map_or(0.0, |s: Arc<Shared>| {
@@ -172,7 +205,8 @@ impl JobService {
                 registry: Arc::clone(&registry),
                 counters,
                 queues,
-                dispatch_cv: Condvar::new(),
+                idle_cv: Condvar::new(),
+                timer_cv: Condvar::new(),
                 budget_in_use: AtomicU64::new(0),
                 admitting: AtomicU64::new(0),
                 running: Mutex::new(Vec::new()),
@@ -243,13 +277,13 @@ impl JobService {
             BreakerDecision::Admit { probe } => probe,
         };
         let mut queues = shared.queues.lock();
-        if queues.len() >= shared.config.admission.max_queued_jobs {
+        if queues.fair.len() >= shared.config.admission.max_queued_jobs {
             // Entries that went terminal while waiting (handle-cancelled
             // or deadline-expired) are only reaped lazily; don't let
             // them cause a spurious QueueFull.
-            queues.reap_terminal();
+            queues.fair.reap_terminal();
         }
-        let queued = queues.len();
+        let queued = queues.fair.len();
         if queued >= shared.config.admission.max_queued_jobs {
             drop(queues);
             if probe {
@@ -269,9 +303,10 @@ impl JobService {
         if probe {
             core.probe.store(true, Ordering::SeqCst);
         }
-        queues.push(Arc::clone(&core), weight);
-        drop(queues);
-        shared.dispatch_cv.notify_all();
+        queues.fair.push(Arc::clone(&core), weight);
+        // Admission runs here, on the submitting thread, under the lock
+        // the push already holds.
+        drop(admit_queued(shared, queues));
         handle
     }
 
@@ -301,7 +336,7 @@ impl JobService {
 
     /// Jobs waiting for admission right now.
     pub fn queue_len(&self) -> usize {
-        self.shared.queues.lock().len()
+        self.shared.queues.lock().fair.len()
     }
 
     /// Jobs admitted and not yet finished.
@@ -333,20 +368,25 @@ impl JobService {
     /// Block until no job is queued or running. New submissions during
     /// the wait extend it.
     pub fn wait_all(&self) {
-        // Holding the queues lock excludes the dispatcher's
+        // Holding the queues lock excludes admission's
         // pop+`admitting`-increment critical section, so a job in flight
         // between the queues and `running` is always visible through one
         // of the three checks.
         let mut queues = self.shared.queues.lock();
-        while !(queues.len() == 0
-            && self.shared.admitting.load(Ordering::SeqCst) == 0
-            && self.shared.running.lock().is_empty())
-        {
-            // `settle` wakes this. An entry that went terminal while
-            // queued leaves with the dispatcher's next tick and no
-            // notify, hence the timeout.
+        loop {
+            // An entry that went terminal while queued (cancelled, shed,
+            // expired) waits for the next pop to reap it; none may come.
+            queues.fair.reap_terminal();
+            if queues.fair.len() == 0
+                && self.shared.admitting.load(Ordering::SeqCst) == 0
+                && self.shared.running.lock().is_empty()
+            {
+                return;
+            }
+            // `settle` wakes this. A job that goes terminal while queued
+            // does not, hence the timeout.
             self.shared
-                .dispatch_cv
+                .idle_cv
                 .wait_for(&mut queues, self.shared.config.poll_interval);
         }
     }
@@ -355,7 +395,10 @@ impl JobService {
 impl Drop for JobService {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.dispatch_cv.notify_all();
+        // The dispatcher reads `shutdown` under the queues lock before it
+        // waits, so passing through the lock orders this notify after.
+        drop(self.shared.queues.lock());
+        self.shared.timer_cv.notify_all();
         if let Some(t) = self.dispatcher.take() {
             let _ = t.join();
         }
@@ -374,13 +417,13 @@ impl Drop for JobService {
 
 /// One settlement of a quiescent job: decide the terminal state — or
 /// send a faulted `RetryWithBackoff` job back through admission — meter
-/// it, release the budget, and wake the dispatcher.
+/// it, release the budget, and admit what the release lets in.
 ///
 /// State priority: a deadline expiry beats an explicit cancel beats a
 /// fault. `cancel_requested` (the client's flag) is what marks
 /// `Cancelled`, *not* `group.is_cancelled()` — fail-fast cancels the
 /// group internally on fault, and that must settle as `Failed`.
-fn settle(shared: &Shared, core: &Arc<JobCore>) {
+fn settle(shared: &Arc<Shared>, core: &Arc<JobCore>) {
     let now = Instant::now();
     let fault = core.group.first_fault();
     let state = if core.timed_out.load(Ordering::SeqCst) {
@@ -430,12 +473,17 @@ fn settle(shared: &Shared, core: &Arc<JobCore>) {
         .record(core.turnaround().as_nanos() as u64);
     shared.budget_in_use.fetch_sub(core.cost, Ordering::SeqCst);
     shared.running.lock().retain(|c| !Arc::ptr_eq(c, core));
+    {
+        // The released budget may let a queued job in: admission runs
+        // here, on the settling thread.
+        let queues = admit_queued(shared, shared.queues.lock());
+        sample_pressure(shared, &queues, now);
+    }
     // `wait_all` checks `running` under the queues lock and waits on
-    // `dispatch_cv`: passing through that lock after the removal orders
-    // this notify after its check, so the wake is not lost (the rule on
+    // `idle_cv`: passing through that lock after the removal orders this
+    // notify after its check, so the wake is not lost (the rule on
     // `sync::Condvar`).
-    drop(shared.queues.lock());
-    shared.dispatch_cv.notify_all();
+    shared.idle_cv.notify_all();
     // Policy observation with no locks held and every counter settled,
     // before waiters wake — a submitter unblocked by wait() already
     // sees any grain adjustment this outcome caused.
@@ -462,7 +510,7 @@ fn reach_of(probe: bool) -> BreakerState {
 /// released so other jobs can use it while the backoff elapses. Returns
 /// false when the job must fail instead (policy, attempts exhausted,
 /// service shutdown, or the tenant's breaker is open).
-fn try_requeue_for_retry(shared: &Shared, core: &Arc<JobCore>, now: Instant) -> bool {
+fn try_requeue_for_retry(shared: &Arc<Shared>, core: &Arc<JobCore>, now: Instant) -> bool {
     let FailurePolicy::RetryWithBackoff {
         max_attempts,
         base,
@@ -486,15 +534,16 @@ fn try_requeue_for_retry(shared: &Shared, core: &Arc<JobCore>, now: Instant) -> 
     core.group.reset_faults();
     core.set_state(JobState::Queued);
     shared.budget_in_use.fetch_sub(core.cost, Ordering::SeqCst);
-    // `admitting` bridges the running→queues handoff so `wait_all`
-    // (which checks queues, admitting, running under the queues lock)
-    // can never observe the job in neither structure.
-    shared.admitting.fetch_add(1, Ordering::SeqCst);
-    shared.running.lock().retain(|c| !Arc::ptr_eq(c, core));
     let weight = shared.config.admission.weight_of(&core.spec.tenant);
-    shared.queues.lock().push(Arc::clone(core), weight);
-    shared.admitting.fetch_sub(1, Ordering::SeqCst);
-    shared.dispatch_cv.notify_all();
+    // The move from `running` to the queues happens under the queues
+    // lock, which `wait_all` and the dispatcher's shutdown check read
+    // `running` under: they see the job in one of the two.
+    let mut queues = shared.queues.lock();
+    shared.running.lock().retain(|c| !Arc::ptr_eq(c, core));
+    queues.fair.push(Arc::clone(core), weight);
+    // The released budget may let another job in, and the backoff gate
+    // is a timer the dispatcher must know about.
+    drop(admit_queued(shared, queues));
     true
 }
 
@@ -525,165 +574,100 @@ fn shed_job(shared: &Shared, core: &Arc<JobCore>, now: Instant) {
     }
 }
 
-fn dispatcher_loop(shared: Arc<Shared>) {
-    loop {
-        let shutting_down = shared.shutdown.load(Ordering::SeqCst);
-        if shutting_down {
-            // Refuse everything still waiting, then leave once the
-            // admitted jobs have settled.
-            let drained = shared.queues.lock().drain();
-            for core in drained {
-                // A job queued for a retry attempt already ran and
-                // faulted; shutdown ends it as Failed, not Rejected.
-                if core.group.first_fault().is_some() {
-                    if core.finish(JobState::Failed) {
-                        shared.counters.failed.incr();
-                    }
-                    continue;
-                }
-                *core.rejection.lock() = Some(AdmissionError::ShuttingDown);
-                if core.finish(JobState::Rejected) {
-                    shared.counters.rejected.incr();
-                }
-            }
-            if shared.running.lock().is_empty() {
-                break;
-            }
-        }
-
-        // Pressure: feed the control loop the runtime's cumulative
-        // thread times and the queue state once per tick (rate-limited
-        // internally).
-        let now = Instant::now();
-        {
-            let rc = shared.runtime.counters();
-            let queue_len = shared.queues.lock().len();
-            shared.pressure.sample(
-                now,
-                rc.func_ns.sum(),
-                rc.exec_ns.sum(),
-                queue_len,
-                shared.config.admission.max_queued_jobs,
-            );
-        }
-
-        // Deadlines: scan admitted jobs and queue heads.
-        {
-            // Collect first, cancel after dropping the lock: cancel()
-            // can retire the group's last in-flight member, running the
-            // quiescence hook — and thus settle(), which takes
-            // `running` — inline on this thread.
-            let expired: Vec<Arc<JobCore>> = {
-                let running = shared.running.lock();
-                running
-                    .iter()
-                    .filter(|c| {
-                        c.spec
-                            .deadline
-                            .is_some_and(|d| now.duration_since(c.submitted_at) >= d)
-                    })
-                    .map(Arc::clone)
-                    .collect()
-            };
-            for core in expired {
-                if !core.timed_out.swap(true, Ordering::SeqCst) {
-                    core.group.cancel();
-                    // settle() runs from the group's quiescence hook.
-                }
-            }
-        }
-        if shared.pressure.enabled() {
-            // Shedding subsumes the queued-deadline scan: a queued job
-            // whose sojourn (plus the estimated service time) has eaten
-            // its deadline is picked here, along with CoDel head drops
-            // under critical pressure.
-            let sheds = {
-                let queues = shared.queues.lock();
-                shared.pressure.select_sheds(now, queues.iter())
-            };
-            for core in sheds {
-                shed_job(&shared, &core, now);
-                // The queue entry is reaped as a terminal head later.
-            }
-        } else {
-            let queues = shared.queues.lock();
-            let expired: Vec<Arc<JobCore>> = queues
-                .iter()
-                .filter(|c| {
-                    c.spec
-                        .deadline
-                        .is_some_and(|d| now.duration_since(c.submitted_at) >= d)
-                })
-                .map(Arc::clone)
-                .collect();
-            drop(queues);
-            for core in expired {
-                // Never admitted: no budget to release, no group to drain.
-                core.timed_out.store(true, Ordering::SeqCst);
-                core.group.cancel();
-                if core.finish(JobState::TimedOut) {
-                    shared.counters.timed_out.incr();
-                }
-                // The queue entry is reaped as a terminal head later.
-            }
-        }
-
-        // Admission: drain as many fair-share picks as the budget allows.
-        if !shutting_down {
-            loop {
-                // The adaptive limit: the configured maximum when the
-                // pressure loop is disabled or calm, shrunk under load.
-                let max = shared.pressure.budget_limit();
-                let now = Instant::now();
-                let candidate = {
-                    let mut queues = shared.queues.lock();
-                    let core = queues.pop_next(|core| {
-                        // A retrying job stays queued until its backoff
-                        // gate opens; its tenant's FIFO order holds.
-                        if core.not_before.lock().is_some_and(|t| t > now) {
-                            return false;
-                        }
-                        let in_use = shared.budget_in_use.load(Ordering::SeqCst);
-                        in_use == 0 || in_use + core.cost <= max
-                    });
-                    if core.is_some() {
-                        // Under the queues lock: wait_all must never see
-                        // the job in neither the queues nor `running`.
-                        shared.admitting.fetch_add(1, Ordering::SeqCst);
-                    }
-                    core
-                };
-                match candidate {
-                    None => break,
-                    Some(core) => {
-                        admit(&shared, core);
-                        shared.admitting.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-            }
-        }
-
-        // Sleep until something changes (submission, settlement,
-        // shutdown) or the next tick is due for deadline scanning.
-        let mut queues = shared.queues.lock();
-        shared
-            .dispatch_cv
-            .wait_for(&mut queues, shared.config.poll_interval);
+/// Admit queued jobs in stride order while the budget allows, starting
+/// with `queues` held. Every thread that changes what can be admitted
+/// calls this right after: a submitter after its push, a settle after
+/// its budget release, and the dispatcher's tick after a backoff gate
+/// opens or the pressure loop regrows the budget.
+///
+/// One thread drains at a time. Any other caller marks `rescan` and
+/// returns, and the drainer looks again before it stops. So admission
+/// never nests, and a caller that finds a drain running does not wait
+/// for it. Returns the guard, still held, for the caller's bookkeeping.
+fn admit_queued<'a>(
+    shared: &'a Arc<Shared>,
+    mut queues: MutexGuard<'a, Queues>,
+) -> MutexGuard<'a, Queues> {
+    if shared.shutdown.load(Ordering::SeqCst) {
+        // No admission during shutdown: the dispatcher is waiting for the
+        // running jobs to drain, and this may be the last of them.
+        shared.timer_cv.notify_all();
+        return queues;
     }
+    if queues.draining {
+        queues.rescan = true;
+        return queues;
+    }
+    queues.draining = true;
+    let mut deadline_admitted = false;
+    loop {
+        while let Some(core) = pop_admissible(shared, &mut queues) {
+            drop(queues);
+            deadline_admitted |= core.spec.deadline.is_some();
+            admit(shared, core);
+            shared.admitting.fetch_sub(1, Ordering::SeqCst);
+            queues = shared.queues.lock();
+        }
+        if !std::mem::take(&mut queues.rescan) {
+            break;
+        }
+    }
+    queues.draining = false;
+    if queues.dispatcher_asleep && (deadline_admitted || queued_timer(shared, &queues)) {
+        // The dispatcher checked for timers under this lock before it
+        // slept, so this notify cannot come before its wait.
+        queues.dispatcher_asleep = false;
+        shared.timer_cv.notify_one();
+    }
+    queues
 }
 
-/// Reserve budget, start the root task, and arm the settlement hook.
-/// Only the dispatcher thread calls this.
+/// Pop the first admissible job in stride order and charge its cost to
+/// the budget, in one critical section under the queues lock: with
+/// budget checked and charged together, admitted costs never pass the
+/// limit, whichever thread drains (one job is always admissible when
+/// nothing is admitted, so an over-budget job cannot wedge the service).
+fn pop_admissible(shared: &Shared, queues: &mut Queues) -> Option<Arc<JobCore>> {
+    if queues.fair.len() == 0 || shared.shutdown.load(Ordering::SeqCst) {
+        return None;
+    }
+    // The adaptive limit: the configured maximum when the pressure loop
+    // is disabled or calm, shrunk under load. Releases only lower
+    // `in_use` meanwhile, and the releaser then asks for a rescan.
+    let max = shared.pressure.budget_limit();
+    let in_use = shared.budget_in_use.load(Ordering::SeqCst);
+    let mut now = None;
+    let core = queues.fair.pop_next(|core| {
+        // A retrying job stays queued until its backoff gate opens; its
+        // tenant's FIFO order holds.
+        if core
+            .not_before
+            .lock()
+            .is_some_and(|t| t > *now.get_or_insert_with(Instant::now))
+        {
+            return false;
+        }
+        in_use == 0 || in_use + core.cost <= max
+    })?;
+    shared.budget_in_use.fetch_add(core.cost, Ordering::SeqCst);
+    // Under the queues lock: wait_all must never see the job in neither
+    // the queues nor `running`.
+    shared.admitting.fetch_add(1, Ordering::SeqCst);
+    Some(core)
+}
+
+/// Start a popped job whose cost is already charged: mark it running,
+/// arm its settlement, and hand its root task to the runtime.
 fn admit(shared: &Arc<Shared>, core: Arc<JobCore>) {
     // Queued → Admitted under the state mutex. Losing means the job went
-    // terminal (handle-cancelled) between pop_next and here: drop it
-    // without charging budget or starting anything — its waiters were
-    // already notified by whoever finished it.
+    // terminal (handle-cancelled) between the pop and here: refund the
+    // charge and start nothing — its waiters were already notified by
+    // whoever finished it. The drain this runs in pops again anyway.
     if !core.try_admit() {
+        shared.budget_in_use.fetch_sub(core.cost, Ordering::SeqCst);
         return;
     }
     let now = Instant::now();
-    shared.budget_in_use.fetch_add(core.cost, Ordering::SeqCst);
     *core.admitted_at.lock() = Some(now);
     *core.not_before.lock() = None;
     if let Some(deadline) = core.spec.deadline {
@@ -712,6 +696,15 @@ fn admit(shared: &Arc<Shared>, core: Arc<JobCore>) {
     }
     core.set_state(JobState::Running);
     shared.running.lock().push(Arc::clone(&core));
+    // Arm settlement before the root exists: the hook fires when the
+    // group next drains, on the thread that retires its last member. It
+    // never fires here, so a submitter or a drain never runs a settle —
+    // or the policy hook — inline, however fast the job finishes.
+    let hook_shared = Arc::clone(shared);
+    let hook_core = Arc::clone(&core);
+    core.group.on_quiescent(move || {
+        settle(&hook_shared, &hook_core);
+    });
     let body_core = Arc::clone(&core);
     shared.runtime.spawn_in(
         &core.group,
@@ -720,12 +713,162 @@ fn admit(shared: &Arc<Shared>, core: Arc<JobCore>) {
         // one attempt is in flight at a time, so the lock is free.
         move |ctx| (*body_core.body.lock())(ctx),
     );
-    // Arm settlement after the root is in the group (in-flight ≥ 1 until
-    // the root exits, so the hook cannot fire before the DAG exists; if
-    // the whole job already finished, on_quiescent runs settle inline).
-    let hook_shared = Arc::clone(shared);
-    let hook_core = Arc::clone(&core);
-    core.group.on_quiescent(move || {
-        settle(&hook_shared, &hook_core);
-    });
+}
+
+/// Feed the pressure loop under the queues lock (the order `select_sheds`
+/// takes too). A sample is due at the first settle or dispatcher tick at
+/// least `SAMPLE_EVERY` after the last; the runtime's thread times are
+/// summed only then.
+fn sample_pressure(shared: &Shared, queues: &Queues, now: Instant) {
+    let rc = shared.runtime.counters();
+    shared.pressure.sample(
+        now,
+        || (rc.func_ns.sum(), rc.exec_ns.sum()),
+        queues.fair.len(),
+        shared.config.admission.max_queued_jobs,
+    );
+}
+
+/// Whether a queued job needs the clock: with the pressure loop on, any
+/// (the shedder may pick it); otherwise one with a deadline or a backoff
+/// gate.
+fn queued_timer(shared: &Shared, queues: &Queues) -> bool {
+    queues.fair.len() > 0
+        && (shared.pressure.enabled()
+            || queues
+                .fair
+                .iter()
+                .any(|c| c.spec.deadline.is_some() || c.not_before.lock().is_some()))
+}
+
+/// Whether a tick can change anything: a queued job that needs the
+/// clock, or a running job whose deadline has not yet expired.
+fn timers_pending(shared: &Shared, queues: &Queues) -> bool {
+    queued_timer(shared, queues)
+        || shared
+            .running
+            .lock()
+            .iter()
+            .any(|c| c.spec.deadline.is_some() && !c.timed_out.load(Ordering::SeqCst))
+}
+
+/// The dispatcher: a timer thread for what only a clock can trigger.
+/// It ticks every `poll_interval` while [`timers_pending`], sleeps with
+/// no timeout while nothing is, and on shutdown refuses what is still
+/// queued and leaves once the admitted jobs have settled.
+fn dispatcher_loop(shared: Arc<Shared>) {
+    let mut queues = shared.queues.lock();
+    loop {
+        let shutting_down = shared.shutdown.load(Ordering::SeqCst);
+        if shutting_down {
+            let drained = queues.fair.drain();
+            if !drained.is_empty() {
+                drop(queues);
+                refuse_queued(&shared, drained);
+                queues = shared.queues.lock();
+                continue;
+            }
+            if shared.admitting.load(Ordering::SeqCst) == 0 && shared.running.lock().is_empty() {
+                break;
+            }
+        }
+        if shutting_down || timers_pending(&shared, &queues) {
+            shared
+                .timer_cv
+                .wait_for(&mut queues, shared.config.poll_interval);
+        } else {
+            queues.dispatcher_asleep = true;
+            shared.timer_cv.wait(&mut queues);
+            queues.dispatcher_asleep = false;
+        }
+        shared.counters.dispatcher_wakes.incr();
+        drop(queues);
+        tick(&shared);
+        queues = shared.queues.lock();
+    }
+}
+
+/// Shutdown: every job still waiting ends here.
+fn refuse_queued(shared: &Shared, drained: Vec<Arc<JobCore>>) {
+    for core in drained {
+        // A job queued for a retry attempt already ran and faulted;
+        // shutdown ends it as Failed, not Rejected.
+        if core.group.first_fault().is_some() {
+            if core.finish(JobState::Failed) {
+                shared.counters.failed.incr();
+            }
+            continue;
+        }
+        *core.rejection.lock() = Some(AdmissionError::ShuttingDown);
+        if core.finish(JobState::Rejected) {
+            shared.counters.rejected.incr();
+        }
+    }
+}
+
+/// One dispatcher tick: expire deadlines, shed, then admit whatever an
+/// opened backoff gate or a regrown budget lets in, and take the
+/// pressure sample if one is due.
+fn tick(shared: &Arc<Shared>) {
+    let now = Instant::now();
+    // Deadlines of admitted jobs. Collect first, cancel after dropping
+    // the lock: cancel() can retire the group's last in-flight member,
+    // running the quiescence hook — and thus settle(), which takes
+    // `running` — inline on this thread.
+    let expired: Vec<Arc<JobCore>> = {
+        let running = shared.running.lock();
+        running
+            .iter()
+            .filter(|c| {
+                c.spec
+                    .deadline
+                    .is_some_and(|d| now.duration_since(c.submitted_at) >= d)
+            })
+            .map(Arc::clone)
+            .collect()
+    };
+    for core in expired {
+        if !core.timed_out.swap(true, Ordering::SeqCst) {
+            core.group.cancel();
+            // settle() runs from the group's quiescence hook.
+        }
+    }
+    if shared.pressure.enabled() {
+        // Shedding subsumes the queued-deadline scan: a queued job
+        // whose sojourn (plus the estimated service time) has eaten its
+        // deadline is picked here, along with CoDel head drops under
+        // critical pressure.
+        let sheds = {
+            let queues = shared.queues.lock();
+            shared.pressure.select_sheds(now, queues.fair.iter())
+        };
+        for core in sheds {
+            shed_job(shared, &core, now);
+            // The queue entry is reaped as a terminal head later.
+        }
+    } else {
+        let expired: Vec<Arc<JobCore>> = shared
+            .queues
+            .lock()
+            .fair
+            .iter()
+            .filter(|c| {
+                c.spec
+                    .deadline
+                    .is_some_and(|d| now.duration_since(c.submitted_at) >= d)
+            })
+            .map(Arc::clone)
+            .collect();
+        for core in expired {
+            // Never admitted: no budget to release, no group to drain.
+            core.timed_out.store(true, Ordering::SeqCst);
+            core.group.cancel();
+            if core.finish(JobState::TimedOut) {
+                shared.counters.timed_out.incr();
+            }
+            // The queue entry is reaped as a terminal head later.
+        }
+    }
+    let queues = admit_queued(shared, shared.queues.lock());
+    sample_pressure(shared, &queues, now);
 }
