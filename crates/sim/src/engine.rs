@@ -5,8 +5,8 @@
 //!
 //! * a worker searches: own pending → own staged (convert → own pending →
 //!   redo) → same-NUMA staged → same-NUMA pending → remote staged →
-//!   remote pending; every probe costs time and bumps access/miss
-//!   counters;
+//!   remote pending → the (empty) low-priority queue; every probe bumps
+//!   access/miss counters, and a search costs what it counted;
 //! * task completion releases dependents, which are *spawned* (staged) on
 //!   the completing worker — dataflow locality — at a per-spawn cost;
 //! * `Σt_func` covers everything between dispatches (search, conversion,
@@ -159,68 +159,76 @@ impl<'a> Engine<'a> {
     }
 
     /// One search following the native scheduler's order. Returns the task
-    /// and the accumulated scheduling cost in ns.
+    /// and the scheduling cost in ns, priced from the counts the search
+    /// leaves: every probe, every conversion, and the steal if the task
+    /// came from a peer.
     fn search(&mut self, w: usize) -> Option<(u32, f64)> {
         let c = &self.counters;
-        let contenders = self.m.workers - self.idle_count;
-        let probe = self.m.probe_ns(contenders);
-        let mut cost = 0.0;
+        let probes = |c: &ThreadCounters| c.pending_accesses.get(w) + c.staged_accesses.get(w);
+        let (probes0, converted0) = (probes(c), c.converted.get(w));
+        let found = self.find(w);
+        let c = &self.counters;
+        let contenders = self.contenders();
+        let cost = (probes(c) - probes0) as f64 * self.m.probe_ns(contenders)
+            + (c.converted.get(w) - converted0) as f64 * self.m.convert_ns(contenders);
+        let (task, victim) = found?;
+        Some(match victim {
+            Some(p) => (task, cost + self.m.steal_extra_ns(p, w, contenders)),
+            None => (task, cost),
+        })
+    }
+
+    /// The six-step search of Fig. 1 for worker `w`, then the
+    /// low-priority probe. Returns the task and the peer it was stolen
+    /// from.
+    fn find(&mut self, w: usize) -> Option<(u32, Option<usize>)> {
+        let c = &self.counters;
+        let same = self.m.numa.same_domain_peers(w);
+        let remote = self.m.numa.remote_domain_peers(w);
+        let mut victim = None;
         'search: loop {
             // 1. Own pending.
-            cost += probe;
             c.pending_accesses.incr(w);
             if let Some(task) = self.pending[w].pop_front() {
-                return Some((task, cost));
+                return Some((task, victim));
             }
             c.pending_misses.incr(w);
 
             // 2. Own staged: convert → own pending → redo.
-            cost += probe;
             c.staged_accesses.incr(w);
             if let Some(task) = self.staged[w].pop_front() {
                 c.converted.incr(w);
-                cost += self.m.convert_ns(contenders);
                 self.pending[w].push_back(task);
                 continue 'search;
             }
             c.staged_misses.incr(w);
 
-            // 3+5. Staged steals: same NUMA domain first, then remote.
-            for p in self
-                .m
-                .numa
-                .same_domain_peers(w)
-                .into_iter()
-                .chain(self.m.numa.remote_domain_peers(w))
-            {
-                cost += probe;
-                c.staged_accesses.incr(w);
-                if let Some(task) = self.staged[p].pop_front() {
-                    c.converted.incr(w);
-                    c.stolen.incr(w);
-                    cost += self.m.convert_ns(contenders) + self.m.steal_extra_ns(p, w, contenders);
-                    self.pending[w].push_back(task);
-                    continue 'search;
+            // 3–6. Same-domain staged, same-domain pending, remote
+            // staged, remote pending.
+            for peers in [&same, &remote] {
+                for &p in peers {
+                    c.staged_accesses.incr(w);
+                    if let Some(task) = self.staged[p].pop_front() {
+                        c.converted.incr(w);
+                        c.stolen.incr(w);
+                        self.pending[w].push_back(task);
+                        victim = Some(p);
+                        continue 'search;
+                    }
+                    c.staged_misses.incr(w);
                 }
-                c.staged_misses.incr(w);
-            }
-            // 4+6. Pending steals.
-            for p in self
-                .m
-                .numa
-                .same_domain_peers(w)
-                .into_iter()
-                .chain(self.m.numa.remote_domain_peers(w))
-            {
-                cost += probe;
-                c.pending_accesses.incr(w);
-                if let Some(task) = self.pending[p].pop_front() {
-                    c.stolen.incr(w);
-                    cost += self.m.steal_extra_ns(p, w, contenders);
-                    return Some((task, cost));
+                for &p in peers {
+                    c.pending_accesses.incr(w);
+                    if let Some(task) = self.pending[p].pop_front() {
+                        c.stolen.incr(w);
+                        return Some((task, Some(p)));
+                    }
+                    c.pending_misses.incr(w);
                 }
-                c.pending_misses.incr(w);
             }
+            // The low-priority queue, empty in the model.
+            c.staged_accesses.incr(w);
+            c.staged_misses.incr(w);
             return None;
         }
     }
