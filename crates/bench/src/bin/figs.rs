@@ -24,12 +24,12 @@ use grain_adaptive::{
 use grain_bench::{print_series, print_table, sweep_platform};
 use grain_counters::{SampleStats, ThreadCounters};
 use grain_metrics::sweep::{grids, run_sweep, NativeEngine, SimEngine, StencilEngine};
-use grain_metrics::{table, RunRecord};
+use grain_metrics::{simulate, table, RunRecord, SimConfig};
 use grain_runtime::algorithms::parallel_for;
 use grain_runtime::scheduler::{Scheduler, SearchState};
 use grain_runtime::task::{Priority, StagedTask, Task, TaskId};
 use grain_runtime::{Runtime, RuntimeConfig, SchedulerKind};
-use grain_sim::{simulate, SimConfig, SimWorkload};
+use grain_sim::SimWorkload;
 use grain_stencil::{run_futurized, run_sequential, stencil_workload, StencilParams};
 use grain_topology::{host, presets, NumaTopology};
 use std::fs::File;

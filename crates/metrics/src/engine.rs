@@ -1,30 +1,37 @@
-//! The virtual-time discrete-event engine.
+//! The virtual-time discrete-event engine: the runtime's scheduler on a
+//! modeled machine.
 //!
-//! Semantics mirror `grain-runtime`'s worker loop and the Priority
-//! Local-FIFO search order, with costs supplied by [`MachineModel`]:
+//! A worker's search *is* `grain-runtime`'s: one call to
+//! [`Scheduler::find_work`] on a scheduler whose queues hold body-less
+//! tasks, so the simulated figures follow the Fig. 1 order of the native
+//! runtime by construction. Costs come from [`MachineModel`]:
 //!
-//! * a worker searches: own pending → own staged (convert → own pending →
-//!   redo) → same-NUMA staged → same-NUMA pending → remote staged →
-//!   remote pending → the (empty) low-priority queue; every probe bumps
-//!   access/miss counters, and a search costs what it counted;
-//! * task completion releases dependents, which are *spawned* (staged) on
-//!   the completing worker — dataflow locality — at a per-spawn cost;
+//! * a search is priced from the counts it leaves — every probe (the
+//!   access counters' delta), every staged→pending conversion, and the
+//!   steal's distance-dependent extra when the task's provenance names a
+//!   victim;
+//! * the model has no high-priority queue (the paper's stencil spawns no
+//!   high-priority work), and its next slot stays empty: task completion
+//!   releases dependents *spawned* (staged) on the completing worker —
+//!   HPX's dataflow release — at a per-spawn cost;
 //! * `Σt_func` covers everything between dispatches (search, conversion,
 //!   steal, dispatch, execution, starvation); `Σt_exec` covers only the
 //!   kernel time, so Eqs. 1–3 behave exactly as in the native runtime;
 //! * idle workers model HPX's "keeps looking for work": their idle gaps
 //!   are charged to `Σt_func` and their failed search sweeps (with a
-//!   backoff factor) to the queue access/miss counters, in closed form
-//!   rather than event-by-event.
+//!   backoff factor) to the queue access/miss counters in closed form,
+//!   not by running the search: [`MachineModel::failed_sweep_ns`] and
+//!   its `*_probes_per_sweep` restate the probes of one failed
+//!   `find_work`, less its low-priority probe.
 
-use crate::machine::MachineModel;
-use crate::report::SimReport;
-use crate::rng::Pcg32;
-use crate::workload::SimWorkload;
-use grain_counters::ThreadCounters;
+use grain_counters::{Pcg32, ThreadCounters};
+use grain_runtime::scheduler::{Scheduler, SearchState};
+use grain_runtime::task::{Poll, Priority, StagedTask, TaskId};
+use grain_runtime::SchedulerKind;
+use grain_sim::{MachineModel, SimReport, SimWorkload};
 use grain_topology::Platform;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Idle workers re-sweep the queues at `failed_sweep × IDLE_BACKOFF`
 /// intervals (models HPX's idle backoff; affects only the access/miss
@@ -66,33 +73,16 @@ enum EventKind {
     },
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Event {
-    key: Reverse<EventKeyOrd>,
-    kind: EventKind,
-}
+/// An event at a time, as the time's bits (times are non-negative, so
+/// their bits order like the times), then a sequence number that breaks
+/// ties in the order the events were scheduled. Reversed, so the
+/// max-heap pops the earliest first.
+type Event = Reverse<(u64, u64, EventKind)>;
 
-// BinaryHeap is a max-heap; wrap the key so earliest-time pops first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct EventKeyOrd(EventKeyBits);
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct EventKeyBits {
-    // f64 time encoded order-preservingly (all times are non-negative).
-    t_bits: u64,
-    seq: u64,
-}
-
-fn key(t: f64, seq: u64) -> Reverse<EventKeyOrd> {
-    debug_assert!(t >= 0.0 && t.is_finite());
-    Reverse(EventKeyOrd(EventKeyBits {
-        t_bits: t.to_bits(),
-        seq,
-    }))
-}
-
-fn key_time(k: &Reverse<EventKeyOrd>) -> f64 {
-    f64::from_bits(k.0 .0.t_bits)
+/// The queue entry of workload task `i`: a body-less task named by its
+/// index. The closure captures nothing, so no entry allocates.
+fn entry(i: u32) -> StagedTask {
+    StagedTask::phased(TaskId(u64::from(i)), Priority::Normal, |_| Poll::Complete)
 }
 
 struct Engine<'a> {
@@ -100,12 +90,12 @@ struct Engine<'a> {
     /// Per-run machine-state factor applied to every task's kernel time.
     run_factor: f64,
     wl: &'a SimWorkload,
+    /// The runtime's scheduler over the modeled workers.
+    sched: Scheduler,
     counters: ThreadCounters,
     rng: Pcg32,
     heap: BinaryHeap<Event>,
     seq: u64,
-    staged: Vec<VecDeque<u32>>,
-    pending: Vec<VecDeque<u32>>,
     deps_left: Vec<u32>,
     dependents: Vec<Vec<u32>>,
     busy: Vec<bool>,
@@ -121,11 +111,9 @@ struct Engine<'a> {
 
 impl<'a> Engine<'a> {
     fn schedule(&mut self, t: f64, kind: EventKind) {
+        debug_assert!(t >= 0.0 && t.is_finite());
         self.seq += 1;
-        self.heap.push(Event {
-            key: key(t, self.seq),
-            kind,
-        });
+        self.heap.push(Reverse((t.to_bits(), self.seq, kind)));
     }
 
     /// Number of workers currently contending on the queue system (busy
@@ -158,79 +146,24 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// One search following the native scheduler's order. Returns the task
-    /// and the scheduling cost in ns, priced from the counts the search
-    /// leaves: every probe, every conversion, and the steal if the task
-    /// came from a peer.
-    fn search(&mut self, w: usize) -> Option<(u32, f64)> {
+    /// One search by worker `w`. Returns the task and the scheduling cost
+    /// in ns, priced from the counts the search leaves: every probe,
+    /// every conversion, and the steal if the task came from a peer.
+    fn search(&self, w: usize) -> Option<(u32, f64)> {
         let c = &self.counters;
-        let probes = |c: &ThreadCounters| c.pending_accesses.get(w) + c.staged_accesses.get(w);
-        let (probes0, converted0) = (probes(c), c.converted.get(w));
-        let found = self.find(w);
-        let c = &self.counters;
+        let probes = || c.pending_accesses.get(w) + c.staged_accesses.get(w);
+        let (probes0, converted0) = (probes(), c.converted.get(w));
+        // Nothing is ever put in the next slot, so an empty one will do.
+        let found = self.sched.find_work(w, c, &mut SearchState::default());
         let contenders = self.contenders();
-        let cost = (probes(c) - probes0) as f64 * self.m.probe_ns(contenders)
+        let cost = (probes() - probes0) as f64 * self.m.probe_ns(contenders)
             + (c.converted.get(w) - converted0) as f64 * self.m.convert_ns(contenders);
-        let (task, victim) = found?;
-        Some(match victim {
+        let (task, prov) = found?;
+        let task = task.id.0 as u32;
+        Some(match prov.victim() {
             Some(p) => (task, cost + self.m.steal_extra_ns(p, w, contenders)),
             None => (task, cost),
         })
-    }
-
-    /// The six-step search of Fig. 1 for worker `w`, then the
-    /// low-priority probe. Returns the task and the peer it was stolen
-    /// from.
-    fn find(&mut self, w: usize) -> Option<(u32, Option<usize>)> {
-        let c = &self.counters;
-        let same = self.m.numa.same_domain_peers(w);
-        let remote = self.m.numa.remote_domain_peers(w);
-        let mut victim = None;
-        'search: loop {
-            // 1. Own pending.
-            c.pending_accesses.incr(w);
-            if let Some(task) = self.pending[w].pop_front() {
-                return Some((task, victim));
-            }
-            c.pending_misses.incr(w);
-
-            // 2. Own staged: convert → own pending → redo.
-            c.staged_accesses.incr(w);
-            if let Some(task) = self.staged[w].pop_front() {
-                c.converted.incr(w);
-                self.pending[w].push_back(task);
-                continue 'search;
-            }
-            c.staged_misses.incr(w);
-
-            // 3–6. Same-domain staged, same-domain pending, remote
-            // staged, remote pending.
-            for peers in [&same, &remote] {
-                for &p in peers {
-                    c.staged_accesses.incr(w);
-                    if let Some(task) = self.staged[p].pop_front() {
-                        c.converted.incr(w);
-                        c.stolen.incr(w);
-                        self.pending[w].push_back(task);
-                        victim = Some(p);
-                        continue 'search;
-                    }
-                    c.staged_misses.incr(w);
-                }
-                for &p in peers {
-                    c.pending_accesses.incr(w);
-                    if let Some(task) = self.pending[p].pop_front() {
-                        c.stolen.incr(w);
-                        return Some((task, Some(p)));
-                    }
-                    c.pending_misses.incr(w);
-                }
-            }
-            // The low-priority queue, empty in the model.
-            c.staged_accesses.incr(w);
-            c.staged_misses.incr(w);
-            return None;
-        }
     }
 
     /// Worker `w` wakes at time `t`: account its idle gap, search, and
@@ -305,7 +238,7 @@ impl<'a> Engine<'a> {
         for d in deps {
             self.deps_left[d as usize] -= 1;
             if self.deps_left[d as usize] == 0 {
-                self.staged[w].push_back(d);
+                self.sched.queues.push_staged(w, entry(d));
                 self.counters.spawned.incr(w);
                 released += 1;
             }
@@ -331,9 +264,9 @@ impl<'a> Engine<'a> {
             return SimReport::from_counters(0.0, &self.counters);
         }
         let mut final_t = 0.0;
-        while let Some(ev) = self.heap.pop() {
-            let t = key_time(&ev.key);
-            match ev.kind {
+        while let Some(Reverse((t_bits, _, kind))) = self.heap.pop() {
+            let t = f64::from_bits(t_bits);
+            match kind {
                 EventKind::Wake(w) => self.wake(w as usize, t),
                 EventKind::Done {
                     worker,
@@ -375,7 +308,7 @@ pub fn simulate(
     let m = MachineModel::new(platform, workers);
     let n = workload.tasks.len();
 
-    let mut deps_left: Vec<u32> = workload.tasks.iter().map(|t| t.deps.len() as u32).collect();
+    let deps_left: Vec<u32> = workload.tasks.iter().map(|t| t.deps.len() as u32).collect();
     let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n];
     for (i, t) in workload.tasks.iter().enumerate() {
         for &d in &t.deps {
@@ -383,19 +316,14 @@ pub fn simulate(
         }
     }
 
-    let mut staged: Vec<VecDeque<u32>> = (0..workers).map(|_| VecDeque::new()).collect();
-    let pending: Vec<VecDeque<u32>> = (0..workers).map(|_| VecDeque::new()).collect();
-
     // Root tasks are spawned by the external driver, round-robin across
     // the staged queues (the native runtime's external-spawn routing).
+    let sched = Scheduler::new(m.numa.clone(), SchedulerKind::PriorityLocalFifo, 0);
     let counters = ThreadCounters::new(workers);
-    let mut rr = 0usize;
-    for (i, left) in deps_left.iter_mut().enumerate() {
-        if *left == 0 {
-            staged[rr % workers].push_back(i as u32);
-            counters.spawned.incr(rr % workers);
-            rr += 1;
-        }
+    for i in (0..n).filter(|&i| deps_left[i] == 0) {
+        let v = sched.queues.next_rr();
+        sched.queues.push_staged(v, entry(i as u32));
+        counters.spawned.incr(v);
     }
 
     let mut rng = Pcg32::seed_from_u64(config.seed);
@@ -405,12 +333,11 @@ pub fn simulate(
         m,
         run_factor,
         wl: workload,
+        sched,
         counters,
         rng,
         heap: BinaryHeap::new(),
         seq: 0,
-        staged,
-        pending,
         deps_left,
         dependents,
         busy: vec![false; workers],
@@ -429,7 +356,8 @@ pub fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::SimWorkload;
+    use grain_sim::SimTaskSpec;
+    use grain_stencil::{stencil_workload, StencilParams};
     use grain_topology::presets;
 
     fn cfg() -> SimConfig {
@@ -470,6 +398,49 @@ mod tests {
         assert!(r.pending_accesses >= r.pending_misses);
         assert!(r.staged_accesses >= r.staged_misses);
         assert!((0.0..=1.0).contains(&r.idle_rate()));
+    }
+
+    #[test]
+    fn a_one_worker_chain_probes_three_queues_per_task() {
+        // Per task: own pending misses, own staged hits and converts, own
+        // pending hits. A high-priority queue would add two probes, and
+        // each counted probe is one that `search` prices.
+        let n = 40;
+        let r = simulate(
+            &presets::haswell(),
+            1,
+            &SimWorkload::chain(n, 1_000),
+            &cfg(),
+        );
+        let n = n as u64;
+        assert_eq!((r.pending_accesses, r.pending_misses), (2 * n, n));
+        assert_eq!((r.staged_accesses, r.staged_misses), (n, 0));
+    }
+
+    #[test]
+    fn a_remote_staged_steal_first_probes_the_same_domain_pending_queues() {
+        // Four workers in two domains, {0, 1} and {2, 3}. A root on worker
+        // 0 releases four leaves into worker 0's staged queue; worker 1
+        // steals one from its own domain, workers 2 and 3 each one from
+        // the remote domain — after probing their peer's pending queue
+        // (Fig. 1 step 4 before step 5).
+        let mut p = presets::haswell();
+        (p.cores, p.usable_cores) = (4, 4);
+        let mut wl = SimWorkload::new();
+        let root = wl.push(100, vec![]);
+        for _ in 0..4 {
+            wl.push(100, vec![root]);
+        }
+        let r = simulate(&p, 4, &wl, &cfg());
+        assert_eq!((r.tasks, r.stolen, r.converted), (5, 3, 5));
+        // A failed search probes 4 pending queues (5 staged, the low
+        // queue's included), and there are 3 at the start and 1 + 2 + 3
+        // as the leaves finish. The root and the leaves' searches probe
+        // 2 + 2 + 2 + 3 + 3: workers 2 and 3 look at each other's pending
+        // queue before worker 0's staged one.
+        assert_eq!(r.pending_accesses, 9 * 4 + 12);
+        assert_eq!(r.pending_misses, 9 * 4 + 7);
+        assert_eq!(r.staged_accesses, 9 * 5 + 10);
     }
 
     #[test]
@@ -561,10 +532,44 @@ mod tests {
     }
 
     #[test]
+    fn wavefront_parallelism_is_diagonal_bounded() {
+        // A 1×N wavefront is a chain; an N×N one exposes up to N-way
+        // parallelism in the middle.
+        let chain = SimWorkload::wavefront(1, 64, 50_000);
+        let square = SimWorkload::wavefront(8, 8, 50_000);
+        let p = presets::haswell();
+        let t_chain = simulate(&p, 8, &chain, &cfg()).wall_ns;
+        let t_square = simulate(&p, 8, &square, &cfg()).wall_ns;
+        assert!(
+            t_square < t_chain * 0.6,
+            "square wavefront must parallelize: {t_square} vs chain {t_chain}"
+        );
+    }
+
+    #[test]
+    fn simulates_the_stencil_end_to_end() {
+        let p = StencilParams::new(5_000, 20, 10);
+        let wl = stencil_workload(&p);
+        let r = simulate(&presets::haswell(), 4, &wl, &cfg());
+        assert_eq!(r.tasks as usize, p.total_tasks());
+        assert!(r.wall_ns > 0.0);
+    }
+
+    #[test]
+    fn dependency_chain_serializes_single_partition_runs() {
+        // One partition: nt sequential tasks; more workers cannot help.
+        let p = StencilParams::new(100_000, 1, 20);
+        let wl = stencil_workload(&p);
+        let one = simulate(&presets::haswell(), 1, &wl, &cfg());
+        let many = simulate(&presets::haswell(), 8, &wl, &cfg());
+        assert!(many.wall_ns > 0.6 * one.wall_ns);
+    }
+
+    #[test]
     #[should_panic(expected = "invalid workload")]
     fn invalid_workload_panics() {
         let mut wl = SimWorkload::new();
-        wl.tasks.push(crate::workload::SimTaskSpec {
+        wl.tasks.push(SimTaskSpec {
             points: 1,
             deps: vec![5],
         });

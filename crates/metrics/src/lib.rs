@@ -3,12 +3,15 @@
 //! Implements §II of the paper: the performance metrics (Eqs. 1–6), the
 //! repeated-sample statistics (mean / standard deviation / COV), and the
 //! granularity-sweep harness that drives either execution engine — the
-//! native runtime (`grain-runtime`) or the platform simulator
-//! (`grain-sim`) — across partition sizes and core counts.
+//! native runtime (`grain-runtime`) or the discrete-event simulator —
+//! across partition sizes and core counts.
 //!
 //! * [`equations`] — Eq. 1 (idle-rate), Eq. 2 (task duration), Eq. 3
 //!   (task overhead), Eq. 4 (thread-management overhead), Eq. 5/6 (wait
 //!   time), as pure functions.
+//! * [`engine`] — the simulator ([`simulate`]): `grain-runtime`'s own
+//!   scheduler driven in virtual time on a `grain-sim` machine model, so
+//!   the search order of Fig. 1 is the runtime's by construction.
 //! * [`record::RunRecord`] — one sample: configuration + raw counters,
 //!   built identically from both engines.
 //! * [`aggregate::Aggregate`] — per-metric mean/stddev/COV over samples.
@@ -16,16 +19,32 @@
 //!   ([`sweep::SimEngine`], [`sweep::NativeEngine`]) and the partition
 //!   grids the paper uses.
 //! * [`table`] — aligned-table and CSV rendering for the bench binaries.
+//!
+//! ## Example
+//!
+//! ```
+//! use grain_metrics::{simulate, SimConfig};
+//! use grain_sim::SimWorkload;
+//! use grain_topology::presets;
+//!
+//! // 64 independent tasks of 10_000 points each on a Haswell node.
+//! let wl = SimWorkload::independent(64, 10_000);
+//! let report = simulate(&presets::haswell(), 8, &wl, &SimConfig::default());
+//! assert_eq!(report.tasks, 64);
+//! assert!(report.wall_ns > 0.0);
+//! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod aggregate;
+pub mod engine;
 pub mod equations;
 pub mod record;
 pub mod sweep;
 pub mod table;
 
 pub use aggregate::Aggregate;
+pub use engine::{simulate, SimConfig};
 pub use record::{EngineKind, RunMeta, RunRecord};
 pub use sweep::{run_sweep, NativeEngine, SimEngine, StencilEngine, Sweep, SweepCell};

@@ -149,7 +149,7 @@ impl RunRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grain_sim::{simulate, SimConfig};
+    use crate::engine::{simulate, SimConfig};
     use grain_stencil::stencil_workload;
     use grain_topology::presets;
 

@@ -7,9 +7,10 @@
 //! evaluated. Works with either execution engine.
 
 use crate::aggregate::Aggregate;
+use crate::engine::{simulate, SimConfig};
 use crate::record::RunRecord;
 use grain_runtime::{Runtime, RuntimeConfig};
-use grain_sim::{simulate, SimConfig, SimWorkload};
+use grain_sim::SimWorkload;
 use grain_stencil::{run_futurized, stencil_workload, StencilParams};
 use grain_topology::Platform;
 use std::cell::RefCell;

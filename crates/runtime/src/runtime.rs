@@ -14,6 +14,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
+/// High-priority dual queues (§I-B: "a specified number of high priority
+/// dual queues"). One holds every high-priority spawn.
+const HIGH_QUEUES: usize = 1;
+
 /// Runtime configuration. Start from [`RuntimeConfig::default`] (all host
 /// cores, the paper's Priority Local-FIFO policy) and override fields.
 #[derive(Debug, Clone)]
@@ -23,9 +27,6 @@ pub struct RuntimeConfig {
     pub workers: usize,
     /// Scheduling policy.
     pub scheduler: SchedulerKind,
-    /// Number of high-priority dual queues (§I-B: "a specified number of
-    /// high priority dual queues").
-    pub high_queues: usize,
     /// Failed full search rounds before a worker parks.
     pub spin_rounds: u32,
     /// Upper bound on one parking nap (re-checks for work after).
@@ -51,7 +52,6 @@ impl Default for RuntimeConfig {
         Self {
             workers: host::available_cores(),
             scheduler: SchedulerKind::PriorityLocalFifo,
-            high_queues: 1,
             spin_rounds: 8,
             park_timeout: Duration::from_micros(200),
             trace: false,
@@ -935,7 +935,7 @@ impl Runtime {
         crate::fault::install_panic_hook();
         // Workers are split over the host's detected NUMA domains.
         let numa = host::host_topology(config.workers);
-        let scheduler = Scheduler::new(numa, config.scheduler, config.high_queues);
+        let scheduler = Scheduler::new(numa, config.scheduler, HIGH_QUEUES);
         let counters = ThreadCounters::new(config.workers);
         let registry = Registry::new();
         // Every counter path is parameterized by the configured locality

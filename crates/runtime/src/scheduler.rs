@@ -4,8 +4,8 @@
 //!
 //! * every worker owns a *dual queue* — one staged, one pending — both
 //!   lock-free FIFOs;
-//! * a configurable number of *high-priority* dual queues run before any
-//!   normal work;
+//! * *high-priority* dual queues run before any normal work — the runtime
+//!   has one, the simulator none;
 //! * one *low-priority* queue runs only when everything else is empty;
 //! * work search order (Fig. 1):
 //!   1. local pending queue — ahead of it the worker's *next* slot, where
@@ -129,32 +129,29 @@ impl DualQueue {
 pub struct QueueSet {
     /// One dual queue per worker.
     pub workers: Vec<DualQueue>,
-    /// High-priority dual queues (shared; probed before everything).
+    /// High-priority dual queues (shared; probed before everything): the
+    /// runtime's one, or none.
     pub high: Vec<DualQueue>,
     /// The single low-priority queue.
     pub low: MpmcQueue<StagedTask>,
     /// Round-robin cursor for spawns from external threads.
     rr: AtomicUsize,
-    /// Round-robin cursor for high-priority spawns.
-    rr_high: AtomicUsize,
     /// Contention statistics shared by every queue in the set.
     stats: std::sync::Arc<QueueStats>,
 }
 
 impl QueueSet {
     /// Build queues for `workers` workers and `high_queues` high-priority
-    /// dual queues (≥ 1).
+    /// dual queues: the runtime's one, or none for the simulator, whose
+    /// model spawns no high-priority work.
     pub fn new(workers: usize, high_queues: usize) -> Self {
         assert!(workers > 0);
         let stats = std::sync::Arc::new(QueueStats::default());
         Self {
             workers: (0..workers).map(|_| DualQueue::new(&stats)).collect(),
-            high: (0..high_queues.max(1))
-                .map(|_| DualQueue::new(&stats))
-                .collect(),
+            high: (0..high_queues).map(|_| DualQueue::new(&stats)).collect(),
             low: MpmcQueue::with_stats(std::sync::Arc::clone(&stats)),
             rr: AtomicUsize::new(0),
-            rr_high: AtomicUsize::new(0),
             stats,
         }
     }
@@ -187,11 +184,10 @@ impl QueueSet {
         while self.low.pop().is_some() {}
     }
 
-    /// Enqueue a high-priority staged task (round-robin over the
-    /// high-priority queues).
+    /// Enqueue a high-priority staged task on the first high-priority
+    /// queue (panics on a set built with none).
     pub fn push_high(&self, task: StagedTask) {
-        let i = self.rr_high.fetch_add(1, Ordering::Relaxed) % self.high.len();
-        self.high[i].staged.push(task);
+        self.high[0].staged.push(task);
     }
 
     /// Enqueue a low-priority staged task.
@@ -264,15 +260,20 @@ pub enum SearchStep {
 }
 
 impl Provenance {
+    /// The peer whose queue the task was taken from, if it was a steal.
+    pub fn victim(&self) -> Option<usize> {
+        match *self {
+            Provenance::NumaStaged(p)
+            | Provenance::NumaPending(p)
+            | Provenance::RemoteStaged(p)
+            | Provenance::RemotePending(p) => Some(p),
+            _ => None,
+        }
+    }
+
     /// True if this required taking work from another worker's queue.
     pub fn is_steal(&self) -> bool {
-        matches!(
-            self,
-            Provenance::NumaStaged(_)
-                | Provenance::NumaPending(_)
-                | Provenance::RemoteStaged(_)
-                | Provenance::RemotePending(_)
-        )
+        self.victim().is_some()
     }
 }
 
@@ -337,11 +338,9 @@ impl Scheduler {
         counters: &ThreadCounters,
         state: &mut SearchState,
     ) -> SearchStep {
-        // High-priority queues always come first: own-indexed one,
-        // then the rest (pending before staged inside each).
-        let nh = self.queues.high.len();
-        for off in 0..nh {
-            let q = &self.queues.high[(w + off) % nh];
+        // High-priority queues always come first (pending before staged
+        // inside each).
+        for q in &self.queues.high {
             if let Some(mut t) = self.pop_pending(q, w, counters) {
                 t.origin = None;
                 return Self::dispatch(t, Provenance::HighPriority, w, counters);
@@ -884,7 +883,7 @@ mod tests {
 
     #[test]
     fn provenance_steal_classification() {
-        assert!(Provenance::NumaStaged(1).is_steal());
+        assert_eq!(Provenance::NumaStaged(1).victim(), Some(1));
         assert!(Provenance::RemotePending(2).is_steal());
         assert!(!Provenance::LocalPending.is_steal());
         assert!(!Provenance::HighPriority.is_steal());

@@ -112,10 +112,11 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                     continue;
                 }
                 if inner.tracer.enabled() {
-                    if let Some(victim) = steal_victim(&prov) {
-                        inner
-                            .tracer
-                            .record(w, task.id, TraceEventKind::Steal { from: victim });
+                    if let Some(victim) = prov.victim() {
+                        let steal = TraceEventKind::Steal {
+                            from: victim as u32,
+                        };
+                        inner.tracer.record(w, task.id, steal);
                     }
                     inner.tracer.record(w, task.id, TraceEventKind::PhaseStart);
                 }
@@ -259,14 +260,4 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
     }
     inner.publish_next(w, &mut search);
     inner.unbind_worker();
-}
-
-fn steal_victim(prov: &Provenance) -> Option<u32> {
-    use Provenance as P;
-    match prov {
-        P::NumaStaged(p) | P::NumaPending(p) | P::RemoteStaged(p) | P::RemotePending(p) => {
-            Some(*p as u32)
-        }
-        _ => None,
-    }
 }

@@ -674,25 +674,6 @@ fn busy_saturated_run_has_low_idle_rate() {
 }
 
 #[test]
-fn multiple_high_priority_queues_work() {
-    let r = Runtime::new(RuntimeConfig {
-        workers: 2,
-        high_queues: 4,
-        ..RuntimeConfig::default()
-    });
-    let hits = Arc::new(AtomicUsize::new(0));
-    for _ in 0..100 {
-        let h = Arc::clone(&hits);
-        r.spawn_with(Priority::High, move |_| {
-            h.fetch_add(1, Ordering::SeqCst);
-        });
-    }
-    r.wait_idle();
-    assert_eq!(hits.load(Ordering::SeqCst), 100);
-    assert_eq!(r.counters().tasks.sum(), 100);
-}
-
-#[test]
 fn phase_counters_exceed_task_counters_with_yields() {
     let r = rt(2);
     for _ in 0..20 {

@@ -1,49 +1,33 @@
-//! # grain-sim — discrete-event simulation of the grain scheduler
+//! # grain-sim — the modeled machines, and the chaos fabric
 //!
-//! The paper's experiments run on 16–61-core Intel nodes (Table I). This
-//! crate substitutes those machines with a virtual-time discrete-event
-//! simulator that executes the *same task DAGs* through the *same
-//! scheduling policy* as `grain-runtime`:
+//! The paper's experiments run on 16–61-core Intel nodes (Table I). The
+//! discrete-event engine that substitutes them, `grain_metrics::simulate`,
+//! runs `grain-runtime`'s own scheduler in virtual time; this crate holds
+//! what it runs against:
 //!
-//! * per-worker staged/pending dual queues and the six-step Priority
-//!   Local search order (Fig. 1), with per-probe costs and staged→pending
-//!   conversion costs;
-//! * spawn-on-completion locality: a task released by a completing task is
-//!   staged on the completing worker's queue, exactly like the native
-//!   dataflow continuations;
-//! * starvation accounting: idle workers keep "looking for work" — their
-//!   idle time flows into `Σt_func` and their failed sweeps into the
-//!   pending/staged access and miss counters, reproducing the coarse-grain
-//!   behaviour of Figs. 4, 5, 9 and 10;
-//! * a calibrated kernel-time model ([`grain_topology::PerfParams`]):
-//!   saturating aggregate memory throughput (the strong-scaling limiter on
-//!   the Xeon parts and the ring/GDDR limiter on the Phi), first-touch
-//!   striping (the negative-wait-time mechanism at very coarse grain),
+//! * [`MachineModel`] — a platform bound to a worker count: the
+//!   scheduler's per-probe, conversion, dispatch, spawn and
+//!   distance-dependent steal costs, with contention multipliers fit to
+//!   the paper's ~90 % fine-grain idle rates, and a calibrated
+//!   kernel-time model ([`grain_topology::PerfParams`]): saturating
+//!   aggregate memory throughput (the strong-scaling limiter on the Xeon
+//!   parts and the ring/GDDR limiter on the Phi), first-touch striping
+//!   (the negative-wait-time mechanism at very coarse grain),
 //!   cache-residency floors and log-normal jitter;
-//! * scheduler-cost contention multipliers fit to the paper's ~90 % fine-
-//!   grain idle rates.
+//! * [`SimWorkload`] — task DAGs: independent, chain, fork-join,
+//!   layered-random and 2-D wavefront (the stencil's comes from
+//!   `grain-stencil`);
+//! * [`SimReport`] — one run's summary of the counter surface the native
+//!   runtime emits ([`grain_counters::ThreadCounters`]), so the metric
+//!   layer treats both engines identically.
 //!
-//! The simulator emits the same counter surface
-//! ([`grain_counters::ThreadCounters`]) as the native runtime, so the
-//! metric layer (`grain-metrics`) treats both engines identically.
-//!
-//! ## Example
-//!
-//! ```
-//! use grain_sim::{simulate, SimConfig, SimWorkload};
-//! use grain_topology::presets;
-//!
-//! // 64 independent tasks of 10_000 points each on a Haswell node.
-//! let wl = SimWorkload::independent(64, 10_000);
-//! let report = simulate(&presets::haswell(), 8, &wl, &SimConfig::default());
-//! assert_eq!(report.tasks, 64);
-//! assert!(report.wall_ns > 0.0);
-//! ```
+//! It also holds the seeded chaos the network and fleet layers replay:
+//! the simulated network fabric ([`NetFabric`], [`NetPlan`]) and the
+//! storm plans ([`StormPlan`], [`FleetChaos`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod engine;
 pub mod fabric;
 pub mod machine;
 pub mod netplan;
@@ -52,7 +36,6 @@ pub mod rng;
 pub mod storm;
 pub mod workload;
 
-pub use engine::{simulate, SimConfig};
 pub use fabric::{LedgerSnapshot, NetFabric, SimFrameClass, SimSink, SubmitOutcome};
 pub use machine::MachineModel;
 pub use netplan::{FrameFate, NetPlan, PartitionMode, PartitionWindow, Verdict};

@@ -116,7 +116,10 @@ impl MachineModel {
     }
 
     /// Cost of one full *failed* search sweep: probing every queue in the
-    /// six-step order and finding nothing.
+    /// six-step order and finding nothing. This and the two
+    /// `*_probes_per_sweep` counts restate what one empty search of the
+    /// runtime's scheduler probes, less the low-priority probe it ends
+    /// with, so that idle sweeps can be charged in closed form.
     pub fn failed_sweep_ns(&self, contenders: usize) -> f64 {
         // own pending + own staged + each peer's staged + pending.
         let probes = 2 + 2 * (self.workers - 1);

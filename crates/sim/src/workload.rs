@@ -261,24 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn wavefront_parallelism_is_diagonal_bounded() {
-        use crate::engine::{simulate, SimConfig};
-        use grain_topology::presets;
-        // A 1×N wavefront is a chain; an N×N one exposes up to N-way
-        // parallelism in the middle.
-        let chain = SimWorkload::wavefront(1, 64, 50_000);
-        let square = SimWorkload::wavefront(8, 8, 50_000);
-        let p = presets::haswell();
-        let cfg = SimConfig::default();
-        let t_chain = simulate(&p, 8, &chain, &cfg).wall_ns;
-        let t_square = simulate(&p, 8, &square, &cfg).wall_ns;
-        assert!(
-            t_square < t_chain * 0.6,
-            "square wavefront must parallelize: {t_square} vs chain {t_chain}"
-        );
-    }
-
-    #[test]
     fn validate_rejects_out_of_range() {
         let mut w = SimWorkload::new();
         w.tasks.push(SimTaskSpec {

@@ -109,27 +109,4 @@ mod tests {
         let wl = stencil_workload(&p);
         assert_eq!(wl.footprint_bytes, 100_000.0 * 16.0);
     }
-
-    #[test]
-    fn simulates_end_to_end() {
-        use grain_sim::{simulate, SimConfig};
-        use grain_topology::presets;
-        let p = StencilParams::new(5_000, 20, 10);
-        let wl = stencil_workload(&p);
-        let r = simulate(&presets::haswell(), 4, &wl, &SimConfig::default());
-        assert_eq!(r.tasks as usize, p.total_tasks());
-        assert!(r.wall_ns > 0.0);
-    }
-
-    #[test]
-    fn dependency_chain_serializes_single_partition_runs() {
-        use grain_sim::{simulate, SimConfig};
-        use grain_topology::presets;
-        // One partition: nt sequential tasks; more workers cannot help.
-        let p = StencilParams::new(100_000, 1, 20);
-        let wl = stencil_workload(&p);
-        let one = simulate(&presets::haswell(), 1, &wl, &SimConfig::default());
-        let many = simulate(&presets::haswell(), 8, &wl, &SimConfig::default());
-        assert!(many.wall_ns > 0.6 * one.wall_ns);
-    }
 }

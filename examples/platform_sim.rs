@@ -7,7 +7,7 @@
 //! cargo run --release --example platform_sim
 //! ```
 
-use grain::sim::{simulate, SimConfig};
+use grain::metrics::{simulate, SimConfig};
 use grain::stencil::{stencil_workload, StencilParams};
 use grain::topology::presets;
 

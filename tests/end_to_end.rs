@@ -2,9 +2,9 @@
 //! through stencil, simulator, metrics, and adaptation.
 
 use grain::metrics::sweep::{run_sweep, NativeEngine, SimEngine, StencilEngine};
+use grain::metrics::{simulate, SimConfig};
 use grain::metrics::{EngineKind, RunRecord};
 use grain::runtime::{Runtime, RuntimeConfig};
-use grain::sim::{simulate, SimConfig};
 use grain::stencil::{run_futurized, run_sequential, stencil_workload, StencilParams};
 use grain::topology::presets;
 

@@ -9,9 +9,10 @@
 
 use grain::counters::{CounterPath, SampleStats};
 use grain::metrics::equations;
+use grain::metrics::{simulate, SimConfig};
 use grain::runtime::Runtime;
 use grain::sim::rng::Pcg32;
-use grain::sim::{simulate, SimConfig, SimWorkload};
+use grain::sim::SimWorkload;
 use grain::stencil::{run_futurized, run_sequential, stencil_workload, total_heat, StencilParams};
 use grain::topology::presets;
 use grain::topology::NumaTopology;
