@@ -61,6 +61,9 @@ impl GrainSignal {
     }
 }
 
+/// Multiplicative step for size changes: the tuner doubles or halves.
+const STEP: f64 = 2.0;
+
 /// Bounds and targets of the tuner.
 #[derive(Debug, Clone, Copy)]
 pub struct TunerConfig {
@@ -72,8 +75,6 @@ pub struct TunerConfig {
     pub max_nx: usize,
     /// Idle-rate ceiling (the paper demonstrates 30 %).
     pub target_idle_rate: f64,
-    /// Multiplicative step for size changes.
-    pub step: f64,
 }
 
 impl Default for TunerConfig {
@@ -83,7 +84,6 @@ impl Default for TunerConfig {
             min_nx: 16,
             max_nx: 100_000_000,
             target_idle_rate: 0.30,
-            step: 2.0,
         }
     }
 }
@@ -130,10 +130,10 @@ impl ThresholdTuner {
     /// Feed one window; returns the partition size for the next window.
     pub fn observe(&mut self, sig: &GrainSignal) -> usize {
         let grow = |nx: usize, cfg: &TunerConfig| {
-            (((nx as f64) * cfg.step) as usize).clamp(cfg.min_nx, cfg.max_nx)
+            (((nx as f64) * STEP) as usize).clamp(cfg.min_nx, cfg.max_nx)
         };
         let shrink = |nx: usize, cfg: &TunerConfig| {
-            (((nx as f64) / cfg.step) as usize).clamp(cfg.min_nx, cfg.max_nx)
+            (((nx as f64) / STEP) as usize).clamp(cfg.min_nx, cfg.max_nx)
         };
 
         if sig.tasks_per_core < 2.0 {

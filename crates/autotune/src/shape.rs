@@ -10,10 +10,11 @@
 //! seeds), which is what makes the `enabled=false` regression test —
 //! and storm replays — exact.
 
+use grain_counters::rng::splitmix64;
 use grain_runtime::TaskContext;
 use grain_sim::storm::GraphFamily;
 use grain_taskbench::storm::{spawn_in_job, spec_for_event};
-use grain_taskbench::work::{busy_work, mix64};
+use grain_taskbench::work::busy_work;
 use grain_taskbench::{Cov, GraphSpec, TaskGraph};
 use std::sync::Arc;
 
@@ -134,7 +135,7 @@ impl ShapedWork {
                             continue;
                         }
                         let iters = len * iters_per_element;
-                        let task_seed = mix64(seed ^ (t << 1) ^ 0x9a5a_11e1);
+                        let task_seed = splitmix64(seed ^ (t << 1) ^ 0x9a5a_11e1);
                         ctx.spawn(move |_| {
                             std::hint::black_box(busy_work(task_seed, iters));
                         });
@@ -183,7 +184,7 @@ impl ShapedWork {
                         // storm body, chunked at the grain.
                         let body: ShapedBody = Box::new(move |ctx| {
                             for t in 0..tasks {
-                                let task_seed = mix64(seed ^ (t << 1) ^ 0xf1a7);
+                                let task_seed = splitmix64(seed ^ (t << 1) ^ 0xf1a7);
                                 ctx.spawn(move |_| {
                                     std::hint::black_box(busy_work(task_seed, grain));
                                 });

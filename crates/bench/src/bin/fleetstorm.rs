@@ -2,8 +2,8 @@
 //! gateway, with kill / drain / partition / heal chaos, replayed twice
 //! to prove the whole serving plane is deterministic.
 //!
-//! Part A replays a [`StormPlan`] (three tenants, one with a fault
-//! window) through a [`FleetGateway`] over three fleet workers, with
+//! It replays a [`StormPlan`] (three tenants, one with a fault window)
+//! through a [`FleetGateway`] over three fleet workers, with
 //! [`StormPlan::with_fleet_chaos`] events applied at **quiesced
 //! boundaries**: every job submitted before a chaos event is waited to
 //! a terminal state before the event fires. That discipline makes the
@@ -13,52 +13,33 @@
 //! byte-identically. The harness keeps a liveness invariant (at least
 //! one accepting worker at all times) by skipping chaos events that
 //! would empty the fleet; skips are plan-deterministic and reported.
+//! The targeted failover modes (kill mid-run, kill after complete,
+//! drain under load, partition + heal, quorum shed, reject origin) are
+//! the tier-1 tests in `crates/fleet/tests/failover.rs`.
 //!
-//! Part B drives five targeted failover stages with exact expected
-//! counts, pinning jobs with the worker park latch:
-//!
-//! 1. **kill mid-run** — the lease is orphaned and re-dispatched
-//!    exactly once; the completion names the surviving locality.
-//! 2. **kill after complete** — a forged duplicate completion push for
-//!    the settled job is absorbed, not double-counted.
-//! 3. **drain under load** — queued jobs hand back with zero loss and
-//!    finish on the survivor; the running job finishes where it is.
-//! 4. **partition + heal** — the worker finishes behind a Hold cut;
-//!    the hedge re-dispatches under a fresh epoch; on heal the stale
-//!    push is fenced by epoch, and exactly one completion is accepted.
-//! 5. **quorum shed** — below quorum, deadline-carrying jobs are shed
-//!    immediately with `FleetUnavailable { retry_after }` instead of
-//!    hanging; deadline-less jobs wait.
-//!
-//! Every stage asserts the gateway ledger identity `submitted ==
+//! Every batch asserts the gateway ledger identity `submitted ==
 //! completed + failed + timed-out + cancelled + rejected + shed`. The
-//! full storm runs **twice from the same seed** and the two reports are
-//! compared byte-for-byte (`scripts/verify.sh` additionally runs the
-//! binary twice and `cmp`s across process boundaries). A watchdog
-//! kills the process if anything hangs.
+//! storm runs **twice from the same seed** and the two reports are
+//! compared byte-for-byte; `scripts/verify.sh` then diffs stdout
+//! against `results/fleetstorm.txt`. A watchdog kills the process if
+//! anything hangs.
 //!
 //! Flags: `--quick` (smaller storm, used by `scripts/verify.sh`),
 //! `--seed <n>` (default 42).
 
-use grain_bench::{eventually, WATCHDOG_POLL};
-use grain_fleet::wire::{FleetOutcome, ACTION_COMPLETE};
+use grain_bench::WATCHDOG_POLL;
 use grain_fleet::{
     FleetConfig, FleetGateway, FleetJobHandle, FleetJobSpec, FleetLedger, FleetWorker,
-    FleetWorkerConfig, Placement,
+    FleetWorkerConfig,
 };
 use grain_net::bootstrap::Fabric;
 use grain_net::locality::NetConfig;
 use grain_runtime::RuntimeConfig;
-use grain_service::{JobState, RejectReason};
 use grain_sim::storm::{FleetAction, FleetChaos, GraphFamily, StormEvent, StormPlan, TenantStorm};
 use grain_sim::{NetPlan, PartitionMode};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::time::Duration;
-
-// ---------------------------------------------------------------------
-// Part A: the storm with fleet chaos at quiesced boundaries.
-// ---------------------------------------------------------------------
 
 /// Three tenants; `cron` faults through the middle of the horizon.
 fn storm_tenants() -> Vec<TenantStorm> {
@@ -121,7 +102,7 @@ impl FleetState {
     }
 }
 
-fn run_part_a(seed: u64, quick: bool, report: &mut String) {
+fn run_storm(seed: u64, quick: bool, report: &mut String) {
     let horizon = Duration::from_millis(if quick { 1_500 } else { 4_000 });
     let workers = vec![1usize, 2, 3];
     let chaos = FleetChaos {
@@ -263,7 +244,7 @@ fn run_part_a(seed: u64, quick: bool, report: &mut String) {
                 } else {
                     let handed = gateway.drain(worker).expect("drain reachable worker");
                     // Quiesced boundary: nothing is queued, so nothing
-                    // hands back — targeted drains run in part B.
+                    // hands back (failover.rs drains a loaded worker).
                     assert!(handed.is_empty(), "quiesced drain handed back {handed:?}");
                     state.drained.insert(worker);
                     "applied"
@@ -310,7 +291,7 @@ fn run_part_a(seed: u64, quick: bool, report: &mut String) {
         ledger.orphaned, 0,
         "quiesced kills orphan nothing: {ledger:?}"
     );
-    assert_eq!(ledger.hedged, 0, "hedging is off in part A: {ledger:?}");
+    assert_eq!(ledger.hedged, 0, "the storm never hedges: {ledger:?}");
     // Every re-dispatch traces to a counted cause (here: routing around
     // held or refusing workers). Exact counts are timing-shaped, so the
     // report carries the accounting *identity*, not the raw numbers.
@@ -332,372 +313,10 @@ fn run_part_a(seed: u64, quick: bool, report: &mut String) {
     fabric.shutdown();
 }
 
-// ---------------------------------------------------------------------
-// Part B: targeted failover stages with exact expected counts.
-// ---------------------------------------------------------------------
-
-fn loopback_world() -> Fabric {
-    Fabric::loopback(3, |i| RuntimeConfig {
-        workers: 1,
-        locality_id: i,
-        ..RuntimeConfig::default()
-    })
-}
-
-/// Stage 1: kill the worker mid-run; the orphan re-dispatches once.
-fn stage_kill_mid_run(report: &mut String) {
-    let fabric = loopback_world();
-    let w1 = FleetWorker::install(fabric.locality(1), FleetWorkerConfig::new(0, 1));
-    let w2 = FleetWorker::install(fabric.locality(2), FleetWorkerConfig::new(0, 1));
-    let mut cfg = FleetConfig::new(vec![1, 2]);
-    cfg.placement = Placement::Prefer(1);
-    let gateway = FleetGateway::install(fabric.locality(0), cfg);
-
-    let handle = gateway.submit(FleetJobSpec::new("victim", "t").tasks(4).park(true));
-    let key = handle.key();
-    assert!(eventually(|| gateway.lease_of(key) == Some(1)));
-    assert!(eventually(|| w1.tracked_keys().contains(&key)));
-    fabric.kill(1);
-    assert!(eventually(|| w2.tracked_keys().contains(&key)));
-    w2.release_parked();
-    let outcome = handle.wait_timeout(WATCHDOG_POLL).expect("job settles");
-    let ledger = gateway.ledger();
-    assert_eq!(outcome.state, JobState::Completed);
-    assert_eq!(outcome.origin_locality, Some(2));
-    assert_eq!(
-        (
-            ledger.completed,
-            ledger.orphaned,
-            ledger.redispatches,
-            ledger.dispatches
-        ),
-        (1, 1, 1, 2),
-        "{ledger:?}"
-    );
-    assert!(ledger.conserved());
-    let _ = writeln!(
-        report,
-        "partB kill-mid-run: completed={} orphaned={} redispatches={} origin={:?} conserved={}",
-        ledger.completed,
-        ledger.orphaned,
-        ledger.redispatches,
-        outcome.origin_locality,
-        ledger.conserved()
-    );
-    drop(gateway);
-    drop(w2);
-    drop(w1);
-    fabric.shutdown();
-}
-
-/// Stage 2: the worker dies *after* completing; a replayed completion
-/// push must not double-count.
-fn stage_kill_after_complete(report: &mut String) {
-    let fabric = loopback_world();
-    let w1 = FleetWorker::install(fabric.locality(1), FleetWorkerConfig::new(0, 1));
-    let w2 = FleetWorker::install(fabric.locality(2), FleetWorkerConfig::new(0, 1));
-    let mut cfg = FleetConfig::new(vec![1, 2]);
-    cfg.placement = Placement::Prefer(1);
-    let gateway = FleetGateway::install(fabric.locality(0), cfg);
-
-    let handle = gateway.submit(FleetJobSpec::new("done-then-die", "t").tasks(4));
-    let key = handle.key();
-    let outcome = handle.wait_timeout(WATCHDOG_POLL).expect("job settles");
-    assert_eq!(outcome.state, JobState::Completed);
-    assert_eq!(outcome.origin_locality, Some(1));
-    fabric.kill(1);
-
-    let forged = FleetOutcome {
-        key,
-        epoch: 1,
-        origin: 1,
-        state: JobState::Completed,
-        tasks_completed: 4,
-        tasks_spawned: 4,
-        tasks_faulted: 0,
-        exec_ns: 1,
-        retries: 0,
-        fault_msg: None,
-        reject: None,
-    };
-    let verdict = fabric
-        .locality(2)
-        .async_remote::<FleetOutcome, u8>(0, ACTION_COMPLETE, &forged)
-        .wait()
-        .expect("forged push settles");
-    assert_eq!(*verdict, 1);
-    let ledger = gateway.ledger();
-    assert_eq!(
-        (
-            ledger.completed,
-            ledger.duplicates,
-            ledger.orphaned,
-            ledger.redispatches
-        ),
-        (1, 1, 0, 0),
-        "{ledger:?}"
-    );
-    assert!(ledger.conserved());
-    let _ = writeln!(
-        report,
-        "partB kill-after-complete: completed={} duplicates={} redispatches={} conserved={}",
-        ledger.completed,
-        ledger.duplicates,
-        ledger.redispatches,
-        ledger.conserved()
-    );
-    drop(gateway);
-    drop(w2);
-    drop(w1);
-    fabric.shutdown();
-}
-
-/// Stage 3: drain a loaded worker; queued jobs hand back, zero loss.
-fn stage_drain(report: &mut String) {
-    let fabric = loopback_world();
-    let mut w1_cfg = FleetWorkerConfig::new(0, 1);
-    w1_cfg.service.admission.max_in_flight_tasks = 4;
-    let w1 = FleetWorker::install(fabric.locality(1), w1_cfg);
-    let w2 = FleetWorker::install(fabric.locality(2), FleetWorkerConfig::new(0, 1));
-    let mut cfg = FleetConfig::new(vec![1, 2]);
-    cfg.placement = Placement::Prefer(1);
-    let gateway = FleetGateway::install(fabric.locality(0), cfg);
-
-    let blocker = gateway.submit(FleetJobSpec::new("blocker", "t").tasks(4).park(true));
-    assert!(eventually(|| gateway.lease_of(blocker.key()) == Some(1)));
-    let queued: Vec<FleetJobHandle> = (0..2)
-        .map(|i| gateway.submit(FleetJobSpec::new(format!("queued-{i}"), "t").tasks(4)))
-        .collect();
-    for h in &queued {
-        assert!(eventually(|| gateway.lease_of(h.key()) == Some(1)));
-    }
-    let handed = gateway.drain(1).expect("drain settles");
-    assert_eq!(handed.len(), 2);
-    for h in &queued {
-        let o = h
-            .wait_timeout(WATCHDOG_POLL)
-            .expect("handed-back job settles");
-        assert_eq!(o.state, JobState::Completed);
-        assert_eq!(o.origin_locality, Some(2));
-    }
-    w1.release_parked();
-    let o = blocker
-        .wait_timeout(WATCHDOG_POLL)
-        .expect("running job settles");
-    assert_eq!(o.state, JobState::Completed);
-    assert_eq!(o.origin_locality, Some(1));
-    let ledger = gateway.ledger();
-    assert_eq!(
-        (
-            ledger.completed,
-            ledger.handed_back,
-            ledger.redispatches,
-            ledger.orphaned
-        ),
-        (3, 2, 2, 0),
-        "{ledger:?}"
-    );
-    assert!(ledger.conserved());
-    let _ = writeln!(
-        report,
-        "partB drain: completed={} handed_back={} redispatches={} zero_loss=true conserved={}",
-        ledger.completed,
-        ledger.handed_back,
-        ledger.redispatches,
-        ledger.conserved()
-    );
-    drop(gateway);
-    drop(w2);
-    drop(w1);
-    fabric.shutdown();
-}
-
-/// Stage 4: partition + heal; the stale epoch's push is fenced.
-fn stage_partition_fence(seed: u64, report: &mut String) {
-    let fabric = Fabric::chaotic(
-        3,
-        NetPlan::clean(seed ^ 0xFE4CE).latency(1_000, 0),
-        |_| NetConfig::default(),
-        |i| RuntimeConfig {
-            workers: 1,
-            locality_id: i,
-            ..RuntimeConfig::default()
-        },
-    );
-    let w1 = FleetWorker::install(fabric.locality(1), FleetWorkerConfig::new(0, 1));
-    let w2 = FleetWorker::install(fabric.locality(2), FleetWorkerConfig::new(0, 1));
-    let mut cfg = FleetConfig::new(vec![1, 2]);
-    cfg.placement = Placement::Prefer(1);
-    cfg.lease_timeout = Some(Duration::from_millis(200));
-    cfg.ack_timeout = Duration::from_millis(100);
-    cfg.retry_backoff = Duration::from_millis(10);
-    cfg.breaker_failures = 1;
-    cfg.breaker_cooldown = Duration::from_secs(60);
-    let gateway = FleetGateway::install(fabric.locality(0), cfg);
-    let net = fabric.net().expect("chaotic world");
-
-    let handle = gateway.submit(FleetJobSpec::new("fenced", "t").tasks(4).park(true));
-    let key = handle.key();
-    assert!(eventually(|| gateway.lease_of(key) == Some(1)));
-    assert!(eventually(|| w1.tracked_keys().contains(&key)));
-    net.partition_now(0, 1, PartitionMode::Hold);
-    w1.release_parked();
-    assert!(eventually(|| w2.tracked_keys().contains(&key)));
-    assert!(eventually(|| gateway.lease_of(key) == Some(2)));
-    net.heal_now(0, 1);
-    assert!(eventually(|| gateway.ledger().fenced >= 1));
-    assert_eq!(gateway.ledger().completed, 0, "fenced push must not settle");
-    w2.release_parked();
-    let outcome = handle.wait_timeout(WATCHDOG_POLL).expect("job settles");
-    assert_eq!(outcome.state, JobState::Completed);
-    assert_eq!(outcome.origin_locality, Some(2));
-    let ledger = gateway.ledger();
-    assert_eq!((ledger.completed, ledger.completions), (1, 1), "{ledger:?}");
-    assert!(ledger.hedged >= 1 && ledger.fenced >= 1, "{ledger:?}");
-    assert!(ledger.conserved());
-    assert!(gateway.breaker_opens(1) >= 1);
-    let _ = writeln!(
-        report,
-        "partB partition-fence: completed={} completions={} fenced_ge1={} hedged_ge1={} breaker_opened={} conserved={}",
-        ledger.completed,
-        ledger.completions,
-        ledger.fenced >= 1,
-        ledger.hedged >= 1,
-        gateway.breaker_opens(1) >= 1,
-        ledger.conserved()
-    );
-    drop(gateway);
-    drop(w2);
-    drop(w1);
-    fabric.shutdown();
-}
-
-/// Stage 5: below quorum, deadline-carrying jobs shed immediately with
-/// a retry-after hint; deadline-less jobs wait instead.
-fn stage_quorum_shed(report: &mut String) {
-    let fabric = loopback_world();
-    let w1 = FleetWorker::install(fabric.locality(1), FleetWorkerConfig::new(0, 1));
-    let w2 = FleetWorker::install(fabric.locality(2), FleetWorkerConfig::new(0, 1));
-    let mut cfg = FleetConfig::new(vec![1, 2]);
-    cfg.quorum = 1.0; // both workers must be accepting
-    cfg.shed_retry_after = Duration::from_millis(250);
-    let gateway = FleetGateway::install(fabric.locality(0), cfg);
-
-    fabric.kill(2);
-    assert!(eventually(|| gateway.accepting_workers() == vec![1]));
-
-    let shed: Vec<FleetJobHandle> = (0..4)
-        .map(|i| {
-            gateway.submit(
-                FleetJobSpec::new(format!("deadline-{i}"), "t")
-                    .tasks(4)
-                    .deadline(Duration::from_secs(5)),
-            )
-        })
-        .collect();
-    let mut retry_after_ms = 0u128;
-    for h in &shed {
-        let o = h
-            .wait_timeout(WATCHDOG_POLL)
-            .expect("shed job settles fast");
-        assert_eq!(o.state, JobState::Rejected);
-        match o.reject_reason {
-            Some(RejectReason::FleetUnavailable { retry_after }) => {
-                retry_after_ms = retry_after.as_millis();
-            }
-            other => panic!("expected FleetUnavailable, got {other:?}"),
-        }
-    }
-    // A deadline-less job is patient: it parks pending rather than shed.
-    let patient = gateway.submit(FleetJobSpec::new("patient", "t").tasks(4));
-    std::thread::sleep(Duration::from_millis(50));
-    let still_pending = patient.outcome().is_none();
-    assert!(still_pending, "deadline-less job must wait, not shed");
-
-    let ledger = gateway.ledger();
-    assert_eq!(ledger.shed, 4, "{ledger:?}");
-    assert_eq!(ledger.settled(), 4, "{ledger:?}");
-    let _ = writeln!(
-        report,
-        "partB quorum-shed: shed={} retry_after_ms={retry_after_ms} deadline_less_waits={still_pending}",
-        ledger.shed
-    );
-    drop(gateway);
-    drop(w2);
-    drop(w1);
-    fabric.shutdown();
-}
-
-/// Stage 6: a worker refusal surfaces the *originating* locality and
-/// reason in the terminal outcome once the dispatch budget is spent.
-fn stage_reject_origin(report: &mut String) {
-    let fabric = loopback_world();
-    // Every submission passes through the worker's queue, so cap it at
-    // one waiter: the hog runs (parked), the filler takes the only
-    // queue slot, and the third job is refused with `QueueFull`.
-    let mut w1_cfg = FleetWorkerConfig::new(0, 1);
-    w1_cfg.service.admission.max_in_flight_tasks = 4;
-    w1_cfg.service.admission.max_queued_jobs = 1;
-    let w1 = FleetWorker::install(fabric.locality(1), w1_cfg);
-    let mut cfg = FleetConfig::new(vec![1]);
-    cfg.max_dispatches = 2;
-    cfg.retry_backoff = Duration::from_millis(10);
-    cfg.breaker_failures = 10;
-    let gateway = FleetGateway::install(fabric.locality(0), cfg);
-
-    let blocker = gateway.submit(FleetJobSpec::new("hog", "t").tasks(4).park(true));
-    assert!(eventually(|| gateway.lease_of(blocker.key()) == Some(1)));
-    let filler = gateway.submit(FleetJobSpec::new("filler", "t").tasks(4));
-    assert!(eventually(|| gateway.lease_of(filler.key()) == Some(1)));
-    // Both dispatch attempts come back refused, and the refusal that
-    // lands in the outcome names the refusing locality.
-    let refused = gateway.submit(FleetJobSpec::new("refused", "t").tasks(4));
-    let o = refused
-        .wait_timeout(WATCHDOG_POLL)
-        .expect("refusal settles");
-    assert_eq!(o.state, JobState::Rejected);
-    assert_eq!(o.origin_locality, Some(1), "refusal must name its origin");
-    assert!(
-        matches!(o.reject_reason, Some(RejectReason::QueueFull)),
-        "{:?}",
-        o.reject_reason
-    );
-    w1.release_parked();
-    let done = blocker.wait_timeout(WATCHDOG_POLL).expect("hog settles");
-    assert_eq!(done.state, JobState::Completed);
-    let queued = filler.wait_timeout(WATCHDOG_POLL).expect("filler settles");
-    assert_eq!(queued.state, JobState::Completed);
-    let ledger = gateway.ledger();
-    assert_eq!(
-        (ledger.completed, ledger.rejected, ledger.worker_rejects),
-        (2, 1, 2),
-        "{ledger:?}"
-    );
-    assert!(ledger.conserved());
-    let _ = writeln!(
-        report,
-        "partB reject-origin: rejected={} origin={:?} reason={:?} worker_rejects={} conserved={}",
-        ledger.rejected,
-        o.origin_locality,
-        o.reject_reason,
-        ledger.worker_rejects,
-        ledger.conserved()
-    );
-    drop(gateway);
-    drop(w1);
-    fabric.shutdown();
-}
-
 /// One complete storm; the returned string is the replay unit.
 fn run_once(seed: u64, quick: bool) -> String {
     let mut report = String::new();
-    run_part_a(seed, quick, &mut report);
-    stage_kill_mid_run(&mut report);
-    stage_kill_after_complete(&mut report);
-    stage_drain(&mut report);
-    stage_partition_fence(seed, &mut report);
-    stage_quorum_shed(&mut report);
-    stage_reject_origin(&mut report);
+    run_storm(seed, quick, &mut report);
     report
 }
 
@@ -705,7 +324,7 @@ fn main() {
     grain_bench::replay_main(
         "fleetstorm",
         "multi-tenant storm against the fleet gateway under kill/drain/partition/heal chaos",
-        "placement signals saturate and stages serialize, but every invariant still holds",
+        "placement signals saturate, but every invariant still holds",
         run_once,
     );
 }

@@ -1,7 +1,7 @@
 //! `netstorm` — a distributed taskbench storm over a chaotic simulated
 //! network, replayed twice to prove the chaos is deterministic.
 //!
-//! Four stages, every one over [`grain_net::bootstrap::Fabric::chaotic`]
+//! Two stages, both over [`grain_net::bootstrap::Fabric::chaotic`]
 //! (3 localities through a seeded [`grain_sim::NetFabric`]):
 //!
 //! 1. **weather** — storm-planned taskbench jobs under duplication +
@@ -11,20 +11,18 @@
 //!    deadlines: no future hangs, exactly-once settlement is *counted*
 //!    (`calls/issued == calls/settled` on every locality), and the
 //!    fabric's parcel ledger conserves.
-//! 3. **partition/heal** — calls parked at a Hold-mode cut, flushed on
-//!    heal; every future outstanding at partition time settles exactly
-//!    once (per-future settle counters, not sampling).
-//! 4. **kill under partition** — locality 2 dies while partitioned with
-//!    frames parked at the cut: every future names the dead locality in
-//!    `Disconnected`, survivors keep working, parked frames are
-//!    ledgered as in-flight-at-sever.
+//!
+//! Partition/heal and kill-under-partition are the tier-1 tests in
+//! `crates/net/tests/chaos.rs`.
 //!
 //! The whole storm runs **twice from the same seed** and the two report
 //! strings are compared byte-for-byte. Frame fates are a pure function
 //! of `(seed, src, dst, frame identity)` — not thread timing — so the
 //! replay must be bit-identical; any divergence is a determinism bug and
-//! the binary exits non-zero. A watchdog thread kills the process if any
-//! stage hangs: a chaos harness that can hang cannot certify "no hangs".
+//! the binary exits non-zero; `scripts/verify.sh` then diffs stdout
+//! against `results/netstorm.txt`. A watchdog thread kills the process
+//! if any stage hangs: a chaos harness that can hang cannot certify "no
+//! hangs".
 //!
 //! Flags: `--quick` (smaller storm, used by `scripts/verify.sh`),
 //! `--seed <n>` (default 42).
@@ -32,14 +30,13 @@
 use grain_bench::{eventually, WATCHDOG_POLL};
 use grain_net::bootstrap::Fabric;
 use grain_net::locality::NetConfig;
-use grain_runtime::{RuntimeConfig, SharedFuture, TaskError};
+use grain_runtime::{RuntimeConfig, TaskError};
 use grain_sim::storm::{GraphFamily, StormPlan, TenantStorm};
-use grain_sim::{LedgerSnapshot, NetPlan, PartitionMode};
+use grain_sim::{LedgerSnapshot, NetPlan};
 use grain_taskbench::exec_net::DistTaskBench;
 use grain_taskbench::storm::spec_for_event;
 use grain_taskbench::TaskGraph;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -286,139 +283,10 @@ fn run_storm_stages(seed: u64, quick: bool, report: &mut String) {
     }
 }
 
-/// Stage 3: a Hold partition opens with calls outstanding, then heals.
-fn run_partition_stage(seed: u64, quick: bool, report: &mut String) {
-    let calls = if quick { 12 } else { 40 };
-    let fabric = Fabric::chaotic(
-        WORLD,
-        NetPlan::clean(seed ^ 0xC3).latency(10_000, 2_000),
-        |_| NetConfig::default(),
-        |_| RuntimeConfig::with_workers(1),
-    );
-    fabric
-        .locality(1)
-        .register_action("echo", |x: u64| x.wrapping_mul(3));
-    let net = fabric.net().expect("chaotic world");
-
-    net.partition_now(0, 1, PartitionMode::Hold);
-    let settle_counts: Vec<Arc<AtomicUsize>> =
-        (0..calls).map(|_| Arc::new(AtomicUsize::new(0))).collect();
-    let futures: Vec<SharedFuture<u64>> = (0..calls)
-        .map(|i| {
-            let f = fabric
-                .locality(0)
-                .async_remote::<u64, u64>(1, "echo", &(i as u64));
-            let n = Arc::clone(&settle_counts[i]);
-            f.on_settled(move |_| {
-                n.fetch_add(1, Ordering::SeqCst);
-            });
-            f
-        })
-        .collect();
-    assert!(
-        eventually(|| net.ledger().held == calls as u64),
-        "calls must park at the cut: {:?}",
-        net.ledger()
-    );
-    net.heal_now(0, 1);
-
-    let mut sum = 0u64;
-    for (i, f) in futures.iter().enumerate() {
-        let v = f
-            .wait_timeout(WATCHDOG_POLL)
-            .expect("held call settles after heal");
-        assert_eq!(*v, (i as u64).wrapping_mul(3));
-        sum = sum.wrapping_add(*v);
-    }
-    assert!(
-        eventually(|| settle_counts.iter().all(|c| c.load(Ordering::SeqCst) == 1)),
-        "every future outstanding at partition time settles exactly once"
-    );
-    assert!(settled_exactly_once(&fabric));
-    let ledger = stable_ledger(&fabric);
-    assert!(ledger.conserved(), "ledger leaked: {ledger:?}");
-    let _ = writeln!(
-        report,
-        "stage3 partition/heal calls={calls} sum=0x{sum:016x} settled_once={calls}/{calls} opened={} healed={} conserved={}",
-        ledger.partitions_opened,
-        ledger.partitions_healed,
-        ledger.conserved(),
-    );
-    fabric.shutdown();
-}
-
-/// Stage 4: locality 2 dies while partitioned, frames parked at the cut.
-fn run_kill_stage(seed: u64, quick: bool, report: &mut String) {
-    let calls = if quick { 10 } else { 30 };
-    let fabric = Fabric::chaotic(
-        WORLD,
-        NetPlan::clean(seed ^ 0xD4).latency(10_000, 2_000),
-        |_| NetConfig::default(),
-        |_| RuntimeConfig::with_workers(1),
-    );
-    fabric.locality(1).register_action("echo", |x: u64| x);
-    fabric.locality(2).register_action("echo", |x: u64| x);
-    let net = fabric.net().expect("chaotic world");
-
-    net.partition_now(0, 2, PartitionMode::Hold);
-    let settle_counts: Vec<Arc<AtomicUsize>> =
-        (0..calls).map(|_| Arc::new(AtomicUsize::new(0))).collect();
-    let futures: Vec<SharedFuture<u64>> = (0..calls)
-        .map(|i| {
-            let f = fabric
-                .locality(0)
-                .async_remote::<u64, u64>(2, "echo", &(i as u64));
-            let n = Arc::clone(&settle_counts[i]);
-            f.on_settled(move |_| {
-                n.fetch_add(1, Ordering::SeqCst);
-            });
-            f
-        })
-        .collect();
-    assert!(
-        eventually(|| net.ledger().held == calls as u64),
-        "calls must park at the cut before the kill: {:?}",
-        net.ledger()
-    );
-
-    fabric.kill(2);
-
-    let mut named = 0usize;
-    for f in &futures {
-        match f.wait_timeout(WATCHDOG_POLL) {
-            Err(TaskError::Disconnected { locality: 2 }) => named += 1,
-            other => panic!("expected Disconnected {{ locality: 2 }}, got {other:?}"),
-        }
-    }
-    assert!(
-        eventually(|| settle_counts.iter().all(|c| c.load(Ordering::SeqCst) == 1)),
-        "every future settles exactly once through the kill"
-    );
-    // Survivors unaffected.
-    let v = fabric
-        .locality(0)
-        .async_remote::<u64, u64>(1, "echo", &99)
-        .wait_timeout(WATCHDOG_POLL)
-        .expect("survivor lane still works");
-    assert_eq!(*v, 99);
-    assert!(settled_exactly_once(&fabric));
-    let ledger = stable_ledger(&fabric);
-    assert!(ledger.conserved(), "ledger leaked: {ledger:?}");
-    let _ = writeln!(
-        report,
-        "stage4 kill-under-partition calls={calls} disconnected_naming_dead={named}/{calls} in_flight_at_sever={} survivor=ok conserved={}",
-        ledger.severed,
-        ledger.conserved(),
-    );
-    fabric.shutdown();
-}
-
 /// One complete storm run; the returned string is the replay unit.
 fn run_once(seed: u64, quick: bool) -> String {
     let mut report = String::new();
     run_storm_stages(seed, quick, &mut report);
-    run_partition_stage(seed, quick, &mut report);
-    run_kill_stage(seed, quick, &mut report);
     report
 }
 

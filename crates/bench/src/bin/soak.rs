@@ -133,8 +133,6 @@ fn run_pass(label: &'static str, plan: &StormPlan, resilience: bool) -> PassRepo
         admission: AdmissionConfig {
             max_in_flight_tasks: 16,
             max_queued_jobs: 64,
-            default_tenant_weight: 1,
-            tenant_weights: Vec::new(),
         },
         poll_interval: Duration::from_micros(200),
         ..ServiceConfig::default()

@@ -6,8 +6,9 @@
 //! a CSV block for re-plotting. Figures are regenerated by the
 //! simulator engine against the Table I platform models (see DESIGN.md
 //! for the substitution argument), so `figs --all results` reproduces
-//! `results/` byte for byte; `figs native` runs the same methodology on
-//! the *native* runtime at host scale and is timed, not reproducible.
+//! its 18 transcripts in `results/` byte for byte; `figs native` runs
+//! the same methodology on the *native* runtime at host scale and is
+//! timed, not reproducible.
 //!
 //! This library holds what the binaries share: the figure helpers
 //! ([`sweep_platform`], [`print_table`], [`print_series`]) and the
@@ -37,10 +38,12 @@ pub fn eventually(cond: impl Fn() -> bool) -> bool {
 /// The `main` of a replay storm (`netstorm`, `fleetstorm`): parse
 /// `--quick` / `--seed <n>` (default 42), arm a watchdog that exits 3 —
 /// a harness that can hang cannot certify "no hangs" — print the banner
-/// (`title`, then the host's parallelism with `one_core_note`), run
-/// `run_once(seed, quick)` **twice** and compare the two reports byte
-/// for byte: identical prints the report, the `replay:` line and `OK`;
-/// divergent prints both and exits 1.
+/// (`title`; the host's parallelism with `one_core_note` goes to stderr,
+/// so stdout is the same on every host), run `run_once(seed, quick)`
+/// **twice** and compare the two reports byte for byte: identical
+/// prints the report, the `replay:` line and `OK`; divergent prints both
+/// and exits 1. `scripts/verify.sh` diffs the `--quick` stdout against
+/// `results/<name>.txt`.
 pub fn replay_main(
     name: &'static str,
     title: &str,
@@ -74,7 +77,7 @@ pub fn replay_main(
     });
 
     println!("{name}: {title}");
-    println!(
+    eprintln!(
         "host parallelism: {} (1-core hosts: {one_core_note})",
         std::thread::available_parallelism().map_or(0, |n| n.get())
     );

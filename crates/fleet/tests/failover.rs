@@ -12,16 +12,22 @@
 //!   finish on the survivor;
 //! * Hold-partition the gateway from a worker, let the worker finish
 //!   behind the cut, hedge the job elsewhere, then heal → the stale
-//!   push is fenced by epoch, not double-counted.
+//!   push is fenced by epoch, not double-counted;
+//! * fall below the capacity quorum → deadline-carrying jobs are shed
+//!   at once with `FleetUnavailable { retry_after }`, deadline-less jobs
+//!   wait;
+//! * spend a job's dispatch budget on worker refusals → the outcome
+//!   names the refusing locality and its reason.
 
 use grain_fleet::wire::{FleetOutcome, ACTION_COMPLETE};
 use grain_fleet::{
-    FleetConfig, FleetGateway, FleetJobSpec, FleetWorker, FleetWorkerConfig, Placement,
+    FleetConfig, FleetGateway, FleetJobHandle, FleetJobSpec, FleetWorker, FleetWorkerConfig,
+    Placement,
 };
 use grain_net::bootstrap::Fabric;
 use grain_net::locality::NetConfig;
 use grain_runtime::RuntimeConfig;
-use grain_service::JobState;
+use grain_service::{JobState, RejectReason};
 use grain_sim::{NetPlan, PartitionMode};
 use std::time::{Duration, Instant};
 
@@ -156,6 +162,11 @@ fn kill_after_complete_does_not_double_count() {
     let ledger = gateway.ledger();
     assert_eq!(ledger.completed, 1, "no double count: {ledger:?}");
     assert_eq!(ledger.duplicates, 1, "{ledger:?}");
+    assert_eq!(
+        (ledger.orphaned, ledger.redispatches),
+        (0, 0),
+        "a duplicate push re-dispatches nothing: {ledger:?}"
+    );
     assert!(ledger.conserved(), "ledger leaked: {ledger:?}");
 
     drop(gateway);
@@ -299,6 +310,111 @@ fn partition_then_heal_fences_stale_epoch() {
 
     drop(gateway);
     drop(w2);
+    drop(w1);
+    fabric.shutdown();
+}
+
+#[test]
+fn below_quorum_sheds_deadline_jobs_and_parks_the_rest() {
+    let fabric = loopback_world();
+    let w1 = FleetWorker::install(fabric.locality(1), FleetWorkerConfig::new(0, 1));
+    let w2 = FleetWorker::install(fabric.locality(2), FleetWorkerConfig::new(0, 1));
+    let mut cfg = FleetConfig::new(vec![1, 2]);
+    cfg.quorum = 1.0; // both workers must be accepting
+    cfg.shed_retry_after = Duration::from_millis(250);
+    let gateway = FleetGateway::install(fabric.locality(0), cfg);
+
+    fabric.kill(2);
+    assert!(eventually(|| gateway.accepting_workers() == vec![1]));
+
+    // Below quorum, a job with a deadline is shed at once with a
+    // retry-after hint instead of hanging: inside `submit`, before any
+    // pump pass could place it.
+    let shed: Vec<FleetJobHandle> = (0..4)
+        .map(|i| {
+            let h = gateway.submit(
+                FleetJobSpec::new(format!("deadline-{i}"), "tenant-a")
+                    .tasks(4)
+                    .deadline(Duration::from_secs(5)),
+            );
+            assert!(h.outcome().is_some(), "deadline job not shed at submit");
+            h
+        })
+        .collect();
+    for h in &shed {
+        let o = h.wait_timeout(PATIENCE).expect("shed job settles fast");
+        assert_eq!(o.state, JobState::Rejected);
+        match o.reject_reason {
+            Some(RejectReason::FleetUnavailable { retry_after }) => {
+                assert_eq!(retry_after, Duration::from_millis(250));
+            }
+            other => panic!("expected FleetUnavailable, got {other:?}"),
+        }
+    }
+    // A deadline-less job is patient: it parks pending rather than shed.
+    let patient = gateway.submit(FleetJobSpec::new("patient", "tenant-a").tasks(4));
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(
+        patient.outcome().is_none(),
+        "deadline-less job must wait, not shed"
+    );
+
+    let ledger = gateway.ledger();
+    assert_eq!(ledger.shed, 4, "{ledger:?}");
+    assert_eq!(ledger.settled(), 4, "{ledger:?}");
+
+    drop(gateway);
+    drop(w2);
+    drop(w1);
+    fabric.shutdown();
+}
+
+#[test]
+fn worker_refusal_names_its_origin_in_the_outcome() {
+    let fabric = loopback_world();
+    // Every submission passes through the worker's queue, so cap it at
+    // one waiter: the hog runs (parked), the filler takes the only
+    // queue slot, and the third job is refused with `QueueFull`.
+    let mut w1_cfg = FleetWorkerConfig::new(0, 1);
+    w1_cfg.service.admission.max_in_flight_tasks = 4;
+    w1_cfg.service.admission.max_queued_jobs = 1;
+    let w1 = FleetWorker::install(fabric.locality(1), w1_cfg);
+    let mut cfg = FleetConfig::new(vec![1]);
+    cfg.max_dispatches = 2;
+    cfg.retry_backoff = Duration::from_millis(10);
+    cfg.breaker_failures = 10;
+    let gateway = FleetGateway::install(fabric.locality(0), cfg);
+
+    let blocker = gateway.submit(FleetJobSpec::new("hog", "tenant-a").tasks(4).park(true));
+    assert!(eventually(|| gateway.lease_of(blocker.key()) == Some(1)));
+    let filler = gateway.submit(FleetJobSpec::new("filler", "tenant-a").tasks(4));
+    assert!(eventually(|| gateway.lease_of(filler.key()) == Some(1)));
+    // Both dispatch attempts come back refused, and the refusal that
+    // lands in the outcome names the refusing locality.
+    let refused = gateway.submit(FleetJobSpec::new("refused", "tenant-a").tasks(4));
+    let o = refused.wait_timeout(PATIENCE).expect("refusal settles");
+    assert_eq!(o.state, JobState::Rejected);
+    assert_eq!(o.origin_locality, Some(1), "refusal must name its origin");
+    assert!(
+        matches!(o.reject_reason, Some(RejectReason::QueueFull)),
+        "{:?}",
+        o.reject_reason
+    );
+    w1.release_parked();
+    let done = blocker.wait_timeout(PATIENCE).expect("hog settles");
+    assert_eq!(done.state, JobState::Completed);
+    let queued = filler.wait_timeout(PATIENCE).expect("filler settles");
+    assert_eq!(queued.state, JobState::Completed);
+
+    let ledger = gateway.ledger();
+    assert_eq!(
+        (ledger.completed, ledger.rejected, ledger.worker_rejects),
+        (2, 1, 2),
+        "{ledger:?}"
+    );
+    assert!(ledger.conserved(), "ledger leaked: {ledger:?}");
+
+    drop(gateway);
     drop(w1);
     fabric.shutdown();
 }

@@ -40,6 +40,16 @@ fn eventually(cond: impl Fn() -> bool) -> bool {
     true
 }
 
+/// Exactly-once, counted: issued == settled on every locality.
+fn settled_exactly_once(fabric: &Fabric) -> bool {
+    eventually(|| {
+        (0..fabric.world()).all(|k| {
+            let p = fabric.locality(k).parcels();
+            p.calls_issued.get() == p.calls_settled.get()
+        })
+    })
+}
+
 #[test]
 fn duplicated_calls_execute_exactly_once() {
     // Every parcel is duplicated: each Call and each Reply crosses the
@@ -197,7 +207,12 @@ fn futures_across_a_partition_heal_settle_exactly_once() {
         })
         .collect();
 
-    // Nothing settles while the partition holds.
+    // Every call parks at the cut, and nothing settles while it holds.
+    assert!(
+        eventually(|| net.ledger().held == CALLS as u64),
+        "calls must park at the cut: {:?}",
+        net.ledger()
+    );
     std::thread::sleep(Duration::from_millis(100));
     assert!(
         settle_counts.iter().all(|c| c.load(Ordering::SeqCst) == 0),
@@ -218,6 +233,7 @@ fn futures_across_a_partition_heal_settle_exactly_once() {
     let p0 = fabric.locality(0).parcels();
     assert_eq!(p0.calls_issued.get(), CALLS as u64);
     assert_eq!(p0.calls_settled.get(), CALLS as u64);
+    assert!(settled_exactly_once(&fabric), "issued != settled somewhere");
     assert!(net.wait_quiescent(WATCHDOG));
     let ledger = net.ledger();
     assert!(ledger.conserved(), "ledger conserved: {ledger:?}");
@@ -258,7 +274,7 @@ fn kill_under_partition_names_the_dead_locality_everywhere() {
     // Let every Call actually reach the cut and park there, so the kill
     // exercises the frames-in-flight-at-sever path, not just the queue.
     assert!(
-        eventually(|| net.ledger().held >= CALLS as u64),
+        eventually(|| net.ledger().held == CALLS as u64),
         "calls parked at the partition: {:?}",
         net.ledger()
     );
@@ -289,12 +305,13 @@ fn kill_under_partition_names_the_dead_locality_everywhere() {
     let p0 = fabric.locality(0).parcels();
     assert_eq!(p0.calls_issued.get(), CALLS as u64 + 1);
     assert_eq!(p0.calls_settled.get(), CALLS as u64 + 1);
+    assert!(settled_exactly_once(&fabric), "issued != settled somewhere");
     assert!(net.wait_quiescent(WATCHDOG));
     let ledger = net.ledger();
     assert!(ledger.conserved(), "ledger conserved: {ledger:?}");
-    assert!(
-        ledger.severed >= CALLS as u64,
-        "parked calls ledgered at sever: {ledger:?}"
+    assert_eq!(
+        ledger.severed, CALLS as u64,
+        "parked calls ledgered at sever, and nothing else: {ledger:?}"
     );
     fabric.shutdown();
 }

@@ -1,5 +1,5 @@
-//! Admission control: queue bounds, a task budget, and weighted
-//! fair-share ordering across tenants.
+//! Admission control: queue bounds, a task budget, and fair-share
+//! ordering across tenants.
 //!
 //! Three mechanisms gate the path from `submit` to `Running`:
 //!
@@ -12,11 +12,10 @@
 //!    [`AdmissionConfig::max_in_flight_tasks`]. One job is always
 //!    admissible when nothing is running, so an over-budget job cannot
 //!    deadlock the service.
-//! 3. **Weighted fair share** — waiting jobs are drawn from per-tenant
-//!    FIFO queues by stride scheduling: each admission advances the
-//!    tenant's virtual pass by `STRIDE / weight`, and the tenant with the
-//!    smallest pass goes next. A tenant with weight 2 is admitted twice
-//!    as often as a tenant with weight 1 under contention; idle tenants
+//! 3. **Fair share** — waiting jobs are drawn from per-tenant FIFO
+//!    queues by stride scheduling with equal strides: each admission
+//!    advances the tenant's pass by one, and the tenant with the smallest
+//!    pass goes next, so contending tenants alternate; idle tenants
 //!    rejoin at the current front rather than accumulating credit.
 
 use crate::job::JobCore;
@@ -35,10 +34,6 @@ pub struct AdmissionConfig {
     /// Bound on jobs waiting in tenant queues; submissions beyond it are
     /// rejected.
     pub max_queued_jobs: usize,
-    /// Fair-share weight for tenants not listed in `tenant_weights`.
-    pub default_tenant_weight: u32,
-    /// Per-tenant fair-share weights (tenant name → weight ≥ 1).
-    pub tenant_weights: Vec<(String, u32)>,
 }
 
 impl Default for AdmissionConfig {
@@ -46,21 +41,7 @@ impl Default for AdmissionConfig {
         Self {
             max_in_flight_tasks: 4096,
             max_queued_jobs: 256,
-            default_tenant_weight: 1,
-            tenant_weights: Vec::new(),
         }
-    }
-}
-
-impl AdmissionConfig {
-    /// The weight of `tenant` (listed weight, else the default; ≥ 1).
-    pub fn weight_of(&self, tenant: &str) -> u32 {
-        self.tenant_weights
-            .iter()
-            .find(|(t, _)| t == tenant)
-            .map(|(_, w)| *w)
-            .unwrap_or(self.default_tenant_weight)
-            .max(1)
     }
 }
 
@@ -205,16 +186,13 @@ impl fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
-/// Stride-scheduling constant: passes advance by `STRIDE / weight`.
-const STRIDE: u64 = 1 << 20;
-
 struct TenantQueue {
-    weight: u32,
+    /// Admissions so far, counted from the floor the tenant joined at.
     pass: u64,
     jobs: VecDeque<Arc<JobCore>>,
 }
 
-/// Per-tenant FIFO queues drained in weighted stride order. Internal to
+/// Per-tenant FIFO queues drained in stride order. Internal to
 /// the service; guarded by its queues mutex.
 pub(crate) struct FairQueues {
     tenants: BTreeMap<String, TenantQueue>,
@@ -237,7 +215,7 @@ impl FairQueues {
     /// Enqueue a job for its tenant, creating the tenant's queue at the
     /// current minimum pass so it cannot leapfrog established tenants'
     /// history nor starve behind it.
-    pub(crate) fn push(&mut self, core: Arc<JobCore>, weight: u32) {
+    pub(crate) fn push(&mut self, core: Arc<JobCore>) {
         let floor = self
             .tenants
             .values()
@@ -249,7 +227,6 @@ impl FairQueues {
             .tenants
             .entry(core.spec.tenant.clone())
             .or_insert_with(|| TenantQueue {
-                weight,
                 pass: floor,
                 jobs: VecDeque::new(),
             });
@@ -306,7 +283,7 @@ impl FairQueues {
         let t = self.tenants.get_mut(&chosen).expect("tenant exists");
         let core = t.jobs.pop_front().expect("non-empty by construction");
         self.queued -= 1;
-        t.pass += STRIDE / u64::from(t.weight);
+        t.pass += 1;
         Some(core)
     }
 
@@ -349,22 +326,10 @@ mod tests {
     }
 
     #[test]
-    fn weight_lookup_defaults_and_clamps() {
-        let cfg = AdmissionConfig {
-            tenant_weights: vec![("a".into(), 3), ("zero".into(), 0)],
-            default_tenant_weight: 2,
-            ..AdmissionConfig::default()
-        };
-        assert_eq!(cfg.weight_of("a"), 3);
-        assert_eq!(cfg.weight_of("other"), 2);
-        assert_eq!(cfg.weight_of("zero"), 1, "weights clamp to >= 1");
-    }
-
-    #[test]
     fn fifo_within_one_tenant() {
         let mut q = FairQueues::new();
         for id in 0..4 {
-            q.push(core(id, "a"), 1);
+            q.push(core(id, "a"));
         }
         let ids: Vec<u64> = std::iter::from_fn(|| q.pop_next(|_| true))
             .map(|c| c.id.0)
@@ -374,13 +339,13 @@ mod tests {
     }
 
     #[test]
-    fn equal_weights_alternate() {
+    fn contending_tenants_alternate() {
         let mut q = FairQueues::new();
         for id in 0..3 {
-            q.push(core(id, "a"), 1);
+            q.push(core(id, "a"));
         }
         for id in 10..13 {
-            q.push(core(id, "b"), 1);
+            q.push(core(id, "b"));
         }
         let tenants: Vec<String> = std::iter::from_fn(|| q.pop_next(|_| true))
             .map(|c| c.spec.tenant.clone())
@@ -392,28 +357,10 @@ mod tests {
     }
 
     #[test]
-    fn weights_bias_admission_ratio() {
-        let mut q = FairQueues::new();
-        for id in 0..30 {
-            q.push(core(id, "heavy"), 3);
-        }
-        for id in 100..130 {
-            q.push(core(id, "light"), 1);
-        }
-        let first12: Vec<String> = (0..12)
-            .filter_map(|_| q.pop_next(|_| true))
-            .map(|c| c.spec.tenant.clone())
-            .collect();
-        let heavy = first12.iter().filter(|t| *t == "heavy").count();
-        // Weight 3 vs 1 → 3/4 of admissions go to the heavy tenant.
-        assert_eq!(heavy, 9, "order: {first12:?}");
-    }
-
-    #[test]
     fn inadmissible_heads_do_not_block_other_tenants() {
         let mut q = FairQueues::new();
-        q.push(core(0, "a"), 1);
-        q.push(core(1, "b"), 1);
+        q.push(core(0, "a"));
+        q.push(core(1, "b"));
         let got = q.pop_next(|c| c.spec.tenant != "a").unwrap();
         assert_eq!(got.spec.tenant, "b");
         // "a" stays queued.
@@ -425,8 +372,8 @@ mod tests {
         let mut q = FairQueues::new();
         let dead = core(0, "a");
         dead.finish(crate::job::JobState::Cancelled);
-        q.push(dead, 1);
-        q.push(core(1, "a"), 1);
+        q.push(dead);
+        q.push(core(1, "a"));
         let got = q.pop_next(|_| true).unwrap();
         assert_eq!(got.id.0, 1);
         assert_eq!(q.len(), 0, "terminal head was reaped, live one popped");
@@ -435,10 +382,10 @@ mod tests {
     #[test]
     fn reap_terminal_removes_mid_queue_entries() {
         let mut q = FairQueues::new();
-        q.push(core(0, "a"), 1);
+        q.push(core(0, "a"));
         let dead = core(1, "a");
-        q.push(Arc::clone(&dead), 1);
-        q.push(core(2, "a"), 1);
+        q.push(Arc::clone(&dead));
+        q.push(core(2, "a"));
         dead.finish(crate::job::JobState::Cancelled);
         assert_eq!(q.len(), 3, "terminal entries linger until reaped");
         assert_eq!(q.reap_terminal(), 1);
@@ -452,8 +399,8 @@ mod tests {
     #[test]
     fn drain_empties_everything() {
         let mut q = FairQueues::new();
-        q.push(core(0, "a"), 1);
-        q.push(core(1, "b"), 1);
+        q.push(core(0, "a"));
+        q.push(core(1, "b"));
         assert_eq!(q.drain().len(), 2);
         assert_eq!(q.len(), 0);
         assert!(q.pop_next(|_| true).is_none());
@@ -463,7 +410,7 @@ mod tests {
     fn returning_tenant_rejoins_at_the_floor() {
         let mut q = FairQueues::new();
         for id in 0..8 {
-            q.push(core(id, "busy"), 1);
+            q.push(core(id, "busy"));
         }
         // Admit 4 from the busy tenant; its pass is now well ahead.
         for _ in 0..4 {
@@ -472,8 +419,8 @@ mod tests {
         // A fresh tenant arrives: it must not get 4 back-to-back slots
         // of "credit" — it starts at the busy tenant's floor and they
         // alternate.
-        q.push(core(100, "fresh"), 1);
-        q.push(core(101, "fresh"), 1);
+        q.push(core(100, "fresh"));
+        q.push(core(101, "fresh"));
         let next4: Vec<String> = (0..4)
             .filter_map(|_| q.pop_next(|_| true))
             .map(|c| c.spec.tenant.clone())

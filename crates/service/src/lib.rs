@@ -22,7 +22,7 @@
 //! * **Admission control** ([`AdmissionConfig`]) bounds the queued-job
 //!   count (backpressure: excess submissions come back `Rejected`) and
 //!   the total in-flight task budget, and drains tenant queues in
-//!   weighted fair-share (stride) order.
+//!   fair-share (stride) order.
 //! * **Overload resilience**: a pressure control loop
 //!   ([`PressureConfig`]) folds the runtime's overhead fraction and the
 //!   queue fill into a smoothed [`PressureSignal`], adaptively shrinks

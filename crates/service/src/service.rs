@@ -2,7 +2,7 @@
 //!
 //! A [`JobService`] owns a [`Runtime`] and a dispatcher thread. Clients
 //! [`submit`](JobService::submit) jobs into per-tenant queues. Admission
-//! — popping jobs in weighted fair-share order while the task budget
+//! — popping jobs in fair-share order while the task budget
 //! allows, and handing each one's root task to the runtime inside the
 //! job's [`grain_runtime::TaskGroup`] — runs on the threads that change
 //! what can be admitted: the submitter, right after its push, and the
@@ -249,7 +249,6 @@ impl JobService {
         let id = JobId(shared.ids.fetch_add(1, Ordering::Relaxed));
         shared.counters.submitted.incr();
         let instance = format!("{}#{}", spec.name, id.0);
-        let weight = shared.config.admission.weight_of(&spec.tenant);
         let group = grain_runtime::TaskGroup::new();
         // Each (name, id) instance is unique, so this cannot collide.
         let counters = JobCounters::register(&shared.registry, &instance, &group)
@@ -303,7 +302,7 @@ impl JobService {
         if probe {
             core.probe.store(true, Ordering::SeqCst);
         }
-        queues.fair.push(Arc::clone(&core), weight);
+        queues.fair.push(Arc::clone(&core));
         // Admission runs here, on the submitting thread, under the lock
         // the push already holds.
         drop(admit_queued(shared, queues));
@@ -534,13 +533,12 @@ fn try_requeue_for_retry(shared: &Arc<Shared>, core: &Arc<JobCore>, now: Instant
     core.group.reset_faults();
     core.set_state(JobState::Queued);
     shared.budget_in_use.fetch_sub(core.cost, Ordering::SeqCst);
-    let weight = shared.config.admission.weight_of(&core.spec.tenant);
     // The move from `running` to the queues happens under the queues
     // lock, which `wait_all` and the dispatcher's shutdown check read
     // `running` under: they see the job in one of the two.
     let mut queues = shared.queues.lock();
     shared.running.lock().retain(|c| !Arc::ptr_eq(c, core));
-    queues.fair.push(Arc::clone(core), weight);
+    queues.fair.push(Arc::clone(core));
     // The released budget may let another job in, and the backoff gate
     // is a timer the dispatcher must know about.
     drop(admit_queued(shared, queues));

@@ -115,7 +115,6 @@ fn a_deep_queue_drains_on_a_small_stack() {
         admission: AdmissionConfig {
             max_in_flight_tasks: JOBS,
             max_queued_jobs: JOBS as usize,
-            ..AdmissionConfig::default()
         },
         pressure: PressureConfig { enabled: false },
         policy,

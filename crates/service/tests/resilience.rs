@@ -184,7 +184,6 @@ fn a_submission_the_queue_refuses_leaves_the_probe_slot_free() {
         admission: AdmissionConfig {
             max_in_flight_tasks: 1,
             max_queued_jobs: 1,
-            ..AdmissionConfig::default()
         },
         ..base_config()
     };

@@ -32,7 +32,6 @@ pub mod fabric;
 pub mod machine;
 pub mod netplan;
 pub mod report;
-pub mod rng;
 pub mod storm;
 pub mod workload;
 

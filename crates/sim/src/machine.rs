@@ -1,7 +1,7 @@
 //! The machine cost model: turns (task size, concurrency, residency) into
 //! virtual nanoseconds, and scheduler operations into their modeled costs.
 
-use crate::rng::Pcg32;
+use grain_counters::rng::Pcg32;
 use grain_topology::{NumaTopology, Platform};
 
 /// A platform bound to a worker count, with the derived constants the

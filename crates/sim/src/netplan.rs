@@ -36,7 +36,7 @@
 //! [`crate::storm`], a fingerprint of the plan a recorded seed produced
 //! when the split was established.
 
-use crate::rng::Pcg32;
+use grain_counters::rng::{fnv1a, splitmix64, Pcg32, FNV1A_OFFSET};
 
 /// Salt folded into every NetPlan stream seed, separating network
 /// chaos from the storm tenants' multiplicative seed family.
@@ -46,14 +46,6 @@ const NET_STREAM_SALT: u64 = 0x6e65_7463_6861_6f73; // "netchaos"
 pub const FRAME_KIND_CALL: u64 = 1;
 /// Identity kind of a `Reply` frame (keyed by destination locality).
 pub const FRAME_KIND_REPLY: u64 = 2;
-
-/// SplitMix64 finalizer: a cheap, well-mixed bijection on `u64`.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Stable identity of a parcel frame, independent of delivery order:
 /// `kind` is [`FRAME_KIND_CALL`] or [`FRAME_KIND_REPLY`], `who` the
@@ -270,15 +262,8 @@ impl NetPlan {
     /// changes between runs with the same seed. FNV-1a over a canonical
     /// field serialization; floats contribute their IEEE bit patterns.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut h = FNV1A_OFFSET;
+        let mut eat = |v: u64| h = fnv1a(h, &v.to_le_bytes());
         eat(self.seed);
         eat(self.drop_p.to_bits());
         eat(self.dup_p.to_bits());
@@ -359,6 +344,20 @@ mod tests {
             ..chaotic()
         };
         assert_ne!(a.fingerprint(), reseeded.fingerprint());
+    }
+
+    #[test]
+    fn recorded_plan_fingerprint_is_bit_identical() {
+        // The digest of one fixture, recorded: a change to the fold or
+        // to the canonical field order moves it.
+        let plan = chaotic().partition(PartitionWindow {
+            a: 0,
+            b: 2,
+            start_ns: 5,
+            end_ns: 10,
+            mode: PartitionMode::Hold,
+        });
+        assert_eq!(plan.fingerprint(), 0x3676_7AE7_2FCA_7CB1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A [`StormPlan`] is a deterministic, pre-generated schedule of job
 //! submissions across tenants: Poisson arrivals (exponential
-//! inter-arrival draws from one [`Pcg32`](crate::rng::Pcg32) stream per
+//! inter-arrival draws from one [`Pcg32`] stream per
 //! tenant), per-job task counts and grain sizes drawn from each tenant's
 //! profile, and per-tenant *fault windows* — fractions of the horizon
 //! during which that tenant's jobs panic. Equal seeds yield equal plans,
@@ -30,8 +30,7 @@
 //! (`recorded_storm_seed_is_bit_identical`) against a plan recorded when
 //! the split was established.
 
-use crate::netplan::splitmix64;
-use crate::rng::Pcg32;
+use grain_counters::rng::{splitmix64, Pcg32};
 use std::time::Duration;
 
 /// Seed-space salt for the fleet-chaos stream ("fleetchaos" squeezed
@@ -364,6 +363,7 @@ impl StormPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grain_counters::rng::{fnv1a, FNV1A_OFFSET};
 
     fn three_tenants() -> Vec<TenantStorm> {
         vec![
@@ -390,15 +390,6 @@ mod tests {
         ]
     }
 
-    /// FNV-1a fold used to fingerprint a plan for the bit-identity
-    /// regression below.
-    fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
     /// Bit-identity regression against a recorded storm. The tenant
     /// seeding formula (`seed ^ golden·(idx+1)`, see the module docs) is
     /// a public contract shared with the network chaos streams in
@@ -410,13 +401,13 @@ mod tests {
     #[test]
     fn recorded_storm_seed_is_bit_identical() {
         let plan = StormPlan::generate(7, Duration::from_secs(5), &three_tenants());
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV1A_OFFSET;
         for e in &plan.events {
-            h = fnv(h, &(e.at.as_nanos() as u64).to_le_bytes());
-            h = fnv(h, e.name.as_bytes());
-            h = fnv(h, &e.tasks.to_le_bytes());
-            h = fnv(h, &(e.grain.as_nanos() as u64).to_le_bytes());
-            h = fnv(h, &[u8::from(e.faulty)]);
+            h = fnv1a(h, &(e.at.as_nanos() as u64).to_le_bytes());
+            h = fnv1a(h, e.name.as_bytes());
+            h = fnv1a(h, &e.tasks.to_le_bytes());
+            h = fnv1a(h, &(e.grain.as_nanos() as u64).to_le_bytes());
+            h = fnv1a(h, &[u8::from(e.faulty)]);
         }
         assert_eq!(
             h, 0xef04_fe54_fc29_27af,

@@ -23,7 +23,7 @@
 //!   [`crate::work::node_value`] is executor-independent.
 
 use crate::work;
-use grain_sim::rng::Pcg32;
+use grain_counters::rng::{fnv1a, splitmix64, Pcg32, FNV1A_OFFSET};
 
 /// The graph family and its shape parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,8 +194,8 @@ impl GraphSpec {
                 // stream consumed), Box-Muller to a standard normal,
                 // then a mean-preserving lognormal: for X = exp(σZ − σ²/2),
                 // E[X] = 1 and COV(X) = sqrt(exp(σ²) − 1).
-                let h1 = work::mix64(self.seed ^ (u64::from(id) << 32) ^ 0xc0ff_ee00_0000_0001);
-                let h2 = work::mix64(self.seed ^ (u64::from(id) << 32) ^ 0xc0ff_ee00_0000_0002);
+                let h1 = splitmix64(self.seed ^ (u64::from(id) << 32) ^ 0xc0ff_ee00_0000_0001);
+                let h2 = splitmix64(self.seed ^ (u64::from(id) << 32) ^ 0xc0ff_ee00_0000_0002);
                 let u1 = ((h1 >> 11) as f64 / (1u64 << 53) as f64).max(1e-12);
                 let u2 = (h2 >> 11) as f64 / (1u64 << 53) as f64;
                 let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
@@ -206,7 +206,7 @@ impl GraphSpec {
             }
             Cov::Bimodal { heavy_pct, ratio } => {
                 let heavy_pct = heavy_pct.min(100);
-                let h = work::mix64(self.seed ^ (u64::from(id) << 32) ^ 0xb1b0_da1f_0000_0003);
+                let h = splitmix64(self.seed ^ (u64::from(id) << 32) ^ 0xb1b0_da1f_0000_0003);
                 if (h % 100) < u64::from(heavy_pct) {
                     self.grain_iters.saturating_mul(u64::from(ratio.max(1)))
                 } else {
@@ -325,13 +325,8 @@ impl TaskGraph {
     /// are bit-identical iff their fingerprints match (used by the
     /// determinism property sweep).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = FNV1A_OFFSET;
+        let mut fold = |x: u64| h = fnv1a(h, &x.to_le_bytes());
         fold(self.spec.grain_iters);
         fold(u64::from(self.spec.payload_bytes));
         fold(self.spec.seed);
@@ -651,6 +646,25 @@ mod tests {
         let b = GraphSpec::shape(kind, 2).payload(64).build();
         assert_ne!(a.edges, b.edges);
         assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn recorded_graph_fingerprint_is_bit_identical() {
+        // The digest of one fixture, recorded: a change to the builder's
+        // RNG stream or to the fingerprint's fold moves it.
+        let kind = GraphKind::RandomDag {
+            width: 8,
+            steps: 6,
+            max_deps: 3,
+        };
+        let g = GraphSpec::shape(kind, 1)
+            .payload(64)
+            .cov(Cov::Bimodal {
+                heavy_pct: 10,
+                ratio: 8,
+            })
+            .build();
+        assert_eq!(g.fingerprint(), 0xD20B_686F_73AC_6EDD);
     }
 
     #[test]

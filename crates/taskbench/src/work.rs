@@ -12,7 +12,7 @@
 //! 2. **Edge consumption**: each incoming dependency edge carries a
 //!    payload of `len` bytes, deterministically expanded from the
 //!    producing node's value ([`edge_payload`]) and folded to a 64-bit
-//!    *contribution* ([`fold_bytes`]). Whether the bytes were generated
+//!    *contribution* by FNV-1a ([`fnv1a`]). Whether the bytes were generated
 //!    locally (single-runtime executor) or traveled as a parcel
 //!    (grain-net executor), the fold is over the same bytes — that is
 //!    the bit-identity hinge of the cross-executor test.
@@ -23,28 +23,20 @@
 //! Nothing here reads the clock except [`Calibration::quick`], which
 //! only translates "I want ~50 µs tasks" into an iteration count.
 
+use grain_counters::rng::{fnv1a, splitmix64, Pcg32, FNV1A_OFFSET};
 use std::time::{Duration, Instant};
-
-/// SplitMix64 finalizer: a cheap, high-quality 64-bit mixer.
-#[inline]
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Per-node seed: a function of the graph seed and the node id only.
 #[inline]
 pub fn node_seed(graph_seed: u64, node: u32) -> u64 {
-    mix64(graph_seed ^ (u64::from(node) << 32) ^ 0x7461_736b_6265_6e63) // "taskbench"
+    splitmix64(graph_seed ^ (u64::from(node) << 32) ^ 0x7461_736b_6265_6e63) // "taskbench"
 }
 
 /// Per-edge salt: a function of the graph seed and both endpoints, so
 /// two edges between different node pairs never share a payload stream.
 #[inline]
 pub fn edge_salt(graph_seed: u64, src: u32, dst: u32) -> u64 {
-    mix64(graph_seed ^ (u64::from(src) << 32) ^ u64::from(dst) ^ 0x6564_6765)
+    splitmix64(graph_seed ^ (u64::from(src) << 32) ^ u64::from(dst) ^ 0x6564_6765)
 }
 
 /// The busy-work kernel: `iters` rounds of a wrapping LCG, result mixed.
@@ -58,7 +50,7 @@ pub fn busy_work(seed: u64, iters: u64) -> u64 {
                 .wrapping_add(1442695040888963407),
         );
     }
-    mix64(x)
+    splitmix64(x)
 }
 
 /// Expand an edge payload: `len` bytes drawn from a PCG stream keyed by
@@ -66,7 +58,7 @@ pub fn busy_work(seed: u64, iters: u64) -> u64 {
 /// folds exactly these bytes, whether it regenerated them in-process or
 /// received them over a parcelport link.
 pub fn edge_payload(src_value: u64, salt: u64, len: u32) -> Vec<u8> {
-    let mut rng = grain_sim::rng::Pcg32::seed_from_u64(mix64(src_value ^ salt));
+    let mut rng = Pcg32::seed_from_u64(splitmix64(src_value ^ salt));
     let mut out = Vec::with_capacity(len as usize);
     while out.len() < len as usize {
         let word = rng.next_u32().to_le_bytes();
@@ -76,21 +68,12 @@ pub fn edge_payload(src_value: u64, salt: u64, len: u32) -> Vec<u8> {
     out
 }
 
-/// FNV-1a fold of a payload into a 64-bit contribution.
-pub fn fold_bytes(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One edge's contribution computed producer- or consumer-side from the
-/// source value: expand the payload, fold it. The grain-net executor
-/// ships the expanded bytes instead and folds on arrival — same result.
+/// source value: expand the payload, fold it with FNV-1a. The grain-net
+/// executor ships the expanded bytes instead and folds on arrival — same
+/// result.
 pub fn contrib_from_value(src_value: u64, salt: u64, len: u32) -> u64 {
-    fold_bytes(&edge_payload(src_value, salt, len))
+    fnv1a(FNV1A_OFFSET, &edge_payload(src_value, salt, len))
 }
 
 /// A node's value: busy-work folded with every incoming contribution in
@@ -98,7 +81,7 @@ pub fn contrib_from_value(src_value: u64, salt: u64, len: u32) -> u64 {
 pub fn node_value(seed: u64, iters: u64, contribs: impl IntoIterator<Item = u64>) -> u64 {
     let mut acc = busy_work(seed, iters);
     for c in contribs {
-        acc = mix64(acc ^ c);
+        acc = splitmix64(acc ^ c);
     }
     acc
 }
@@ -108,7 +91,7 @@ pub fn node_value(seed: u64, iters: u64, contribs: impl IntoIterator<Item = u64>
 /// executor) combine to the same total as a single pass.
 #[inline]
 pub fn checksum_term(node: u32, value: u64) -> u64 {
-    mix64(value ^ mix64(u64::from(node)))
+    splitmix64(value ^ splitmix64(u64::from(node)))
 }
 
 /// Host calibration of the busy-work kernel: nanoseconds per iteration,
@@ -162,9 +145,9 @@ mod tests {
     fn payload_matches_its_fold_shortcut() {
         let bytes = edge_payload(42, 7, 129);
         assert_eq!(bytes.len(), 129);
-        assert_eq!(fold_bytes(&bytes), contrib_from_value(42, 7, 129));
+        assert_eq!(fnv1a(FNV1A_OFFSET, &bytes), contrib_from_value(42, 7, 129));
         // Zero-length edges still contribute the FNV offset basis.
-        assert_eq!(contrib_from_value(42, 7, 0), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(contrib_from_value(42, 7, 0), FNV1A_OFFSET);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # The repo's verification gate: formatting, lints, release build, tests,
-# the benchmark's own gate, and the seeded replay storms. Run from
+# the benchmark's own gate, and every deterministic transcript diffed
+# against results/. Run from
 # anywhere; fully offline — the workspace has no external dependencies.
 # Stage outputs go to target/verify/ (ignored): the gate leaves the
 # working tree as it found it, and its last stage checks that.
@@ -21,24 +22,6 @@ run_ok() {
         >"$out/$bin.txt" 2>"$out/$bin.log" || {
         echo "$bin failed:" >&2
         tail -n 20 "$out/$bin.txt" "$out/$bin.log" >&2
-        exit 1
-    }
-}
-
-# replay_twice <bin> [args]: the binary replays its seeded storm once
-# in-process already; running it as two separate processes and diffing
-# stdout proves the report is deterministic across process boundaries
-# too (no address, timing, or thread-id leakage).
-replay_twice() {
-    run_ok "$@"
-    grep -q '^OK$' "$out/$1.txt" || {
-        echo "$1 did not complete" >&2
-        exit 1
-    }
-    mv "$out/$1.txt" "$out/$1.first.txt"
-    run_ok "$@"
-    diff "$out/$1.first.txt" "$out/$1.txt" >&2 || {
-        echo "$1 reports diverged across processes" >&2
         exit 1
     }
 }
@@ -69,14 +52,14 @@ fi
 echo "==> options allow-list"
 # Every settable config value is a configuration nobody tests unless
 # somebody sets it: a field needs two values in use outside its own unit
-# tests. These are the `pub` fields of the 12 `*Config` structs, 51 in
+# tests. These are the `pub` fields of the 12 `*Config` structs, 48 in
 # all; a new knob is a decision argued here with its two callers, not a
 # field added — one value in use is a `const` in the module that reads it.
 options=$(cat crates/*/src/*.rs | awk '
     /^pub struct [A-Za-z]*Config \{/ { s = $3; n = 0 }
     s != "" && /^    pub [a-z_0-9]+:/ { n++ }
     s != "" && /^\}/ { print s ": " n; s = "" }' | sort)
-[ "$options" = "AdmissionConfig: 4
+[ "$options" = "AdmissionConfig: 2
 AutotuneConfig: 3
 BreakerConfig: 5
 FleetConfig: 12
@@ -86,7 +69,7 @@ PressureConfig: 1
 RuntimeConfig: 7
 ServiceConfig: 6
 SimConfig: 1
-TunerConfig: 5
+TunerConfig: 4
 WatchdogConfig: 2" ] || {
     printf 'unexpected *Config fields (struct: pub fields):\n%s\n' "$options" >&2
     exit 1
@@ -128,6 +111,30 @@ uncalled=$(git ls-files -- 'crates/*.rs' 'src/*.rs' 'examples/*.rs' 'tests/*.rs'
     exit 1
 }
 
+echo "==> every dependency edge is used"
+# A `grain-*` line in a crate manifest is an edge of the crate graph, and
+# an edge nothing uses is a coupling nobody argued for: the crate must
+# name `grain_*` in its src/ or tests/. The exceptions, one
+# `crate dependency` per line, are the four unused edges perf/Cargo.lock
+# records: deleting one rewrites that lock, which only a change to the
+# benchmark may do (ROADMAP item 1(g)). An edge that comes into use
+# leaves the list.
+unused_edges="adaptive grain-sim
+service grain-metrics
+service grain-topology
+taskbench grain-metrics"
+edges=$(for m in crates/*/Cargo.toml; do
+    c=$(basename "$(dirname "$m")")
+    for dep in $(sed -n 's/^\(grain-[a-z]*\)\.workspace = true$/\1/p' "$m"); do
+        grep -rqw "$(echo "$dep" | tr - _)" "crates/$c/src" "crates/$c/tests" 2>/dev/null ||
+            echo "$c $dep"
+    done
+done)
+[ "$edges" = "$unused_edges" ] || {
+    printf 'unused dependency edges (crate dependency), expected the four perf/Cargo.lock records:\n%s\n' "$edges" >&2
+    exit 1
+}
+
 echo "==> unsafe allow-list"
 # One file of the product holds `unsafe`: the lock-free queue. Anything
 # else — a pointer cast to save an allocation, say — has to be argued
@@ -141,12 +148,12 @@ unsafe_files=$(grep -rl '\bunsafe\b' crates/*/src src || true)
 echo "==> every grain-bench binary runs here"
 # One benchmark: perf/ times the product, and a grain-bench binary is a
 # figure or a replay storm that some stage below runs — each
-# crates/bench/src/bin/<name>.rs is the first argument of a run_ok or
-# replay_twice line of this script. A timing harness nothing runs, a
+# crates/bench/src/bin/<name>.rs is the first argument of a run_ok line
+# of this script. A timing harness nothing runs, a
 # cargo bench target included, is a second answer nobody checks.
 for f in crates/bench/src/bin/*.rs; do
     bin=$(basename "$f" .rs)
-    grep -Eq "^(run_ok|replay_twice) $bin( |\$)" scripts/verify.sh || {
+    grep -Eq "^run_ok $bin( |\$)" scripts/verify.sh || {
         echo "$f is run by no stage of scripts/verify.sh" >&2
         exit 1
     }
@@ -176,39 +183,33 @@ echo "==> chaos soak (bounded)"
 # scaled down to tens of real ones.
 run_ok soak --virtual-seconds 30 --seed 7
 
-echo "==> figs --all against results/"
-# Every deterministic table and figure of the paper (the simulator's
-# sweeps, the seeded search order and its probe counts, the asserted
-# stencil DAG) is a pure function of the source: a change to the
-# search, the simulator, its RNG stream or how probes are counted shows
-# up as a diff against the tracked transcripts. About 400 s of wall time
-# on one core of a 2-vCPU Xeon VM, since the simulator runs the runtime's
-# own search (300 s before): one engine per platform computes each sweep
-# cell once for all 18 entries. The last line of figs.log, printed here,
-# is the time this run took.
-rm -rf "$out/figs"
-run_ok figs --all "$out/figs"
+echo "==> transcripts against results/"
+# Every deterministic transcript the gate reproduces, 20 files, is a pure
+# function of the source, and one diff -r holds all of them to the
+# tracked copies in results/:
+# - the paper's 18 tables and figures (the simulator's sweeps, the
+#   seeded search order and its probe counts, the asserted stencil DAG):
+#   a change to the search, the simulator, its RNG stream or how probes
+#   are counted shows up here. About 400 s of wall time on one core of a
+#   2-vCPU Xeon VM; one engine per platform computes each sweep cell once
+#   for all 18 entries. The last line of figs.log, printed here, is the
+#   time this run took.
+# - netstorm: a 3-locality taskbench storm over the simulated network
+#   fabric (duplication and reordering, then loss with deadlines):
+#   checksums against the single-runtime reference, exactly-once
+#   settlement counted, the parcel ledger conserved.
+# - fleetstorm: a multi-tenant storm routed through the gateway across
+#   three workers while the harness kills, drains and partitions them:
+#   exactly-once completion accounting per batch.
+# Each storm already runs twice in-process and exits 1 if the two
+# reports differ; the diff also pins them across processes and commits.
+rm -rf "$out/results"
+run_ok figs --all "$out/results"
 tail -n 1 "$out/figs.log"
-diff -r "$out/figs" results
-
-echo "==> netstorm replay determinism"
-# A 3-locality taskbench storm over the simulated network fabric
-# (drop/dup/reorder, a partition/heal cycle, a kill under partition):
-# exactly-once settlement counted and the parcel ledger conserved.
-replay_twice netstorm --quick
-
-echo "==> fleetstorm replay determinism"
-# A multi-tenant storm routed through the gateway across three workers
-# while the harness kills, drains and partitions them: exactly-once
-# completion accounting per batch, plus six targeted failover stages.
-replay_twice fleetstorm --quick
-
-echo "==> autotune convergence replay determinism"
-# Three tenants starting at pathological grains converge under the
-# deterministic cost-model storm (<= 8 jobs, t_o within 10% of the
-# grid-searched optimum). Every number is modeled, so the diff also
-# proves no wall-clock measurement leaks into a controller decision.
-replay_twice autotune --quick
+run_ok netstorm --quick
+run_ok fleetstorm --quick
+cp "$out/netstorm.txt" "$out/fleetstorm.txt" "$out/results/"
+diff -r "$out/results" results
 
 echo "==> unwrap lint on every crate"
 # No unwrap() outside tests, where a poisoned lock or a bad Option would

@@ -7,11 +7,10 @@
 //! the proptest versions did. On failure the offending configuration is
 //! part of the panic message.
 
-use grain::counters::{CounterPath, SampleStats};
+use grain::counters::{CounterPath, Pcg32, SampleStats};
 use grain::metrics::equations;
 use grain::metrics::{simulate, SimConfig};
 use grain::runtime::Runtime;
-use grain::sim::rng::Pcg32;
 use grain::sim::SimWorkload;
 use grain::stencil::{run_futurized, run_sequential, stencil_workload, total_heat, StencilParams};
 use grain::topology::presets;
@@ -356,7 +355,6 @@ fn storms_conserve_job_accounting_and_restore_the_budget() {
             admission: AdmissionConfig {
                 max_in_flight_tasks: 8,
                 max_queued_jobs: 16,
-                ..AdmissionConfig::default()
             },
             poll_interval: Duration::from_micros(200),
             ..ServiceConfig::with_workers(2)
