@@ -31,6 +31,7 @@ use grain_runtime::task::{Priority, StagedTask, Task, TaskId};
 use grain_runtime::{Runtime, RuntimeConfig, SchedulerKind};
 use grain_sim::SimWorkload;
 use grain_stencil::{run_futurized, run_sequential, stencil_workload, StencilParams};
+use grain_taskbench::{GraphKind, GraphSpec, TaskGraph};
 use grain_topology::{host, presets, NumaTopology};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -827,31 +828,45 @@ fn ablation_schedulers(_: &Engines, out: &mut dyn Write) -> io::Result<()> {
 
 /// Micro workloads — the paper notes (§I-C) that its stencil results
 /// were corroborated by micro benchmarks: the same overhead-vs-granularity
-/// U-curve on fork-join and layered-random DAGs on the simulator, varying
-/// leaf task size at constant total work. The native `parallel_for`
-/// grain sweep is `native`'s "Micro 1".
+/// U-curve on two Task Bench families, tree reduce-broadcast and random
+/// DAGs, on the simulator, varying task size at constant total work or
+/// task count. The native `parallel_for` grain sweep is `native`'s
+/// "Micro 1".
 fn micro_grain(_: &Engines, out: &mut dyn Write) -> io::Result<()> {
     let hw = presets::haswell();
 
-    let headers = ["depth", "leaves", "leaf points", "exec(s)", "idle-rate"];
+    let headers = [
+        "depth",
+        "leaves",
+        "tasks",
+        "points/task",
+        "exec(s)",
+        "idle-rate",
+    ];
     let mut rows = Vec::new();
     let total_points: u64 = 1 << 26;
     for depth in [6u32, 10, 14, 18] {
-        let leaves = 1u64 << depth;
-        let wl = SimWorkload::fork_join(depth, total_points / leaves);
-        let r = simulate(&hw, 16, &wl, &SimConfig::default());
+        let kind = GraphKind::TreeReduce {
+            leaves: 1 << depth,
+            fanout: 2,
+        };
+        let len = GraphSpec::shape(kind, 0).build().len();
+        let points = total_points / len as u64;
+        let graph = GraphSpec::shape(kind, 0).grain(points).build();
+        let r = simulate(&hw, 16, &lower(&graph), &SimConfig::default());
         rows.push(vec![
             depth.to_string(),
-            table::fmt::count(leaves as f64),
-            table::fmt::count((total_points / leaves) as f64),
+            table::fmt::count(f64::from(1u32 << depth)),
+            table::fmt::count(len as f64),
+            table::fmt::count(points as f64),
             table::fmt::s(r.wall_seconds()),
             table::fmt::pct(r.idle_rate()),
         ]);
     }
-    let title = "Micro 2: simulated fork-join, constant total work — Haswell 16 cores";
+    let title = "Micro 2: simulated tree reduce-broadcast, constant total work — Haswell 16 cores";
     writeln!(out, "{}", table::render(title, &headers, &rows))?;
 
-    // Layered random DAG (irregular parallelism).
+    // Random DAG (irregular parallelism).
     let headers = [
         "width",
         "layers",
@@ -866,8 +881,13 @@ fn micro_grain(_: &Engines, out: &mut dyn Write) -> io::Result<()> {
         (64, 512, 16_000),
         (8, 4096, 128_000),
     ] {
-        let wl = SimWorkload::layered_random(layers, width, points, 7);
-        let r = simulate(&hw, 16, &wl, &SimConfig::default());
+        let kind = GraphKind::RandomDag {
+            width,
+            steps: layers - 1,
+            max_deps: 3,
+        };
+        let graph = GraphSpec::shape(kind, 7).grain(points).build();
+        let r = simulate(&hw, 16, &lower(&graph), &SimConfig::default());
         rows.push(vec![
             width.to_string(),
             layers.to_string(),
@@ -877,7 +897,7 @@ fn micro_grain(_: &Engines, out: &mut dyn Write) -> io::Result<()> {
             table::fmt::count(r.stolen as f64),
         ]);
     }
-    let title = "Micro 3: layered random DAGs, constant total work — Haswell 16 cores";
+    let title = "Micro 3: simulated random DAGs, constant task count — Haswell 16 cores";
     out.write_all(table::render(title, &headers, &rows).as_bytes())?;
     writeln!(
         out,
@@ -885,6 +905,17 @@ fn micro_grain(_: &Engines, out: &mut dyn Write) -> io::Result<()> {
          share and idle-rate fall as task size grows, then starvation appears when\n\
          parallel slack runs out."
     )
+}
+
+/// Node `i` of `graph` as simulator task `i`: its iterations as points,
+/// its predecessors as dependencies.
+fn lower(graph: &TaskGraph) -> SimWorkload {
+    let mut wl = SimWorkload::new();
+    for i in 0..graph.len() as u32 {
+        let deps = graph.preds(i).iter().map(|e| e.src).collect();
+        wl.push(graph.spec.node_iters(i), deps);
+    }
+    wl
 }
 
 /// The methodology on the *real* runtime on this host, timed: the
