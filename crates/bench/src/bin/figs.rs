@@ -29,9 +29,8 @@ use grain_runtime::algorithms::parallel_for;
 use grain_runtime::scheduler::{Scheduler, SearchState};
 use grain_runtime::task::{Priority, StagedTask, Task, TaskId};
 use grain_runtime::{Runtime, RuntimeConfig, SchedulerKind};
-use grain_sim::SimWorkload;
 use grain_stencil::{run_futurized, run_sequential, stencil_workload, StencilParams};
-use grain_taskbench::{GraphKind, GraphSpec, TaskGraph};
+use grain_taskbench::{GraphKind, GraphSpec};
 use grain_topology::{host, presets, NumaTopology};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -850,10 +849,11 @@ fn micro_grain(_: &Engines, out: &mut dyn Write) -> io::Result<()> {
             leaves: 1 << depth,
             fanout: 2,
         };
-        let len = GraphSpec::shape(kind, 0).build().len();
+        let shape = GraphSpec::shape(kind, 0);
+        let len = shape.build().len();
         let points = total_points / len as u64;
-        let graph = GraphSpec::shape(kind, 0).grain(points).build();
-        let r = simulate(&hw, 16, &lower(&graph), &SimConfig::default());
+        let graph = shape.grain(points).build();
+        let r = simulate(&hw, 16, &graph.sim_workload(), &SimConfig::default());
         rows.push(vec![
             depth.to_string(),
             table::fmt::count(f64::from(1u32 << depth)),
@@ -887,7 +887,7 @@ fn micro_grain(_: &Engines, out: &mut dyn Write) -> io::Result<()> {
             max_deps: 3,
         };
         let graph = GraphSpec::shape(kind, 7).grain(points).build();
-        let r = simulate(&hw, 16, &lower(&graph), &SimConfig::default());
+        let r = simulate(&hw, 16, &graph.sim_workload(), &SimConfig::default());
         rows.push(vec![
             width.to_string(),
             layers.to_string(),
@@ -905,17 +905,6 @@ fn micro_grain(_: &Engines, out: &mut dyn Write) -> io::Result<()> {
          share and idle-rate fall as task size grows, then starvation appears when\n\
          parallel slack runs out."
     )
-}
-
-/// Node `i` of `graph` as simulator task `i`: its iterations as points,
-/// its predecessors as dependencies.
-fn lower(graph: &TaskGraph) -> SimWorkload {
-    let mut wl = SimWorkload::new();
-    for i in 0..graph.len() as u32 {
-        let deps = graph.preds(i).iter().map(|e| e.src).collect();
-        wl.push(graph.spec.node_iters(i), deps);
-    }
-    wl
 }
 
 /// The methodology on the *real* runtime on this host, timed: the

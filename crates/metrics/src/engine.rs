@@ -372,52 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn single_task_time_matches_model() {
-        let p = presets::haswell();
-        let wl = SimWorkload::independent(1, 100_000);
-        let r = simulate(&p, 1, &wl, &cfg());
-        assert_eq!(r.tasks, 1);
-        let kernel = p.perf.task_fixed_ns + 100_000.0 * p.perf.per_point_ns(1, 1, false);
-        // Wall = kernel (± jitter) + scheduling costs.
-        assert!(
-            r.wall_ns > kernel * 0.8 && r.wall_ns < kernel * 1.3,
-            "wall {}",
-            r.wall_ns
-        );
-        assert!(r.sum_func_ns >= r.sum_exec_ns);
-    }
-
-    #[test]
-    fn all_tasks_complete_and_counters_are_consistent() {
-        let wl = SimWorkload::independent(500, 5_000);
-        let r = simulate(&presets::haswell(), 8, &wl, &cfg());
-        assert_eq!(r.tasks, 500);
-        assert_eq!(r.converted, 500);
-        assert_eq!(r.tasks_per_worker.iter().sum::<u64>(), 500);
-        assert!(r.sum_func_ns >= r.sum_exec_ns);
-        assert!(r.pending_accesses >= r.pending_misses);
-        assert!(r.staged_accesses >= r.staged_misses);
-        assert!((0.0..=1.0).contains(&r.idle_rate()));
-    }
-
-    #[test]
-    fn a_one_worker_chain_probes_three_queues_per_task() {
-        // Per task: own pending misses, own staged hits and converts, own
-        // pending hits. A high-priority queue would add two probes, and
-        // each counted probe is one that `search` prices.
-        let n = 40;
-        let r = simulate(
-            &presets::haswell(),
-            1,
-            &SimWorkload::chain(n, 1_000),
-            &cfg(),
-        );
-        let n = n as u64;
-        assert_eq!((r.pending_accesses, r.pending_misses), (2 * n, n));
-        assert_eq!((r.staged_accesses, r.staged_misses), (n, 0));
-    }
-
-    #[test]
     fn a_remote_staged_steal_first_probes_the_same_domain_pending_queues() {
         // Four workers in two domains, {0, 1} and {2, 3}. A root on worker
         // 0 releases four leaves into worker 0's staged queue; worker 1
@@ -444,82 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_shrinks_wall_clock() {
-        let wl = SimWorkload::independent(256, 50_000);
-        let one = simulate(&presets::haswell(), 1, &wl, &cfg());
-        let eight = simulate(&presets::haswell(), 8, &wl, &cfg());
-        assert!(
-            eight.wall_ns < one.wall_ns / 2.0,
-            "8 workers {} vs 1 worker {}",
-            eight.wall_ns,
-            one.wall_ns
-        );
-    }
-
-    #[test]
-    fn chain_is_serialized_regardless_of_workers() {
-        let wl = SimWorkload::chain(50, 50_000);
-        let one = simulate(&presets::haswell(), 1, &wl, &cfg());
-        let many = simulate(&presets::haswell(), 8, &wl, &cfg());
-        // A dependency chain cannot parallelize; the multi-worker run pays
-        // the same serial latency, modulated only by the first-touch
-        // striping boost (a lone stream on a parallel run reads at
-        // `stripe_factor` × the single-core bandwidth) and steal costs.
-        let stripe = presets::haswell().perf.stripe_factor;
-        assert!(many.wall_ns > one.wall_ns / (stripe * 1.2));
-        assert!(many.wall_ns < one.wall_ns * 1.5);
-        assert_eq!(many.tasks, 50);
-    }
-
-    #[test]
-    fn starving_workers_accrue_idle_rate() {
-        // One long chain on many workers: most workers starve, so Σt_func
-        // must be much larger than Σt_exec (the coarse-grain right edge of
-        // Figs. 4 and 5).
-        let wl = SimWorkload::chain(20, 1_000_000);
-        let r = simulate(&presets::haswell(), 16, &wl, &cfg());
-        assert!(
-            r.idle_rate() > 0.5,
-            "idle-rate {} too low for a starving run",
-            r.idle_rate()
-        );
-        // And the starving sweeps must show up in the queue counters.
-        assert!(r.pending_misses > r.tasks * 16);
-    }
-
-    #[test]
-    fn fine_grain_has_higher_overhead_share_than_medium_grain() {
-        // Same total points, different granularity, 8 workers.
-        let fine = SimWorkload::independent(10_000, 100);
-        let medium = SimWorkload::independent(100, 10_000);
-        let rf = simulate(&presets::haswell(), 8, &fine, &cfg());
-        let rm = simulate(&presets::haswell(), 8, &medium, &cfg());
-        assert!(
-            rf.task_overhead_ns() / rf.task_duration_ns()
-                > rm.task_overhead_ns() / rm.task_duration_ns(),
-            "fine grain must have a worse overhead ratio"
-        );
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let wl = SimWorkload::independent(200, 2_000);
-        let a = simulate(&presets::xeon_phi(), 16, &wl, &cfg());
-        let b = simulate(&presets::xeon_phi(), 16, &wl, &cfg());
-        assert_eq!(a, b);
-        let c = simulate(&presets::xeon_phi(), 16, &wl, &SimConfig { seed: 99 });
-        assert_ne!(a.wall_ns, c.wall_ns, "different seed, different jitter");
-    }
-
-    #[test]
-    fn work_spreads_across_workers() {
-        let wl = SimWorkload::independent(1_000, 10_000);
-        let r = simulate(&presets::haswell(), 8, &wl, &cfg());
-        let active = r.tasks_per_worker.iter().filter(|&&t| t > 0).count();
-        assert!(active >= 7, "distribution {:?}", r.tasks_per_worker);
-    }
-
-    #[test]
     fn diamond_dependencies_resolve() {
         // a → (b, c) → d
         let mut wl = SimWorkload::new();
@@ -529,21 +407,6 @@ mod tests {
         let _d = wl.push(1_000, vec![b, c]);
         let r = simulate(&presets::sandy_bridge(), 4, &wl, &cfg());
         assert_eq!(r.tasks, 4);
-    }
-
-    #[test]
-    fn wavefront_parallelism_is_diagonal_bounded() {
-        // A 1×N wavefront is a chain; an N×N one exposes up to N-way
-        // parallelism in the middle.
-        let chain = SimWorkload::wavefront(1, 64, 50_000);
-        let square = SimWorkload::wavefront(8, 8, 50_000);
-        let p = presets::haswell();
-        let t_chain = simulate(&p, 8, &chain, &cfg()).wall_ns;
-        let t_square = simulate(&p, 8, &square, &cfg()).wall_ns;
-        assert!(
-            t_square < t_chain * 0.6,
-            "square wavefront must parallelize: {t_square} vs chain {t_chain}"
-        );
     }
 
     #[test]

@@ -28,7 +28,10 @@
 //! use grain_topology::presets;
 //!
 //! // 64 independent tasks of 10_000 points each on a Haswell node.
-//! let wl = SimWorkload::independent(64, 10_000);
+//! let mut wl = SimWorkload::new();
+//! for _ in 0..64 {
+//!     wl.push(10_000, Vec::new());
+//! }
 //! let report = simulate(&presets::haswell(), 8, &wl, &SimConfig::default());
 //! assert_eq!(report.tasks, 64);
 //! assert!(report.wall_ns > 0.0);

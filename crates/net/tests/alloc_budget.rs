@@ -4,7 +4,7 @@
 //! process, under a counting global allocator.
 //!
 //! This is what `perf`'s `net.allocs_per_parcel` measures. The budget is
-//! today's count; ROADMAP item 1(b) ratchets it down to 4. Deleting the
+//! today's count; ROADMAP item 4(d) ratchets it down to 4. Deleting the
 //! per-link buffer pool did not raise it — loopback hands every frame
 //! buffer to the peer, so that pool was never refilled.
 

@@ -14,9 +14,10 @@
 //!   parts and the ring/GDDR limiter on the Phi), first-touch striping
 //!   (the negative-wait-time mechanism at very coarse grain),
 //!   cache-residency floors and log-normal jitter;
-//! * [`SimWorkload`] — task DAGs: independent, chain, fork-join,
-//!   layered-random and 2-D wavefront (the stencil's comes from
-//!   `grain-stencil`);
+//! * [`SimWorkload`] — the engine's input, a task DAG with per-task
+//!   points. Its shapes come from `grain-taskbench` (`TaskGraph`'s five
+//!   families, lowered by `TaskGraph::sim_workload`) and from
+//!   `grain-stencil` (the paper's ring);
 //! * [`SimReport`] — one run's summary of the counter surface the native
 //!   runtime emits ([`grain_counters::ThreadCounters`]), so the metric
 //!   layer treats both engines identically.

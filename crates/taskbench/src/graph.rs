@@ -24,6 +24,7 @@
 
 use crate::work;
 use grain_counters::rng::{fnv1a, splitmix64, Pcg32, FNV1A_OFFSET};
+use grain_sim::SimWorkload;
 
 /// The graph family and its shape parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,7 +257,8 @@ pub struct Edge {
 }
 
 /// An immutable, explicitly materialized dependency graph. All three
-/// executors consume this one description.
+/// executors and the simulator ([`TaskGraph::sim_workload`]) consume
+/// this one description.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskGraph {
     /// The spec this graph was built from.
@@ -319,6 +321,19 @@ impl TaskGraph {
             .map(|n| n.step as usize + 1)
             .max()
             .unwrap_or(0)
+    }
+
+    /// The simulator's input for this graph: node `i` is task `i`, its
+    /// [`GraphSpec::node_iters`] are the task's points, and the sources of
+    /// its [`Self::preds`] are its dependencies. Ids are a topological
+    /// order, so the workload always validates.
+    pub fn sim_workload(&self) -> SimWorkload {
+        let mut wl = SimWorkload::new();
+        for i in 0..self.len() as u32 {
+            let deps = self.preds(i).iter().map(|e| e.src).collect();
+            wl.push(self.spec.node_iters(i), deps);
+        }
+        wl
     }
 
     /// FNV-1a fingerprint over the spec, nodes and edges — two graphs

@@ -17,19 +17,25 @@
 //!   workloads (stragglers, heavy tails) are first-class points on the
 //!   surface without perturbing graph structure or payload streams.
 //!
-//! One immutable [`TaskGraph`] description feeds three executors:
+//! One immutable [`TaskGraph`] description feeds three executors and the
+//! simulator:
 //!
 //! * [`exec_local`] — single runtime, via `dataflow`/futures;
 //! * [`run_service_job`] — as a [`grain_service::JobService`] job, so
 //!   storms get realistic heterogeneous tenant shapes;
 //! * [`exec_net`] — across grain-net localities, with edges that cross
 //!   a partition boundary traveling as parcels (payload bytes on the
-//!   wire).
+//!   wire);
+//! * [`TaskGraph::sim_workload`] — lowered node for node to the input of
+//!   `grain_metrics::simulate`, which runs it on a modeled Table I
+//!   machine.
 //!
 //! Every node computes a pure function of the graph description
 //! ([`work`]), so all three executors — and the sequential reference
 //! [`TaskGraph::checksum_reference`] — produce bit-identical checksums;
-//! the cross-executor equivalence test pins that down.
+//! the cross-executor equivalence test pins that down. The simulator
+//! computes no values; it completes the same tasks in the same
+//! dependency order, on virtual time.
 //!
 //! ```
 //! use grain_taskbench::{GraphKind, GraphSpec};

@@ -115,14 +115,13 @@ echo "==> every dependency edge is used"
 # A `grain-*` line in a crate manifest is an edge of the crate graph, and
 # an edge nothing uses is a coupling nobody argued for: the crate must
 # name `grain_*` in its src/ or tests/. The exceptions, one
-# `crate dependency` per line, are the four unused edges perf/Cargo.lock
+# `crate dependency` per line, are the three unused edges perf/Cargo.lock
 # records: deleting one rewrites that lock, which only a change to the
 # benchmark may do (ROADMAP item 1(g)). An edge that comes into use
 # leaves the list.
 unused_edges="adaptive grain-sim
 service grain-metrics
-service grain-topology
-taskbench grain-metrics"
+service grain-topology"
 edges=$(for m in crates/*/Cargo.toml; do
     c=$(basename "$(dirname "$m")")
     for dep in $(sed -n 's/^\(grain-[a-z]*\)\.workspace = true$/\1/p' "$m"); do
@@ -131,7 +130,7 @@ edges=$(for m in crates/*/Cargo.toml; do
     done
 done)
 [ "$edges" = "$unused_edges" ] || {
-    printf 'unused dependency edges (crate dependency), expected the four perf/Cargo.lock records:\n%s\n' "$edges" >&2
+    printf 'unused dependency edges (crate dependency), expected the three perf/Cargo.lock records:\n%s\n' "$edges" >&2
     exit 1
 }
 
@@ -190,7 +189,7 @@ echo "==> transcripts against results/"
 # - the paper's 18 tables and figures (the simulator's sweeps, the
 #   seeded search order and its probe counts, the asserted stencil DAG):
 #   a change to the search, the simulator, its RNG stream or how probes
-#   are counted shows up here. About 400 s of wall time on one core of a
+#   are counted shows up here. 367 s of wall time on one core of a
 #   2-vCPU Xeon VM; one engine per platform computes each sweep cell once
 #   for all 18 entries. The last line of figs.log, printed here, is the
 #   time this run took.

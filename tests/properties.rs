@@ -11,7 +11,6 @@ use grain::counters::{CounterPath, Pcg32, SampleStats};
 use grain::metrics::equations;
 use grain::metrics::{simulate, SimConfig};
 use grain::runtime::Runtime;
-use grain::sim::SimWorkload;
 use grain::stencil::{run_futurized, run_sequential, stencil_workload, total_heat, StencilParams};
 use grain::topology::presets;
 use grain::topology::NumaTopology;
@@ -255,10 +254,9 @@ fn more_workers_do_not_catastrophically_hurt() {
     }
 }
 
-/// Arbitrary layered DAGs execute correctly on the native runtime: each
-/// task computes `index + Σ(dep values)`; the dataflow execution must
-/// match a sequential topological evaluation, and the native and
-/// simulated engines must agree on the task count.
+/// Seeded random DAGs execute correctly on both engines: the native
+/// dataflow run reproduces the graph's sequential checksum, and the
+/// simulator completes every task of the lowered graph.
 #[test]
 fn random_dags_execute_correctly_on_both_engines() {
     let mut rng = Pcg32::seed_from_u64(0xDA6);
@@ -269,42 +267,26 @@ fn random_dags_execute_correctly_on_both_engines() {
         let workers = draw(&mut rng, 1, 4);
         let ctx =
             format!("case {case}: layers={layers} width={width} seed={seed} workers={workers}");
-        let wl = SimWorkload::layered_random(layers, width, 10, seed);
-        wl.validate().unwrap();
+        let kind = GraphKind::RandomDag {
+            width,
+            steps: layers - 1,
+            max_deps: 3,
+        };
+        let graph = GraphSpec::shape(kind, seed).grain(10).build();
 
-        // Sequential reference.
-        let mut reference = vec![0u64; wl.len()];
-        for (i, t) in wl.tasks.iter().enumerate() {
-            reference[i] = i as u64 + t.deps.iter().map(|&d| reference[d as usize]).sum::<u64>();
-        }
-
-        // Native dataflow execution of the same DAG.
         let rt = Runtime::with_workers(workers);
-        let mut futures: Vec<grain::runtime::SharedFuture<u64>> = Vec::with_capacity(wl.len());
-        for (i, t) in wl.tasks.iter().enumerate() {
-            let deps: Vec<_> = t
-                .deps
-                .iter()
-                .map(|&d| futures[d as usize].clone())
-                .collect();
-            futures.push(rt.dataflow(&deps, move |_, vals| {
-                i as u64 + vals.iter().map(|v| **v).sum::<u64>()
-            }));
-        }
-        for (i, f) in futures.iter().enumerate() {
-            assert_eq!(*f.get(), reference[i], "{ctx}: task {i}");
-        }
+        let sum = run_local(&rt, &graph).expect("run settles");
+        assert_eq!(sum, graph.checksum_reference(), "{ctx}");
         rt.wait_idle();
-        assert_eq!(rt.counters().tasks.sum() as usize, wl.len(), "{ctx}");
+        assert_eq!(rt.counters().tasks.sum() as usize, graph.len(), "{ctx}");
 
-        // Simulated execution of the same DAG completes the same tasks.
         let report = simulate(
             &presets::haswell(),
             workers.min(presets::haswell().usable_cores),
-            &wl,
+            &graph.sim_workload(),
             &SimConfig::default(),
         );
-        assert_eq!(report.tasks as usize, wl.len(), "{ctx}");
+        assert_eq!(report.tasks as usize, graph.len(), "{ctx}");
     }
 }
 
@@ -700,7 +682,7 @@ fn codec_spliced_frames_rejected() {
 // Taskbench graph-generator properties (grain-taskbench)
 // ---------------------------------------------------------------------
 
-use grain::taskbench::{GraphKind, GraphSpec};
+use grain::taskbench::{run_local, GraphKind, GraphSpec};
 
 /// Draw a random graph spec covering every family with bounded shapes.
 fn draw_spec(rng: &mut Pcg32) -> GraphSpec {
