@@ -23,8 +23,8 @@ use std::sync::Arc;
 pub type ShapedBody = Box<dyn FnMut(&mut TaskContext<'_>) + Send>;
 
 /// A chunkable description of one job's work. All variants measure
-/// work in **busy-work iterations** (the controller's unit; see
-/// [`grain_taskbench::Calibration`] to express a grain as a duration).
+/// work in **busy-work iterations** (the controller's unit; CPU time is
+/// linear in it, see [`grain_taskbench::work::busy_work`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShapedWork {
     /// `elements` independent elements of `iters_per_element` each —

@@ -34,8 +34,6 @@ use std::time::{Duration, Instant};
 /// Breaker settings, the same for every key of one [`Breakers`] map.
 #[derive(Debug, Clone)]
 pub struct BreakerConfig {
-    /// Master switch; `false` admits everything and records nothing.
-    pub enabled: bool,
     /// Rolling outcome window per key (newest `window` outcomes).
     pub window: usize,
     /// Minimum outcomes in the window before the breaker may trip.
@@ -55,7 +53,6 @@ impl Default for BreakerConfig {
     /// cut off, and `min_samples` decides how soon the ratio is trusted.
     fn default() -> Self {
         Self {
-            enabled: true,
             window: 32,
             min_samples: 8,
             failure_ratio: 0.5,
@@ -71,7 +68,6 @@ impl BreakerConfig {
     pub fn consecutive(k: usize, open_for: Duration) -> Self {
         let k = k.max(1);
         Self {
-            enabled: true,
             window: k,
             min_samples: k,
             failure_ratio: 1.0,
@@ -264,9 +260,6 @@ where
 
     /// Gate one call for `key`.
     pub fn decide(&self, key: &Q, now: Instant) -> BreakerDecision {
-        if !self.cfg.enabled {
-            return BreakerDecision::Admit { probe: false };
-        }
         self.with(key, now, |b| b.decide(&self.cfg, now))
     }
 
@@ -276,9 +269,7 @@ where
     /// `Open` for an answer that shows the key's health now — a success
     /// then closes an Open breaker too, and a failure restarts its cooldown.
     pub fn record(&self, key: &Q, failure: bool, reach: BreakerState, now: Instant) {
-        if self.cfg.enabled {
-            self.with(key, now, |b| b.record(&self.cfg, failure, reach, now));
-        }
+        self.with(key, now, |b| b.record(&self.cfg, failure, reach, now));
     }
 
     /// Hand back the probe slot [`decide`](Self::decide) gave a call at
@@ -296,7 +287,7 @@ where
     /// so scanning candidates never takes a probe slot.
     pub fn would_allow(&self, key: &Q, now: Instant) -> bool {
         let admits = |b: &Breaker| b.wait(&self.cfg, now).is_zero();
-        !self.cfg.enabled || self.map.lock().get(key).is_none_or(admits)
+        self.map.lock().get(key).is_none_or(admits)
     }
 
     /// May a failed attempt for `key` be retried? `false` only while the
@@ -305,11 +296,11 @@ where
     pub fn retry_allowed(&self, key: &Q, now: Instant) -> bool {
         let cooled =
             |b: &Breaker| b.state != BreakerState::Open || b.wait(&self.cfg, now).is_zero();
-        !self.cfg.enabled || self.map.lock().get(key).is_none_or(cooled)
+        self.map.lock().get(key).is_none_or(cooled)
     }
 
     /// The state of `key`'s breaker (`None` before its first call or
-    /// outcome — and always, with breakers disabled).
+    /// outcome).
     pub fn state_of(&self, key: &Q) -> Option<BreakerState> {
         self.map.lock().get(key).map(|b| b.state)
     }
@@ -496,21 +487,6 @@ mod tests {
                 .as_count(),
             1
         );
-    }
-
-    #[test]
-    fn disabled_breakers_admit_everything() {
-        let disabled = BreakerConfig {
-            enabled: false,
-            ..cfg()
-        };
-        let s: Breakers<String, str> = Breakers::new(disabled, None);
-        let t0 = Instant::now();
-        for _ in 0..32 {
-            s.record("a", true, STRAGGLER, t0);
-        }
-        assert_eq!(s.decide("a", t0), BreakerDecision::Admit { probe: false });
-        assert_eq!(s.state_of("a"), None, "disabled set records nothing");
     }
 
     #[test]

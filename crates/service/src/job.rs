@@ -81,7 +81,7 @@ pub enum JobState {
     Completed,
     /// Cancelled by [`JobHandle::cancel`]; queued members were skipped.
     Cancelled,
-    /// The deadline expired before the job finished.
+    /// The deadline expired after admission, before the job finished.
     TimedOut,
     /// A task of the job faulted (panicked or inherited a dependency
     /// fault) and the job's [`FailurePolicy`] did not (or could no
@@ -201,8 +201,10 @@ pub struct JobSpec {
     pub tenant: String,
     /// Scheduling class.
     pub priority: JobPriority,
-    /// Wall-clock budget measured from submission; on expiry the job is
-    /// cancelled and finishes as [`JobState::TimedOut`].
+    /// Wall-clock budget measured from submission. An admitted job that
+    /// outlives it is cancelled and finishes as [`JobState::TimedOut`]; a
+    /// queued one that can no longer meet it is shed as
+    /// [`JobState::Rejected`].
     pub deadline: Option<Duration>,
     /// The client's estimate of how many tasks the job will run,
     /// used by admission control as the job's budget cost (clamped to a

@@ -23,8 +23,8 @@
 //!   count (backpressure: excess submissions come back `Rejected`) and
 //!   the total in-flight task budget, and drains tenant queues in
 //!   fair-share (stride) order.
-//! * **Overload resilience**: a pressure control loop
-//!   ([`PressureConfig`]) folds the runtime's overhead fraction and the
+//! * **Overload resilience**, always on: a pressure control loop
+//!   ([`pressure`]) folds the runtime's overhead fraction and the
 //!   queue fill into a smoothed [`PressureSignal`], adaptively shrinks
 //!   the in-flight budget (AIMD) under sustained overhead, and sheds
 //!   queued jobs that can no longer meet their deadlines
@@ -74,7 +74,7 @@ pub use counters::{JobCounters, ServiceCounters};
 pub use job::{
     FailurePolicy, JobHandle, JobId, JobOutcome, JobPriority, JobShape, JobSpec, JobState,
 };
-pub use pressure::{PressureConfig, PressureLevel, PressureSignal};
+pub use pressure::{PressureLevel, PressureSignal};
 pub use service::{JobService, PolicyHook, ServiceConfig};
 
 // Re-export the layers underneath so service users need one dependency.

@@ -5,8 +5,8 @@
 //! climbs, Eq. 1), too coarse and cores starve. PR 0–2 built the
 //! *measurement* surface for that regime; this module closes the loop and
 //! *acts* on it. At the first job settle or dispatcher tick at least
-//! [`SAMPLE_EVERY`] after the last sample, the [`PressureController`]
-//! samples:
+//! [`SAMPLE_EVERY`] after the last sample, outside an admission drain,
+//! the [`PressureController`] samples:
 //!
 //! * the **windowed overhead fraction** — the delta form of the paper's
 //!   idle-rate, `(Δt_func − Δt_exec) / Δt_func` over the last sample
@@ -40,13 +40,10 @@
 //!    interval), bounding queue delay for deadline-less jobs the slack
 //!    rule cannot reach.
 //!
-//! The loop has one setting, [`PressureConfig::enabled`]: with `false`
-//! the service behaves exactly as before this module existed (queued
-//! jobs whose deadline expires finish as `TimedOut`, the budget is
-//! static) — the baseline `soak` compares against.
-//! Its thresholds, gains and periods are the constants below, each at
-//! the one value every run has used; a second value is a decision to
-//! argue with its two callers (`scripts/verify.sh`, options allow-list).
+//! The loop always runs and has no settings: its thresholds, gains and
+//! periods are the constants below, each at the one value every run has
+//! used; a second value is a decision to argue with its two callers
+//! (`scripts/verify.sh`, options allow-list).
 
 use crate::job::{JobCore, JobState};
 use grain_counters::derived::DerivedCounter;
@@ -93,21 +90,6 @@ const SHED_TARGET: Duration = Duration::from_millis(25);
 /// CoDel interval: how long the oldest sojourn must stay above the
 /// target before one job is dropped (and the period between drops).
 const SHED_INTERVAL: Duration = Duration::from_millis(100);
-
-/// Pressure-controller configuration: on or off. The loop's constants
-/// are in this module, with their reasons.
-#[derive(Debug, Clone)]
-pub struct PressureConfig {
-    /// Master switch. `false` restores the pre-pressure behavior: static
-    /// budget, no shedding, queued deadline expiry → `TimedOut`.
-    pub enabled: bool,
-}
-
-impl Default for PressureConfig {
-    fn default() -> Self {
-        Self { enabled: true }
-    }
-}
 
 /// Coarse overload classification, exported as the
 /// `/service/pressure/level` gauge (0/1/2).
@@ -164,7 +146,6 @@ struct SampleBook {
 /// The controller: shared atomics for the gauge surface, a small mutex
 /// for the sampling state. See the [module docs](self).
 pub(crate) struct PressureController {
-    cfg: PressureConfig,
     /// Configured maximum (the admission config's `max_in_flight_tasks`).
     max_budget: u64,
     /// Current adaptive budget.
@@ -181,11 +162,10 @@ pub(crate) struct PressureController {
 }
 
 impl PressureController {
-    pub(crate) fn new(cfg: PressureConfig, max_budget: u64) -> Self {
+    pub(crate) fn new(max_budget: u64) -> Self {
         let max_budget = max_budget.max(1);
         let now = Instant::now();
         Self {
-            cfg,
             max_budget,
             budget: AtomicU64::new(max_budget),
             overhead_milli: AtomicU64::new(0),
@@ -203,17 +183,9 @@ impl PressureController {
         }
     }
 
-    pub(crate) fn enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
     /// The in-flight budget admission must respect right now.
     pub(crate) fn budget_limit(&self) -> u64 {
-        if self.cfg.enabled {
-            self.budget.load(Ordering::SeqCst)
-        } else {
-            self.max_budget
-        }
+        self.budget.load(Ordering::SeqCst)
     }
 
     pub(crate) fn level(&self) -> PressureLevel {
@@ -238,9 +210,6 @@ impl PressureController {
     /// Feed one admitted-to-finished service time into the slack
     /// estimator (called at settle for admitted jobs).
     pub(crate) fn observe_service_time(&self, d: Duration) {
-        if !self.cfg.enabled {
-            return;
-        }
         let obs = d.as_nanos().min(u128::from(u64::MAX)) as u64;
         let prev = self.est_service_ns.load(Ordering::SeqCst);
         let next = if prev == 0 {
@@ -266,9 +235,6 @@ impl PressureController {
         queue_len: usize,
         queue_cap: usize,
     ) {
-        if !self.cfg.enabled {
-            return;
-        }
         let mut book = self.book.lock();
         if book.primed && now.saturating_duration_since(book.last_at) < SAMPLE_EVERY {
             return;
@@ -340,9 +306,6 @@ impl PressureController {
         now: Instant,
         queued: impl Iterator<Item = &'a Arc<JobCore>>,
     ) -> Vec<Arc<JobCore>> {
-        if !self.cfg.enabled {
-            return Vec::new();
-        }
         let est = self.est_service();
         let mut sheds = Vec::new();
         let mut oldest: Option<(&'a Arc<JobCore>, Duration)> = None;
@@ -425,7 +388,7 @@ mod tests {
     use grain_runtime::TaskGroup;
 
     fn controller(max: u64) -> PressureController {
-        PressureController::new(PressureConfig::default(), max)
+        PressureController::new(max)
     }
 
     fn queued_core(id: u64, deadline: Option<Duration>) -> Arc<JobCore> {
@@ -547,18 +510,5 @@ mod tests {
         let late = t + SHED_INTERVAL + Duration::from_millis(1);
         let dropped = c.select_sheds(late, [&old].into_iter());
         assert_eq!(dropped.len(), 1);
-    }
-
-    #[test]
-    fn disabled_controller_is_inert() {
-        let c = PressureController::new(PressureConfig { enabled: false }, 100);
-        let t0 = Instant::now();
-        for i in 0..30u64 {
-            c.sample(t0 + Duration::from_millis(i), || (i * 1_000_000, 0), 10, 10);
-        }
-        assert_eq!(c.budget_limit(), 100);
-        let doomed = queued_core(1, Some(Duration::from_millis(1)));
-        let now = Instant::now() + Duration::from_secs(1);
-        assert!(c.select_sheds(now, [&doomed].into_iter()).is_empty());
     }
 }

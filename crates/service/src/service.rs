@@ -9,11 +9,11 @@
 //! thread that settles a job (usually a worker, in the group's
 //! quiescence hook), right after it releases the job's budget. So a job
 //! reaches the runtime with no thread hop. The dispatcher keeps only what
-//! a clock has to trigger: running and queued deadlines, retry backoff
-//! gates, and shedding while jobs are queued; while none of those
-//! exists it sleeps with no timeout. Nothing in the serving layer
-//! touches the runtime's hot dispatch path — jobs meter themselves
-//! through their groups.
+//! a clock has to trigger: running deadlines, retry backoff gates, and
+//! shedding while jobs are queued (a queued job past its deadline is
+//! shed); while none of those exists it sleeps with no timeout. Nothing
+//! in the serving layer touches the runtime's hot dispatch path — jobs
+//! meter themselves through their groups.
 //!
 //! Failure handling rides on the runtime's panic isolation: a faulted
 //! task never kills a worker, it marks the job's group, and the job's
@@ -25,7 +25,7 @@ use crate::admission::{AdmissionError, FairQueues};
 use crate::breaker::{BreakerConfig, BreakerDecision, BreakerState, Breakers};
 use crate::counters::{JobCounters, ServiceCounters};
 use crate::job::{FailurePolicy, JobCore, JobHandle, JobId, JobOutcome, JobSpec, JobState};
-use crate::pressure::{PressureConfig, PressureController, PressureSignal};
+use crate::pressure::{PressureController, PressureSignal};
 use grain_counters::sync::{Condvar, Mutex, MutexGuard};
 use grain_counters::Registry;
 use grain_runtime::{Runtime, RuntimeConfig, TaskContext};
@@ -77,8 +77,6 @@ pub struct ServiceConfig {
     pub runtime: RuntimeConfig,
     /// Admission control parameters.
     pub admission: AdmissionConfig,
-    /// Overload-pressure control loop (adaptive budget + shedding).
-    pub pressure: PressureConfig,
     /// Per-tenant circuit breakers.
     pub breaker: BreakerConfig,
     /// Dispatcher tick: the upper bound on how late a deadline, an
@@ -97,7 +95,6 @@ impl Default for ServiceConfig {
         Self {
             runtime: RuntimeConfig::default(),
             admission: AdmissionConfig::default(),
-            pressure: PressureConfig::default(),
             breaker: BreakerConfig::default(),
             poll_interval: Duration::from_micros(500),
             policy: None,
@@ -177,7 +174,6 @@ impl JobService {
             dispatcher_asleep: false,
         });
         let pressure = Arc::new(PressureController::new(
-            config.pressure.clone(),
             config.admission.max_in_flight_tasks,
         ));
         pressure
@@ -349,7 +345,7 @@ impl JobService {
     }
 
     /// The state of `tenant`'s circuit breaker, or `None` before its
-    /// first submission (or with breakers disabled).
+    /// first submission.
     pub fn breaker_state(&self, tenant: &str) -> Option<BreakerState> {
         self.shared.breakers.state_of(tenant)
     }
@@ -555,7 +551,7 @@ fn backoff_delay(base: Duration, cap: Duration, attempt: u64) -> Duration {
 /// Shed one queued job picked by the pressure controller: terminal
 /// `Rejected` with [`AdmissionError::Shed`], metered on the `shed`
 /// counter (not `rejected` — the two are disjoint so the conservation
-/// invariant `admitted + rejected + shed + … = submitted` stays exact).
+/// invariant `admitted + rejected + shed == submitted` stays exact).
 fn shed_job(shared: &Shared, core: &Arc<JobCore>, now: Instant) {
     *core.rejection.lock() = Some(AdmissionError::Shed {
         queued_for: now.saturating_duration_since(core.submitted_at),
@@ -611,7 +607,7 @@ fn admit_queued<'a>(
         }
     }
     queues.draining = false;
-    if queues.dispatcher_asleep && (deadline_admitted || queued_timer(shared, &queues)) {
+    if queues.dispatcher_asleep && (deadline_admitted || queues.fair.len() > 0) {
         // The dispatcher checked for timers under this lock before it
         // slept, so this notify cannot come before its wait.
         queues.dispatcher_asleep = false;
@@ -629,9 +625,9 @@ fn pop_admissible(shared: &Shared, queues: &mut Queues) -> Option<Arc<JobCore>> 
     if queues.fair.len() == 0 || shared.shutdown.load(Ordering::SeqCst) {
         return None;
     }
-    // The adaptive limit: the configured maximum when the pressure loop
-    // is disabled or calm, shrunk under load. Releases only lower
-    // `in_use` meanwhile, and the releaser then asks for a rescan.
+    // The adaptive limit: the configured maximum while the pressure loop
+    // is calm, shrunk under load. Releases only lower `in_use`
+    // meanwhile, and the releaser then asks for a rescan.
     let max = shared.pressure.budget_limit();
     let in_use = shared.budget_in_use.load(Ordering::SeqCst);
     let mut now = None;
@@ -717,7 +713,15 @@ fn admit(shared: &Arc<Shared>, core: Arc<JobCore>) {
 /// takes too). A sample is due at the first settle or dispatcher tick at
 /// least `SAMPLE_EVERY` after the last; the runtime's thread times are
 /// summed only then.
+///
+/// No sample is taken while a drain runs: the queue then holds jobs the
+/// drain is about to admit, not jobs the budget holds back, and the loop
+/// would cut a budget that binds nothing. The window's thread times are
+/// cumulative, so the next sample still covers the drain.
 fn sample_pressure(shared: &Shared, queues: &Queues, now: Instant) {
+    if queues.draining {
+        return;
+    }
     let rc = shared.runtime.counters();
     shared.pressure.sample(
         now,
@@ -727,22 +731,10 @@ fn sample_pressure(shared: &Shared, queues: &Queues, now: Instant) {
     );
 }
 
-/// Whether a queued job needs the clock: with the pressure loop on, any
-/// (the shedder may pick it); otherwise one with a deadline or a backoff
-/// gate.
-fn queued_timer(shared: &Shared, queues: &Queues) -> bool {
-    queues.fair.len() > 0
-        && (shared.pressure.enabled()
-            || queues
-                .fair
-                .iter()
-                .any(|c| c.spec.deadline.is_some() || c.not_before.lock().is_some()))
-}
-
-/// Whether a tick can change anything: a queued job that needs the
-/// clock, or a running job whose deadline has not yet expired.
+/// Whether a tick can change anything: a queued job (the shedder may
+/// pick any), or a running job whose deadline has not yet expired.
 fn timers_pending(shared: &Shared, queues: &Queues) -> bool {
-    queued_timer(shared, queues)
+    queues.fair.len() > 0
         || shared
             .running
             .lock()
@@ -831,41 +823,16 @@ fn tick(shared: &Arc<Shared>) {
             // settle() runs from the group's quiescence hook.
         }
     }
-    if shared.pressure.enabled() {
-        // Shedding subsumes the queued-deadline scan: a queued job
-        // whose sojourn (plus the estimated service time) has eaten its
-        // deadline is picked here, along with CoDel head drops under
-        // critical pressure.
-        let sheds = {
-            let queues = shared.queues.lock();
-            shared.pressure.select_sheds(now, queues.fair.iter())
-        };
-        for core in sheds {
-            shed_job(shared, &core, now);
-            // The queue entry is reaped as a terminal head later.
-        }
-    } else {
-        let expired: Vec<Arc<JobCore>> = shared
-            .queues
-            .lock()
-            .fair
-            .iter()
-            .filter(|c| {
-                c.spec
-                    .deadline
-                    .is_some_and(|d| now.duration_since(c.submitted_at) >= d)
-            })
-            .map(Arc::clone)
-            .collect();
-        for core in expired {
-            // Never admitted: no budget to release, no group to drain.
-            core.timed_out.store(true, Ordering::SeqCst);
-            core.group.cancel();
-            if core.finish(JobState::TimedOut) {
-                shared.counters.timed_out.incr();
-            }
-            // The queue entry is reaped as a terminal head later.
-        }
+    // Queued jobs: one whose sojourn (plus the estimated service time)
+    // has eaten its deadline is shed, and under critical pressure CoDel
+    // drops the oldest.
+    let sheds = {
+        let queues = shared.queues.lock();
+        shared.pressure.select_sheds(now, queues.fair.iter())
+    };
+    for core in sheds {
+        shed_job(shared, &core, now);
+        // The queue entry is reaped as a terminal head later.
     }
     let queues = admit_queued(shared, shared.queues.lock());
     sample_pressure(shared, &queues, now);

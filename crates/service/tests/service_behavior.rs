@@ -101,11 +101,18 @@ fn deadline_expiry_times_a_running_job_out() {
     );
 }
 
-/// Submit a blocker that pins the single-task budget, then a victim
-/// with a short deadline that expires while queued. Returns the
-/// victim's outcome with the blocker released and completed.
-fn queued_deadline_expiry(config: ServiceConfig) -> grain_service::JobOutcome {
-    let service = JobService::new(config);
+/// Budget of 1 task: a blocker occupies it, and a victim with a short
+/// deadline waits past it while queued. The shedder drops it as
+/// `Rejected` with a `Shed` reason — not `TimedOut`.
+#[test]
+fn deadline_expiry_sheds_a_job_stuck_in_the_queue() {
+    let service = JobService::new(ServiceConfig {
+        admission: AdmissionConfig {
+            max_in_flight_tasks: 1,
+            ..AdmissionConfig::default()
+        },
+        ..single_worker_config()
+    });
     let release = Arc::new(AtomicBool::new(false));
 
     let r = Arc::clone(&release);
@@ -128,41 +135,8 @@ fn queued_deadline_expiry(config: ServiceConfig) -> grain_service::JobOutcome {
     release.store(true, Ordering::SeqCst);
     assert_eq!(blocker.wait().state, JobState::Completed);
     assert_eq!(outcome.tasks_spawned, 0, "never admitted, never ran");
-    outcome
-}
-
-/// Budget of 1 task: the blocker occupies it, the victim waits past its
-/// deadline. With the pressure loop on (the default), the shedder drops
-/// it as `Rejected` with a `Shed` reason — not `TimedOut`.
-#[test]
-fn deadline_expiry_sheds_a_job_stuck_in_the_queue() {
-    let config = ServiceConfig {
-        admission: AdmissionConfig {
-            max_in_flight_tasks: 1,
-            ..AdmissionConfig::default()
-        },
-        ..single_worker_config()
-    };
-    let outcome = queued_deadline_expiry(config);
     assert_eq!(outcome.state, JobState::Rejected);
     assert_eq!(outcome.reject_reason, Some(RejectReason::Shed));
-}
-
-/// The same expiry with the pressure loop disabled keeps the legacy
-/// behavior: the dispatcher's deadline scan ends the job as `TimedOut`.
-#[test]
-fn deadline_expiry_times_out_a_queued_job_with_shedding_disabled() {
-    let mut config = ServiceConfig {
-        admission: AdmissionConfig {
-            max_in_flight_tasks: 1,
-            ..AdmissionConfig::default()
-        },
-        ..single_worker_config()
-    };
-    config.pressure.enabled = false;
-    let outcome = queued_deadline_expiry(config);
-    assert_eq!(outcome.state, JobState::TimedOut);
-    assert_eq!(outcome.reject_reason, None);
 }
 
 #[test]

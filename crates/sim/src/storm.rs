@@ -1,4 +1,4 @@
-//! Seeded overload-and-fault storms for the chaos-soak harness.
+//! Seeded overload-and-fault storms for the service and fleet replays.
 //!
 //! A [`StormPlan`] is a deterministic, pre-generated schedule of job
 //! submissions across tenants: Poisson arrivals (exponential
@@ -6,14 +6,14 @@
 //! tenant), per-job task counts and grain sizes drawn from each tenant's
 //! profile, and per-tenant *fault windows* — fractions of the horizon
 //! during which that tenant's jobs panic. Equal seeds yield equal plans,
-//! so a soak run (`soak --virtual-seconds 30 --seed 7`) replays the
-//! exact same storm every time and its invariant checks are meaningful
-//! across runs and machines.
+//! so a replay meets the exact same storm every time and its invariant
+//! checks are meaningful across runs and machines.
 //!
 //! The plan knows nothing about the service: it is a pure description
-//! (who submits what, when, and whether it faults). The soak binary in
-//! `grain-bench` turns events into real [`grain-service`] submissions on
-//! a scaled-down real-time clock.
+//! (who submits what, when, and whether it faults). The storm property
+//! test (`tests/properties.rs`) turns events into real `grain-service`
+//! submissions on a scaled-down real-time clock, and `fleetstorm` routes
+//! them through the fleet gateway.
 //!
 //! ## Seed-space split with the network chaos streams
 //!
@@ -47,8 +47,8 @@ const FLEET_STREAM_SALT: u64 = 0x666c_6565_7463_6f73; // "fleetcos"
 /// This is a pure *description* — the plan stays agnostic of how jobs
 /// execute. [`GraphFamily::Flat`] is the historical shape (the root
 /// spawns `tasks` independent children); the other variants name the
-/// `grain-taskbench` graph families, which the soak harness expands
-/// into real task DAGs. The family is per-tenant configuration, not a
+/// `grain-taskbench` graph families, which `grain_taskbench::storm`
+/// expands into real task DAGs. The family is per-tenant configuration, not a
 /// per-event draw, so adding or changing families never perturbs the
 /// seeded arrival/shape streams of existing plans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -353,11 +353,6 @@ impl StormPlan {
     fn of_tenant<'a>(&'a self, tenant: &'a str) -> impl Iterator<Item = &'a StormEvent> {
         self.events.iter().filter(move |e| e.tenant == tenant)
     }
-
-    /// Count of faulty events across all tenants.
-    pub fn faulty_count(&self) -> usize {
-        self.events.iter().filter(|e| e.faulty).count()
-    }
 }
 
 #[cfg(test)]
@@ -453,7 +448,10 @@ mod tests {
                 _ => assert!(!e.faulty),
             }
         }
-        assert!(plan.faulty_count() > 0, "chaos must fault in its window");
+        assert!(
+            plan.events.iter().any(|e| e.faulty),
+            "chaos must fault in its window"
+        );
         assert!(
             plan.of_tenant("chaos").any(|e| !e.faulty),
             "chaos must recover after its window"

@@ -136,8 +136,8 @@ impl Cov {
 pub struct GraphSpec {
     /// Graph family and shape.
     pub kind: GraphKind,
-    /// Busy-work iterations per task (the task-grain knob; see
-    /// [`crate::work::Calibration`] to express it as a duration). With
+    /// Busy-work iterations per task (the task-grain knob; CPU time is
+    /// linear in it, see [`crate::work::busy_work`]). With
     /// a non-uniform [`Self::cov`], this is the *nominal* grain each
     /// node's multiplier applies to — see [`Self::node_iters`].
     pub grain_iters: u64,

@@ -9,7 +9,7 @@
 //!   tree reduce-broadcast, seeded random DAG, embarrassingly-parallel
 //!   sweep;
 //! * **task grain** ([`GraphSpec::grain_iters`]): busy-work iterations
-//!   per task, mapped to durations via host [`Calibration`];
+//!   per task, CPU time linear in the count;
 //! * **communication volume** ([`GraphSpec::payload_bytes`]): bytes
 //!   carried per dependency edge;
 //! * **duration dispersion** ([`GraphSpec::cov`]): seeded per-node
@@ -64,4 +64,3 @@ pub use exec_local::run_local;
 pub use exec_net::{run_distributed_loopback, DistTaskBench};
 pub use exec_service::{run_service_job, JobError};
 pub use graph::{all_kinds, Cov, Edge, GraphKind, GraphSpec, Node, TaskGraph};
-pub use work::Calibration;

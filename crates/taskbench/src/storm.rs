@@ -3,9 +3,9 @@
 //! [`grain_sim::storm`] describes *who submits what, when* — including,
 //! per tenant, a [`GraphFamily`]. This module turns a planned event's
 //! `(family, tasks, grain)` into a concrete [`GraphSpec`] (and a
-//! ready-to-submit job body), so the chaos-soak harness exercises the
-//! service with realistic heterogeneous DAG shapes instead of flat
-//! spawn loops.
+//! ready-to-submit job body), so a storm replayed against the service
+//! (the storm property test in `tests/properties.rs`) runs heterogeneous
+//! DAG shapes instead of flat spawn loops.
 //!
 //! Shapes are deterministic functions of `(family, tasks, seed)`: no
 //! randomness is consumed beyond the graph seed itself, so a storm

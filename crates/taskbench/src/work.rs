@@ -6,9 +6,9 @@
 //!
 //! 1. **Busy-work** ([`busy_work`]): `iters` rounds of a wrapping LCG
 //!    whose result feeds the node's value. The iteration count is the
-//!    *task-grain knob* — CPU time scales linearly with it (see
-//!    [`Calibration`]) while the arithmetic result depends only on the
-//!    seed and count, never on timing.
+//!    *task-grain knob* — CPU time scales linearly with it while the
+//!    arithmetic result depends only on the seed and count, never on
+//!    timing.
 //! 2. **Edge consumption**: each incoming dependency edge carries a
 //!    payload of `len` bytes, deterministically expanded from the
 //!    producing node's value ([`edge_payload`]) and folded to a 64-bit
@@ -20,11 +20,9 @@
 //!    contributions (in ascending source-id order, which every executor
 //!    preserves) are folded through a strong 64-bit mixer.
 //!
-//! Nothing here reads the clock except [`Calibration::quick`], which
-//! only translates "I want ~50 µs tasks" into an iteration count.
+//! Nothing here reads the clock.
 
 use grain_counters::rng::{fnv1a, splitmix64, Pcg32, FNV1A_OFFSET};
-use std::time::{Duration, Instant};
 
 /// Per-node seed: a function of the graph seed and the node id only.
 #[inline]
@@ -94,42 +92,6 @@ pub fn checksum_term(node: u32, value: u64) -> u64 {
     splitmix64(value ^ splitmix64(u64::from(node)))
 }
 
-/// Host calibration of the busy-work kernel: nanoseconds per iteration,
-/// measured the same way the simulator's cost model was calibrated
-/// (repeat, take the median) so a grain expressed as a duration maps to
-/// an iteration count on this machine.
-#[derive(Debug, Clone, Copy)]
-pub struct Calibration {
-    /// Measured cost of one busy-work iteration, nanoseconds.
-    pub ns_per_iter: f64,
-}
-
-impl Calibration {
-    /// Measure the kernel on the current thread: three timed runs of a
-    /// fixed-size spin, the median per-iteration cost kept. Costs a few
-    /// milliseconds.
-    pub fn quick() -> Self {
-        const ITERS: u64 = 200_000;
-        let mut samples: Vec<f64> = (0..3)
-            .map(|r| {
-                let t0 = Instant::now();
-                std::hint::black_box(busy_work(0x5eed ^ r as u64, ITERS));
-                t0.elapsed().as_secs_f64() * 1e9 / ITERS as f64
-            })
-            .collect();
-        samples.sort_by(f64::total_cmp);
-        Self {
-            ns_per_iter: samples[samples.len() / 2].max(1e-3),
-        }
-    }
-
-    /// Iterations whose busy-work lasts roughly `d` on this host
-    /// (always at least 1).
-    pub fn iters_for(&self, d: Duration) -> u64 {
-        ((d.as_secs_f64() * 1e9 / self.ns_per_iter) as u64).max(1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,16 +126,5 @@ mod tests {
         let a = node_value(9, 10, [1, 2]);
         let b = node_value(9, 10, [2, 1]);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn calibration_yields_usable_iteration_counts() {
-        let cal = Calibration::quick();
-        assert!(cal.ns_per_iter > 0.0);
-        let iters = cal.iters_for(Duration::from_micros(50));
-        assert!(iters >= 1);
-        // Twice the duration, roughly twice the iterations.
-        let double = cal.iters_for(Duration::from_micros(100));
-        assert!(double >= iters);
     }
 }

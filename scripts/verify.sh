@@ -12,6 +12,19 @@ tree_before=$(git status --porcelain)
 out=target/verify
 mkdir -p "$out"
 
+# stage <title>: close the running stage with its wall time and open the
+# next one. The last call, at `==> OK`, carries the total.
+started=$(date +%s)
+stage_started=$started
+stage_title=
+stage() {
+    now=$(date +%s)
+    [ -z "$stage_title" ] || echo "    $stage_title: $((now - stage_started)) s"
+    stage_title=$1
+    stage_started=$now
+    echo "==> $1"
+}
+
 # run_ok <bin> [args]: run one grain-bench binary (they assert their
 # invariants inline and exit non-zero on a violation), stdout to
 # target/verify/<bin>.txt and stderr to <bin>.log.
@@ -26,19 +39,19 @@ run_ok() {
     }
 }
 
-echo "==> cargo fmt --check"
+stage "cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
+stage "cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> cargo build --release"
+stage "cargo build --release"
 cargo build --workspace --release --offline
 
-echo "==> cargo test"
+stage "cargo test"
 cargo test --workspace --offline -q
 
-echo "==> no cargo features"
+stage "no cargo features"
 # Every cargo feature is a second build to test and measure, and the
 # workspace has none: one build is what the tests, the figures and the
 # benchmark all see. A new one is a decision to make on perf/ pairs,
@@ -49,10 +62,10 @@ if grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml >&2 ||
     exit 1
 fi
 
-echo "==> options allow-list"
+stage "options allow-list"
 # Every settable config value is a configuration nobody tests unless
 # somebody sets it: a field needs two values in use outside its own unit
-# tests. These are the `pub` fields of the 12 `*Config` structs, 48 in
+# tests. These are the `pub` fields of the 11 `*Config` structs, 45 in
 # all; a new knob is a decision argued here with its two callers, not a
 # field added — one value in use is a `const` in the module that reads it.
 options=$(cat crates/*/src/*.rs | awk '
@@ -61,13 +74,12 @@ options=$(cat crates/*/src/*.rs | awk '
     s != "" && /^\}/ { print s ": " n; s = "" }' | sort)
 [ "$options" = "AdmissionConfig: 2
 AutotuneConfig: 3
-BreakerConfig: 5
+BreakerConfig: 4
 FleetConfig: 12
 FleetWorkerConfig: 3
 NetConfig: 2
-PressureConfig: 1
 RuntimeConfig: 7
-ServiceConfig: 6
+ServiceConfig: 5
 SimConfig: 1
 TunerConfig: 4
 WatchdogConfig: 2" ] || {
@@ -75,7 +87,7 @@ WatchdogConfig: 2" ] || {
     exit 1
 }
 
-echo "==> every pub item has a caller"
+stage "every pub item has a caller"
 # A capability needs a caller: every `pub fn/const/static/mod` of a
 # product crate (outside `bin/` and above its `#[cfg(test)]` module,
 # which clippy's items_after_test_module keeps last) must be
@@ -111,7 +123,7 @@ uncalled=$(git ls-files -- 'crates/*.rs' 'src/*.rs' 'examples/*.rs' 'tests/*.rs'
     exit 1
 }
 
-echo "==> every dependency edge is used"
+stage "every dependency edge is used"
 # A `grain-*` line in a crate manifest is an edge of the crate graph, and
 # an edge nothing uses is a coupling nobody argued for: the crate must
 # name `grain_*` in its src/ or tests/. The exceptions, one
@@ -134,7 +146,7 @@ done)
     exit 1
 }
 
-echo "==> unsafe allow-list"
+stage "unsafe allow-list"
 # One file of the product holds `unsafe`: the lock-free queue. Anything
 # else — a pointer cast to save an allocation, say — has to be argued
 # for here first.
@@ -144,7 +156,7 @@ unsafe_files=$(grep -rl '\bunsafe\b' crates/*/src src || true)
     exit 1
 }
 
-echo "==> every grain-bench binary runs here"
+stage "every grain-bench binary runs here"
 # One benchmark: perf/ times the product, and a grain-bench binary is a
 # figure or a replay storm that some stage below runs — each
 # crates/bench/src/bin/<name>.rs is the first argument of a run_ok line
@@ -168,21 +180,14 @@ if grep -n '^\[\[bench\]\]' Cargo.toml crates/*/Cargo.toml >&2; then
     exit 1
 fi
 
-echo "==> perf/check.sh"
+stage "perf/check.sh"
 # The benchmark is a package of its own that the workspace commands
 # above never build: its fmt, clippy, build, tests, the smoke suite
 # (every workload, every operation verified) and BENCHMARK.json against
 # the tables it is generated from.
 perf/check.sh
 
-echo "==> chaos soak (bounded)"
-# One seeded multi-tenant storm (2x oversubmission, a panicking tenant)
-# with the resilience layer off and on: ledger conservation, budget
-# restoration and breaker recovery asserted inside. 30 virtual seconds
-# scaled down to tens of real ones.
-run_ok soak --virtual-seconds 30 --seed 7
-
-echo "==> transcripts against results/"
+stage "transcripts against results/"
 # Every deterministic transcript the gate reproduces, 20 files, is a pure
 # function of the source, and one diff -r holds all of them to the
 # tracked copies in results/:
@@ -210,7 +215,7 @@ run_ok fleetstorm --quick
 cp "$out/netstorm.txt" "$out/fleetstorm.txt" "$out/results/"
 diff -r "$out/results" results
 
-echo "==> unwrap lint on every crate"
+stage "unwrap lint on every crate"
 # No unwrap() outside tests, where a poisoned lock or a bad Option would
 # take down a thread others wait on: clippy denies it workspace-wide
 # (`[workspace.lints.clippy]` in Cargo.toml; clippy.toml allows it in
@@ -226,11 +231,11 @@ for m in crates/*/Cargo.toml; do
     }
 done
 
-echo "==> working tree untouched"
+stage "working tree untouched"
 [ "$(git status --porcelain)" = "$tree_before" ] || {
     echo "the gate changed the working tree:" >&2
     git status --porcelain >&2
     exit 1
 }
 
-echo "==> OK"
+stage "OK ($(($(date +%s) - started)) s in all)"

@@ -291,25 +291,31 @@ fn random_dags_execute_correctly_on_both_engines() {
 }
 
 /// Under any seeded overload storm the job ledger conserves —
-/// `admitted + rejected + shed (+ queued timeouts) == submitted` — and
-/// the in-flight task budget is exactly restored at quiescence. Runs
-/// both with the resilience layer on (queued expiries become sheds) and
-/// off (queued expiries become timeouts); the ledger must balance
-/// either way.
+/// `admitted + rejected + shed == submitted` — every shed and breaker
+/// refusal is metered exactly once, and the in-flight task budget is
+/// exactly restored at quiescence. `alpha` submits 1-D stencil graphs
+/// with deadlines, so jobs with dependencies go through shedding and
+/// deadlines too; `chaos` panics through the first half of the horizon.
 #[test]
 fn storms_conserve_job_accounting_and_restore_the_budget() {
     use grain::service::{
-        AdmissionConfig, FailurePolicy, JobService, JobSpec, JobState, ServiceConfig,
+        AdmissionConfig, FailurePolicy, JobService, JobSpec, RejectReason, ServiceConfig,
     };
+    use grain::sim::storm::GraphFamily;
     use grain::sim::{StormPlan, TenantStorm};
+    use grain::taskbench::storm::{spawn_in_job, spec_for_event};
+    use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     // 10 ms of real time per virtual second keeps the sweep quick.
     const SCALE: f64 = 0.01;
+    // Busy-work iterations per graph node: a fixed count, so the bodies
+    // depend on the plan alone (~50 µs at 1 ns an iteration, the order
+    // of the flat jobs' scaled grains).
+    const GRAPH_ITERS: u64 = 50_000;
     let mut seeds = Pcg32::seed_from_u64(0x570B);
     for case in 0..4 {
         let seed = seeds.next_u64();
-        let resilience = case % 2 == 0;
         let tenants = vec![
             TenantStorm::steady(
                 "alpha",
@@ -317,7 +323,8 @@ fn storms_conserve_job_accounting_and_restore_the_budget() {
                 (1, 6),
                 (Duration::from_millis(5), Duration::from_millis(20)),
             )
-            .deadline(Duration::from_secs(1)),
+            .deadline(Duration::from_secs(1))
+            .family(GraphFamily::Stencil),
             TenantStorm::steady(
                 "beta",
                 Duration::from_millis(60),
@@ -341,8 +348,6 @@ fn storms_conserve_job_accounting_and_restore_the_budget() {
             poll_interval: Duration::from_micros(200),
             ..ServiceConfig::with_workers(2)
         };
-        config.pressure.enabled = resilience;
-        config.breaker.enabled = resilience;
         config.breaker.min_samples = 4;
         config.breaker.open_for = Duration::from_millis(20);
         let service = JobService::new(config);
@@ -351,11 +356,16 @@ fn storms_conserve_job_accounting_and_restore_the_budget() {
         let handles: Vec<_> = plan
             .events
             .iter()
-            .map(|e| {
+            .enumerate()
+            .map(|(idx, e)| {
                 if let Some(sleep) = e.at.mul_f64(SCALE).checked_sub(started.elapsed()) {
                     std::thread::sleep(sleep);
                 }
-                let mut spec = JobSpec::new(e.name.clone(), e.tenant.clone());
+                let graph = spec_for_event(e.family, e.tasks, GRAPH_ITERS, 32, idx as u64)
+                    .map(|spec| Arc::new(spec.build()));
+                let tasks = graph.as_ref().map_or(e.tasks, |g| g.len() as u64);
+                let mut spec =
+                    JobSpec::new(e.name.clone(), e.tenant.clone()).estimated_tasks(tasks + 1);
                 if let Some(d) = e.deadline {
                     spec = spec.deadline(d.mul_f64(SCALE));
                 }
@@ -366,47 +376,56 @@ fn storms_conserve_job_accounting_and_restore_the_budget() {
                         cap: Duration::from_millis(1),
                     });
                 }
-                let (faulty, tasks, grain) = (e.faulty, e.tasks, e.grain.mul_f64(SCALE));
+                let (faulty, grain) = (e.faulty, e.grain.mul_f64(SCALE));
                 service.submit(spec, move |ctx| {
                     if faulty {
                         panic!("storm fault");
                     }
-                    for _ in 0..tasks {
-                        ctx.spawn(move |_| {
-                            let t0 = Instant::now();
-                            while t0.elapsed() < grain {
-                                std::hint::spin_loop();
+                    match &graph {
+                        Some(graph) => spawn_in_job(ctx, graph),
+                        None => {
+                            for _ in 0..tasks {
+                                ctx.spawn(move |_| {
+                                    let t0 = Instant::now();
+                                    while t0.elapsed() < grain {
+                                        std::hint::spin_loop();
+                                    }
+                                });
                             }
-                        });
+                        }
                     }
                 })
             })
             .collect();
         service.wait_all();
 
-        let ctx = format!("case {case}: seed {seed:#x} resilience={resilience}");
-        // A job that times out while still queued was never admitted and
-        // occupies its own ledger column (only reachable with the
-        // pressure layer off; on, the dispatcher sheds it instead).
-        let mut queued_timeouts = 0u64;
+        let ctx = format!("case {case}: seed {seed:#x}");
+        let (mut shed_outcomes, mut breaker_outcomes) = (0u64, 0u64);
         for (i, h) in handles.iter().enumerate() {
             let o = h.wait();
             assert!(o.state.is_terminal(), "{ctx}: job {i} not terminal");
-            if o.state == JobState::TimedOut && o.tasks_spawned == 0 {
-                queued_timeouts += 1;
+            match o.reject_reason {
+                Some(RejectReason::Shed) => shed_outcomes += 1,
+                Some(RejectReason::BreakerOpen) => breaker_outcomes += 1,
+                _ => {}
             }
         }
         let c = service.counters();
         assert_eq!(c.submitted.get(), handles.len() as u64, "{ctx}");
         assert_eq!(
-            c.admitted.get() + c.rejected.get() + c.shed.get() + queued_timeouts,
+            c.admitted.get() + c.rejected.get() + c.shed.get(),
             c.submitted.get(),
-            "{ctx}: admitted {} + rejected {} + shed {} + queued timeouts \
-             {queued_timeouts} must equal submitted {}",
+            "{ctx}: admitted {} + rejected {} + shed {} must equal submitted {}",
             c.admitted.get(),
             c.rejected.get(),
             c.shed.get(),
             c.submitted.get()
+        );
+        assert_eq!(c.shed.get(), shed_outcomes, "{ctx}: shed counter");
+        assert_eq!(
+            service.breaker_rejections(),
+            breaker_outcomes,
+            "{ctx}: breaker rejections"
         );
         assert_eq!(service.queue_len(), 0, "{ctx}: queue not drained");
         assert_eq!(service.running_len(), 0, "{ctx}: running set not drained");
