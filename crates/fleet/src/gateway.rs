@@ -32,8 +32,9 @@
 //!   accepting; handed-back keys re-enter pending with zero loss.
 //! * **Quorum degradation** — when live, accepting capacity drops
 //!   below the configured quorum fraction, deadline-carrying jobs are
-//!   shed with [`RejectReason::FleetUnavailable`] (carrying a
-//!   `retry_after` hint) instead of hanging; deadline-less jobs wait.
+//!   shed with [`RejectReason::FleetUnavailable`] (carrying the
+//!   [`SHED_RETRY_AFTER`] hint) instead of hanging; deadline-less jobs
+//!   wait.
 //!
 //! ## Placement
 //!
@@ -65,6 +66,9 @@ use std::time::{Duration, Instant};
 /// dispatch) reaches into its breaker: all the way, as it shows the link's
 /// health now (DESIGN §10, "Circuit breakers").
 const ANSWER: BreakerState = BreakerState::Open;
+
+/// The `retry_after` hint stamped on quorum sheds.
+pub const SHED_RETRY_AFTER: Duration = Duration::from_millis(100);
 
 /// Placement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,8 +102,6 @@ pub struct FleetConfig {
     /// Fraction of the fleet that must be alive *and accepting* to
     /// place deadline-carrying jobs; below it they are shed.
     pub quorum: f64,
-    /// `retry_after` hint stamped on quorum sheds.
-    pub shed_retry_after: Duration,
     /// How long a polled stats sample stays fresh.
     pub stats_max_age: Duration,
     /// Consecutive failed dispatches to a locality that open its breaker.
@@ -121,7 +123,6 @@ impl FleetConfig {
             retry_backoff: Duration::from_millis(10),
             max_dispatches: 8,
             quorum: 0.0,
-            shed_retry_after: Duration::from_millis(100),
             stats_max_age: Duration::from_millis(5),
             breaker_failures: 3,
             breaker_cooldown: Duration::from_millis(200),
@@ -773,7 +774,7 @@ fn settle_shed(shared: &GatewayShared, gj: &mut GateJob) {
         fault: None,
         retries: 0,
         reject_reason: Some(RejectReason::FleetUnavailable {
-            retry_after: shared.config.shed_retry_after,
+            retry_after: SHED_RETRY_AFTER,
         }),
         origin_locality: None,
     };

@@ -19,6 +19,7 @@
 //! * spend a job's dispatch budget on worker refusals → the outcome
 //!   names the refusing locality and its reason.
 
+use grain_fleet::gateway::SHED_RETRY_AFTER;
 use grain_fleet::wire::{FleetOutcome, ACTION_COMPLETE};
 use grain_fleet::{
     FleetConfig, FleetGateway, FleetJobHandle, FleetJobSpec, FleetWorker, FleetWorkerConfig,
@@ -321,7 +322,6 @@ fn below_quorum_sheds_deadline_jobs_and_parks_the_rest() {
     let w2 = FleetWorker::install(fabric.locality(2), FleetWorkerConfig::new(0, 1));
     let mut cfg = FleetConfig::new(vec![1, 2]);
     cfg.quorum = 1.0; // both workers must be accepting
-    cfg.shed_retry_after = Duration::from_millis(250);
     let gateway = FleetGateway::install(fabric.locality(0), cfg);
 
     fabric.kill(2);
@@ -346,7 +346,7 @@ fn below_quorum_sheds_deadline_jobs_and_parks_the_rest() {
         assert_eq!(o.state, JobState::Rejected);
         match o.reject_reason {
             Some(RejectReason::FleetUnavailable { retry_after }) => {
-                assert_eq!(retry_after, Duration::from_millis(250));
+                assert_eq!(retry_after, SHED_RETRY_AFTER);
             }
             other => panic!("expected FleetUnavailable, got {other:?}"),
         }

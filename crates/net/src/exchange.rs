@@ -2,14 +2,14 @@
 //! global index range, and the board where the producer of a boundary
 //! edge and its remote consumers meet.
 //!
-//! A distributed dataflow graph (the stencil ring, a taskbench graph)
-//! gives each locality one contiguous block of the global index range.
-//! A consumer whose input lives on another locality calls a deferred
-//! action there; the action answers with the board's future for that
-//! edge, which the producer links to its task once it exists. Either
-//! side may arrive first, so requests and production interleave in any
-//! order without barriers, and an upstream error settles the edge as an
-//! error instead of leaving the consumer waiting.
+//! A distributed dataflow graph (a taskbench graph) gives each locality
+//! one contiguous block of the global index range. A consumer whose
+//! input lives on another locality calls a deferred action there; the
+//! action answers with the board's future for that edge, which the
+//! producer links to its task once it exists. Either side may arrive
+//! first, so requests and production interleave in any order without
+//! barriers, and an upstream error settles the edge as an error instead
+//! of leaving the consumer waiting.
 
 use grain_runtime::grain_counters::sync::Mutex;
 use grain_runtime::{channel, Promise, Settled, SharedFuture};

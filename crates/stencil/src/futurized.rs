@@ -26,7 +26,7 @@ const JOIN_TIMEOUT: Duration = Duration::from_secs(60);
 /// edges of Fig. 2). Partitions may have unequal lengths — only the edge
 /// elements of the neighbours are read — which is what allows online
 /// re-partitioning between epochs.
-pub fn step_partitions(
+fn step_partitions(
     rt: &Runtime,
     current: &[SharedFuture<Partition>],
     coeff: f64,
@@ -71,9 +71,8 @@ pub fn partition_grid(grid: &[f64], nx: usize) -> Vec<Partition> {
 }
 
 /// Run the futurized stencil and return the future of every final-step
-/// partition. The caller decides whether to block (`collect_result`) or
-/// keep composing.
-pub fn spawn_stencil(rt: &Runtime, params: &StencilParams) -> Vec<SharedFuture<Partition>> {
+/// partition.
+fn spawn_stencil(rt: &Runtime, params: &StencilParams) -> Vec<SharedFuture<Partition>> {
     params.validate().expect("invalid stencil parameters");
     let initial: Vec<Partition> = (0..params.np)
         .map(|i| initial_partition(i, params.nx))

@@ -19,7 +19,7 @@ pub type Partition = Box<[f64]>;
 
 /// Initial condition of `1d_stencil_4`: partition `i` starts uniformly at
 /// temperature `i`.
-pub fn initial_partition(index: usize, nx: usize) -> Partition {
+pub(crate) fn initial_partition(index: usize, nx: usize) -> Partition {
     vec![index as f64; nx].into_boxed_slice()
 }
 

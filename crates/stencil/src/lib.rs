@@ -28,17 +28,13 @@
 #![warn(rust_2018_idioms)]
 
 pub mod dag;
-pub mod distributed;
 pub mod futurized;
 pub mod heat;
 pub mod params;
 pub mod sequential;
 
 pub use dag::stencil_workload;
-pub use distributed::{run_distributed_loopback, DistStencil};
-pub use futurized::{
-    collect_result, partition_grid, run_futurized, run_steps_from, spawn_stencil, step_partitions,
-};
-pub use heat::{heat, heat_part, initial_partition, total_heat, Partition};
+pub use futurized::{collect_result, partition_grid, run_futurized, run_steps_from};
+pub use heat::{heat, heat_part, total_heat, Partition};
 pub use params::StencilParams;
 pub use sequential::run_sequential;

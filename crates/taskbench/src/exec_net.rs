@@ -12,13 +12,12 @@
 //! are combined by `collect`, and wrapping addition makes the total
 //! independent of the partitioning.
 //!
-//! The exchange is pull-based and barrier-free, through the same
-//! [`grain_net::EdgeBoard`] as the distributed stencil: either side of
-//! an edge may arrive first, and a request for a not-yet-computed edge
-//! gets a deferred reply sent when the producing task settles. Dead
-//! peers settle ghost futures with `TaskError::Disconnected`, which
-//! propagates through the dataflow into the partial checksum — an
-//! error, never a hang.
+//! The exchange is pull-based and barrier-free, through a
+//! [`grain_net::EdgeBoard`]: either side of an edge may arrive first,
+//! and a request for a not-yet-computed edge gets a deferred reply sent
+//! when the producing task settles. Dead peers settle ghost futures
+//! with `TaskError::Disconnected`, which propagates through the
+//! dataflow into the partial checksum — an error, never a hang.
 
 use crate::exec_local::{partial_checksum, spawn_range, JOIN_TIMEOUT};
 use crate::graph::TaskGraph;
@@ -48,10 +47,10 @@ struct BenchState {
 
 /// A distributed taskbench instance installed on one locality.
 ///
-/// Protocol, mirroring the distributed stencil: [`DistTaskBench::install`]
-/// on **every** locality first (registering the actions peers call),
-/// then [`DistTaskBench::start`] everywhere, then
-/// [`DistTaskBench::collect`] wherever the total is wanted.
+/// Protocol: [`DistTaskBench::install`] on **every** locality first
+/// (registering the actions peers call), then [`DistTaskBench::start`]
+/// everywhere, then [`DistTaskBench::collect`] wherever the total is
+/// wanted.
 pub struct DistTaskBench {
     loc: Locality,
     graph: Arc<TaskGraph>,

@@ -65,7 +65,7 @@ fi
 stage "options allow-list"
 # Every settable config value is a configuration nobody tests unless
 # somebody sets it: a field needs two values in use outside its own unit
-# tests. These are the `pub` fields of the 11 `*Config` structs, 45 in
+# tests. These are the `pub` fields of the 11 `*Config` structs, 44 in
 # all; a new knob is a decision argued here with its two callers, not a
 # field added — one value in use is a `const` in the module that reads it.
 options=$(cat crates/*/src/*.rs | awk '
@@ -75,7 +75,7 @@ options=$(cat crates/*/src/*.rs | awk '
 [ "$options" = "AdmissionConfig: 2
 AutotuneConfig: 3
 BreakerConfig: 4
-FleetConfig: 12
+FleetConfig: 11
 FleetWorkerConfig: 3
 NetConfig: 2
 RuntimeConfig: 7
@@ -127,13 +127,14 @@ stage "every dependency edge is used"
 # A `grain-*` line in a crate manifest is an edge of the crate graph, and
 # an edge nothing uses is a coupling nobody argued for: the crate must
 # name `grain_*` in its src/ or tests/. The exceptions, one
-# `crate dependency` per line, are the three unused edges perf/Cargo.lock
+# `crate dependency` per line, are the four unused edges perf/Cargo.lock
 # records: deleting one rewrites that lock, which only a change to the
 # benchmark may do (ROADMAP item 1(g)). An edge that comes into use
 # leaves the list.
 unused_edges="adaptive grain-sim
 service grain-metrics
-service grain-topology"
+service grain-topology
+stencil grain-net"
 edges=$(for m in crates/*/Cargo.toml; do
     c=$(basename "$(dirname "$m")")
     for dep in $(sed -n 's/^\(grain-[a-z]*\)\.workspace = true$/\1/p' "$m"); do
@@ -142,7 +143,7 @@ edges=$(for m in crates/*/Cargo.toml; do
     done
 done)
 [ "$edges" = "$unused_edges" ] || {
-    printf 'unused dependency edges (crate dependency), expected the three perf/Cargo.lock records:\n%s\n' "$edges" >&2
+    printf 'unused dependency edges (crate dependency), expected the four perf/Cargo.lock records:\n%s\n' "$edges" >&2
     exit 1
 }
 
@@ -194,7 +195,7 @@ stage "transcripts against results/"
 # - the paper's 18 tables and figures (the simulator's sweeps, the
 #   seeded search order and its probe counts, the asserted stencil DAG):
 #   a change to the search, the simulator, its RNG stream or how probes
-#   are counted shows up here. 367 s of wall time on one core of a
+#   are counted shows up here. 536 s of wall time on one core of a
 #   2-vCPU Xeon VM; one engine per platform computes each sweep cell once
 #   for all 18 entries. The last line of figs.log, printed here, is the
 #   time this run took.
