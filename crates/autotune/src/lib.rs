@@ -44,7 +44,7 @@
 //! like a hand-partitioned job — byte-identical legacy behavior, which
 //! `tests/convergence.rs` pins.
 
-pub mod autotune;
+mod autotune;
 pub mod controller;
 pub mod model;
 pub mod shape;

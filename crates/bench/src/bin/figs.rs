@@ -6,11 +6,10 @@
 //! ```
 //!
 //! An entry's name is the file its output is tracked in:
-//! `results/<name>.txt`. Every entry except `native` runs on the
-//! simulator or on seeded, asserted state, so its output is a pure
-//! function of the program text; `scripts/verify.sh` writes them all and
-//! diffs the directory against `results/`. `native` times the real
-//! runtime on this host and runs by name only.
+//! `results/<name>.txt`. Every entry runs on the simulator or on seeded,
+//! asserted state, so its output is a pure function of the program text;
+//! `scripts/verify.sh` writes them all and diffs the directory against
+//! `results/`.
 //!
 //! One simulator engine per Table I platform lives for the whole
 //! invocation, and an engine computes each `(nx, cores, sample)` cell
@@ -22,16 +21,15 @@ use grain_adaptive::{
     TunerConfig,
 };
 use grain_bench::{print_series, print_table, sweep_platform};
-use grain_counters::{SampleStats, ThreadCounters};
-use grain_metrics::sweep::{grids, run_sweep, NativeEngine, SimEngine, StencilEngine};
-use grain_metrics::{simulate, table, RunRecord, SimConfig};
-use grain_runtime::algorithms::parallel_for;
+use grain_counters::ThreadCounters;
+use grain_metrics::sweep::{grids, run_sweep, SimEngine, StencilEngine};
+use grain_metrics::{simulate, table, SimConfig};
 use grain_runtime::scheduler::{Scheduler, SearchState};
 use grain_runtime::task::{Priority, StagedTask, Task, TaskId};
-use grain_runtime::{Runtime, RuntimeConfig, SchedulerKind};
+use grain_runtime::Runtime;
 use grain_stencil::{run_futurized, run_sequential, stencil_workload, StencilParams};
 use grain_taskbench::{GraphKind, GraphSpec};
-use grain_topology::{host, presets, NumaTopology};
+use grain_topology::{presets, NumaTopology};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -98,9 +96,6 @@ const FIGURES: &[(&str, Body)] = &[
     ("micro_grain", micro_grain),
 ];
 
-/// The host-timed entry: runs by name only, never under `--all`.
-const NATIVE: (&str, Body) = ("native", native);
-
 fn main() -> io::Result<()> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let engines = Engines::new();
@@ -119,7 +114,6 @@ fn print_entries(engines: &Engines, names: &[String]) -> io::Result<()> {
         .map(|name| {
             FIGURES
                 .iter()
-                .chain([&NATIVE])
                 .find(|(n, _)| n == name)
                 .map(|&(_, body)| body)
                 .unwrap_or_else(|| usage(&format!("unknown entry `{name}`")))
@@ -153,7 +147,7 @@ fn write_all(engines: &Engines, dir: &Path) -> io::Result<()> {
 }
 
 fn usage(err: &str) -> ! {
-    let names: Vec<&str> = FIGURES.iter().chain([&NATIVE]).map(|(n, _)| *n).collect();
+    let names: Vec<&str> = FIGURES.iter().map(|(n, _)| *n).collect();
     eprintln!(
         "error: {err}\n\
          usage: figs <name>... | figs --all <dir>\n\
@@ -241,7 +235,7 @@ Fig. 1: Priority Local scheduler search order (worker 0 of 4, 2 NUMA domains)
     )?;
 
     let numa = NumaTopology::block(4, 2);
-    let sched = Scheduler::new(numa, SchedulerKind::PriorityLocalFifo, 1);
+    let sched = Scheduler::new(numa, 1);
     let counters = ThreadCounters::new(4);
     let mut search = SearchState::default();
     sched.queues.push_pending(0, Task::convert(staged(10)));
@@ -787,8 +781,7 @@ fn policy_report(e: &Engines, out: &mut dyn Write) -> io::Result<()> {
 }
 
 /// Ablation — sensitivity of the Fig. 3 valley to the scheduler's
-/// constant costs (what happens if queue operations grow 4x/16x). The
-/// native scheduler-policy half is `native`'s "Ablation 1".
+/// constant costs (what happens if queue operations grow 4x/16x).
 fn ablation_schedulers(_: &Engines, out: &mut dyn Write) -> io::Result<()> {
     let headers = [
         "cost scale",
@@ -829,8 +822,7 @@ fn ablation_schedulers(_: &Engines, out: &mut dyn Write) -> io::Result<()> {
 /// were corroborated by micro benchmarks: the same overhead-vs-granularity
 /// U-curve on two Task Bench families, tree reduce-broadcast and random
 /// DAGs, on the simulator, varying task size at constant total work or
-/// task count. The native `parallel_for` grain sweep is `native`'s
-/// "Micro 1".
+/// task count.
 fn micro_grain(_: &Engines, out: &mut dyn Write) -> io::Result<()> {
     let hw = presets::haswell();
 
@@ -904,140 +896,6 @@ fn micro_grain(_: &Engines, out: &mut dyn Write) -> io::Result<()> {
         "\nCheck: both simulated families show the paper's pattern — overhead\n\
          share and idle-rate fall as task size grows, then starvation appears when\n\
          parallel slack runs out."
-    )
-}
-
-/// The methodology on the *real* runtime on this host, timed: the
-/// Fig. 3/4 sweep on a scaled stencil, the `parallel_for` grain sweep
-/// ("Micro 1") and the scheduler-policy ablation ("Ablation 1"). Host-
-/// dependent by construction, so never part of `--all`.
-fn native(_: &Engines, out: &mut dyn Write) -> io::Result<()> {
-    const SWEEP_SAMPLES: usize = 2;
-    const MICRO_SAMPLES: usize = 2;
-    const ABLATION_SAMPLES: usize = 3;
-
-    // Scale to the host: ~2M points, 10 steps keeps the fine end tractable.
-    let engine = NativeEngine::scaled(2_000_000, 10);
-    let grid = [
-        500usize, 2_000, 10_000, 50_000, 200_000, 1_000_000, 2_000_000,
-    ];
-    let max = host::available_cores().clamp(2, 8);
-    let cores: Vec<usize> = [1usize, 2, 4, 8]
-        .into_iter()
-        .filter(|&c| c <= max)
-        .collect();
-    eprintln!(
-        "# native sweep on host ({} cores detected)…",
-        host::available_cores()
-    );
-    let progress = |line: &str| eprintln!("#   {line}");
-    let sweep = run_sweep(&engine, &grid, &cores, SWEEP_SAMPLES, Some(&progress));
-    print_series(
-        out,
-        "Native runtime: execution time (s) vs partition size — host",
-        &sweep,
-        &cores,
-        "exec(s)",
-        |cell| table::fmt::s(cell.agg.wall_s.mean()),
-    )?;
-    print_series(
-        out,
-        "Native runtime: idle-rate vs partition size — host",
-        &sweep,
-        &cores,
-        "idle",
-        |cell| table::fmt::pct(cell.agg.idle_rate.mean()),
-    )?;
-    print_series(
-        out,
-        "Native runtime: task duration t_d vs partition size — host",
-        &sweep,
-        &cores,
-        "t_d",
-        |cell| table::fmt::ns(cell.agg.task_duration_ns.mean()),
-    )?;
-
-    // Micro 1: native parallel_for, best of the samples per grain.
-    let rt = Runtime::with_workers(host::available_cores().max(2));
-    let n = 1 << 20; // 1M iterations of trivial work
-    let headers = ["grain", "tasks", "exec(s)", "t_o/task", "idle-rate"];
-    let mut rows = Vec::new();
-    for grain in [8usize, 64, 512, 4_096, 32_768, 262_144, 1 << 20] {
-        let mut best = f64::INFINITY;
-        for _ in 0..MICRO_SAMPLES {
-            rt.reset_counters();
-            let t0 = Instant::now();
-            parallel_for(&rt, 0..n, grain, |i| {
-                std::hint::black_box(i * i);
-            })
-            .get();
-            rt.wait_idle();
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        let c = rt.counters();
-        rows.push(vec![
-            table::fmt::count(grain as f64),
-            table::fmt::count(c.tasks.sum() as f64),
-            format!("{best:.4}"),
-            table::fmt::ns(c.task_overhead_ns()),
-            table::fmt::pct(c.idle_rate()),
-        ]);
-    }
-    let title = format!("Micro 1: native parallel_for over {n} indices — grain sweep");
-    print_table(out, &title, &headers, &rows)?;
-    writeln!(out)?;
-
-    // Ablation 1: native scheduler variants on a host-scaled stencil.
-    let params = StencilParams::for_total(2_000_000, 5_000, 10);
-    let workers = 4;
-    let headers = [
-        "scheduler",
-        "exec(s)",
-        "idle-rate",
-        "stolen",
-        "pending-misses",
-    ];
-    let mut rows = Vec::new();
-    for (name, kind) in [
-        ("priority-local-fifo", SchedulerKind::PriorityLocalFifo),
-        ("no-steal", SchedulerKind::NoSteal),
-        ("numa-blind", SchedulerKind::NumaBlind),
-    ] {
-        let mut exec = SampleStats::new();
-        let mut last = None;
-        for _ in 0..ABLATION_SAMPLES {
-            let rt = Runtime::new(RuntimeConfig {
-                workers,
-                scheduler: kind,
-                ..RuntimeConfig::default()
-            });
-            let t0 = Instant::now();
-            let _ = run_futurized(&rt, &params);
-            let rec = RunRecord::from_native(&rt, t0.elapsed().as_secs_f64(), &params);
-            exec.push(rec.wall_s);
-            last = Some(rec);
-        }
-        let rec = last.expect("at least one sample");
-        rows.push(vec![
-            name.to_owned(),
-            table::fmt::s(exec.mean()),
-            table::fmt::pct(rec.idle_rate()),
-            table::fmt::count(rec.stolen as f64),
-            table::fmt::count(rec.pending_misses as f64),
-        ]);
-    }
-    let title = format!(
-        "Ablation 1: native scheduler policies — host, {workers} workers, nx={} np={} nt={}",
-        params.nx, params.np, params.nt
-    );
-    print_table(out, &title, &headers, &rows)?;
-    writeln!(
-        out,
-        "\nCheck: the native runtime shows the same qualitative U-curve and idle-rate\n\
-         extremes as the simulated Table I platforms, parallel_for's time falls\n\
-         as its grain grows, and stealing is what keeps the dataflow\n\
-         balanced (no-steal collapses onto few workers). Every number here is\n\
-         host-dependent; the simulator carries the quantitative reproduction."
     )
 }
 

@@ -6,9 +6,8 @@
 //! a CSV block for re-plotting. Figures are regenerated by the
 //! simulator engine against the Table I platform models (see DESIGN.md
 //! for the substitution argument), so `figs --all results` reproduces
-//! its 18 transcripts in `results/` byte for byte; `figs native` runs
-//! the same methodology on the *native* runtime at host scale and is
-//! timed, not reproducible.
+//! its 18 transcripts in `results/` byte for byte. The native runtime's
+//! timing is `perf/`'s, not a figure's.
 //!
 //! This library holds what the binaries share: the figure helpers
 //! ([`sweep_platform`], [`print_table`], [`print_series`]) and the

@@ -201,18 +201,6 @@ impl Registry {
             .collect())
     }
 
-    /// Remove the counter registered under `path`.
-    pub fn unregister(&self, path: &str) -> Result<(), RegistryError> {
-        let parsed: CounterPath = path
-            .parse()
-            .map_err(|_| RegistryError::BadPath(path.to_owned()))?;
-        let key = parsed.to_string();
-        let mut map = self.counters.write();
-        map.remove(&key)
-            .map(|_| ())
-            .ok_or(RegistryError::NotFound(key))
-    }
-
     /// A registration handle scoped to one `object{instance}` namespace.
     ///
     /// Counters registered through the scope live under
@@ -438,18 +426,6 @@ mod tests {
             .query("/threads{locality#0/worker-thread#1}/count/cumulative")
             .unwrap();
         assert_eq!(w1.as_count(), 4);
-    }
-
-    #[test]
-    fn unregister_removes_and_reports_missing() {
-        let (reg, _) = reg_with_raw("/threads/count/stolen");
-        assert_eq!(reg.len(), 1);
-        reg.unregister("/threads/count/stolen").unwrap();
-        assert!(reg.is_empty());
-        assert!(matches!(
-            reg.unregister("/threads/count/stolen"),
-            Err(RegistryError::NotFound(_))
-        ));
     }
 
     #[test]

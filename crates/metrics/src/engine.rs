@@ -27,7 +27,6 @@
 use grain_counters::{Pcg32, ThreadCounters};
 use grain_runtime::scheduler::{Scheduler, SearchState};
 use grain_runtime::task::{Poll, Priority, StagedTask, TaskId};
-use grain_runtime::SchedulerKind;
 use grain_sim::{MachineModel, SimReport, SimWorkload};
 use grain_topology::Platform;
 use std::cmp::Reverse;
@@ -318,7 +317,7 @@ pub fn simulate(
 
     // Root tasks are spawned by the external driver, round-robin across
     // the staged queues (the native runtime's external-spawn routing).
-    let sched = Scheduler::new(m.numa.clone(), SchedulerKind::PriorityLocalFifo, 0);
+    let sched = Scheduler::new(m.numa.clone(), 0);
     let counters = ThreadCounters::new(workers);
     for i in (0..n).filter(|&i| deps_left[i] == 0) {
         let v = sched.queues.next_rr();

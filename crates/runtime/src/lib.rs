@@ -16,10 +16,10 @@
 //! * **M:N cooperative scheduling**: a pool of OS worker threads runs many
 //!   lightweight tasks; nothing is ever preempted — tasks end a *thread
 //!   phase* by completing, yielding or suspending on a future.
-//! * **The Priority Local-FIFO policy** ([`scheduler::Scheduler`]): one
-//!   staged + one pending lock-free FIFO per worker, configurable
-//!   high-priority dual queues, one low-priority queue, and the six-step
-//!   NUMA-aware search order of Fig. 1.
+//! * **The Priority Local-FIFO policy** ([`scheduler::Scheduler`]), the
+//!   runtime's only one: one staged + one pending lock-free FIFO per
+//!   worker, one high-priority dual queue, one low-priority queue, and
+//!   the six-step NUMA-aware search order of Fig. 1.
 //! * **Futures and dataflow** ([`future`], [`Runtime::dataflow`]): HPX-style
 //!   shared futures with continuations, `when_all` composition, and
 //!   `dataflow` that queues the dependent task only once its inputs are
@@ -75,7 +75,7 @@ pub use future::{channel, when_all, Promise, Settled, SharedFuture};
 pub use grain_counters::threads::ThreadCounters;
 pub use group::{CancelToken, TaskGroup};
 pub use runtime::{Runtime, RuntimeConfig, TaskContext};
-pub use scheduler::{Provenance, Scheduler, SchedulerKind, SearchStep};
+pub use scheduler::{Provenance, Scheduler, SearchStep};
 pub use task::{Poll, Priority, TaskId, TaskState};
 pub use trace::{Trace, TraceEvent, TraceEventKind};
 

@@ -3,7 +3,7 @@
 use crate::fault::{TaskError, WatchdogConfig};
 use crate::future::{self, Countdown, Shared, SharedFuture, Tail, Waiter};
 use crate::group::{CancelToken, TaskGroup};
-use crate::scheduler::{Scheduler, SchedulerKind, SearchState};
+use crate::scheduler::{Scheduler, SearchState};
 use crate::task::{Poll, Priority, Runnable, StagedTask, Task, TaskId, TaskIdAllocator, TaskState};
 use grain_counters::sync::{Condvar, Mutex};
 use grain_counters::threads::ThreadCounters;
@@ -19,14 +19,13 @@ use std::time::{Duration, Instant};
 const HIGH_QUEUES: usize = 1;
 
 /// Runtime configuration. Start from [`RuntimeConfig::default`] (all host
-/// cores, the paper's Priority Local-FIFO policy) and override fields.
+/// cores) and override fields. Every runtime schedules with the paper's
+/// Priority Local-FIFO policy.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Number of worker OS threads ("one static OS thread per core" by
     /// default; oversubscription is allowed and functionally sound).
     pub workers: usize,
-    /// Scheduling policy.
-    pub scheduler: SchedulerKind,
     /// Failed full search rounds before a worker parks.
     pub spin_rounds: u32,
     /// Upper bound on one parking nap (re-checks for work after).
@@ -51,7 +50,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         Self {
             workers: host::available_cores(),
-            scheduler: SchedulerKind::PriorityLocalFifo,
             spin_rounds: 8,
             park_timeout: Duration::from_micros(200),
             trace: false,
@@ -935,7 +933,7 @@ impl Runtime {
         crate::fault::install_panic_hook();
         // Workers are split over the host's detected NUMA domains.
         let numa = host::host_topology(config.workers);
-        let scheduler = Scheduler::new(numa, config.scheduler, HIGH_QUEUES);
+        let scheduler = Scheduler::new(numa, HIGH_QUEUES);
         let counters = ThreadCounters::new(config.workers);
         let registry = Registry::new();
         // Every counter path is parameterized by the configured locality
@@ -1200,9 +1198,7 @@ impl Runtime {
 
     /// Throttle the pool: only workers `0..n` take work; the rest park
     /// until the limit is raised again. Clamped to `1..=num_workers()`.
-    /// Queued work on throttled workers' queues remains stealable (do not
-    /// combine throttling with [`SchedulerKind::NoSteal`] unless stranded
-    /// queues are acceptable).
+    /// Queued work on throttled workers' queues remains stealable.
     ///
     /// This is the actuator the paper's related work (§V, Porterfield et
     /// al.) exposes; combined with the counters it enables core-count

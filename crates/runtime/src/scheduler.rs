@@ -1,4 +1,5 @@
-//! The Priority Local-FIFO scheduler.
+//! The Priority Local-FIFO scheduler, the one policy the paper measures
+//! and the only one the runtime and the simulator run.
 //!
 //! Direct implementation of §I-B and Fig. 1 of the paper:
 //!
@@ -35,21 +36,6 @@ use crate::task::{StagedTask, Task};
 use grain_counters::threads::ThreadCounters;
 use grain_topology::NumaTopology;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Scheduling policy variants. The paper measures Priority Local-FIFO;
-/// the other two exist for the ablation study (DESIGN.md).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// The paper's policy: NUMA-aware six-step search (Fig. 1).
-    #[default]
-    PriorityLocalFifo,
-    /// No stealing: a worker only ever runs what lands in its own queues
-    /// (plus the shared high/low-priority queues).
-    NoSteal,
-    /// Stealing ignores NUMA domains: steps 3+5 and 4+6 collapse into
-    /// flat staged-then-pending sweeps over all workers.
-    NumaBlind,
-}
 
 /// One worker's dual queue.
 #[derive(Debug, Default)]
@@ -208,8 +194,8 @@ impl QueueSet {
     }
 }
 
-/// The work-finding engine: owns the policy, the NUMA map and the counter
-/// hooks. One instance per runtime, shared by all workers.
+/// The work-finding engine: owns the queues and the NUMA map that orders
+/// the search. One instance per runtime, shared by all workers.
 #[derive(Debug)]
 pub struct Scheduler {
     /// Queue system (shared so instantaneous queue-length counters can
@@ -217,8 +203,6 @@ pub struct Scheduler {
     pub queues: std::sync::Arc<QueueSet>,
     /// NUMA topology used for search ordering.
     pub numa: NumaTopology,
-    /// Policy variant.
-    pub kind: SchedulerKind,
 }
 
 /// Where a found task came from — used by the worker to bump the right
@@ -279,16 +263,15 @@ impl Provenance {
 
 impl Scheduler {
     /// Build a scheduler.
-    pub fn new(numa: NumaTopology, kind: SchedulerKind, high_queues: usize) -> Self {
+    pub fn new(numa: NumaTopology, high_queues: usize) -> Self {
         let workers = numa.workers();
         Self {
             queues: std::sync::Arc::new(QueueSet::new(workers, high_queues)),
             numa,
-            kind,
         }
     }
 
-    /// One full search round for worker `w`, following the policy's order.
+    /// One full search round for worker `w`, in Fig. 1's order.
     /// Returns a runnable task and where it came from, or `None` if every
     /// probed queue was empty. Counter updates (accesses/misses/converted/
     /// stolen) are recorded against worker `w` in `counters`, so only
@@ -386,73 +369,34 @@ impl Scheduler {
             return SearchStep::Converted;
         }
 
-        match self.kind {
-            SchedulerKind::NoSteal => {}
-            SchedulerKind::PriorityLocalFifo => {
-                // 3. Same-NUMA staged.
-                for p in self.numa.same_domain_peers(w) {
-                    let origin = Some(Provenance::NumaStaged(p));
-                    if let Some(t) = self.pop_staged(&self.queues.workers[p], w, counters, origin) {
-                        self.queues.push_pending(w, t);
-                        return SearchStep::Converted;
-                    }
-                }
-                // 4. Same-NUMA pending.
-                for p in self.numa.same_domain_peers(w) {
-                    if let Some(mut t) = self.pop_pending(&self.queues.workers[p], w, counters) {
-                        t.origin = None;
-                        return Self::dispatch(t, Provenance::NumaPending(p), w, counters);
-                    }
-                }
-                // 5. Remote-NUMA staged.
-                for p in self.numa.remote_domain_peers(w) {
-                    let origin = Some(Provenance::RemoteStaged(p));
-                    if let Some(t) = self.pop_staged(&self.queues.workers[p], w, counters, origin) {
-                        self.queues.push_pending(w, t);
-                        return SearchStep::Converted;
-                    }
-                }
-                // 6. Remote-NUMA pending.
-                for p in self.numa.remote_domain_peers(w) {
-                    if let Some(mut t) = self.pop_pending(&self.queues.workers[p], w, counters) {
-                        t.origin = None;
-                        return Self::dispatch(t, Provenance::RemotePending(p), w, counters);
-                    }
-                }
+        // 3. Same-NUMA staged.
+        for p in self.numa.same_domain_peers(w) {
+            let origin = Some(Provenance::NumaStaged(p));
+            if let Some(t) = self.pop_staged(&self.queues.workers[p], w, counters, origin) {
+                self.queues.push_pending(w, t);
+                return SearchStep::Converted;
             }
-            SchedulerKind::NumaBlind => {
-                // Blind to domains for *ordering* only: provenance still
-                // reports the victim's true domain relative to `w`.
-                let peers: Vec<usize> = {
-                    let mut v = self.numa.same_domain_peers(w);
-                    v.extend(self.numa.remote_domain_peers(w));
-                    v.sort_unstable_by_key(|&p| {
-                        (p + self.numa.workers() - w) % self.numa.workers()
-                    });
-                    v
-                };
-                for &p in &peers {
-                    let origin = Some(if self.numa.same_domain(w, p) {
-                        Provenance::NumaStaged(p)
-                    } else {
-                        Provenance::RemoteStaged(p)
-                    });
-                    if let Some(t) = self.pop_staged(&self.queues.workers[p], w, counters, origin) {
-                        self.queues.push_pending(w, t);
-                        return SearchStep::Converted;
-                    }
-                }
-                for &p in &peers {
-                    if let Some(mut t) = self.pop_pending(&self.queues.workers[p], w, counters) {
-                        t.origin = None;
-                        let prov = if self.numa.same_domain(w, p) {
-                            Provenance::NumaPending(p)
-                        } else {
-                            Provenance::RemotePending(p)
-                        };
-                        return Self::dispatch(t, prov, w, counters);
-                    }
-                }
+        }
+        // 4. Same-NUMA pending.
+        for p in self.numa.same_domain_peers(w) {
+            if let Some(mut t) = self.pop_pending(&self.queues.workers[p], w, counters) {
+                t.origin = None;
+                return Self::dispatch(t, Provenance::NumaPending(p), w, counters);
+            }
+        }
+        // 5. Remote-NUMA staged.
+        for p in self.numa.remote_domain_peers(w) {
+            let origin = Some(Provenance::RemoteStaged(p));
+            if let Some(t) = self.pop_staged(&self.queues.workers[p], w, counters, origin) {
+                self.queues.push_pending(w, t);
+                return SearchStep::Converted;
+            }
+        }
+        // 6. Remote-NUMA pending.
+        for p in self.numa.remote_domain_peers(w) {
+            if let Some(mut t) = self.pop_pending(&self.queues.workers[p], w, counters) {
+                t.origin = None;
+                return Self::dispatch(t, Provenance::RemotePending(p), w, counters);
             }
         }
 
@@ -537,9 +481,9 @@ mod tests {
         StagedTask::once(TaskId(id), Priority::Normal, |_| {})
     }
 
-    fn sched(workers: usize, domains: usize, kind: SchedulerKind) -> (Scheduler, ThreadCounters) {
+    fn sched(workers: usize, domains: usize) -> (Scheduler, ThreadCounters) {
         let numa = NumaTopology::block(workers, domains);
-        (Scheduler::new(numa, kind, 1), ThreadCounters::new(workers))
+        (Scheduler::new(numa, 1), ThreadCounters::new(workers))
     }
 
     /// A search by a worker whose slot is empty.
@@ -549,7 +493,7 @@ mod tests {
 
     #[test]
     fn local_pending_beats_local_staged() {
-        let (s, c) = sched(2, 1, SchedulerKind::PriorityLocalFifo);
+        let (s, c) = sched(2, 1);
         s.queues.push_staged(0, staged(1));
         s.queues.push_pending(0, Task::convert(staged(2)));
         let (t, prov) = find(&s, 0, &c).unwrap();
@@ -559,7 +503,7 @@ mod tests {
 
     #[test]
     fn local_staged_beats_stealing() {
-        let (s, c) = sched(2, 1, SchedulerKind::PriorityLocalFifo);
+        let (s, c) = sched(2, 1);
         s.queues.push_staged(1, staged(1)); // peer's
         s.queues.push_staged(0, staged(2)); // own
         let (t, prov) = find(&s, 0, &c).unwrap();
@@ -570,7 +514,7 @@ mod tests {
 
     #[test]
     fn steals_numa_staged_before_numa_pending() {
-        let (s, c) = sched(2, 1, SchedulerKind::PriorityLocalFifo);
+        let (s, c) = sched(2, 1);
         s.queues.push_pending(1, Task::convert(staged(1)));
         s.queues.push_staged(1, staged(2));
         let (t, prov) = find(&s, 0, &c).unwrap();
@@ -582,7 +526,7 @@ mod tests {
     #[test]
     fn local_numa_beats_remote_numa() {
         // 4 workers, 2 domains: {0,1} and {2,3}.
-        let (s, c) = sched(4, 2, SchedulerKind::PriorityLocalFifo);
+        let (s, c) = sched(4, 2);
         s.queues.push_staged(2, staged(1)); // remote for worker 0
         s.queues.push_staged(1, staged(2)); // local domain
         let (t, prov) = find(&s, 0, &c).unwrap();
@@ -592,7 +536,7 @@ mod tests {
 
     #[test]
     fn remote_staged_beats_remote_pending() {
-        let (s, c) = sched(4, 2, SchedulerKind::PriorityLocalFifo);
+        let (s, c) = sched(4, 2);
         s.queues.push_pending(2, Task::convert(staged(1)));
         s.queues.push_staged(3, staged(2));
         let (t, prov) = find(&s, 0, &c).unwrap();
@@ -604,7 +548,7 @@ mod tests {
     fn full_order_matches_fig1() {
         // Seed every tier and drain from worker 0; provenance must follow
         // the six-step order.
-        let (s, c) = sched(4, 2, SchedulerKind::PriorityLocalFifo);
+        let (s, c) = sched(4, 2);
         s.queues.push_pending(0, Task::convert(staged(10)));
         s.queues.push_staged(0, staged(11));
         s.queues.push_staged(1, staged(12));
@@ -633,7 +577,7 @@ mod tests {
 
     #[test]
     fn high_priority_preempts_everything_queued() {
-        let (s, c) = sched(2, 1, SchedulerKind::PriorityLocalFifo);
+        let (s, c) = sched(2, 1);
         s.queues.push_pending(0, Task::convert(staged(1)));
         s.queues.push_high(staged(2));
         let (t, prov) = find(&s, 0, &c).unwrap();
@@ -643,7 +587,7 @@ mod tests {
 
     #[test]
     fn low_priority_runs_only_when_drained() {
-        let (s, c) = sched(1, 1, SchedulerKind::PriorityLocalFifo);
+        let (s, c) = sched(1, 1);
         s.queues.push_low(staged(1));
         s.queues.push_staged(0, staged(2));
         let (t, _) = find(&s, 0, &c).unwrap();
@@ -654,50 +598,8 @@ mod tests {
     }
 
     #[test]
-    fn nosteal_never_touches_peers() {
-        let (s, c) = sched(2, 1, SchedulerKind::NoSteal);
-        s.queues.push_staged(1, staged(1));
-        s.queues.push_pending(1, Task::convert(staged(2)));
-        assert!(find(&s, 0, &c).is_none());
-        assert_eq!(c.stolen.sum(), 0);
-        // Worker 1 still gets its own work.
-        assert!(find(&s, 1, &c).is_some());
-    }
-
-    #[test]
-    fn numa_blind_still_steals() {
-        let (s, c) = sched(4, 2, SchedulerKind::NumaBlind);
-        s.queues.push_staged(3, staged(1));
-        let (t, prov) = find(&s, 0, &c).unwrap();
-        assert_eq!(t.id, TaskId(1));
-        assert_eq!(c.stolen.sum(), 1);
-        // Worker 3 lives in the other domain; the blind policy may steal
-        // from it out of order but must not mislabel where it was.
-        assert_eq!(prov, Provenance::RemoteStaged(3));
-    }
-
-    #[test]
-    fn numa_blind_reports_true_domain() {
-        // Regression: NumaBlind used to stamp every steal NumaStaged/
-        // NumaPending even for remote-domain victims. 4 workers, 2
-        // domains: {0,1} and {2,3}.
-        let (s, c) = sched(4, 2, SchedulerKind::NumaBlind);
-        s.queues.push_staged(1, staged(1)); // same-domain victim
-        let (_, prov) = find(&s, 0, &c).unwrap();
-        assert_eq!(prov, Provenance::NumaStaged(1));
-
-        s.queues.push_pending(3, Task::convert(staged(2))); // remote victim
-        let (_, prov) = find(&s, 0, &c).unwrap();
-        assert_eq!(prov, Provenance::RemotePending(3));
-
-        s.queues.push_pending(1, Task::convert(staged(3))); // same-domain
-        let (_, prov) = find(&s, 0, &c).unwrap();
-        assert_eq!(prov, Provenance::NumaPending(1));
-    }
-
-    #[test]
     fn counters_track_accesses_and_misses() {
-        let (s, c) = sched(2, 1, SchedulerKind::PriorityLocalFifo);
+        let (s, c) = sched(2, 1);
         assert!(find(&s, 0, &c).is_none());
         // hp pending+staged, own pending+staged, peer staged+pending, low:
         // pending probes: hp(1) + own(1) + peer(1) = 3, all misses;
@@ -720,7 +622,7 @@ mod tests {
     fn low_priority_probes_bump_staged_counters() {
         // Regression: the low-queue probe used to bypass the staged
         // access/miss counters entirely, contradicting the module doc.
-        let (s, c) = sched(1, 1, SchedulerKind::PriorityLocalFifo);
+        let (s, c) = sched(1, 1);
         s.queues.push_low(staged(1));
         let (t, prov) = find(&s, 0, &c).unwrap();
         assert_eq!(t.id, TaskId(1));
@@ -745,7 +647,7 @@ mod tests {
         // The old code charged worker 0 a steal at conversion time and
         // worker 2 another at the raid — double-counting one task and
         // attributing a steal to a worker that never dispatched anything.
-        let (s, c) = sched(4, 2, SchedulerKind::PriorityLocalFifo);
+        let (s, c) = sched(4, 2);
         s.queues.push_staged(1, staged(7));
 
         // Freeze worker 0 mid-round-trip: exactly one search pass.
@@ -774,7 +676,7 @@ mod tests {
         // The flip side: when the converting worker does win the reloop,
         // dispatch reports the original staged-steal provenance and
         // charges the (single) steal to the converter.
-        let (s, c) = sched(2, 1, SchedulerKind::PriorityLocalFifo);
+        let (s, c) = sched(2, 1);
         s.queues.push_staged(1, staged(9));
         let (t, prov) = find(&s, 0, &c).unwrap();
         assert_eq!(t.id, TaskId(9));
@@ -785,7 +687,7 @@ mod tests {
 
     #[test]
     fn next_slot_is_a_pending_hit_ahead_of_the_pending_queue() {
-        let (s, c) = sched(2, 1, SchedulerKind::PriorityLocalFifo);
+        let (s, c) = sched(2, 1);
         let mut own = SearchState::default();
         s.queues.push_pending(0, Task::convert(staged(1)));
         assert!(own.put(Task::convert(staged(2))).is_ok());
@@ -808,7 +710,7 @@ mod tests {
 
     #[test]
     fn high_priority_precedes_the_next_slot() {
-        let (s, c) = sched(1, 1, SchedulerKind::PriorityLocalFifo);
+        let (s, c) = sched(1, 1);
         let mut own = SearchState::default();
         assert!(own.put(Task::convert(staged(1))).is_ok());
         s.queues.push_high(staged(2));
@@ -825,7 +727,7 @@ mod tests {
 
     #[test]
     fn a_streak_of_slot_dispatches_gives_way_to_the_own_queues() {
-        let (s, c) = sched(1, 1, SchedulerKind::PriorityLocalFifo);
+        let (s, c) = sched(1, 1);
         let mut own = SearchState::default();
         s.queues.push_pending(0, Task::convert(staged(100)));
         s.queues.push_staged(0, staged(101));

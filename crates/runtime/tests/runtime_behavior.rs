@@ -1,9 +1,7 @@
 //! End-to-end behavioral tests of the runtime: spawning, dataflow,
 //! suspension, priorities, stealing, counters, and shutdown.
 
-use grain_runtime::{
-    channel, when_all, Poll, Priority, Runtime, RuntimeConfig, SchedulerKind, SharedFuture,
-};
+use grain_runtime::{channel, when_all, Poll, Priority, Runtime, RuntimeConfig, SharedFuture};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -354,22 +352,6 @@ fn work_is_stolen_across_workers() {
         "expected work spread over workers, got {per_worker:?}"
     );
     assert_eq!(per_worker.iter().sum::<u64>(), 4_000);
-}
-
-#[test]
-fn nosteal_keeps_work_local() {
-    let cfg = RuntimeConfig {
-        workers: 2,
-        scheduler: SchedulerKind::NoSteal,
-        ..RuntimeConfig::default()
-    };
-    let r = Runtime::new(cfg);
-    for _ in 0..100 {
-        r.spawn(|_| {});
-    }
-    r.wait_idle();
-    assert_eq!(r.counters().stolen.sum(), 0);
-    assert_eq!(r.counters().tasks.sum(), 100);
 }
 
 #[test]

@@ -189,12 +189,6 @@ impl NetPlan {
         self
     }
 
-    /// Bound link bandwidth (bytes per virtual second).
-    pub fn bandwidth(mut self, bytes_per_sec: u64) -> Self {
-        self.bandwidth_bytes_per_sec = Some(bytes_per_sec);
-        self
-    }
-
     /// Bound the per-directed-link in-flight frame count.
     pub fn queue_cap(mut self, cap: usize) -> Self {
         self.link_queue_cap = Some(cap);
@@ -320,7 +314,11 @@ mod tests {
         // must stay distinguishable in recorded bench rows.
         assert_ne!(a.fingerprint(), NetPlan::clean(42).fingerprint());
         assert_ne!(a.fingerprint(), chaotic().drop(0.3).fingerprint());
-        assert_ne!(a.fingerprint(), chaotic().bandwidth(1 << 20).fingerprint());
+        let throttled = NetPlan {
+            bandwidth_bytes_per_sec: Some(1 << 20),
+            ..chaotic()
+        };
+        assert_ne!(a.fingerprint(), throttled.fingerprint());
         assert_ne!(a.fingerprint(), chaotic().queue_cap(8).fingerprint());
         let parted = chaotic().partition(PartitionWindow {
             a: 0,

@@ -11,7 +11,7 @@
 //! * [`sequential::run_sequential`] — plain loops, the correctness oracle;
 //! * [`futurized::run_futurized`] — dataflow tasks on the native
 //!   [`grain_runtime::Runtime`], granularity controlled by `nx`;
-//! * [`dag::stencil_workload`] — the same task DAG for the
+//! * [`stencil_workload`] — the same task DAG for the
 //!   [`grain_sim`] discrete-event simulator, used to reproduce the
 //!   paper's multi-core experiments on modeled Table I platforms.
 //!
@@ -27,7 +27,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod dag;
+mod dag;
 pub mod futurized;
 pub mod heat;
 pub mod params;

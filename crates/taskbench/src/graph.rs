@@ -314,15 +314,6 @@ impl TaskGraph {
         widths.into_iter().max().unwrap_or(0)
     }
 
-    /// Level count (max step + 1).
-    pub fn levels(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| n.step as usize + 1)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The simulator's input for this graph: node `i` is task `i`, its
     /// [`GraphSpec::node_iters`] are the task's points, and the sources of
     /// its [`Self::preds`] are its dependencies. Ids are a topological
@@ -603,6 +594,15 @@ pub fn all_kinds(tasks: usize) -> Vec<GraphKind> {
 mod tests {
     use super::*;
 
+    /// Level count (max step + 1).
+    fn levels(g: &TaskGraph) -> usize {
+        g.nodes
+            .iter()
+            .map(|n| n.step as usize + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
     fn specs() -> Vec<GraphSpec> {
         all_kinds(64)
             .into_iter()
@@ -615,7 +615,7 @@ mod tests {
         for spec in specs() {
             let g = spec.build();
             assert!(!g.is_empty(), "{:?}", spec.kind);
-            assert!(g.levels() >= 1);
+            assert!(levels(&g) >= 1);
             for e in &g.edges {
                 assert!(e.src < e.dst, "{:?}: edge {e:?}", spec.kind);
                 let (s, d) = (g.nodes[e.src as usize], g.nodes[e.dst as usize]);
@@ -686,7 +686,7 @@ mod tests {
     fn butterfly_width_rounds_to_power_of_two() {
         let g = GraphSpec::shape(GraphKind::Butterfly { width: 5 }, 0).build();
         assert_eq!(g.width_bound(), 8);
-        assert_eq!(g.levels(), 4, "log2(8) stages + initial level");
+        assert_eq!(levels(&g), 4, "log2(8) stages + initial level");
         // Every non-initial node has exactly two predecessors.
         for id in 0..g.len() as u32 {
             let expect = if g.nodes[id as usize].step == 0 { 0 } else { 2 };
@@ -705,7 +705,7 @@ mod tests {
         )
         .build();
         // Widths: 8 4 2 1 2 4 8.
-        let mut widths = vec![0usize; g.levels()];
+        let mut widths = vec![0usize; levels(&g)];
         for n in &g.nodes {
             widths[n.step as usize] += 1;
         }

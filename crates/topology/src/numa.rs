@@ -50,12 +50,6 @@ impl NumaTopology {
         }
     }
 
-    /// A single flat domain containing all workers (Xeon Phi, or a
-    /// NUMA-blind configuration).
-    pub fn flat(workers: usize) -> Self {
-        Self::block(workers, 1)
-    }
-
     /// Number of workers.
     pub fn workers(&self) -> usize {
         self.domain_of.len()
@@ -85,10 +79,10 @@ impl NumaTopology {
         self.rotated_peers(w, |p| self.domain_of[p] == d)
     }
 
-    /// Workers in *other* NUMA domains, ordered by domain distance from
-    /// `w`'s domain (nearest first), then by worker index rotated after `w`.
-    /// With the symmetric distances of a dual-socket node this is simply
-    /// all remote workers.
+    /// Workers in *other* NUMA domains, in worker index order rotated
+    /// after `w`, as [`Self::same_domain_peers`] orders its own. There is
+    /// no distance model: every remote domain counts as equally far, as
+    /// the two sockets of a dual-socket node are.
     pub fn remote_domain_peers(&self, w: usize) -> Vec<usize> {
         let d = self.domain_of(w);
         self.rotated_peers(w, |p| self.domain_of[p] != d)
@@ -138,7 +132,7 @@ mod tests {
 
     #[test]
     fn flat_is_single_domain() {
-        let t = NumaTopology::flat(61);
+        let t = NumaTopology::block(61, 1);
         assert_eq!(t.domains(), 1);
         assert!(t.same_domain(0, 60));
     }
@@ -159,6 +153,10 @@ mod tests {
         assert_eq!(remote, vec![4, 5, 6, 7]);
         let remote = t.remote_domain_peers(6);
         assert_eq!(remote, vec![0, 1, 2, 3]);
+        // Three domains, {0,1} {2,3} {4,5}: worker 2's Fig. 1 steps 5-6
+        // visit the domain after its own first, then wrap to domain 0.
+        let t = NumaTopology::block(6, 3);
+        assert_eq!(t.remote_domain_peers(2), vec![4, 5, 0, 1]);
     }
 
     #[test]

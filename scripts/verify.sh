@@ -65,7 +65,7 @@ fi
 stage "options allow-list"
 # Every settable config value is a configuration nobody tests unless
 # somebody sets it: a field needs two values in use outside its own unit
-# tests. These are the `pub` fields of the 11 `*Config` structs, 44 in
+# tests. These are the `pub` fields of the 11 `*Config` structs, 43 in
 # all; a new knob is a decision argued here with its two callers, not a
 # field added — one value in use is a `const` in the module that reads it.
 options=$(cat crates/*/src/*.rs | awk '
@@ -78,7 +78,7 @@ BreakerConfig: 4
 FleetConfig: 11
 FleetWorkerConfig: 3
 NetConfig: 2
-RuntimeConfig: 7
+RuntimeConfig: 6
 ServiceConfig: 5
 SimConfig: 1
 TunerConfig: 4
@@ -91,25 +91,62 @@ stage "every pub item has a caller"
 # A capability needs a caller: every `pub fn/const/static/mod` of a
 # product crate (outside `bin/` and above its `#[cfg(test)]` module,
 # which clippy's items_after_test_module keeps last) must be
-# named on a code line — not a comment, not a `pub use` — of some other
-# tracked .rs file under crates/ src/ examples/ tests/ perf/.
-# Integration tests and examples count as callers; a file's own unit
-# tests do not. An item only its own file uses is private; one only its
-# own tests use goes, with them. The names are matched as words, so the
-# stage can miss an item that shares its name with another; it cannot
-# flag one that has a caller. A kept exception is listed here with its
-# reason, one `file name` per line; the list is empty.
+# named in code — not in a comment, a string or a char literal, not in
+# a `pub use` — of some other tracked .rs file under crates/ src/
+# examples/ tests/ perf/. Integration tests and examples count as
+# callers; a file's own unit tests do not. An item only its own file
+# uses is private; one only its own tests use goes, with them. The
+# names are matched as words, so the stage can miss an item that shares
+# its name with another; it cannot flag one that has a caller. A kept
+# exception is listed here with its reason, one `file name` per line;
+# the list is empty.
 uncalled=$(git ls-files -- 'crates/*.rs' 'src/*.rs' 'examples/*.rs' 'tests/*.rs' 'perf/*.rs' |
-    xargs awk '
-    FNR == 1 { decl = FILENAME ~ /^crates\/[^\/]+\/src\// && FILENAME !~ /\/bin\// }
+    LC_ALL=C xargs awk '
+    # code(s): line s with its string and char literals and its comments
+    # blanked. A string or block comment left open at the end of s stays
+    # open into the next line: `upto` is its closing delimiter, and
+    # `esc` says whether a backslash escapes inside it (not in a raw
+    # string or a comment).
+    function code(s,   out, t, i) {
+        out = ""
+        while (s != "") {
+            if (upto != "") {
+                if (esc) {
+                    if (!match(s, /^([^"\\]|\\.)*"/)) return out
+                    i = RLENGTH
+                } else {
+                    if (!(i = index(s, upto))) return out
+                    i += length(upto) - 1
+                }
+                s = substr(s, i + 1)
+                upto = ""
+                out = out " "
+            } else if (!match(s, /b?r#*"|"|\047|\/\/|\/\*/)) {
+                return out s
+            } else {
+                out = out substr(s, 1, RSTART - 1) " "
+                t = substr(s, RSTART, RLENGTH)
+                s = substr(s, RSTART + RLENGTH)
+                if (t == "//") return out
+                if (t == "/*") { upto = "*/"; esc = 0 }
+                else if (t == "\"") { upto = t; esc = 1 }
+                else if (t ~ /"$/) { sub(/^b?r/, "", t); upto = "\"" substr(t, 1, length(t) - 1); esc = 0 }
+                # a char literal goes; a lifetime or label keeps its name
+                else if (match(s, /^(\\.[^\047]*|[^\\\047 ][^\\\047 ]?[^\\\047 ]?[^\\\047 ]?)\047/))
+                    s = substr(s, RLENGTH + 1)
+            }
+        }
+        return out
+    }
+    FNR == 1 { decl = FILENAME ~ /^crates\/[^\/]+\/src\// && FILENAME !~ /\/bin\//; upto = "" }
     /^#\[cfg\(test\)\]/ { decl = 0 }
-    decl && match($0, /^ *pub (const |unsafe |async )*(fn|const|static|mod) [A-Za-z_0-9]+/) {
-        n = split(substr($0, RSTART, RLENGTH), w, " ")
+    { line = code($0) }
+    decl && match(line, /^ *pub (const |unsafe |async )*(fn|const|static|mod) [A-Za-z_0-9]+/) {
+        n = split(substr(line, RSTART, RLENGTH), w, " ")
         defs[FILENAME " " w[n]] = 1
     }
-    /^ *\/\// || /^ *pub use / { next }
+    line ~ /^ *pub use / { next }
     {
-        line = $0
         while (match(line, /[A-Za-z_][A-Za-z_0-9]*/)) {
             t = substr(line, RSTART, RLENGTH)
             line = substr(line, RSTART + RLENGTH)
@@ -195,7 +232,7 @@ stage "transcripts against results/"
 # - the paper's 18 tables and figures (the simulator's sweeps, the
 #   seeded search order and its probe counts, the asserted stencil DAG):
 #   a change to the search, the simulator, its RNG stream or how probes
-#   are counted shows up here. 536 s of wall time on one core of a
+#   are counted shows up here. 453–548 s of wall time on one core of a
 #   2-vCPU Xeon VM; one engine per platform computes each sweep cell once
 #   for all 18 entries. The last line of figs.log, printed here, is the
 #   time this run took.
