@@ -18,6 +18,13 @@ use std::time::{Duration, Instant};
 /// dual queues"). One holds every high-priority spawn.
 const HIGH_QUEUES: usize = 1;
 
+/// Longest nap of a worker that parks *starving* — while a task is in
+/// flight somewhere. It wakes to search again, so its starvation is
+/// charged to Σt_func slice by slice ("the thread scheduler continues to
+/// look for work"). A worker that parks while nothing is in flight, or
+/// throttled, sleeps until woken.
+const STARVING_NAP: Duration = Duration::from_micros(200);
+
 /// Runtime configuration. Start from [`RuntimeConfig::default`] (all host
 /// cores) and override fields. Every runtime schedules with the paper's
 /// Priority Local-FIFO policy.
@@ -26,10 +33,12 @@ pub struct RuntimeConfig {
     /// Number of worker OS threads ("one static OS thread per core" by
     /// default; oversubscription is allowed and functionally sound).
     pub workers: usize,
-    /// Failed full search rounds before a worker parks.
+    /// Failed full search rounds before a worker parks. A worker that
+    /// parks while no task is in flight sleeps until a spawn, resume,
+    /// throttle change or shutdown wakes it; one that parks while work is
+    /// in flight elsewhere naps at most 200 µs and charges the nap to
+    /// Σt_func as starvation.
     pub spin_rounds: u32,
-    /// Upper bound on one parking nap (re-checks for work after).
-    pub park_timeout: Duration,
     /// Record per-worker task-event timelines (see [`crate::trace`]).
     /// Off by default: tracing costs one buffer append per phase.
     pub trace: bool,
@@ -51,7 +60,6 @@ impl Default for RuntimeConfig {
         Self {
             workers: host::available_cores(),
             spin_rounds: 8,
-            park_timeout: Duration::from_micros(200),
             trace: false,
             watchdog: None,
             locality_id: 0,
@@ -402,22 +410,23 @@ impl Inner {
         }
     }
 
-    /// Park the calling worker until woken or timed out — but only if no
-    /// wake happened since `ticket` was taken, the queues still look
-    /// empty, and shutdown has not begun.
-    pub(crate) fn park(&self, ticket: usize) {
-        self.park_if(ticket, || self.scheduler.queues.total_len() == 0)
+    /// Park the calling worker — but only if no wake happened since
+    /// `ticket` was taken, the queues still look empty, and shutdown has
+    /// not begun. A `starving` worker (work in flight elsewhere) naps at
+    /// most [`STARVING_NAP`]; any other sleeps until woken.
+    pub(crate) fn park(&self, ticket: usize, starving: bool) {
+        self.park_if(ticket, starving, || self.scheduler.queues.total_len() == 0)
     }
 
     /// Park a *throttled* worker: same protocol, but queued work does not
     /// keep it awake (it must not take any) — only a wake (generation
-    /// bump, e.g. from [`Runtime::set_active_workers`] or shutdown) or
-    /// the timeout gets it back up to re-check the throttle limit.
+    /// bump, from [`Runtime::set_active_workers`] or shutdown) gets it
+    /// back up to re-check the throttle limit.
     pub(crate) fn park_throttled(&self, ticket: usize) {
-        self.park_if(ticket, || true)
+        self.park_if(ticket, false, || true)
     }
 
-    fn park_if(&self, ticket: usize, quiet: impl Fn() -> bool) {
+    fn park_if(&self, ticket: usize, starving: bool, quiet: impl Fn() -> bool) {
         self.parker.sleepers.fetch_add(1, Ordering::SeqCst);
         // Re-check after announcing sleep: a stale ticket means a wake
         // fired after our search started — the work it signalled may be
@@ -436,7 +445,11 @@ impl Inner {
         // strictly before our wait — and one we don't observe will take
         // the lock after us and its notify_all reaches our wait.
         if self.parker.generation.load(Ordering::SeqCst) == ticket {
-            self.parker.cv.wait_for(&mut g, self.config.park_timeout);
+            if starving {
+                self.parker.cv.wait_for(&mut g, STARVING_NAP);
+            } else {
+                self.parker.cv.wait(&mut g);
+            }
         }
         drop(g);
         self.parker.sleepers.fetch_sub(1, Ordering::SeqCst);

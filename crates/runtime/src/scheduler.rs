@@ -347,7 +347,8 @@ impl Scheduler {
             // The streak is up: the task queues behind whatever is
             // pending. Nobody is woken for it: this worker searches on
             // and cannot strand it, and an idle peer looks again within
-            // one park timeout.
+            // one starving nap (the task is in flight, so every parked
+            // peer is napping).
             self.queues.push_pending(w, t);
             state.staged_first = true;
         }

@@ -7,11 +7,20 @@
 //! * `t_func` — "the total time to complete each HPX-thread": measured
 //!   from the end of the previous dispatch (i.e. including the search
 //!   for work, conversion, dequeue, state transitions) to the end of the
-//!   current phase. Starvation while work exists *somewhere* is flushed
-//!   into `Σt_func` before a worker parks, so coarse-grained runs show
-//!   the rising idle-rate of Fig. 4/5's right-hand side. Time spent
-//!   while the whole runtime is quiescent (no task in flight) is *not*
-//!   charged — otherwise the counters would drift between benchmark runs.
+//!   current phase.
+//!
+//! A worker whose search comes up empty spins `spin_rounds` times, then
+//! parks in one of two ways, chosen by the in-flight count it reads
+//! just before parking:
+//!
+//! * *starving* — a task is in flight somewhere: it naps at most 200 µs
+//!   and searches again, and charges the search and the nap to
+//!   `Σt_func`, so coarse-grained runs show the rising idle-rate of
+//!   Fig. 4/5's right-hand side;
+//! * *quiescent* — nothing is in flight: it sleeps until a spawn, resume,
+//!   throttle change or shutdown wakes it, and charges nothing, even when
+//!   a spawn is what ended the sleep — otherwise the counters would drift
+//!   between benchmark runs. A throttled worker sleeps the same way.
 //!
 //! The worker reads the clock exactly twice per executed phase: once
 //! immediately before the body and once immediately after it. The second
@@ -231,9 +240,12 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                     continue;
                 }
                 failed_rounds = 0;
-                if inner.in_flight.load(Ordering::SeqCst) == 0 {
-                    // Quiescent runtime: discard the elapsed window so the
-                    // counters don't drift while nothing is happening.
+                // Starving: work is in flight somewhere but this worker
+                // found none. Quiescent otherwise: nothing can end the
+                // nap but a wake, and the elapsed window is discarded so
+                // the counters don't drift while nothing is happening.
+                let starving = inner.in_flight.load(Ordering::SeqCst) > 0;
+                if !starving {
                     mark = Instant::now();
                 }
                 // An empty search took whatever was in the next slot, and
@@ -242,14 +254,14 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                 // The ticket predates this iteration's (empty) search: a
                 // spawn that raced it bumped the generation and voids the
                 // park — the lost-wakeup window is closed.
-                inner.park(ticket);
+                inner.park(ticket, starving);
                 let now = Instant::now();
-                if inner.in_flight.load(Ordering::SeqCst) > 0 {
-                    // Genuine starvation: work exists but this worker can't
-                    // get any. Charge the search + nap time to Σt_func (the
-                    // paper: at coarse grain "cores have no work to do …
-                    // but the thread scheduler continues to look for
-                    // work").
+                if starving {
+                    // Genuine starvation: charge the search + nap time to
+                    // Σt_func (the paper: at coarse grain "cores have no
+                    // work to do … but the thread scheduler continues to
+                    // look for work"). A quiescent park charges nothing,
+                    // even when a spawn is what ended it.
                     counters
                         .func_ns
                         .add(w, now.duration_since(mark).as_nanos() as u64);

@@ -107,10 +107,12 @@ fn quiescent_windows_are_not_charged_to_func() {
     r.wait_idle();
     let func1 = query(&r, FUNC);
     let delta_ms = (func1 - func0) / 1e6;
-    // Both workers charging the full sleep would show ~1000ms here; the
-    // correct behavior is microseconds (one park timeout per wake, plus
-    // one trivial phase). 250ms distinguishes the two with a wide berth
-    // for a loaded CI host.
+    // Both workers charging the full sleep would show ~1000ms here. Both
+    // parked quiescent, which charges nothing even though the spawn is
+    // what woke them, so the correct behavior is microseconds: the search
+    // that finds the task, one trivial phase, and at most one starving
+    // nap of the worker that finds nothing while it runs. 250ms
+    // distinguishes the two with a wide berth for a loaded CI host.
     assert!(
         delta_ms < 250.0,
         "quiescent sleep was charged to func: Δ={delta_ms}ms"

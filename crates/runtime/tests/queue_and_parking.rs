@@ -7,14 +7,16 @@
 //! the order that producer pushed them (observed per consumer — the only
 //! vantage point from which FIFO is even meaningful under concurrency).
 //!
-//! The parking tests drive whole runtimes through spawn-then-quiesce
-//! cycles with an effectively infinite `park_timeout` and zero spin
-//! rounds, so the *only* thing that can get a parked worker running again
-//! is a correct wake. Pre-PR, a spawn could slip between a worker's final
-//! empty search and its park and the worker would sleep through the work
-//! (masked in practice by the 200µs timeout); the generation ticket makes
-//! that window detectable — these tests hang (and are killed by the
-//! guard thread) if it ever reopens.
+//! The parking tests drive whole runtimes, with the shipped parker and
+//! zero spin rounds, through spawn-then-quiesce cycles. A worker that
+//! parks while nothing is in flight sleeps with no timeout, so the *only*
+//! thing that can get it running again is a correct wake. A spawn that
+//! slipped between a worker's final empty search and its park would
+//! leave that worker asleep through the work; the generation ticket
+//! closes that window — these tests hang (and are killed by the guard
+//! thread) if it ever reopens. A worker that parks while work is in
+//! flight elsewhere still naps at most 200 µs, so a wake lost to it
+//! would show here as delay, not as a hang.
 //!
 //! The condvar test does the same to `sync::Condvar`, whose notifies
 //! return without a system call when its waiter count reads zero: a
@@ -148,9 +150,9 @@ fn queue_contention_across_segment_boundaries() {
 }
 
 /// Run `f` but fail loudly if it takes longer than `limit` — the
-/// signature of a worker asleep through available work (with the huge
-/// park_timeout used below, a lost wakeup turns into a near-infinite
-/// stall instead of a silently slow test).
+/// signature of a worker asleep through available work (a quiescent park
+/// has no timeout, so a lost wakeup turns into an endless stall instead
+/// of a silently slow test).
 fn bounded(limit: Duration, name: &str, f: impl FnOnce() + Send + 'static) {
     let (tx, rx) = std::sync::mpsc::channel();
     let t = std::thread::spawn(move || {
@@ -164,14 +166,13 @@ fn bounded(limit: Duration, name: &str, f: impl FnOnce() + Send + 'static) {
 }
 
 /// Spawn-then-quiesce cycles with parking as the only idle mechanism
-/// (spin_rounds = 0) and a park_timeout far beyond the test bound: every
+/// (spin_rounds = 0) and quiescent parks that never time out: every
 /// cycle's completion proves no worker slept through its spawns.
 #[test]
 fn no_lost_wakeups_across_spawn_quiesce_cycles() {
     bounded(Duration::from_secs(60), "spawn/quiesce cycles", || {
         let mut cfg = RuntimeConfig::with_workers(2);
         cfg.spin_rounds = 0;
-        cfg.park_timeout = Duration::from_secs(600);
         let r = Runtime::new(cfg);
         let hits = Arc::new(AtomicUsize::new(0));
         let mut expected = 0;
@@ -193,14 +194,13 @@ fn no_lost_wakeups_across_spawn_quiesce_cycles() {
 }
 
 /// The same race, attacked from outside the runtime: an external thread
-/// spawning single tasks back-to-back against workers that park with a
-/// 10-minute timeout. Any one lost wakeup stalls the whole chain.
+/// spawning single tasks back-to-back against workers that park
+/// quiescent between them. Any one lost wakeup stalls the whole chain.
 #[test]
 fn single_task_chain_never_stalls() {
     bounded(Duration::from_secs(60), "single-task chain", || {
         let mut cfg = RuntimeConfig::with_workers(4);
         cfg.spin_rounds = 0;
-        cfg.park_timeout = Duration::from_secs(600);
         let r = Runtime::new(cfg);
         for i in 0..5_000u64 {
             let f = r.async_call(move |_| i * 2);
@@ -218,7 +218,6 @@ fn throttle_and_unthrottle_never_strands_work() {
     bounded(Duration::from_secs(60), "throttle cycling", || {
         let mut cfg = RuntimeConfig::with_workers(4);
         cfg.spin_rounds = 0;
-        cfg.park_timeout = Duration::from_secs(600);
         let r = Runtime::new(cfg);
         let hits = Arc::new(AtomicUsize::new(0));
         let mut expected = 0;
