@@ -6,11 +6,13 @@
 //! panicked writer leaves counters merely stale, never unsound), and
 //! [`Condvar::wait`]/[`Condvar::wait_for`] take the guard by `&mut`
 //! reference. Every crate in the workspace synchronizes through this
-//! module so tier-1 builds need nothing outside the standard library.
+//! module so tier-1 builds need nothing outside the standard library,
+//! and every ticker is its one timer primitive, [`Pump`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::PoisonError;
-use std::time::Duration;
+use std::sync::{Arc, PoisonError, Weak};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Recover the guard (or value) from a possibly-poisoned lock result.
 ///
@@ -151,10 +153,117 @@ impl<T: ?Sized> RwLock<T> {
     }
 }
 
+/// What a [`Pump`] thread sleeps on. Owned apart from the state the pump
+/// works on, so a sleeping pump keeps nothing else alive.
+#[derive(Default)]
+pub struct Kick {
+    state: Mutex<KickState>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct KickState {
+    stopped: bool,
+    /// The next pass: while the thread sleeps, its deadline; during a
+    /// pass, the earliest [`Kick::kick_by`] since, which caps the pass's.
+    due: Option<Instant>,
+}
+
+impl Kick {
+    /// Run a pass now; one that is already running is followed by
+    /// another.
+    pub fn kick(&self) {
+        self.kick_by(Instant::now());
+    }
+
+    /// Make sure a pass runs by `at`, never later than it would have.
+    /// Call it after publishing the timer `at` belongs to, so the pass
+    /// that runs by then sees it.
+    pub fn kick_by(&self, at: Instant) {
+        let mut st = self.state.lock();
+        if st.due.is_none_or(|due| due > at) {
+            st.due = Some(at);
+            self.cv.notify_one();
+        }
+    }
+
+    /// Sleep until due, at the latest `due`; `false` once stopped.
+    fn wait(&self, due: Option<Instant>) -> bool {
+        let mut st = self.state.lock();
+        if let Some(due) = due {
+            st.due = Some(st.due.map_or(due, |d| d.min(due)));
+        }
+        while !st.stopped {
+            let Some(due) = st.due else {
+                self.cv.wait(&mut st);
+                continue;
+            };
+            let left = due.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                st.due = None;
+                return true;
+            }
+            self.cv.wait_for(&mut st, left);
+        }
+        false
+    }
+
+    fn stop(&self) {
+        self.state.lock().stopped = true;
+        self.cv.notify_one();
+    }
+}
+
+/// A thread that runs a pass over some shared state when kicked or when
+/// the deadline the last pass returned comes (with none, only a kick
+/// wakes it). Dropping the pump stops and joins the thread at once.
+pub struct Pump {
+    kick: Arc<Kick>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Pump {
+    /// Run `pass` over `shared` on a thread called `name`, first on a
+    /// kick of `kick`, until the pump or `shared` is dropped. The thread
+    /// holds `shared` only while a pass runs.
+    pub fn spawn<S: Send + Sync + 'static>(
+        name: String,
+        kick: Arc<Kick>,
+        shared: Weak<S>,
+        mut pass: impl FnMut(&Arc<S>) -> Option<Instant> + Send + 'static,
+    ) -> Self {
+        let sleeps_on = Arc::clone(&kick);
+        let thread = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || {
+                let mut due = None;
+                while sleeps_on.wait(due) {
+                    let Some(shared) = shared.upgrade() else {
+                        return;
+                    };
+                    due = pass(&shared);
+                }
+            })
+            .expect("failed to spawn pump thread");
+        Self {
+            kick,
+            thread: Some(thread),
+        }
+    }
+}
+
+impl Drop for Pump {
+    fn drop(&mut self) {
+        self.kick.stop();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn mutex_basic() {
@@ -239,6 +348,74 @@ mod tests {
         cv.notify_all();
         t.join().expect("waiter panicked");
         assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    /// A pump with nothing due sleeps until kicked; a pass's deadline
+    /// brings the next pass with no kick; `kick_by` a later instant
+    /// leaves a sleeping pump alone, an earlier one brings its pass
+    /// forward to that instant.
+    #[test]
+    fn a_pump_runs_on_kicks_and_on_the_deadlines_its_passes_return() {
+        struct Passes {
+            count: AtomicUsize,
+            next: Mutex<Option<Duration>>,
+        }
+        let passes = Arc::new(Passes {
+            count: AtomicUsize::new(0),
+            next: Mutex::new(None),
+        });
+        let kick: Arc<Kick> = Arc::default();
+        let _pump = Pump::spawn(
+            "pump-test".into(),
+            Arc::clone(&kick),
+            Arc::downgrade(&passes),
+            |p: &Arc<Passes>| {
+                p.count.fetch_add(1, Ordering::SeqCst);
+                p.next.lock().take().map(|d| Instant::now() + d)
+            },
+        );
+        let count = || passes.count.load(Ordering::SeqCst);
+        let settle = |n: usize| {
+            let t0 = Instant::now();
+            while count() < n && t0.elapsed() < Duration::from_secs(10) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(count(), n);
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(count(), 0, "no pass before the first kick");
+        *passes.next.lock() = Some(Duration::from_millis(20));
+        kick.kick();
+        // The kicked pass, then the one its deadline asked for.
+        settle(2);
+        std::thread::sleep(Duration::from_millis(40));
+        assert_eq!(count(), 2, "the second pass set no deadline");
+
+        *passes.next.lock() = Some(Duration::from_secs(3600));
+        kick.kick();
+        settle(3);
+        kick.kick_by(Instant::now() + Duration::from_secs(7200));
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(count(), 3, "a later timer leaves the pump asleep");
+        kick.kick_by(Instant::now() + Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(count(), 3, "an earlier timer is not a kick");
+        settle(4);
+    }
+
+    #[test]
+    fn dropping_a_pump_joins_its_sleeping_thread() {
+        let shared = Arc::new(());
+        let kick: Arc<Kick> = Arc::default();
+        let pump = Pump::spawn(
+            "pump-test".into(),
+            kick,
+            Arc::downgrade(&shared),
+            |_: &Arc<()>| None,
+        );
+        let t0 = Instant::now();
+        drop(pump);
+        assert!(t0.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! ## Lifecycle of a routed job
 //!
 //! `submit` assigns an idempotency key, parks the job *pending* and
-//! kicks the pump thread ([`crate::pump`]), which places it on a worker
+//! kicks the pump thread ([`Pump`]), which places it on a worker
 //! (pressure-driven, see below) and sends `fleet/submit` — every
 //! dispatch attempt bumps the job's **epoch**, so anything an older
 //! attempt left behind is fenceable.
-//! The ack moves the job to *leased*; the worker's `fleet/complete`
-//! push makes it terminal. Exactly-once completion accounting follows
+//! The ack, harvested by the next pass, moves the job to *leased*; the
+//! worker's `fleet/complete` push makes it terminal at once. Exactly-once completion accounting follows
 //! from one rule: only a push carrying the job's **current** epoch is
 //! accepted; anything older (a partitioned worker's parked push, a
 //! duplicate, a push racing a re-dispatch) bumps `fenced`/`duplicate`
@@ -18,7 +18,8 @@
 //! ## Failure handling
 //!
 //! * **Death** — the pump diffs leases against `connected_peers()`
-//!   every pass (the liveness monitor turns silent partitions into
+//!   every pass, and passes at least every [`SWEEP`] while a job is
+//!   live (the liveness monitor turns silent partitions into
 //!   disconnects); a lease on a gone worker is *orphaned* and the job
 //!   re-enters pending for re-dispatch.
 //! * **Lease timeout** — an optional hedge: a lease older than
@@ -38,26 +39,25 @@
 //!
 //! ## Placement
 //!
-//! The pump polls each candidate's `sys/stats` action (cached for
+//! Each pump pass polls each candidate's `sys/stats` action (cached for
 //! `stats_max_age`) and scores `pressure level ≫ queue fill ≫ queued
 //! jobs ≫ overhead`; draining, dead, breaker-open, and backing-off
 //! workers are ineligible. Ties break toward the lowest locality id so
 //! placement is deterministic given equal load reports.
 
-use crate::pump::{Kick, Pump};
 use crate::wire::{
     family_code, FleetJob, FleetOutcome, SubmitAck, SubmitVerdict, WireReject, WorkerStats,
     ACTION_COMPLETE, ACTION_DRAIN, ACTION_STATS, ACTION_SUBMIT,
 };
 use grain_counters::registry::RawView;
-use grain_counters::sync::{Condvar, Mutex};
+use grain_counters::sync::{Condvar, Kick, Mutex, Pump};
 use grain_counters::{RawCounter, Registry, RegistryError, Unit};
 use grain_net::Locality;
 use grain_runtime::{SharedFuture, TaskError};
 use grain_service::{BreakerConfig, BreakerDecision, BreakerState, Breakers};
 use grain_service::{JobOutcome, JobState, RejectReason};
 use grain_sim::storm::GraphFamily;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,6 +69,11 @@ const ANSWER: BreakerState = BreakerState::Open;
 
 /// The `retry_after` hint stamped on quorum sheds.
 pub const SHED_RETRY_AFTER: Duration = Duration::from_millis(100);
+
+/// Longest sleep of the pump while a job is live: a worker's death and a
+/// return to quorum have no event, and an ack or a completion needs no
+/// pass of its own. With no live job it sleeps until kicked.
+const SWEEP: Duration = Duration::from_millis(1);
 
 /// Placement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,11 +90,6 @@ pub enum Placement {
 pub struct FleetConfig {
     /// Worker locality ids the gateway may place on.
     pub workers: Vec<usize>,
-    /// Fallback tick of the pump. Placement and ack harvest happen when
-    /// their cause does (a submit, an ack, a completion, a drain); the
-    /// tick serves what has no event: lease expiry, retry backoffs, the
-    /// death sweep, stale stats.
-    pub pump_interval: Duration,
     /// Hedge: re-dispatch a lease older than this (`None` = never).
     pub lease_timeout: Option<Duration>,
     /// Give up on a dispatch whose ack hasn't settled within this.
@@ -117,7 +117,6 @@ impl FleetConfig {
     pub fn new(workers: Vec<usize>) -> Self {
         Self {
             workers,
-            pump_interval: Duration::from_millis(1),
             lease_timeout: None,
             ack_timeout: Duration::from_secs(2),
             retry_backoff: Duration::from_millis(10),
@@ -404,6 +403,14 @@ struct GateJob {
     slot: Arc<Slot>,
 }
 
+/// Every key ever submitted (the fence and duplicate record), and the
+/// keys not yet terminal, which are all a pump pass walks, in order.
+#[derive(Default)]
+struct Jobs {
+    all: HashMap<u64, GateJob>,
+    live: BTreeSet<u64>,
+}
+
 struct WorkerView {
     draining: bool,
     backoff_until: Option<Instant>,
@@ -435,7 +442,7 @@ impl WorkerView {
 struct GatewayShared {
     locality: Locality,
     config: FleetConfig,
-    jobs: Mutex<HashMap<u64, GateJob>>,
+    jobs: Mutex<Jobs>,
     workers: Mutex<HashMap<usize, WorkerView>>,
     breakers: Breakers<usize>,
     counters: FleetCounters,
@@ -508,7 +515,7 @@ impl FleetGateway {
                 None,
             ),
             config,
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(Jobs::default()),
             workers: Mutex::new(HashMap::new()),
             counters: FleetCounters::new(),
             next_key: AtomicU64::new(1),
@@ -529,7 +536,6 @@ impl FleetGateway {
         }
         let pump = Pump::spawn(
             format!("grain-fleet-gateway-{}", locality.id()),
-            shared.config.pump_interval,
             Arc::clone(&shared.kick),
             Arc::downgrade(&shared),
             pump_tick,
@@ -578,14 +584,16 @@ impl FleetGateway {
             last_reject: None,
             slot,
         };
-        let degraded = spec.deadline.is_some() && self.below_quorum();
+        let degraded =
+            spec.deadline.is_some() && below_quorum(shared, &shared.locality.connected_peers());
         {
-            let mut jobs = shared.jobs.lock();
-            jobs.insert(key, gj);
+            let mut guard = shared.jobs.lock();
+            let jobs = &mut *guard;
+            let gj = jobs.all.entry(key).or_insert(gj);
             if degraded {
-                if let Some(gj) = jobs.get_mut(&key) {
-                    settle_shed(shared, gj);
-                }
+                settle_shed(shared, gj);
+            } else {
+                jobs.live.insert(key);
             }
         }
         // Kicked with the ledger unlocked: the pump's first act is to
@@ -613,7 +621,7 @@ impl FleetGateway {
             .draining = true;
         let mut jobs = shared.jobs.lock();
         for key in &report.handed_back {
-            if let Some(gj) = jobs.get_mut(key) {
+            if let Some(gj) = jobs.all.get_mut(key) {
                 if !matches!(gj.phase, Phase::Terminal) {
                     shared.counters.handed_back.incr();
                     gj.phase = Phase::Pending { not_before: None };
@@ -656,28 +664,13 @@ impl FleetGateway {
 
     /// Worker ids currently alive (linked) and not draining.
     pub fn accepting_workers(&self) -> Vec<usize> {
-        let alive = self.shared.locality.connected_peers();
-        let views = self.shared.workers.lock();
-        self.shared
-            .config
-            .workers
-            .iter()
-            .copied()
-            .filter(|w| alive.contains(w))
-            .filter(|w| !views.get(w).is_some_and(|v| v.draining))
-            .collect()
-    }
-
-    fn below_quorum(&self) -> bool {
-        let need =
-            (self.shared.config.quorum * self.shared.config.workers.len() as f64).ceil() as usize;
-        self.accepting_workers().len() < need
+        accepting(&self.shared, &self.shared.locality.connected_peers())
     }
 
     /// The worker currently holding `key`'s lease, if the job is
     /// leased right now (chaos tests synchronize on this).
     pub fn lease_of(&self, key: u64) -> Option<usize> {
-        match self.shared.jobs.lock().get(&key).map(|j| &j.phase) {
+        match self.shared.jobs.lock().all.get(&key).map(|j| &j.phase) {
             Some(Phase::Leased { worker, .. }) => Some(*worker),
             _ => None,
         }
@@ -709,7 +702,7 @@ impl FleetGateway {
 
     /// Human-readable phase of one job — for harness hang diagnostics.
     pub fn debug_phase(&self, key: u64) -> String {
-        match self.shared.jobs.lock().get(&key) {
+        match self.shared.jobs.lock().all.get(&key) {
             None => "unknown-key".to_owned(),
             Some(gj) => {
                 let phase = match &gj.phase {
@@ -727,16 +720,20 @@ impl FleetGateway {
             }
         }
     }
+}
 
-    /// Jobs not yet terminal.
-    pub fn in_flight(&self) -> usize {
-        self.shared
-            .jobs
-            .lock()
-            .values()
-            .filter(|j| !matches!(j.phase, Phase::Terminal))
-            .count()
-    }
+/// The workers among `alive` that are not draining.
+fn accepting(shared: &GatewayShared, alive: &[usize]) -> Vec<usize> {
+    let (views, workers) = (shared.workers.lock(), &shared.config.workers);
+    let accepts = |w: &usize| alive.contains(w) && !views.get(w).is_some_and(|v| v.draining);
+    workers.iter().copied().filter(accepts).collect()
+}
+
+/// Too few workers accept for the configured quorum: deadline-carrying
+/// jobs are shed.
+fn below_quorum(shared: &GatewayShared, alive: &[usize]) -> bool {
+    let need = (shared.config.quorum * shared.config.workers.len() as f64).ceil() as usize;
+    accepting(shared, alive).len() < need
 }
 
 /// Terminal-bucket accounting + wakeup, shared by every settle path.
@@ -808,7 +805,7 @@ fn settle_rejected(shared: &GatewayShared, gj: &mut GateJob) {
 /// Returns 0 when the push was recorded, 1 when fenced or duplicate.
 fn handle_complete(shared: &Arc<GatewayShared>, outcome: FleetOutcome) -> u8 {
     let mut jobs = shared.jobs.lock();
-    let Some(gj) = jobs.get_mut(&outcome.key) else {
+    let Some(gj) = jobs.all.get_mut(&outcome.key) else {
         shared.counters.duplicates.incr();
         return 1;
     };
@@ -853,9 +850,7 @@ fn handle_complete(shared: &Arc<GatewayShared>, outcome: FleetOutcome) -> u8 {
         origin_locality: Some(origin),
     };
     settle(shared, gj, job_outcome);
-    drop(jobs);
-    // The breaker success above may have made `origin` placeable again.
-    shared.kick.kick();
+    jobs.live.remove(&outcome.key);
     0
 }
 
@@ -909,8 +904,10 @@ fn place(
 }
 
 /// One pump pass: harvest stats polls, sweep acks/leases, place
-/// pending jobs, shed under quorum loss.
-fn pump_tick(shared: &Arc<GatewayShared>) {
+/// pending jobs, shed under quorum loss. Returns when the next pass is
+/// due while a job is live: its earliest ack, lease or backoff deadline,
+/// at most [`SWEEP`] away.
+fn pump_tick(shared: &Arc<GatewayShared>) -> Option<Instant> {
     let now = Instant::now();
     let alive = shared.locality.connected_peers();
 
@@ -936,24 +933,12 @@ fn pump_tick(shared: &Arc<GatewayShared>) {
         }
     }
 
-    let quorum_need = (shared.config.quorum * shared.config.workers.len() as f64).ceil() as usize;
-    let accepting = {
-        let views = shared.workers.lock();
-        shared
-            .config
-            .workers
-            .iter()
-            .filter(|w| alive.contains(w))
-            .filter(|w| !views.get(w).is_some_and(|v| v.draining))
-            .count()
-    };
-    let degraded = accepting < quorum_need;
+    let degraded = below_quorum(shared, &alive);
 
-    let mut jobs = shared.jobs.lock();
-    let mut keys: Vec<u64> = jobs.keys().copied().collect();
-    keys.sort_unstable();
-    for key in keys {
-        let Some(gj) = jobs.get_mut(&key) else {
+    let mut guard = shared.jobs.lock();
+    let Jobs { all, live } = &mut *guard;
+    for key in live.iter() {
+        let Some(gj) = all.get_mut(key) else {
             continue;
         };
         match &gj.phase {
@@ -1077,9 +1062,6 @@ fn pump_tick(shared: &Arc<GatewayShared>) {
                 }
                 let ack: SharedFuture<SubmitAck> =
                     shared.locality.async_remote(worker, ACTION_SUBMIT, &gj.job);
-                // The ack turns the dispatch into a lease or a retry.
-                let kick = Arc::clone(&shared.kick);
-                ack.on_settled(move |_| kick.kick());
                 gj.phase = Phase::Dispatching {
                     worker,
                     ack,
@@ -1088,6 +1070,24 @@ fn pump_tick(shared: &Arc<GatewayShared>) {
             }
         }
     }
+    // What stays live, and its earliest ack, lease or backoff deadline.
+    let mut due = now + SWEEP;
+    live.retain(|key| {
+        let Some(gj) = all.get(key) else {
+            return false;
+        };
+        let at = match &gj.phase {
+            Phase::Pending { not_before } => *not_before,
+            Phase::Dispatching { sent_at, .. } => Some(*sent_at + shared.config.ack_timeout),
+            Phase::Leased { since, .. } => shared.config.lease_timeout.map(|t| *since + t),
+            Phase::Terminal => return false,
+        };
+        if let Some(at) = at.filter(|&at| at > now) {
+            due = due.min(at);
+        }
+        true
+    });
+    (!live.is_empty()).then_some(due)
 }
 
 fn backoff_worker(shared: &GatewayShared, worker: usize, now: Instant) {
@@ -1132,5 +1132,43 @@ mod tests {
         let mut view = WorkerView::new();
         view.absorb_stats(Instant::now(), &stats(true));
         assert!(view.draining);
+    }
+
+    /// A settled key leaves the live set a pump pass walks, and the full
+    /// record still fences: a late push for it is a counted duplicate.
+    #[test]
+    fn a_settled_key_leaves_the_live_set_and_its_late_push_is_a_duplicate() {
+        let fabric = grain_net::bootstrap::Fabric::loopback(1, |_| {
+            grain_runtime::RuntimeConfig::with_workers(1)
+        });
+        // No worker to place on: the job stays pending until the push.
+        let gateway = FleetGateway::install(fabric.locality(0), FleetConfig::new(vec![]));
+        let key = gateway.submit(FleetJobSpec::new("j", "t")).key();
+        assert!(gateway.shared.jobs.lock().live.contains(&key));
+        let push = || FleetOutcome {
+            key,
+            epoch: 0,
+            origin: 1,
+            state: JobState::Completed,
+            tasks_completed: 1,
+            tasks_spawned: 1,
+            tasks_faulted: 0,
+            exec_ns: 0,
+            retries: 0,
+            fault_msg: None,
+            reject: None,
+        };
+        assert_eq!(handle_complete(&gateway.shared, push()), 0, "recorded");
+        {
+            let jobs = gateway.shared.jobs.lock();
+            assert!(jobs.live.is_empty(), "the settled key left the live set");
+            assert!(jobs.all.contains_key(&key), "its record stays");
+        }
+        assert_eq!(handle_complete(&gateway.shared, push()), 1, "refused");
+        let ledger = gateway.ledger();
+        assert_eq!((ledger.completions, ledger.duplicates), (1, 1));
+        assert!(ledger.conserved());
+        drop(gateway);
+        fabric.shutdown();
     }
 }

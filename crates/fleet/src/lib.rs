@@ -36,7 +36,6 @@
 //! ledger conservation and replay determinism end to end.
 
 pub mod gateway;
-mod pump;
 pub mod stats;
 pub mod wire;
 pub mod worker;

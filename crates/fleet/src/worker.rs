@@ -14,28 +14,26 @@
 //! * `sys/stats` — the load report placement polls
 //!   ([`crate::stats::register_sys_stats`]).
 //!
-//! Completions are *pushed*: the service's policy hook kicks a pump
-//! thread ([`crate::pump`]) when a job settles, and the pump calls the
-//! gateway's `fleet/complete` action for every job gone terminal. The
-//! pump's fallback tick finds the settles no hook announces (a queued
-//! job shed, cancelled or expired) and re-arms failed pushes.
-//! A push that fails (severed link, partition) is retried with backoff
-//! until acknowledged — the gateway fences duplicates and stale epochs,
-//! so at-least-once pushing composes into exactly-once accounting.
+//! Completions are *pushed*: the service's policy hook, which every job
+//! that reached the service's queue fires once, kicks a pump thread
+//! ([`Pump`]), and the pump calls the gateway's `fleet/complete` action
+//! for every job gone terminal; a push's reply kicks it again. A push
+//! that fails (severed link, partition) is retried with backoff until
+//! acknowledged — the gateway fences duplicates and stale epochs, so
+//! at-least-once pushing composes into exactly-once accounting.
 
-use crate::pump::{Kick, Pump};
 use crate::stats::register_sys_stats;
 use crate::wire::{
     family_of_code, DrainReport, FleetJob, FleetOutcome, SubmitAck, SubmitVerdict, WireReject,
     ACTION_COMPLETE, ACTION_DRAIN, ACTION_SUBMIT,
 };
-use grain_counters::sync::{Condvar, Mutex};
+use grain_counters::sync::{Condvar, Kick, Mutex, Pump};
 use grain_net::Locality;
 use grain_runtime::{SharedFuture, TaskContext};
 use grain_service::{JobHandle, JobService, JobSpec, JobState, PolicyHook, ServiceConfig};
 use grain_taskbench::storm::{spawn_in_job, spec_for_event};
 use grain_taskbench::work::busy_work;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -58,10 +56,6 @@ pub struct FleetWorkerConfig {
     pub service: ServiceConfig,
     /// The gateway locality completions are pushed to.
     pub gateway: usize,
-    /// Fallback tick of the completion pump. A job that settles kicks
-    /// the pump itself; the tick serves push retries and the settles
-    /// that bypass the service's policy hook.
-    pub pump_interval: Duration,
 }
 
 impl FleetWorkerConfig {
@@ -71,7 +65,6 @@ impl FleetWorkerConfig {
         Self {
             service: ServiceConfig::with_workers(workers),
             gateway,
-            pump_interval: Duration::from_millis(1),
         }
     }
 }
@@ -119,11 +112,19 @@ struct WorkerEntry {
     retry_at: Option<Instant>,
 }
 
+/// Every key the worker holds (for idempotent re-submission), and the keys
+/// whose push is not yet acknowledged, which are all a pump pass walks.
+#[derive(Default)]
+struct Entries {
+    all: HashMap<u64, WorkerEntry>,
+    live: BTreeSet<u64>,
+}
+
 struct WorkerShared {
     locality: Locality,
     service: Arc<JobService>,
     gateway: usize,
-    entries: Mutex<HashMap<u64, WorkerEntry>>,
+    entries: Mutex<Entries>,
     draining: Arc<AtomicBool>,
     /// Parked test bodies wait here; `release_parked` opens it.
     park: Arc<(Mutex<bool>, Condvar)>,
@@ -164,7 +165,7 @@ impl FleetWorker {
             locality: locality.clone(),
             service,
             gateway: config.gateway,
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::new(Entries::default()),
             draining,
             park: Arc::new((Mutex::new(false), Condvar::new())),
             counters: WorkerCounters::default(),
@@ -194,7 +195,6 @@ impl FleetWorker {
         }
         let pump = Pump::spawn(
             format!("grain-fleet-worker-{}", locality.id()),
-            config.pump_interval,
             Arc::clone(&shared.kick),
             Arc::downgrade(&shared),
             pump_completions,
@@ -230,7 +230,7 @@ impl FleetWorker {
 
     /// Keys currently tracked (admitted or finished) — test visibility.
     pub fn tracked_keys(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = self.shared.entries.lock().keys().copied().collect();
+        let mut keys: Vec<u64> = self.shared.entries.lock().all.keys().copied().collect();
         keys.sort_unstable();
         keys
     }
@@ -300,8 +300,9 @@ fn handle_submit(shared: &Arc<WorkerShared>, job: FleetJob) -> SubmitAck {
             reject: Some(WireReject::of(grain_service::RejectReason::ShuttingDown)),
         };
     }
-    let mut entries = shared.entries.lock();
-    if let Some(entry) = entries.get_mut(&job.key) {
+    let mut guard = shared.entries.lock();
+    let entries = &mut *guard;
+    if let Some(entry) = entries.all.get_mut(&job.key) {
         if job.epoch < entry.epoch {
             shared.counters.fenced.fetch_add(1, Ordering::Relaxed);
             return SubmitAck {
@@ -321,12 +322,13 @@ fn handle_submit(shared: &Arc<WorkerShared>, job: FleetJob) -> SubmitAck {
             if matches!(entry.push, PushState::Acked) {
                 entry.push = PushState::Idle;
                 entry.retry_at = None;
+                entries.live.insert(job.key);
             }
             SubmitVerdict::AlreadyDone
         } else {
             SubmitVerdict::Accepted
         };
-        drop(entries);
+        drop(guard);
         if verdict == SubmitVerdict::AlreadyDone {
             shared.kick.kick();
         }
@@ -361,7 +363,8 @@ fn handle_submit(shared: &Arc<WorkerShared>, job: FleetJob) -> SubmitAck {
         };
     }
     shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-    entries.insert(
+    entries.live.insert(job.key);
+    entries.all.insert(
         job.key,
         WorkerEntry {
             epoch: job.epoch,
@@ -384,25 +387,27 @@ fn handle_drain(shared: &Arc<WorkerShared>) -> DrainReport {
     let mut handed_back = Vec::new();
     let mut entries = shared.entries.lock();
     let queued: Vec<u64> = entries
+        .all
         .iter()
         .filter(|(_, e)| e.done.is_none() && e.handle.state() == JobState::Queued)
         .map(|(k, _)| *k)
         .collect();
     for key in queued {
-        let Some(entry) = entries.get(&key) else {
+        let Some(entry) = entries.all.get(&key) else {
             continue;
         };
         entry.handle.cancel();
         // Hand back only if the cancel won while the job was still
-        // queued (nothing ever ran). If admission raced us and the job
-        // runs anyway — or the cancel hasn't settled within the grace
-        // window — it completes through the normal push path instead.
+        // queued: then it ended, published, before `cancel` returned. If
+        // admission raced us and the job runs anyway, it completes
+        // through the normal push path instead.
         let won = entry
             .handle
-            .wait_timeout(Duration::from_millis(100))
+            .outcome()
             .is_some_and(|o| o.state == JobState::Cancelled && o.tasks_spawned == 0);
         if won {
-            entries.remove(&key);
+            entries.all.remove(&key);
+            entries.live.remove(&key);
             handed_back.push(key);
             shared.counters.handed_back.fetch_add(1, Ordering::Relaxed);
         }
@@ -415,15 +420,20 @@ fn handle_drain(shared: &Arc<WorkerShared>) -> DrainReport {
 }
 
 /// One pump pass: record newly-terminal jobs and (re)push completions.
-fn pump_completions(shared: &Arc<WorkerShared>) {
+/// Returns the earliest push retry still to come.
+fn pump_completions(shared: &Arc<WorkerShared>) -> Option<Instant> {
     let now = Instant::now();
-    let mut to_send: Vec<(u64, FleetOutcome)> = Vec::new();
+    let mut due: Option<Instant> = None;
     // The policy hook that kicks this pass runs just before the service
     // publishes the outcome; a job caught in between needs another pass.
     let mut publishing = false;
     {
-        let mut entries = shared.entries.lock();
-        for (key, entry) in entries.iter_mut() {
+        let mut guard = shared.entries.lock();
+        let Entries { all, live } = &mut *guard;
+        live.retain(|key| {
+            let Some(entry) = all.get_mut(key) else {
+                return false;
+            };
             if entry.done.is_none() {
                 if let Some(outcome) = entry.handle.outcome() {
                     let fault_msg = outcome
@@ -445,24 +455,25 @@ fn pump_completions(shared: &Arc<WorkerShared>) {
                     });
                 } else {
                     publishing |= entry.handle.state().is_terminal();
+                    return true;
                 }
             }
-            let Some(done) = &entry.done else { continue };
             match &entry.push {
-                PushState::Acked => continue,
+                PushState::Acked => return false,
+                PushState::Idle => {}
                 PushState::InFlight(sent_epoch, fut) => match fut.try_get() {
-                    None => continue,
+                    None => return true,
+                    Some(Ok(_)) if *sent_epoch == entry.epoch => {
+                        entry.push = PushState::Acked;
+                        shared.counters.pushes_acked.fetch_add(1, Ordering::Relaxed);
+                        return false;
+                    }
+                    // The reply acknowledges a stale-epoch push the
+                    // gateway fenced; the current epoch is still
+                    // unaccounted there. Push again.
                     Some(Ok(_)) => {
-                        if *sent_epoch == entry.epoch {
-                            entry.push = PushState::Acked;
-                            shared.counters.pushes_acked.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            // The reply acknowledges a stale-epoch push
-                            // the gateway fenced; the current epoch is
-                            // still unaccounted there. Push again.
-                            entry.push = PushState::Idle;
-                            entry.retry_at = None;
-                        }
+                        entry.push = PushState::Idle;
+                        entry.retry_at = None;
                     }
                     Some(Err(_)) => {
                         shared
@@ -473,30 +484,32 @@ fn pump_completions(shared: &Arc<WorkerShared>) {
                         entry.retry_at = Some(now + PUSH_RETRY_BACKOFF);
                     }
                 },
-                PushState::Idle => {
-                    if entry.retry_at.is_some_and(|t| now < t) {
-                        continue;
-                    }
-                    let mut out = done.clone();
-                    out.epoch = entry.epoch;
-                    to_send.push((*key, out));
-                }
             }
-        }
-        for (key, out) in &to_send {
+            if let Some(at) = entry.retry_at.filter(|&at| now < at) {
+                due = Some(due.map_or(at, |due| due.min(at)));
+                return true;
+            }
+            let Some(done) = &entry.done else {
+                return true;
+            };
+            let mut out = done.clone();
+            out.epoch = entry.epoch;
             shared.counters.pushes_sent.fetch_add(1, Ordering::Relaxed);
             let fut: SharedFuture<u8> =
                 shared
                     .locality
-                    .async_remote(shared.gateway, ACTION_COMPLETE, out);
-            if let Some(entry) = entries.get_mut(key) {
-                entry.push = PushState::InFlight(out.epoch, fut);
-                entry.retry_at = None;
-            }
-        }
+                    .async_remote(shared.gateway, ACTION_COMPLETE, &out);
+            // The reply settles the push or re-arms it.
+            let kick = Arc::clone(&shared.kick);
+            fut.on_settled(move |_| kick.kick());
+            entry.push = PushState::InFlight(out.epoch, fut);
+            entry.retry_at = None;
+            true
+        });
     }
     if publishing {
         std::thread::yield_now();
         shared.kick.kick();
     }
+    due
 }

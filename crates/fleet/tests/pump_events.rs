@@ -1,43 +1,41 @@
 //! The pumps run when something happens, not when a timer says so.
 //!
-//! With `pump_interval` set to five seconds on both sides, anything
-//! that still waited for a tick would take that long: a job's
-//! placement, its completion push, and a gateway's or worker's
-//! teardown must all finish well inside one second.
+//! Neither pump has a tick: the gateway's sleeps with no timeout while
+//! no job is live, the worker's while no push is due, and the service
+//! dispatcher's while no timer exists. So a job's placement, its
+//! completion push — including the push of a job that ended while queued
+//! — and a gateway's or worker's teardown all finish well inside one
+//! second, and a quiescent fleet is not scheduled at all.
+//!
+//! The tests hold one lock each, so the idle count sees no other test's
+//! fleet threads.
 
+use grain_counters::sync::Mutex;
 use grain_fleet::{FleetConfig, FleetGateway, FleetJobSpec, FleetWorker, FleetWorkerConfig};
 use grain_net::bootstrap::Fabric;
 use grain_runtime::RuntimeConfig;
-use grain_service::{JobState, PolicyHook};
+use grain_service::{JobState, PolicyHook, RejectReason};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const TICK: Duration = Duration::from_secs(5);
+const PATIENCE: Duration = Duration::from_secs(5);
 const PROMPT: Duration = Duration::from_secs(1);
 
-fn slow_ticking_fleet(fabric: &Fabric, worker: FleetWorkerConfig) -> (FleetGateway, FleetWorker) {
-    let worker = FleetWorker::install(
-        fabric.locality(1),
-        FleetWorkerConfig {
-            pump_interval: TICK,
-            ..worker
-        },
-    );
-    let gateway = FleetGateway::install(
-        fabric.locality(0),
-        FleetConfig {
-            pump_interval: TICK,
-            ..FleetConfig::new(vec![1])
-        },
-    );
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn fleet(fabric: &Fabric, worker: FleetWorkerConfig) -> (FleetGateway, FleetWorker) {
+    let worker = FleetWorker::install(fabric.locality(1), worker);
+    let gateway = FleetGateway::install(fabric.locality(0), FleetConfig::new(vec![1]));
     (gateway, worker)
 }
 
 #[test]
 fn a_job_and_a_teardown_wait_for_no_tick() {
+    let _serial = SERIAL.lock();
     let fabric = Fabric::loopback(2, |_| RuntimeConfig::with_workers(1));
-    let (gateway, worker) = slow_ticking_fleet(&fabric, FleetWorkerConfig::new(0, 1));
+    let (gateway, worker) = fleet(&fabric, FleetWorkerConfig::new(0, 1));
 
     for round in 0..3 {
         let t0 = Instant::now();
@@ -47,7 +45,7 @@ fn a_job_and_a_teardown_wait_for_no_tick() {
                     .tasks(1)
                     .grain_iters(0),
             )
-            .wait_timeout(TICK)
+            .wait_timeout(PATIENCE)
             .expect("job settles");
         let took = t0.elapsed();
         assert_eq!(outcome.state, JobState::Completed);
@@ -68,6 +66,7 @@ fn a_job_and_a_teardown_wait_for_no_tick() {
 
 #[test]
 fn the_callers_policy_hook_still_sees_every_job_once() {
+    let _serial = SERIAL.lock();
     let fabric = Fabric::loopback(2, |_| RuntimeConfig::with_workers(1));
     let seen = Arc::new(AtomicU64::new(0));
     let mut config = FleetWorkerConfig::new(0, 1);
@@ -78,7 +77,7 @@ fn the_callers_policy_hook_still_sees_every_job_once() {
             seen.fetch_add(1, Ordering::SeqCst);
         }
     }));
-    let (gateway, _worker) = slow_ticking_fleet(&fabric, config);
+    let (gateway, _worker) = fleet(&fabric, config);
 
     const JOBS: u64 = 5;
     for _ in 0..JOBS {
@@ -88,11 +87,121 @@ fn the_callers_policy_hook_still_sees_every_job_once() {
                     .tasks(2)
                     .grain_iters(0),
             )
-            .wait_timeout(TICK)
+            .wait_timeout(PATIENCE)
             .expect("job settles");
         assert_eq!(outcome.state, JobState::Completed);
     }
     // The hook runs before the outcome is published, so before the push.
     assert_eq!(seen.load(Ordering::SeqCst), JOBS);
+    fabric.shutdown();
+}
+
+/// A job that ends while queued on the worker — here shed by the
+/// service when its deadline can no longer be met, behind a parked job
+/// that holds the whole budget — is announced like a settle, so its
+/// push leaves at once: nothing waits for a pump tick to find it.
+#[test]
+fn a_job_shed_while_queued_is_pushed_without_a_tick() {
+    let _serial = SERIAL.lock();
+    let fabric = Fabric::loopback(2, |_| RuntimeConfig::with_workers(1));
+    let mut config = FleetWorkerConfig::new(0, 1);
+    config.service.admission.max_in_flight_tasks = 1;
+    let (gateway, worker) = fleet(&fabric, config);
+
+    let parked = gateway.submit(FleetJobSpec::new("parked", "tenant-a").park(true));
+    let t0 = Instant::now();
+    while gateway.lease_of(parked.key()).is_none() {
+        assert!(t0.elapsed() < PATIENCE, "the parked job was never leased");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let deadline = Duration::from_millis(50);
+    let t0 = Instant::now();
+    let doomed = gateway.submit(FleetJobSpec::new("doomed", "tenant-a").deadline(deadline));
+    let outcome = doomed
+        .wait_timeout(PROMPT)
+        .unwrap_or_else(|| panic!("no outcome {:?} after submission", t0.elapsed()));
+    assert_eq!(outcome.state, JobState::Rejected);
+    assert_eq!(outcome.reject_reason, Some(RejectReason::Shed));
+    assert_eq!(outcome.origin_locality, Some(1));
+
+    worker.release_parked();
+    let outcome = parked.wait_timeout(PATIENCE).expect("the parked job ends");
+    assert_eq!(outcome.state, JobState::Completed);
+    assert!(gateway.ledger().conserved());
+    drop(gateway);
+    drop(worker);
+    fabric.shutdown();
+}
+
+/// Voluntary + involuntary context switches of every fleet pump and
+/// service dispatcher thread of this process, by thread id. `None`
+/// where `/proc` is absent.
+fn pump_ctx_switches() -> Option<HashMap<String, u64>> {
+    let mut switches = HashMap::new();
+    for task in std::fs::read_dir("/proc/self/task").ok()?.flatten() {
+        let dir = task.path();
+        let Ok(comm) = std::fs::read_to_string(dir.join("comm")) else {
+            continue;
+        };
+        // `comm` holds the first 15 bytes of the thread's name.
+        if !comm.starts_with("grain-fleet-") && !comm.starts_with("grain-service-d") {
+            continue;
+        }
+        let Ok(status) = std::fs::read_to_string(dir.join("status")) else {
+            continue;
+        };
+        let mut n = 0;
+        for line in status.lines() {
+            if let Some(("voluntary_ctxt_switches" | "nonvoluntary_ctxt_switches", v)) =
+                line.split_once(':')
+            {
+                n += v.trim().parse::<u64>().expect("a switch count");
+            }
+        }
+        switches.insert(task.file_name().to_string_lossy().into_owned(), n);
+    }
+    Some(switches)
+}
+
+/// The idle rung of the fleet: a gateway and one worker that have run
+/// one job and gone quiet are not scheduled. The gateway's pump, the
+/// worker's pump and the worker service's dispatcher all sleep with no
+/// timeout; pumps that woke every millisecond would read about 400
+/// switches in the 200 ms window.
+#[test]
+fn a_quiescent_fleet_is_not_scheduled() {
+    const BUDGET: u64 = 4;
+    let _serial = SERIAL.lock();
+    let fabric = Fabric::loopback(2, |_| RuntimeConfig::with_workers(1));
+    let (gateway, worker) = fleet(&fabric, FleetWorkerConfig::new(0, 1));
+    let outcome = gateway
+        .submit(FleetJobSpec::new("one", "tenant-a").tasks(1).grain_iters(0))
+        .wait_timeout(PATIENCE)
+        .expect("job settles");
+    assert_eq!(outcome.state, JobState::Completed);
+    // The passes the job's last events kicked (the push's reply on the
+    // worker, the ack and the completion on the gateway) finish first.
+    let t0 = Instant::now();
+    while worker.counters().pushes_acked.load(Ordering::SeqCst) == 0 {
+        assert!(t0.elapsed() < PATIENCE, "the push was never acknowledged");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    let Some(before) = pump_ctx_switches() else {
+        return;
+    };
+    assert!(before.len() >= 3, "gateway pump, worker pump, dispatcher");
+    std::thread::sleep(Duration::from_millis(200));
+    let after = pump_ctx_switches().expect("/proc was there a moment ago");
+    let switches: u64 = after
+        .iter()
+        .map(|(tid, n)| n - before.get(tid).copied().unwrap_or(0))
+        .sum();
+    assert!(
+        switches <= BUDGET,
+        "{switches} fleet thread context switches in a 200 ms quiescent window (budget {BUDGET})"
+    );
+    drop(gateway);
+    drop(worker);
     fabric.shutdown();
 }

@@ -5,7 +5,7 @@ use crate::future::{self, Countdown, Shared, SharedFuture, Tail, Waiter};
 use crate::group::{CancelToken, TaskGroup};
 use crate::scheduler::{Scheduler, SearchState};
 use crate::task::{Poll, Priority, Runnable, StagedTask, Task, TaskId, TaskIdAllocator, TaskState};
-use grain_counters::sync::{Condvar, Mutex};
+use grain_counters::sync::{Condvar, Kick, Mutex, Pump};
 use grain_counters::threads::ThreadCounters;
 use grain_counters::{RawCounter, Registry, Unit};
 use grain_topology::host;
@@ -137,8 +137,6 @@ pub(crate) struct Inner {
     pub(crate) watchdog: WatchdogCounters,
     parker: Parker,
     idle: IdleGate,
-    /// Wakes the watchdog thread early (shutdown).
-    monitor: Parker,
 }
 
 thread_local! {
@@ -820,7 +818,7 @@ impl Drop for Resumer {
 pub struct Runtime {
     inner: Arc<Inner>,
     threads: Vec<std::thread::JoinHandle<()>>,
-    watchdog_thread: Option<std::thread::JoinHandle<()>>,
+    watchdog: Option<Pump>,
 }
 
 /// Reports a worker thread that dies from an uncontained panic (a
@@ -849,59 +847,59 @@ impl Drop for WorkerDeathSentinel {
     }
 }
 
-/// The stall-watchdog loop: samples a progress signature every
-/// `cfg.interval`; if work exists (tasks in flight or dormant dataflow
-/// reservations) but the signature stays flat for `cfg.stall_after`,
-/// records a stall and emits one diagnostic dump for the episode.
-fn watchdog_loop(inner: Arc<Inner>, cfg: WatchdogConfig) {
+/// The stall watchdog: a pump whose pass samples a progress signature
+/// every `cfg.interval`; if work exists (tasks in flight or dormant
+/// dataflow reservations) but the signature stays flat for
+/// `cfg.stall_after`, it records a stall and emits one diagnostic dump
+/// for the episode.
+fn spawn_watchdog(inner: &Arc<Inner>, cfg: WatchdogConfig) -> Pump {
     let mut last_sig = (u64::MAX, u64::MAX, usize::MAX, usize::MAX);
     let mut flat_since = Instant::now();
     let mut dumped = false;
-    loop {
-        {
-            let mut g = inner.monitor.lock.lock();
+    let kick: Arc<Kick> = Arc::default();
+    let pump = Pump::spawn(
+        "grain-watchdog".to_string(),
+        Arc::clone(&kick),
+        Arc::downgrade(inner),
+        move |inner: &Arc<Inner>| {
             if inner.shutdown.load(Ordering::SeqCst) {
-                break;
+                return None;
             }
-            inner.monitor.cv.wait_for(&mut g, cfg.interval);
-        }
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        inner.watchdog.checks.incr();
-        let sig = (
-            inner.counters.phases.sum(),
-            inner.counters.tasks.sum(),
-            inner.in_flight.load(Ordering::SeqCst),
-            inner.dormant.load(Ordering::SeqCst),
-        );
-        // A flat signature is only suspicious if the runtime could have
-        // made progress: there must be work (tasks in flight or dormant
-        // dataflow reservations) *and* at least one active worker. A
-        // runtime throttled to zero workers (`set_active_workers(0)` — a
-        // paused/idle service) is expected to sit still; counting that as
-        // a stall would page on every quiet period.
-        let paused = inner.active_limit.load(Ordering::SeqCst) == 0;
-        let work_exists = (sig.2 > 0 || sig.3 > 0) && !paused;
-        if sig != last_sig {
-            last_sig = sig;
-            flat_since = Instant::now();
-            dumped = false;
-            continue;
-        }
-        if !work_exists {
-            flat_since = Instant::now();
-            dumped = false;
-            continue;
-        }
-        let stall_age = flat_since.elapsed();
-        if stall_age >= cfg.stall_after && !dumped {
-            dumped = true;
-            inner.watchdog.stalls.incr();
-            inner.watchdog.dumps.incr();
-            watchdog_dump(&inner, stall_age);
-        }
-    }
+            let next = Some(Instant::now() + cfg.interval);
+            inner.watchdog.checks.incr();
+            let sig = (
+                inner.counters.phases.sum(),
+                inner.counters.tasks.sum(),
+                inner.in_flight.load(Ordering::SeqCst),
+                inner.dormant.load(Ordering::SeqCst),
+            );
+            // A flat signature is only suspicious if the runtime could
+            // have made progress: there must be work (tasks in flight or
+            // dormant dataflow reservations) *and* at least one active
+            // worker. A runtime throttled to zero workers
+            // (`set_active_workers(0)` — a paused/idle service) is
+            // expected to sit still; counting that as a stall would page
+            // on every quiet period.
+            let paused = inner.active_limit.load(Ordering::SeqCst) == 0;
+            let work_exists = (sig.2 > 0 || sig.3 > 0) && !paused;
+            if sig != last_sig || !work_exists {
+                last_sig = sig;
+                flat_since = Instant::now();
+                dumped = false;
+                return next;
+            }
+            let stall_age = flat_since.elapsed();
+            if stall_age >= cfg.stall_after && !dumped {
+                dumped = true;
+                inner.watchdog.stalls.incr();
+                inner.watchdog.dumps.incr();
+                watchdog_dump(inner, stall_age);
+            }
+            next
+        },
+    );
+    kick.kick(); // the first sample; each pass schedules the next
+    pump
 }
 
 /// One diagnostic dump: global progress state plus per-worker queue
@@ -1042,12 +1040,6 @@ impl Runtime {
                 lock: Mutex::new(()),
                 cv: Condvar::new(),
             },
-            monitor: Parker {
-                lock: Mutex::new(()),
-                cv: Condvar::new(),
-                sleepers: AtomicUsize::new(0),
-                generation: AtomicUsize::new(0),
-            },
         });
         let threads = (0..config.workers)
             .map(|w| {
@@ -1064,17 +1056,14 @@ impl Runtime {
                     .expect("failed to spawn worker thread")
             })
             .collect();
-        let watchdog_thread = config.watchdog.clone().map(|cfg| {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("grain-watchdog".to_string())
-                .spawn(move || watchdog_loop(inner, cfg))
-                .expect("failed to spawn watchdog thread")
-        });
+        let watchdog = config
+            .watchdog
+            .clone()
+            .map(|cfg| spawn_watchdog(&inner, cfg));
         Self {
             inner,
             threads,
-            watchdog_thread,
+            watchdog,
         }
     }
 
@@ -1257,11 +1246,6 @@ impl Drop for Runtime {
         // last future lets go of the runtime: a task node dropped unrun
         // fails its output, so nobody is left waiting on it.
         self.inner.scheduler.queues.clear();
-        if let Some(t) = self.watchdog_thread.take() {
-            let _g = self.inner.monitor.lock.lock();
-            self.inner.monitor.cv.notify_all();
-            drop(_g);
-            let _ = t.join();
-        }
+        drop(self.watchdog.take());
     }
 }

@@ -23,12 +23,13 @@
 
 use crate::admission::{AdmissionError, RejectReason};
 use crate::counters::JobCounters;
+use crate::service::{end_queued, Shared};
 use grain_counters::sync::{Condvar, Mutex};
 use grain_counters::{CounterValue, RegistryError};
 use grain_runtime::{Priority, TaskContext, TaskError, TaskGroup};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Unique job identifier, allocated at submission.
@@ -429,22 +430,13 @@ impl JobCore {
         true
     }
 
-    /// Transition to terminal state `to` unless already terminal. Returns
-    /// true if this call performed the transition — the winner does the
-    /// terminal bookkeeping (counters, budget release) exactly once.
-    pub(crate) fn finish(&self, to: JobState) -> bool {
-        let won = self.finish_quiet(to);
-        if won {
-            self.notify_waiters();
-        }
-        won
-    }
-
-    /// [`finish`](Self::finish) without waking waiters: the winner does
-    /// its bookkeeping first and calls
-    /// [`notify_waiters`](Self::notify_waiters) after, so a returning
+    /// Transition to terminal state `to` unless already terminal, without
+    /// waking waiters. Returns true if this call performed the transition
+    /// — the winner does the terminal bookkeeping (counters, budget
+    /// release) exactly once, then calls
+    /// [`notify_waiters`](Self::notify_waiters), so a returning
     /// [`JobHandle::wait`] always observes fully settled counters.
-    pub(crate) fn finish_quiet(&self, to: JobState) -> bool {
+    pub(crate) fn finish(&self, to: JobState) -> bool {
         debug_assert!(to.is_terminal());
         let mut g = self.state.lock();
         if g.state.is_terminal() {
@@ -565,6 +557,8 @@ pub struct JobOutcome {
 #[derive(Clone)]
 pub struct JobHandle {
     pub(crate) core: Arc<JobCore>,
+    /// The service, to announce a cancel that ends the job while queued.
+    pub(crate) service: Weak<Shared>,
 }
 
 impl JobHandle {
@@ -635,7 +629,10 @@ impl JobHandle {
             // the group before waking waiters so the outcome they read
             // is fully settled.
             self.core.group.cancel();
-            self.core.notify_waiters();
+            match self.service.upgrade() {
+                Some(shared) => end_queued(&shared, &self.core, JobState::Cancelled),
+                None => self.core.notify_waiters(),
+            }
             return;
         }
         if !self.core.state().is_terminal() {

@@ -55,10 +55,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Minimum interval between counter samples: settles and dispatcher
-/// ticks come faster, the extra ones are no-ops, and a shorter window
-/// holds too few task phases for the overhead fraction to mean anything.
-const SAMPLE_EVERY: Duration = Duration::from_millis(1);
+/// Minimum interval between counter samples, and the dispatcher's tick
+/// while a job is queued: settles come faster, the extra ones are
+/// no-ops, and a shorter window holds too few task phases for the
+/// overhead fraction to mean anything.
+pub(crate) const SAMPLE_EVERY: Duration = Duration::from_millis(1);
 /// EWMA smoothing factor for the overhead fraction and the service-time
 /// estimate: a step input is 90 % absorbed after ten samples, so one
 /// noisy window cannot flap the level.
@@ -90,6 +91,11 @@ const SHED_TARGET: Duration = Duration::from_millis(25);
 /// CoDel interval: how long the oldest sojourn must stay above the
 /// target before one job is dropped (and the period between drops).
 const SHED_INTERVAL: Duration = Duration::from_millis(100);
+
+/// The earlier of a pending deadline and `at`.
+pub(crate) fn earliest(due: Option<Instant>, at: Instant) -> Option<Instant> {
+    Some(due.map_or(at, |due| due.min(at)))
+}
 
 /// Coarse overload classification, exported as the
 /// `/service/pressure/level` gauge (0/1/2).
@@ -297,17 +303,19 @@ impl PressureController {
         }
     }
 
-    /// Pick the queued jobs to shed this tick. Called by the dispatcher
-    /// with the queue lock held — the scan is one pass; actual state
-    /// transitions happen outside afterwards. `queued` yields every
-    /// waiting job (terminal entries are skipped here).
+    /// Pick the queued jobs to shed this tick, and when the next shed can
+    /// come (a kept job's slack runs out, the CoDel interval ends). Called
+    /// by the dispatcher on a copy of the queue; state transitions happen
+    /// afterwards. `queued` yields every waiting job (terminal entries
+    /// are skipped here).
     pub(crate) fn select_sheds<'a>(
         &self,
         now: Instant,
         queued: impl Iterator<Item = &'a Arc<JobCore>>,
-    ) -> Vec<Arc<JobCore>> {
+    ) -> (Vec<Arc<JobCore>>, Option<Instant>) {
         let est = self.est_service();
         let mut sheds = Vec::new();
+        let mut next: Option<Instant> = None;
         let mut oldest: Option<(&'a Arc<JobCore>, Duration)> = None;
         for core in queued {
             if core.state() != JobState::Queued {
@@ -321,6 +329,7 @@ impl PressureController {
                     sheds.push(Arc::clone(core));
                     continue;
                 }
+                next = earliest(next, core.submitted_at + (deadline - est));
             }
             if oldest.is_none_or(|(_, s)| sojourn > s) {
                 oldest = Some((core, sojourn));
@@ -342,7 +351,10 @@ impl PressureController {
             }
             _ => book.above_since = None,
         }
-        sheds
+        if let Some(since) = book.above_since {
+            next = earliest(next, since + SHED_INTERVAL);
+        }
+        (sheds, next)
     }
 
     /// Register the pressure gauge surface on `registry`:
@@ -479,9 +491,14 @@ mod tests {
         let fine = queued_core(2, Some(Duration::from_secs(60)));
         let no_deadline = queued_core(3, None);
         let now = Instant::now() + Duration::from_millis(20);
-        let sheds = c.select_sheds(now, [&doomed, &fine, &no_deadline].into_iter());
+        let (sheds, next) = c.select_sheds(now, [&doomed, &fine, &no_deadline].into_iter());
         let ids: Vec<u64> = sheds.iter().map(|c| c.id.0).collect();
         assert_eq!(ids, vec![1], "only the doomed job is shed");
+        assert_eq!(
+            next,
+            Some(fine.submitted_at + Duration::from_secs(60)),
+            "the kept deadline job is the next timer"
+        );
         // With a service-time estimate, the slack rule fires early: a job
         // 20ms into a 60ms deadline cannot finish if service takes 50ms.
         c.est_service_ns.store(
@@ -489,7 +506,7 @@ mod tests {
             Ordering::SeqCst,
         );
         let soon_doomed = queued_core(4, Some(Duration::from_millis(60)));
-        let sheds = c.select_sheds(now, [&soon_doomed].into_iter());
+        let (sheds, _) = c.select_sheds(now, [&soon_doomed].into_iter());
         assert_eq!(sheds.len(), 1, "slack rule anticipates service time");
     }
 
@@ -500,15 +517,18 @@ mod tests {
         let t0 = Instant::now();
         // Not critical: nothing happens no matter the sojourn.
         let t = t0 + 2 * SHED_TARGET;
-        assert!(c.select_sheds(t, [&old].into_iter()).is_empty());
+        let (sheds, next) = c.select_sheds(t, [&old].into_iter());
+        assert!(sheds.is_empty() && next.is_none());
         // Force critical (fill 1.0), then: first scan arms, a scan a full
         // interval later drops.
         c.sample(t0, || (0, 0), 0, 10);
         c.sample(t0 + Duration::from_millis(1), || (1, 0), 10, 10);
         assert_eq!(c.level(), PressureLevel::Critical);
-        assert!(c.select_sheds(t, [&old].into_iter()).is_empty(), "arming");
+        let (sheds, next) = c.select_sheds(t, [&old].into_iter());
+        assert!(sheds.is_empty(), "arming");
+        assert_eq!(next, Some(t + SHED_INTERVAL), "the interval's end is next");
         let late = t + SHED_INTERVAL + Duration::from_millis(1);
-        let dropped = c.select_sheds(late, [&old].into_iter());
+        let (dropped, _) = c.select_sheds(late, [&old].into_iter());
         assert_eq!(dropped.len(), 1);
     }
 }

@@ -8,12 +8,12 @@
 //! what can be admitted: the submitter, right after its push, and the
 //! thread that settles a job (usually a worker, in the group's
 //! quiescence hook), right after it releases the job's budget. So a job
-//! reaches the runtime with no thread hop. The dispatcher keeps only what
-//! a clock has to trigger: running deadlines, retry backoff gates, and
-//! shedding while jobs are queued (a queued job past its deadline is
-//! shed); while none of those exists it sleeps with no timeout. Nothing
-//! in the serving layer touches the runtime's hot dispatch path — jobs
-//! meter themselves through their groups.
+//! reaches the runtime with no thread hop. The dispatcher, a [`Pump`],
+//! sleeps until what a clock has to trigger: running deadlines, retry
+//! backoff gates, and shedding and pressure sampling while jobs are
+//! queued (a queued job past its deadline is shed) — with none, until
+//! kicked. Nothing in the serving layer touches the runtime's hot
+//! dispatch path — jobs meter themselves through their groups.
 //!
 //! Failure handling rides on the runtime's panic isolation: a faulted
 //! task never kills a worker, it marks the job's group, and the job's
@@ -25,8 +25,8 @@ use crate::admission::{AdmissionError, FairQueues};
 use crate::breaker::{BreakerConfig, BreakerDecision, BreakerState, Breakers};
 use crate::counters::{JobCounters, ServiceCounters};
 use crate::job::{FailurePolicy, JobCore, JobHandle, JobId, JobOutcome, JobSpec, JobState};
-use crate::pressure::{PressureController, PressureSignal};
-use grain_counters::sync::{Condvar, Mutex, MutexGuard};
+use crate::pressure::{earliest, PressureController, PressureSignal, SAMPLE_EVERY};
+use grain_counters::sync::{Condvar, Kick, Mutex, MutexGuard, Pump};
 use grain_counters::Registry;
 use grain_runtime::{Runtime, RuntimeConfig, TaskContext};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -35,13 +35,13 @@ use std::time::{Duration, Instant};
 
 pub use crate::admission::AdmissionConfig;
 
-/// A service policy callback: invoked once per job, after the job
-/// reaches a terminal *run* state (`Completed`, `Cancelled`, `TimedOut`,
-/// `Failed`) with its bookkeeping fully settled. Rejected submissions
-/// never ran, so they do not fire the hook.
+/// A service policy callback: invoked once per queued job, after the job
+/// reaches its terminal state with its bookkeeping fully settled. A
+/// submission refused at [`JobService::submit`] never fires it.
 ///
-/// The hook runs on the thread that settles the job — usually a runtime
-/// worker inside the group's quiescence latch, never a thread inside
+/// The hook runs on the thread that ends the job — usually a runtime
+/// worker inside the group's quiescence latch; for a queued job, the
+/// thread that cancels, sheds or refuses it; never a thread inside
 /// [`JobService::submit`] — with **no service locks held**. It must be
 /// fast and non-blocking; feed an observer (the `grain-autotune`
 /// controller is the canonical consumer) rather than doing work inline.
@@ -71,7 +71,7 @@ impl std::fmt::Debug for PolicyHook {
 }
 
 /// Service configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServiceConfig {
     /// Configuration of the underlying task runtime.
     pub runtime: RuntimeConfig,
@@ -79,27 +79,9 @@ pub struct ServiceConfig {
     pub admission: AdmissionConfig,
     /// Per-tenant circuit breakers.
     pub breaker: BreakerConfig,
-    /// Dispatcher tick: the upper bound on how late a deadline, an
-    /// opened backoff gate or a shed check is acted on. Admission does
-    /// not wait for it — it runs on the submitting and settling threads.
-    /// `wait_all` also rechecks at this period for a job that went
-    /// terminal while queued.
-    pub poll_interval: Duration,
     /// Post-settlement policy hook (see [`PolicyHook`]). `None` (the
     /// default) leaves the settlement path exactly as before.
     pub policy: Option<PolicyHook>,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        Self {
-            runtime: RuntimeConfig::default(),
-            admission: AdmissionConfig::default(),
-            breaker: BreakerConfig::default(),
-            poll_interval: Duration::from_micros(500),
-            policy: None,
-        }
-    }
 }
 
 impl ServiceConfig {
@@ -112,9 +94,8 @@ impl ServiceConfig {
     }
 }
 
-/// What the queues mutex guards: the tenant queues, and the two
-/// hand-shakes decided against them (who drains; whether the dispatcher
-/// must be told of a new timer).
+/// What the queues mutex guards: the tenant queues, and the hand-shake
+/// of who drains them.
 struct Queues {
     fair: FairQueues,
     /// A thread is inside [`admit_queued`]'s drain loop.
@@ -122,21 +103,19 @@ struct Queues {
     /// A push or a budget release came while a drain ran: the drainer
     /// looks again before it stops.
     rescan: bool,
-    /// The dispatcher sleeps with no timer to run; the drain that makes
-    /// the next one notifies `timer_cv`.
-    dispatcher_asleep: bool,
 }
 
-struct Shared {
+pub(crate) struct Shared {
     runtime: Runtime,
     registry: Arc<Registry>,
     counters: ServiceCounters,
     queues: Mutex<Queues>,
-    /// Wakes `wait_all` after a settle.
+    /// Wakes `wait_all` and a shutting-down drop: a settle, a queued
+    /// job's end, the end of every admission drain.
     idle_cv: Condvar,
-    /// Wakes the dispatcher: a new timer while it sleeps without one,
-    /// any admission attempt during shutdown, and shutdown itself.
-    timer_cv: Condvar,
+    /// Wakes the dispatcher for a timer earlier than the one it sleeps
+    /// until.
+    kick: Arc<Kick>,
     /// Sum of admitted (unfinished) jobs' costs. Only ever raised in the
     /// queues critical section that pops the job it charges.
     budget_in_use: AtomicU64,
@@ -159,7 +138,7 @@ struct Shared {
 /// [crate docs](crate) for the lifecycle and an example.
 pub struct JobService {
     shared: Arc<Shared>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
+    dispatcher: Option<Pump>,
 }
 
 impl JobService {
@@ -171,7 +150,6 @@ impl JobService {
             fair: FairQueues::new(),
             draining: false,
             rescan: false,
-            dispatcher_asleep: false,
         });
         let pressure = Arc::new(PressureController::new(
             config.admission.max_in_flight_tasks,
@@ -202,7 +180,7 @@ impl JobService {
                 counters,
                 queues,
                 idle_cv: Condvar::new(),
-                timer_cv: Condvar::new(),
+                kick: Arc::default(),
                 budget_in_use: AtomicU64::new(0),
                 admitting: AtomicU64::new(0),
                 running: Mutex::new(Vec::new()),
@@ -213,13 +191,12 @@ impl JobService {
                 config,
             }
         });
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("grain-service-dispatcher".into())
-                .spawn(move || dispatcher_loop(shared))
-                .expect("failed to spawn dispatcher thread")
-        };
+        let dispatcher = Pump::spawn(
+            "grain-service-dispatcher".into(),
+            Arc::clone(&shared.kick),
+            Arc::downgrade(&shared),
+            tick,
+        );
         Self {
             shared,
             dispatcher: Some(dispatcher),
@@ -252,6 +229,7 @@ impl JobService {
         let core = Arc::new(JobCore::new(id, spec, group, counters, Box::new(body)));
         let handle = JobHandle {
             core: Arc::clone(&core),
+            service: Arc::downgrade(shared),
         };
         if shared.shutdown.load(Ordering::SeqCst) {
             self.reject(&core, AdmissionError::ShuttingDown);
@@ -309,6 +287,7 @@ impl JobService {
         *core.rejection.lock() = Some(why);
         if core.finish(JobState::Rejected) {
             self.shared.counters.rejected.incr();
+            core.notify_waiters();
         }
     }
 
@@ -363,40 +342,48 @@ impl JobService {
     /// Block until no job is queued or running. New submissions during
     /// the wait extend it.
     pub fn wait_all(&self) {
-        // Holding the queues lock excludes admission's
-        // pop+`admitting`-increment critical section, so a job in flight
-        // between the queues and `running` is always visible through one
-        // of the three checks.
-        let mut queues = self.shared.queues.lock();
-        loop {
-            // An entry that went terminal while queued (cancelled, shed,
-            // expired) waits for the next pop to reap it; none may come.
-            queues.fair.reap_terminal();
-            if queues.fair.len() == 0
-                && self.shared.admitting.load(Ordering::SeqCst) == 0
-                && self.shared.running.lock().is_empty()
-            {
-                return;
-            }
-            // `settle` wakes this. A job that goes terminal while queued
-            // does not, hence the timeout.
-            self.shared
-                .idle_cv
-                .wait_for(&mut queues, self.shared.config.poll_interval);
+        wait_idle(&self.shared);
+    }
+}
+
+/// [`JobService::wait_all`]; during shutdown it also refuses what is
+/// queued, including a retry re-queued after an earlier refusal.
+fn wait_idle(shared: &Shared) {
+    // Holding the queues lock excludes admission's
+    // pop+`admitting`-increment critical section, so a job in flight
+    // between the queues and `running` is always visible through one of
+    // the three checks.
+    let mut queues = shared.queues.lock();
+    loop {
+        if shared.shutdown.load(Ordering::SeqCst) && queues.fair.len() > 0 {
+            let drained = queues.fair.drain();
+            drop(queues);
+            refuse_queued(shared, drained);
+            queues = shared.queues.lock();
+            continue;
         }
+        // An entry that went terminal while queued (cancelled, shed)
+        // waits for the next pop to reap it; none may come.
+        queues.fair.reap_terminal();
+        if queues.fair.len() == 0
+            && shared.admitting.load(Ordering::SeqCst) == 0
+            && shared.running.lock().is_empty()
+        {
+            return;
+        }
+        // Every way a job leaves `running` or the queues ends with a
+        // notify after passing through this lock: `settle`, a drain,
+        // and `end_queued` for a job that ends while queued.
+        shared.idle_cv.wait(&mut queues);
     }
 }
 
 impl Drop for JobService {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // The dispatcher reads `shutdown` under the queues lock before it
-        // waits, so passing through the lock orders this notify after.
-        drop(self.shared.queues.lock());
-        self.shared.timer_cv.notify_all();
-        if let Some(t) = self.dispatcher.take() {
-            let _ = t.join();
-        }
+        // The dispatcher expires deadlines while the running jobs settle.
+        wait_idle(&self.shared);
+        drop(self.dispatcher.take());
         // Settlement hooks running on worker threads hold transient
         // `Arc<Shared>` clones (dropped as each group exits). If one of
         // those were the last reference, `Shared` — and the runtime
@@ -437,7 +424,7 @@ fn settle(shared: &Arc<Shared>, core: &Arc<JobCore>) {
     } else {
         JobState::Completed
     };
-    if !core.finish_quiet(state) {
+    if !core.finish(state) {
         return; // someone else settled it first
     }
     let reach = reach_of(core.probe.swap(false, Ordering::SeqCst));
@@ -530,13 +517,13 @@ fn try_requeue_for_retry(shared: &Arc<Shared>, core: &Arc<JobCore>, now: Instant
     core.set_state(JobState::Queued);
     shared.budget_in_use.fetch_sub(core.cost, Ordering::SeqCst);
     // The move from `running` to the queues happens under the queues
-    // lock, which `wait_all` and the dispatcher's shutdown check read
-    // `running` under: they see the job in one of the two.
+    // lock, which `wait_all` and the shutdown drain read `running`
+    // under: they see the job in one of the two.
     let mut queues = shared.queues.lock();
     shared.running.lock().retain(|c| !Arc::ptr_eq(c, core));
     queues.fair.push(Arc::clone(core));
     // The released budget may let another job in, and the backoff gate
-    // is a timer the dispatcher must know about.
+    // is a timer the dispatcher must know about: the drain tells it.
     drop(admit_queued(shared, queues));
     true
 }
@@ -560,12 +547,26 @@ fn shed_job(shared: &Shared, core: &Arc<JobCore>, now: Instant) {
     if core.finish_if_queued(JobState::Rejected) {
         shared.counters.shed.incr();
         core.group.cancel();
-        core.notify_waiters();
+        end_queued(shared, core, JobState::Rejected);
     } else {
         // Lost the race to a concurrent cancel or admission between the
         // pick and here; don't leave a stale reason behind.
         *core.rejection.lock() = None;
     }
+}
+
+/// Announce a queued job's end — a handle cancel, a shed, a shutdown
+/// refusal — as `settle` announces a run's: `wait_all` wakes, the policy
+/// hook runs, then the job's waiters. The caller won the transition.
+pub(crate) fn end_queued(shared: &Shared, core: &JobCore, state: JobState) {
+    // `wait_all` reaps terminal entries under the queues lock: passing
+    // through it orders this notify after its check.
+    drop(shared.queues.lock());
+    shared.idle_cv.notify_all();
+    if let Some(hook) = &shared.config.policy {
+        hook.call(&core.spec, &core.outcome_now(state));
+    }
+    core.notify_waiters();
 }
 
 /// Admit queued jobs in stride order while the budget allows, starting
@@ -582,22 +583,19 @@ fn admit_queued<'a>(
     shared: &'a Arc<Shared>,
     mut queues: MutexGuard<'a, Queues>,
 ) -> MutexGuard<'a, Queues> {
-    if shared.shutdown.load(Ordering::SeqCst) {
-        // No admission during shutdown: the dispatcher is waiting for the
-        // running jobs to drain, and this may be the last of them.
-        shared.timer_cv.notify_all();
-        return queues;
-    }
     if queues.draining {
         queues.rescan = true;
         return queues;
     }
     queues.draining = true;
-    let mut deadline_admitted = false;
+    // The earliest deadline this drain admits: a timer for the dispatcher.
+    let mut timer = None;
     loop {
         while let Some(core) = pop_admissible(shared, &mut queues) {
             drop(queues);
-            deadline_admitted |= core.spec.deadline.is_some();
+            if let Some(d) = core.spec.deadline {
+                timer = earliest(timer, core.submitted_at + d);
+            }
             admit(shared, core);
             shared.admitting.fetch_sub(1, Ordering::SeqCst);
             queues = shared.queues.lock();
@@ -607,11 +605,16 @@ fn admit_queued<'a>(
         }
     }
     queues.draining = false;
-    if queues.dispatcher_asleep && (deadline_admitted || queues.fair.len() > 0) {
-        // The dispatcher checked for timers under this lock before it
-        // slept, so this notify cannot come before its wait.
-        queues.dispatcher_asleep = false;
-        shared.timer_cv.notify_one();
+    // Under the lock `wait_idle` checks under: a popped job a cancel
+    // ended first leaves `admitting` with no settle to announce it, and a
+    // retry re-queued during shutdown must be refused.
+    shared.idle_cv.notify_all();
+    if queues.fair.len() > 0 {
+        // The dispatcher samples pressure and sheds while a job waits.
+        timer = earliest(timer, Instant::now() + SAMPLE_EVERY);
+    }
+    if let Some(at) = timer {
+        shared.kick.kick_by(at);
     }
     queues
 }
@@ -709,10 +712,11 @@ fn admit(shared: &Arc<Shared>, core: Arc<JobCore>) {
     );
 }
 
-/// Feed the pressure loop under the queues lock (the order `select_sheds`
-/// takes too). A sample is due at the first settle or dispatcher tick at
-/// least `SAMPLE_EVERY` after the last; the runtime's thread times are
-/// summed only then.
+/// Feed the pressure loop under the queues lock, which guards the queue
+/// length and the drain mark it reads. A sample is due at the first
+/// settle or dispatcher tick at least `SAMPLE_EVERY` after the last — the
+/// dispatcher ticks that often while a job is queued — and the runtime's
+/// thread times are summed only then.
 ///
 /// No sample is taken while a drain runs: the queue then holds jobs the
 /// drain is about to admit, not jobs the budget holds back, and the loop
@@ -731,53 +735,6 @@ fn sample_pressure(shared: &Shared, queues: &Queues, now: Instant) {
     );
 }
 
-/// Whether a tick can change anything: a queued job (the shedder may
-/// pick any), or a running job whose deadline has not yet expired.
-fn timers_pending(shared: &Shared, queues: &Queues) -> bool {
-    queues.fair.len() > 0
-        || shared
-            .running
-            .lock()
-            .iter()
-            .any(|c| c.spec.deadline.is_some() && !c.timed_out.load(Ordering::SeqCst))
-}
-
-/// The dispatcher: a timer thread for what only a clock can trigger.
-/// It ticks every `poll_interval` while [`timers_pending`], sleeps with
-/// no timeout while nothing is, and on shutdown refuses what is still
-/// queued and leaves once the admitted jobs have settled.
-fn dispatcher_loop(shared: Arc<Shared>) {
-    let mut queues = shared.queues.lock();
-    loop {
-        let shutting_down = shared.shutdown.load(Ordering::SeqCst);
-        if shutting_down {
-            let drained = queues.fair.drain();
-            if !drained.is_empty() {
-                drop(queues);
-                refuse_queued(&shared, drained);
-                queues = shared.queues.lock();
-                continue;
-            }
-            if shared.admitting.load(Ordering::SeqCst) == 0 && shared.running.lock().is_empty() {
-                break;
-            }
-        }
-        if shutting_down || timers_pending(&shared, &queues) {
-            shared
-                .timer_cv
-                .wait_for(&mut queues, shared.config.poll_interval);
-        } else {
-            queues.dispatcher_asleep = true;
-            shared.timer_cv.wait(&mut queues);
-            queues.dispatcher_asleep = false;
-        }
-        shared.counters.dispatcher_wakes.incr();
-        drop(queues);
-        tick(&shared);
-        queues = shared.queues.lock();
-    }
-}
-
 /// Shutdown: every job still waiting ends here.
 fn refuse_queued(shared: &Shared, drained: Vec<Arc<JobCore>>) {
     for core in drained {
@@ -786,37 +743,39 @@ fn refuse_queued(shared: &Shared, drained: Vec<Arc<JobCore>>) {
         if core.group.first_fault().is_some() {
             if core.finish(JobState::Failed) {
                 shared.counters.failed.incr();
+                end_queued(shared, &core, JobState::Failed);
             }
             continue;
         }
         *core.rejection.lock() = Some(AdmissionError::ShuttingDown);
         if core.finish(JobState::Rejected) {
             shared.counters.rejected.incr();
+            end_queued(shared, &core, JobState::Rejected);
         }
     }
 }
 
-/// One dispatcher tick: expire deadlines, shed, then admit whatever an
-/// opened backoff gate or a regrown budget lets in, and take the
-/// pressure sample if one is due.
-fn tick(shared: &Arc<Shared>) {
+/// One dispatcher pass: expire deadlines, shed, sample pressure if due,
+/// and admit only if a backoff gate opened or the budget regrew, so a
+/// drain stays with the thread that freed the room. Returns the next
+/// timer: the earliest running deadline and, while a job is queued, the
+/// next sample, slack shed, backoff gate or CoDel interval's end.
+fn tick(shared: &Arc<Shared>) -> Option<Instant> {
+    shared.counters.dispatcher_wakes.incr();
     let now = Instant::now();
+    let mut due = None;
     // Deadlines of admitted jobs. Collect first, cancel after dropping
     // the lock: cancel() can retire the group's last in-flight member,
     // running the quiescence hook — and thus settle(), which takes
     // `running` — inline on this thread.
-    let expired: Vec<Arc<JobCore>> = {
-        let running = shared.running.lock();
-        running
-            .iter()
-            .filter(|c| {
-                c.spec
-                    .deadline
-                    .is_some_and(|d| now.duration_since(c.submitted_at) >= d)
-            })
-            .map(Arc::clone)
-            .collect()
-    };
+    let mut expired = Vec::new();
+    for core in shared.running.lock().iter() {
+        match core.spec.deadline.map(|d| core.submitted_at + d) {
+            Some(at) if now >= at => expired.push(Arc::clone(core)),
+            Some(at) => due = earliest(due, at),
+            None => {}
+        }
+    }
     for core in expired {
         if !core.timed_out.swap(true, Ordering::SeqCst) {
             core.group.cancel();
@@ -825,15 +784,32 @@ fn tick(shared: &Arc<Shared>) {
     }
     // Queued jobs: one whose sojourn (plus the estimated service time)
     // has eaten its deadline is shed, and under critical pressure CoDel
-    // drops the oldest.
-    let sheds = {
-        let queues = shared.queues.lock();
-        shared.pressure.select_sheds(now, queues.fair.iter())
-    };
+    // drops the oldest; the same scan finds the backoff gates. It runs on
+    // a copy of the queue, so submitters and settles admit meanwhile: a
+    // deep queue is scanned every millisecond.
+    let queued: Vec<Arc<JobCore>> = shared.queues.lock().fair.iter().cloned().collect();
+    let mut gate_opened = false;
+    let gates = queued.iter().inspect(|core| match *core.not_before.lock() {
+        Some(gate) if gate <= now => gate_opened = true,
+        Some(gate) => due = earliest(due, gate),
+        None => {}
+    });
+    let (sheds, next_shed) = shared.pressure.select_sheds(now, gates);
+    if let Some(at) = next_shed {
+        due = earliest(due, at);
+    }
     for core in sheds {
         shed_job(shared, &core, now);
         // The queue entry is reaped as a terminal head later.
     }
-    let queues = admit_queued(shared, shared.queues.lock());
+    let mut queues = shared.queues.lock();
+    let budget = shared.pressure.budget_limit();
     sample_pressure(shared, &queues, now);
+    if gate_opened || shared.pressure.budget_limit() > budget {
+        queues = admit_queued(shared, queues);
+    }
+    if queues.fair.len() > 0 {
+        due = earliest(due, now + SAMPLE_EVERY);
+    }
+    due
 }

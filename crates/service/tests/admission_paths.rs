@@ -41,7 +41,6 @@ fn concurrent_admitters_never_overdraw_the_budget() {
             max_in_flight_tasks: LIMIT,
             ..AdmissionConfig::default()
         },
-        poll_interval: Duration::from_micros(200),
         ..ServiceConfig::with_workers(2)
     });
     let peak = Arc::new(AtomicU64::new(0));
@@ -115,14 +114,17 @@ fn a_deep_queue_drains_on_a_small_stack() {
     const JOBS: u64 = 5_000;
     let (policy, drainer_settles) = settles_on("drainer");
     let service = JobService::new(ServiceConfig {
+        // Room for twice the queue: the dispatcher samples pressure every
+        // millisecond while jobs wait, and a queue filled past three
+        // quarters reads as critical, where CoDel drops the oldest job
+        // every 100 ms — not the subject here.
         admission: AdmissionConfig {
             max_in_flight_tasks: JOBS,
-            max_queued_jobs: JOBS as usize,
+            max_queued_jobs: 2 * JOBS as usize,
         },
-        // An hour-long tick: the dispatcher ticks once when the queue
-        // first fills and not again before the drain, so no tick can take
-        // the drain away from the cancelling thread.
-        poll_interval: Duration::from_secs(3600),
+        // A tick admits only when it opened a backoff gate or regrew the
+        // budget, neither of which happens here: no tick can take the
+        // drain away from the cancelling thread.
         policy,
         ..ServiceConfig::with_workers(2)
     });
@@ -210,6 +212,29 @@ fn closed_loop_jobs_without_deadlines_leave_the_dispatcher_asleep() {
     let wakes = count(&service, "/service/dispatcher/wakes");
     assert!(wakes <= 5, "{wakes} dispatcher wakes for 1 000 jobs");
     assert_eq!(submitter_settles.load(Ordering::SeqCst), 0);
+}
+
+/// A deadline is a timer the dispatcher sleeps until, not a reason to
+/// tick: 50 closed-loop jobs with a 10 s deadline and a 5 ms body all
+/// finish before the first deadline, so the dispatcher need run no pass
+/// for them; the bound allows one per job. A dispatcher that ticked
+/// every 500 µs while any timer existed would wake about ten per job.
+#[test]
+fn deadline_jobs_wake_the_dispatcher_at_most_once_each() {
+    const JOBS: u64 = 50;
+    let service = JobService::with_workers(2);
+    for i in 0..JOBS {
+        let job = service.submit(
+            JobSpec::new(format!("timed-{i}"), "t").deadline(Duration::from_secs(10)),
+            |_| std::thread::sleep(Duration::from_millis(5)),
+        );
+        assert_eq!(job.wait().state, JobState::Completed);
+    }
+    let wakes = count(&service, "/service/dispatcher/wakes");
+    assert!(
+        wakes <= JOBS + 5,
+        "{wakes} dispatcher wakes for {JOBS} deadline jobs"
+    );
 }
 
 /// A deadline is a timer: the dispatcher wakes for it and times the job

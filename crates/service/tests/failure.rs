@@ -9,10 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn single_worker_config() -> ServiceConfig {
-    ServiceConfig {
-        poll_interval: Duration::from_micros(200),
-        ..ServiceConfig::with_workers(1)
-    }
+    ServiceConfig::with_workers(1)
 }
 
 #[test]

@@ -10,10 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn base_config() -> ServiceConfig {
-    ServiceConfig {
-        poll_interval: Duration::from_micros(200),
-        ..ServiceConfig::with_workers(1)
-    }
+    ServiceConfig::with_workers(1)
 }
 
 /// Spin until `cond` holds or the timeout trips (returns success).
@@ -224,45 +221,42 @@ fn a_submission_the_queue_refuses_leaves_the_probe_slot_free() {
 
 #[test]
 fn deadline_budget_propagates_to_dispatch() {
-    // A huge poll interval keeps the dispatcher's deadline scan out of
-    // the picture: the only thing that can stop the queued tail is the
-    // group's deadline budget, checked by workers at dispatch.
-    let config = ServiceConfig {
-        poll_interval: Duration::from_secs(3600),
-        ..ServiceConfig::with_workers(1)
-    };
-    let service = JobService::new(config);
-    let release = Arc::new(AtomicBool::new(false));
-    let r = Arc::clone(&release);
-    let deadline = Duration::from_millis(20);
+    // Admission installs the job's deadline as its group's budget: every
+    // task of the job, the root and a child, reads what is left of it.
+    // That the runtime skips a member whose budget is spent at dispatch
+    // is `groups.rs::exhausted_budget_skips_queued_members_at_dispatch`.
+    let service = JobService::new(base_config());
+    let deadline = Duration::from_secs(60);
+    let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let s = Arc::clone(&seen);
     let submitted = Instant::now();
     let job = service.submit(
         JobSpec::new("budgeted", "tenant-a").deadline(deadline),
         move |ctx| {
-            let r = Arc::clone(&r);
-            ctx.spawn(move |_| {
-                // Holds the worker until the deadline has passed.
-                while !r.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            });
-            for _ in 0..20 {
-                ctx.spawn(|_| unreachable!("over budget at dispatch; must never run"));
-            }
+            s.lock().unwrap().push(ctx.remaining_budget());
+            let s = Arc::clone(&s);
+            ctx.spawn(move |c| s.lock().unwrap().push(c.remaining_budget()));
         },
     );
-    // Let the deadline lapse, then free the worker: the tail is dropped
-    // at dispatch because the budget is exhausted, not by any cancel.
-    while submitted.elapsed() < deadline + Duration::from_millis(5) {
-        std::thread::sleep(Duration::from_millis(1));
+    assert_eq!(job.wait().state, JobState::Completed);
+    let elapsed = submitted.elapsed();
+    let seen = seen.lock().unwrap().clone();
+    assert_eq!(seen.len(), 2, "root and child both ran");
+    for left in seen {
+        let left = left.expect("the deadline is the group's budget");
+        assert!(
+            left <= deadline && left + elapsed >= deadline,
+            "{left:?} left of a {deadline:?} budget, {elapsed:?} after submission"
+        );
     }
-    release.store(true, Ordering::SeqCst);
-    let outcome = job
-        .wait_timeout(Duration::from_secs(10))
-        .expect("job must settle from quiescence without the dispatcher");
-    assert_eq!(outcome.tasks_budget_skipped, 20, "whole tail over budget");
-    assert_eq!(outcome.tasks_skipped, 20);
-    assert_eq!(outcome.tasks_completed, 2, "root + gate ran");
+    // A job without a deadline runs unbudgeted.
+    let none = Arc::new(AtomicBool::new(false));
+    let n = Arc::clone(&none);
+    let job = service.submit(JobSpec::new("unbudgeted", "tenant-a"), move |ctx| {
+        n.store(ctx.remaining_budget().is_none(), Ordering::SeqCst);
+    });
+    assert_eq!(job.wait().state, JobState::Completed);
+    assert!(none.load(Ordering::SeqCst));
 }
 
 #[test]

@@ -11,10 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn single_worker_config() -> ServiceConfig {
-    ServiceConfig {
-        poll_interval: Duration::from_micros(200),
-        ..ServiceConfig::with_workers(1)
-    }
+    ServiceConfig::with_workers(1)
 }
 
 /// Spin until `cond` holds or the timeout trips (returns success).
@@ -220,13 +217,10 @@ fn wait_all_covers_jobs_in_the_admission_window() {
 
 #[test]
 fn wait_all_is_woken_by_the_last_settle_not_by_the_poll_tick() {
-    // Regression: wait_all slept `poll_interval` between checks, so with
-    // a parked dispatcher (3600 s, as resilience.rs uses) it would have
-    // slept an hour past a job that finished in a millisecond.
-    let service = Arc::new(JobService::new(ServiceConfig {
-        poll_interval: Duration::from_secs(3600),
-        ..ServiceConfig::with_workers(1)
-    }));
+    // Regression: wait_all once slept a dispatcher tick between checks,
+    // so with a slow tick it slept long past a job that finished in a
+    // millisecond. It now waits with no timeout, for the settle.
+    let service = Arc::new(JobService::with_workers(1));
     let (release, gate) = std::sync::mpsc::channel::<()>();
     let job = service.submit(JobSpec::new("short", "tenant-a"), move |_| {
         let _ = gate.recv();
@@ -547,10 +541,7 @@ fn dropping_the_service_mid_flight_tears_down_on_the_dropping_thread() {
     // (EDEADLK). Drop now waits the transients out; a batch of quick
     // jobs dropped mid-flight must tear down cleanly every time.
     for round in 0..8 {
-        let service = JobService::new(ServiceConfig {
-            poll_interval: Duration::from_micros(200),
-            ..ServiceConfig::with_workers(2)
-        });
+        let service = JobService::with_workers(2);
         let handles: Vec<_> = (0..16)
             .map(|i| {
                 service.submit(

@@ -345,7 +345,6 @@ fn storms_conserve_job_accounting_and_restore_the_budget() {
                 max_in_flight_tasks: 8,
                 max_queued_jobs: 16,
             },
-            poll_interval: Duration::from_micros(200),
             ..ServiceConfig::with_workers(2)
         };
         config.breaker.min_samples = 4;
