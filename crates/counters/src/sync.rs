@@ -40,6 +40,12 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Self(std::sync::Mutex::new(value))
     }
+
+    /// The value, taking the mutex apart: no lock is taken, since no
+    /// one else can hold it.
+    pub fn into_inner(self) -> T {
+        lock_or_recover(self.0.into_inner())
+    }
 }
 
 impl<T: ?Sized> Mutex<T> {

@@ -480,9 +480,12 @@ impl FleetJobHandle {
         }
     }
 
-    /// Block up to `timeout`.
+    /// Block up to `timeout`; one that reaches past the clock's range is
+    /// no deadline.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<JobOutcome> {
-        let deadline = Instant::now() + timeout;
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            return Some(self.wait());
+        };
         let mut guard = self.slot.outcome.lock();
         loop {
             if let Some(o) = guard.clone() {
@@ -1118,6 +1121,23 @@ mod tests {
         }
     }
 
+    /// A worker's push: `key` completed on locality 1.
+    fn completed(key: u64) -> FleetOutcome {
+        FleetOutcome {
+            key,
+            epoch: 0,
+            origin: 1,
+            state: JobState::Completed,
+            tasks_completed: 1,
+            tasks_spawned: 1,
+            tasks_faulted: 0,
+            exec_ns: 0,
+            retries: 0,
+            fault_msg: None,
+            reject: None,
+        }
+    }
+
     #[test]
     fn a_stale_stats_reply_does_not_undrain_the_view() {
         let mut view = WorkerView::new();
@@ -1145,19 +1165,7 @@ mod tests {
         let gateway = FleetGateway::install(fabric.locality(0), FleetConfig::new(vec![]));
         let key = gateway.submit(FleetJobSpec::new("j", "t")).key();
         assert!(gateway.shared.jobs.lock().live.contains(&key));
-        let push = || FleetOutcome {
-            key,
-            epoch: 0,
-            origin: 1,
-            state: JobState::Completed,
-            tasks_completed: 1,
-            tasks_spawned: 1,
-            tasks_faulted: 0,
-            exec_ns: 0,
-            retries: 0,
-            fault_msg: None,
-            reject: None,
-        };
+        let push = || completed(key);
         assert_eq!(handle_complete(&gateway.shared, push()), 0, "recorded");
         {
             let jobs = gateway.shared.jobs.lock();
@@ -1168,6 +1176,30 @@ mod tests {
         let ledger = gateway.ledger();
         assert_eq!((ledger.completions, ledger.duplicates), (1, 1));
         assert!(ledger.conserved());
+        drop(gateway);
+        fabric.shutdown();
+    }
+
+    /// A wait whose deadline would lie past the clock's range has none:
+    /// it returns the outcome of a job settled later by another thread,
+    /// and of one settled already.
+    #[test]
+    fn wait_timeout_past_the_clock_range_waits_for_the_outcome() {
+        let fabric = grain_net::bootstrap::Fabric::loopback(1, |_| {
+            grain_runtime::RuntimeConfig::with_workers(1)
+        });
+        // No worker to place on: the job stays pending until the push.
+        let gateway = FleetGateway::install(fabric.locality(0), FleetConfig::new(vec![]));
+        let handle = gateway.submit(FleetJobSpec::new("j", "t"));
+        let (shared, key) = (Arc::clone(&gateway.shared), handle.key());
+        let pusher = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            handle_complete(&shared, completed(key))
+        });
+        let state = |h: &FleetJobHandle| h.wait_timeout(Duration::MAX).map(|o| o.state);
+        assert_eq!(state(&handle), Some(JobState::Completed), "settled later");
+        assert_eq!(pusher.join().expect("pusher"), 0, "recorded");
+        assert_eq!(state(&handle), Some(JobState::Completed), "settled already");
         drop(gateway);
         fabric.shutdown();
     }

@@ -170,12 +170,13 @@ impl TcpNode {
     }
 
     /// Block until links to all `world - 1` peers exist, up to `timeout`.
-    /// Returns `false` on timeout.
+    /// Returns `false` on timeout; a `timeout` that reaches past the
+    /// clock's range is no deadline.
     pub fn wait_for_world(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let want = self.locality.world() - 1;
         while self.locality.connected_peers().len() < want {
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 return false;
             }
             std::thread::sleep(Duration::from_millis(2));

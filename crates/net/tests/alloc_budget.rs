@@ -10,39 +10,12 @@
 
 use grain_net::bootstrap::Fabric;
 use grain_runtime::RuntimeConfig;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-struct Counting;
+#[path = "../../runtime/tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter touches no allocator state and
-// cannot unwind.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's layout, passed on as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with `layout`; the caller
-        // vouches for `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+use counting_alloc::allocations;
 
 /// `calls` sequential echo round trips from locality 0 to locality 1.
 fn echo_round_trips(world: &Fabric, calls: u64) {
@@ -62,9 +35,9 @@ fn a_loopback_parcel_stays_within_its_allocation_budget() {
     echo_round_trips(&world, 200);
 
     const CALLS: u64 = 2_000;
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocations();
     echo_round_trips(&world, CALLS);
-    let per_parcel = (ALLOCS.load(Ordering::Relaxed) - before) as f64 / (2 * CALLS) as f64;
+    let per_parcel = (allocations() - before) as f64 / (2 * CALLS) as f64;
     // One Call and one Reply per round trip, 21 allocations between
     // them (arguments and frame encoded apart, the frame decoded into
     // owned parts, a task or a boxed continuation per dispatch); what

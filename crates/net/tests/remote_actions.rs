@@ -309,3 +309,21 @@ fn tcp_world_bootstraps_and_serves_actions() {
     n1.stop_listening();
     n2.stop_listening();
 }
+
+/// A wait whose deadline would lie past the clock's range has none: it
+/// returns once a peer that joins later from another thread is linked,
+/// and at once when the world is complete already.
+#[test]
+fn wait_for_world_past_the_clock_range_is_no_deadline() {
+    let root = tcp_root("127.0.0.1:0", 2, RuntimeConfig::with_workers(1)).expect("root");
+    let addr = root.listen_addr().to_string();
+    let joiner = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(10));
+        tcp_join(&addr, RuntimeConfig::with_workers(1)).expect("join")
+    });
+    assert!(root.wait_for_world(Duration::MAX), "joined later");
+    let n1 = joiner.join().expect("joiner");
+    assert!(root.wait_for_world(Duration::MAX), "joined already");
+    root.stop_listening();
+    n1.stop_listening();
+}

@@ -40,15 +40,72 @@ use std::time::{Duration, Instant};
 /// The settled outcome of a future: a shared value or the task error.
 pub type Settled<T> = Result<Arc<T>, TaskError>;
 
-/// Callback attached to a future; observes the settled outcome.
-type Callback<T> = Box<dyn FnOnce(&Settled<T>) + Send>;
+/// A [`Settled`] as a future keeps it: the rare error boxed, so the cell
+/// is two words.
+pub(crate) type Outcome<T> = Result<Arc<T>, Box<TaskError>>;
 
-/// What a pending future runs when it settles.
-enum Continuation<T> {
-    /// Attached with [`SharedFuture::on_settled`].
-    Callback(Callback<T>),
-    /// A dependency node counting this future among its inputs.
-    Node(Arc<dyn Waiter>),
+/// The public form of a kept outcome.
+fn settled_of<T>(outcome: &Outcome<T>) -> Settled<T> {
+    match outcome {
+        Ok(value) => Ok(Arc::clone(value)),
+        Err(error) => Err(TaskError::clone(error)),
+    }
+}
+
+/// Continuations a future keeps in its own allocation before it spills
+/// them to a `Vec`: a stencil node's three dependents plus a join.
+const SLOTS: usize = 4;
+
+/// What a pending future runs when it settles, in the order registered.
+enum Waiters<T> {
+    /// At most [`SLOTS`], filled from the front.
+    Inline([Option<Arc<dyn Waiter<T>>>; SLOTS]),
+    /// More than [`SLOTS`]: all of them.
+    Spilled(Vec<Arc<dyn Waiter<T>>>),
+}
+
+impl<T> Default for Waiters<T> {
+    fn default() -> Self {
+        Self::Inline(Default::default())
+    }
+}
+
+impl<T> Waiters<T> {
+    fn push(&mut self, waiter: Arc<dyn Waiter<T>>) {
+        match self {
+            Self::Inline(slots) => match slots.iter_mut().find(|s| s.is_none()) {
+                Some(slot) => *slot = Some(waiter),
+                None => {
+                    let mut all = Vec::with_capacity(2 * SLOTS);
+                    all.extend(slots.iter_mut().filter_map(Option::take));
+                    all.push(waiter);
+                    *self = Self::Spilled(all);
+                }
+            },
+            Self::Spilled(all) => all.push(waiter),
+        }
+    }
+
+    /// Run every waiter once, in the order registered.
+    fn run(self, outcome: &Outcome<T>, mut handoff: Option<&mut Handoff<'_>>) {
+        let mut run = |w: Arc<dyn Waiter<T>>| w.input_settled(outcome, handoff.as_deref_mut());
+        match self {
+            Self::Inline(slots) => slots.into_iter().flatten().for_each(&mut run),
+            Self::Spilled(all) => all.into_iter().for_each(&mut run),
+        }
+    }
+}
+
+/// A callback attached with [`SharedFuture::on_settled`]: a waiter that
+/// calls it once. The mutex only makes a closure that is `Send` but not
+/// `Sync` shareable; it is never locked.
+struct Callback<F>(Mutex<F>);
+
+impl<T, F: FnOnce(&Settled<T>) + Send> Waiter<T> for Callback<F> {
+    fn input_settled(self: Arc<Self>, outcome: &Outcome<T>, _: Option<&mut Handoff<'_>>) {
+        let Callback(f) = Arc::into_inner(self).expect("a callback is held by its future alone");
+        (f.into_inner())(&settled_of(outcome));
+    }
 }
 
 /// What follows a future's state in its allocation; a [`SharedFuture`]
@@ -68,8 +125,8 @@ impl Tail for () {}
 /// so what is pushed now is in the list it will take; set means the
 /// list may be gone, so the subscriber runs its continuation itself.
 pub(crate) struct Shared<T, X: ?Sized = ()> {
-    outcome: OnceLock<Settled<T>>,
-    waiters: Mutex<Vec<Continuation<T>>>,
+    outcome: OnceLock<Outcome<T>>,
+    waiters: Mutex<Waiters<T>>,
     ready: Condvar,
     pub(crate) tail: X,
 }
@@ -79,7 +136,7 @@ impl<T, X> Shared<T, X> {
     pub(crate) fn pending(tail: X) -> Self {
         Self {
             outcome: OnceLock::new(),
-            waiters: Mutex::new(Vec::new()),
+            waiters: Mutex::default(),
             ready: Condvar::new(),
             tail,
         }
@@ -90,7 +147,7 @@ impl<T, X: ?Sized> Shared<T, X> {
     /// The waiter list, locked, if the future is still pending: what is
     /// pushed before the guard drops is in the list `settle` will take.
     /// `None` once the outcome is published.
-    fn waiters_if_pending(&self) -> Option<MutexGuard<'_, Vec<Continuation<T>>>> {
+    fn waiters_if_pending(&self) -> Option<MutexGuard<'_, Waiters<T>>> {
         if self.outcome.get().is_some() {
             return None;
         }
@@ -99,7 +156,7 @@ impl<T, X: ?Sized> Shared<T, X> {
     }
 
     /// The outcome of a future known to be settled.
-    fn settled(&self) -> &Settled<T> {
+    fn settled(&self) -> &Outcome<T> {
         self.outcome.get().expect("not pending, so published")
     }
 
@@ -109,23 +166,15 @@ impl<T, X: ?Sized> Shared<T, X> {
     /// not to callbacks, whose own settles are nobody's last act.
     pub(crate) fn try_settle(
         &self,
-        outcome: Settled<T>,
-        mut handoff: Option<&mut Handoff<'_>>,
+        outcome: Outcome<T>,
+        handoff: Option<&mut Handoff<'_>>,
     ) -> bool {
         if self.outcome.set(outcome).is_err() {
             return false;
         }
         let waiters = std::mem::take(&mut *self.waiters.lock());
         self.ready.notify_all();
-        let outcome = self.settled();
-        for c in waiters {
-            match c {
-                Continuation::Callback(f) => f(outcome),
-                Continuation::Node(node) => {
-                    node.input_settled(outcome.as_ref().err(), handoff.as_deref_mut());
-                }
-            }
-        }
+        waiters.run(self.settled(), handoff);
         true
     }
 
@@ -133,7 +182,7 @@ impl<T, X: ?Sized> Shared<T, X> {
     ///
     /// # Panics
     /// Panics if the future was already settled.
-    pub(crate) fn settle(&self, outcome: Settled<T>, handoff: Option<&mut Handoff<'_>>) {
+    pub(crate) fn settle(&self, outcome: Outcome<T>, handoff: Option<&mut Handoff<'_>>) {
         assert!(self.try_settle(outcome, handoff), "promise fulfilled twice");
     }
 }
@@ -191,7 +240,7 @@ impl<T> Promise<T> {
     /// Panics if the promise was already fulfilled.
     pub fn fail(mut self, error: TaskError) {
         let shared = self.shared.take().expect("promise already consumed");
-        shared.settle(Err(error), None);
+        shared.settle(Err(Box::new(error)), None);
     }
 }
 
@@ -214,7 +263,7 @@ impl<T> Drop for Promise<T> {
         } else {
             TaskError::BrokenPromise
         };
-        shared.settle(Err(error), None);
+        shared.settle(Err(Box::new(error)), None);
     }
 }
 
@@ -224,7 +273,7 @@ impl<T> SharedFuture<T> {
         Self { shared }
     }
 
-    fn settled(outcome: Settled<T>) -> Self {
+    fn settled(outcome: Outcome<T>) -> Self {
         let mut shared = Shared::pending(());
         shared.outcome = OnceLock::from(outcome);
         Self::of(Arc::new(shared))
@@ -237,13 +286,13 @@ impl<T> SharedFuture<T> {
 
     /// A future that is already faulted with `error`.
     pub fn faulted(error: TaskError) -> Self {
-        Self::settled(Err(error))
+        Self::settled(Err(Box::new(error)))
     }
 
     /// The settled outcome, if the future has settled: `Some(Ok(value))`
     /// once ready, `Some(Err(error))` once faulted, `None` while pending.
     pub fn try_get(&self) -> Option<Settled<T>> {
-        self.shared.outcome.get().cloned()
+        self.shared.outcome.get().map(settled_of)
     }
 
     /// True once the future has settled (ready *or* faulted) — i.e. a
@@ -255,7 +304,7 @@ impl<T> SharedFuture<T> {
     /// The error the future faulted with, if it did.
     pub fn error(&self) -> Option<TaskError> {
         match self.shared.outcome.get() {
-            Some(Err(e)) => Some(e.clone()),
+            Some(Err(e)) => Some(TaskError::clone(e)),
             _ => None,
         }
     }
@@ -289,14 +338,17 @@ impl<T> SharedFuture<T> {
                 self.shared.ready.wait(&mut waiters);
             }
         }
-        self.shared.settled().clone()
+        settled_of(self.shared.settled())
     }
 
     /// Block until the future settles or `timeout` elapses. Returns
     /// `Err(TaskError::Timeout)` on expiry — the only blocking join safe
-    /// against a stalled producer.
+    /// against a stalled producer. A `timeout` that reaches past the
+    /// clock's range is no deadline.
     pub fn wait_timeout(&self, timeout: Duration) -> Settled<T> {
-        let deadline = Instant::now() + timeout;
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            return self.wait();
+        };
         if let Some(mut waiters) = self.shared.waiters_if_pending() {
             while !self.is_ready() {
                 let now = Instant::now();
@@ -306,7 +358,7 @@ impl<T> SharedFuture<T> {
                 self.shared.ready.wait_for(&mut waiters, deadline - now);
             }
         }
-        self.shared.settled().clone()
+        settled_of(self.shared.settled())
     }
 
     /// Attach a continuation observing the settled outcome: runs
@@ -314,18 +366,18 @@ impl<T> SharedFuture<T> {
     /// on the settling thread.
     pub fn on_settled(&self, f: impl FnOnce(&Settled<T>) + Send + 'static) {
         match self.shared.waiters_if_pending() {
-            Some(mut waiters) => waiters.push(Continuation::Callback(Box::new(f))),
-            None => f(self.shared.settled()),
+            Some(mut waiters) => waiters.push(Arc::new(Callback(Mutex::new(f)))),
+            None => f(&settled_of(self.shared.settled())),
         }
     }
 
     /// Count this future among `node`'s inputs: `node` hears of the
     /// settle at settle time, or right here if it already happened.
-    pub(crate) fn subscribe(&self, node: &Arc<impl Waiter + 'static>) {
-        let node: Arc<dyn Waiter> = Arc::clone(node) as _;
+    pub(crate) fn subscribe(&self, node: &Arc<impl Waiter<T> + 'static>) {
+        let node: Arc<dyn Waiter<T>> = Arc::clone(node) as _;
         match self.shared.waiters_if_pending() {
-            Some(mut waiters) => waiters.push(Continuation::Node(node)),
-            None => node.input_settled(self.shared.settled().as_ref().err(), None),
+            Some(mut waiters) => waiters.push(node),
+            None => node.input_settled(self.shared.settled(), None),
         }
     }
 
@@ -355,14 +407,18 @@ pub(crate) fn values<T>(deps: Vec<SharedFuture<T>>) -> Vec<Arc<T>> {
     deps.into_iter().map(value).collect()
 }
 
-/// The face a node shows its inputs and its task group: all they may
-/// tell it.
-pub(crate) trait Waiter: Send + Sync {
-    /// One input settled, with `fault` if it faulted. Takes the input's
-    /// reference to the node: the settle that readies a task node hands
-    /// that very reference on to the scheduler's queue — by way of
-    /// `handoff`, if that settle is the last act of a worker's phase.
-    fn input_settled(self: Arc<Self>, fault: Option<&TaskError>, handoff: Option<&mut Handoff<'_>>);
+/// The face a continuation shows the future it waits on: a node
+/// counting the future among its inputs, or a callback.
+pub(crate) trait Waiter<T>: Send + Sync {
+    /// The future settled with `outcome`. Takes the future's reference
+    /// to the waiter: the settle that readies a task node hands that very
+    /// reference on to the scheduler's queue — by way of `handoff`, if
+    /// that settle is the last act of a worker's phase.
+    fn input_settled(self: Arc<Self>, outcome: &Outcome<T>, handoff: Option<&mut Handoff<'_>>);
+}
+
+/// The face a grouped node shows its task group while it may be dormant.
+pub(crate) trait Dormant: Send + Sync {
     /// The node's group was cancelled while the node may still be dormant.
     fn cancel(&self);
 }
@@ -380,12 +436,26 @@ pub(crate) struct Countdown(AtomicUsize);
 /// The count of a released node; no node has half as many inputs.
 const RELEASED: usize = usize::MAX / 2;
 
+/// The builder's hold on a node it is still subscribing: more than any
+/// node has inputs, so no count of inputs readied meanwhile reaches zero,
+/// and less than [`RELEASED`] by more than any, so a release stays one.
+const HOLD: usize = RELEASED / 4;
+
 impl Countdown {
-    /// For a node of `inputs` inputs, plus one count held by its builder
-    /// so a node whose inputs are all settled already cannot fire while
-    /// it is still subscribing.
-    pub(crate) fn new(inputs: usize) -> Self {
-        Self(AtomicUsize::new(inputs + 1))
+    /// For a node whose builder has yet to subscribe its inputs: the
+    /// builder holds it (see [`arm`](Self::arm)), so a node whose inputs
+    /// are all settled already cannot fire while it is still subscribing.
+    pub(crate) fn new() -> Self {
+        Self(AtomicUsize::new(HOLD))
+    }
+
+    /// The builder has subscribed `inputs` inputs and gives up its hold,
+    /// keeping a count of `inputs` less those already ready. `true` if
+    /// none is left: every input is ready and the node is the builder's
+    /// to fire.
+    pub(crate) fn arm(&self, inputs: usize) -> bool {
+        let hold = HOLD - inputs;
+        self.0.fetch_sub(hold, Ordering::SeqCst) == hold
     }
 
     /// One input is ready. `true` for the one caller that brings the
@@ -422,30 +492,25 @@ struct Conjunction<T> {
 
 impl<T: Send + Sync> Tail for Conjunction<T> {}
 
-impl<T: Send + Sync + 'static> Waiter for Shared<Vec<Arc<T>>, Conjunction<T>> {
-    fn input_settled(
-        self: Arc<Self>,
-        fault: Option<&TaskError>,
-        handoff: Option<&mut Handoff<'_>>,
-    ) {
+impl<T: Send + Sync + 'static> Shared<Vec<Arc<T>>, Conjunction<T>> {
+    /// Every input is ready: settle with their values.
+    fn fire(&self, handoff: Option<&mut Handoff<'_>>) {
+        let deps = std::mem::take(&mut *self.tail.deps.lock());
+        self.settle(Ok(Arc::new(values(deps))), handoff);
+    }
+}
+
+impl<T: Send + Sync + 'static> Waiter<T> for Shared<Vec<Arc<T>>, Conjunction<T>> {
+    fn input_settled(self: Arc<Self>, outcome: &Outcome<T>, handoff: Option<&mut Handoff<'_>>) {
         let tail = &self.tail;
-        if let Some(e) = fault {
+        if let Err(e) = outcome {
             if tail.count.release() {
                 tail.deps.lock().clear();
-                let cause = Arc::new(e.clone());
-                self.settle(Err(TaskError::Dependency { cause }), None);
+                let cause = Arc::new(TaskError::clone(e));
+                self.settle(Err(Box::new(TaskError::Dependency { cause })), None);
             }
         } else if tail.count.input_ready() {
-            let deps = std::mem::take(&mut *tail.deps.lock());
-            self.settle(Ok(Arc::new(values(deps))), handoff);
-        }
-    }
-
-    /// Unreachable: nothing cancels a node that no group knows of.
-    fn cancel(&self) {
-        if self.tail.count.release() {
-            self.tail.deps.lock().clear();
-            self.settle(Err(TaskError::Cancelled), None);
+            self.fire(handoff);
         }
     }
 }
@@ -462,13 +527,15 @@ pub fn when_all<T: Send + Sync + 'static>(
     futures: &[SharedFuture<T>],
 ) -> SharedFuture<Vec<Arc<T>>> {
     let node = Arc::new(Shared::pending(Conjunction {
-        count: Countdown::new(futures.len()),
+        count: Countdown::new(),
         deps: Mutex::new(futures.to_vec()),
     }));
     for dep in futures {
         dep.subscribe(&node);
     }
-    Arc::clone(&node).input_settled(None, None);
+    if node.tail.count.arm(futures.len()) {
+        node.fire(None);
+    }
     SharedFuture::of(node)
 }
 
@@ -556,6 +623,17 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         p.set(3u8);
         assert_eq!(*t.join().unwrap().unwrap(), 3);
+    }
+
+    #[test]
+    fn wait_timeout_past_the_clock_range_is_no_deadline() {
+        let settled = SharedFuture::ready(4u8);
+        assert_eq!(settled.wait_timeout(Duration::MAX), Ok(Arc::new(4)));
+        let (p, f) = channel();
+        let t = std::thread::spawn(move || f.wait_timeout(Duration::MAX));
+        std::thread::sleep(Duration::from_millis(10));
+        p.set(3u8);
+        assert_eq!(t.join().unwrap(), Ok(Arc::new(3)));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! grouped root is covered by the root's group.
 
 use crate::fault::TaskError;
-use crate::future::Waiter;
+use crate::future::Dormant;
 use grain_counters::sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -69,7 +69,7 @@ struct Hooks {
     /// [`TaskGroup::cancel`] to release. Weak, because a node holds its
     /// group: a strong entry would be a cycle that only `cancel` breaks,
     /// and a node is dead weight here from the moment it fires.
-    dormant: Vec<Weak<dyn Waiter>>,
+    dormant: Vec<Weak<dyn Dormant>>,
     /// Callbacks to run when the group's first fault is recorded (used by
     /// the job service's fail-fast policy).
     fault: Vec<FaultHook>,
@@ -339,7 +339,7 @@ impl TaskGroup {
     /// Have [`cancel`](Self::cancel) release `node` if it is still
     /// dormant by then. Returns `false`, registering nothing, if the
     /// group is cancelled already: the caller releases the node itself.
-    pub(crate) fn register_dormant(&self, node: Weak<dyn Waiter>) -> bool {
+    pub(crate) fn register_dormant(&self, node: Weak<dyn Dormant>) -> bool {
         let mut g = self.hooks.lock();
         if self.is_cancelled() {
             return false;
@@ -367,8 +367,12 @@ impl TaskGroup {
 
     /// [`wait`](Self::wait) with a deadline; returns `true` if the group
     /// went quiescent, `false` on timeout.
+    /// A `timeout` that reaches past the clock's range is no deadline.
     pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            self.wait();
+            return true;
+        };
         let mut g = self.hooks.lock();
         while self.in_flight.load(Ordering::SeqCst) != 0 {
             let now = Instant::now();
@@ -444,28 +448,22 @@ mod tests {
 
     /// A stand-in for a dormant dataflow node: counts its cancels.
     #[derive(Default)]
-    struct Dormant(AtomicUsize);
+    struct Node(AtomicUsize);
 
-    impl Waiter for Dormant {
-        fn input_settled(
-            self: Arc<Self>,
-            _fault: Option<&TaskError>,
-            _handoff: Option<&mut crate::runtime::Handoff<'_>>,
-        ) {
-        }
+    impl Dormant for Node {
         fn cancel(&self) {
             self.0.fetch_add(1, Ordering::SeqCst);
         }
     }
 
-    fn weak(node: &Arc<Dormant>) -> Weak<dyn Waiter> {
+    fn weak(node: &Arc<Node>) -> Weak<dyn Dormant> {
         Arc::downgrade(node) as _
     }
 
     #[test]
     fn cancel_releases_dormant_nodes_once() {
         let g = TaskGroup::new();
-        let node = Arc::new(Dormant::default());
+        let node = Arc::new(Node::default());
         assert!(g.register_dormant(weak(&node)));
         g.cancel();
         g.cancel(); // idempotent; the list is already drained
@@ -478,15 +476,29 @@ mod tests {
     #[test]
     fn fired_nodes_do_not_pile_up_in_a_long_lived_group() {
         let g = TaskGroup::new();
-        let live = Arc::new(Dormant::default());
+        let live = Arc::new(Node::default());
         assert!(g.register_dormant(weak(&live)));
         for _ in 0..10_000 {
             // Dropped at once: the node "fired" and nothing holds it.
-            assert!(g.register_dormant(weak(&Arc::new(Dormant::default()))));
+            assert!(g.register_dormant(weak(&Arc::new(Node::default()))));
         }
         assert!(g.hooks.lock().dormant.len() <= 8);
         g.cancel();
         assert_eq!(live.0.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn wait_timeout_past_the_clock_range_is_no_deadline() {
+        let g = TaskGroup::new();
+        assert!(g.wait_timeout(Duration::MAX), "quiescent already");
+        g.enter();
+        let g2 = Arc::clone(&g);
+        let h = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            g2.exit_completed();
+        });
+        assert!(g.wait_timeout(Duration::MAX), "quiescent later");
+        h.join().unwrap();
     }
 
     #[test]

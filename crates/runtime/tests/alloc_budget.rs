@@ -6,51 +6,25 @@
 //! The budgets are the counts of the current design plus one; the parts
 //! are listed at each assertion. A change that puts a `Box` back on
 //! every dependency edge or around every task body, or takes the future
-//! or the queue entry out of the task's one node again, fails here
-//! before it shows in a benchmark.
+//! or the queue entry out of the task's one node again, or a list
+//! beside the node for the continuations of its first few dependents,
+//! fails here before it shows in a benchmark.
 
 use grain_runtime::{Runtime, SharedFuture};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct Counting;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter touches no allocator state and
-// cannot unwind.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's layout, passed on as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with `layout`; the caller
-        // vouches for `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+use counting_alloc::allocations;
 
 const OPS: u64 = 20_000;
 
 /// Allocations per operation of `OPS` operations made by `run`, which
 /// returns once all of them have finished.
 fn allocs_per_op(run: impl FnOnce()) -> f64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocations();
     run();
-    (ALLOCS.load(Ordering::Relaxed) - before) as f64 / OPS as f64
+    (allocations() - before) as f64 / OPS as f64
 }
 
 fn async_calls(rt: &Runtime) {
@@ -88,13 +62,13 @@ fn spawn_paths_stay_within_their_allocation_budget() {
     let per_call = allocs_per_op(|| async_calls(&rt));
     assert!(per_call <= 3.0, "{per_call:.2} allocations per async_call");
 
-    // The node (output future, input countdown, closure and queue entry
-    // in one), its copy of the input list (handed on to the body as the
-    // list of values), the value's `Arc`, and the output's list of the
-    // nodes waiting on it.
+    // The node (output future, input countdown, closure, queue entry and
+    // the slots of the three dependents that wait on its output, in
+    // one), its one copy of the input list (handed on to the body as the
+    // list of values) and the value's `Arc`.
     let per_node = allocs_per_op(|| dataflow_nodes(&rt));
     assert!(
-        per_node <= 5.0,
+        per_node <= 4.0,
         "{per_node:.2} allocations per 3-input dataflow node"
     );
     eprintln!("allocations: {per_call:.2} per async_call, {per_node:.2} per dataflow node");

@@ -1,6 +1,6 @@
 //! Behavioral tests for task groups and cooperative cancellation.
 
-use grain_runtime::{channel, Priority, Runtime, TaskError, TaskGroup};
+use grain_runtime::{channel, Priority, Runtime, SharedFuture, TaskError, TaskGroup};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -411,4 +411,45 @@ fn cancel_token_outlives_context() {
     group.cancel();
     assert!(token.is_cancelled(), "token clones observe group cancel");
     rt.wait_idle();
+}
+
+/// A grouped node over an input that has faulted already, between two
+/// pending ones: the fault releases the node while it is still
+/// subscribing its inputs. Its output settles `Dependency`, and its
+/// group quiesces with one fault and no reservation left; the pending
+/// inputs settling later change nothing.
+#[test]
+fn a_node_released_while_subscribing_retires_its_reservation_once() {
+    let rt = Runtime::with_workers(1);
+    let group = TaskGroup::new();
+    let (p1, first) = channel::<u32>();
+    let faulted = SharedFuture::<u32>::faulted(TaskError::BrokenPromise);
+    let (p3, last) = channel::<u32>();
+    let out = rt.dataflow_in(
+        &group,
+        Priority::Normal,
+        [&first, &faulted, &last],
+        |_, v| *v[0],
+    );
+    match out.wait_timeout(Duration::from_secs(5)) {
+        Err(TaskError::Dependency { cause }) => assert_eq!(*cause, TaskError::BrokenPromise),
+        other => panic!("expected a dependency fault, got {other:?}"),
+    }
+    assert!(
+        group.wait_timeout(Duration::from_secs(5)),
+        "the released node left its reservation in the group"
+    );
+    p1.set(1);
+    p3.set(3);
+    rt.wait_idle();
+    assert_eq!(
+        (
+            group.spawned(),
+            group.faulted(),
+            group.completed(),
+            group.skipped()
+        ),
+        (1, 1, 0, 0)
+    );
+    assert_eq!(group.in_flight(), 0);
 }

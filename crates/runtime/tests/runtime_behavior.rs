@@ -3,7 +3,7 @@
 
 use grain_runtime::{channel, when_all, Poll, Priority, Runtime, RuntimeConfig, SharedFuture};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn rt(workers: usize) -> Runtime {
@@ -787,4 +787,64 @@ fn tracing_disabled_by_default_costs_nothing() {
     }
     r.wait_idle();
     assert!(r.take_trace().is_empty());
+}
+
+/// A future keeps its first four continuations in its own allocation and
+/// spills the rest to a list. Give one more than that: dataflow nodes,
+/// `on_settled` callbacks and `when_all` joins in turn, and a thread
+/// blocked in `wait`. Each runs exactly once, the callbacks and joins
+/// (which run on the settling thread) in the order registered, and none
+/// is kept alive after the settle.
+#[test]
+fn dependents_past_the_inline_slots_each_run_once_in_order() {
+    let r = rt(1);
+    let (promise, src) = channel::<u64>();
+    let blocked = {
+        let src = src.clone();
+        std::thread::spawn(move || src.wait())
+    };
+    let order = Arc::new(Mutex::new(Vec::new()));
+    let token = Arc::new(());
+    let ran = Arc::new(AtomicUsize::new(0));
+    let mut nodes = Vec::new();
+    for i in 0..12u64 {
+        let (order, token) = (Arc::clone(&order), Arc::clone(&token));
+        let record = move || order.lock().expect("order").push(i);
+        match i % 3 {
+            0 => {
+                let ran = Arc::clone(&ran);
+                nodes.push(r.dataflow([&src], move |_, v| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    (*v[0] + i, token)
+                }));
+            }
+            1 => src.on_settled(move |_| {
+                let _token = token;
+                record()
+            }),
+            _ => when_all(std::slice::from_ref(&src)).on_settled(move |_| {
+                let _token = token;
+                record()
+            }),
+        }
+    }
+    let token = {
+        let weak = Arc::downgrade(&token);
+        drop(token);
+        weak
+    };
+    std::thread::sleep(Duration::from_millis(10));
+    promise.set(100);
+    let inline: Vec<u64> = (0..12).filter(|i| i % 3 != 0).collect();
+    assert_eq!(*order.lock().expect("order"), inline);
+    assert_eq!(blocked.join().expect("waiter").map(|v| *v), Ok(100));
+    for (k, node) in nodes.iter().enumerate() {
+        let value = node.wait_timeout(Duration::from_secs(5)).map(|v| v.0);
+        assert_eq!(value, Ok(100 + 3 * k as u64), "node {k}");
+    }
+    // Dropping the runtime joins its worker: no task it ran is held.
+    drop(r);
+    assert_eq!(ran.load(Ordering::SeqCst), 4);
+    drop(nodes);
+    assert!(token.upgrade().is_none(), "a dependent outlived the settle");
 }

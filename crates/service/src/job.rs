@@ -464,8 +464,11 @@ impl JobCore {
         g.state
     }
 
+    /// A `timeout` that reaches past the clock's range is no deadline.
     pub(crate) fn wait_terminal_timeout(&self, timeout: Duration) -> Option<JobState> {
-        let deadline = Instant::now() + timeout;
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            return Some(self.wait_terminal());
+        };
         let mut g = self.state.lock();
         while !g.published {
             let now = Instant::now();

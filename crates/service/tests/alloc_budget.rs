@@ -12,48 +12,22 @@
 use grain_service::grain_counters::derived::DerivedCounter;
 use grain_service::grain_counters::{Registry, Unit};
 use grain_service::{JobService, JobSpec, JobState};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-struct Counting;
+#[path = "../../runtime/tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter touches no allocator state and
-// cannot unwind.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's layout, passed on as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with `layout`; the caller
-        // vouches for `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+use counting_alloc::allocations;
 
 const JOBS: u64 = 20_000;
 
 /// Allocations per job of `JOBS` jobs made by `run`, which returns once
 /// all of them have finished.
 fn allocs_per_job(run: impl FnOnce()) -> f64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocations();
     run();
-    (ALLOCS.load(Ordering::Relaxed) - before) as f64 / JOBS as f64
+    (allocations() - before) as f64 / JOBS as f64
 }
 
 /// The eight counters a job's scope holds (`JobCounters`).

@@ -559,3 +559,17 @@ fn dropping_the_service_mid_flight_tears_down_on_the_dropping_thread() {
         drop(handles);
     }
 }
+
+/// A wait whose deadline would lie past the clock's range has none: it
+/// returns the outcome of a job a worker settles later, and of one
+/// settled already.
+#[test]
+fn wait_timeout_past_the_clock_range_is_no_deadline() {
+    let service = JobService::new(single_worker_config());
+    let job = service.submit(JobSpec::new("slow", "t"), |_| {
+        std::thread::sleep(Duration::from_millis(10));
+    });
+    let state = || job.wait_timeout(Duration::MAX).map(|o| o.state);
+    assert_eq!(state(), Some(JobState::Completed), "settled later");
+    assert_eq!(state(), Some(JobState::Completed), "settled already");
+}

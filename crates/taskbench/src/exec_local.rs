@@ -30,15 +30,47 @@ enum DepKind {
     Contrib,
 }
 
+/// Inputs whose kinds a node keeps inline; every `Stencil1d` node has at
+/// most three.
+const INLINE_KINDS: usize = 4;
+
+/// A node's input kinds, in input order: in the task's closure for up to
+/// [`INLINE_KINDS`] inputs, on the heap beyond.
+enum Kinds {
+    Inline(usize, [DepKind; INLINE_KINDS]),
+    Heap(Vec<DepKind>),
+}
+
+impl Kinds {
+    fn of(kinds: impl ExactSizeIterator<Item = DepKind>) -> Self {
+        if kinds.len() > INLINE_KINDS {
+            return Self::Heap(kinds.collect());
+        }
+        let mut inline = [DepKind::Contrib; INLINE_KINDS];
+        let len = kinds.len();
+        for (slot, kind) in inline.iter_mut().zip(kinds) {
+            *slot = kind;
+        }
+        Self::Inline(len, inline)
+    }
+
+    fn as_slice(&self) -> &[DepKind] {
+        match self {
+            Self::Inline(len, kinds) => &kinds[..*len],
+            Self::Heap(kinds) => kinds,
+        }
+    }
+}
+
 /// Anything that can spawn taskbench node tasks: the runtime itself, or
 /// a job's [`TaskContext`] (children then join the job's group).
 pub trait Spawner {
     /// Spawn a source task (no dependencies).
     fn spawn_source(&self, f: impl FnOnce() -> u64 + Send + 'static) -> SharedFuture<u64>;
     /// Spawn a dependent task via dataflow.
-    fn spawn_dataflow(
+    fn spawn_dataflow<'a>(
         &self,
-        deps: &[SharedFuture<u64>],
+        deps: impl IntoIterator<Item = &'a SharedFuture<u64>>,
         f: impl FnOnce(Vec<Arc<u64>>) -> u64 + Send + 'static,
     ) -> SharedFuture<u64>;
 }
@@ -48,9 +80,9 @@ impl Spawner for Runtime {
         self.async_call(move |_| f())
     }
 
-    fn spawn_dataflow(
+    fn spawn_dataflow<'a>(
         &self,
-        deps: &[SharedFuture<u64>],
+        deps: impl IntoIterator<Item = &'a SharedFuture<u64>>,
         f: impl FnOnce(Vec<Arc<u64>>) -> u64 + Send + 'static,
     ) -> SharedFuture<u64> {
         self.dataflow(deps, move |_, vals| f(vals))
@@ -62,9 +94,9 @@ impl Spawner for TaskContext<'_> {
         self.async_call(move |_| f())
     }
 
-    fn spawn_dataflow(
+    fn spawn_dataflow<'a>(
         &self,
-        deps: &[SharedFuture<u64>],
+        deps: impl IntoIterator<Item = &'a SharedFuture<u64>>,
         f: impl FnOnce(Vec<Arc<u64>>) -> u64 + Send + 'static,
     ) -> SharedFuture<u64> {
         self.dataflow(deps, move |_, vals| f(vals))
@@ -75,18 +107,25 @@ impl Spawner for TaskContext<'_> {
 /// `spawner`. Predecessors inside the range resolve to the just-spawned
 /// futures; predecessors outside it are resolved by `ghost`, which must
 /// return a future of the edge's **contribution** (folded payload).
+/// Every ghost is made before the first node is spawned, so each node
+/// borrows its inputs, local or ghost, and the runtime clones each once.
 /// Returns the value futures of the range's nodes, in id order.
 pub(crate) fn spawn_range<S: Spawner>(
     spawner: &S,
     graph: &TaskGraph,
     range: Range<u32>,
-    mut ghost: impl FnMut(&Edge) -> SharedFuture<u64>,
+    ghost: impl FnMut(&Edge) -> SharedFuture<u64>,
 ) -> Vec<SharedFuture<u64>> {
     let spec = graph.spec;
+    let local = |e: &Edge| range.contains(&e.src);
+    let ghosts: Vec<SharedFuture<u64>> = range
+        .clone()
+        .flat_map(|id| graph.preds(id))
+        .filter(|e| !local(e))
+        .map(ghost)
+        .collect();
+    let mut ghosts = ghosts.iter();
     let mut futs: Vec<SharedFuture<u64>> = Vec::with_capacity(range.len());
-    // One scratch list for every node's inputs (`spawn_dataflow` copies
-    // what it keeps); only `kinds`, which the task owns, is per node.
-    let mut deps: Vec<SharedFuture<u64>> = Vec::new();
     for id in range.clone() {
         let preds = graph.preds(id);
         let seed = work::node_seed(spec.seed, id);
@@ -95,27 +134,31 @@ pub(crate) fn spawn_range<S: Spawner>(
             futs.push(spawner.spawn_source(move || work::node_value(seed, iters, [])));
             continue;
         }
-        deps.clear();
-        let mut kinds: Vec<DepKind> = Vec::with_capacity(preds.len());
-        for e in preds {
-            if range.contains(&e.src) {
-                deps.push(futs[(e.src - range.start) as usize].clone());
-                kinds.push(DepKind::Value {
+        let kinds = Kinds::of(preds.iter().map(|e| {
+            if local(e) {
+                DepKind::Value {
                     salt: work::edge_salt(spec.seed, e.src, e.dst),
                     len: e.payload,
-                });
+                }
             } else {
-                deps.push(ghost(e));
-                kinds.push(DepKind::Contrib);
+                DepKind::Contrib
             }
-        }
-        futs.push(spawner.spawn_dataflow(&deps, move |vals| {
-            let contribs = vals.iter().zip(kinds.iter()).map(|(v, k)| match *k {
+        }));
+        let deps = preds.iter().map(|e| {
+            if local(e) {
+                &futs[(e.src - range.start) as usize]
+            } else {
+                ghosts.next().expect("one ghost per remote edge")
+            }
+        });
+        let fut = spawner.spawn_dataflow(deps, move |vals| {
+            let contribs = vals.iter().zip(kinds.as_slice()).map(|(v, k)| match *k {
                 DepKind::Value { salt, len } => work::contrib_from_value(**v, salt, len),
                 DepKind::Contrib => **v,
             });
             work::node_value(seed, iters, contribs)
-        }));
+        });
+        futs.push(fut);
     }
     futs
 }
