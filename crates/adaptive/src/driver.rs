@@ -6,10 +6,10 @@
 //!   platform or the native runtime, restarted per epoch);
 //! * [`adapt_live`] — what a production runtime would actually do: keep
 //!   **one** runtime alive, run groups of time steps, measure each group
-//!   through *interval counter snapshots* (the windowed Eq. 1 the paper
-//!   says its counters support, §II-A), and re-partition the live grid
-//!   between groups. Physics is untouched by re-partitioning —
-//!   partitions are contiguous chunks of the same ring.
+//!   as a [`grain_counters::Window`] of the runtime's own counters (the
+//!   windowed Eq. 1 the paper says its counters support, §II-A), and
+//!   re-partition the live grid between groups. Physics is untouched by
+//!   re-partitioning — partitions are contiguous chunks of the same ring.
 //!
 //! This is the paper's "first step toward the goal of dynamically
 //! adapting task size" carried to completion: the same program, monitored
@@ -20,7 +20,6 @@
 //! adaptation).
 
 use crate::tuner::{throttled_workers, GrainSignal, ThresholdTuner};
-use grain_counters::Snapshot;
 use grain_metrics::StencilEngine;
 use grain_runtime::Runtime;
 use grain_stencil::{collect_result, partition_grid, run_steps_from};
@@ -142,15 +141,11 @@ pub fn adapt(
     }
 }
 
-const EXEC_PATH: &str = "/threads{locality#0/total}/time/cumulative-exec";
-const FUNC_PATH: &str = "/threads{locality#0/total}/time/cumulative-func";
-const TASKS_PATH: &str = "/threads{locality#0/total}/count/cumulative";
-
 /// Run up to `epochs × steps_per_epoch` time steps of heat diffusion
 /// over `grid` (a ring) on the live runtime `rt`, re-partitioning between
 /// epochs as directed by `tuner`. The runtime keeps running throughout;
-/// decisions come from interval snapshots of its live counters, and
-/// under [`LoopMode::throttle`] the pool is re-sized with
+/// decisions come from windows of its live counters, and under
+/// [`LoopMode::throttle`] the pool is re-sized with
 /// [`Runtime::set_active_workers`] (and left as last set). Returns the
 /// trace and the final grid values (the flattened ring).
 pub fn adapt_live(
@@ -172,14 +167,14 @@ pub fn adapt_live(
         let np = parts.len();
         let active = rt.active_workers();
 
-        let before = Snapshot::capture_all(rt.registry());
+        let before = rt.counters().window();
         let t0 = std::time::Instant::now();
         let out = run_steps_from(rt, parts, steps_per_epoch, coeff);
         grid = collect_result(&out);
         rt.wait_idle();
         let wall_s = t0.elapsed().as_secs_f64();
-        let window = before.delta(&Snapshot::capture_all(rt.registry()));
-        let idle_rate = window.windowed_ratio(EXEC_PATH, FUNC_PATH).unwrap_or(0.0);
+        let window = rt.counters().window().since(&before);
+        let idle_rate = window.idle_rate();
 
         records.push(Epoch {
             nx,
@@ -187,7 +182,7 @@ pub fn adapt_live(
             wall_s,
             idle_rate,
             points_per_s: rate(grid.len() * steps_per_epoch, wall_s),
-            tasks: window.get(TASKS_PATH).map(|v| v.value as u64).unwrap_or(0),
+            tasks: window.tasks,
         });
         tuner.observe(&GrainSignal::from_idle_rate(
             idle_rate,
@@ -212,7 +207,9 @@ pub fn adapt_live(
 mod tests {
     use super::*;
     use crate::tuner::TunerConfig;
+    use grain_counters::equations;
     use grain_metrics::sweep::SimEngine;
+    use grain_runtime::RuntimeConfig;
     use grain_stencil::{run_sequential, total_heat, StencilParams};
     use grain_topology::presets;
 
@@ -412,6 +409,44 @@ mod tests {
             // tasks in the window = partitions × steps of that window.
             let np = (params.total_points()).div_ceil(e.nx);
             assert_eq!(e.tasks as usize, np * steps, "window task accounting");
+        }
+    }
+
+    /// The window is the runtime's own, whatever locality it serves: a
+    /// registry path naming `locality#0` would read nothing here.
+    #[test]
+    fn live_epochs_read_the_runtimes_own_counters_on_any_locality() {
+        // One worker: once `wait_idle` returns, nothing charges the
+        // counters until the next epoch spawns, so a window taken around
+        // a one-epoch run is that epoch's window exactly.
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 1,
+            locality_id: 1,
+            ..RuntimeConfig::default()
+        });
+        let params = StencilParams::new(64, 32, 8);
+        let mut tuner = tuner_from(16);
+        let mut grid = initial_grid(&params);
+        for _ in 0..3 {
+            let before = rt.counters().window();
+            let (trace, next) = adapt_live(
+                &rt,
+                grid,
+                params.coefficient(),
+                2,
+                1,
+                &mut tuner,
+                ALL_EPOCHS,
+            );
+            grid = next;
+            let own = rt.counters().window().since(&before);
+            let epoch = &trace.epochs[0];
+            assert!(epoch.tasks > 0, "the epoch ran tasks: {epoch:?}");
+            assert_eq!(epoch.tasks, own.tasks);
+            assert_eq!(
+                epoch.idle_rate,
+                equations::idle_rate(own.exec_ns, own.func_ns)
+            );
         }
     }
 

@@ -18,7 +18,7 @@
 //! * `driver` — the two loops that apply it to the stencil, one per
 //!   measurement substrate: [`adapt`] (epochs over a simulated or native
 //!   `StencilEngine`) and [`adapt_live`] (windows of time steps inside
-//!   one live runtime, measured through interval counter snapshots). A
+//!   one live runtime, each measured as a `grain_counters::Window`). A
 //!   [`LoopMode`] says whether the pool is throttled too — the
 //!   APEX-style grain + core integration §VI describes — and whether to
 //!   stop at convergence.

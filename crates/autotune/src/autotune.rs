@@ -23,7 +23,7 @@ use crate::controller::{AutotuneConfig, GrainController};
 use crate::shape::ShapedWork;
 use grain_adaptive::GrainSignal;
 use grain_counters::derived::DerivedCounter;
-use grain_counters::{Registry, RegistryError, Unit};
+use grain_counters::{Registry, RegistryError, Unit, Window};
 use grain_service::{JobHandle, JobOutcome, JobService, JobShape, JobSpec, JobState, PolicyHook};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -159,30 +159,26 @@ impl Autotune {
         })
     }
 
-    /// Derive the controller signal from a measured job outcome.
-    ///
-    /// The service runtime exposes per-job exec time but not per-job
-    /// func time, so the Eq.-1 idle rate is computed against the job's
-    /// wall-clock core budget (`turnaround · cores`); with jobs run
-    /// back-to-back this matches the windowed counter. The overhead
-    /// fraction uses the same value as a proxy — for a single tenant
-    /// driving the service, non-exec time *is* task overhead plus
-    /// starvation, which are exactly the two regimes the tuner splits
-    /// on `tasks_per_core`.
+    /// Derive the controller signal from a completed job's own window:
+    /// Eq. 1 over its phases' Σt_exec and Σt_func. A job's func time
+    /// counts only its own phases, so all of its non-exec time is task
+    /// overhead, and the idle rate is the overhead fraction.
     fn signal_from_outcome(&self, outcome: &JobOutcome) -> Option<GrainSignal> {
         if outcome.state != JobState::Completed {
             return None;
         }
-        let cores = self.cores.load(Ordering::Relaxed).max(1) as f64;
-        let wall = outcome.turnaround.as_secs_f64().max(1e-9);
-        let busy = outcome.exec_ns as f64 / 1e9;
-        let idle = (1.0 - busy / (wall * cores)).clamp(0.0, 1.0);
-        let tasks = outcome.tasks_completed.max(1) as f64;
+        let window = Window {
+            func_ns: outcome.func_ns,
+            exec_ns: outcome.exec_ns,
+            tasks: outcome.tasks_completed,
+            ..Window::default()
+        };
+        let idle_rate = window.idle_rate();
         Some(GrainSignal {
-            idle_rate: idle,
-            overhead_frac: idle,
-            pending_miss_rate: 0.0,
-            tasks_per_core: tasks / cores,
+            idle_rate,
+            overhead_frac: idle_rate,
+            pending_miss_rate: window.pending_miss_rate(),
+            tasks_per_core: window.tasks_per_core(self.cores.load(Ordering::Relaxed)),
         })
     }
 
@@ -338,5 +334,44 @@ mod tests {
         assert!(g1 < g0, "starvation shrinks the grain ({g0} -> {g1})");
         assert_eq!(auto.grain_for("t"), g1);
         assert!(auto.adjustments("t") >= 1);
+    }
+
+    #[test]
+    fn a_jobs_signal_is_eq1_over_its_own_window() {
+        let auto = Autotune::new(AutotuneConfig {
+            cores: 2,
+            ..AutotuneConfig::default()
+        });
+        let outcome = JobOutcome {
+            state: JobState::Completed,
+            tasks_completed: 8,
+            tasks_skipped: 0,
+            tasks_budget_skipped: 0,
+            tasks_spawned: 8,
+            tasks_faulted: 0,
+            exec_ns: 600,
+            func_ns: 1_000,
+            turnaround: std::time::Duration::from_millis(3),
+            fault: None,
+            retries: 0,
+            reject_reason: None,
+            origin_locality: None,
+        };
+        let sig = auto.signal_from_outcome(&outcome).expect("completed");
+        assert_eq!(sig.idle_rate, 0.4);
+        assert_eq!(sig.overhead_frac, 0.4);
+        assert_eq!(sig.pending_miss_rate, 0.0);
+        assert_eq!(sig.tasks_per_core, 4.0);
+        // Wall time is not part of the window.
+        let slower = JobOutcome {
+            turnaround: std::time::Duration::from_secs(7),
+            ..outcome.clone()
+        };
+        assert_eq!(auto.signal_from_outcome(&slower), Some(sig));
+        let failed = JobOutcome {
+            state: JobState::Failed,
+            ..outcome
+        };
+        assert_eq!(auto.signal_from_outcome(&failed), None);
     }
 }

@@ -1,10 +1,10 @@
-//! The paper's Eqs. 1–3 (§II-A) over integer counter sums, stated once.
+//! The paper's Eqs. 1–3 (§II-A) over integer counter sums, stated once,
+//! and the one [`Window`] they are read over.
 //!
 //! Every reader of `Σt_exec`, `Σt_func` and `n_t` — the derived counters,
-//! [`crate::ThreadCounters`], the simulator's report, the service's
-//! pressure loop, `grain-metrics` (which re-exports these beside
-//! Eqs. 4–6) — calls these, so the zero-denominator and counter-skew
-//! rules exist in one place. All times are nanoseconds.
+//! [`Window`], the simulator's report, `grain-metrics` (which re-exports
+//! these beside Eqs. 4–6) — calls these, so the zero-denominator and
+//! counter-skew rules exist in one place. All times are nanoseconds.
 
 /// Eq. 1 — idle-rate: `(Σt_func − Σt_exec) / Σt_func`, clamped to [0, 1].
 pub fn idle_rate(sum_exec_ns: u64, sum_func_ns: u64) -> f64 {
@@ -33,6 +33,76 @@ pub fn task_overhead_ns(sum_exec_ns: u64, sum_func_ns: u64, tasks: u64) -> f64 {
     (sum_func_ns - exec) as f64 / tasks as f64
 }
 
+/// The counter sums of one interval of interest (§II-A: every metric
+/// "can be calculated over any interval"). A runtime's cumulative sums
+/// are one ([`crate::ThreadCounters::window`]); [`Window::since`] turns
+/// two of them into the interval between, and that delta is the only
+/// windowed Σt_func/Σt_exec in the workspace: the service's pressure
+/// loop, the live stencil loop and the counter explorer all take it. A
+/// job's own sums are a window too, one that starts at zero: its task
+/// group is charged at the same clock reads as the runtime, and counts
+/// no queue probes, which are a worker's, not a job's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Window {
+    /// Σt_func, ns.
+    pub func_ns: u64,
+    /// Σt_exec, ns.
+    pub exec_ns: u64,
+    /// Tasks completed (`n_t`).
+    pub tasks: u64,
+    /// Pending-queue probes.
+    pub pending_accesses: u64,
+    /// Pending-queue probes that found nothing.
+    pub pending_misses: u64,
+}
+
+impl Window {
+    /// The interval `earlier → self`. Every sum is monotonic, so a field
+    /// only reads below `earlier`'s if the counters were reset in
+    /// between; it then saturates to 0 instead of wrapping.
+    pub fn since(&self, earlier: &Window) -> Window {
+        Window {
+            func_ns: self.func_ns.saturating_sub(earlier.func_ns),
+            exec_ns: self.exec_ns.saturating_sub(earlier.exec_ns),
+            tasks: self.tasks.saturating_sub(earlier.tasks),
+            pending_accesses: self
+                .pending_accesses
+                .saturating_sub(earlier.pending_accesses),
+            pending_misses: self.pending_misses.saturating_sub(earlier.pending_misses),
+        }
+    }
+
+    /// Eq. 1 over the window. No thread time (`func_ns` 0) reads 0.
+    pub fn idle_rate(&self) -> f64 {
+        idle_rate(self.exec_ns, self.func_ns)
+    }
+
+    /// Eq. 2 over the window, ns.
+    pub fn task_duration_ns(&self) -> f64 {
+        task_duration_ns(self.exec_ns, self.tasks)
+    }
+
+    /// Eq. 3 over the window, ns.
+    pub fn task_overhead_ns(&self) -> f64 {
+        task_overhead_ns(self.exec_ns, self.func_ns, self.tasks)
+    }
+
+    /// Share of pending-queue probes that found nothing (§IV-E); 0 with
+    /// no probes.
+    pub fn pending_miss_rate(&self) -> f64 {
+        if self.pending_accesses == 0 {
+            0.0
+        } else {
+            self.pending_misses.min(self.pending_accesses) as f64 / self.pending_accesses as f64
+        }
+    }
+
+    /// Tasks completed per core over the window.
+    pub fn tasks_per_core(&self, cores: usize) -> f64 {
+        self.tasks as f64 / cores.max(1) as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,5 +127,44 @@ mod tests {
     fn eq3_task_overhead() {
         assert_eq!(task_overhead_ns(600, 1000, 4), 100.0);
         assert_eq!(task_overhead_ns(0, 0, 0), 0.0);
+    }
+
+    #[test]
+    fn a_window_is_the_delta_of_two_readings() {
+        let earlier = Window {
+            func_ns: 150,
+            exec_ns: 100,
+            tasks: 3,
+            pending_accesses: 10,
+            pending_misses: 2,
+        };
+        let later = Window {
+            func_ns: 1_150,
+            exec_ns: 700,
+            tasks: 11,
+            pending_accesses: 30,
+            pending_misses: 7,
+        };
+        let w = later.since(&earlier);
+        assert_eq!(
+            w,
+            Window {
+                func_ns: 1_000,
+                exec_ns: 600,
+                tasks: 8,
+                pending_accesses: 20,
+                pending_misses: 5,
+            }
+        );
+        assert_eq!(w.idle_rate(), 0.4);
+        assert_eq!(w.task_duration_ns(), 75.0);
+        assert_eq!(w.task_overhead_ns(), 50.0);
+        assert_eq!(w.pending_miss_rate(), 0.25);
+        assert_eq!(w.tasks_per_core(2), 4.0);
+        // A reset between the readings saturates instead of wrapping.
+        assert_eq!(earlier.since(&later), Window::default());
+        assert_eq!(Window::default().idle_rate(), 0.0);
+        assert_eq!(Window::default().pending_miss_rate(), 0.0);
+        assert_eq!(Window::default().tasks_per_core(0), 0.0);
     }
 }

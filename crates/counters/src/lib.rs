@@ -32,11 +32,11 @@
 //!   `/threads/time/average` and `/threads/time/average-overhead` are
 //!   implemented.
 //! * [`equations`] — Eqs. 1–3 of the paper over integer counter sums,
-//!   the one statement every reader of those sums calls.
-//! * [`snapshot`] — point-in-time captures of a whole counter set and
-//!   interval deltas between two captures, the building block for
-//!   *dynamic* measurements over any interval of interest (§II-A of the
-//!   paper notes all metrics can be computed over intervals).
+//!   the one statement every reader of those sums calls, and
+//!   [`Window`], the one interval they are read over: a reading of
+//!   [`ThreadCounters::window`] minus an earlier one, the building block
+//!   for *dynamic* measurements over any interval of interest (§II-A of
+//!   the paper notes all metrics can be computed over intervals).
 //!
 //! The crate is self-contained (no dependency on the runtime) so that both
 //! the native thread pool in `grain-runtime` and the discrete-event
@@ -78,19 +78,18 @@ pub mod path;
 pub mod raw;
 pub mod registry;
 pub mod rng;
-pub mod snapshot;
 pub mod stats;
 pub mod sync;
 pub mod threads;
 pub mod value;
 
 pub use derived::{average_of, ratio_of, DerivedCounter};
+pub use equations::Window;
 pub use histogram::{LogHistogram, ShardedHistogram};
 pub use path::CounterPath;
 pub use raw::{RawCounter, Sharded};
 pub use registry::{Counter, Registry, RegistryError, ScopedRegistry};
 pub use rng::Pcg32;
-pub use snapshot::{Interval, Snapshot};
 pub use stats::SampleStats;
 pub use threads::ThreadCounters;
 pub use value::{CounterValue, Unit};

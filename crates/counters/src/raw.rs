@@ -36,9 +36,9 @@ struct Padded<T>(T);
 /// A single monotonically-increasing event counter.
 ///
 /// All operations use relaxed ordering: counters are statistics, not
-/// synchronization. Readers that need a consistent *set* of counters take a
-/// [`crate::snapshot::Snapshot`] while the system is quiescent or accept
-/// slight skew, exactly as HPX's monitoring system does.
+/// synchronization. Readers that need a consistent *set* of counters read
+/// them while the system is quiescent or accept slight skew, exactly as
+/// HPX's monitoring system does.
 #[derive(Debug, Default)]
 pub struct RawCounter {
     value: AtomicU64,

@@ -8,7 +8,7 @@
 //! contract of [`crate::raw`]: worker `w` writes shard `w`.
 
 use crate::derived::{average_of, average_of_worker, ratio_of, ratio_of_worker, DerivedCounter};
-use crate::equations;
+use crate::equations::{self, Window};
 use crate::histogram::ShardedHistogram;
 use crate::path::CounterPath;
 use crate::raw::Sharded;
@@ -83,20 +83,17 @@ impl ThreadCounters {
         self.workers
     }
 
-    /// Idle-rate over everything recorded so far (Eq. 1):
-    /// `(Σt_func − Σt_exec) / Σt_func`.
-    pub fn idle_rate(&self) -> f64 {
-        equations::idle_rate(self.exec_ns.sum(), self.func_ns.sum())
-    }
-
-    /// Average task duration t_d in ns (Eq. 2).
-    pub fn task_duration_ns(&self) -> f64 {
-        equations::task_duration_ns(self.exec_ns.sum(), self.tasks.sum())
-    }
-
-    /// Average task overhead t_o in ns (Eq. 3).
-    pub fn task_overhead_ns(&self) -> f64 {
-        equations::task_overhead_ns(self.exec_ns.sum(), self.func_ns.sum(), self.tasks.sum())
+    /// Everything recorded so far, as the [`Window`] since start: Eqs.
+    /// 1–3 over the whole run, or, through [`Window::since`] an earlier
+    /// reading, over any interval of interest.
+    pub fn window(&self) -> Window {
+        Window {
+            func_ns: self.func_ns.sum(),
+            exec_ns: self.exec_ns.sum(),
+            tasks: self.tasks.sum(),
+            pending_accesses: self.pending_accesses.sum(),
+            pending_misses: self.pending_misses.sum(),
+        }
     }
 
     /// Register the whole counter tree into `registry` under locality 0
@@ -258,12 +255,13 @@ mod tests {
         c.exec_ns.add(1, 100);
         c.func_ns.add(1, 200);
 
+        let w = c.window();
         // Eq. 1: (600-400)/600.
-        assert!((c.idle_rate() - 200.0 / 600.0).abs() < 1e-12);
+        assert!((w.idle_rate() - 200.0 / 600.0).abs() < 1e-12);
         // Eq. 2: 400/3.
-        assert!((c.task_duration_ns() - 400.0 / 3.0).abs() < 1e-12);
+        assert!((w.task_duration_ns() - 400.0 / 3.0).abs() < 1e-12);
         // Eq. 3: 200/3.
-        assert!((c.task_overhead_ns() - 200.0 / 3.0).abs() < 1e-12);
+        assert!((w.task_overhead_ns() - 200.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -770,6 +770,7 @@ fn settle_shed(shared: &GatewayShared, gj: &mut GateJob) {
         tasks_spawned: 0,
         tasks_faulted: 0,
         exec_ns: 0,
+        func_ns: 0,
         turnaround: gj.submitted_at.elapsed(),
         fault: None,
         retries: 0,
@@ -795,6 +796,7 @@ fn settle_rejected(shared: &GatewayShared, gj: &mut GateJob) {
         tasks_spawned: 0,
         tasks_faulted: 0,
         exec_ns: 0,
+        func_ns: 0,
         turnaround: gj.submitted_at.elapsed(),
         fault: None,
         retries: gj.dispatches.saturating_sub(1) as u64,
@@ -846,6 +848,7 @@ fn handle_complete(shared: &Arc<GatewayShared>, outcome: FleetOutcome) -> u8 {
         tasks_spawned: outcome.tasks_spawned,
         tasks_faulted: outcome.tasks_faulted,
         exec_ns: outcome.exec_ns,
+        func_ns: outcome.func_ns,
         turnaround: gj.submitted_at.elapsed(),
         fault,
         retries: gj.dispatches.saturating_sub(1) as u64,
@@ -1108,15 +1111,11 @@ mod tests {
 
     fn stats(draining: bool) -> WorkerStats {
         WorkerStats {
-            locality: 1,
             draining,
             pressure_level: 0,
             overhead: 0.0,
             queue_fill: 0.0,
-            idle_rate: 0.0,
             queued_jobs: 0,
-            running_jobs: 0,
-            autotune_grain: 0,
             autotune_converged: true,
         }
     }
@@ -1132,6 +1131,7 @@ mod tests {
             tasks_spawned: 1,
             tasks_faulted: 0,
             exec_ns: 0,
+            func_ns: 0,
             retries: 0,
             fault_msg: None,
             reject: None,

@@ -2,12 +2,12 @@
 //!
 //! Placement needs a cheap, uniform view of every worker's pressure;
 //! rather than gossiping raw counter dumps, each worker samples its own
-//! `/service/pressure/{level,overhead,queue-fill}` counters (from the
-//! service registry) and `/threads{locality#N/total}/idle-rate` (from
-//! the job runtime's registry — they are *separate* registries) into a
-//! compact [`WorkerStats`] and serves it as a registered remote action.
-//! The action is useful standalone: `async_remote::<(), WorkerStats>`
-//! against any locality that registered it returns its live load.
+//! `/service/pressure/{level,overhead,queue-fill}` and
+//! `/autotune/converged` counters (from the service registry) and its
+//! queue length into a compact [`WorkerStats`] and serves it as a
+//! registered remote action. The action is useful standalone:
+//! `async_remote::<(), WorkerStats>` against any locality that
+//! registered it returns its live load.
 
 use crate::wire::{WorkerStats, ACTION_STATS};
 use grain_net::Locality;
@@ -17,30 +17,19 @@ use std::sync::Arc;
 
 /// Sample one worker's load into a [`WorkerStats`] report.
 ///
-/// Counter reads go through the registries (the same surface a
+/// Counter reads go through the service registry (the same surface a
 /// dashboard would scrape), so the report is exactly what the counter
 /// paths publish; a missing counter reads as 0 rather than failing the
 /// poll.
-fn sample_stats(service: &JobService, locality_id: usize, draining: bool) -> WorkerStats {
+fn sample_stats(service: &JobService, draining: bool) -> WorkerStats {
     let sreg = service.registry();
     let read = |path: &str| sreg.query(path).map(|v| v.value).unwrap_or(0.0);
-    let idle_path = format!("/threads{{locality#{locality_id}/total}}/idle-rate");
-    let idle_rate = service
-        .runtime()
-        .registry()
-        .query(&idle_path)
-        .map(|v| v.value)
-        .unwrap_or(0.0);
     WorkerStats {
-        locality: locality_id as u64,
         draining,
         pressure_level: read("/service/pressure/level") as u8,
         overhead: read("/service/pressure/overhead"),
         queue_fill: read("/service/pressure/queue-fill"),
-        idle_rate,
         queued_jobs: service.queue_len() as u64,
-        running_jobs: service.running_len() as u64,
-        autotune_grain: read("/autotune/grain") as u64,
         // A worker with no autotune subsystem registered reports
         // converged: nothing on it is probing, so placement should not
         // penalize it. The query error (not the 0.0 fallback) is the
@@ -61,9 +50,8 @@ pub fn register_sys_stats(
     service: Arc<JobService>,
     draining: Arc<AtomicBool>,
 ) {
-    let id = locality.id();
     locality.register_action(ACTION_STATS, move |(): ()| {
-        sample_stats(&service, id, draining.load(Ordering::SeqCst))
+        sample_stats(&service, draining.load(Ordering::SeqCst))
     });
 }
 
@@ -105,7 +93,6 @@ mod tests {
             .wait()
             .expect("stats poll settles"))
         .clone();
-        assert_eq!(polled.locality, 1);
         assert!(!polled.draining);
         assert!(polled.pressure_level <= 2);
         assert!(polled.overhead >= 0.0 && polled.queue_fill >= 0.0);

@@ -30,12 +30,11 @@ pub const ACTION_DRAIN: &str = "fleet/drain";
 pub const ACTION_COMPLETE: &str = "fleet/complete";
 
 /// Compact load report returned by the `sys/stats` action: the
-/// `/service/pressure/{level,overhead,queue-fill}` and
-/// `/threads/idle-rate` counters of one locality, sampled at call time.
+/// `/service/pressure/{level,overhead,queue-fill}` counters of one
+/// locality and its queue, sampled at call time — what the gateway's
+/// placement score weighs, and nothing else.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerStats {
-    /// The reporting locality.
-    pub locality: u64,
     /// Whether the worker has announced a drain (stops accepting).
     pub draining: bool,
     /// `/service/pressure/level`: 0 nominal, 1 elevated, 2 critical.
@@ -45,16 +44,8 @@ pub struct WorkerStats {
     pub overhead: f64,
     /// `/service/pressure/queue-fill` (0.0..=1.0).
     pub queue_fill: f64,
-    /// `/threads{locality#N/total}/idle-rate` of the worker's job
-    /// runtime (Eq. 1).
-    pub idle_rate: f64,
     /// Jobs waiting in the worker's admission queues.
     pub queued_jobs: u64,
-    /// Jobs admitted and not yet terminal.
-    pub running_jobs: u64,
-    /// `/autotune/grain`: mean tenant grain of the worker's autotune
-    /// subsystem (0 when the worker runs none).
-    pub autotune_grain: u64,
     /// `/autotune/converged` == 1.0: every autotune tenant on the
     /// worker sits in its hysteresis band. Workers without autotune
     /// report `true` (nothing is probing there).
@@ -63,29 +54,21 @@ pub struct WorkerStats {
 
 impl Wire for WorkerStats {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.locality);
         w.u8(u8::from(self.draining));
         w.u8(self.pressure_level);
         w.f64(self.overhead);
         w.f64(self.queue_fill);
-        w.f64(self.idle_rate);
         w.u64(self.queued_jobs);
-        w.u64(self.running_jobs);
-        w.u64(self.autotune_grain);
         w.u8(u8::from(self.autotune_converged));
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Self {
-            locality: r.u64()?,
             draining: r.u8()? != 0,
             pressure_level: r.u8()?,
             overhead: r.f64()?,
             queue_fill: r.f64()?,
-            idle_rate: r.f64()?,
             queued_jobs: r.u64()?,
-            running_jobs: r.u64()?,
-            autotune_grain: r.u64()?,
             autotune_converged: r.u8()? != 0,
         })
     }
@@ -371,8 +354,10 @@ pub struct FleetOutcome {
     pub tasks_spawned: u64,
     /// Tasks faulted in the last attempt.
     pub tasks_faulted: u64,
-    /// Cumulative execution nanoseconds.
+    /// Σt_exec over the job's phases, ns.
     pub exec_ns: u64,
+    /// Σt_func over the job's phases, ns.
+    pub func_ns: u64,
     /// Worker-side retries.
     pub retries: u64,
     /// Root-cause message of the first fault, if the job failed.
@@ -391,6 +376,7 @@ impl Wire for FleetOutcome {
         w.u64(self.tasks_spawned);
         w.u64(self.tasks_faulted);
         w.u64(self.exec_ns);
+        w.u64(self.func_ns);
         w.u64(self.retries);
         self.fault_msg.encode(w);
         self.reject.encode(w);
@@ -406,6 +392,7 @@ impl Wire for FleetOutcome {
             tasks_spawned: r.u64()?,
             tasks_faulted: r.u64()?,
             exec_ns: r.u64()?,
+            func_ns: r.u64()?,
             retries: r.u64()?,
             fault_msg: Option::<String>::decode(r)?,
             reject: Option::<WireReject>::decode(r)?,
@@ -464,17 +451,14 @@ mod tests {
     #[test]
     fn all_types_round_trip() {
         let stats = WorkerStats {
-            locality: 2,
             draining: true,
             pressure_level: 1,
             overhead: 0.25,
             queue_fill: 0.5,
-            idle_rate: 0.125,
             queued_jobs: 3,
-            running_jobs: 4,
-            autotune_grain: 4096,
             autotune_converged: false,
         };
+        assert_eq!(to_bytes(&stats).len(), 27, "the stats reply's size");
         assert_eq!(from_bytes::<WorkerStats>(&to_bytes(&stats)).unwrap(), stats);
         assert_eq!(from_bytes::<FleetJob>(&to_bytes(&job())).unwrap(), job());
         let ack = SubmitAck {
@@ -495,6 +479,7 @@ mod tests {
             tasks_spawned: 25,
             tasks_faulted: 0,
             exec_ns: 123_456,
+            func_ns: 234_567,
             retries: 0,
             fault_msg: None,
             reject: None,

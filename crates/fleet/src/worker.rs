@@ -449,6 +449,7 @@ fn pump_completions(shared: &Arc<WorkerShared>) -> Option<Instant> {
                         tasks_spawned: outcome.tasks_spawned,
                         tasks_faulted: outcome.tasks_faulted,
                         exec_ns: outcome.exec_ns,
+                        func_ns: outcome.func_ns,
                         retries: outcome.retries,
                         fault_msg,
                         reject: outcome.reject_reason.map(WireReject::of),

@@ -28,7 +28,7 @@ use grain_fleet::{
 use grain_net::bootstrap::Fabric;
 use grain_net::locality::NetConfig;
 use grain_runtime::RuntimeConfig;
-use grain_service::{JobState, RejectReason};
+use grain_service::{JobOutcome, JobState, RejectReason};
 use grain_sim::{NetPlan, PartitionMode};
 use std::time::{Duration, Instant};
 
@@ -43,6 +43,13 @@ fn eventually(cond: impl Fn() -> bool) -> bool {
         std::thread::sleep(Duration::from_millis(2));
     }
     true
+}
+
+/// A completed routed job's Eq. 1 sums crossed the wire: its worker
+/// charged both at the clock reads that ended each phase, so the
+/// outcome holds Σt_exec ≤ Σt_func, both non-zero.
+fn assert_window_carried(o: &JobOutcome) {
+    assert!(0 < o.exec_ns && o.exec_ns <= o.func_ns, "{o:?}");
 }
 
 fn loopback_world() -> Fabric {
@@ -86,6 +93,7 @@ fn kill_during_run_redispatches_exactly_once() {
     w2.release_parked();
     let outcome = handle.wait_timeout(PATIENCE).expect("job settles");
     assert_eq!(outcome.state, JobState::Completed);
+    assert_window_carried(&outcome);
     assert_eq!(
         outcome.origin_locality,
         Some(2),
@@ -124,6 +132,7 @@ fn kill_after_complete_does_not_double_count() {
     let key = handle.key();
     let outcome = handle.wait_timeout(PATIENCE).expect("job settles");
     assert_eq!(outcome.state, JobState::Completed);
+    assert_window_carried(&outcome);
     assert_eq!(outcome.origin_locality, Some(1));
 
     // The worker dies *after* the completion was recorded. Nothing is
@@ -149,6 +158,7 @@ fn kill_after_complete_does_not_double_count() {
         tasks_spawned: 4,
         tasks_faulted: 0,
         exec_ns: 1,
+        func_ns: 1,
         retries: 0,
         fault_msg: None,
         reject: None,
@@ -211,11 +221,13 @@ fn drain_hands_back_queued_jobs_with_zero_loss() {
     for h in &queued {
         let o = h.wait_timeout(PATIENCE).expect("handed-back job settles");
         assert_eq!(o.state, JobState::Completed, "zero loss across a drain");
+        assert_window_carried(&o);
         assert_eq!(o.origin_locality, Some(2));
     }
     w1.release_parked();
     let o = blocker.wait_timeout(PATIENCE).expect("running job settles");
     assert_eq!(o.state, JobState::Completed);
+    assert_window_carried(&o);
     assert_eq!(o.origin_locality, Some(1));
 
     let ledger = gateway.ledger();

@@ -89,6 +89,7 @@ pub struct TaskGroup {
     skipped: AtomicU64,
     faulted: AtomicU64,
     exec_ns: AtomicU64,
+    func_ns: AtomicU64,
     /// Time anchor for the deadline budget: `budget_ns` is measured from
     /// here so the hot-path check is a single atomic load plus a
     /// monotonic clock read (no locked `Instant` needed).
@@ -114,6 +115,7 @@ impl Default for TaskGroup {
             skipped: AtomicU64::new(0),
             faulted: AtomicU64::new(0),
             exec_ns: AtomicU64::new(0),
+            func_ns: AtomicU64::new(0),
             created_at: Instant::now(),
             budget_ns: AtomicU64::new(NO_BUDGET),
             budget_skipped: AtomicU64::new(0),
@@ -184,9 +186,18 @@ impl TaskGroup {
         self.first_fault.lock().clone()
     }
 
-    /// Total execution nanoseconds accumulated by the group's phases.
+    /// Total execution nanoseconds accumulated by the group's phases
+    /// (Σt_exec). Read it before [`func_ns`](Self::func_ns): a phase's
+    /// func time is published before its exec time, so the pair read in
+    /// that order never shows more exec than func.
     pub fn exec_ns(&self) -> u64 {
         self.exec_ns.load(Ordering::SeqCst)
+    }
+
+    /// Total thread nanoseconds of the group's phases (Σt_func): each
+    /// phase's exec time plus the worker's search and dispatch before it.
+    pub fn func_ns(&self) -> u64 {
+        self.func_ns.load(Ordering::SeqCst)
     }
 
     /// Install a deadline budget: after `deadline`, members of this group
@@ -244,9 +255,13 @@ impl TaskGroup {
         self.spawned.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Add execution time from one phase of a member task.
-    pub(crate) fn add_exec_ns(&self, ns: u64) {
-        self.exec_ns.fetch_add(ns, Ordering::Relaxed);
+    /// Charge one phase of a member task: `exec_ns` of closure time out
+    /// of `func_ns` of thread time. Func goes first and exec releases it,
+    /// so a reader that acquires an exec sum sees at least the func that
+    /// came with it.
+    pub(crate) fn add_phase_ns(&self, exec_ns: u64, func_ns: u64) {
+        self.func_ns.fetch_add(func_ns, Ordering::Relaxed);
+        self.exec_ns.fetch_add(exec_ns, Ordering::Release);
     }
 
     /// A member terminated after running to completion. Pairs with

@@ -25,7 +25,9 @@
 //! The worker reads the clock exactly twice per executed phase: once
 //! immediately before the body and once immediately after it. The second
 //! read ends `t_exec` *and* is the new `Σt_func` mark, so both sums are
-//! exact and a worker's `Σt_exec` can never exceed its `Σt_func`. The
+//! exact and a worker's `Σt_exec` can never exceed its `Σt_func`. A
+//! grouped task charges the same two values to its [`crate::TaskGroup`],
+//! so a job's Eqs. 1–3 come from the runtime's own clock reads. The
 //! park, quiescent and throttle paths take their own reads.
 //!
 //! Every phase runs under `catch_unwind`: a panicking body terminates
@@ -162,13 +164,11 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                 counters.phases.incr(w);
                 counters.exec_ns.add(w, exec_ns);
                 counters.exec_histogram.record(w, exec_ns);
+                let func_ns = now.duration_since(mark).as_nanos() as u64;
                 if let Some(g) = &task.group {
-                    g.add_exec_ns(exec_ns);
+                    g.add_phase_ns(exec_ns, func_ns);
                 }
-
-                counters
-                    .func_ns
-                    .add(w, now.duration_since(mark).as_nanos() as u64);
+                counters.func_ns.add(w, func_ns);
                 mark = now;
                 if !released.is_empty() {
                     inner.place_released(w, &mut released, &mut search);

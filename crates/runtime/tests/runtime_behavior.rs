@@ -373,7 +373,7 @@ fn counter_invariants_hold_after_a_run() {
     assert!(c.pending_accesses.sum() >= c.pending_misses.sum());
     assert!(c.staged_accesses.sum() >= c.staged_misses.sum());
     assert_eq!(c.converted.sum(), 2_000, "every task is converted once");
-    let ir = c.idle_rate();
+    let ir = c.window().idle_rate();
     assert!((0.0..=1.0).contains(&ir));
 }
 
@@ -623,7 +623,7 @@ fn starvation_shows_up_in_idle_rate() {
     r.spawn(|_| std::thread::sleep(Duration::from_millis(120)));
     r.wait_idle();
     let c = r.counters();
-    let ir = c.idle_rate();
+    let ir = c.window().idle_rate();
     assert!(
         ir > 0.25,
         "starving second worker should push idle-rate up, got {ir}"
@@ -648,7 +648,7 @@ fn busy_saturated_run_has_low_idle_rate() {
         });
     }
     r.wait_idle();
-    let ir = r.counters().idle_rate();
+    let ir = r.counters().window().idle_rate();
     assert!(
         ir < 0.35,
         "saturated run should have low idle-rate, got {ir}"
@@ -673,7 +673,7 @@ fn phase_counters_exceed_task_counters_with_yields() {
     assert_eq!(r.counters().tasks.sum(), 20);
     assert_eq!(r.counters().phases.sum(), 60);
     // The per-phase average must be smaller than the per-task average.
-    let per_task = r.counters().task_duration_ns();
+    let per_task = r.counters().window().task_duration_ns();
     let per_phase = r.counters().exec_ns.sum() as f64 / r.counters().phases.sum() as f64;
     assert!(per_phase <= per_task);
 }

@@ -11,6 +11,7 @@
 //!   turnaround.
 
 use grain_counters::derived::DerivedCounter;
+use grain_counters::equations;
 use grain_counters::{
     CounterValue, LogHistogram, RawCounter, Registry, RegistryError, ScopedRegistry, Unit,
 };
@@ -77,12 +78,7 @@ impl JobCounters {
         scope.register(
             "threads/time/average",
             DerivedCounter::new(Unit::Nanoseconds, move || {
-                let n = g.completed();
-                if n == 0 {
-                    0.0
-                } else {
-                    g.exec_ns() as f64 / n as f64
-                }
+                equations::task_duration_ns(g.exec_ns(), g.completed())
             }),
         )?;
         Ok(Self { scope, retried })

@@ -495,7 +495,10 @@ impl JobCore {
             tasks_budget_skipped: self.group.budget_skipped(),
             tasks_spawned: self.group.spawned(),
             tasks_faulted: self.group.faulted(),
+            // Exec before func (`TaskGroup::exec_ns`): a job still
+            // running reads no more exec than func.
             exec_ns: self.group.exec_ns(),
+            func_ns: self.group.func_ns(),
             turnaround: self.turnaround(),
             fault: self.group.first_fault(),
             retries: self.retried.load(Ordering::SeqCst),
@@ -533,8 +536,13 @@ pub struct JobOutcome {
     /// Tasks that faulted in the job's *last* attempt (the count is
     /// reset when a retry starts; a successful retry reports 0).
     pub tasks_faulted: u64,
-    /// Cumulative execution time over the job's task phases.
+    /// Σt_exec over the job's task phases, ns.
     pub exec_ns: u64,
+    /// Σt_func over the job's task phases, ns: each phase's exec time
+    /// plus the worker's search and dispatch before it, from the same
+    /// clock reads as the runtime's `/threads/time/cumulative-func`.
+    /// Never below `exec_ns`, so Eqs. 1–3 hold for one job.
+    pub func_ns: u64,
     /// Submission-to-finish wall-clock time.
     pub turnaround: Duration,
     /// The first fault of the last attempt, if any — a `Failed` job's

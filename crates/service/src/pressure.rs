@@ -8,10 +8,9 @@
 //! [`SAMPLE_EVERY`] after the last sample, outside an admission drain,
 //! the [`PressureController`] samples:
 //!
-//! * the **windowed overhead fraction** — the delta form of the paper's
-//!   idle-rate, `(Δt_func − Δt_exec) / Δt_func` over the last sample
-//!   interval, smoothed with an EWMA so one noisy window cannot flap the
-//!   controller;
+//! * the **windowed overhead fraction** — the paper's idle-rate (Eq. 1)
+//!   over the runtime's [`Window`] since the last sample, smoothed with
+//!   an EWMA so one noisy window cannot flap the controller;
 //! * the **queue fill fraction** — jobs waiting vs.
 //!   [`crate::AdmissionConfig::max_queued_jobs`] (the service-level
 //!   analogue of the pending/staged queue lengths);
@@ -29,6 +28,15 @@
 //!    Fewer concurrent fine-grain jobs → less scheduling overhead per
 //!    unit of useful work — the control knob is exactly the paper's
 //!    task-size lever, applied at the job level.
+//!
+//!    Zero-grain jobs waiting behind the budget are the paper's "too
+//!    fine" regime, and the loop treats them as such: their phases are
+//!    nearly all dispatch, so the window reads overhead above
+//!    `OVERHEAD_HIGH`, and while one of them waits the budget halves down
+//!    to its floor, whether or not the budget is what holds it back.
+//!    Cutting only while the budget binds (in-flight at the limit, as
+//!    TCP's congestion-window validation does) would be a second reading;
+//!    it is not this one. `admission_paths.rs` pins the behaviour.
 //! 2. **Deadline-slack shedding** — a queued job whose sojourn plus the
 //!    EWMA-estimated service time already exceeds its deadline can no
 //!    longer finish in time; it is shed *now* (terminal `Rejected`,
@@ -47,9 +55,8 @@
 
 use crate::job::{JobCore, JobState};
 use grain_counters::derived::DerivedCounter;
-use grain_counters::equations::idle_rate;
 use grain_counters::sync::Mutex;
-use grain_counters::{Registry, RegistryError, Unit};
+use grain_counters::{Registry, RegistryError, Unit, Window};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -140,8 +147,8 @@ pub struct PressureSignal {
 /// Sampling bookkeeping, touched under the service's queues lock.
 struct SampleBook {
     last_at: Instant,
-    last_func_ns: u64,
-    last_exec_ns: u64,
+    /// The runtime's counters at the last sample.
+    last: Window,
     last_decrease: Instant,
     /// Since when the oldest queued sojourn has continuously exceeded
     /// [`SHED_TARGET`] under critical pressure (CoDel state).
@@ -180,8 +187,7 @@ impl PressureController {
             est_service_ns: AtomicU64::new(0),
             book: Mutex::new(SampleBook {
                 last_at: now,
-                last_func_ns: 0,
-                last_exec_ns: 0,
+                last: Window::default(),
                 last_decrease: now,
                 above_since: None,
                 primed: false,
@@ -230,14 +236,14 @@ impl PressureController {
         Duration::from_nanos(self.est_service_ns.load(Ordering::SeqCst))
     }
 
-    /// One control-loop sample: ingest cumulative `Σt_func`/`Σt_exec`
-    /// (the runtime's thread counters, read by `thread_ns` only when a
-    /// sample is due) and the queue state, update the EWMA, the level,
-    /// and the AIMD budget. Rate-limited internally to [`SAMPLE_EVERY`].
+    /// One control-loop sample: ingest the runtime's cumulative counters
+    /// (read by `counters` only when a sample is due) and the queue
+    /// state, update the EWMA, the level, and the AIMD budget.
+    /// Rate-limited internally to [`SAMPLE_EVERY`].
     pub(crate) fn sample(
         &self,
         now: Instant,
-        thread_ns: impl FnOnce() -> (u64, u64),
+        counters: impl FnOnce() -> Window,
         queue_len: usize,
         queue_cap: usize,
     ) {
@@ -245,12 +251,10 @@ impl PressureController {
         if book.primed && now.saturating_duration_since(book.last_at) < SAMPLE_EVERY {
             return;
         }
-        let (func_ns, exec_ns) = thread_ns();
-        let d_func = func_ns.saturating_sub(book.last_func_ns);
-        let d_exec = exec_ns.saturating_sub(book.last_exec_ns);
+        let reading = counters();
+        let window = reading.since(&book.last);
         let first = !book.primed;
-        book.last_func_ns = func_ns;
-        book.last_exec_ns = exec_ns;
+        book.last = reading;
         book.last_at = now;
         book.primed = true;
         if first {
@@ -258,10 +262,10 @@ impl PressureController {
             return;
         }
 
-        // Eq. 1 over the window. No thread activity (`d_func` 0) reads 0:
+        // Eq. 1 over the window. No thread activity (Σt_func 0) reads 0:
         // the runtime is either idle or fully busy inside long phases;
         // neither is overhead.
-        let inst = idle_rate(d_exec, d_func);
+        let inst = window.idle_rate();
         let prev = self.overhead_milli.load(Ordering::SeqCst) as f64 / 1000.0;
         let overhead = (EWMA_ALPHA * inst + (1.0 - EWMA_ALPHA) * prev).clamp(0.0, 1.0);
         self.overhead_milli
@@ -403,6 +407,16 @@ mod tests {
         PressureController::new(max)
     }
 
+    /// A runtime reading of `func_ns` thread time holding `exec_ns` of
+    /// task execution.
+    fn ns(func_ns: u64, exec_ns: u64) -> impl FnOnce() -> Window {
+        move || Window {
+            func_ns,
+            exec_ns,
+            ..Window::default()
+        }
+    }
+
     fn queued_core(id: u64, deadline: Option<Duration>) -> Arc<JobCore> {
         let reg = Arc::new(Registry::new());
         let group = TaskGroup::new();
@@ -424,9 +438,9 @@ mod tests {
         let t0 = Instant::now();
         // A priming sample, then pure overhead windows: func grew, exec
         // didn't.
-        c.sample(t0, || (0, 0), 0, 10);
+        c.sample(t0, ns(0, 0), 0, 10);
         for i in 1..=20u64 {
-            c.sample(t0 + SAMPLE_EVERY * i as u32, || (i * 1_000_000, 0), 8, 10);
+            c.sample(t0 + SAMPLE_EVERY * i as u32, ns(i * 1_000_000, 0), 8, 10);
         }
         let s = c.signal();
         assert!(s.overhead > 0.8, "overhead EWMA converges up: {s:?}");
@@ -435,7 +449,7 @@ mod tests {
         for i in 21..=80u64 {
             c.sample(
                 t0 + SAMPLE_EVERY * i as u32,
-                || (20 * 1_000_000 + (i - 20) * 1_000_000, (i - 20) * 1_000_000),
+                ns(20 * 1_000_000 + (i - 20) * 1_000_000, (i - 20) * 1_000_000),
                 0,
                 10,
             );
@@ -449,19 +463,19 @@ mod tests {
     fn budget_halves_under_overhead_and_regrows_additively() {
         let c = controller(100);
         let t0 = Instant::now();
-        c.sample(t0, || (0, 0), 0, 10);
+        c.sample(t0, ns(0, 0), 0, 10);
         assert_eq!(c.budget_limit(), 100);
         // High-overhead windows with a queue, one per `DECREASE_EVERY`:
         // multiplicative decrease, 100 → 50 → 25 → 12 → floor.
         for i in 1..=30u64 {
-            c.sample(t0 + DECREASE_EVERY * i as u32, || (i * 1_000_000, 0), 5, 10);
+            c.sample(t0 + DECREASE_EVERY * i as u32, ns(i * 1_000_000, 0), 5, 10);
         }
         assert_eq!(c.budget_limit(), 8, "decays to the floor");
         // Calm windows: additive regrowth toward the max.
         for i in 31..=45u64 {
             c.sample(
                 t0 + DECREASE_EVERY * i as u32,
-                || (30 * 1_000_000 + (i - 30) * 1_000_000, (i - 30) * 1_000_000),
+                ns(30 * 1_000_000 + (i - 30) * 1_000_000, (i - 30) * 1_000_000),
                 0,
                 10,
             );
@@ -477,9 +491,9 @@ mod tests {
         let c = controller(1);
         assert_eq!(c.budget_limit(), 1);
         let t0 = Instant::now();
-        c.sample(t0, || (0, 0), 0, 10);
+        c.sample(t0, ns(0, 0), 0, 10);
         for i in 1..=30u64 {
-            c.sample(t0 + DECREASE_EVERY * i as u32, || (i * 1_000_000, 0), 5, 10);
+            c.sample(t0 + DECREASE_EVERY * i as u32, ns(i * 1_000_000, 0), 5, 10);
         }
         assert_eq!(c.budget_limit(), 1);
     }
@@ -521,8 +535,8 @@ mod tests {
         assert!(sheds.is_empty() && next.is_none());
         // Force critical (fill 1.0), then: first scan arms, a scan a full
         // interval later drops.
-        c.sample(t0, || (0, 0), 0, 10);
-        c.sample(t0 + Duration::from_millis(1), || (1, 0), 10, 10);
+        c.sample(t0, ns(0, 0), 0, 10);
+        c.sample(t0 + Duration::from_millis(1), ns(1, 0), 10, 10);
         assert_eq!(c.level(), PressureLevel::Critical);
         let (sheds, next) = c.select_sheds(t, [&old].into_iter());
         assert!(sheds.is_empty(), "arming");

@@ -716,7 +716,7 @@ fn admit(shared: &Arc<Shared>, core: Arc<JobCore>) {
 /// length and the drain mark it reads. A sample is due at the first
 /// settle or dispatcher tick at least `SAMPLE_EVERY` after the last — the
 /// dispatcher ticks that often while a job is queued — and the runtime's
-/// thread times are summed only then.
+/// counters are summed only then.
 ///
 /// No sample is taken while a drain runs: the queue then holds jobs the
 /// drain is about to admit, not jobs the budget holds back, and the loop
@@ -726,10 +726,9 @@ fn sample_pressure(shared: &Shared, queues: &Queues, now: Instant) {
     if queues.draining {
         return;
     }
-    let rc = shared.runtime.counters();
     shared.pressure.sample(
         now,
-        || (rc.func_ns.sum(), rc.exec_ns.sum()),
+        || shared.runtime.counters().window(),
         queues.fair.len(),
         shared.config.admission.max_queued_jobs,
     );

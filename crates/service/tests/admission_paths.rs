@@ -258,3 +258,51 @@ fn a_deadline_still_times_out_through_the_dispatcher() {
     assert!(outcome.turnaround >= deadline, "{:?}", outcome.turnaround);
     assert!(count(&service, "/service/dispatcher/wakes") >= 1);
 }
+
+/// Zero-grain jobs waiting behind the budget are the paper's "too fine"
+/// regime, and the pressure loop answers them as such (ROADMAP item
+/// 6(c), reading 1): a one-worker service whose jobs are all dispatch
+/// reads its windowed overhead (Eq. 1) above the cut threshold, and
+/// halves the budget down to its floor while they wait.
+#[test]
+fn zero_grain_jobs_behind_the_budget_cut_it_to_the_floor() {
+    /// `pressure.rs`'s `MIN_BUDGET`.
+    const FLOOR: u64 = 8;
+    /// Each job estimates the whole budget: one runs, the rest wait.
+    const COST: u64 = 64;
+    const OUTSTANDING: usize = 32;
+    let service = JobService::new(ServiceConfig {
+        admission: AdmissionConfig {
+            max_in_flight_tasks: COST,
+            max_queued_jobs: 1_024,
+        },
+        ..ServiceConfig::with_workers(1)
+    });
+    let gauge = |path: &str| {
+        service
+            .registry()
+            .query(path)
+            .unwrap_or_else(|e| panic!("{path}: {e}"))
+            .value
+    };
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut live = std::collections::VecDeque::new();
+    let mut jobs = 0u64;
+    while gauge("/service/tasks/budget-limit") > FLOOR as f64 && Instant::now() < deadline {
+        while live.len() < OUTSTANDING {
+            let spec = JobSpec::new(format!("zero-{jobs}"), "t").estimated_tasks(COST);
+            live.push_back(service.submit(spec, |_| {}));
+            jobs += 1;
+        }
+        let oldest = live.pop_front().expect("a job is live");
+        assert_eq!(oldest.wait().state, JobState::Completed);
+    }
+    let overhead = gauge("/service/pressure/overhead");
+    let limit = gauge("/service/tasks/budget-limit");
+    service.wait_all();
+    assert_eq!(
+        limit, FLOOR as f64,
+        "the budget fell to its floor within {jobs} jobs"
+    );
+    assert!(overhead >= 0.6, "zero-grain jobs read overhead {overhead}");
+}

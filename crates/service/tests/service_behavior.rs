@@ -26,6 +26,37 @@ fn wait_until(timeout: Duration, cond: impl Fn() -> bool) -> bool {
     cond()
 }
 
+/// A job's Eqs. 1–3 come from the runtime's own clock reads: each phase
+/// charges its group the exec and func time it charges the worker. On a
+/// one-worker service running jobs back to back, every job holds
+/// Σt_exec ≤ Σt_func, and the jobs together hold no more of either than
+/// the runtime counted over the same span.
+#[test]
+fn a_jobs_window_is_a_share_of_the_runtimes() {
+    let service = JobService::new(single_worker_config());
+    let before = service.runtime().counters().window();
+    let (mut func_ns, mut exec_ns) = (0, 0);
+    for i in 0..50 {
+        let spec = JobSpec::new(format!("share-{i}"), "t").estimated_tasks(9);
+        let o = service
+            .submit(spec, |ctx| {
+                for _ in 0..8 {
+                    ctx.spawn(|_| {
+                        std::hint::black_box((0..1_000u64).map(std::hint::black_box).sum::<u64>());
+                    });
+                }
+            })
+            .wait();
+        assert_eq!(o.state, JobState::Completed);
+        assert!(0 < o.exec_ns && o.exec_ns <= o.func_ns, "job {i}: {o:?}");
+        func_ns += o.func_ns;
+        exec_ns += o.exec_ns;
+    }
+    let runtime = service.runtime().counters().window().since(&before);
+    assert!(func_ns <= runtime.func_ns, "{func_ns} vs {runtime:?}");
+    assert!(exec_ns <= runtime.exec_ns, "{exec_ns} vs {runtime:?}");
+}
+
 #[test]
 fn cancellation_mid_dag_skips_the_queued_tail() {
     let service = JobService::new(single_worker_config());

@@ -215,10 +215,10 @@ mod tests {
         let _ = run_futurized(&rf, &fine);
         assert!(rf.counters().tasks.sum() > rc.counters().tasks.sum());
         assert!(
-            rf.counters().task_duration_ns() < rc.counters().task_duration_ns(),
+            rf.counters().window().task_duration_ns() < rc.counters().window().task_duration_ns(),
             "fine {} vs coarse {}",
-            rf.counters().task_duration_ns(),
-            rc.counters().task_duration_ns()
+            rf.counters().window().task_duration_ns(),
+            rc.counters().window().task_duration_ns()
         );
     }
 }

@@ -7,7 +7,6 @@
 //! cargo run --release --example counter_explorer
 //! ```
 
-use grain::counters::Snapshot;
 use grain::runtime::Runtime;
 use grain::stencil::{run_futurized, StencilParams};
 
@@ -15,13 +14,12 @@ fn main() {
     let rt = Runtime::with_workers(grain::topology::host::available_cores().max(2));
     let params = StencilParams::for_total(500_000, 5_000, 10);
 
-    // Interval measurement: snapshot → work → snapshot → delta, the
+    // Interval measurement: reading → work → reading → delta, the
     // windowed form the paper's adaptivity goal needs (§II-A).
-    let before = Snapshot::capture_all(rt.registry());
+    let before = rt.counters().window();
     let _ = run_futurized(&rt, &params);
     rt.wait_idle();
-    let after = Snapshot::capture_all(rt.registry());
-    let window = before.delta(&after);
+    let window = rt.counters().window().since(&before);
 
     println!("=== full counter dump (cumulative since start) ===");
     for path in rt.registry().paths() {
@@ -29,20 +27,27 @@ fn main() {
         println!("{path:<64} = {v}");
     }
 
-    println!("\n=== the same counters over the measured window ===");
-    for (path, v) in window.iter() {
-        println!("{path:<64} = {v}");
-    }
-
-    let ir = window
-        .windowed_ratio(
-            "/threads{locality#0/total}/time/cumulative-exec",
-            "/threads{locality#0/total}/time/cumulative-func",
-        )
-        .unwrap_or(0.0);
+    println!("\n=== the measured window ===");
+    println!("{window:?}");
     println!(
-        "\nwindowed idle-rate (Eq. 1 over the interval): {:.2}%",
-        ir * 100.0
+        "idle-rate (Eq. 1):          {:.2}%",
+        window.idle_rate() * 100.0
+    );
+    println!(
+        "task duration t_d (Eq. 2):  {:.0} ns",
+        window.task_duration_ns()
+    );
+    println!(
+        "task overhead t_o (Eq. 3):  {:.0} ns",
+        window.task_overhead_ns()
+    );
+    println!(
+        "pending-miss rate (§IV-E):  {:.2}%",
+        window.pending_miss_rate() * 100.0
+    );
+    println!(
+        "tasks per core:             {:.1}",
+        window.tasks_per_core(rt.num_workers())
     );
 
     println!("\n=== wildcard discovery ===");

@@ -76,10 +76,10 @@ fn main() {
         let wall = t0.elapsed().as_secs_f64();
         rt.wait_idle();
         assert_eq!(value, expect);
-        let c = rt.counters();
+        let c = rt.counters().window();
         println!(
             "cutoff {cutoff:>2}: {value} in {wall:>7.4}s | tasks={:<6} t_d={:>9.1}ns overhead/task={:>9.1}ns",
-            c.tasks.sum(),
+            c.tasks,
             c.task_duration_ns(),
             c.task_overhead_ns(),
         );

@@ -15,17 +15,17 @@ fn run_and_report(rt: &Runtime, params: &StencilParams) {
     let grid = run_futurized(rt, params);
     let wall = t0.elapsed().as_secs_f64();
 
-    let c = rt.counters();
+    let c = rt.counters().window();
     println!(
         "nx={:<8} np={:<6} tasks={:<8} exec={:.3}s t_d={:>10.1}ns t_o={:>10.1}ns idle-rate={:.1}% pending-acc={}",
         params.nx,
         params.np,
-        c.tasks.sum(),
+        c.tasks,
         wall,
         c.task_duration_ns(),
         c.task_overhead_ns(),
         c.idle_rate() * 100.0,
-        c.pending_accesses.sum(),
+        c.pending_accesses,
     );
 
     // Physics sanity: the ring scheme conserves total heat.

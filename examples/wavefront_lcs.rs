@@ -165,11 +165,11 @@ fn main() {
         let got = lcs_blocked(&rt, Arc::clone(&a), Arc::clone(&b), tile);
         let wall = t0.elapsed().as_secs_f64();
         assert_eq!(got, expect, "blocked result must match the DP oracle");
-        let c = rt.counters();
+        let c = rt.counters().window();
         println!(
             "{:>6} {:>8} {:>10.4} {:>10.1}ns {:>9.1}%",
             tile,
-            c.tasks.sum(),
+            c.tasks,
             wall,
             c.task_overhead_ns(),
             c.idle_rate() * 100.0

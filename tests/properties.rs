@@ -403,6 +403,7 @@ fn storms_conserve_job_accounting_and_restore_the_budget() {
         for (i, h) in handles.iter().enumerate() {
             let o = h.wait();
             assert!(o.state.is_terminal(), "{ctx}: job {i} not terminal");
+            assert!(o.exec_ns <= o.func_ns, "{ctx}: job {i}: {o:?}");
             match o.reject_reason {
                 Some(RejectReason::Shed) => shed_outcomes += 1,
                 Some(RejectReason::BreakerOpen) => breaker_outcomes += 1,
