@@ -239,4 +239,97 @@ mod tests {
         let sum = run_local(&rt, &graph).expect("run settles");
         assert_eq!(sum, graph.checksum_reference());
     }
+
+    /// The schedule of `perf`'s `graph_fine` graph (`Stencil1d` 32 × 32,
+    /// 1 056 nodes) on one worker, counted: built in full while a gate
+    /// task holds the worker, then run with nobody else searching, so
+    /// every count is the same on any host. The first read is taken
+    /// while the gate holds; the second by the join, inside the last
+    /// node's settle — before that node's phase and task are counted and
+    /// before the worker's closing empty searches. The two window edges
+    /// cancel: the gate's phase is in, the last node's is out.
+    #[test]
+    fn graph_fine_schedule_on_one_worker_is_pinned() {
+        use grain_runtime::channel;
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        let graph = GraphSpec::shape(
+            crate::graph::GraphKind::Stencil1d {
+                width: 32,
+                steps: 32,
+            },
+            1,
+        )
+        .grain(1_000)
+        .build();
+        let len = graph.len() as u64;
+        assert_eq!(len, 32 * 33);
+        let rt = Runtime::with_workers(1);
+        let c = rt.counters();
+        let counters = [
+            &c.tasks,
+            &c.phases,
+            &c.converted,
+            &c.pending_accesses,
+            &c.pending_misses,
+            &c.staged_accesses,
+            &c.staged_misses,
+        ]
+        .map(Arc::clone);
+        let read = move || counters.each_ref().map(|c| c.sum());
+
+        let (held, go) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let (h, g) = (Arc::clone(&held), Arc::clone(&go));
+        rt.spawn(move |_| {
+            h.store(true, Ordering::SeqCst);
+            while !g.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        });
+        while !held.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let futs = spawn_range(&rt, &graph, 0..len as u32, |e| unreachable!("{e:?}"));
+        let sinks: Vec<_> = futs
+            .iter()
+            .enumerate()
+            .filter(|&(id, _)| !graph.edges.iter().any(|e| e.src as usize == id))
+            .map(|(_, f)| f.clone())
+            .collect();
+        assert_eq!(sinks.len(), 32);
+        let (promise, at_end) = channel();
+        let read_at_end = read.clone();
+        when_all(&sinks).on_settled(move |_| promise.set(read_at_end()));
+        let before = read();
+        go.store(true, Ordering::SeqCst);
+        let after = at_end
+            .wait_timeout(JOIN_TIMEOUT)
+            .expect("the graph settles");
+        let d: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        let [tasks, phases, converted, pending_accesses, pending_misses, staged_accesses, staged_misses] =
+            d[..]
+        else {
+            unreachable!()
+        };
+        assert_eq!((tasks, phases), (len, len), "one phase per task: {d:?}");
+        // One conversion per node: the 32 sources leave the staged queue
+        // converted, every other node is converted by the settle that
+        // readies it. Per task, about two pending probes (the empty
+        // high-priority queue, then the slot or the own queue) and one
+        // staged probe, which finds something 32 times.
+        assert_eq!(
+            (
+                converted,
+                pending_accesses,
+                pending_misses,
+                staged_accesses,
+                staged_misses
+            ),
+            (1_056, 2_162, 1_106, 1_133, 1_101),
+            "graph_fine's schedule moved: {d:?}"
+        );
+    }
 }
