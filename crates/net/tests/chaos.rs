@@ -462,11 +462,9 @@ fn mutual_deferred_exchange_matches_a_serial_fold_under_lossless_chaos() {
             boards[k].publish(0, &value, |v| *v);
             for round in 0..ROUNDS {
                 let peer = loc.async_remote::<u64, u64>(1 - k, "round/value", &round);
-                value = loc
-                    .runtime()
-                    .dataflow(&[value, peer], move |_, v: Vec<Arc<u64>>| {
-                        exchange_step(k, round, *v[0], *v[1])
-                    });
+                value = loc.runtime().dataflow(&[value, peer], move |_, v| {
+                    exchange_step(k, round, *v[0], *v[1])
+                });
                 boards[k].publish(round + 1, &value, |v| *v);
             }
             value

@@ -56,42 +56,114 @@ fn settled_of<T>(outcome: &Outcome<T>) -> Settled<T> {
 /// them to a `Vec`: a stencil node's three dependents plus a join.
 const SLOTS: usize = 4;
 
-/// What a pending future runs when it settles, in the order registered.
-enum Waiters<T> {
-    /// At most [`SLOTS`], filled from the front.
-    Inline([Option<Arc<dyn Waiter<T>>>; SLOTS]),
-    /// More than [`SLOTS`]: all of them.
-    Spilled(Vec<Arc<dyn Waiter<T>>>),
+/// Inputs a task node keeps in its own allocation before it spills them
+/// to a `Vec`: a stencil node's three.
+pub(crate) const INLINE_INPUTS: usize = 3;
+
+/// A list that keeps its first `N` items in place and moves all of them
+/// to a `Vec` when one more arrives: a future's continuations, a task
+/// node's inputs. Items are kept in the order pushed.
+pub(crate) enum Slots<X, const N: usize> {
+    /// At most `N`, filled from the front.
+    Inline([Option<X>; N]),
+    /// More than `N`: all of them.
+    Spilled(Vec<X>),
 }
 
-impl<T> Default for Waiters<T> {
+impl<X, const N: usize> Default for Slots<X, N> {
     fn default() -> Self {
-        Self::Inline(Default::default())
+        Self::Inline(std::array::from_fn(|_| None))
     }
 }
 
-impl<T> Waiters<T> {
-    fn push(&mut self, waiter: Arc<dyn Waiter<T>>) {
+impl<X, const N: usize> Slots<X, N> {
+    fn push(&mut self, item: X) {
         match self {
             Self::Inline(slots) => match slots.iter_mut().find(|s| s.is_none()) {
-                Some(slot) => *slot = Some(waiter),
+                Some(slot) => *slot = Some(item),
                 None => {
-                    let mut all = Vec::with_capacity(2 * SLOTS);
+                    let mut all = Vec::with_capacity(2 * N);
                     all.extend(slots.iter_mut().filter_map(Option::take));
-                    all.push(waiter);
+                    all.push(item);
                     *self = Self::Spilled(all);
                 }
             },
-            Self::Spilled(all) => all.push(waiter),
+            Self::Spilled(all) => all.push(item),
         }
     }
 
-    /// Run every waiter once, in the order registered.
-    fn run(self, outcome: &Outcome<T>, mut handoff: Option<&mut Handoff<'_>>) {
-        let mut run = |w: Arc<dyn Waiter<T>>| w.input_settled(outcome, handoff.as_deref_mut());
+    /// The items, in the order pushed.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &X> {
+        let (inline, spilled): (&[Option<X>], &[X]) = match self {
+            Self::Inline(slots) => (slots, &[]),
+            Self::Spilled(all) => (&[], all),
+        };
+        inline.iter().map_while(Option::as_ref).chain(spilled)
+    }
+
+    pub(crate) fn len(&self) -> usize {
         match self {
-            Self::Inline(slots) => slots.into_iter().flatten().for_each(&mut run),
-            Self::Spilled(all) => all.into_iter().for_each(&mut run),
+            Self::Inline(slots) => slots.iter().take_while(|s| s.is_some()).count(),
+            Self::Spilled(all) => all.len(),
+        }
+    }
+
+    fn get(&self, i: usize) -> Option<&X> {
+        match self {
+            Self::Inline(slots) => slots.get(i)?.as_ref(),
+            Self::Spilled(all) => all.get(i),
+        }
+    }
+
+    /// Hand every item to `f`, in the order pushed.
+    fn drain_into(self, f: impl FnMut(X)) {
+        match self {
+            Self::Inline(slots) => slots.into_iter().flatten().for_each(f),
+            Self::Spilled(all) => all.into_iter().for_each(f),
+        }
+    }
+}
+
+impl<X, const N: usize> FromIterator<X> for Slots<X, N> {
+    fn from_iter<I: IntoIterator<Item = X>>(items: I) -> Self {
+        let mut list = Self::default();
+        items.into_iter().for_each(|item| list.push(item));
+        list
+    }
+}
+
+/// What a pending future runs when it settles, in the order registered.
+type Waiters<T> = Slots<Arc<dyn Waiter<T>>, SLOTS>;
+
+/// The inputs of a `dataflow` node as its closure sees them: the values
+/// of the futures it was given, in the order given, borrowed from the
+/// node for the length of the call. Every one of them is ready.
+pub struct Inputs<'a, T>(pub(crate) &'a Slots<SharedFuture<T>, INLINE_INPUTS>);
+
+impl<'a, T> Inputs<'a, T> {
+    /// The number of inputs.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True for a node with no inputs.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The input values, in the order given.
+    pub fn iter(&self) -> impl Iterator<Item = &'a Arc<T>> + 'a {
+        self.0.iter().map(SharedFuture::input_value)
+    }
+}
+
+impl<T> std::ops::Index<usize> for Inputs<'_, T> {
+    type Output = Arc<T>;
+
+    fn index(&self, i: usize) -> &Arc<T> {
+        match self.0.get(i) {
+            Some(input) => input.input_value(),
+            None => panic!("input {i} of a node with {} inputs", self.len()),
         }
     }
 }
@@ -167,14 +239,15 @@ impl<T, X: ?Sized> Shared<T, X> {
     pub(crate) fn try_settle(
         &self,
         outcome: Outcome<T>,
-        handoff: Option<&mut Handoff<'_>>,
+        mut handoff: Option<&mut Handoff<'_>>,
     ) -> bool {
         if self.outcome.set(outcome).is_err() {
             return false;
         }
         let waiters = std::mem::take(&mut *self.waiters.lock());
         self.ready.notify_all();
-        waiters.run(self.settled(), handoff);
+        let outcome = self.settled();
+        waiters.drain_into(|w| w.input_settled(outcome, handoff.as_deref_mut()));
         true
     }
 
@@ -295,6 +368,23 @@ impl<T> SharedFuture<T> {
         self.shared.outcome.get().map(settled_of)
     }
 
+    /// The value, borrowed in place, once the future is ready with one:
+    /// `None` while pending and once faulted.
+    pub fn value(&self) -> Option<&Arc<T>> {
+        self.shared.outcome.get()?.as_ref().ok()
+    }
+
+    /// The value of a node's input, which the node counted down.
+    ///
+    /// # Panics
+    /// Panics if the input is not ready: a node reads its inputs only
+    /// after counting every one of them down, and a faulted one releases
+    /// the node instead.
+    fn input_value(&self) -> &Arc<T> {
+        self.value()
+            .expect("a dependency node counted down an input that is not ready")
+    }
+
     /// True once the future has settled (ready *or* faulted) — i.e. a
     /// suspended task waiting on it would be resumed.
     pub fn is_ready(&self) -> bool {
@@ -393,20 +483,6 @@ impl<T> SharedFuture<T> {
     }
 }
 
-/// The values of `deps`, in order. The futures are 16 bytes and the
-/// values 8, so `collect` reuses the list's allocation.
-///
-/// # Panics
-/// Panics if one of them is not ready: a node reads its inputs only
-/// after counting every one of them down.
-pub(crate) fn values<T>(deps: Vec<SharedFuture<T>>) -> Vec<Arc<T>> {
-    let value = |dep: SharedFuture<T>| match dep.shared.outcome.get() {
-        Some(Ok(v)) => Arc::clone(v),
-        _ => unreachable!("a dependency node counted down an input that is not ready"),
-    };
-    deps.into_iter().map(value).collect()
-}
-
 /// The face a continuation shows the future it waits on: a node
 /// counting the future among its inputs, or a callback.
 pub(crate) trait Waiter<T>: Send + Sync {
@@ -496,7 +572,10 @@ impl<T: Send + Sync + 'static> Shared<Vec<Arc<T>>, Conjunction<T>> {
     /// Every input is ready: settle with their values.
     fn fire(&self, handoff: Option<&mut Handoff<'_>>) {
         let deps = std::mem::take(&mut *self.tail.deps.lock());
-        self.settle(Ok(Arc::new(values(deps))), handoff);
+        // The futures are 16 bytes and the values 8, so `collect` reuses
+        // the list's allocation.
+        let values = deps.into_iter().map(|dep| Arc::clone(dep.input_value()));
+        self.settle(Ok(Arc::new(values.collect())), handoff);
     }
 }
 

@@ -71,7 +71,7 @@ pub mod trace;
 mod worker;
 
 pub use fault::{TaskError, WatchdogConfig};
-pub use future::{channel, when_all, Promise, Settled, SharedFuture};
+pub use future::{channel, when_all, Inputs, Promise, Settled, SharedFuture};
 pub use grain_counters::threads::ThreadCounters;
 pub use group::{CancelToken, TaskGroup};
 pub use runtime::{Runtime, RuntimeConfig, TaskContext};

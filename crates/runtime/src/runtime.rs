@@ -1,7 +1,9 @@
 //! The runtime: worker pool, spawn paths, task context, termination.
 
 use crate::fault::{TaskError, WatchdogConfig};
-use crate::future::{self, Countdown, Dormant, Outcome, Shared, SharedFuture, Tail, Waiter};
+use crate::future::{
+    Countdown, Dormant, Inputs, Outcome, Shared, SharedFuture, Slots, Tail, Waiter, INLINE_INPUTS,
+};
 use crate::group::{CancelToken, TaskGroup};
 use crate::scheduler::{Scheduler, SearchState};
 use crate::task::{Poll, Priority, Runnable, StagedTask, Task, TaskId, TaskIdAllocator, TaskState};
@@ -195,12 +197,20 @@ impl Inner {
     /// first task in its next slot, where its coming search finds it
     /// with no queue in between and nobody needs waking; any others on
     /// its pending queue, announced with one wake.
+    ///
+    /// The first task takes over the finished task's unit of `in_flight`
+    /// (its worker retires none); the others are counted in before
+    /// anyone can see them.
     pub(crate) fn place_released(
         &self,
         w: usize,
         released: &mut Vec<Task>,
         state: &mut SearchState,
     ) {
+        if released.len() > 1 {
+            self.in_flight
+                .fetch_add(released.len() - 1, Ordering::SeqCst);
+        }
         let queues = &self.scheduler.queues;
         let mut tasks = released.drain(..);
         let turned_away = tasks.next().and_then(|t| state.put(t).err());
@@ -303,7 +313,7 @@ impl Inner {
         self: &Arc<Self>,
         priority: Priority,
         deps: impl IntoIterator<Item = &'a SharedFuture<T>>,
-        f: impl FnOnce(&mut TaskContext<'_>, Vec<Arc<T>>) -> R + Send + 'static,
+        f: impl FnOnce(&mut TaskContext<'_>, Inputs<'_, T>) -> R + Send + 'static,
     ) -> SharedFuture<R>
     where
         T: Send + Sync + 'static,
@@ -323,24 +333,26 @@ impl Inner {
     /// reservation is retired exactly once: readiness hands it to the
     /// task, a fault or a cancellation exits the group without running.
     ///
-    /// The inputs are borrowed: the node clones each one once, into the
-    /// list whose allocation becomes the values handed to `f`. The
-    /// payload — closure and group — is in the node before the first
-    /// input is subscribed, so an input that faults meanwhile retires the
-    /// reservation; the list joins it once every input is subscribed.
+    /// The inputs are borrowed: gathered on the stack, cloned once into
+    /// the node — in place up to [`INLINE_INPUTS`] of them — and lent to
+    /// `f` as [`Inputs`] when it runs. The node is complete — inputs,
+    /// closure and group — before the first input is subscribed, so an
+    /// input that faults meanwhile retires the reservation and drops the
+    /// lot.
     pub(crate) fn dataflow_in<'a, T, R>(
         self: &Arc<Self>,
         group: Option<Arc<TaskGroup>>,
         priority: Priority,
         deps: impl IntoIterator<Item = &'a SharedFuture<T>>,
-        f: impl FnOnce(&mut TaskContext<'_>, Vec<Arc<T>>) -> R + Send + 'static,
+        f: impl FnOnce(&mut TaskContext<'_>, Inputs<'_, T>) -> R + Send + 'static,
     ) -> SharedFuture<R>
     where
         T: Send + Sync + 'static,
         R: Send + Sync + 'static,
     {
-        let mut deps = deps.into_iter().peekable();
-        let waits = deps.peek().is_some();
+        let deps: Slots<&SharedFuture<T>, INLINE_INPUTS> = deps.into_iter().collect();
+        let count = deps.len();
+        let waits = count > 0;
         if waits {
             self.dormant.fetch_add(1, Ordering::SeqCst);
         }
@@ -355,22 +367,13 @@ impl Inner {
             waits,
             grouped: group.is_some(),
             armed: Mutex::new(Some(Armed {
-                deps: Vec::new(),
+                inputs: deps.iter().map(|&dep| dep.clone()).collect(),
                 f,
                 group,
             })),
         }));
-        let mut inputs = Vec::with_capacity(deps.size_hint().0);
-        for dep in deps {
-            inputs.push(dep.clone());
+        for dep in deps.iter() {
             dep.subscribe(&node);
-        }
-        let count = inputs.len();
-        if waits {
-            // Released by a faulted input already: the list goes unused.
-            if let Some(armed) = node.tail.armed.lock().as_mut() {
-                armed.deps = inputs;
-            }
         }
         if node.tail.count.arm(count) {
             Arc::clone(&node).fire(Some(self), None);
@@ -515,7 +518,7 @@ impl Inner {
 
 /// What a task node holds until it runs or is released.
 struct Armed<T, F> {
-    deps: Vec<SharedFuture<T>>,
+    inputs: Slots<SharedFuture<T>, INLINE_INPUTS>,
     f: F,
     /// Taken by the fire that queues the node: the task carries it then.
     group: Option<Arc<TaskGroup>>,
@@ -545,7 +548,7 @@ impl<T, R, F> Shared<R, TaskNode<T, F>>
 where
     T: Send + Sync + 'static,
     R: Send + Sync + 'static,
-    F: FnOnce(&mut TaskContext<'_>, Vec<Arc<T>>) -> R + Send + 'static,
+    F: FnOnce(&mut TaskContext<'_>, Inputs<'_, T>) -> R + Send + 'static,
 {
     /// Every input is ready: the node becomes a task. Taking `self` it
     /// takes the reference the queue entry will be. `rt` is the node's
@@ -581,8 +584,8 @@ where
         let handoff = handoff
             .filter(|h| priority == Priority::Normal && std::ptr::eq::<Inner>(h.inner, inner));
         if let Some(handoff) = handoff {
+            // Counted in flight by `place_released`.
             let w = handoff.worker;
-            inner.in_flight.fetch_add(1, Ordering::SeqCst);
             inner.counters.spawned.incr(w);
             inner.counters.converted.incr(w);
             let task = Task::convert(StagedTask::node(id, priority, self, group));
@@ -623,7 +626,7 @@ impl<T, R, F> Waiter<T> for Shared<R, TaskNode<T, F>>
 where
     T: Send + Sync + 'static,
     R: Send + Sync + 'static,
-    F: FnOnce(&mut TaskContext<'_>, Vec<Arc<T>>) -> R + Send + 'static,
+    F: FnOnce(&mut TaskContext<'_>, Inputs<'_, T>) -> R + Send + 'static,
 {
     fn input_settled(self: Arc<Self>, outcome: &Outcome<T>, handoff: Option<&mut Handoff<'_>>) {
         if let Err(e) = outcome {
@@ -641,7 +644,7 @@ impl<T, R, F> Dormant for Shared<R, TaskNode<T, F>>
 where
     T: Send + Sync + 'static,
     R: Send + Sync + 'static,
-    F: FnOnce(&mut TaskContext<'_>, Vec<Arc<T>>) -> R + Send + 'static,
+    F: FnOnce(&mut TaskContext<'_>, Inputs<'_, T>) -> R + Send + 'static,
 {
     fn cancel(&self) {
         if self.tail.count.release() {
@@ -654,12 +657,13 @@ impl<T, R, F> Runnable for Shared<R, TaskNode<T, F>>
 where
     T: Send + Sync + 'static,
     R: Send + Sync + 'static,
-    F: FnOnce(&mut TaskContext<'_>, Vec<Arc<T>>) -> R + Send + 'static,
+    F: FnOnce(&mut TaskContext<'_>, Inputs<'_, T>) -> R + Send + 'static,
 {
     fn run(&self, ctx: &mut TaskContext<'_>) {
         let armed = self.tail.armed.lock().take();
-        let Armed { deps, f, .. } = armed.expect("a task node runs once");
-        let value = Arc::new(f(ctx, future::values(deps)));
+        let Armed { inputs, f, .. } = armed.expect("a task node runs once");
+        let value = Arc::new(f(ctx, Inputs(&inputs)));
+        drop(inputs);
         let mut handoff = Handoff {
             inner: ctx.inner,
             worker: ctx.worker,
@@ -725,7 +729,7 @@ impl TaskContext<'_> {
     pub fn dataflow<'a, T, R>(
         &self,
         deps: impl IntoIterator<Item = &'a SharedFuture<T>>,
-        f: impl FnOnce(&mut TaskContext<'_>, Vec<Arc<T>>) -> R + Send + 'static,
+        f: impl FnOnce(&mut TaskContext<'_>, Inputs<'_, T>) -> R + Send + 'static,
     ) -> SharedFuture<R>
     where
         T: Send + Sync + 'static,
@@ -1126,7 +1130,7 @@ impl Runtime {
     pub fn dataflow<'a, T, R>(
         &self,
         deps: impl IntoIterator<Item = &'a SharedFuture<T>>,
-        f: impl FnOnce(&mut TaskContext<'_>, Vec<Arc<T>>) -> R + Send + 'static,
+        f: impl FnOnce(&mut TaskContext<'_>, Inputs<'_, T>) -> R + Send + 'static,
     ) -> SharedFuture<R>
     where
         T: Send + Sync + 'static,
@@ -1171,7 +1175,7 @@ impl Runtime {
         group: &Arc<TaskGroup>,
         priority: Priority,
         deps: impl IntoIterator<Item = &'a SharedFuture<T>>,
-        f: impl FnOnce(&mut TaskContext<'_>, Vec<Arc<T>>) -> R + Send + 'static,
+        f: impl FnOnce(&mut TaskContext<'_>, Inputs<'_, T>) -> R + Send + 'static,
     ) -> SharedFuture<R>
     where
         T: Send + Sync + 'static,
@@ -1277,7 +1281,7 @@ mod tests {
     /// `Arc`'s two counts.
     fn node_bytes<R, F>(_: &F) -> usize
     where
-        F: FnOnce(&mut TaskContext<'_>, Vec<Arc<()>>) -> R,
+        F: FnOnce(&mut TaskContext<'_>, Inputs<'_, ()>) -> R,
     {
         std::mem::size_of::<Shared<R, TaskNode<(), F>>>() + 2 * std::mem::size_of::<usize>()
     }
@@ -1285,13 +1289,17 @@ mod tests {
     /// An `async_call` of a `u64` task, its body wrapped as
     /// `async_call_in` wraps it. The slots of its first four dependents
     /// take 48 bytes more than a list beside the node would, and the boxed
-    /// error gives back 16. Every fine-grain task pays for each byte, so
+    /// error gives back 16. Its first three inputs live in the node too:
+    /// 48 bytes of futures and the list's 8-byte tag in place of a 24-byte
+    /// `Vec`, whose separate heap chunk (48 bytes for a stencil node's
+    /// three) goes — a node of 240 bytes is still four cache lines, and
+    /// one allocation fewer. Every fine-grain task pays for each byte, so
     /// the pin moves only with an argument.
     #[test]
-    fn a_u64_task_node_is_208_bytes() {
+    fn a_u64_task_node_is_240_bytes() {
         let i = 7u64;
         let body = move |_: &mut TaskContext<'_>| i;
-        let node = move |ctx: &mut TaskContext<'_>, _: Vec<Arc<()>>| body(ctx);
-        assert_eq!(node_bytes(&node), 208);
+        let node = move |ctx: &mut TaskContext<'_>, _: Inputs<'_, ()>| body(ctx);
+        assert_eq!(node_bytes(&node), 240);
     }
 }

@@ -170,7 +170,10 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                 }
                 counters.func_ns.add(w, func_ns);
                 mark = now;
-                if !released.is_empty() {
+                // A task that readied others hands its unit of `in_flight`
+                // to the first of them, and retires none of its own.
+                let handed_over = !released.is_empty();
+                if handed_over {
                     inner.place_released(w, &mut released, &mut search);
                 }
 
@@ -181,7 +184,9 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                         counters.tasks.incr(w);
                         let Task { body, group, .. } = task;
                         drop(body); // free the frame before signalling idle
-                        inner.task_done();
+                        if !handed_over {
+                            inner.task_done();
+                        }
                         if let Some(g) = group {
                             g.exit_completed();
                         }
@@ -223,7 +228,9 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                         counters.faulted.incr(w);
                         let Task { body, group, .. } = task;
                         body.abandon(error.clone());
-                        inner.task_done();
+                        if !handed_over {
+                            inner.task_done();
+                        }
                         if let Some(g) = group {
                             g.exit_faulted(error);
                         }

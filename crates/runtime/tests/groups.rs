@@ -1,6 +1,6 @@
 //! Behavioral tests for task groups and cooperative cancellation.
 
-use grain_runtime::{channel, Priority, Runtime, SharedFuture, TaskError, TaskGroup};
+use grain_runtime::{channel, Inputs, Priority, Runtime, SharedFuture, TaskError, TaskGroup};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -178,7 +178,7 @@ fn node_cancelled_while_dormant_ignores_its_input_settling_later() {
         &group,
         Priority::Normal,
         &[] as &[_],
-        |_, v: Vec<Arc<u64>>| v.len(),
+        |_, v: Inputs<'_, u64>| v.len(),
     );
     assert_eq!(late.error(), Some(TaskError::Cancelled));
     assert_eq!((group.skipped(), group.in_flight()), (2, 0));
@@ -362,6 +362,63 @@ fn a_queued_dataflow_task_is_skipped_with_balanced_books() {
         assert_eq!(group.skipped(), 2 - u64::from(over_budget));
         assert_eq!(group.faulted(), u64::from(over_budget));
     }
+}
+
+/// A grouped node whose input faults is released once, and its group
+/// reservation retired once: whether the faulted input is found while the
+/// node subscribes (its inputs, closure and group already in it), or
+/// settles afterwards; and however many other inputs fault or settle
+/// later, in place (three) or spilled (five).
+#[test]
+fn a_faulted_input_releases_the_node_and_its_reservation_once() {
+    let rt = Runtime::with_workers(2);
+    let boom = TaskError::Panicked {
+        message: "input failed".into(),
+    };
+    for (inputs, already) in [(3, true), (3, false), (5, true), (5, false)] {
+        let group = TaskGroup::new();
+        let (mut promises, mut futures): (Vec<_>, Vec<_>) =
+            (0..inputs).map(|_| channel::<u64>()).unzip();
+        if already {
+            futures[1] = SharedFuture::faulted(boom.clone());
+            promises.remove(1);
+        }
+        let runs = Arc::new(AtomicUsize::new(0));
+        let r = Arc::clone(&runs);
+        let out = rt.dataflow_in(&group, Priority::Normal, &futures, move |_, v| {
+            r.fetch_add(1, Ordering::SeqCst);
+            v.len()
+        });
+        assert_eq!(out.is_ready(), already);
+        let mut promises = promises.into_iter();
+        if !already {
+            promises.next().expect("an input").fail(boom.clone());
+        }
+        promises
+            .next()
+            .expect("a second input")
+            .fail(TaskError::Cancelled);
+        promises.for_each(|p| p.set(1));
+        let err = out.error().expect("the node faulted");
+        assert_eq!(err.root_cause(), &boom, "{inputs} inputs");
+        assert_eq!(
+            group.first_fault().map(|e| e.root_cause().clone()),
+            Some(boom.clone())
+        );
+        assert_eq!(
+            (
+                group.faulted(),
+                group.skipped(),
+                group.completed(),
+                group.in_flight()
+            ),
+            (1, 0, 0, 0),
+            "{inputs} inputs, faulted before the node was built: {already}"
+        );
+        assert_eq!(runs.load(Ordering::SeqCst), 0);
+    }
+    rt.wait_idle();
+    assert_eq!(rt.counters().tasks.sum(), 0);
 }
 
 #[test]

@@ -159,6 +159,43 @@ fn the_second_dependent_of_one_completion_is_published_and_stolen() {
     assert_eq!(rt.in_flight(), 0);
 }
 
+/// A finishing task hands its unit of the in-flight count to the first
+/// dependent its settle readied, and the others are counted in before
+/// they are queued: on one worker, three dependents readied at once keep
+/// the count above zero until the last of them has run.
+#[test]
+fn three_dependents_readied_at_once_stay_in_flight_until_all_ran() {
+    let rt = Runtime::with_workers(1);
+    let (gate, root) = channel::<u64>();
+    let parent = rt.dataflow(&[root], |_, v| *v[0]);
+    let ran = Arc::new(AtomicU64::new(0));
+    let dependents: Vec<_> = (0..3)
+        .map(|i| {
+            let ran = Arc::clone(&ran);
+            rt.dataflow(std::slice::from_ref(&parent), move |_, v| {
+                std::thread::sleep(Duration::from_millis(2));
+                ran.fetch_add(1, Ordering::SeqCst);
+                *v[0] + i
+            })
+        })
+        .collect();
+    gate.set(10);
+    let deadline = Instant::now() + PATIENCE;
+    while rt.in_flight() > 0 {
+        assert!(Instant::now() < deadline, "never idle");
+        std::thread::yield_now();
+    }
+    assert_eq!(ran.load(Ordering::SeqCst), 3, "idle with a dependent unrun");
+    let values: Vec<u64> = dependents.iter().map(|d| *d.get()).collect();
+    assert_eq!(values, [10, 11, 12]);
+    rt.wait_idle();
+    assert_eq!(rt.in_flight(), 0);
+    assert_eq!(rt.counters().tasks.sum(), 4);
+    // Readied by the parent's settle on the worker: converted there, not
+    // staged.
+    assert_eq!(rt.counters().converted.sum(), 4);
+}
+
 #[test]
 fn a_settle_in_the_middle_of_a_body_does_not_use_the_slot() {
     let rt = Runtime::with_workers(2);

@@ -128,6 +128,42 @@ fn dataflow_over_settled_inputs_fires_exactly_once() {
     assert_eq!(r.counters().tasks.sum(), 1);
 }
 
+/// A node's closure reads its inputs in the order given — by index and
+/// by `iter` — whether the node keeps them in place (three or fewer) or
+/// spilled, and whether they were ready when `dataflow` was called or
+/// settled afterwards.
+#[test]
+fn dataflow_inputs_come_in_order_in_place_and_spilled() {
+    let r = rt(2);
+    for n in [0u64, 1, 3, 5] {
+        let (promises, futures): (Vec<_>, Vec<_>) = (0..n).map(|_| channel::<u64>()).unzip();
+        let mut late = Vec::new();
+        for (i, p) in promises.into_iter().enumerate() {
+            match i % 2 {
+                0 => p.set(10 * i as u64),
+                _ => late.push((i, p)),
+            }
+        }
+        let out = r.dataflow(&futures, |_, v| {
+            let by_index: Vec<u64> = (0..v.len()).map(|i| *v[i]).collect();
+            let by_iter: Vec<u64> = v.iter().map(|x| **x).collect();
+            assert_eq!(by_index, by_iter);
+            assert_eq!(v.is_empty(), by_iter.is_empty());
+            by_iter
+        });
+        if !late.is_empty() {
+            assert!(!out.is_ready(), "{n} inputs, one pending");
+        }
+        for (i, p) in late {
+            p.set(10 * i as u64);
+        }
+        let want: Vec<u64> = (0..n).map(|i| 10 * i).collect();
+        assert_eq!(*out.get(), want, "{n} inputs");
+    }
+    r.wait_idle();
+    assert_eq!(r.counters().tasks.sum(), 4);
+}
+
 #[test]
 fn long_dataflow_chain() {
     let r = rt(2);

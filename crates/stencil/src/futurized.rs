@@ -11,7 +11,6 @@
 use crate::heat::{heat_part, initial_partition, Partition};
 use crate::params::StencilParams;
 use grain_runtime::{Runtime, SharedFuture, TaskError};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// How long [`collect_result`] waits on any single partition before
@@ -35,11 +34,11 @@ fn step_partitions(
     let mut next = Vec::with_capacity(np);
     for i in 0..np {
         let deps = [
-            current[(i + np - 1) % np].clone(),
-            current[i].clone(),
-            current[(i + 1) % np].clone(),
+            &current[(i + np - 1) % np],
+            &current[i],
+            &current[(i + 1) % np],
         ];
-        next.push(rt.dataflow(&deps, move |_ctx, vals: Vec<Arc<Partition>>| {
+        next.push(rt.dataflow(deps, move |_ctx, vals| {
             heat_part(coeff, &vals[0], &vals[1], &vals[2])
         }));
     }

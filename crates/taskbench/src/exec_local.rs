@@ -11,7 +11,7 @@
 
 use crate::graph::{Edge, TaskGraph};
 use crate::work;
-use grain_runtime::{when_all, Runtime, SharedFuture, TaskContext, TaskError};
+use grain_runtime::{when_all, Inputs, Runtime, SharedFuture, TaskContext, TaskError};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
@@ -71,7 +71,7 @@ pub trait Spawner {
     fn spawn_dataflow<'a>(
         &self,
         deps: impl IntoIterator<Item = &'a SharedFuture<u64>>,
-        f: impl FnOnce(Vec<Arc<u64>>) -> u64 + Send + 'static,
+        f: impl FnOnce(Inputs<'_, u64>) -> u64 + Send + 'static,
     ) -> SharedFuture<u64>;
 }
 
@@ -83,7 +83,7 @@ impl Spawner for Runtime {
     fn spawn_dataflow<'a>(
         &self,
         deps: impl IntoIterator<Item = &'a SharedFuture<u64>>,
-        f: impl FnOnce(Vec<Arc<u64>>) -> u64 + Send + 'static,
+        f: impl FnOnce(Inputs<'_, u64>) -> u64 + Send + 'static,
     ) -> SharedFuture<u64> {
         self.dataflow(deps, move |_, vals| f(vals))
     }
@@ -97,7 +97,7 @@ impl Spawner for TaskContext<'_> {
     fn spawn_dataflow<'a>(
         &self,
         deps: impl IntoIterator<Item = &'a SharedFuture<u64>>,
-        f: impl FnOnce(Vec<Arc<u64>>) -> u64 + Send + 'static,
+        f: impl FnOnce(Inputs<'_, u64>) -> u64 + Send + 'static,
     ) -> SharedFuture<u64> {
         self.dataflow(deps, move |_, vals| f(vals))
     }
@@ -163,23 +163,59 @@ pub(crate) fn spawn_range<S: Spawner>(
     futs
 }
 
-/// Fold a block of node-value futures into the partial checksum of ids
-/// `range`, where `values[i]` belongs to node `range.start + i`.
-pub(crate) fn partial_checksum(start: u32, values: &[Arc<u64>]) -> u64 {
-    values.iter().enumerate().fold(0u64, |acc, (i, v)| {
+/// The join of the node futures `futs` of ids `range` (`futs[i]` is node
+/// `range.start + i`): the conjunction of its *sinks*, the nodes with no
+/// successor inside `range`. Every other node of the range is an
+/// ancestor of a sink, so once the sinks are ready every node is, and a
+/// fault anywhere in the range faults a sink on its way down.
+pub(crate) fn join_sinks(
+    graph: &TaskGraph,
+    range: Range<u32>,
+    futs: &[SharedFuture<u64>],
+) -> SharedFuture<Vec<Arc<u64>>> {
+    let mut has_successor = vec![false; futs.len()];
+    for e in &graph.edges {
+        if range.contains(&e.src) && range.contains(&e.dst) {
+            has_successor[(e.src - range.start) as usize] = true;
+        }
+    }
+    let sinks: Vec<SharedFuture<u64>> = futs
+        .iter()
+        .zip(has_successor)
+        .filter(|&(_, has)| !has)
+        .map(|(f, _)| f.clone())
+        .collect();
+    when_all(&sinks)
+}
+
+/// The partial checksum of the ids from `start` on, folded from the
+/// values of `futs` read in place, where `futs[i]` is node `start + i`.
+///
+/// # Panics
+/// Panics if a node is not ready: call it once [`join_sinks`] is.
+pub(crate) fn partial_checksum(start: u32, futs: &[SharedFuture<u64>]) -> u64 {
+    futs.iter().enumerate().fold(0u64, |acc, (i, f)| {
+        let v = f
+            .value()
+            .expect("every node is an ancestor of a ready sink");
         acc.wrapping_add(work::checksum_term(start + i as u32, **v))
     })
 }
 
 /// Run the whole graph on `rt` and return its checksum. Blocks the
-/// calling (non-worker) thread until the sink settles.
+/// calling (non-worker) thread until the sinks settle.
 pub fn run_local(rt: &Runtime, graph: &TaskGraph) -> Result<u64, TaskError> {
-    let futs = spawn_range(rt, graph, 0..graph.len() as u32, |e| {
+    run_spawned(rt, graph)
+}
+
+/// [`run_local`] through any spawner.
+fn run_spawned(spawner: &impl Spawner, graph: &TaskGraph) -> Result<u64, TaskError> {
+    let range = 0..graph.len() as u32;
+    let futs = spawn_range(spawner, graph, range.clone(), |e| {
         unreachable!("full-range spawn has no ghost edges: {e:?}")
     });
-    let all = when_all(&futs);
-    let vals = all.wait_timeout(JOIN_TIMEOUT)?;
-    Ok(partial_checksum(0, &vals))
+    join_sinks(graph, range, &futs).wait_timeout(JOIN_TIMEOUT)?;
+    Ok(partial_checksum(0, &futs))
 }
 
 #[cfg(test)]
@@ -238,6 +274,88 @@ mod tests {
         .build();
         let sum = run_local(&rt, &graph).expect("run settles");
         assert_eq!(sum, graph.checksum_reference());
+    }
+
+    /// The join of the sinks holds back until every node of the graph is
+    /// ready, for every family: the checksum read in place then matches
+    /// the reference.
+    #[test]
+    fn the_sinks_join_the_whole_graph_for_every_family() {
+        let rt = Runtime::with_workers(2);
+        for kind in all_kinds(40) {
+            let graph = GraphSpec::shape(kind, 0x5111).grain(10).payload(16).build();
+            let range = 0..graph.len() as u32;
+            let futs = spawn_range(&rt, &graph, range.clone(), |e| unreachable!("{e:?}"));
+            let sinks = join_sinks(&graph, range, &futs).wait_timeout(JOIN_TIMEOUT);
+            let sinks = sinks.expect("the sinks settle");
+            let successors = |id: usize| graph.edges.iter().filter(move |e| e.src as usize == id);
+            let want = (0..graph.len()).filter(|&id| successors(id).count() == 0);
+            assert_eq!(sinks.len(), want.count(), "{}", kind.name());
+            assert!(futs.iter().all(SharedFuture::is_ready), "{}", kind.name());
+            assert_eq!(
+                partial_checksum(0, &futs),
+                graph.checksum_reference(),
+                "{}",
+                kind.name()
+            );
+        }
+    }
+
+    /// Spawns through the runtime, but the `bad`-th dataflow node panics.
+    struct Faulty<'a> {
+        rt: &'a Runtime,
+        bad: usize,
+        made: std::cell::Cell<usize>,
+    }
+
+    impl Spawner for Faulty<'_> {
+        fn spawn_source(&self, f: impl FnOnce() -> u64 + Send + 'static) -> SharedFuture<u64> {
+            self.rt.spawn_source(f)
+        }
+
+        fn spawn_dataflow<'a>(
+            &self,
+            deps: impl IntoIterator<Item = &'a SharedFuture<u64>>,
+            f: impl FnOnce(Inputs<'_, u64>) -> u64 + Send + 'static,
+        ) -> SharedFuture<u64> {
+            let n = self.made.replace(self.made.get() + 1);
+            if n != self.bad {
+                return self.rt.spawn_dataflow(deps, f);
+            }
+            self.rt
+                .dataflow(deps, move |_, _| panic!("node {n} failed"))
+        }
+    }
+
+    /// A panic anywhere — in a node far from every sink too — reaches the
+    /// join: the run returns its message as the root cause, never a
+    /// checksum read from a node that is not ready.
+    #[test]
+    fn a_panicking_node_fails_the_run_with_its_message() {
+        let rt = Runtime::with_workers(2);
+        let graph = GraphSpec::shape(
+            crate::graph::GraphKind::Stencil1d { width: 8, steps: 8 },
+            0xbad,
+        )
+        .grain(10)
+        .build();
+        for bad in [0, 30, 63] {
+            let faulty = Faulty {
+                rt: &rt,
+                bad,
+                made: std::cell::Cell::new(0),
+            };
+            let err = run_spawned(&faulty, &graph).expect_err("a node panicked");
+            assert_eq!(
+                err.root_cause(),
+                &TaskError::Panicked {
+                    message: format!("node {bad} failed"),
+                },
+                "{err}"
+            );
+            rt.wait_idle();
+        }
+        assert_eq!(rt.counters().faulted.sum(), 3);
     }
 
     /// The schedule of `perf`'s `graph_fine` graph (`Stencil1d` 32 × 32,

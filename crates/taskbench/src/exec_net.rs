@@ -19,7 +19,7 @@
 //! with `TaskError::Disconnected`, which propagates through the
 //! dataflow into the partial checksum — an error, never a hang.
 
-use crate::exec_local::{partial_checksum, spawn_range, JOIN_TIMEOUT};
+use crate::exec_local::{join_sinks, partial_checksum, spawn_range, JOIN_TIMEOUT};
 use crate::graph::TaskGraph;
 use crate::work;
 use grain_counters::rng::{fnv1a, FNV1A_OFFSET};
@@ -27,7 +27,7 @@ use grain_net::bootstrap::Fabric;
 use grain_net::locality::Locality;
 use grain_net::{block_of, block_owner, EdgeBoard};
 use grain_runtime::grain_counters::sync::Mutex;
-use grain_runtime::{channel, when_all, Promise, RuntimeConfig, SharedFuture, TaskError};
+use grain_runtime::{channel, Promise, RuntimeConfig, SharedFuture, TaskError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -129,12 +129,14 @@ impl DistTaskBench {
             );
         }
 
-        // Fold the block into this locality's partial checksum.
+        // Fold the block into this locality's partial checksum once its
+        // sinks — nodes with no successor in the block — are ready.
         let promise = self.state.partial_promise.lock().take();
         if let Some(promise) = promise {
             let start = range.start;
-            when_all(&futs).on_settled(move |settled| match settled {
-                Ok(vals) => promise.set(partial_checksum(start, vals)),
+            let join = join_sinks(&self.graph, range, &futs);
+            join.on_settled(move |settled| match settled {
+                Ok(_) => promise.set(partial_checksum(start, &futs)),
                 Err(e) => promise.fail(e.clone()),
             });
         }

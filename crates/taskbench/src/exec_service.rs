@@ -7,10 +7,10 @@
 //! promise (not the group latch), so the caller observes the value
 //! race-free even though `JobHandle::wait` only joins the group.
 
-use crate::exec_local::{partial_checksum, spawn_range, JOIN_TIMEOUT};
+use crate::exec_local::{join_sinks, partial_checksum, spawn_range, JOIN_TIMEOUT};
 use crate::graph::TaskGraph;
 use grain_runtime::grain_counters::sync::Mutex;
-use grain_runtime::{channel, when_all, TaskError};
+use grain_runtime::{channel, TaskError};
 use grain_service::{JobService, JobSpec, JobState};
 use std::sync::Arc;
 
@@ -32,14 +32,15 @@ pub fn run_service_job(
     let handle = service.submit(spec, move |ctx| {
         let graph = Arc::clone(&graph2);
         let slot = Arc::clone(&slot);
-        let futs = spawn_range(ctx, &graph, 0..graph.len() as u32, |e| {
+        let range = 0..graph.len() as u32;
+        let futs = spawn_range(ctx, &graph, range.clone(), |e| {
             unreachable!("full-range spawn has no ghost edges: {e:?}")
         });
-        when_all(&futs).on_settled(move |settled| {
+        join_sinks(&graph, range, &futs).on_settled(move |settled| {
             let promise = slot.lock().take();
             if let Some(promise) = promise {
                 match settled {
-                    Ok(vals) => promise.set(partial_checksum(0, vals)),
+                    Ok(_) => promise.set(partial_checksum(0, &futs)),
                     Err(e) => promise.fail(e.clone()),
                 }
             }

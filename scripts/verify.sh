@@ -49,7 +49,7 @@ stage "cargo build --release"
 cargo build --workspace --release --offline
 
 stage "cargo test"
-cargo test --workspace --offline -q
+cargo test --offline -q
 
 stage "cargo test, one test at a time: counters, service, adaptive, autotune"
 # Tests of these crates read counters and clocks that a parallel
