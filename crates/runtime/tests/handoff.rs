@@ -161,31 +161,40 @@ fn the_second_dependent_of_one_completion_is_published_and_stolen() {
 
 /// A finishing task hands its unit of the in-flight count to the first
 /// dependent its settle readied, and the others are counted in before
-/// they are queued: on one worker, three dependents readied at once keep
-/// the count above zero until the last of them has run.
+/// they are queued: on one worker, with three dependents readied at
+/// once, the count still reads two while the second of them runs.
 #[test]
 fn three_dependents_readied_at_once_stay_in_flight_until_all_ran() {
     let rt = Runtime::with_workers(1);
     let (gate, root) = channel::<u64>();
     let parent = rt.dataflow(&[root], |_, v| *v[0]);
-    let ran = Arc::new(AtomicU64::new(0));
+    let started = Arc::new(AtomicU64::new(0));
+    let (held, go) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
     let dependents: Vec<_> = (0..3)
         .map(|i| {
-            let ran = Arc::clone(&ran);
+            let (started, held, go) = (Arc::clone(&started), Arc::clone(&held), Arc::clone(&go));
             rt.dataflow(std::slice::from_ref(&parent), move |_, v| {
-                std::thread::sleep(Duration::from_millis(2));
-                ran.fetch_add(1, Ordering::SeqCst);
+                // The second to run holds the only worker: the first has
+                // finished by then, the third is queued.
+                if started.fetch_add(1, Ordering::SeqCst) == 1 {
+                    held.store(true, Ordering::SeqCst);
+                    assert!(await_flag(&go), "the test never let it go");
+                }
                 *v[0] + i
             })
         })
         .collect();
     gate.set(10);
-    let deadline = Instant::now() + PATIENCE;
-    while rt.in_flight() > 0 {
-        assert!(Instant::now() < deadline, "never idle");
-        std::thread::yield_now();
-    }
-    assert_eq!(ran.load(Ordering::SeqCst), 3, "idle with a dependent unrun");
+    assert!(await_flag(&held), "the second dependent never ran");
+    assert_eq!(
+        rt.in_flight(),
+        2,
+        "the running dependent and the queued one"
+    );
+    go.store(true, Ordering::SeqCst);
     let values: Vec<u64> = dependents.iter().map(|d| *d.get()).collect();
     assert_eq!(values, [10, 11, 12]);
     rt.wait_idle();

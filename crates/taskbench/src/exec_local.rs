@@ -288,9 +288,9 @@ mod tests {
             let futs = spawn_range(&rt, &graph, range.clone(), |e| unreachable!("{e:?}"));
             let sinks = join_sinks(&graph, range, &futs).wait_timeout(JOIN_TIMEOUT);
             let sinks = sinks.expect("the sinks settle");
-            let successors = |id: usize| graph.edges.iter().filter(move |e| e.src as usize == id);
-            let want = (0..graph.len()).filter(|&id| successors(id).count() == 0);
-            assert_eq!(sinks.len(), want.count(), "{}", kind.name());
+            let is_sink = |id: usize| !graph.edges.iter().any(|e| e.src as usize == id);
+            let want = (0..graph.len()).filter(|&id| is_sink(id)).count();
+            assert_eq!(sinks.len(), want, "{}", kind.name());
             assert!(futs.iter().all(SharedFuture::is_ready), "{}", kind.name());
             assert_eq!(
                 partial_checksum(0, &futs),
