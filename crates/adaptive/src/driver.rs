@@ -119,12 +119,12 @@ pub fn adapt(
             nx,
             workers: active,
             wall_s: rec.wall_s,
-            idle_rate: rec.idle_rate(),
+            idle_rate: rec.window.idle_rate(),
             points_per_s: rate(params.total_points() * params.nt, rec.wall_s),
-            tasks: rec.tasks,
+            tasks: rec.window.tasks,
         });
         tuner.observe(&GrainSignal::from_idle_rate(
-            rec.idle_rate(),
+            rec.window.idle_rate(),
             params.np as f64 / active as f64,
         ));
         if mode.throttle {

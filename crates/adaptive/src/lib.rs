@@ -10,10 +10,10 @@
 //!   the idle-rate threshold of §IV-A and the pending-queue-access
 //!   minimum of §IV-E, applied to sweep data;
 //! * [`tuner`] — the one dynamic rule: a [`GrainSignal`] per monitoring
-//!   window (idle-rate, overhead fraction, pending-miss rate,
-//!   tasks-per-core) into a [`ThresholdTuner`], plus
-//!   [`throttled_workers`], the Porterfield-style (§V) pool throttle on
-//!   the same window's task count. `grain-autotune`'s per-tenant
+//!   window (idle-rate, overhead fraction, tasks-per-core) into a
+//!   [`ThresholdTuner`], plus [`throttled_workers`], the
+//!   Porterfield-style (§V) pool throttle on the same window's task
+//!   count. `grain-autotune`'s per-tenant
 //!   controller drives this same tuner with per-job signals;
 //! * `driver` — the two loops that apply it to the stencil, one per
 //!   measurement substrate: [`adapt`] (epochs over a simulated or native

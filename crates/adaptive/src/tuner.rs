@@ -28,9 +28,6 @@ pub struct GrainSignal {
     /// For uncontended runs this tracks `idle_rate`; under contention it
     /// isolates the t_o component.
     pub overhead_frac: f64,
-    /// Fraction of pending-queue pops that missed (stole or spun).
-    /// The paper's §IV-E signal: minimized near the optimal grain.
-    pub pending_miss_rate: f64,
     /// Tasks available per core at the current grain
     /// (`n_tasks / n_cores`): below ~2 is the coarse, starvation-prone
     /// regime.
@@ -44,20 +41,15 @@ impl GrainSignal {
         Self {
             idle_rate,
             overhead_frac: 0.0,
-            pending_miss_rate: 0.0,
             tasks_per_core,
         }
     }
 
     /// The scalar "too fine" pressure the threshold rule reacts to: the
-    /// worst of the three overhead markers. Any one alone marks the
-    /// overhead-bound regime — pending-queue misses are workers hunting
-    /// for work too small to keep them fed, the same regime as a high
-    /// idle rate (§IV-E tracks §IV-A at the optimum).
+    /// worse of the two overhead markers. Either alone marks the
+    /// overhead-bound regime.
     pub fn pressure(&self) -> f64 {
-        self.idle_rate
-            .max(self.overhead_frac)
-            .max(self.pending_miss_rate)
+        self.idle_rate.max(self.overhead_frac)
     }
 }
 
@@ -260,8 +252,7 @@ mod tests {
     #[test]
     fn each_overhead_marker_alone_triggers_growth() {
         // The Eq.-1 components can disagree (a contended run has a low
-        // idle-rate but a high overhead fraction; pending-queue churn
-        // marks too-fine grain by itself): any one must coarsen.
+        // idle-rate but a high overhead fraction): either must coarsen.
         let quiet = GrainSignal::from_idle_rate(0.05, 100.0);
         for loud in [
             GrainSignal {
@@ -269,7 +260,7 @@ mod tests {
                 ..quiet
             },
             GrainSignal {
-                pending_miss_rate: 0.9,
+                idle_rate: 0.8,
                 ..quiet
             },
         ] {
@@ -324,7 +315,6 @@ mod tests {
                     t.observe(&GrainSignal {
                         idle_rate: 0.8 / (i + 1) as f64,
                         overhead_frac: 0.1,
-                        pending_miss_rate: 0.0,
                         tasks_per_core: 8.0,
                     })
                 })

@@ -177,7 +177,6 @@ impl Autotune {
         Some(GrainSignal {
             idle_rate,
             overhead_frac: idle_rate,
-            pending_miss_rate: window.pending_miss_rate(),
             tasks_per_core: window.tasks_per_core(self.cores.load(Ordering::Relaxed)),
         })
     }
@@ -327,7 +326,6 @@ mod tests {
         let sig = GrainSignal {
             idle_rate: 0.9,
             overhead_frac: 0.1,
-            pending_miss_rate: 0.0,
             tasks_per_core: 0.5,
         };
         let g1 = auto.observe("t", &sig);
@@ -360,7 +358,6 @@ mod tests {
         let sig = auto.signal_from_outcome(&outcome).expect("completed");
         assert_eq!(sig.idle_rate, 0.4);
         assert_eq!(sig.overhead_frac, 0.4);
-        assert_eq!(sig.pending_miss_rate, 0.0);
         assert_eq!(sig.tasks_per_core, 4.0);
         // Wall time is not part of the window.
         let slower = JobOutcome {

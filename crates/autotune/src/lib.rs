@@ -18,7 +18,7 @@
 //!              │ next grain                                │ policy hook
 //!              │                                           ▼
 //!        GrainController ◀── GrainSignal (idle rate Eq. 1, overhead
-//!        (per tenant)         fraction, pending misses, tasks/core)
+//!        (per tenant)         fraction, tasks/core)
 //! ```
 //!
 //! * **Signal** — each completed job's counters are folded into a

@@ -8,9 +8,9 @@
 //! overhead `t_o` plus work linear in the grain — evaluated over an
 //! idealized `cores`-wide machine. From it the model derives exactly
 //! the signal set the real service derives from its counters
-//! (Eq.-1 idle rate, overhead fraction, pending-miss rate,
-//! tasks-per-core), so a tuner set against the model
-//! behaves identically against a real host whose costs match.
+//! (Eq.-1 idle rate, overhead fraction, tasks-per-core), so a tuner
+//! set against the model behaves identically against a real host whose
+//! costs match.
 //!
 //! Real jobs reach the same controller through `Autotune::policy_hook`
 //! (this crate's `tests/service.rs`); no measured number reaches the
@@ -47,8 +47,8 @@ impl CostModel {
     }
 
     /// The modeled per-task overhead *as measured*: idle machine time
-    /// divided over the tasks — what `RunRecord::task_overhead_ns`
-    /// reports on a real host (Eq. 2).
+    /// divided over the tasks — what a run's `Window::task_overhead_ns`
+    /// reports on a real host (Eq. 3).
     pub fn measured_overhead_ns(&self, units: u64, grain: u64) -> f64 {
         let tasks = self.tasks(units, grain) as f64;
         let busy = units.max(1) as f64 * self.ns_per_unit;
@@ -57,7 +57,7 @@ impl CostModel {
     }
 
     /// The full signal set for one job at `(units, grain)` — the same
-    /// four numbers the service derives from its counters.
+    /// three numbers the service derives from its counters.
     pub fn signal(&self, units: u64, grain: u64) -> GrainSignal {
         let cores = self.cores.max(1) as f64;
         let tasks = self.tasks(units, grain) as f64;
@@ -67,13 +67,9 @@ impl CostModel {
         let busy = units.max(1) as f64 * self.ns_per_unit;
         let idle_rate = (1.0 - busy / (wall * cores)).clamp(0.0, 1.0);
         let overhead_frac = self.overhead_ns_per_task / per_task;
-        // Pending-queue churn tracks the overhead-bound regime (§IV-E):
-        // the finer the tasks, the larger the share of pops that hunt.
-        let pending_miss_rate = (overhead_frac * 0.8).clamp(0.0, 1.0);
         GrainSignal {
             idle_rate,
             overhead_frac,
-            pending_miss_rate,
             tasks_per_core: tasks / cores,
         }
     }
@@ -130,7 +126,6 @@ mod tests {
         let units = 1 << 20;
         let fine = m.signal(units, 16);
         assert!(fine.overhead_frac > 0.9, "tiny tasks are all overhead");
-        assert!(fine.pending_miss_rate > 0.5);
         let coarse = m.signal(units, units);
         assert!(coarse.tasks_per_core < 1.0, "one task cannot feed 4 cores");
         assert!(coarse.idle_rate > 0.5);

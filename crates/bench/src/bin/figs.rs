@@ -544,9 +544,9 @@ fn calibration_report(e: &Engines, out: &mut dyn Write) -> io::Result<()> {
     // Sample 0 of a cell; the engine simulates it once however many rows
     // read it.
     let run = |engine: &SimEngine, nx, cores| engine.run(nx, cores, 0);
-    let td = |engine, nx, cores| run(engine, nx, cores).task_duration_ns();
+    let td = |engine, nx, cores| run(engine, nx, cores).window.task_duration_ns();
     let wall = |engine, nx, cores| s(run(engine, nx, cores).wall_s);
-    let idle_28c = |nx| pct(run(hw, nx, 28).idle_rate());
+    let idle_28c = |nx| pct(run(hw, nx, 28).window.idle_rate());
     let t_w = |cores| ns(td(hw, 90_000, cores) - td(hw, 90_000, 1));
     let rows: Vec<Vec<String>> = [
         // t_d1 values (§IV-A).
@@ -852,7 +852,7 @@ fn micro_grain(_: &Engines, out: &mut dyn Write) -> io::Result<()> {
             table::fmt::count(len as f64),
             table::fmt::count(points as f64),
             table::fmt::s(r.wall_seconds()),
-            table::fmt::pct(r.idle_rate()),
+            table::fmt::pct(r.window.idle_rate()),
         ]);
     }
     let title = "Micro 2: simulated tree reduce-broadcast, constant total work — Haswell 16 cores";
@@ -885,8 +885,8 @@ fn micro_grain(_: &Engines, out: &mut dyn Write) -> io::Result<()> {
             layers.to_string(),
             table::fmt::count(points as f64),
             table::fmt::s(r.wall_seconds()),
-            table::fmt::pct(r.idle_rate()),
-            table::fmt::count(r.stolen as f64),
+            table::fmt::pct(r.window.idle_rate()),
+            table::fmt::count(r.window.stolen as f64),
         ]);
     }
     let title = "Micro 3: simulated random DAGs, constant task count — Haswell 16 cores";

@@ -31,9 +31,9 @@
 //!   (averages, rates, differences); this is how `/threads/idle-rate`,
 //!   `/threads/time/average` and `/threads/time/average-overhead` are
 //!   implemented.
-//! * [`equations`] — Eqs. 1–3 of the paper over integer counter sums,
-//!   the one statement every reader of those sums calls, and
-//!   [`Window`], the one interval they are read over: a reading of
+//! * [`equations`] — Eqs. 1–6 of the paper, the one statement every
+//!   reader of the counter sums calls, and [`Window`], the one record of
+//!   those sums and the one interval they are read over: a reading of
 //!   [`ThreadCounters::window`] minus an earlier one, the building block
 //!   for *dynamic* measurements over any interval of interest (§II-A of
 //!   the paper notes all metrics can be computed over intervals).

@@ -85,14 +85,20 @@ impl ThreadCounters {
 
     /// Everything recorded so far, as the [`Window`] since start: Eqs.
     /// 1–3 over the whole run, or, through [`Window::since`] an earlier
-    /// reading, over any interval of interest.
+    /// reading, over any interval of interest. Every summed counter but
+    /// `spawned` and `faulted` is a field.
     pub fn window(&self) -> Window {
         Window {
             func_ns: self.func_ns.sum(),
             exec_ns: self.exec_ns.sum(),
             tasks: self.tasks.sum(),
+            phases: self.phases.sum(),
             pending_accesses: self.pending_accesses.sum(),
             pending_misses: self.pending_misses.sum(),
+            staged_accesses: self.staged_accesses.sum(),
+            staged_misses: self.staged_misses.sum(),
+            stolen: self.stolen.sum(),
+            converted: self.converted.sum(),
         }
     }
 

@@ -4,6 +4,7 @@
 //! the COVs).
 
 use crate::record::RunRecord;
+use grain_counters::equations::thread_management_s;
 use grain_counters::SampleStats;
 
 /// Statistics of every metric of one experimental configuration, built
@@ -42,17 +43,19 @@ impl Aggregate {
 
     /// Fold one sample in.
     pub fn push(&mut self, r: &RunRecord) {
+        let w = &r.window;
         self.samples += 1;
         self.wall_s.push(r.wall_s);
-        self.idle_rate.push(r.idle_rate());
-        self.task_duration_ns.push(r.task_duration_ns());
-        self.task_overhead_ns.push(r.task_overhead_ns());
-        self.thread_management_s.push(r.thread_management_s());
-        self.pending_accesses.push(r.pending_accesses as f64);
-        self.pending_misses.push(r.pending_misses as f64);
-        self.staged_accesses.push(r.staged_accesses as f64);
-        self.tasks.push(r.tasks as f64);
-        self.stolen.push(r.stolen as f64);
+        self.idle_rate.push(w.idle_rate());
+        self.task_duration_ns.push(w.task_duration_ns());
+        self.task_overhead_ns.push(w.task_overhead_ns());
+        let tm = thread_management_s(w.task_overhead_ns(), w.tasks, r.meta.workers);
+        self.thread_management_s.push(tm);
+        self.pending_accesses.push(w.pending_accesses as f64);
+        self.pending_misses.push(w.pending_misses as f64);
+        self.staged_accesses.push(w.staged_accesses as f64);
+        self.tasks.push(w.tasks as f64);
+        self.stolen.push(w.stolen as f64);
     }
 
     /// Build from a slice of samples.
@@ -69,6 +72,7 @@ impl Aggregate {
 mod tests {
     use super::*;
     use crate::record::{EngineKind, RunMeta};
+    use grain_counters::Window;
 
     fn record(wall: f64, exec: u64, func: u64) -> RunRecord {
         RunRecord {
@@ -81,16 +85,18 @@ mod tests {
                 nt: 5,
             },
             wall_s: wall,
-            tasks: 50,
-            phases: 50,
-            sum_exec_ns: exec,
-            sum_func_ns: func,
-            pending_accesses: 100,
-            pending_misses: 40,
-            staged_accesses: 80,
-            staged_misses: 30,
-            stolen: 5,
-            converted: 50,
+            window: Window {
+                func_ns: func,
+                exec_ns: exec,
+                tasks: 50,
+                phases: 50,
+                pending_accesses: 100,
+                pending_misses: 40,
+                staged_accesses: 80,
+                staged_misses: 30,
+                stolen: 5,
+                converted: 50,
+            },
         }
     }
 

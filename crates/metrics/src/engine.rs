@@ -366,7 +366,7 @@ mod tests {
     #[test]
     fn empty_workload_finishes_instantly() {
         let r = simulate(&presets::haswell(), 4, &SimWorkload::new(), &cfg());
-        assert_eq!(r.tasks, 0);
+        assert_eq!(r.window.tasks, 0);
         assert_eq!(r.wall_ns, 0.0);
     }
 
@@ -385,15 +385,18 @@ mod tests {
             wl.push(100, vec![root]);
         }
         let r = simulate(&p, 4, &wl, &cfg());
-        assert_eq!((r.tasks, r.stolen, r.converted), (5, 3, 5));
+        assert_eq!(
+            (r.window.tasks, r.window.stolen, r.window.converted),
+            (5, 3, 5)
+        );
         // A failed search probes 4 pending queues (5 staged, the low
         // queue's included), and there are 3 at the start and 1 + 2 + 3
         // as the leaves finish. The root and the leaves' searches probe
         // 2 + 2 + 2 + 3 + 3: workers 2 and 3 look at each other's pending
         // queue before worker 0's staged one.
-        assert_eq!(r.pending_accesses, 9 * 4 + 12);
-        assert_eq!(r.pending_misses, 9 * 4 + 7);
-        assert_eq!(r.staged_accesses, 9 * 5 + 10);
+        assert_eq!(r.window.pending_accesses, 9 * 4 + 12);
+        assert_eq!(r.window.pending_misses, 9 * 4 + 7);
+        assert_eq!(r.window.staged_accesses, 9 * 5 + 10);
     }
 
     #[test]
@@ -405,7 +408,7 @@ mod tests {
         let c = wl.push(1_000, vec![a]);
         let _d = wl.push(1_000, vec![b, c]);
         let r = simulate(&presets::sandy_bridge(), 4, &wl, &cfg());
-        assert_eq!(r.tasks, 4);
+        assert_eq!(r.window.tasks, 4);
     }
 
     #[test]
@@ -413,7 +416,7 @@ mod tests {
         let p = StencilParams::new(5_000, 20, 10);
         let wl = stencil_workload(&p);
         let r = simulate(&presets::haswell(), 4, &wl, &cfg());
-        assert_eq!(r.tasks as usize, p.total_tasks());
+        assert_eq!(r.window.tasks as usize, p.total_tasks());
         assert!(r.wall_ns > 0.0);
     }
 

@@ -1,19 +1,17 @@
 //! # grain-metrics — the paper's methodology as a library
 //!
-//! Implements §II of the paper: the performance metrics (Eqs. 1–6), the
-//! repeated-sample statistics (mean / standard deviation / COV), and the
-//! granularity-sweep harness that drives either execution engine — the
-//! native runtime (`grain-runtime`) or the discrete-event simulator —
-//! across partition sizes and core counts.
+//! Implements §II of the paper: the performance metrics (Eqs. 1–6, stated
+//! in `grain_counters::equations` and read here over each sample's
+//! `Window`), the repeated-sample statistics (mean / standard deviation /
+//! COV), and the granularity-sweep harness that drives either execution
+//! engine — the native runtime (`grain-runtime`) or the discrete-event
+//! simulator — across partition sizes and core counts.
 //!
-//! * [`equations`] — Eq. 1 (idle-rate), Eq. 2 (task duration), Eq. 3
-//!   (task overhead), Eq. 4 (thread-management overhead), Eq. 5/6 (wait
-//!   time), as pure functions.
 //! * [`engine`] — the simulator ([`simulate`]): `grain-runtime`'s own
 //!   scheduler driven in virtual time on a `grain-sim` machine model, so
 //!   the search order of Fig. 1 is the runtime's by construction.
-//! * [`record::RunRecord`] — one sample: configuration + raw counters,
-//!   built identically from both engines.
+//! * [`record::RunRecord`] — one sample: configuration + the counter
+//!   `Window`, built identically from both engines.
 //! * [`aggregate::Aggregate`] — per-metric mean/stddev/COV over samples.
 //! * [`sweep`] — the sweep driver ([`sweep::run_sweep`]), the two engines
 //!   ([`sweep::SimEngine`], [`sweep::NativeEngine`]) and the partition
@@ -33,7 +31,7 @@
 //!     wl.push(10_000, Vec::new());
 //! }
 //! let report = simulate(&presets::haswell(), 8, &wl, &SimConfig::default());
-//! assert_eq!(report.tasks, 64);
+//! assert_eq!(report.window.tasks, 64);
 //! assert!(report.wall_ns > 0.0);
 //! ```
 
@@ -42,7 +40,6 @@
 
 pub mod aggregate;
 pub mod engine;
-pub mod equations;
 pub mod record;
 pub mod sweep;
 pub mod table;

@@ -1,8 +1,8 @@
-//! One experiment sample: configuration plus every raw count needed to
-//! evaluate Eqs. 1–6, produced identically by the native runtime and the
-//! simulator.
+//! One experiment sample: configuration plus the counter [`Window`]
+//! Eqs. 1–6 are evaluated on, produced identically by the native runtime
+//! and the simulator.
 
-use crate::equations;
+use grain_counters::Window;
 use grain_runtime::Runtime;
 use grain_sim::SimReport;
 use grain_stencil::StencilParams;
@@ -49,26 +49,9 @@ pub struct RunRecord {
     pub meta: RunMeta,
     /// Wall-clock execution time, seconds (virtual for the simulator).
     pub wall_s: f64,
-    /// Tasks completed.
-    pub tasks: u64,
-    /// Thread phases executed.
-    pub phases: u64,
-    /// Σ t_exec, ns.
-    pub sum_exec_ns: u64,
-    /// Σ t_func, ns.
-    pub sum_func_ns: u64,
-    /// Pending-queue probes.
-    pub pending_accesses: u64,
-    /// Pending-queue probes finding nothing.
-    pub pending_misses: u64,
-    /// Staged-queue probes.
-    pub staged_accesses: u64,
-    /// Staged-queue probes finding nothing.
-    pub staged_misses: u64,
-    /// Tasks stolen across queues.
-    pub stolen: u64,
-    /// Staged→pending conversions.
-    pub converted: u64,
+    /// The run's counter sums; Eqs. 1–3 are read on it, and Eq. 4 on it
+    /// and `meta.workers`.
+    pub window: Window,
 }
 
 impl RunRecord {
@@ -84,16 +67,7 @@ impl RunRecord {
                 nt: params.nt,
             },
             wall_s: report.wall_seconds(),
-            tasks: report.tasks,
-            phases: report.phases,
-            sum_exec_ns: report.sum_exec_ns,
-            sum_func_ns: report.sum_func_ns,
-            pending_accesses: report.pending_accesses,
-            pending_misses: report.pending_misses,
-            staged_accesses: report.staged_accesses,
-            staged_misses: report.staged_misses,
-            stolen: report.stolen,
-            converted: report.converted,
+            window: report.window,
         }
     }
 
@@ -101,7 +75,6 @@ impl RunRecord {
     /// run that took `wall_s` seconds. Counters should have been reset
     /// before the measured region.
     pub fn from_native(rt: &Runtime, wall_s: f64, params: &StencilParams) -> Self {
-        let c = rt.counters();
         Self {
             meta: RunMeta {
                 engine: EngineKind::Native,
@@ -112,37 +85,8 @@ impl RunRecord {
                 nt: params.nt,
             },
             wall_s,
-            tasks: c.tasks.sum(),
-            phases: c.phases.sum(),
-            sum_exec_ns: c.exec_ns.sum(),
-            sum_func_ns: c.func_ns.sum(),
-            pending_accesses: c.pending_accesses.sum(),
-            pending_misses: c.pending_misses.sum(),
-            staged_accesses: c.staged_accesses.sum(),
-            staged_misses: c.staged_misses.sum(),
-            stolen: c.stolen.sum(),
-            converted: c.converted.sum(),
+            window: rt.counters().window(),
         }
-    }
-
-    /// Eq. 1 for this sample.
-    pub fn idle_rate(&self) -> f64 {
-        equations::idle_rate(self.sum_exec_ns, self.sum_func_ns)
-    }
-
-    /// Eq. 2 for this sample, ns.
-    pub fn task_duration_ns(&self) -> f64 {
-        equations::task_duration_ns(self.sum_exec_ns, self.tasks)
-    }
-
-    /// Eq. 3 for this sample, ns.
-    pub fn task_overhead_ns(&self) -> f64 {
-        equations::task_overhead_ns(self.sum_exec_ns, self.sum_func_ns, self.tasks)
-    }
-
-    /// Eq. 4 for this sample, seconds.
-    pub fn thread_management_s(&self) -> f64 {
-        equations::thread_management_s(self.task_overhead_ns(), self.tasks, self.meta.workers)
     }
 }
 
@@ -150,6 +94,7 @@ impl RunRecord {
 mod tests {
     use super::*;
     use crate::engine::{simulate, SimConfig};
+    use grain_counters::equations::thread_management_s;
     use grain_stencil::stencil_workload;
     use grain_topology::presets;
 
@@ -161,11 +106,10 @@ mod tests {
         let rec = RunRecord::from_sim(&report, "Haswell", &params);
         assert_eq!(rec.meta.engine, EngineKind::Simulated);
         assert_eq!(rec.meta.workers, 4);
-        assert_eq!(rec.tasks, 100);
+        assert_eq!(rec.window, report.window);
+        assert_eq!(rec.window.tasks, 100);
         assert_eq!(rec.meta.nx, 1_000);
         assert!((rec.wall_s - report.wall_seconds()).abs() < 1e-15);
-        assert!((rec.idle_rate() - report.idle_rate()).abs() < 1e-15);
-        assert!((rec.task_duration_ns() - report.task_duration_ns()).abs() < 1e-12);
     }
 
     #[test]
@@ -176,8 +120,8 @@ mod tests {
         let _ = grain_stencil::run_futurized(&rt, &params);
         let rec = RunRecord::from_native(&rt, t0.elapsed().as_secs_f64(), &params);
         assert_eq!(rec.meta.engine, EngineKind::Native);
-        assert_eq!(rec.tasks as usize, params.total_tasks());
-        assert!(rec.sum_func_ns >= rec.sum_exec_ns);
+        assert_eq!(rec.window.tasks as usize, params.total_tasks());
+        assert!(rec.window.func_ns >= rec.window.exec_ns);
         assert!(rec.wall_s > 0.0);
     }
 
@@ -187,11 +131,13 @@ mod tests {
         let wl = stencil_workload(&params);
         let report = simulate(&presets::sandy_bridge(), 2, &wl, &SimConfig::default());
         let rec = RunRecord::from_sim(&report, "Sandy Bridge", &params);
+        let w = rec.window;
         // to + td share Σ across the same task count.
-        let reconstructed = (rec.task_duration_ns() + rec.task_overhead_ns()) * rec.tasks as f64;
-        assert!((reconstructed - rec.sum_func_ns as f64).abs() < 1.0);
+        let reconstructed = (w.task_duration_ns() + w.task_overhead_ns()) * w.tasks as f64;
+        assert!((reconstructed - w.func_ns as f64).abs() < 1.0);
         // Eq. 4 in seconds is bounded by wall × workers.
-        assert!(rec.thread_management_s() <= rec.wall_s * rec.meta.workers as f64 + 1e-9);
+        let tm = thread_management_s(w.task_overhead_ns(), w.tasks, rec.meta.workers);
+        assert!(tm <= rec.wall_s * rec.meta.workers as f64 + 1e-9);
     }
 
     #[test]

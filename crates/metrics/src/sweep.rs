@@ -9,6 +9,7 @@
 use crate::aggregate::Aggregate;
 use crate::engine::{simulate, SimConfig};
 use crate::record::RunRecord;
+use grain_counters::equations;
 use grain_runtime::{Runtime, RuntimeConfig};
 use grain_sim::SimWorkload;
 use grain_stencil::{run_futurized, stencil_workload, StencilParams};
@@ -182,12 +183,12 @@ pub struct SweepCell {
 impl SweepCell {
     /// Eq. 5 — mean wait time per task, ns.
     pub fn wait_per_task_ns(&self) -> f64 {
-        crate::equations::wait_per_task_ns(self.agg.task_duration_ns.mean(), self.td1_ns)
+        equations::wait_per_task_ns(self.agg.task_duration_ns.mean(), self.td1_ns)
     }
 
     /// Eq. 6 — mean wait time per core, seconds.
     pub fn wait_time_s(&self) -> f64 {
-        crate::equations::wait_time_s(
+        equations::wait_time_s(
             self.agg.task_duration_ns.mean(),
             self.td1_ns,
             self.agg.tasks.mean() as u64,
@@ -410,7 +411,7 @@ mod tests {
         let engine = NativeEngine::scaled(20_000, 3);
         let rec = engine.run(1_000, 2, 0);
         assert_eq!(rec.meta.nx, 1_000);
-        assert_eq!(rec.tasks as usize, 20 * 3);
+        assert_eq!(rec.window.tasks as usize, 20 * 3);
         assert!(rec.wall_s > 0.0);
     }
 

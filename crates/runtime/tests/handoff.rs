@@ -5,7 +5,8 @@
 //! is that a task must *not* be hidden in the slot, through rendezvous
 //! that only a second worker can complete.
 
-use grain_runtime::{channel, Poll, Priority, Runtime, SharedFuture, ThreadCounters};
+use grain_counters::Window;
+use grain_runtime::{channel, Poll, Priority, Runtime, SharedFuture};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,45 +31,10 @@ fn chain(rt: &Runtime, root: SharedFuture<u64>, len: u64) -> SharedFuture<u64> {
     (0..len).fold(root, |tail, _| rt.dataflow(&[tail], |_, v| *v[0] + 1))
 }
 
-/// The queue counters a dispatch moves, summed over workers.
-#[derive(Debug, Clone, Copy)]
-struct Probe {
-    tasks: u64,
-    converted: u64,
-    pending_accesses: u64,
-    pending_misses: u64,
-    staged_accesses: u64,
-    staged_misses: u64,
-}
-
-impl Probe {
-    fn read(c: &ThreadCounters) -> Self {
-        Self {
-            tasks: c.tasks.sum(),
-            converted: c.converted.sum(),
-            pending_accesses: c.pending_accesses.sum(),
-            pending_misses: c.pending_misses.sum(),
-            staged_accesses: c.staged_accesses.sum(),
-            staged_misses: c.staged_misses.sum(),
-        }
-    }
-
-    fn since(self, earlier: Self) -> Self {
-        Self {
-            tasks: self.tasks - earlier.tasks,
-            converted: self.converted - earlier.converted,
-            pending_accesses: self.pending_accesses - earlier.pending_accesses,
-            pending_misses: self.pending_misses - earlier.pending_misses,
-            staged_accesses: self.staged_accesses - earlier.staged_accesses,
-            staged_misses: self.staged_misses - earlier.staged_misses,
-        }
-    }
-}
-
 /// One worker runs a chain whose first and last node each hold it inside
 /// their body while the test reads the counters, so the difference is
 /// exactly the dispatches of a chain in full flight — no idle searching.
-fn chain_in_flight(len: u64) -> Probe {
+fn chain_in_flight(len: u64) -> Window {
     let rt = Runtime::with_workers(1);
     let (gate, root) = channel::<u64>();
     let started = [AtomicBool::new(false), AtomicBool::new(false)];
@@ -90,15 +56,15 @@ fn chain_in_flight(len: u64) -> Probe {
 
     gate.set(0);
     assert!(await_flag(&flags.0[0]), "the chain never started");
-    let before = Probe::read(rt.counters());
+    let before = rt.counters().window();
     flags.1[0].store(true, Ordering::SeqCst);
     assert!(await_flag(&flags.0[1]), "the chain never reached its end");
-    let after = Probe::read(rt.counters());
+    let after = rt.counters().window();
     flags.1[1].store(true, Ordering::SeqCst);
 
     assert_eq!(*tail.get(), len);
     rt.wait_idle();
-    after.since(before)
+    after.since(&before)
 }
 
 #[test]

@@ -18,9 +18,9 @@
 //!   points. Its shapes come from `grain-taskbench` (`TaskGraph`'s five
 //!   families, lowered by `TaskGraph::sim_workload`) and from
 //!   `grain-stencil` (the paper's ring);
-//! * [`SimReport`] — one run's summary of the counter surface the native
-//!   runtime emits ([`grain_counters::ThreadCounters`]), so the metric
-//!   layer treats both engines identically.
+//! * [`SimReport`] — one run's virtual wall-clock and the same
+//!   [`grain_counters::Window`] of counter sums the native runtime
+//!   reads, so the metric layer treats both engines identically.
 //!
 //! It also holds the seeded chaos the network and fleet layers replay:
 //! the simulated network fabric ([`NetFabric`], [`NetPlan`]) and the

@@ -1,7 +1,7 @@
-//! Simulation results: the same counter summary the native runtime
+//! Simulation results: the same counter [`Window`] the native runtime
 //! produces, plus the virtual wall-clock.
 
-use grain_counters::{equations, ThreadCounters};
+use grain_counters::{ThreadCounters, Window};
 
 /// Outcome of one simulated run.
 #[derive(Debug, Clone, PartialEq)]
@@ -10,27 +10,9 @@ pub struct SimReport {
     pub wall_ns: f64,
     /// Workers in the run.
     pub workers: usize,
-    /// Tasks completed.
-    pub tasks: u64,
-    /// Thread phases executed (== tasks in the simulator: simulated
-    /// tasks are single-phase).
-    pub phases: u64,
-    /// Σ t_exec, ns.
-    pub sum_exec_ns: u64,
-    /// Σ t_func, ns.
-    pub sum_func_ns: u64,
-    /// Pending-queue probes.
-    pub pending_accesses: u64,
-    /// Pending-queue probes that found nothing.
-    pub pending_misses: u64,
-    /// Staged-queue probes.
-    pub staged_accesses: u64,
-    /// Staged-queue probes that found nothing.
-    pub staged_misses: u64,
-    /// Tasks taken from another worker's queues.
-    pub stolen: u64,
-    /// Staged→pending conversions.
-    pub converted: u64,
+    /// The run's counter sums (`phases == tasks`: simulated tasks are
+    /// single-phase). Eqs. 1–3 are read on it.
+    pub window: Window,
     /// Tasks completed per worker.
     pub tasks_per_worker: Vec<u64>,
 }
@@ -41,16 +23,7 @@ impl SimReport {
         Self {
             wall_ns,
             workers: counters.workers(),
-            tasks: counters.tasks.sum(),
-            phases: counters.phases.sum(),
-            sum_exec_ns: counters.exec_ns.sum(),
-            sum_func_ns: counters.func_ns.sum(),
-            pending_accesses: counters.pending_accesses.sum(),
-            pending_misses: counters.pending_misses.sum(),
-            staged_accesses: counters.staged_accesses.sum(),
-            staged_misses: counters.staged_misses.sum(),
-            stolen: counters.stolen.sum(),
-            converted: counters.converted.sum(),
+            window: counters.window(),
             tasks_per_worker: counters.tasks.values(),
         }
     }
@@ -59,51 +32,24 @@ impl SimReport {
     pub fn wall_seconds(&self) -> f64 {
         self.wall_ns * 1e-9
     }
-
-    /// Idle-rate (Eq. 1).
-    pub fn idle_rate(&self) -> f64 {
-        equations::idle_rate(self.sum_exec_ns, self.sum_func_ns)
-    }
-
-    /// Average task duration t_d in ns (Eq. 2).
-    pub fn task_duration_ns(&self) -> f64 {
-        equations::task_duration_ns(self.sum_exec_ns, self.tasks)
-    }
-
-    /// Average task overhead t_o in ns (Eq. 3).
-    pub fn task_overhead_ns(&self) -> f64 {
-        equations::task_overhead_ns(self.sum_exec_ns, self.sum_func_ns, self.tasks)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> SimReport {
-        SimReport {
-            wall_ns: 2e9,
-            workers: 2,
-            tasks: 10,
-            phases: 10,
-            sum_exec_ns: 600,
-            sum_func_ns: 1_000,
-            pending_accesses: 40,
-            pending_misses: 30,
-            staged_accesses: 20,
-            staged_misses: 10,
-            stolen: 3,
-            converted: 10,
-            tasks_per_worker: vec![6, 4],
-        }
-    }
-
     #[test]
-    fn derived_metrics_match_equations() {
-        let r = sample();
-        assert!((r.idle_rate() - 0.4).abs() < 1e-12);
-        assert!((r.task_duration_ns() - 60.0).abs() < 1e-12);
-        assert!((r.task_overhead_ns() - 40.0).abs() < 1e-12);
+    fn a_report_holds_the_counters_window() {
+        let c = ThreadCounters::new(2);
+        c.tasks.add(0, 6);
+        c.tasks.add(1, 4);
+        c.exec_ns.add(0, 600);
+        c.func_ns.add(1, 1_000);
+        c.stolen.add(1, 3);
+        let r = SimReport::from_counters(2e9, &c);
+        assert_eq!(r.window, c.window());
+        assert_eq!(r.window.stolen, 3);
+        assert_eq!((r.workers, r.tasks_per_worker.clone()), (2, vec![6, 4]));
         assert!((r.wall_seconds() - 2.0).abs() < 1e-12);
     }
 }

@@ -382,19 +382,7 @@ mod tests {
         .build();
         let len = graph.len() as u64;
         assert_eq!(len, 32 * 33);
-        let rt = Runtime::with_workers(1);
-        let c = rt.counters();
-        let counters = [
-            &c.tasks,
-            &c.phases,
-            &c.converted,
-            &c.pending_accesses,
-            &c.pending_misses,
-            &c.staged_accesses,
-            &c.staged_misses,
-        ]
-        .map(Arc::clone);
-        let read = move || counters.each_ref().map(|c| c.sum());
+        let rt = Arc::new(Runtime::with_workers(1));
 
         let (held, go) = (
             Arc::new(AtomicBool::new(false)),
@@ -410,7 +398,7 @@ mod tests {
         while !held.load(Ordering::SeqCst) {
             std::thread::yield_now();
         }
-        let futs = spawn_range(&rt, &graph, 0..len as u32, |e| unreachable!("{e:?}"));
+        let futs = spawn_range(&*rt, &graph, 0..len as u32, |e| unreachable!("{e:?}"));
         let sinks: Vec<_> = futs
             .iter()
             .enumerate()
@@ -419,20 +407,21 @@ mod tests {
             .collect();
         assert_eq!(sinks.len(), 32);
         let (promise, at_end) = channel();
-        let read_at_end = read.clone();
-        when_all(&sinks).on_settled(move |_| promise.set(read_at_end()));
-        let before = read();
+        let at_settle = Arc::clone(&rt);
+        when_all(&sinks).on_settled(move |_| {
+            let window = at_settle.counters().window();
+            // The test's handle stays the last: a worker must never drop
+            // its own runtime.
+            drop(at_settle);
+            promise.set(window);
+        });
+        let before = rt.counters().window();
         go.store(true, Ordering::SeqCst);
-        let after = at_end
+        let d = at_end
             .wait_timeout(JOIN_TIMEOUT)
-            .expect("the graph settles");
-        let d: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
-        let [tasks, phases, converted, pending_accesses, pending_misses, staged_accesses, staged_misses] =
-            d[..]
-        else {
-            unreachable!()
-        };
-        assert_eq!((tasks, phases), (len, len), "one phase per task: {d:?}");
+            .expect("the graph settles")
+            .since(&before);
+        assert_eq!((d.tasks, d.phases), (len, len), "one phase per task: {d:?}");
         // One conversion per node: the 32 sources leave the staged queue
         // converted, every other node is converted by the settle that
         // readies it. Per task, about two pending probes (the empty
@@ -440,11 +429,11 @@ mod tests {
         // staged probe, which finds something 32 times.
         assert_eq!(
             (
-                converted,
-                pending_accesses,
-                pending_misses,
-                staged_accesses,
-                staged_misses
+                d.converted,
+                d.pending_accesses,
+                d.pending_misses,
+                d.staged_accesses,
+                d.staged_misses
             ),
             (1_056, 2_162, 1_106, 1_133, 1_101),
             "graph_fine's schedule moved: {d:?}"

@@ -42,7 +42,11 @@ fn every_family_lowers_node_for_node_and_completes() {
             }
             for workers in [1, 4] {
                 let r = simulate(&presets::haswell(), workers, &wl, &cfg());
-                assert_eq!(r.tasks as usize, graph.len(), "{ctx}: {workers} workers");
+                assert_eq!(
+                    r.window.tasks as usize,
+                    graph.len(),
+                    "{ctx}: {workers} workers"
+                );
             }
         }
     }
@@ -53,7 +57,7 @@ fn single_task_time_matches_model() {
     let p = presets::haswell();
     let wl = sweep(1, 0, 100_000);
     let r = simulate(&p, 1, &wl, &cfg());
-    assert_eq!(r.tasks, 1);
+    assert_eq!(r.window.tasks, 1);
     let kernel = p.perf.task_fixed_ns + 100_000.0 * p.perf.per_point_ns(1, 1, false);
     // Wall = kernel (± jitter) + scheduling costs.
     assert!(
@@ -61,20 +65,20 @@ fn single_task_time_matches_model() {
         "wall {}",
         r.wall_ns
     );
-    assert!(r.sum_func_ns >= r.sum_exec_ns);
+    assert!(r.window.func_ns >= r.window.exec_ns);
 }
 
 #[test]
 fn all_tasks_complete_and_counters_are_consistent() {
     let wl = sweep(500, 0, 5_000);
     let r = simulate(&presets::haswell(), 8, &wl, &cfg());
-    assert_eq!(r.tasks, 500);
-    assert_eq!(r.converted, 500);
+    assert_eq!(r.window.tasks, 500);
+    assert_eq!(r.window.converted, 500);
     assert_eq!(r.tasks_per_worker.iter().sum::<u64>(), 500);
-    assert!(r.sum_func_ns >= r.sum_exec_ns);
-    assert!(r.pending_accesses >= r.pending_misses);
-    assert!(r.staged_accesses >= r.staged_misses);
-    assert!((0.0..=1.0).contains(&r.idle_rate()));
+    assert!(r.window.func_ns >= r.window.exec_ns);
+    assert!(r.window.pending_accesses >= r.window.pending_misses);
+    assert!(r.window.staged_accesses >= r.window.staged_misses);
+    assert!((0.0..=1.0).contains(&r.window.idle_rate()));
 }
 
 #[test]
@@ -85,8 +89,11 @@ fn a_one_worker_chain_probes_three_queues_per_task() {
     let n = 40;
     let r = simulate(&presets::haswell(), 1, &sweep(1, n - 1, 1_000), &cfg());
     let n = n as u64;
-    assert_eq!((r.pending_accesses, r.pending_misses), (2 * n, n));
-    assert_eq!((r.staged_accesses, r.staged_misses), (n, 0));
+    assert_eq!(
+        (r.window.pending_accesses, r.window.pending_misses),
+        (2 * n, n)
+    );
+    assert_eq!((r.window.staged_accesses, r.window.staged_misses), (n, 0));
 }
 
 #[test]
@@ -114,7 +121,7 @@ fn chain_is_serialized_regardless_of_workers() {
     let stripe = presets::haswell().perf.stripe_factor;
     assert!(many.wall_ns > one.wall_ns / (stripe * 1.2));
     assert!(many.wall_ns < one.wall_ns * 1.5);
-    assert_eq!(many.tasks, 50);
+    assert_eq!(many.window.tasks, 50);
 }
 
 #[test]
@@ -125,12 +132,12 @@ fn starving_workers_accrue_idle_rate() {
     let wl = sweep(1, 19, 1_000_000);
     let r = simulate(&presets::haswell(), 16, &wl, &cfg());
     assert!(
-        r.idle_rate() > 0.5,
+        r.window.idle_rate() > 0.5,
         "idle-rate {} too low for a starving run",
-        r.idle_rate()
+        r.window.idle_rate()
     );
     // And the starving sweeps must show up in the queue counters.
-    assert!(r.pending_misses > r.tasks * 16);
+    assert!(r.window.pending_misses > r.window.tasks * 16);
 }
 
 #[test]
@@ -141,8 +148,8 @@ fn fine_grain_has_higher_overhead_share_than_medium_grain() {
     let rf = simulate(&presets::haswell(), 8, &fine, &cfg());
     let rm = simulate(&presets::haswell(), 8, &medium, &cfg());
     assert!(
-        rf.task_overhead_ns() / rf.task_duration_ns()
-            > rm.task_overhead_ns() / rm.task_duration_ns(),
+        rf.window.task_overhead_ns() / rf.window.task_duration_ns()
+            > rm.window.task_overhead_ns() / rm.window.task_duration_ns(),
         "fine grain must have a worse overhead ratio"
     );
 }

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the whole pipeline from task runtime
 //! through stencil, simulator, metrics, and adaptation.
 
+use grain::counters::equations::thread_management_s;
 use grain::metrics::sweep::{run_sweep, NativeEngine, SimEngine, StencilEngine};
 use grain::metrics::{simulate, SimConfig};
 use grain::metrics::{EngineKind, RunRecord};
@@ -21,11 +22,12 @@ fn native_and_simulated_engines_agree_on_structure() {
 
     assert_eq!(a.meta.engine, EngineKind::Native);
     assert_eq!(b.meta.engine, EngineKind::Simulated);
+    assert_eq!(a.meta.np, b.meta.np);
+    let (a, b) = (a.window, b.window);
     assert_eq!(a.tasks, b.tasks, "same DAG, same task count");
     assert_eq!(a.converted, b.converted);
-    assert_eq!(a.meta.np, b.meta.np);
-    assert!(a.sum_func_ns >= a.sum_exec_ns);
-    assert!(b.sum_func_ns >= b.sum_exec_ns);
+    assert!(a.func_ns >= a.exec_ns);
+    assert!(b.func_ns >= b.exec_ns);
 }
 
 #[test]
@@ -37,11 +39,12 @@ fn full_pipeline_stencil_to_metrics() {
     let rec = RunRecord::from_native(&rt, t0.elapsed().as_secs_f64(), &params);
 
     assert_eq!(grid.len(), params.total_points());
-    assert_eq!(rec.tasks as usize, params.total_tasks());
-    assert!(rec.idle_rate() >= 0.0 && rec.idle_rate() <= 1.0);
-    assert!(rec.task_duration_ns() > 0.0);
+    assert_eq!(rec.window.tasks as usize, params.total_tasks());
+    assert!(rec.window.idle_rate() >= 0.0 && rec.window.idle_rate() <= 1.0);
+    assert!(rec.window.task_duration_ns() > 0.0);
     // Eq. 4 bounded by wall time × workers.
-    assert!(rec.thread_management_s() <= rec.wall_s * 2.0 + 1e-9);
+    let w = rec.window;
+    assert!(thread_management_s(w.task_overhead_ns(), w.tasks, 2) <= rec.wall_s * 2.0 + 1e-9);
 }
 
 #[test]
@@ -83,16 +86,20 @@ fn idle_rate_extremes_in_simulation() {
     let fine = engine.run(100, 28, 0);
     let medium = engine.run(100_000, 28, 0);
     let coarse = engine.run(10_000_000, 28, 0);
-    assert!(fine.idle_rate() > 0.6, "fine idle {}", fine.idle_rate());
     assert!(
-        medium.idle_rate() < 0.3,
-        "medium idle {}",
-        medium.idle_rate()
+        fine.window.idle_rate() > 0.6,
+        "fine idle {}",
+        fine.window.idle_rate()
     );
     assert!(
-        coarse.idle_rate() > 0.6,
+        medium.window.idle_rate() < 0.3,
+        "medium idle {}",
+        medium.window.idle_rate()
+    );
+    assert!(
+        coarse.window.idle_rate() > 0.6,
         "coarse idle {}",
-        coarse.idle_rate()
+        coarse.window.idle_rate()
     );
 }
 
@@ -101,9 +108,9 @@ fn wait_time_grows_with_cores_in_simulation() {
     // Eq. 5 at medium grain: more cores → more bandwidth contention →
     // larger per-task wait (Fig. 6).
     let engine = SimEngine::paper(presets::haswell());
-    let td1 = engine.run(50_000, 1, 0).task_duration_ns();
-    let td8 = engine.run(50_000, 8, 0).task_duration_ns();
-    let td28 = engine.run(50_000, 28, 0).task_duration_ns();
+    let td1 = engine.run(50_000, 1, 0).window.task_duration_ns();
+    let td8 = engine.run(50_000, 8, 0).window.task_duration_ns();
+    let td28 = engine.run(50_000, 28, 0).window.task_duration_ns();
     assert!(td8 > td1, "8-core wait missing");
     assert!(td28 > td8, "28-core wait must exceed 8-core wait");
 }
@@ -114,8 +121,8 @@ fn negative_wait_time_at_coarse_grain() {
     // effects can cause the time for one core to be larger than that for
     // multiple cores" — reproduced through the first-touch striping model.
     let engine = SimEngine::paper(presets::haswell());
-    let td1 = engine.run(100_000_000, 1, 0).task_duration_ns();
-    let td28 = engine.run(100_000_000, 28, 0).task_duration_ns();
+    let td1 = engine.run(100_000_000, 1, 0).window.task_duration_ns();
+    let td28 = engine.run(100_000_000, 28, 0).window.task_duration_ns();
     assert!(
         td28 < td1,
         "single-partition tasks should run faster on the parallel run (td1={td1}, td28={td28})"

@@ -7,8 +7,7 @@
 //! the proptest versions did. On failure the offending configuration is
 //! part of the panic message.
 
-use grain::counters::{CounterPath, Pcg32, SampleStats};
-use grain::metrics::equations;
+use grain::counters::{equations, CounterPath, Pcg32, SampleStats};
 use grain::metrics::{simulate, SimConfig};
 use grain::runtime::Runtime;
 use grain::stencil::{run_futurized, run_sequential, stencil_workload, total_heat, StencilParams};
@@ -220,13 +219,14 @@ fn simulator_invariants() {
         let cfg = SimConfig { seed };
         let a = simulate(&presets::haswell(), workers, &wl, &cfg);
         let ctx = format!("case {case}: nx={nx} steps={steps} workers={workers} seed={seed}");
-        assert_eq!(a.tasks as usize, params.total_tasks(), "{ctx}");
-        assert!(a.sum_func_ns >= a.sum_exec_ns, "{ctx}");
-        assert!(a.pending_accesses >= a.pending_misses, "{ctx}");
-        assert!(a.staged_accesses >= a.staged_misses, "{ctx}");
-        assert!(a.converted == a.tasks, "{ctx}");
+        let w = a.window;
+        assert_eq!(w.tasks as usize, params.total_tasks(), "{ctx}");
+        assert!(w.func_ns >= w.exec_ns, "{ctx}");
+        assert!(w.pending_accesses >= w.pending_misses, "{ctx}");
+        assert!(w.staged_accesses >= w.staged_misses, "{ctx}");
+        assert!(w.converted == w.tasks, "{ctx}");
         assert!(a.wall_ns > 0.0, "{ctx}");
-        assert_eq!(a.tasks_per_worker.iter().sum::<u64>(), a.tasks, "{ctx}");
+        assert_eq!(a.tasks_per_worker.iter().sum::<u64>(), w.tasks, "{ctx}");
         // Determinism.
         let b = simulate(&presets::haswell(), workers, &wl, &cfg);
         assert_eq!(a, b, "{ctx}");
@@ -286,7 +286,7 @@ fn random_dags_execute_correctly_on_both_engines() {
             &graph.sim_workload(),
             &SimConfig::default(),
         );
-        assert_eq!(report.tasks as usize, graph.len(), "{ctx}");
+        assert_eq!(report.window.tasks as usize, graph.len(), "{ctx}");
     }
 }
 
