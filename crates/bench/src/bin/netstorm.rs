@@ -73,6 +73,10 @@ fn stable_ledger(fabric: &Fabric) -> LedgerSnapshot {
     let deadline = Instant::now() + WATCHDOG_POLL;
     let (_, mut last) = snapshot();
     loop {
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the settle window is the wait itself: a ledger that reads the same 25 ms apart"
+        )]
         std::thread::sleep(Duration::from_millis(25));
         let (ledger, fingerprint) = snapshot();
         if ledger.in_flight == 0 && ledger.held == 0 && fingerprint == last {

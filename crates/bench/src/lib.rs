@@ -29,6 +29,10 @@ pub fn eventually(cond: impl Fn() -> bool) -> bool {
         if Instant::now() >= deadline {
             return false;
         }
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "a storm's conditions are counter readings with no event to wait on"
+        )]
         std::thread::sleep(Duration::from_millis(2));
     }
     true
@@ -70,6 +74,10 @@ pub fn replay_main(
 
     let budget = Duration::from_secs(if quick { 120 } else { 300 });
     std::thread::spawn(move || {
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the watchdog's one sleep is its whole budget; nothing else wakes it"
+        )]
         std::thread::sleep(budget);
         eprintln!("{name}: watchdog expired after {budget:?} — a stage hung");
         std::process::exit(3);

@@ -1106,6 +1106,10 @@ fn backoff_worker(shared: &GatewayShared, worker: usize, now: Instant) {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a test paces its scenario with sleeps; the rule is for product code"
+)]
 mod tests {
     use super::*;
 

@@ -18,6 +18,10 @@
 //!   wait;
 //! * spend a job's dispatch budget on worker refusals → the outcome
 //!   names the refusing locality and its reason.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test paces its scenario with sleeps; the rule is for product code"
+)]
 
 use grain_fleet::gateway::SHED_RETRY_AFTER;
 use grain_fleet::wire::{FleetOutcome, ACTION_COMPLETE};

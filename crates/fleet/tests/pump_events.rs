@@ -9,6 +9,10 @@
 //!
 //! The tests hold one lock each, so the idle count sees no other test's
 //! fleet threads.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test paces its scenario with sleeps; the rule is for product code"
+)]
 
 use grain_counters::sync::Mutex;
 use grain_fleet::{FleetConfig, FleetGateway, FleetJobSpec, FleetWorker, FleetWorkerConfig};

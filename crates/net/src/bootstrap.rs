@@ -170,18 +170,14 @@ impl TcpNode {
     }
 
     /// Block until links to all `world - 1` peers exist, up to `timeout`.
-    /// Returns `false` on timeout; a `timeout` that reaches past the
-    /// clock's range is no deadline.
+    /// The wait ends on the link event itself: installing a link wakes
+    /// it, so a world is ready the moment its last link lands. Returns
+    /// `false` on timeout; a `timeout` that reaches past the clock's
+    /// range is no deadline.
     pub fn wait_for_world(&self, timeout: Duration) -> bool {
         let deadline = Instant::now().checked_add(timeout);
-        let want = self.locality.world() - 1;
-        while self.locality.connected_peers().len() < want {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        true
+        self.locality
+            .wait_for_links(self.locality.world() - 1, deadline)
     }
 
     /// Stop the accept loop (graceful node teardown).

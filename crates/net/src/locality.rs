@@ -51,7 +51,7 @@
 use crate::codec::{self, Frame, Wire, WireFault};
 use crate::counters::ParcelCounters;
 use crate::parcelport::{DisconnectHandler, FrameHandler, Link};
-use grain_counters::sync::{Mutex, RwLock};
+use grain_counters::sync::{Condvar, Mutex, RwLock};
 use grain_counters::RegistryError;
 use grain_runtime::{channel, Runtime, SharedFuture, TaskError};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -153,6 +153,11 @@ pub struct LocalityShared {
     config: NetConfig,
     actions: RwLock<HashMap<String, RawHandler>>,
     links: RwLock<HashMap<usize, Arc<Link>>>,
+    /// Announces a new link: `add_link` passes through `linked` after
+    /// its insert and notifies; a `wait_for_links` waiter counts `links`
+    /// holding it.
+    linked: Mutex<()>,
+    link_cv: Condvar,
     pending: Mutex<HashMap<u64, Pending>>,
     /// Per-origin duplicate-suppression windows for inbound calls.
     dedup: Mutex<HashMap<usize, DedupWindow>>,
@@ -446,6 +451,8 @@ impl Locality {
             config,
             actions: RwLock::new(HashMap::new()),
             links: RwLock::new(HashMap::new()),
+            linked: Mutex::new(()),
+            link_cv: Condvar::new(),
             pending: Mutex::new(HashMap::new()),
             dedup: Mutex::new(HashMap::new()),
             last_heard: Mutex::new(HashMap::new()),
@@ -470,6 +477,11 @@ impl Locality {
             std::thread::Builder::new()
                 .name(format!("grain-net-mon-{id}"))
                 .spawn(move || loop {
+                    #[allow(
+                        clippy::disallowed_methods,
+                        reason = "a `Locality` is `Clone` and has no owner that could stop and join a pump; \
+                                  the tick holds only a weak reference and ends with the locality"
+                    )]
                     std::thread::sleep(tick);
                     let Some(shared) = w.upgrade() else { return };
                     if shared.dead.load(Ordering::SeqCst) {
@@ -698,6 +710,27 @@ impl Locality {
     pub(crate) fn add_link(&self, link: Arc<Link>) {
         self.shared.note_heard(link.peer());
         self.shared.links.write().insert(link.peer(), link);
+        drop(self.shared.linked.lock());
+        self.shared.link_cv.notify_all();
+    }
+
+    /// Block until links to `want` peers exist, waking on each new link;
+    /// `false` if `deadline` passes first (`None` is no deadline).
+    pub(crate) fn wait_for_links(&self, want: usize, deadline: Option<Instant>) -> bool {
+        let mut g = self.shared.linked.lock();
+        while self.shared.links.read().len() < want {
+            match deadline {
+                None => self.shared.link_cv.wait(&mut g),
+                Some(d) => {
+                    let left = d.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return false;
+                    }
+                    self.shared.link_cv.wait_for(&mut g, left);
+                }
+            }
+        }
+        true
     }
 }
 

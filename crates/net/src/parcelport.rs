@@ -166,6 +166,7 @@ impl SendQueue {
             }
             if st.frames.len() < self.cap {
                 st.frames.push_back((bytes, parcel));
+                drop(st);
                 self.not_empty.notify_one();
                 return Ok(());
             }
@@ -193,6 +194,7 @@ impl SendQueue {
             }
             if !st.frames.is_empty() {
                 std::mem::swap(&mut st.frames, batch);
+                drop(st);
                 self.not_full.notify_all();
                 return true;
             }
@@ -595,6 +597,10 @@ pub fn read_frame(stream: &mut TcpStream) -> io::Result<Frame> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a test paces its scenario with sleeps; the rule is for product code"
+)]
 mod tests {
     use super::*;
     use crate::codec::Frame;

@@ -12,6 +12,10 @@
 //! * two localities that wait on each other's deferred replies every
 //!   round compute exactly what a serial fold computes;
 //! * the fabric's parcel ledger conserves at quiescence.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test paces its scenario with sleeps; the rule is for product code"
+)]
 
 use grain_net::bootstrap::Fabric;
 use grain_net::locality::NetConfig;

@@ -330,12 +330,8 @@ impl TaskGroup {
 
     fn exit(&self) {
         if self.in_flight.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let hooks = {
-                let mut g = self.hooks.lock();
-                let hooks = std::mem::take(&mut g.quiescent);
-                self.cv.notify_all();
-                hooks
-            };
+            let hooks = std::mem::take(&mut self.hooks.lock().quiescent);
+            self.cv.notify_all();
             for h in hooks {
                 h();
             }
@@ -372,11 +368,12 @@ impl TaskGroup {
     /// Block until the group is quiescent (in-flight count zero). Unlike
     /// [`crate::Runtime::wait_idle`] this joins *only this group's*
     /// members — other jobs sharing the runtime keep it busy without
-    /// holding this wait up.
+    /// holding this wait up. It sleeps until the last member's exit
+    /// notifies.
     pub fn wait(&self) {
         let mut g = self.hooks.lock();
         while self.in_flight.load(Ordering::SeqCst) != 0 {
-            self.cv.wait_for(&mut g, Duration::from_millis(1));
+            self.cv.wait(&mut g);
         }
     }
 
@@ -390,12 +387,11 @@ impl TaskGroup {
         };
         let mut g = self.hooks.lock();
         while self.in_flight.load(Ordering::SeqCst) != 0 {
-            let now = Instant::now();
-            if now >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return false;
             }
-            let step = (deadline - now).min(Duration::from_millis(1));
-            self.cv.wait_for(&mut g, step);
+            self.cv.wait_for(&mut g, left);
         }
         true
     }
@@ -416,6 +412,10 @@ impl std::fmt::Debug for TaskGroup {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a test paces its scenario with sleeps; the rule is for product code"
+)]
 mod tests {
     use super::*;
 

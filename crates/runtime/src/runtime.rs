@@ -393,7 +393,7 @@ impl Inner {
     /// Called when a task reaches `Terminated`.
     pub(crate) fn task_done(&self) {
         if self.in_flight.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _g = self.idle.lock.lock();
+            drop(self.idle.lock.lock());
             self.idle.cv.notify_all();
         }
     }
@@ -419,10 +419,12 @@ impl Inner {
     /// Wake sleeping workers. Always advances the generation first so a
     /// worker between its final empty search and its park observes the
     /// event through its stale ticket even though it is not asleep yet.
+    /// Passes through the parker lock, then notifies once it is free, so
+    /// a woken worker does not preempt the waker only to block on it.
     pub(crate) fn wake(&self) {
         self.parker.generation.fetch_add(1, Ordering::SeqCst);
         if self.parker.sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = self.parker.lock.lock();
+            drop(self.parker.lock.lock());
             self.parker.cv.notify_all();
         }
     }
@@ -458,9 +460,10 @@ impl Inner {
         }
         let mut g = self.parker.lock.lock();
         // Final check under the lock: `wake` bumps the generation before
-        // taking this lock to notify, so a bump observed here happened
-        // strictly before our wait — and one we don't observe will take
-        // the lock after us and its notify_all reaches our wait.
+        // passing through this lock to notify, so a bump observed here
+        // happened strictly before our wait — and one we don't observe
+        // takes the lock after our wait counted us, so its notify_all
+        // reaches it.
         if self.parker.generation.load(Ordering::SeqCst) == ticket {
             if starving {
                 self.parker.cv.wait_for(&mut g, STARVING_NAP);
@@ -492,14 +495,20 @@ impl Inner {
     /// [`wait_idle`](Self::wait_idle) that reports strandedness instead of
     /// panicking: returns `false` if a worker died and the in-flight count
     /// stopped moving (the wait would otherwise never finish).
+    ///
+    /// With every worker alive it sleeps until `task_done` or a dying
+    /// worker's sentinel notifies; only after a death does it re-check
+    /// every 1 ms, since stranding has no event.
     pub(crate) fn try_wait_idle(&self) -> bool {
         const STRANDED_AFTER: Duration = Duration::from_millis(200);
         let mut g = self.idle.lock.lock();
         let mut last_sig = (0u64, 0usize);
         let mut flat_since = Instant::now();
         while self.in_flight.load(Ordering::SeqCst) != 0 {
-            self.idle.cv.wait_for(&mut g, Duration::from_millis(1));
-            if self.dead_workers.load(Ordering::SeqCst) > 0 {
+            if self.dead_workers.load(Ordering::SeqCst) == 0 {
+                self.idle.cv.wait(&mut g);
+            } else {
+                self.idle.cv.wait_for(&mut g, Duration::from_millis(1));
                 let sig = (
                     self.counters.phases.sum(),
                     self.in_flight.load(Ordering::SeqCst),
@@ -864,7 +873,7 @@ impl Drop for WorkerDeathSentinel {
                 self.inner.in_flight.load(Ordering::SeqCst),
             );
             self.inner.wake();
-            let _g = self.inner.idle.lock.lock();
+            drop(self.inner.idle.lock.lock());
             self.inner.idle.cv.notify_all();
         }
     }

@@ -9,6 +9,10 @@
 //! time, `exec ≤ func` holds on every worker (not only in total), and
 //! parked or quiescent wall time is never charged as work — the failure
 //! mode that would corrupt idle-rate and any adaptive policy built on it.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test paces its scenario with sleeps; the rule is for product code"
+)]
 
 use grain_runtime::{Runtime, RuntimeConfig};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,6 +1,10 @@
 //! Fault-tolerance behavior, observed through the public API: panic
 //! isolation, fault propagation through futures and DAGs, bounded
 //! waits, the stall watchdog and dead-worker detection.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test paces its scenario with sleeps; the rule is for product code"
+)]
 
 use grain_runtime::{
     channel, when_all, Poll, Priority, Runtime, RuntimeConfig, TaskError, TaskGroup, WatchdogConfig,

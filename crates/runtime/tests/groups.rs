@@ -1,4 +1,8 @@
 //! Behavioral tests for task groups and cooperative cancellation.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test paces its scenario with sleeps; the rule is for product code"
+)]
 
 use grain_runtime::{channel, Inputs, Priority, Runtime, SharedFuture, TaskError, TaskGroup};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -4,6 +4,10 @@
 //! the public API and the paper's queue counters — and, where the point
 //! is that a task must *not* be hidden in the slot, through rendezvous
 //! that only a second worker can complete.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test paces its scenario with sleeps; the rule is for product code"
+)]
 
 use grain_counters::Window;
 use grain_runtime::{channel, Poll, Priority, Runtime, SharedFuture};

@@ -7,6 +7,10 @@
 //! The count comes from `/proc/self/task/*/status`, summed over this
 //! runtime's `grain-worker-*` threads. This file holds one test, so its
 //! binary runs no other runtime whose workers could be counted.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test paces its scenario with sleeps; the rule is for product code"
+)]
 
 use grain_runtime::{Runtime, RuntimeConfig};
 use std::time::{Duration, Instant};

@@ -1,5 +1,9 @@
 //! End-to-end behavioral tests of the runtime: spawning, dataflow,
 //! suspension, priorities, stealing, counters, and shutdown.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test paces its scenario with sleeps; the rule is for product code"
+)]
 
 use grain_runtime::{channel, when_all, Poll, Priority, Runtime, RuntimeConfig, SharedFuture};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

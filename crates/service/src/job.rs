@@ -397,6 +397,7 @@ impl JobCore {
             return;
         }
         g.state = to;
+        drop(g);
         self.state_cv.notify_all();
     }
 
@@ -411,6 +412,7 @@ impl JobCore {
             return false;
         }
         g.state = JobState::Admitted;
+        drop(g);
         self.state_cv.notify_all();
         true
     }
@@ -453,6 +455,7 @@ impl JobCore {
         let mut g = self.state.lock();
         debug_assert!(g.state.is_terminal());
         g.published = true;
+        drop(g);
         self.state_cv.notify_all();
     }
 

@@ -1,6 +1,10 @@
 //! Where admission runs: on the submitting and settling threads, one
 //! drain at a time, with the budget checked and charged in one critical
 //! section — and the dispatcher woken only for what a clock must do.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test paces its scenario with sleeps; the rule is for product code"
+)]
 
 use grain_service::{AdmissionConfig, JobService, JobSpec, JobState, PolicyHook, ServiceConfig};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,5 +1,9 @@
 //! Overload-resilience behavior: load shedding, per-tenant circuit
 //! breakers, and deadline-budget propagation through the service.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test paces its scenario with sleeps; the rule is for product code"
+)]
 
 use grain_service::{
     AdmissionConfig, BreakerState, JobService, JobSpec, JobState, PressureLevel, RejectReason,

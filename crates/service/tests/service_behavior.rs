@@ -1,5 +1,9 @@
 //! End-to-end behavior of the job service: cancellation, deadlines,
 //! admission backpressure, fair share, and counter isolation.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test paces its scenario with sleeps; the rule is for product code"
+)]
 
 use grain_counters::sync::Mutex;
 use grain_service::{

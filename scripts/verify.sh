@@ -262,13 +262,21 @@ run_ok fleetstorm --quick
 cp "$out/netstorm.txt" "$out/fleetstorm.txt" "$out/results/"
 diff -r "$out/results" results
 
-stage "unwrap lint on every crate"
+stage "unwrap and sleep lints on every crate"
 # No unwrap() outside tests, where a poisoned lock or a bad Option would
-# take down a thread others wait on: clippy denies it workspace-wide
-# (`[workspace.lints.clippy]` in Cargo.toml; clippy.toml allows it in
-# tests), for the crates that opt in. Every crate under crates/ must.
+# take down a thread others wait on, and no std::thread::sleep in
+# product code, where a wait ends on its event and not on a tick: clippy
+# denies both workspace-wide (`[workspace.lints.clippy]` in Cargo.toml;
+# crates/clippy.toml allows unwrap in tests and lists sleep, and a site
+# that keeps one says why in its allow), for the crates that opt in.
+# Every crate under crates/ must. The clippy stage above enforces them.
 grep -q '^unwrap_used = "deny"$' Cargo.toml || {
     echo "Cargo.toml no longer denies clippy::unwrap_used" >&2
+    exit 1
+}
+grep -q '^disallowed_methods = "deny"$' Cargo.toml &&
+    grep -q 'path = "std::thread::sleep"' crates/clippy.toml || {
+    echo "clippy no longer denies std::thread::sleep (Cargo.toml, crates/clippy.toml)" >&2
     exit 1
 }
 for m in crates/*/Cargo.toml; do
