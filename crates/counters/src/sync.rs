@@ -4,7 +4,7 @@
 //! workspace previously took from `parking_lot`: `lock()`/`read()`/
 //! `write()` return guards directly (lock poisoning is recovered — a
 //! panicked writer leaves counters merely stale, never unsound), and
-//! [`Condvar::wait`]/[`Condvar::wait_for`] take the guard by `&mut`
+//! [`Condvar::wait_until`], the one wait, takes the guard by `&mut`
 //! reference. Every crate in the workspace synchronizes through this
 //! module so tier-1 builds need nothing outside the standard library,
 //! and every ticker is its one timer primitive, [`Pump`].
@@ -73,7 +73,7 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
 /// Condition variable pairing with [`Mutex`], with a waiter count so a
 /// notify that nobody is waiting for costs one atomic load instead of a
 /// `FUTEX_WAKE` system call (std's futex condvar has no such count, and
-/// most notifies in this workspace — every future settle — find nobody).
+/// most notifies in this workspace find nobody).
 ///
 /// No wake-up is lost as long as the notifier publishes what the waiter
 /// checks while holding the paired mutex, or takes that mutex after
@@ -121,25 +121,46 @@ impl Condvar {
         }
     }
 
-    /// Block until notified, releasing the guard while waiting.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.inner.take().expect("guard taken by condvar wait");
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let inner = lock_or_recover(self.inner.wait(inner));
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        guard.inner = Some(inner);
+    /// Block until `done` holds for the guarded value, or until
+    /// `deadline` passes (`None`: no deadline), releasing the guard while
+    /// asleep. `done` is checked first and after every wake-up, spurious
+    /// ones included, under the mutex. Returns whether it holds: `false`
+    /// only once the deadline has passed with it false. The one wait of
+    /// the workspace; a call that may pass no deadline says why on the
+    /// call, and `scripts/verify.sh` lists where those calls are.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the condvar wait every other wait in the workspace goes through"
+    )]
+    pub fn wait_until<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        deadline: Option<Instant>,
+        mut done: impl FnMut(&mut T) -> bool,
+    ) -> bool {
+        while !done(guard) {
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|left| left.is_zero()) {
+                return false;
+            }
+            let inner = guard.inner.take().expect("guard taken by condvar wait");
+            self.waiters.fetch_add(1, Ordering::SeqCst);
+            let inner = match left {
+                None => lock_or_recover(self.inner.wait(inner)),
+                Some(left) => lock_or_recover(self.inner.wait_timeout(inner, left)).0,
+            };
+            self.waiters.fetch_sub(1, Ordering::SeqCst);
+            guard.inner = Some(inner);
+        }
+        true
     }
+}
 
-    /// Block until notified or `timeout` elapses. Returns `true` if the
-    /// wait timed out.
-    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> bool {
-        let inner = guard.inner.take().expect("guard taken by condvar wait");
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let (inner, res) = lock_or_recover(self.inner.wait_timeout(inner, timeout));
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        guard.inner = Some(inner);
-        res.timed_out()
-    }
+/// The deadline `timeout` from now; `None`, no deadline, for a timeout
+/// that reaches past the clock's range (`Duration::MAX`, say). Every
+/// timeout of the workspace becomes a deadline here.
+pub fn deadline_after(timeout: Duration) -> Option<Instant> {
+    Instant::now().checked_add(timeout)
 }
 
 /// Reader-writer lock, recovering from poisoning.
@@ -207,16 +228,15 @@ impl Kick {
             st.due = Some(st.due.map_or(due, |d| d.min(due)));
         }
         while !st.stopped {
-            let Some(due) = st.due else {
-                self.cv.wait(&mut st);
-                continue;
-            };
-            let left = due.saturating_duration_since(Instant::now());
-            if left.is_zero() {
+            let due = st.due;
+            if due.is_some_and(|due| due <= Instant::now()) {
                 st.due = None;
                 return true;
             }
-            self.cv.wait_for(&mut st, left);
+            // Unbounded: a pump with nothing due sleeps until kicked or
+            // stopped, both of which notify under the lock.
+            self.cv
+                .wait_until(&mut st, due, |st| st.stopped || st.due != due);
         }
         false
     }
@@ -309,10 +329,7 @@ mod tests {
         let t = std::thread::spawn(move || {
             let (lock, cv) = &*p2;
             let mut g = lock.lock();
-            while !*g {
-                cv.wait(&mut g);
-            }
-            *g
+            cv.wait_until(&mut g, None, |ready| *ready)
         });
         std::thread::sleep(Duration::from_millis(10));
         let (lock, cv) = &*pair;
@@ -326,7 +343,9 @@ mod tests {
         let lock = Mutex::new(());
         let cv = Condvar::new();
         let mut g = lock.lock();
-        assert!(cv.wait_for(&mut g, Duration::from_millis(5)));
+        let deadline = deadline_after(Duration::from_millis(5));
+        assert!(!cv.wait_until(&mut g, deadline, |_| false));
+        assert!(Instant::now() >= deadline.unwrap());
     }
 
     #[test]
@@ -337,7 +356,7 @@ mod tests {
         cv.notify_all();
         // Nothing was banked: a wait that starts afterwards still blocks.
         let mut g = lock.lock();
-        assert!(cv.wait_for(&mut g, Duration::from_millis(5)));
+        assert!(!cv.wait_until(&mut g, deadline_after(Duration::from_millis(5)), |_| false));
         assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
     }
 
@@ -348,9 +367,7 @@ mod tests {
         let t = std::thread::spawn(move || {
             let (lock, cv) = &*p2;
             let mut g = lock.lock();
-            while !*g {
-                cv.wait(&mut g);
-            }
+            cv.wait_until(&mut g, None, |ready| *ready);
         });
         let (lock, cv) = &*pair;
         // Counted before the wait releases the mutex: once we hold the

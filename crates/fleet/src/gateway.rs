@@ -50,7 +50,7 @@ use crate::wire::{
     ACTION_COMPLETE, ACTION_DRAIN, ACTION_STATS, ACTION_SUBMIT,
 };
 use grain_counters::registry::RawView;
-use grain_counters::sync::{Condvar, Kick, Mutex, Pump};
+use grain_counters::sync::{deadline_after, Condvar, Kick, Mutex, Pump};
 use grain_counters::{RawCounter, Registry, RegistryError, Unit};
 use grain_net::Locality;
 use grain_runtime::{SharedFuture, TaskError};
@@ -471,32 +471,22 @@ impl FleetJobHandle {
 
     /// Block until the job is terminal.
     pub fn wait(&self) -> JobOutcome {
-        let mut guard = self.slot.outcome.lock();
-        loop {
-            if let Some(o) = guard.clone() {
-                return o;
-            }
-            self.slot.cv.wait(&mut guard);
-        }
+        // Unbounded: a join with no timeout is the caller's to ask for.
+        self.wait_until(None)
+            .expect("a wait with no deadline ends terminal")
     }
 
     /// Block up to `timeout`; one that reaches past the clock's range is
     /// no deadline.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<JobOutcome> {
-        let Some(deadline) = Instant::now().checked_add(timeout) else {
-            return Some(self.wait());
-        };
-        let mut guard = self.slot.outcome.lock();
-        loop {
-            if let Some(o) = guard.clone() {
-                return Some(o);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            self.slot.cv.wait_for(&mut guard, left);
-        }
+        self.wait_until(deadline_after(timeout))
+    }
+
+    fn wait_until(&self, deadline: Option<Instant>) -> Option<JobOutcome> {
+        let mut outcome = self.slot.outcome.lock();
+        let terminal = |o: &mut Option<JobOutcome>| o.is_some();
+        self.slot.cv.wait_until(&mut outcome, deadline, terminal);
+        outcome.clone()
     }
 }
 

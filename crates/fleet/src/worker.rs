@@ -27,7 +27,7 @@ use crate::wire::{
     family_of_code, DrainReport, FleetJob, FleetOutcome, SubmitAck, SubmitVerdict, WireReject,
     ACTION_COMPLETE, ACTION_DRAIN, ACTION_SUBMIT,
 };
-use grain_counters::sync::{Condvar, Kick, Mutex, Pump};
+use grain_counters::sync::{deadline_after, Condvar, Kick, Mutex, Pump};
 use grain_net::Locality;
 use grain_runtime::{SharedFuture, TaskContext};
 use grain_service::{JobHandle, JobService, JobSpec, JobState, PolicyHook, ServiceConfig};
@@ -260,15 +260,7 @@ fn spawn_body(
     move |ctx| {
         if do_park {
             let (lock, cv) = &*park;
-            let mut released = lock.lock();
-            let deadline = Instant::now() + PARK_TIMEOUT;
-            while !*released {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
-                }
-                cv.wait_for(&mut released, left);
-            }
+            cv.wait_until(&mut lock.lock(), deadline_after(PARK_TIMEOUT), |r| *r);
         }
         if faulty {
             panic!("fleet storm fault injection");

@@ -26,14 +26,14 @@
 use crate::codec::Frame;
 use crate::locality::{Locality, NetConfig};
 use crate::parcelport::{self, EndPoint, Link, DEFAULT_QUEUE_CAP};
-use grain_counters::sync::Mutex;
+use grain_counters::sync::{deadline_after, Mutex};
 use grain_runtime::{Runtime, RuntimeConfig};
 use grain_sim::{NetFabric, NetPlan};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// An in-process world of loopback- or chaos-connected localities.
 pub struct Fabric {
@@ -175,9 +175,8 @@ impl TcpNode {
     /// `false` on timeout; a `timeout` that reaches past the clock's
     /// range is no deadline.
     pub fn wait_for_world(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now().checked_add(timeout);
         self.locality
-            .wait_for_links(self.locality.world() - 1, deadline)
+            .wait_for_links(self.locality.world() - 1, deadline_after(timeout))
     }
 
     /// Stop the accept loop (graceful node teardown).

@@ -717,20 +717,10 @@ impl Locality {
     /// Block until links to `want` peers exist, waking on each new link;
     /// `false` if `deadline` passes first (`None` is no deadline).
     pub(crate) fn wait_for_links(&self, want: usize, deadline: Option<Instant>) -> bool {
-        let mut g = self.shared.linked.lock();
-        while self.shared.links.read().len() < want {
-            match deadline {
-                None => self.shared.link_cv.wait(&mut g),
-                Some(d) => {
-                    let left = d.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return false;
-                    }
-                    self.shared.link_cv.wait_for(&mut g, left);
-                }
-            }
-        }
-        true
+        let linked = |_: &mut ()| self.shared.links.read().len() >= want;
+        self.shared
+            .link_cv
+            .wait_until(&mut self.shared.linked.lock(), deadline, linked)
     }
 }
 

@@ -46,7 +46,7 @@ use crate::counters::ParcelCounters;
 use crate::transport::{
     push_framed, LoopbackTransport, SimTransport, TcpTransport, Transport, FLUSH_BYTES,
 };
-use grain_counters::sync::{Condvar, Mutex};
+use grain_counters::sync::{deadline_after, Condvar, Mutex};
 use grain_sim::NetFabric;
 use std::collections::VecDeque;
 use std::fmt;
@@ -54,7 +54,7 @@ use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Callback invoked with `(sender_locality, frame_bytes)` for every frame
 /// that arrives at a locality.
@@ -158,27 +158,19 @@ impl SendQueue {
 
     /// Enqueue, blocking while full up to `timeout`.
     fn push(&self, bytes: Vec<u8>, parcel: bool, timeout: Duration) -> Result<(), PushError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = deadline_after(timeout);
         let mut st = self.state.lock();
-        loop {
-            if st.closed {
-                return Err(PushError::Closed);
-            }
-            if st.frames.len() < self.cap {
-                st.frames.push_back((bytes, parcel));
-                drop(st);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(PushError::Timeout);
-            }
-            if self.not_full.wait_for(&mut st, deadline - now) {
-                // Timed out; loop once more to re-check capacity, then
-                // the deadline test above returns Timeout.
-            }
+        let room = |st: &mut QueueState| st.closed || st.frames.len() < self.cap;
+        if !self.not_full.wait_until(&mut st, deadline, room) {
+            return Err(PushError::Timeout);
         }
+        if st.closed {
+            return Err(PushError::Closed);
+        }
+        st.frames.push_back((bytes, parcel));
+        drop(st);
+        self.not_empty.notify_one();
+        Ok(())
     }
 
     /// Move every queued frame into the empty `batch`, blocking while
@@ -188,21 +180,17 @@ impl SendQueue {
     /// severed.
     fn take_all(&self, batch: &mut VecDeque<(Vec<u8>, bool)>) -> bool {
         let mut st = self.state.lock();
-        loop {
-            if self.is_severed() {
-                return false;
-            }
-            if !st.frames.is_empty() {
-                std::mem::swap(&mut st.frames, batch);
-                drop(st);
-                self.not_full.notify_all();
-                return true;
-            }
-            if st.closed {
-                return false;
-            }
-            self.not_empty.wait(&mut st);
+        let ready = |st: &mut QueueState| self.is_severed() || st.closed || !st.frames.is_empty();
+        // Unbounded: the writer sleeps until a push, a close or a sever
+        // notifies under the lock.
+        self.not_empty.wait_until(&mut st, None, ready);
+        if self.is_severed() || st.frames.is_empty() {
+            return false;
         }
+        std::mem::swap(&mut st.frames, batch);
+        drop(st);
+        self.not_full.notify_all();
+        true
     }
 
     fn is_severed(&self) -> bool {
@@ -608,6 +596,7 @@ mod tests {
     use grain_sim::NetPlan;
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
+    use std::time::Instant;
 
     fn counters() -> Arc<ParcelCounters> {
         Arc::new(ParcelCounters::new())

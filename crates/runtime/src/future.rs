@@ -32,7 +32,7 @@
 
 use crate::fault::{self, TaskError};
 use crate::runtime::Handoff;
-use grain_counters::sync::{Condvar, Mutex, MutexGuard};
+use grain_counters::sync::{deadline_after, Condvar, Mutex, MutexGuard};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -115,6 +115,19 @@ impl<X, const N: usize> Slots<X, N> {
         }
     }
 
+    /// Take out the items `is` picks, keeping the rest in the order
+    /// pushed: at most `N` go back in place, at the front, where `iter`
+    /// looks.
+    fn remove(&mut self, is: impl Fn(&X) -> bool) {
+        let mut kept = Self::default();
+        std::mem::take(self).drain_into(|x| {
+            if !is(&x) {
+                kept.push(x);
+            }
+        });
+        *self = kept;
+    }
+
     /// Hand every item to `f`, in the order pushed.
     fn drain_into(self, f: impl FnMut(X)) {
         match self {
@@ -180,6 +193,29 @@ impl<T, F: FnOnce(&Settled<T>) + Send> Waiter<T> for Callback<F> {
     }
 }
 
+/// A thread blocked on a future, as an entry in its waiter list that the
+/// settle wakes. One per thread, which blocks on one future at a time: a
+/// stale wake-up from a future it gave up on finds the next still
+/// pending, and it sleeps on.
+#[derive(Default)]
+struct Parker {
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+thread_local! {
+    static PARKER: Arc<Parker> = Arc::default();
+}
+
+impl<T> Waiter<T> for Parker {
+    /// The outcome was published before the list was taken, so passing
+    /// through the lock orders this notify after any check that missed it.
+    fn input_settled(self: Arc<Self>, _: &Outcome<T>, _: Option<&mut Handoff<'_>>) {
+        drop(self.lock.lock());
+        self.cv.notify_all();
+    }
+}
+
 /// What follows a future's state in its allocation; a [`SharedFuture`]
 /// neither knows nor uses it.
 pub(crate) trait Tail: Send + Sync {}
@@ -199,7 +235,6 @@ impl Tail for () {}
 pub(crate) struct Shared<T, X: ?Sized = ()> {
     outcome: OnceLock<Outcome<T>>,
     waiters: Mutex<Waiters<T>>,
-    ready: Condvar,
     pub(crate) tail: X,
 }
 
@@ -209,7 +244,6 @@ impl<T, X> Shared<T, X> {
         Self {
             outcome: OnceLock::new(),
             waiters: Mutex::default(),
-            ready: Condvar::new(),
             tail,
         }
     }
@@ -232,10 +266,11 @@ impl<T, X: ?Sized> Shared<T, X> {
         self.outcome.get().expect("not pending, so published")
     }
 
-    /// Settle the future unless it is settled already (`false`): wake
-    /// blocked waiters and run every attached continuation inline on
-    /// this thread. `handoff` is passed on to the nodes among them — and
-    /// not to callbacks, whose own settles are nobody's last act.
+    /// Settle the future unless it is settled already (`false`): run
+    /// every attached continuation inline on this thread and wake every
+    /// blocked caller, in the order they came. `handoff` is passed on to
+    /// the nodes among them — and not to callbacks, whose own settles are
+    /// nobody's last act.
     pub(crate) fn try_settle(
         &self,
         outcome: Outcome<T>,
@@ -245,7 +280,6 @@ impl<T, X: ?Sized> Shared<T, X> {
             return false;
         }
         let waiters = std::mem::take(&mut *self.waiters.lock());
-        self.ready.notify_all();
         let outcome = self.settled();
         waiters.drain_into(|w| w.input_settled(outcome, handoff.as_deref_mut()));
         true
@@ -420,15 +454,9 @@ impl<T> SharedFuture<T> {
     /// Block until the future settles; the fallible form of
     /// [`SharedFuture::get`].
     pub fn wait(&self) -> Settled<T> {
-        // `settle` takes the list's lock between publishing the outcome
-        // and notifying: whoever sees no outcome under it is counted as a
-        // waiter before the settler can get to its notify.
-        if let Some(mut waiters) = self.shared.waiters_if_pending() {
-            while !self.is_ready() {
-                self.shared.ready.wait(&mut waiters);
-            }
-        }
-        settled_of(self.shared.settled())
+        // Unbounded: a join with no timeout is the caller's to ask for.
+        self.wait_until(None)
+            .expect("a wait with no deadline ends settled")
     }
 
     /// Block until the future settles or `timeout` elapses. Returns
@@ -436,19 +464,28 @@ impl<T> SharedFuture<T> {
     /// against a stalled producer. A `timeout` that reaches past the
     /// clock's range is no deadline.
     pub fn wait_timeout(&self, timeout: Duration) -> Settled<T> {
-        let Some(deadline) = Instant::now().checked_add(timeout) else {
-            return self.wait();
-        };
+        self.wait_until(deadline_after(timeout))
+            .unwrap_or(Err(TaskError::Timeout { waited: timeout }))
+    }
+
+    /// The outcome once settled, `None` if `deadline` passes first. The
+    /// caller parks through the waiter list, so the settle wakes it as it
+    /// runs a continuation; one that gives up takes its entry back out.
+    fn wait_until(&self, deadline: Option<Instant>) -> Option<Settled<T>> {
         if let Some(mut waiters) = self.shared.waiters_if_pending() {
-            while !self.is_ready() {
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(TaskError::Timeout { waited: timeout });
+            let parker = PARKER.try_with(Arc::clone).unwrap_or_default();
+            waiters.push(Arc::clone(&parker) as Arc<dyn Waiter<T>>);
+            drop(waiters);
+            let settled = parker
+                .cv
+                .wait_until(&mut parker.lock.lock(), deadline, |()| self.is_ready());
+            if !settled {
+                if let Some(mut waiters) = self.shared.waiters_if_pending() {
+                    waiters.remove(|w| std::ptr::addr_eq(Arc::as_ptr(w), Arc::as_ptr(&parker)));
                 }
-                self.shared.ready.wait_for(&mut waiters, deadline - now);
             }
         }
-        settled_of(self.shared.settled())
+        self.try_get()
     }
 
     /// Attach a continuation observing the settled outcome: runs
@@ -717,6 +754,68 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         p.set(3u8);
         assert_eq!(t.join().unwrap(), Ok(Arc::new(3)));
+    }
+
+    /// A caller that gives up takes its entry back out of the waiter list,
+    /// so timed-out waits leave no trace, and a later blocked `get` is
+    /// still woken by the settle.
+    #[test]
+    fn timed_out_waits_leave_the_waiter_list_as_it_was() {
+        let (p, f) = channel::<u8>();
+        for _ in 0..1_000 {
+            assert!(matches!(
+                f.wait_timeout(Duration::from_micros(1)),
+                Err(TaskError::Timeout { .. })
+            ));
+        }
+        let waiters = f.shared.waiters.lock();
+        assert!(matches!(*waiters, Slots::Inline(_)), "spilled to a Vec");
+        assert_eq!(waiters.len(), 0);
+        drop(waiters);
+        let t = std::thread::spawn(move || *f.get());
+        std::thread::sleep(Duration::from_millis(10));
+        p.set(5);
+        assert_eq!(t.join().unwrap(), 5);
+    }
+
+    /// Timeouts racing settles: a caller gives up on each future many
+    /// times while another thread settles it, so removals race the list
+    /// being taken, and its parker is woken late by futures it has left.
+    /// Every value still arrives, and no blocked `wait` is stranded.
+    #[test]
+    fn timeouts_racing_settles_lose_no_value() {
+        const N: usize = 500;
+        let (promises, futures): (Vec<_>, Vec<_>) = (0..N).map(|_| channel::<usize>()).unzip();
+        let setter = std::thread::spawn(move || {
+            for (i, p) in promises.into_iter().enumerate() {
+                std::hint::black_box((0..i % 64).sum::<usize>());
+                p.set(i);
+            }
+        });
+        for (i, f) in futures.iter().enumerate() {
+            let mut tries = 0;
+            while f.wait_timeout(Duration::from_micros(1)).is_err() && tries < 3 {
+                tries += 1;
+            }
+            assert_eq!(*f.get(), i);
+        }
+        setter.join().unwrap();
+        for f in &futures {
+            assert_eq!(f.shared.waiters.lock().len(), 0, "settled, so taken");
+        }
+    }
+
+    /// Taking an item out keeps the rest in order and the inline ones at
+    /// the front, where `iter` and `push` look.
+    #[test]
+    fn removing_from_slots_keeps_the_order_pushed() {
+        let mut inline: Slots<u8, 4> = [1, 2, 3].into_iter().collect();
+        inline.remove(|&x| x == 2);
+        inline.push(4);
+        assert_eq!(inline.iter().copied().collect::<Vec<_>>(), [1, 3, 4]);
+        let mut spilled: Slots<u8, 2> = [1, 2, 3].into_iter().collect();
+        spilled.remove(|&x| x == 1);
+        assert_eq!(spilled.iter().copied().collect::<Vec<_>>(), [2, 3]);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 use crate::fault::TaskError;
 use crate::future::Dormant;
-use grain_counters::sync::{Condvar, Mutex};
+use grain_counters::sync::{deadline_after, Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -371,29 +371,20 @@ impl TaskGroup {
     /// holding this wait up. It sleeps until the last member's exit
     /// notifies.
     pub fn wait(&self) {
-        let mut g = self.hooks.lock();
-        while self.in_flight.load(Ordering::SeqCst) != 0 {
-            self.cv.wait(&mut g);
-        }
+        // Unbounded: a group's join waits as long as its members run.
+        self.wait_until(None);
     }
 
     /// [`wait`](Self::wait) with a deadline; returns `true` if the group
     /// went quiescent, `false` on timeout.
     /// A `timeout` that reaches past the clock's range is no deadline.
     pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let Some(deadline) = Instant::now().checked_add(timeout) else {
-            self.wait();
-            return true;
-        };
-        let mut g = self.hooks.lock();
-        while self.in_flight.load(Ordering::SeqCst) != 0 {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return false;
-            }
-            self.cv.wait_for(&mut g, left);
-        }
-        true
+        self.wait_until(deadline_after(timeout))
+    }
+
+    fn wait_until(&self, deadline: Option<Instant>) -> bool {
+        let quiet = |_: &mut Hooks| self.in_flight.load(Ordering::SeqCst) == 0;
+        self.cv.wait_until(&mut self.hooks.lock(), deadline, quiet)
     }
 }
 

@@ -458,20 +458,18 @@ impl Inner {
             self.parker.sleepers.fetch_sub(1, Ordering::SeqCst);
             return;
         }
-        let mut g = self.parker.lock.lock();
         // Final check under the lock: `wake` bumps the generation before
         // passing through this lock to notify, so a bump observed here
         // happened strictly before our wait — and one we don't observe
         // takes the lock after our wait counted us, so its notify_all
         // reaches it.
-        if self.parker.generation.load(Ordering::SeqCst) == ticket {
-            if starving {
-                self.parker.cv.wait_for(&mut g, STARVING_NAP);
-            } else {
-                self.parker.cv.wait(&mut g);
-            }
-        }
-        drop(g);
+        let woken = |_: &mut ()| self.parker.generation.load(Ordering::SeqCst) != ticket;
+        // Unbounded: a quiescent or throttled worker sleeps until a wake,
+        // which every arrival of work, resize and shutdown sends.
+        let nap = starving.then(|| Instant::now() + STARVING_NAP);
+        self.parker
+            .cv
+            .wait_until(&mut self.parker.lock.lock(), nap, woken);
         self.parker.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
@@ -504,24 +502,30 @@ impl Inner {
         let mut g = self.idle.lock.lock();
         let mut last_sig = (0u64, 0usize);
         let mut flat_since = Instant::now();
-        while self.in_flight.load(Ordering::SeqCst) != 0 {
-            if self.dead_workers.load(Ordering::SeqCst) == 0 {
-                self.idle.cv.wait(&mut g);
-            } else {
-                self.idle.cv.wait_for(&mut g, Duration::from_millis(1));
-                let sig = (
-                    self.counters.phases.sum(),
-                    self.in_flight.load(Ordering::SeqCst),
-                );
-                if sig != last_sig {
-                    last_sig = sig;
-                    flat_since = Instant::now();
-                } else if flat_since.elapsed() >= STRANDED_AFTER {
-                    return false;
-                }
+        loop {
+            let dead = self.dead_workers.load(Ordering::SeqCst);
+            let idle = |_: &mut ()| {
+                self.in_flight.load(Ordering::SeqCst) == 0
+                    || self.dead_workers.load(Ordering::SeqCst) != dead
+            };
+            // Unbounded: while every worker lives, the last `task_done`
+            // or a dying worker's sentinel notifies.
+            let recheck = (dead != 0).then(|| Instant::now() + Duration::from_millis(1));
+            self.idle.cv.wait_until(&mut g, recheck, idle);
+            if self.in_flight.load(Ordering::SeqCst) == 0 {
+                return true;
+            }
+            let sig = (
+                self.counters.phases.sum(),
+                self.in_flight.load(Ordering::SeqCst),
+            );
+            if sig != last_sig {
+                last_sig = sig;
+                flat_since = Instant::now();
+            } else if flat_since.elapsed() >= STRANDED_AFTER {
+                return false;
             }
         }
-        true
     }
 }
 
@@ -1301,14 +1305,15 @@ mod tests {
     /// error gives back 16. Its first three inputs live in the node too:
     /// 48 bytes of futures and the list's 8-byte tag in place of a 24-byte
     /// `Vec`, whose separate heap chunk (48 bytes for a stencil node's
-    /// three) goes — a node of 240 bytes is still four cache lines, and
-    /// one allocation fewer. Every fine-grain task pays for each byte, so
-    /// the pin moves only with an argument.
+    /// three) goes — one allocation fewer. A blocked caller waits in the
+    /// waiter list like a dependent, so the node keeps no condvar of its
+    /// own (16 bytes): 224 bytes, four cache lines. Every fine-grain task
+    /// pays for each byte, so the pin moves only with an argument.
     #[test]
-    fn a_u64_task_node_is_240_bytes() {
+    fn a_u64_task_node_is_224_bytes() {
         let i = 7u64;
         let body = move |_: &mut TaskContext<'_>| i;
         let node = move |ctx: &mut TaskContext<'_>, _: Inputs<'_, ()>| body(ctx);
-        assert_eq!(node_bytes(&node), 240);
+        assert_eq!(node_bytes(&node), 224);
     }
 }

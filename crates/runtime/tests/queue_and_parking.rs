@@ -237,8 +237,8 @@ fn throttle_and_unthrottle_never_strands_work() {
 }
 
 /// 8 producers hand 10⁵ items to 8 consumers through a 4-slot buffer
-/// guarded by `sync::Mutex` and two `sync::Condvar`s, every wait
-/// un-timed. Both sides block constantly, so nearly every notify races a
+/// guarded by `sync::Mutex` and two `sync::Condvar`s, every
+/// `wait_until` un-timed. Both sides block constantly, so nearly every notify races a
 /// waiter on its way into `wait`; a notify that wrongly saw "no waiter"
 /// leaves that thread asleep for good and the guard thread fails the
 /// test.
@@ -266,9 +266,8 @@ fn condvar_handoff_loses_no_wakeup() {
                 std::thread::spawn(move || {
                     for i in 0..PER_PRODUCER {
                         let mut items = buf.items.lock();
-                        while items.len() == SLOTS {
-                            buf.not_full.wait(&mut items);
-                        }
+                        buf.not_full
+                            .wait_until(&mut items, None, |items| items.len() < SLOTS);
                         items.push_back(p * PER_PRODUCER + i);
                         drop(items);
                         buf.not_empty.notify_one();
@@ -283,12 +282,9 @@ fn condvar_handoff_loses_no_wakeup() {
                     let mut sum = 0u64;
                     for _ in 0..PER_PRODUCER {
                         let mut items = buf.items.lock();
-                        let item = loop {
-                            match items.pop_front() {
-                                Some(item) => break item,
-                                None => buf.not_empty.wait(&mut items),
-                            }
-                        };
+                        buf.not_empty
+                            .wait_until(&mut items, None, |items| !items.is_empty());
+                        let item = items.pop_front().expect("woken on an item");
                         drop(items);
                         buf.not_full.notify_one();
                         sum += item;

@@ -24,7 +24,7 @@
 use crate::admission::{AdmissionError, RejectReason};
 use crate::counters::JobCounters;
 use crate::service::{end_queued, Shared};
-use grain_counters::sync::{Condvar, Mutex};
+use grain_counters::sync::{deadline_after, Condvar, Mutex};
 use grain_counters::{CounterValue, RegistryError};
 use grain_runtime::{Priority, TaskContext, TaskError, TaskGroup};
 use std::fmt;
@@ -450,7 +450,7 @@ impl JobCore {
     }
 
     /// Publish the terminal state and wake everyone blocked in
-    /// `wait_terminal*`. Every terminal transition ends here.
+    /// `wait_terminal`. Every terminal transition ends here.
     pub(crate) fn notify_waiters(&self) {
         let mut g = self.state.lock();
         debug_assert!(g.state.is_terminal());
@@ -459,28 +459,12 @@ impl JobCore {
         self.state_cv.notify_all();
     }
 
-    pub(crate) fn wait_terminal(&self) -> JobState {
+    /// The terminal state once published, `None` if `deadline` passes
+    /// first.
+    pub(crate) fn wait_terminal(&self, deadline: Option<Instant>) -> Option<JobState> {
         let mut g = self.state.lock();
-        while !g.published {
-            self.state_cv.wait(&mut g);
-        }
-        g.state
-    }
-
-    /// A `timeout` that reaches past the clock's range is no deadline.
-    pub(crate) fn wait_terminal_timeout(&self, timeout: Duration) -> Option<JobState> {
-        let Some(deadline) = Instant::now().checked_add(timeout) else {
-            return Some(self.wait_terminal());
-        };
-        let mut g = self.state.lock();
-        while !g.published {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.state_cv.wait_for(&mut g, deadline - now);
-        }
-        Some(g.state)
+        let published = self.state_cv.wait_until(&mut g, deadline, |g| g.published);
+        published.then_some(g.state)
     }
 
     /// Submission-to-finish latency (up to now for non-terminal jobs).
@@ -656,14 +640,17 @@ impl JobHandle {
 
     /// Block until the job reaches a terminal state; returns the outcome.
     pub fn wait(&self) -> JobOutcome {
-        let state = self.core.wait_terminal();
-        self.core.outcome_now(state)
+        // Unbounded: a join with no timeout is the caller's to ask for.
+        let state = self.core.wait_terminal(None);
+        self.core
+            .outcome_now(state.expect("a wait with no deadline ends terminal"))
     }
 
-    /// [`wait`](Self::wait) with a timeout; `None` if still running.
+    /// [`wait`](Self::wait) with a timeout; `None` if still running. A
+    /// `timeout` that reaches past the clock's range is no deadline.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<JobOutcome> {
         self.core
-            .wait_terminal_timeout(timeout)
+            .wait_terminal(deadline_after(timeout))
             .map(|s| self.core.outcome_now(s))
     }
 

@@ -354,27 +354,30 @@ fn wait_idle(shared: &Shared) {
     // between the queues and `running` is always visible through one of
     // the three checks.
     let mut queues = shared.queues.lock();
+    let refusing =
+        |queues: &Queues| shared.shutdown.load(Ordering::SeqCst) && queues.fair.len() > 0;
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) && queues.fair.len() > 0 {
-            let drained = queues.fair.drain();
-            drop(queues);
-            refuse_queued(shared, drained);
-            queues = shared.queues.lock();
-            continue;
-        }
-        // An entry that went terminal while queued (cancelled, shed)
-        // waits for the next pop to reap it; none may come.
-        queues.fair.reap_terminal();
-        if queues.fair.len() == 0
-            && shared.admitting.load(Ordering::SeqCst) == 0
-            && shared.running.lock().is_empty()
-        {
+        // Unbounded: every way a job leaves `running` or the queues ends
+        // with a notify after passing through this lock: `settle`, a
+        // drain, and `end_queued` for a job that ends while queued.
+        shared.idle_cv.wait_until(&mut queues, None, |queues| {
+            if refusing(queues) {
+                return true;
+            }
+            // An entry that went terminal while queued (cancelled, shed)
+            // waits for the next pop to reap it; none may come.
+            queues.fair.reap_terminal();
+            queues.fair.len() == 0
+                && shared.admitting.load(Ordering::SeqCst) == 0
+                && shared.running.lock().is_empty()
+        });
+        if !refusing(&queues) {
             return;
         }
-        // Every way a job leaves `running` or the queues ends with a
-        // notify after passing through this lock: `settle`, a drain,
-        // and `end_queued` for a job that ends while queued.
-        shared.idle_cv.wait(&mut queues);
+        let drained = queues.fair.drain();
+        drop(queues);
+        refuse_queued(shared, drained);
+        queues = shared.queues.lock();
     }
 }
 

@@ -48,13 +48,13 @@
 
 use crate::netplan::{NetPlan, PartitionMode, Verdict};
 use grain_counters::registry::RawView;
-use grain_counters::sync::{Condvar, Mutex};
+use grain_counters::sync::{deadline_after, Condvar, Mutex};
 use grain_counters::{DerivedCounter, RawCounter, Registry, RegistryError, Unit};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Destination callback: `(sender locality, frame bytes)` — the same
 /// shape as the parcelport's `FrameHandler`.
@@ -563,19 +563,10 @@ impl NetFabric {
         })
     }
 
-    fn wait_idle_where(&self, timeout: Duration, pred: impl Fn(&FabricState) -> bool) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock();
-        loop {
-            if pred(&st) {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let _ = self.idle.wait_for(&mut st, deadline - now);
-        }
+    /// A `timeout` that reaches past the clock's range is no deadline.
+    fn wait_idle_where(&self, timeout: Duration, idle: impl Fn(&mut FabricState) -> bool) -> bool {
+        let deadline = deadline_after(timeout);
+        self.idle.wait_until(&mut self.state.lock(), deadline, idle)
     }
 
     /// Snapshot the ledger and gauges.
@@ -648,32 +639,29 @@ impl NetFabric {
             // Phase 1: wait for, then claim, the next due event.
             let ev = {
                 let mut st = self.state.lock();
-                loop {
-                    if st.stopped {
-                        self.idle.notify_all();
-                        return;
-                    }
-                    if st.paused {
-                        self.idle.notify_all();
-                        self.wake.wait(&mut st);
-                        continue;
-                    }
-                    let Some(Reverse(ev)) = st.heap.pop() else {
-                        self.idle.notify_all();
-                        self.wake.wait(&mut st);
-                        continue;
-                    };
-                    if let EventKind::Deliver(f) = &ev.kind {
-                        if f.parcel {
-                            st.parcels_in_heap -= 1;
-                            if let Some(p) = st.pairs.get_mut(&(f.src, f.dst)) {
-                                p.in_heap -= 1;
-                            }
+                let asleep = |st: &mut FabricState| st.paused || st.heap.is_empty();
+                if !st.stopped && asleep(&mut st) {
+                    self.idle.notify_all();
+                    // Unbounded: a pump with nothing to deliver sleeps
+                    // until a submit, a resume or a stop notifies.
+                    self.wake
+                        .wait_until(&mut st, None, |st| st.stopped || !asleep(st));
+                }
+                if st.stopped {
+                    self.idle.notify_all();
+                    return;
+                }
+                let Reverse(ev) = st.heap.pop().expect("woken with an event due");
+                if let EventKind::Deliver(f) = &ev.kind {
+                    if f.parcel {
+                        st.parcels_in_heap -= 1;
+                        if let Some(p) = st.pairs.get_mut(&(f.src, f.dst)) {
+                            p.in_heap -= 1;
                         }
                     }
-                    st.processing = true;
-                    break ev;
                 }
+                st.processing = true;
+                ev
             };
             // Phase 2: advance the virtual clock (monotonically — a
             // heal-flush may schedule below an older stamp).
@@ -787,6 +775,16 @@ mod tests {
         assert_eq!(l.injected, 20);
         assert_eq!(l.delivered, 20);
         assert!(l.conserved(), "{l:?}");
+        fabric.stop();
+    }
+
+    /// A timeout past the clock's range is no deadline: an idle fabric is
+    /// drained and quiescent at once, with no deadline to compute.
+    #[test]
+    fn idle_fabric_waits_with_no_deadline() {
+        let fabric = NetFabric::new(NetPlan::clean(1));
+        assert!(fabric.wait_drained(Duration::MAX));
+        assert!(fabric.wait_quiescent(Duration::MAX));
         fabric.stop();
     }
 

@@ -203,6 +203,53 @@ unsafe_files=$(grep -rl '\bunsafe\b' crates/*/src src || true)
     exit 1
 }
 
+stage "unbounded waits"
+# Every thread that blocks on an event blocks in
+# grain_counters::sync::Condvar::wait_until, whose deadline may be
+# `None`: a wait that can last for ever. Each such call says why on the
+# line above it, in a comment that starts `// Unbounded: `, and the
+# functions holding those calls are listed here, one `file function`
+# per line: a new one fails the gate until it is argued and listed. A
+# call of any `wait*` function outside tests that passes a literal
+# `None` with no such comment fails it too (listed with "no reason").
+unbounded=$(git ls-files -- 'crates/*/src/*.rs' | LC_ALL=C xargs awk '
+    FNR == 1 { test = 0; reason = 0; call = "" }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    test { next }
+    match($0, /^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/) {
+        n = split(substr($0, RSTART, RLENGTH), w, " ")
+        fn = w[n]
+    }
+    /^ *\/\/ Unbounded: / { reason = 1; print FILENAME " " fn; next }
+    /^ *\/\// { next }
+    call == "" && match($0, /(^|[^a-z_])wait[a-z_]*\(/) && !/fn wait/ {
+        call = " "
+        depth = 0
+        $0 = substr($0, RSTART)
+    }
+    call != "" {
+        call = call $0
+        depth += gsub(/\(/, "(") - gsub(/\)/, ")")
+        if (depth > 0) next
+        gsub(/[ \t]/, "", call)
+        if (call ~ /wait[a-z_]*\((.*,)?None[,)]/ && !reason) print FILENAME " " fn " (no reason)"
+        call = ""
+        reason = 0
+    }' | sort)
+[ "$unbounded" = "crates/counters/src/sync.rs wait
+crates/fleet/src/gateway.rs wait
+crates/net/src/parcelport.rs take_all
+crates/runtime/src/future.rs wait
+crates/runtime/src/group.rs wait
+crates/runtime/src/runtime.rs park_if
+crates/runtime/src/runtime.rs try_wait_idle
+crates/service/src/job.rs wait
+crates/service/src/service.rs wait_idle
+crates/sim/src/fabric.rs pump" ] || {
+    printf 'unbounded waits (file function), expected the ten listed in scripts/verify.sh:\n%s\n' "$unbounded" >&2
+    exit 1
+}
+
 stage "every grain-bench binary runs here"
 # One benchmark: perf/ times the product, and a grain-bench binary is a
 # figure or a replay storm that some stage below runs — each
@@ -262,23 +309,33 @@ run_ok fleetstorm --quick
 cp "$out/netstorm.txt" "$out/fleetstorm.txt" "$out/results/"
 diff -r "$out/results" results
 
-stage "unwrap and sleep lints on every crate"
+stage "unwrap, sleep and wait lints on every crate"
 # No unwrap() outside tests, where a poisoned lock or a bad Option would
-# take down a thread others wait on, and no std::thread::sleep in
-# product code, where a wait ends on its event and not on a tick: clippy
-# denies both workspace-wide (`[workspace.lints.clippy]` in Cargo.toml;
-# crates/clippy.toml allows unwrap in tests and lists sleep, and a site
-# that keeps one says why in its allow), for the crates that opt in.
+# take down a thread others wait on, no std::thread::sleep in product
+# code, where a wait ends on its event and not on a tick, and no std
+# condvar wait or thread park but the one in grain_counters::sync:
+# clippy denies them workspace-wide (`[workspace.lints.clippy]` in
+# Cargo.toml; crates/clippy.toml allows unwrap in tests and lists the
+# methods, and a site that keeps one says why in its allow), for the
+# crates that opt in.
 # Every crate under crates/ must. The clippy stage above enforces them.
 grep -q '^unwrap_used = "deny"$' Cargo.toml || {
     echo "Cargo.toml no longer denies clippy::unwrap_used" >&2
     exit 1
 }
-grep -q '^disallowed_methods = "deny"$' Cargo.toml &&
-    grep -q 'path = "std::thread::sleep"' crates/clippy.toml || {
-    echo "clippy no longer denies std::thread::sleep (Cargo.toml, crates/clippy.toml)" >&2
+grep -q '^disallowed_methods = "deny"$' Cargo.toml || {
+    echo "Cargo.toml no longer denies clippy::disallowed_methods" >&2
     exit 1
 }
+# The std waits and parks are called in grain_counters::sync alone.
+for m in std::thread::sleep std::sync::Condvar::wait std::sync::Condvar::wait_timeout \
+    std::sync::Condvar::wait_while std::sync::Condvar::wait_timeout_while \
+    std::thread::park std::thread::park_timeout; do
+    grep -q "path = \"$m\"" crates/clippy.toml || {
+        echo "crates/clippy.toml no longer disallows $m" >&2
+        exit 1
+    }
+done
 for m in crates/*/Cargo.toml; do
     grep -A1 '^\[lints\]$' "$m" | grep -q '^workspace = true$' || {
         echo "$m does not opt into the workspace lints" >&2
