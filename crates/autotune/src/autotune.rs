@@ -23,11 +23,11 @@ use crate::controller::{AutotuneConfig, GrainController};
 use crate::shape::ShapedWork;
 use grain_adaptive::GrainSignal;
 use grain_counters::derived::DerivedCounter;
+use grain_counters::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 use grain_counters::{Registry, RegistryError, Unit, Window};
 use grain_service::{JobHandle, JobOutcome, JobService, JobShape, JobSpec, JobState, PolicyHook};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Weak};
 
 /// Published state of one tenant's controller. The atomics mirror the
 /// controller so counter reads never take the controller lock.
@@ -107,7 +107,7 @@ impl Autotune {
         let registry = Arc::clone(service.registry());
         let weak = Arc::downgrade(self);
         let mean_grain = weak_view(&weak, |auto| {
-            let tenants = lock(&auto.tenants);
+            let tenants = auto.tenants.lock();
             if tenants.is_empty() {
                 return auto.cfg.tuner.initial_nx as f64;
             }
@@ -123,7 +123,7 @@ impl Autotune {
         )?;
         let weak = Arc::downgrade(self);
         let converged = weak_view(&weak, |auto| {
-            let tenants = lock(&auto.tenants);
+            let tenants = auto.tenants.lock();
             if tenants.is_empty() {
                 return 1.0;
             }
@@ -137,7 +137,7 @@ impl Autotune {
             "/autotune/converged",
             DerivedCounter::new(Unit::Ratio, converged),
         )?;
-        *lock(&self.registry) = Some(registry);
+        *self.registry.lock() = Some(registry);
         Ok(())
     }
 
@@ -199,7 +199,7 @@ impl Autotune {
     /// ones.
     pub fn observe(&self, tenant: &str, sig: &GrainSignal) -> u64 {
         let entry = self.entry(tenant);
-        let mut c = lock(&entry.controller);
+        let mut c = entry.controller.lock();
         let next = c.observe(sig);
         entry.publish(&c);
         next
@@ -218,7 +218,7 @@ impl Autotune {
         let units = shape.units();
         let grain = {
             let entry = self.entry(tenant);
-            let c = lock(&entry.controller);
+            let c = entry.controller.lock();
             c.effective_grain(units)
         };
         let expanded = shape.expand(grain);
@@ -231,7 +231,7 @@ impl Autotune {
 
     /// Tenant names seen so far (storm reports iterate this).
     pub fn tenants(&self) -> Vec<String> {
-        lock(&self.tenants).keys().cloned().collect()
+        self.tenants.lock().keys().cloned().collect()
     }
 
     /// Probe phases `tenant`'s controller has opened.
@@ -250,7 +250,7 @@ impl Autotune {
     }
 
     fn entry(&self, tenant: &str) -> Arc<TenantEntry> {
-        let mut tenants = lock(&self.tenants);
+        let mut tenants = self.tenants.lock();
         if let Some(e) = tenants.get(tenant) {
             return Arc::clone(e);
         }
@@ -267,7 +267,7 @@ impl Autotune {
     /// path, so errors are swallowed — the controller still runs, it is
     /// just not observable by path.
     fn register_tenant_counters(&self, tenant: &str, entry: &Arc<TenantEntry>) {
-        let Some(registry) = lock(&self.registry).clone() else {
+        let Some(registry) = self.registry.lock().clone() else {
             return;
         };
         type FieldGet = fn(&TenantEntry) -> &AtomicU64;
@@ -292,15 +292,9 @@ impl std::fmt::Debug for Autotune {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Autotune")
             .field("cfg", &self.cfg)
-            .field("tenants", &lock(&self.tenants).len())
+            .field("tenants", &self.tenants.lock().len())
             .finish()
     }
-}
-
-/// Mutex lock that survives a poisoned peer (counter views must not
-/// panic inside registry queries).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// A derived-counter closure over a weak subsystem handle: reads 0.0

@@ -73,7 +73,7 @@ pub fn replay_main(
     }
 
     let budget = Duration::from_secs(if quick { 120 } else { 300 });
-    std::thread::spawn(move || {
+    grain_counters::sync::spawn(format!("{name}-watchdog"), move || {
         #[allow(
             clippy::disallowed_methods,
             reason = "the watchdog's one sleep is its whole budget; nothing else wakes it"
@@ -81,7 +81,8 @@ pub fn replay_main(
         std::thread::sleep(budget);
         eprintln!("{name}: watchdog expired after {budget:?} — a stage hung");
         std::process::exit(3);
-    });
+    })
+    .expect("failed to spawn the watchdog thread");
 
     println!("{name}: {title}");
     eprintln!(

@@ -11,7 +11,7 @@
 //! merged into a [`LogHistogram`] on read.
 
 use crate::raw::OwnedCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::{AtomicU64, Ordering};
 
 /// Number of power-of-two buckets: bucket `i` holds values in
 /// `[2^i, 2^(i+1))`, bucket 0 holds 0 and 1. 64 buckets cover any `u64`.
@@ -313,11 +313,12 @@ mod tests {
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let h = std::sync::Arc::clone(&h);
-                std::thread::spawn(move || {
+                crate::sync::spawn("recorder", move || {
                     for i in 0..10_000u64 {
                         h.record(i + t);
                     }
                 })
+                .unwrap()
             })
             .collect();
         for x in handles {

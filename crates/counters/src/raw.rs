@@ -24,7 +24,7 @@
 //!
 //! [`RawCounter`] has any number of writers and keeps its `fetch_add`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::{AtomicU64, Ordering};
 
 /// A value alone on its cache line: 128 bytes is one line on every
 /// architecture this project targets, and covers the adjacent-line
@@ -256,11 +256,14 @@ mod tests {
         let mut handles = Vec::new();
         for w in 0..4 {
             let s = Arc::clone(&s);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..10_000 {
-                    s.incr(w);
-                }
-            }));
+            handles.push(
+                crate::sync::spawn("shard-writer", move || {
+                    for _ in 0..10_000 {
+                        s.incr(w);
+                    }
+                })
+                .unwrap(),
+            );
         }
         for h in handles {
             h.join().unwrap();
@@ -273,16 +276,21 @@ mod tests {
 
     #[test]
     fn the_shared_cell_is_lossless_under_concurrent_writers() {
-        let s = Sharded::new(2);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
+        let s = Arc::new(Sharded::new(2));
+        let writers: Vec<_> = (0..4)
+            .map(|_| {
+                let s = Arc::clone(&s);
+                crate::sync::spawn("shared-writer", move || {
                     for _ in 0..10_000 {
                         s.add_shared(1);
                     }
-                });
-            }
-        });
+                })
+                .unwrap()
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
         assert_eq!(s.sum(), 40_000);
         assert_eq!(s.values(), vec![0, 0]);
     }

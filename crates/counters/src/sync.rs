@@ -1,18 +1,79 @@
-//! Dependency-free synchronization primitives.
+//! The workspace's one synchronization seam: every atomic, lock, wait
+//! and thread start of the product and its tests is named here and
+//! nowhere else, so a schedule explorer or a lock-order recorder that
+//! replaces this module sees all of them.
 //!
-//! Thin wrappers over `std::sync` exposing the ergonomic API the
-//! workspace previously took from `parking_lot`: `lock()`/`read()`/
-//! `write()` return guards directly (lock poisoning is recovered — a
-//! panicked writer leaves counters merely stale, never unsound), and
-//! [`Condvar::wait_until`], the one wait, takes the guard by `&mut`
-//! reference. Every crate in the workspace synchronizes through this
-//! module so tier-1 builds need nothing outside the standard library,
-//! and every ticker is its one timer primitive, [`Pump`].
+//! - The atomics and [`fence`] are std's own, re-exported: the types
+//!   are the same, so nothing outside changes.
+//! - [`Mutex`], [`RwLock`] and [`Condvar`] wrap std's: `lock()`/`read()`/
+//!   `write()` return guards directly (lock poisoning is recovered — a
+//!   panicked writer leaves counters merely stale, never unsound), and
+//!   [`Condvar::wait_until`], the one wait, takes the guard by `&mut`
+//!   reference and a deadline.
+//! - [`spawn`] names and counts every thread the workspace starts, and
+//!   [`Pump`] is every ticker's one timer.
+//!
+//! `crates/clippy.toml` disallows std's lock types and thread starts
+//! outside this file, and `scripts/verify.sh` holds every `atomic::`
+//! path to it (clippy sees a re-exported atomic as std's own type, so
+//! it cannot tell a use through the seam from one around it).
+#![allow(
+    clippy::disallowed_types,
+    reason = "the seam: std's lock types are named here alone"
+)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+pub use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+
+use crate::raw::RawCounter;
+use std::io;
 use std::sync::{Arc, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Threads started through [`spawn`] since the process began.
+static THREADS_STARTED: RawCounter = RawCounter::new();
+
+/// Start a thread called `name` running `f`, and count it. The one way
+/// the workspace starts a thread; a start the OS refuses is the error.
+pub fn spawn<T: Send + 'static>(
+    name: impl Into<String>,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> io::Result<JoinHandle<T>> {
+    start(std::thread::Builder::new().name(name.into()), f)
+}
+
+/// [`spawn`] on a stack of `bytes` rather than the default.
+pub fn spawn_with_stack<T: Send + 'static>(
+    name: impl Into<String>,
+    bytes: usize,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> io::Result<JoinHandle<T>> {
+    start(
+        std::thread::Builder::new()
+            .name(name.into())
+            .stack_size(bytes),
+        f,
+    )
+}
+
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the thread start every other one in the workspace goes through"
+)]
+fn start<T: Send + 'static>(
+    builder: std::thread::Builder,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> io::Result<JoinHandle<T>> {
+    let handle = builder.spawn(f)?;
+    THREADS_STARTED.incr();
+    Ok(handle)
+}
+
+/// Threads [`spawn`] has started in this process, ended ones included:
+/// the thread inventory a stack's construction is pinned by.
+pub fn threads_started() -> u64 {
+    THREADS_STARTED.get()
+}
 
 /// Recover the guard (or value) from a possibly-poisoned lock result.
 ///
@@ -266,18 +327,16 @@ impl Pump {
         mut pass: impl FnMut(&Arc<S>) -> Option<Instant> + Send + 'static,
     ) -> Self {
         let sleeps_on = Arc::clone(&kick);
-        let thread = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || {
-                let mut due = None;
-                while sleeps_on.wait(due) {
-                    let Some(shared) = shared.upgrade() else {
-                        return;
-                    };
-                    due = pass(&shared);
-                }
-            })
-            .expect("failed to spawn pump thread");
+        let thread = spawn(name, move || {
+            let mut due = None;
+            while sleeps_on.wait(due) {
+                let Some(shared) = shared.upgrade() else {
+                    return;
+                };
+                due = pass(&shared);
+            }
+        })
+        .expect("failed to spawn pump thread");
         Self {
             kick,
             thread: Some(thread),
@@ -313,10 +372,11 @@ mod tests {
     fn mutex_recovers_from_poison() {
         let m = Arc::new(Mutex::new(0));
         let m2 = Arc::clone(&m);
-        let _ = std::thread::spawn(move || {
+        let _ = spawn("poisoner", move || {
             let _g = m2.lock();
             panic!("poison the lock");
         })
+        .unwrap()
         .join();
         *m.lock() = 7; // must not panic
         assert_eq!(*m.lock(), 7);
@@ -326,11 +386,12 @@ mod tests {
     fn condvar_wait_and_notify() {
         let pair = Arc::new((Mutex::new(false), Condvar::new()));
         let p2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
+        let t = spawn("waiter", move || {
             let (lock, cv) = &*p2;
             let mut g = lock.lock();
             cv.wait_until(&mut g, None, |ready| *ready)
-        });
+        })
+        .unwrap();
         std::thread::sleep(Duration::from_millis(10));
         let (lock, cv) = &*pair;
         *lock.lock() = true;
@@ -364,11 +425,12 @@ mod tests {
     fn waiters_are_counted_only_while_they_wait() {
         let pair = Arc::new((Mutex::new(false), Condvar::new()));
         let p2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
+        let t = spawn("waiter", move || {
             let (lock, cv) = &*p2;
             let mut g = lock.lock();
             cv.wait_until(&mut g, None, |ready| *ready);
-        });
+        })
+        .unwrap();
         let (lock, cv) = &*pair;
         // Counted before the wait releases the mutex: once we hold the
         // mutex and see the count, the notify below cannot be skipped.

@@ -50,7 +50,7 @@ use crate::wire::{
     ACTION_COMPLETE, ACTION_DRAIN, ACTION_STATS, ACTION_SUBMIT,
 };
 use grain_counters::registry::RawView;
-use grain_counters::sync::{deadline_after, Condvar, Kick, Mutex, Pump};
+use grain_counters::sync::{deadline_after, AtomicU64, Condvar, Kick, Mutex, Ordering, Pump};
 use grain_counters::{RawCounter, Registry, RegistryError, Unit};
 use grain_net::Locality;
 use grain_runtime::{SharedFuture, TaskError};
@@ -58,7 +58,6 @@ use grain_service::{BreakerConfig, BreakerDecision, BreakerState, Breakers};
 use grain_service::{JobOutcome, JobState, RejectReason};
 use grain_sim::storm::GraphFamily;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -1186,10 +1185,11 @@ mod tests {
         let gateway = FleetGateway::install(fabric.locality(0), FleetConfig::new(vec![]));
         let handle = gateway.submit(FleetJobSpec::new("j", "t"));
         let (shared, key) = (Arc::clone(&gateway.shared), handle.key());
-        let pusher = std::thread::spawn(move || {
+        let pusher = grain_counters::sync::spawn("pusher", move || {
             std::thread::sleep(Duration::from_millis(10));
             handle_complete(&shared, completed(key))
-        });
+        })
+        .unwrap();
         let state = |h: &FleetJobHandle| h.wait_timeout(Duration::MAX).map(|o| o.state);
         assert_eq!(state(&handle), Some(JobState::Completed), "settled later");
         assert_eq!(pusher.join().expect("pusher"), 0, "recorded");

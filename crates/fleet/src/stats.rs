@@ -10,9 +10,9 @@
 //! registered it returns its live load.
 
 use crate::wire::{WorkerStats, ACTION_STATS};
+use grain_counters::sync::{AtomicBool, Ordering};
 use grain_net::Locality;
 use grain_service::JobService;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Sample one worker's load into a [`WorkerStats`] report.

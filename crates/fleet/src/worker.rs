@@ -27,14 +27,15 @@ use crate::wire::{
     family_of_code, DrainReport, FleetJob, FleetOutcome, SubmitAck, SubmitVerdict, WireReject,
     ACTION_COMPLETE, ACTION_DRAIN, ACTION_SUBMIT,
 };
-use grain_counters::sync::{deadline_after, Condvar, Kick, Mutex, Pump};
+use grain_counters::sync::{
+    deadline_after, AtomicBool, AtomicU64, Condvar, Kick, Mutex, Ordering, Pump,
+};
 use grain_net::Locality;
 use grain_runtime::{SharedFuture, TaskContext};
 use grain_service::{JobHandle, JobService, JobSpec, JobState, PolicyHook, ServiceConfig};
 use grain_taskbench::storm::{spawn_in_job, spec_for_event};
 use grain_taskbench::work::busy_work;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

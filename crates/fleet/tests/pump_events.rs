@@ -14,15 +14,17 @@
     reason = "a test paces its scenario with sleeps; the rule is for product code"
 )]
 
-use grain_counters::sync::Mutex;
+#[path = "../../runtime/tests/support/switches.rs"]
+mod switches;
+
+use grain_counters::sync::{AtomicU64, Mutex, Ordering};
 use grain_fleet::{FleetConfig, FleetGateway, FleetJobSpec, FleetWorker, FleetWorkerConfig};
 use grain_net::bootstrap::Fabric;
 use grain_runtime::RuntimeConfig;
 use grain_service::{JobState, PolicyHook, RejectReason};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use switches::thread_switches;
 
 const PATIENCE: Duration = Duration::from_secs(5);
 const PROMPT: Duration = Duration::from_secs(1);
@@ -137,35 +139,8 @@ fn a_job_shed_while_queued_is_pushed_without_a_tick() {
     fabric.shutdown();
 }
 
-/// Voluntary + involuntary context switches of every fleet pump and
-/// service dispatcher thread of this process, by thread id. `None`
-/// where `/proc` is absent.
-fn pump_ctx_switches() -> Option<HashMap<String, u64>> {
-    let mut switches = HashMap::new();
-    for task in std::fs::read_dir("/proc/self/task").ok()?.flatten() {
-        let dir = task.path();
-        let Ok(comm) = std::fs::read_to_string(dir.join("comm")) else {
-            continue;
-        };
-        // `comm` holds the first 15 bytes of the thread's name.
-        if !comm.starts_with("grain-fleet-") && !comm.starts_with("grain-service-d") {
-            continue;
-        }
-        let Ok(status) = std::fs::read_to_string(dir.join("status")) else {
-            continue;
-        };
-        let mut n = 0;
-        for line in status.lines() {
-            if let Some(("voluntary_ctxt_switches" | "nonvoluntary_ctxt_switches", v)) =
-                line.split_once(':')
-            {
-                n += v.trim().parse::<u64>().expect("a switch count");
-            }
-        }
-        switches.insert(task.file_name().to_string_lossy().into_owned(), n);
-    }
-    Some(switches)
-}
+/// The names every fleet pump and service dispatcher thread starts with.
+const PUMPS: &[&str] = &["grain-fleet-", "grain-service-d"];
 
 /// The idle rung of the fleet: a gateway and one worker that have run
 /// one job and gone quiet are not scheduled. The gateway's pump, the
@@ -191,12 +166,12 @@ fn a_quiescent_fleet_is_not_scheduled() {
         std::thread::sleep(Duration::from_millis(1));
     }
     std::thread::sleep(Duration::from_millis(20));
-    let Some(before) = pump_ctx_switches() else {
+    let Some(before) = thread_switches(PUMPS) else {
         return;
     };
     assert!(before.len() >= 3, "gateway pump, worker pump, dispatcher");
     std::thread::sleep(Duration::from_millis(200));
-    let after = pump_ctx_switches().expect("/proc was there a moment ago");
+    let after = thread_switches(PUMPS).expect("/proc was there a moment ago");
     let switches: u64 = after
         .iter()
         .map(|(tid, n)| n - before.get(tid).copied().unwrap_or(0))

@@ -26,12 +26,11 @@
 use crate::codec::Frame;
 use crate::locality::{Locality, NetConfig};
 use crate::parcelport::{self, EndPoint, Link, DEFAULT_QUEUE_CAP};
-use grain_counters::sync::{deadline_after, Mutex};
+use grain_counters::sync::{deadline_after, AtomicBool, Mutex, Ordering};
 use grain_runtime::{Runtime, RuntimeConfig};
 use grain_sim::{NetFabric, NetPlan};
 use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -210,46 +209,44 @@ pub fn tcp_root(bind: &str, world: usize, mut cfg: RuntimeConfig) -> io::Result<
         let locality = locality.clone();
         let stop = Arc::clone(&stop);
         let world = world as u32;
-        std::thread::Builder::new()
-            .name("grain-net-root-accept".to_string())
-            .spawn(move || {
-                // (id, listen_addr) of everyone joined so far, handed to
-                // each newcomer so it can dial them directly.
-                let joined: Mutex<Vec<(u32, String)>> = Mutex::new(Vec::new());
-                let mut next_id: u32 = 1;
-                for conn in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let Ok(mut stream) = conn else { continue };
-                    // Before the handshake's first write, as in `dial`.
-                    if stream.set_nodelay(true).is_err() {
-                        continue;
-                    }
-                    match parcelport::read_frame(&mut stream) {
-                        Ok(Frame::Hello { listen_addr }) => {
-                            let id = next_id;
-                            next_id += 1;
-                            let peers = joined.lock().clone();
-                            let welcome = Frame::Welcome {
-                                locality_id: id,
-                                world,
-                                peers,
-                            };
-                            if parcelport::write_frame(&mut stream, &welcome).is_err() {
-                                continue;
-                            }
-                            joined.lock().push((id, listen_addr));
-                            if let Ok(link) = tcp_link(&locality, id as usize, stream) {
-                                locality.add_link(link);
-                            }
-                        }
-                        // Anything else on the root port is a stray
-                        // connection (including our own stop poke).
-                        _ => continue,
-                    }
+        grain_counters::sync::spawn("grain-net-root-accept", move || {
+            // (id, listen_addr) of everyone joined so far, handed to
+            // each newcomer so it can dial them directly.
+            let joined: Mutex<Vec<(u32, String)>> = Mutex::new(Vec::new());
+            let mut next_id: u32 = 1;
+            for conn in listener.incoming() {
+                if stop.load(Ordering::SeqCst) {
+                    return;
                 }
-            })?;
+                let Ok(mut stream) = conn else { continue };
+                // Before the handshake's first write, as in `dial`.
+                if stream.set_nodelay(true).is_err() {
+                    continue;
+                }
+                match parcelport::read_frame(&mut stream) {
+                    Ok(Frame::Hello { listen_addr }) => {
+                        let id = next_id;
+                        next_id += 1;
+                        let peers = joined.lock().clone();
+                        let welcome = Frame::Welcome {
+                            locality_id: id,
+                            world,
+                            peers,
+                        };
+                        if parcelport::write_frame(&mut stream, &welcome).is_err() {
+                            continue;
+                        }
+                        joined.lock().push((id, listen_addr));
+                        if let Ok(link) = tcp_link(&locality, id as usize, stream) {
+                            locality.add_link(link);
+                        }
+                    }
+                    // Anything else on the root port is a stray
+                    // connection (including our own stop poke).
+                    _ => continue,
+                }
+            }
+        })?;
     }
     Ok(TcpNode {
         locality,
@@ -313,28 +310,26 @@ pub fn tcp_join(root_addr: &str, mut cfg: RuntimeConfig) -> io::Result<TcpNode> 
     {
         let locality = locality.clone();
         let stop = Arc::clone(&stop);
-        std::thread::Builder::new()
-            .name(format!("grain-net-accept-{my_id}"))
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let Ok(mut stream) = conn else { continue };
-                    // Before the handshake's first write, as in `dial`.
-                    if stream.set_nodelay(true).is_err() {
-                        continue;
-                    }
-                    match parcelport::read_frame(&mut stream) {
-                        Ok(Frame::PeerHello { locality_id }) => {
-                            if let Ok(link) = tcp_link(&locality, locality_id as usize, stream) {
-                                locality.add_link(link);
-                            }
-                        }
-                        _ => continue,
-                    }
+        grain_counters::sync::spawn(format!("grain-net-accept-{my_id}"), move || {
+            for conn in listener.incoming() {
+                if stop.load(Ordering::SeqCst) {
+                    return;
                 }
-            })?;
+                let Ok(mut stream) = conn else { continue };
+                // Before the handshake's first write, as in `dial`.
+                if stream.set_nodelay(true).is_err() {
+                    continue;
+                }
+                match parcelport::read_frame(&mut stream) {
+                    Ok(Frame::PeerHello { locality_id }) => {
+                        if let Ok(link) = tcp_link(&locality, locality_id as usize, stream) {
+                            locality.add_link(link);
+                        }
+                    }
+                    _ => continue,
+                }
+            }
+        })?;
     }
     Ok(TcpNode {
         locality,

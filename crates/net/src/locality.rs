@@ -51,11 +51,10 @@
 use crate::codec::{self, Frame, Wire, WireFault};
 use crate::counters::ParcelCounters;
 use crate::parcelport::{DisconnectHandler, FrameHandler, Link};
-use grain_counters::sync::{Condvar, Mutex, RwLock};
+use grain_counters::sync::{AtomicBool, AtomicU64, Condvar, Mutex, Ordering, RwLock};
 use grain_counters::RegistryError;
 use grain_runtime::{channel, Runtime, SharedFuture, TaskError};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -474,9 +473,7 @@ impl Locality {
             .register(shared.runtime.registry(), id, probe)?;
         if monitored {
             let w: Weak<LocalityShared> = Arc::downgrade(&shared);
-            std::thread::Builder::new()
-                .name(format!("grain-net-mon-{id}"))
-                .spawn(move || loop {
+            grain_counters::sync::spawn(format!("grain-net-mon-{id}"), move || loop {
                     #[allow(
                         clippy::disallowed_methods,
                         reason = "a `Locality` is `Clone` and has no owner that could stop and join a pump; \

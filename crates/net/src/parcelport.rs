@@ -46,13 +46,12 @@ use crate::counters::ParcelCounters;
 use crate::transport::{
     push_framed, LoopbackTransport, SimTransport, TcpTransport, Transport, FLUSH_BYTES,
 };
-use grain_counters::sync::{deadline_after, Condvar, Mutex};
+use grain_counters::sync::{deadline_after, AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
 use grain_sim::NetFabric;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -295,15 +294,15 @@ impl Link {
 
         {
             let link = Arc::clone(&link);
-            std::thread::Builder::new()
-                .name(format!("grain-net-tx-{peer}"))
-                .spawn(move || writer_loop(link, TcpTransport::new(writer_stream)))?;
+            grain_counters::sync::spawn(format!("grain-net-tx-{peer}"), move || {
+                writer_loop(link, TcpTransport::new(writer_stream))
+            })?;
         }
         {
             let link = Arc::clone(&link);
-            std::thread::Builder::new()
-                .name(format!("grain-net-rx-{peer}"))
-                .spawn(move || reader_loop(link, reader_stream, incoming))?;
+            grain_counters::sync::spawn(format!("grain-net-rx-{peer}"), move || {
+                reader_loop(link, reader_stream, incoming)
+            })?;
         }
         Ok(link)
     }
@@ -486,9 +485,7 @@ pub fn sim_pair(
 fn spawn_writer<T: Transport>(link: &Arc<Link>, transport: T, sender_id: usize) {
     let link = Arc::clone(link);
     let name = format!("grain-net-tx-{sender_id}-to-{}", link.peer);
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || writer_loop(link, transport))
+    grain_counters::sync::spawn(name, move || writer_loop(link, transport))
         .expect("failed to spawn link writer thread");
 }
 
@@ -593,8 +590,8 @@ mod tests {
     use super::*;
     use crate::codec::Frame;
     use crate::transport::TransportError;
+    use grain_counters::sync::AtomicUsize;
     use grain_sim::NetPlan;
-    use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
     use std::time::Instant;
 

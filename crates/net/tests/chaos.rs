@@ -17,12 +17,12 @@
     reason = "a test paces its scenario with sleeps; the rule is for product code"
 )]
 
+use grain_counters::sync::{AtomicUsize, Ordering};
 use grain_net::bootstrap::Fabric;
 use grain_net::locality::NetConfig;
 use grain_net::EdgeBoard;
 use grain_runtime::{RuntimeConfig, SharedFuture, TaskError};
 use grain_sim::{NetPlan, PartitionMode};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -6,9 +6,13 @@
     reason = "a test paces its scenario with sleeps; the rule is for product code"
 )]
 
+#[path = "../../runtime/tests/support/switches.rs"]
+mod switches;
+
 use grain_net::bootstrap::{tcp_join, tcp_root, Fabric, TcpNode};
 use grain_runtime::{RuntimeConfig, TaskError};
 use std::time::{Duration, Instant};
+use switches::switches_during;
 
 const WAIT: Duration = Duration::from_secs(10);
 
@@ -321,10 +325,11 @@ fn tcp_world_bootstraps_and_serves_actions() {
 fn wait_for_world_past_the_clock_range_is_no_deadline() {
     let root = tcp_root("127.0.0.1:0", 2, RuntimeConfig::with_workers(1)).expect("root");
     let addr = root.listen_addr().to_string();
-    let joiner = std::thread::spawn(move || {
+    let joiner = grain_counters::sync::spawn("joiner", move || {
         std::thread::sleep(Duration::from_millis(10));
         tcp_join(&addr, RuntimeConfig::with_workers(1)).expect("join")
-    });
+    })
+    .unwrap();
     assert!(root.wait_for_world(Duration::MAX), "joined later");
     let n1 = joiner.join().expect("joiner");
     assert!(root.wait_for_world(Duration::MAX), "joined already");
@@ -344,16 +349,6 @@ fn wait_for_world_without_the_peer_ends_at_its_deadline() {
     root.stop_listening();
 }
 
-/// Voluntary context switches of the calling thread, which is one per
-/// blocking sleep; `None` where `/proc` is absent.
-fn own_voluntary_switches() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/thread-self/status").ok()?;
-    let n = status
-        .lines()
-        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))?;
-    Some(n.trim().parse().expect("a switch count"))
-}
-
 /// The wait for a peer that joins 50 ms later sleeps until its link
 /// lands: a few switches, where a 2 ms poll would take about 25.
 #[test]
@@ -361,15 +356,15 @@ fn wait_for_world_sleeps_until_the_link_lands() {
     const BUDGET: u64 = 4;
     let root = tcp_root("127.0.0.1:0", 2, RuntimeConfig::with_workers(1)).expect("root");
     let addr = root.listen_addr().to_string();
-    let joiner = std::thread::spawn(move || {
+    let joiner = grain_counters::sync::spawn("joiner", move || {
         std::thread::sleep(Duration::from_millis(50));
         tcp_join(&addr, RuntimeConfig::with_workers(1)).expect("join")
-    });
-    let Some(before) = own_voluntary_switches() else {
+    })
+    .unwrap();
+    let Some(switches) = switches_during(|| assert!(root.wait_for_world(WAIT), "the peer joined"))
+    else {
         return;
     };
-    assert!(root.wait_for_world(WAIT), "the peer joined");
-    let switches = own_voluntary_switches().expect("read before") - before;
     let n1 = joiner.join().expect("joiner");
     assert!(
         switches <= BUDGET,

@@ -8,7 +8,7 @@
 //!
 //! ```
 //! use grain_runtime::{algorithms, Runtime};
-//! use std::sync::atomic::{AtomicU64, Ordering};
+//! use grain_counters::sync::{AtomicU64, Ordering};
 //! use std::sync::Arc;
 //!
 //! let rt = Runtime::with_workers(2);
@@ -116,7 +116,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use grain_counters::sync::{AtomicU64, AtomicUsize, Ordering};
 
     #[test]
     fn parallel_for_visits_every_index_once() {

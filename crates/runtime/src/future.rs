@@ -32,8 +32,7 @@
 
 use crate::fault::{self, TaskError};
 use crate::runtime::Handoff;
-use grain_counters::sync::{deadline_after, Condvar, Mutex, MutexGuard};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use grain_counters::sync::{deadline_after, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -662,7 +661,6 @@ pub fn when_all<T: Send + Sync + 'static>(
 )]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn set_then_get() {
@@ -739,7 +737,9 @@ mod tests {
     #[test]
     fn wait_timeout_returns_value_when_set() {
         let (p, f) = channel();
-        let t = std::thread::spawn(move || f.wait_timeout(Duration::from_secs(5)));
+        let t =
+            grain_counters::sync::spawn("waiter", move || f.wait_timeout(Duration::from_secs(5)))
+                .unwrap();
         std::thread::sleep(Duration::from_millis(10));
         p.set(3u8);
         assert_eq!(*t.join().unwrap().unwrap(), 3);
@@ -750,7 +750,8 @@ mod tests {
         let settled = SharedFuture::ready(4u8);
         assert_eq!(settled.wait_timeout(Duration::MAX), Ok(Arc::new(4)));
         let (p, f) = channel();
-        let t = std::thread::spawn(move || f.wait_timeout(Duration::MAX));
+        let t =
+            grain_counters::sync::spawn("waiter", move || f.wait_timeout(Duration::MAX)).unwrap();
         std::thread::sleep(Duration::from_millis(10));
         p.set(3u8);
         assert_eq!(t.join().unwrap(), Ok(Arc::new(3)));
@@ -772,7 +773,7 @@ mod tests {
         assert!(matches!(*waiters, Slots::Inline(_)), "spilled to a Vec");
         assert_eq!(waiters.len(), 0);
         drop(waiters);
-        let t = std::thread::spawn(move || *f.get());
+        let t = grain_counters::sync::spawn("getter", move || *f.get()).unwrap();
         std::thread::sleep(Duration::from_millis(10));
         p.set(5);
         assert_eq!(t.join().unwrap(), 5);
@@ -786,12 +787,13 @@ mod tests {
     fn timeouts_racing_settles_lose_no_value() {
         const N: usize = 500;
         let (promises, futures): (Vec<_>, Vec<_>) = (0..N).map(|_| channel::<usize>()).unzip();
-        let setter = std::thread::spawn(move || {
+        let setter = grain_counters::sync::spawn("setter", move || {
             for (i, p) in promises.into_iter().enumerate() {
                 std::hint::black_box((0..i % 64).sum::<usize>());
                 p.set(i);
             }
-        });
+        })
+        .unwrap();
         for (i, f) in futures.iter().enumerate() {
             let mut tries = 0;
             while f.wait_timeout(Duration::from_micros(1)).is_err() && tries < 3 {
@@ -876,7 +878,7 @@ mod tests {
     #[test]
     fn get_blocks_until_set() {
         let (p, f) = channel();
-        let t = std::thread::spawn(move || *f.get());
+        let t = grain_counters::sync::spawn("getter", move || *f.get()).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(10));
         p.set(7u32);
         assert_eq!(t.join().unwrap(), 7);
@@ -955,7 +957,7 @@ mod tests {
         let handles: Vec<_> = pairs
             .into_iter()
             .enumerate()
-            .map(|(i, (p, _))| std::thread::spawn(move || p.set(i)))
+            .map(|(i, (p, _))| grain_counters::sync::spawn("setter", move || p.set(i)).unwrap())
             .collect();
         for h in handles {
             h.join().unwrap();

@@ -25,8 +25,9 @@
 
 use crate::fault::TaskError;
 use crate::future::Dormant;
-use grain_counters::sync::{deadline_after, Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use grain_counters::sync::{
+    deadline_after, AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering,
+};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -499,10 +500,11 @@ mod tests {
         assert!(g.wait_timeout(Duration::MAX), "quiescent already");
         g.enter();
         let g2 = Arc::clone(&g);
-        let h = std::thread::spawn(move || {
+        let h = grain_counters::sync::spawn("leaver", move || {
             std::thread::sleep(Duration::from_millis(10));
             g2.exit_completed();
-        });
+        })
+        .unwrap();
         assert!(g.wait_timeout(Duration::MAX), "quiescent later");
         h.join().unwrap();
     }
@@ -512,10 +514,11 @@ mod tests {
         let g = TaskGroup::new();
         g.enter();
         let g2 = Arc::clone(&g);
-        let h = std::thread::spawn(move || {
+        let h = grain_counters::sync::spawn("leaver", move || {
             std::thread::sleep(Duration::from_millis(20));
             g2.exit_completed();
-        });
+        })
+        .unwrap();
         g.wait();
         assert_eq!(g.in_flight(), 0);
         h.join().unwrap();

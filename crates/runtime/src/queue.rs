@@ -41,11 +41,11 @@
 //!
 //! The scheduler consumes the queue through the [`MpmcQueue`] alias.
 
+use grain_counters::sync::{fence, AtomicPtr, AtomicUsize, Ordering};
 use grain_counters::RawCounter;
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Contention statistics for a family of queues.
@@ -562,17 +562,18 @@ mod tests {
         let producers: Vec<_> = (0..4)
             .map(|p| {
                 let q = Arc::clone(&q);
-                std::thread::spawn(move || {
+                grain_counters::sync::spawn("producer", move || {
                     for i in 0..1000 {
                         q.push(p * 1000 + i);
                     }
                 })
+                .unwrap()
             })
             .collect();
         let consumers: Vec<_> = (0..4)
             .map(|_| {
                 let q = Arc::clone(&q);
-                std::thread::spawn(move || {
+                grain_counters::sync::spawn("consumer", move || {
                     let mut got = Vec::new();
                     while got.len() < 1000 {
                         if let Some(v) = q.pop() {
@@ -583,6 +584,7 @@ mod tests {
                     }
                     got
                 })
+                .unwrap()
             })
             .collect();
         for p in producers {
@@ -602,11 +604,12 @@ mod tests {
         // Single producer, single consumer: strict FIFO.
         let q = Arc::new(SegmentedQueue::new());
         let q2 = Arc::clone(&q);
-        let t = std::thread::spawn(move || {
+        let t = grain_counters::sync::spawn("consumer", move || {
             for i in 0..10_000u32 {
                 q2.push(i);
             }
-        });
+        })
+        .unwrap();
         let mut last = None;
         let mut seen = 0;
         while seen < 10_000 {

@@ -7,12 +7,11 @@ use crate::future::{
 use crate::group::{CancelToken, TaskGroup};
 use crate::scheduler::{Scheduler, SearchState};
 use crate::task::{Poll, Priority, Runnable, StagedTask, Task, TaskId, TaskIdAllocator, TaskState};
-use grain_counters::sync::{Condvar, Kick, Mutex, Pump};
+use grain_counters::sync::{AtomicBool, AtomicUsize, Condvar, Kick, Mutex, Ordering, Pump};
 use grain_counters::threads::ThreadCounters;
 use grain_counters::{RawCounter, Registry, Unit};
 use grain_topology::host;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -1080,16 +1079,14 @@ impl Runtime {
         let threads = (0..config.workers)
             .map(|w| {
                 let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("grain-worker-{w}"))
-                    .spawn(move || {
-                        let _sentinel = WorkerDeathSentinel {
-                            inner: Arc::clone(&inner),
-                            worker: w,
-                        };
-                        crate::worker::worker_loop(inner, w);
-                    })
-                    .expect("failed to spawn worker thread")
+                grain_counters::sync::spawn(format!("grain-worker-{w}"), move || {
+                    let _sentinel = WorkerDeathSentinel {
+                        inner: Arc::clone(&inner),
+                        worker: w,
+                    };
+                    crate::worker::worker_loop(inner, w);
+                })
+                .expect("failed to spawn worker thread")
             })
             .collect();
         let watchdog = config

@@ -33,9 +33,9 @@
 
 use crate::queue::{MpmcQueue, QueueStats};
 use crate::task::{StagedTask, Task};
+use grain_counters::sync::{AtomicUsize, Ordering};
 use grain_counters::threads::ThreadCounters;
 use grain_topology::NumaTopology;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One worker's dual queue.
 #[derive(Debug, Default)]
@@ -758,12 +758,12 @@ mod tests {
     }
 
     /// A task node that only counts how it was failed.
-    struct Stranded(std::sync::Mutex<Vec<crate::fault::TaskError>>);
+    struct Stranded(grain_counters::sync::Mutex<Vec<crate::fault::TaskError>>);
 
     impl crate::task::Runnable for Stranded {
         fn run(&self, _ctx: &mut crate::runtime::TaskContext<'_>) {}
         fn fail(&self, error: crate::fault::TaskError) {
-            self.0.lock().unwrap().push(error);
+            self.0.lock().push(error);
         }
     }
 
@@ -781,7 +781,7 @@ mod tests {
         assert_eq!(q.total_len(), 5);
         q.clear();
         assert_eq!(q.total_len(), 0);
-        assert_eq!(*node.0.lock().unwrap(), vec![TaskError::BrokenPromise; 5]);
+        assert_eq!(*node.0.lock(), vec![TaskError::BrokenPromise; 5]);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 
 use crate::fault::{self, TaskError};
 use crate::runtime::TaskContext;
+use grain_counters::sync::{AtomicU64, Ordering};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Unique task identifier ("immutable name in the global address space").
@@ -339,9 +339,12 @@ mod tests {
         let mut handles = Vec::with_capacity(4);
         for _ in 0..4 {
             let alloc = std::sync::Arc::clone(&alloc);
-            handles.push(std::thread::spawn(move || {
-                (0..1000).map(|_| alloc.allocate().0).collect::<Vec<_>>()
-            }));
+            handles.push(
+                grain_counters::sync::spawn("allocator", move || {
+                    (0..1000).map(|_| alloc.allocate().0).collect::<Vec<_>>()
+                })
+                .unwrap(),
+            );
         }
         let mut all: Vec<u64> = handles
             .into_iter()

@@ -51,7 +51,7 @@ use crate::runtime::{Inner, Resumer, TaskContext};
 use crate::scheduler::{Provenance, SearchState};
 use crate::task::{Poll, Task, TaskState};
 use crate::trace::TraceEventKind;
-use std::sync::atomic::Ordering;
+use grain_counters::sync::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 

@@ -6,11 +6,11 @@
     reason = "a test paces its scenario with sleeps; the rule is for product code"
 )]
 
+use grain_counters::sync::{AtomicBool, Ordering};
 use grain_runtime::{
     channel, when_all, Poll, Priority, Runtime, RuntimeConfig, TaskError, TaskGroup, WatchdogConfig,
 };
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -4,8 +4,8 @@
     reason = "a test paces its scenario with sleeps; the rule is for product code"
 )]
 
+use grain_counters::sync::{AtomicUsize, Ordering};
 use grain_runtime::{channel, Inputs, Priority, Runtime, SharedFuture, TaskError, TaskGroup};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -136,15 +136,23 @@ fn cancel_racing_a_settling_input_retires_the_node_exactly_once() {
         let (promise, external) = channel::<u64>();
         let out = rt.dataflow_in(&group, Priority::Normal, &[external], |_, v| *v[0]);
         assert_eq!(group.in_flight(), 1);
-        let start = Arc::new(std::sync::Barrier::new(2));
+        // Both sides arrive before either goes on, so the two race.
+        let arrived = Arc::new(AtomicUsize::new(0));
+        let rendezvous = |arrived: &AtomicUsize| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            while arrived.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+        };
         let settler = {
-            let start = Arc::clone(&start);
-            std::thread::spawn(move || {
-                start.wait();
+            let arrived = Arc::clone(&arrived);
+            grain_counters::sync::spawn("settler", move || {
+                rendezvous(&arrived);
                 promise.set(round);
             })
+            .unwrap()
         };
-        start.wait();
+        rendezvous(&arrived);
         group.cancel();
         settler.join().expect("settler panicked");
         assert!(group.wait_timeout(Duration::from_secs(5)), "round {round}");

@@ -9,9 +9,9 @@
     reason = "a test paces its scenario with sleeps; the rule is for product code"
 )]
 
+use grain_counters::sync::{AtomicBool, AtomicU64, Ordering};
 use grain_counters::Window;
 use grain_runtime::{channel, Poll, Priority, Runtime, SharedFuture};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

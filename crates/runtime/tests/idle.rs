@@ -12,34 +12,19 @@
     reason = "a test paces its scenario with sleeps; the rule is for product code"
 )]
 
+#[path = "support/switches.rs"]
+mod switches;
+
 use grain_runtime::{Runtime, RuntimeConfig};
 use std::time::{Duration, Instant};
+use switches::thread_switches;
 
 /// Voluntary + involuntary context switches of every `grain-worker-*`
 /// thread of this process, and how many such threads there are. `None`
 /// where `/proc` is absent.
 fn worker_ctx_switches() -> Option<(u64, usize)> {
-    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
-    let (mut switches, mut threads) = (0, 0);
-    for task in tasks.flatten() {
-        let dir = task.path();
-        let Ok(comm) = std::fs::read_to_string(dir.join("comm")) else {
-            continue;
-        };
-        if !comm.starts_with("grain-worker-") {
-            continue;
-        }
-        let status = std::fs::read_to_string(dir.join("status")).ok()?;
-        threads += 1;
-        for line in status.lines() {
-            if let Some(("voluntary_ctxt_switches" | "nonvoluntary_ctxt_switches", n)) =
-                line.split_once(':')
-            {
-                switches += n.trim().parse::<u64>().expect("a switch count");
-            }
-        }
-    }
-    Some((switches, threads))
+    let workers = thread_switches(&["grain-worker-"])?;
+    Some((workers.values().sum(), workers.len()))
 }
 
 /// Two workers, one task, then 200 ms with nothing in flight. Each

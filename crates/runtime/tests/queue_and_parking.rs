@@ -23,10 +23,10 @@
 //! bounded hand-off whose threads wait without a timeout, so one notify
 //! skipped while somebody was waiting hangs it.
 
+use grain_counters::sync::{AtomicU64, AtomicUsize, Ordering};
 use grain_runtime::grain_counters::sync::{Condvar, Mutex};
 use grain_runtime::queue::{MpmcQueue, BLOCK_CAP};
 use grain_runtime::{Runtime, RuntimeConfig};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,7 +45,7 @@ fn queue_contention_no_loss_no_dup_per_producer_fifo() {
     let producers: Vec<_> = (0..PRODUCERS)
         .map(|p| {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || {
+            grain_counters::sync::spawn("producer", move || {
                 for seq in 0..PER_PRODUCER {
                     q.push((p, seq));
                     if seq % 512 == 0 {
@@ -53,6 +53,7 @@ fn queue_contention_no_loss_no_dup_per_producer_fifo() {
                     }
                 }
             })
+            .unwrap()
         })
         .collect();
 
@@ -60,7 +61,7 @@ fn queue_contention_no_loss_no_dup_per_producer_fifo() {
         .map(|_| {
             let q = Arc::clone(&q);
             let remaining = Arc::clone(&remaining);
-            std::thread::spawn(move || {
+            grain_counters::sync::spawn("consumer", move || {
                 // Per-producer counts and last-seen sequence numbers.
                 let mut counts = [0u64; PRODUCERS];
                 let mut last_seq = [None::<u64>; PRODUCERS];
@@ -87,6 +88,7 @@ fn queue_contention_no_loss_no_dup_per_producer_fifo() {
                     }
                 }
             })
+            .unwrap()
         })
         .collect();
 
@@ -129,7 +131,7 @@ fn queue_contention_across_segment_boundaries() {
             let q = Arc::clone(&q);
             let pushed = Arc::clone(&pushed);
             let popped = Arc::clone(&popped);
-            std::thread::spawn(move || {
+            grain_counters::sync::spawn("pusher-popper", move || {
                 // Each thread alternates push/pop, keeping the population
                 // hovering at the boundary.
                 for _ in 0..OPS {
@@ -140,6 +142,7 @@ fn queue_contention_across_segment_boundaries() {
                     popped.fetch_add(1, Ordering::Relaxed);
                 }
             })
+            .unwrap()
         })
         .collect();
     for h in handles {
@@ -155,10 +158,11 @@ fn queue_contention_across_segment_boundaries() {
 /// of a silently slow test).
 fn bounded(limit: Duration, name: &str, f: impl FnOnce() + Send + 'static) {
     let (tx, rx) = std::sync::mpsc::channel();
-    let t = std::thread::spawn(move || {
+    let t = grain_counters::sync::spawn(name, move || {
         f();
         let _ = tx.send(());
-    });
+    })
+    .expect("spawn the test body");
     match rx.recv_timeout(limit) {
         Ok(()) => t.join().expect("test body panicked"),
         Err(_) => panic!("{name}: exceeded {limit:?} — a worker likely slept through work"),
@@ -263,7 +267,7 @@ fn condvar_handoff_loses_no_wakeup() {
         let producers: Vec<_> = (0..SIDES)
             .map(|p| {
                 let buf = Arc::clone(&buf);
-                std::thread::spawn(move || {
+                grain_counters::sync::spawn("producer", move || {
                     for i in 0..PER_PRODUCER {
                         let mut items = buf.items.lock();
                         buf.not_full
@@ -273,12 +277,13 @@ fn condvar_handoff_loses_no_wakeup() {
                         buf.not_empty.notify_one();
                     }
                 })
+                .unwrap()
             })
             .collect();
         let consumers: Vec<_> = (0..SIDES)
             .map(|_| {
                 let buf = Arc::clone(&buf);
-                std::thread::spawn(move || {
+                grain_counters::sync::spawn("consumer", move || {
                     let mut sum = 0u64;
                     for _ in 0..PER_PRODUCER {
                         let mut items = buf.items.lock();
@@ -291,6 +296,7 @@ fn condvar_handoff_loses_no_wakeup() {
                     }
                     sum
                 })
+                .unwrap()
             })
             .collect();
         for p in producers {

@@ -5,9 +5,9 @@
     reason = "a test paces its scenario with sleeps; the rule is for product code"
 )]
 
+use grain_counters::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 use grain_runtime::{channel, when_all, Poll, Priority, Runtime, RuntimeConfig, SharedFuture};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn rt(workers: usize) -> Runtime {
@@ -322,7 +322,7 @@ fn high_priority_runs_before_backlog() {
     // One worker, seeded with a slow backlog; a high-priority task spawned
     // afterwards must run before the rest of the backlog drains.
     let r = rt(1);
-    let order = Arc::new(grain_runtime::grain_counters::sync::Mutex::new(Vec::new()));
+    let order = Arc::new(Mutex::new(Vec::new()));
     // Block the worker briefly so the backlog stays queued.
     for i in 0..50 {
         let o = Arc::clone(&order);
@@ -348,10 +348,10 @@ fn high_priority_runs_before_backlog() {
 #[test]
 fn low_priority_runs_last_on_single_worker() {
     let r = rt(1);
-    let order = Arc::new(grain_runtime::grain_counters::sync::Mutex::new(Vec::new()));
+    let order = Arc::new(Mutex::new(Vec::new()));
     // Occupy the single worker with a busy gate task so everything below
     // queues up before anything runs.
-    let release = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
     {
         let release = Arc::clone(&release);
         r.spawn(move |_| {
@@ -509,16 +509,21 @@ fn a_reset_racing_the_worker_is_never_undone() {
 
 #[test]
 fn spawns_from_external_threads_are_all_counted() {
-    let r = rt(2);
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            s.spawn(|| {
+    let r = Arc::new(rt(2));
+    let spawners: Vec<_> = (0..4)
+        .map(|i| {
+            let r = Arc::clone(&r);
+            grain_counters::sync::spawn(format!("spawner-{i}"), move || {
                 for _ in 0..10_000 {
                     r.spawn(|_| {});
                 }
-            });
-        }
-    });
+            })
+            .unwrap()
+        })
+        .collect();
+    for spawner in spawners {
+        spawner.join().expect("a spawner panicked");
+    }
     r.wait_idle();
     let spawned = r
         .registry()
@@ -610,7 +615,7 @@ fn cross_runtime_spawn_routes_to_rr_queue() {
 fn queue_length_counters_reflect_backlog() {
     let r = rt(1);
     // Occupy the single worker so spawned tasks stay queued.
-    let release = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
     {
         let release = Arc::clone(&release);
         r.spawn(move |_| {
@@ -841,7 +846,7 @@ fn dependents_past_the_inline_slots_each_run_once_in_order() {
     let (promise, src) = channel::<u64>();
     let blocked = {
         let src = src.clone();
-        std::thread::spawn(move || src.wait())
+        grain_counters::sync::spawn("waiter", move || src.wait()).unwrap()
     };
     let order = Arc::new(Mutex::new(Vec::new()));
     let token = Arc::new(());
@@ -849,7 +854,7 @@ fn dependents_past_the_inline_slots_each_run_once_in_order() {
     let mut nodes = Vec::new();
     for i in 0..12u64 {
         let (order, token) = (Arc::clone(&order), Arc::clone(&token));
-        let record = move || order.lock().expect("order").push(i);
+        let record = move || order.lock().push(i);
         match i % 3 {
             0 => {
                 let ran = Arc::clone(&ran);
@@ -876,7 +881,7 @@ fn dependents_past_the_inline_slots_each_run_once_in_order() {
     std::thread::sleep(Duration::from_millis(10));
     promise.set(100);
     let inline: Vec<u64> = (0..12).filter(|i| i % 3 != 0).collect();
-    assert_eq!(*order.lock().expect("order"), inline);
+    assert_eq!(*order.lock(), inline);
     assert_eq!(blocked.join().expect("waiter").map(|v| *v), Ok(100));
     for (k, node) in nodes.iter().enumerate() {
         let value = node.wait_timeout(Duration::from_secs(5)).map(|v| v.0);

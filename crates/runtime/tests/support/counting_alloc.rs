@@ -9,8 +9,8 @@
 //!
 //! A reallocation counts as one more allocation.
 
+use grain_counters::sync::{AtomicU64, Ordering};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct Counting;
 

@@ -19,15 +19,14 @@
 //! under `/service{tenants/<name>}/breaker/{state,opens,rejected}`.
 
 use grain_counters::derived::DerivedCounter;
-use grain_counters::sync::Mutex;
+use grain_counters::sync::Ordering::SeqCst;
+use grain_counters::sync::{AtomicU64, Mutex};
 use grain_counters::{Registry, ScopedRegistry, Unit};
 use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Display;
 use std::hash::Hash;
 use std::marker::PhantomData;
-use std::sync::atomic::AtomicU64;
-use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -12,11 +12,11 @@
 
 use grain_counters::derived::DerivedCounter;
 use grain_counters::equations;
+use grain_counters::sync::{AtomicU64, Ordering};
 use grain_counters::{
     CounterValue, LogHistogram, RawCounter, Registry, RegistryError, ScopedRegistry, Unit,
 };
 use grain_runtime::TaskGroup;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Per-job counters: a scoped `/jobs{name#id}` namespace of derived

@@ -24,11 +24,10 @@
 use crate::admission::{AdmissionError, RejectReason};
 use crate::counters::JobCounters;
 use crate::service::{end_queued, Shared};
-use grain_counters::sync::{deadline_after, Condvar, Mutex};
+use grain_counters::sync::{deadline_after, AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
 use grain_counters::{CounterValue, RegistryError};
 use grain_runtime::{Priority, TaskContext, TaskError, TaskGroup};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 

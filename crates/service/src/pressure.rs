@@ -55,10 +55,9 @@
 
 use crate::job::{JobCore, JobState};
 use grain_counters::derived::DerivedCounter;
-use grain_counters::sync::Mutex;
+use grain_counters::sync::{AtomicU64, Mutex, Ordering};
 use grain_counters::{Registry, RegistryError, Unit, Window};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

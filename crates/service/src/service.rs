@@ -26,10 +26,11 @@ use crate::breaker::{BreakerConfig, BreakerDecision, BreakerState, Breakers};
 use crate::counters::{JobCounters, ServiceCounters};
 use crate::job::{FailurePolicy, JobCore, JobHandle, JobId, JobOutcome, JobSpec, JobState};
 use crate::pressure::{earliest, PressureController, PressureSignal, SAMPLE_EVERY};
-use grain_counters::sync::{Condvar, Kick, Mutex, MutexGuard, Pump};
+use grain_counters::sync::{
+    AtomicBool, AtomicU64, Condvar, Kick, Mutex, MutexGuard, Ordering, Pump,
+};
 use grain_counters::Registry;
 use grain_runtime::{Runtime, RuntimeConfig, TaskContext};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -6,8 +6,8 @@
     reason = "a test paces its scenario with sleeps; the rule is for product code"
 )]
 
+use grain_counters::sync::{AtomicU64, Ordering};
 use grain_service::{AdmissionConfig, JobService, JobSpec, JobState, PolicyHook, ServiceConfig};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,19 +40,19 @@ fn concurrent_admitters_never_overdraw_the_budget() {
     const COST: u64 = 4;
     const LIMIT: u64 = 2 * COST;
     const PER_SUBMITTER: u64 = 150;
-    let service = JobService::new(ServiceConfig {
+    let service = Arc::new(JobService::new(ServiceConfig {
         admission: AdmissionConfig {
             max_in_flight_tasks: LIMIT,
             ..AdmissionConfig::default()
         },
         ..ServiceConfig::with_workers(2)
-    });
+    }));
     let peak = Arc::new(AtomicU64::new(0));
-    std::thread::scope(|s| {
-        for t in 0..4 {
-            let service = &service;
+    let submitters: Vec<_> = (0..4)
+        .map(|t| {
+            let service = Arc::clone(&service);
             let peak = Arc::clone(&peak);
-            s.spawn(move || {
+            grain_counters::sync::spawn(format!("submitter-{t}"), move || {
                 for i in 0..PER_SUBMITTER {
                     let registry = Arc::clone(service.registry());
                     let peak = Arc::clone(&peak);
@@ -73,9 +73,13 @@ fn concurrent_admitters_never_overdraw_the_budget() {
                         }
                     });
                 }
-            });
-        }
-    });
+            })
+            .unwrap()
+        })
+        .collect();
+    for submitter in submitters {
+        submitter.join().expect("a submitter panicked");
+    }
     service.wait_all();
     let peak = peak.load(Ordering::SeqCst);
     assert!(
@@ -158,15 +162,11 @@ fn a_deep_queue_drains_on_a_small_stack() {
         JOBS as usize,
         "all wait behind the blocker"
     );
-    std::thread::scope(|s| {
-        std::thread::Builder::new()
-            .name("drainer".into())
-            .stack_size(256 * 1024)
-            .spawn_scoped(s, || blocker.cancel())
-            .expect("spawn the small-stack thread")
-            .join()
-            .expect("the small-stack thread finished");
-    });
+    let cancel = blocker.clone();
+    grain_counters::sync::spawn_with_stack("drainer", 256 * 1024, move || cancel.cancel())
+        .expect("spawn the small-stack thread")
+        .join()
+        .expect("the small-stack thread finished");
     assert_eq!(
         service.queue_len(),
         0,
@@ -190,29 +190,27 @@ fn a_deep_queue_drains_on_a_small_stack() {
 #[test]
 fn closed_loop_jobs_without_deadlines_leave_the_dispatcher_asleep() {
     let (policy, submitter_settles) = settles_on("submitter");
-    let service = JobService::new(ServiceConfig {
+    let service = Arc::new(JobService::new(ServiceConfig {
         policy,
         ..ServiceConfig::with_workers(2)
-    });
-    std::thread::scope(|s| {
-        let submitter = std::thread::Builder::new().name("submitter".into());
-        let run = submitter.spawn_scoped(s, || {
-            for i in 0..1_000 {
-                let job = service.submit(
-                    JobSpec::new(format!("closed-{i}"), "t").estimated_tasks(3),
-                    |ctx| {
-                        for _ in 0..2 {
-                            ctx.spawn(|_| std::hint::black_box(()));
-                        }
-                    },
-                );
-                assert_eq!(job.wait().state, JobState::Completed);
-            }
-        });
-        run.expect("spawn the submitter")
-            .join()
-            .expect("the submitter finished");
-    });
+    }));
+    let submitter = Arc::clone(&service);
+    grain_counters::sync::spawn("submitter", move || {
+        for i in 0..1_000 {
+            let job = submitter.submit(
+                JobSpec::new(format!("closed-{i}"), "t").estimated_tasks(3),
+                |ctx| {
+                    for _ in 0..2 {
+                        ctx.spawn(|_| std::hint::black_box(()));
+                    }
+                },
+            );
+            assert_eq!(job.wait().state, JobState::Completed);
+        }
+    })
+    .expect("spawn the submitter")
+    .join()
+    .expect("the submitter finished");
     let wakes = count(&service, "/service/dispatcher/wakes");
     assert!(wakes <= 5, "{wakes} dispatcher wakes for 1 000 jobs");
     assert_eq!(submitter_settles.load(Ordering::SeqCst), 0);

@@ -9,10 +9,10 @@
 //! again, or an admission step that allocates per pop, fails here before
 //! it shows in a benchmark.
 
+use grain_counters::sync::{AtomicU64, Ordering};
 use grain_service::grain_counters::derived::DerivedCounter;
 use grain_service::grain_counters::{Registry, Unit};
 use grain_service::{JobService, JobSpec, JobState};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 #[path = "../../runtime/tests/support/counting_alloc.rs"]

@@ -2,9 +2,9 @@
 //! backoff (until success and until exhaustion), continue-remaining,
 //! and fault reporting through `JobOutcome`.
 
+use grain_counters::sync::{AtomicU64, Ordering};
 use grain_runtime::TaskError;
 use grain_service::{FailurePolicy, JobService, JobSpec, JobState, ServiceConfig};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -5,11 +5,11 @@
     reason = "a test paces its scenario with sleeps; the rule is for product code"
 )]
 
+use grain_counters::sync::{AtomicBool, Mutex, Ordering};
 use grain_service::{
     AdmissionConfig, BreakerState, JobService, JobSpec, JobState, PressureLevel, RejectReason,
     ServiceConfig,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -231,20 +231,20 @@ fn deadline_budget_propagates_to_dispatch() {
     // is `groups.rs::exhausted_budget_skips_queued_members_at_dispatch`.
     let service = JobService::new(base_config());
     let deadline = Duration::from_secs(60);
-    let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let seen = Arc::new(Mutex::new(Vec::new()));
     let s = Arc::clone(&seen);
     let submitted = Instant::now();
     let job = service.submit(
         JobSpec::new("budgeted", "tenant-a").deadline(deadline),
         move |ctx| {
-            s.lock().unwrap().push(ctx.remaining_budget());
+            s.lock().push(ctx.remaining_budget());
             let s = Arc::clone(&s);
-            ctx.spawn(move |c| s.lock().unwrap().push(c.remaining_budget()));
+            ctx.spawn(move |c| s.lock().push(c.remaining_budget()));
         },
     );
     assert_eq!(job.wait().state, JobState::Completed);
     let elapsed = submitted.elapsed();
-    let seen = seen.lock().unwrap().clone();
+    let seen = seen.lock().clone();
     assert_eq!(seen.len(), 2, "root and child both ran");
     for left in seen {
         let left = left.expect("the deadline is the group's budget");

@@ -5,12 +5,11 @@
     reason = "a test paces its scenario with sleeps; the rule is for product code"
 )]
 
-use grain_counters::sync::Mutex;
+use grain_counters::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 use grain_service::{
     AdmissionConfig, AdmissionError, JobService, JobSpec, JobState, PolicyHook, RejectReason,
     ServiceConfig,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -264,11 +263,12 @@ fn wait_all_is_woken_by_the_last_settle_not_by_the_poll_tick() {
     let (entering, entered) = std::sync::mpsc::channel();
     let (done, finished) = std::sync::mpsc::channel();
     let s = Arc::clone(&service);
-    let waiter = std::thread::spawn(move || {
+    let waiter = grain_counters::sync::spawn("waiter", move || {
         entering.send(()).expect("the test is listening");
         s.wait_all();
         let _ = done.send(());
-    });
+    })
+    .unwrap();
     entered.recv().expect("waiter started");
     // Either order of this release and the waiter's first check must
     // work; the pause only makes the order that used to hang the likely
@@ -548,12 +548,13 @@ fn a_waiter_arriving_while_the_policy_hook_runs_blocks_until_it_returns() {
     assert!(job.outcome().is_none(), "outcome published mid-hook");
     assert!(job.wait_timeout(Duration::from_millis(20)).is_none());
     let (done_tx, done_rx) = std::sync::mpsc::channel();
-    let waiter = std::thread::spawn({
+    let waiter = grain_counters::sync::spawn("waiter", {
         let job = job.clone();
         move || {
             let _ = done_tx.send(job.wait().state);
         }
-    });
+    })
+    .unwrap();
     assert!(
         done_rx.recv_timeout(Duration::from_millis(100)).is_err(),
         "wait() returned while the policy hook was still running"

@@ -48,11 +48,10 @@
 
 use crate::netplan::{NetPlan, PartitionMode, Verdict};
 use grain_counters::registry::RawView;
-use grain_counters::sync::{deadline_after, Condvar, Mutex};
+use grain_counters::sync::{deadline_after, AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
 use grain_counters::{DerivedCounter, RawCounter, Registry, RegistryError, Unit};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -305,9 +304,7 @@ impl NetFabric {
         });
         {
             let fabric = Arc::clone(&fabric);
-            std::thread::Builder::new()
-                .name("grain-sim-fabric".to_string())
-                .spawn(move || fabric.pump())
+            grain_counters::sync::spawn("grain-sim-fabric", move || fabric.pump())
                 .expect("failed to spawn fabric pump thread");
         }
         fabric

@@ -368,8 +368,8 @@ mod tests {
     /// cancel: the gate's phase is in, the last node's is out.
     #[test]
     fn graph_fine_schedule_on_one_worker_is_pinned() {
+        use grain_counters::sync::{AtomicBool, Ordering};
         use grain_runtime::channel;
-        use std::sync::atomic::{AtomicBool, Ordering};
 
         let graph = GraphSpec::shape(
             crate::graph::GraphKind::Stencil1d {

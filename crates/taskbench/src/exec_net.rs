@@ -23,12 +23,12 @@ use crate::exec_local::{join_sinks, partial_checksum, spawn_range, JOIN_TIMEOUT}
 use crate::graph::TaskGraph;
 use crate::work;
 use grain_counters::rng::{fnv1a, FNV1A_OFFSET};
+use grain_counters::sync::{AtomicBool, Ordering};
 use grain_net::bootstrap::Fabric;
 use grain_net::locality::Locality;
 use grain_net::{block_of, block_owner, EdgeBoard};
 use grain_runtime::grain_counters::sync::Mutex;
 use grain_runtime::{channel, Promise, RuntimeConfig, SharedFuture, TaskError};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Name of the deferred edge-payload action.

@@ -39,7 +39,10 @@ pub fn edge_salt(graph_seed: u64, src: u32, dst: u32) -> u64 {
 
 /// The busy-work kernel: `iters` rounds of a wrapping LCG, result mixed.
 /// CPU time is linear in `iters`; the result is timing-independent.
-#[inline]
+/// Never inlined: one compiled copy, so the serial reference and every
+/// task run the same machine code, and a task's time over the
+/// reference's is the runtime's alone.
+#[inline(never)]
 pub fn busy_work(seed: u64, iters: u64) -> u64 {
     let mut x = seed | 1;
     for _ in 0..iters {
