@@ -123,10 +123,10 @@ pub fn adapt(
             points_per_s: rate(params.total_points() * params.nt, rec.wall_s),
             tasks: rec.window.tasks,
         });
-        tuner.observe(&GrainSignal::from_idle_rate(
-            rec.window.idle_rate(),
-            params.np as f64 / active as f64,
-        ));
+        tuner.observe(&GrainSignal {
+            idle_rate: rec.window.idle_rate(),
+            tasks_per_core: params.np as f64 / active as f64,
+        });
         if mode.throttle {
             active = throttled_workers(params.np, workers);
         }
@@ -184,10 +184,10 @@ pub fn adapt_live(
             points_per_s: rate(grid.len() * steps_per_epoch, wall_s),
             tasks: window.tasks,
         });
-        tuner.observe(&GrainSignal::from_idle_rate(
+        tuner.observe(&GrainSignal {
             idle_rate,
-            np as f64 / active as f64,
-        ));
+            tasks_per_core: np as f64 / active as f64,
+        });
         if mode.throttle {
             rt.set_active_workers(throttled_workers(np, rt.num_workers()));
         }

@@ -10,11 +10,11 @@
 //!   the idle-rate threshold of §IV-A and the pending-queue-access
 //!   minimum of §IV-E, applied to sweep data;
 //! * [`tuner`] — the one dynamic rule: a [`GrainSignal`] per monitoring
-//!   window (idle-rate, overhead fraction, tasks-per-core) into a
-//!   [`ThresholdTuner`], plus [`throttled_workers`], the
-//!   Porterfield-style (§V) pool throttle on the same window's task
-//!   count. `grain-autotune`'s per-tenant
-//!   controller drives this same tuner with per-job signals;
+//!   window (idle-rate, tasks-per-core) into a [`ThresholdTuner`], which
+//!   also owns the freeze, band and re-probe after convergence, plus
+//!   [`throttled_workers`], the Porterfield-style (§V) pool throttle on
+//!   the same window's task count. `grain-autotune` drives this same
+//!   tuner, one per tenant, with per-job signals;
 //! * `driver` — the two loops that apply it to the stencil, one per
 //!   measurement substrate: [`adapt`] (epochs over a simulated or native
 //!   `StencilEngine`) and [`adapt_live`] (windows of time steps inside
@@ -25,7 +25,7 @@
 //!
 //! There is deliberately one rule and no strategy trait: the paper's
 //! adaptive claim *is* this rule, and nothing in the repo ran another.
-//! A second rule would be a second type with the tuner's three methods,
+//! A second rule would be a second type with the tuner's methods,
 //! chosen where [`ThresholdTuner::new`] is called today.
 
 #![warn(missing_docs)]

@@ -4,12 +4,14 @@
 //!
 //! Everything that adapts a grain in this repo — the epoch and live
 //! stencil loops ([`crate::adapt`], [`crate::adapt_live`]) and
-//! `grain-autotune`'s per-tenant controller — feeds one [`GrainSignal`] per monitoring window to one
-//! [`ThresholdTuner`]: the tasks-per-core ratio separates the
-//! coarse-grained regime (starvation-bound: shrink) from the
-//! fine-grained one, where the windowed idle-rate and its companions
-//! (overhead-bound: grow) decide. [`throttled_workers`] is the second,
-//! independent actuator on the same signal: the worker pool.
+//! `grain-autotune`'s per-tenant map — feeds one [`GrainSignal`] per
+//! monitoring window to one [`ThresholdTuner`]: the tasks-per-core ratio
+//! separates the coarse-grained regime (starvation-bound: shrink) from
+//! the fine-grained one, where the windowed idle rate (overhead-bound:
+//! grow) decides. Once converged, the tuner freezes, and only a
+//! sustained run of out-of-band windows re-opens a probe.
+//! [`throttled_workers`] is the second, independent actuator on the same
+//! signal: the worker pool.
 //!
 //! Both rules are pure, deterministic functions of their inputs — the
 //! same signal sequence always yields the same grain sequence — which
@@ -24,37 +26,21 @@
 pub struct GrainSignal {
     /// Idle-rate over the window (Eq. 1): 1 − Σt_exec / Σt_func.
     pub idle_rate: f64,
-    /// Overhead fraction: task-management time over total thread time.
-    /// For uncontended runs this tracks `idle_rate`; under contention it
-    /// isolates the t_o component.
-    pub overhead_frac: f64,
     /// Tasks available per core at the current grain
     /// (`n_tasks / n_cores`): below ~2 is the coarse, starvation-prone
     /// regime.
     pub tasks_per_core: f64,
 }
 
-impl GrainSignal {
-    /// A window where only the idle-rate was measured (the stencil
-    /// loops: one counter pair per epoch).
-    pub fn from_idle_rate(idle_rate: f64, tasks_per_core: f64) -> Self {
-        Self {
-            idle_rate,
-            overhead_frac: 0.0,
-            tasks_per_core,
-        }
-    }
-
-    /// The scalar "too fine" pressure the threshold rule reacts to: the
-    /// worse of the two overhead markers. Either alone marks the
-    /// overhead-bound regime.
-    pub fn pressure(&self) -> f64 {
-        self.idle_rate.max(self.overhead_frac)
-    }
-}
-
 /// Multiplicative step for size changes: the tuner doubles or halves.
 const STEP: f64 = 2.0;
+/// Width of the hysteresis band above the idle-rate target: a frozen
+/// tuner tolerates `target_idle_rate + HYSTERESIS_BAND` before a window
+/// counts as out-of-band.
+const HYSTERESIS_BAND: f64 = 0.15;
+/// Consecutive out-of-band windows that re-open a probe after
+/// convergence: one noisy window, or two, is not a regime change.
+const OUT_OF_BAND_WINDOWS: u32 = 3;
 
 /// Bounds and targets of the tuner.
 #[derive(Debug, Clone, Copy)]
@@ -82,12 +68,18 @@ impl Default for TunerConfig {
 
 /// Idle-rate-threshold tuner (§IV-A made dynamic).
 ///
-/// Decision rule per window:
+/// Decision rule per window while probing:
 /// * starving (tasks-per-core below 2): partitions are too coarse to load
 ///   balance — *shrink*;
-/// * [`GrainSignal::pressure`] above target: task management dominates —
-///   *grow*;
+/// * idle rate above target: task management dominates — *grow*;
 /// * otherwise: hold (converged once two consecutive holds happen).
+///
+/// Once converged the size **freezes**: a window with idle rate at most
+/// `target_idle_rate + HYSTERESIS_BAND` (0.15) and at least one task per
+/// core keeps it frozen, and only `OUT_OF_BAND_WINDOWS` (3)
+/// *consecutive* windows outside that band re-open a probe, counted by
+/// [`ThresholdTuner::reopens`]. A stable workload therefore never
+/// oscillates, and one noisy window never re-tunes a settled size.
 #[derive(Debug, Clone)]
 pub struct ThresholdTuner {
     cfg: TunerConfig,
@@ -95,6 +87,9 @@ pub struct ThresholdTuner {
     holds: u32,
     /// Last direction: +1 grew, −1 shrank, 0 held.
     last_dir: i8,
+    /// Consecutive out-of-band windows seen while converged.
+    out_of_band: u32,
+    reopens: u64,
 }
 
 impl ThresholdTuner {
@@ -106,6 +101,8 @@ impl ThresholdTuner {
             nx,
             holds: 0,
             last_dir: 0,
+            out_of_band: 0,
+            reopens: 0,
         }
     }
 
@@ -114,13 +111,34 @@ impl ThresholdTuner {
         self.nx
     }
 
-    /// True once the tuner has stopped moving.
+    /// True once the tuner has stopped moving: it is frozen until a
+    /// sustained out-of-band run re-opens a probe.
     pub fn converged(&self) -> bool {
         self.holds >= 2
     }
 
+    /// Probes re-opened after convergence so far.
+    pub fn reopens(&self) -> u64 {
+        self.reopens
+    }
+
     /// Feed one window; returns the partition size for the next window.
     pub fn observe(&mut self, sig: &GrainSignal) -> usize {
+        if self.converged() {
+            let in_band = sig.idle_rate <= self.cfg.target_idle_rate + HYSTERESIS_BAND
+                && sig.tasks_per_core >= 1.0;
+            if in_band {
+                self.out_of_band = 0;
+                return self.nx;
+            }
+            self.out_of_band += 1;
+            if self.out_of_band < OUT_OF_BAND_WINDOWS {
+                return self.nx;
+            }
+            // The regime genuinely moved: this window opens a probe.
+            self.out_of_band = 0;
+            self.reopens += 1;
+        }
         let grow = |nx: usize, cfg: &TunerConfig| {
             (((nx as f64) * STEP) as usize).clamp(cfg.min_nx, cfg.max_nx)
         };
@@ -143,7 +161,7 @@ impl ThresholdTuner {
             } else {
                 self.holds += 1;
             }
-        } else if sig.pressure() > self.cfg.target_idle_rate {
+        } else if sig.idle_rate > self.cfg.target_idle_rate {
             // Fine regime: overhead-bound.
             let next = grow(self.nx, &self.cfg);
             if self.last_dir == -1 {
@@ -182,7 +200,10 @@ mod tests {
     use super::*;
 
     fn sig(idle: f64, tpc: f64) -> GrainSignal {
-        GrainSignal::from_idle_rate(idle, tpc)
+        GrainSignal {
+            idle_rate: idle,
+            tasks_per_core: tpc,
+        }
     }
 
     #[test]
@@ -250,27 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn each_overhead_marker_alone_triggers_growth() {
-        // The Eq.-1 components can disagree (a contended run has a low
-        // idle-rate but a high overhead fraction): either must coarsen.
-        let quiet = GrainSignal::from_idle_rate(0.05, 100.0);
-        for loud in [
-            GrainSignal {
-                overhead_frac: 0.8,
-                ..quiet
-            },
-            GrainSignal {
-                idle_rate: 0.8,
-                ..quiet
-            },
-        ] {
-            let mut t = ThresholdTuner::new(TunerConfig::default());
-            let nx0 = t.nx();
-            assert!(t.observe(&loud) > nx0, "{loud:?}");
-        }
-    }
-
-    #[test]
     fn exact_trajectory_from_a_fixed_signal_sequence() {
         // The replay-determinism gate leans on the tuner being a pure
         // state machine; this pins the machine itself, step by step:
@@ -307,20 +307,71 @@ mod tests {
 
     #[test]
     fn tuner_is_deterministic() {
-        // Same signal sequence → same grain trajectory.
-        let run = || {
+        // Same signal sequence → same grain trajectory, through the
+        // probe, the freeze and the re-opens alike.
+        let run = |idle: &dyn Fn(usize) -> f64| {
             let mut t = ThresholdTuner::new(TunerConfig::default());
-            (0..12)
-                .map(|i| {
-                    t.observe(&GrainSignal {
-                        idle_rate: 0.8 / (i + 1) as f64,
-                        overhead_frac: 0.1,
-                        tasks_per_core: 8.0,
-                    })
-                })
+            (0..20)
+                .map(|i| t.observe(&sig(idle(i), 8.0)))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(run(), run());
+        let falling = |i: usize| 0.8 / (i + 1) as f64;
+        let noisy = |i: usize| if i.is_multiple_of(3) { 0.9 } else { 0.2 };
+        assert_eq!(run(&falling), run(&falling));
+        assert_eq!(run(&noisy), run(&noisy));
+    }
+
+    /// A tuner frozen at its converged size.
+    fn converged() -> ThresholdTuner {
+        let mut t = ThresholdTuner::new(TunerConfig::default());
+        t.observe(&sig(0.1, 50.0));
+        t.observe(&sig(0.1, 50.0));
+        assert!(t.converged());
+        t
+    }
+
+    #[test]
+    fn freezes_after_convergence_and_tolerates_noise() {
+        let mut t = converged();
+        let frozen = t.nx();
+        // One or two out-of-band windows are absorbed by hysteresis.
+        t.observe(&sig(0.95, 50.0));
+        t.observe(&sig(0.95, 50.0));
+        assert_eq!(t.nx(), frozen, "band absorbs transient noise");
+        assert!(t.converged());
+    }
+
+    #[test]
+    fn sustained_regime_change_reopens_a_probe() {
+        let mut t = converged();
+        let frozen = t.nx();
+        for _ in 0..3 {
+            t.observe(&sig(0.95, 50.0));
+        }
+        assert_eq!(t.reopens(), 1, "probe re-opened");
+        assert!(t.nx() > frozen, "overhead regime coarsens the grain");
+    }
+
+    #[test]
+    fn frozen_tuner_holds_inside_the_band_and_reopens_past_it() {
+        // Above the 0.30 target but inside its 0.15 band, with 8 tasks
+        // per core: a probing tuner would grow, a frozen one holds. (In
+        // f64 the band's edge, 0.30 + 0.15, sits just below 0.45.)
+        let mut t = converged();
+        let frozen = t.nx();
+        for idle in [0.31, 0.40, 0.44, 0.35, 0.44] {
+            assert_eq!(t.observe(&sig(idle, 8.0)), frozen, "idle {idle}");
+        }
+        assert!(t.converged());
+        assert_eq!(t.reopens(), 0);
+        // Past the band: the first two windows are noise, the third
+        // re-opens the probe and, overhead-bound, grows.
+        assert_eq!(t.observe(&sig(0.46, 8.0)), frozen);
+        assert_eq!(t.observe(&sig(0.46, 8.0)), frozen);
+        assert_eq!(t.reopens(), 0);
+        assert_eq!(t.observe(&sig(0.46, 8.0)), frozen * 2);
+        assert_eq!(t.reopens(), 1);
+        assert!(!t.converged());
     }
 
     #[test]

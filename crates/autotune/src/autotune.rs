@@ -14,14 +14,13 @@
 //! ```
 //!
 //! Every completed *shaped* job flows back through the policy hook; the
-//! tenant's [`GrainController`] digests it and the tenant's next
+//! tenant's [`ThresholdTuner`] digests it and the tenant's next
 //! [`Autotune::submit_shaped`] call expands at the adjusted grain.
 //! Tenants that never submit shapes are untouched — the hook ignores
 //! jobs without a [`grain_service::JobShape`].
 
-use crate::controller::{AutotuneConfig, GrainController};
 use crate::shape::ShapedWork;
-use grain_adaptive::GrainSignal;
+use grain_adaptive::{GrainSignal, ThresholdTuner, TunerConfig};
 use grain_counters::derived::DerivedCounter;
 use grain_counters::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 use grain_counters::{Registry, RegistryError, Unit, Window};
@@ -29,10 +28,36 @@ use grain_service::{JobHandle, JobOutcome, JobService, JobShape, JobSpec, JobSta
 use std::collections::BTreeMap;
 use std::sync::{Arc, Weak};
 
-/// Published state of one tenant's controller. The atomics mirror the
-/// controller so counter reads never take the controller lock.
+/// Hard cap on the task count any shaped job may expand to:
+/// [`effective_grain`] coarsens the grain as needed to respect it. A
+/// bound on what one job can queue, not a tuning decision.
+const MAX_TASKS_PER_JOB: u64 = 4096;
+
+/// Configuration of the autotune subsystem (shared by every tenant).
+#[derive(Debug, Clone, Copy)]
+pub struct AutotuneConfig {
+    /// Master switch. When false, every tenant stays pinned at
+    /// `tuner.initial_nx` forever — submissions expand exactly as a
+    /// hand-partitioned job would (the byte-identical legacy path).
+    pub enabled: bool,
+    /// Tuner bounds and targets: initial/min/max grain (work units
+    /// per task) and idle-rate target.
+    pub tuner: TunerConfig,
+}
+
+impl Default for AutotuneConfig {
+    fn default() -> Self {
+        Self {
+            enabled: true,
+            tuner: TunerConfig::default(),
+        }
+    }
+}
+
+/// One tenant's tuner and its published state. The atomics mirror the
+/// tuner so counter reads never take the tuner lock.
 struct TenantEntry {
-    controller: Mutex<GrainController>,
+    tuner: Mutex<ThresholdTuner>,
     grain: AtomicU64,
     converged: AtomicU64,
     probes: AtomicU64,
@@ -42,28 +67,31 @@ struct TenantEntry {
 
 impl TenantEntry {
     fn new(cfg: AutotuneConfig) -> Self {
-        let controller = GrainController::new(cfg);
-        let grain = controller.grain();
-        let converged = u64::from(controller.converged());
-        let probes = controller.probes();
+        let tuner = ThresholdTuner::new(cfg.tuner);
         Self {
-            controller: Mutex::new(controller),
-            grain: AtomicU64::new(grain),
-            converged: AtomicU64::new(converged),
-            probes: AtomicU64::new(probes),
+            grain: AtomicU64::new(grain_of(&tuner)),
+            // A disabled tenant is pinned: settled from the start, and
+            // never probing.
+            converged: AtomicU64::new(u64::from(!cfg.enabled)),
+            probes: AtomicU64::new(u64::from(cfg.enabled)),
+            tuner: Mutex::new(tuner),
             adjustments: AtomicU64::new(0),
             jobs: AtomicU64::new(0),
         }
     }
+}
 
-    fn publish(&self, c: &GrainController) {
-        self.grain.store(c.grain(), Ordering::Relaxed);
-        self.converged
-            .store(u64::from(c.converged()), Ordering::Relaxed);
-        self.probes.store(c.probes(), Ordering::Relaxed);
-        self.adjustments.store(c.adjustments(), Ordering::Relaxed);
-        self.jobs.store(c.jobs(), Ordering::Relaxed);
-    }
+/// The tuner's size as a grain, which is never zero.
+fn grain_of(tuner: &ThresholdTuner) -> u64 {
+    (tuner.nx() as u64).max(1)
+}
+
+/// The grain to expand a job of `units` total work with: `grain`,
+/// coarsened if needed so the job never expands to more than
+/// `MAX_TASKS_PER_JOB` (4096) tasks. This bound holds whatever the
+/// tuner does — it is the runtime's starvation guard.
+fn effective_grain(grain: u64, units: u64) -> u64 {
+    grain.max(units.div_ceil(MAX_TASKS_PER_JOB)).max(1)
 }
 
 /// Per-tenant online granularity control as a service policy. See the
@@ -71,7 +99,7 @@ impl TenantEntry {
 pub struct Autotune {
     cfg: AutotuneConfig,
     /// Cores the attached service schedules over (feeds per-job signal
-    /// derivation); `cfg.cores` until [`Autotune::attach`] runs.
+    /// derivation); 1 until [`Autotune::attach`] runs.
     cores: AtomicUsize,
     tenants: Mutex<BTreeMap<String, Arc<TenantEntry>>>,
     /// The attached service's registry, for lazy per-tenant counters.
@@ -84,7 +112,7 @@ impl Autotune {
     pub fn new(cfg: AutotuneConfig) -> Arc<Self> {
         Arc::new(Self {
             cfg,
-            cores: AtomicUsize::new(cfg.cores.max(1)),
+            cores: AtomicUsize::new(1),
             tenants: Mutex::new(BTreeMap::new()),
             registry: Mutex::new(None),
         })
@@ -143,7 +171,7 @@ impl Autotune {
 
     /// The hook to install as [`grain_service::ServiceConfig::policy`].
     /// Feeds every *completed, shaped* job back into its tenant's
-    /// controller; unshaped jobs and non-completed outcomes pass
+    /// tuner; unshaped jobs and non-completed outcomes pass
     /// through untouched.
     pub fn policy_hook(self: &Arc<Self>) -> PolicyHook {
         let weak = Arc::downgrade(self);
@@ -159,7 +187,7 @@ impl Autotune {
         })
     }
 
-    /// Derive the controller signal from a completed job's own window:
+    /// Derive the tuner signal from a completed job's own window:
     /// Eq. 1 over its phases' Σt_exec and Σt_func. A job's func time
     /// counts only its own phases, so all of its non-exec time is task
     /// overhead, and the idle rate is the overhead fraction.
@@ -173,10 +201,8 @@ impl Autotune {
             tasks: outcome.tasks_completed,
             ..Window::default()
         };
-        let idle_rate = window.idle_rate();
         Some(GrainSignal {
-            idle_rate,
-            overhead_frac: idle_rate,
+            idle_rate: window.idle_rate(),
             tasks_per_core: window.tasks_per_core(self.cores.load(Ordering::Relaxed)),
         })
     }
@@ -186,22 +212,35 @@ impl Autotune {
         self.entry(tenant).grain.load(Ordering::Relaxed)
     }
 
-    /// True once `tenant`'s controller sits frozen in its hysteresis
-    /// band (or the subsystem is disabled).
+    /// True once `tenant`'s tuner sits frozen in its hysteresis band
+    /// (or the subsystem is disabled).
     pub fn converged(&self, tenant: &str) -> bool {
         self.entry(tenant).converged.load(Ordering::Relaxed) != 0
     }
 
-    /// Feed one completed-job signal into `tenant`'s controller and
-    /// return the tenant's next grain. The policy hook calls this with
+    /// Feed one completed-job signal into `tenant`'s tuner and return
+    /// the tenant's next grain. The policy hook calls this with
     /// measured signals; deterministic harnesses (the convergence
     /// storm, the cost-model benchmark) call it directly with modeled
     /// ones.
     pub fn observe(&self, tenant: &str, sig: &GrainSignal) -> u64 {
         let entry = self.entry(tenant);
-        let mut c = entry.controller.lock();
-        let next = c.observe(sig);
-        entry.publish(&c);
+        entry.jobs.fetch_add(1, Ordering::Relaxed);
+        if !self.cfg.enabled {
+            return entry.grain.load(Ordering::Relaxed);
+        }
+        let mut tuner = entry.tuner.lock();
+        let before = grain_of(&tuner);
+        tuner.observe(sig);
+        let next = grain_of(&tuner);
+        if next != before {
+            entry.adjustments.fetch_add(1, Ordering::Relaxed);
+        }
+        entry.grain.store(next, Ordering::Relaxed);
+        entry
+            .converged
+            .store(u64::from(tuner.converged()), Ordering::Relaxed);
+        entry.probes.store(1 + tuner.reopens(), Ordering::Relaxed);
         next
     }
 
@@ -216,11 +255,7 @@ impl Autotune {
         shape: &ShapedWork,
     ) -> JobHandle {
         let units = shape.units();
-        let grain = {
-            let entry = self.entry(tenant);
-            let c = entry.controller.lock();
-            c.effective_grain(units)
-        };
+        let grain = effective_grain(self.grain_for(tenant), units);
         let expanded = shape.expand(grain);
         let mut body = expanded.body;
         let spec = JobSpec::new(name, tenant)
@@ -234,12 +269,13 @@ impl Autotune {
         self.tenants.lock().keys().cloned().collect()
     }
 
-    /// Probe phases `tenant`'s controller has opened.
+    /// Probe phases `tenant`'s tuner has opened: 1 for the first probe,
+    /// +1 per re-open; 0 while the subsystem is disabled.
     pub fn probes(&self, tenant: &str) -> u64 {
         self.entry(tenant).probes.load(Ordering::Relaxed)
     }
 
-    /// Grain adjustments `tenant`'s controller has applied.
+    /// Grain adjustments `tenant`'s tuner has applied.
     pub fn adjustments(&self, tenant: &str) -> u64 {
         self.entry(tenant).adjustments.load(Ordering::Relaxed)
     }
@@ -264,7 +300,7 @@ impl Autotune {
     /// Publish `/autotune/tenants/{name}/...` views. Registration is
     /// best-effort: a tenant name the counter grammar rejects (or a
     /// collision after a registry reset) must not fail the submission
-    /// path, so errors are swallowed — the controller still runs, it is
+    /// path, so errors are swallowed — the tuner still runs, it is
     /// just not observable by path.
     fn register_tenant_counters(&self, tenant: &str, entry: &Arc<TenantEntry>) {
         let Some(registry) = self.registry.lock().clone() else {
@@ -319,7 +355,6 @@ mod tests {
         // shrink the grain.
         let sig = GrainSignal {
             idle_rate: 0.9,
-            overhead_frac: 0.1,
             tasks_per_core: 0.5,
         };
         let g1 = auto.observe("t", &sig);
@@ -330,10 +365,8 @@ mod tests {
 
     #[test]
     fn a_jobs_signal_is_eq1_over_its_own_window() {
-        let auto = Autotune::new(AutotuneConfig {
-            cores: 2,
-            ..AutotuneConfig::default()
-        });
+        let auto = Autotune::new(AutotuneConfig::default());
+        auto.cores.store(2, Ordering::Relaxed);
         let outcome = JobOutcome {
             state: JobState::Completed,
             tasks_completed: 8,
@@ -351,7 +384,6 @@ mod tests {
         };
         let sig = auto.signal_from_outcome(&outcome).expect("completed");
         assert_eq!(sig.idle_rate, 0.4);
-        assert_eq!(sig.overhead_frac, 0.4);
         assert_eq!(sig.tasks_per_core, 4.0);
         // Wall time is not part of the window.
         let slower = JobOutcome {
@@ -364,5 +396,36 @@ mod tests {
             ..outcome
         };
         assert_eq!(auto.signal_from_outcome(&failed), None);
+    }
+
+    #[test]
+    fn disabled_autotune_never_moves() {
+        let auto = Autotune::new(AutotuneConfig {
+            enabled: false,
+            ..AutotuneConfig::default()
+        });
+        let g0 = auto.grain_for("t");
+        let loud = GrainSignal {
+            idle_rate: 0.95,
+            tasks_per_core: 200.0,
+        };
+        for _ in 0..10 {
+            assert_eq!(auto.observe("t", &loud), g0);
+        }
+        assert_eq!(auto.jobs("t"), 10);
+        assert_eq!(auto.adjustments("t"), 0);
+        assert_eq!(auto.probes("t"), 0);
+        assert!(auto.converged("t"), "a pinned tenant is trivially settled");
+    }
+
+    #[test]
+    fn effective_grain_caps_the_task_count() {
+        // 1M units at grain 16 would be 62_500 tasks; the guard
+        // coarsens to exactly the cap.
+        let g = effective_grain(16, 1_000_000);
+        assert!(g > 16);
+        assert!(1_000_000u64.div_ceil(g) <= MAX_TASKS_PER_JOB);
+        // Small jobs keep the tuned grain.
+        assert_eq!(effective_grain(16, 160), 16);
     }
 }

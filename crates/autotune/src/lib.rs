@@ -17,22 +17,22 @@
 //!              ▲                                           │
 //!              │ next grain                                │ policy hook
 //!              │                                           ▼
-//!        GrainController ◀── GrainSignal (idle rate Eq. 1, overhead
-//!        (per tenant)         fraction, tasks/core)
+//!        ThresholdTuner ◀── GrainSignal (the job's own Eq. 1 idle
+//!        (per tenant)        rate, tasks/core)
 //! ```
 //!
 //! * **Signal** — each completed job's counters are folded into a
 //!   [`grain_adaptive::GrainSignal`]; a deterministic [`CostModel`]
-//!   produces the same signal shape for replayable storms.
-//! * **Rule** — [`grain_adaptive::ThresholdTuner`], the paper's
-//!   threshold rule on its regime markers and the same object the
-//!   stencil adaptation loops drive, proposes the next grain. There is
-//!   one rule and no strategy trait because nothing ran a second; one
-//!   would be a second tuner type picked in [`GrainController::new`].
-//! * **Controller** — [`GrainController`] adds hysteresis (a converged
-//!   tenant freezes; only a *sustained* out-of-band run re-probes) and
-//!   safe bounds (grain inside the tuner range, task count capped), so
-//!   no tuner setting can starve or flood the runtime.
+//!   produces the same signal for replayable storms.
+//! * **Rule** — one [`grain_adaptive::ThresholdTuner`] per tenant, the
+//!   paper's threshold rule on its regime markers and the same object
+//!   the stencil adaptation loops drive, proposes the next grain, and
+//!   owns the hysteresis: a converged tenant freezes, and only a
+//!   *sustained* out-of-band run re-probes. There is one rule and no
+//!   strategy trait because nothing ran a second.
+//! * **Bounds** — the grain stays inside the tuner's range, and
+//!   [`Autotune::submit_shaped`] caps the task count a job may expand
+//!   to, so no tuner setting can starve or flood the runtime.
 //! * **Actuators** — the adjusted grain re-chunks the tenant's next
 //!   job; the convergence state, exported through the fleet's
 //!   `WorkerStats`, weighs gateway placement.
@@ -45,12 +45,10 @@
 //! `tests/convergence.rs` pins.
 
 mod autotune;
-pub mod controller;
 pub mod model;
 pub mod shape;
 
-pub use autotune::Autotune;
-pub use controller::{AutotuneConfig, GrainController};
+pub use autotune::{Autotune, AutotuneConfig};
 pub use model::CostModel;
 pub use shape::{ExpandedJob, ShapedBody, ShapedWork};
 

@@ -1,18 +1,19 @@
 //! A deterministic host cost model for replayable convergence storms.
 //!
-//! The controller's *decision inputs* under the storm harness must not
-//! depend on wall-clock measurement, or a replay would diverge (the
-//! verify gate runs the convergence smoke twice and diffs the
-//! reports). This module provides the closed-form stand-in: the
-//! paper's two-component task cost — a fixed per-task management
-//! overhead `t_o` plus work linear in the grain — evaluated over an
-//! idealized `cores`-wide machine. From it the model derives exactly
-//! the signal set the real service derives from its counters
-//! (Eq.-1 idle rate, overhead fraction, tasks-per-core), so a tuner
-//! set against the model behaves identically against a real host whose
+//! The tuner's *decision inputs* under the storm harness must not
+//! depend on wall-clock measurement, or a replay would diverge
+//! (`tests/convergence.rs`'s `storms_replay_bit_identically` replays
+//! each storm in-process and compares). This module provides the
+//! closed-form stand-in: the paper's two-component task cost — a fixed
+//! per-task management overhead `t_o` plus work linear in the grain —
+//! evaluated over an idealized `cores`-wide machine. From it the model
+//! derives the signal the policy hook reads off a completed job: the
+//! job's own Eq. 1 idle rate (its phases' non-exec share,
+//! `t_o / (t_o + grain·w)`) and its tasks per core, so a tuner set
+//! against the model behaves identically against a real host whose
 //! costs match.
 //!
-//! Real jobs reach the same controller through `Autotune::policy_hook`
+//! Real jobs reach the same tuner through `Autotune::policy_hook`
 //! (this crate's `tests/service.rs`); no measured number reaches the
 //! storm's transcript.
 
@@ -56,21 +57,14 @@ impl CostModel {
         (machine - busy).max(0.0) / tasks
     }
 
-    /// The full signal set for one job at `(units, grain)` — the same
-    /// three numbers the service derives from its counters.
+    /// The signal the policy hook reads off one job at
+    /// `(units, grain)`: the job's own Eq. 1 — each task's `t_o` over
+    /// its `t_o + grain·w` — and its tasks per core.
     pub fn signal(&self, units: u64, grain: u64) -> GrainSignal {
-        let cores = self.cores.max(1) as f64;
-        let tasks = self.tasks(units, grain) as f64;
         let work = grain.max(1) as f64 * self.ns_per_unit;
-        let per_task = self.overhead_ns_per_task + work;
-        let wall = self.wall_ns(units, grain);
-        let busy = units.max(1) as f64 * self.ns_per_unit;
-        let idle_rate = (1.0 - busy / (wall * cores)).clamp(0.0, 1.0);
-        let overhead_frac = self.overhead_ns_per_task / per_task;
         GrainSignal {
-            idle_rate,
-            overhead_frac,
-            tasks_per_core: tasks / cores,
+            idle_rate: self.overhead_ns_per_task / (self.overhead_ns_per_task + work),
+            tasks_per_core: self.tasks(units, grain) as f64 / self.cores.max(1) as f64,
         }
     }
 
@@ -125,13 +119,13 @@ mod tests {
         let m = model();
         let units = 1 << 20;
         let fine = m.signal(units, 16);
-        assert!(fine.overhead_frac > 0.9, "tiny tasks are all overhead");
+        assert!(fine.idle_rate > 0.9, "tiny tasks are all overhead");
         let coarse = m.signal(units, units);
         assert!(coarse.tasks_per_core < 1.0, "one task cannot feed 4 cores");
-        assert!(coarse.idle_rate > 0.5);
         let opt = m.optimal_grain(units, &TunerConfig::default());
         let good = m.signal(units, opt);
-        assert!(good.idle_rate < fine.idle_rate.min(coarse.idle_rate));
+        assert!(good.idle_rate < fine.idle_rate);
+        assert!(good.tasks_per_core > coarse.tasks_per_core);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Work shapes: what a tenant submits *instead of* a partition.
 //!
-//! A [`ShapedWork`] describes a job's total work in controller units
-//! (busy-work iterations) together with a chunkable body; the autotune
-//! controller picks the grain — units per task — and
+//! A [`ShapedWork`] describes a job's total work in tuner units
+//! (busy-work iterations) together with a chunkable body; the tenant's
+//! tuner picks the grain — units per task — and
 //! [`ShapedWork::expand`] turns the pair into a concrete task count and
 //! a ready-to-submit job body. The expansion is a pure function of
 //! `(shape, grain)`: re-expanding the same shape at the same grain
@@ -23,7 +23,7 @@ use std::sync::Arc;
 pub type ShapedBody = Box<dyn FnMut(&mut TaskContext<'_>) + Send>;
 
 /// A chunkable description of one job's work. All variants measure
-/// work in **busy-work iterations** (the controller's unit; CPU time is
+/// work in **busy-work iterations** (the tuner's unit; CPU time is
 /// linear in it, see [`grain_taskbench::work::busy_work`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShapedWork {
@@ -69,7 +69,7 @@ pub enum ShapedWork {
         seed: u64,
         /// Per-node duration dispersion ([`Cov::Uniform`] for equal
         /// grains). Graph-backed families scatter each node's iteration
-        /// count around the controller's grain, so the controller tunes
+        /// count around the tenant's grain, so the tuner tunes
         /// a *mean*, not a constant; the flat family ignores it.
         cov: Cov,
     },

@@ -34,7 +34,6 @@ fn model() -> CostModel {
 
 fn cfg_with_initial(initial_nx: usize) -> AutotuneConfig {
     AutotuneConfig {
-        cores: 4,
         tuner: TunerConfig {
             initial_nx,
             ..TunerConfig::default()

@@ -8,10 +8,7 @@ use grain_sim::storm::GraphFamily;
 use std::sync::Arc;
 
 fn shaped_service() -> (Arc<Autotune>, JobService) {
-    let auto = Autotune::new(AutotuneConfig {
-        cores: 2,
-        ..AutotuneConfig::default()
-    });
+    let auto = Autotune::new(AutotuneConfig::default());
     let service = JobService::new(ServiceConfig {
         policy: Some(auto.policy_hook()),
         ..ServiceConfig::with_workers(2)

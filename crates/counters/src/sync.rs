@@ -348,6 +348,8 @@ impl Drop for Pump {
     fn drop(&mut self) {
         self.kick.stop();
         if let Some(thread) = self.thread.take() {
+            // Unbounded: the stopped pump returns at its next wake-up,
+            // so the join waits out at most the pass in flight.
             let _ = thread.join();
         }
     }

@@ -18,10 +18,9 @@
 //!   wait;
 //! * spend a job's dispatch budget on worker refusals → the outcome
 //!   names the refusing locality and its reason.
-#![allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
+
+#[path = "../../runtime/tests/support/pace.rs"]
+mod pace;
 
 use grain_fleet::gateway::SHED_RETRY_AFTER;
 use grain_fleet::wire::{FleetOutcome, ACTION_COMPLETE};
@@ -34,6 +33,7 @@ use grain_net::locality::NetConfig;
 use grain_runtime::RuntimeConfig;
 use grain_service::{JobOutcome, JobState, RejectReason};
 use grain_sim::{NetPlan, PartitionMode};
+use pace::pace;
 use std::time::{Duration, Instant};
 
 const PATIENCE: Duration = Duration::from_secs(30);
@@ -44,7 +44,7 @@ fn eventually(cond: impl Fn() -> bool) -> bool {
         if Instant::now() >= deadline {
             return false;
         }
-        std::thread::sleep(Duration::from_millis(2));
+        pace(Duration::from_millis(2));
     }
     true
 }
@@ -142,7 +142,7 @@ fn kill_after_complete_does_not_double_count() {
     // The worker dies *after* the completion was recorded. Nothing is
     // orphaned — the job is already terminal.
     fabric.kill(1);
-    std::thread::sleep(Duration::from_millis(20));
+    pace(Duration::from_millis(20));
     let ledger = gateway.ledger();
     assert_eq!(ledger.completed, 1);
     assert_eq!(
@@ -369,7 +369,7 @@ fn below_quorum_sheds_deadline_jobs_and_parks_the_rest() {
     }
     // A deadline-less job is patient: it parks pending rather than shed.
     let patient = gateway.submit(FleetJobSpec::new("patient", "tenant-a").tasks(4));
-    std::thread::sleep(Duration::from_millis(50));
+    pace(Duration::from_millis(50));
     assert!(
         patient.outcome().is_none(),
         "deadline-less job must wait, not shed"

@@ -9,11 +9,9 @@
 //!
 //! The tests hold one lock each, so the idle count sees no other test's
 //! fleet threads.
-#![allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
 
+#[path = "../../runtime/tests/support/pace.rs"]
+mod pace;
 #[path = "../../runtime/tests/support/switches.rs"]
 mod switches;
 
@@ -22,6 +20,7 @@ use grain_fleet::{FleetConfig, FleetGateway, FleetJobSpec, FleetWorker, FleetWor
 use grain_net::bootstrap::Fabric;
 use grain_runtime::RuntimeConfig;
 use grain_service::{JobState, PolicyHook, RejectReason};
+use pace::pace;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switches::thread_switches;
@@ -118,7 +117,7 @@ fn a_job_shed_while_queued_is_pushed_without_a_tick() {
     let t0 = Instant::now();
     while gateway.lease_of(parked.key()).is_none() {
         assert!(t0.elapsed() < PATIENCE, "the parked job was never leased");
-        std::thread::sleep(Duration::from_millis(1));
+        pace(Duration::from_millis(1));
     }
     let deadline = Duration::from_millis(50);
     let t0 = Instant::now();
@@ -163,14 +162,14 @@ fn a_quiescent_fleet_is_not_scheduled() {
     let t0 = Instant::now();
     while worker.counters().pushes_acked.load(Ordering::SeqCst) == 0 {
         assert!(t0.elapsed() < PATIENCE, "the push was never acknowledged");
-        std::thread::sleep(Duration::from_millis(1));
+        pace(Duration::from_millis(1));
     }
-    std::thread::sleep(Duration::from_millis(20));
+    pace(Duration::from_millis(20));
     let Some(before) = thread_switches(PUMPS) else {
         return;
     };
     assert!(before.len() >= 3, "gateway pump, worker pump, dispatcher");
-    std::thread::sleep(Duration::from_millis(200));
+    pace(Duration::from_millis(200));
     let after = thread_switches(PUMPS).expect("/proc was there a moment ago");
     let switches: u64 = after
         .iter()

@@ -12,10 +12,9 @@
 //! * two localities that wait on each other's deferred replies every
 //!   round compute exactly what a serial fold computes;
 //! * the fabric's parcel ledger conserves at quiescence.
-#![allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
+
+#[path = "../../runtime/tests/support/pace.rs"]
+mod pace;
 
 use grain_counters::sync::{AtomicUsize, Ordering};
 use grain_net::bootstrap::Fabric;
@@ -23,6 +22,7 @@ use grain_net::locality::NetConfig;
 use grain_net::EdgeBoard;
 use grain_runtime::{RuntimeConfig, SharedFuture, TaskError};
 use grain_sim::{NetPlan, PartitionMode};
+use pace::pace;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -42,7 +42,7 @@ fn eventually(cond: impl Fn() -> bool) -> bool {
         if Instant::now() >= deadline {
             return false;
         }
-        std::thread::sleep(Duration::from_millis(2));
+        pace(Duration::from_millis(2));
     }
     true
 }
@@ -220,7 +220,7 @@ fn futures_across_a_partition_heal_settle_exactly_once() {
         "calls must park at the cut: {:?}",
         net.ledger()
     );
-    std::thread::sleep(Duration::from_millis(100));
+    pace(Duration::from_millis(100));
     assert!(
         settle_counts.iter().all(|c| c.load(Ordering::SeqCst) == 0),
         "held frames must not settle futures early"

@@ -1,16 +1,15 @@
 //! Integration tests for the distribution layer: remote actions over
 //! loopback and TCP worlds, failure settlement, and parcel-counter
 //! balance.
-#![allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
 
+#[path = "../../runtime/tests/support/pace.rs"]
+mod pace;
 #[path = "../../runtime/tests/support/switches.rs"]
 mod switches;
 
 use grain_net::bootstrap::{tcp_join, tcp_root, Fabric, TcpNode};
 use grain_runtime::{RuntimeConfig, TaskError};
+use pace::pace;
 use std::time::{Duration, Instant};
 use switches::switches_during;
 
@@ -84,7 +83,7 @@ fn deferred_action_replies_when_its_future_settles() {
     f.locality(1)
         .register_deferred_action("slow-add", |rt, (a, b): (u64, u64)| {
             rt.async_call(move |_cx| {
-                std::thread::sleep(Duration::from_millis(20));
+                pace(Duration::from_millis(20));
                 a + b
             })
         });
@@ -261,7 +260,7 @@ fn tcp_books_balance_under_small_frame_bursts() {
     let deadline = Instant::now() + WAIT;
     while there.parcels().received.get() < before + TAIL {
         assert!(Instant::now() < deadline, "close stranded queued frames");
-        std::thread::sleep(Duration::from_millis(1));
+        pace(Duration::from_millis(1));
     }
 
     root.stop_listening();
@@ -326,7 +325,7 @@ fn wait_for_world_past_the_clock_range_is_no_deadline() {
     let root = tcp_root("127.0.0.1:0", 2, RuntimeConfig::with_workers(1)).expect("root");
     let addr = root.listen_addr().to_string();
     let joiner = grain_counters::sync::spawn("joiner", move || {
-        std::thread::sleep(Duration::from_millis(10));
+        pace(Duration::from_millis(10));
         tcp_join(&addr, RuntimeConfig::with_workers(1)).expect("join")
     })
     .unwrap();
@@ -357,7 +356,7 @@ fn wait_for_world_sleeps_until_the_link_lands() {
     let root = tcp_root("127.0.0.1:0", 2, RuntimeConfig::with_workers(1)).expect("root");
     let addr = root.listen_addr().to_string();
     let joiner = grain_counters::sync::spawn("joiner", move || {
-        std::thread::sleep(Duration::from_millis(50));
+        pace(Duration::from_millis(50));
         tcp_join(&addr, RuntimeConfig::with_workers(1)).expect("join")
     })
     .unwrap();

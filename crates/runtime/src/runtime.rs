@@ -1273,6 +1273,8 @@ impl Drop for Runtime {
         // Wake everyone repeatedly until all workers observed the flag.
         for t in self.threads.drain(..) {
             self.inner.wake();
+            // Unbounded: a woken worker sees `shutdown` and returns once
+            // its running task does; no task is preempted.
             let _ = t.join();
         }
         // Stranded tasks (a dead worker) are dropped now, not whenever the

@@ -9,13 +9,13 @@
 //! time, `exec ≤ func` holds on every worker (not only in total), and
 //! parked or quiescent wall time is never charged as work — the failure
 //! mode that would corrupt idle-rate and any adaptive policy built on it.
-#![allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
+
+#[path = "support/pace.rs"]
+mod pace;
 
 use grain_counters::sync::{AtomicU64, Ordering};
 use grain_runtime::{Runtime, RuntimeConfig};
+use pace::pace;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -106,7 +106,7 @@ fn quiescent_windows_are_not_charged_to_func() {
     r.spawn(|_| {});
     r.wait_idle();
     let func0 = query(&r, FUNC);
-    std::thread::sleep(Duration::from_millis(500));
+    pace(Duration::from_millis(500));
     r.spawn(|_| {});
     r.wait_idle();
     let func1 = query(&r, FUNC);
@@ -133,7 +133,7 @@ fn tiny_tasks_do_not_accumulate_phantom_exec() {
         r.spawn(|_| {});
     }
     r.wait_idle();
-    std::thread::sleep(Duration::from_millis(200));
+    pace(Duration::from_millis(200));
     for _ in 0..200 {
         r.spawn(|_| {});
     }

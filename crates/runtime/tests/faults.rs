@@ -1,15 +1,15 @@
 //! Fault-tolerance behavior, observed through the public API: panic
 //! isolation, fault propagation through futures and DAGs, bounded
 //! waits, the stall watchdog and dead-worker detection.
-#![allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
+
+#[path = "support/pace.rs"]
+mod pace;
 
 use grain_counters::sync::{AtomicBool, Ordering};
 use grain_runtime::{
     channel, when_all, Poll, Priority, Runtime, RuntimeConfig, TaskError, TaskGroup, WatchdogConfig,
 };
+use pace::pace;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::Duration;
@@ -245,7 +245,7 @@ fn watchdog_reports_a_dependency_cycle() {
     let (pb, fb) = channel::<u32>();
     let da = rt.dataflow(&[fb], move |_, v| pa.set(*v[0]));
     let db = rt.dataflow(&[fa], move |_, v| pb.set(*v[0]));
-    std::thread::sleep(Duration::from_millis(250));
+    pace(Duration::from_millis(250));
     let stalls = rt
         .registry()
         .query("/runtime{locality#0/total}/watchdog/stalls")
@@ -278,7 +278,7 @@ fn watchdog_stays_quiet_on_a_healthy_run() {
     }
     rt.wait_idle();
     // Idle-with-no-work must not read as a stall, no matter how long.
-    std::thread::sleep(Duration::from_millis(150));
+    pace(Duration::from_millis(150));
     let q = |name: &str| {
         rt.registry()
             .query(&format!("/runtime{{locality#0/total}}/watchdog/{name}"))
@@ -304,7 +304,7 @@ fn watchdog_stays_quiet_while_throttled_to_zero_workers() {
     // "stalled" — the watchdog must not page.
     rt.set_active_workers(0);
     let fut = rt.async_call(|_| 11u32);
-    std::thread::sleep(Duration::from_millis(150));
+    pace(Duration::from_millis(150));
     let q = |name: &str| {
         rt.registry()
             .query(&format!("/runtime{{locality#0/total}}/watchdog/{name}"))

@@ -1,11 +1,11 @@
 //! Behavioral tests for task groups and cooperative cancellation.
-#![allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
+
+#[path = "support/pace.rs"]
+mod pace;
 
 use grain_counters::sync::{AtomicUsize, Ordering};
 use grain_runtime::{channel, Inputs, Priority, Runtime, SharedFuture, TaskError, TaskGroup};
+use pace::pace;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -17,7 +17,7 @@ fn group_wait_joins_only_its_members() {
     let b = Arc::clone(&blocker);
     rt.spawn(move |_| {
         while b.load(Ordering::SeqCst) == 0 {
-            std::thread::sleep(Duration::from_millis(1));
+            pace(Duration::from_millis(1));
         }
     });
 
@@ -76,10 +76,10 @@ fn cancellation_skips_queued_members() {
     let g = Arc::clone(&gate);
     rt.spawn(move |_| {
         while g.load(Ordering::SeqCst) == 0 {
-            std::thread::sleep(Duration::from_millis(1));
+            pace(Duration::from_millis(1));
         }
     });
-    std::thread::sleep(Duration::from_millis(10));
+    pace(Duration::from_millis(10));
     for _ in 0..100 {
         let r = Arc::clone(&ran);
         rt.spawn_in(&group, Priority::Normal, move |_| {
@@ -234,10 +234,10 @@ fn running_tasks_observe_cancellation_cooperatively() {
                 b.fetch_add(1, Ordering::SeqCst);
                 return;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            pace(Duration::from_millis(1));
         }
     });
-    std::thread::sleep(Duration::from_millis(10));
+    pace(Duration::from_millis(10));
     group.cancel();
     assert!(
         group.wait_timeout(Duration::from_secs(5)),
@@ -275,10 +275,10 @@ fn exhausted_budget_skips_queued_members_at_dispatch() {
     let g = Arc::clone(&gate);
     rt.spawn(move |_| {
         while g.load(Ordering::SeqCst) == 0 {
-            std::thread::sleep(Duration::from_millis(1));
+            pace(Duration::from_millis(1));
         }
     });
-    std::thread::sleep(Duration::from_millis(10));
+    pace(Duration::from_millis(10));
     for _ in 0..20 {
         let r = Arc::clone(&ran);
         rt.spawn_in(&group, Priority::Normal, move |_| {
@@ -309,10 +309,10 @@ fn budget_skipped_future_faults_with_cancelled() {
     let g = Arc::clone(&gate);
     rt.spawn(move |_| {
         while g.load(Ordering::SeqCst) == 0 {
-            std::thread::sleep(Duration::from_millis(1));
+            pace(Duration::from_millis(1));
         }
     });
-    std::thread::sleep(Duration::from_millis(10));
+    pace(Duration::from_millis(10));
     let out = rt.async_in(&group, Priority::Normal, |_| 9u32);
     group.set_budget_deadline(std::time::Instant::now());
     gate.store(1, Ordering::SeqCst);
@@ -338,7 +338,7 @@ fn a_queued_dataflow_task_is_skipped_with_balanced_books() {
         // Occupy the lone worker so the node's task stays queued.
         rt.spawn(move |_| {
             while g.load(Ordering::SeqCst) == 0 {
-                std::thread::sleep(Duration::from_millis(1));
+                pace(Duration::from_millis(1));
             }
         });
         let ran = Arc::new(AtomicUsize::new(0));

@@ -4,14 +4,14 @@
 //! the public API and the paper's queue counters — and, where the point
 //! is that a task must *not* be hidden in the slot, through rendezvous
 //! that only a second worker can complete.
-#![allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
+
+#[path = "support/pace.rs"]
+mod pace;
 
 use grain_counters::sync::{AtomicBool, AtomicU64, Ordering};
 use grain_counters::Window;
 use grain_runtime::{channel, Poll, Priority, Runtime, SharedFuture};
+use pace::pace;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -214,11 +214,11 @@ fn throttling_the_worker_that_holds_a_slot_loses_nothing() {
     // on it at the time, has to give up its slot before it parks.
     while done.load(Ordering::Relaxed) < len * 3 / 4 {
         rt.set_active_workers(0);
-        std::thread::sleep(Duration::from_micros(200));
+        pace(Duration::from_micros(200));
         rt.set_active_workers(1);
-        std::thread::sleep(Duration::from_micros(200));
+        pace(Duration::from_micros(200));
         rt.set_active_workers(workers);
-        std::thread::sleep(Duration::from_micros(200));
+        pace(Duration::from_micros(200));
     }
     assert_eq!(tail.wait_timeout(PATIENCE).map(|v| *v), Ok(len));
     rt.wait_idle();

@@ -7,15 +7,14 @@
 //! The count comes from `/proc/self/task/*/status`, summed over this
 //! runtime's `grain-worker-*` threads. This file holds one test, so its
 //! binary runs no other runtime whose workers could be counted.
-#![allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
 
+#[path = "support/pace.rs"]
+mod pace;
 #[path = "support/switches.rs"]
 mod switches;
 
 use grain_runtime::{Runtime, RuntimeConfig};
+use pace::pace;
 use std::time::{Duration, Instant};
 use switches::thread_switches;
 
@@ -51,9 +50,9 @@ fn quiescent_workers_are_not_scheduled() {
             Instant::now() < deadline,
             "found {threads} worker threads, not 2"
         );
-        std::thread::sleep(Duration::from_millis(1));
+        pace(Duration::from_millis(1));
     };
-    std::thread::sleep(Duration::from_millis(200));
+    pace(Duration::from_millis(200));
     let (after, _) = worker_ctx_switches().unwrap();
     let switches = after - before;
     assert!(

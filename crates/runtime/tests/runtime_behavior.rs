@@ -1,12 +1,12 @@
 //! End-to-end behavioral tests of the runtime: spawning, dataflow,
 //! suspension, priorities, stealing, counters, and shutdown.
-#![allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
+
+#[path = "support/pace.rs"]
+mod pace;
 
 use grain_counters::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 use grain_runtime::{channel, when_all, Poll, Priority, Runtime, RuntimeConfig, SharedFuture};
+use pace::pace;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -89,7 +89,7 @@ fn dataflow_waits_for_all_inputs() {
     let (p, gate) = grain_runtime::channel::<u32>();
     let fast = r.async_call(|_| 5u32);
     let sum = r.dataflow(&[gate, fast], |_, v| *v[0] + *v[1]);
-    std::thread::sleep(Duration::from_millis(20));
+    pace(Duration::from_millis(20));
     assert!(!sum.is_ready(), "must wait for the gated input");
     p.set(37);
     assert_eq!(*sum.get(), 42);
@@ -254,7 +254,7 @@ fn suspension_and_resume() {
             Poll::Suspend
         }
     });
-    std::thread::sleep(Duration::from_millis(20));
+    pace(Duration::from_millis(20));
     assert_eq!(result.load(Ordering::SeqCst), 0);
     p.set(99);
     r.wait_idle();
@@ -300,7 +300,7 @@ fn tasks_created_up_front_and_suspended_on_later_inputs_cannot_deadlock_one_work
     let deadline = Instant::now() + Duration::from_secs(10);
     while r.counters().phases.sum() < N as u64 {
         assert!(Instant::now() < deadline, "the links never ran");
-        std::thread::sleep(Duration::from_millis(1));
+        pace(Duration::from_millis(1));
     }
     assert_eq!(r.counters().tasks.sum(), 0);
     head.set(0);
@@ -327,7 +327,7 @@ fn high_priority_runs_before_backlog() {
     for i in 0..50 {
         let o = Arc::clone(&order);
         r.spawn(move |_| {
-            std::thread::sleep(Duration::from_micros(500));
+            pace(Duration::from_micros(500));
             o.lock().push(format!("normal-{i}"));
         });
     }
@@ -360,7 +360,7 @@ fn low_priority_runs_last_on_single_worker() {
             }
         });
     }
-    std::thread::sleep(Duration::from_millis(10)); // let the gate start
+    pace(Duration::from_millis(10)); // let the gate start
     let o = Arc::clone(&order);
     r.spawn_with(Priority::Low, move |_| o.lock().push("low"));
     for _ in 0..10 {
@@ -421,7 +421,7 @@ fn counter_invariants_hold_after_a_run() {
 fn registry_queries_work_during_execution() {
     let r = rt(2);
     for _ in 0..500 {
-        r.spawn(|_| std::thread::sleep(Duration::from_micros(50)));
+        r.spawn(|_| pace(Duration::from_micros(50)));
     }
     // Query while tasks are in flight — counters are introspectable at
     // runtime, the property the paper's adaptivity goal relies on.
@@ -548,7 +548,7 @@ fn drop_waits_for_in_flight_tasks() {
         for _ in 0..100 {
             let h = Arc::clone(&hits);
             r.spawn(move |_| {
-                std::thread::sleep(Duration::from_micros(100));
+                pace(Duration::from_micros(100));
                 h.fetch_add(1, Ordering::SeqCst);
             });
         }
@@ -624,11 +624,11 @@ fn queue_length_counters_reflect_backlog() {
             }
         });
     }
-    std::thread::sleep(Duration::from_millis(10));
+    pace(Duration::from_millis(10));
     for _ in 0..25 {
         r.spawn(|_| {});
     }
-    std::thread::sleep(Duration::from_millis(5));
+    pace(Duration::from_millis(5));
     let staged = r
         .registry()
         .query("/threads{locality#0/total}/count/staged-queue-length")
@@ -665,7 +665,7 @@ fn starvation_shows_up_in_idle_rate() {
     // Two workers, one long task: the starving worker's searching time
     // must flow into Σt_func (the paper's coarse-grain idle-rate effect).
     let r = rt(2);
-    r.spawn(|_| std::thread::sleep(Duration::from_millis(120)));
+    r.spawn(|_| pace(Duration::from_millis(120)));
     r.wait_idle();
     let c = r.counters();
     let ir = c.window().idle_rate();
@@ -759,11 +759,11 @@ fn raising_the_throttle_reactivates_workers() {
     let r = rt(4);
     r.set_active_workers(1);
     for _ in 0..50 {
-        r.spawn(|_| std::thread::sleep(Duration::from_micros(200)));
+        r.spawn(|_| pace(Duration::from_micros(200)));
     }
     r.set_active_workers(4);
     for _ in 0..2000 {
-        r.spawn(|_| std::thread::sleep(Duration::from_micros(50)));
+        r.spawn(|_| pace(Duration::from_micros(50)));
     }
     r.wait_idle();
     let per_worker = r.counters().tasks.values();
@@ -809,7 +809,7 @@ fn tracing_captures_the_timeline() {
         ..RuntimeConfig::default()
     });
     for _ in 0..100 {
-        r.spawn(|_| std::thread::sleep(Duration::from_micros(30)));
+        r.spawn(|_| pace(Duration::from_micros(30)));
     }
     r.wait_idle();
     let trace = r.take_trace();
@@ -878,7 +878,7 @@ fn dependents_past_the_inline_slots_each_run_once_in_order() {
         drop(token);
         weak
     };
-    std::thread::sleep(Duration::from_millis(10));
+    pace(Duration::from_millis(10));
     promise.set(100);
     let inline: Vec<u64> = (0..12).filter(|i| i % 3 != 0).collect();
     assert_eq!(*order.lock(), inline);

@@ -1,0 +1,24 @@
+//! The one sleep of the integration tests. A test that paces its
+//! scenario (lets a peer fall behind, a task outlast a waiter, a timer
+//! lapse) includes this one file by path:
+//!
+//! ```ignore
+//! #[path = "../../runtime/tests/support/pace.rs"]
+//! mod pace;
+//! use pace::pace;
+//! ```
+//!
+//! so the file-wide allow it would otherwise need, which also silences
+//! the park, std condvar-wait and thread-start entries of
+//! `crates/clippy.toml`, sits on this one function instead.
+
+use std::time::Duration;
+
+/// Sleep the calling thread for `d`.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a test paces its scenario with sleeps; the rule is for product code"
+)]
+pub fn pace(d: Duration) {
+    std::thread::sleep(d);
+}

@@ -6,15 +6,14 @@
 //! The count is the waiting thread's own, from
 //! `/proc/thread-self/status`, so tests running beside it in this
 //! binary do not move it.
-#![allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
 
+#[path = "support/pace.rs"]
+mod pace;
 #[path = "support/switches.rs"]
 mod switches;
 
 use grain_runtime::{Priority, Runtime, TaskGroup};
+use pace::pace;
 use std::time::Duration;
 use switches::switches_during;
 
@@ -27,7 +26,7 @@ const BUDGET: u64 = 4;
 #[test]
 fn wait_idle_sleeps_until_the_last_task_is_done() {
     let rt = Runtime::with_workers(1);
-    rt.spawn(|_| std::thread::sleep(TASK));
+    rt.spawn(|_| pace(TASK));
     let Some(switches) = switches_during(|| rt.wait_idle()) else {
         return;
     };
@@ -41,7 +40,7 @@ fn wait_idle_sleeps_until_the_last_task_is_done() {
 fn group_wait_sleeps_until_the_last_member_exits() {
     let rt = Runtime::with_workers(1);
     let group = TaskGroup::new();
-    rt.spawn_in(&group, Priority::Normal, |_| std::thread::sleep(TASK));
+    rt.spawn_in(&group, Priority::Normal, |_| pace(TASK));
     let Some(switches) = switches_during(|| group.wait()) else {
         return;
     };
@@ -58,7 +57,7 @@ fn group_wait_sleeps_until_the_last_member_exits() {
 fn future_get_sleeps_until_the_settle() {
     let rt = Runtime::with_workers(1);
     let f = rt.async_call(|_| {
-        std::thread::sleep(TASK);
+        pace(TASK);
         7u64
     });
     let Some(switches) = switches_during(|| assert_eq!(*f.get(), 7)) else {

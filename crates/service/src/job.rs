@@ -161,7 +161,7 @@ pub enum FailurePolicy {
 /// A shape-carrying job tells the service "this is `units` units of
 /// work currently cut into `ceil(units / grain)` tasks" instead of
 /// hiding the partition inside its body. That is the seam the
-/// `grain-autotune` controller drives: it observes the completed job's
+/// `grain-autotune` tuner drives: it observes the completed job's
 /// counters through the service policy hook and re-chunks the tenant's
 /// *next* submission by changing `grain`. The service itself treats the
 /// shape as opaque metadata — admission and scheduling are unchanged.
@@ -213,7 +213,7 @@ pub struct JobSpec {
     /// What to do when a task of the job faults.
     pub failure_policy: FailurePolicy,
     /// The job's chunkable work shape, when the submitter exposes one.
-    /// Read by service policies (e.g. the autotune grain controller);
+    /// Read by service policies (e.g. the autotune grain tuner);
     /// ignored by admission and scheduling.
     pub shape: Option<JobShape>,
 }

@@ -1,13 +1,13 @@
 //! Where admission runs: on the submitting and settling threads, one
 //! drain at a time, with the budget checked and charged in one critical
 //! section — and the dispatcher woken only for what a clock must do.
-#![allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
+
+#[path = "../../runtime/tests/support/pace.rs"]
+mod pace;
 
 use grain_counters::sync::{AtomicU64, Ordering};
 use grain_service::{AdmissionConfig, JobService, JobSpec, JobState, PolicyHook, ServiceConfig};
+use pace::pace;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -18,7 +18,7 @@ fn wait_until(timeout: Duration, cond: impl Fn() -> bool) -> bool {
         if cond() {
             return true;
         }
-        std::thread::sleep(Duration::from_micros(200));
+        pace(Duration::from_micros(200));
     }
     cond()
 }
@@ -228,7 +228,7 @@ fn deadline_jobs_wake_the_dispatcher_at_most_once_each() {
     for i in 0..JOBS {
         let job = service.submit(
             JobSpec::new(format!("timed-{i}"), "t").deadline(Duration::from_secs(10)),
-            |_| std::thread::sleep(Duration::from_millis(5)),
+            |_| pace(Duration::from_millis(5)),
         );
         assert_eq!(job.wait().state, JobState::Completed);
     }
@@ -249,7 +249,7 @@ fn a_deadline_still_times_out_through_the_dispatcher() {
         ctx.spawn(|c| {
             // Never finishes on its own; relies on the deadline.
             while !c.is_cancelled() {
-                std::thread::sleep(Duration::from_micros(200));
+                pace(Duration::from_micros(200));
             }
         });
     });

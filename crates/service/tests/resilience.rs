@@ -1,15 +1,15 @@
 //! Overload-resilience behavior: load shedding, per-tenant circuit
 //! breakers, and deadline-budget propagation through the service.
-#![allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
+
+#[path = "../../runtime/tests/support/pace.rs"]
+mod pace;
 
 use grain_counters::sync::{AtomicBool, Mutex, Ordering};
 use grain_service::{
     AdmissionConfig, BreakerState, JobService, JobSpec, JobState, PressureLevel, RejectReason,
     ServiceConfig,
 };
+use pace::pace;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,7 +24,7 @@ fn wait_until(timeout: Duration, cond: impl Fn() -> bool) -> bool {
         if cond() {
             return true;
         }
-        std::thread::sleep(Duration::from_micros(200));
+        pace(Duration::from_micros(200));
     }
     cond()
 }
@@ -46,7 +46,7 @@ fn shed_jobs_report_shed_and_meter_the_shed_counter() {
     let r = Arc::clone(&release);
     let blocker = service.submit(JobSpec::new("blocker", "tenant-a"), move |_| {
         while !r.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_micros(200));
+            pace(Duration::from_micros(200));
         }
     });
     assert!(wait_until(Duration::from_secs(5), || {
@@ -124,7 +124,7 @@ fn breaker_trips_on_a_faulting_tenant_and_recloses_after_a_good_probe() {
 
     // After the cooldown a healthy job is admitted as the half-open
     // probe; its success re-closes the breaker.
-    std::thread::sleep(Duration::from_millis(350));
+    pace(Duration::from_millis(350));
     let probe = service.submit(JobSpec::new("probe", "chaos"), |ctx| {
         ctx.spawn(|_| std::hint::black_box(()));
     });
@@ -199,7 +199,7 @@ fn a_submission_the_queue_refuses_leaves_the_probe_slot_free() {
     let r = Arc::clone(&release);
     let blocker = service.submit(JobSpec::new("blocker", "steady"), move |_| {
         while !r.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_micros(200));
+            pace(Duration::from_micros(200));
         }
     });
     assert!(wait_until(Duration::from_secs(5), || {
@@ -209,7 +209,7 @@ fn a_submission_the_queue_refuses_leaves_the_probe_slot_free() {
     assert_eq!(filler.state(), JobState::Queued);
 
     // Cooled, but the queue is full: the would-be probe is refused there.
-    std::thread::sleep(Duration::from_millis(80));
+    pace(Duration::from_millis(80));
     let refused = service.submit(JobSpec::new("refused", "chaos"), |_| {});
     assert_eq!(refused.wait().reject_reason, Some(RejectReason::QueueFull));
     // With a slot free again, well inside `probe_every`, the next

@@ -1,15 +1,15 @@
 //! End-to-end behavior of the job service: cancellation, deadlines,
 //! admission backpressure, fair share, and counter isolation.
-#![allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
+
+#[path = "../../runtime/tests/support/pace.rs"]
+mod pace;
 
 use grain_counters::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 use grain_service::{
     AdmissionConfig, AdmissionError, JobService, JobSpec, JobState, PolicyHook, RejectReason,
     ServiceConfig,
 };
+use pace::pace;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,7 +24,7 @@ fn wait_until(timeout: Duration, cond: impl Fn() -> bool) -> bool {
         if cond() {
             return true;
         }
-        std::thread::sleep(Duration::from_micros(200));
+        pace(Duration::from_micros(200));
     }
     cond()
 }
@@ -74,7 +74,7 @@ fn cancellation_mid_dag_skips_the_queued_tail() {
         ctx.spawn(move |c| {
             s.store(true, Ordering::SeqCst);
             while !c.is_cancelled() {
-                std::thread::sleep(Duration::from_micros(100));
+                pace(Duration::from_micros(100));
             }
         });
         // ...so this tail sits queued behind it.
@@ -119,7 +119,7 @@ fn deadline_expiry_times_a_running_job_out() {
         ctx.spawn(|c| {
             // Never finishes on its own; relies on the deadline.
             while !c.is_cancelled() {
-                std::thread::sleep(Duration::from_micros(200));
+                pace(Duration::from_micros(200));
             }
         });
     });
@@ -149,7 +149,7 @@ fn deadline_expiry_sheds_a_job_stuck_in_the_queue() {
     let r = Arc::clone(&release);
     let blocker = service.submit(JobSpec::new("blocker", "tenant-a"), move |_| {
         while !r.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_micros(200));
+            pace(Duration::from_micros(200));
         }
     });
     assert!(wait_until(Duration::from_secs(5), || {
@@ -273,7 +273,7 @@ fn wait_all_is_woken_by_the_last_settle_not_by_the_poll_tick() {
     // Either order of this release and the waiter's first check must
     // work; the pause only makes the order that used to hang the likely
     // one.
-    std::thread::sleep(Duration::from_millis(50));
+    pace(Duration::from_millis(50));
     release.send(()).expect("the job is holding the gate");
     finished
         .recv_timeout(Duration::from_secs(1))
@@ -299,7 +299,7 @@ fn terminal_queue_entries_do_not_count_against_the_queue_bound() {
     let r = Arc::clone(&release);
     let blocker = service.submit(JobSpec::new("blocker", "tenant-a"), move |_| {
         while !r.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_micros(200));
+            pace(Duration::from_micros(200));
         }
     });
     assert!(wait_until(Duration::from_secs(5), || {
@@ -339,7 +339,7 @@ fn backpressure_rejects_when_the_queue_is_full() {
     let r = Arc::clone(&release);
     let blocker = service.submit(JobSpec::new("blocker", "tenant-a"), move |_| {
         while !r.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_micros(200));
+            pace(Duration::from_micros(200));
         }
     });
     assert!(wait_until(Duration::from_secs(5), || {
@@ -603,7 +603,7 @@ fn dropping_the_service_mid_flight_tears_down_on_the_dropping_thread() {
 fn wait_timeout_past_the_clock_range_is_no_deadline() {
     let service = JobService::new(single_worker_config());
     let job = service.submit(JobSpec::new("slow", "t"), |_| {
-        std::thread::sleep(Duration::from_millis(10));
+        pace(Duration::from_millis(10));
     });
     let state = || job.wait_timeout(Duration::MAX).map(|o| o.state);
     assert_eq!(state(), Some(JobState::Completed), "settled later");

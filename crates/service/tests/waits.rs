@@ -5,15 +5,14 @@
 //! The count is the waiting thread's own, from
 //! `/proc/thread-self/status`, so tests running beside it in this
 //! binary do not move it.
-#![allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
 
+#[path = "../../runtime/tests/support/pace.rs"]
+mod pace;
 #[path = "../../runtime/tests/support/switches.rs"]
 mod switches;
 
 use grain_service::{JobService, JobSpec, JobState, ServiceConfig};
+use pace::pace;
 use std::time::Duration;
 use switches::switches_during;
 
@@ -26,7 +25,7 @@ const BUDGET: u64 = 4;
 #[test]
 fn job_wait_sleeps_until_the_outcome_is_published() {
     let service = JobService::new(ServiceConfig::with_workers(1));
-    let job = service.submit(JobSpec::new("sleeper", "t"), |_| std::thread::sleep(TASK));
+    let job = service.submit(JobSpec::new("sleeper", "t"), |_| pace(TASK));
     let mut state = None;
     let Some(switches) = switches_during(|| state = Some(job.wait().state)) else {
         return;
