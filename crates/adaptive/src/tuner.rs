@@ -305,20 +305,35 @@ mod tests {
         assert_eq!(converged_at, Some(6));
     }
 
+    /// The grain trajectory of a fresh tuner over 20 windows at 8 tasks
+    /// per core.
+    fn trajectory(idle: impl Fn(usize) -> f64) -> Vec<usize> {
+        let mut t = ThresholdTuner::new(TunerConfig::default());
+        (0..20).map(|i| t.observe(&sig(idle(i), 8.0))).collect()
+    }
+
     #[test]
     fn tuner_is_deterministic() {
-        // Same signal sequence → same grain trajectory, through the
-        // probe, the freeze and the re-opens alike.
-        let run = |idle: &dyn Fn(usize) -> f64| {
-            let mut t = ThresholdTuner::new(TunerConfig::default());
-            (0..20)
-                .map(|i| t.observe(&sig(idle(i), 8.0)))
-                .collect::<Vec<_>>()
-        };
+        // Same signal sequence → same grain trajectory.
         let falling = |i: usize| 0.8 / (i + 1) as f64;
+        assert_eq!(trajectory(falling), trajectory(falling));
+    }
+
+    #[test]
+    fn tuner_is_deterministic_through_the_freeze() {
+        // A noisy sequence drives the tuner through the probe into the
+        // freeze, where one bad window in three never re-opens it; the
+        // replay matches step for step.
         let noisy = |i: usize| if i.is_multiple_of(3) { 0.9 } else { 0.2 };
-        assert_eq!(run(&falling), run(&falling));
-        assert_eq!(run(&noisy), run(&noisy));
+        assert_eq!(trajectory(noisy), trajectory(noisy));
+        let mut t = ThresholdTuner::new(TunerConfig::default());
+        let mut froze = false;
+        for i in 0..20 {
+            t.observe(&sig(noisy(i), 8.0));
+            froze |= t.converged();
+        }
+        assert!(froze && t.converged());
+        assert_eq!(t.reopens(), 0);
     }
 
     /// A tuner frozen at its converged size.
