@@ -356,11 +356,12 @@ impl Drop for Pump {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
+#[path = "../../runtime/tests/support/pace.rs"]
+mod pace;
+
+#[cfg(test)]
 mod tests {
+    use super::pace::pace;
     use super::*;
 
     #[test]
@@ -394,7 +395,7 @@ mod tests {
             cv.wait_until(&mut g, None, |ready| *ready)
         })
         .unwrap();
-        std::thread::sleep(Duration::from_millis(10));
+        pace(Duration::from_millis(10));
         let (lock, cv) = &*pair;
         *lock.lock() = true;
         cv.notify_all();
@@ -476,27 +477,27 @@ mod tests {
         let settle = |n: usize| {
             let t0 = Instant::now();
             while count() < n && t0.elapsed() < Duration::from_secs(10) {
-                std::thread::sleep(Duration::from_millis(1));
+                pace(Duration::from_millis(1));
             }
             assert_eq!(count(), n);
         };
-        std::thread::sleep(Duration::from_millis(20));
+        pace(Duration::from_millis(20));
         assert_eq!(count(), 0, "no pass before the first kick");
         *passes.next.lock() = Some(Duration::from_millis(20));
         kick.kick();
         // The kicked pass, then the one its deadline asked for.
         settle(2);
-        std::thread::sleep(Duration::from_millis(40));
+        pace(Duration::from_millis(40));
         assert_eq!(count(), 2, "the second pass set no deadline");
 
         *passes.next.lock() = Some(Duration::from_secs(3600));
         kick.kick();
         settle(3);
         kick.kick_by(Instant::now() + Duration::from_secs(7200));
-        std::thread::sleep(Duration::from_millis(20));
+        pace(Duration::from_millis(20));
         assert_eq!(count(), 3, "a later timer leaves the pump asleep");
         kick.kick_by(Instant::now() + Duration::from_millis(20));
-        std::thread::sleep(Duration::from_millis(5));
+        pace(Duration::from_millis(5));
         assert_eq!(count(), 3, "an earlier timer is not a kick");
         settle(4);
     }

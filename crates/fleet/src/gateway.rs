@@ -8,18 +8,25 @@
 //! (pressure-driven, see below) and sends `fleet/submit` — every
 //! dispatch attempt bumps the job's **epoch**, so anything an older
 //! attempt left behind is fenceable.
-//! The ack, harvested by the next pass, moves the job to *leased*; the
-//! worker's `fleet/complete` push makes it terminal at once. Exactly-once completion accounting follows
-//! from one rule: only a push carrying the job's **current** epoch is
-//! accepted; anything older (a partitioned worker's parked push, a
-//! duplicate, a push racing a re-dispatch) bumps `fenced`/`duplicate`
-//! and changes nothing.
+//! The ack, harvested by the pass its settle kicks, moves the job to
+//! *leased*; the worker's `fleet/complete` push makes it terminal at
+//! once. Exactly-once completion accounting follows from one rule: only
+//! a push carrying the job's **current** epoch is accepted; anything
+//! older (a partitioned worker's parked push, a duplicate, a push racing
+//! a re-dispatch) bumps `fenced`/`duplicate` and changes nothing.
+//!
+//! The pump has no tick. A pass runs when something happens — a
+//! submission, a drain, a stats poll or an ack settling, a peer linking
+//! or leaving — or at a deadline a live job names: an ack or a lease
+//! timing out, a backoff ending, a breaker admitting again. A job that
+//! is only running costs no pass (`/fleet{…}/gateway/passes` counts
+//! them).
 //!
 //! ## Failure handling
 //!
 //! * **Death** — the pump diffs leases against `connected_peers()`
-//!   every pass, and passes at least every [`SWEEP`] while a job is
-//!   live (the liveness monitor turns silent partitions into
+//!   every pass, and the locality kicks it whenever its peer set
+//!   changes (the liveness monitor turns silent partitions into
 //!   disconnects); a lease on a gone worker is *orphaned* and the job
 //!   re-enters pending for re-dispatch.
 //! * **Lease timeout** — an optional hedge: a lease older than
@@ -40,9 +47,9 @@
 //! ## Placement
 //!
 //! Each pump pass polls each candidate's `sys/stats` action (cached for
-//! `stats_max_age`) and scores `pressure level ≫ queue fill ≫ queued
-//! jobs ≫ overhead`; draining, dead, breaker-open, and backing-off
-//! workers are ineligible. Ties break toward the lowest locality id so
+//! `stats_max_age`; a reply kicks the pass that reads it) and scores
+//! `pressure level ≫ queue fill ≫ queued jobs ≫ overhead`; draining,
+//! dead, breaker-open, and backing-off workers are ineligible. Ties break toward the lowest locality id so
 //! placement is deterministic given equal load reports.
 
 use crate::wire::{
@@ -68,11 +75,6 @@ const ANSWER: BreakerState = BreakerState::Open;
 
 /// The `retry_after` hint stamped on quorum sheds.
 pub const SHED_RETRY_AFTER: Duration = Duration::from_millis(100);
-
-/// Longest sleep of the pump while a job is live: a worker's death and a
-/// return to quorum have no event, and an ack or a completion needs no
-/// pass of its own. With no live job it sleeps until kicked.
-const SWEEP: Duration = Duration::from_millis(1);
 
 /// Placement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,6 +264,8 @@ pub struct FleetCounters {
     pub fenced: Arc<RawCounter>,
     /// Completion pushes for already-terminal jobs.
     pub duplicates: Arc<RawCounter>,
+    /// Pump passes run.
+    pub passes: Arc<RawCounter>,
 }
 
 impl FleetCounters {
@@ -284,6 +288,7 @@ impl FleetCounters {
             completions: Arc::new(RawCounter::new()),
             fenced: Arc::new(RawCounter::new()),
             duplicates: Arc::new(RawCounter::new()),
+            passes: Arc::new(RawCounter::new()),
         }
     }
 
@@ -312,6 +317,7 @@ impl FleetCounters {
         reg("complete/accepted", &self.completions)?;
         reg("complete/fenced", &self.fenced)?;
         reg("complete/duplicate", &self.duplicates)?;
+        reg("gateway/passes", &self.passes)?;
         Ok(())
     }
 }
@@ -413,7 +419,10 @@ struct Jobs {
 struct WorkerView {
     draining: bool,
     backoff_until: Option<Instant>,
-    stats: Option<(Instant, WorkerStats)>,
+    stats: Option<WorkerStats>,
+    /// When the last poll answered, a failed one included: the next
+    /// waits until this answer is `stats_max_age` old.
+    answered: Option<Instant>,
     stats_poll: Option<SharedFuture<WorkerStats>>,
 }
 
@@ -423,6 +432,7 @@ impl WorkerView {
             draining: false,
             backoff_until: None,
             stats: None,
+            answered: None,
             stats_poll: None,
         }
     }
@@ -433,7 +443,8 @@ impl WorkerView {
     /// eligible for the jobs it has just handed back.
     fn absorb_stats(&mut self, now: Instant, stats: &WorkerStats) {
         self.draining |= stats.draining;
-        self.stats = Some((now, stats.clone()));
+        self.stats = Some(stats.clone());
+        self.answered = Some(now);
         self.stats_poll = None;
     }
 }
@@ -446,7 +457,8 @@ struct GatewayShared {
     breakers: Breakers<usize>,
     counters: FleetCounters,
     next_key: AtomicU64,
-    /// Wakes the pump for a pass.
+    /// Wakes the pump for a pass: a submission, a drain, a poll or an
+    /// ack settling, a change in the locality's peer set.
     kick: Arc<Kick>,
 }
 
@@ -525,6 +537,11 @@ impl FleetGateway {
                     None => 1u8,
                 }
             });
+        }
+        {
+            // A worker's death and a return to quorum.
+            let kick = Arc::clone(&shared.kick);
+            locality.on_peers_changed(move || kick.kick());
         }
         let pump = Pump::spawn(
             format!("grain-fleet-gateway-{}", locality.id()),
@@ -850,38 +867,47 @@ fn handle_complete(shared: &Arc<GatewayShared>, outcome: FleetOutcome) -> u8 {
 }
 
 /// Pick a worker for one dispatch. Deterministic given equal reports:
-/// eligibility is (alive, not draining, breaker would-allow, backoff
-/// passed); `Prefer` pins while eligible, otherwise least-loaded with
-/// ties toward the lowest id.
+/// eligibility is (alive, not draining, backoff passed, breaker would
+/// admit); `Prefer` pins while eligible, otherwise least-loaded with
+/// ties toward the lowest id. With none eligible, the error is when the
+/// first alive, accepting worker's backoff and breaker both let it take
+/// one: `None` if none will by time alone.
 fn place(
     shared: &GatewayShared,
     alive: &[usize],
     views: &HashMap<usize, WorkerView>,
     now: Instant,
-) -> Option<usize> {
-    let eligible: Vec<usize> = shared
-        .config
-        .workers
-        .iter()
-        .copied()
-        .filter(|w| alive.contains(w))
-        .filter(|w| {
-            views
-                .get(w)
-                .is_none_or(|v| !v.draining && v.backoff_until.is_none_or(|t| now >= t))
-        })
-        .filter(|w| shared.breakers.would_allow(w, now))
-        .collect();
+) -> Result<usize, Option<Instant>> {
+    let mut eligible = Vec::new();
+    let mut ready = None;
+    for &w in shared.config.workers.iter().filter(|w| alive.contains(w)) {
+        let view = views.get(&w);
+        if view.is_some_and(|v| v.draining) {
+            continue;
+        }
+        let Some(admits) = now.checked_add(shared.breakers.admits_in(&w, now)) else {
+            continue;
+        };
+        let at = match view.and_then(|v| v.backoff_until) {
+            Some(backoff) => backoff.max(admits),
+            None => admits,
+        };
+        if at <= now {
+            eligible.push(w);
+        } else {
+            earliest(&mut ready, at);
+        }
+    }
     if eligible.is_empty() {
-        return None;
+        return Err(ready);
     }
     if let Placement::Prefer(p) = shared.config.placement {
         if eligible.contains(&p) {
-            return Some(p);
+            return Ok(p);
         }
     }
     let score = |w: usize| -> (u64, usize) {
-        let s = views.get(&w).and_then(|v| v.stats.as_ref()).map(|(_, s)| s);
+        let s = views.get(&w).and_then(|v| v.stats.as_ref());
         let load = s.map_or(0, |s| {
             u64::from(s.pressure_level) * 1_000_000
                 + (s.queue_fill * 10_000.0) as u64
@@ -895,16 +921,30 @@ fn place(
         });
         (load, w)
     };
-    eligible.into_iter().min_by_key(|w| score(*w))
+    eligible.into_iter().min_by_key(|w| score(*w)).ok_or(ready)
+}
+
+/// Lower `due` to `at` if `at` is earlier.
+fn earliest(due: &mut Option<Instant>, at: Instant) {
+    *due = Some(due.map_or(at, |due| due.min(at)));
+}
+
+/// Kick the pump when `fut` settles (at once if it has).
+fn kick_on_settle<T: Send + Sync + 'static>(shared: &GatewayShared, fut: &SharedFuture<T>) {
+    let kick = Arc::clone(&shared.kick);
+    fut.on_settled(move |_| kick.kick());
 }
 
 /// One pump pass: harvest stats polls, sweep acks/leases, place
-/// pending jobs, shed under quorum loss. Returns when the next pass is
-/// due while a job is live: its earliest ack, lease or backoff deadline,
-/// at most [`SWEEP`] away.
+/// pending jobs, shed under quorum loss. Returns the earliest deadline
+/// a live job waits on: an ack or a lease timing out, a job's backoff,
+/// or a worker's backoff or breaker that keeps a pending job unplaced.
+/// With none, only a kick brings the next pass.
 fn pump_tick(shared: &Arc<GatewayShared>) -> Option<Instant> {
+    shared.counters.passes.incr();
     let now = Instant::now();
     let alive = shared.locality.connected_peers();
+    let mut due = None;
 
     // Refresh stats (poll harvest + re-poll stale entries).
     {
@@ -915,15 +955,19 @@ fn pump_tick(shared: &Arc<GatewayShared>) -> Option<Instant> {
                 match poll.try_get() {
                     None => {}
                     Some(Ok(stats)) => v.absorb_stats(now, &stats),
-                    Some(Err(_)) => v.stats_poll = None,
+                    Some(Err(_)) => {
+                        v.answered = Some(now);
+                        v.stats_poll = None;
+                    }
                 }
             }
             let fresh = v
-                .stats
-                .as_ref()
-                .is_some_and(|(t, _)| now.duration_since(*t) < shared.config.stats_max_age);
+                .answered
+                .is_some_and(|t| now.duration_since(t) < shared.config.stats_max_age);
             if !fresh && v.stats_poll.is_none() && alive.contains(w) {
-                v.stats_poll = Some(shared.locality.async_remote(*w, ACTION_STATS, &()));
+                let poll = shared.locality.async_remote(*w, ACTION_STATS, &());
+                kick_on_settle(shared, &poll);
+                v.stats_poll = Some(poll);
             }
         }
     }
@@ -937,7 +981,7 @@ fn pump_tick(shared: &Arc<GatewayShared>) -> Option<Instant> {
             continue;
         };
         match &gj.phase {
-            Phase::Terminal => {}
+            Phase::Terminal | Phase::Pending { .. } => {}
             Phase::Leased { worker, since } => {
                 let worker = *worker;
                 if !alive.contains(&worker) {
@@ -1023,66 +1067,79 @@ fn pump_tick(shared: &Arc<GatewayShared>) -> Option<Instant> {
                     }
                 }
             }
-            Phase::Pending { not_before } => {
-                // Quorum degradation pauses the whole pending set:
-                // deadline-carrying jobs shed now (they cannot afford
-                // to wait), deadline-less jobs hold until the fleet is
-                // back above quorum.
-                if degraded {
-                    if gj.job.deadline_ms > 0 {
-                        settle_shed(shared, gj);
-                    }
-                    continue;
-                }
-                if not_before.is_some_and(|t| now < t) {
-                    continue;
-                }
-                if gj.dispatches >= shared.config.max_dispatches {
-                    settle_rejected(shared, gj);
-                    continue;
-                }
-                let chosen = {
-                    let views = shared.workers.lock();
-                    place(shared, &alive, &views, now)
-                };
-                let Some(worker) = chosen else { continue };
-                if let BreakerDecision::Reject { .. } = shared.breakers.decide(&worker, now) {
-                    continue;
-                }
-                gj.job.epoch += 1;
-                gj.dispatches += 1;
-                shared.counters.dispatches.incr();
-                if gj.dispatches > 1 {
-                    shared.counters.redispatches.incr();
-                }
-                let ack: SharedFuture<SubmitAck> =
-                    shared.locality.async_remote(worker, ACTION_SUBMIT, &gj.job);
-                gj.phase = Phase::Dispatching {
-                    worker,
-                    ack,
-                    sent_at: now,
-                };
-            }
         }
+        // Pending, perhaps since the arm above: an orphaned or hedged
+        // lease, a fenced or draining verdict is placed in this pass.
+        let Phase::Pending { not_before } = gj.phase else {
+            continue;
+        };
+        // Quorum degradation pauses the whole pending set: deadline-carrying
+        // jobs shed now (they cannot afford to wait), deadline-less jobs
+        // hold until the fleet is back above quorum.
+        if degraded {
+            if gj.job.deadline_ms > 0 {
+                settle_shed(shared, gj);
+            }
+            continue;
+        }
+        if not_before.is_some_and(|t| now < t) {
+            continue;
+        }
+        if gj.dispatches >= shared.config.max_dispatches {
+            settle_rejected(shared, gj);
+            continue;
+        }
+        let chosen = {
+            let views = shared.workers.lock();
+            place(shared, &alive, &views, now)
+        };
+        let worker = match chosen {
+            Ok(worker) => worker,
+            Err(ready) => {
+                if let Some(at) = ready {
+                    earliest(&mut due, at);
+                }
+                continue;
+            }
+        };
+        if let BreakerDecision::Reject { retry_after } = shared.breakers.decide(&worker, now) {
+            if let Some(at) = now.checked_add(retry_after) {
+                earliest(&mut due, at);
+            }
+            continue;
+        }
+        gj.job.epoch += 1;
+        gj.dispatches += 1;
+        shared.counters.dispatches.incr();
+        if gj.dispatches > 1 {
+            shared.counters.redispatches.incr();
+        }
+        let ack: SharedFuture<SubmitAck> =
+            shared.locality.async_remote(worker, ACTION_SUBMIT, &gj.job);
+        kick_on_settle(shared, &ack);
+        gj.phase = Phase::Dispatching {
+            worker,
+            ack,
+            sent_at: now,
+        };
     }
     // What stays live, and its earliest ack, lease or backoff deadline.
-    let mut due = now + SWEEP;
     live.retain(|key| {
         let Some(gj) = all.get(key) else {
             return false;
         };
         let at = match &gj.phase {
-            Phase::Pending { not_before } => *not_before,
+            Phase::Pending { not_before } => not_before.filter(|&at| at > now),
             Phase::Dispatching { sent_at, .. } => Some(*sent_at + shared.config.ack_timeout),
             Phase::Leased { since, .. } => shared.config.lease_timeout.map(|t| *since + t),
             Phase::Terminal => return false,
         };
-        if let Some(at) = at.filter(|&at| at > now) {
-            due = due.min(at);
+        if let Some(at) = at {
+            earliest(&mut due, at);
         }
         true
     });
-    (!live.is_empty()).then_some(due)
+    due
 }
 
 fn backoff_worker(shared: &GatewayShared, worker: usize, now: Instant) {
@@ -1095,11 +1152,12 @@ fn backoff_worker(shared: &GatewayShared, worker: usize, now: Instant) {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
+#[path = "../../runtime/tests/support/pace.rs"]
+mod pace;
+
+#[cfg(test)]
 mod tests {
+    use super::pace::pace;
     use super::*;
 
     fn stats(draining: bool) -> WorkerStats {
@@ -1173,6 +1231,45 @@ mod tests {
         fabric.shutdown();
     }
 
+    /// A job that only an open breaker keeps unplaced is placed when
+    /// the breaker admits again: the pass that found it unplaced named
+    /// that instant, so no tick and no kick is needed. Its passes are
+    /// the submission's, that deadline's and the ack's, and one for each
+    /// of the two stats polls they send (the stats are stale by then).
+    #[test]
+    fn a_job_an_open_breaker_holds_is_placed_when_it_readmits() {
+        let fabric = grain_net::bootstrap::Fabric::loopback(2, |_| {
+            grain_runtime::RuntimeConfig::with_workers(1)
+        });
+        let worker =
+            crate::FleetWorker::install(fabric.locality(1), crate::FleetWorkerConfig::new(0, 1));
+        let cooldown = Duration::from_millis(50);
+        let config = FleetConfig {
+            breaker_cooldown: cooldown,
+            ..FleetConfig::new(vec![1])
+        };
+        let gateway = FleetGateway::install(fabric.locality(0), config);
+        let opened = Instant::now();
+        for _ in 0..gateway.shared.config.breaker_failures {
+            gateway.shared.breakers.record(&1, true, ANSWER, opened);
+        }
+        assert_eq!(gateway.breaker_opens(1), 1);
+        let outcome = gateway
+            .submit(FleetJobSpec::new("held", "t").grain_iters(0))
+            .wait_timeout(Duration::from_secs(5))
+            .expect("placed once the breaker admits");
+        assert_eq!(outcome.state, JobState::Completed);
+        assert!(
+            opened.elapsed() >= cooldown,
+            "placed through an open breaker"
+        );
+        let passes = gateway.shared.counters.passes.get();
+        assert!(passes <= 5, "{passes} passes for one held job");
+        drop(gateway);
+        drop(worker);
+        fabric.shutdown();
+    }
+
     /// A wait whose deadline would lie past the clock's range has none:
     /// it returns the outcome of a job settled later by another thread,
     /// and of one settled already.
@@ -1186,7 +1283,7 @@ mod tests {
         let handle = gateway.submit(FleetJobSpec::new("j", "t"));
         let (shared, key) = (Arc::clone(&gateway.shared), handle.key());
         let pusher = grain_counters::sync::spawn("pusher", move || {
-            std::thread::sleep(Duration::from_millis(10));
+            pace(Duration::from_millis(10));
             handle_complete(&shared, completed(key))
         })
         .unwrap();

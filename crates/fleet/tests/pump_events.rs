@@ -1,11 +1,14 @@
 //! The pumps run when something happens, not when a timer says so.
 //!
-//! Neither pump has a tick: the gateway's sleeps with no timeout while
-//! no job is live, the worker's while no push is due, and the service
-//! dispatcher's while no timer exists. So a job's placement, its
-//! completion push — including the push of a job that ended while queued
-//! — and a gateway's or worker's teardown all finish well inside one
-//! second, and a quiescent fleet is not scheduled at all.
+//! No pump has a tick: the gateway's sleeps until kicked or until a
+//! deadline a live job names (an ack or a lease timing out, a backoff
+//! ending), so a job that is only running costs it no pass; the
+//! worker's sleeps while no push is due, and the service dispatcher's
+//! while no timer exists. So a job's placement, its completion push —
+//! including the push of a job that ended while queued — and a
+//! gateway's or worker's teardown all finish well inside one second, a
+//! job's gateway passes do not grow with its run time, and a quiescent
+//! fleet is not scheduled at all.
 //!
 //! The tests hold one lock each, so the idle count sees no other test's
 //! fleet threads.
@@ -136,6 +139,80 @@ fn a_job_shed_while_queued_is_pushed_without_a_tick() {
     drop(gateway);
     drop(worker);
     fabric.shutdown();
+}
+
+/// The gateway passes and dispatches of one job whose body runs `body`,
+/// on a fresh loopback fleet of one worker. A first job fills the
+/// gateway's stats, which stay fresh for the rest of the run, so no
+/// poll's reply kicks a pass of its own; the measured job parks on the
+/// worker's latch until `body` has passed since its lease.
+fn one_parked_job(body: Duration) -> (u64, u64) {
+    let fabric = Fabric::loopback(2, |_| RuntimeConfig::with_workers(1));
+    let worker = FleetWorker::install(fabric.locality(1), FleetWorkerConfig::new(0, 1));
+    let config = FleetConfig {
+        stats_max_age: Duration::from_secs(3600),
+        ..FleetConfig::new(vec![1])
+    };
+    let gateway = FleetGateway::install(fabric.locality(0), config);
+    let registry = fabric.locality(0).runtime().registry();
+    let passes = || {
+        let path = "/fleet{locality#0/total}/gateway/passes";
+        registry.query(path).expect("the pass counter").value as u64
+    };
+    let warm = gateway.submit(FleetJobSpec::new("warm", "tenant-a").grain_iters(0));
+    let outcome = warm.wait_timeout(PATIENCE).expect("job settles");
+    assert_eq!(outcome.state, JobState::Completed);
+    // The passes the first job's last replies kicked finish first.
+    loop {
+        let seen = passes();
+        pace(Duration::from_millis(20));
+        if passes() == seen {
+            break;
+        }
+    }
+
+    let (passes_before, dispatches_before) = (passes(), gateway.ledger().dispatches);
+    let job = gateway.submit(FleetJobSpec::new("timed", "tenant-a").park(true));
+    let t0 = Instant::now();
+    while gateway.lease_of(job.key()).is_none() {
+        assert!(t0.elapsed() < PATIENCE, "the job was never leased");
+        pace(Duration::from_millis(1));
+    }
+    pace(body);
+    worker.release_parked();
+    let outcome = job.wait_timeout(PATIENCE).expect("job settles");
+    assert_eq!(outcome.state, JobState::Completed);
+    let cost = (
+        passes() - passes_before,
+        gateway.ledger().dispatches - dispatches_before,
+    );
+    assert!(gateway.ledger().conserved());
+    drop(gateway);
+    drop(worker);
+    fabric.shutdown();
+    cost
+}
+
+/// The pass rung of the gateway: one job costs the passes its events
+/// kick — its submission and its ack — and none while it runs, so a
+/// 5 ms body and a 50 ms body cost the same number, at most 4, and one
+/// dispatch each. A pump that swept every millisecond while a job was
+/// live read about one pass per millisecond of body.
+#[test]
+fn a_jobs_gateway_passes_do_not_grow_with_its_run_time() {
+    const MAX_PASSES: u64 = 4;
+    let _serial = SERIAL.lock();
+    let (short, short_dispatches) = one_parked_job(Duration::from_millis(5));
+    let (long, long_dispatches) = one_parked_job(Duration::from_millis(50));
+    assert_eq!((short_dispatches, long_dispatches), (1, 1));
+    assert!(
+        short <= MAX_PASSES,
+        "a 5 ms job cost {short} gateway passes (budget {MAX_PASSES})"
+    );
+    assert_eq!(
+        long, short,
+        "a 50 ms job cost {long} passes, a 5 ms one {short}"
+    );
 }
 
 /// The names every fleet pump and service dispatcher thread starts with.

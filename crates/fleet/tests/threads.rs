@@ -38,7 +38,7 @@ fn tcp_world(n: usize) -> Vec<TcpNode> {
 
 #[test]
 fn each_stack_starts_the_threads_its_code_names() {
-    // Its one worker; no watchdog unless configured.
+    // Its one worker.
     let (n, rt) = started(|| Runtime::new(RuntimeConfig::with_workers(1)));
     assert_eq!(n, 1, "a one-worker runtime");
     drop(rt);

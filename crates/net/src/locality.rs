@@ -58,6 +58,9 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
+/// A [`Locality::on_peers_changed`] callback.
+type PeerListener = Arc<dyn Fn() + Send + Sync>;
+
 /// Type-erased action handler: decode the argument bytes, start the work,
 /// hand back a future of the *encoded* result. `Err(WireFault)` reports a
 /// protocol-level failure (undecodable arguments) without spawning.
@@ -157,6 +160,8 @@ pub struct LocalityShared {
     /// holding it.
     linked: Mutex<()>,
     link_cv: Condvar,
+    /// Called, outside every lock, after a link comes or goes.
+    peer_listeners: Mutex<Vec<PeerListener>>,
     pending: Mutex<HashMap<u64, Pending>>,
     /// Per-origin duplicate-suppression windows for inbound calls.
     dedup: Mutex<HashMap<usize, DedupWindow>>,
@@ -314,6 +319,15 @@ impl LocalityShared {
         for p in drained {
             self.settle_entry(p, Err(TaskError::Disconnected { locality: peer }));
         }
+        self.peers_changed();
+    }
+
+    /// Tell every peer listener the peer set moved.
+    fn peers_changed(&self) {
+        let listeners = self.peer_listeners.lock().clone();
+        for listener in listeners {
+            listener();
+        }
     }
 
     fn sever_link(self: &Arc<Self>, peer: usize) {
@@ -452,6 +466,7 @@ impl Locality {
             links: RwLock::new(HashMap::new()),
             linked: Mutex::new(()),
             link_cv: Condvar::new(),
+            peer_listeners: Mutex::new(Vec::new()),
             pending: Mutex::new(HashMap::new()),
             dedup: Mutex::new(HashMap::new()),
             last_heard: Mutex::new(HashMap::new()),
@@ -517,6 +532,13 @@ impl Locality {
         let mut peers: Vec<usize> = self.shared.links.read().keys().copied().collect();
         peers.sort_unstable();
         peers
+    }
+
+    /// Call `f` after every change of [`connected_peers`](Self::connected_peers):
+    /// a link added, or a peer gone. It runs on the thread that saw the
+    /// change, with no lock of the locality held.
+    pub fn on_peers_changed(&self, f: impl Fn() + Send + Sync + 'static) {
+        self.shared.peer_listeners.lock().push(Arc::new(f));
     }
 
     /// Register `f` under `action`: peers may now invoke it via
@@ -709,6 +731,7 @@ impl Locality {
         self.shared.links.write().insert(link.peer(), link);
         drop(self.shared.linked.lock());
         self.shared.link_cv.notify_all();
+        self.shared.peers_changed();
     }
 
     /// Block until links to `want` peers exist, waking on each new link;

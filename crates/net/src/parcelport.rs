@@ -582,11 +582,12 @@ pub fn read_frame(stream: &mut TcpStream) -> io::Result<Frame> {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
+#[path = "../../runtime/tests/support/pace.rs"]
+mod pace;
+
+#[cfg(test)]
 mod tests {
+    use super::pace::pace;
     use super::*;
     use crate::codec::Frame;
     use crate::transport::TransportError;
@@ -780,7 +781,7 @@ mod tests {
             id: 1,
             incoming: Arc::new(move |_, _| {
                 while !gate.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(1));
+                    pace(Duration::from_millis(1));
                 }
             }),
             on_disconnect: Arc::new(|_| {}),
@@ -804,7 +805,7 @@ mod tests {
         a_to_b.send(&call(1)).expect("first send");
         let deadline = Instant::now() + Duration::from_secs(5);
         while a_to_b.queue_len() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
+            pace(Duration::from_millis(1));
         }
         a_to_b.send(&call(2)).expect("second send fills queue");
         let err = a_to_b.send(&call(3)).expect_err("third send must stall");
@@ -909,7 +910,7 @@ mod tests {
         cli_link.sever();
         let deadline = Instant::now() + Duration::from_secs(5);
         while dis.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
+            pace(Duration::from_millis(1));
         }
         assert_eq!(dis.load(Ordering::SeqCst), 1);
         drop(srv_link);

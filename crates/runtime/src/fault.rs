@@ -1,4 +1,4 @@
-//! The task failure model: error values, panic capture, watchdog config.
+//! The task failure model: error values and panic capture.
 //!
 //! A panicking task must terminate *only itself*. The worker loop wraps
 //! every phase in `catch_unwind`; the panic becomes a [`TaskError`] that
@@ -142,32 +142,6 @@ impl std::error::Error for TaskError {
         match self {
             TaskError::Dependency { cause } => Some(cause.as_ref()),
             _ => None,
-        }
-    }
-}
-
-/// Stall-watchdog configuration (see [`crate::RuntimeConfig::watchdog`]).
-///
-/// The watchdog thread samples a progress signature (phases executed,
-/// tasks completed, tasks in flight, dormant dataflow reservations) every
-/// `interval`. If work exists but the signature has not moved for
-/// `stall_after`, it declares a stall: bumps `/runtime/watchdog/stalls`,
-/// and emits one diagnostic dump per stall episode (per-worker queue
-/// depths, sleepers, dead workers, stall age).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WatchdogConfig {
-    /// How often the watchdog samples progress.
-    pub interval: Duration,
-    /// How long the signature must be flat (while work exists) before a
-    /// stall is declared.
-    pub stall_after: Duration,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        Self {
-            interval: Duration::from_millis(50),
-            stall_after: Duration::from_millis(500),
         }
     }
 }

@@ -655,12 +655,9 @@ pub fn when_all<T: Send + Sync + 'static>(
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
 mod tests {
     use super::*;
+    use crate::pace::pace;
 
     #[test]
     fn set_then_get() {
@@ -740,7 +737,7 @@ mod tests {
         let t =
             grain_counters::sync::spawn("waiter", move || f.wait_timeout(Duration::from_secs(5)))
                 .unwrap();
-        std::thread::sleep(Duration::from_millis(10));
+        pace(Duration::from_millis(10));
         p.set(3u8);
         assert_eq!(*t.join().unwrap().unwrap(), 3);
     }
@@ -752,7 +749,7 @@ mod tests {
         let (p, f) = channel();
         let t =
             grain_counters::sync::spawn("waiter", move || f.wait_timeout(Duration::MAX)).unwrap();
-        std::thread::sleep(Duration::from_millis(10));
+        pace(Duration::from_millis(10));
         p.set(3u8);
         assert_eq!(t.join().unwrap(), Ok(Arc::new(3)));
     }
@@ -774,7 +771,7 @@ mod tests {
         assert_eq!(waiters.len(), 0);
         drop(waiters);
         let t = grain_counters::sync::spawn("getter", move || *f.get()).unwrap();
-        std::thread::sleep(Duration::from_millis(10));
+        pace(Duration::from_millis(10));
         p.set(5);
         assert_eq!(t.join().unwrap(), 5);
     }
@@ -879,7 +876,7 @@ mod tests {
     fn get_blocks_until_set() {
         let (p, f) = channel();
         let t = grain_counters::sync::spawn("getter", move || *f.get()).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        pace(std::time::Duration::from_millis(10));
         p.set(7u32);
         assert_eq!(t.join().unwrap(), 7);
     }

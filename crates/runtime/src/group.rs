@@ -404,12 +404,9 @@ impl std::fmt::Debug for TaskGroup {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::disallowed_methods,
-    reason = "a test paces its scenario with sleeps; the rule is for product code"
-)]
 mod tests {
     use super::*;
+    use crate::pace::pace;
 
     #[test]
     fn token_is_shared_across_clones() {
@@ -501,7 +498,7 @@ mod tests {
         g.enter();
         let g2 = Arc::clone(&g);
         let h = grain_counters::sync::spawn("leaver", move || {
-            std::thread::sleep(Duration::from_millis(10));
+            pace(Duration::from_millis(10));
             g2.exit_completed();
         })
         .unwrap();
@@ -515,7 +512,7 @@ mod tests {
         g.enter();
         let g2 = Arc::clone(&g);
         let h = grain_counters::sync::spawn("leaver", move || {
-            std::thread::sleep(Duration::from_millis(20));
+            pace(Duration::from_millis(20));
             g2.exit_completed();
         })
         .unwrap();

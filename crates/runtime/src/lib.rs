@@ -70,7 +70,7 @@ pub mod task;
 pub mod trace;
 mod worker;
 
-pub use fault::{TaskError, WatchdogConfig};
+pub use fault::TaskError;
 pub use future::{channel, when_all, Inputs, Promise, Settled, SharedFuture};
 pub use grain_counters::threads::ThreadCounters;
 pub use group::{CancelToken, TaskGroup};
@@ -81,3 +81,8 @@ pub use trace::{Trace, TraceEvent, TraceEventKind};
 
 /// Re-export of the counter crate for convenient path-based queries.
 pub use grain_counters;
+
+/// The tests' one sleep, for the unit-test modules of this crate.
+#[cfg(test)]
+#[path = "../tests/support/pace.rs"]
+mod pace;

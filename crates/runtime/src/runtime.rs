@@ -1,15 +1,15 @@
 //! The runtime: worker pool, spawn paths, task context, termination.
 
-use crate::fault::{TaskError, WatchdogConfig};
+use crate::fault::TaskError;
 use crate::future::{
     Countdown, Dormant, Inputs, Outcome, Shared, SharedFuture, Slots, Tail, Waiter, INLINE_INPUTS,
 };
 use crate::group::{CancelToken, TaskGroup};
 use crate::scheduler::{Scheduler, SearchState};
 use crate::task::{Poll, Priority, Runnable, StagedTask, Task, TaskId, TaskIdAllocator, TaskState};
-use grain_counters::sync::{AtomicBool, AtomicUsize, Condvar, Kick, Mutex, Ordering, Pump};
+use grain_counters::sync::{AtomicBool, AtomicUsize, Condvar, Mutex, Ordering};
 use grain_counters::threads::ThreadCounters;
-use grain_counters::{RawCounter, Registry, Unit};
+use grain_counters::{Registry, Unit};
 use grain_topology::host;
 use std::cell::Cell;
 use std::sync::{Arc, Weak};
@@ -43,10 +43,6 @@ pub struct RuntimeConfig {
     /// Record per-worker task-event timelines (see [`crate::trace`]).
     /// Off by default: tracing costs one buffer append per phase.
     pub trace: bool,
-    /// Stall watchdog. `None` (default) runs no monitor thread; `Some`
-    /// starts one that samples progress every `interval` and reports
-    /// stalls (see [`WatchdogConfig`] and `/runtime/watchdog/*`).
-    pub watchdog: Option<WatchdogConfig>,
     /// Id of the locality this runtime represents (default 0, the root).
     /// Parameterizes every registered counter path — a runtime on
     /// locality 3 exposes `/threads{locality#3/total}/…` — so a
@@ -62,7 +58,6 @@ impl Default for RuntimeConfig {
             workers: host::available_cores(),
             spin_rounds: 8,
             trace: false,
-            watchdog: None,
             locality_id: 0,
         }
     }
@@ -100,17 +95,6 @@ struct IdleGate {
     cv: Condvar,
 }
 
-/// Watchdog event counters, registered as `/runtime{...}/watchdog/*`.
-pub(crate) struct WatchdogCounters {
-    /// Progress samples taken.
-    pub(crate) checks: Arc<RawCounter>,
-    /// Stall episodes detected (no progress for `stall_after` while work
-    /// existed).
-    pub(crate) stalls: Arc<RawCounter>,
-    /// Diagnostic dumps emitted (one per stall episode).
-    pub(crate) dumps: Arc<RawCounter>,
-}
-
 /// Shared state of a runtime: queues, counters, lifecycle flags.
 pub(crate) struct Inner {
     pub(crate) scheduler: Scheduler,
@@ -125,17 +109,10 @@ pub(crate) struct Inner {
     pub(crate) active_limit: AtomicUsize,
     pub(crate) tracer: crate::trace::Tracer,
     pub(crate) config: RuntimeConfig,
-    /// Dormant dataflow reservations: nodes whose dependencies have not
-    /// settled yet. Not part of `in_flight` (no task exists yet), but
-    /// still "work the runtime owes" — the watchdog counts them when
-    /// judging whether a flat progress signature is a stall (a dependency
-    /// cycle is exactly `in_flight == 0 && dormant > 0`, forever).
-    pub(crate) dormant: AtomicUsize,
     /// Worker threads that died from an uncontained panic (e.g. a
     /// runtime-internal bug). Non-zero turns indefinite waits into loud
     /// failures instead of hangs.
     pub(crate) dead_workers: AtomicUsize,
-    pub(crate) watchdog: WatchdogCounters,
     parker: Parker,
     idle: IdleGate,
 }
@@ -351,10 +328,6 @@ impl Inner {
     {
         let deps: Slots<&SharedFuture<T>, INLINE_INPUTS> = deps.into_iter().collect();
         let count = deps.len();
-        let waits = count > 0;
-        if waits {
-            self.dormant.fetch_add(1, Ordering::SeqCst);
-        }
         if let Some(g) = &group {
             g.enter();
         }
@@ -363,7 +336,6 @@ impl Inner {
             count: Countdown::new(),
             inner: Arc::clone(self),
             priority,
-            waits,
             grouped: group.is_some(),
             armed: Mutex::new(Some(Armed {
                 inputs: deps.iter().map(|&dep| dep.clone()).collect(),
@@ -547,8 +519,6 @@ struct TaskNode<T, F> {
     count: Countdown,
     inner: Arc<Inner>,
     priority: Priority,
-    /// Has inputs, so counts as dormant until it fires or is released.
-    waits: bool,
     /// `armed` holds a group for the fire to take.
     grouped: bool,
     armed: Mutex<Option<Armed<T, F>>>,
@@ -569,9 +539,6 @@ where
     fn fire(self: Arc<Self>, rt: Option<&Inner>, handoff: Option<&mut Handoff<'_>>) {
         let node = &self.tail;
         let inner = &*node.inner;
-        if node.waits {
-            inner.dormant.fetch_sub(1, Ordering::SeqCst);
-        }
         let group = match node.grouped {
             true => node.armed.lock().as_mut().and_then(|a| a.group.take()),
             false => None,
@@ -619,9 +586,6 @@ where
     /// it never runs. Its group records `fault`, or else a skip, and the
     /// output carries `error` onward.
     fn release(&self, error: TaskError, fault: bool) {
-        if self.tail.waits {
-            self.tail.inner.dormant.fetch_sub(1, Ordering::SeqCst);
-        }
         let armed = self.tail.armed.lock().take();
         if let Some(g) = armed.and_then(|a| a.group) {
             if fault {
@@ -853,7 +817,6 @@ impl Drop for Resumer {
 pub struct Runtime {
     inner: Arc<Inner>,
     threads: Vec<std::thread::JoinHandle<()>>,
-    watchdog: Option<Pump>,
 }
 
 /// Reports a worker thread that dies from an uncontained panic (a
@@ -879,93 +842,6 @@ impl Drop for WorkerDeathSentinel {
             drop(self.inner.idle.lock.lock());
             self.inner.idle.cv.notify_all();
         }
-    }
-}
-
-/// The stall watchdog: a pump whose pass samples a progress signature
-/// every `cfg.interval`; if work exists (tasks in flight or dormant
-/// dataflow reservations) but the signature stays flat for
-/// `cfg.stall_after`, it records a stall and emits one diagnostic dump
-/// for the episode.
-fn spawn_watchdog(inner: &Arc<Inner>, cfg: WatchdogConfig) -> Pump {
-    let mut last_sig = (u64::MAX, u64::MAX, usize::MAX, usize::MAX);
-    let mut flat_since = Instant::now();
-    let mut dumped = false;
-    let kick: Arc<Kick> = Arc::default();
-    let pump = Pump::spawn(
-        "grain-watchdog".to_string(),
-        Arc::clone(&kick),
-        Arc::downgrade(inner),
-        move |inner: &Arc<Inner>| {
-            if inner.shutdown.load(Ordering::SeqCst) {
-                return None;
-            }
-            let next = Some(Instant::now() + cfg.interval);
-            inner.watchdog.checks.incr();
-            let sig = (
-                inner.counters.phases.sum(),
-                inner.counters.tasks.sum(),
-                inner.in_flight.load(Ordering::SeqCst),
-                inner.dormant.load(Ordering::SeqCst),
-            );
-            // A flat signature is only suspicious if the runtime could
-            // have made progress: there must be work (tasks in flight or
-            // dormant dataflow reservations) *and* at least one active
-            // worker. A runtime throttled to zero workers
-            // (`set_active_workers(0)` — a paused/idle service) is
-            // expected to sit still; counting that as a stall would page
-            // on every quiet period.
-            let paused = inner.active_limit.load(Ordering::SeqCst) == 0;
-            let work_exists = (sig.2 > 0 || sig.3 > 0) && !paused;
-            if sig != last_sig || !work_exists {
-                last_sig = sig;
-                flat_since = Instant::now();
-                dumped = false;
-                return next;
-            }
-            let stall_age = flat_since.elapsed();
-            if stall_age >= cfg.stall_after && !dumped {
-                dumped = true;
-                inner.watchdog.stalls.incr();
-                inner.watchdog.dumps.incr();
-                watchdog_dump(inner, stall_age);
-            }
-            next
-        },
-    );
-    kick.kick(); // the first sample; each pass schedules the next
-    pump
-}
-
-/// One diagnostic dump: global progress state plus per-worker queue
-/// depths, so a stalled run tells you *where* the work is stuck.
-fn watchdog_dump(inner: &Inner, stall_age: Duration) {
-    let q = &inner.scheduler.queues;
-    eprintln!(
-        "grain-runtime watchdog: no progress for {:?} — in-flight {}, dormant dataflow \
-         reservations {}, sleepers {}, dead workers {}, phases {}, tasks {}",
-        stall_age,
-        inner.in_flight.load(Ordering::SeqCst),
-        inner.dormant.load(Ordering::SeqCst),
-        inner.parker.sleepers.load(Ordering::SeqCst),
-        inner.dead_workers.load(Ordering::SeqCst),
-        inner.counters.phases.sum(),
-        inner.counters.tasks.sum(),
-    );
-    // A worker's next slot is not listed: it is filled only as a phase
-    // ends and emptied by the search that follows.
-    for (w, d) in q.workers.iter().enumerate() {
-        let staged = d.staged.len();
-        let pending = d.pending.len();
-        if staged > 0 || pending > 0 {
-            eprintln!("  worker {w}: staged {staged}, pending {pending}");
-        }
-    }
-    if inner.dormant.load(Ordering::SeqCst) > 0 && inner.in_flight.load(Ordering::SeqCst) == 0 {
-        eprintln!(
-            "  likely cause: a dependency cycle or an unfulfilled external promise — \
-             dataflow nodes are waiting on futures nothing will ever settle"
-        );
     }
 }
 
@@ -1032,26 +908,6 @@ impl Runtime {
                 )
                 .expect("fresh registry");
         }
-        let watchdog = WatchdogCounters {
-            checks: Arc::new(RawCounter::new()),
-            stalls: Arc::new(RawCounter::new()),
-            dumps: Arc::new(RawCounter::new()),
-        };
-        {
-            use grain_counters::registry::RawView;
-            for (name, c) in [
-                ("checks", &watchdog.checks),
-                ("stalls", &watchdog.stalls),
-                ("dumps", &watchdog.dumps),
-            ] {
-                registry
-                    .register(
-                        &format!("/runtime{{{t}}}/watchdog/{name}"),
-                        RawView::new(Arc::clone(c), Unit::Count),
-                    )
-                    .expect("fresh registry");
-            }
-        }
         let inner = Arc::new(Inner {
             scheduler,
             counters,
@@ -1062,9 +918,7 @@ impl Runtime {
             active_limit: AtomicUsize::new(config.workers),
             tracer: crate::trace::Tracer::new(config.workers, config.trace),
             config: config.clone(),
-            dormant: AtomicUsize::new(0),
             dead_workers: AtomicUsize::new(0),
-            watchdog,
             parker: Parker {
                 lock: Mutex::new(()),
                 cv: Condvar::new(),
@@ -1089,15 +943,7 @@ impl Runtime {
                 .expect("failed to spawn worker thread")
             })
             .collect();
-        let watchdog = config
-            .watchdog
-            .clone()
-            .map(|cfg| spawn_watchdog(&inner, cfg));
-        Self {
-            inner,
-            threads,
-            watchdog,
-        }
+        Self { inner, threads }
     }
 
     /// Runtime with `workers` workers and default settings.
@@ -1281,7 +1127,6 @@ impl Drop for Runtime {
         // last future lets go of the runtime: a task node dropped unrun
         // fails its output, so nobody is left waiting on it.
         self.inner.scheduler.queues.clear();
-        drop(self.watchdog.take());
     }
 }
 

@@ -255,8 +255,6 @@ pub struct Task {
     pub state: TaskState,
     /// Completed phases so far.
     pub phases: u64,
-    /// Total execution (closure) nanoseconds accumulated over phases.
-    pub exec_ns: u64,
     /// The body.
     pub(crate) body: Body,
     /// Group membership (None: ungrouped).
@@ -281,7 +279,6 @@ impl Task {
             priority: staged.priority,
             state: TaskState::Pending,
             phases: 0,
-            exec_ns: 0,
             body: staged.body,
             group: staged.group,
             origin: None,

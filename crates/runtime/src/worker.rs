@@ -160,7 +160,6 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                 let registration = ctx.suspend_registration.take();
 
                 task.phases += 1;
-                task.exec_ns += exec_ns;
                 counters.phases.incr(w);
                 counters.exec_ns.add(w, exec_ns);
                 counters.exec_histogram.record(w, exec_ns);

@@ -1,15 +1,11 @@
 //! Fault-tolerance behavior, observed through the public API: panic
 //! isolation, fault propagation through futures and DAGs, bounded
-//! waits, the stall watchdog and dead-worker detection.
-
-#[path = "support/pace.rs"]
-mod pace;
+//! waits, a dependency cycle and dead-worker detection.
 
 use grain_counters::sync::{AtomicBool, Ordering};
 use grain_runtime::{
-    channel, when_all, Poll, Priority, Runtime, RuntimeConfig, TaskError, TaskGroup, WatchdogConfig,
+    channel, when_all, Poll, Priority, Runtime, RuntimeConfig, TaskError, TaskGroup,
 };
-use pace::pace;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::Duration;
@@ -229,95 +225,40 @@ fn cancelled_group_faults_skipped_futures_with_cancelled() {
     rt.wait_idle();
 }
 
-#[test]
-fn watchdog_reports_a_dependency_cycle() {
-    let rt = Runtime::new(RuntimeConfig {
-        watchdog: Some(WatchdogConfig {
-            interval: Duration::from_millis(10),
-            stall_after: Duration::from_millis(40),
-        }),
-        ..RuntimeConfig::with_workers(2)
-    });
-    // Two dormant dataflow nodes, each gated on a future only the other
-    // could fulfil: in-flight 0, dormant 2, forever. Tasks can't detect
-    // this from inside; the watchdog must.
-    let (pa, fa) = channel::<u32>();
-    let (pb, fb) = channel::<u32>();
-    let da = rt.dataflow(&[fb], move |_, v| pa.set(*v[0]));
-    let db = rt.dataflow(&[fa], move |_, v| pb.set(*v[0]));
-    pace(Duration::from_millis(250));
-    let stalls = rt
-        .registry()
-        .query("/runtime{locality#0/total}/watchdog/stalls")
-        .expect("watchdog counters are registered")
-        .value;
-    let dumps = rt
-        .registry()
-        .query("/runtime{locality#0/total}/watchdog/dumps")
-        .expect("watchdog counters are registered")
-        .value;
-    assert!(stalls >= 1.0, "cycle not detected: stalls = {stalls}");
-    assert!(dumps >= 1.0, "stall detected but no diagnostic dump");
-    drop((da, db));
-}
-
-#[test]
-fn watchdog_stays_quiet_on_a_healthy_run() {
-    let rt = Runtime::new(RuntimeConfig {
-        watchdog: Some(WatchdogConfig {
-            interval: Duration::from_millis(5),
-            stall_after: Duration::from_millis(30),
-        }),
-        ..RuntimeConfig::with_workers(2)
-    });
-    for _ in 0..4 {
-        let futs: Vec<_> = (0..16u64).map(|i| rt.async_call(move |_| i * i)).collect();
-        for f in &futs {
-            f.get();
-        }
+/// Run `f` on a thread of its own; fail if it has not returned within
+/// `limit`.
+fn bounded(limit: Duration, name: &str, f: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let t = grain_counters::sync::spawn(name, move || {
+        f();
+        let _ = tx.send(());
+    })
+    .expect("spawn the test body");
+    match rx.recv_timeout(limit) {
+        Ok(()) => t.join().expect("test body panicked"),
+        Err(_) => panic!("{name}: exceeded {limit:?} — a wait hung on the cycle"),
     }
-    rt.wait_idle();
-    // Idle-with-no-work must not read as a stall, no matter how long.
-    pace(Duration::from_millis(150));
-    let q = |name: &str| {
-        rt.registry()
-            .query(&format!("/runtime{{locality#0/total}}/watchdog/{name}"))
-            .expect("watchdog counters are registered")
-            .value
-    };
-    assert!(q("checks") >= 1.0, "watchdog thread never sampled");
-    assert_eq!(q("stalls"), 0.0);
-    assert_eq!(q("dumps"), 0.0);
 }
 
+/// Two dataflow nodes, each gated on a future only the other could
+/// fulfil, are a cycle that never becomes a task. No wait hangs on it:
+/// nothing is in flight, so `wait_idle` returns at once, a timed wait
+/// on the cyclic future reports the timeout, and the runtime drops.
 #[test]
-fn watchdog_stays_quiet_while_throttled_to_zero_workers() {
-    let rt = Runtime::new(RuntimeConfig {
-        watchdog: Some(WatchdogConfig {
-            interval: Duration::from_millis(5),
-            stall_after: Duration::from_millis(30),
-        }),
-        ..RuntimeConfig::with_workers(2)
+fn a_dependency_cycle_hangs_no_wait() {
+    bounded(Duration::from_secs(10), "dependency cycle", || {
+        let rt = two_workers();
+        let (pa, fa) = channel::<u32>();
+        let (pb, fb) = channel::<u32>();
+        let da = rt.dataflow(&[fb], move |_, v| pa.set(*v[0]));
+        let db = rt.dataflow(&[fa], move |_, v| pb.set(*v[0]));
+        assert_eq!(rt.in_flight(), 0, "a node waiting on its inputs is no task");
+        rt.wait_idle();
+        let waited = Duration::from_millis(50);
+        assert_eq!(da.wait_timeout(waited), Err(TaskError::Timeout { waited }));
+        drop(rt);
+        drop((da, db));
     });
-    // Pause the runtime, then queue work. The signature is flat and work
-    // exists, but zero active workers means "deliberately paused", not
-    // "stalled" — the watchdog must not page.
-    rt.set_active_workers(0);
-    let fut = rt.async_call(|_| 11u32);
-    pace(Duration::from_millis(150));
-    let q = |name: &str| {
-        rt.registry()
-            .query(&format!("/runtime{{locality#0/total}}/watchdog/{name}"))
-            .expect("watchdog counters are registered")
-            .value
-    };
-    assert!(q("checks") >= 1.0, "watchdog thread never sampled");
-    assert_eq!(q("stalls"), 0.0, "paused runtime misread as a stall");
-    assert_eq!(q("dumps"), 0.0);
-    // Resuming drains the queued work normally.
-    rt.set_active_workers(2);
-    assert_eq!(*fut.get(), 11);
-    rt.wait_idle();
 }
 
 #[test]

@@ -1,15 +1,16 @@
-//! The one sleep of the integration tests. A test that paces its
-//! scenario (lets a peer fall behind, a task outlast a waiter, a timer
-//! lapse) includes this one file by path:
+//! The one sleep of the tests. A test that paces its scenario (lets a
+//! peer fall behind, a task outlast a waiter, a timer lapse) includes
+//! this one file by path — an integration test at its top, a unit-test
+//! module beside its `mod tests`, from the file that holds it:
 //!
 //! ```ignore
+//! #[cfg(test)]
 //! #[path = "../../runtime/tests/support/pace.rs"]
 //! mod pace;
-//! use pace::pace;
 //! ```
 //!
-//! so the file-wide allow it would otherwise need, which also silences
-//! the park, std condvar-wait and thread-start entries of
+//! so the module-wide allow it would otherwise need, which also
+//! silences the park, std condvar-wait and thread-start entries of
 //! `crates/clippy.toml`, sits on this one function instead.
 
 use std::time::Duration;

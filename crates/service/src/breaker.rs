@@ -282,11 +282,14 @@ where
         }
     }
 
-    /// Would [`decide`](Self::decide) admit `key` now? Changes nothing,
-    /// so scanning candidates never takes a probe slot.
-    pub fn would_allow(&self, key: &Q, now: Instant) -> bool {
-        let admits = |b: &Breaker| b.wait(&self.cfg, now).is_zero();
-        self.map.lock().get(key).is_none_or(admits)
+    /// How long until [`decide`](Self::decide) would admit `key` (zero:
+    /// now). Changes nothing, so scanning candidates never takes a probe
+    /// slot. A breaker that admits no probe until the last one answers
+    /// reads a wait past any clock's range.
+    pub fn admits_in(&self, key: &Q, now: Instant) -> Duration {
+        let map = self.map.lock();
+        map.get(key)
+            .map_or(Duration::ZERO, |b| b.wait(&self.cfg, now))
     }
 
     /// May a failed attempt for `key` be retried? `false` only while the
@@ -599,14 +602,14 @@ mod tests {
         assert_eq!(tenants.state_of("a"), Some(Open));
         assert_eq!(tenants.opens_of("a"), 1);
         assert!(
-            tenants.would_allow("a", t0 + ms(100)),
+            tenants.admits_in("a", t0 + ms(100)).is_zero(),
             "no cooldown restart"
         );
         // Open, workers: a failure restarts the cooldown without counting
         // an open; a success closes.
         workers.record(&1, true, ANSWER, t0 + ms(40));
         assert_eq!(workers.opens_of(&1), 1);
-        assert!(!workers.would_allow(&1, t0 + ms(60)));
+        assert!(!workers.admits_in(&1, t0 + ms(60)).is_zero());
         workers.record(&1, false, ANSWER, t0 + ms(60));
         assert_eq!(workers.state_of(&1), Some(Closed));
         // HalfOpen: a tenant's straggler is ignored and its probe decides
@@ -621,8 +624,14 @@ mod tests {
         let ms = Duration::from_millis;
         let (tenants, workers, t0) = tripped();
         let previews = |at: Instant| {
-            let tenant = (tenants.retry_allowed("a", at), tenants.would_allow("a", at));
-            let worker = (workers.retry_allowed(&1, at), workers.would_allow(&1, at));
+            let tenant = (
+                tenants.retry_allowed("a", at),
+                tenants.admits_in("a", at).is_zero(),
+            );
+            let worker = (
+                workers.retry_allowed(&1, at),
+                workers.admits_in(&1, at).is_zero(),
+            );
             (tenant, worker)
         };
         // Open and cooling: neither; cooled: both.
@@ -678,7 +687,10 @@ mod tests {
             let r = &mut reference[w];
             match (x >> 33) % 4 {
                 0 => assert_eq!(allow(&b, w, now), r.allow(now, cooldown, true)),
-                1 => assert_eq!(b.would_allow(&w, now), r.allow(now, cooldown, false)),
+                1 => assert_eq!(
+                    b.admits_in(&w, now).is_zero(),
+                    r.allow(now, cooldown, false)
+                ),
                 f => {
                     b.record(&w, f == 2, ANSWER, now);
                     r.record(f == 2, now, k);
