@@ -540,8 +540,12 @@ impl FleetGateway {
         }
         {
             // A worker's death and a return to quorum.
-            let kick = Arc::clone(&shared.kick);
-            locality.on_peers_changed(move || kick.kick());
+            let kick = Arc::downgrade(&shared.kick);
+            locality.on_peers_changed(move || {
+                if let Some(kick) = kick.upgrade() {
+                    kick.kick();
+                }
+            });
         }
         let pump = Pump::spawn(
             format!("grain-fleet-gateway-{}", locality.id()),
