@@ -892,18 +892,14 @@ fn place(
         let Some(admits) = now.checked_add(shared.breakers.admits_in(&w, now)) else {
             continue;
         };
-        let at = match view.and_then(|v| v.backoff_until) {
-            Some(backoff) => backoff.max(admits),
-            None => admits,
-        };
+        let at = view
+            .and_then(|v| v.backoff_until)
+            .map_or(admits, |backoff| backoff.max(admits));
         if at <= now {
             eligible.push(w);
         } else {
             earliest(&mut ready, at);
         }
-    }
-    if eligible.is_empty() {
-        return Err(ready);
     }
     if let Placement::Prefer(p) = shared.config.placement {
         if eligible.contains(&p) {
