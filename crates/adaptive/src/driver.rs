@@ -422,7 +422,6 @@ mod tests {
         let rt = Runtime::new(RuntimeConfig {
             workers: 1,
             locality_id: 1,
-            ..RuntimeConfig::default()
         });
         let params = StencilParams::new(64, 32, 8);
         let mut tuner = tuner_from(16);

@@ -128,7 +128,6 @@ fn run_storm(seed: u64, quick: bool, report: &mut String) {
         |i| RuntimeConfig {
             workers: 1,
             locality_id: i,
-            ..RuntimeConfig::default()
         },
     );
     let fleet_workers: Vec<FleetWorker> = workers

@@ -37,7 +37,7 @@ impl DerivedCounter {
 
 impl Counter for DerivedCounter {
     fn value(&self) -> CounterValue {
-        CounterValue::now((self.compute)(), self.unit)
+        CounterValue::new((self.compute)(), self.unit)
     }
     fn reset(&self) {
         // Pure view: resetting the inputs is the owner's job.

@@ -24,7 +24,7 @@
 //!   per-worker sharding ([`raw::Sharded`]) in which each shard has one
 //!   writer, so a hot-path increment is a plain load and store.
 //! * [`value::CounterValue`] — a typed sample (count / nanoseconds /
-//!   ratio / bytes) with the timestamp it was taken at.
+//!   ratio / bytes).
 //! * [`registry::Registry`] — maps paths to live counters; supports exact
 //!   queries, wildcard discovery, and reset, like HPX's counter service.
 //! * [`derived`] — counters computed on demand from other counters

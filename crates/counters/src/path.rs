@@ -38,7 +38,7 @@ pub struct CounterPath {
     /// `count/cumulative` (may contain `/`).
     pub name: String,
     /// Optional parameter suffix introduced by `@`.
-    pub parameters: Option<String>,
+    parameters: Option<String>,
 }
 
 /// Error produced when a counter path cannot be parsed.

@@ -40,7 +40,7 @@ impl RawView {
 
 impl Counter for RawView {
     fn value(&self) -> CounterValue {
-        CounterValue::now(self.counter.get() as f64, self.unit)
+        CounterValue::new(self.counter.get() as f64, self.unit)
     }
     fn reset(&self) {
         self.counter.reset();
@@ -63,7 +63,7 @@ impl ShardedTotal {
 
 impl Counter for ShardedTotal {
     fn value(&self) -> CounterValue {
-        CounterValue::now(self.counter.sum() as f64, self.unit)
+        CounterValue::new(self.counter.sum() as f64, self.unit)
     }
     fn reset(&self) {
         self.counter.reset();
@@ -92,7 +92,7 @@ impl ShardedWorker {
 
 impl Counter for ShardedWorker {
     fn value(&self) -> CounterValue {
-        CounterValue::now(self.counter.get(self.worker) as f64, self.unit)
+        CounterValue::new(self.counter.get(self.worker) as f64, self.unit)
     }
     fn reset(&self) {
         // Resetting a single worker's shard would desynchronize the total;

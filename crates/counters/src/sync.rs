@@ -310,7 +310,10 @@ impl Kick {
 
 /// A thread that runs a pass over some shared state when kicked or when
 /// the deadline the last pass returned comes (with none, only a kick
-/// wakes it). Dropping the pump stops and joins the thread at once.
+/// wakes it). Dropping the pump stops and joins the thread at once —
+/// unless the drop runs on that thread, as when the shared state owns
+/// its pump and a pass let go of its last reference: the thread then
+/// ends by itself once the pass returns.
 pub struct Pump {
     kick: Arc<Kick>,
     thread: Option<JoinHandle<()>>,
@@ -348,6 +351,9 @@ impl Drop for Pump {
     fn drop(&mut self) {
         self.kick.stop();
         if let Some(thread) = self.thread.take() {
+            if thread.thread().id() == std::thread::current().id() {
+                return;
+            }
             // Unbounded: the stopped pump returns at its next wake-up,
             // so the join waits out at most the pass in flight.
             let _ = thread.join();

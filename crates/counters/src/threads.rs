@@ -199,7 +199,7 @@ impl ThreadCounters {
             struct HistView(Arc<ShardedHistogram>);
             impl crate::registry::Counter for HistView {
                 fn value(&self) -> crate::value::CounterValue {
-                    crate::value::CounterValue::now(self.0.count() as f64, Unit::Count)
+                    crate::value::CounterValue::new(self.0.count() as f64, Unit::Count)
                 }
                 fn reset(&self) {
                     self.0.reset();

@@ -1,7 +1,6 @@
 //! Typed counter samples.
 
 use std::fmt;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Unit of a counter value. HPX encodes this implicitly in the counter
 /// name; we carry it explicitly so that derived counters and the metric
@@ -39,23 +38,12 @@ pub struct CounterValue {
     pub value: f64,
     /// Unit of `value`.
     pub unit: Unit,
-    /// Wall-clock sample time, nanoseconds since the Unix epoch. Zero for
-    /// values synthesized outside real time (e.g. by the simulator).
-    pub timestamp_ns: u64,
 }
 
 impl CounterValue {
-    /// A sample taken now.
-    pub fn now(value: f64, unit: Unit) -> Self {
-        let ts = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-        Self {
-            value,
-            unit,
-            timestamp_ns: ts,
-        }
+    /// A sample of `value` in `unit`.
+    pub fn new(value: f64, unit: Unit) -> Self {
+        Self { value, unit }
     }
 
     /// The value interpreted as an exact count.
@@ -83,18 +71,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn now_has_timestamp() {
-        let v = CounterValue::now(3.0, Unit::Count);
-        assert!(v.timestamp_ns > 0);
+    fn as_count_reads_a_count() {
+        let v = CounterValue::new(3.0, Unit::Count);
         assert_eq!(v.as_count(), 3);
     }
 
     #[test]
     fn display_formats() {
-        assert_eq!(CounterValue::now(42.0, Unit::Count).to_string(), "42 count");
-        assert_eq!(CounterValue::now(0.5, Unit::Ratio).to_string(), "50.00%");
+        assert_eq!(CounterValue::new(42.0, Unit::Count).to_string(), "42 count");
+        assert_eq!(CounterValue::new(0.5, Unit::Ratio).to_string(), "50.00%");
         assert_eq!(
-            CounterValue::now(2500.0, Unit::Nanoseconds).to_string(),
+            CounterValue::new(2500.0, Unit::Nanoseconds).to_string(),
             "2.500 us"
         );
     }

@@ -59,7 +59,7 @@ use crate::wire::{
 use grain_counters::registry::RawView;
 use grain_counters::sync::{deadline_after, AtomicU64, Condvar, Kick, Mutex, Ordering, Pump};
 use grain_counters::{RawCounter, Registry, RegistryError, Unit};
-use grain_net::Locality;
+use grain_net::{Locality, PeersChangedGuard};
 use grain_runtime::{SharedFuture, TaskError};
 use grain_service::{BreakerConfig, BreakerDecision, BreakerState, Breakers};
 use grain_service::{JobOutcome, JobState, RejectReason};
@@ -502,10 +502,12 @@ impl FleetJobHandle {
 }
 
 /// The gateway. One per serving plane; owns the pump thread, which
-/// dropping the gateway stops at once.
+/// dropping the gateway stops at once, and its peer listener on the
+/// locality, which the drop removes.
 pub struct FleetGateway {
     shared: Arc<GatewayShared>,
     _pump: Pump,
+    _peers: PeersChangedGuard,
 }
 
 impl FleetGateway {
@@ -538,15 +540,15 @@ impl FleetGateway {
                 }
             });
         }
-        {
-            // A worker's death and a return to quorum.
+        // A worker's death and a return to quorum.
+        let peers = {
             let kick = Arc::downgrade(&shared.kick);
             locality.on_peers_changed(move || {
                 if let Some(kick) = kick.upgrade() {
                     kick.kick();
                 }
-            });
-        }
+            })
+        };
         let pump = Pump::spawn(
             format!("grain-fleet-gateway-{}", locality.id()),
             Arc::clone(&shared.kick),
@@ -556,6 +558,7 @@ impl FleetGateway {
         Self {
             shared,
             _pump: pump,
+            _peers: peers,
         }
     }
 

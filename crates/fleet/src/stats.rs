@@ -67,7 +67,6 @@ mod tests {
         let fabric = Fabric::loopback(2, |i| RuntimeConfig {
             workers: 1,
             locality_id: i,
-            ..RuntimeConfig::default()
         });
         let mut cfg = ServiceConfig::with_workers(1);
         cfg.runtime.locality_id = 1;

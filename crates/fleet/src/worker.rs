@@ -73,8 +73,6 @@ impl FleetWorkerConfig {
 /// Worker-side fleet accounting (exactly-once bookkeeping, counted).
 #[derive(Default)]
 pub struct WorkerCounters {
-    /// Fresh keys admitted into the service.
-    pub accepted: AtomicU64,
     /// Duplicate submissions absorbed (key already running/done).
     pub deduped: AtomicU64,
     /// Stale-epoch submissions refused.
@@ -83,12 +81,14 @@ pub struct WorkerCounters {
     pub rejected: AtomicU64,
     /// Queued jobs cancelled and handed back by a drain.
     pub handed_back: AtomicU64,
-    /// Completion pushes sent (first sends and retries).
+    /// Completion pushes sent (first sends and retries). Once none is
+    /// in flight, `pushes_sent == pushes_acked + pushes_rearmed`.
     pub pushes_sent: AtomicU64,
-    /// Pushes the gateway acknowledged.
+    /// Pushes the gateway acknowledged for the job's current epoch.
     pub pushes_acked: AtomicU64,
-    /// Pushes that failed in transit and were re-armed.
-    pub push_failures: AtomicU64,
+    /// Pushes re-armed: failed in transit, or acknowledged for an epoch
+    /// the job has since left.
+    pub pushes_rearmed: AtomicU64,
 }
 
 enum PushState {
@@ -355,7 +355,6 @@ fn handle_submit(shared: &Arc<WorkerShared>, job: FleetJob) -> SubmitAck {
             reject: Some(reject),
         };
     }
-    shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
     entries.live.insert(job.key);
     entries.all.insert(
         job.key,
@@ -466,13 +465,17 @@ fn pump_completions(shared: &Arc<WorkerShared>) -> Option<Instant> {
                     // gateway fenced; the current epoch is still
                     // unaccounted there. Push again.
                     Some(Ok(_)) => {
+                        shared
+                            .counters
+                            .pushes_rearmed
+                            .fetch_add(1, Ordering::Relaxed);
                         entry.push = PushState::Idle;
                         entry.retry_at = None;
                     }
                     Some(Err(_)) => {
                         shared
                             .counters
-                            .push_failures
+                            .pushes_rearmed
                             .fetch_add(1, Ordering::Relaxed);
                         entry.push = PushState::Idle;
                         entry.retry_at = Some(now + PUSH_RETRY_BACKOFF);

@@ -12,7 +12,8 @@
 //!   finish on the survivor;
 //! * Hold-partition the gateway from a worker, let the worker finish
 //!   behind the cut, hedge the job elsewhere, then heal → the stale
-//!   push is fenced by epoch, not double-counted;
+//!   push is fenced by epoch, not double-counted, and each worker's
+//!   pushes balance: every one sent was acknowledged or re-armed;
 //! * fall below the capacity quorum → deadline-carrying jobs are shed
 //!   at once with `FleetUnavailable { retry_after }`, deadline-less jobs
 //!   wait;
@@ -22,6 +23,7 @@
 #[path = "../../runtime/tests/support/pace.rs"]
 mod pace;
 
+use grain_counters::sync::Ordering;
 use grain_fleet::gateway::SHED_RETRY_AFTER;
 use grain_fleet::wire::{FleetOutcome, ACTION_COMPLETE};
 use grain_fleet::{
@@ -60,7 +62,6 @@ fn loopback_world() -> Fabric {
     Fabric::loopback(3, |i| RuntimeConfig {
         workers: 1,
         locality_id: i,
-        ..RuntimeConfig::default()
     })
 }
 
@@ -256,7 +257,6 @@ fn partition_then_heal_fences_stale_epoch() {
         |i| RuntimeConfig {
             workers: 1,
             locality_id: i,
-            ..RuntimeConfig::default()
         },
     );
     let w1 = FleetWorker::install(fabric.locality(1), FleetWorkerConfig::new(0, 1));
@@ -324,6 +324,28 @@ fn partition_then_heal_fences_stale_epoch() {
     assert!(ledger.fenced >= 1, "{ledger:?}");
     assert!(ledger.conserved(), "ledger leaked: {ledger:?}");
     assert!(gateway.breaker_opens(1) >= 1, "breaker must have tripped");
+
+    // Each worker's completion pushes balance once none is in flight:
+    // acknowledged for the current epoch, or re-armed.
+    for w in [&w1, &w2] {
+        let c = w.counters();
+        let pushes = || {
+            (
+                c.pushes_sent.load(Ordering::SeqCst),
+                c.pushes_acked.load(Ordering::SeqCst),
+                c.pushes_rearmed.load(Ordering::SeqCst),
+            )
+        };
+        assert!(
+            eventually(|| {
+                let (sent, acked, rearmed) = pushes();
+                sent == acked + rearmed
+            }),
+            "pushes (sent, acked, re-armed) never balanced: {:?}",
+            pushes()
+        );
+        assert!(pushes().1 >= 1, "no push acknowledged: {:?}", pushes());
+    }
 
     drop(gateway);
     drop(w2);

@@ -56,6 +56,6 @@ pub use bootstrap::{tcp_join, tcp_root, Fabric, TcpNode};
 pub use codec::{CodecError, Frame, Wire, WireFault, MAX_FRAME};
 pub use counters::ParcelCounters;
 pub use exchange::{block_of, block_owner, EdgeBoard};
-pub use locality::{Locality, NetConfig};
+pub use locality::{Locality, NetConfig, PeersChangedGuard};
 pub use parcelport::{Link, SendError};
 pub use transport::{LoopbackTransport, SimTransport, TcpTransport, Transport, TransportError};

@@ -51,7 +51,7 @@
 use crate::codec::{self, Frame, Wire, WireFault};
 use crate::counters::ParcelCounters;
 use crate::parcelport::{DisconnectHandler, FrameHandler, Link};
-use grain_counters::sync::{AtomicBool, AtomicU64, Condvar, Mutex, Ordering, RwLock};
+use grain_counters::sync::{AtomicBool, AtomicU64, Condvar, Kick, Mutex, Ordering, Pump, RwLock};
 use grain_counters::RegistryError;
 use grain_runtime::{channel, Runtime, SharedFuture, TaskError};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -60,6 +60,25 @@ use std::time::{Duration, Instant};
 
 /// A [`Locality::on_peers_changed`] callback.
 type PeerListener = Arc<dyn Fn() + Send + Sync>;
+
+/// Keeps a [`Locality::on_peers_changed`] listener registered; dropping
+/// it removes the listener.
+#[must_use = "dropping the guard removes the listener at once"]
+pub struct PeersChangedGuard {
+    shared: Weak<LocalityShared>,
+    listener: PeerListener,
+}
+
+impl Drop for PeersChangedGuard {
+    fn drop(&mut self) {
+        if let Some(shared) = self.shared.upgrade() {
+            shared
+                .peer_listeners
+                .lock()
+                .retain(|l| !Arc::ptr_eq(l, &self.listener));
+        }
+    }
+}
 
 /// Type-erased action handler: decode the argument bytes, start the work,
 /// hand back a future of the *encoded* result. `Err(WireFault)` reports a
@@ -171,6 +190,10 @@ pub struct LocalityShared {
     next_ping: AtomicU64,
     parcels: Arc<ParcelCounters>,
     dead: AtomicBool,
+    /// Wakes the monitor (present when a deadline is configured): a call
+    /// entering an empty pending table names its deadline here.
+    monitor_kick: Option<Arc<Kick>>,
+    _monitor: Option<Pump>,
 }
 
 impl LocalityShared {
@@ -362,56 +385,80 @@ impl LocalityShared {
         }
     }
 
-    /// One monitor tick: ping live peers, sever the silent ones, settle
-    /// deadline-expired calls. All settling happens outside the locks.
-    fn monitor_tick(self: &Arc<Self>) {
+    /// One monitor pass: when a ping is due, sever the silent peers and
+    /// ping the rest; settle deadline-expired calls. All settling happens
+    /// outside the locks. Returns when the next pass is due: the next
+    /// ping, or the oldest pending call's deadline, whichever is first.
+    fn monitor_pass(self: &Arc<Self>, next_ping: &mut Instant) -> Option<Instant> {
+        if self.dead.load(Ordering::SeqCst) {
+            return None;
+        }
+        let now = Instant::now();
+        let mut due = None;
         if let Some(deadline) = self.config.liveness_deadline {
-            let links: Vec<Arc<Link>> = self.links.read().values().cloned().collect();
-            let now = Instant::now();
-            let mut stale: Vec<usize> = Vec::with_capacity(links.len());
-            {
-                let heard = self.last_heard.lock();
-                for link in &links {
-                    match heard.get(&link.peer()) {
-                        Some(at) if now.duration_since(*at) > deadline => {
-                            stale.push(link.peer());
-                        }
-                        _ => {}
-                    }
-                }
+            if *next_ping <= now {
+                self.ping_and_sever_silent(deadline, now);
+                *next_ping = now + ping_interval(deadline);
             }
-            for peer in stale {
-                self.sever_link(peer);
-            }
-            let nonce = self.next_ping.fetch_add(1, Ordering::Relaxed);
-            let links: Vec<Arc<Link>> = self.links.read().values().cloned().collect();
-            for link in links {
-                // Non-blocking, non-severing: a full queue skips a round.
-                let _ = link.try_send(&Frame::Ping { nonce });
-            }
+            due = Some(*next_ping);
         }
         if let Some(deadline) = self.config.call_deadline {
-            let now = Instant::now();
-            let expired: Vec<(Pending, Duration)> = {
-                let mut pending = self.pending.lock();
-                let ids: Vec<u64> = pending
-                    .iter()
-                    .filter(|(_, p)| now.duration_since(p.issued_at) > deadline)
-                    .map(|(id, _)| *id)
-                    .collect();
-                ids.into_iter()
-                    .filter_map(|id| {
-                        pending
-                            .remove(&id)
-                            .map(|p| (now.duration_since(p.issued_at), p))
-                            .map(|(waited, p)| (p, waited))
-                    })
-                    .collect()
-            };
-            for (entry, waited) in expired {
-                self.settle_entry(entry, Err(TaskError::Timeout { waited }));
+            let oldest = self.expire_calls(deadline, now);
+            if let Some(at) = oldest.and_then(|t| t.checked_add(deadline)) {
+                due = Some(due.map_or(at, |due: Instant| due.min(at)));
             }
         }
+        due
+    }
+
+    /// Sever every link silent past `deadline`, then ping the rest.
+    fn ping_and_sever_silent(self: &Arc<Self>, deadline: Duration, now: Instant) {
+        let links: Vec<Arc<Link>> = self.links.read().values().cloned().collect();
+        let mut stale: Vec<usize> = Vec::with_capacity(links.len());
+        {
+            let heard = self.last_heard.lock();
+            for link in &links {
+                match heard.get(&link.peer()) {
+                    Some(at) if now.duration_since(*at) > deadline => {
+                        stale.push(link.peer());
+                    }
+                    _ => {}
+                }
+            }
+        }
+        for peer in stale {
+            self.sever_link(peer);
+        }
+        let nonce = self.next_ping.fetch_add(1, Ordering::Relaxed);
+        let links: Vec<Arc<Link>> = self.links.read().values().cloned().collect();
+        for link in links {
+            // Non-blocking, non-severing: a full queue skips a round.
+            let _ = link.try_send(&Frame::Ping { nonce });
+        }
+    }
+
+    /// Settle every call pending longer than `deadline` with
+    /// [`TaskError::Timeout`]; returns when the oldest call left was
+    /// issued.
+    fn expire_calls(&self, deadline: Duration, now: Instant) -> Option<Instant> {
+        let (expired, oldest) = {
+            let mut pending = self.pending.lock();
+            let ids: Vec<u64> = pending
+                .iter()
+                .filter(|(_, p)| now.duration_since(p.issued_at) > deadline)
+                .map(|(id, _)| *id)
+                .collect();
+            let expired: Vec<Pending> = ids
+                .into_iter()
+                .filter_map(|id| pending.remove(&id))
+                .collect();
+            (expired, pending.values().map(|p| p.issued_at).min())
+        };
+        for entry in expired {
+            let waited = now.duration_since(entry.issued_at);
+            self.settle_entry(entry, Err(TaskError::Timeout { waited }));
+        }
+        oldest
     }
 
     fn total_queue_len(&self) -> usize {
@@ -441,9 +488,10 @@ impl Locality {
     }
 
     /// [`Locality::new`] with explicit robustness knobs. Setting either
-    /// `liveness_deadline` or `call_deadline` spawns a monitor thread
-    /// (`grain-net-mon-{id}`) that holds only a weak reference — it exits
-    /// when the locality is dropped or leaves the world.
+    /// `liveness_deadline` or `call_deadline` starts a monitor thread
+    /// (`grain-net-mon-{id}`, a [`Pump`] the locality owns). It sleeps
+    /// until the next ping, or the oldest pending call's deadline, and
+    /// stops when the locality is dropped.
     pub fn with_config(
         runtime: Arc<Runtime>,
         id: usize,
@@ -456,8 +504,9 @@ impl Locality {
             "runtime locality_id must match the locality id"
         );
         let monitored = config.liveness_deadline.is_some() || config.call_deadline.is_some();
-        let tick = monitor_tick_interval(&config);
-        let shared = Arc::new(LocalityShared {
+        let pings = config.liveness_deadline.is_some();
+        let monitor_kick = monitored.then(Arc::<Kick>::default);
+        let shared = Arc::new_cyclic(|me: &Weak<LocalityShared>| LocalityShared {
             id,
             world,
             runtime,
@@ -474,6 +523,16 @@ impl Locality {
             next_ping: AtomicU64::new(1),
             parcels: Arc::new(ParcelCounters::new()),
             dead: AtomicBool::new(false),
+            _monitor: monitor_kick.as_ref().map(|kick| {
+                let mut next_ping = Instant::now();
+                Pump::spawn(
+                    format!("grain-net-mon-{id}"),
+                    Arc::clone(kick),
+                    me.clone(),
+                    move |shared: &Arc<LocalityShared>| shared.monitor_pass(&mut next_ping),
+                )
+            }),
+            monitor_kick,
         });
         let probe = {
             let w = Arc::downgrade(&shared);
@@ -486,22 +545,8 @@ impl Locality {
         shared
             .parcels
             .register(shared.runtime.registry(), id, probe)?;
-        if monitored {
-            let w: Weak<LocalityShared> = Arc::downgrade(&shared);
-            grain_counters::sync::spawn(format!("grain-net-mon-{id}"), move || loop {
-                    #[allow(
-                        clippy::disallowed_methods,
-                        reason = "a `Locality` is `Clone` and has no owner that could stop and join a pump; \
-                                  the tick holds only a weak reference and ends with the locality"
-                    )]
-                    std::thread::sleep(tick);
-                    let Some(shared) = w.upgrade() else { return };
-                    if shared.dead.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    shared.monitor_tick();
-                })
-                .expect("failed to spawn net monitor thread");
+        if let Some(kick) = shared.monitor_kick.as_ref().filter(|_| pings) {
+            kick.kick();
         }
         Ok(Self { shared })
     }
@@ -535,10 +580,19 @@ impl Locality {
     }
 
     /// Call `f` after every change of [`connected_peers`](Self::connected_peers):
-    /// a link added, or a peer gone. It runs on the thread that saw the
-    /// change, with no lock of the locality held.
-    pub fn on_peers_changed(&self, f: impl Fn() + Send + Sync + 'static) {
-        self.shared.peer_listeners.lock().push(Arc::new(f));
+    /// a link added, or a peer gone, until the returned guard is dropped.
+    /// It runs on the thread that saw the change, with no lock of the
+    /// locality held.
+    pub fn on_peers_changed(&self, f: impl Fn() + Send + Sync + 'static) -> PeersChangedGuard {
+        let listener: PeerListener = Arc::new(f);
+        self.shared
+            .peer_listeners
+            .lock()
+            .push(Arc::clone(&listener));
+        PeersChangedGuard {
+            shared: Arc::downgrade(&self.shared),
+            listener,
+        }
     }
 
     /// Register `f` under `action`: peers may now invoke it via
@@ -647,14 +701,22 @@ impl Locality {
         // before `send` returns. `calls_issued` is bumped with the entry
         // in place, so issued == settled is exact at quiescence.
         shared.parcels.calls_issued.incr();
-        shared.pending.lock().insert(
-            call_id,
-            Pending {
+        let first = {
+            let mut pending = shared.pending.lock();
+            let pending_call = Pending {
                 dest,
                 issued_at: t0,
                 settle,
-            },
-        );
+            };
+            pending.insert(call_id, pending_call);
+            pending.len() == 1
+        };
+        // A table that held calls already has a monitor pass due by the
+        // oldest one's deadline, which comes first.
+        let deadline = shared.config.call_deadline.and_then(|d| t0.checked_add(d));
+        if let (true, Some(kick), Some(at)) = (first, &shared.monitor_kick, deadline) {
+            kick.kick_by(at);
+        }
 
         let frame = Frame::Call {
             call_id,
@@ -744,17 +806,12 @@ impl Locality {
     }
 }
 
-/// How often the monitor thread wakes: fine enough to resolve the
-/// tightest configured deadline, never busier than 1ms.
-fn monitor_tick_interval(config: &NetConfig) -> Duration {
-    let mut tick = PING_INTERVAL;
-    if let Some(d) = config.liveness_deadline {
-        tick = tick.min(d / 4);
-    }
-    if let Some(d) = config.call_deadline {
-        tick = tick.min(d / 4);
-    }
-    tick.max(Duration::from_millis(1))
+/// How often the monitor pings: four times within the liveness deadline,
+/// at most every [`PING_INTERVAL`], never more often than every 1 ms.
+fn ping_interval(liveness_deadline: Duration) -> Duration {
+    PING_INTERVAL
+        .min(liveness_deadline / 4)
+        .max(Duration::from_millis(1))
 }
 
 /// Map a locally-settled error to its wire form (serving side). The
@@ -844,13 +901,48 @@ mod tests {
         assert!(w.insert(4), "unseen id inside the range is still fresh");
     }
 
+    /// A listener whose guard is dropped is gone: only the live one
+    /// stays registered, and only it runs when the peer set changes.
     #[test]
-    fn monitor_tick_interval_tracks_tightest_deadline() {
-        let mut cfg = NetConfig::default();
-        assert_eq!(monitor_tick_interval(&cfg), PING_INTERVAL);
-        cfg.call_deadline = Some(Duration::from_millis(20));
-        assert_eq!(monitor_tick_interval(&cfg), Duration::from_millis(5));
-        cfg.liveness_deadline = Some(Duration::from_millis(2));
-        assert_eq!(monitor_tick_interval(&cfg), Duration::from_millis(1));
+    fn a_dropped_guard_leaves_no_peer_listener_behind() {
+        let fabric = crate::bootstrap::Fabric::loopback(2, |i| grain_runtime::RuntimeConfig {
+            workers: 1,
+            locality_id: i,
+        });
+        let locality = fabric.locality(0);
+        let dropped_ran = Arc::new(AtomicU64::new(0));
+        for _ in 0..3 {
+            let ran = Arc::clone(&dropped_ran);
+            drop(locality.on_peers_changed(move || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            }));
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let _live = locality.on_peers_changed(move || {
+            let _ = tx.send(());
+        });
+        assert_eq!(locality.shared.peer_listeners.lock().len(), 1);
+        fabric.kill(1);
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("the live listener runs");
+        assert_eq!(
+            dropped_ran.load(Ordering::SeqCst),
+            0,
+            "a dropped listener ran"
+        );
+        fabric.shutdown();
+    }
+
+    #[test]
+    fn ping_interval_tracks_the_liveness_deadline() {
+        assert_eq!(ping_interval(Duration::from_secs(1)), PING_INTERVAL);
+        assert_eq!(
+            ping_interval(Duration::from_millis(20)),
+            Duration::from_millis(5)
+        );
+        assert_eq!(
+            ping_interval(Duration::from_millis(2)),
+            Duration::from_millis(1)
+        );
     }
 }

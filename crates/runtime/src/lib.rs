@@ -67,7 +67,6 @@ pub mod queue;
 pub mod runtime;
 pub mod scheduler;
 pub mod task;
-pub mod trace;
 mod worker;
 
 pub use fault::TaskError;
@@ -77,7 +76,6 @@ pub use group::{CancelToken, TaskGroup};
 pub use runtime::{Runtime, RuntimeConfig, TaskContext};
 pub use scheduler::{Provenance, Scheduler, SearchStep};
 pub use task::{Poll, Priority, TaskId, TaskState};
-pub use trace::{Trace, TraceEvent, TraceEventKind};
 
 /// Re-export of the counter crate for convenient path-based queries.
 pub use grain_counters;

@@ -34,15 +34,6 @@ pub struct RuntimeConfig {
     /// Number of worker OS threads ("one static OS thread per core" by
     /// default; oversubscription is allowed and functionally sound).
     pub workers: usize,
-    /// Failed full search rounds before a worker parks. A worker that
-    /// parks while no task is in flight sleeps until a spawn, resume,
-    /// throttle change or shutdown wakes it; one that parks while work is
-    /// in flight elsewhere naps at most 200 µs and charges the nap to
-    /// Σt_func as starvation.
-    pub spin_rounds: u32,
-    /// Record per-worker task-event timelines (see [`crate::trace`]).
-    /// Off by default: tracing costs one buffer append per phase.
-    pub trace: bool,
     /// Id of the locality this runtime represents (default 0, the root).
     /// Parameterizes every registered counter path — a runtime on
     /// locality 3 exposes `/threads{locality#3/total}/…` — so a
@@ -56,8 +47,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         Self {
             workers: host::available_cores(),
-            spin_rounds: 8,
-            trace: false,
             locality_id: 0,
         }
     }
@@ -107,7 +96,6 @@ pub(crate) struct Inner {
     /// taking work) — the Porterfield-style thread-throttling actuator
     /// the paper's §V/§VI discuss driving with these counters.
     pub(crate) active_limit: AtomicUsize,
-    pub(crate) tracer: crate::trace::Tracer,
     pub(crate) config: RuntimeConfig,
     /// Worker threads that died from an uncontained panic (e.g. a
     /// runtime-internal bug). Non-zero turns indefinite waits into loud
@@ -916,7 +904,6 @@ impl Runtime {
             in_flight: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             active_limit: AtomicUsize::new(config.workers),
-            tracer: crate::trace::Tracer::new(config.workers, config.trace),
             config: config.clone(),
             dead_workers: AtomicUsize::new(0),
             parker: Parker {
@@ -1093,13 +1080,6 @@ impl Runtime {
     /// Current throttle limit (= `num_workers()` when unthrottled).
     pub fn active_workers(&self) -> usize {
         self.inner.active_limit.load(Ordering::SeqCst)
-    }
-
-    /// Drain the captured task-event timeline (empty unless
-    /// [`RuntimeConfig::trace`] was set). Draining is destructive; call
-    /// once per measurement window.
-    pub fn take_trace(&self) -> crate::trace::Trace {
-        self.inner.tracer.take()
     }
 }
 

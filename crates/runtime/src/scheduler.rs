@@ -117,9 +117,9 @@ pub struct QueueSet {
     pub workers: Vec<DualQueue>,
     /// High-priority dual queues (shared; probed before everything): the
     /// runtime's one, or none.
-    pub high: Vec<DualQueue>,
+    high: Vec<DualQueue>,
     /// The single low-priority queue.
-    pub low: MpmcQueue<StagedTask>,
+    low: MpmcQueue<StagedTask>,
     /// Round-robin cursor for spawns from external threads.
     rr: AtomicUsize,
     /// Contention statistics shared by every queue in the set.

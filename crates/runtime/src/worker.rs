@@ -9,7 +9,7 @@
 //!   for work, conversion, dequeue, state transitions) to the end of the
 //!   current phase.
 //!
-//! A worker whose search comes up empty spins `spin_rounds` times, then
+//! A worker whose search comes up empty spins [`SPIN_ROUNDS`] times, then
 //! parks in one of two ways, chosen by the in-flight count it reads
 //! just before parking:
 //!
@@ -50,10 +50,12 @@ use crate::fault::{self, TaskError};
 use crate::runtime::{Inner, Resumer, TaskContext};
 use crate::scheduler::{Provenance, SearchState};
 use crate::task::{Poll, Task, TaskState};
-use crate::trace::TraceEventKind;
 use grain_counters::sync::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Failed full search rounds before a worker parks.
+const SPIN_ROUNDS: u32 = 8;
 
 pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
     inner.bind_worker(w);
@@ -122,15 +124,6 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                     // via `mark`.
                     continue;
                 }
-                if inner.tracer.enabled() {
-                    if let Some(victim) = prov.victim() {
-                        let steal = TraceEventKind::Steal {
-                            from: victim as u32,
-                        };
-                        inner.tracer.record(w, task.id, steal);
-                    }
-                    inner.tracer.record(w, task.id, TraceEventKind::PhaseStart);
-                }
                 task.transition(TaskState::Active);
                 let mut ctx = TaskContext {
                     inner: &inner,
@@ -154,9 +147,6 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                 };
                 let now = Instant::now();
                 let exec_ns = now.duration_since(exec_start).as_nanos() as u64;
-                if inner.tracer.enabled() {
-                    inner.tracer.record(w, task.id, TraceEventKind::PhaseEnd);
-                }
                 let registration = ctx.suspend_registration.take();
 
                 task.phases += 1;
@@ -241,7 +231,7 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
                     break;
                 }
                 failed_rounds += 1;
-                if failed_rounds <= inner.config.spin_rounds {
+                if failed_rounds <= SPIN_ROUNDS {
                     std::hint::spin_loop();
                     continue;
                 }

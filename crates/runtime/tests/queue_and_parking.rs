@@ -7,16 +7,18 @@
 //! the order that producer pushed them (observed per consumer — the only
 //! vantage point from which FIFO is even meaningful under concurrency).
 //!
-//! The parking tests drive whole runtimes, with the shipped parker and
-//! zero spin rounds, through spawn-then-quiesce cycles. A worker that
-//! parks while nothing is in flight sleeps with no timeout, so the *only*
-//! thing that can get it running again is a correct wake. A spawn that
-//! slipped between a worker's final empty search and its park would
-//! leave that worker asleep through the work; the generation ticket
-//! closes that window — these tests hang (and are killed by the guard
-//! thread) if it ever reopens. A worker that parks while work is in
-//! flight elsewhere still naps at most 200 µs, so a wake lost to it
-//! would show here as delay, not as a hang.
+//! The parking tests drive whole runtimes, as shipped, through
+//! spawn-then-quiesce cycles. A worker that parks while nothing is in
+//! flight sleeps with no timeout, so the *only* thing that can get it
+//! running again is a correct wake. A spawn that slipped between a
+//! worker's final empty search and its park would leave that worker
+//! asleep through the work; the generation ticket closes that window —
+//! these tests hang (and are killed by the guard thread) if it reopens.
+//! The window is narrow: with the ticket re-checks removed, about one
+//! run in a few hundred hangs (EXPERIMENTS.md, "One observation path").
+//! A worker that parks while work is in flight elsewhere still naps at
+//! most 200 µs, so a wake lost to it would show here as delay, not as a
+//! hang.
 //!
 //! The condvar test does the same to `sync::Condvar`, whose notifies
 //! return without a system call when its waiter count reads zero: a
@@ -169,15 +171,12 @@ fn bounded(limit: Duration, name: &str, f: impl FnOnce() + Send + 'static) {
     }
 }
 
-/// Spawn-then-quiesce cycles with parking as the only idle mechanism
-/// (spin_rounds = 0) and quiescent parks that never time out: every
-/// cycle's completion proves no worker slept through its spawns.
+/// Spawn-then-quiesce cycles with quiescent parks that never time out:
+/// every cycle's completion proves no worker slept through its spawns.
 #[test]
 fn no_lost_wakeups_across_spawn_quiesce_cycles() {
     bounded(Duration::from_secs(60), "spawn/quiesce cycles", || {
-        let mut cfg = RuntimeConfig::with_workers(2);
-        cfg.spin_rounds = 0;
-        let r = Runtime::new(cfg);
+        let r = Runtime::new(RuntimeConfig::with_workers(2));
         let hits = Arc::new(AtomicUsize::new(0));
         let mut expected = 0;
         for round in 0..2_000 {
@@ -203,9 +202,7 @@ fn no_lost_wakeups_across_spawn_quiesce_cycles() {
 #[test]
 fn single_task_chain_never_stalls() {
     bounded(Duration::from_secs(60), "single-task chain", || {
-        let mut cfg = RuntimeConfig::with_workers(4);
-        cfg.spin_rounds = 0;
-        let r = Runtime::new(cfg);
+        let r = Runtime::new(RuntimeConfig::with_workers(4));
         for i in 0..5_000u64 {
             let f = r.async_call(move |_| i * 2);
             let v = f.wait().expect("task must not fault");
@@ -220,9 +217,7 @@ fn single_task_chain_never_stalls() {
 #[test]
 fn throttle_and_unthrottle_never_strands_work() {
     bounded(Duration::from_secs(60), "throttle cycling", || {
-        let mut cfg = RuntimeConfig::with_workers(4);
-        cfg.spin_rounds = 0;
-        let r = Runtime::new(cfg);
+        let r = Runtime::new(RuntimeConfig::with_workers(4));
         let hits = Arc::new(AtomicUsize::new(0));
         let mut expected = 0;
         for round in 0..200 {

@@ -801,37 +801,20 @@ fn throttled_runtime_still_drains_and_shuts_down() {
     assert_eq!(hits.load(Ordering::SeqCst), 300);
 }
 
+/// What a per-worker timeline would sum — phases per worker and each
+/// worker's busy time — the `/threads` counters already hold.
 #[test]
-fn tracing_captures_the_timeline() {
-    let r = Runtime::new(RuntimeConfig {
-        workers: 2,
-        trace: true,
-        ..RuntimeConfig::default()
-    });
+fn phases_and_busy_time_are_counted_per_worker() {
+    let r = rt(2);
     for _ in 0..100 {
         r.spawn(|_| pace(Duration::from_micros(30)));
     }
     r.wait_idle();
-    let trace = r.take_trace();
-    assert!(!trace.is_empty());
-    assert_eq!(trace.phases_per_worker().iter().sum::<usize>(), 100);
-    let busy = trace.busy_ns_per_worker();
-    assert!(busy.iter().sum::<u64>() > 100 * 25_000);
-    assert!(trace.load_imbalance() >= 1.0);
-    let gantt = trace.render_gantt(40);
-    assert_eq!(gantt.lines().count(), 2);
-    // Draining is destructive.
-    assert!(r.take_trace().is_empty());
-}
-
-#[test]
-fn tracing_disabled_by_default_costs_nothing() {
-    let r = rt(2);
-    for _ in 0..50 {
-        r.spawn(|_| {});
-    }
-    r.wait_idle();
-    assert!(r.take_trace().is_empty());
+    let c = r.counters();
+    let phases: Vec<u64> = (0..2).map(|w| c.phases.get(w)).collect();
+    assert_eq!(phases.iter().sum::<u64>(), 100, "{phases:?}");
+    let busy: Vec<u64> = (0..2).map(|w| c.exec_ns.get(w)).collect();
+    assert!(busy.iter().sum::<u64>() > 100 * 25_000, "{busy:?}");
 }
 
 /// A future keeps its first four continuations in its own allocation and

@@ -138,9 +138,6 @@ pub struct PressureSignal {
     pub level: PressureLevel,
     /// The adaptive in-flight task budget currently enforced.
     pub budget_limit: u64,
-    /// EWMA of observed admitted-to-finished service time, used for
-    /// deadline-slack shedding.
-    pub est_service: Duration,
 }
 
 /// Sampling bookkeeping, touched under the service's queues lock.
@@ -214,7 +211,6 @@ impl PressureController {
             queue_fill: self.fill_milli.load(Ordering::SeqCst) as f64 / 1000.0,
             level: self.level(),
             budget_limit: self.budget_limit(),
-            est_service: Duration::from_nanos(self.est_service_ns.load(Ordering::SeqCst)),
         }
     }
 

@@ -102,16 +102,12 @@ pub struct LedgerSnapshot {
     /// Parcels destroyed by a drop verdict.
     pub dropped_chaos: u64,
     /// Parcels destroyed by a full link queue.
-    pub tail_dropped: u64,
+    tail_dropped: u64,
     /// Parcels destroyed at a [`PartitionMode::Drop`] cut.
-    pub blackholed: u64,
+    blackholed: u64,
     /// Parcels destroyed because their pair was severed while they
     /// were in flight (the fabric's `in_flight_at_sever`).
     pub severed: u64,
-    /// Control frames handed to a sink.
-    pub control_delivered: u64,
-    /// Control frames destroyed (partition, sever, missing sink).
-    pub control_dropped: u64,
     /// Partition windows opened so far.
     pub partitions_opened: u64,
     /// Partition windows healed so far.
@@ -580,8 +576,6 @@ impl NetFabric {
             tail_dropped: self.ledger.tail_dropped.get(),
             blackholed: self.ledger.blackholed.get(),
             severed: self.ledger.severed.get(),
-            control_delivered: self.ledger.control_delivered.get(),
-            control_dropped: self.ledger.control_dropped.get(),
             partitions_opened: self.ledger.partitions_opened.get(),
             partitions_healed: self.ledger.partitions_healed.get(),
             in_flight,
@@ -879,7 +873,7 @@ mod tests {
         assert!(fabric.wait_quiescent(Duration::from_secs(5)));
         let l = fabric.ledger();
         assert_eq!(l.blackholed, 1, "{l:?}");
-        assert_eq!(l.control_dropped, 1, "{l:?}");
+        assert_eq!(fabric.ledger.control_dropped.get(), 1, "{l:?}");
         assert!(rx.try_recv().is_err());
         assert!(l.conserved(), "{l:?}");
         fabric.stop();

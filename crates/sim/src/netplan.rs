@@ -123,14 +123,14 @@ pub struct NetPlan {
     /// Master seed; equal seeds give bit-identical chaos.
     pub seed: u64,
     /// Probability a parcel is destroyed in flight.
-    pub drop_p: f64,
+    drop_p: f64,
     /// Probability a parcel is delivered twice.
-    pub dup_p: f64,
+    dup_p: f64,
     /// Probability a parcel is pushed back by up to
     /// `reorder_window_ns`, letting later frames overtake it.
-    pub reorder_p: f64,
+    reorder_p: f64,
     /// Maximum reorder push-back, in ns.
-    pub reorder_window_ns: u64,
+    reorder_window_ns: u64,
     /// Base one-way latency of every link, in ns.
     pub base_latency_ns: u64,
     /// Maximum uniform latency jitter, in ns.

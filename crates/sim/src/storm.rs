@@ -89,7 +89,7 @@ pub struct TenantStorm {
     /// Tenant name, as submitted to the service.
     pub tenant: String,
     /// Mean of the exponential inter-arrival distribution.
-    pub mean_interarrival: Duration,
+    mean_interarrival: Duration,
     /// Inclusive range of tasks per job.
     pub tasks: (u64, u64),
     /// Inclusive range of per-task grain (virtual busy time).
@@ -98,7 +98,7 @@ pub struct TenantStorm {
     pub deadline: Option<Duration>,
     /// Fraction of the horizon `[start, end)` (both in `0.0..=1.0`)
     /// during which this tenant's jobs panic instead of working.
-    pub fault_window: Option<(f64, f64)>,
+    fault_window: Option<(f64, f64)>,
     /// Dependency-graph family this tenant's job bodies use. Defaults
     /// to [`GraphFamily::Flat`] (the historical shape).
     pub family: GraphFamily,

@@ -18,9 +18,9 @@ pub struct StencilParams {
     /// Heat transfer coefficient.
     pub k: f64,
     /// Time step length.
-    pub dt: f64,
+    dt: f64,
     /// Grid spacing.
-    pub dx: f64,
+    dx: f64,
 }
 
 impl StencilParams {

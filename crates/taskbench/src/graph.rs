@@ -242,7 +242,7 @@ pub struct Node {
     /// Level (0-based). Edges only arrive from `step − 1`.
     pub step: u32,
     /// Position within the level.
-    pub lane: u32,
+    lane: u32,
 }
 
 /// One dependency edge, carrying `payload` bytes from `src` to `dst`.

@@ -5,8 +5,6 @@
 pub struct CacheSpec {
     /// L1 data cache per core, bytes.
     pub l1d_bytes: u64,
-    /// L1 instruction cache per core, bytes.
-    pub l1i_bytes: u64,
     /// L2 cache per core, bytes.
     pub l2_bytes: u64,
     /// Shared last-level cache per socket, bytes. Zero on parts without a
@@ -16,10 +14,9 @@ pub struct CacheSpec {
 
 impl CacheSpec {
     /// Convenience constructor from the units Table I uses.
-    pub const fn new(l1d_kb: u64, l1i_kb: u64, l2_kb: u64, llc_mb_per_socket: u64) -> Self {
+    pub const fn new(l1d_kb: u64, l2_kb: u64, llc_mb_per_socket: u64) -> Self {
         Self {
             l1d_bytes: l1d_kb * 1024,
-            l1i_bytes: l1i_kb * 1024,
             l2_bytes: l2_kb * 1024,
             llc_bytes_per_socket: llc_mb_per_socket * 1024 * 1024,
         }
@@ -45,7 +42,7 @@ mod tests {
     #[test]
     fn table1_haswell_numbers() {
         // Haswell row: 32 KB L1(D,I), 256 KB L2, 35 MB shared.
-        let c = CacheSpec::new(32, 32, 256, 35);
+        let c = CacheSpec::new(32, 256, 35);
         assert_eq!(c.l1d_bytes, 32 * 1024);
         assert_eq!(c.l2_bytes, 256 * 1024);
         assert_eq!(c.llc_bytes_per_socket, 35 * 1024 * 1024);
@@ -53,7 +50,7 @@ mod tests {
 
     #[test]
     fn share_per_core_divides_llc() {
-        let c = CacheSpec::new(32, 32, 256, 35);
+        let c = CacheSpec::new(32, 256, 35);
         let one = c.share_per_core(1);
         let fourteen = c.share_per_core(14);
         assert_eq!(one, 256 * 1024 + 35 * 1024 * 1024);
@@ -63,13 +60,13 @@ mod tests {
 
     #[test]
     fn share_per_core_zero_active_means_full_llc() {
-        let c = CacheSpec::new(32, 32, 256, 20);
+        let c = CacheSpec::new(32, 256, 20);
         assert_eq!(c.share_per_core(0), 256 * 1024 + 20 * 1024 * 1024);
     }
 
     #[test]
     fn phi_has_no_llc() {
-        let c = CacheSpec::new(32, 32, 512, 0);
+        let c = CacheSpec::new(32, 512, 0);
         assert_eq!(c.llc_bytes_per_socket, 0);
         assert_eq!(c.share_per_core(60), 512 * 1024);
     }

@@ -26,7 +26,7 @@ pub fn sandy_bridge() -> Platform {
         cores: 16,
         usable_cores: 16,
         sockets: 2,
-        cache: CacheSpec::new(32, 32, 256, 20),
+        cache: CacheSpec::new(32, 256, 20),
         ram_bytes: 64 * GIB,
         perf: PerfParams {
             // Fig. 3a: 1-core flat region ≈ 5 s for 5·10⁹ updates.
@@ -65,7 +65,7 @@ pub fn ivy_bridge() -> Platform {
         cores: 20,
         usable_cores: 20,
         sockets: 2,
-        cache: CacheSpec::new(32, 32, 256, 35),
+        cache: CacheSpec::new(32, 256, 35),
         ram_bytes: 128 * GIB,
         perf: PerfParams {
             // Fig. 3b: 1-core flat region ≈ 5 s; valley ≈ 1.8 s.
@@ -104,7 +104,7 @@ pub fn haswell() -> Platform {
         cores: 28,
         usable_cores: 28,
         sockets: 2,
-        cache: CacheSpec::new(32, 32, 256, 35),
+        cache: CacheSpec::new(32, 256, 35),
         ram_bytes: 128 * GIB,
         perf: PerfParams {
             // Fits:
@@ -153,7 +153,7 @@ pub fn xeon_phi() -> Platform {
         cores: 61,
         usable_cores: 60,
         sockets: 1,
-        cache: CacheSpec::new(32, 32, 512, 0),
+        cache: CacheSpec::new(32, 512, 0),
         ram_bytes: 8 * GIB,
         perf: PerfParams {
             // Fits:

@@ -74,21 +74,19 @@ fi
 stage "options allow-list"
 # Every settable config value is a configuration nobody tests unless
 # somebody sets it: a field needs two values in use outside its own unit
-# tests. These are the `pub` fields of the 10 `*Config` structs, 35 in
+# tests. These are the `pub` fields of the 10 `*Config` structs, 33 in
 # all; a new knob is a decision argued here with its two callers, not a
 # field added — one value in use is a `const` in the module that reads it.
 # Some fields are still test seams: their only non-default values come
 # from tests (grep every `field:` and `.field =` outside tests/ and the
 # #[cfg(test)] modules). Each is a ROADMAP item 8(c) decision still to
 # make — a second caller, or a const:
-#   RuntimeConfig::spin_rounds       NetConfig::liveness_deadline
-#   FleetConfig::lease_timeout       FleetConfig::quorum
-#   FleetConfig::placement           ServiceConfig::admission
-#   ServiceConfig::breaker           AdmissionConfig::max_in_flight_tasks
+#   NetConfig::liveness_deadline     FleetConfig::lease_timeout
+#   FleetConfig::quorum              FleetConfig::placement
+#   ServiceConfig::admission         ServiceConfig::breaker
+#   AdmissionConfig::max_in_flight_tasks
 #   AdmissionConfig::max_queued_jobs TunerConfig::min_nx
 #   TunerConfig::max_nx
-# RuntimeConfig::trace is set by the tests and by one example,
-# examples/trace_timeline.rs.
 options=$(cat crates/*/src/*.rs | awk '
     /^pub struct [A-Za-z]*Config \{/ { s = $3; n = 0 }
     s != "" && /^    pub [a-z_0-9]+:/ { n++ }
@@ -99,7 +97,7 @@ BreakerConfig: 4
 FleetConfig: 10
 FleetWorkerConfig: 2
 NetConfig: 2
-RuntimeConfig: 4
+RuntimeConfig: 2
 ServiceConfig: 4
 SimConfig: 1
 TunerConfig: 4" ] || {
@@ -107,76 +105,93 @@ TunerConfig: 4" ] || {
     exit 1
 }
 
-stage "every pub item has a caller"
-# A capability needs a caller: every `pub fn/const/static/mod` of a
-# product crate (outside `bin/` and above its `#[cfg(test)]` module,
-# which clippy's items_after_test_module keeps last) must be
-# named in code — not in a comment, a string or a char literal, not in
-# a `pub use` — of some other tracked .rs file under crates/ src/
-# examples/ tests/ perf/. Integration tests and examples count as
-# callers; a file's own unit tests do not. An item only its own file
-# uses is private; one only its own tests use goes, with them. The
-# names are matched as words, so the stage can miss an item that shares
-# its name with another; it cannot flag one that has a caller. A kept
-# exception is listed here with its reason, one `file name` per line;
-# the list is empty.
-uncalled=$(git ls-files -- 'crates/*.rs' 'src/*.rs' 'examples/*.rs' 'tests/*.rs' 'perf/*.rs' |
-    LC_ALL=C xargs awk '
-    # code(s): line s with its string and char literals and its comments
-    # blanked. A string or block comment left open at the end of s stays
-    # open into the next line: `upto` is its closing delimiter, and
-    # `esc` says whether a backslash escapes inside it (not in a raw
-    # string or a comment).
-    function code(s,   out, t, i) {
-        out = ""
-        while (s != "") {
-            if (upto != "") {
-                if (esc) {
-                    if (!match(s, /^([^"\\]|\\.)*"/)) return out
-                    i = RLENGTH
+# unnamed_elsewhere REGEX: `file name` of every declaration in a product
+# crate (crates/*/src outside `bin/`, above its `#[cfg(test)]` module,
+# which clippy's items_after_test_module keeps last) that matches the
+# awk REGEX and whose name no other tracked .rs file under crates/ src/
+# examples/ tests/ perf/ names in code — not in a comment, a string or a
+# char literal, not in a `pub use`. Integration tests and examples count
+# as namers; a file's own unit tests do not. The names are matched as
+# words, so it can miss a declaration that shares its name with
+# another; it cannot list one that is named elsewhere.
+unnamed_elsewhere() {
+    git ls-files -- 'crates/*.rs' 'src/*.rs' 'examples/*.rs' 'tests/*.rs' 'perf/*.rs' |
+        LC_ALL=C xargs awk -v def="$1" '
+        # code(s): line s with its string and char literals and its comments
+        # blanked. A string or block comment left open at the end of s stays
+        # open into the next line: `upto` is its closing delimiter, and
+        # `esc` says whether a backslash escapes inside it (not in a raw
+        # string or a comment).
+        function code(s,   out, t, i) {
+            out = ""
+            while (s != "") {
+                if (upto != "") {
+                    if (esc) {
+                        if (!match(s, /^([^"\\]|\\.)*"/)) return out
+                        i = RLENGTH
+                    } else {
+                        if (!(i = index(s, upto))) return out
+                        i += length(upto) - 1
+                    }
+                    s = substr(s, i + 1)
+                    upto = ""
+                    out = out " "
+                } else if (!match(s, /b?r#*"|"|\047|\/\/|\/\*/)) {
+                    return out s
                 } else {
-                    if (!(i = index(s, upto))) return out
-                    i += length(upto) - 1
+                    out = out substr(s, 1, RSTART - 1) " "
+                    t = substr(s, RSTART, RLENGTH)
+                    s = substr(s, RSTART + RLENGTH)
+                    if (t == "//") return out
+                    if (t == "/*") { upto = "*/"; esc = 0 }
+                    else if (t == "\"") { upto = t; esc = 1 }
+                    else if (t ~ /"$/) { sub(/^b?r/, "", t); upto = "\"" substr(t, 1, length(t) - 1); esc = 0 }
+                    # a char literal goes; a lifetime or label keeps its name
+                    else if (match(s, /^(\\.[^\047]*|[^\\\047 ][^\\\047 ]?[^\\\047 ]?[^\\\047 ]?)\047/))
+                        s = substr(s, RLENGTH + 1)
                 }
-                s = substr(s, i + 1)
-                upto = ""
-                out = out " "
-            } else if (!match(s, /b?r#*"|"|\047|\/\/|\/\*/)) {
-                return out s
-            } else {
-                out = out substr(s, 1, RSTART - 1) " "
-                t = substr(s, RSTART, RLENGTH)
-                s = substr(s, RSTART + RLENGTH)
-                if (t == "//") return out
-                if (t == "/*") { upto = "*/"; esc = 0 }
-                else if (t == "\"") { upto = t; esc = 1 }
-                else if (t ~ /"$/) { sub(/^b?r/, "", t); upto = "\"" substr(t, 1, length(t) - 1); esc = 0 }
-                # a char literal goes; a lifetime or label keeps its name
-                else if (match(s, /^(\\.[^\047]*|[^\\\047 ][^\\\047 ]?[^\\\047 ]?[^\\\047 ]?)\047/))
-                    s = substr(s, RLENGTH + 1)
+            }
+            return out
+        }
+        FNR == 1 { decl = FILENAME ~ /^crates\/[^\/]+\/src\// && FILENAME !~ /\/bin\//; upto = "" }
+        /^#\[cfg\(test\)\]/ { decl = 0 }
+        { line = code($0) }
+        decl && match(line, def) {
+            n = split(substr(line, RSTART, RLENGTH), w, " ")
+            sub(/:$/, "", w[n])
+            defs[FILENAME " " w[n]] = 1
+        }
+        line ~ /^ *pub use / { next }
+        {
+            while (match(line, /[A-Za-z_][A-Za-z_0-9]*/)) {
+                t = substr(line, RSTART, RLENGTH)
+                line = substr(line, RSTART + RLENGTH)
+                if (!(t in seen)) seen[t] = FILENAME
+                else if (seen[t] != FILENAME) seen[t] = "*"
             }
         }
-        return out
-    }
-    FNR == 1 { decl = FILENAME ~ /^crates\/[^\/]+\/src\// && FILENAME !~ /\/bin\//; upto = "" }
-    /^#\[cfg\(test\)\]/ { decl = 0 }
-    { line = code($0) }
-    decl && match(line, /^ *pub (const |unsafe |async )*(fn|const|static|mod) [A-Za-z_0-9]+/) {
-        n = split(substr(line, RSTART, RLENGTH), w, " ")
-        defs[FILENAME " " w[n]] = 1
-    }
-    line ~ /^ *pub use / { next }
-    {
-        while (match(line, /[A-Za-z_][A-Za-z_0-9]*/)) {
-            t = substr(line, RSTART, RLENGTH)
-            line = substr(line, RSTART + RLENGTH)
-            if (!(t in seen)) seen[t] = FILENAME
-            else if (seen[t] != FILENAME) seen[t] = "*"
-        }
-    }
-    END { for (d in defs) { split(d, p, " "); if (seen[p[2]] != "*") print d } }' | sort)
+        END { for (d in defs) { split(d, p, " "); if (seen[p[2]] != "*") print d } }' | sort
+}
+
+stage "every pub item has a caller"
+# A capability needs a caller: every `pub fn/const/static/mod` of a
+# product crate must be named by another file (see unnamed_elsewhere).
+# An item only its own file uses is private; one only its own tests use
+# goes, with them. A kept exception is listed here with its reason, one
+# `file name` per line; the list is empty.
+uncalled=$(unnamed_elsewhere '^ *pub (const |unsafe |async )*(fn|const|static|mod) [A-Za-z_0-9]+')
 [ "$uncalled" = "" ] || {
     printf 'pub items no other file calls (make them private or delete them):\n%s\n' "$uncalled" >&2
+    exit 1
+}
+
+stage "every pub field has a reader"
+# A `pub` field of a product crate's struct is API: another file must
+# name it (see unnamed_elsewhere). One only its own file reads is
+# private; one nothing reads goes. The expected list is empty.
+unread=$(unnamed_elsewhere '^ *pub [a-z_][a-z_0-9]*:')
+[ "$unread" = "" ] || {
+    printf 'pub fields no other file names (make them private or delete them):\n%s\n' "$unread" >&2
     exit 1
 }
 
@@ -418,9 +433,8 @@ crates/bench/src/lib.rs eventually
 crates/bench/src/lib.rs replay_main
 crates/counters/src/sync.rs start
 crates/counters/src/sync.rs wait_until
-crates/net/src/locality.rs with_config
 crates/runtime/tests/support/pace.rs pace" ] || {
-    printf 'disallowed_methods allows (file function), expected the seven listed in scripts/verify.sh:\n%s\n' "$allows" >&2
+    printf 'disallowed_methods allows (file function), expected the six listed in scripts/verify.sh:\n%s\n' "$allows" >&2
     exit 1
 }
 for m in crates/*/Cargo.toml; do
