@@ -91,8 +91,7 @@ pub type RawHandler =
 const DEDUP_WINDOW: usize = 1024;
 
 /// How often the monitor pings each peer while liveness is armed (a
-/// tighter deadline shortens the tick itself, see
-/// [`monitor_tick_interval`]).
+/// tighter deadline pings more often, see [`ping_interval`]).
 const PING_INTERVAL: Duration = Duration::from_millis(50);
 
 /// The two deadlines of one locality. `Default` arms neither (the dedup
@@ -405,7 +404,7 @@ impl LocalityShared {
         if let Some(deadline) = self.config.call_deadline {
             let oldest = self.expire_calls(deadline, now);
             if let Some(at) = oldest.and_then(|t| t.checked_add(deadline)) {
-                due = Some(due.map_or(at, |due: Instant| due.min(at)));
+                due = Some(due.map_or(at, |d: Instant| d.min(at)));
             }
         }
         due
@@ -504,7 +503,6 @@ impl Locality {
             "runtime locality_id must match the locality id"
         );
         let monitored = config.liveness_deadline.is_some() || config.call_deadline.is_some();
-        let pings = config.liveness_deadline.is_some();
         let monitor_kick = monitored.then(Arc::<Kick>::default);
         let shared = Arc::new_cyclic(|me: &Weak<LocalityShared>| LocalityShared {
             id,
@@ -545,7 +543,8 @@ impl Locality {
         shared
             .parcels
             .register(shared.runtime.registry(), id, probe)?;
-        if let Some(kick) = shared.monitor_kick.as_ref().filter(|_| pings) {
+        if let Some(kick) = &shared.monitor_kick {
+            // The first pass pings, when liveness is armed.
             kick.kick();
         }
         Ok(Self { shared })
@@ -703,12 +702,12 @@ impl Locality {
         shared.parcels.calls_issued.incr();
         let first = {
             let mut pending = shared.pending.lock();
-            let pending_call = Pending {
+            let call = Pending {
                 dest,
                 issued_at: t0,
                 settle,
             };
-            pending.insert(call_id, pending_call);
+            pending.insert(call_id, call);
             pending.len() == 1
         };
         // A table that held calls already has a monitor pass due by the
