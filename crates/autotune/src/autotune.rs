@@ -23,7 +23,7 @@ use crate::shape::ShapedWork;
 use grain_adaptive::{GrainSignal, ThresholdTuner, TunerConfig};
 use grain_counters::derived::DerivedCounter;
 use grain_counters::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
-use grain_counters::{Registry, RegistryError, Unit, Window};
+use grain_counters::{RegistryError, ScopedRegistry, Unit, Window};
 use grain_service::{JobHandle, JobOutcome, JobService, JobShape, JobSpec, JobState, PolicyHook};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Weak};
@@ -102,8 +102,10 @@ pub struct Autotune {
     /// derivation); 1 until [`Autotune::attach`] runs.
     cores: AtomicUsize,
     tenants: Mutex<BTreeMap<String, Arc<TenantEntry>>>,
-    /// The attached service's registry, for lazy per-tenant counters.
-    registry: Mutex<Option<Arc<Registry>>>,
+    /// The bare `/autotune` scope on the attached service's registry:
+    /// the aggregates, then each tenant's counters as it first submits.
+    /// Dropping the subsystem retires them all.
+    counters: Mutex<Option<ScopedRegistry>>,
 }
 
 impl Autotune {
@@ -114,7 +116,7 @@ impl Autotune {
             cfg,
             cores: AtomicUsize::new(1),
             tenants: Mutex::new(BTreeMap::new()),
-            registry: Mutex::new(None),
+            counters: Mutex::new(None),
         })
     }
 
@@ -132,7 +134,7 @@ impl Autotune {
     pub fn attach(self: &Arc<Self>, service: &JobService) -> Result<(), RegistryError> {
         self.cores
             .store(service.runtime().num_workers().max(1), Ordering::Relaxed);
-        let registry = Arc::clone(service.registry());
+        let scope = service.registry().scope("autotune", None);
         let weak = Arc::downgrade(self);
         let mean_grain = weak_view(&weak, |auto| {
             let tenants = auto.tenants.lock();
@@ -145,10 +147,7 @@ impl Autotune {
                 .sum();
             sum as f64 / tenants.len() as f64
         });
-        registry.register(
-            "/autotune/grain",
-            DerivedCounter::new(Unit::Count, mean_grain),
-        )?;
+        scope.register("grain", DerivedCounter::new(Unit::Count, mean_grain))?;
         let weak = Arc::downgrade(self);
         let converged = weak_view(&weak, |auto| {
             let tenants = auto.tenants.lock();
@@ -161,11 +160,8 @@ impl Autotune {
                 .sum();
             done as f64 / tenants.len() as f64
         });
-        registry.register(
-            "/autotune/converged",
-            DerivedCounter::new(Unit::Ratio, converged),
-        )?;
-        *self.registry.lock() = Some(registry);
+        scope.register("converged", DerivedCounter::new(Unit::Ratio, converged))?;
+        *self.counters.lock() = Some(scope);
         Ok(())
     }
 
@@ -298,12 +294,14 @@ impl Autotune {
     }
 
     /// Publish `/autotune/tenants/{name}/...` views. Registration is
-    /// best-effort: a tenant name the counter grammar rejects (or a
-    /// collision after a registry reset) must not fail the submission
-    /// path, so errors are swallowed — the tuner still runs, it is
-    /// just not observable by path.
+    /// best-effort: a tenant name with a `{`, which the counter grammar
+    /// would read as an instance, is refused, and that must not fail the
+    /// submission path, so errors are swallowed — the tuner still runs,
+    /// it is just not observable by path. (Nothing else can fail: each
+    /// tenant is registered once, and `reset_all` only zeroes values.)
     fn register_tenant_counters(&self, tenant: &str, entry: &Arc<TenantEntry>) {
-        let Some(registry) = self.registry.lock().clone() else {
+        let counters = self.counters.lock();
+        let Some(scope) = counters.as_ref() else {
             return;
         };
         type FieldGet = fn(&TenantEntry) -> &AtomicU64;
@@ -315,9 +313,8 @@ impl Autotune {
         ];
         for (name, unit, get) in fields {
             let e = Arc::clone(entry);
-            let path = format!("/autotune/tenants/{tenant}/{name}");
-            let _ = registry.register(
-                &path,
+            let _ = scope.register(
+                &format!("tenants/{tenant}/{name}"),
                 DerivedCounter::new(unit, move || get(&e).load(Ordering::Relaxed) as f64),
             );
         }

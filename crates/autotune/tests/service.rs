@@ -62,3 +62,36 @@ fn graph_shapes_round_trip_through_the_service() {
     assert!(outcome.tasks_completed > 1);
     assert_eq!(auto.jobs("ten-c"), 1);
 }
+
+/// Dropping the subsystem retires its `/autotune/…` aggregates and
+/// tenant counters: the service's registry holds exactly the paths it
+/// held before `attach`.
+#[test]
+fn a_dropped_autotune_leaves_the_paths_it_found() {
+    let auto = Autotune::new(AutotuneConfig::default());
+    let service = JobService::new(ServiceConfig {
+        policy: Some(auto.policy_hook()),
+        ..ServiceConfig::with_workers(1)
+    });
+    // The tenant's breaker counters are the service's; publish them first.
+    let plain = service.submit(JobSpec::new("plain", "ten-a"), |_| {});
+    assert_eq!(plain.wait().state, JobState::Completed);
+    drop(plain);
+    let registry = service.registry();
+    let before = registry.paths();
+    auto.attach(&service).expect("attach");
+    let shape = ShapedWork::ParallelFor {
+        elements: 64,
+        iters_per_element: 10,
+        seed: 1,
+    };
+    let job = auto.submit_shaped(&service, "j", "ten-a", &shape);
+    assert_eq!(job.wait().state, JobState::Completed);
+    drop(job);
+    assert_eq!(
+        registry.discover("/autotune/*").expect("pattern").len(),
+        2 + 4
+    );
+    drop(auto);
+    assert_eq!(registry.paths(), before);
+}

@@ -27,6 +27,8 @@
 //!   ratio / bytes).
 //! * [`registry::Registry`] — maps paths to live counters; supports exact
 //!   queries, wildcard discovery, and reset, like HPX's counter service.
+//!   Counters enter it only through a [`registry::ScopedRegistry`] their
+//!   owner holds, and leave it when that scope drops.
 //! * [`derived`] — counters computed on demand from other counters
 //!   (averages, rates, differences); this is how `/threads/idle-rate`,
 //!   `/threads/time/average` and `/threads/time/average-overhead` are
@@ -56,16 +58,22 @@
 //! exec_time.add(2, 1500);
 //! tasks.add(2, 1);
 //!
-//! let registry = Registry::new();
-//! registry
+//! // Counters enter the registry through a scope their owner holds.
+//! let registry = Arc::new(Registry::new());
+//! let scope = registry.scope("threads", Some("locality#0/total"));
+//! scope
 //!     .register(
-//!         "/threads{locality#0/total}/time/average",
+//!         "time/average",
 //!         average_of(exec_time.clone(), tasks.clone(), Unit::Nanoseconds),
 //!     )
 //!     .unwrap();
 //!
 //! let v = registry.query("/threads{locality#0/total}/time/average").unwrap();
 //! assert_eq!(v.value, 1500.0);
+//!
+//! // Dropping the scope retires its counters.
+//! drop(scope);
+//! assert!(registry.is_empty());
 //! ```
 
 #![warn(missing_docs)]

@@ -118,29 +118,42 @@ impl CounterPath {
         format!("{}/total", Self::locality_prefix(locality))
     }
 
-    /// The `/object{instance}` prefix of every path in one scope, or an
-    /// error if a path built on it would not parse back to this object
-    /// and instance: an empty object, a brace in the object, or a `}` in
-    /// the instance. [`scoped_name_is_valid`](Self::scoped_name_is_valid)
-    /// checks the rest, so a scope validates its prefix once and builds
-    /// each path by concatenation.
-    pub(crate) fn scope_prefix(object: &str, instance: &str) -> Result<String, PathError> {
-        if object.is_empty() || object.contains(['{', '}']) || instance.contains('}') {
-            return Err(PathError::new(format!(
-                "`{object}{{{instance}}}` is not an object{{instance}} prefix"
-            )));
-        }
-        let mut prefix = String::with_capacity(object.len() + instance.len() + 3);
-        for part in ["/", object, "{", instance, "}"] {
+    /// The `/object{instance}` (or, with no instance, `/object`) prefix
+    /// of every path in one scope, or the same text as an error if a path
+    /// built on it would not parse back to this object and instance: an
+    /// empty object or a `{` in it; with an instance, a `}` in the object
+    /// or the instance; without one, a `/` in the object.
+    /// [`scoped_name_is_valid`](Self::scoped_name_is_valid) checks the
+    /// rest, so a scope validates its prefix once and builds each path by
+    /// concatenation.
+    pub(crate) fn scope_prefix(object: &str, instance: Option<&str>) -> Result<String, String> {
+        let valid = !object.is_empty()
+            && !object.contains('{')
+            && match instance {
+                Some(instance) => !object.contains('}') && !instance.contains('}'),
+                None => !object.contains('/'),
+            };
+        let mut prefix = String::with_capacity(object.len() + instance.map_or(1, |i| i.len() + 3));
+        for part in ["/", object] {
             prefix.push_str(part);
         }
-        Ok(prefix)
+        if let Some(instance) = instance {
+            for part in ["{", instance, "}"] {
+                prefix.push_str(part);
+            }
+        }
+        if valid {
+            Ok(prefix)
+        } else {
+            Err(prefix)
+        }
     }
 
     /// Whether `name` is a counter name (with optional `@parameters`)
     /// that parses back unchanged after a valid scope prefix and `/`.
-    pub(crate) fn scoped_name_is_valid(name: &str) -> bool {
-        name.split('@').next().is_some_and(|n| !n.is_empty())
+    /// Without an instance, a `{` in the name would read as one.
+    pub(crate) fn scoped_name_is_valid(name: &str, instanced: bool) -> bool {
+        (instanced || !name.contains('{')) && name.split('@').next().is_some_and(|n| !n.is_empty())
     }
 
     /// True if `self` (possibly containing a trailing `*` wildcard in its
@@ -286,23 +299,35 @@ mod tests {
 
     /// The scope shortcut agrees with the parser: a prefix and name it
     /// accepts parse back to exactly that object, instance and name, and
-    /// every one it refuses would not.
+    /// every one it refuses would not, with an instance and without.
     #[test]
     fn scope_prefix_agrees_with_the_parser() {
         let objects = ["jobs", "a/b", "", "j{", "j}", "x y"];
-        let instances = ["render#1", "t/a#3", "", "a}b", "a}/b", "{x", "a@b"];
+        let instances = [
+            Some("render#1"),
+            Some("t/a#3"),
+            Some(""),
+            Some("a}b"),
+            Some("a}/b"),
+            Some("{x"),
+            Some("a@b"),
+            None,
+        ];
         let names = ["count", "count/tasks", "t@p=1", "", "@p", "a{b}", "x}/y"];
         for object in objects {
             for instance in instances {
                 for name in names {
                     let built = CounterPath::scope_prefix(object, instance)
                         .ok()
-                        .filter(|_| CounterPath::scoped_name_is_valid(name))
+                        .filter(|_| CounterPath::scoped_name_is_valid(name, instance.is_some()))
                         .map(|prefix| format!("{prefix}/{name}"));
-                    let full = format!("/{object}{{{instance}}}/{name}");
+                    let full = match instance {
+                        Some(instance) => format!("/{object}{{{instance}}}/{name}"),
+                        None => format!("/{object}/{name}"),
+                    };
                     let round_trips = full.parse::<CounterPath>().is_ok_and(|p| {
                         p.object == object
-                            && p.instance.as_deref() == Some(instance)
+                            && p.instance.as_deref() == instance
                             && p.to_string() == full
                     });
                     assert_eq!(

@@ -2,9 +2,11 @@
 //!
 //! HPX maps every counter to an immutable name in its global address space;
 //! on a single locality that reduces to a registry keyed by
-//! [`CounterPath`]. Components (the scheduler, the application, the
-//! adaptation engine) register counters at startup and anyone can discover
-//! and query them at runtime.
+//! [`CounterPath`]. One registry serves a whole runtime, and counters
+//! enter it only through a [`ScopedRegistry`]: each component (the
+//! scheduler, a locality's parcel layer, the service, a job) owns the
+//! scopes it registers through, so dropping the component retires
+//! exactly its own paths. Anyone can discover and query what is live.
 
 use crate::path::CounterPath;
 use crate::raw::{RawCounter, Sharded};
@@ -127,9 +129,10 @@ impl std::error::Error for RegistryError {}
 
 /// The counter registry.
 ///
-/// Registration happens at startup (cold); queries happen at runtime (warm
-/// but not hot — the hot path increments raw counters directly). A
-/// `BTreeMap` keeps discovery output deterministically ordered.
+/// Registration happens when a component starts (cold); queries happen
+/// at runtime (warm but not hot — the hot path increments raw counters
+/// directly). A `BTreeMap` keeps discovery output deterministically
+/// ordered.
 #[derive(Default)]
 pub struct Registry {
     counters: RwLock<BTreeMap<String, Arc<dyn Counter>>>,
@@ -139,35 +142,6 @@ impl Registry {
     /// Empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Register `counter` under `path`.
-    pub fn register(
-        &self,
-        path: &str,
-        counter: impl Counter + 'static,
-    ) -> Result<(), RegistryError> {
-        self.insert(path, Arc::new(counter))
-    }
-
-    /// The one body behind every `register`: generic callers only box
-    /// their counter, so the parse and map insert are compiled once, not
-    /// once per counter type (per-job counters register on every job).
-    fn insert(&self, path: &str, counter: Arc<dyn Counter>) -> Result<(), RegistryError> {
-        let parsed: CounterPath = path
-            .parse()
-            .map_err(|_| RegistryError::BadPath(path.to_owned()))?;
-        self.insert_key(parsed.to_string(), counter)
-    }
-
-    /// Insert under `key`, already in canonical form.
-    fn insert_key(&self, key: String, counter: Arc<dyn Counter>) -> Result<(), RegistryError> {
-        let mut map = self.counters.write();
-        if map.contains_key(&key) {
-            return Err(RegistryError::Duplicate(key));
-        }
-        map.insert(key, counter);
-        Ok(())
     }
 
     /// Sample the counter registered under `path`.
@@ -201,21 +175,21 @@ impl Registry {
             .collect())
     }
 
-    /// A registration handle scoped to one `object{instance}` namespace.
+    /// A registration handle scoped to one `object{instance}` namespace,
+    /// or to the bare `object` when `instance` is `None`.
     ///
     /// Counters registered through the scope live under
-    /// `/{object}{{instance}}/<name>`; dropping the scope retires the
-    /// whole namespace. This is how per-job
-    /// counters come and go without disturbing the long-lived scheduler
-    /// counters that share the registry. The prefix is validated here,
-    /// once: an `object{instance}` no path could parse back to makes
-    /// every `register` through the scope fail with
-    /// [`RegistryError::BadPath`].
-    pub fn scope(self: &Arc<Self>, object: &str, instance: &str) -> ScopedRegistry {
+    /// `/{object}{{{instance}}}/<name>` (or `/{object}/<name>`); dropping
+    /// the scope retires them. This is the only way into a registry, so
+    /// every counter lives exactly as long as the scope its owner holds.
+    /// The prefix is validated here, once: an `object{instance}` no path
+    /// could parse back to makes every `register` through the scope fail
+    /// with [`RegistryError::BadPath`].
+    pub fn scope(self: &Arc<Self>, object: &str, instance: Option<&str>) -> ScopedRegistry {
         ScopedRegistry {
             registry: Arc::clone(self),
-            prefix: CounterPath::scope_prefix(object, instance)
-                .map_err(|_| format!("/{object}{{{instance}}}")),
+            prefix: CounterPath::scope_prefix(object, instance),
+            instanced: instance.is_some(),
             keys: crate::sync::Mutex::new(Vec::new()),
         }
     }
@@ -243,14 +217,16 @@ impl Registry {
     }
 }
 
-/// A handle that registers counters inside one `object{instance}`
-/// namespace and can retire them all at once. Created by
-/// [`Registry::scope`].
+/// A handle that registers counters inside one `object{instance}` (or
+/// bare `object`) namespace and retires them all when dropped. Created
+/// by [`Registry::scope`].
 pub struct ScopedRegistry {
     registry: Arc<Registry>,
-    /// `/{object}{instance}`, or the same text as the error when no path
-    /// built on it would parse back.
+    /// `/{object}{instance}` or `/{object}`, or the same text as the
+    /// error when no path built on it would parse back.
     prefix: Result<String, String>,
+    /// Whether the prefix names an instance (a name may then hold `{`).
+    instanced: bool,
     /// The canonical keys registered through this scope.
     keys: crate::sync::Mutex<Vec<String>>,
 }
@@ -261,7 +237,7 @@ impl ScopedRegistry {
         format!("{}/{name}", self.prefix())
     }
 
-    /// The `object{instance}` prefix rendered as a path fragment (useful
+    /// The `/object{instance}` prefix rendered as a path fragment (useful
     /// for display).
     pub fn prefix(&self) -> String {
         match &self.prefix {
@@ -271,7 +247,7 @@ impl ScopedRegistry {
 
     /// Register `counter` under `name` within the scope. The path is
     /// built from the prefix validated at [`Registry::scope`], so nothing
-    /// is parsed here.
+    /// is parsed here; every key built this way parses back to itself.
     pub fn register(
         &self,
         name: &str,
@@ -280,10 +256,13 @@ impl ScopedRegistry {
         self.insert(name, Arc::new(counter))
     }
 
-    /// The one body behind every `register` (see [`Registry::insert`]).
+    /// The one body behind every `register`: generic callers only box
+    /// their counter, so the key build and map insert are compiled once,
+    /// not once per counter type (per-job counters register on every
+    /// job).
     fn insert(&self, name: &str, counter: Arc<dyn Counter>) -> Result<(), RegistryError> {
         let key = match &self.prefix {
-            Ok(prefix) if CounterPath::scoped_name_is_valid(name) => {
+            Ok(prefix) if CounterPath::scoped_name_is_valid(name, self.instanced) => {
                 // Sized up front: `format!` would grow it twice.
                 let mut key = String::with_capacity(prefix.len() + 1 + name.len());
                 for part in [prefix, "/", name] {
@@ -293,7 +272,12 @@ impl ScopedRegistry {
             }
             _ => return Err(RegistryError::BadPath(self.path_of(name))),
         };
-        self.registry.insert_key(key.clone(), counter)?;
+        let mut map = self.registry.counters.write();
+        if map.contains_key(&key) {
+            return Err(RegistryError::Duplicate(key));
+        }
+        map.insert(key.clone(), counter);
+        drop(map);
         self.keys.lock().push(key);
         Ok(())
     }
@@ -331,17 +315,21 @@ impl Drop for ScopedRegistry {
 mod tests {
     use super::*;
 
-    fn reg_with_raw(path: &str) -> (Registry, Arc<RawCounter>) {
-        let reg = Registry::new();
+    /// A registry holding one raw counter at `/threads/<name>`, with the
+    /// scope that keeps it there.
+    fn reg_with_raw(name: &str) -> (Arc<Registry>, ScopedRegistry, Arc<RawCounter>) {
+        let reg = Arc::new(Registry::new());
+        let scope = reg.scope("threads", None);
         let c = Arc::new(RawCounter::new());
-        reg.register(path, RawView::new(Arc::clone(&c), Unit::Count))
+        scope
+            .register(name, RawView::new(Arc::clone(&c), Unit::Count))
             .unwrap();
-        (reg, c)
+        (reg, scope, c)
     }
 
     #[test]
     fn register_and_query() {
-        let (reg, c) = reg_with_raw("/threads/count/cumulative");
+        let (reg, _scope, c) = reg_with_raw("count/cumulative");
         c.add(7);
         let v = reg.query("/threads/count/cumulative").unwrap();
         assert_eq!(v.as_count(), 7);
@@ -349,14 +337,20 @@ mod tests {
 
     #[test]
     fn duplicate_rejected() {
-        let (reg, _) = reg_with_raw("/threads/count/cumulative");
+        let (reg, _scope, _) = reg_with_raw("count/cumulative");
         let err = reg
+            .scope("threads", None)
             .register(
-                "/threads/count/cumulative",
+                "count/cumulative",
                 RawView::new(Arc::new(RawCounter::new()), Unit::Count),
             )
             .unwrap_err();
         assert!(matches!(err, RegistryError::Duplicate(_)));
+        assert_eq!(
+            reg.len(),
+            1,
+            "the refused scope retires nothing of the first"
+        );
     }
 
     #[test]
@@ -379,13 +373,11 @@ mod tests {
 
     #[test]
     fn discover_with_wildcard() {
-        let reg = Registry::new();
-        for p in [
-            "/threads/count/cumulative",
-            "/threads/count/pending-accesses",
-            "/threads/time/average",
-        ] {
-            reg.register(p, RawView::new(Arc::new(RawCounter::new()), Unit::Count))
+        let reg = Arc::new(Registry::new());
+        let scope = reg.scope("threads", None);
+        for name in ["count/cumulative", "count/pending-accesses", "time/average"] {
+            scope
+                .register(name, RawView::new(Arc::new(RawCounter::new()), Unit::Count))
                 .unwrap();
         }
         let found = reg.discover("/threads/count/*").unwrap();
@@ -400,22 +392,29 @@ mod tests {
 
     #[test]
     fn instanceless_pattern_matches_instances() {
-        let reg = Registry::new();
+        let reg = Arc::new(Registry::new());
         let shard = Arc::new(Sharded::new(2));
         shard.add(0, 3);
         shard.add(1, 4);
-        reg.register(
-            "/threads{locality#0/total}/count/cumulative",
-            ShardedTotal::new(Arc::clone(&shard), Unit::Count),
-        )
-        .unwrap();
-        for w in 0..2 {
-            reg.register(
-                &format!("/threads{{locality#0/worker-thread#{w}}}/count/cumulative"),
-                ShardedWorker::new(Arc::clone(&shard), w, Unit::Count),
+        let total = reg.scope("threads", Some("locality#0/total"));
+        total
+            .register(
+                "count/cumulative",
+                ShardedTotal::new(Arc::clone(&shard), Unit::Count),
             )
             .unwrap();
-        }
+        let workers: Vec<ScopedRegistry> = (0..2)
+            .map(|w| {
+                let scope = reg.scope("threads", Some(&format!("locality#0/worker-thread#{w}")));
+                scope
+                    .register(
+                        "count/cumulative",
+                        ShardedWorker::new(Arc::clone(&shard), w, Unit::Count),
+                    )
+                    .unwrap();
+                scope
+            })
+            .collect();
         let hits = reg.discover("/threads/count/cumulative").unwrap();
         assert_eq!(hits.len(), 3);
         let total = reg
@@ -426,12 +425,14 @@ mod tests {
             .query("/threads{locality#0/worker-thread#1}/count/cumulative")
             .unwrap();
         assert_eq!(w1.as_count(), 4);
+        drop(workers);
+        assert_eq!(reg.discover("/threads/count/cumulative").unwrap().len(), 1);
     }
 
     #[test]
     fn scope_registers_queries_and_retires() {
         let reg = Arc::new(Registry::new());
-        let scope = reg.scope("jobs", "tenant-a/render#3");
+        let scope = reg.scope("jobs", Some("tenant-a/render#3"));
         let c = Arc::new(RawCounter::new());
         scope
             .register("count/tasks", RawView::new(Arc::clone(&c), Unit::Count))
@@ -467,25 +468,36 @@ mod tests {
         let reg = Arc::new(Registry::new());
         let view = || RawView::new(Arc::new(RawCounter::new()), Unit::Count);
         // `}` would end the instance early: no path parses back to it.
-        let bad = reg.scope("jobs", "a}/b#1");
+        let bad = reg.scope("jobs", Some("a}/b#1"));
         assert!(matches!(
             bad.register("count/tasks", view()),
             Err(RegistryError::BadPath(p)) if p == "/jobs{a}/b#1}/count/tasks"
         ));
-        let good = reg.scope("jobs", "a#1");
+        let good = reg.scope("jobs", Some("a#1"));
         assert!(matches!(
             good.register("@p", view()),
             Err(RegistryError::BadPath(_))
         ));
+        // Without an instance, a `/` in the object or a `{` in the name
+        // would parse back as something else.
+        let bare = reg.scope("service", None);
+        assert!(matches!(
+            bare.register("tenants/{t}/grain", view()),
+            Err(RegistryError::BadPath(p)) if p == "/service/tenants/{t}/grain"
+        ));
+        assert!(matches!(
+            reg.scope("a/b", None).register("n", view()),
+            Err(RegistryError::BadPath(_))
+        ));
         assert!(reg.is_empty());
-        assert!(bad.paths().is_empty() && good.paths().is_empty());
+        assert!(bad.paths().is_empty() && good.paths().is_empty() && bare.paths().is_empty());
     }
 
     #[test]
     fn dropping_a_scope_retires_its_namespace() {
         let reg = Arc::new(Registry::new());
         {
-            let scope = reg.scope("jobs", "sweep#0");
+            let scope = reg.scope("jobs", Some("sweep#0"));
             scope
                 .register(
                     "count/tasks",
@@ -500,8 +512,8 @@ mod tests {
     #[test]
     fn scopes_are_isolated_between_instances() {
         let reg = Arc::new(Registry::new());
-        let a = reg.scope("jobs", "a#1");
-        let b = reg.scope("jobs", "b#2");
+        let a = reg.scope("jobs", Some("a#1"));
+        let b = reg.scope("jobs", Some("b#2"));
         let ca = Arc::new(RawCounter::new());
         let cb = Arc::new(RawCounter::new());
         a.register("count/tasks", RawView::new(Arc::clone(&ca), Unit::Count))
@@ -518,7 +530,7 @@ mod tests {
 
     #[test]
     fn reset_all_zeroes() {
-        let (reg, c) = reg_with_raw("/threads/count/stolen");
+        let (reg, _scope, c) = reg_with_raw("count/stolen");
         c.add(9);
         reg.reset_all();
         assert_eq!(reg.query("/threads/count/stolen").unwrap().as_count(), 0);

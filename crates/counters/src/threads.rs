@@ -4,7 +4,7 @@
 //! counter the scheduler and workers bump, and knows how to register the
 //! full HPX-style counter tree — per-worker instances, `total` aggregates
 //! and the derived Eq. 1–3 counters — into a
-//! [`crate::Registry`]. Every counter here follows the one-writer-per-shard
+//! [`crate::Registry`], one scope per instance. Every counter here follows the one-writer-per-shard
 //! contract of [`crate::raw`]: worker `w` writes shard `w`.
 
 use crate::derived::{average_of, average_of_worker, ratio_of, ratio_of_worker, DerivedCounter};
@@ -12,7 +12,7 @@ use crate::equations::{self, Window};
 use crate::histogram::ShardedHistogram;
 use crate::path::CounterPath;
 use crate::raw::Sharded;
-use crate::registry::{Registry, RegistryError, ShardedTotal, ShardedWorker};
+use crate::registry::{Registry, RegistryError, ScopedRegistry, ShardedTotal, ShardedWorker};
 use crate::value::Unit;
 use std::sync::Arc;
 
@@ -102,15 +102,9 @@ impl ThreadCounters {
         }
     }
 
-    /// Register the whole counter tree into `registry` under locality 0
-    /// (the single-locality convention). See
-    /// [`ThreadCounters::register_at`].
-    pub fn register(&self, registry: &Registry) -> Result<(), RegistryError> {
-        self.register_at(registry, 0)
-    }
-
     /// Register the whole counter tree into `registry` under the given
-    /// locality id.
+    /// locality id, one scope per instance: the `total` scope first, then
+    /// one per worker. Dropping the scopes retires the tree.
     ///
     /// Registered paths (`<T>` = `{locality#L/total}`,
     /// `<w>` = `{locality#L/worker-thread#w}` for every worker):
@@ -124,9 +118,12 @@ impl ThreadCounters {
     ///   `…/staged-accesses`, `…/staged-misses`, `…/stolen`, `…/converted`
     /// * per-worker: `idle-rate`, `time/average`, `count/cumulative`,
     ///   `count/pending-accesses`, `count/pending-misses`
-    pub fn register_at(&self, registry: &Registry, locality: usize) -> Result<(), RegistryError> {
-        let t = CounterPath::total_instance_for(locality);
-        let total = |name: &str| format!("/threads{{{t}}}/{name}");
+    pub fn register_at(
+        &self,
+        registry: &Arc<Registry>,
+        locality: usize,
+    ) -> Result<Vec<ScopedRegistry>, RegistryError> {
+        let total = registry.scope("threads", Some(&CounterPath::total_instance_for(locality)));
 
         let counts: &[(&str, &Arc<Sharded>)] = &[
             ("count/cumulative", &self.tasks),
@@ -141,25 +138,22 @@ impl ThreadCounters {
             ("count/faulted", &self.faulted),
         ];
         for (name, c) in counts {
-            registry.register(&total(name), ShardedTotal::new(Arc::clone(c), Unit::Count))?;
+            total.register(name, ShardedTotal::new(Arc::clone(c), Unit::Count))?;
         }
         for (name, c) in [
             ("time/cumulative-exec", &self.exec_ns),
             ("time/cumulative-func", &self.func_ns),
         ] {
-            registry.register(
-                &total(name),
-                ShardedTotal::new(Arc::clone(c), Unit::Nanoseconds),
-            )?;
+            total.register(name, ShardedTotal::new(Arc::clone(c), Unit::Nanoseconds))?;
         }
 
         // Derived Eq. 1–3 counters plus their per-phase variants.
-        registry.register(
-            &total("idle-rate"),
+        total.register(
+            "idle-rate",
             ratio_of(Arc::clone(&self.exec_ns), Arc::clone(&self.func_ns)),
         )?;
-        registry.register(
-            &total("time/average"),
+        total.register(
+            "time/average",
             average_of(
                 Arc::clone(&self.exec_ns),
                 Arc::clone(&self.tasks),
@@ -169,14 +163,14 @@ impl ThreadCounters {
         let exec = Arc::clone(&self.exec_ns);
         let func = Arc::clone(&self.func_ns);
         let tasks = Arc::clone(&self.tasks);
-        registry.register(
-            &total("time/average-overhead"),
+        total.register(
+            "time/average-overhead",
             DerivedCounter::new(Unit::Nanoseconds, move || {
                 equations::task_overhead_ns(exec.sum(), func.sum(), tasks.sum())
             }),
         )?;
-        registry.register(
-            &total("time/average-phase"),
+        total.register(
+            "time/average-phase",
             average_of(
                 Arc::clone(&self.exec_ns),
                 Arc::clone(&self.phases),
@@ -186,8 +180,8 @@ impl ThreadCounters {
         let exec = Arc::clone(&self.exec_ns);
         let func = Arc::clone(&self.func_ns);
         let phases = Arc::clone(&self.phases);
-        registry.register(
-            &total("time/average-phase-overhead"),
+        total.register(
+            "time/average-phase-overhead",
             DerivedCounter::new(Unit::Nanoseconds, move || {
                 equations::task_overhead_ns(exec.sum(), func.sum(), phases.sum())
             }),
@@ -205,22 +199,25 @@ impl ThreadCounters {
                     self.0.reset();
                 }
             }
-            registry.register(
-                &total("count/exec-samples"),
+            total.register(
+                "count/exec-samples",
                 HistView(Arc::clone(&self.exec_histogram)),
             )?;
         }
 
         // Per-worker instances.
+        let mut scopes = vec![total];
         for w in 0..self.workers {
-            let inst = CounterPath::worker_instance_for(locality, w);
-            let path = |name: &str| format!("/threads{{{inst}}}/{name}");
-            registry.register(
-                &path("idle-rate"),
+            let worker = registry.scope(
+                "threads",
+                Some(&CounterPath::worker_instance_for(locality, w)),
+            );
+            worker.register(
+                "idle-rate",
                 ratio_of_worker(Arc::clone(&self.exec_ns), Arc::clone(&self.func_ns), w),
             )?;
-            registry.register(
-                &path("time/average"),
+            worker.register(
+                "time/average",
                 average_of_worker(
                     Arc::clone(&self.exec_ns),
                     Arc::clone(&self.tasks),
@@ -228,20 +225,16 @@ impl ThreadCounters {
                     Unit::Nanoseconds,
                 ),
             )?;
-            registry.register(
-                &path("count/cumulative"),
-                ShardedWorker::new(Arc::clone(&self.tasks), w, Unit::Count),
-            )?;
-            registry.register(
-                &path("count/pending-accesses"),
-                ShardedWorker::new(Arc::clone(&self.pending_accesses), w, Unit::Count),
-            )?;
-            registry.register(
-                &path("count/pending-misses"),
-                ShardedWorker::new(Arc::clone(&self.pending_misses), w, Unit::Count),
-            )?;
+            for (name, c) in [
+                ("count/cumulative", &self.tasks),
+                ("count/pending-accesses", &self.pending_accesses),
+                ("count/pending-misses", &self.pending_misses),
+            ] {
+                worker.register(name, ShardedWorker::new(Arc::clone(c), w, Unit::Count))?;
+            }
+            scopes.push(worker);
         }
-        Ok(())
+        Ok(scopes)
     }
 }
 
@@ -273,8 +266,9 @@ mod tests {
     #[test]
     fn registration_exposes_paper_counters() {
         let c = ThreadCounters::new(2);
-        let reg = Registry::new();
-        c.register(&reg).unwrap();
+        let reg = Arc::new(Registry::new());
+        let scopes = c.register_at(&reg, 0).unwrap();
+        assert_eq!(scopes.len(), 3, "the total and one per worker");
 
         c.tasks.add(0, 4);
         c.exec_ns.add(0, 1_000);
@@ -300,13 +294,15 @@ mod tests {
         );
         assert_eq!(q("/threads{locality#0/worker-thread#0}/idle-rate"), 0.5);
         assert_eq!(q("/threads{locality#0/worker-thread#1}/idle-rate"), 0.0);
+        drop(scopes);
+        assert!(reg.is_empty(), "dropping the scopes retires the tree");
     }
 
     #[test]
     fn registration_under_nonzero_locality() {
         let c = ThreadCounters::new(2);
-        let reg = Registry::new();
-        c.register_at(&reg, 5).unwrap();
+        let reg = Arc::new(Registry::new());
+        let _scopes = c.register_at(&reg, 5).unwrap();
         c.tasks.add(1, 3);
         let q = |p: &str| reg.query(p).unwrap().value;
         assert_eq!(q("/threads{locality#5/total}/count/cumulative"), 3.0);
@@ -323,8 +319,8 @@ mod tests {
     #[test]
     fn discovery_finds_the_counter_tree() {
         let c = ThreadCounters::new(1);
-        let reg = Registry::new();
-        c.register(&reg).unwrap();
+        let reg = Arc::new(Registry::new());
+        let _scopes = c.register_at(&reg, 0).unwrap();
         let counts = reg.discover("/threads/count/*").unwrap();
         assert!(counts.len() >= 9, "found {counts:?}");
         let all = reg.discover("/threads/*").unwrap();

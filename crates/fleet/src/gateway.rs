@@ -58,7 +58,7 @@ use crate::wire::{
 };
 use grain_counters::registry::RawView;
 use grain_counters::sync::{deadline_after, AtomicU64, Condvar, Kick, Mutex, Ordering, Pump};
-use grain_counters::{RawCounter, Registry, RegistryError, Unit};
+use grain_counters::{CounterPath, RawCounter, Registry, RegistryError, ScopedRegistry, Unit};
 use grain_net::{Locality, PeersChangedGuard};
 use grain_runtime::{SharedFuture, TaskError};
 use grain_service::{BreakerConfig, BreakerDecision, BreakerState, Breakers};
@@ -292,33 +292,37 @@ impl FleetCounters {
         }
     }
 
-    fn register(&self, registry: &Registry, locality: usize) -> Result<(), RegistryError> {
-        let t = format!("locality#{locality}/total");
-        let reg = |name: &str, c: &Arc<RawCounter>| {
-            registry.register(
-                &format!("/fleet{{{t}}}/{name}"),
-                RawView::new(Arc::clone(c), Unit::Count),
-            )
-        };
-        reg("jobs/submitted", &self.submitted)?;
-        reg("jobs/completed", &self.completed)?;
-        reg("jobs/failed", &self.failed)?;
-        reg("jobs/timed-out", &self.timed_out)?;
-        reg("jobs/cancelled", &self.cancelled)?;
-        reg("jobs/rejected", &self.rejected)?;
-        reg("jobs/shed", &self.shed)?;
-        reg("dispatch/sent", &self.dispatches)?;
-        reg("dispatch/redispatched", &self.redispatches)?;
-        reg("dispatch/orphaned", &self.orphaned)?;
-        reg("dispatch/handed-back", &self.handed_back)?;
-        reg("dispatch/hedged", &self.hedged)?;
-        reg("dispatch/worker-rejects", &self.worker_rejects)?;
-        reg("dispatch/failures", &self.dispatch_failures)?;
-        reg("complete/accepted", &self.completions)?;
-        reg("complete/fenced", &self.fenced)?;
-        reg("complete/duplicate", &self.duplicates)?;
-        reg("gateway/passes", &self.passes)?;
-        Ok(())
+    /// Register the ledger under `/fleet{locality#N/total}/…` through
+    /// the returned scope, which retires it when dropped.
+    fn register(
+        &self,
+        registry: &Arc<Registry>,
+        locality: usize,
+    ) -> Result<ScopedRegistry, RegistryError> {
+        let scope = registry.scope("fleet", Some(&CounterPath::total_instance_for(locality)));
+        for (name, c) in [
+            ("jobs/submitted", &self.submitted),
+            ("jobs/completed", &self.completed),
+            ("jobs/failed", &self.failed),
+            ("jobs/timed-out", &self.timed_out),
+            ("jobs/cancelled", &self.cancelled),
+            ("jobs/rejected", &self.rejected),
+            ("jobs/shed", &self.shed),
+            ("dispatch/sent", &self.dispatches),
+            ("dispatch/redispatched", &self.redispatches),
+            ("dispatch/orphaned", &self.orphaned),
+            ("dispatch/handed-back", &self.handed_back),
+            ("dispatch/hedged", &self.hedged),
+            ("dispatch/worker-rejects", &self.worker_rejects),
+            ("dispatch/failures", &self.dispatch_failures),
+            ("complete/accepted", &self.completions),
+            ("complete/fenced", &self.fenced),
+            ("complete/duplicate", &self.duplicates),
+            ("gateway/passes", &self.passes),
+        ] {
+            scope.register(name, RawView::new(Arc::clone(c), Unit::Count))?;
+        }
+        Ok(scope)
     }
 }
 
@@ -502,17 +506,21 @@ impl FleetJobHandle {
 }
 
 /// The gateway. One per serving plane; owns the pump thread, which
-/// dropping the gateway stops at once, and its peer listener on the
-/// locality, which the drop removes.
+/// dropping the gateway stops at once, and its peer listener and
+/// `/fleet{…}` counters on the locality, which the drop removes.
 pub struct FleetGateway {
     shared: Arc<GatewayShared>,
     _pump: Pump,
     _peers: PeersChangedGuard,
+    _counters: ScopedRegistry,
 }
 
 impl FleetGateway {
     /// Install a gateway on `locality`: registers `fleet/complete` and
-    /// starts the pump.
+    /// starts the pump. One gateway may live on a locality at a time: a
+    /// second one installed while the first lives would take over its
+    /// `fleet/complete` action, so it panics before registering that;
+    /// once the first is dropped, installing again works.
     pub fn install(locality: &Locality, config: FleetConfig) -> Self {
         let shared = Arc::new(GatewayShared {
             locality: locality.clone(),
@@ -527,10 +535,12 @@ impl FleetGateway {
             next_key: AtomicU64::new(1),
             kick: Arc::default(),
         });
-        shared
+        let counters = shared
             .counters
             .register(locality.runtime().registry(), locality.id())
-            .expect("fleet counter paths are unique per locality");
+            .expect(
+                "one live gateway per locality: a second would take over its fleet/complete action",
+            );
         {
             let w = Arc::downgrade(&shared);
             locality.register_action(ACTION_COMPLETE, move |outcome: FleetOutcome| {
@@ -559,6 +569,7 @@ impl FleetGateway {
             shared,
             _pump: pump,
             _peers: peers,
+            _counters: counters,
         }
     }
 

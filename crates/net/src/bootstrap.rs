@@ -27,6 +27,7 @@ use crate::codec::Frame;
 use crate::locality::{Locality, NetConfig};
 use crate::parcelport::{self, EndPoint, Link, DEFAULT_QUEUE_CAP};
 use grain_counters::sync::{deadline_after, AtomicBool, Mutex, Ordering};
+use grain_counters::ScopedRegistry;
 use grain_runtime::{Runtime, RuntimeConfig};
 use grain_sim::{NetFabric, NetPlan};
 use std::io;
@@ -39,6 +40,9 @@ pub struct Fabric {
     localities: Vec<Locality>,
     /// The simulated network, when built with [`Fabric::chaotic`].
     net: Option<Arc<NetFabric>>,
+    /// Keeps the network's `/net{fabric/total}/…` counters registered on
+    /// locality 0 while the world lives.
+    _net_counters: Option<ScopedRegistry>,
 }
 
 impl Fabric {
@@ -84,11 +88,11 @@ impl Fabric {
                 Locality::with_config(rt, i, world, mk_net(i)).expect("register parcel counters")
             })
             .collect();
-        if let Some(fabric) = &net {
+        let net_counters = net.as_ref().map(|fabric| {
             fabric
                 .register(localities[0].runtime().registry())
-                .expect("register fabric counters");
-        }
+                .expect("a fresh locality holds no /net counters")
+        });
         for i in 0..world {
             for j in (i + 1)..world {
                 let end = |k: usize| EndPoint {
@@ -105,7 +109,11 @@ impl Fabric {
                 localities[j].add_link(j_to_i);
             }
         }
-        Self { localities, net }
+        Self {
+            localities,
+            net,
+            _net_counters: net_counters,
+        }
     }
 
     /// The simulated network, when this world was built with

@@ -41,7 +41,9 @@
 //! outbound send queues.
 
 use grain_counters::registry::RawView;
-use grain_counters::{DerivedCounter, RawCounter, Registry, RegistryError, Unit};
+use grain_counters::{
+    CounterPath, DerivedCounter, RawCounter, Registry, RegistryError, ScopedRegistry, Unit,
+};
 use std::sync::Arc;
 
 /// Raw event counters for one locality's parcel traffic. Shared between
@@ -100,55 +102,34 @@ impl ParcelCounters {
     }
 
     /// Register the family under `/parcels{locality#N/total}/…` in
-    /// `registry`. `queue_len` is sampled live for the `queue-length`
-    /// counter (sum of this locality's outbound send-queue depths).
+    /// `registry`, through the returned scope: dropping it retires the
+    /// family. `queue_len` is sampled live for the `queue-length` counter
+    /// (sum of this locality's outbound send-queue depths).
     pub fn register(
         &self,
-        registry: &Registry,
+        registry: &Arc<Registry>,
         locality: usize,
         queue_len: impl Fn() -> f64 + Send + Sync + 'static,
-    ) -> Result<(), RegistryError> {
-        let t = format!("locality#{locality}/total");
-        registry.register(
-            &format!("/parcels{{{t}}}/count/sent"),
-            RawView::new(Arc::clone(&self.sent), Unit::Count),
-        )?;
-        registry.register(
-            &format!("/parcels{{{t}}}/count/received"),
-            RawView::new(Arc::clone(&self.received), Unit::Count),
-        )?;
-        registry.register(
-            &format!("/parcels{{{t}}}/count/dropped"),
-            RawView::new(Arc::clone(&self.dropped), Unit::Count),
-        )?;
-        registry.register(
-            &format!("/parcels{{{t}}}/count/duplicated"),
-            RawView::new(Arc::clone(&self.duplicated), Unit::Count),
-        )?;
-        registry.register(
-            &format!("/parcels{{{t}}}/count/deduped"),
-            RawView::new(Arc::clone(&self.deduped), Unit::Count),
-        )?;
-        registry.register(
-            &format!("/parcels{{{t}}}/calls/issued"),
-            RawView::new(Arc::clone(&self.calls_issued), Unit::Count),
-        )?;
-        registry.register(
-            &format!("/parcels{{{t}}}/calls/settled"),
-            RawView::new(Arc::clone(&self.calls_settled), Unit::Count),
-        )?;
-        registry.register(
-            &format!("/parcels{{{t}}}/bytes/sent"),
-            RawView::new(Arc::clone(&self.bytes_sent), Unit::Bytes),
-        )?;
-        registry.register(
-            &format!("/parcels{{{t}}}/bytes/received"),
-            RawView::new(Arc::clone(&self.bytes_received), Unit::Bytes),
-        )?;
+    ) -> Result<ScopedRegistry, RegistryError> {
+        let scope = registry.scope("parcels", Some(&CounterPath::total_instance_for(locality)));
+        let raws: [(&str, &Arc<RawCounter>, Unit); 9] = [
+            ("count/sent", &self.sent, Unit::Count),
+            ("count/received", &self.received, Unit::Count),
+            ("count/dropped", &self.dropped, Unit::Count),
+            ("count/duplicated", &self.duplicated, Unit::Count),
+            ("count/deduped", &self.deduped, Unit::Count),
+            ("calls/issued", &self.calls_issued, Unit::Count),
+            ("calls/settled", &self.calls_settled, Unit::Count),
+            ("bytes/sent", &self.bytes_sent, Unit::Bytes),
+            ("bytes/received", &self.bytes_received, Unit::Bytes),
+        ];
+        for (name, raw, unit) in raws {
+            scope.register(name, RawView::new(Arc::clone(raw), unit))?;
+        }
         let ns = Arc::clone(&self.ser_ns);
         let samples = Arc::clone(&self.ser_samples);
-        registry.register(
-            &format!("/parcels{{{t}}}/time/average-serialization"),
+        scope.register(
+            "time/average-serialization",
             DerivedCounter::new(Unit::Nanoseconds, move || {
                 let n = samples.get();
                 if n == 0 {
@@ -158,11 +139,8 @@ impl ParcelCounters {
                 }
             }),
         )?;
-        registry.register(
-            &format!("/parcels{{{t}}}/queue-length"),
-            DerivedCounter::new(Unit::Count, queue_len),
-        )?;
-        Ok(())
+        scope.register("queue-length", DerivedCounter::new(Unit::Count, queue_len))?;
+        Ok(scope)
     }
 }
 
@@ -173,8 +151,8 @@ mod tests {
     #[test]
     fn family_registers_and_reads_back() {
         let c = ParcelCounters::new();
-        let reg = Registry::new();
-        c.register(&reg, 3, || 2.0).expect("register");
+        let reg = Arc::new(Registry::new());
+        let scope = c.register(&reg, 3, || 2.0).expect("register");
 
         c.sent.add(5);
         c.bytes_sent.add(100);
@@ -216,13 +194,16 @@ mod tests {
         assert_eq!(v.value, 4.0);
         // Locality-0 instance must NOT exist: paths are per locality.
         assert!(reg.query("/parcels{locality#0/total}/count/sent").is_err());
+        assert_eq!(reg.len(), 11);
+        drop(scope);
+        assert!(reg.is_empty(), "dropping the scope retires the family");
     }
 
     #[test]
     fn average_serialization_is_zero_with_no_samples() {
         let c = ParcelCounters::new();
-        let reg = Registry::new();
-        c.register(&reg, 0, || 0.0).expect("register");
+        let reg = Arc::new(Registry::new());
+        let _scope = c.register(&reg, 0, || 0.0).expect("register");
         let v = reg
             .query("/parcels{locality#0/total}/time/average-serialization")
             .expect("avg");

@@ -52,7 +52,7 @@ use crate::codec::{self, Frame, Wire, WireFault};
 use crate::counters::ParcelCounters;
 use crate::parcelport::{DisconnectHandler, FrameHandler, Link};
 use grain_counters::sync::{AtomicBool, AtomicU64, Condvar, Kick, Mutex, Ordering, Pump, RwLock};
-use grain_counters::RegistryError;
+use grain_counters::{RegistryError, ScopedRegistry};
 use grain_runtime::{channel, Runtime, SharedFuture, TaskError};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Weak};
@@ -188,6 +188,9 @@ pub struct LocalityShared {
     next_call: AtomicU64,
     next_ping: AtomicU64,
     parcels: Arc<ParcelCounters>,
+    /// Keeps `/parcels{locality#N/total}/…` registered while the
+    /// locality lives.
+    _parcel_counters: Option<ScopedRegistry>,
     dead: AtomicBool,
     /// Wakes the monitor (present when a deadline is configured): a call
     /// entering an empty pending table names its deadline here.
@@ -476,8 +479,11 @@ pub struct Locality {
 
 impl Locality {
     /// Wrap `runtime` as locality `id` of a world of `world` localities
-    /// and register its `/parcels/*` counter family, with default
-    /// [`NetConfig`] (no liveness monitor, no call deadlines).
+    /// and register its `/parcels/*` counter family in the runtime's
+    /// registry, with default [`NetConfig`] (no liveness monitor, no call
+    /// deadlines). The family retires when the last handle to the
+    /// locality drops; a second live locality with the same id on one
+    /// runtime is refused with [`RegistryError::Duplicate`].
     ///
     /// The runtime should have been built with
     /// `RuntimeConfig { locality_id: id, .. }` so its `/threads{…}`
@@ -504,45 +510,50 @@ impl Locality {
         );
         let monitored = config.liveness_deadline.is_some() || config.call_deadline.is_some();
         let monitor_kick = monitored.then(Arc::<Kick>::default);
-        let shared = Arc::new_cyclic(|me: &Weak<LocalityShared>| LocalityShared {
-            id,
-            world,
-            runtime,
-            config,
-            actions: RwLock::new(HashMap::new()),
-            links: RwLock::new(HashMap::new()),
-            linked: Mutex::new(()),
-            link_cv: Condvar::new(),
-            peer_listeners: Mutex::new(Vec::new()),
-            pending: Mutex::new(HashMap::new()),
-            dedup: Mutex::new(HashMap::new()),
-            last_heard: Mutex::new(HashMap::new()),
-            next_call: AtomicU64::new(1),
-            next_ping: AtomicU64::new(1),
-            parcels: Arc::new(ParcelCounters::new()),
-            dead: AtomicBool::new(false),
-            _monitor: monitor_kick.as_ref().map(|kick| {
-                let mut next_ping = Instant::now();
-                Pump::spawn(
-                    format!("grain-net-mon-{id}"),
-                    Arc::clone(kick),
-                    me.clone(),
-                    move |shared: &Arc<LocalityShared>| shared.monitor_pass(&mut next_ping),
-                )
-            }),
-            monitor_kick,
-        });
-        let probe = {
-            let w = Arc::downgrade(&shared);
-            move || {
-                w.upgrade()
-                    .map(|s| s.total_queue_len() as f64)
-                    .unwrap_or(0.0)
+        // The queue-length probe reads the locality weakly; a refused
+        // registration (this locality's paths already live in the
+        // runtime's registry) fails the constructor below.
+        let mut refused = None;
+        let shared = Arc::new_cyclic(|me: &Weak<LocalityShared>| {
+            let parcels = Arc::new(ParcelCounters::new());
+            let w = me.clone();
+            let probe = move || w.upgrade().map_or(0.0, |s| s.total_queue_len() as f64);
+            let parcel_counters = (parcels.register(runtime.registry(), id, probe))
+                .map_err(|e| refused = Some(e))
+                .ok();
+            LocalityShared {
+                id,
+                world,
+                runtime,
+                config,
+                actions: RwLock::new(HashMap::new()),
+                links: RwLock::new(HashMap::new()),
+                linked: Mutex::new(()),
+                link_cv: Condvar::new(),
+                peer_listeners: Mutex::new(Vec::new()),
+                pending: Mutex::new(HashMap::new()),
+                dedup: Mutex::new(HashMap::new()),
+                last_heard: Mutex::new(HashMap::new()),
+                next_call: AtomicU64::new(1),
+                next_ping: AtomicU64::new(1),
+                parcels,
+                _parcel_counters: parcel_counters,
+                dead: AtomicBool::new(false),
+                _monitor: monitor_kick.as_ref().map(|kick| {
+                    let mut next_ping = Instant::now();
+                    Pump::spawn(
+                        format!("grain-net-mon-{id}"),
+                        Arc::clone(kick),
+                        me.clone(),
+                        move |shared: &Arc<LocalityShared>| shared.monitor_pass(&mut next_ping),
+                    )
+                }),
+                monitor_kick,
             }
-        };
-        shared
-            .parcels
-            .register(shared.runtime.registry(), id, probe)?;
+        });
+        if let Some(e) = refused {
+            return Err(e);
+        }
         if let Some(kick) = &shared.monitor_kick {
             // The first pass pings, when liveness is armed.
             kick.kick();

@@ -9,7 +9,7 @@ use crate::scheduler::{Scheduler, SearchState};
 use crate::task::{Poll, Priority, Runnable, StagedTask, Task, TaskId, TaskIdAllocator, TaskState};
 use grain_counters::sync::{AtomicBool, AtomicUsize, Condvar, Mutex, Ordering};
 use grain_counters::threads::ThreadCounters;
-use grain_counters::{Registry, Unit};
+use grain_counters::{Registry, ScopedRegistry, Unit};
 use grain_topology::host;
 use std::cell::Cell;
 use std::sync::{Arc, Weak};
@@ -88,7 +88,7 @@ struct IdleGate {
 pub(crate) struct Inner {
     pub(crate) scheduler: Scheduler,
     pub(crate) counters: ThreadCounters,
-    pub(crate) registry: Registry,
+    pub(crate) registry: Arc<Registry>,
     pub(crate) ids: TaskIdAllocator,
     pub(crate) in_flight: AtomicUsize,
     pub(crate) shutdown: AtomicBool,
@@ -805,6 +805,9 @@ impl Drop for Resumer {
 pub struct Runtime {
     inner: Arc<Inner>,
     threads: Vec<std::thread::JoinHandle<()>>,
+    /// The `/threads{…}` scopes (the total, then each worker): dropping
+    /// the runtime retires them after its workers have stopped.
+    _counters: Vec<ScopedRegistry>,
 }
 
 /// Reports a worker thread that dies from an uncontained panic (a
@@ -845,56 +848,46 @@ impl Runtime {
         let numa = host::host_topology(config.workers);
         let scheduler = Scheduler::new(numa, HIGH_QUEUES);
         let counters = ThreadCounters::new(config.workers);
-        let registry = Registry::new();
+        let registry = Arc::new(Registry::new());
         // Every counter path is parameterized by the configured locality
         // id so non-root localities expose a correct, disjoint namespace.
-        let t = grain_counters::CounterPath::total_instance_for(config.locality_id);
-        counters
+        let published = counters
             .register_at(&registry, config.locality_id)
-            .expect("fresh registry cannot have duplicates");
-        // Instantaneous queue-length counters (not in the paper's list but
-        // part of HPX's monitoring surface; useful for load introspection).
+            .expect("a fresh registry cannot hold duplicates");
+        // The total's scope also carries the instantaneous queue lengths
+        // (not in the paper's list but part of HPX's monitoring surface)
+        // and the queue-contention counters, aggregated over every queue
+        // in the set (see `queue::QueueStats`). Lost head/tail CAS races
+        // and segment allocations are the lock-free queue's analogue of
+        // lock contention — flat curves here under fine grain are exactly
+        // what the mutex queue could not deliver.
         {
-            use grain_counters::{derived::DerivedCounter, Unit};
-            let q = std::sync::Arc::clone(&scheduler.queues);
-            registry
-                .register(
-                    &format!("/threads{{{t}}}/count/staged-queue-length"),
-                    DerivedCounter::new(Unit::Count, move || {
-                        q.workers.iter().map(|d| d.staged.len()).sum::<usize>() as f64
-                    }),
-                )
-                .expect("fresh registry");
-            let q = std::sync::Arc::clone(&scheduler.queues);
-            registry
-                .register(
-                    &format!("/threads{{{t}}}/count/pending-queue-length"),
-                    DerivedCounter::new(Unit::Count, move || {
-                        q.workers.iter().map(|d| d.pending.len()).sum::<usize>() as f64
-                    }),
-                )
-                .expect("fresh registry");
-        }
-        // Queue-contention counters: aggregated over every queue in the
-        // set (see `queue::QueueStats`). Lost head/tail CAS races and
-        // segment allocations are the lock-free queue's analogue of lock
-        // contention — flat curves here under fine grain are exactly what
-        // the mutex queue could not deliver.
-        {
-            use grain_counters::registry::RawView;
+            use grain_counters::{derived::DerivedCounter, registry::RawView};
+            let total = &published[0];
+            let q = Arc::clone(&scheduler.queues);
+            let staged = DerivedCounter::new(Unit::Count, move || {
+                q.workers.iter().map(|d| d.staged.len()).sum::<usize>() as f64
+            });
+            let q = Arc::clone(&scheduler.queues);
+            let pending = DerivedCounter::new(Unit::Count, move || {
+                q.workers.iter().map(|d| d.pending.len()).sum::<usize>() as f64
+            });
             let stats = scheduler.queues.stats();
-            registry
-                .register(
-                    &format!("/threads{{{t}}}/queue/cas-retries"),
+            let registered = [
+                total.register("count/staged-queue-length", staged),
+                total.register("count/pending-queue-length", pending),
+                total.register(
+                    "queue/cas-retries",
                     RawView::new(Arc::clone(&stats.cas_retries), Unit::Count),
-                )
-                .expect("fresh registry");
-            registry
-                .register(
-                    &format!("/threads{{{t}}}/queue/segment-allocations"),
+                ),
+                total.register(
+                    "queue/segment-allocations",
                     RawView::new(Arc::clone(&stats.segment_allocs), Unit::Count),
-                )
-                .expect("fresh registry");
+                ),
+            ];
+            for r in registered {
+                r.expect("a fresh registry cannot hold duplicates");
+            }
         }
         let inner = Arc::new(Inner {
             scheduler,
@@ -930,7 +923,11 @@ impl Runtime {
                 .expect("failed to spawn worker thread")
             })
             .collect();
-        Self { inner, threads }
+        Self {
+            inner,
+            threads,
+            _counters: published,
+        }
     }
 
     /// Runtime with `workers` workers and default settings.
@@ -1038,8 +1035,11 @@ impl Runtime {
         &self.inner.counters
     }
 
-    /// The performance-counter registry (query by symbolic path).
-    pub fn registry(&self) -> &Registry {
+    /// The performance-counter registry (query by symbolic path). It is
+    /// the one registry of everything built on this runtime: a locality,
+    /// a service or a gateway registers its counters here through a
+    /// [`Registry::scope`] it owns, and they retire when it drops.
+    pub fn registry(&self) -> &Arc<Registry> {
         &self.inner.registry
     }
 

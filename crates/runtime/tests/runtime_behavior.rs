@@ -876,3 +876,15 @@ fn dependents_past_the_inline_slots_each_run_once_in_order() {
     drop(nodes);
     assert!(token.upgrade().is_none(), "a dependent outlived the settle");
 }
+
+/// The runtime's `/threads{…}` scopes — the total and one per worker —
+/// retire with it: a registry outliving its runtime is empty.
+#[test]
+fn dropping_a_runtime_empties_its_registry() {
+    let r = rt(2);
+    let registry = Arc::clone(r.registry());
+    r.async_call(|_| 1u8).wait().expect("task runs");
+    assert_eq!(registry.len(), 22 + 2 * 5);
+    drop(r);
+    assert!(registry.is_empty(), "{:?}", registry.paths());
+}

@@ -132,8 +132,8 @@ impl Breaker {
                 ("opens", &opens),
                 ("rejected", &rejected),
             ];
-            // Collides only where two services share a registry (and so
-            // `/service/*` first); the in-process counts work regardless.
+            // Collides only where two maps share a registry, which no
+            // service does; the in-process counts work regardless.
             for (name, cell) in cells {
                 let cell = Arc::clone(cell);
                 let read = DerivedCounter::new(Unit::Count, move || cell.load(SeqCst) as f64);
@@ -252,7 +252,8 @@ where
             return f(b);
         }
         let key = key.to_owned();
-        let scope = (self.registry.as_ref()).map(|r| r.scope("service", &format!("tenants/{key}")));
+        let scope =
+            (self.registry.as_ref()).map(|r| r.scope("service", Some(&format!("tenants/{key}"))));
         let b = Breaker::new(scope, now);
         f(map.entry(key).or_insert(b))
     }

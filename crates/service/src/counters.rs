@@ -1,6 +1,7 @@
 //! Counter surfaces of the service layer.
 //!
-//! Two namespaces on one shared [`Registry`]:
+//! Two namespaces on the service's runtime's [`Registry`], each through
+//! scopes the service owns:
 //!
 //! * `/jobs{name#id}/threads/...` — one scope per job, mirroring the
 //!   paper's per-thread counter names (cumulative task count, cumulative
@@ -37,7 +38,7 @@ impl JobCounters {
         instance: &str,
         group: &Arc<TaskGroup>,
     ) -> Result<Self, RegistryError> {
-        let scope = registry.scope("jobs", instance);
+        let scope = registry.scope("jobs", Some(instance));
         let g = Arc::clone(group);
         scope.register(
             "threads/count/cumulative",
@@ -141,13 +142,17 @@ pub struct ServiceCounters {
     pub admission_latency: Arc<LogHistogram>,
     /// Submission-to-finish turnaround of admitted jobs, log₂ ns buckets.
     pub turnaround: Arc<LogHistogram>,
+    /// The `/service` scope all of the above are registered through;
+    /// dropping the service retires them.
+    _scope: ScopedRegistry,
 }
 
 impl ServiceCounters {
-    /// Register the `/service` namespace on `registry`. `queue_len` and
-    /// `budget_in_use` are sampled live for the instantaneous gauges.
+    /// Register the service-wide counters through `scope`, the bare
+    /// `/service` namespace, and keep it. `queue_len` and `budget_in_use`
+    /// are sampled live for the instantaneous gauges.
     pub(crate) fn register(
-        registry: &Registry,
+        scope: ScopedRegistry,
         queue_len: impl Fn() -> f64 + Send + Sync + 'static,
         budget_in_use: impl Fn() -> f64 + Send + Sync + 'static,
     ) -> Result<Self, RegistryError> {
@@ -164,7 +169,9 @@ impl ServiceCounters {
             dispatcher_wakes: Arc::new(RawCounter::new()),
             admission_latency: Arc::new(LogHistogram::new()),
             turnaround: Arc::new(LogHistogram::new()),
+            _scope: scope,
         };
+        let scope = &this._scope;
         let raws: [(&str, &Arc<RawCounter>); 10] = [
             ("jobs/submitted", &this.submitted),
             ("jobs/admitted", &this.admitted),
@@ -179,27 +186,24 @@ impl ServiceCounters {
         ];
         for (name, raw) in raws {
             let raw = Arc::clone(raw);
-            registry.register(
-                &format!("/service/{name}"),
+            scope.register(
+                name,
                 DerivedCounter::new(Unit::Count, move || raw.get() as f64),
             )?;
         }
-        registry.register(
-            "/service/queue/length",
-            DerivedCounter::new(Unit::Count, queue_len),
-        )?;
-        registry.register(
-            "/service/tasks/budget-in-use",
+        scope.register("queue/length", DerivedCounter::new(Unit::Count, queue_len))?;
+        scope.register(
+            "tasks/budget-in-use",
             DerivedCounter::new(Unit::Count, budget_in_use),
         )?;
         let h = Arc::clone(&this.admission_latency);
-        registry.register(
-            "/service/time/admission-latency",
+        scope.register(
+            "time/admission-latency",
             DerivedCounter::new(Unit::Nanoseconds, move || h.mean()),
         )?;
         let h = Arc::clone(&this.turnaround);
-        registry.register(
-            "/service/time/turnaround",
+        scope.register(
+            "time/turnaround",
             DerivedCounter::new(Unit::Nanoseconds, move || h.mean()),
         )?;
         Ok(this)
@@ -239,8 +243,8 @@ mod tests {
 
     #[test]
     fn service_counters_register_and_sample() {
-        let reg = Registry::new();
-        let sc = ServiceCounters::register(&reg, || 3.0, || 17.0).unwrap();
+        let reg = Arc::new(Registry::new());
+        let sc = ServiceCounters::register(reg.scope("service", None), || 3.0, || 17.0).unwrap();
         sc.submitted.add(5);
         sc.rejected.incr();
         assert_eq!(reg.query("/service/jobs/submitted").unwrap().as_count(), 5);
@@ -254,5 +258,7 @@ mod tests {
         );
         sc.admission_latency.record(1000);
         assert!(reg.query("/service/time/admission-latency").unwrap().value > 0.0);
+        drop(sc);
+        assert!(reg.is_empty(), "dropping the counters retires /service");
     }
 }

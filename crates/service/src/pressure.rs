@@ -56,7 +56,7 @@
 use crate::job::{JobCore, JobState};
 use grain_counters::derived::DerivedCounter;
 use grain_counters::sync::{AtomicU64, Mutex, Ordering};
-use grain_counters::{Registry, RegistryError, Unit, Window};
+use grain_counters::{RegistryError, ScopedRegistry, Unit, Window};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -356,35 +356,35 @@ impl PressureController {
         (sheds, next)
     }
 
-    /// Register the pressure gauge surface on `registry`:
-    /// `/service/pressure/{level,overhead,queue-fill}` and
-    /// `/service/tasks/budget-limit`.
+    /// Register the pressure gauge surface through the service's bare
+    /// `/service` scope: `/service/pressure/{level,overhead,queue-fill}`
+    /// and `/service/tasks/budget-limit`.
     pub(crate) fn register_counters(
         self: &Arc<Self>,
-        registry: &Registry,
+        scope: &ScopedRegistry,
     ) -> Result<(), RegistryError> {
         let c = Arc::clone(self);
-        registry.register(
-            "/service/pressure/level",
+        scope.register(
+            "pressure/level",
             DerivedCounter::new(Unit::Count, move || c.level.load(Ordering::SeqCst) as f64),
         )?;
         let c = Arc::clone(self);
-        registry.register(
-            "/service/pressure/overhead",
+        scope.register(
+            "pressure/overhead",
             DerivedCounter::new(Unit::Ratio, move || {
                 c.overhead_milli.load(Ordering::SeqCst) as f64 / 1000.0
             }),
         )?;
         let c = Arc::clone(self);
-        registry.register(
-            "/service/pressure/queue-fill",
+        scope.register(
+            "pressure/queue-fill",
             DerivedCounter::new(Unit::Ratio, move || {
                 c.fill_milli.load(Ordering::SeqCst) as f64 / 1000.0
             }),
         )?;
         let c = Arc::clone(self);
-        registry.register(
-            "/service/tasks/budget-limit",
+        scope.register(
+            "tasks/budget-limit",
             DerivedCounter::new(Unit::Count, move || c.budget.load(Ordering::SeqCst) as f64),
         )?;
         Ok(())
@@ -396,6 +396,7 @@ mod tests {
     use super::*;
     use crate::counters::JobCounters;
     use crate::job::{JobId, JobSpec};
+    use grain_counters::Registry;
     use grain_runtime::TaskGroup;
 
     fn controller(max: u64) -> PressureController {
@@ -477,6 +478,32 @@ mod tests {
         }
         let b = c.budget_limit();
         assert!(b > 8 && b <= 100, "regrows additively: {b}");
+    }
+
+    /// The cut needs the smoothed overhead at `OVERHEAD_HIGH`: work
+    /// waiting behind an overhead just below it leaves the budget alone.
+    /// Integration tests that drive the budget to its floor rely on this
+    /// rule instead of reading a host-dependent overhead themselves.
+    #[test]
+    fn overhead_just_below_the_cut_threshold_leaves_the_budget() {
+        let c = controller(100);
+        let t0 = Instant::now();
+        c.sample(t0, ns(0, 0), 0, 10);
+        // Every window reads Eq. 1 at 0.59: 41 % of thread time in tasks.
+        for i in 1..=60u64 {
+            c.sample(
+                t0 + DECREASE_EVERY * i as u32,
+                ns(i * 1_000_000, i * 410_000),
+                5,
+                10,
+            );
+        }
+        let s = c.signal();
+        assert!(
+            s.overhead > 0.55 && s.overhead < OVERHEAD_HIGH,
+            "overhead settles just below the cut: {s:?}"
+        );
+        assert_eq!(c.budget_limit(), 100, "no cut below OVERHEAD_HIGH");
     }
 
     #[test]

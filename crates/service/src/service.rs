@@ -108,7 +108,6 @@ struct Queues {
 
 pub(crate) struct Shared {
     runtime: Runtime,
-    registry: Arc<Registry>,
     counters: ServiceCounters,
     queues: Mutex<Queues>,
     /// Wakes `wait_all` and a shutting-down drop: a settle, a queued
@@ -145,8 +144,11 @@ pub struct JobService {
 impl JobService {
     /// Start a service (and its runtime and dispatcher thread).
     pub fn new(config: ServiceConfig) -> Self {
-        let registry = Arc::new(Registry::new());
         let runtime = Runtime::new(config.runtime.clone());
+        // The service publishes into its runtime's registry, through
+        // scopes it owns: `/service`, one per tenant breaker, one per job.
+        let registry = Arc::clone(runtime.registry());
+        let scope = registry.scope("service", None);
         let queues = Mutex::new(Queues {
             fair: FairQueues::new(),
             draining: false,
@@ -156,14 +158,14 @@ impl JobService {
             config.admission.max_in_flight_tasks,
         ));
         pressure
-            .register_counters(&registry)
-            .expect("fresh registry cannot collide");
-        let breakers = Breakers::new(config.breaker.clone(), Some(Arc::clone(&registry)));
+            .register_counters(&scope)
+            .expect("a fresh runtime holds no /service counters");
+        let breakers = Breakers::new(config.breaker.clone(), Some(registry));
         let shared = Arc::new_cyclic(|weak: &std::sync::Weak<Shared>| {
             let w1 = weak.clone();
             let w2 = weak.clone();
             let counters = ServiceCounters::register(
-                &registry,
+                scope,
                 move || {
                     w1.upgrade()
                         .map_or(0.0, |s: Arc<Shared>| s.queues.lock().fair.len() as f64)
@@ -174,10 +176,9 @@ impl JobService {
                     })
                 },
             )
-            .expect("fresh registry cannot collide");
+            .expect("a fresh runtime holds no /service counters");
             Shared {
                 runtime,
-                registry: Arc::clone(&registry),
                 counters,
                 queues,
                 idle_cv: Condvar::new(),
@@ -225,7 +226,7 @@ impl JobService {
         let instance = format!("{}#{}", spec.name, id.0);
         let group = grain_runtime::TaskGroup::new();
         // Each (name, id) instance is unique, so this cannot collide.
-        let counters = JobCounters::register(&shared.registry, &instance, &group)
+        let counters = JobCounters::register(shared.runtime.registry(), &instance, &group)
             .expect("unique job instance cannot collide");
         let core = Arc::new(JobCore::new(id, spec, group, counters, Box::new(body)));
         let handle = JobHandle {
@@ -292,10 +293,11 @@ impl JobService {
         }
     }
 
-    /// The shared counter registry: `/service/...` plus one
-    /// `/jobs{name#id}/...` namespace per live job.
+    /// The service's one counter registry, its runtime's: the runtime's
+    /// `/threads{…}`, `/service/...` and one `/jobs{name#id}/...`
+    /// namespace per live job.
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.shared.registry
+        self.shared.runtime.registry()
     }
 
     /// The service-level counters (raw handles and histograms).
@@ -303,8 +305,8 @@ impl JobService {
         &self.shared.counters
     }
 
-    /// The underlying runtime (its own `/threads` counters live in
-    /// [`Runtime::registry`]).
+    /// The underlying runtime, whose [`Runtime::registry`] is the
+    /// service's.
     pub fn runtime(&self) -> &Runtime {
         &self.shared.runtime
     }

@@ -264,8 +264,13 @@ fn a_deadline_still_times_out_through_the_dispatcher() {
 /// Zero-grain jobs waiting behind the budget are the paper's "too fine"
 /// regime, and the pressure loop answers them as such (ROADMAP item
 /// 6(c), reading 1): a one-worker service whose jobs are all dispatch
-/// reads its windowed overhead (Eq. 1) above the cut threshold, and
-/// halves the budget down to its floor while they wait.
+/// halves the budget down to its floor while they wait. The budget is
+/// cut only while the windowed overhead (Eq. 1) sits at or above the cut
+/// threshold with work queued (`pressure.rs`'s
+/// `overhead_just_below_the_cut_threshold_leaves_the_budget`), so
+/// reaching the floor shows three samples read it there; the overhead a
+/// one-worker service reads afterwards depends on the host, and is not
+/// asserted.
 #[test]
 fn zero_grain_jobs_behind_the_budget_cut_it_to_the_floor() {
     /// `pressure.rs`'s `MIN_BUDGET`.
@@ -299,12 +304,10 @@ fn zero_grain_jobs_behind_the_budget_cut_it_to_the_floor() {
         let oldest = live.pop_front().expect("a job is live");
         assert_eq!(oldest.wait().state, JobState::Completed);
     }
-    let overhead = gauge("/service/pressure/overhead");
     let limit = gauge("/service/tasks/budget-limit");
     service.wait_all();
     assert_eq!(
         limit, FLOOR as f64,
         "the budget fell to its floor within {jobs} jobs"
     );
-    assert!(overhead >= 0.6, "zero-grain jobs read overhead {overhead}");
 }

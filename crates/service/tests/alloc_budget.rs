@@ -46,7 +46,7 @@ const JOB_COUNTERS: [&str; 8] = [
 fn job_scopes(registry: &Arc<Registry>, first: u64) {
     for id in first..first + JOBS {
         let cell = Arc::new(AtomicU64::new(id));
-        let scope = registry.scope("jobs", &format!("render#{id}"));
+        let scope = registry.scope("jobs", Some(&format!("render#{id}")));
         for name in JOB_COUNTERS {
             let cell = Arc::clone(&cell);
             let view =
@@ -66,28 +66,23 @@ fn empty_jobs(service: &JobService) {
 /// One test, so nothing else in this process allocates while it counts.
 #[test]
 fn per_job_paths_stay_within_their_allocation_budget() {
-    // The scope shares its registry with the 13 long-lived counters the
-    // service registers at startup.
-    let registry = Arc::new(Registry::new());
-    for i in 0..13 {
-        let view = DerivedCounter::new(Unit::Count, move || f64::from(i));
-        registry
-            .register(&format!("/service/startup/{i}"), view)
-            .expect("fresh registry");
-    }
+    // The scopes share the registry of an idle one-worker service with
+    // the long-lived counters it and its runtime register at startup.
+    let service = JobService::with_workers(1);
+    let registry = Arc::clone(service.registry());
+    let startup = registry.len();
     job_scopes(&registry, 0);
     // The instance, the job's cell and the prefix; per counter the
     // closure's box, the counter's `Arc`, its key and the scope's copy of
     // the key; the scope's list of keys growing to eight; one map node.
     // Nothing is parsed: a parse is three strings and a render one more.
     let per_scope = allocs_per_job(|| job_scopes(&registry, JOBS));
-    assert_eq!(registry.len(), 13, "every scope retired its counters");
+    assert_eq!(registry.len(), startup, "every scope retired its counters");
     assert!(
         per_scope <= 39.0,
         "{per_scope:.2} allocations per job scope"
     );
 
-    let service = JobService::with_workers(1);
     empty_jobs(&service);
     // Everything one empty job costs the service, submit to outcome: the
     // spec's strings, the job core, group, handle and counter scope, the

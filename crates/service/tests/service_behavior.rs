@@ -609,3 +609,103 @@ fn wait_timeout_past_the_clock_range_is_no_deadline() {
     assert_eq!(state(), Some(JobState::Completed), "settled later");
     assert_eq!(state(), Some(JobState::Completed), "settled already");
 }
+
+/// A service has one registry, its runtime's, and publishes into it
+/// exactly what the runtime and the service published into two
+/// registries before they shared one: the one-worker `/threads{…}` tree
+/// and the `/service/…` family.
+#[test]
+fn a_fresh_service_publishes_its_runtimes_paths_and_its_own_in_one_registry() {
+    const SERVICE: [&str; 18] = [
+        "dispatcher/wakes",
+        "jobs/admitted",
+        "jobs/cancelled",
+        "jobs/completed",
+        "jobs/failed",
+        "jobs/rejected",
+        "jobs/retried",
+        "jobs/shed",
+        "jobs/submitted",
+        "jobs/timed-out",
+        "pressure/level",
+        "pressure/overhead",
+        "pressure/queue-fill",
+        "queue/length",
+        "tasks/budget-in-use",
+        "tasks/budget-limit",
+        "time/admission-latency",
+        "time/turnaround",
+    ];
+    const TOTAL: [&str; 22] = [
+        "count/converted",
+        "count/cumulative",
+        "count/cumulative-phases",
+        "count/exec-samples",
+        "count/faulted",
+        "count/pending-accesses",
+        "count/pending-misses",
+        "count/pending-queue-length",
+        "count/spawned",
+        "count/staged-accesses",
+        "count/staged-misses",
+        "count/staged-queue-length",
+        "count/stolen",
+        "idle-rate",
+        "queue/cas-retries",
+        "queue/segment-allocations",
+        "time/average",
+        "time/average-overhead",
+        "time/average-phase",
+        "time/average-phase-overhead",
+        "time/cumulative-exec",
+        "time/cumulative-func",
+    ];
+    const WORKER: [&str; 5] = [
+        "count/cumulative",
+        "count/pending-accesses",
+        "count/pending-misses",
+        "idle-rate",
+        "time/average",
+    ];
+    let service = JobService::new(single_worker_config());
+    assert!(Arc::ptr_eq(
+        service.registry(),
+        service.runtime().registry()
+    ));
+    let mut expected: Vec<String> = (SERVICE.iter().map(|n| format!("/service/{n}")))
+        .chain(
+            TOTAL
+                .iter()
+                .map(|n| format!("/threads{{locality#0/total}}/{n}")),
+        )
+        .chain(
+            WORKER
+                .iter()
+                .map(|n| format!("/threads{{locality#0/worker-thread#0}}/{n}")),
+        )
+        .collect();
+    expected.sort();
+    assert_eq!(service.registry().paths(), expected);
+}
+
+/// Dropping a service, after jobs and a tenant breaker have registered
+/// their scopes, leaves its registry empty: every scope retired, and no
+/// counter keeps its owner alive.
+#[test]
+fn dropping_a_service_empties_its_registry() {
+    let service = JobService::new(single_worker_config());
+    let registry = Arc::clone(service.registry());
+    let held = service.submit(JobSpec::new("held", "tenant-a"), |_| {});
+    assert_eq!(held.wait().state, JobState::Completed);
+    assert!(registry
+        .paths()
+        .iter()
+        .any(|p| p.starts_with("/service{tenants/tenant-a}/breaker/")));
+    assert!(registry
+        .paths()
+        .iter()
+        .any(|p| p.starts_with("/jobs{held#0}/")));
+    drop(held);
+    drop(service);
+    assert!(registry.is_empty(), "{:?}", registry.paths());
+}

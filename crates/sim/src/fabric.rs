@@ -49,7 +49,7 @@
 use crate::netplan::{NetPlan, PartitionMode, Verdict};
 use grain_counters::registry::RawView;
 use grain_counters::sync::{deadline_after, AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
-use grain_counters::{DerivedCounter, RawCounter, Registry, RegistryError, Unit};
+use grain_counters::{DerivedCounter, RawCounter, Registry, RegistryError, ScopedRegistry, Unit};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, Weak};
@@ -583,10 +583,14 @@ impl NetFabric {
         }
     }
 
-    /// Register the `/net{fabric/total}/…` counter family in
-    /// `registry`.
-    pub fn register(self: &Arc<Self>, registry: &Registry) -> Result<(), RegistryError> {
-        let t = "fabric/total";
+    /// Register the `/net{fabric/total}/…` counter family in `registry`
+    /// through the returned scope: whoever attaches the fabric holds it,
+    /// and dropping it retires the family.
+    pub fn register(
+        self: &Arc<Self>,
+        registry: &Arc<Registry>,
+    ) -> Result<ScopedRegistry, RegistryError> {
+        let scope = registry.scope("net", Some("fabric/total"));
         let raws: [(&str, &Arc<RawCounter>); 9] = [
             ("frames/injected", &self.ledger.injected),
             ("frames/duplicated", &self.ledger.duplicated),
@@ -599,27 +603,24 @@ impl NetFabric {
             ("partitions/healed", &self.ledger.partitions_healed),
         ];
         for (name, ctr) in raws {
-            registry.register(
-                &format!("/net{{{t}}}/{name}"),
-                RawView::new(Arc::clone(ctr), Unit::Count),
-            )?;
+            scope.register(name, RawView::new(Arc::clone(ctr), Unit::Count))?;
         }
         let w = Arc::downgrade(self);
-        registry.register(
-            &format!("/net{{{t}}}/frames/held"),
+        scope.register(
+            "frames/held",
             DerivedCounter::new(Unit::Count, move || {
                 w.upgrade().map_or(0.0, |f| f.ledger().held as f64)
             }),
         )?;
         let w: Weak<Self> = Arc::downgrade(self);
-        registry.register(
-            &format!("/net{{{t}}}/partitions/active"),
+        scope.register(
+            "partitions/active",
             DerivedCounter::new(Unit::Count, move || {
                 w.upgrade()
                     .map_or(0.0, |f| f.state.lock().partitions.len() as f64)
             }),
         )?;
-        Ok(())
+        Ok(scope)
     }
 
     /// The pump: pop events in virtual-time order, advance the clock,
