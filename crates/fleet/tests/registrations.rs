@@ -164,7 +164,10 @@ fn every_path_a_fleet_world_publishes_parses_back_to_itself() {
     // Three one-worker runtime trees, two services' own trees with the
     // `/service/…` family, three parcel families and the gateway's
     // ledger, and the breaker of the worker the job ran on.
-    assert!(paths > 3 * 27 + 2 * (27 + 18) + 3 * 11 + 18, "{paths} paths");
+    assert!(
+        paths > 3 * 27 + 2 * (27 + 18) + 3 * 11 + 18,
+        "{paths} paths"
+    );
     drop(gateway);
     drop(workers);
     world.shutdown();
