@@ -58,21 +58,14 @@
 //! exec_time.add(2, 1500);
 //! tasks.add(2, 1);
 //!
-//! // Counters enter the registry through a scope their owner holds.
 //! let registry = Arc::new(Registry::new());
 //! let scope = registry.scope("threads", Some("locality#0/total"));
-//! scope
-//!     .register(
-//!         "time/average",
-//!         average_of(exec_time.clone(), tasks.clone(), Unit::Nanoseconds),
-//!     )
-//!     .unwrap();
+//! let average = average_of(exec_time.clone(), tasks.clone(), Unit::Nanoseconds);
+//! scope.register("time/average", average).unwrap();
 //!
 //! let v = registry.query("/threads{locality#0/total}/time/average").unwrap();
 //! assert_eq!(v.value, 1500.0);
-//!
-//! // Dropping the scope retires its counters.
-//! drop(scope);
+//! drop(scope); // the owner's scope goes, and its counters with it
 //! assert!(registry.is_empty());
 //! ```
 

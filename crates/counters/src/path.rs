@@ -118,31 +118,25 @@ impl CounterPath {
         format!("{}/total", Self::locality_prefix(locality))
     }
 
-    /// The `/object{instance}` (or, with no instance, `/object`) prefix
-    /// of every path in one scope, or the same text as an error if a path
-    /// built on it would not parse back to this object and instance: an
-    /// empty object or a `{` in it; with an instance, a `}` in the object
-    /// or the instance; without one, a `/` in the object.
+    /// The `/object{instance}` (or bare `/object`) prefix of every path in
+    /// one scope, or the same text as an error if a path built on it
+    /// would not parse back to this object and instance.
     /// [`scoped_name_is_valid`](Self::scoped_name_is_valid) checks the
     /// rest, so a scope validates its prefix once and builds each path by
     /// concatenation.
     pub(crate) fn scope_prefix(object: &str, instance: Option<&str>) -> Result<String, String> {
-        let valid = !object.is_empty()
-            && !object.contains('{')
-            && match instance {
-                Some(instance) => !object.contains('}') && !instance.contains('}'),
-                None => !object.contains('/'),
-            };
-        let mut prefix = String::with_capacity(object.len() + instance.map_or(1, |i| i.len() + 3));
-        for part in ["/", object] {
+        let (parts, valid) = match instance {
+            Some(i) => (
+                ["/", object, "{", i, "}"],
+                !object.contains('}') && !i.contains('}'),
+            ),
+            None => (["/", object, "", "", ""], !object.contains('/')),
+        };
+        let mut prefix = String::with_capacity(parts.iter().map(|p| p.len()).sum());
+        for part in parts {
             prefix.push_str(part);
         }
-        if let Some(instance) = instance {
-            for part in ["{", instance, "}"] {
-                prefix.push_str(part);
-            }
-        }
-        if valid {
+        if valid && !object.is_empty() && !object.contains('{') {
             Ok(prefix)
         } else {
             Err(prefix)

@@ -229,6 +229,7 @@ impl FleetJobSpec {
 /// `submitted == completed + failed + timed-out + cancelled + rejected + shed`,
 /// and every re-dispatch is accounted to exactly one cause
 /// (`orphaned`, `handed-back`, `hedged`, `retried`).
+#[derive(Default)]
 pub struct FleetCounters {
     /// Jobs accepted by [`FleetGateway::submit`].
     pub submitted: Arc<RawCounter>,
@@ -269,29 +270,6 @@ pub struct FleetCounters {
 }
 
 impl FleetCounters {
-    fn new() -> Self {
-        Self {
-            submitted: Arc::new(RawCounter::new()),
-            completed: Arc::new(RawCounter::new()),
-            failed: Arc::new(RawCounter::new()),
-            timed_out: Arc::new(RawCounter::new()),
-            cancelled: Arc::new(RawCounter::new()),
-            rejected: Arc::new(RawCounter::new()),
-            shed: Arc::new(RawCounter::new()),
-            dispatches: Arc::new(RawCounter::new()),
-            redispatches: Arc::new(RawCounter::new()),
-            orphaned: Arc::new(RawCounter::new()),
-            handed_back: Arc::new(RawCounter::new()),
-            hedged: Arc::new(RawCounter::new()),
-            worker_rejects: Arc::new(RawCounter::new()),
-            dispatch_failures: Arc::new(RawCounter::new()),
-            completions: Arc::new(RawCounter::new()),
-            fenced: Arc::new(RawCounter::new()),
-            duplicates: Arc::new(RawCounter::new()),
-            passes: Arc::new(RawCounter::new()),
-        }
-    }
-
     /// Register the ledger under `/fleet{locality#N/total}/…` through
     /// the returned scope, which retires it when dropped.
     fn register(
@@ -531,7 +509,7 @@ impl FleetGateway {
             config,
             jobs: Mutex::new(Jobs::default()),
             workers: Mutex::new(HashMap::new()),
-            counters: FleetCounters::new(),
+            counters: FleetCounters::default(),
             next_key: AtomicU64::new(1),
             kick: Arc::default(),
         });

@@ -38,11 +38,10 @@ use std::time::Duration;
 /// An in-process world of loopback- or chaos-connected localities.
 pub struct Fabric {
     localities: Vec<Locality>,
-    /// The simulated network, when built with [`Fabric::chaotic`].
-    net: Option<Arc<NetFabric>>,
-    /// Keeps the network's `/net{fabric/total}/…` counters registered on
-    /// locality 0 while the world lives.
-    _net_counters: Option<ScopedRegistry>,
+    /// The simulated network, when built with [`Fabric::chaotic`], and
+    /// the scope keeping its `/net{fabric/total}/…` counters on locality
+    /// 0 while the world lives.
+    net: Option<(Arc<NetFabric>, ScopedRegistry)>,
 }
 
 impl Fabric {
@@ -88,10 +87,12 @@ impl Fabric {
                 Locality::with_config(rt, i, world, mk_net(i)).expect("register parcel counters")
             })
             .collect();
-        let net_counters = net.as_ref().map(|fabric| {
-            fabric
-                .register(localities[0].runtime().registry())
-                .expect("a fresh locality holds no /net counters")
+        let net = net.map(|fabric| {
+            let registry = localities[0].runtime().registry();
+            let counters = fabric
+                .register(registry)
+                .expect("a fresh locality holds no /net counters");
+            (fabric, counters)
         });
         for i in 0..world {
             for j in (i + 1)..world {
@@ -102,24 +103,20 @@ impl Fabric {
                     counters: Arc::clone(localities[k].parcels()),
                 };
                 let (i_to_j, j_to_i) = match &net {
-                    Some(fabric) => parcelport::sim_pair(fabric, end(i), end(j), DEFAULT_QUEUE_CAP),
+                    Some((f, _)) => parcelport::sim_pair(f, end(i), end(j), DEFAULT_QUEUE_CAP),
                     None => parcelport::loopback_pair(end(i), end(j), DEFAULT_QUEUE_CAP),
                 };
                 localities[i].add_link(i_to_j);
                 localities[j].add_link(j_to_i);
             }
         }
-        Self {
-            localities,
-            net,
-            _net_counters: net_counters,
-        }
+        Self { localities, net }
     }
 
     /// The simulated network, when this world was built with
     /// [`Fabric::chaotic`] — for ledger assertions, partitions, pausing.
     pub fn net(&self) -> Option<&Arc<NetFabric>> {
-        self.net.as_ref()
+        self.net.as_ref().map(|(fabric, _)| fabric)
     }
 
     /// Number of localities in this world (including killed ones).
@@ -151,7 +148,7 @@ impl Fabric {
         for loc in &self.localities {
             loc.runtime().wait_idle();
         }
-        if let Some(fabric) = &self.net {
+        if let Some((fabric, _)) = &self.net {
             fabric.wait_quiescent(Duration::from_secs(5));
             fabric.stop();
         }

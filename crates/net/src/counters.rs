@@ -49,6 +49,7 @@ use std::sync::Arc;
 /// Raw event counters for one locality's parcel traffic. Shared between
 /// the locality, its links (writer threads bump `sent`), and the derived
 /// registry views.
+#[derive(Default)]
 pub struct ParcelCounters {
     /// Parcels (Call/Reply frames) delivered to a peer.
     pub sent: Arc<RawCounter>,
@@ -77,30 +78,7 @@ pub struct ParcelCounters {
     pub ser_samples: Arc<RawCounter>,
 }
 
-impl Default for ParcelCounters {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ParcelCounters {
-    /// Fresh all-zero counter set.
-    pub fn new() -> Self {
-        Self {
-            sent: Arc::new(RawCounter::new()),
-            received: Arc::new(RawCounter::new()),
-            dropped: Arc::new(RawCounter::new()),
-            duplicated: Arc::new(RawCounter::new()),
-            deduped: Arc::new(RawCounter::new()),
-            calls_issued: Arc::new(RawCounter::new()),
-            calls_settled: Arc::new(RawCounter::new()),
-            bytes_sent: Arc::new(RawCounter::new()),
-            bytes_received: Arc::new(RawCounter::new()),
-            ser_ns: Arc::new(RawCounter::new()),
-            ser_samples: Arc::new(RawCounter::new()),
-        }
-    }
-
     /// Register the family under `/parcels{locality#N/total}/…` in
     /// `registry`, through the returned scope: dropping it retires the
     /// family. `queue_len` is sampled live for the `queue-length` counter
@@ -150,7 +128,7 @@ mod tests {
 
     #[test]
     fn family_registers_and_reads_back() {
-        let c = ParcelCounters::new();
+        let c = ParcelCounters::default();
         let reg = Arc::new(Registry::new());
         let scope = c.register(&reg, 3, || 2.0).expect("register");
 
@@ -201,7 +179,7 @@ mod tests {
 
     #[test]
     fn average_serialization_is_zero_with_no_samples() {
-        let c = ParcelCounters::new();
+        let c = ParcelCounters::default();
         let reg = Arc::new(Registry::new());
         let _scope = c.register(&reg, 0, || 0.0).expect("register");
         let v = reg

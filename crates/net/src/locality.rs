@@ -510,12 +510,10 @@ impl Locality {
         );
         let monitored = config.liveness_deadline.is_some() || config.call_deadline.is_some();
         let monitor_kick = monitored.then(Arc::<Kick>::default);
-        // The queue-length probe reads the locality weakly; a refused
-        // registration (this locality's paths already live in the
-        // runtime's registry) fails the constructor below.
+        // The queue-length probe reads the locality weakly.
         let mut refused = None;
         let shared = Arc::new_cyclic(|me: &Weak<LocalityShared>| {
-            let parcels = Arc::new(ParcelCounters::new());
+            let parcels = Arc::new(ParcelCounters::default());
             let w = me.clone();
             let probe = move || w.upgrade().map_or(0.0, |s| s.total_queue_len() as f64);
             let parcel_counters = (parcels.register(runtime.registry(), id, probe))

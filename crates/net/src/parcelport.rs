@@ -597,7 +597,7 @@ mod tests {
     use std::time::Instant;
 
     fn counters() -> Arc<ParcelCounters> {
-        Arc::new(ParcelCounters::new())
+        Arc::new(ParcelCounters::default())
     }
 
     fn endpoint(

@@ -807,7 +807,7 @@ pub struct Runtime {
     threads: Vec<std::thread::JoinHandle<()>>,
     /// The `/threads{…}` scopes (the total, then each worker): dropping
     /// the runtime retires them after its workers have stopped.
-    _counters: Vec<ScopedRegistry>,
+    _published: Vec<ScopedRegistry>,
 }
 
 /// Reports a worker thread that dies from an uncontained panic (a
@@ -926,7 +926,7 @@ impl Runtime {
         Self {
             inner,
             threads,
-            _counters: published,
+            _published: published,
         }
     }
 
