@@ -179,8 +179,8 @@ impl Registry {
     /// or to the bare `object` when `instance` is `None`.
     ///
     /// Counters registered through the scope live under
-    /// `/{object}{{{instance}}}/<name>` (or `/{object}/<name>`); dropping
-    /// the scope retires them. This is the only way into a registry, so
+    /// `/object{instance}/<name>` (or `/object/<name>`); dropping the
+    /// scope retires them. This is the only way into a registry, so
     /// every counter lives exactly as long as the scope its owner holds.
     /// The prefix is validated here, once: an `object{instance}` no path
     /// could parse back to makes every `register` through the scope fail

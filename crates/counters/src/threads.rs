@@ -3,8 +3,8 @@
 //! One [`ThreadCounters`] instance per runtime holds every sharded raw
 //! counter the scheduler and workers bump, and knows how to register the
 //! full HPX-style counter tree — per-worker instances, `total` aggregates
-//! and the derived Eq. 1–3 counters — into a
-//! [`crate::Registry`], one scope per instance. Every counter here follows the one-writer-per-shard
+//! and the derived Eq. 1–3 counters — into a [`crate::Registry`], one
+//! scope per instance. Every counter here follows the one-writer-per-shard
 //! contract of [`crate::raw`]: worker `w` writes shard `w`.
 
 use crate::derived::{average_of, average_of_worker, ratio_of, ratio_of_worker, DerivedCounter};

@@ -516,7 +516,8 @@ impl Locality {
             let parcels = Arc::new(ParcelCounters::default());
             let w = me.clone();
             let probe = move || w.upgrade().map_or(0.0, |s| s.total_queue_len() as f64);
-            let parcel_counters = (parcels.register(runtime.registry(), id, probe))
+            let parcel_counters = parcels
+                .register(runtime.registry(), id, probe)
                 .map_err(|e| refused = Some(e))
                 .ok();
             LocalityShared {
