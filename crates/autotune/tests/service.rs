@@ -65,7 +65,9 @@ fn graph_shapes_round_trip_through_the_service() {
 
 /// Dropping the subsystem retires its `/autotune/…` aggregates and
 /// tenant counters: the service's registry holds exactly the paths it
-/// held before `attach`.
+/// held before `attach`, apart from jobs. A settled job's `/jobs{…}`
+/// scope retires with the job's last reference, which the service may
+/// still hold just after the wake, so those are left out on both sides.
 #[test]
 fn a_dropped_autotune_leaves_the_paths_it_found() {
     let auto = Autotune::new(AutotuneConfig::default());
@@ -78,7 +80,12 @@ fn a_dropped_autotune_leaves_the_paths_it_found() {
     assert_eq!(plain.wait().state, JobState::Completed);
     drop(plain);
     let registry = service.registry();
-    let before = registry.paths();
+    let outside_jobs = || {
+        let mut paths = registry.paths();
+        paths.retain(|p| !p.starts_with("/jobs{"));
+        paths
+    };
+    let before = outside_jobs();
     auto.attach(&service).expect("attach");
     let shape = ShapedWork::ParallelFor {
         elements: 64,
@@ -93,5 +100,5 @@ fn a_dropped_autotune_leaves_the_paths_it_found() {
         2 + 4
     );
     drop(auto);
-    assert_eq!(registry.paths(), before);
+    assert_eq!(outside_jobs(), before);
 }

@@ -431,6 +431,12 @@ impl WorkerView {
     }
 }
 
+/// Job keys, one sequence for every gateway in the process: a worker
+/// remembers each key it finished for as long as it lives, and answers
+/// that key again with the recorded outcome. A gateway installed after
+/// another was dropped must not reuse the keys the first one drew.
+static NEXT_KEY: AtomicU64 = AtomicU64::new(1);
+
 struct GatewayShared {
     locality: Locality,
     config: FleetConfig,
@@ -438,7 +444,6 @@ struct GatewayShared {
     workers: Mutex<HashMap<usize, WorkerView>>,
     breakers: Breakers<usize>,
     counters: FleetCounters,
-    next_key: AtomicU64,
     /// Wakes the pump for a pass: a submission, a drain, a poll or an
     /// ack settling, a change in the locality's peer set.
     kick: Arc<Kick>,
@@ -510,7 +515,6 @@ impl FleetGateway {
             jobs: Mutex::new(Jobs::default()),
             workers: Mutex::new(HashMap::new()),
             counters: FleetCounters::default(),
-            next_key: AtomicU64::new(1),
             kick: Arc::default(),
         });
         let counters = shared
@@ -557,7 +561,7 @@ impl FleetGateway {
     /// rather than hang).
     pub fn submit(&self, spec: FleetJobSpec) -> FleetJobHandle {
         let shared = &self.shared;
-        let key = shared.next_key.fetch_add(1, Ordering::Relaxed);
+        let key = NEXT_KEY.fetch_add(1, Ordering::Relaxed);
         shared.counters.submitted.incr();
         let slot = Arc::new(Slot {
             outcome: Mutex::new(None),

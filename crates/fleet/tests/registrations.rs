@@ -7,6 +7,7 @@
 //! parsed on insert, so the last test parses every path a fleet world
 //! publishes back to itself.
 
+use grain_counters::sync::Ordering;
 use grain_counters::{CounterPath, Registry, RegistryError};
 use grain_fleet::{FleetConfig, FleetGateway, FleetJobSpec, FleetWorker, FleetWorkerConfig};
 use grain_net::bootstrap::Fabric;
@@ -55,6 +56,34 @@ fn a_gateway_installed_and_dropped_three_times_leaves_the_paths_it_found() {
         drop(gateway);
     }
     assert_eq!(registry.paths(), before);
+    world.shutdown();
+}
+
+/// A gateway installed after another was dropped runs its jobs: the
+/// worker that served the first still holds that gateway's finished
+/// keys, and answers a key it knows with the recorded outcome instead
+/// of running the job. So each round's job settles as its own body says,
+/// failed or completed, and the worker never takes one for a duplicate.
+#[test]
+fn a_reinstalled_gateway_runs_its_jobs_on_the_worker_the_last_one_used() {
+    let world = Fabric::loopback(2, one_worker);
+    let worker = FleetWorker::install(world.locality(1), FleetWorkerConfig::new(0, 1));
+    for (round, faulty) in [true, false, true, false].into_iter().enumerate() {
+        let gateway = FleetGateway::install(world.locality(0), FleetConfig::new(vec![1]));
+        let spec = FleetJobSpec::new("j", "t").tasks(1).grain_iters(0);
+        let outcome = gateway
+            .submit(spec.faulty(faulty))
+            .wait_timeout(PATIENCE)
+            .expect("job settles");
+        let expected = if faulty {
+            JobState::Failed
+        } else {
+            JobState::Completed
+        };
+        assert_eq!(outcome.state, expected, "round {round}");
+        drop(gateway);
+    }
+    assert_eq!(worker.counters().deduped.load(Ordering::Relaxed), 0);
     world.shutdown();
 }
 
