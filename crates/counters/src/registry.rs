@@ -133,6 +133,10 @@ impl std::error::Error for RegistryError {}
 /// at runtime (warm but not hot — the hot path increments raw counters
 /// directly). A `BTreeMap` keeps discovery output deterministically
 /// ordered.
+///
+/// Its lock is a leaf: no [`Counter::value`], [`Counter::reset`] or
+/// counter drop runs under it, so a counter may take its owner's locks
+/// and an owner may retire a scope under them.
 #[derive(Default)]
 pub struct Registry {
     counters: RwLock<BTreeMap<String, Arc<dyn Counter>>>,
@@ -150,8 +154,8 @@ impl Registry {
             .parse()
             .map_err(|_| RegistryError::BadPath(path.to_owned()))?;
         let key = parsed.to_string();
-        let map = self.counters.read();
-        map.get(&key)
+        let counter = self.counters.read().get(&key).cloned();
+        counter
             .map(|c| c.value())
             .ok_or(RegistryError::NotFound(key))
     }
@@ -190,7 +194,7 @@ impl Registry {
             registry: Arc::clone(self),
             prefix: CounterPath::scope_prefix(object, instance),
             instanced: instance.is_some(),
-            keys: crate::sync::Mutex::new(Vec::new()),
+            entries: crate::sync::Mutex::new(Vec::new()),
         }
     }
 
@@ -201,7 +205,8 @@ impl Registry {
 
     /// Reset every registered counter (start of a monitoring epoch).
     pub fn reset_all(&self) {
-        for c in self.counters.read().values() {
+        let counters: Vec<Arc<dyn Counter>> = self.counters.read().values().cloned().collect();
+        for c in counters {
             c.reset();
         }
     }
@@ -227,8 +232,9 @@ pub struct ScopedRegistry {
     prefix: Result<String, String>,
     /// Whether the prefix names an instance (a name may then hold `{`).
     instanced: bool,
-    /// The canonical keys registered through this scope.
-    keys: crate::sync::Mutex<Vec<String>>,
+    /// The canonical keys registered through this scope, each with the
+    /// reference to its counter that the scope drops last.
+    entries: crate::sync::Mutex<Vec<(String, Arc<dyn Counter>)>>,
 }
 
 impl ScopedRegistry {
@@ -276,9 +282,9 @@ impl ScopedRegistry {
         if map.contains_key(&key) {
             return Err(RegistryError::Duplicate(key));
         }
-        map.insert(key.clone(), counter);
+        map.insert(key.clone(), Arc::clone(&counter));
         drop(map);
-        self.keys.lock().push(key);
+        self.entries.lock().push((key, counter));
         Ok(())
     }
 
@@ -290,16 +296,21 @@ impl ScopedRegistry {
     /// Full paths of every counter registered through this scope, in
     /// registration order.
     pub fn paths(&self) -> Vec<String> {
-        self.keys.lock().clone()
+        self.entries.lock().iter().map(|(k, _)| k.clone()).collect()
     }
 
     /// Remove every counter registered through this scope, under one
     /// write lock and by the keys it inserted; returns how many were
-    /// removed (counters already removed directly are skipped).
+    /// removed (counters already removed are skipped).
     fn unregister_all(&self) -> usize {
-        let keys = std::mem::take(&mut *self.keys.lock());
+        let entries = std::mem::take(&mut *self.entries.lock());
+        // Declared after `entries`, so the lock goes first and the
+        // scope's references, the counters' last, after it.
         let mut map = self.registry.counters.write();
-        keys.iter().filter(|k| map.remove(*k).is_some()).count()
+        entries
+            .iter()
+            .filter(|(k, _)| map.remove(k).is_some())
+            .count()
     }
 }
 

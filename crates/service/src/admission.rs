@@ -22,7 +22,7 @@ use crate::job::JobCore;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Admission-control configuration.
 #[derive(Debug, Clone)]
@@ -186,36 +186,38 @@ impl fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
+/// A queued job and its backoff gate: a retrying job is not re-admitted
+/// before `not_before`.
+#[derive(Clone)]
+pub(crate) struct Waiting {
+    pub(crate) core: Arc<JobCore>,
+    pub(crate) not_before: Option<Instant>,
+}
+
 struct TenantQueue {
     /// Admissions so far, counted from the floor the tenant joined at.
     pass: u64,
-    jobs: VecDeque<Arc<JobCore>>,
+    jobs: VecDeque<Waiting>,
 }
 
 /// Per-tenant FIFO queues drained in stride order. Internal to
-/// the service; guarded by its queues mutex.
+/// the service; part of its books, under the `queues` lock.
+#[derive(Default)]
 pub(crate) struct FairQueues {
     tenants: BTreeMap<String, TenantQueue>,
     queued: usize,
 }
 
 impl FairQueues {
-    pub(crate) fn new() -> Self {
-        Self {
-            tenants: BTreeMap::new(),
-            queued: 0,
-        }
-    }
-
     /// Jobs currently waiting (including not-yet-reaped cancelled ones).
     pub(crate) fn len(&self) -> usize {
         self.queued
     }
 
-    /// Enqueue a job for its tenant, creating the tenant's queue at the
-    /// current minimum pass so it cannot leapfrog established tenants'
-    /// history nor starve behind it.
-    pub(crate) fn push(&mut self, core: Arc<JobCore>) {
+    /// Enqueue a job and its backoff gate for its tenant, creating the
+    /// tenant's queue at the current minimum pass so it cannot leapfrog
+    /// established tenants' history nor starve behind it.
+    pub(crate) fn push(&mut self, core: Arc<JobCore>, not_before: Option<Instant>) {
         let floor = self
             .tenants
             .values()
@@ -234,7 +236,7 @@ impl FairQueues {
         if entry.jobs.is_empty() && entry.pass < floor {
             entry.pass = floor;
         }
-        entry.jobs.push_back(core);
+        entry.jobs.push_back(Waiting { core, not_before });
         self.queued += 1;
     }
 
@@ -246,7 +248,7 @@ impl FairQueues {
         let mut reaped = 0;
         for t in self.tenants.values_mut() {
             let before = t.jobs.len();
-            t.jobs.retain(|c| !c.state().is_terminal());
+            t.jobs.retain(|w| !w.core.state().is_terminal());
             reaped += before - t.jobs.len();
         }
         self.queued -= reaped;
@@ -260,7 +262,7 @@ impl FairQueues {
     /// to the next tenant.
     pub(crate) fn pop_next(
         &mut self,
-        mut admissible: impl FnMut(&JobCore) -> bool,
+        mut admissible: impl FnMut(&Waiting) -> bool,
     ) -> Option<Arc<JobCore>> {
         self.reap_terminal();
         // Visit non-empty tenants in pass order.
@@ -277,28 +279,28 @@ impl FairQueues {
                 self.tenants[*name]
                     .jobs
                     .front()
-                    .is_some_and(|c| admissible(c))
+                    .is_some_and(&mut admissible)
             })
             .cloned()?;
         let t = self.tenants.get_mut(&chosen).expect("tenant exists");
-        let core = t.jobs.pop_front().expect("non-empty by construction");
+        let popped = t.jobs.pop_front().expect("non-empty by construction");
         self.queued -= 1;
         t.pass += 1;
-        Some(core)
+        Some(popped.core)
     }
 
     /// Remove and return every waiting job (shutdown path).
     pub(crate) fn drain(&mut self) -> Vec<Arc<JobCore>> {
         let mut all = Vec::new();
         for t in self.tenants.values_mut() {
-            all.extend(t.jobs.drain(..));
+            all.extend(t.jobs.drain(..).map(|w| w.core));
         }
         self.queued = 0;
         all
     }
 
-    /// Iterate the waiting jobs (deadline scanning).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &Arc<JobCore>> {
+    /// Iterate the waiting jobs (deadline and gate scanning).
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Waiting> {
         self.tenants.values().flat_map(|t| t.jobs.iter())
     }
 }
@@ -327,9 +329,9 @@ mod tests {
 
     #[test]
     fn fifo_within_one_tenant() {
-        let mut q = FairQueues::new();
+        let mut q = FairQueues::default();
         for id in 0..4 {
-            q.push(core(id, "a"));
+            q.push(core(id, "a"), None);
         }
         let ids: Vec<u64> = std::iter::from_fn(|| q.pop_next(|_| true))
             .map(|c| c.id.0)
@@ -340,12 +342,12 @@ mod tests {
 
     #[test]
     fn contending_tenants_alternate() {
-        let mut q = FairQueues::new();
+        let mut q = FairQueues::default();
         for id in 0..3 {
-            q.push(core(id, "a"));
+            q.push(core(id, "a"), None);
         }
         for id in 10..13 {
-            q.push(core(id, "b"));
+            q.push(core(id, "b"), None);
         }
         let tenants: Vec<String> = std::iter::from_fn(|| q.pop_next(|_| true))
             .map(|c| c.spec.tenant.clone())
@@ -358,10 +360,10 @@ mod tests {
 
     #[test]
     fn inadmissible_heads_do_not_block_other_tenants() {
-        let mut q = FairQueues::new();
-        q.push(core(0, "a"));
-        q.push(core(1, "b"));
-        let got = q.pop_next(|c| c.spec.tenant != "a").unwrap();
+        let mut q = FairQueues::default();
+        q.push(core(0, "a"), None);
+        q.push(core(1, "b"), None);
+        let got = q.pop_next(|w| w.core.spec.tenant != "a").unwrap();
         assert_eq!(got.spec.tenant, "b");
         // "a" stays queued.
         assert_eq!(q.len(), 1);
@@ -369,11 +371,11 @@ mod tests {
 
     #[test]
     fn terminal_heads_are_reaped() {
-        let mut q = FairQueues::new();
+        let mut q = FairQueues::default();
         let dead = core(0, "a");
-        dead.finish(crate::job::JobState::Cancelled);
-        q.push(dead);
-        q.push(core(1, "a"));
+        dead.finish(crate::job::JobState::Cancelled, None);
+        q.push(dead, None);
+        q.push(core(1, "a"), None);
         let got = q.pop_next(|_| true).unwrap();
         assert_eq!(got.id.0, 1);
         assert_eq!(q.len(), 0, "terminal head was reaped, live one popped");
@@ -381,12 +383,12 @@ mod tests {
 
     #[test]
     fn reap_terminal_removes_mid_queue_entries() {
-        let mut q = FairQueues::new();
-        q.push(core(0, "a"));
+        let mut q = FairQueues::default();
+        q.push(core(0, "a"), None);
         let dead = core(1, "a");
-        q.push(Arc::clone(&dead));
-        q.push(core(2, "a"));
-        dead.finish(crate::job::JobState::Cancelled);
+        q.push(Arc::clone(&dead), None);
+        q.push(core(2, "a"), None);
+        dead.finish(crate::job::JobState::Cancelled, None);
         assert_eq!(q.len(), 3, "terminal entries linger until reaped");
         assert_eq!(q.reap_terminal(), 1);
         assert_eq!(q.len(), 2, "len no longer counts the terminal entry");
@@ -398,9 +400,9 @@ mod tests {
 
     #[test]
     fn drain_empties_everything() {
-        let mut q = FairQueues::new();
-        q.push(core(0, "a"));
-        q.push(core(1, "b"));
+        let mut q = FairQueues::default();
+        q.push(core(0, "a"), None);
+        q.push(core(1, "b"), None);
         assert_eq!(q.drain().len(), 2);
         assert_eq!(q.len(), 0);
         assert!(q.pop_next(|_| true).is_none());
@@ -408,9 +410,9 @@ mod tests {
 
     #[test]
     fn returning_tenant_rejoins_at_the_floor() {
-        let mut q = FairQueues::new();
+        let mut q = FairQueues::default();
         for id in 0..8 {
-            q.push(core(id, "busy"));
+            q.push(core(id, "busy"), None);
         }
         // Admit 4 from the busy tenant; its pass is now well ahead.
         for _ in 0..4 {
@@ -419,8 +421,8 @@ mod tests {
         // A fresh tenant arrives: it must not get 4 back-to-back slots
         // of "credit" — it starts at the busy tenant's floor and they
         // alternate.
-        q.push(core(100, "fresh"));
-        q.push(core(101, "fresh"));
+        q.push(core(100, "fresh"), None);
+        q.push(core(101, "fresh"), None);
         let next4: Vec<String> = (0..4)
             .filter_map(|_| q.pop_next(|_| true))
             .map(|c| c.spec.tenant.clone())

@@ -290,7 +290,8 @@ impl JobSpec {
 /// on each attempt.
 pub type JobBody = Box<dyn FnMut(&mut TaskContext<'_>) + Send>;
 
-/// A job's state plus whether its terminal state has been *published*.
+/// Everything a job's transitions write, each in one critical section
+/// with its state change, and whether the terminal state is *published*.
 ///
 /// The winner of a terminal transition does its bookkeeping (counters,
 /// budget release, policy hook) between making the state terminal and
@@ -302,9 +303,29 @@ pub type JobBody = Box<dyn FnMut(&mut TaskContext<'_>) + Send>;
 struct Lifecycle {
     state: JobState,
     published: bool,
+    /// Why admission refused the job: set with `Rejected`, never without.
+    rejection: Option<AdmissionError>,
+    /// When the last `Queued → Admitted` happened.
+    admitted_at: Option<Instant>,
+    /// When the job went terminal.
+    finished_at: Option<Instant>,
+}
+
+impl Lifecycle {
+    /// The terminal write both `finish` forms share.
+    fn end(&mut self, to: JobState, why: Option<AdmissionError>) {
+        debug_assert!(to.is_terminal());
+        debug_assert_eq!(why.is_some(), to == JobState::Rejected);
+        self.state = to;
+        self.rejection = why;
+        self.finished_at = Some(Instant::now());
+    }
 }
 
 /// Shared state of one job. Internal; clients hold a [`JobHandle`].
+/// Its locks are the [`Lifecycle`] and the body, which only a running
+/// attempt takes; the lock order is the service's books, a job's
+/// lifecycle, the counter registry.
 pub(crate) struct JobCore {
     pub(crate) id: JobId,
     pub(crate) spec: JobSpec,
@@ -319,18 +340,12 @@ pub(crate) struct JobCore {
     /// This admission was a half-open circuit-breaker probe; its outcome
     /// decides whether the tenant's breaker re-closes or re-opens.
     pub(crate) probe: AtomicBool,
-    pub(crate) rejection: Mutex<Option<AdmissionError>>,
     pub(crate) submitted_at: Instant,
-    pub(crate) admitted_at: Mutex<Option<Instant>>,
-    pub(crate) finished_at: Mutex<Option<Instant>>,
     /// Attempts started (1 after the first admission).
     pub(crate) attempts: AtomicU64,
     /// Retries performed; shared with the `/jobs{...}/tasks/retried`
     /// counter surface.
     pub(crate) retried: Arc<AtomicU64>,
-    /// Backoff gate: admission will not re-admit the job before this
-    /// instant.
-    pub(crate) not_before: Mutex<Option<Instant>>,
     /// The root closure; admission starts it once per attempt.
     pub(crate) body: Mutex<JobBody>,
 }
@@ -356,25 +371,19 @@ impl JobCore {
             state: Mutex::new(Lifecycle {
                 state: JobState::Queued,
                 published: false,
+                rejection: None,
+                admitted_at: None,
+                finished_at: None,
             }),
             state_cv: Condvar::new(),
             cancel_requested: AtomicBool::new(false),
             timed_out: AtomicBool::new(false),
             probe: AtomicBool::new(false),
-            rejection: Mutex::new(None),
             submitted_at: Instant::now(),
-            admitted_at: Mutex::new(None),
-            finished_at: Mutex::new(None),
             attempts: AtomicU64::new(0),
             retried,
-            not_before: Mutex::new(None),
             body: Mutex::new(body),
         }
-    }
-
-    /// The counter instance this job registers under: `name#id`.
-    pub(crate) fn instance(&self) -> String {
-        format!("{}#{}", self.spec.name, self.id.0)
     }
 
     pub(crate) fn state(&self) -> JobState {
@@ -387,65 +396,58 @@ impl JobCore {
         g.published.then_some(g.state)
     }
 
-    /// Non-terminal transition; wakes waiters. A job that already
-    /// reached a terminal state is left alone — waiters may have
-    /// observed that state, and it can never be un-terminalized.
+    /// Non-terminal transition. A job that already reached a terminal
+    /// state is left alone — waiters may have observed that state, and it
+    /// can never be un-terminalized. It wakes nobody: waiters wait for
+    /// `published`.
     pub(crate) fn set_state(&self, to: JobState) {
         let mut g = self.state.lock();
-        if g.state.is_terminal() {
-            return;
+        if !g.state.is_terminal() {
+            g.state = to;
         }
-        g.state = to;
-        drop(g);
-        self.state_cv.notify_all();
     }
 
-    /// `Queued → Admitted`, atomic with respect to the
+    /// `Queued → Admitted` at `now`, atomic with respect to the
     /// `Queued → Cancelled` path in [`JobHandle::cancel`] (both run
-    /// under the state mutex). Returns false — and changes nothing — if
+    /// under the lifecycle lock). Returns false — and changes nothing — if
     /// the job already left `Queued` (cancelled or expired while it
     /// waited); such a job must not be started or charged any budget.
-    pub(crate) fn try_admit(&self) -> bool {
+    pub(crate) fn try_admit(&self, now: Instant) -> bool {
         let mut g = self.state.lock();
-        if g.state != JobState::Queued {
-            return false;
+        let queued = g.state == JobState::Queued;
+        if queued {
+            g.state = JobState::Admitted;
+            g.admitted_at = Some(now);
         }
-        g.state = JobState::Admitted;
-        drop(g);
-        self.state_cv.notify_all();
-        true
+        queued
     }
 
     /// Terminal transition `Queued → to` iff the job is still `Queued`,
-    /// atomic with respect to [`try_admit`](Self::try_admit). Does not
-    /// wake waiters — the winner finishes its bookkeeping first, then
-    /// calls [`notify_waiters`](Self::notify_waiters).
-    pub(crate) fn finish_if_queued(&self, to: JobState) -> bool {
-        debug_assert!(to.is_terminal());
+    /// atomic with respect to [`try_admit`](Self::try_admit); otherwise
+    /// as [`finish`](Self::finish).
+    pub(crate) fn finish_if_queued(&self, to: JobState, why: Option<AdmissionError>) -> bool {
         let mut g = self.state.lock();
-        if g.state != JobState::Queued {
-            return false;
+        let queued = g.state == JobState::Queued;
+        if queued {
+            g.end(to, why);
         }
-        g.state = to;
-        *self.finished_at.lock() = Some(Instant::now());
-        true
+        queued
     }
 
-    /// Transition to terminal state `to` unless already terminal, without
-    /// waking waiters. Returns true if this call performed the transition
-    /// — the winner does the terminal bookkeeping (counters, budget
-    /// release) exactly once, then calls
+    /// Transition to terminal state `to`, with `why` if it is `Rejected`,
+    /// unless already terminal, without waking waiters. Returns true if
+    /// this call performed the transition — the winner does the terminal
+    /// bookkeeping (counters, budget release) exactly once, then calls
     /// [`notify_waiters`](Self::notify_waiters), so a returning
-    /// [`JobHandle::wait`] always observes fully settled counters.
-    pub(crate) fn finish(&self, to: JobState) -> bool {
-        debug_assert!(to.is_terminal());
+    /// [`JobHandle::wait`] always observes fully settled counters. A
+    /// loser writes nothing.
+    pub(crate) fn finish(&self, to: JobState, why: Option<AdmissionError>) -> bool {
         let mut g = self.state.lock();
-        if g.state.is_terminal() {
-            return false;
+        let live = !g.state.is_terminal();
+        if live {
+            g.end(to, why);
         }
-        g.state = to;
-        *self.finished_at.lock() = Some(Instant::now());
-        true
+        live
     }
 
     /// Publish the terminal state and wake everyone blocked in
@@ -466,11 +468,20 @@ impl JobCore {
         published.then_some(g.state)
     }
 
+    /// Why admission refused the job, if it was rejected.
+    pub(crate) fn rejection(&self) -> Option<AdmissionError> {
+        self.state.lock().rejection.clone()
+    }
+
+    /// When the job's last attempt was admitted, if it ever was.
+    pub(crate) fn admitted_at(&self) -> Option<Instant> {
+        self.state.lock().admitted_at
+    }
+
     /// Submission-to-finish latency (up to now for non-terminal jobs).
     pub(crate) fn turnaround(&self) -> Duration {
-        self.finished_at
-            .lock()
-            .map_or_else(|| self.submitted_at.elapsed(), |t| t - self.submitted_at)
+        let finished_at = self.state.lock().finished_at;
+        finished_at.map_or_else(|| self.submitted_at.elapsed(), |t| t - self.submitted_at)
     }
 
     pub(crate) fn outcome_now(&self, state: JobState) -> JobOutcome {
@@ -488,14 +499,7 @@ impl JobCore {
             turnaround: self.turnaround(),
             fault: self.group.first_fault(),
             retries: self.retried.load(Ordering::SeqCst),
-            // Gated on the state: a shed attempt that lost its race to a
-            // concurrent cancel clears `rejection` after the fact, and a
-            // non-rejected outcome must never surface a reject reason.
-            reject_reason: if state == JobState::Rejected {
-                self.rejection.lock().as_ref().map(AdmissionError::reason)
-            } else {
-                None
-            },
+            reject_reason: self.rejection().as_ref().map(AdmissionError::reason),
             origin_locality: None,
         }
     }
@@ -576,7 +580,7 @@ impl JobHandle {
 
     /// The counter instance (`name#id`) under `/jobs{...}`.
     pub fn instance(&self) -> String {
-        self.core.instance()
+        format!("{}#{}", self.core.spec.name, self.core.id.0)
     }
 
     /// Current lifecycle state.
@@ -586,17 +590,13 @@ impl JobHandle {
 
     /// Why admission refused the job, if it was rejected.
     pub fn rejection(&self) -> Option<AdmissionError> {
-        self.core.rejection.lock().clone()
+        self.core.rejection()
     }
 
     /// The coarse class of the refusal (queue-full vs shed vs
     /// breaker-open vs shutdown), if the job was rejected.
     pub fn reject_reason(&self) -> Option<RejectReason> {
-        self.core
-            .rejection
-            .lock()
-            .as_ref()
-            .map(AdmissionError::reason)
+        self.core.rejection().as_ref().map(AdmissionError::reason)
     }
 
     /// The first fault of the job's current/last attempt, if any.
@@ -617,11 +617,11 @@ impl JobHandle {
     pub fn cancel(&self) {
         self.core.cancel_requested.store(true, Ordering::SeqCst);
         // `Queued → Cancelled` and admission exclude each other under the
-        // state mutex: either this wins and admission's `try_admit`
+        // lifecycle lock: either this wins and admission's `try_admit`
         // later skips the job (no budget charged, entry reaped as a
         // terminal head), or admission won and the cooperative path
         // below applies.
-        if self.core.finish_if_queued(JobState::Cancelled) {
+        if self.core.finish_if_queued(JobState::Cancelled, None) {
             // Not yet started: no tasks to drain; settle it here. Mark
             // the group before waking waiters so the outcome they read
             // is fully settled.
@@ -739,20 +739,80 @@ mod tests {
         assert_eq!(JobShape::new(7, 2).tasks(), 4);
     }
 
-    #[test]
-    fn finish_is_single_shot() {
+    fn core(id: u64) -> Arc<JobCore> {
         let reg = Arc::new(grain_counters::Registry::new());
         let group = TaskGroup::new();
-        let counters = JobCounters::register(&reg, "t#0", &group).unwrap();
-        let core = JobCore::new(
-            JobId(0),
+        let counters = JobCounters::register(&reg, &format!("t#{id}"), &group).unwrap();
+        Arc::new(JobCore::new(
+            JobId(id),
             JobSpec::new("t", "a"),
             group,
             counters,
             Box::new(|_| {}),
-        );
-        assert!(core.finish(JobState::Cancelled));
-        assert!(!core.finish(JobState::Completed), "already terminal");
+        ))
+    }
+
+    #[test]
+    fn finish_is_single_shot() {
+        let core = core(0);
+        assert!(core.finish(JobState::Cancelled, None));
+        assert!(!core.finish(JobState::Completed, None), "already terminal");
         assert_eq!(core.state(), JobState::Cancelled);
+    }
+
+    /// A shed that loses to a cancel writes nothing: the job reads
+    /// cancelled, with no reject reason on the handle or in the outcome.
+    #[test]
+    fn a_shed_that_loses_to_a_cancel_leaves_no_reason() {
+        let handle = JobHandle {
+            core: core(0),
+            service: Weak::new(),
+        };
+        handle.cancel();
+        let shed = AdmissionError::Shed {
+            queued_for: Duration::from_millis(1),
+            deadline: None,
+        };
+        assert!(!handle.core.finish_if_queued(JobState::Rejected, Some(shed)));
+        assert_eq!(handle.rejection(), None);
+        assert_eq!(handle.reject_reason(), None);
+        let outcome = handle.outcome().expect("a queued cancel publishes");
+        assert_eq!(outcome.state, JobState::Cancelled);
+        assert_eq!(outcome.reject_reason, None);
+    }
+
+    /// State and reason are one write: a reader that finds `Rejected`
+    /// under the lifecycle lock finds its reason there too, and one that
+    /// finds any other state finds none.
+    #[test]
+    fn a_job_that_reads_rejected_has_its_reason() {
+        for id in 0..200 {
+            let core = core(id);
+            let reader_core = Arc::clone(&core);
+            let reader = grain_counters::sync::spawn("lifecycle-reader", move || loop {
+                let g = reader_core.state.lock();
+                assert_eq!(
+                    g.rejection.is_some(),
+                    g.state == JobState::Rejected,
+                    "{} with {:?}",
+                    g.state,
+                    g.rejection
+                );
+                if g.state.is_terminal() {
+                    return g.state;
+                }
+            })
+            .unwrap();
+            let why = AdmissionError::QueueFull {
+                queued: 1,
+                limit: 1,
+            };
+            assert!(core.finish_if_queued(JobState::Rejected, Some(why.clone())));
+            assert_eq!(reader.join().expect("reader held"), JobState::Rejected);
+            core.notify_waiters();
+            assert_eq!(core.state.lock().rejection, Some(why));
+            let outcome = core.outcome_now(JobState::Rejected);
+            assert_eq!(outcome.reject_reason, Some(RejectReason::QueueFull));
+        }
     }
 }

@@ -21,7 +21,7 @@
 //! whether the job fails fast, runs out its remaining tasks, or goes
 //! back through admission for another attempt after a backoff.
 
-use crate::admission::{AdmissionError, FairQueues};
+use crate::admission::{AdmissionError, FairQueues, Waiting};
 use crate::breaker::{BreakerConfig, BreakerDecision, BreakerState, Breakers};
 use crate::counters::{JobCounters, ServiceCounters};
 use crate::job::{FailurePolicy, JobCore, JobHandle, JobId, JobOutcome, JobSpec, JobState};
@@ -95,10 +95,15 @@ impl ServiceConfig {
     }
 }
 
-/// What the queues mutex guards: the tenant queues, and the hand-shake
-/// of who drains them.
+/// The service's books, under its one lock: the tenant queues, the jobs
+/// admission took out of them, and the hand-shake of who drains them. A
+/// job moves between `fair` and `running` in one critical section.
+#[derive(Default)]
 struct Queues {
     fair: FairQueues,
+    /// Jobs popped for admission and not yet settled or re-queued, for
+    /// deadline scanning and `wait_all`.
+    running: Vec<Arc<JobCore>>,
     /// A thread is inside [`admit_queued`]'s drain loop.
     draining: bool,
     /// A push or a budget release came while a drain ran: the drainer
@@ -119,12 +124,6 @@ pub(crate) struct Shared {
     /// Sum of admitted (unfinished) jobs' costs. Only ever raised in the
     /// queues critical section that pops the job it charges.
     budget_in_use: AtomicU64,
-    /// Jobs popped from the queues but not yet pushed into `running`.
-    /// Incremented under the queues lock, so `wait_all` (which holds
-    /// that lock) cannot observe a job in neither structure.
-    admitting: AtomicU64,
-    /// Jobs admitted and not yet terminal, for deadline scanning.
-    running: Mutex<Vec<Arc<JobCore>>>,
     /// Overload control loop: pressure signal, AIMD budget, shed picks.
     pressure: Arc<PressureController>,
     /// Per-tenant circuit breakers gating submission and retry.
@@ -149,11 +148,6 @@ impl JobService {
         // scopes it owns: `/service`, one per tenant breaker, one per job.
         let registry = Arc::clone(runtime.registry());
         let scope = registry.scope("service", None);
-        let queues = Mutex::new(Queues {
-            fair: FairQueues::new(),
-            draining: false,
-            rescan: false,
-        });
         let pressure = Arc::new(PressureController::new(
             config.admission.max_in_flight_tasks,
         ));
@@ -180,12 +174,10 @@ impl JobService {
             Shared {
                 runtime,
                 counters,
-                queues,
+                queues: Mutex::default(),
                 idle_cv: Condvar::new(),
                 kick: Arc::default(),
                 budget_in_use: AtomicU64::new(0),
-                admitting: AtomicU64::new(0),
-                running: Mutex::new(Vec::new()),
                 pressure,
                 breakers,
                 ids: AtomicU64::new(0),
@@ -278,7 +270,7 @@ impl JobService {
         if probe {
             core.probe.store(true, Ordering::SeqCst);
         }
-        queues.fair.push(Arc::clone(&core));
+        queues.fair.push(Arc::clone(&core), None);
         // Admission runs here, on the submitting thread, under the lock
         // the push already holds.
         drop(admit_queued(shared, queues));
@@ -286,8 +278,7 @@ impl JobService {
     }
 
     fn reject(&self, core: &Arc<JobCore>, why: AdmissionError) {
-        *core.rejection.lock() = Some(why);
-        if core.finish(JobState::Rejected) {
+        if core.finish(JobState::Rejected, Some(why)) {
             self.shared.counters.rejected.incr();
             core.notify_waiters();
         }
@@ -318,7 +309,7 @@ impl JobService {
 
     /// Jobs admitted and not yet finished.
     pub fn running_len(&self) -> usize {
-        self.shared.running.lock().len()
+        self.shared.queues.lock().running.len()
     }
 
     /// The current smoothed overload-pressure snapshot.
@@ -352,10 +343,8 @@ impl JobService {
 /// [`JobService::wait_all`]; during shutdown it also refuses what is
 /// queued, including a retry re-queued after an earlier refusal.
 fn wait_idle(shared: &Shared) {
-    // Holding the queues lock excludes admission's
-    // pop+`admitting`-increment critical section, so a job in flight
-    // between the queues and `running` is always visible through one of
-    // the three checks.
+    // A job moves between the queues and `running` under this lock, so
+    // one look finds it in one of the two.
     let mut queues = shared.queues.lock();
     let refusing =
         |queues: &Queues| shared.shutdown.load(Ordering::SeqCst) && queues.fair.len() > 0;
@@ -370,9 +359,7 @@ fn wait_idle(shared: &Shared) {
             // An entry that went terminal while queued (cancelled, shed)
             // waits for the next pop to reap it; none may come.
             queues.fair.reap_terminal();
-            queues.fair.len() == 0
-                && shared.admitting.load(Ordering::SeqCst) == 0
-                && shared.running.lock().is_empty()
+            queues.fair.len() == 0 && queues.running.is_empty()
         });
         if !refusing(&queues) {
             return;
@@ -430,7 +417,7 @@ fn settle(shared: &Arc<Shared>, core: &Arc<JobCore>) {
     } else {
         JobState::Completed
     };
-    if !core.finish(state) {
+    if !core.finish(state, None) {
         return; // someone else settled it first
     }
     let reach = reach_of(core.probe.swap(false, Ordering::SeqCst));
@@ -438,7 +425,7 @@ fn settle(shared: &Arc<Shared>, core: &Arc<JobCore>) {
         JobState::Completed => {
             shared.counters.completed.incr();
             shared.breakers.record(&core.spec.tenant, false, reach, now);
-            if let Some(at) = *core.admitted_at.lock() {
+            if let Some(at) = core.admitted_at() {
                 // Admitted-to-finished time feeds the shed slack estimate.
                 shared
                     .pressure
@@ -460,17 +447,17 @@ fn settle(shared: &Arc<Shared>, core: &Arc<JobCore>) {
         .turnaround
         .record(core.turnaround().as_nanos() as u64);
     shared.budget_in_use.fetch_sub(core.cost, Ordering::SeqCst);
-    shared.running.lock().retain(|c| !Arc::ptr_eq(c, core));
     {
+        let mut queues = shared.queues.lock();
+        queues.running.retain(|c| !Arc::ptr_eq(c, core));
         // The released budget may let a queued job in: admission runs
         // here, on the settling thread.
-        let queues = admit_queued(shared, shared.queues.lock());
+        let queues = admit_queued(shared, queues);
         sample_pressure(shared, &queues, now);
     }
     // `wait_all` checks `running` under the queues lock and waits on
-    // `idle_cv`: passing through that lock after the removal orders this
-    // notify after its check, so the wake is not lost (the rule on
-    // `sync::Condvar`).
+    // `idle_cv`: the removal under that lock orders this notify after
+    // its check, so the wake is not lost (the rule on `sync::Condvar`).
     shared.idle_cv.notify_all();
     // Policy observation with no locks held and every counter settled,
     // before waiters wake — a submitter unblocked by wait() already
@@ -518,16 +505,16 @@ fn try_requeue_for_retry(shared: &Arc<Shared>, core: &Arc<JobCore>, now: Instant
     }
     shared.counters.retried.incr();
     core.retried.fetch_add(1, Ordering::SeqCst);
-    *core.not_before.lock() = Some(now + backoff_delay(base, cap, attempt));
     core.group.reset_faults();
     core.set_state(JobState::Queued);
     shared.budget_in_use.fetch_sub(core.cost, Ordering::SeqCst);
-    // The move from `running` to the queues happens under the queues
-    // lock, which `wait_all` and the shutdown drain read `running`
-    // under: they see the job in one of the two.
+    // The move from `running` to the queues, gate and all, is one
+    // critical section of the lock `wait_all` and the shutdown drain
+    // read both under: they see the job in one of the two.
     let mut queues = shared.queues.lock();
-    shared.running.lock().retain(|c| !Arc::ptr_eq(c, core));
-    queues.fair.push(Arc::clone(core));
+    queues.running.retain(|c| !Arc::ptr_eq(c, core));
+    let gate = now + backoff_delay(base, cap, attempt);
+    queues.fair.push(Arc::clone(core), Some(gate));
     // The released budget may let another job in, and the backoff gate
     // is a timer the dispatcher must know about: the drain tells it.
     drop(admit_queued(shared, queues));
@@ -545,19 +532,17 @@ fn backoff_delay(base: Duration, cap: Duration, attempt: u64) -> Duration {
 /// `Rejected` with [`AdmissionError::Shed`], metered on the `shed`
 /// counter (not `rejected` — the two are disjoint so the conservation
 /// invariant `admitted + rejected + shed == submitted` stays exact).
+/// A shed that lost its race to a cancel or an admission since the pick
+/// writes nothing.
 fn shed_job(shared: &Shared, core: &Arc<JobCore>, now: Instant) {
-    *core.rejection.lock() = Some(AdmissionError::Shed {
+    let why = AdmissionError::Shed {
         queued_for: now.saturating_duration_since(core.submitted_at),
         deadline: core.spec.deadline,
-    });
-    if core.finish_if_queued(JobState::Rejected) {
+    };
+    if core.finish_if_queued(JobState::Rejected, Some(why)) {
         shared.counters.shed.incr();
         core.group.cancel();
         end_queued(shared, core, JobState::Rejected);
-    } else {
-        // Lost the race to a concurrent cancel or admission between the
-        // pick and here; don't leave a stale reason behind.
-        *core.rejection.lock() = None;
     }
 }
 
@@ -602,9 +587,11 @@ fn admit_queued<'a>(
             if let Some(d) = core.spec.deadline {
                 timer = earliest(timer, core.submitted_at + d);
             }
-            admit(shared, core);
-            shared.admitting.fetch_sub(1, Ordering::SeqCst);
+            let started = admit(shared, &core);
             queues = shared.queues.lock();
+            if !started {
+                queues.running.retain(|c| !Arc::ptr_eq(c, &core));
+            }
         }
         if !std::mem::take(&mut queues.rescan) {
             break;
@@ -612,7 +599,7 @@ fn admit_queued<'a>(
     }
     queues.draining = false;
     // Under the lock `wait_idle` checks under: a popped job a cancel
-    // ended first leaves `admitting` with no settle to announce it, and a
+    // ended first leaves `running` with no settle to announce it, and a
     // retry re-queued during shutdown must be refused.
     shared.idle_cv.notify_all();
     if queues.fair.len() > 0 {
@@ -625,11 +612,13 @@ fn admit_queued<'a>(
     queues
 }
 
-/// Pop the first admissible job in stride order and charge its cost to
-/// the budget, in one critical section under the queues lock: with
-/// budget checked and charged together, admitted costs never pass the
-/// limit, whichever thread drains (one job is always admissible when
-/// nothing is admitted, so an over-budget job cannot wedge the service).
+/// Pop the first admissible job in stride order, charge its cost to the
+/// budget and enter it in `running`, in one critical section under the
+/// queues lock: with budget checked and charged together, admitted costs
+/// never pass the limit, whichever thread drains (one job is always
+/// admissible when nothing is admitted, so an over-budget job cannot
+/// wedge the service), and `wait_all` never finds the job in neither
+/// the queues nor `running`.
 fn pop_admissible(shared: &Shared, queues: &mut Queues) -> Option<Arc<JobCore>> {
     if queues.fair.len() == 0 || shared.shutdown.load(Ordering::SeqCst) {
         return None;
@@ -640,39 +629,35 @@ fn pop_admissible(shared: &Shared, queues: &mut Queues) -> Option<Arc<JobCore>> 
     let max = shared.pressure.budget_limit();
     let in_use = shared.budget_in_use.load(Ordering::SeqCst);
     let mut now = None;
-    let core = queues.fair.pop_next(|core| {
+    let core = queues.fair.pop_next(|w| {
         // A retrying job stays queued until its backoff gate opens; its
         // tenant's FIFO order holds.
-        if core
-            .not_before
-            .lock()
+        if w.not_before
             .is_some_and(|t| t > *now.get_or_insert_with(Instant::now))
         {
             return false;
         }
-        in_use == 0 || in_use + core.cost <= max
+        in_use == 0 || in_use + w.core.cost <= max
     })?;
     shared.budget_in_use.fetch_add(core.cost, Ordering::SeqCst);
-    // Under the queues lock: wait_all must never see the job in neither
-    // the queues nor `running`.
-    shared.admitting.fetch_add(1, Ordering::SeqCst);
+    queues.running.push(Arc::clone(&core));
     Some(core)
 }
 
 /// Start a popped job whose cost is already charged: mark it running,
-/// arm its settlement, and hand its root task to the runtime.
-fn admit(shared: &Arc<Shared>, core: Arc<JobCore>) {
-    // Queued → Admitted under the state mutex. Losing means the job went
-    // terminal (handle-cancelled) between the pop and here: refund the
-    // charge and start nothing — its waiters were already notified by
-    // whoever finished it. The drain this runs in pops again anyway.
-    if !core.try_admit() {
-        shared.budget_in_use.fetch_sub(core.cost, Ordering::SeqCst);
-        return;
-    }
+/// arm its settlement, and hand its root task to the runtime. Returns
+/// false if a cancel ended the job first.
+fn admit(shared: &Arc<Shared>, core: &Arc<JobCore>) -> bool {
     let now = Instant::now();
-    *core.admitted_at.lock() = Some(now);
-    *core.not_before.lock() = None;
+    // Queued → Admitted under the job's lifecycle lock. Losing means the
+    // job went terminal (handle-cancelled) between the pop and here:
+    // refund the charge and start nothing — its waiters were already
+    // notified by whoever finished it. The drain this runs in takes it
+    // out of `running` and pops again.
+    if !core.try_admit(now) {
+        shared.budget_in_use.fetch_sub(core.cost, Ordering::SeqCst);
+        return false;
+    }
     if let Some(deadline) = core.spec.deadline {
         // Deadline propagation: the group sees the job's remaining
         // budget, and workers skip members at dispatch once it is gone.
@@ -698,17 +683,16 @@ fn admit(shared: &Arc<Shared>, core: Arc<JobCore>) {
         }
     }
     core.set_state(JobState::Running);
-    shared.running.lock().push(Arc::clone(&core));
     // Arm settlement before the root exists: the hook fires when the
     // group next drains, on the thread that retires its last member. It
     // never fires here, so a submitter or a drain never runs a settle —
     // or the policy hook — inline, however fast the job finishes.
     let hook_shared = Arc::clone(shared);
-    let hook_core = Arc::clone(&core);
+    let hook_core = Arc::clone(core);
     core.group.on_quiescent(move || {
         settle(&hook_shared, &hook_core);
     });
-    let body_core = Arc::clone(&core);
+    let body_core = Arc::clone(core);
     shared.runtime.spawn_in(
         &core.group,
         core.spec.priority.task_priority(),
@@ -716,6 +700,7 @@ fn admit(shared: &Arc<Shared>, core: Arc<JobCore>) {
         // one attempt is in flight at a time, so the lock is free.
         move |ctx| (*body_core.body.lock())(ctx),
     );
+    true
 }
 
 /// Feed the pressure loop under the queues lock, which guards the queue
@@ -745,17 +730,15 @@ fn refuse_queued(shared: &Shared, drained: Vec<Arc<JobCore>>) {
     for core in drained {
         // A job queued for a retry attempt already ran and faulted;
         // shutdown ends it as Failed, not Rejected.
-        if core.group.first_fault().is_some() {
-            if core.finish(JobState::Failed) {
-                shared.counters.failed.incr();
-                end_queued(shared, &core, JobState::Failed);
-            }
-            continue;
-        }
-        *core.rejection.lock() = Some(AdmissionError::ShuttingDown);
-        if core.finish(JobState::Rejected) {
-            shared.counters.rejected.incr();
-            end_queued(shared, &core, JobState::Rejected);
+        let (state, why, counter) = if core.group.first_fault().is_some() {
+            (JobState::Failed, None, &shared.counters.failed)
+        } else {
+            let why = Some(AdmissionError::ShuttingDown);
+            (JobState::Rejected, why, &shared.counters.rejected)
+        };
+        if core.finish(state, why) {
+            counter.incr();
+            end_queued(shared, &core, state);
         }
     }
 }
@@ -771,10 +754,10 @@ fn tick(shared: &Arc<Shared>) -> Option<Instant> {
     let mut due = None;
     // Deadlines of admitted jobs. Collect first, cancel after dropping
     // the lock: cancel() can retire the group's last in-flight member,
-    // running the quiescence hook — and thus settle(), which takes
-    // `running` — inline on this thread.
+    // running the quiescence hook — and thus settle(), which takes the
+    // queues lock — inline on this thread.
     let mut expired = Vec::new();
-    for core in shared.running.lock().iter() {
+    for core in shared.queues.lock().running.iter() {
         match core.spec.deadline.map(|d| core.submitted_at + d) {
             Some(at) if now >= at => expired.push(Arc::clone(core)),
             Some(at) => due = earliest(due, at),
@@ -792,14 +775,17 @@ fn tick(shared: &Arc<Shared>) -> Option<Instant> {
     // drops the oldest; the same scan finds the backoff gates. It runs on
     // a copy of the queue, so submitters and settles admit meanwhile: a
     // deep queue is scanned every millisecond.
-    let queued: Vec<Arc<JobCore>> = shared.queues.lock().fair.iter().cloned().collect();
+    let queued: Vec<Waiting> = shared.queues.lock().fair.iter().cloned().collect();
     let mut gate_opened = false;
-    let gates = queued.iter().inspect(|core| match *core.not_before.lock() {
-        Some(gate) if gate <= now => gate_opened = true,
-        Some(gate) => due = earliest(due, gate),
-        None => {}
+    let cores = queued.iter().map(|w| {
+        match w.not_before {
+            Some(gate) if gate <= now => gate_opened = true,
+            Some(gate) => due = earliest(due, gate),
+            None => {}
+        }
+        &w.core
     });
-    let (sheds, next_shed) = shared.pressure.select_sheds(now, gates);
+    let (sheds, next_shed) = shared.pressure.select_sheds(now, cores);
     if let Some(at) = next_shed {
         due = earliest(due, at);
     }

@@ -230,11 +230,24 @@ fn racing_cancel_with_admission_never_leaks_budget_or_running_entries() {
 
 #[test]
 fn wait_all_covers_jobs_in_the_admission_window() {
-    // Regression: between the dispatcher popping a job off the queues
-    // and pushing it into the running list, wait_all used to see it in
-    // neither structure and return while work was about to start.
-    let service = JobService::new(single_worker_config());
-    for round in 0..50 {
+    // Regression: between a drain popping a job off the queues and
+    // entering it in the running list, wait_all used to see it in
+    // neither structure and return while work was about to start. With
+    // a budget of one job, each job after a round's first is admitted by
+    // the settle of the one before it, on the worker, while wait_all
+    // waits; the last of them empties the queues. A mutant that enters
+    // the job in `running` after the books lock is released fails in 100
+    // runs of 100; at 50 rounds on the default budget, where the
+    // submitter admits every job itself, in 0 of 100.
+    let config = ServiceConfig {
+        admission: AdmissionConfig {
+            max_in_flight_tasks: 1,
+            ..AdmissionConfig::default()
+        },
+        ..single_worker_config()
+    };
+    let service = JobService::new(config);
+    for round in 0..5_000 {
         let jobs: Vec<_> = (0..4)
             .map(|i| service.submit(JobSpec::new(format!("w{round}-{i}"), "tenant-a"), |_| {}))
             .collect();
@@ -242,7 +255,7 @@ fn wait_all_covers_jobs_in_the_admission_window() {
         for job in &jobs {
             assert!(
                 job.state().is_terminal(),
-                "wait_all returned while a job was still {}",
+                "round {round}: wait_all returned while a job was still {}",
                 job.state()
             );
         }
@@ -708,4 +721,61 @@ fn dropping_a_service_empties_its_registry() {
     drop(held);
     drop(service);
     assert!(registry.is_empty(), "{:?}", registry.paths());
+}
+
+/// Reading a service gauge while queued jobs end must not deadlock. A job
+/// cancelled while queued, its handle dropped, leaves its last reference
+/// in the queues: the next pop reaps it there, and its `/jobs{…}` scope
+/// retires under the queues lock. `/service/queue/length` takes that lock
+/// when sampled, so a registry query that sampled under the registry's
+/// own lock would wait on the queues while the reaper waited on the
+/// registry. The probe runs on a thread of its own and the test fails at
+/// a deadline, so a deadlock is a failure, not a hung binary.
+#[test]
+fn reading_the_queue_gauge_while_cancelled_jobs_are_reaped_does_not_deadlock() {
+    const ROUNDS: u64 = 20_000;
+    let (done, finished) = std::sync::mpsc::channel();
+    grain_counters::sync::spawn("gauge-probe", move || {
+        let config = ServiceConfig {
+            admission: AdmissionConfig {
+                max_in_flight_tasks: 1,
+                ..AdmissionConfig::default()
+            },
+            ..single_worker_config()
+        };
+        let service = JobService::new(config);
+        // One held job owns the whole budget: every later one queues.
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let held = service.submit(JobSpec::new("held", "t"), move |_| {
+            let _ = gate.recv();
+        });
+        let stop = Arc::new(AtomicBool::new(false));
+        let registry = Arc::clone(service.registry());
+        let stopping = Arc::clone(&stop);
+        let reader = grain_counters::sync::spawn("gauge-reader", move || {
+            let mut reads = 0u64;
+            while !stopping.load(Ordering::SeqCst) {
+                registry
+                    .query("/service/queue/length")
+                    .expect("the gauge is registered");
+                reads += 1;
+            }
+            reads
+        })
+        .unwrap();
+        for i in 0..ROUNDS {
+            let job = service.submit(JobSpec::new(format!("q{i}"), "t"), |_| {});
+            job.cancel();
+        }
+        stop.store(true, Ordering::SeqCst);
+        let reads = reader.join().expect("reader panicked");
+        release.send(()).expect("the held job is waiting");
+        assert_eq!(held.wait().state, JobState::Completed);
+        let _ = done.send(reads);
+    })
+    .unwrap();
+    let reads = finished
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a gauge read and a reaped job deadlocked");
+    assert!(reads > 0, "the reader never sampled the gauge");
 }

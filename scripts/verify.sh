@@ -51,14 +51,15 @@ cargo build --workspace --release --offline
 stage "cargo test"
 cargo test --offline -q
 
-stage "cargo test, one test at a time: counters, service, adaptive, autotune"
+stage "cargo test, one test at a time: counters, service, adaptive, autotune, fleet"
 # Tests of these crates read counters and clocks that a parallel
 # neighbour can stretch or starve, so a test that holds only beside
 # others, or only alone, is a test of the host. Run once more serially
-# (ROADMAP item 5(d)'s first step; ~10 s warm). A test that fails here
-# is mended in the test or the code, never by leaving this stage.
+# (ROADMAP item 5(d)'s first step; ~12 s warm). Fleet's worker wraps the
+# service and reads its outcomes. A test that fails here is mended in
+# the test or the code, never by leaving this stage.
 cargo test --offline -q -p grain-counters -p grain-service -p grain-adaptive \
-    -p grain-autotune -- --test-threads=1
+    -p grain-autotune -p grain-fleet -- --test-threads=1
 
 stage "no cargo features"
 # Every cargo feature is a second build to test and measure, and the
